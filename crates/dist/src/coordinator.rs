@@ -20,7 +20,7 @@ use crate::transport::Transport;
 use crate::Result;
 use eafe::{Engine, RunResult, SearchState};
 use runtime::evaluator::DEFAULT_CACHE_CAPACITY;
-use runtime::{derive_seed, dist_counters, ScoreCache};
+use runtime::{derive_seed, dist_counters, FramePrefix, ScoreCache};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -132,19 +132,20 @@ impl<T: Transport> Coordinator<T> {
             // step) and slice-internal duplicates — the cache key is the
             // exact fingerprint `step` will probe with.
             let evaluator = engine.evaluator();
+            let prefix = FramePrefix::new(prefix);
             let mut seen: HashSet<runtime::Fingerprint> = HashSet::new();
             candidates.retain(|candidate| {
-                let Ok(frame) = prefix.with_extra_columns(std::slice::from_ref(candidate)) else {
+                if candidate.len() != prefix.frame().n_rows() {
                     return false;
-                };
-                let key = evaluator.cache_key(&frame);
+                }
+                let key = evaluator.prefix_key(&prefix, candidate);
                 seen.insert(key) && !cache.contains(key)
             });
             if !candidates.is_empty() {
                 let shards =
                     make_shards(slice, 1, root, self.live_workers(), candidates, |cands| {
                         ShardTasks::Eval {
-                            prefix: prefix.clone(),
+                            prefix: prefix.frame().clone(),
                             candidates: cands,
                         }
                     });

@@ -13,7 +13,7 @@ use crate::protocol::{Msg, ShardResult, ShardTasks, WorkShard};
 use crate::transport::Transport;
 use crate::{DistError, Result};
 use eafe::{CachedEvaluator, Engine};
-use runtime::CacheSnapshot;
+use runtime::{CacheSnapshot, FramePrefix};
 use std::time::Instant;
 
 /// Stateless worker entry point.
@@ -38,32 +38,30 @@ impl Session {
         let start = Instant::now();
         let mut scores = CacheSnapshot::empty();
         let mut sigs = CacheSnapshot::empty();
-        match &shard.tasks {
+        match shard.tasks {
             ShardTasks::Fpe { columns } => {
                 // Score through the process-wide signature cache and ship
                 // back the delta: everything touched since `baseline`,
                 // which is a superset of the new sketches — harmless,
                 // because the coordinator's merge is idempotent.
                 let baseline = runtime::sig_cache_tick();
-                for column in columns {
+                for column in &columns {
                     self.engine.fpe_score(&column.values)?;
                 }
                 sigs = runtime::sig_cache_snapshot_since(baseline);
             }
             ShardTasks::Eval { prefix, candidates } => {
-                // Rebuild each evaluation frame exactly as the sequential
-                // search does, so the content-addressed key matches the
-                // one `Engine::step` will look up.
+                // Key and (on a miss) rebuild each evaluation frame exactly
+                // as the sequential search does, so the content-addressed
+                // key matches the one `Engine::step` will look up.
+                let prefix = FramePrefix::new(prefix);
                 let mut entries = Vec::with_capacity(candidates.len());
-                for candidate in candidates {
-                    let frame = prefix
-                        .with_extra_columns(std::slice::from_ref(candidate))
-                        .map_err(|e| DistError::Task(e.to_string()))?;
-                    let key = self.evaluator.cache_key(&frame);
+                for candidate in &candidates {
+                    let key = self.evaluator.prefix_key(&prefix, candidate);
                     let score = self
                         .evaluator
-                        .evaluate(&frame)
-                        .map_err(|e| DistError::Task(e.to_string()))?;
+                        .evaluate_keyed(key, || Ok(prefix.with_column(candidate)?))
+                        .map_err(|e: eafe::EafeError| DistError::Task(e.to_string()))?;
                     entries.push((key, score));
                 }
                 // Snapshot contract: ascending fingerprint order, no

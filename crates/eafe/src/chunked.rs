@@ -721,6 +721,7 @@ impl Engine {
         let n_agents = s.subgroups.len();
         let chunk_rows = s.frame.chunk_rows();
         let n_rows = s.frame.n_rows();
+        let mut gate_scratch = Vec::new();
 
         let mut epoch_span = telemetry::span("engine.stage2_epoch");
         epoch_span.field("epoch", epoch as f64);
@@ -748,7 +749,7 @@ impl Engine {
                         Gate::Fpe(fpe) => {
                             let p = timer
                                 .generation(|| score_candidate(fpe, &cand, chunk_rows, n_rows))?;
-                            let pass = s.fpe_gate.observe_and_pass(p);
+                            let pass = s.fpe_gate.observe_and_pass(p, &mut gate_scratch);
                             telemetry::count(
                                 if pass {
                                     "fpe.gate.accept"

@@ -150,8 +150,7 @@ impl FpeModel {
     /// hands the result here, so a candidate is scored without ever being
     /// materialized as a flat column.
     pub fn score_compressed(&self, compressed: Vec<f64>) -> Result<f64> {
-        let x: Vec<Vec<f64>> = compressed.into_iter().map(|v| vec![v]).collect();
-        Ok(self.classifier.predict_positive_proba(&x)?[0])
+        Ok(self.classifier.predict_positive_proba_row(&compressed)?)
     }
 
     /// Hard decision at 0.5: keep as candidate or drop.

@@ -39,6 +39,7 @@ use crate::state::EngineState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
+use runtime::FramePrefix;
 use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame};
 
@@ -104,14 +105,19 @@ impl AdaptiveGate {
     }
 
     /// Record the score and decide whether the candidate passes.
-    pub(crate) fn observe_and_pass(&mut self, p: f64) -> bool {
+    /// `scratch` is overwritten; callers keep one across a slice's
+    /// candidates so the median costs no allocation.
+    pub(crate) fn observe_and_pass(&mut self, p: f64, scratch: &mut Vec<f64>) -> bool {
         if self.window.len() == self.cap {
             self.window.remove(0);
         }
         self.window.push(p);
-        let mut sorted = self.window.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = sorted[sorted.len() / 2];
+        scratch.clear();
+        scratch.extend_from_slice(&self.window);
+        let mid = scratch.len() / 2;
+        let (_, median, _) = scratch.select_nth_unstable_by(mid, |a, b| {
+            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+        });
         p >= median.max(0.5)
     }
 }
@@ -173,12 +179,16 @@ struct SearchCore {
 /// Serializing a `SearchState` checkpoints the search; deserializing and
 /// stepping to completion reproduces the uninterrupted run bit for bit
 /// (scores, evaluation counts, selected features — see the module docs
-/// for what is excluded). The evaluator handle is process-local and is
-/// lazily rebuilt from the engine after a restore.
+/// for what is excluded). The evaluator handle and the cache-probe prefix
+/// are process-local and are lazily rebuilt after a restore.
 pub struct SearchState {
     core: SearchCore,
     /// Process-local caching evaluator; rebuilt lazily after deserialize.
     evaluator: Option<CachedEvaluator>,
+    /// The current selected frame with its hash state, so a candidate's
+    /// cache probe hashes the candidate column, not the frame. Derived
+    /// from `core`; dropped whenever a feature is accepted.
+    prefix: Option<FramePrefix>,
 }
 
 impl Serialize for SearchState {
@@ -192,6 +202,7 @@ impl Deserialize for SearchState {
         Ok(SearchState {
             core: SearchCore::from_value(v)?,
             evaluator: None,
+            prefix: None,
         })
     }
 }
@@ -203,6 +214,7 @@ impl Clone for SearchState {
             // The clone re-derives its own evaluator on first step so the
             // two copies do not share a private cache (mirrors restore).
             evaluator: self.evaluator.clone(),
+            prefix: self.prefix.clone(),
         }
     }
 }
@@ -377,6 +389,7 @@ impl Engine {
                 cache_misses: cache_delta.misses,
             },
             evaluator: Some(evaluator),
+            prefix: None,
         })
     }
 
@@ -401,10 +414,16 @@ impl Engine {
 
         match stage {
             SearchStage::Stage1 => self.step_stage1(&mut search.core, &mut timer, epoch)?,
-            SearchStage::Seed => self.step_seed(&mut search.core, &evaluator, &mut timer)?,
-            SearchStage::Stage2 => {
-                self.step_stage2(&mut search.core, &evaluator, &mut timer, epoch)?
+            SearchStage::Seed => {
+                self.step_seed(&mut search.core, &evaluator, &mut search.prefix, &mut timer)?
             }
+            SearchStage::Stage2 => self.step_stage2(
+                &mut search.core,
+                &evaluator,
+                &mut search.prefix,
+                &mut timer,
+                epoch,
+            )?,
         }
 
         let core = &mut search.core;
@@ -518,6 +537,7 @@ impl Engine {
         &self,
         core: &mut SearchCore,
         evaluator: &CachedEvaluator,
+        prefix: &mut Option<FramePrefix>,
         timer: &mut PhaseTimer,
     ) -> Result<()> {
         let cfg = &self.config;
@@ -532,16 +552,10 @@ impl Engine {
             if core.state.n_generated() >= core.max_generated {
                 break;
             }
-            let candidate = core
-                .state
-                .selected_frame(&core.frame)?
-                .with_extra_columns(std::slice::from_ref(&feat.column))?;
-            let score = {
-                let _eval_span = telemetry::span("engine.evaluate");
-                timer.evaluation(|| evaluator.evaluate(&candidate))?
-            };
+            let score = evaluate_candidate(core, evaluator, prefix, timer, &feat.column)?;
             core.counter.evaluate();
             if score > core.state.current_score {
+                *prefix = None;
                 core.state.last_reward = score - core.state.current_score;
                 core.state.current_score = score;
                 core.best_score = core.best_score.max(score);
@@ -569,12 +583,14 @@ impl Engine {
         &self,
         core: &mut SearchCore,
         evaluator: &CachedEvaluator,
+        prefix: &mut Option<FramePrefix>,
         timer: &mut PhaseTimer,
         epoch: usize,
     ) -> Result<()> {
         let cfg = &self.config;
         let mut rng = core.rng.to_rng();
         let mut gate_rng = core.gate_rng.to_rng();
+        let mut gate_scratch = Vec::new();
         let n_agents = core.state.n_agents();
 
         let mut epoch_span = telemetry::span("engine.stage2_epoch");
@@ -606,7 +622,7 @@ impl Engine {
                     && match &self.gate {
                         Gate::Fpe(fpe) => {
                             let p = timer.generation(|| fpe.score_feature(&feat.column.values))?;
-                            let pass = core.fpe_gate.observe_and_pass(p);
+                            let pass = core.fpe_gate.observe_and_pass(p, &mut gate_scratch);
                             telemetry::count(
                                 if pass {
                                     "fpe.gate.accept"
@@ -627,17 +643,11 @@ impl Engine {
                     continue;
                 }
 
-                let candidate = core
-                    .state
-                    .selected_frame(&core.frame)?
-                    .with_extra_columns(std::slice::from_ref(&feat.column))?;
-                let score = {
-                    let _eval_span = telemetry::span("engine.evaluate");
-                    timer.evaluation(|| evaluator.evaluate(&candidate))?
-                };
+                let score = evaluate_candidate(core, evaluator, prefix, timer, &feat.column)?;
                 core.counter.evaluate();
                 core.state.last_reward = score - core.state.current_score;
                 if score > core.state.current_score {
+                    *prefix = None;
                     core.state.current_score = score;
                     core.best_score = core.best_score.max(score);
                     core.weighted.push(WeightedFeature {
@@ -828,6 +838,7 @@ impl Engine {
                 let mut gate_rng = core.gate_rng.to_rng();
                 let mut policies = core.policies.clone();
                 let mut fpe_gate = core.fpe_gate.clone();
+                let mut gate_scratch = Vec::new();
                 let epoch_frac = epoch as f64 / cfg.stage2_epochs.max(1) as f64;
                 let n_agents = core.state.n_agents();
                 let budget_open = core.state.n_generated() < core.max_generated;
@@ -850,7 +861,7 @@ impl Engine {
                             && match &self.gate {
                                 Gate::Fpe(fpe) => {
                                     let p = fpe.score_feature(&feat.column.values)?;
-                                    fpe_gate.observe_and_pass(p)
+                                    fpe_gate.observe_and_pass(p, &mut gate_scratch)
                                 }
                                 Gate::RandomDrop { rate } => !gate_rng.gen_bool(*rate),
                                 Gate::None => true,
@@ -865,6 +876,28 @@ impl Engine {
         }
         Ok((prefix, candidates))
     }
+}
+
+/// Downstream score of the selected frame extended by `candidate`. The
+/// cache is probed with the prefix key (building `prefix` from the current
+/// selection if an acceptance dropped it); the candidate frame is built
+/// only when the probe misses.
+fn evaluate_candidate(
+    core: &SearchCore,
+    evaluator: &CachedEvaluator,
+    prefix: &mut Option<FramePrefix>,
+    timer: &mut PhaseTimer,
+    candidate: &Column,
+) -> Result<f64> {
+    let prefix = match prefix {
+        Some(prefix) => prefix,
+        None => prefix.insert(FramePrefix::new(core.state.selected_frame(&core.frame)?)),
+    };
+    let _eval_span = telemetry::span("engine.evaluate");
+    timer.evaluation(|| {
+        let key = evaluator.prefix_key(prefix, candidate);
+        evaluator.evaluate_keyed(key, || Ok(prefix.with_column(candidate)?))
+    })
 }
 
 /// Generate one candidate feature for agent `j`: sample two subgroup
@@ -922,12 +955,13 @@ mod tests {
     #[test]
     fn adaptive_gate_pins_pass_rate_at_or_below_half() {
         let mut gate = AdaptiveGate::new(64);
+        let mut scratch = Vec::new();
         // Scores clustered high: a fixed 0.5 cut would pass everything.
         let mut passed = 0;
         let n = 500;
         for i in 0..n {
             let p = 0.7 + 0.2 * ((i as f64 * 0.713).sin());
-            if gate.observe_and_pass(p) {
+            if gate.observe_and_pass(p, &mut scratch) {
                 passed += 1;
             }
         }
@@ -941,8 +975,31 @@ mod tests {
         let mut gate = AdaptiveGate::new(64);
         // All scores below 0.5 → nothing passes even though all equal the
         // running median.
+        let mut scratch = Vec::new();
         for _ in 0..100 {
-            assert!(!gate.observe_and_pass(0.3));
+            assert!(!gate.observe_and_pass(0.3, &mut scratch));
+        }
+    }
+
+    #[test]
+    fn adaptive_gate_decides_by_the_sorted_window_median() {
+        // Reference: keep the last `cap` scores, sort, take the upper median.
+        let mut gate = AdaptiveGate::new(16);
+        let mut scratch = Vec::new();
+        let mut recent: Vec<f64> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        for i in 0..200 {
+            // Coarse values so ties at the median are common.
+            let p = f64::from(rng.gen_range(0..12u32)) / 11.0;
+            recent.push(p);
+            if recent.len() > 16 {
+                recent.remove(0);
+            }
+            let mut sorted = recent.clone();
+            sorted.sort_by(f64::total_cmp);
+            let expected = p >= sorted[sorted.len() / 2].max(0.5);
+            assert_eq!(gate.observe_and_pass(p, &mut scratch), expected, "step {i}");
+            assert_eq!(gate.window, recent, "window stays in arrival order");
         }
     }
 

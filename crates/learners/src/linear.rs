@@ -104,18 +104,24 @@ impl LogisticRegression {
         Ok(())
     }
 
-    /// Per-row class probabilities.
-    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+    /// The fitted scaler, checked against an input of `n_features` columns.
+    fn fitted_scaler(&self, n_features: usize) -> Result<&Standardizer> {
         let scaler = self
             .scaler
             .as_ref()
             .ok_or(LearnError::NotFitted("LogisticRegression"))?;
-        if x.len() != scaler.n_features() {
+        if n_features != scaler.n_features() {
             return Err(LearnError::DimensionMismatch {
                 fitted: scaler.n_features(),
-                got: x.len(),
+                got: n_features,
             });
         }
+        Ok(scaler)
+    }
+
+    /// Per-row class probabilities.
+    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        let scaler = self.fitted_scaler(x.len())?;
         let xs = scaler.transform(x);
         let rows = to_row_major(&xs);
         let k = self.weights.len();
@@ -132,16 +138,7 @@ impl LogisticRegression {
 
     /// Class predictions.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        let scaler = self
-            .scaler
-            .as_ref()
-            .ok_or(LearnError::NotFitted("LogisticRegression"))?;
-        if x.len() != scaler.n_features() {
-            return Err(LearnError::DimensionMismatch {
-                fitted: scaler.n_features(),
-                got: x.len(),
-            });
-        }
+        let scaler = self.fitted_scaler(x.len())?;
         let xs = scaler.transform(x);
         let rows = to_row_major(&xs);
         // argmax only needs the logits of each row in turn; reuse one
@@ -166,6 +163,22 @@ impl LogisticRegression {
             ));
         }
         Ok(proba.into_iter().map(|p| p[1]).collect())
+    }
+
+    /// [`predict_positive_proba`](Self::predict_positive_proba) of one
+    /// row-major sample, bit-identical to passing it as a one-row matrix.
+    pub fn predict_positive_proba_row(&self, row: &[f64]) -> Result<f64> {
+        let scaler = self.fitted_scaler(row.len())?;
+        if self.weights.len() < 2 {
+            return Err(LearnError::InvalidParam(
+                "positive-class probability needs a binary model".into(),
+            ));
+        }
+        let mut scaled = row.to_vec();
+        scaler.transform_row(&mut scaled);
+        let mut probs = vec![0.0; self.weights.len()];
+        softmax_logits(&scaled, &self.weights, &self.biases, &mut probs);
+        Ok(probs[1])
     }
 }
 
@@ -316,6 +329,12 @@ mod tests {
         }
         let pos = m.predict_positive_proba(&x).unwrap();
         assert_eq!(pos.len(), 100);
+        for (i, p) in pos.iter().enumerate() {
+            let row: Vec<f64> = x.iter().map(|c| c[i]).collect();
+            let single = m.predict_positive_proba_row(&row).unwrap();
+            assert_eq!(p.to_bits(), single.to_bits(), "row {i}");
+        }
+        assert!(m.predict_positive_proba_row(&[1.0]).is_err());
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! (histogram path) the per-feature histograms that the subtraction trick
 //! hands from parent to child.
 
-use crate::binned::{self, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS, MAX_BINS_LIMIT};
+use crate::binned::{
+    self, BinCodes, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS, MAX_BINS_LIMIT,
+};
 use crate::error::{LearnError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -203,15 +205,19 @@ struct Scratch {
     partition: Vec<usize>,
     /// (value, row) pairs for the exact path's per-feature sort.
     sortable: Vec<(f64, usize)>,
-    /// Class counts of the current node (impurity).
+    /// Class counts of the current node: written by `impurity`, still
+    /// current when `best_split` runs on the same node.
     node_counts: Vec<usize>,
     /// Class counts left of the scanned boundary.
     left_counts: Vec<usize>,
     /// Class counts right of the scanned boundary.
     right_counts: Vec<usize>,
-    /// (bin code, class) pairs for the histogram path's small-node
-    /// sorted-codes scan.
-    codes: Vec<(usize, usize)>,
+    /// Small-node counting scan: class counts per bin
+    /// (`bin * n_classes + class`). All-zero between scans.
+    counts: Vec<u32>,
+    /// Small-node counting scan: one bit per bin with a non-zero entry in
+    /// `counts`. All-zero between scans.
+    touched: Vec<u64>,
 }
 
 struct Builder<'a> {
@@ -230,7 +236,7 @@ struct Builder<'a> {
     /// Histograms obtained by sibling subtraction instead of
     /// re-accumulation (flushed to telemetry once per tree).
     hists_subtracted: u64,
-    /// Small nodes split via the sorted-codes scan instead of a dense
+    /// Small nodes split via the counting scan instead of a dense
     /// histogram (flushed to telemetry once per tree).
     sparse_scans: u64,
 }
@@ -517,8 +523,9 @@ impl<'a> Builder<'a> {
 
         /// Where one candidate feature's histogram comes from.
         enum Plan {
-            /// Small classification node: sort the node's codes and scan
-            /// the runs instead of building a dense histogram.
+            /// Small classification node: count the node's codes into
+            /// scratch and scan only the touched bins instead of building
+            /// a dense histogram.
             Sparse,
             /// Sibling subtraction already produced this feature's node
             /// histogram — skip the `O(rows)` accumulation pass.
@@ -535,10 +542,11 @@ impl<'a> Builder<'a> {
             // Small nodes: a dense histogram costs O(n_bins) to allocate,
             // zero and scan no matter how few rows the node has. When the
             // node is smaller than the bin count (and no subtracted
-            // histogram is already on hand), sort the node's codes and
-            // scan the runs instead — bit-identical boundaries and gains
-            // (integer counts), O(rows log rows), nothing stored for the
-            // children (they are even smaller and take this path too).
+            // histogram is already on hand), count into builder-owned
+            // scratch and scan only the touched bins — bit-identical
+            // boundaries and gains (integer counts), O(rows), nothing
+            // stored for the children (they are even smaller and take
+            // this path too).
             let plan = match inherited_pos {
                 None if rows.len() < col.n_bins() && matches!(labels, Labels::Class { .. }) => {
                     Plan::Sparse
@@ -572,24 +580,26 @@ impl<'a> Builder<'a> {
                 .collect(),
         };
 
-        let left = &mut self.scratch.left_counts;
-        let right = &mut self.scratch.right_counts;
-        let codes_buf = &mut self.scratch.codes;
+        let scratch = &mut self.scratch;
         let mut node_hists: Vec<(usize, Hist)> = Vec::with_capacity(k);
         let mut best: Option<Candidate> = None;
         for (feature, plan) in plans {
             let col = binned.column(feature);
             let hist = match plan {
                 Plan::Sparse => {
-                    let Labels::Class { y, n_classes } = labels else {
+                    let Labels::Class { y, .. } = labels else {
                         unreachable!("sparse scan is classification-only")
                     };
-                    codes_buf.clear();
-                    codes_buf.extend(rows.iter().map(|&r| (col.codes().get(r), y[r])));
                     self.sparse_scans += 1;
-                    if let Some((bin, threshold, child_impurity)) =
-                        scan_codes_class(codes_buf, n_classes, col, msl, left, right)
-                    {
+                    let scanned = match col.codes() {
+                        BinCodes::U8(codes) => {
+                            scan_counting_class(codes, rows, y, col, msl, scratch)
+                        }
+                        BinCodes::U16(codes) => {
+                            scan_counting_class(codes, rows, y, col, msl, scratch)
+                        }
+                    };
+                    if let Some((bin, threshold, child_impurity)) = scanned {
                         let gain = node_impurity - child_impurity;
                         if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
                             best = Some(Candidate {
@@ -608,9 +618,14 @@ impl<'a> Builder<'a> {
                     .expect("each batched histogram scans once"),
             };
             let scanned = match (&hist, labels) {
-                (Hist::Class(h), Labels::Class { n_classes, .. }) => {
-                    scan_hist_class(h, n_classes, col, msl, left, right)
-                }
+                (Hist::Class(h), Labels::Class { n_classes, .. }) => scan_hist_class(
+                    h,
+                    n_classes,
+                    col,
+                    msl,
+                    &mut scratch.left_counts,
+                    &mut scratch.right_counts,
+                ),
                 (Hist::Reg(h), _) => scan_hist_reg(h, col, msl),
                 _ => unreachable!("histogram kind matches label kind"),
             };
@@ -753,14 +768,6 @@ fn scan_sorted(
 /// considered only after a non-empty bin with rows remaining on the
 /// right, Gini is computed from the same integer counts through the same
 /// float expressions, and ties keep the first minimum — so with one bin
-/// per distinct value this chooses bit-identical splits.
-/// Scan a class histogram's bin boundaries, returning `(bin, threshold,
-/// weighted child impurity)` of the best boundary.
-///
-/// Boundary enumeration mirrors the sorted scan exactly: a boundary is
-/// considered only after a non-empty bin with rows remaining on the
-/// right, Gini is computed from the same integer counts through the same
-/// float expressions, and ties keep the first minimum — so with one bin
 /// per distinct value this path chooses bit-identical splits.
 fn scan_hist_class(
     hist: &[u32],
@@ -813,56 +820,81 @@ fn scan_hist_class(
     best
 }
 
-/// Sorted-codes boundary scan for nodes smaller than the bin count:
-/// instead of allocating, zeroing and walking a dense `n_bins ×
-/// n_classes` histogram, sort the node's `(code, class)` pairs and walk
-/// the runs. Each run end is exactly a boundary the dense scan finds
-/// non-empty, the integer count state there is identical, and the `w`
-/// expression is shared — so the result is bit-identical to
-/// [`scan_hist_class`] at `O(rows log rows)` instead of `O(n_bins)`.
+/// Counting boundary scan for nodes smaller than the bin count: instead
+/// of allocating, zeroing and walking a dense `n_bins × n_classes`
+/// histogram, count the node's rows into the builder-owned
+/// `scratch.counts` (marking each touched bin in `scratch.touched`), then
+/// visit only the touched bins in ascending order. Each touched bin is
+/// exactly a boundary the dense scan finds non-empty, the integer count
+/// state there is identical, and the `w` expression and first-minimum
+/// tie-break are shared — so the result is bit-identical to
+/// [`scan_hist_class`] at `O(rows + n_bins / 64)` instead of
+/// `O(n_bins × n_classes)`.
+///
+/// `scratch.node_counts` must hold the class counts of `rows` (`impurity`
+/// leaves them there). Scratch invariant: `counts` and `touched` are
+/// all-zero on entry and on every exit — each visited entry is zeroed as
+/// it is read, and once no row remains on the right every touched bin has
+/// been visited.
 /// (Classification only: regression sums are order-sensitive floats,
 /// so the dense accumulation stays the one canonical order.)
-fn scan_codes_class(
-    codes: &mut [(usize, usize)],
-    n_classes: usize,
+fn scan_counting_class<C: Copy + Into<usize>>(
+    codes: &[C],
+    rows: &[usize],
+    y: &[usize],
     col: &binned::BinnedColumn,
     min_samples_leaf: usize,
-    left: &mut Vec<usize>,
-    right: &mut Vec<usize>,
+    scratch: &mut Scratch,
 ) -> Option<(usize, f64, f64)> {
-    let n = codes.len();
+    let Scratch {
+        node_counts,
+        counts,
+        touched,
+        left_counts: left,
+        right_counts: right,
+        ..
+    } = scratch;
+    let n_classes = node_counts.len();
+    let n_words = col.n_bins().div_ceil(64);
+    if counts.len() < col.n_bins() * n_classes {
+        counts.resize(col.n_bins() * n_classes, 0);
+    }
+    if touched.len() < n_words {
+        touched.resize(n_words, 0);
+    }
+    for &r in rows {
+        let b: usize = codes[r].into();
+        counts[b * n_classes + y[r]] += 1;
+        touched[b / 64] |= 1 << (b % 64);
+    }
+    let n = rows.len();
     left.clear();
     left.resize(n_classes, 0);
-    right.clear();
-    right.resize(n_classes, 0);
-    for &(_, c) in codes.iter() {
-        right[c] += 1;
-    }
-    // Unstable sort is fine: equal (code, class) pairs are
-    // indistinguishable to the integer counts.
-    codes.sort_unstable();
+    right.clone_from(node_counts);
     let mut best: Option<(usize, f64, f64)> = None;
     let mut nl = 0usize;
-    let mut i = 0;
-    while i < n {
-        let b = codes[i].0;
-        while i < n && codes[i].0 == b {
-            let c = codes[i].1;
-            left[c] += 1;
-            right[c] -= 1;
-            nl += 1;
-            i += 1;
-        }
-        let nr = n - nl;
-        if nr == 0 {
-            break; // last run; boundary n_bins-1 is never a split
-        }
-        if nl < min_samples_leaf || nr < min_samples_leaf {
-            continue;
-        }
-        let w = (nl as f64 * gini(left, nl) + nr as f64 * gini(right, nr)) / n as f64;
-        if best.is_none_or(|(_, _, bw)| w < bw) {
-            best = Some((b, col.threshold(b), w));
+    for (word_idx, word) in touched[..n_words].iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let b = word_idx * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for (c, count) in counts[b * n_classes..][..n_classes].iter_mut().enumerate() {
+                let v = std::mem::take(count) as usize;
+                left[c] += v;
+                right[c] -= v;
+                nl += v;
+            }
+            let nr = n - nl;
+            if nr == 0 {
+                return best; // last touched bin; boundary n_bins-1 is never a split
+            }
+            if nl < min_samples_leaf || nr < min_samples_leaf {
+                continue;
+            }
+            let w = (nl as f64 * gini(left, nl) + nr as f64 * gini(right, nr)) / n as f64;
+            if best.is_none_or(|(_, _, bw)| w < bw) {
+                best = Some((b, col.threshold(b), w));
+            }
         }
     }
     best
@@ -1138,6 +1170,7 @@ pub(crate) fn argmax(v: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     /// XOR-ish separable data: class = (a > 0) != (b > 0).
     fn xor_data(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -1217,6 +1250,107 @@ mod tests {
         let mut hist = DecisionTreeClassifier::new(hist_config());
         hist.fit_binned(&binned, &rows, &y, 2).unwrap();
         assert_eq!(exact.predict(&gx).unwrap(), hist.predict(&gx).unwrap());
+    }
+
+    /// Run the counting scan on `rows` of `col`, asserting the all-zero
+    /// scratch invariant on exit.
+    fn counting_scan(
+        col: &binned::BinnedColumn,
+        rows: &[usize],
+        y: &[usize],
+        n_classes: usize,
+        msl: usize,
+        scratch: &mut Scratch,
+    ) -> Option<(usize, f64, f64)> {
+        scratch.node_counts.clear();
+        scratch.node_counts.resize(n_classes, 0);
+        for &r in rows {
+            scratch.node_counts[y[r]] += 1;
+        }
+        let out = match col.codes() {
+            BinCodes::U8(c) => scan_counting_class(c, rows, y, col, msl, scratch),
+            BinCodes::U16(c) => scan_counting_class(c, rows, y, col, msl, scratch),
+        };
+        assert!(scratch.counts.iter().all(|&v| v == 0), "counts left dirty");
+        assert!(scratch.touched.iter().all(|&w| w == 0), "bitmap left dirty");
+        out
+    }
+
+    fn dense_scan(
+        col: &binned::BinnedColumn,
+        rows: &[usize],
+        y: &[usize],
+        n_classes: usize,
+        msl: usize,
+    ) -> Option<(usize, f64, f64)> {
+        let mut hist = Vec::new();
+        binned::accumulate_class(col, rows, y, n_classes, &mut hist);
+        scan_hist_class(&hist, n_classes, col, msl, &mut Vec::new(), &mut Vec::new())
+    }
+
+    fn bits(r: Option<(usize, f64, f64)>) -> Option<(usize, u64, u64)> {
+        r.map(|(b, t, w)| (b, t.to_bits(), w.to_bits()))
+    }
+
+    #[test]
+    fn counting_scan_matches_dense_scan_and_leaves_scratch_zeroed() {
+        let mut rng = StdRng::seed_from_u64(11);
+        // One scratch across every scan: u8 and u16 columns, 2..=5 classes,
+        // growing and shrinking bin counts — the invariant must survive
+        // reuse, not just a fresh buffer.
+        let mut scratch = Scratch::default();
+        for case in 0..300 {
+            let n_rows = rng.gen_range(1..400);
+            let distinct = if case % 2 == 0 {
+                rng.gen_range(1..200)
+            } else {
+                rng.gen_range(257..600)
+            };
+            let values: Vec<f64> = (0..n_rows)
+                .map(|_| rng.gen_range(0..distinct) as f64)
+                .collect();
+            let col = binned::BinnedColumn::build(&values, 1024);
+            assert_eq!(
+                matches!(col.codes(), BinCodes::U16(_)),
+                col.n_bins() > 256,
+                "case {case}"
+            );
+            let n_classes = rng.gen_range(2..=5);
+            let y: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..n_classes)).collect();
+            // Node rows: a bootstrap-style draw with duplicates.
+            let node_len = rng.gen_range(1..=n_rows);
+            let rows: Vec<usize> = (0..node_len).map(|_| rng.gen_range(0..n_rows)).collect();
+            let msl = rng.gen_range(1..4);
+            assert_eq!(
+                bits(counting_scan(&col, &rows, &y, n_classes, msl, &mut scratch)),
+                bits(dense_scan(&col, &rows, &y, n_classes, msl)),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn counting_scan_edge_nodes_leave_scratch_zeroed() {
+        let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
+        let y: Vec<usize> = (0..300).map(|i| i % 3).collect();
+        for max_bins in [256, 1024] {
+            let col = binned::BinnedColumn::build(&values, max_bins);
+            let mut scratch = Scratch::default();
+            // Single row, a single repeated row (one touched bin: the scan
+            // exits with nothing on the right), a pure node, and a node
+            // whose last touched bin is the column's last bin.
+            let nodes: [&[usize]; 4] = [&[7], &[9, 9, 9], &[0, 3, 6, 9], &[1, 2, 299]];
+            for rows in nodes {
+                assert_eq!(
+                    bits(counting_scan(&col, rows, &y, 3, 1, &mut scratch)),
+                    bits(dense_scan(&col, rows, &y, 3, 1)),
+                    "rows {rows:?} max_bins {max_bins}"
+                );
+            }
+            assert!(counting_scan(&col, &[9, 9, 9], &y, 3, 1, &mut scratch).is_none());
+            // min_samples_leaf larger than either side: no boundary.
+            assert!(counting_scan(&col, &[1, 2, 299], &y, 3, 2, &mut scratch).is_none());
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! learner config, folds, CV seed) evaluations are computed once.
 
 use crate::cache::{CacheStats, ScoreCache};
-use crate::fingerprint::{fingerprint_frame, Fingerprint, Hasher128};
+use crate::fingerprint::{fingerprint_frame, Fingerprint, FramePrefix, Hasher128};
+use std::borrow::Borrow;
 use std::sync::Arc;
-use tabular::DataFrame;
+use tabular::{Column, DataFrame};
 
 /// A downstream evaluation backend that the runtime can memoize.
 pub trait Scorer {
@@ -67,20 +68,48 @@ impl<S: Scorer> Evaluator<S> {
 
     /// The cache key for `frame` under this scorer's configuration.
     pub fn cache_key(&self, frame: &DataFrame) -> Fingerprint {
+        self.key_of(fingerprint_frame(frame))
+    }
+
+    /// `cache_key(&prefix.with_column(extra)?)` at the cost of hashing
+    /// `extra` and the label rather than the whole frame.
+    pub fn prefix_key(&self, prefix: &FramePrefix, extra: &Column) -> Fingerprint {
+        self.key_of(prefix.fingerprint_with(extra))
+    }
+
+    fn key_of(&self, frame: Fingerprint) -> Fingerprint {
         let mut h = Hasher128::new();
         h.write_u128(self.scorer.config_digest().0);
-        h.write_u128(fingerprint_frame(frame).0);
+        h.write_u128(frame.0);
         h.finish()
     }
 
     /// Evaluate `frame`, serving repeats from cache. Errors are not
     /// cached: a failing evaluation is re-attempted on the next call.
     pub fn evaluate(&self, frame: &DataFrame) -> Result<f64, S::Error> {
-        let key = self.cache_key(frame);
+        self.evaluate_keyed(self.cache_key(frame), || Ok(frame))
+    }
+
+    /// [`evaluate`](Self::evaluate) for a caller that already holds the
+    /// frame's cache key (from [`cache_key`](Self::cache_key) or
+    /// [`prefix_key`](Self::prefix_key)): `frame` is only called — so the
+    /// frame only needs to exist — on a miss.
+    pub fn evaluate_keyed<D, E>(
+        &self,
+        key: Fingerprint,
+        frame: impl FnOnce() -> Result<D, E>,
+    ) -> Result<f64, E>
+    where
+        D: Borrow<DataFrame>,
+        E: From<S::Error>,
+    {
         if let Some(score) = self.cache.get(key) {
             telemetry::count("evaluator.cache_hits", 1);
             return Ok(score);
         }
+        let frame = frame()?;
+        let frame = frame.borrow();
+        debug_assert_eq!(key, self.cache_key(frame), "key must address this frame");
         let score = {
             let _span = telemetry::span("evaluator.score_frame");
             self.scorer.score_frame(frame)?

@@ -6,7 +6,7 @@
 //! every logical section by a tag byte, so `("ab", "c")` and `("a", "bc")`
 //! hash differently.
 
-use tabular::{DataFrame, Label};
+use tabular::{Column, DataFrame, Label};
 
 /// A 128-bit content fingerprint, used as a cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -100,19 +100,35 @@ pub fn fingerprint_values(values: &[f64]) -> Fingerprint {
 /// Fingerprint a frame's full content: name, shape, every column name and
 /// value bit pattern, and the label.
 pub fn fingerprint_frame(frame: &DataFrame) -> Fingerprint {
+    let mut h = hash_header_and_columns(frame, frame.n_cols());
+    write_label(&mut h, frame.label());
+    h.finish()
+}
+
+/// Hash state after the frame header (declaring `n_cols` columns) and
+/// every column `frame` holds.
+fn hash_header_and_columns(frame: &DataFrame, n_cols: usize) -> Hasher128 {
     let mut h = Hasher128::new();
     h.write_byte(TAG_FRAME);
     h.write_str(&frame.name);
     h.write_u64(frame.n_rows() as u64);
-    h.write_u64(frame.n_cols() as u64);
+    h.write_u64(n_cols as u64);
     for col in frame.columns() {
-        h.write_byte(TAG_COLUMN);
-        h.write_str(&col.name);
-        for &v in &col.values {
-            h.write_f64(v);
-        }
+        write_column(&mut h, col);
     }
-    match frame.label() {
+    h
+}
+
+fn write_column(h: &mut Hasher128, col: &Column) {
+    h.write_byte(TAG_COLUMN);
+    h.write_str(&col.name);
+    for &v in &col.values {
+        h.write_f64(v);
+    }
+}
+
+fn write_label(h: &mut Hasher128, label: &Label) {
+    match label {
         Label::Class { y, n_classes } => {
             h.write_byte(TAG_LABEL_CLASS);
             h.write_u64(*n_classes as u64);
@@ -127,13 +143,54 @@ pub fn fingerprint_frame(frame: &DataFrame) -> Fingerprint {
             }
         }
     }
-    h.finish()
+}
+
+/// A frame that many candidate frames extend by one trailing column,
+/// with the hash state shared by all of them computed once.
+///
+/// A search probes the score cache with `selected + one candidate` frames
+/// that differ only in their last column. Hashing such a frame from
+/// scratch costs `O(frame)`; the prefix holds the [`Hasher128`] state
+/// after the header (declaring `n_cols + 1` columns) and every selected
+/// column, so [`fingerprint_with`](Self::fingerprint_with) hashes only the
+/// candidate column and the label — and equals [`fingerprint_frame`] of
+/// the extended frame, bit for bit.
+#[derive(Debug, Clone)]
+pub struct FramePrefix {
+    frame: DataFrame,
+    state: Hasher128,
+}
+
+impl FramePrefix {
+    /// Take `frame` as the shared leading part of one-column extensions.
+    pub fn new(frame: DataFrame) -> Self {
+        let state = hash_header_and_columns(&frame, frame.n_cols() + 1);
+        FramePrefix { frame, state }
+    }
+
+    /// The shared frame.
+    pub fn frame(&self) -> &DataFrame {
+        &self.frame
+    }
+
+    /// `fingerprint_frame(&self.with_column(extra)?)` without building
+    /// the frame.
+    pub fn fingerprint_with(&self, extra: &Column) -> Fingerprint {
+        let mut h = self.state.clone();
+        write_column(&mut h, extra);
+        write_label(&mut h, self.frame.label());
+        h.finish()
+    }
+
+    /// The extended frame itself: the shared columns, then `extra`.
+    pub fn with_column(&self, extra: &Column) -> tabular::Result<DataFrame> {
+        self.frame.with_extra_columns(std::slice::from_ref(extra))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::{Column, DataFrame, Label};
 
     fn frame(name: &str, vals: Vec<f64>) -> DataFrame {
         let n = vals.len();

@@ -53,6 +53,11 @@
 //! - the scorer's config digest (learner kind and hyper-parameters, fold
 //!   count, CV seed), provided by [`Scorer::config_digest`].
 //!
+//! A search probes with frames that share every column but the last;
+//! [`FramePrefix`] keeps the hash state after the shared part so
+//! [`Evaluator::prefix_key`] hashes only the new column and the label, and
+//! returns the same key [`Evaluator::cache_key`] gives the built frame.
+//!
 //! **Collision assumptions.** Keys are compared by digest only; the cache
 //! stores no payload to verify against. With 128-bit digests, the
 //! birthday bound puts the collision probability for a run of `n`
@@ -75,7 +80,7 @@ pub use cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
 pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer};
 pub use fair::RoundRobin;
-pub use fingerprint::{fingerprint_frame, fingerprint_values, Fingerprint, Hasher128};
+pub use fingerprint::{fingerprint_frame, fingerprint_values, Fingerprint, FramePrefix, Hasher128};
 pub use pool::{
     global_threads, pool_stats, set_global_threads, CancelToken, PoolStats, TaskCtx, WorkerPool,
 };

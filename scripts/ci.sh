@@ -62,7 +62,16 @@ cargo test -q --test parallel_determinism multi_process
 echo "==> trace_tool golden-output suite"
 cargo test -q -p bench --test trace_golden
 
+echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' public API)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 if [[ "$quick" -eq 0 ]]; then
+    echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
+    cargo test -q --release --test parallel_determinism multi_process
+
+    echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
     echo "==> serve smoke (release): live cancel bound, tenant fairness, status scrapes"
     # Single-threaded: the cancel-bound test is timing-sensitive and the
     # status test loads every core with two live tenants.

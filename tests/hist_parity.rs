@@ -2,13 +2,17 @@
 //! sorted-scan reference (proptest): on low-cardinality data — where the
 //! bin budget covers every distinct value — binned training must be
 //! **bit-identical** to exact training; on continuous data the two
-//! forests must agree within a tolerance on the training task. Plus unit
-//! checks of the bin-edge construction and the sibling-subtraction
-//! identity the per-node histograms rely on.
+//! forests must agree within a tolerance on the training task. The same
+//! bit-identity is pinned on high-cardinality columns, where every node
+//! below the root is smaller than the bin count and takes the counting
+//! scan instead of a dense histogram. Plus unit checks of the bin-edge
+//! construction and the sibling-subtraction identity the per-node
+//! histograms rely on.
 
-use learners::binned::{accumulate_class, accumulate_reg, subtract_class, subtract_reg};
+use learners::binned::{accumulate_class, accumulate_reg, subtract_class, subtract_reg, BinCodes};
 use learners::{
-    BinnedColumn, BinnedDataset, ForestConfig, RandomForestClassifier, SplitMethod, TreeConfig,
+    BinnedColumn, BinnedDataset, DecisionTreeClassifier, ForestConfig, RandomForestClassifier,
+    SplitMethod, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -60,8 +64,110 @@ fn train_accuracy(f: &RandomForestClassifier, x: &[Vec<f64>], y: &[usize]) -> f6
     hits as f64 / y.len() as f64
 }
 
+/// One bootstrap-sampled tree, grown twice: by the exact sorted scan on
+/// the gathered (duplicated) sub-matrix, and by the histogram path
+/// straight from the full dataset's bin codes. `distinct` values per
+/// column against `n_rows` rows puts every node below the root under the
+/// bin count, so the histogram tree is grown by the dense scan at the
+/// root and the counting scan everywhere else; with one bin per distinct
+/// value it must be the exact tree, bit for bit.
+fn assert_counting_tree_matches_exact(
+    seed: u64,
+    n_rows: usize,
+    distinct: usize,
+    max_bins: usize,
+    expect_u16: bool,
+) -> Result<(), proptest::TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_features = rng.gen_range(3..7);
+    let n_classes = rng.gen_range(2..=5);
+    let x = matrix(&mut rng, n_rows, n_features, |r| {
+        r.gen_range(0..distinct) as f64 * 0.5
+    });
+    // Learnable with label noise, so trees run deep: pure, single-row and
+    // two-row nodes all occur.
+    let y: Vec<usize> = (0..n_rows)
+        .map(|r| {
+            if rng.gen_bool(0.15) {
+                rng.gen_range(0..n_classes)
+            } else {
+                ((x[0][r] + x[1][r]) / distinct as f64 * n_classes as f64) as usize % n_classes
+            }
+        })
+        .collect();
+    let rows: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..n_rows)).collect();
+    let min_samples_leaf = rng.gen_range(1..4);
+    let cfg = |split| TreeConfig {
+        max_depth: 12,
+        min_samples_leaf,
+        max_features: Some(n_features.div_ceil(2)),
+        seed,
+        split,
+        max_bins,
+        ..TreeConfig::default()
+    };
+
+    let gx: Vec<Vec<f64>> = x
+        .iter()
+        .map(|c| rows.iter().map(|&r| c[r]).collect())
+        .collect();
+    let gy: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
+    let mut exact = DecisionTreeClassifier::new(cfg(SplitMethod::Exact));
+    exact.fit(&gx, &gy, n_classes).expect("exact fit");
+
+    let binned = BinnedDataset::build(&x, max_bins).expect("bin");
+    for f in 0..n_features {
+        let col = binned.column(f);
+        prop_assert!(
+            col.n_bins() > n_rows / 2,
+            "nodes below the root must be sparse"
+        );
+        prop_assert_eq!(matches!(col.codes(), BinCodes::U16(_)), expect_u16);
+    }
+    let mut hist = DecisionTreeClassifier::new(cfg(SplitMethod::Histogram));
+    hist.fit_binned(&binned, &rows, &y, n_classes)
+        .expect("hist fit");
+
+    let (te, th) = (exact.tree().unwrap(), hist.tree().unwrap());
+    prop_assert_eq!(te.n_nodes(), th.n_nodes());
+    prop_assert!(te.n_nodes() > 3, "tree must actually split");
+    prop_assert_eq!(exact.predict(&gx).unwrap(), hist.predict(&gx).unwrap());
+    for (a, b) in te
+        .feature_importances()
+        .iter()
+        .zip(&th.feature_importances())
+    {
+        prop_assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "importances differ: {} vs {}",
+            a,
+            b
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Counting scan ≡ exact scan on `u8` bin codes (≤ 256 bins).
+    #[test]
+    fn counting_scan_tree_bit_identical_to_exact_u8(
+        seed in 0u64..1_000_000,
+        n_rows in 120usize..260,
+    ) {
+        assert_counting_tree_matches_exact(seed, n_rows, 250, 256, false)?;
+    }
+
+    /// Counting scan ≡ exact scan on `u16` bin codes (> 256 bins).
+    #[test]
+    fn counting_scan_tree_bit_identical_to_exact_u16(
+        seed in 0u64..1_000_000,
+        n_rows in 700usize..900,
+    ) {
+        assert_counting_tree_matches_exact(seed, n_rows, 1500, 2048, true)?;
+    }
 
     /// With ≤ 12 distinct values per column and the default 256-bin
     /// budget, every distinct value gets its own bin, so the histogram

@@ -702,41 +702,72 @@ fn spawn_worker_process(addr: &str, threads: usize) -> std::process::Child {
         .expect("spawn dist_worker")
 }
 
+/// A worker connection that can take its worker process down at a fixed
+/// point of the search: just before the `kill_at`-th shard would go out
+/// on it, the process is SIGKILLed and reaped. The shard is then sent to
+/// a peer that is certainly dead, so the coordinator must notice (failed
+/// send or failed receive) and reassign it — whatever the search's speed.
+struct KillableTransport {
+    inner: dist::TcpTransport,
+    /// The process behind `inner` and how many more shards it may take.
+    victim: Option<(std::process::Child, usize)>,
+}
+
+impl dist::Transport for KillableTransport {
+    fn send(&mut self, msg: &dist::Msg) -> dist::Result<()> {
+        if matches!(msg, dist::Msg::Work(_)) {
+            if let Some((child, shards_left)) = &mut self.victim {
+                if *shards_left == 0 {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    self.victim = None;
+                } else {
+                    *shards_left -= 1;
+                }
+            }
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&mut self) -> dist::Result<dist::Msg> {
+        self.inner.recv()
+    }
+}
+
 /// Run `engine` through a coordinator with `n_workers` child processes
-/// (`threads` pool threads each). `kill_after_ms` kills the first child
-/// that long into the search to exercise shard reassignment.
+/// (`threads` pool threads each). `kill_after_shards` kills the first
+/// worker once it has been sent that many shards, to exercise shard
+/// reassignment.
 fn dist_run(
     engine: &Engine,
     frame: &DataFrame,
     n_workers: usize,
     threads: usize,
-    kill_after_ms: Option<u64>,
+    kill_after_shards: Option<usize>,
 ) -> (RunResult, DataFrame) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let mut children: Vec<std::process::Child> = (0..n_workers)
-        .map(|_| spawn_worker_process(&addr, threads))
-        .collect();
-    let transports: Vec<dist::TcpTransport> = (0..n_workers)
-        .map(|_| dist::TcpTransport::from_stream(listener.accept().unwrap().0))
-        .collect();
-    let killer = kill_after_ms.map(|ms| {
-        let mut victim = children.remove(0);
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            let _ = victim.kill();
-            let _ = victim.wait();
-        })
-    });
+    // Spawn and accept one at a time, so connection `i` is child `i`.
+    let mut children = Vec::new();
+    let mut transports = Vec::new();
+    for i in 0..n_workers {
+        let child = spawn_worker_process(&addr, threads);
+        let inner = dist::TcpTransport::from_stream(listener.accept().unwrap().0);
+        let victim = match kill_after_shards {
+            Some(shards) if i == 0 => Some((child, shards)),
+            _ => {
+                children.push(child);
+                None
+            }
+        };
+        transports.push(KillableTransport { inner, victim });
+    }
     let mut coordinator = dist::Coordinator::new(transports);
     let out = coordinator.run(engine, frame).unwrap();
     drop(coordinator); // orderly Bye; surviving workers exit cleanly
     for mut child in children {
         let status = child.wait().expect("wait for dist_worker");
         assert!(status.success(), "surviving worker exited with {status}");
-    }
-    if let Some(handle) = killer {
-        handle.join().unwrap();
     }
     out
 }
@@ -793,7 +824,7 @@ fn multi_process_worker_killed_mid_search_is_reassigned() {
     let frame = frame();
     let (solo, solo_frame) = Engine::nfs(fast_config()).run_full(&frame).unwrap();
     let before = runtime::global_dist_stats();
-    let (result, engineered) = dist_run(&Engine::nfs(fast_config()), &frame, 2, 1, Some(200));
+    let (result, engineered) = dist_run(&Engine::nfs(fast_config()), &frame, 2, 1, Some(1));
     let after = runtime::global_dist_stats();
     assert_bit_identical(&solo, &result, "multi-process NFS with a killed worker");
     assert_eq!(

@@ -6,15 +6,120 @@
 use eafe::{GeneratedFeature, Operator};
 use minhash::{generalized_jaccard, HashFamily, SampleCompressor, WeightedMinHasher};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rl::{discounted_returns, lambda_return, rewards_to_go, score_gains};
+use runtime::{fingerprint_frame, Fingerprint, FramePrefix};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tabular::{Column, DataFrame, Label, Task};
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len)
 }
 
+/// A scorer that counts its calls and scores a frame by its last column.
+struct LastColumnScorer {
+    calls: AtomicUsize,
+}
+
+impl runtime::Scorer for LastColumnScorer {
+    type Error = tabular::TabularError;
+
+    fn config_digest(&self) -> Fingerprint {
+        Fingerprint(0x5eed)
+    }
+
+    fn score_frame(&self, frame: &DataFrame) -> Result<f64, Self::Error> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        let last = frame.column(frame.n_cols() - 1)?;
+        Ok(last.values.iter().map(|v| v.to_bits() as f64).sum())
+    }
+}
+
+fn counting_evaluator() -> runtime::Evaluator<LastColumnScorer> {
+    runtime::Evaluator::new(LastColumnScorer {
+        calls: AtomicUsize::new(0),
+    })
+}
+
+/// Column names and payloads a hash must not confuse: empty and
+/// non-ASCII names, names that are prefixes of one another, both zeros,
+/// infinities and two distinct NaN payloads.
+const NAMES: [&str; 8] = ["", "a", "ab", "f0", "log(f0)", "ünï", "名前", "a,b"];
+
+fn awkward_value(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => f64::from_bits(0x7ff8_0000_0000_0001),
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => rng.gen_range(-1e3f64..1e3),
+    }
+}
+
+fn awkward_column(rng: &mut StdRng, n_rows: usize) -> Column {
+    let name = NAMES[rng.gen_range(0..NAMES.len())];
+    Column::new(name, (0..n_rows).map(|_| awkward_value(rng)).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A probe through a frame prefix addresses exactly the entry a
+    /// whole-frame probe does, and the keyed evaluate path hits, misses,
+    /// computes and scores exactly as `evaluate` on the built frame.
+    #[test]
+    fn prefix_probes_equal_whole_frame_probes(
+        seed in 0u64..1_000_000,
+        n_rows in 1usize..24,
+        n_selected in 0usize..6,
+        regression in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let columns: Vec<Column> = (0..1 + n_selected)
+            .map(|_| awkward_column(&mut rng, n_rows))
+            .collect();
+        let label = if regression == 1 {
+            Label::Reg((0..n_rows).map(|_| awkward_value(&mut rng)).collect())
+        } else {
+            let n_classes = rng.gen_range(1..5);
+            Label::Class {
+                y: (0..n_rows).map(|_| rng.gen_range(0..n_classes)).collect(),
+                n_classes,
+            }
+        };
+        let selected = DataFrame::new(NAMES[(seed % 8) as usize], columns, label).unwrap();
+        let prefix = FramePrefix::new(selected.clone());
+
+        let whole = counting_evaluator();
+        let keyed = counting_evaluator();
+        // Candidates repeat, so both paths see hits as well as misses.
+        let pool: Vec<Column> = (0..4).map(|_| awkward_column(&mut rng, n_rows)).collect();
+        for _ in 0..12 {
+            let candidate = &pool[rng.gen_range(0..pool.len())];
+            let frame = selected
+                .with_extra_columns(std::slice::from_ref(candidate))
+                .unwrap();
+            prop_assert_eq!(prefix.fingerprint_with(candidate), fingerprint_frame(&frame));
+            let key = keyed.prefix_key(&prefix, candidate);
+            prop_assert_eq!(key, whole.cache_key(&frame));
+
+            let expected = whole.evaluate(&frame).unwrap();
+            let got = keyed
+                .evaluate_keyed(key, || prefix.with_column(candidate))
+                .unwrap();
+            prop_assert_eq!(expected.to_bits(), got.to_bits());
+        }
+        let (w, k) = (whole.stats(), keyed.stats());
+        prop_assert_eq!((w.hits, w.misses, w.inserts), (k.hits, k.misses, k.inserts));
+        prop_assert_eq!(
+            whole.scorer().calls.load(Ordering::SeqCst),
+            keyed.scorer().calls.load(Ordering::SeqCst)
+        );
+        prop_assert!(k.hits > 0 && k.misses > 0);
+    }
 
     /// Every operator is total over finite inputs: outputs are always
     /// finite regardless of zeros, negatives, or magnitude.
