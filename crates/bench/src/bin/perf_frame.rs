@@ -2,7 +2,7 @@
 //! chunked columnar pipeline (`tabular::ChunkedFrame`) against the flat
 //! in-RAM `DataFrame` baseline, over the three chunk consumers the
 //! tentpole rewired: histogram building (`learners::BinnedColumn`),
-//! MinHash sketching (streamed `SignatureStream`), and elementwise
+//! MinHash sketching (`signature_indexed` over chunk-backed rows), and elementwise
 //! operator application (`eafe::Operator::apply_chunk`).
 //!
 //! Peak RSS is `VmHWM` from `/proc/self/status` — a process-lifetime
@@ -50,7 +50,7 @@
 use bench::{fmt_secs, CommonArgs, TextTable};
 use eafe::{EafeConfig, Engine, Operator, SplitMethod};
 use learners::BinnedColumn;
-use minhash::{HashFamily, SampleCompressor, WeightBounds};
+use minhash::{HashFamily, RowSource, SampleCompressor, WeightBounds};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,7 +67,7 @@ const SKETCH_D: usize = 16;
 /// CWS draw tables are `O(rows × d)` **workload** state — at 4M rows and
 /// d = 16 they alone are ~1.5 GiB, identical in every mode, which would
 /// drown the data-layer RSS comparison this bench exists to make. Two
-/// chunks' worth still exercises the multi-chunk streamed sketch path.
+/// chunks' worth still exercises the multi-chunk sketch path.
 const SKETCH_ROWS: usize = 2 * DEFAULT_CHUNK_ROWS;
 
 // ---------------------------------------------------------------------------
@@ -121,8 +121,36 @@ fn workload_flat(df: &DataFrame, seed: u64) -> u64 {
     h
 }
 
+/// The first `n_rows` rows of one frame column as the MinHash kernel's
+/// row source, fetched through the frame's budget.
+struct FrameRows<'a> {
+    frame: &'a ChunkedFrame,
+    col: usize,
+    n_rows: usize,
+}
+
+impl RowSource for FrameRows<'_> {
+    fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    fn value_at(&self, k: usize) -> f64 {
+        self.frame.value_at(self.col, k).expect("value")
+    }
+
+    fn for_each_run(&self, mut f: impl FnMut(&[f64])) {
+        let chunk_rows = self.frame.chunk_rows();
+        let mut buf = Vec::with_capacity(chunk_rows);
+        for k in 0..self.n_rows.div_ceil(chunk_rows) {
+            let enc = self.frame.chunk(self.col, k).expect("chunk");
+            enc.decode_into(&mut buf);
+            f(&buf[..buf.len().min(self.n_rows - k * chunk_rows)]);
+        }
+    }
+}
+
 /// The same workload over chunked columns: histogram from encoded chunks,
-/// sketch streamed chunk-at-a-time, operator applied per chunk. On equal
+/// sketch over chunk-backed rows, operator applied per chunk. On equal
 /// data this is bit-identical to [`workload_flat`].
 fn workload_chunked(frame: &ChunkedFrame, seed: u64) -> u64 {
     let c = sketcher(seed);
@@ -145,29 +173,20 @@ fn workload_chunked(frame: &ChunkedFrame, seed: u64) -> u64 {
         for r in 0..frame.n_rows() {
             h = fnv_mix(h, b.codes().get(r) as u64);
         }
-        // 2. MinHash: bounds pass, then streamed sketch + keyed gather,
+        // 2. MinHash: bounds pass, then indexed sketch + keyed gather,
         //    over the same capped prefix as the flat workload. Chunks are
         //    re-fetched on demand — the budget's LRU decides what stays.
-        let cap = frame.n_rows().min(SKETCH_ROWS);
-        let sketch_chunks = cap.div_ceil(chunk_rows);
+        let rows = FrameRows {
+            frame,
+            col: j,
+            n_rows: frame.n_rows().min(SKETCH_ROWS),
+        };
         let mut bounds = WeightBounds::new();
-        for k in 0..sketch_chunks {
-            let enc = frame.chunk(j, k).expect("chunk");
-            enc.decode_into(&mut buf);
-            let take = buf.len().min(cap - k * chunk_rows);
-            bounds.absorb(&buf[..take]);
-        }
-        let mut stream = c.begin_signature(bounds);
-        for k in 0..sketch_chunks {
-            let enc = frame.chunk(j, k).expect("chunk");
-            enc.decode_into(&mut buf);
-            let take = buf.len().min(cap - k * chunk_rows);
-            stream.absorb(&buf[..take]);
-        }
-        let sig = stream.finish().expect("signature");
+        rows.for_each_run(|run| bounds.absorb(run));
+        let sig = c.signature_indexed(bounds, &rows).expect("signature");
         let mut compressed: Vec<f64> = sig
             .keys()
-            .map(|k| SampleCompressor::gather_value(frame.value_at(j, k).expect("value")))
+            .map(|k| SampleCompressor::gather_value(rows.value_at(k)))
             .collect();
         SampleCompressor::normalize(&mut compressed);
         for v in &compressed {

@@ -1,16 +1,24 @@
 //! **MinHash sketch benchmark** — naive scalar sketching vs the
 //! table-driven and batch kernels, plus the content-addressed signature
-//! cache, at paper-scale shapes (d = 48, 1k–10k rows, 100–1000 columns).
+//! cache, at paper-scale shapes (d = 48, 1k–10k rows, 100–1000 columns)
+//! and one tall shape (80k rows), each over two column mixes:
 //!
-//! For each shape the binary sketches every column through the
+//! - **smooth** — bounded waves, weights spread over `[0, 1]`: the table
+//!   kernel's bound-ordered visit settles every hash index after a handful
+//!   of rows;
+//! - **skewed** — one-sided heavy tails (reciprocals of near-zero values),
+//!   nearly every weight at the floor: the visit runs out of prefix and the
+//!   sketch is the dense scan — the table kernel's worst case.
+//!
+//! For each shape and mix the binary sketches every column through the
 //! compressor's `to_weights` weighting under three paths:
 //!
 //! - **naive** — `WeightedMinHasher::signature`, re-deriving every
 //!   `(i, k)` draw per column (the pre-PR-4 hot loop);
 //! - **table** — `signature_tabled`, per-column lookups into the
 //!   precomputed [`DrawTables`] (warm-table regime; the one-off build
-//!   cost is its own column);
-//! - **batch** — `signature_batch`, one table pass shared by all columns.
+//!   cost, prefix index included, is its own column);
+//! - **batch** — `signature_batch`, all columns in one call.
 //!
 //! All three produce bit-identical signatures (asserted every run). A
 //! final section times a cold vs warm `compress_normalized_batch` through
@@ -28,8 +36,8 @@
 //! --naive / --table / --batch
 //!                time only the named paths           (default: all)
 //! --no-cache     skip the signature-cache section
-//! --smoke        one small shape, 1 repeat, no artifact; exit 1 if the
-//!                table path is slower than naive (the CI gate)
+//! --smoke        one small shape, both mixes, 1 repeat, no artifact; exit
+//!                1 if the table path is slower than naive (the CI gate)
 //! --repeats <n>  timing repeats per cell, min taken  (default 2)
 //! --seed <n>     data + hasher seed                  (default 0xEAFE)
 //! --out <dir>    artifact directory                  (default bench_results)
@@ -47,11 +55,12 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Paper-shaped (rows, columns) grid at the default d = 48.
-const SHAPES: &[(usize, usize)] = &[(1000, 100), (5000, 500), (10_000, 1000)];
+const SHAPES: &[(usize, usize)] = &[(1000, 100), (5000, 500), (10_000, 1000), (80_000, 32)];
 const SMOKE_SHAPE: (usize, usize) = (1000, 100);
 
 #[derive(Serialize)]
 struct Row {
+    mix: &'static str,
     family: String,
     d: usize,
     rows: usize,
@@ -163,14 +172,24 @@ fn parse_args() -> Args {
     args
 }
 
-/// Deterministic synthetic columns: smooth, all-finite, distinct content
-/// per column (so every column is a distinct cache entry).
-fn make_columns(rows: usize, cols: usize, seed: u64) -> Vec<Vec<f64>> {
+/// The column mixes, in report order.
+const MIXES: [&str; 2] = ["smooth", "skewed"];
+
+/// Deterministic synthetic columns: all-finite, distinct content per
+/// column (so every column is a distinct cache entry). `smooth` is a
+/// bounded wave; `skewed` the reciprocal of an equidistributed sequence on
+/// `(0, 1)` — `recip` of anything that comes close to zero: a handful of
+/// rows up to 10⁶, the rest near 1, so min-max weighting leaves all but a
+/// few dozen rows at the floor.
+fn make_columns(mix: &str, rows: usize, cols: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..cols)
         .map(|j| {
             let phase = (seed.wrapping_add(j as u64) % 997) as f64 * 0.013;
             (0..rows)
-                .map(|i| ((i as f64) * 0.37 + (j as f64) * 1.73 + phase).sin() * 5.0)
+                .map(|i| match mix {
+                    "smooth" => ((i as f64) * 0.37 + (j as f64) * 1.73 + phase).sin() * 5.0,
+                    _ => 1.0 / (((i as f64) * 0.618_033_988_749_895 + phase).fract() + 1e-6),
+                })
                 .collect()
         })
         .collect()
@@ -212,6 +231,7 @@ fn main() {
     );
 
     let mut table = TextTable::new(vec![
+        "Mix",
         "Family",
         "Shape",
         "Naive",
@@ -224,111 +244,118 @@ fn main() {
         "Warm miss",
     ]);
     let mut rows_out = Vec::new();
-    for &family in &args.families {
-        for &(n_rows, n_cols) in &shapes {
-            let columns = make_columns(n_rows, n_cols, args.seed);
-            let hasher = WeightedMinHasher::new(family, args.dim, args.seed).expect("hasher");
-            let compressor =
-                SampleCompressor::new(family, args.dim, args.seed).expect("compressor");
-            let weights: Vec<Vec<f64>> = columns
-                .iter()
-                .map(|c| SampleCompressor::to_weights(c))
-                .collect();
-            let wrefs: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
+    // One (family, shape, mix) cell per iteration.
+    let cells = args
+        .families
+        .iter()
+        .flat_map(|&f| shapes.iter().map(move |&s| (f, s)))
+        .flat_map(|(f, s)| MIXES.map(|mix| (f, s, mix)));
+    for (family, (n_rows, n_cols), mix) in cells {
+        let columns = make_columns(mix, n_rows, n_cols, args.seed);
+        let hasher = WeightedMinHasher::new(family, args.dim, args.seed).expect("hasher");
+        let compressor = SampleCompressor::new(family, args.dim, args.seed).expect("compressor");
+        let weights: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|c| SampleCompressor::to_weights(c))
+            .collect();
+        let wrefs: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
 
-            // One-off table build (the warm-up that also makes the timed
-            // table/batch passes see the engine's steady-state regime).
-            let t = Instant::now();
-            minhash::draw_tables(&hasher).sketch(&[(n_rows - 1, 1.0)]);
-            let table_build_secs = t.elapsed().as_secs_f64();
+        // One-off table build (the warm-up that also makes the timed
+        // table/batch passes see the engine's steady-state regime).
+        let t = Instant::now();
+        hasher
+            .signature_tabled(&vec![1.0; n_rows])
+            .expect("warm-up signature");
+        let table_build_secs = t.elapsed().as_secs_f64();
 
-            let (naive_secs, naive_sigs) = if args.run_naive {
-                time_sketch(repeats, || {
-                    wrefs
-                        .iter()
-                        .map(|w| hasher.signature(w).expect("naive signature"))
-                        .collect()
-                })
-            } else {
-                (0.0, Vec::new())
-            };
-            let (table_secs, table_sigs) = if args.run_table {
-                time_sketch(repeats, || {
-                    wrefs
-                        .iter()
-                        .map(|w| hasher.signature_tabled(w).expect("tabled signature"))
-                        .collect()
-                })
-            } else {
-                (0.0, Vec::new())
-            };
-            let (batch_secs, batch_sigs) = if args.run_batch {
-                time_sketch(repeats, || {
-                    hasher.signature_batch(&wrefs).expect("batch signature")
-                })
-            } else {
-                (0.0, Vec::new())
-            };
-            if args.run_naive && args.run_table {
-                assert_eq!(naive_sigs, table_sigs, "table path diverged from naive");
-            }
-            if args.run_naive && args.run_batch {
-                assert_eq!(naive_sigs, batch_sigs, "batch path diverged from naive");
-            }
-
-            let (mut cache_cold, mut cache_warm, mut warm_misses) = (0.0, 0.0, 0u64);
-            if args.cache_section {
-                let crefs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-                let t = Instant::now();
-                let cold = runtime::compress_normalized_batch(&compressor, &crefs)
-                    .expect("cold batch compress");
-                cache_cold = t.elapsed().as_secs_f64();
-                let before = runtime::sig_cache_stats();
-                let t = Instant::now();
-                let warm = runtime::compress_normalized_batch(&compressor, &crefs)
-                    .expect("warm batch compress");
-                cache_warm = t.elapsed().as_secs_f64();
-                warm_misses = runtime::sig_cache_stats().misses - before.misses;
-                assert_eq!(cold, warm, "warm cache pass changed the output");
-            }
-
-            let div = |a: f64, b: f64| if a > 0.0 && b > 0.0 { a / b } else { 0.0 };
-            let speedup_table = div(naive_secs, table_secs);
-            let speedup_batch = div(naive_secs, batch_secs);
-            if !args.common.quiet {
-                eprintln!(
-                    "  {} {n_rows}x{n_cols}: table {speedup_table:.2}x, batch {speedup_batch:.2}x",
-                    family.name()
-                );
-            }
-            table.row(vec![
-                family.name().to_string(),
-                format!("{n_rows}x{n_cols}"),
-                fmt_secs(naive_secs),
-                fmt_secs(table_secs),
-                fmt_secs(batch_secs),
-                fmt_secs(table_build_secs),
-                format!("{speedup_table:.2}x"),
-                format!("{speedup_batch:.2}x"),
-                format!("{}/{}", fmt_secs(cache_cold), fmt_secs(cache_warm)),
-                warm_misses.to_string(),
-            ]);
-            rows_out.push(Row {
-                family: family.name().to_string(),
-                d: args.dim,
-                rows: n_rows,
-                cols: n_cols,
-                naive_secs,
-                table_secs,
-                batch_secs,
-                table_build_secs,
-                speedup_table,
-                speedup_batch,
-                cache_cold_secs: cache_cold,
-                cache_warm_secs: cache_warm,
-                cache_warm_misses: warm_misses,
-            });
+        let (naive_secs, naive_sigs) = if args.run_naive {
+            time_sketch(repeats, || {
+                wrefs
+                    .iter()
+                    .map(|w| hasher.signature(w).expect("naive signature"))
+                    .collect()
+            })
+        } else {
+            (0.0, Vec::new())
+        };
+        let (table_secs, table_sigs) = if args.run_table {
+            time_sketch(repeats, || {
+                wrefs
+                    .iter()
+                    .map(|w| hasher.signature_tabled(w).expect("tabled signature"))
+                    .collect()
+            })
+        } else {
+            (0.0, Vec::new())
+        };
+        let (batch_secs, batch_sigs) = if args.run_batch {
+            time_sketch(repeats, || {
+                hasher.signature_batch(&wrefs).expect("batch signature")
+            })
+        } else {
+            (0.0, Vec::new())
+        };
+        if args.run_naive && args.run_table {
+            assert_eq!(naive_sigs, table_sigs, "table path diverged from naive");
         }
+        if args.run_naive && args.run_batch {
+            assert_eq!(naive_sigs, batch_sigs, "batch path diverged from naive");
+        }
+
+        let (mut cache_cold, mut cache_warm, mut warm_misses) = (0.0, 0.0, 0u64);
+        if args.cache_section {
+            let crefs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            let t = Instant::now();
+            let cold = runtime::compress_normalized_batch(&compressor, &crefs)
+                .expect("cold batch compress");
+            cache_cold = t.elapsed().as_secs_f64();
+            let before = runtime::sig_cache_stats();
+            let t = Instant::now();
+            let warm = runtime::compress_normalized_batch(&compressor, &crefs)
+                .expect("warm batch compress");
+            cache_warm = t.elapsed().as_secs_f64();
+            warm_misses = runtime::sig_cache_stats().misses - before.misses;
+            assert_eq!(cold, warm, "warm cache pass changed the output");
+        }
+
+        let div = |a: f64, b: f64| if a > 0.0 && b > 0.0 { a / b } else { 0.0 };
+        let speedup_table = div(naive_secs, table_secs);
+        let speedup_batch = div(naive_secs, batch_secs);
+        if !args.common.quiet {
+            eprintln!(
+                "  {} {n_rows}x{n_cols} {mix}: table {speedup_table:.2}x, batch {speedup_batch:.2}x",
+                family.name()
+            );
+        }
+        table.row(vec![
+            mix.to_string(),
+            family.name().to_string(),
+            format!("{n_rows}x{n_cols}"),
+            fmt_secs(naive_secs),
+            fmt_secs(table_secs),
+            fmt_secs(batch_secs),
+            fmt_secs(table_build_secs),
+            format!("{speedup_table:.2}x"),
+            format!("{speedup_batch:.2}x"),
+            format!("{}/{}", fmt_secs(cache_cold), fmt_secs(cache_warm)),
+            warm_misses.to_string(),
+        ]);
+        rows_out.push(Row {
+            mix,
+            family: family.name().to_string(),
+            d: args.dim,
+            rows: n_rows,
+            cols: n_cols,
+            naive_secs,
+            table_secs,
+            batch_secs,
+            table_build_secs,
+            speedup_table,
+            speedup_batch,
+            cache_cold_secs: cache_cold,
+            cache_warm_secs: cache_warm,
+            cache_warm_misses: warm_misses,
+        });
     }
     table.print();
 
@@ -336,7 +363,8 @@ fn main() {
         for r in &rows_out {
             if r.naive_secs > 0.0 && r.table_secs > r.naive_secs {
                 eprintln!(
-                    "SMOKE FAIL: {} table path ({}) slower than naive ({})",
+                    "SMOKE FAIL: {} {} table path ({}) slower than naive ({})",
+                    r.mix,
                     r.family,
                     fmt_secs(r.table_secs),
                     fmt_secs(r.naive_secs)

@@ -13,10 +13,11 @@
 //! - candidates are generated chunk-at-a-time ([`Operator::apply_chunk`]
 //!   plus the [`Operator::column_bounds`] prepass for min-max
 //!   normalisation), encoded per chunk, and never exist as a flat column;
-//! - FPE gate scoring streams those chunks through the MinHash compressor
-//!   ([`minhash::WeightBounds`] pass, then [`minhash::SignatureStream`]),
-//!   so stage-1 — which by design never touches the downstream task —
-//!   runs without materializing anything;
+//! - FPE gate scoring sketches those chunks in place (a
+//!   [`minhash::WeightBounds`] pass, then
+//!   [`SampleCompressor::signature_indexed`] over a chunk-backed
+//!   [`minhash::RowSource`]), so stage-1 — which by design never touches
+//!   the downstream task — runs without materializing anything;
 //! - chunk encoding fans out over the [`runtime::WorkerPool`] with
 //!   results merged in chunk-index order, so 1-thread ≡ N-thread.
 //!
@@ -31,7 +32,7 @@
 //! What is deliberately *not* mirrored: [`crate::SearchState`]'s serde
 //! checkpointing (a chunked search lives and dies with its frame handle;
 //! checkpoint/resume stays on the flat path) and the signature cache
-//! (streamed sketches bypass `runtime::sigcache` — scores are bitwise
+//! (chunk-backed sketches bypass `runtime::sigcache` — scores are bitwise
 //! unchanged, the cache only ever short-circuits recomputation).
 
 use crate::config::CachedEvaluator;
@@ -46,11 +47,11 @@ use crate::report::{
 use crate::reward::SurrogateReward;
 use crate::state::EngineState;
 use crate::step::{AdaptiveGate, SearchPhase};
-use minhash::{SampleCompressor, WeightBounds};
+use minhash::{RowSource, SampleCompressor, WeightBounds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
-use runtime::WorkerPool;
+use runtime::{PrefixHasher, WorkerPool};
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
 
 /// A generated candidate held as compressed chunks — the chunked
@@ -147,6 +148,10 @@ pub struct ChunkedSearch {
     cache_hits: u64,
     cache_misses: u64,
     evaluator: CachedEvaluator,
+    /// Hash state of the selected frame declared one column wider, shared
+    /// by every candidate probe until an acceptance changes the selection.
+    /// Only the state: the selected columns stay under the frame's budget.
+    prefix: Option<PrefixHasher>,
 }
 
 impl ChunkedSearch {
@@ -234,6 +239,8 @@ impl ChunkedSearch {
     /// Accept a candidate: its chunks move into the budgeted frame (and
     /// from there spill to the store under memory pressure).
     fn accept(&mut self, origin: usize, cand: ChunkedCandidate) -> Result<()> {
+        // Accepted columns land inside the selected order.
+        self.prefix = None;
         let col = self.frame.push_column_chunks(&cand.name, cand.chunks)?;
         self.subgroups[origin].generated.push(GenRef {
             col,
@@ -278,6 +285,51 @@ impl ChunkedSearch {
         }
         let col = Column::new(cand.name.clone(), values);
         Ok(selected.with_extra_columns(std::slice::from_ref(&col))?)
+    }
+
+    /// Hash the selected frame's header (declaring one more column than it
+    /// has) and columns, chunk by chunk, in `selected_dataframe` order.
+    fn selected_prefix(&self) -> Result<PrefixHasher> {
+        let n_cols = self.n_base + self.n_generated() + 1;
+        let mut h = PrefixHasher::new(&self.frame.name, self.frame.n_rows(), n_cols);
+        let mut buf = runtime::scratch_f64_with_capacity(self.frame.chunk_rows());
+        let mut add = |col: usize, name: &str| {
+            h.column(name);
+            self.frame
+                .for_each_chunk(col, &mut buf, |_, _, values| h.values(values))
+        };
+        for j in 0..self.n_base {
+            add(j, self.frame.column_name(j)?)?;
+        }
+        for g in self.subgroups.iter().flat_map(|sub| &sub.generated) {
+            add(g.col, &g.name)?;
+        }
+        Ok(h)
+    }
+
+    /// Downstream score of the selected frame extended by `cand` — the
+    /// chunked mirror of `step::evaluate_candidate`. The cache is probed
+    /// with a key hashed from the prefix state and the candidate's chunks
+    /// (≡ `cache_key(candidate_frame)`, debug-asserted by
+    /// `evaluate_keyed` on a miss); only a miss materializes the frame.
+    fn evaluate_candidate(
+        &mut self,
+        timer: &mut PhaseTimer,
+        cand: &ChunkedCandidate,
+    ) -> Result<f64> {
+        if self.prefix.is_none() {
+            self.prefix = Some(self.selected_prefix()?);
+        }
+        let mut h = self.prefix.clone().expect("prefix built above");
+        let _eval_span = telemetry::span("engine.evaluate");
+        timer.evaluation(|| {
+            h.column(&cand.name);
+            cand.rows(self.frame.chunk_rows(), self.frame.n_rows())
+                .for_each_run(|run| h.values(run));
+            let key = self.evaluator.key_of(h.finish(self.frame.label()));
+            self.evaluator
+                .evaluate_keyed(key, || self.candidate_frame(cand))
+        })
     }
 }
 
@@ -383,8 +435,44 @@ fn generate_chunked(
     })
 }
 
-/// FPE-score a chunked candidate. The MinHash representation streams the
-/// chunks (two passes: weight bounds, then sketch + gather) and is
+/// A candidate's chunks as the MinHash kernel's row source: random access
+/// for the few rows a sketch visits, one decoded pass for the dense scan.
+struct CandidateRows<'a> {
+    chunks: &'a [ChunkEncoding],
+    chunk_rows: usize,
+    n_rows: usize,
+}
+
+impl ChunkedCandidate {
+    fn rows(&self, chunk_rows: usize, n_rows: usize) -> CandidateRows<'_> {
+        CandidateRows {
+            chunks: &self.chunks,
+            chunk_rows,
+            n_rows,
+        }
+    }
+}
+
+impl RowSource for CandidateRows<'_> {
+    fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    fn value_at(&self, k: usize) -> f64 {
+        self.chunks[k / self.chunk_rows].value_at(k % self.chunk_rows)
+    }
+
+    fn for_each_run(&self, mut f: impl FnMut(&[f64])) {
+        let mut buf = runtime::scratch_f64_with_capacity(self.chunk_rows);
+        for enc in self.chunks {
+            enc.decode_into(&mut buf);
+            f(&buf);
+        }
+    }
+}
+
+/// FPE-score a chunked candidate. The MinHash representation works off the
+/// chunks (a weight-bounds pass, then the indexed sketch + gather) and is
 /// bit-identical to `FpeModel::score_feature` on the materialized column;
 /// other representations need the full flat values and fall back to a
 /// transient pooled decode.
@@ -396,24 +484,13 @@ fn score_candidate(
 ) -> Result<f64> {
     match fpe.repr() {
         FeatureRepr::MinHash(c) => {
-            let mut buf = runtime::scratch_f64_with_capacity(chunk_rows);
+            let rows = cand.rows(chunk_rows, n_rows);
             let mut bounds = WeightBounds::new();
-            for enc in &cand.chunks {
-                enc.decode_into(&mut buf);
-                bounds.absorb(&buf);
-            }
-            let mut stream = c.begin_signature(bounds);
-            for enc in &cand.chunks {
-                enc.decode_into(&mut buf);
-                stream.absorb(&buf);
-            }
-            let sig = stream.finish()?;
+            rows.for_each_run(|run| bounds.absorb(run));
+            let sig = c.signature_indexed(bounds, &rows)?;
             let mut compressed: Vec<f64> = sig
                 .keys()
-                .map(|k| {
-                    let enc = &cand.chunks[k / chunk_rows];
-                    SampleCompressor::gather_value(enc.value_at(k % chunk_rows))
-                })
+                .map(|k| SampleCompressor::gather_value(rows.value_at(k)))
                 .collect();
             SampleCompressor::normalize(&mut compressed);
             fpe.score_compressed(compressed)
@@ -495,6 +572,7 @@ impl Engine {
             cache_hits: 0,
             cache_misses: 0,
             evaluator,
+            prefix: None,
         };
 
         let base_score = {
@@ -684,11 +762,7 @@ impl Engine {
             if s.n_generated() >= s.max_generated {
                 break;
             }
-            let candidate = s.candidate_frame(&cand)?;
-            let score = {
-                let _eval_span = telemetry::span("engine.evaluate");
-                timer.evaluation(|| s.evaluator.evaluate(&candidate))?
-            };
+            let score = s.evaluate_candidate(timer, &cand)?;
             s.counter.evaluate();
             if score > s.current_score {
                 s.last_reward = score - s.current_score;
@@ -770,11 +844,7 @@ impl Engine {
                     continue;
                 }
 
-                let candidate = s.candidate_frame(&cand)?;
-                let score = {
-                    let _eval_span = telemetry::span("engine.evaluate");
-                    timer.evaluation(|| s.evaluator.evaluate(&candidate))?
-                };
+                let score = s.evaluate_candidate(timer, &cand)?;
                 s.counter.evaluate();
                 s.last_reward = score - s.current_score;
                 if score > s.current_score {
@@ -921,6 +991,11 @@ mod tests {
         assert_eq!(flat_res.downstream_evals, res.downstream_evals);
         assert_eq!(flat_res.generated_features, res.generated_features);
         assert_eq!(flat_res.selected, res.selected);
+        // Keyed chunked probes address the very entries the flat ones do.
+        assert_eq!(
+            (flat_res.cache_hits, flat_res.cache_misses),
+            (res.cache_hits, res.cache_misses)
+        );
         assert_eq!(flat_res.trace.len(), res.trace.len());
         for (a, b) in flat_res.trace.iter().zip(&res.trace) {
             assert_eq!(a.score.to_bits(), b.score.to_bits());

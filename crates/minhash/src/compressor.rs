@@ -10,22 +10,27 @@
 //! the Eq. (2) constraint — and the output length is independent of `M`,
 //! which is what lets one pre-trained FPE classifier serve every dataset.
 
-use crate::error::{MinHashError, Result};
+use crate::error::Result;
 use crate::families::{HashFamily, WeightedMinHasher};
 use crate::signature::Signature;
-use crate::tables::{draw_tables, StreamSketcher};
+use crate::tables::RowSource;
 use serde::{Deserialize, Serialize};
 
 /// Small floor added to every weight so all samples stay in the support.
 const WEIGHT_FLOOR: f64 = 1e-6;
 
-/// Streaming accumulator for the finite min/max bounds
-/// [`SampleCompressor::to_weights`] normalises by — pass 1 of the two-pass
-/// chunked sketch. Absorbing a column's chunks in row order produces
-/// bounds bit-identical to the flat fold: each bound is the same
-/// sequential `f64::min` / `f64::max` fold over the finite values in row
-/// order (order matters for the `-0.0`/`0.0` bit pattern, so no
-/// set-shortcut is taken).
+/// The largest weight [`WeightBounds::weight`] can produce. With
+/// `lo ≤ v ≤ hi`, correctly rounded subtraction, division and addition are
+/// monotone, so `(v − lo)/span + floor ≤ span/span + floor` — this very
+/// sum — whether or not `span` was clamped. The sketch kernel's row bounds
+/// are the hash values at this weight.
+pub(crate) const WEIGHT_CEILING: f64 = 1.0 + WEIGHT_FLOOR;
+
+/// Accumulator for the finite min/max bounds a column's weights are
+/// normalised by. Absorbing a column's chunks in row order produces bounds
+/// bit-identical to the flat fold: each bound is the same sequential
+/// `f64::min` / `f64::max` fold over the finite values in row order (order
+/// matters for the `-0.0`/`0.0` bit pattern, so no set-shortcut is taken).
 #[derive(Debug, Clone, Copy)]
 pub struct WeightBounds {
     lo: f64,
@@ -62,8 +67,9 @@ impl WeightBounds {
         self.lo <= self.hi
     }
 
-    /// The weight of one raw value under these bounds — the exact
-    /// per-element expression of [`SampleCompressor::to_weights`].
+    /// The non-negative weight weighted MinHash sees for one raw value:
+    /// min-shift to zero, scale to [0, 1] and add a small floor so every
+    /// sample stays in the support. Non-finite values get the floor weight.
     fn weight(&self, v: f64) -> f64 {
         if !self.has_finite() {
             return WEIGHT_FLOOR;
@@ -74,56 +80,6 @@ impl WeightBounds {
         } else {
             WEIGHT_FLOOR
         }
-    }
-}
-
-/// Pass 2 of the two-pass chunked sketch: feed raw column values chunk by
-/// chunk (in row order) and finish into the column's [`Signature`],
-/// bit-identical to [`SampleCompressor::signature`] over the concatenated
-/// column. Created by [`SampleCompressor::begin_signature`] with the
-/// bounds from pass 1.
-#[derive(Debug)]
-pub struct SignatureStream {
-    sketcher: StreamSketcher,
-    bounds: WeightBounds,
-    next_row: usize,
-    support_buf: Vec<(usize, f64)>,
-}
-
-impl SignatureStream {
-    /// Absorb the next chunk of raw column values (rows
-    /// `next_row..next_row + chunk.len()`).
-    pub fn absorb(&mut self, chunk: &[f64]) {
-        self.support_buf.clear();
-        for (off, &v) in chunk.iter().enumerate() {
-            let w = self.bounds.weight(v);
-            // Same support filter as the one-shot path: only strictly
-            // positive finite weights can win a hash.
-            if w > 0.0 && w.is_finite() {
-                self.support_buf.push((self.next_row + off, w));
-            }
-        }
-        self.sketcher.absorb(&self.support_buf);
-        self.next_row += chunk.len();
-    }
-
-    /// Rows absorbed so far.
-    pub fn rows(&self) -> usize {
-        self.next_row
-    }
-
-    /// Finish into the signature; errors on an empty column or an empty
-    /// support, exactly like the one-shot path.
-    pub fn finish(self) -> Result<Signature> {
-        if self.next_row == 0 {
-            return Err(MinHashError::EmptyInput);
-        }
-        if self.sketcher.is_empty() {
-            return Err(MinHashError::InvalidParam(
-                "weight vector has empty support (all weights zero)".into(),
-            ));
-        }
-        Ok(Signature::new(self.sketcher.finish()))
     }
 }
 
@@ -159,9 +115,9 @@ impl SampleCompressor {
     }
 
     /// Turn raw (possibly negative / non-finite) feature values into the
-    /// non-negative weights weighted MinHash requires: min-shift to zero,
-    /// scale to [0, 1] and add a small floor so every sample stays in the
-    /// support. Non-finite values get the floor weight.
+    /// weights a sketch of the column sees (see [`WeightBounds`]) — the
+    /// weight vector to hand the scalar oracle
+    /// [`WeightedMinHasher::signature`]; sketches themselves never build it.
     pub fn to_weights(values: &[f64]) -> Vec<f64> {
         let mut bounds = WeightBounds::new();
         bounds.absorb(values);
@@ -177,37 +133,28 @@ impl SampleCompressor {
     /// [`compress_with_signature`]: Self::compress_with_signature
     /// [`compress_normalized_with_signature`]: Self::compress_normalized_with_signature
     pub fn signature(&self, values: &[f64]) -> Result<Signature> {
-        if values.is_empty() {
-            return Err(MinHashError::EmptyInput);
-        }
-        let weights = Self::to_weights(values);
-        self.hasher.signature_tabled(&weights)
+        let mut bounds = WeightBounds::new();
+        bounds.absorb(values);
+        self.signature_indexed(bounds, values)
     }
 
-    /// Signatures for many columns in one batch table pass (each column's
-    /// signature bit-identical to [`signature`](Self::signature)).
+    /// Signatures for many columns (each column's signature bit-identical
+    /// to [`signature`](Self::signature)).
     pub fn signature_batch(&self, columns: &[&[f64]]) -> Result<Vec<Signature>> {
-        if columns.iter().any(|c| c.is_empty()) {
-            return Err(MinHashError::EmptyInput);
-        }
-        let weights: Vec<Vec<f64>> = columns.iter().map(|c| Self::to_weights(c)).collect();
-        let refs: Vec<&[f64]> = weights.iter().map(|w| w.as_slice()).collect();
-        self.hasher.signature_batch(&refs)
+        telemetry::count("minhash.batch_cols", columns.len() as u64);
+        columns.iter().map(|c| self.signature(c)).collect()
     }
 
-    /// Begin a streaming signature over a column whose raw values will
-    /// arrive chunk by chunk — pass 2 of the two-pass chunked sketch.
-    /// `bounds` must come from a pass-1 [`WeightBounds`] fold over the
-    /// same column in the same row order; the finished signature is then
-    /// bit-identical to [`signature`](Self::signature) over the flat
-    /// column.
-    pub fn begin_signature(&self, bounds: WeightBounds) -> SignatureStream {
-        SignatureStream {
-            sketcher: draw_tables(&self.hasher).stream(),
-            bounds,
-            next_row: 0,
-            support_buf: Vec::new(),
-        }
+    /// The signature of a column that is not a flat slice — e.g. one held
+    /// as encoded chunks. `bounds` must come from a [`WeightBounds`] fold
+    /// over the same rows in row order; the signature is then bit-identical
+    /// to [`signature`](Self::signature) over the flat column.
+    pub fn signature_indexed<S: RowSource + ?Sized>(
+        &self,
+        bounds: WeightBounds,
+        rows: &S,
+    ) -> Result<Signature> {
+        self.hasher.sketch(true, |v| bounds.weight(v), rows)
     }
 
     /// Gather the compressed vector for a column from its precomputed
@@ -370,39 +317,65 @@ mod tests {
         assert!(compressor().compress(&[]).is_err());
     }
 
-    fn streamed_signature(c: &SampleCompressor, values: &[f64], chunk_rows: usize) -> Signature {
+    /// A column split into chunks: the shape an out-of-core caller hands
+    /// to [`SampleCompressor::signature_indexed`].
+    struct Chunked<'a> {
+        values: &'a [f64],
+        chunk_rows: usize,
+    }
+
+    impl RowSource for Chunked<'_> {
+        fn n_rows(&self) -> usize {
+            self.values.len()
+        }
+
+        fn value_at(&self, k: usize) -> f64 {
+            self.values[k]
+        }
+
+        fn for_each_run(&self, f: impl FnMut(&[f64])) {
+            self.values.chunks(self.chunk_rows).for_each(f)
+        }
+    }
+
+    fn chunked_signature(
+        c: &SampleCompressor,
+        values: &[f64],
+        chunk_rows: usize,
+    ) -> Result<Signature> {
         let mut bounds = WeightBounds::new();
         for chunk in values.chunks(chunk_rows) {
             bounds.absorb(chunk);
         }
-        let mut stream = c.begin_signature(bounds);
-        for chunk in values.chunks(chunk_rows) {
-            stream.absorb(chunk);
-        }
-        assert_eq!(stream.rows(), values.len());
-        stream.finish().unwrap()
+        c.signature_indexed(bounds, &Chunked { values, chunk_rows })
     }
 
     #[test]
-    fn streamed_signature_matches_flat_for_every_family() {
+    fn chunked_signature_matches_flat_and_scalar_for_every_family() {
         let values: Vec<f64> = (0..500)
             .map(|i| (i as f64 * 0.73).sin() * 25.0 - 4.0)
             .collect();
+        // Nearly every weight at the floor: the dense-scan fallback.
+        let skewed: Vec<f64> = values.iter().map(|v| 1.0 / (v + 29.0001)).collect();
         for family in HashFamily::ALL {
             let c = SampleCompressor::new(family, 48, 0xBEEF).unwrap();
-            let flat = c.signature(&values).unwrap();
-            for chunk_rows in [1usize, 7, 128, 500, 1000] {
-                assert_eq!(
-                    streamed_signature(&c, &values, chunk_rows),
-                    flat,
-                    "{family:?} chunk_rows={chunk_rows}"
-                );
+            for column in [&values, &skewed] {
+                let flat = c.signature(column).unwrap();
+                let oracle = c.hasher.signature(&SampleCompressor::to_weights(column));
+                assert_eq!(flat, oracle.unwrap(), "{family:?} vs scalar");
+                for chunk_rows in [1usize, 7, 128, 500, 1000] {
+                    assert_eq!(
+                        chunked_signature(&c, column, chunk_rows).unwrap(),
+                        flat,
+                        "{family:?} chunk_rows={chunk_rows}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn streamed_signature_matches_flat_with_nonfinite_and_negatives() {
+    fn chunked_signature_matches_flat_with_nonfinite_and_negatives() {
         let mut values: Vec<f64> = (0..300).map(|i| (i as f64) - 150.0).collect();
         values[3] = f64::NAN;
         values[77] = f64::INFINITY;
@@ -410,28 +383,65 @@ mod tests {
         values[151] = 0.0;
         let c = compressor();
         let flat = c.signature(&values).unwrap();
-        assert_eq!(streamed_signature(&c, &values, 64), flat);
+        assert_eq!(chunked_signature(&c, &values, 64).unwrap(), flat);
     }
 
     #[test]
-    fn streamed_empty_column_errors_like_flat() {
+    fn empty_column_errors_chunked_like_flat() {
         let c = compressor();
-        let stream = c.begin_signature(WeightBounds::new());
-        assert!(stream.finish().is_err());
+        assert!(chunked_signature(&c, &[], 16).is_err());
+        assert!(c.signature_batch(&[&[1.0, 2.0], &[]]).is_err());
     }
 
     #[test]
-    fn streamed_gather_matches_flat_compression() {
+    fn chunked_gather_matches_flat_compression() {
         let values: Vec<f64> = (0..400).map(|i| (i as f64 * 1.9).cos() * 7.0).collect();
         let c = compressor();
         let flat = c.compress_normalized(&values).unwrap();
-        let sig = streamed_signature(&c, &values, 96);
+        let sig = chunked_signature(&c, &values, 96).unwrap();
         let mut gathered: Vec<f64> = sig
             .keys()
             .map(|k| SampleCompressor::gather_value(values[k]))
             .collect();
         SampleCompressor::normalize(&mut gathered);
         assert_eq!(gathered, flat);
+    }
+
+    #[test]
+    fn weights_never_exceed_the_ceiling() {
+        // Wide, narrow (span clamped to 1e-12), degenerate and huge ranges;
+        // the maximum is attained at v = hi.
+        let ranges = [
+            (-5.0, 5.0),
+            (0.0, 1e-300),
+            (1.0, 1.0 + 1e-13),
+            (3.0, 3.0),
+            (-1e308, 1e308),
+            (-1e-5, 7e22),
+            (f64::MIN_POSITIVE, 3.0 * f64::MIN_POSITIVE),
+        ];
+        for (lo, hi) in ranges {
+            let mut bounds = WeightBounds::new();
+            bounds.absorb(&[lo, hi]);
+            let mut state = 0xCE11_u64;
+            for step in 0..20_000u32 {
+                state = crate::rng::splitmix64(state);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                let v = match step {
+                    0 => lo,
+                    1 => hi,
+                    _ => (lo + u * (hi - lo)).clamp(lo, hi),
+                };
+                let w = bounds.weight(v);
+                // (±1e308 spans overflow: ∞/∞ is NaN, which the support
+                // filter drops — never a weight above the ceiling.)
+                assert!(
+                    w.is_nan() || w <= WEIGHT_CEILING,
+                    "weight({v}) = {w} in [{lo}, {hi}]"
+                );
+            }
+            assert!(bounds.weight(f64::NAN) <= WEIGHT_CEILING);
+        }
     }
 
     #[test]

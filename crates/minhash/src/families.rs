@@ -9,10 +9,11 @@
 //! same (index, t) pair equals (approximately, for the newer variants) their
 //! generalised Jaccard similarity.
 
+use crate::compressor::WEIGHT_CEILING;
 use crate::error::{MinHashError, Result};
 use crate::rng::{beta21, gamma21, mix, uniform_open};
 use crate::signature::{SigElement, Signature};
-use crate::tables;
+use crate::tables::{self, RowSource};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -26,6 +27,10 @@ use std::time::Instant;
 /// part of why they are bit-identical.
 pub(crate) fn discretize_t(t: f64) -> i32 {
     t as i32
+}
+
+fn empty_support() -> MinHashError {
+    MinHashError::InvalidParam("weight vector has empty support (all weights zero)".into())
 }
 
 /// Which hashing scheme to use.
@@ -114,9 +119,7 @@ impl WeightedMinHasher {
             .filter_map(|(k, &w)| (w > 0.0 && w.is_finite()).then_some((k, w)))
             .collect();
         if support.is_empty() {
-            return Err(MinHashError::InvalidParam(
-                "weight vector has empty support (all weights zero)".into(),
-            ));
+            return Err(empty_support());
         }
         Ok(support)
     }
@@ -126,7 +129,8 @@ impl WeightedMinHasher {
     /// that are zero, negative, or non-finite are filtered out of the
     /// support and never win. Prefer [`signature_tabled`] /
     /// [`signature_batch`] in hot loops — they are bit-identical and
-    /// amortise the draw derivations into a precomputed table.
+    /// amortise the draw derivations into a precomputed table. This path
+    /// stays as the oracle the table kernel is tested against.
     ///
     /// [`signature_tabled`]: WeightedMinHasher::signature_tabled
     /// [`signature_batch`]: WeightedMinHasher::signature_batch
@@ -148,38 +152,41 @@ impl WeightedMinHasher {
     /// Compute the signature via the precomputed [`tables::DrawTables`]
     /// fast path — bit-identical to [`signature`](WeightedMinHasher::signature)
     /// (pinned by the `table_parity` proptest suite) but with the per-`(i, k)`
-    /// draw derivations replaced by table lookups. The table for this
+    /// draw derivations replaced by table lookups, and without visiting
+    /// rows that cannot win when no weight exceeds the compressor's ceiling
+    /// (one pass over the weights finds out). The table for this
     /// `(family, d, seed)` is created/grown lazily and shared process-wide.
     pub fn signature_tabled(&self, weights: &[f64]) -> Result<Signature> {
-        let support = Self::support(weights)?;
-        let start = telemetry::enabled().then(Instant::now);
-        let elements = tables::draw_tables(self).sketch(&support);
-        if let Some(start) = start {
-            telemetry::record("minhash.sig_us", start.elapsed().as_micros() as u64);
-        }
-        Ok(Signature::new(elements))
+        let max = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        self.sketch(max <= WEIGHT_CEILING, |w| w, weights)
     }
 
-    /// Sketch many weight vectors in one pass, sharing a single table
-    /// growth check and read acquisition across all columns. Bit-identical
-    /// to calling [`signature`](WeightedMinHasher::signature) per column;
-    /// errors if any column is empty or has an empty support.
+    /// Sketch many weight vectors. Bit-identical to calling
+    /// [`signature`](WeightedMinHasher::signature) per column; errors if
+    /// any column is empty or has an empty support.
     pub fn signature_batch(&self, columns: &[&[f64]]) -> Result<Vec<Signature>> {
-        let supports = columns
-            .iter()
-            .map(|w| Self::support(w))
-            .collect::<Result<Vec<_>>>()?;
+        telemetry::count("minhash.batch_cols", columns.len() as u64);
+        columns.iter().map(|w| self.signature_tabled(w)).collect()
+    }
+
+    /// The one entry into the table kernel: sketch `rows` under `weight`
+    /// (see [`tables::DrawTables::sketch`]), with the scalar path's errors
+    /// for an empty column and an empty support.
+    pub(crate) fn sketch<S: RowSource + ?Sized>(
+        &self,
+        bounded: bool,
+        weight: impl Fn(f64) -> f64,
+        rows: &S,
+    ) -> Result<Signature> {
+        if rows.n_rows() == 0 {
+            return Err(MinHashError::EmptyInput);
+        }
         let start = telemetry::enabled().then(Instant::now);
-        let sigs = tables::draw_tables(self)
-            .sketch_many(&supports)
-            .into_iter()
-            .map(Signature::new)
-            .collect();
+        let elements = tables::draw_tables(self).sketch(bounded, weight, rows);
         if let Some(start) = start {
             telemetry::record("minhash.sig_us", start.elapsed().as_micros() as u64);
-            telemetry::count("minhash.batch_cols", columns.len() as u64);
         }
-        Ok(sigs)
+        elements.map(Signature::new).ok_or_else(empty_support)
     }
 
     /// Classic MinHash: the support dimension with the minimum hash value.

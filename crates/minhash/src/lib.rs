@@ -12,9 +12,11 @@
 //!   Eq. 2), enabling one pre-trained FPE classifier to serve any dataset;
 //! - [`rng`] — counter-based deterministic Gamma/Beta/Uniform variates so
 //!   no `d × M` random matrix is ever materialised;
-//! - [`tables`] — precomputed per-`(seed, i, k)` draw tables behind the
-//!   table-driven and batch sketch kernels (bit-identical to the scalar
-//!   reference, pinned by the `table_parity` proptest suite).
+//! - [`tables`] — precomputed per-`(seed, i, k)` draw tables and the sketch
+//!   kernel over them: a bound-ordered visit of the few rows that can win a
+//!   hash, with a dense scan behind it (bit-identical to the scalar
+//!   reference, pinned by the `table_parity` proptest suite). Callers hand
+//!   it a [`RowSource`] — a flat slice, or their own chunked column.
 
 #![warn(missing_docs)]
 
@@ -25,8 +27,8 @@ pub mod rng;
 pub mod signature;
 pub mod tables;
 
-pub use compressor::{SampleCompressor, SignatureStream, WeightBounds};
+pub use compressor::{SampleCompressor, WeightBounds};
 pub use error::{MinHashError, Result};
 pub use families::{HashFamily, WeightedMinHasher};
 pub use signature::{generalized_jaccard, SigElement, Signature};
-pub use tables::{clear_draw_tables, draw_tables, DrawTables, StreamSketcher};
+pub use tables::{clear_draw_tables, draw_tables, DrawTables, RowSource};

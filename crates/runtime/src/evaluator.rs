@@ -77,7 +77,10 @@ impl<S: Scorer> Evaluator<S> {
         self.key_of(prefix.fingerprint_with(extra))
     }
 
-    fn key_of(&self, frame: Fingerprint) -> Fingerprint {
+    /// The cache key of the frame whose [`fingerprint_frame`] is `frame` —
+    /// for a caller that fingerprints its frame piecewise
+    /// ([`PrefixHasher`](crate::PrefixHasher)) instead of building it.
+    pub fn key_of(&self, frame: Fingerprint) -> Fingerprint {
         let mut h = Hasher128::new();
         h.write_u128(self.scorer.config_digest().0);
         h.write_u128(frame.0);

@@ -100,48 +100,74 @@ pub fn fingerprint_values(values: &[f64]) -> Fingerprint {
 /// Fingerprint a frame's full content: name, shape, every column name and
 /// value bit pattern, and the label.
 pub fn fingerprint_frame(frame: &DataFrame) -> Fingerprint {
-    let mut h = hash_header_and_columns(frame, frame.n_cols());
-    write_label(&mut h, frame.label());
-    h.finish()
+    PrefixHasher::of_frame(frame, frame.n_cols()).finish(frame.label())
 }
 
-/// Hash state after the frame header (declaring `n_cols` columns) and
-/// every column `frame` holds.
-fn hash_header_and_columns(frame: &DataFrame, n_cols: usize) -> Hasher128 {
-    let mut h = Hasher128::new();
-    h.write_byte(TAG_FRAME);
-    h.write_str(&frame.name);
-    h.write_u64(frame.n_rows() as u64);
-    h.write_u64(n_cols as u64);
-    for col in frame.columns() {
-        write_column(&mut h, col);
+/// [`fingerprint_frame`] fed piece by piece, for a frame that never exists
+/// in one piece: the header, then each column as its name followed by its
+/// values in row order (in as many runs as the caller likes), then the
+/// label. A clone taken after the leading columns is the hash state every
+/// one-column extension of them shares.
+#[derive(Debug, Clone)]
+pub struct PrefixHasher {
+    state: Hasher128,
+}
+
+impl PrefixHasher {
+    /// The header of a frame called `name` with `n_rows` rows that will
+    /// hold `n_cols` columns.
+    pub fn new(name: &str, n_rows: usize, n_cols: usize) -> Self {
+        let mut state = Hasher128::new();
+        state.write_byte(TAG_FRAME);
+        state.write_str(name);
+        state.write_u64(n_rows as u64);
+        state.write_u64(n_cols as u64);
+        PrefixHasher { state }
     }
-    h
-}
 
-fn write_column(h: &mut Hasher128, col: &Column) {
-    h.write_byte(TAG_COLUMN);
-    h.write_str(&col.name);
-    for &v in &col.values {
-        h.write_f64(v);
+    /// State after the header (declaring `n_cols` columns) and every
+    /// column `frame` holds.
+    fn of_frame(frame: &DataFrame, n_cols: usize) -> Self {
+        let mut h = PrefixHasher::new(&frame.name, frame.n_rows(), n_cols);
+        for col in frame.columns() {
+            h.column(&col.name);
+            h.values(&col.values);
+        }
+        h
     }
-}
 
-fn write_label(h: &mut Hasher128, label: &Label) {
-    match label {
-        Label::Class { y, n_classes } => {
-            h.write_byte(TAG_LABEL_CLASS);
-            h.write_u64(*n_classes as u64);
-            for &c in y {
-                h.write_u64(c as u64);
+    /// Begin the next column; its values follow through
+    /// [`values`](Self::values).
+    pub fn column(&mut self, name: &str) {
+        self.state.write_byte(TAG_COLUMN);
+        self.state.write_str(name);
+    }
+
+    /// The next run of the current column's values, in row order.
+    pub fn values(&mut self, values: &[f64]) {
+        for &v in values {
+            self.state.write_f64(v);
+        }
+    }
+
+    /// Close the frame with its label.
+    pub fn finish(mut self, label: &Label) -> Fingerprint {
+        match label {
+            Label::Class { y, n_classes } => {
+                self.state.write_byte(TAG_LABEL_CLASS);
+                self.state.write_u64(*n_classes as u64);
+                for &c in y {
+                    self.state.write_u64(c as u64);
+                }
+            }
+            Label::Reg(targets) => {
+                self.state.write_byte(TAG_LABEL_REG);
+                for &t in targets {
+                    self.state.write_f64(t);
+                }
             }
         }
-        Label::Reg(targets) => {
-            h.write_byte(TAG_LABEL_REG);
-            for &t in targets {
-                h.write_f64(t);
-            }
-        }
+        self.state.finish()
     }
 }
 
@@ -150,7 +176,7 @@ fn write_label(h: &mut Hasher128, label: &Label) {
 ///
 /// A search probes the score cache with `selected + one candidate` frames
 /// that differ only in their last column. Hashing such a frame from
-/// scratch costs `O(frame)`; the prefix holds the [`Hasher128`] state
+/// scratch costs `O(frame)`; the prefix holds the [`PrefixHasher`] state
 /// after the header (declaring `n_cols + 1` columns) and every selected
 /// column, so [`fingerprint_with`](Self::fingerprint_with) hashes only the
 /// candidate column and the label — and equals [`fingerprint_frame`] of
@@ -158,13 +184,13 @@ fn write_label(h: &mut Hasher128, label: &Label) {
 #[derive(Debug, Clone)]
 pub struct FramePrefix {
     frame: DataFrame,
-    state: Hasher128,
+    state: PrefixHasher,
 }
 
 impl FramePrefix {
     /// Take `frame` as the shared leading part of one-column extensions.
     pub fn new(frame: DataFrame) -> Self {
-        let state = hash_header_and_columns(&frame, frame.n_cols() + 1);
+        let state = PrefixHasher::of_frame(&frame, frame.n_cols() + 1);
         FramePrefix { frame, state }
     }
 
@@ -177,9 +203,9 @@ impl FramePrefix {
     /// the frame.
     pub fn fingerprint_with(&self, extra: &Column) -> Fingerprint {
         let mut h = self.state.clone();
-        write_column(&mut h, extra);
-        write_label(&mut h, self.frame.label());
-        h.finish()
+        h.column(&extra.name);
+        h.values(&extra.values);
+        h.finish(self.frame.label())
     }
 
     /// The extended frame itself: the shared columns, then `extra`.

@@ -57,6 +57,9 @@
 //! [`FramePrefix`] keeps the hash state after the shared part so
 //! [`Evaluator::prefix_key`] hashes only the new column and the label, and
 //! returns the same key [`Evaluator::cache_key`] gives the built frame.
+//! A caller whose frame lives out of core streams the same bytes through a
+//! [`PrefixHasher`] and turns the fingerprint into a key with
+//! [`Evaluator::key_of`].
 //!
 //! **Collision assumptions.** Keys are compared by digest only; the cache
 //! stores no payload to verify against. With 128-bit digests, the
@@ -80,7 +83,9 @@ pub use cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
 pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer};
 pub use fair::RoundRobin;
-pub use fingerprint::{fingerprint_frame, fingerprint_values, Fingerprint, FramePrefix, Hasher128};
+pub use fingerprint::{
+    fingerprint_frame, fingerprint_values, Fingerprint, FramePrefix, Hasher128, PrefixHasher,
+};
 pub use pool::{
     global_threads, pool_stats, set_global_threads, CancelToken, PoolStats, TaskCtx, WorkerPool,
 };

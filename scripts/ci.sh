@@ -35,6 +35,9 @@ run_kernel_parity() {
     echo "==> split-method parity suite $1"
     cargo test -q $2 --test hist_parity
 
+    # The indexed sketch kernel evaluates visited rows with scalar
+    # expressions and everything else through the simd row kernels: both
+    # tiers must agree with the scalar oracle.
     echo "==> minhash table/batch parity suite $1"
     cargo test -q -p minhash $2 --test table_parity
 
@@ -66,6 +69,9 @@ echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' pu
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
+    echo "==> minhash bound check (release: A <= a asserted where debug_assert! is compiled out)"
+    cargo test -q -p minhash --release --lib
+
     echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q --release --test parallel_determinism multi_process
 
@@ -106,7 +112,7 @@ if [[ "$quick" -eq 0 ]]; then
     }
     run_perf_smoke perf_serve  "served scores bit-identical to direct"
     run_perf_smoke perf_forest "histogram must not lose to exact"
-    run_perf_smoke perf_minhash "table path must not lose to naive"
+    run_perf_smoke perf_minhash "table path must not lose to naive, smooth and skewed columns"
     run_perf_smoke perf_nn     "batched kernels must not lose to scalar" --threads 1
     run_perf_smoke perf_simd   "lane-tree kernels must not lose to naive loops" --threads 1
     run_perf_smoke perf_frame  "chunked pipeline bit-identical to flat, <=1.15x, budget spills" --threads 1

@@ -10,12 +10,17 @@
 //! multi-threaded comparisons run sequentially inside one `#[test]` per
 //! scenario rather than as separate tests.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use eafe::{bootstrap_fpe, EafeConfig, Engine, FpeSearchSpace, RunResult};
 use minhash::HashFamily;
 use runtime::ScoreCache;
 use tabular::{DataFrame, SynthSpec, Task};
+
+/// Held by the one test that counts misses of the process-wide signature
+/// cache, and by every test that sketches columns other than [`frame`]'s
+/// through it.
+static FOREIGN_SKETCHES: Mutex<()> = Mutex::new(());
 
 fn fast_config() -> EafeConfig {
     let mut cfg = EafeConfig::fast();
@@ -103,6 +108,7 @@ fn fpe_gated_engine_identical_with_warm_signature_cache() {
     // zero-miss rerun test).
     let frame = frame();
     let fpe = fpe();
+    let _quiet = FOREIGN_SKETCHES.lock().unwrap_or_else(|e| e.into_inner());
     runtime::set_global_threads(1);
     let cold = Engine::e_afe(fast_config(), fpe.clone())
         .run(&frame)
@@ -114,8 +120,8 @@ fn fpe_gated_engine_identical_with_warm_signature_cache() {
     let after = runtime::sig_cache_stats();
     assert_bit_identical(&cold, &warm, "E-AFE warm-sig-cache 1-vs-4 threads");
     // Note: the sig cache is process-global and other tests in this binary
-    // sketch the *same* fixed-seed columns, so concurrent tests can only
-    // add hits here, not misses.
+    // sketch the *same* fixed-seed columns (or hold `FOREIGN_SKETCHES`), so
+    // concurrent tests can only add hits here, not misses.
     assert_eq!(
         after.misses, before.misses,
         "warm re-run must serve every sketch from the signature cache"
@@ -505,6 +511,68 @@ fn chunked_engine_matches_flat_across_thread_counts() {
             "the 2 KiB budget must actually exercise the spill path"
         );
     }
+}
+
+#[test]
+fn fpe_gated_chunked_engine_matches_flat_when_sketches_take_the_dense_tail() {
+    // Reciprocals of values that come close to zero: a few rows up to 10⁶,
+    // the rest near 1, so every base column and nearly every candidate
+    // built on them (a reciprocal chain) weighs all but a few rows at the
+    // floor — MinHash's bound-ordered visit runs out of prefix and the
+    // sketch is the dense scan. More than 256 rows, or the prefix would
+    // hold every row. Flat and chunked, 1 and 4 threads, must agree on
+    // every score bit and on the score cache's hit/miss tallies (the
+    // chunked driver probes with keys hashed chunk by chunk).
+    use tabular::{ChunkOptions, ChunkedFrame, Column, FrameBudget, InMemoryStore, Label};
+
+    let n = 700;
+    let columns: Vec<Column> = (0..4)
+        .map(|j| {
+            let values = (0..n)
+                .map(|i| {
+                    1.0 / ((i as f64 * 0.618_033_988_749_895 + j as f64 * 0.37).fract() + 1e-6)
+                })
+                .collect();
+            Column::new(format!("r{j}"), values)
+        })
+        .collect();
+    let y = (0..n)
+        .map(|i| usize::from(columns[0].values[i] * columns[1].values[i] > 4.0))
+        .collect();
+    let frame = DataFrame::new("tail", columns, Label::Class { y, n_classes: 2 }).unwrap();
+    let fpe = fpe();
+    let opts = ChunkOptions::default()
+        .with_chunk_rows(96)
+        .with_budget(FrameBudget::from_bytes(4096));
+
+    let _foreign = FOREIGN_SKETCHES.lock().unwrap_or_else(|e| e.into_inner());
+    let mut runs = Vec::new();
+    for threads in [1usize, 4] {
+        runtime::set_global_threads(threads);
+        let flat = Engine::e_afe(fast_config(), fpe.clone())
+            .run(&frame)
+            .unwrap();
+        let chunked =
+            ChunkedFrame::from_dataframe(&frame, opts, Box::new(InMemoryStore::new())).unwrap();
+        let (out, _) = Engine::e_afe(fast_config(), fpe.clone())
+            .run_chunked(chunked)
+            .unwrap();
+        runtime::set_global_threads(0);
+        let what = format!("tail-forcing chunked-vs-flat, {threads} threads");
+        assert_bit_identical(&flat, &out, &what);
+        assert_eq!(flat.selected, out.selected, "{what}: selected");
+        assert_eq!(
+            (flat.cache_hits, flat.cache_misses),
+            (out.cache_hits, out.cache_misses),
+            "{what}: score-cache tallies"
+        );
+        runs.push(out);
+    }
+    assert_bit_identical(&runs[0], &runs[1], "tail-forcing chunked 1-vs-4 threads");
+    assert!(
+        runs[0].cache_hits + runs[0].cache_misses > 1,
+        "the search must probe"
+    );
 }
 
 #[test]
