@@ -320,18 +320,30 @@ impl BinnedDataset {
     }
 
     /// Cached variant of [`BinnedDataset::from_slices`].
+    ///
+    /// This is the serial prologue of every downstream evaluation, and
+    /// nearly all of it is hashing each column's content for its cache
+    /// key (a search re-evaluates frames that differ by one column, so
+    /// at most a column or two miss) — the hashing goes column-parallel
+    /// under the histogram batch grain. The cache is then probed, and
+    /// filled, in column order on the calling thread, so the dataset and
+    /// the reuse tallies do not depend on the thread count.
     pub fn from_slices_cached(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
         validate_cols(cols, max_bins)?;
+        let n_rows = cols[0].len();
         let cache = bin_cache();
+        let keys = map_batch(cols.to_vec(), n_rows, |c| {
+            let mut h = Hasher128::new();
+            h.write_str("learners::BinnedColumn");
+            h.write_u64(max_bins as u64);
+            h.write_u128(fingerprint_values(c).0);
+            h.finish()
+        });
         let mut reused = 0u64;
         let columns = cols
             .iter()
-            .map(|c| {
-                let mut h = Hasher128::new();
-                h.write_str("learners::BinnedColumn");
-                h.write_u64(max_bins as u64);
-                h.write_u128(fingerprint_values(c).0);
-                let key = h.finish();
+            .zip(keys)
+            .map(|(c, key)| {
                 if let Some(hit) = cache.get(key) {
                     reused += 1;
                     return hit;
@@ -344,10 +356,7 @@ impl BinnedDataset {
         let built = columns.len() as u64 - reused;
         telemetry::count("binned.columns_reused", reused);
         telemetry::count("binned.columns_built", built);
-        Ok(BinnedDataset {
-            columns,
-            n_rows: cols[0].len(),
-        })
+        Ok(BinnedDataset { columns, n_rows })
     }
 
     /// Bin every column of a chunked frame via
@@ -447,34 +456,45 @@ pub struct RegBin {
     pub sumsq: f64,
 }
 
-/// Accumulate per-bin class counts over `rows` into `out`
-/// (`out[bin * n_classes + class]`, cleared first). One `O(rows)` pass.
-pub fn accumulate_class(
+/// Accumulate per-bin class counts into `out` (`out[bin * n_classes +
+/// class]`, cleared first) for a node given in *node order*: `y[i]` is the
+/// class of `rows[i]`. One `O(rows)` pass that reads rows and labels
+/// sequentially and only the bin codes at random.
+pub(crate) fn accumulate_class_node(
     col: &BinnedColumn,
-    rows: &[usize],
-    y: &[usize],
+    rows: &[u32],
+    y: &[u32],
     n_classes: usize,
     out: &mut Vec<u32>,
 ) {
+    debug_assert_eq!(rows.len(), y.len());
     out.clear();
     out.resize(col.n_bins() * n_classes, 0);
     match &col.codes {
         BinCodes::U8(codes) => {
-            for &r in rows {
-                out[codes[r] as usize * n_classes + y[r]] += 1;
+            for (&r, &c) in rows.iter().zip(y) {
+                out[codes[r as usize] as usize * n_classes + c as usize] += 1;
             }
         }
         BinCodes::U16(codes) => {
-            for &r in rows {
-                out[codes[r] as usize * n_classes + y[r]] += 1;
+            for (&r, &c) in rows.iter().zip(y) {
+                out[codes[r as usize] as usize * n_classes + c as usize] += 1;
             }
         }
     }
 }
 
-/// Accumulate per-bin regression stats over `rows` into `out`
-/// (cleared first). One `O(rows)` pass.
-pub fn accumulate_reg(col: &BinnedColumn, rows: &[usize], y: &[f64], out: &mut Vec<RegBin>) {
+/// Accumulate per-bin regression stats into `out` (cleared first) for a
+/// node given in node order (`y[i]` is the target of `rows[i]`). Each
+/// bin's `sum` and `sumsq` add their rows' targets in node order — the
+/// one addition order every regression score is pinned to (DESIGN.md §8).
+pub(crate) fn accumulate_reg_node(
+    col: &BinnedColumn,
+    rows: &[u32],
+    y: &[f64],
+    out: &mut Vec<RegBin>,
+) {
+    debug_assert_eq!(rows.len(), y.len());
     out.clear();
     out.resize(col.n_bins(), RegBin::default());
     let mut add = |bin: usize, v: f64| {
@@ -485,24 +505,59 @@ pub fn accumulate_reg(col: &BinnedColumn, rows: &[usize], y: &[f64], out: &mut V
     };
     match &col.codes {
         BinCodes::U8(codes) => {
-            for &r in rows {
-                add(codes[r] as usize, y[r]);
+            for (&r, &v) in rows.iter().zip(y) {
+                add(codes[r as usize] as usize, v);
             }
         }
         BinCodes::U16(codes) => {
-            for &r in rows {
-                add(codes[r] as usize, y[r]);
+            for (&r, &v) in rows.iter().zip(y) {
+                add(codes[r as usize] as usize, v);
             }
         }
     }
+}
+
+/// Row ids narrowed to the builder's `u32`, and each row's label pulled
+/// into node order — what the row-indexed public entry points below hand
+/// the node-ordered kernels.
+pub(crate) fn node_order<L, T>(
+    rows: &[usize],
+    y: &[L],
+    label: impl Fn(&L) -> T,
+) -> (Vec<u32>, Vec<T>) {
+    let ids = rows
+        .iter()
+        .map(|&r| u32::try_from(r).expect("row ids fit u32"))
+        .collect();
+    (ids, rows.iter().map(|&r| label(&y[r])).collect())
+}
+
+/// Accumulate per-bin class counts over `rows` (labels indexed by dataset
+/// row) into `out` (`out[bin * n_classes + class]`, cleared first).
+pub fn accumulate_class(
+    col: &BinnedColumn,
+    rows: &[usize],
+    y: &[usize],
+    n_classes: usize,
+    out: &mut Vec<u32>,
+) {
+    let (rows, y) = node_order(rows, y, |&c| c as u32);
+    accumulate_class_node(col, &rows, &y, n_classes, out);
+}
+
+/// Accumulate per-bin regression stats over `rows` (targets indexed by
+/// dataset row) into `out` (cleared first).
+pub fn accumulate_reg(col: &BinnedColumn, rows: &[usize], y: &[f64], out: &mut Vec<RegBin>) {
+    let (rows, y) = node_order(rows, y, |&v| v);
+    accumulate_reg_node(col, &rows, &y, out);
 }
 
 // ---------------------------------------------------------------------
 // Feature-parallel accumulation — LightGBM-style feature partitioning.
 //
 // Each feature's node histogram is built by exactly one worker-pool task
-// scanning `rows` in ascending order, so every per-feature histogram is
-// bit-identical to a serial `accumulate_*` call; `WorkerPool::map`
+// scanning the node's rows in node order, so every per-feature histogram
+// is bit-identical to a serial `accumulate_*_node` call; `WorkerPool::map`
 // returns results in submission order, so the merged Vec is in fixed
 // feature-index order regardless of which thread finished first.
 // N-thread output ≡ 1-thread output, bitwise (DESIGN.md §13).
@@ -521,9 +576,61 @@ fn hist_batch_parallel(n_features: usize, n_rows: usize) -> bool {
         && n_rows.saturating_mul(n_features) >= HIST_PARALLEL_GRAIN
 }
 
-/// Accumulate one class histogram per column, partitioning features
-/// across the worker pool when the batch is large enough. Output order is
-/// `cols` order and every histogram is bit-identical to a serial
+/// `f` over `items`, across the worker pool when the batch (`items.len()`
+/// columns of `n_rows` rows each) clears the grain and inline otherwise;
+/// output is in `items` order at any thread count.
+fn map_batch<T: Send, U: Send>(items: Vec<T>, n_rows: usize, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    if hist_batch_parallel(items.len(), n_rows) {
+        WorkerPool::new().map(items, |_ctx, item| f(item))
+    } else {
+        items.into_iter().map(f).collect()
+    }
+}
+
+/// One node histogram per column via `one` (see [`map_batch`]).
+fn accumulate_batch<H: Send>(
+    cols: &[&BinnedColumn],
+    n_rows: usize,
+    one: impl Fn(&BinnedColumn) -> H + Sync,
+) -> Vec<H> {
+    if hist_batch_parallel(cols.len(), n_rows) {
+        telemetry::count("binned.hist_parallel_batches", 1);
+    }
+    map_batch(cols.to_vec(), n_rows, one)
+}
+
+/// One class histogram per column for a node in node order; every
+/// histogram is bit-identical to a serial [`accumulate_class_node`] call.
+pub(crate) fn accumulate_class_node_parallel(
+    cols: &[&BinnedColumn],
+    rows: &[u32],
+    y: &[u32],
+    n_classes: usize,
+) -> Vec<Vec<u32>> {
+    accumulate_batch(cols, rows.len(), |col| {
+        let mut h = Vec::new();
+        accumulate_class_node(col, rows, y, n_classes, &mut h);
+        h
+    })
+}
+
+/// One regression histogram per column for a node in node order; per-bin
+/// sums are accumulated in node order by a single task, so every
+/// histogram is bit-identical to a serial [`accumulate_reg_node`] call.
+pub(crate) fn accumulate_reg_node_parallel(
+    cols: &[&BinnedColumn],
+    rows: &[u32],
+    y: &[f64],
+) -> Vec<Vec<RegBin>> {
+    accumulate_batch(cols, rows.len(), |col| {
+        let mut h = Vec::new();
+        accumulate_reg_node(col, rows, y, &mut h);
+        h
+    })
+}
+
+/// Row-indexed entry point of `accumulate_class_node_parallel`: output
+/// order is `cols` order and every histogram is bit-identical to a serial
 /// [`accumulate_class`] call at any thread count.
 pub fn accumulate_class_parallel(
     cols: &[&BinnedColumn],
@@ -531,40 +638,20 @@ pub fn accumulate_class_parallel(
     y: &[usize],
     n_classes: usize,
 ) -> Vec<Vec<u32>> {
-    let one = |col: &BinnedColumn| {
-        let mut h = Vec::new();
-        accumulate_class(col, rows, y, n_classes, &mut h);
-        h
-    };
-    if hist_batch_parallel(cols.len(), rows.len()) {
-        telemetry::count("binned.hist_parallel_batches", 1);
-        WorkerPool::new().map(cols.to_vec(), |_ctx, col| one(col))
-    } else {
-        cols.iter().map(|col| one(col)).collect()
-    }
+    let (rows, y) = node_order(rows, y, |&c| c as u32);
+    accumulate_class_node_parallel(cols, &rows, &y, n_classes)
 }
 
-/// Accumulate one regression histogram per column, partitioning features
-/// across the worker pool when the batch is large enough. Output order is
-/// `cols` order; per-feature sums are accumulated in ascending row order
-/// by a single task, so every histogram is bit-identical to a serial
+/// Row-indexed entry point of `accumulate_reg_node_parallel`: output
+/// order is `cols` order and every histogram is bit-identical to a serial
 /// [`accumulate_reg`] call at any thread count.
 pub fn accumulate_reg_parallel(
     cols: &[&BinnedColumn],
     rows: &[usize],
     y: &[f64],
 ) -> Vec<Vec<RegBin>> {
-    let one = |col: &BinnedColumn| {
-        let mut h = Vec::new();
-        accumulate_reg(col, rows, y, &mut h);
-        h
-    };
-    if hist_batch_parallel(cols.len(), rows.len()) {
-        telemetry::count("binned.hist_parallel_batches", 1);
-        WorkerPool::new().map(cols.to_vec(), |_ctx, col| one(col))
-    } else {
-        cols.iter().map(|col| one(col)).collect()
-    }
+    let (rows, y) = node_order(rows, y, |&v| v);
+    accumulate_reg_node_parallel(cols, &rows, &y)
 }
 
 /// Sibling subtraction: the right child's histogram is the parent's minus

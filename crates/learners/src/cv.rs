@@ -123,14 +123,15 @@ impl Evaluator {
         let n_folds = splits.len();
         // When every fold trains a histogram forest, quantise the frame
         // once here and hand all folds (and all their trees) the same
-        // bins — the "bin once, train everywhere" regime. Non-forest
-        // model kinds keep the gather-per-fold path.
+        // bins — the "bin once, train everywhere" regime — and the same
+        // column slices to predict their test rows from in place.
+        // Non-forest model kinds keep the gather-per-fold path.
+        let cols: Vec<&[f64]> = frame
+            .columns()
+            .iter()
+            .map(|c| c.values.as_slice())
+            .collect();
         let binned = if self.uses_binned_forest(frame.task()) {
-            let cols: Vec<&[f64]> = frame
-                .columns()
-                .iter()
-                .map(|c| c.values.as_slice())
-                .collect();
             Some(BinnedDataset::from_slices_cached(
                 &cols,
                 self.forest.tree.max_bins,
@@ -143,7 +144,7 @@ impl Evaluator {
         // result bit-identical to a sequential run.
         let pool = runtime::WorkerPool::new().with_seed(self.seed);
         let fold_scores = pool.map(splits, |ctx, split| match &binned {
-            Some(b) => self.fit_score_binned(b, frame, &split, ctx.index as u64),
+            Some(b) => self.fit_score_binned(b, &cols, frame.label(), &split, ctx.index as u64),
             None => {
                 let train = frame.take_rows(&split.train)?;
                 let test = frame.take_rows(&split.test)?;
@@ -170,39 +171,33 @@ impl Evaluator {
     }
 
     /// One fold against the shared pre-binned frame: train the forest on
-    /// the fold's train rows straight from the bin codes, gather only the
-    /// test sub-matrix for prediction.
+    /// the fold's train rows straight from the bin codes, and predict the
+    /// test rows straight from the frame's columns — no sub-matrix is
+    /// gathered on either side.
     fn fit_score_binned(
         &self,
         binned: &BinnedDataset,
-        frame: &DataFrame,
+        cols: &[&[f64]],
+        label: &Label,
         split: &tabular::split::Split,
         fold_seed: u64,
     ) -> Result<f64> {
-        let seed = self.seed ^ fold_seed.wrapping_mul(0x9E37);
-        let xte: Vec<Vec<f64>> = frame
-            .columns()
-            .iter()
-            .map(|c| split.test.iter().map(|&r| c.values[r]).collect())
-            .collect();
-        match frame.label() {
+        let forest = ForestConfig {
+            seed: self.seed ^ fold_seed.wrapping_mul(0x9E37),
+            ..self.forest
+        };
+        match label {
             Label::Class { y, n_classes } => {
-                let mut m = RandomForestClassifier::new(ForestConfig {
-                    seed,
-                    ..self.forest
-                });
+                let mut m = RandomForestClassifier::new(forest);
                 m.fit_binned(binned, &split.train, y, *n_classes)?;
-                let preds = m.predict(&xte)?;
+                let preds = m.predict_rows(cols, Some(&split.test))?;
                 let yte: Vec<usize> = split.test.iter().map(|&r| y[r]).collect();
                 f1_score(&yte, &preds, *n_classes)
             }
             Label::Reg(y) => {
-                let mut m = RandomForestRegressor::new(ForestConfig {
-                    seed,
-                    ..self.forest
-                });
+                let mut m = RandomForestRegressor::new(forest);
                 m.fit_binned(binned, &split.train, y)?;
-                let preds = m.predict(&xte)?;
+                let preds = m.predict_rows(cols, Some(&split.test))?;
                 let yte: Vec<f64> = split.test.iter().map(|&r| y[r]).collect();
                 one_minus_rae(&yte, &preds)
             }

@@ -9,7 +9,10 @@
 
 use crate::binned::{BinnedDataset, SplitMethod};
 use crate::error::{LearnError, Result};
-use crate::tree::{argmax, DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};
+use crate::tree::{
+    argmax, for_each_row, predict_columns, DecisionTreeClassifier, DecisionTreeRegressor, Tree,
+    TreeConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::WorkerPool;
@@ -65,15 +68,6 @@ impl ForestConfig {
     }
 }
 
-/// Draw bootstrap row indices or the identity when bootstrap is disabled.
-fn sample_rows(n_rows: usize, bootstrap: bool, rng: &mut StdRng) -> Vec<usize> {
-    if bootstrap {
-        (0..n_rows).map(|_| rng.gen_range(0..n_rows)).collect()
-    } else {
-        (0..n_rows).collect()
-    }
-}
-
 /// Gather a column-major sub-matrix for the given rows.
 fn gather(x: &[Vec<f64>], rows: &[usize]) -> Vec<Vec<f64>> {
     x.iter()
@@ -94,9 +88,10 @@ fn bin_features(x: &[Vec<f64>], max_bins: usize) -> Result<BinnedDataset> {
 }
 
 /// Per-tree (seed, rows) draws, drawn sequentially up front so the fitted
-/// forest never depends on worker scheduling. `rows` maps each draw into
-/// the caller's training subset (identity for a full-dataset fit), so the
-/// histogram path consumes the RNG exactly like the exact path does.
+/// forest never depends on worker scheduling. Each bootstrap draw indexes
+/// straight into the caller's training subset `rows` (the identity for a
+/// full-dataset fit), so the histogram path consumes the RNG exactly like
+/// the exact path does.
 fn draw_trees(
     n_trees: usize,
     rows: &[usize],
@@ -106,8 +101,14 @@ fn draw_trees(
     (0..n_trees)
         .map(|_| {
             let seed = rng.gen::<u64>();
-            let draw = sample_rows(rows.len(), bootstrap, rng);
-            (seed, draw.into_iter().map(|i| rows[i]).collect())
+            let draw = if bootstrap {
+                (0..rows.len())
+                    .map(|_| rows[rng.gen_range(0..rows.len())])
+                    .collect()
+            } else {
+                rows.to_vec()
+            };
+            (seed, draw)
         })
         .collect()
 }
@@ -214,48 +215,64 @@ impl RandomForestClassifier {
         Ok(())
     }
 
-    /// Averaged class probabilities across trees.
-    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted("RandomForestClassifier"));
-        }
-        let n_rows = x.first().map_or(0, |c| c.len());
-        let mut acc = vec![vec![0.0; self.n_classes]; n_rows];
-        for tree in &self.trees {
-            for (row, p) in tree.predict_proba(x)?.into_iter().enumerate() {
-                for (a, v) in acc[row].iter_mut().zip(p) {
-                    *a += v;
+    fn fitted_trees(&self) -> Result<Vec<&Tree>> {
+        fitted_trees(&self.trees, DecisionTreeClassifier::tree)
+            .ok_or(LearnError::NotFitted("RandomForestClassifier"))
+    }
+
+    /// Averaged class probabilities of `rows` of `cols` (see
+    /// [`for_each_row`]), flat: `n_classes` values per row. One buffer for
+    /// the whole call; per row the trees add their leaf frequencies in
+    /// tree order, then `/ k`.
+    fn proba_rows(&self, cols: &[&[f64]], rows: Option<&[usize]>) -> Result<Vec<f64>> {
+        let trees = self.fitted_trees()?;
+        let k = trees.len() as f64;
+        let n_rows = rows.map_or(cols[0].len(), <[usize]>::len);
+        let mut proba = vec![0.0; n_rows * self.n_classes];
+        let mut out = proba.chunks_exact_mut(self.n_classes);
+        for_each_row(cols, rows, |x| {
+            let acc = out.next().expect("one output row per input row");
+            for tree in &trees {
+                for (a, p) in acc.iter_mut().zip(tree.leaf_values(x)) {
+                    *a += p;
                 }
             }
-        }
-        let k = self.trees.len() as f64;
-        for row in &mut acc {
-            for v in row.iter_mut() {
-                *v /= k;
+            for a in acc {
+                *a /= k;
             }
-        }
-        Ok(acc)
+        });
+        Ok(proba)
+    }
+
+    /// Averaged class probabilities across trees.
+    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        let cols = predict_columns(x, self.n_features)?;
+        let proba = self.proba_rows(&cols, None)?;
+        Ok(proba
+            .chunks_exact(self.n_classes)
+            .map(<[f64]>::to_vec)
+            .collect())
     }
 
     /// Majority-vote class predictions.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self
-            .predict_proba(x)?
-            .into_iter()
-            .map(|p| argmax(&p))
-            .collect())
+        self.predict_rows(&predict_columns(x, self.n_features)?, None)
+    }
+
+    /// Majority-vote class predictions for `rows` of `cols` (every row
+    /// when `None`), read without gathering a sub-matrix.
+    pub(crate) fn predict_rows(
+        &self,
+        cols: &[&[f64]],
+        rows: Option<&[usize]>,
+    ) -> Result<Vec<usize>> {
+        let proba = self.proba_rows(cols, rows)?;
+        Ok(proba.chunks_exact(self.n_classes).map(argmax).collect())
     }
 
     /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted("RandomForestClassifier"));
-        }
-        mean_importances(self.trees.iter().map(|t| {
-            t.tree()
-                .expect("fitted forest holds fitted trees")
-                .feature_importances()
-        }))
+        Ok(mean_importances(&self.fitted_trees()?))
     }
 }
 
@@ -335,49 +352,61 @@ impl RandomForestRegressor {
         Ok(())
     }
 
+    fn fitted_trees(&self) -> Result<Vec<&Tree>> {
+        fitted_trees(&self.trees, DecisionTreeRegressor::tree)
+            .ok_or(LearnError::NotFitted("RandomForestRegressor"))
+    }
+
     /// Mean prediction across trees.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted("RandomForestRegressor"));
-        }
-        let n_rows = x.first().map_or(0, |c| c.len());
-        let mut acc = vec![0.0; n_rows];
-        for tree in &self.trees {
-            for (a, p) in acc.iter_mut().zip(tree.predict(x)?) {
-                *a += p;
+        self.predict_rows(&predict_columns(x, self.n_features)?, None)
+    }
+
+    /// Mean prediction across trees for `rows` of `cols` (every row when
+    /// `None`), read without gathering a sub-matrix. Per row the trees'
+    /// leaf means add up in tree order, then `/ k`.
+    pub(crate) fn predict_rows(&self, cols: &[&[f64]], rows: Option<&[usize]>) -> Result<Vec<f64>> {
+        let trees = self.fitted_trees()?;
+        let k = trees.len() as f64;
+        let mut preds = Vec::with_capacity(rows.map_or(cols[0].len(), <[usize]>::len));
+        for_each_row(cols, rows, |x| {
+            let mut acc = 0.0;
+            for tree in &trees {
+                acc += tree.leaf_values(x)[0];
             }
-        }
-        let k = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= k;
-        }
-        Ok(acc)
+            preds.push(acc / k);
+        });
+        Ok(preds)
     }
 
     /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted("RandomForestRegressor"));
-        }
-        mean_importances(self.trees.iter().map(|t| {
-            t.tree()
-                .expect("fitted forest holds fitted trees")
-                .feature_importances()
-        }))
+        Ok(mean_importances(&self.fitted_trees()?))
     }
 }
 
-fn mean_importances(per_tree: impl Iterator<Item = Vec<f64>>) -> Result<Vec<f64>> {
+/// The fitted trees of a forest's per-tree models; `None` when unfitted.
+fn fitted_trees<M>(models: &[M], tree: impl Fn(&M) -> Option<&Tree>) -> Option<Vec<&Tree>> {
+    if models.is_empty() {
+        return None;
+    }
+    Some(
+        models
+            .iter()
+            .map(|m| tree(m).expect("fitted forest holds fitted trees"))
+            .collect(),
+    )
+}
+
+fn mean_importances(trees: &[&Tree]) -> Vec<f64> {
     let mut acc: Vec<f64> = Vec::new();
-    let mut k = 0usize;
-    for imp in per_tree {
+    for imp in trees.iter().map(|t| t.feature_importances()) {
         if acc.is_empty() {
             acc = vec![0.0; imp.len()];
         }
         for (a, v) in acc.iter_mut().zip(imp) {
             *a += v;
         }
-        k += 1;
     }
     let total: f64 = acc.iter().sum();
     if total > 0.0 {
@@ -385,8 +414,7 @@ fn mean_importances(per_tree: impl Iterator<Item = Vec<f64>>) -> Result<Vec<f64>
             *a /= total;
         }
     }
-    let _ = k;
-    Ok(acc)
+    acc
 }
 
 #[cfg(test)]

@@ -17,10 +17,12 @@
 //!   child's histogram is its parent's minus its left sibling's).
 //!
 //! Both paths run node rows through a single in-place stably-partitioned
-//! row-index buffer and reuse scratch sort/count buffers across nodes, so
-//! steady-state split finding allocates only per-node leaf payloads and
-//! (histogram path) the per-feature histograms that the subtraction trick
-//! hands from parent to child.
+//! row-index buffer with the rows' labels kept beside it in the same
+//! order (DESIGN.md §8), and reuse scratch sort/count buffers across
+//! nodes, so every per-node pass reads its labels sequentially and
+//! steady-state split finding allocates only (histogram path) the
+//! per-feature histograms that the subtraction trick hands from parent to
+//! child.
 
 use crate::binned::{
     self, BinCodes, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS, MAX_BINS_LIMIT,
@@ -78,27 +80,34 @@ impl TreeConfig {
     }
 }
 
-/// What the tree predicts.
+/// [`Node::feature`] of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One node of a fitted tree, 16 bytes. A split's two children are
+/// allocated side by side, so the walk picks one with an add
+/// (`left + 1` is the right child) instead of a second load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Target {
-    /// Class counts at the leaf (argmax predicted, counts give probabilities).
-    ClassCounts(Vec<f64>),
-    /// Mean target at the leaf.
-    Mean(f64),
+struct Node {
+    /// Split feature, or [`LEAF`].
+    feature: u32,
+    /// Split: index of the left child. Leaf: offset of its payload in
+    /// [`Tree::leaf_values`].
+    left: u32,
+    /// Split threshold on the raw value scale (`value <= threshold` goes
+    /// left).
+    threshold: f64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf(Target),
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+impl Node {
+    /// Stands in for a child until `Builder::grow` reaches it.
+    const UNGROWN: Node = Node {
+        feature: LEAF,
+        left: 0,
+        threshold: 0.0,
+    };
 }
 
-/// Label view the builder trains against.
+/// Labels the caller hands the builder, indexed by dataset row.
 #[derive(Clone, Copy)]
 enum Labels<'a> {
     Class { y: &'a [usize], n_classes: usize },
@@ -110,6 +119,42 @@ impl Labels<'_> {
         match self {
             Labels::Class { y, .. } => y.len(),
             Labels::Reg(y) => y.len(),
+        }
+    }
+}
+
+/// The labels of the builder's rows *in node order*: entry `i` is the
+/// label of `Builder::rows[i]`, filled once from the tree's draw and moved
+/// by the same stable partition as the rows, so every per-node pass reads
+/// its labels sequentially. `spill` stages right-side labels during a
+/// partition.
+enum NodeLabels {
+    Class {
+        y: Vec<u32>,
+        spill: Vec<u32>,
+        n_classes: usize,
+    },
+    Reg {
+        y: Vec<f64>,
+        spill: Vec<f64>,
+    },
+}
+
+/// Borrowed node-ordered labels of one node (`lo..hi` of [`NodeLabels`]).
+#[derive(Clone, Copy)]
+enum LabelSlice<'a> {
+    Class { y: &'a [u32], n_classes: usize },
+    Reg(&'a [f64]),
+}
+
+impl NodeLabels {
+    fn slice(&self, lo: usize, hi: usize) -> LabelSlice<'_> {
+        match self {
+            NodeLabels::Class { y, n_classes, .. } => LabelSlice::Class {
+                y: &y[lo..hi],
+                n_classes: *n_classes,
+            },
+            NodeLabels::Reg { y, .. } => LabelSlice::Reg(&y[lo..hi]),
         }
     }
 }
@@ -137,6 +182,10 @@ impl Data<'_> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tree {
     nodes: Vec<Node>,
+    /// Leaf payloads, `n_outputs` values per leaf: the mean target
+    /// (regression) or the class frequencies (classification).
+    leaf_values: Vec<f64>,
+    n_outputs: usize,
     n_features: usize,
     /// Total impurity decrease attributed to each feature (unnormalised).
     importances: Vec<f64>,
@@ -158,25 +207,17 @@ impl Tree {
         self.nodes.len()
     }
 
-    fn leaf_for_row(&self, x: &[Vec<f64>], row: usize) -> &Target {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf(t) => return t,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if x[*feature][row] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
+    /// The payload of the leaf that a row with feature values `x` lands in.
+    #[inline]
+    pub(crate) fn leaf_values(&self, x: &[f64]) -> &[f64] {
+        let mut node = &self.nodes[0];
+        while node.feature != LEAF {
+            // Adding the comparison keeps the data-dependent choice out of
+            // the branch predictor.
+            let goes_left = x[node.feature as usize] <= node.threshold;
+            node = &self.nodes[(node.left + u32::from(!goes_left)) as usize];
         }
+        &self.leaf_values[node.left as usize..][..self.n_outputs]
     }
 }
 
@@ -201,10 +242,12 @@ struct Candidate {
 /// per-node heap traffic lives (and dies) here.
 #[derive(Default)]
 struct Scratch {
-    /// Right-side rows during the in-place stable partition.
-    partition: Vec<usize>,
-    /// (value, row) pairs for the exact path's per-feature sort.
-    sortable: Vec<(f64, usize)>,
+    /// Right-side rows during the in-place stable partition. Grown to the
+    /// largest node partitioned so far, never cleared.
+    spill_rows: Vec<u32>,
+    /// (value, position in the node) pairs for the exact path's
+    /// per-feature sort.
+    sortable: Vec<(f64, u32)>,
     /// Class counts of the current node: written by `impurity`, still
     /// current when `best_split` runs on the same node.
     node_counts: Vec<usize>,
@@ -222,16 +265,18 @@ struct Scratch {
 
 struct Builder<'a> {
     data: Data<'a>,
-    labels: Labels<'a>,
     cfg: TreeConfig,
     nodes: Vec<Node>,
+    leaf_values: Vec<f64>,
     importances: Vec<f64>,
     rng: StdRng,
     n_total: usize,
     feature_pool: Vec<usize>,
     /// The single row-index buffer; `grow` works on `lo..hi` ranges of it
     /// and partitions in place.
-    rows: Vec<usize>,
+    rows: Vec<u32>,
+    /// The labels of `rows`, in the same order, partitioned with them.
+    labels: NodeLabels,
     scratch: Scratch,
     /// Histograms obtained by sibling subtraction instead of
     /// re-accumulation (flushed to telemetry once per tree).
@@ -242,12 +287,9 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn build(
-        data: Data<'a>,
-        rows: Vec<usize>,
-        labels: Labels<'a>,
-        cfg: TreeConfig,
-    ) -> Result<Tree> {
+    /// Grow one tree on `rows` (duplicates count multiply) of `data`;
+    /// `labels` are indexed by dataset row, like `rows`.
+    fn build(data: Data<'a>, rows: &[usize], labels: Labels<'_>, cfg: TreeConfig) -> Result<Tree> {
         let n_rows = labels.len();
         if data.n_features() == 0 || n_rows == 0 || rows.is_empty() {
             return Err(LearnError::EmptyTrainingSet("decision tree".into()));
@@ -272,30 +314,63 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        if rows.iter().any(|&r| r >= n_rows) {
-            return Err(LearnError::InvalidParam(
-                "training row index out of bounds".into(),
-            ));
+        if u32::try_from(n_rows).is_err() {
+            return Err(LearnError::InvalidParam(format!(
+                "{n_rows} rows do not fit the builder's u32 row ids"
+            )));
         }
+        // Narrow the row ids and pull each row's label into node order.
+        // The label lookup is also the bounds check: `n_rows` fits `u32`,
+        // so an id that passes it narrowed losslessly.
+        let out_of_bounds = || LearnError::InvalidParam("training row index out of bounds".into());
+        let node_rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+        let node_labels = match labels {
+            Labels::Class { y, n_classes } => {
+                let y = rows
+                    .iter()
+                    .map(|&r| match y.get(r) {
+                        Some(&c) if c < n_classes => Ok(c as u32),
+                        Some(&c) => Err(LearnError::InvalidParam(format!(
+                            "class label {c} outside 0..{n_classes}"
+                        ))),
+                        None => Err(out_of_bounds()),
+                    })
+                    .collect::<Result<Vec<u32>>>()?;
+                NodeLabels::Class {
+                    y,
+                    spill: Vec::new(),
+                    n_classes,
+                }
+            }
+            Labels::Reg(y) => NodeLabels::Reg {
+                y: rows
+                    .iter()
+                    .map(|&r| y.get(r).copied().ok_or_else(out_of_bounds))
+                    .collect::<Result<Vec<f64>>>()?,
+                spill: Vec::new(),
+            },
+        };
         let n_features = data.n_features();
         let n_train = rows.len();
         let mut b = Builder {
             data,
-            labels,
             cfg,
             nodes: Vec::new(),
+            leaf_values: Vec::new(),
             importances: vec![0.0; n_features],
             rng: StdRng::seed_from_u64(cfg.seed),
             n_total: n_train,
             feature_pool: (0..n_features).collect(),
-            rows,
+            rows: node_rows,
+            labels: node_labels,
             scratch: Scratch::default(),
             hists_subtracted: 0,
             sparse_scans: 0,
         };
         let timed = matches!(data, Data::Binned(_)) && telemetry::enabled();
         let start = timed.then(std::time::Instant::now);
-        b.grow(0, n_train, 0, Vec::new());
+        b.nodes.push(Node::UNGROWN);
+        b.grow(0, 0, n_train, 0, Vec::new());
         if let Some(t) = start {
             telemetry::record("tree.hist_us", t.elapsed().as_micros() as u64);
         }
@@ -307,95 +382,146 @@ impl<'a> Builder<'a> {
         }
         Ok(Tree {
             nodes: b.nodes,
+            leaf_values: b.leaf_values,
+            n_outputs: match labels {
+                Labels::Class { n_classes, .. } => n_classes,
+                Labels::Reg(_) => 1,
+            },
             n_features,
             importances: b.importances,
         })
     }
 
-    fn leaf_target(&self, lo: usize, hi: usize) -> Target {
-        let rows = &self.rows[lo..hi];
-        match self.labels {
-            Labels::Class { y, n_classes } => {
-                let mut counts = vec![0.0; n_classes];
-                for &r in rows {
-                    counts[y[r]] += 1.0;
+    /// Make node `at` the leaf for `lo..hi`: its class frequencies or mean
+    /// target.
+    fn set_leaf(&mut self, at: usize, lo: usize, hi: usize) {
+        let offset = self.leaf_values.len();
+        match self.labels.slice(lo, hi) {
+            LabelSlice::Class { y, n_classes } => {
+                self.leaf_values.resize(offset + n_classes, 0.0);
+                let counts = &mut self.leaf_values[offset..];
+                for &c in y {
+                    counts[c as usize] += 1.0;
                 }
-                Target::ClassCounts(counts)
+                let total = (y.len() as f64).max(1.0);
+                for c in counts {
+                    *c /= total;
+                }
             }
-            Labels::Reg(y) => {
-                let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len().max(1) as f64;
-                Target::Mean(mean)
+            LabelSlice::Reg(y) => {
+                let mean = y.iter().sum::<f64>() / y.len().max(1) as f64;
+                self.leaf_values.push(mean);
             }
         }
+        self.nodes[at] = Node {
+            feature: LEAF,
+            left: offset as u32,
+            threshold: 0.0,
+        };
     }
 
     fn impurity(&mut self, lo: usize, hi: usize) -> f64 {
-        let rows = &self.rows[lo..hi];
-        match self.labels {
-            Labels::Class { y, n_classes } => {
+        match self.labels.slice(lo, hi) {
+            LabelSlice::Class { y, n_classes } => {
                 let counts = &mut self.scratch.node_counts;
                 counts.clear();
                 counts.resize(n_classes, 0);
-                for &r in rows {
-                    counts[y[r]] += 1;
+                for &c in y {
+                    counts[c as usize] += 1;
                 }
-                gini(counts, rows.len())
+                gini(counts, y.len())
             }
-            Labels::Reg(y) => {
-                let n = rows.len() as f64;
-                let sum: f64 = rows.iter().map(|&r| y[r]).sum();
-                let sumsq: f64 = rows.iter().map(|&r| y[r] * y[r]).sum();
+            LabelSlice::Reg(y) => {
+                let n = y.len() as f64;
+                // One pass, two accumulators, each adding in node order
+                // from `-0.0` — exactly what two `Iterator::sum` passes
+                // compute, bit for bit.
+                let (mut sum, mut sumsq) = (-0.0f64, -0.0f64);
+                for &v in y {
+                    sum += v;
+                    sumsq += v * v;
+                }
                 (sumsq / n - (sum / n) * (sum / n)).max(0.0)
             }
         }
     }
 
-    /// Rows of `lo..hi` that the candidate sends left, without reordering
-    /// anything — the leaf fallback must see rows in their original order.
-    fn count_left(&self, lo: usize, hi: usize, c: &Candidate) -> usize {
-        let rows = &self.rows[lo..hi];
+    /// Rows of `lo..hi` an exact-path candidate sends left, without
+    /// reordering anything — the leaf fallback must see rows in their
+    /// original order. Only the exact path needs the look-ahead: its
+    /// `midpoint` threshold can round onto the upper of the two values it
+    /// separates and so send more rows left than the scan counted. A
+    /// binned split sends left exactly the rows the scan summed
+    /// (`code <= bin`), so its count comes out of the partition itself.
+    fn count_left_exact(&self, x: &[Vec<f64>], lo: usize, hi: usize, c: &Candidate) -> usize {
+        let col = &x[c.feature];
+        self.rows[lo..hi]
+            .iter()
+            .filter(|&&r| col[r as usize] <= c.threshold)
+            .count()
+    }
+
+    /// Stable in-place partition of `rows[lo..hi]` (and their labels) by
+    /// the candidate's predicate; returns the left-side length.
+    fn partition(&mut self, lo: usize, hi: usize, c: &Candidate) -> usize {
+        let rows = &mut self.rows[lo..hi];
+        let spill = &mut self.scratch.spill_rows;
+        let labels = &mut self.labels;
         match self.data {
             Data::Exact(x) => {
                 let col = &x[c.feature];
-                rows.iter().filter(|&&r| col[r] <= c.threshold).count()
+                labels.partition(lo, hi, rows, spill, |r| col[r as usize] <= c.threshold)
             }
             Data::Binned(b) => {
-                let codes = b.column(c.feature).codes();
-                rows.iter().filter(|&&r| codes.get(r) <= c.bin).count()
+                match b.column(c.feature).codes() {
+                    BinCodes::U8(codes) => labels
+                        .partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin),
+                    BinCodes::U16(codes) => labels
+                        .partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin),
+                }
             }
         }
     }
 
-    /// Stable in-place partition of `rows[lo..hi]` by the candidate's
-    /// predicate; returns the left-side length. Preserves the relative
-    /// order of both sides, exactly like `Iterator::partition` did.
-    fn partition(&mut self, lo: usize, hi: usize, c: &Candidate) -> usize {
-        let data = self.data;
-        let rows = &mut self.rows[lo..hi];
-        let scratch = &mut self.scratch.partition;
-        match data {
+    /// Split `lo..hi` by the chosen candidate; returns the left-side
+    /// length, or `None` (rows untouched) when the split would leave a
+    /// child under `min_samples_leaf`.
+    fn split_rows(&mut self, lo: usize, hi: usize, c: &Candidate) -> Option<usize> {
+        let msl = self.cfg.min_samples_leaf;
+        let n = hi - lo;
+        match self.data {
             Data::Exact(x) => {
-                let col = &x[c.feature];
-                stable_partition(rows, scratch, |r| col[r] <= c.threshold)
+                let nl = self.count_left_exact(x, lo, hi, c);
+                if nl < msl || n - nl < msl {
+                    return None;
+                }
+                self.partition(lo, hi, c);
+                Some(nl)
             }
-            Data::Binned(b) => {
-                let codes = b.column(c.feature).codes();
-                stable_partition(rows, scratch, |r| codes.get(r) <= c.bin)
+            Data::Binned(_) => {
+                let nl = self.partition(lo, hi, c);
+                debug_assert!(
+                    nl >= msl && n - nl >= msl,
+                    "a scanned boundary keeps {msl} rows per side, got {nl} | {}",
+                    n - nl
+                );
+                Some(nl)
             }
         }
     }
 
-    /// Recursively grow the subtree for `rows[lo..hi]`; returns the node
-    /// index and (histogram path) the per-feature histograms this node
+    /// Recursively grow the subtree for `rows[lo..hi]` into node `at`;
+    /// returns (histogram path) the per-feature histograms this node
     /// accumulated, which the caller turns into the right sibling's via
     /// subtraction.
     fn grow(
         &mut self,
+        at: usize,
         lo: usize,
         hi: usize,
         depth: usize,
         mut inherited: Vec<(usize, Hist)>,
-    ) -> (usize, Vec<(usize, Hist)>) {
+    ) -> Vec<(usize, Hist)> {
         let n = hi - lo;
         let node_impurity = self.impurity(lo, hi);
         let stop =
@@ -404,36 +530,24 @@ impl<'a> Builder<'a> {
         if !stop {
             let (cand, hists) = self.best_split(lo, hi, node_impurity, &mut inherited);
             node_hists = hists;
-            if let Some(c) = cand {
-                let nl = self.count_left(lo, hi, &c);
-                if nl >= self.cfg.min_samples_leaf && n - nl >= self.cfg.min_samples_leaf {
-                    self.partition(lo, hi, &c);
-                    self.importances[c.feature] += c.gain * n as f64 / self.n_total as f64;
-                    let idx = self.nodes.len();
-                    self.nodes.push(Node::Split {
-                        feature: c.feature,
-                        threshold: c.threshold,
-                        left: usize::MAX,
-                        right: usize::MAX,
-                    });
-                    let (left, left_hists) = self.grow(lo, lo + nl, depth + 1, Vec::new());
-                    let right_inherited = subtract_siblings(&node_hists, left_hists);
-                    let (right, _) = self.grow(lo + nl, hi, depth + 1, right_inherited);
-                    if let Node::Split {
-                        left: l, right: r, ..
-                    } = &mut self.nodes[idx]
-                    {
-                        *l = left;
-                        *r = right;
-                    }
-                    return (idx, node_hists);
-                }
+            let split = cand.and_then(|c| Some((self.split_rows(lo, hi, &c)?, c)));
+            if let Some((nl, c)) = split {
+                self.importances[c.feature] += c.gain * n as f64 / self.n_total as f64;
+                let left = self.nodes.len();
+                self.nodes.extend([Node::UNGROWN, Node::UNGROWN]);
+                self.nodes[at] = Node {
+                    feature: c.feature as u32,
+                    left: left as u32,
+                    threshold: c.threshold,
+                };
+                let left_hists = self.grow(left, lo, lo + nl, depth + 1, Vec::new());
+                let right_inherited = subtract_siblings(&node_hists, left_hists);
+                self.grow(left + 1, lo + nl, hi, depth + 1, right_inherited);
+                return node_hists;
             }
         }
-        let idx = self.nodes.len();
-        let target = self.leaf_target(lo, hi);
-        self.nodes.push(Node::Leaf(target));
-        (idx, node_hists)
+        self.set_leaf(at, lo, hi);
+        node_hists
     }
 
     /// Best candidate split over a random feature subset, or `None` if no
@@ -470,7 +584,7 @@ impl<'a> Builder<'a> {
         node_impurity: f64,
     ) -> Option<Candidate> {
         let rows = &self.rows[lo..hi];
-        let labels = self.labels;
+        let labels = self.labels.slice(lo, hi);
         let msl = self.cfg.min_samples_leaf;
         let sortable = &mut self.scratch.sortable;
         let left = &mut self.scratch.left_counts;
@@ -479,7 +593,11 @@ impl<'a> Builder<'a> {
         for i in 0..k {
             let feature = self.feature_pool[i];
             sortable.clear();
-            sortable.extend(rows.iter().map(|&r| (x[feature][r], r)));
+            sortable.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(pos, &r)| (x[feature][r as usize], pos as u32)),
+            );
             sortable.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             if sortable[0].0 == sortable[sortable.len() - 1].0 {
                 continue; // constant within node
@@ -518,7 +636,7 @@ impl<'a> Builder<'a> {
         inherited: &mut Vec<(usize, Hist)>,
     ) -> (Option<Candidate>, Vec<(usize, Hist)>) {
         let rows = &self.rows[lo..hi];
-        let labels = self.labels;
+        let labels = self.labels.slice(lo, hi);
         let msl = self.cfg.min_samples_leaf;
 
         /// Where one candidate feature's histogram comes from.
@@ -548,7 +666,7 @@ impl<'a> Builder<'a> {
             // stored for the children (they are even smaller and take
             // this path too).
             let plan = match inherited_pos {
-                None if rows.len() < col.n_bins() && matches!(labels, Labels::Class { .. }) => {
+                None if rows.len() < col.n_bins() && matches!(labels, LabelSlice::Class { .. }) => {
                     Plan::Sparse
                 }
                 Some(p) => {
@@ -568,13 +686,13 @@ impl<'a> Builder<'a> {
         let cols: Vec<&binned::BinnedColumn> =
             batch_features.iter().map(|&f| binned.column(f)).collect();
         let mut batched: Vec<Option<Hist>> = match labels {
-            Labels::Class { y, n_classes } => {
-                binned::accumulate_class_parallel(&cols, rows, y, n_classes)
+            LabelSlice::Class { y, n_classes } => {
+                binned::accumulate_class_node_parallel(&cols, rows, y, n_classes)
                     .into_iter()
                     .map(|h| Some(Hist::Class(h)))
                     .collect()
             }
-            Labels::Reg(y) => binned::accumulate_reg_parallel(&cols, rows, y)
+            LabelSlice::Reg(y) => binned::accumulate_reg_node_parallel(&cols, rows, y)
                 .into_iter()
                 .map(|h| Some(Hist::Reg(h)))
                 .collect(),
@@ -587,7 +705,7 @@ impl<'a> Builder<'a> {
             let col = binned.column(feature);
             let hist = match plan {
                 Plan::Sparse => {
-                    let Labels::Class { y, .. } = labels else {
+                    let LabelSlice::Class { y, .. } = labels else {
                         unreachable!("sparse scan is classification-only")
                     };
                     self.sparse_scans += 1;
@@ -617,17 +735,9 @@ impl<'a> Builder<'a> {
                     .take()
                     .expect("each batched histogram scans once"),
             };
-            let scanned = match (&hist, labels) {
-                (Hist::Class(h), Labels::Class { n_classes, .. }) => scan_hist_class(
-                    h,
-                    n_classes,
-                    col,
-                    msl,
-                    &mut scratch.left_counts,
-                    &mut scratch.right_counts,
-                ),
-                (Hist::Reg(h), _) => scan_hist_reg(h, col, msl),
-                _ => unreachable!("histogram kind matches label kind"),
+            let scanned = match &hist {
+                Hist::Class(h) => scan_hist_class(h, col, msl, scratch),
+                Hist::Reg(h) => scan_hist_reg(h, col, msl),
             };
             if let Some((bin, threshold, child_impurity)) = scanned {
                 let gain = node_impurity - child_impurity;
@@ -646,27 +756,68 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Stable in-place partition: left-side rows keep their order at the
-/// front, right-side rows (staged through `scratch`) keep theirs at the
-/// back. Returns the left-side length.
-fn stable_partition(
-    rows: &mut [usize],
-    scratch: &mut Vec<usize>,
-    mut pred: impl FnMut(usize) -> bool,
-) -> usize {
-    scratch.clear();
-    let mut write = 0;
-    for i in 0..rows.len() {
-        let r = rows[i];
-        if pred(r) {
-            rows[write] = r;
-            write += 1;
-        } else {
-            scratch.push(r);
+impl NodeLabels {
+    /// Stably partition `rows` — the builder's `lo..hi` — and this
+    /// buffer's `lo..hi` in lockstep; returns the left-side length.
+    fn partition(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        rows: &mut [u32],
+        spill_rows: &mut Vec<u32>,
+        pred: impl FnMut(u32) -> bool,
+    ) -> usize {
+        match self {
+            NodeLabels::Class { y, spill, .. } => {
+                stable_partition(rows, &mut y[lo..hi], spill_rows, spill, pred)
+            }
+            NodeLabels::Reg { y, spill } => {
+                stable_partition(rows, &mut y[lo..hi], spill_rows, spill, pred)
+            }
         }
     }
-    rows[write..].copy_from_slice(scratch);
-    write
+}
+
+/// Stable in-place partition of a node's rows and labels (parallel
+/// slices): left-side entries keep their order at the front, right-side
+/// entries (staged through the spill buffers) keep theirs at the back —
+/// exactly `Iterator::partition`. Returns the left-side length.
+///
+/// The predicate of a good split is a coin flip per row, so instead of
+/// branching on it every entry is written to *both* destinations and the
+/// predicate only decides which cursor advances. The left cursor never
+/// passes the read position, so the in-place write is safe; the spill
+/// buffers are sized once per call and never zeroed.
+fn stable_partition<L: Copy + Default>(
+    rows: &mut [u32],
+    labels: &mut [L],
+    spill_rows: &mut Vec<u32>,
+    spill_labels: &mut Vec<L>,
+    mut pred: impl FnMut(u32) -> bool,
+) -> usize {
+    let n = rows.len();
+    assert_eq!(labels.len(), n, "rows and labels are parallel");
+    if spill_rows.len() < n {
+        spill_rows.resize(n, 0);
+    }
+    if spill_labels.len() < n {
+        spill_labels.resize(n, L::default());
+    }
+    let (spill_rows, spill_labels) = (&mut spill_rows[..n], &mut spill_labels[..n]);
+    let (mut left, mut right) = (0usize, 0usize);
+    for i in 0..n {
+        let (row, label) = (rows[i], labels[i]);
+        let goes_left = pred(row);
+        rows[left] = row;
+        labels[left] = label;
+        spill_rows[right] = row;
+        spill_labels[right] = label;
+        left += usize::from(goes_left);
+        right += usize::from(!goes_left);
+    }
+    rows[left..].copy_from_slice(&spill_rows[..right]);
+    labels[left..].copy_from_slice(&spill_labels[..right]);
+    left
 }
 
 /// Right sibling's histograms = parent's − left sibling's, for every
@@ -690,28 +841,29 @@ fn subtract_siblings(parent: &[(usize, Hist)], left: Vec<(usize, Hist)>) -> Vec<
     out
 }
 
-/// Scan sorted (value, row) pairs, returning the boundary threshold with
-/// minimum weighted child impurity.
+/// Scan sorted (value, position in the node) pairs against the node's
+/// labels, returning the boundary threshold with minimum weighted child
+/// impurity.
 fn scan_sorted(
-    labels: Labels,
+    labels: LabelSlice,
     min_samples_leaf: usize,
-    sorted: &[(f64, usize)],
+    sorted: &[(f64, u32)],
     left: &mut Vec<usize>,
     right: &mut Vec<usize>,
 ) -> Option<(f64, f64)> {
     let n = sorted.len();
     match labels {
-        Labels::Class { y, n_classes } => {
+        LabelSlice::Class { y, n_classes } => {
             left.clear();
             left.resize(n_classes, 0);
             right.clear();
             right.resize(n_classes, 0);
-            for &(_, r) in sorted {
-                right[y[r]] += 1;
+            for &(_, pos) in sorted {
+                right[y[pos as usize] as usize] += 1;
             }
             let mut best: Option<(f64, f64)> = None;
             for i in 0..n - 1 {
-                let c = y[sorted[i].1];
+                let c = y[sorted[i].1 as usize] as usize;
                 left[c] += 1;
                 right[c] -= 1;
                 if sorted[i].0 == sorted[i + 1].0 {
@@ -729,14 +881,17 @@ fn scan_sorted(
             }
             best
         }
-        Labels::Reg(y) => {
-            let total_sum: f64 = sorted.iter().map(|&(_, r)| y[r]).sum();
-            let total_sumsq: f64 = sorted.iter().map(|&(_, r)| y[r] * y[r]).sum();
+        LabelSlice::Reg(y) => {
+            let total_sum: f64 = sorted.iter().map(|&(_, pos)| y[pos as usize]).sum();
+            let total_sumsq: f64 = sorted
+                .iter()
+                .map(|&(_, pos)| y[pos as usize] * y[pos as usize])
+                .sum();
             let mut lsum = 0.0;
             let mut lsumsq = 0.0;
             let mut best: Option<(f64, f64)> = None;
             for i in 0..n - 1 {
-                let v = y[sorted[i].1];
+                let v = y[sorted[i].1 as usize];
                 lsum += v;
                 lsumsq += v * v;
                 if sorted[i].0 == sorted[i + 1].0 {
@@ -769,28 +924,30 @@ fn scan_sorted(
 /// right, Gini is computed from the same integer counts through the same
 /// float expressions, and ties keep the first minimum — so with one bin
 /// per distinct value this path chooses bit-identical splits.
+///
+/// `scratch.node_counts` must hold the node's class counts (`impurity`
+/// leaves them there): they are the histogram's totals, so the scan does
+/// not walk every bin once more just to add them up.
 fn scan_hist_class(
     hist: &[u32],
-    n_classes: usize,
     col: &binned::BinnedColumn,
     min_samples_leaf: usize,
-    left: &mut Vec<usize>,
-    right: &mut Vec<usize>,
+    scratch: &mut Scratch,
 ) -> Option<(usize, f64, f64)> {
+    let Scratch {
+        node_counts,
+        left_counts: left,
+        right_counts: right,
+        ..
+    } = scratch;
+    let n_classes = node_counts.len();
     let n_bins = col.n_bins();
     debug_assert_eq!(hist.len(), n_bins * n_classes);
     left.clear();
     left.resize(n_classes, 0);
-    right.clear();
-    right.resize(n_classes, 0);
-    let mut n = 0usize;
-    for b in 0..n_bins {
-        for c in 0..n_classes {
-            let v = hist[b * n_classes + c] as usize;
-            right[c] += v;
-            n += v;
-        }
-    }
+    right.clone_from(node_counts);
+    let n: usize = node_counts.iter().sum();
+    debug_assert_eq!(n, hist.iter().map(|&v| v as usize).sum::<usize>());
     let mut best: Option<(usize, f64, f64)> = None;
     let mut nl = 0usize;
     for b in 0..n_bins - 1 {
@@ -831,8 +988,8 @@ fn scan_hist_class(
 /// [`scan_hist_class`] at `O(rows + n_bins / 64)` instead of
 /// `O(n_bins × n_classes)`.
 ///
-/// `scratch.node_counts` must hold the class counts of `rows` (`impurity`
-/// leaves them there). Scratch invariant: `counts` and `touched` are
+/// `y[i]` is the class of `rows[i]`; `scratch.node_counts` must hold the
+/// class counts of the node (`impurity` leaves them there). Scratch invariant: `counts` and `touched` are
 /// all-zero on entry and on every exit — each visited entry is zeroed as
 /// it is read, and once no row remains on the right every touched bin has
 /// been visited.
@@ -840,8 +997,8 @@ fn scan_hist_class(
 /// so the dense accumulation stays the one canonical order.)
 fn scan_counting_class<C: Copy + Into<usize>>(
     codes: &[C],
-    rows: &[usize],
-    y: &[usize],
+    rows: &[u32],
+    y: &[u32],
     col: &binned::BinnedColumn,
     min_samples_leaf: usize,
     scratch: &mut Scratch,
@@ -862,9 +1019,9 @@ fn scan_counting_class<C: Copy + Into<usize>>(
     if touched.len() < n_words {
         touched.resize(n_words, 0);
     }
-    for &r in rows {
-        let b: usize = codes[r].into();
-        counts[b * n_classes + y[r]] += 1;
+    for (&r, &c) in rows.iter().zip(y) {
+        let b: usize = codes[r as usize].into();
+        counts[b * n_classes + c as usize] += 1;
         touched[b / 64] |= 1 << (b % 64);
     }
     let n = rows.len();
@@ -995,18 +1152,12 @@ impl DecisionTreeClassifier {
         }
         self.config.validate()?;
         let labels = Labels::Class { y, n_classes };
+        let all: Vec<usize> = (0..y.len()).collect();
         self.tree = Some(match self.config.split {
-            SplitMethod::Exact => {
-                Builder::build(Data::Exact(x), (0..y.len()).collect(), labels, self.config)?
-            }
+            SplitMethod::Exact => Builder::build(Data::Exact(x), &all, labels, self.config)?,
             SplitMethod::Histogram => {
                 let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-                Builder::build(
-                    Data::Binned(&binned),
-                    (0..y.len()).collect(),
-                    labels,
-                    self.config,
-                )?
+                Builder::build(Data::Binned(&binned), &all, labels, self.config)?
             }
         });
         self.n_classes = n_classes;
@@ -1028,7 +1179,7 @@ impl DecisionTreeClassifier {
         }
         self.tree = Some(Builder::build(
             Data::Binned(binned),
-            rows.to_vec(),
+            rows,
             Labels::Class { y, n_classes },
             self.config,
         )?);
@@ -1038,32 +1189,20 @@ impl DecisionTreeClassifier {
 
     /// Predict class labels for column-major features.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self
-            .predict_proba(x)?
-            .into_iter()
-            .map(|p| argmax(&p))
-            .collect())
+        let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
+        let mut preds = Vec::with_capacity(cols[0].len());
+        for_each_row(&cols, None, |row| preds.push(argmax(tree.leaf_values(row))));
+        Ok(preds)
     }
 
     /// Per-row class probability estimates (leaf class frequencies).
     pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let tree = self
-            .tree
-            .as_ref()
-            .ok_or(LearnError::NotFitted("DecisionTreeClassifier"))?;
-        check_predict_input(x, tree.n_features)?;
-        let n_rows = x.first().map_or(0, |c| c.len());
-        let mut out = Vec::with_capacity(n_rows);
-        for row in 0..n_rows {
-            match tree.leaf_for_row(x, row) {
-                Target::ClassCounts(counts) => {
-                    let total: f64 = counts.iter().sum::<f64>().max(1.0);
-                    out.push(counts.iter().map(|c| c / total).collect());
-                }
-                Target::Mean(_) => unreachable!("classifier tree has class leaves"),
-            }
-        }
-        Ok(out)
+        let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
+        let mut proba = Vec::with_capacity(cols[0].len());
+        for_each_row(&cols, None, |row| {
+            proba.push(tree.leaf_values(row).to_vec())
+        });
+        Ok(proba)
     }
 
     /// The fitted tree, if any.
@@ -1091,21 +1230,14 @@ impl DecisionTreeRegressor {
     /// (through the process-wide bin cache).
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
         self.config.validate()?;
+        let all: Vec<usize> = (0..y.len()).collect();
         self.tree = Some(match self.config.split {
-            SplitMethod::Exact => Builder::build(
-                Data::Exact(x),
-                (0..y.len()).collect(),
-                Labels::Reg(y),
-                self.config,
-            )?,
+            SplitMethod::Exact => {
+                Builder::build(Data::Exact(x), &all, Labels::Reg(y), self.config)?
+            }
             SplitMethod::Histogram => {
                 let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-                Builder::build(
-                    Data::Binned(&binned),
-                    (0..y.len()).collect(),
-                    Labels::Reg(y),
-                    self.config,
-                )?
+                Builder::build(Data::Binned(&binned), &all, Labels::Reg(y), self.config)?
             }
         });
         Ok(())
@@ -1116,7 +1248,7 @@ impl DecisionTreeRegressor {
     pub fn fit_binned(&mut self, binned: &BinnedDataset, rows: &[usize], y: &[f64]) -> Result<()> {
         self.tree = Some(Builder::build(
             Data::Binned(binned),
-            rows.to_vec(),
+            rows,
             Labels::Reg(y),
             self.config,
         )?);
@@ -1125,20 +1257,10 @@ impl DecisionTreeRegressor {
 
     /// Predict targets for column-major features.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let tree = self
-            .tree
-            .as_ref()
-            .ok_or(LearnError::NotFitted("DecisionTreeRegressor"))?;
-        check_predict_input(x, tree.n_features)?;
-        let n_rows = x.first().map_or(0, |c| c.len());
-        let mut out = Vec::with_capacity(n_rows);
-        for row in 0..n_rows {
-            match tree.leaf_for_row(x, row) {
-                Target::Mean(m) => out.push(*m),
-                Target::ClassCounts(_) => unreachable!("regressor tree has mean leaves"),
-            }
-        }
-        Ok(out)
+        let (tree, cols) = predict_input(&self.tree, "DecisionTreeRegressor", x)?;
+        let mut preds = Vec::with_capacity(cols[0].len());
+        for_each_row(&cols, None, |row| preds.push(tree.leaf_values(row)[0]));
+        Ok(preds)
     }
 
     /// The fitted tree, if any.
@@ -1147,14 +1269,67 @@ impl DecisionTreeRegressor {
     }
 }
 
-fn check_predict_input(x: &[Vec<f64>], fitted: usize) -> Result<()> {
+/// Column slices of a column-major matrix, checked against the feature
+/// count a model was fitted on (and non-empty, so `cols[0]` gives the row
+/// count).
+pub(crate) fn predict_columns(x: &[Vec<f64>], fitted: usize) -> Result<Vec<&[f64]>> {
     if x.len() != fitted {
         return Err(LearnError::DimensionMismatch {
             fitted,
             got: x.len(),
         });
     }
-    Ok(())
+    Ok(x.iter().map(Vec::as_slice).collect())
+}
+
+/// Rows whose feature values are gathered together before any tree walks
+/// them: 256 rows of a dozen features stay well inside L1.
+const PREDICT_BLOCK: usize = 256;
+
+/// Call `row(x)` once per requested row of the column-major `cols`, in
+/// order, with `x` the row's feature values side by side — what
+/// [`Tree::leaf_values`] walks. `rows = None` is every row; `Some(rows)`
+/// picks rows by index, so a CV fold predicts its test rows without a
+/// gathered sub-matrix.
+///
+/// Rows are transposed a block at a time into one small row-major buffer:
+/// the gather is a run of independent loads however the requested rows are
+/// scattered (a fold's test rows come shuffled), and the walk that follows
+/// finds each value with one L1 load off the row's base instead of chasing
+/// a column pointer first.
+pub(crate) fn for_each_row(cols: &[&[f64]], rows: Option<&[usize]>, mut row: impl FnMut(&[f64])) {
+    let n_cols = cols.len();
+    let n_rows = rows.map_or(cols[0].len(), <[usize]>::len);
+    let mut buf = vec![0.0; n_cols * PREDICT_BLOCK.min(n_rows)];
+    for start in (0..n_rows).step_by(PREDICT_BLOCK) {
+        let len = PREDICT_BLOCK.min(n_rows - start);
+        for (c, col) in cols.iter().enumerate() {
+            let dst = buf[c..].iter_mut().step_by(n_cols);
+            match rows {
+                Some(rows) => {
+                    for (d, &r) in dst.zip(&rows[start..start + len]) {
+                        *d = col[r];
+                    }
+                }
+                None => {
+                    for (d, &v) in dst.zip(&col[start..start + len]) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        buf[..len * n_cols].chunks_exact(n_cols).for_each(&mut row);
+    }
+}
+
+/// The fitted tree of a single-tree model and the checked input columns.
+fn predict_input<'a>(
+    tree: &'a Option<Tree>,
+    model: &'static str,
+    x: &'a [Vec<f64>],
+) -> Result<(&'a Tree, Vec<&'a [f64]>)> {
+    let tree = tree.as_ref().ok_or(LearnError::NotFitted(model))?;
+    Ok((tree, predict_columns(x, tree.n_features)?))
 }
 
 pub(crate) fn argmax(v: &[f64]) -> usize {
@@ -1252,6 +1427,22 @@ mod tests {
         assert_eq!(exact.predict(&gx).unwrap(), hist.predict(&gx).unwrap());
     }
 
+    /// A node in the builder's layout: narrowed row ids, and each row's
+    /// class pulled into node order.
+    fn node_of(rows: &[usize], y: &[usize]) -> (Vec<u32>, Vec<u32>) {
+        binned::node_order(rows, y, |&c| c as u32)
+    }
+
+    /// Leave the node's class counts in `scratch.node_counts`, as
+    /// `impurity` does before either scan runs.
+    fn set_node_counts(scratch: &mut Scratch, labels: &[u32], n_classes: usize) {
+        scratch.node_counts.clear();
+        scratch.node_counts.resize(n_classes, 0);
+        for &c in labels {
+            scratch.node_counts[c as usize] += 1;
+        }
+    }
+
     /// Run the counting scan on `rows` of `col`, asserting the all-zero
     /// scratch invariant on exit.
     fn counting_scan(
@@ -1262,14 +1453,11 @@ mod tests {
         msl: usize,
         scratch: &mut Scratch,
     ) -> Option<(usize, f64, f64)> {
-        scratch.node_counts.clear();
-        scratch.node_counts.resize(n_classes, 0);
-        for &r in rows {
-            scratch.node_counts[y[r]] += 1;
-        }
+        let (rows, labels) = node_of(rows, y);
+        set_node_counts(scratch, &labels, n_classes);
         let out = match col.codes() {
-            BinCodes::U8(c) => scan_counting_class(c, rows, y, col, msl, scratch),
-            BinCodes::U16(c) => scan_counting_class(c, rows, y, col, msl, scratch),
+            BinCodes::U8(c) => scan_counting_class(c, &rows, &labels, col, msl, scratch),
+            BinCodes::U16(c) => scan_counting_class(c, &rows, &labels, col, msl, scratch),
         };
         assert!(scratch.counts.iter().all(|&v| v == 0), "counts left dirty");
         assert!(scratch.touched.iter().all(|&w| w == 0), "bitmap left dirty");
@@ -1283,9 +1471,12 @@ mod tests {
         n_classes: usize,
         msl: usize,
     ) -> Option<(usize, f64, f64)> {
+        let (rows, labels) = node_of(rows, y);
+        let mut scratch = Scratch::default();
+        set_node_counts(&mut scratch, &labels, n_classes);
         let mut hist = Vec::new();
-        binned::accumulate_class(col, rows, y, n_classes, &mut hist);
-        scan_hist_class(&hist, n_classes, col, msl, &mut Vec::new(), &mut Vec::new())
+        binned::accumulate_class_node(col, &rows, &labels, n_classes, &mut hist);
+        scan_hist_class(&hist, col, msl, &mut scratch)
     }
 
     fn bits(r: Option<(usize, f64, f64)>) -> Option<(usize, u64, u64)> {
@@ -1326,6 +1517,170 @@ mod tests {
                 bits(dense_scan(&col, &rows, &y, n_classes, msl)),
                 "case {case}"
             );
+        }
+    }
+
+    /// Rows of a histogram's bins `..=bin`: what the scan counted as the
+    /// left side of that boundary.
+    fn left_of(bin_rows: impl Iterator<Item = usize>, bin: usize) -> usize {
+        bin_rows.take(bin + 1).sum()
+    }
+
+    #[test]
+    fn binned_split_sends_left_exactly_the_rows_the_scan_counted() {
+        // The binned path partitions without a look-ahead count, so every
+        // boundary a scan returns must (a) keep `min_samples_leaf` rows on
+        // each side and (b) send left — by `code <= bin` — exactly the rows
+        // the scan summed: dense class and regression histograms, freshly
+        // accumulated and obtained by sibling subtraction, and the
+        // counting scan.
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut scratch = Scratch::default();
+        let (mut spill_rows, mut spill_c, mut spill_r) = (Vec::new(), Vec::new(), Vec::new());
+        let mut splits = 0;
+        for case in 0..300 {
+            let n_rows = rng.gen_range(8..500usize);
+            let distinct = rng.gen_range(2..400);
+            let values: Vec<f64> = (0..n_rows)
+                .map(|_| rng.gen_range(0..distinct) as f64)
+                .collect();
+            let col = binned::BinnedColumn::build(&values, if case % 2 == 0 { 64 } else { 1024 });
+            let n_classes = rng.gen_range(2..=5);
+            let yc: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..n_classes)).collect();
+            let yr: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let msl = rng.gen_range(1..4);
+            // A parent node (a bootstrap draw) cut in two at random: the
+            // right part's histograms come out of a subtraction.
+            let parent: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..n_rows)).collect();
+            let cut = rng.gen_range(0..parent.len());
+            let (left_part, node) = parent.split_at(cut);
+            let (ids, classes) = node_of(node, &yc);
+            let targets: Vec<f64> = node.iter().map(|&r| yr[r]).collect();
+            let code_of = |r: u32| col.codes().get(r as usize);
+
+            let hist_of = |rows: &[usize]| {
+                let (ids, classes) = node_of(rows, &yc);
+                let targets: Vec<f64> = rows.iter().map(|&r| yr[r]).collect();
+                let (mut hc, mut hr) = (Vec::new(), Vec::new());
+                binned::accumulate_class_node(&col, &ids, &classes, n_classes, &mut hc);
+                binned::accumulate_reg_node(&col, &ids, &targets, &mut hr);
+                (hc, hr)
+            };
+            let (fresh_c, fresh_r) = hist_of(node);
+            let (parent_c, parent_r) = hist_of(&parent);
+            let (left_c, left_r) = hist_of(left_part);
+            let class_hists = [fresh_c, binned::subtract_class(&parent_c, &left_c)];
+            let reg_hists = [fresh_r, binned::subtract_reg(&parent_r, &left_r)];
+
+            let mut check = |bin: usize, counted: usize, what: &str| {
+                let (mut rows, mut labels) = (ids.clone(), classes.clone());
+                let nl =
+                    stable_partition(&mut rows, &mut labels, &mut spill_rows, &mut spill_c, |r| {
+                        code_of(r) <= bin
+                    });
+                assert_eq!(nl, counted, "case {case} {what}: partition vs scan");
+                assert!(
+                    nl >= msl && node.len() - nl >= msl,
+                    "case {case} {what}: {nl} | {} under min_samples_leaf {msl}",
+                    node.len() - nl
+                );
+                splits += 1;
+            };
+            set_node_counts(&mut scratch, &classes, n_classes);
+            for (h, what) in class_hists.iter().zip(["class", "class subtracted"]) {
+                if let Some((bin, _, _)) = scan_hist_class(h, &col, msl, &mut scratch) {
+                    let per_bin = h.chunks(n_classes).map(|b| b.iter().sum::<u32>() as usize);
+                    check(bin, left_of(per_bin, bin), what);
+                }
+            }
+            for (h, what) in reg_hists.iter().zip(["reg", "reg subtracted"]) {
+                if let Some((bin, _, _)) = scan_hist_reg(h, &col, msl) {
+                    check(bin, left_of(h.iter().map(|b| b.n as usize), bin), what);
+                }
+            }
+            let counted = match col.codes() {
+                BinCodes::U8(c) => scan_counting_class(c, &ids, &classes, &col, msl, &mut scratch),
+                BinCodes::U16(c) => scan_counting_class(c, &ids, &classes, &col, msl, &mut scratch),
+            };
+            if let Some((bin, _, _)) = counted {
+                let left = ids.iter().filter(|&&r| code_of(r) <= bin).count();
+                check(bin, left, "counting");
+            }
+            // The regression label buffer moves the same way.
+            if let Some((bin, _, _)) = scan_hist_reg(&reg_hists[0], &col, msl) {
+                let (mut rows, mut labels) = (ids.clone(), targets.clone());
+                stable_partition(&mut rows, &mut labels, &mut spill_rows, &mut spill_r, |r| {
+                    code_of(r) <= bin
+                });
+                for (&r, &v) in rows.iter().zip(&labels) {
+                    assert_eq!(v.to_bits(), yr[r as usize].to_bits(), "case {case}");
+                }
+            }
+        }
+        assert!(splits > 600, "only {splits} boundaries were checked");
+    }
+
+    #[test]
+    fn stable_partition_of_tiny_nodes() {
+        let (mut spill_rows, mut spill_labels) = (Vec::new(), Vec::new());
+        for (rows, expect_left) in [
+            (vec![], 0),
+            (vec![4], 1),
+            (vec![5], 0),
+            (vec![5, 4], 1),
+            (vec![4, 6], 2),
+            (vec![7, 9], 0),
+        ] {
+            let mut got_rows: Vec<u32> = rows.clone();
+            let mut labels: Vec<f64> = rows.iter().map(|&r| r as f64 * 0.5).collect();
+            let nl = stable_partition(
+                &mut got_rows,
+                &mut labels,
+                &mut spill_rows,
+                &mut spill_labels,
+                |r| r % 2 == 0,
+            );
+            let (left, right): (Vec<u32>, Vec<u32>) = rows.iter().partition(|&&r| r % 2 == 0);
+            assert_eq!(nl, expect_left, "{rows:?}");
+            assert_eq!(got_rows, [left, right].concat(), "{rows:?}");
+            let aligned: Vec<f64> = got_rows.iter().map(|&r| r as f64 * 0.5).collect();
+            assert_eq!(labels, aligned, "{rows:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The write-both-advance-one partition is `Iterator::partition`
+        /// on the (row, label) pairs — so rows keep their order on both
+        /// sides and every label stays beside its row — for any predicate
+        /// on the row id, with duplicate rows, through spill buffers that
+        /// carry whatever the previous (possibly larger) call left in them.
+        #[test]
+        fn stable_partition_matches_iterator_partition(
+            rows in proptest::collection::vec(0u32..64, 0..300),
+            next in proptest::collection::vec(0u32..64, 0..40),
+            goes_left in proptest::collection::vec(0u8..2, 64..65),
+        ) {
+            let (mut spill_rows, mut spill_labels) = (Vec::new(), Vec::new());
+            for rows in [rows, next] {
+                // Position-stamped labels: duplicates of a row stay
+                // distinguishable, so a swapped pair cannot hide.
+                let pairs: Vec<(u32, u32)> =
+                    rows.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
+                let (left, right): (Vec<_>, Vec<_>) =
+                    pairs.iter().partition(|(r, _)| goes_left[*r as usize] == 1);
+                let mut got_rows = rows.clone();
+                let mut got_labels: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+                let nl = stable_partition(
+                    &mut got_rows,
+                    &mut got_labels,
+                    &mut spill_rows,
+                    &mut spill_labels,
+                    |r| goes_left[r as usize] == 1,
+                );
+                proptest::prop_assert_eq!(nl, left.len());
+                let got: Vec<(u32, u32)> = got_rows.into_iter().zip(got_labels).collect();
+                proptest::prop_assert_eq!(got, [left, right].concat());
+            }
         }
     }
 

@@ -9,7 +9,11 @@
 //! 2. **No deadlocks under nesting** — worker threads are scoped to each
 //!    `map` call and drawn from a global budget; when the budget is
 //!    exhausted (e.g. an inner `map` inside an outer task) the caller
-//!    simply runs its items inline.
+//!    simply runs its items inline. Nothing ever waits for a slot: a
+//!    helper gives its slot back the moment it finds no work left, and an
+//!    inline map looks at the budget again between items and hands its
+//!    remaining items to helpers once one is free — so a nested `map`
+//!    picks up the core an outer `map`'s helper has just vacated.
 //! 3. **Bounded memory** — items are distributed into per-worker deques
 //!    with a capacity bound; overflow is executed inline by the caller
 //!    (backpressure) instead of queueing without limit.
@@ -24,7 +28,7 @@ use crate::seed::derive_seed;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Stream tag for task seeds (see [`derive_seed`]).
@@ -35,10 +39,18 @@ static GLOBAL_MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Extra (non-caller) worker threads currently running across all pools.
 static ACTIVE_EXTRA: AtomicUsize = AtomicUsize::new(0);
 
+/// The machine's available parallelism, detected once: the standard
+/// library re-reads the affinity mask and the cgroup quota files on every
+/// call, and with no explicit ceiling set every look at the budget —
+/// several per `map` now that inline maps look again between items — would
+/// pay those system calls.
 fn detect_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Set the process-wide worker-thread ceiling. `0` resets to the
@@ -57,7 +69,7 @@ pub fn global_threads() -> usize {
 }
 
 /// Claim up to `want` extra threads from the global budget; returns the
-/// number granted. Pair with [`release_extra`].
+/// number granted, each to be handed to a helper thread as a [`Slot`].
 fn acquire_extra(want: usize) -> usize {
     let limit = global_threads().saturating_sub(1);
     loop {
@@ -75,8 +87,15 @@ fn acquire_extra(want: usize) -> usize {
     }
 }
 
-fn release_extra(n: usize) {
-    ACTIVE_EXTRA.fetch_sub(n, Ordering::SeqCst);
+/// One helper thread's claim on the global budget (granted by
+/// [`acquire_extra`]), returned when dropped — which is when the helper's
+/// thread body ends, whether it ran dry, saw the map poisoned or unwound.
+struct Slot;
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        ACTIVE_EXTRA.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Point-in-time view of the global thread budget, for introspection
@@ -271,27 +290,62 @@ impl WorkerPool {
             if want > 1 && n > 1 {
                 // Parallelism was wanted but the global budget is spent
                 // (e.g. a feature-parallel histogram batch nested inside a
-                // per-tree forest task) — run inline on the caller.
+                // per-tree forest task) — start inline on the caller.
                 telemetry::count("pool.inline_fallback", 1);
             }
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| run_task(&f, &self.task_ctx(i, deadline), item))
-                .collect();
+            return self.map_inline(items, &f, want, deadline, map_span.id());
         }
-
-        let result = self.map_parallel(items, &f, extra, deadline, map_span.id());
-        release_extra(extra);
-        match result {
-            Ok(out) => out,
-            Err(payload) => panic::resume_unwind(payload),
-        }
+        self.map_parallel(items, 0, &f, extra, deadline, map_span.id())
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
+    /// Run `items` one by one on the caller, looking at the global budget
+    /// again after each: as soon as helpers can be had (an outer map's
+    /// helper ran dry and returned its slot), the remaining items go to
+    /// [`map_parallel`](Self::map_parallel) under their original
+    /// submission indices, so every task sees the `TaskCtx` it would have
+    /// seen inline.
+    fn map_inline<T, U, F>(
+        &self,
+        items: Vec<T>,
+        f: &F,
+        want: usize,
+        deadline: Option<Instant>,
+        parent: telemetry::SpanId,
+    ) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(&TaskCtx, T) -> U + Sync,
+    {
+        let mut out = Vec::with_capacity(items.len());
+        let mut items = items.into_iter();
+        while let Some(item) = items.next() {
+            out.push(run_task(f, &self.task_ctx(out.len(), deadline), item));
+            let left = items.len();
+            if want <= 1 || left <= 1 {
+                continue;
+            }
+            let extra = acquire_extra(want.min(left) - 1);
+            if extra > 0 {
+                telemetry::count("pool.late_join", 1);
+                let rest = self
+                    .map_parallel(items.collect(), out.len(), f, extra, deadline, parent)
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload));
+                out.extend(rest);
+                break;
+            }
+        }
+        out
+    }
+
+    /// Run `items` — submission indices `base..base + items.len()` — on
+    /// the caller plus `extra` helper threads, each of which owns one
+    /// granted budget [`Slot`] until it finds no more work.
     fn map_parallel<T, U, F>(
         &self,
         items: Vec<T>,
+        base: usize,
         f: &F,
         extra: usize,
         deadline: Option<Instant>,
@@ -302,6 +356,9 @@ impl WorkerPool {
         U: Send,
         F: Fn(&TaskCtx, T) -> U + Sync,
     {
+        // Claimed before anything can unwind, so every granted slot is
+        // returned exactly once on every path out of here.
+        let slots: Vec<Slot> = (0..extra).map(|_| Slot).collect();
         let n = items.len();
         let n_workers = extra + 1; // caller participates
         type Job<T> = (usize, T, Option<Instant>);
@@ -328,7 +385,7 @@ impl WorkerPool {
             }
             if let Some(item) = item.take() {
                 telemetry::count("pool.inline_overflow", 1);
-                let ctx = self.task_ctx(i, deadline);
+                let ctx = self.task_ctx(base + i, deadline);
                 inline.push((i, run_task(f, &ctx, item)));
             }
         }
@@ -365,7 +422,7 @@ impl WorkerPool {
                     telemetry::record("pool.queue_us", enqueued_at.elapsed().as_micros() as u64);
                 }
                 let task_start = worker_start.map(|_| Instant::now());
-                let ctx = self.task_ctx(i, deadline);
+                let ctx = self.task_ctx(base + i, deadline);
                 match panic::catch_unwind(AssertUnwindSafe(|| run_task(f, &ctx, item))) {
                     Ok(value) => {
                         if let Some(task_start) = task_start {
@@ -390,8 +447,19 @@ impl WorkerPool {
 
         let mut worker_outputs: Vec<Vec<(usize, U)>> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..n_workers)
-                .map(|w| scope.spawn(move || run_worker(w)))
+            let run_worker = &run_worker;
+            let handles: Vec<_> = slots
+                .into_iter()
+                .enumerate()
+                .map(|(w, slot)| {
+                    scope.spawn(move || {
+                        // All work is queued before any worker starts, so
+                        // a helper that runs dry is done for good: its
+                        // slot goes back now, not when the map joins.
+                        let _slot = slot;
+                        run_worker(w + 1)
+                    })
+                })
                 .collect();
             worker_outputs.push(run_worker(0));
             for h in handles {

@@ -13,9 +13,11 @@ fn frame() -> DataFrame {
 }
 
 /// Many cheap epochs: interruption lands mid-run, never near the end.
+/// (Once the policy repeats itself an epoch is a handful of score-cache
+/// hits — 10 000 of them had come to fit inside a one-second budget.)
 fn long_engine(seed: u64) -> eafe::Engine {
     let mut cfg = eafe::EafeConfig::fast();
-    cfg.stage2_epochs = 10_000;
+    cfg.stage2_epochs = 1_000_000;
     cfg.steps_per_epoch = 2;
     cfg.early_stop_patience = None;
     cfg.seed = seed;

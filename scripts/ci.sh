@@ -72,6 +72,12 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> minhash bound check (release: A <= a asserted where debug_assert! is compiled out)"
     cargo test -q -p minhash --release --lib
 
+    echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
+    cargo test -q -p runtime --release --test pool_late_join
+
+    echo "==> split-method parity + golden score bits (release: the binned path's leaf-bound debug_assert is compiled out)"
+    cargo test -q --release --test hist_parity --test golden_scores
+
     echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q --release --test parallel_determinism multi_process
 
