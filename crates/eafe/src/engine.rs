@@ -21,7 +21,9 @@
 //! [`crate::step`]: [`Engine::start`] opens a resumable
 //! [`crate::SearchState`], [`Engine::step`] advances it one epoch at a
 //! time, and [`Engine::run`] below is a thin blocking driver over those —
-//! identical results, same RNG streams, one code path.
+//! identical results, same RNG streams, one code path, whether the
+//! columns sit in RAM or in an out-of-core [`tabular::ChunkedFrame`]
+//! ([`Engine::run_chunked`]).
 
 use crate::config::EafeConfig;
 use crate::error::Result;
@@ -187,15 +189,7 @@ impl Engine {
     /// This is a thin blocking driver over the stepped state machine:
     /// [`Engine::start`], [`Engine::step`] until done, [`Engine::finish`].
     pub fn run_full(&self, frame: &DataFrame) -> Result<(RunResult, DataFrame)> {
-        let mut run_span = telemetry::span("engine.run");
-        let mut search = self.start(frame)?;
-        while !search.is_done() {
-            self.step(&mut search)?;
-        }
-        run_span.field("generated", search.features_generated() as f64);
-        run_span.field("downstream_evals", search.downstream_evals() as f64);
-        run_span.field("best_score", search.best_score());
-        self.finish(&search)
+        self.drive(|| self.start(frame))
     }
 }
 

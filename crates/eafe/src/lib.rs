@@ -38,11 +38,15 @@
 //! - [`ops`] — the 9 transformation operators (paper §II, "Action");
 //! - [`fpe`] — sample compression + feature pre-selection (Algorithm 1);
 //! - [`reward`] — the stage-1 surrogate reward (Eqs. 7–8);
-//! - [`state`] — feature subgroups and the RL state;
-//! - [`engine`] — the unified E-AFE / E-AFE_D / E-AFE_R / NFS loop
-//!   (Algorithm 2);
-//! - [`step`] — the resumable stepped state machine behind the engine
-//!   (start/step/finish, serializable [`SearchState`] checkpoints);
+//! - [`engine`] — the four methods (E-AFE / E-AFE_D / E-AFE_R / NFS) as
+//!   one configured [`Engine`] and its blocking `run`;
+//! - [`step`] — the search driver: Algorithm 2 written once as a
+//!   resumable state machine (start/step/finish, speculation), generic
+//!   over where the columns live;
+//! - `store` (private) — the `ColumnStore` trait that seam is made of;
+//! - [`state`] — feature subgroups and the in-RAM store behind
+//!   [`SearchState`] (serializable checkpoints);
+//! - [`chunked`] — the out-of-core store behind [`ChunkedSearch`];
 //! - [`baselines`] — AutoFS_R and the deep-learning baselines;
 //! - [`pipeline`] — pre-selection, FPE bootstrapping, Table V re-evaluation;
 //! - [`report`] — instrumented results (timers, counters, learning curves).
@@ -61,8 +65,8 @@ pub mod report;
 pub mod reward;
 pub mod state;
 pub mod step;
+mod store;
 
-pub use chunked::ChunkedSearch;
 pub use config::{CachedEvaluator, EafeConfig};
 pub use engine::{Engine, Gate};
 pub use error::{EafeError, Result};
@@ -75,4 +79,4 @@ pub use report::{
 };
 pub use reward::SurrogateReward;
 pub use state::{EngineState, FeatureSubgroup};
-pub use step::{max_slices, SearchPhase, SearchState};
+pub use step::{max_slices, ChunkedSearch, Search, SearchPhase, SearchState};

@@ -196,6 +196,21 @@ impl Operator {
         }
     }
 
+    /// Expression name and transformation order of this operator applied
+    /// to parents `a` and `b`, each given as `(name, order)`: `op(a)` at
+    /// `a`'s order + 1 for unary operators, `(a op b)` at the deeper
+    /// parent's order + 1 for binary ones.
+    pub(crate) fn expression(self, a: (&str, usize), b: (&str, usize)) -> (String, usize) {
+        if self.is_unary() {
+            (format!("{}({})", self.symbol(), a.0), a.1 + 1)
+        } else {
+            (
+                format!("({}{}{})", a.0, self.symbol(), b.0),
+                a.1.max(b.1) + 1,
+            )
+        }
+    }
+
     /// Apply the operator: binary operators use both operands, unary
     /// operators only the first (paper: "in this case, feature₁ and
     /// feature₂ are the same feature"). Non-finite outputs are clamped to 0.
@@ -242,14 +257,7 @@ impl GeneratedFeature {
     ) -> GeneratedFeature {
         telemetry::count(op.counter_name(), 1);
         let values = op.apply(&a.values, &b.values);
-        let (name, order) = if op.is_unary() {
-            (format!("{}({})", op.symbol(), a.name), a_order + 1)
-        } else {
-            (
-                format!("({}{}{})", a.name, op.symbol(), b.name),
-                a_order.max(b_order) + 1,
-            )
-        };
+        let (name, order) = op.expression((&a.name, a_order), (&b.name, b_order));
         GeneratedFeature {
             column: Column::new(name, values),
             order,

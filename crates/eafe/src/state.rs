@@ -1,15 +1,24 @@
-//! RL state: feature subgroups and the engine state (paper §II).
+//! RL state held in RAM: feature subgroups and the flat column store
+//! (paper §II).
 //!
 //! Each original feature owns a **subgroup** — itself plus every accepted
 //! generated feature derived within that subgroup. The state `s` is the set
 //! of selected features across subgroups; it expands as qualified features
 //! are accepted. Agents act on their own subgroup by sampling two member
 //! features (with replacement) and applying the chosen operator.
+//!
+//! [`EngineState`] is the in-RAM `ColumnStore`: every member is a flat
+//! [`Column`], FPE scoring goes through the process-wide signature cache,
+//! and a downstream evaluation probes the score cache through a
+//! [`FramePrefix`] of the current selection.
 
+use crate::config::CachedEvaluator;
 use crate::error::Result;
-use crate::ops::GeneratedFeature;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use crate::fpe::FpeModel;
+use crate::ops::{GeneratedFeature, Operator};
+use crate::store::ColumnStore;
+use runtime::FramePrefix;
+use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame};
 
 /// One agent's feature subgroup.
@@ -54,39 +63,74 @@ impl FeatureSubgroup {
         }
     }
 
-    /// Sample a member index uniformly (with replacement across calls) —
-    /// the paper's transition step samples two features this way.
-    pub fn sample_member(&self, rng: &mut impl Rng) -> usize {
-        rng.gen_range(0..self.len())
-    }
-
-    /// Mean transformation order across members.
-    pub fn mean_order(&self) -> f64 {
-        let total: usize = self.generated.iter().map(|g| g.order).sum();
-        total as f64 / self.len() as f64
-    }
-
     /// Accept a generated feature into the subgroup.
     pub fn accept(&mut self, feature: GeneratedFeature) {
         self.generated.push(feature);
     }
 }
 
-/// The full engine state: one subgroup per original feature plus the
-/// current downstream score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The in-RAM column store of a flat search: the sanitized base frame and
+/// one subgroup per original feature.
+#[derive(Debug, Clone)]
 pub struct EngineState {
+    frame: DataFrame,
     /// Per-agent subgroups.
     pub subgroups: Vec<FeatureSubgroup>,
-    /// Most recent downstream score of the selected feature set.
-    pub current_score: f64,
-    /// Reward obtained by the most recent accepted action (for embeddings).
-    pub last_reward: f64,
+    /// The current selected frame with its hash state, so a candidate's
+    /// cache probe hashes the candidate column, not the frame. Derived
+    /// from the fields above (not serialised, not compared); dropped
+    /// whenever a feature is accepted.
+    prefix: Option<FramePrefix>,
+}
+
+impl PartialEq for EngineState {
+    fn eq(&self, other: &Self) -> bool {
+        self.frame == other.frame && self.subgroups == other.subgroups
+    }
+}
+
+impl Serialize for EngineState {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("frame".to_string(), self.frame.to_value()),
+            ("subgroups".to_string(), self.subgroups.to_value()),
+        ])
+    }
+}
+
+// A checkpoint is outside input: every column the search will index, hash
+// or hand to a learner must have the frame's row count, and there must be
+// one subgroup per base column.
+impl Deserialize for EngineState {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| DeError::new("expected map for EngineState"))?;
+        let frame: DataFrame = Deserialize::from_value(serde::field(entries, "frame"))?;
+        let subgroups: Vec<FeatureSubgroup> =
+            Deserialize::from_value(serde::field(entries, "subgroups"))?;
+        let n_rows = frame.n_rows();
+        let mut columns = subgroups.iter().flat_map(|sub| {
+            std::iter::once(&sub.original).chain(sub.generated.iter().map(|g| &g.column))
+        });
+        if subgroups.len() != frame.n_cols() || columns.any(|c| c.values.len() != n_rows) {
+            return Err(DeError::new(format!(
+                "subgroups do not match the frame's {} columns of {n_rows} rows",
+                frame.n_cols()
+            )));
+        }
+        Ok(EngineState {
+            frame,
+            subgroups,
+            prefix: None,
+        })
+    }
 }
 
 impl EngineState {
-    /// Initial state: every original feature seeds its own subgroup.
-    pub fn new(frame: &DataFrame, base_score: f64) -> Self {
+    /// Initial state over a sanitized frame: every original feature seeds
+    /// its own subgroup.
+    pub fn new(frame: DataFrame) -> Self {
         let subgroups = frame
             .columns()
             .iter()
@@ -94,75 +138,102 @@ impl EngineState {
             .map(|(i, c)| FeatureSubgroup::new(i, c.clone()))
             .collect();
         Self {
+            frame,
             subgroups,
-            current_score: base_score,
-            last_reward: 0.0,
+            prefix: None,
         }
     }
 
-    /// Number of agents (original features).
-    pub fn n_agents(&self) -> usize {
+    /// Dimension of the state embedding the search driver feeds each
+    /// agent's policy.
+    pub const EMBEDDING_DIM: usize = 8;
+}
+
+impl ColumnStore for EngineState {
+    type Candidate = GeneratedFeature;
+    type Frame = DataFrame;
+
+    fn dataset(&self) -> &str {
+        &self.frame.name
+    }
+
+    fn n_agents(&self) -> usize {
         self.subgroups.len()
     }
 
-    /// Total generated features accepted across subgroups.
-    pub fn n_generated(&self) -> usize {
-        self.subgroups.iter().map(|s| s.generated.len()).sum()
+    fn members(&self, agent: usize) -> usize {
+        self.subgroups[agent].len()
     }
 
-    /// Build the selected-feature frame: all original columns plus every
+    fn member(&self, agent: usize, idx: usize) -> (&str, usize) {
+        let (col, order) = self.subgroups[agent].member(idx);
+        (&col.name, order)
+    }
+
+    fn base_score(&self, evaluator: &CachedEvaluator) -> Result<f64> {
+        Ok(evaluator.evaluate(&self.frame)?)
+    }
+
+    fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<GeneratedFeature> {
+        let sub = &self.subgroups[agent];
+        let (a, a_order) = sub.member(a);
+        let (b, b_order) = sub.member(b);
+        Ok(GeneratedFeature::generate(op, a, a_order, b, b_order))
+    }
+
+    fn name(candidate: &GeneratedFeature) -> &str {
+        &candidate.column.name
+    }
+
+    fn order(candidate: &GeneratedFeature) -> usize {
+        candidate.order
+    }
+
+    fn is_degenerate(candidate: &GeneratedFeature) -> bool {
+        candidate.is_degenerate()
+    }
+
+    fn fpe_score(&self, fpe: &FpeModel, candidate: &GeneratedFeature) -> Result<f64> {
+        fpe.score_feature(&candidate.column.values)
+    }
+
+    fn evaluate(
+        &mut self,
+        evaluator: &CachedEvaluator,
+        candidate: &GeneratedFeature,
+    ) -> Result<f64> {
+        let prefix = match self.prefix.take() {
+            Some(prefix) => prefix,
+            None => FramePrefix::new(self.engineered()?),
+        };
+        let prefix = &*self.prefix.insert(prefix);
+        let key = evaluator.prefix_key(prefix, &candidate.column);
+        evaluator.evaluate_keyed(key, || Ok(prefix.with_column(&candidate.column)?))
+    }
+
+    fn accept(&mut self, agent: usize, candidate: GeneratedFeature) -> Result<()> {
+        self.prefix = None;
+        self.subgroups[agent].accept(candidate);
+        Ok(())
+    }
+
+    /// The selected-feature frame: all original columns plus every
     /// accepted generated column, sharing the base frame's label.
-    pub fn selected_frame(&self, base: &DataFrame) -> Result<DataFrame> {
+    fn engineered(&self) -> Result<DataFrame> {
         let extra: Vec<Column> = self
             .subgroups
             .iter()
             .flat_map(|s| s.generated.iter().map(|g| g.column.clone()))
             .collect();
-        Ok(base.with_extra_columns(&extra)?)
+        Ok(self.frame.with_extra_columns(&extra)?)
     }
-
-    /// Names of all selected generated features.
-    pub fn selected_names(&self) -> Vec<String> {
-        self.subgroups
-            .iter()
-            .flat_map(|s| s.generated.iter().map(|g| g.column.name.clone()))
-            .collect()
-    }
-
-    /// The fixed-size state embedding fed to agent `j`'s RNN policy.
-    /// Eight cheap, bounded summary statistics of the current state.
-    pub fn embedding(
-        &self,
-        agent: usize,
-        step: usize,
-        steps_per_epoch: usize,
-        epoch_frac: f64,
-        max_order: usize,
-    ) -> Vec<f64> {
-        let sub = &self.subgroups[agent];
-        vec![
-            1.0, // bias
-            (sub.len() as f64).ln() / 4.0,
-            (self.last_reward * 10.0).clamp(-1.0, 1.0),
-            self.current_score.clamp(-1.0, 1.0),
-            sub.mean_order() / max_order.max(1) as f64,
-            (step as f64 + 0.5) / steps_per_epoch.max(1) as f64,
-            epoch_frac.clamp(0.0, 1.0),
-            (agent as f64 + 0.5) / self.n_agents().max(1) as f64,
-        ]
-    }
-
-    /// Dimension of [`EngineState::embedding`]'s output.
-    pub const EMBEDDING_DIM: usize = 8;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::{GeneratedFeature, Operator};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tabular::{DataFrame, Label, SynthSpec, Task};
+    use tabular::{DataFrame, Label};
 
     fn base() -> DataFrame {
         DataFrame::new(
@@ -180,30 +251,27 @@ mod tests {
     }
 
     fn gen_feature(state: &EngineState) -> GeneratedFeature {
-        let (a, ao) = state.subgroups[0].member(0);
-        GeneratedFeature::generate(Operator::Sqrt, a, ao, a, ao)
+        state.generate(0, Operator::Sqrt, 0, 0).unwrap()
     }
 
     #[test]
     fn initial_state_mirrors_frame() {
-        let f = base();
-        let s = EngineState::new(&f, 0.7);
+        let s = EngineState::new(base());
         assert_eq!(s.n_agents(), 2);
         assert_eq!(s.n_generated(), 0);
-        assert_eq!(s.current_score, 0.7);
+        assert_eq!(s.dataset(), "s");
         assert_eq!(s.subgroups[0].len(), 1);
         assert_eq!(s.subgroups[0].member(0).1, 0); // order 0
     }
 
     #[test]
     fn accept_expands_state_and_frame() {
-        let f = base();
-        let mut s = EngineState::new(&f, 0.5);
+        let mut s = EngineState::new(base());
         let g = gen_feature(&s);
-        s.subgroups[0].accept(g);
+        s.accept(0, g).unwrap();
         assert_eq!(s.n_generated(), 1);
         assert_eq!(s.subgroups[0].len(), 2);
-        let sel = s.selected_frame(&f).unwrap();
+        let sel = s.engineered().unwrap();
         assert_eq!(sel.n_cols(), 3);
         assert_eq!(sel.columns()[2].name, "sqrt(f0)");
         assert_eq!(s.selected_names(), vec!["sqrt(f0)".to_string()]);
@@ -211,38 +279,30 @@ mod tests {
 
     #[test]
     fn member_indexing_and_orders() {
-        let f = base();
-        let mut s = EngineState::new(&f, 0.5);
+        let mut s = EngineState::new(base());
         let g = gen_feature(&s);
-        s.subgroups[0].accept(g);
+        s.accept(0, g).unwrap();
         let (col, order) = s.subgroups[0].member(1);
         assert_eq!(col.name, "sqrt(f0)");
         assert_eq!(order, 1);
-        assert!((s.subgroups[0].mean_order() - 0.5).abs() < 1e-12);
+        assert_eq!(ColumnStore::member(&s, 0, 1), ("sqrt(f0)", 1));
+        assert_eq!(s.members(0), 2);
     }
 
     #[test]
-    fn sampling_stays_in_range() {
-        let f = SynthSpec::new("x", 30, 3, Task::Classification)
-            .generate()
-            .unwrap();
-        let s = EngineState::new(&f, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let idx = s.subgroups[2].sample_member(&mut rng);
-            assert!(idx < s.subgroups[2].len());
-        }
-    }
+    fn deserialize_rejects_columns_that_disagree_with_the_frame() {
+        let mut s = EngineState::new(base());
+        let g = gen_feature(&s);
+        s.accept(0, g).unwrap();
+        let good = s.to_value();
+        assert_eq!(EngineState::from_value(&good).unwrap(), s);
 
-    #[test]
-    fn embedding_is_fixed_size_and_bounded() {
-        let f = base();
-        let mut s = EngineState::new(&f, 0.8);
-        s.last_reward = 5.0; // deliberately out of range → clamped
-        let e = s.embedding(1, 2, 4, 0.5, 5);
-        assert_eq!(e.len(), EngineState::EMBEDDING_DIM);
-        assert!(e.iter().all(|v| v.is_finite() && v.abs() <= 2.0), "{e:?}");
-        assert_eq!(e[0], 1.0);
-        assert_eq!(e[2], 1.0); // clamped reward
+        let mut short = s.clone();
+        short.subgroups[0].generated[0].column.values.pop();
+        assert!(EngineState::from_value(&short.to_value()).is_err());
+
+        let mut missing = s.clone();
+        missing.subgroups.pop();
+        assert!(EngineState::from_value(&missing.to_value()).is_err());
     }
 }

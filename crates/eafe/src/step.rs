@@ -1,17 +1,29 @@
-//! The resumable stepped search: [`Engine::start`] / [`Engine::step`] /
-//! [`Engine::finish`].
+//! The search driver: Algorithm 2 written once, as a resumable state
+//! machine — [`Engine::start`] / [`Engine::step`] / [`Engine::finish`].
 //!
-//! [`Engine::run`] used to be one blocking loop; it is now a thin driver
-//! over an explicit state machine so a long-lived server can interleave
-//! many searches on one process (`crates/serve`), pause a search at any
-//! epoch boundary, checkpoint it to disk, and resume it — on the same or
-//! a different process — with **bit-identical** results.
+//! A [`Search`] is generic over its column store (the crate-private
+//! `ColumnStore` trait, see `store.rs`): [`SearchState`] runs on the in-RAM
+//! [`EngineState`], [`ChunkedSearch`] on an out-of-core [`ChunkedStore`].
+//! The store holds column data and has six duties — generate a candidate
+//! from two subgroup members, say whether it is degenerate, FPE-score it,
+//! run one downstream evaluation, accept it, hand back the engineered
+//! frame; the policies, both RNG streams, the replay buffer, the adaptive
+//! gate, the counters and the phase machine live here, once. A long-lived server interleaves many searches on one
+//! process (`crates/serve`), pauses one at any epoch boundary, checkpoints
+//! it to disk and resumes it — on the same or a different process — with
+//! **bit-identical** results.
 //!
 //! The unit of work is one *slice*: a stage-1 epoch, the stage-1→2
 //! replay seeding, or a stage-2 epoch. Each [`Engine::step`] call runs
 //! exactly one slice and returns an [`EpochReport`] carrying the
 //! best-so-far score and weighted feature set — the anytime contract: a
 //! caller can stop after any slice and keep the best result found so far.
+//!
+//! Within a slice a candidate is made in exactly one place (`propose`)
+//! and judged in exactly one place (`Engine::gate`); the speculation
+//! replays ([`Engine::speculate_fpe_columns`], [`Engine::speculate_evals`])
+//! call the same two functions on copies of the streams, which is what
+//! makes their predictions exact.
 //!
 //! ## Determinism contract
 //!
@@ -26,7 +38,10 @@
 //! wall-clock times (`elapsed_secs` and friends) and score-cache
 //! hit/miss tallies (a resumed run starts with a cold private cache; the
 //! cache only short-circuits recomputation, never changes a score).
+//! A [`ChunkedSearch`] lives and dies with its frame handle: it has no
+//! serde form.
 
+use crate::chunked::ChunkedStore;
 use crate::config::{CachedEvaluator, EafeConfig};
 use crate::engine::{Engine, Gate};
 use crate::error::{EafeError, Result};
@@ -36,10 +51,10 @@ use crate::report::{
 };
 use crate::reward::SurrogateReward;
 use crate::state::EngineState;
+use crate::store::ColumnStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
-use runtime::FramePrefix;
 use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame};
 
@@ -62,8 +77,22 @@ pub enum SearchPhase {
     Done,
 }
 
-/// A serializable snapshot of both engine RNG streams (xoshiro256++
-/// state words, captured via the vendored `StdRng`'s state accessor).
+impl SearchPhase {
+    /// The slice this phase is about to run; `None` once done.
+    fn slice(self) -> Option<(SearchStage, usize)> {
+        match self {
+            SearchPhase::Stage1 { epoch } => Some((SearchStage::Stage1, epoch)),
+            SearchPhase::Seed => Some((SearchStage::Seed, 0)),
+            SearchPhase::Stage2 { epoch } => Some((SearchStage::Stage2, epoch)),
+            SearchPhase::Done => None,
+        }
+    }
+}
+
+/// A serializable snapshot of an engine RNG stream (xoshiro256++ state
+/// words, captured via the vendored `StdRng`'s state accessor). A slice
+/// checks the live generator out with [`RngState::to_rng`] and writes it
+/// back with [`RngState::capture`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct RngState([u64; 4]);
 
@@ -91,13 +120,13 @@ impl RngState {
 /// scores — keeping the classifier's ranking while pinning the asymptotic
 /// pass rate at ≤ 50%.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct AdaptiveGate {
+struct AdaptiveGate {
     window: Vec<f64>,
     cap: usize,
 }
 
 impl AdaptiveGate {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         Self {
             window: Vec::with_capacity(cap),
             cap: cap.max(1),
@@ -107,7 +136,7 @@ impl AdaptiveGate {
     /// Record the score and decide whether the candidate passes.
     /// `scratch` is overwritten; callers keep one across a slice's
     /// candidates so the median costs no allocation.
-    pub(crate) fn observe_and_pass(&mut self, p: f64, scratch: &mut Vec<f64>) -> bool {
+    fn observe_and_pass(&mut self, p: f64, scratch: &mut Vec<f64>) -> bool {
         if self.window.len() == self.cap {
             self.window.remove(0);
         }
@@ -122,22 +151,32 @@ impl AdaptiveGate {
     }
 }
 
-/// The serializable body of a [`SearchState`] (everything the search
-/// depends on; see the module docs for the determinism contract).
+/// The RL state `s` (paper §II): the selected features, held by column
+/// store `S`, and what they score.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SearchCore {
-    /// The sanitized base frame the search runs on.
-    frame: DataFrame,
+struct RlState<S> {
+    /// Column data: the base frame and the subgroups' members.
+    store: S,
+    /// Most recent downstream score of the selected feature set.
+    current_score: f64,
+    /// Score change of the most recent evaluated action (for embeddings).
+    last_reward: f64,
+}
+
+/// Everything a search depends on (see the module docs for the determinism
+/// contract), over column store `S` holding candidates of type `C`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SearchCore<S, C> {
     /// Subgroups, current score, last reward.
-    state: EngineState,
+    state: RlState<S>,
     /// One RNN policy per original feature.
     policies: Vec<RnnPolicy>,
     /// Policy/generation RNG stream.
     rng: RngState,
-    /// Dedicated dropout-gate stream (see `Engine::run_full`'s notes).
+    /// Dedicated dropout-gate stream (see [`Engine::start`]'s notes).
     gate_rng: RngState,
     /// Stage-1 positives awaiting downstream replay.
-    replay: ReplayBuffer<GeneratedFeature>,
+    replay: ReplayBuffer<C>,
     /// Stage-2 adaptive FPE gate window.
     fpe_gate: AdaptiveGate,
     /// Current position in the search.
@@ -172,24 +211,29 @@ struct SearchCore {
     cache_misses: u64,
 }
 
-/// A paused (or finished) search: the resumable state machine behind
-/// [`Engine::run`], produced by [`Engine::start`] and advanced one
-/// epoch-granular slice at a time by [`Engine::step`].
+/// A paused (or finished) search over column store `B`: the resumable
+/// state machine behind [`Engine::run`] and [`Engine::run_chunked`],
+/// advanced one epoch-granular slice at a time by [`Engine::step`].
+#[derive(Clone)]
+pub struct Search<B: ColumnStore> {
+    core: SearchCore<B, B::Candidate>,
+    /// Process-local caching evaluator; rebuilt lazily after deserialize.
+    /// A clone shares it (and so its cache, which never changes a score).
+    evaluator: Option<CachedEvaluator>,
+}
+
+/// A search over an in-RAM frame, produced by [`Engine::start`].
 ///
 /// Serializing a `SearchState` checkpoints the search; deserializing and
 /// stepping to completion reproduces the uninterrupted run bit for bit
 /// (scores, evaluation counts, selected features — see the module docs
-/// for what is excluded). The evaluator handle and the cache-probe prefix
-/// are process-local and are lazily rebuilt after a restore.
-pub struct SearchState {
-    core: SearchCore,
-    /// Process-local caching evaluator; rebuilt lazily after deserialize.
-    evaluator: Option<CachedEvaluator>,
-    /// The current selected frame with its hash state, so a candidate's
-    /// cache probe hashes the candidate column, not the frame. Derived
-    /// from `core`; dropped whenever a feature is accepted.
-    prefix: Option<FramePrefix>,
-}
+/// for what is excluded). The evaluator handle and the store's cache-probe
+/// prefix are process-local and are lazily rebuilt after a restore.
+pub type SearchState = Search<EngineState>;
+
+/// A search over an out-of-core [`tabular::ChunkedFrame`], produced by
+/// [`Engine::start_chunked`].
+pub type ChunkedSearch = Search<ChunkedStore>;
 
 impl Serialize for SearchState {
     fn to_value(&self) -> Value {
@@ -197,29 +241,28 @@ impl Serialize for SearchState {
     }
 }
 
+// A checkpoint is outside input: the driver indexes `policies` by agent,
+// so a file with fewer (or more) policies than subgroups is corrupt, not a
+// panic waiting in the scheduler thread. Column lengths are checked by
+// `EngineState`'s own `Deserialize`.
 impl Deserialize for SearchState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        Ok(SearchState {
-            core: SearchCore::from_value(v)?,
+        let core: SearchCore<EngineState, _> = SearchCore::from_value(v)?;
+        if core.policies.len() != core.state.store.n_agents() {
+            return Err(DeError::new(format!(
+                "{} policies for {} subgroups",
+                core.policies.len(),
+                core.state.store.n_agents()
+            )));
+        }
+        Ok(Search {
+            core,
             evaluator: None,
-            prefix: None,
         })
     }
 }
 
-impl Clone for SearchState {
-    fn clone(&self) -> Self {
-        SearchState {
-            core: self.core.clone(),
-            // The clone re-derives its own evaluator on first step so the
-            // two copies do not share a private cache (mirrors restore).
-            evaluator: self.evaluator.clone(),
-            prefix: self.prefix.clone(),
-        }
-    }
-}
-
-impl SearchState {
+impl<B: ColumnStore> Search<B> {
     /// True once the search has consumed all its epochs (or stopped
     /// early); further [`Engine::step`] calls are no-ops.
     pub fn is_done(&self) -> bool {
@@ -233,7 +276,7 @@ impl SearchState {
 
     /// Dataset name this search runs on.
     pub fn dataset(&self) -> &str {
-        &self.core.frame.name
+        self.core.state.store.dataset()
     }
 
     /// Downstream score of the raw feature set.
@@ -278,21 +321,103 @@ impl SearchState {
     }
 }
 
-impl Engine {
-    pub(crate) fn make_evaluator(&self) -> CachedEvaluator {
-        match &self.cache {
-            Some(shared) => runtime::Evaluator::with_cache(
-                self.config.evaluator.clone(),
-                std::sync::Arc::clone(shared),
-            ),
-            None => runtime::Evaluator::new(self.config.evaluator.clone()),
+impl ChunkedSearch {
+    /// The chunked frame the search runs on (base + accepted columns);
+    /// its [`tabular::ChunkedFrame::stats`] expose residency/spill traffic.
+    pub fn frame(&self) -> &tabular::ChunkedFrame {
+        self.core.state.store.frame()
+    }
+}
+
+/// The fixed-size state embedding fed to an agent's RNN policy: eight
+/// cheap, bounded summary statistics of the current state
+/// ([`EngineState::EMBEDDING_DIM`]).
+fn embedding<B: ColumnStore>(
+    cfg: &EafeConfig,
+    state: &RlState<B>,
+    agent: usize,
+    step: usize,
+    epoch_frac: f64,
+) -> Vec<f64> {
+    let store = &state.store;
+    let members = store.members(agent);
+    let total_order: usize = (0..members).map(|i| store.member(agent, i).1).sum();
+    let mean_order = total_order as f64 / members as f64;
+    vec![
+        1.0, // bias
+        (members as f64).ln() / 4.0,
+        (state.last_reward * 10.0).clamp(-1.0, 1.0),
+        state.current_score.clamp(-1.0, 1.0),
+        mean_order / cfg.max_order.max(1) as f64,
+        (step as f64 + 0.5) / cfg.steps_per_epoch.max(1) as f64,
+        epoch_frac.clamp(0.0, 1.0),
+        (agent as f64 + 0.5) / store.n_agents().max(1) as f64,
+    ]
+}
+
+/// One proposal (paper Figure 3): embed the state, let the agent's policy
+/// pick an operator, sample two subgroup members with replacement and
+/// apply it. `rng` is drawn in that order — policy step, member `a`,
+/// member `b` — and nothing else in a slice draws from it.
+fn propose<B: ColumnStore>(
+    cfg: &EafeConfig,
+    state: &RlState<B>,
+    policy: &mut RnnPolicy,
+    rng: &mut StdRng,
+    agent: usize,
+    step: usize,
+    epoch_frac: f64,
+) -> Result<(StepCache, B::Candidate)> {
+    let x = embedding(cfg, state, agent, step, epoch_frac);
+    let cache = policy.step(&x, rng)?;
+    let op = Operator::from_action(cache.action);
+    let members = state.store.members(agent);
+    let a = rng.gen_range(0..members);
+    let b = rng.gen_range(0..members);
+    Ok((cache, state.store.generate(agent, op, a, b)?))
+}
+
+/// The gate-side streams a slice advances: the real epochs check them out
+/// of the core and write them back, speculation works on copies.
+struct GateStreams {
+    window: AdaptiveGate,
+    rng: StdRng,
+    scratch: Vec<f64>,
+}
+
+impl GateStreams {
+    fn of<S, C>(core: &SearchCore<S, C>) -> Self {
+        GateStreams {
+            window: core.fpe_gate.clone(),
+            rng: core.gate_rng.to_rng(),
+            scratch: Vec::new(),
         }
     }
+}
 
+/// Which subgroup a replayed feature joins: the first subgroup, in agent
+/// order, whose original feature's name occurs *anywhere* in the
+/// expression as a substring (falls back to 0). That is not always the
+/// feature the expression was built from — `f1` claims `sqrt(f10)` — but
+/// changing it moves result fingerprints (ROADMAP item 3(d)).
+fn feature_origin<B: ColumnStore>(store: &B, expr: &str) -> usize {
+    (0..store.n_agents())
+        .position(|j| expr.contains(store.member(j, 0).0))
+        .unwrap_or(0)
+}
+
+impl Engine {
     /// Validate the configuration and open a resumable search on `frame`:
     /// sanitize it, score the raw feature set, and set up policies, RNG
     /// streams, and counters. Advance the search with [`Engine::step`].
     pub fn start(&self, frame: &DataFrame) -> Result<SearchState> {
+        let mut frame = frame.clone();
+        frame.sanitize();
+        self.open(EngineState::new(frame))
+    }
+
+    /// Open a search on a store whose base frame is already sanitized.
+    pub(crate) fn open<B: ColumnStore>(&self, store: B) -> Result<Search<B>> {
         self.config.validate()?;
         if matches!(&self.gate, Gate::RandomDrop { rate } if !(0.0..=1.0).contains(rate)) {
             return Err(EafeError::InvalidConfig(
@@ -304,32 +429,24 @@ impl Engine {
                 "two-stage training requires an FPE gate".into(),
             ));
         }
-        let mut frame = frame.clone();
-        frame.sanitize();
 
         let cfg = &self.config;
         let mut timer = PhaseTimer::new();
         timer.start();
         let mut counter = EvalCounter::default();
-        let rng = RngState::seed(cfg.seed);
-        // The dropout gate draws from its own stream so gating decisions
-        // never perturb policy/generation draws: E-AFE_D with rate 0 must
-        // explore exactly the candidates NFS does.
-        let gate_rng = RngState::seed(runtime::derive_seed(cfg.seed, 0x67617465, 0));
 
         // Every downstream evaluation goes through the runtime's
         // content-addressed cache: repeat candidates (replayed features,
         // re-explored transformations) are computed once.
-        let evaluator = self.make_evaluator();
+        let evaluator = self.evaluator();
         let cache_start = evaluator.stats();
 
         let base_score = {
             let _eval_span = telemetry::span("engine.evaluate");
-            timer.evaluation(|| evaluator.evaluate(&frame))?
+            timer.evaluation(|| store.base_score(&evaluator))?
         };
         counter.evaluate();
-        let state = EngineState::new(&frame, base_score);
-        let n_agents = state.n_agents();
+        let n_agents = store.n_agents();
         let max_generated = ((n_agents as f64 * cfg.max_generated_ratio).ceil() as usize).max(1);
 
         let mut policy_cfg = cfg.policy;
@@ -352,25 +469,25 @@ impl Engine {
         }];
 
         let phase = if self.two_stage {
-            if cfg.stage1_epochs > 0 {
-                SearchPhase::Stage1 { epoch: 0 }
-            } else {
-                SearchPhase::Seed
-            }
-        } else if cfg.stage2_epochs > 0 {
-            SearchPhase::Stage2 { epoch: 0 }
+            self.stage1_or_seed(0)
         } else {
-            SearchPhase::Done
+            self.stage2_or_done(0)
         };
 
         let cache_delta = evaluator.stats().since(&cache_start);
-        Ok(SearchState {
+        Ok(Search {
             core: SearchCore {
-                frame,
-                state,
+                state: RlState {
+                    store,
+                    current_score: base_score,
+                    last_reward: 0.0,
+                },
                 policies,
-                rng,
-                gate_rng,
+                rng: RngState::seed(cfg.seed),
+                // The dropout gate draws from its own stream so gating
+                // decisions never perturb policy/generation draws: E-AFE_D
+                // with rate 0 must explore exactly the candidates NFS does.
+                gate_rng: RngState::seed(runtime::derive_seed(cfg.seed, 0x67617465, 0)),
                 replay: ReplayBuffer::new(cfg.replay_capacity),
                 fpe_gate: AdaptiveGate::new(256),
                 phase,
@@ -389,44 +506,58 @@ impl Engine {
                 cache_misses: cache_delta.misses,
             },
             evaluator: Some(evaluator),
-            prefix: None,
         })
+    }
+
+    /// Stage-1 epoch `epoch` if the stage runs that many, else the seeding.
+    fn stage1_or_seed(&self, epoch: usize) -> SearchPhase {
+        if epoch < self.config.stage1_epochs {
+            SearchPhase::Stage1 { epoch }
+        } else {
+            SearchPhase::Seed
+        }
+    }
+
+    /// Stage-2 epoch `epoch` if the stage runs that many, else the end.
+    fn stage2_or_done(&self, epoch: usize) -> SearchPhase {
+        if epoch < self.config.stage2_epochs {
+            SearchPhase::Stage2 { epoch }
+        } else {
+            SearchPhase::Done
+        }
+    }
+
+    /// How far through its stage's epochs a training epoch lies, in [0, 1).
+    fn epoch_frac(&self, stage: SearchStage, epoch: usize) -> f64 {
+        let total_epochs = match stage {
+            SearchStage::Stage1 => self.config.stage1_epochs,
+            _ => self.config.stage2_epochs,
+        };
+        epoch as f64 / total_epochs.max(1) as f64
     }
 
     /// Run one epoch-granular slice of the search (a stage-1 epoch, the
     /// replay seeding, or a stage-2 epoch) and report the best-so-far
     /// result. Calling `step` on a finished search is a no-op that
     /// returns the terminal report.
-    pub fn step(&self, search: &mut SearchState) -> Result<EpochReport> {
-        let (stage, epoch) = match search.core.phase {
-            SearchPhase::Done => return Ok(self.report(search, SearchStage::Stage2, 0)),
-            SearchPhase::Stage1 { epoch } => (SearchStage::Stage1, epoch),
-            SearchPhase::Seed => (SearchStage::Seed, 0),
-            SearchPhase::Stage2 { epoch } => (SearchStage::Stage2, epoch),
+    pub fn step<B: ColumnStore>(&self, search: &mut Search<B>) -> Result<EpochReport> {
+        let Some((stage, epoch)) = search.core.phase.slice() else {
+            return Ok(report(&search.core, SearchStage::Stage2, 0));
         };
         let evaluator = search
             .evaluator
-            .get_or_insert_with(|| self.make_evaluator())
+            .get_or_insert_with(|| self.evaluator())
             .clone();
         let mut timer = PhaseTimer::new();
         timer.start();
         let cache_start = evaluator.stats();
 
+        let core = &mut search.core;
         match stage {
-            SearchStage::Stage1 => self.step_stage1(&mut search.core, &mut timer, epoch)?,
-            SearchStage::Seed => {
-                self.step_seed(&mut search.core, &evaluator, &mut search.prefix, &mut timer)?
-            }
-            SearchStage::Stage2 => self.step_stage2(
-                &mut search.core,
-                &evaluator,
-                &mut search.prefix,
-                &mut timer,
-                epoch,
-            )?,
+            SearchStage::Seed => self.seed(core, &evaluator, &mut timer)?,
+            _ => self.epoch(core, &evaluator, &mut timer, stage, epoch)?,
         }
 
-        let core = &mut search.core;
         core.slices += 1;
         core.generation_secs += timer.generation_secs();
         core.eval_secs += timer.eval_secs();
@@ -434,246 +565,156 @@ impl Engine {
         let delta = evaluator.stats().since(&cache_start);
         core.cache_hits += delta.hits;
         core.cache_misses += delta.misses;
-        Ok(self.report(search, stage, epoch))
+        Ok(report(core, stage, epoch))
     }
 
-    fn report(&self, search: &SearchState, stage: SearchStage, epoch: usize) -> EpochReport {
-        let core = &search.core;
-        EpochReport {
-            stage,
-            epoch,
-            epochs_completed: core.slices,
-            base_score: core.base_score,
-            best_score: core.best_score,
-            best_features: core.weighted.clone(),
-            generated: core.counter.generated,
-            downstream_evals: core.counter.evaluated,
-            elapsed_secs: core.total_secs,
-            done: core.phase == SearchPhase::Done,
-        }
-    }
-
-    /// One stage-1 epoch: every agent explores against the FPE surrogate;
-    /// promising candidates accumulate in the replay buffer.
-    #[allow(clippy::needless_range_loop)] // `policies[j]` mirrors the paper's per-agent notation
-    fn step_stage1(
+    /// Is a candidate worth an FPE score or an evaluation at all? Not when
+    /// it is degenerate or deeper than the order cap, and in stage 2 not
+    /// once the generation budget is spent.
+    fn structurally_ok<B: ColumnStore>(
         &self,
-        core: &mut SearchCore,
+        core: &SearchCore<B, B::Candidate>,
+        candidate: &B::Candidate,
+        stage: SearchStage,
+    ) -> bool {
+        !B::is_degenerate(candidate)
+            && B::order(candidate) <= self.config.max_order
+            && (stage == SearchStage::Stage1 || core.state.store.n_generated() < core.max_generated)
+    }
+
+    /// The gate: a candidate passes iff it is [structurally
+    /// sound](Engine::structurally_ok) and the configured gate lets it
+    /// through. With an FPE model, stage 1 cuts the probability at 0.5 and
+    /// stage 2 asks the adaptive window. Returns the verdict and the FPE
+    /// probability when one was computed. The gate streams advance only
+    /// for structurally sound candidates.
+    fn gate<B: ColumnStore>(
+        &self,
+        core: &SearchCore<B, B::Candidate>,
+        candidate: &B::Candidate,
+        stage: SearchStage,
+        streams: &mut GateStreams,
+    ) -> Result<(bool, Option<f64>)> {
+        if !self.structurally_ok(core, candidate, stage) {
+            return Ok((false, None));
+        }
+        Ok(match &self.gate {
+            Gate::Fpe(fpe) => {
+                let p = core.state.store.fpe_score(fpe, candidate)?;
+                let pass = if stage == SearchStage::Stage1 {
+                    p >= 0.5
+                } else {
+                    streams.window.observe_and_pass(p, &mut streams.scratch)
+                };
+                (pass, Some(p))
+            }
+            Gate::RandomDrop { rate } => (!streams.rng.gen_bool(*rate), None),
+            Gate::None => (true, None),
+        })
+    }
+
+    /// One training epoch — Algorithm 2's loop, run against the FPE
+    /// surrogate in stage 1 and against the downstream task in stage 2 (the
+    /// only stage of one-stage methods). Every agent runs one episode of
+    /// proposals through the gate. In stage 1 a passing candidate joins the
+    /// replay buffer and the step earns the surrogate's pseudo-score; in
+    /// stage 2 it is evaluated downstream, accepted if it improves the
+    /// score, and the step earns the score reached. The policy then updates
+    /// on the episode's returns.
+    fn epoch<B: ColumnStore>(
+        &self,
+        core: &mut SearchCore<B, B::Candidate>,
+        evaluator: &CachedEvaluator,
         timer: &mut PhaseTimer,
+        stage: SearchStage,
         epoch: usize,
     ) -> Result<()> {
         let cfg = &self.config;
-        let fpe = match &self.gate {
-            Gate::Fpe(m) => m.as_ref(),
-            _ => {
-                return Err(EafeError::InvalidConfig(
-                    "stage-1 search state requires an FPE gate".into(),
-                ))
-            }
-        };
-        let mut rng = core.rng.to_rng();
-        let surrogate = SurrogateReward::new(core.base_score, cfg.thre);
-        let total_epochs = cfg.stage1_epochs.max(1);
-        let n_agents = core.state.n_agents();
-
-        let mut epoch_span = telemetry::span("engine.stage1_epoch");
+        let stage1 = stage == SearchStage::Stage1;
+        if stage1 && !matches!(self.gate, Gate::Fpe(_)) {
+            return Err(EafeError::InvalidConfig(
+                "stage-1 search state requires an FPE gate".into(),
+            ));
+        }
+        let mut epoch_span = telemetry::span(if stage1 {
+            "engine.stage1_epoch"
+        } else {
+            "engine.stage2_epoch"
+        });
         epoch_span.field("epoch", epoch as f64);
-        let epoch_frac = epoch as f64 / total_epochs as f64;
-        for j in 0..n_agents {
-            core.policies[j].reset();
+        let epoch_frac = self.epoch_frac(stage, epoch);
+        let surrogate = SurrogateReward::new(core.base_score, cfg.thre);
+        let mut rng = core.rng.to_rng();
+        let mut streams = GateStreams::of(core);
+
+        for agent in 0..core.state.store.n_agents() {
+            core.policies[agent].reset();
+            let episode_start_score = if stage1 {
+                core.base_score
+            } else {
+                core.state.current_score
+            };
             let mut episode: Vec<StepCache> = Vec::with_capacity(cfg.steps_per_epoch);
-            let mut pseudo_scores = Vec::with_capacity(cfg.steps_per_epoch);
-            for t in 0..cfg.steps_per_epoch {
-                let feat = {
-                    let x =
-                        core.state
-                            .embedding(j, t, cfg.steps_per_epoch, epoch_frac, cfg.max_order);
-                    let cache = timer.generation(|| core.policies[j].step(&x, &mut rng))?;
-                    let op = Operator::from_action(cache.action);
-                    let feat =
-                        timer.generation(|| generate_candidate(&core.state, j, op, &mut rng));
-                    episode.push(cache);
-                    feat
-                };
+            let mut scores = Vec::with_capacity(cfg.steps_per_epoch);
+            for step in 0..cfg.steps_per_epoch {
+                let policy = &mut core.policies[agent];
+                let (cache, candidate) = timer.generation(|| {
+                    propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)
+                })?;
+                episode.push(cache);
                 core.counter.generate();
-                let pseudo = if feat.is_degenerate() || feat.order > cfg.max_order {
-                    core.counter.drop_feature();
-                    surrogate.pseudo_score(0.0)
-                } else {
-                    let p = timer.generation(|| fpe.score_feature(&feat.column.values))?;
-                    if p >= 0.5 {
-                        telemetry::count("fpe.gate.accept", 1);
-                        core.replay.push(p, feat);
+
+                let (pass, fpe_p) =
+                    timer.generation(|| self.gate(core, &candidate, stage, &mut streams))?;
+                if fpe_p.is_some() {
+                    let verdict = if pass {
+                        "fpe.gate.accept"
                     } else {
-                        telemetry::count("fpe.gate.reject", 1);
-                        core.counter.drop_feature();
+                        "fpe.gate.reject"
+                    };
+                    telemetry::count(verdict, 1);
+                }
+                if !pass {
+                    core.counter.drop_feature();
+                }
+                scores.push(if stage1 {
+                    let p = fpe_p.unwrap_or(0.0);
+                    if pass {
+                        core.replay.push(p, candidate);
                     }
                     surrogate.pseudo_score(p)
-                };
-                pseudo_scores.push(pseudo);
-            }
-            let rets = {
-                let _reward_span = telemetry::span("engine.reward");
-                returns_from_scores(&pseudo_scores, core.base_score, &cfg.returns)
-            };
-            let steps: Vec<(StepCache, f64)> = episode.into_iter().zip(rets).collect();
-            let _update_span = telemetry::span("engine.policy_update");
-            timer.generation(|| core.policies[j].update(&steps))?;
-        }
-        core.rng = RngState::capture(&rng);
-        core.phase = if epoch + 1 < cfg.stage1_epochs {
-            SearchPhase::Stage1 { epoch: epoch + 1 }
-        } else {
-            SearchPhase::Seed
-        };
-        Ok(())
-    }
-
-    /// Seed stage 2: replay the promising stage-1 features against the
-    /// real downstream task (Algorithm 2 line 16). The drain is capped at
-    /// one epoch's generation budget so the one-time seeding cost stays
-    /// comparable to a single training epoch.
-    fn step_seed(
-        &self,
-        core: &mut SearchCore,
-        evaluator: &CachedEvaluator,
-        prefix: &mut Option<FramePrefix>,
-        timer: &mut PhaseTimer,
-    ) -> Result<()> {
-        let cfg = &self.config;
-        let n_agents = core.state.n_agents();
-        let drain_budget = cfg.steps_per_epoch * n_agents;
-        for (_, feat) in core
-            .replay
-            .drain_by_priority()
-            .into_iter()
-            .take(drain_budget)
-        {
-            if core.state.n_generated() >= core.max_generated {
-                break;
-            }
-            let score = evaluate_candidate(core, evaluator, prefix, timer, &feat.column)?;
-            core.counter.evaluate();
-            if score > core.state.current_score {
-                *prefix = None;
-                core.state.last_reward = score - core.state.current_score;
-                core.state.current_score = score;
-                core.best_score = core.best_score.max(score);
-                core.weighted.push(WeightedFeature {
-                    name: feat.column.name.clone(),
-                    weight: core.state.last_reward,
-                });
-                let origin = feature_origin(&feat, &core.state);
-                core.state.subgroups[origin].accept(feat);
-            }
-        }
-        core.phase = if cfg.stage2_epochs > 0 {
-            SearchPhase::Stage2 { epoch: 0 }
-        } else {
-            SearchPhase::Done
-        };
-        Ok(())
-    }
-
-    /// One stage-2 epoch (or the single stage for one-stage methods):
-    /// every agent generates candidates, gated candidates hit the real
-    /// downstream task, and policies update on score gains.
-    #[allow(clippy::needless_range_loop)] // `policies[j]` mirrors the paper's per-agent notation
-    fn step_stage2(
-        &self,
-        core: &mut SearchCore,
-        evaluator: &CachedEvaluator,
-        prefix: &mut Option<FramePrefix>,
-        timer: &mut PhaseTimer,
-        epoch: usize,
-    ) -> Result<()> {
-        let cfg = &self.config;
-        let mut rng = core.rng.to_rng();
-        let mut gate_rng = core.gate_rng.to_rng();
-        let mut gate_scratch = Vec::new();
-        let n_agents = core.state.n_agents();
-
-        let mut epoch_span = telemetry::span("engine.stage2_epoch");
-        epoch_span.field("epoch", epoch as f64);
-        let epoch_frac = epoch as f64 / cfg.stage2_epochs.max(1) as f64;
-        for j in 0..n_agents {
-            core.policies[j].reset();
-            let episode_start_score = core.state.current_score;
-            let mut episode: Vec<StepCache> = Vec::with_capacity(cfg.steps_per_epoch);
-            let mut score_trace = Vec::with_capacity(cfg.steps_per_epoch);
-            for t in 0..cfg.steps_per_epoch {
-                let feat = {
-                    let x =
-                        core.state
-                            .embedding(j, t, cfg.steps_per_epoch, epoch_frac, cfg.max_order);
-                    let cache = timer.generation(|| core.policies[j].step(&x, &mut rng))?;
-                    let op = Operator::from_action(cache.action);
-                    let feat =
-                        timer.generation(|| generate_candidate(&core.state, j, op, &mut rng));
-                    episode.push(cache);
-                    feat
-                };
-                core.counter.generate();
-
-                let structurally_ok = !feat.is_degenerate()
-                    && feat.order <= cfg.max_order
-                    && core.state.n_generated() < core.max_generated;
-                let passes_gate = structurally_ok
-                    && match &self.gate {
-                        Gate::Fpe(fpe) => {
-                            let p = timer.generation(|| fpe.score_feature(&feat.column.values))?;
-                            let pass = core.fpe_gate.observe_and_pass(p, &mut gate_scratch);
-                            telemetry::count(
-                                if pass {
-                                    "fpe.gate.accept"
-                                } else {
-                                    "fpe.gate.reject"
-                                },
-                                1,
-                            );
-                            pass
-                        }
-                        Gate::RandomDrop { rate } => !gate_rng.gen_bool(*rate),
-                        Gate::None => true,
-                    };
-
-                if !passes_gate {
-                    core.counter.drop_feature();
-                    score_trace.push(core.state.current_score);
-                    continue;
-                }
-
-                let score = evaluate_candidate(core, evaluator, prefix, timer, &feat.column)?;
-                core.counter.evaluate();
-                core.state.last_reward = score - core.state.current_score;
-                if score > core.state.current_score {
-                    *prefix = None;
-                    core.state.current_score = score;
-                    core.best_score = core.best_score.max(score);
-                    core.weighted.push(WeightedFeature {
-                        name: feat.column.name.clone(),
-                        weight: core.state.last_reward,
-                    });
-                    core.state.subgroups[j].accept(feat);
-                }
-                score_trace.push(score.max(core.state.current_score));
-            }
-            let rets = {
-                let _reward_span = telemetry::span("engine.reward");
-                if self.use_lambda_returns {
-                    returns_from_scores(&score_trace, episode_start_score, &cfg.returns)
+                } else if pass {
+                    let score = evaluate(core, evaluator, timer, &candidate)?;
+                    core.state.last_reward = score - core.state.current_score;
+                    if score > core.state.current_score {
+                        accept(core, agent, candidate, score)?;
+                    }
+                    score.max(core.state.current_score)
                 } else {
-                    let gains = score_gains(&score_trace, episode_start_score);
+                    core.state.current_score
+                });
+            }
+            let returns = {
+                let _reward_span = telemetry::span("engine.reward");
+                if stage1 || self.use_lambda_returns {
+                    returns_from_scores(&scores, episode_start_score, &cfg.returns)
+                } else {
+                    let gains = score_gains(&scores, episode_start_score);
                     rewards_to_go(&gains, cfg.returns.gamma)
                 }
             };
-            let steps: Vec<(StepCache, f64)> = episode.into_iter().zip(rets).collect();
+            let steps: Vec<(StepCache, f64)> = episode.into_iter().zip(returns).collect();
             let _update_span = telemetry::span("engine.policy_update");
-            timer.generation(|| core.policies[j].update(&steps))?;
+            timer.generation(|| core.policies[agent].update(&steps))?;
         }
         core.rng = RngState::capture(&rng);
-        core.gate_rng = RngState::capture(&gate_rng);
+        core.gate_rng = RngState::capture(&streams.rng);
+        core.fpe_gate = streams.window;
 
+        if stage1 {
+            core.phase = self.stage1_or_seed(epoch + 1);
+            return Ok(());
+        }
         epoch_span.field("best_score", core.best_score);
         let improved = core
             .trace
@@ -693,11 +734,50 @@ impl Engine {
         let stopped_early = cfg
             .early_stop_patience
             .is_some_and(|patience| core.epochs_since_improvement >= patience);
-        core.phase = if stopped_early || epoch + 1 >= cfg.stage2_epochs {
+        core.phase = if stopped_early {
             SearchPhase::Done
         } else {
-            SearchPhase::Stage2 { epoch: epoch + 1 }
+            self.stage2_or_done(epoch + 1)
         };
+        Ok(())
+    }
+
+    /// The stage-1 positives the seeding slice tries, best first. The
+    /// drain is capped at one epoch's generation budget so the one-time
+    /// seeding cost stays comparable to a single training epoch.
+    fn seed_queue<C>(
+        &self,
+        n_agents: usize,
+        replay: &mut ReplayBuffer<C>,
+    ) -> impl Iterator<Item = C> {
+        let drained = replay.drain_by_priority();
+        let budget = self.config.steps_per_epoch * n_agents;
+        drained
+            .into_iter()
+            .take(budget)
+            .map(|(_, candidate)| candidate)
+    }
+
+    /// Seed stage 2: replay the promising stage-1 features against the
+    /// real downstream task (Algorithm 2 line 16).
+    fn seed<B: ColumnStore>(
+        &self,
+        core: &mut SearchCore<B, B::Candidate>,
+        evaluator: &CachedEvaluator,
+        timer: &mut PhaseTimer,
+    ) -> Result<()> {
+        for candidate in self.seed_queue(core.state.store.n_agents(), &mut core.replay) {
+            if core.state.store.n_generated() >= core.max_generated {
+                break;
+            }
+            let score = evaluate(core, evaluator, timer, &candidate)?;
+            if score > core.state.current_score {
+                core.state.last_reward = score - core.state.current_score;
+                let origin = feature_origin(&core.state.store, B::name(&candidate));
+                accept(core, origin, candidate, score)?;
+            }
+        }
+        core.phase = self.stage2_or_done(0);
         Ok(())
     }
 
@@ -705,18 +785,18 @@ impl Engine {
     /// boundary (the anytime contract), not just after completion.
     /// Returns the instrumented [`RunResult`] plus the engineered frame
     /// (original features + every accepted generated feature).
-    pub fn finish(&self, search: &SearchState) -> Result<(RunResult, DataFrame)> {
+    pub fn finish<B: ColumnStore>(&self, search: &Search<B>) -> Result<(RunResult, B::Frame)> {
         let core = &search.core;
-        let engineered = core.state.selected_frame(&core.frame)?;
+        let engineered = core.state.store.engineered()?;
         let result = RunResult {
             method: self.method_name.clone(),
-            dataset: core.frame.name.clone(),
+            dataset: core.state.store.dataset().to_string(),
             base_score: core.base_score,
             best_score: core.best_score,
             trace: core.trace.clone(),
             generated_features: core.counter.generated,
             downstream_evals: core.counter.evaluated,
-            selected: core.state.selected_names(),
+            selected: core.state.store.selected_names(),
             generation_secs: core.generation_secs,
             eval_secs: core.eval_secs,
             total_secs: core.total_secs,
@@ -725,6 +805,69 @@ impl Engine {
         };
         Ok((result, engineered))
     }
+
+    /// Blocking driver over [`Engine::step`] / [`Engine::finish`], shared
+    /// by [`Engine::run_full`] and [`Engine::run_chunked`].
+    pub(crate) fn drive<B: ColumnStore>(
+        &self,
+        open: impl FnOnce() -> Result<Search<B>>,
+    ) -> Result<(RunResult, B::Frame)> {
+        let mut run_span = telemetry::span("engine.run");
+        let mut search = open()?;
+        while !search.is_done() {
+            self.step(&mut search)?;
+        }
+        run_span.field("generated", search.features_generated() as f64);
+        run_span.field("downstream_evals", search.downstream_evals() as f64);
+        run_span.field("best_score", search.best_score());
+        self.finish(&search)
+    }
+}
+
+fn report<S, C>(core: &SearchCore<S, C>, stage: SearchStage, epoch: usize) -> EpochReport {
+    EpochReport {
+        stage,
+        epoch,
+        epochs_completed: core.slices,
+        base_score: core.base_score,
+        best_score: core.best_score,
+        best_features: core.weighted.clone(),
+        generated: core.counter.generated,
+        downstream_evals: core.counter.evaluated,
+        elapsed_secs: core.total_secs,
+        done: core.phase == SearchPhase::Done,
+    }
+}
+
+/// One counted downstream evaluation of the selection plus `candidate`.
+fn evaluate<B: ColumnStore>(
+    core: &mut SearchCore<B, B::Candidate>,
+    evaluator: &CachedEvaluator,
+    timer: &mut PhaseTimer,
+    candidate: &B::Candidate,
+) -> Result<f64> {
+    let _eval_span = telemetry::span("engine.evaluate");
+    let score = timer.evaluation(|| core.state.store.evaluate(evaluator, candidate))?;
+    core.counter.evaluate();
+    Ok(score)
+}
+
+/// Accept `candidate`, which scored `score` (above the current score),
+/// into `agent`'s subgroup; its weight is `core.state.last_reward`, the gain it
+/// delivered.
+fn accept<B: ColumnStore>(
+    core: &mut SearchCore<B, B::Candidate>,
+    agent: usize,
+    candidate: B::Candidate,
+    score: f64,
+) -> Result<()> {
+    core.state.current_score = score;
+    core.best_score = core.best_score.max(score);
+    core.weighted.push(WeightedFeature {
+        name: B::name(&candidate).to_string(),
+        weight: core.state.last_reward,
+    });
+    core.state.store.accept(agent, candidate)
 }
 
 // ---------------------------------------------------------------------------
@@ -737,7 +880,13 @@ impl Engine {
     /// identical scorer configuration (and so ship back content-addressed
     /// cache entries the coordinator's own evaluator will hit).
     pub fn evaluator(&self) -> CachedEvaluator {
-        self.make_evaluator()
+        match &self.cache {
+            Some(shared) => runtime::Evaluator::with_cache(
+                self.config.evaluator.clone(),
+                std::sync::Arc::clone(shared),
+            ),
+            None => runtime::Evaluator::new(self.config.evaluator.clone()),
+        }
     }
 
     /// FPE-score a candidate column through this engine's gate model, or
@@ -750,6 +899,42 @@ impl Engine {
             Gate::Fpe(fpe) => Ok(Some(fpe.score_feature(values)?)),
             _ => Ok(None),
         }
+    }
+
+    /// Replay the next slice's proposals on copies of the policies and
+    /// streams, without advancing the search, and collect the columns of
+    /// the candidates `keep` selects. `keep` sees each candidate with the
+    /// slice's stage and the gate streams, so it can ask
+    /// [`Engine::structurally_ok`] or [`Engine::gate`] exactly what the
+    /// real epoch will ask. There is no policy update: updates only
+    /// influence later epochs, and speculation predicts one slice ahead.
+    fn replay_proposals(
+        &self,
+        search: &SearchState,
+        mut keep: impl FnMut(&GeneratedFeature, SearchStage, &mut GateStreams) -> Result<bool>,
+    ) -> Result<Vec<Column>> {
+        let core = &search.core;
+        let cfg = &self.config;
+        let (stage, epoch) = match core.phase.slice() {
+            Some(slice) if slice.0 != SearchStage::Seed => slice,
+            _ => return Ok(Vec::new()),
+        };
+        let epoch_frac = self.epoch_frac(stage, epoch);
+        let mut rng = core.rng.to_rng();
+        let mut streams = GateStreams::of(core);
+        let mut policies = core.policies.clone();
+        let mut columns = Vec::new();
+        for (agent, policy) in policies.iter_mut().enumerate() {
+            policy.reset();
+            for step in 0..cfg.steps_per_epoch {
+                let (_, candidate) =
+                    propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)?;
+                if keep(&candidate, stage, &mut streams)? {
+                    columns.push(candidate.column);
+                }
+            }
+        }
+        Ok(columns)
     }
 
     /// Predict the candidate columns the *next* slice will FPE-score,
@@ -765,44 +950,13 @@ impl Engine {
     /// past the first acceptance may be wasted work. Mispredictions cost
     /// only compute: the signature cache is content-addressed and only
     /// short-circuits recomputation, never changes a score.
-    #[allow(clippy::needless_range_loop)] // mirrors `step_stage1`'s notation
     pub fn speculate_fpe_columns(&self, search: &SearchState) -> Result<Vec<Column>> {
-        let core = &search.core;
-        let cfg = &self.config;
         if !matches!(self.gate, Gate::Fpe(_)) {
             return Ok(Vec::new());
         }
-        let (epoch, total_epochs, stage1) = match core.phase {
-            SearchPhase::Stage1 { epoch } => (epoch, cfg.stage1_epochs.max(1), true),
-            SearchPhase::Stage2 { epoch } => (epoch, cfg.stage2_epochs.max(1), false),
-            _ => return Ok(Vec::new()),
-        };
-        let mut rng = core.rng.to_rng();
-        let mut policies = core.policies.clone();
-        let epoch_frac = epoch as f64 / total_epochs as f64;
-        let n_agents = core.state.n_agents();
-        let budget_open = core.state.n_generated() < core.max_generated;
-        let mut columns = Vec::new();
-        for j in 0..n_agents {
-            policies[j].reset();
-            for t in 0..cfg.steps_per_epoch {
-                let x = core
-                    .state
-                    .embedding(j, t, cfg.steps_per_epoch, epoch_frac, cfg.max_order);
-                let cache = policies[j].step(&x, &mut rng)?;
-                let op = Operator::from_action(cache.action);
-                let feat = generate_candidate(&core.state, j, op, &mut rng);
-                // Stage 1 scores every structurally sound candidate; stage 2
-                // additionally requires the generation budget to be open
-                // (mirrors `structurally_ok` in `step_stage2`).
-                if !feat.is_degenerate() && feat.order <= cfg.max_order && (stage1 || budget_open) {
-                    columns.push(feat.column);
-                }
-            }
-            // No policy update: updates only influence later epochs, and we
-            // predict exactly one slice ahead.
-        }
-        Ok(columns)
+        self.replay_proposals(search, |candidate, stage, _| {
+            Ok(self.structurally_ok(&search.core, candidate, stage))
+        })
     }
 
     /// Predict the candidate frames the *next* slice will send to the
@@ -817,114 +971,23 @@ impl Engine {
     /// frame, so entries past the first acceptance miss and are computed
     /// locally. The prefix of predicted evaluations up to (and including)
     /// the first acceptance is exact.
-    #[allow(clippy::needless_range_loop)] // mirrors `step_stage2`'s notation
     pub fn speculate_evals(&self, search: &SearchState) -> Result<(DataFrame, Vec<Column>)> {
         let core = &search.core;
-        let cfg = &self.config;
-        let prefix = core.state.selected_frame(&core.frame)?;
-        let mut candidates = Vec::new();
-        match core.phase {
-            SearchPhase::Seed => {
-                if core.state.n_generated() < core.max_generated {
-                    let drain_budget = cfg.steps_per_epoch * core.state.n_agents();
-                    let mut replay = core.replay.clone();
-                    for (_, feat) in replay.drain_by_priority().into_iter().take(drain_budget) {
-                        candidates.push(feat.column);
-                    }
-                }
-            }
-            SearchPhase::Stage2 { epoch } => {
-                let mut rng = core.rng.to_rng();
-                let mut gate_rng = core.gate_rng.to_rng();
-                let mut policies = core.policies.clone();
-                let mut fpe_gate = core.fpe_gate.clone();
-                let mut gate_scratch = Vec::new();
-                let epoch_frac = epoch as f64 / cfg.stage2_epochs.max(1) as f64;
-                let n_agents = core.state.n_agents();
-                let budget_open = core.state.n_generated() < core.max_generated;
-                for j in 0..n_agents {
-                    policies[j].reset();
-                    for t in 0..cfg.steps_per_epoch {
-                        let x = core.state.embedding(
-                            j,
-                            t,
-                            cfg.steps_per_epoch,
-                            epoch_frac,
-                            cfg.max_order,
-                        );
-                        let cache = policies[j].step(&x, &mut rng)?;
-                        let op = Operator::from_action(cache.action);
-                        let feat = generate_candidate(&core.state, j, op, &mut rng);
-                        let structurally_ok =
-                            !feat.is_degenerate() && feat.order <= cfg.max_order && budget_open;
-                        let passes_gate = structurally_ok
-                            && match &self.gate {
-                                Gate::Fpe(fpe) => {
-                                    let p = fpe.score_feature(&feat.column.values)?;
-                                    fpe_gate.observe_and_pass(p, &mut gate_scratch)
-                                }
-                                Gate::RandomDrop { rate } => !gate_rng.gen_bool(*rate),
-                                Gate::None => true,
-                            };
-                        if passes_gate {
-                            candidates.push(feat.column);
-                        }
-                    }
-                }
-            }
-            SearchPhase::Stage1 { .. } | SearchPhase::Done => {}
-        }
+        let store = &core.state.store;
+        let prefix = store.engineered()?;
+        let candidates = match core.phase {
+            SearchPhase::Seed if store.n_generated() < core.max_generated => self
+                .seed_queue(store.n_agents(), &mut core.replay.clone())
+                .map(|feat| feat.column)
+                .collect(),
+            SearchPhase::Stage2 { .. } => self
+                .replay_proposals(search, |candidate, stage, streams| {
+                    Ok(self.gate(core, candidate, stage, streams)?.0)
+                })?,
+            _ => Vec::new(),
+        };
         Ok((prefix, candidates))
     }
-}
-
-/// Downstream score of the selected frame extended by `candidate`. The
-/// cache is probed with the prefix key (building `prefix` from the current
-/// selection if an acceptance dropped it); the candidate frame is built
-/// only when the probe misses.
-fn evaluate_candidate(
-    core: &SearchCore,
-    evaluator: &CachedEvaluator,
-    prefix: &mut Option<FramePrefix>,
-    timer: &mut PhaseTimer,
-    candidate: &Column,
-) -> Result<f64> {
-    let prefix = match prefix {
-        Some(prefix) => prefix,
-        None => prefix.insert(FramePrefix::new(core.state.selected_frame(&core.frame)?)),
-    };
-    let _eval_span = telemetry::span("engine.evaluate");
-    timer.evaluation(|| {
-        let key = evaluator.prefix_key(prefix, candidate);
-        evaluator.evaluate_keyed(key, || Ok(prefix.with_column(candidate)?))
-    })
-}
-
-/// Generate one candidate feature for agent `j`: sample two subgroup
-/// members with replacement and apply the operator (paper Figure 3).
-fn generate_candidate(
-    state: &EngineState,
-    agent: usize,
-    op: Operator,
-    rng: &mut impl Rng,
-) -> GeneratedFeature {
-    let sub = &state.subgroups[agent];
-    let ia = sub.sample_member(rng);
-    let ib = sub.sample_member(rng);
-    let (a, ao) = sub.member(ia);
-    let (b, bo) = sub.member(ib);
-    GeneratedFeature::generate(op, a, ao, b, bo)
-}
-
-/// Which subgroup a replayed feature should join: the subgroup whose
-/// original feature name appears first in the expression (falls back to 0).
-fn feature_origin(feat: &GeneratedFeature, state: &EngineState) -> usize {
-    let expr = &feat.column.name;
-    state
-        .subgroups
-        .iter()
-        .position(|s| expr.contains(s.original.name.as_str()))
-        .unwrap_or(0)
 }
 
 /// `EafeConfig` helper shared by step tests and doctests: how many
@@ -1014,6 +1077,72 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(rng.gen::<u64>(), resumed.gen::<u64>());
         }
+    }
+
+    fn rl_state(last_reward: f64) -> RlState<EngineState> {
+        let mut frame = target_frame();
+        frame.sanitize();
+        RlState {
+            store: EngineState::new(frame),
+            current_score: 0.8,
+            last_reward,
+        }
+    }
+
+    #[test]
+    fn embedding_is_fixed_size_and_bounded() {
+        let cfg = fast_config();
+        let mut state = rl_state(5.0); // deliberately out of range → clamped
+        let e = embedding(&cfg, &state, 1, 2, 0.5);
+        assert_eq!(e.len(), EngineState::EMBEDDING_DIM);
+        assert!(e.iter().all(|v| v.is_finite() && v.abs() <= 2.0), "{e:?}");
+        assert_eq!(e[0], 1.0);
+        assert_eq!(e[2], 1.0); // clamped reward
+        assert_eq!(e[4], 0.0, "an untouched subgroup has mean order 0");
+
+        // One order-1 member beside the original: mean order 1/2.
+        let sqrt = state.store.generate(1, Operator::Sqrt, 0, 0).unwrap();
+        state.store.accept(1, sqrt).unwrap();
+        let e = embedding(&cfg, &state, 1, 2, 0.5);
+        assert!((e[4] - 0.5 / cfg.max_order as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn proposals_draw_both_members_from_the_agents_own_subgroup() {
+        let cfg = fast_config();
+        let mut state = rl_state(0.0);
+        let sqrt = state.store.generate(2, Operator::Sqrt, 0, 0).unwrap();
+        state.store.accept(2, sqrt).unwrap();
+        let own = state.store.member(2, 0).0.to_string();
+        let mut policy = RnnPolicy::new(rl::PolicyConfig {
+            state_dim: EngineState::EMBEDDING_DIM,
+            n_actions: Operator::ALL.len(),
+            ..cfg.policy
+        })
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut composed, mut fresh) = (0, 0);
+        for i in 0..100 {
+            let step = i % cfg.steps_per_epoch;
+            // An out-of-range member index would panic inside `generate`.
+            let (_, candidate) =
+                propose(&cfg, &state, &mut policy, &mut rng, 2, step, 0.0).unwrap();
+            let expr = &candidate.column.name;
+            assert!(expr.contains(&own), "{expr} is not built from {own}");
+            for other in [0, 1, 3, 4] {
+                let name = state.store.member(other, 0).0;
+                assert!(
+                    !expr.contains(name),
+                    "{expr} reaches into {name}'s subgroup"
+                );
+            }
+            match candidate.order {
+                1 => fresh += 1,
+                2 => composed += 1,
+                order => panic!("{expr}: order {order} from members of order 0 and 1"),
+            }
+        }
+        assert!(fresh > 0 && composed > 0, "both members must be reachable");
     }
 
     #[test]

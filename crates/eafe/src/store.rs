@@ -1,0 +1,96 @@
+//! The column-storage seam of the search driver.
+//!
+//! [`crate::step`] writes Algorithm 2 once, generic over a
+//! [`ColumnStore`]: the in-RAM [`crate::EngineState`] (every column a flat
+//! `Vec<f64>`) or the out-of-core [`crate::chunked::ChunkedStore`]
+//! (compressed chunks under a memory budget). The caller picks the store
+//! by the frame type it hands to [`crate::Engine::start`] or
+//! [`crate::Engine::start_chunked`]; the driver never branches on it.
+//!
+//! A store owns the column data and nothing else. It answers a small
+//! bookkeeping view — how many agents, how many members a subgroup has,
+//! a member's name and order — and carries out the six duties that
+//! genuinely differ between the two layouts:
+//!
+//! 1. **generate** a candidate from two subgroup members;
+//! 2. tell whether a candidate is **degenerate** (with its name and order);
+//! 3. **FPE-score** a candidate;
+//! 4. run one **downstream evaluation** of the selection plus a candidate,
+//!    probing the score cache before materialising anything;
+//! 5. **accept** a candidate into a subgroup;
+//! 6. hand back the **engineered frame**.
+//!
+//! Scores, policies, RNG streams, the replay buffer, counters and the
+//! phase machine are the driver's and exist once.
+
+use crate::config::CachedEvaluator;
+use crate::error::Result;
+use crate::fpe::FpeModel;
+use crate::ops::Operator;
+
+/// Column storage behind a [`crate::step::Search`]; see the module docs.
+/// Subgroup member 0 is the agent's original feature (order 0), members
+/// `1..` its accepted generated features in acceptance order.
+pub trait ColumnStore {
+    /// A generated feature that has not been accepted (yet).
+    type Candidate: Clone;
+    /// The engineered frame [`ColumnStore::engineered`] hands back.
+    type Frame;
+
+    /// Dataset name.
+    fn dataset(&self) -> &str;
+
+    /// Number of agents: one per original feature.
+    fn n_agents(&self) -> usize;
+
+    /// Members of `agent`'s subgroup (always at least the original).
+    fn members(&self, agent: usize) -> usize;
+
+    /// Expression name and transformation order of one subgroup member.
+    fn member(&self, agent: usize, idx: usize) -> (&str, usize);
+
+    /// Downstream score of the base frame, before anything is accepted.
+    fn base_score(&self, evaluator: &CachedEvaluator) -> Result<f64>;
+
+    /// Duty 1: apply `op` to members `a` and `b` of `agent`'s subgroup
+    /// (unary operators read only `a`).
+    fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<Self::Candidate>;
+
+    /// A candidate's expression name.
+    fn name(candidate: &Self::Candidate) -> &str;
+
+    /// A candidate's transformation order.
+    fn order(candidate: &Self::Candidate) -> usize;
+
+    /// Duty 2: constant or non-finite, hence useless downstream.
+    fn is_degenerate(candidate: &Self::Candidate) -> bool;
+
+    /// Duty 3: the FPE model's probability that the candidate is effective.
+    fn fpe_score(&self, fpe: &FpeModel, candidate: &Self::Candidate) -> Result<f64>;
+
+    /// Duty 4: downstream score of the current selection extended by
+    /// `candidate`. The store keeps whatever hash state makes the cache
+    /// probe cost one column, and builds the frame only when it misses.
+    fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &Self::Candidate)
+        -> Result<f64>;
+
+    /// Duty 5: add `candidate` to `agent`'s subgroup (and drop any hash
+    /// state of the old selection).
+    fn accept(&mut self, agent: usize, candidate: Self::Candidate) -> Result<()>;
+
+    /// Duty 6: original features plus every accepted one, subgroup by
+    /// subgroup.
+    fn engineered(&self) -> Result<Self::Frame>;
+
+    /// Generated features accepted so far, across subgroups.
+    fn n_generated(&self) -> usize {
+        (0..self.n_agents()).map(|j| self.members(j) - 1).sum()
+    }
+
+    /// Names of the accepted generated features, subgroup by subgroup.
+    fn selected_names(&self) -> Vec<String> {
+        (0..self.n_agents())
+            .flat_map(|j| (1..self.members(j)).map(move |i| self.member(j, i).0.to_string()))
+            .collect()
+    }
+}

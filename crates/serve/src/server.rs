@@ -99,7 +99,9 @@ struct JobCheckpoint {
     frame: Option<DataFrame>,
 }
 
-const CHECKPOINT_VERSION: u32 = 1;
+/// 2: `eafe::SearchState` keeps the column store and the scores under
+/// `state`.
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Cumulative figures from a job's most recent slice, kept for the
 /// `/status` page and for per-slice counter deltas.

@@ -384,6 +384,53 @@ fn status_endpoint_reports_jobs_metrics_and_cache() {
 }
 
 #[test]
+fn checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
+    use serde::Value;
+
+    let dir = scratch_dir("truncated-policies");
+    let config = ServerConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let mut server = JobServer::new(config.clone()).unwrap();
+    let job = server
+        .submit("acme", &frame(), long_engine(), Budget::epochs(6))
+        .unwrap();
+    // A started job: the checkpoint carries a search state, not a frame.
+    assert!(matches!(job.next_event(), Some(JobEvent::Epoch(_))));
+    server.pause();
+    assert_eq!(server.shutdown().unwrap(), 1);
+
+    // Drop the last agent's policy from the real checkpoint's JSON.
+    let path = dir.join(format!("{}.json", job.id()));
+    let mut cp = serde_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Map(entries) => entries
+                .iter_mut()
+                .find_map(|(k, v)| (k == key).then_some(v))
+                .unwrap_or_else(|| panic!("checkpoint has no `{key}`")),
+            other => panic!("expected a map around `{key}`, found {other:?}"),
+        }
+    }
+    match entry(entry(&mut cp, "state"), "policies") {
+        Value::Array(policies) => {
+            assert_eq!(policies.len(), frame().n_cols());
+            policies.pop();
+        }
+        other => panic!("policies is not an array: {other:?}"),
+    }
+    std::fs::write(&path, serde_json::to_string(&cp).unwrap()).unwrap();
+
+    match JobServer::resume(config) {
+        Err(ServeError::Corrupt(msg)) => assert!(msg.contains("policies"), "{msg}"),
+        Err(other) => panic!("expected ServeError::Corrupt, got {other}"),
+        Ok(_) => panic!("a truncated checkpoint must not be re-admitted"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_without_a_checkpoint_dir_is_an_error() {
     assert!(matches!(
         JobServer::resume(ServerConfig::default()),

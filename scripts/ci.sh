@@ -137,4 +137,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p e-afe -p telemetry -p runtime -p tabular -p learners \
     -p minhash -p rl -p eafe -p eafe-stats -p serve -p bench -p simd -p dist
 
+echo "==> first-party line counts (information only; scripts/loc.sh)"
+scripts/loc.sh
+
 echo "CI gate passed."

@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# First-party Rust line counts per crate, so simplification PRs (ROADMAP
+# aim 2) are sized by one counter. A file under src/ counts as non-test
+# up to its first `#[cfg(test)]` line and as test from there on; files
+# under tests/, benches/ and examples/ count as test. Blank lines and
+# comments are lines. vendor/ and target/ are not first-party.
+#
+#   scripts/loc.sh [repo-root]      # default: this checkout
+set -euo pipefail
+root="${1:-$(dirname "$0")/..}"
+cd "$root"
+
+count() { # <crate name> <crate dir>
+    local dirs=()
+    for d in src tests benches examples; do
+        if [[ -d "$2/$d" ]]; then dirs+=("$2/$d"); fi
+    done
+    find "${dirs[@]}" -name '*.rs' | sort | xargs -r awk -v crate="$1" -v src="$2/src/" '
+        FNR == 1 { in_test = (index(FILENAME, src) != 1) }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        { if (in_test) test++; else code++ }
+        END { printf "%-12s %8d %8d %8d\n", crate, code, test, code + test }'
+}
+
+printf "%-12s %8s %8s %8s\n" crate non-test test total
+{
+    for dir in crates/*/; do
+        count "$(basename "$dir")" "${dir%/}"
+    done
+    count e-afe .
+    count benchmark benchmark
+} | awk '{ print; code += $2; test += $3 }
+    END { printf "%-12s %8d %8d %8d\n", "total", code, test, code + test }'

@@ -12,7 +12,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use eafe::{bootstrap_fpe, EafeConfig, Engine, FpeSearchSpace, RunResult};
+use eafe::{
+    bootstrap_fpe, EafeConfig, Engine, FpeSearchSpace, RunResult, SearchPhase, SearchState,
+};
 use minhash::HashFamily;
 use runtime::ScoreCache;
 use tabular::{DataFrame, SynthSpec, Task};
@@ -129,6 +131,89 @@ fn fpe_gated_engine_identical_with_warm_signature_cache() {
     assert!(
         after.hits > before.hits,
         "warm re-run should actually exercise the signature cache"
+    );
+}
+
+#[test]
+fn speculation_predicts_the_next_slice_exactly() {
+    // Caches only short-circuit, so "warming does no harm" holds even for
+    // a speculation that predicts nothing. This pins the stronger claim:
+    // (1) a stage-1 slice FPE-scores exactly the speculated columns —
+    // after warming them, the slice misses the signature cache zero times;
+    // (2) with an FPE gate in stage 2, the first speculated evaluation is
+    // one the slice performs — pre-inserting that single score turns
+    // exactly one of the slice's misses into a hit.
+    let fpe = fpe();
+    let _quiet = FOREIGN_SKETCHES.lock().unwrap_or_else(|e| e.into_inner());
+    // Everything an unlocked test can sketch is warm after this run, so
+    // only this test can add signature-cache misses below.
+    Engine::e_afe(fast_config(), fpe.clone())
+        .run(&frame())
+        .unwrap();
+    let foreign = SynthSpec::new("spec-exact", 180, 5, Task::Classification)
+        .with_seed(97)
+        .generate()
+        .unwrap();
+    let engine = Engine::e_afe(fast_config(), fpe);
+    let mut search = engine.start(&foreign).unwrap();
+
+    assert!(matches!(search.phase(), SearchPhase::Stage1 { epoch: 0 }));
+    let columns = engine.speculate_fpe_columns(&search).unwrap();
+    assert!(!columns.is_empty());
+    let cold = runtime::sig_cache_stats();
+    for column in &columns {
+        engine.fpe_score(&column.values).unwrap();
+    }
+    let warmed = runtime::sig_cache_stats();
+    assert!(
+        warmed.since(&cold).misses > 0,
+        "foreign columns must not have been cached before warming"
+    );
+    engine.step(&mut search).unwrap();
+    let stepped = runtime::sig_cache_stats().since(&warmed);
+    assert_eq!(
+        stepped.misses, 0,
+        "stage-1 slice sketched a column speculation did not predict"
+    );
+    assert!(stepped.hits >= columns.len() as u64);
+
+    // One slice of a restored copy of `search` on a private score cache,
+    // optionally pre-loaded with the first speculated evaluation.
+    let slice_stats = |checkpoint: &str, warm_first: bool| {
+        let cache = Arc::new(ScoreCache::new(4096));
+        let engine = engine.clone().with_cache(Arc::clone(&cache));
+        let mut copy: SearchState = serde_json::from_str(checkpoint).unwrap();
+        let (prefix, candidates) = engine.speculate_evals(&copy).unwrap();
+        let first = candidates.first()?;
+        if warm_first {
+            let speculative = prefix
+                .with_extra_columns(std::slice::from_ref(first))
+                .unwrap();
+            engine.evaluator().evaluate(&speculative).unwrap();
+        }
+        let before = cache.stats();
+        engine.step(&mut copy).unwrap();
+        Some(cache.stats().since(&before))
+    };
+    let mut checked = 0;
+    while !search.is_done() {
+        if matches!(search.phase(), SearchPhase::Stage2 { .. }) {
+            let checkpoint = serde_json::to_string(&search).unwrap();
+            if let Some(cold) = slice_stats(&checkpoint, false) {
+                let warm = slice_stats(&checkpoint, true).unwrap();
+                assert_eq!(
+                    (warm.hits, warm.misses + 1),
+                    (cold.hits + 1, cold.misses),
+                    "the first speculated evaluation must be one the slice performs"
+                );
+                checked += 1;
+            }
+        }
+        engine.step(&mut search).unwrap();
+    }
+    assert!(
+        checked > 0,
+        "no stage-2 slice had a gated candidate to check"
     );
 }
 
