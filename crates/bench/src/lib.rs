@@ -1,6 +1,10 @@
-//! Shared harness for the per-table / per-figure benchmark binaries.
+//! Shared harness for the paper's reproduction: thirteen table, figure
+//! and ablation binaries on one flag parser ([`CommonArgs`]) and one
+//! `{header, data, telemetry}` artifact envelope, plus `trace_tool`
+//! ([`trace`]). Performance is measured elsewhere — `benchmark/`
+//! (`perf_e2e`) is the repo's one bench surface.
 //!
-//! Every binary accepts the same flags:
+//! Every table/figure binary accepts the same flags:
 //!
 //! ```text
 //! --scale <f>        sample-count scale factor in (0,1]      (default 0.05)
@@ -13,7 +17,6 @@
 //! --seed <n>         master seed                             (default 0xEAFE)
 //! --out <dir>        artifact directory                      (default bench_results)
 //! --threads <n>      worker-thread ceiling, 0 = all cores    (default 0)
-//! --split-method <m> forest split finding: exact|hist        (default hist)
 //! --no-cache         disable score-cache sharing across runs
 //! --quiet            suppress per-dataset/per-epoch progress lines
 //! --metrics          print the end-of-run telemetry summary
@@ -34,7 +37,7 @@
 #![warn(missing_docs)]
 
 use eafe::{bootstrap_fpe, EafeConfig, FpeModel, FpeSearchSpace};
-use learners::{Evaluator, SplitMethod};
+use learners::Evaluator;
 use minhash::HashFamily;
 use runtime::ScoreCache;
 use serde::Serialize;
@@ -65,9 +68,6 @@ pub struct CommonArgs {
     pub out: PathBuf,
     /// Worker-thread ceiling (0 = the machine's available parallelism).
     pub threads: usize,
-    /// Forest split finding for every downstream evaluation
-    /// (`--split-method exact|hist`).
-    pub split_method: SplitMethod,
     /// Score cache shared by every run this binary launches (`None` when
     /// `--no-cache` disables sharing for A/B wall-clock comparisons).
     pub cache: Option<Arc<ScoreCache<f64>>>,
@@ -100,7 +100,6 @@ impl Default for CommonArgs {
             seed: 0xE_AFE,
             out: PathBuf::from("bench_results"),
             threads: 0,
-            split_method: SplitMethod::Histogram,
             cache: Some(Arc::new(ScoreCache::new(
                 runtime::evaluator::DEFAULT_CACHE_CAPACITY,
             ))),
@@ -144,13 +143,6 @@ impl CommonArgs {
                 "--seed" => args.seed = value("--seed").parse().expect("int seed"),
                 "--out" => args.out = PathBuf::from(value("--out")),
                 "--threads" => args.threads = value("--threads").parse().expect("int threads"),
-                "--split-method" => {
-                    args.split_method = match value("--split-method").as_str() {
-                        "exact" => SplitMethod::Exact,
-                        "hist" | "histogram" => SplitMethod::Histogram,
-                        other => panic!("--split-method must be exact|hist, got {other}"),
-                    }
-                }
                 "--no-cache" => args.cache = None,
                 "--quiet" => args.quiet = true,
                 "--metrics" => args.metrics = true,
@@ -159,8 +151,7 @@ impl CommonArgs {
                     eprintln!(
                         "flags: --scale f --datasets list|all|motivation --epochs1 n \
                          --epochs2 n --steps n --max-features n --seed n --out dir \
-                         --threads n --split-method exact|hist --no-cache --quiet \
-                         --metrics --trace-out path"
+                         --threads n --no-cache --quiet --metrics --trace-out path"
                     );
                     std::process::exit(0);
                 }
@@ -179,9 +170,8 @@ impl CommonArgs {
     /// Install the telemetry sink when `--metrics` or `--trace-out` asked
     /// for it: an in-memory collector (for the end-of-run summary and the
     /// artifact `telemetry` block), fanned out to a JSON-lines file when
-    /// `--trace-out` names one. Public so bins with bespoke flag parsers
-    /// (`perf_forest`, `perf_minhash`) can opt in after setting the fields.
-    pub fn install_telemetry(&mut self) {
+    /// `--trace-out` names one.
+    fn install_telemetry(&mut self) {
         if !self.metrics && self.trace_out.is_none() {
             return;
         }
@@ -234,8 +224,7 @@ impl CommonArgs {
         cfg
     }
 
-    /// The shared downstream evaluator (5-fold RF CV, small fast forests,
-    /// split finding per `--split-method`).
+    /// The shared downstream evaluator (5-fold RF CV, small fast forests).
     pub fn evaluator(&self) -> Evaluator {
         let mut e = Evaluator {
             folds: 5,
@@ -244,7 +233,6 @@ impl CommonArgs {
         };
         e.forest.n_trees = 10;
         e.forest.tree.max_depth = 8;
-        e.forest.tree.split = self.split_method;
         e
     }
 
@@ -627,7 +615,7 @@ pub fn print_header(what: &str, args: &CommonArgs) {
     println!("== {what} ==");
     println!(
         "settings: scale={} epochs={}+{} steps={} max_features={} seed={:#x} threads={} \
-         split={} cache={}",
+         cache={}",
         args.scale,
         args.epochs1,
         args.epochs2,
@@ -635,10 +623,6 @@ pub fn print_header(what: &str, args: &CommonArgs) {
         args.max_features,
         args.seed,
         runtime::global_threads(),
-        match args.split_method {
-            SplitMethod::Exact => "exact",
-            SplitMethod::Histogram => "hist",
-        },
         if args.cache.is_some() {
             "shared"
         } else {
@@ -649,41 +633,6 @@ pub fn print_header(what: &str, args: &CommonArgs) {
         "note: synthetic same-shape stand-ins for the paper's datasets; \
          sample counts scaled by the factor above (see DESIGN.md §2)\n"
     );
-}
-
-/// Re-exec the current bench binary with `args` and return its stdout.
-///
-/// On child failure the child's stderr is relayed and this process exits
-/// with the child's own exit code (1 when it died to a signal) — a dead
-/// child must fail the whole bench run with a propagated status, never
-/// let the parent report partial results or panic into a misleading 101.
-pub fn run_self_child(args: &[String], what: &str) -> String {
-    let exe = std::env::current_exe().expect("current_exe");
-    let output = std::process::Command::new(exe)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| {
-            eprintln!("failed to spawn child {what}: {e}");
-            std::process::exit(1);
-        });
-    if !output.status.success() {
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        eprintln!("child {what} failed: {}", output.status);
-        std::process::exit(output.status.code().unwrap_or(1));
-    }
-    String::from_utf8_lossy(&output.stdout).into_owned()
-}
-
-/// Extract the `RESULT {json}` line a self-exec'd child printed, exiting
-/// nonzero (not panicking) when the child produced none.
-pub fn child_result_line<'a>(stdout: &'a str, what: &str) -> &'a str {
-    stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("RESULT "))
-        .unwrap_or_else(|| {
-            eprintln!("child {what} printed no RESULT line:\n{stdout}");
-            std::process::exit(1);
-        })
 }
 
 #[cfg(test)]

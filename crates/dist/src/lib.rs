@@ -57,9 +57,8 @@
 //!
 //! Protocol activity is observable through `runtime::global_dist_stats()`
 //! (surfaced on the serve `/status` and `/metrics` pages) and the
-//! `dist.*` telemetry counters/histograms (surfaced by `--metrics` in the
-//! bench bins). See DESIGN.md §15 for the frame format and the
-//! idempotency argument.
+//! `dist.*` telemetry counters/histograms. See DESIGN.md §15 for the
+//! frame format and the idempotency argument.
 
 pub mod coordinator;
 pub mod protocol;

@@ -4,7 +4,7 @@
 //! MinHash output dimension 48 with CCWS, 200 training epochs per stage.
 
 use crate::error::{EafeError, Result};
-use learners::{Evaluator, ModelKind, SplitMethod};
+use learners::{Evaluator, ModelKind};
 use minhash::HashFamily;
 use rl::{PolicyConfig, ReturnConfig};
 use serde::{Deserialize, Serialize};
@@ -93,14 +93,6 @@ impl EafeConfig {
     /// (private) runtime score cache.
     pub fn cached_evaluator(&self) -> CachedEvaluator {
         runtime::Evaluator::new(self.evaluator.clone())
-    }
-
-    /// Select the forest split-finding path (`Exact` reference scan or
-    /// `Histogram` binned training) for every downstream evaluation this
-    /// engine runs.
-    pub fn with_split_method(mut self, split: SplitMethod) -> Self {
-        self.evaluator.forest.tree.split = split;
-        self
     }
 
     /// Validate parameter domains.

@@ -28,7 +28,6 @@ use crate::error::{LearnError, Result};
 use runtime::{fingerprint_values, Hasher128, ScoreCache, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-use tabular::{ChunkEncoding, ChunkedFrame};
 
 /// How a tree enumerates candidate splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,88 +100,6 @@ impl BinnedColumn {
         BinnedColumn { codes, thresholds }
     }
 
-    /// Quantile-bin a column given as compressed chunks, bit-identical to
-    /// [`build`](Self::build) on the concatenated values.
-    ///
-    /// When every chunk is dictionary-coded and the merged distinct-value
-    /// set fits the bin budget (the common case for the codes the PR-3
-    /// scheme targets), thresholds come straight from the dictionaries and
-    /// per-row codes are produced by remapping chunk dictionary codes
-    /// through a per-chunk table — **no chunk is decoded to `f64`**. The
-    /// remap is embarrassingly chunk-parallel; chunks fan out across the
-    /// worker pool and are concatenated in chunk-index order, so output is
-    /// identical at any thread count. High-cardinality columns fall back
-    /// to decoding into pooled scratch and deferring to the flat builder.
-    pub fn build_chunked(chunks: &[Arc<ChunkEncoding>], max_bins: usize) -> BinnedColumn {
-        debug_assert!((2..=MAX_BINS_LIMIT).contains(&max_bins));
-        let n_rows: usize = chunks.iter().map(|c| c.len()).sum();
-        if chunks.iter().all(|c| c.dict().is_some()) {
-            // Merge the exact distinct-value sets (total_cmp-sorted, bit
-            // deduped) — this *is* the sorted distinct scan of the flat
-            // builder, computed without touching per-row data.
-            let mut merged: Vec<f64> = chunks
-                .iter()
-                .flat_map(|c| c.dict().expect("checked dict").iter().copied())
-                .collect();
-            merged.sort_by(f64::total_cmp);
-            merged.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            // Distinct count with the flat builder's comparison (strict
-            // `>`, so -0.0/0.0 merge and NaNs never count).
-            let mut distinct = usize::from(!merged.is_empty());
-            for i in 1..merged.len() {
-                if merged[i] > merged[i - 1] {
-                    distinct += 1;
-                }
-            }
-            if distinct <= max_bins {
-                telemetry::count("binned.chunked_fastpath", 1);
-                let mut thresholds = Vec::new();
-                for i in 1..merged.len() {
-                    if merged[i] > merged[i - 1] {
-                        thresholds.push(midpoint(merged[i - 1], merged[i]));
-                    }
-                }
-                let n_bins = thresholds.len() + 1;
-                let codes = if n_bins <= 256 {
-                    BinCodes::U8(remap_chunks(chunks, &thresholds, n_rows, |bin| bin as u8))
-                } else {
-                    BinCodes::U16(remap_chunks(chunks, &thresholds, n_rows, |bin| bin as u16))
-                };
-                return BinnedColumn { codes, thresholds };
-            }
-        }
-        // Decode fallback: same thresholds and codes as the flat builder,
-        // but through a single n-sized pooled buffer — decode once, sort
-        // that buffer *in place* for the thresholds, then produce codes by
-        // a second scan over the (still encoded) chunks. The flat builder
-        // holds the input and a sorted copy simultaneously; out-of-core
-        // columns only ever hold one.
-        telemetry::count("binned.chunked_decode_fallback", 1);
-        let mut sorted = runtime::scratch_f64_with_capacity(n_rows);
-        for c in chunks {
-            c.fold_values((), |(), v| sorted.push(v));
-        }
-        sorted.sort_by(f64::total_cmp);
-        let thresholds = thresholds_from_sorted(&sorted, max_bins);
-        drop(sorted);
-        let n_bins = thresholds.len() + 1;
-        let encode = |v: f64| thresholds.partition_point(|&t| t < v);
-        let codes = if n_bins <= 256 {
-            let mut c8 = Vec::with_capacity(n_rows);
-            for c in chunks {
-                c.fold_values((), |(), v| c8.push(encode(v) as u8));
-            }
-            BinCodes::U8(c8)
-        } else {
-            let mut c16 = Vec::with_capacity(n_rows);
-            for c in chunks {
-                c.fold_values((), |(), v| c16.push(encode(v) as u16));
-            }
-            BinCodes::U16(c16)
-        };
-        BinnedColumn { codes, thresholds }
-    }
-
     /// Number of bins (≥ 1; a constant column has exactly one).
     pub fn n_bins(&self) -> usize {
         self.thresholds.len() + 1
@@ -203,8 +120,7 @@ impl BinnedColumn {
 /// Bin boundaries from a `total_cmp`-sorted value slice: one bin per
 /// distinct value when they fit the budget, else quantile cuts at ranks
 /// `b·n/max_bins` (cuts inside a run of equal values are dropped rather
-/// than duplicated, so heavy duplicates don't waste boundaries). Shared
-/// by the flat and chunked builders so their thresholds cannot drift.
+/// than duplicated, so heavy duplicates don't waste boundaries).
 fn thresholds_from_sorted(sorted: &[f64], max_bins: usize) -> Vec<f64> {
     let n = sorted.len();
     let mut distinct = usize::from(n > 0);
@@ -239,49 +155,6 @@ fn thresholds_from_sorted(sorted: &[f64], max_bins: usize) -> Vec<f64> {
 
 fn midpoint(a: f64, b: f64) -> f64 {
     a + (b - a) / 2.0
-}
-
-/// Remap every chunk's dictionary codes to global bin codes without
-/// decoding: one `O(dict)` `partition_point` table per chunk, then an
-/// `O(rows)` table lookup. Fans chunks out across the worker pool when the
-/// column is large; results merge in chunk-index order
-/// (`WorkerPool::map` returns submission order), so N-thread ≡ 1-thread.
-fn remap_chunks<C: Copy + Send>(
-    chunks: &[Arc<ChunkEncoding>],
-    thresholds: &[f64],
-    n_rows: usize,
-    to_code: impl Fn(usize) -> C + Copy + Sync,
-) -> Vec<C> {
-    let one = |c: &ChunkEncoding| -> Vec<C> {
-        let dict = c.dict().expect("fast path requires dictionaries");
-        let remap: Vec<C> = dict
-            .iter()
-            .map(|&v| to_code(thresholds.partition_point(|&t| t < v)))
-            .collect();
-        match c {
-            ChunkEncoding::Dict8 { codes, .. } => {
-                codes.iter().map(|&x| remap[x as usize]).collect()
-            }
-            ChunkEncoding::Dict16 { codes, .. } => {
-                codes.iter().map(|&x| remap[x as usize]).collect()
-            }
-            ChunkEncoding::F64(_) => unreachable!("fast path requires dictionaries"),
-        }
-    };
-    if hist_batch_parallel(chunks.len(), n_rows / chunks.len().max(1)) {
-        let parts = WorkerPool::new().map(chunks.to_vec(), move |_ctx, c| one(&c));
-        let mut out = Vec::with_capacity(n_rows);
-        for p in parts {
-            out.extend_from_slice(&p);
-        }
-        out
-    } else {
-        let mut out = Vec::with_capacity(n_rows);
-        for c in chunks {
-            out.extend_from_slice(&one(c));
-        }
-        out
-    }
 }
 
 /// A whole feature matrix quantised column by column. Columns are
@@ -357,35 +230,6 @@ impl BinnedDataset {
         telemetry::count("binned.columns_reused", reused);
         telemetry::count("binned.columns_built", built);
         Ok(BinnedDataset { columns, n_rows })
-    }
-
-    /// Bin every column of a chunked frame via
-    /// [`BinnedColumn::build_chunked`] — codes feed the existing
-    /// (feature-parallel) accumulators directly, without materializing the
-    /// frame as `f64`. Bit-identical to binning the materialized frame.
-    pub fn from_chunked(frame: &ChunkedFrame, max_bins: usize) -> Result<BinnedDataset> {
-        if !(2..=MAX_BINS_LIMIT).contains(&max_bins) {
-            return Err(LearnError::InvalidParam(format!(
-                "max_bins must be in 2..={MAX_BINS_LIMIT}, got {max_bins}"
-            )));
-        }
-        if frame.n_cols() == 0 || frame.n_rows() == 0 {
-            return Err(LearnError::EmptyTrainingSet(
-                "chunked binned dataset".into(),
-            ));
-        }
-        let mut columns = Vec::with_capacity(frame.n_cols());
-        for (i, col) in frame.columns().iter().enumerate() {
-            let chunks: Vec<Arc<ChunkEncoding>> = (0..col.n_chunks())
-                .map(|k| frame.chunk(i, k))
-                .collect::<tabular::Result<_>>()
-                .map_err(|e| LearnError::InvalidParam(format!("chunked frame: {e}")))?;
-            columns.push(Arc::new(BinnedColumn::build_chunked(&chunks, max_bins)));
-        }
-        Ok(BinnedDataset {
-            columns,
-            n_rows: frame.n_rows(),
-        })
     }
 
     /// Number of rows every column covers.
@@ -862,87 +706,5 @@ mod tests {
         assert!(BinnedDataset::build(&[vec![1.0], vec![1.0, 2.0]], 256).is_err());
         assert!(BinnedDataset::build(&[vec![1.0]], 1).is_err());
         assert!(BinnedDataset::build(&[vec![1.0]], MAX_BINS_LIMIT + 1).is_err());
-    }
-
-    fn encode_in_chunks(values: &[f64], chunk_rows: usize) -> Vec<Arc<ChunkEncoding>> {
-        values
-            .chunks(chunk_rows)
-            .map(|c| Arc::new(ChunkEncoding::encode(c)))
-            .collect()
-    }
-
-    fn assert_chunked_matches_flat(values: &[f64], chunk_rows: usize, max_bins: usize) {
-        let flat = BinnedColumn::build(values, max_bins);
-        let chunks = encode_in_chunks(values, chunk_rows);
-        let chunked = BinnedColumn::build_chunked(&chunks, max_bins);
-        assert_eq!(flat.n_bins(), chunked.n_bins(), "bin counts must match");
-        for b in 0..flat.n_bins().saturating_sub(1) {
-            assert_eq!(
-                flat.threshold(b).to_bits(),
-                chunked.threshold(b).to_bits(),
-                "threshold {b} must be bit-identical"
-            );
-        }
-        assert_eq!(
-            codes_of(&flat, values.len()),
-            codes_of(&chunked, values.len()),
-            "codes must be identical"
-        );
-    }
-
-    #[test]
-    fn chunked_build_matches_flat_on_dict_fast_path() {
-        // Few distinct values per chunk -> every chunk is dictionary-encoded
-        // and the merged-dict fast path runs end to end.
-        let values: Vec<f64> = (0..700).map(|i| ((i * 13) % 29) as f64).collect();
-        assert_chunked_matches_flat(&values, 128, 64);
-        // Including negative zero and repeated extremes.
-        let weird: Vec<f64> = (0..300)
-            .map(|i| match i % 5 {
-                0 => -0.0,
-                1 => 0.0,
-                2 => f64::MAX,
-                3 => -3.25,
-                _ => (i % 7) as f64,
-            })
-            .collect();
-        assert_chunked_matches_flat(&weird, 64, 16);
-    }
-
-    #[test]
-    fn chunked_build_matches_flat_on_decode_fallback() {
-        // Nearly-unique values force the F64 chunk encoding, exercising the
-        // decode-and-flat-build fallback.
-        let values: Vec<f64> = (0..600).map(|i| (i as f64 * 1.37).sin() * 1e3).collect();
-        assert_chunked_matches_flat(&values, 128, 255);
-        // And when distinct count exceeds the bin budget even with dict
-        // chunks, the fallback must quantile-bin identically.
-        let coarse: Vec<f64> = (0..900).map(|i| ((i * 31) % 511) as f64).collect();
-        assert_chunked_matches_flat(&coarse, 256, 32);
-    }
-
-    #[test]
-    fn chunked_dataset_matches_flat_dataset() {
-        let a: Vec<f64> = (0..500).map(|i| ((i * 17) % 23) as f64).collect();
-        let b: Vec<f64> = (0..500).map(|i| (i as f64 * 0.91).cos()).collect();
-        let df = tabular::DataFrame::new(
-            "chunk-parity",
-            vec![
-                tabular::Column::new("a", a.clone()),
-                tabular::Column::new("b", b.clone()),
-            ],
-            tabular::Label::Reg((0..500).map(|i| i as f64).collect()),
-        )
-        .unwrap();
-        let opts = tabular::ChunkOptions::default().with_chunk_rows(128);
-        let cf = ChunkedFrame::from_dataframe(&df, opts, Box::new(tabular::InMemoryStore::new()))
-            .unwrap();
-        let flat = BinnedDataset::build(&[a, b], 64).unwrap();
-        let chunked = BinnedDataset::from_chunked(&cf, 64).unwrap();
-        assert_eq!(flat.n_rows(), chunked.n_rows());
-        for f in 0..2 {
-            assert_eq!(flat.column(f), chunked.column(f), "column {f}");
-        }
-        assert!(BinnedDataset::from_chunked(&cf, 1).is_err());
     }
 }

@@ -66,15 +66,6 @@ pub struct Evaluator {
     pub gp: GpConfig,
     /// MLP configuration.
     pub mlp: MlpConfig,
-    /// Synthetic per-evaluation latency in microseconds, slept at the top
-    /// of [`Evaluator::evaluate`] (0 = off, the default). A benchmarking
-    /// knob: it models a downstream evaluator whose cost is dominated by
-    /// latency rather than local CPU (a remote scoring service, or CV on
-    /// datasets far larger than a CI box can hold), which is what the
-    /// distributed search layer overlaps across workers. Part of the
-    /// config digest like every other field, so delayed and undelayed
-    /// evaluations never share cache entries.
-    pub synthetic_delay_us: u64,
 }
 
 impl Default for Evaluator {
@@ -87,7 +78,6 @@ impl Default for Evaluator {
             linear: LinearConfig::default(),
             gp: GpConfig::default(),
             mlp: MlpConfig::default(),
-            synthetic_delay_us: 0,
         }
     }
 }
@@ -115,9 +105,6 @@ impl Evaluator {
             return Err(LearnError::EmptyTrainingSet(
                 "no feature columns to evaluate".into(),
             ));
-        }
-        if self.synthetic_delay_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.synthetic_delay_us));
         }
         let splits = cv_indices(frame.label(), self.folds, self.seed)?;
         let n_folds = splits.len();

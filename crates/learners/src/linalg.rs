@@ -6,7 +6,7 @@
 //! row slices (one bounds check per row, contiguous inner loops) instead
 //! of per-element [`SquareMatrix::get`]/[`SquareMatrix::set`] calls. The
 //! per-element path is kept as [`SquareMatrix::cholesky_ref`], the scalar
-//! testing reference the parity suite and `perf_nn` compare against.
+//! testing reference the parity suite compares against.
 //!
 //! Every inner-product accumulation here — the Cholesky row updates, the
 //! forward substitution, and the free [`dot`]/[`sq_dist`] helpers — runs
@@ -115,8 +115,8 @@ impl SquareMatrix {
 
     /// Per-element `get` Cholesky — the testing reference for
     /// [`SquareMatrix::cholesky`] (no row slicing, no dispatch). Kept for
-    /// the parity suite and the `perf_nn` benchmark; production paths use
-    /// the row-slice factorisation. Operands are gathered element by
+    /// the parity suite; production paths use the row-slice
+    /// factorisation. Operands are gathered element by
     /// element, then reduced through the *portable* tier of the pinned
     /// tree ([`simd::dot_portable`]), so this stays bit-identical to the
     /// fast path whichever ISA tier the fast path dispatches to.

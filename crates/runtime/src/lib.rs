@@ -6,10 +6,9 @@
 //! execution substrate every evaluation-heavy path submits work through:
 //!
 //! 1. **[`pool`]** — a work-stealing thread pool with bounded per-worker
-//!    queues, per-task deadlines, and cooperative cancellation. Results
-//!    are returned in submission order and per-task seeds depend only on
-//!    the task index, so parallel runs reproduce single-threaded results
-//!    bit-for-bit.
+//!    queues. Results are returned in submission order and per-task seeds
+//!    depend only on the task index, so parallel runs reproduce
+//!    single-threaded results bit-for-bit.
 //! 2. **[`cache`]** — a concurrent, content-addressed evaluation cache
 //!    mapping a 128-bit [`fingerprint`] of the evaluation inputs to cached
 //!    CV scores, with a capacity bound and per-shard hit/miss/insert/evict

@@ -1,5 +1,4 @@
-//! Work-stealing thread pool with bounded queues, per-task deadlines,
-//! and cooperative cancellation.
+//! Work-stealing thread pool with bounded queues.
 //!
 //! Design constraints, in priority order:
 //!
@@ -17,22 +16,19 @@
 //! 3. **Bounded memory** — items are distributed into per-worker deques
 //!    with a capacity bound; overflow is executed inline by the caller
 //!    (backpressure) instead of queueing without limit.
-//!
-//! Cancellation and deadlines are *cooperative*: `map` always produces
-//! one output per item, and tasks observe [`TaskCtx::should_stop`] to
-//! short-circuit their own work (returning a cheap/partial output). This
-//! keeps the result shape independent of timing, which the determinism
-//! guarantee requires.
 
 use crate::seed::derive_seed;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Stream tag for task seeds (see [`derive_seed`]).
 const STREAM_TASK: u64 = 0x7461_736b; // "task"
+
+/// Bound on each worker's queue; overflow runs inline on the caller.
+const QUEUE_CAPACITY: usize = 4096;
 
 /// Maximum worker threads per process; 0 = not yet initialised.
 static GLOBAL_MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -143,7 +139,8 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Request cancellation; tasks observe it via [`TaskCtx::should_stop`].
+    /// Request cancellation; holders of a clone observe it via
+    /// [`CancelToken::is_cancelled`].
     pub fn cancel(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
@@ -160,24 +157,6 @@ pub struct TaskCtx {
     pub index: usize,
     /// Deterministic task seed: a pure function of (pool seed, index).
     pub seed: u64,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-}
-
-impl TaskCtx {
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
-    }
-
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// True when the task should short-circuit (cancelled or past its
-    /// deadline). Long-running tasks are expected to poll this.
-    pub fn should_stop(&self) -> bool {
-        self.is_cancelled() || self.deadline_exceeded()
-    }
 }
 
 /// A configured handle for running order-preserving parallel maps.
@@ -186,25 +165,11 @@ impl TaskCtx {
 /// holding a `WorkerPool` costs nothing between calls.
 ///
 /// [`map`]: WorkerPool::map
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkerPool {
+    /// `0` defers to the global ceiling.
     max_threads: usize,
-    queue_capacity: usize,
-    deadline: Option<Duration>,
-    cancel: CancelToken,
     root_seed: u64,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool {
-            max_threads: 0, // defer to the global ceiling
-            queue_capacity: 4096,
-            deadline: None,
-            cancel: CancelToken::new(),
-            root_seed: 0,
-        }
-    }
 }
 
 impl WorkerPool {
@@ -218,41 +183,16 @@ impl WorkerPool {
         self
     }
 
-    /// Bound each worker's queue; overflow runs inline on the caller.
-    pub fn with_queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap.max(1);
-        self
-    }
-
-    /// Give every task of every subsequent `map` this much wall-clock
-    /// time before `ctx.should_stop()` turns true.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attach an external cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
     /// Root seed from which per-task seeds are derived.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.root_seed = seed;
         self
     }
 
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    fn task_ctx(&self, index: usize, deadline: Option<Instant>) -> TaskCtx {
+    fn task_ctx(&self, index: usize) -> TaskCtx {
         TaskCtx {
             index,
             seed: derive_seed(self.root_seed, STREAM_TASK, index as u64),
-            cancel: self.cancel.clone(),
-            deadline,
         }
     }
 
@@ -268,7 +208,6 @@ impl WorkerPool {
         F: Fn(&TaskCtx, T) -> U + Sync,
     {
         let n = items.len();
-        let deadline = self.deadline.map(|d| Instant::now() + d);
         if n == 0 {
             return Vec::new();
         }
@@ -293,9 +232,9 @@ impl WorkerPool {
                 // per-tree forest task) — start inline on the caller.
                 telemetry::count("pool.inline_fallback", 1);
             }
-            return self.map_inline(items, &f, want, deadline, map_span.id());
+            return self.map_inline(items, &f, want, map_span.id());
         }
-        self.map_parallel(items, 0, &f, extra, deadline, map_span.id())
+        self.map_parallel(items, 0, &f, extra, map_span.id())
             .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
@@ -310,7 +249,6 @@ impl WorkerPool {
         items: Vec<T>,
         f: &F,
         want: usize,
-        deadline: Option<Instant>,
         parent: telemetry::SpanId,
     ) -> Vec<U>
     where
@@ -321,7 +259,7 @@ impl WorkerPool {
         let mut out = Vec::with_capacity(items.len());
         let mut items = items.into_iter();
         while let Some(item) = items.next() {
-            out.push(run_task(f, &self.task_ctx(out.len(), deadline), item));
+            out.push(run_task(f, &self.task_ctx(out.len()), item));
             let left = items.len();
             if want <= 1 || left <= 1 {
                 continue;
@@ -330,7 +268,7 @@ impl WorkerPool {
             if extra > 0 {
                 telemetry::count("pool.late_join", 1);
                 let rest = self
-                    .map_parallel(items.collect(), out.len(), f, extra, deadline, parent)
+                    .map_parallel(items.collect(), out.len(), f, extra, parent)
                     .unwrap_or_else(|payload| panic::resume_unwind(payload));
                 out.extend(rest);
                 break;
@@ -348,7 +286,6 @@ impl WorkerPool {
         base: usize,
         f: &F,
         extra: usize,
-        deadline: Option<Instant>,
         parent: telemetry::SpanId,
     ) -> Result<Vec<U>, Box<dyn std::any::Any + Send>>
     where
@@ -378,14 +315,14 @@ impl WorkerPool {
             let enqueued_at = telemetry::enabled().then(Instant::now);
             for off in 0..n_workers {
                 let mut q = queues[(i + off) % n_workers].lock().unwrap();
-                if q.len() < self.queue_capacity {
+                if q.len() < QUEUE_CAPACITY {
                     q.push_back((i, item.take().expect("item not yet placed"), enqueued_at));
                     break;
                 }
             }
             if let Some(item) = item.take() {
                 telemetry::count("pool.inline_overflow", 1);
-                let ctx = self.task_ctx(base + i, deadline);
+                let ctx = self.task_ctx(base + i);
                 inline.push((i, run_task(f, &ctx, item)));
             }
         }
@@ -422,7 +359,7 @@ impl WorkerPool {
                     telemetry::record("pool.queue_us", enqueued_at.elapsed().as_micros() as u64);
                 }
                 let task_start = worker_start.map(|_| Instant::now());
-                let ctx = self.task_ctx(base + i, deadline);
+                let ctx = self.task_ctx(base + i);
                 match panic::catch_unwind(AssertUnwindSafe(|| run_task(f, &ctx, item))) {
                     Ok(value) => {
                         if let Some(task_start) = task_start {
@@ -432,7 +369,6 @@ impl WorkerPool {
                     }
                     Err(payload) => {
                         poisoned.store(true, Ordering::SeqCst);
-                        self.cancel.cancel();
                         *panic_payload.lock().unwrap() = Some(payload);
                         break;
                     }
@@ -495,6 +431,7 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_order_and_covers_all_items() {
@@ -544,11 +481,14 @@ mod tests {
     }
 
     #[test]
-    fn tiny_queue_capacity_still_completes() {
+    fn items_past_the_queue_bound_still_complete() {
         set_global_threads(4);
-        let pool = WorkerPool::new().with_queue_capacity(1);
-        let out = pool.map((0..50).collect(), |_ctx, x: i32| x + 1);
-        assert_eq!(out, (1..=50).collect::<Vec<_>>());
+        // Two queues hold 2 * QUEUE_CAPACITY items; the rest overflow
+        // onto the submitting thread.
+        let n = 2 * QUEUE_CAPACITY as i32 + 50;
+        let pool = WorkerPool::new().with_threads(2);
+        let out = pool.map((0..n).collect(), |_ctx, x: i32| x + 1);
+        assert_eq!(out, (1..=n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -564,31 +504,6 @@ mod tests {
             })
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn cancellation_is_visible_to_tasks() {
-        let token = CancelToken::new();
-        let pool = WorkerPool::new()
-            .with_threads(1)
-            .with_cancel_token(token.clone());
-        token.cancel();
-        let out = pool.map(vec![(); 4], |ctx, ()| ctx.should_stop());
-        assert_eq!(out, vec![true; 4]);
-    }
-
-    #[test]
-    fn deadline_expires() {
-        let pool = WorkerPool::new()
-            .with_threads(1)
-            .with_deadline(Duration::from_millis(1));
-        let out = pool.map(vec![(); 2], |ctx, ()| {
-            std::thread::sleep(Duration::from_millis(5));
-            ctx.deadline_exceeded()
-        });
-        // The first task sleeps past the shared deadline; the second task
-        // then observes it exceeded before doing its work.
-        assert!(out[1]);
     }
 
     #[test]

@@ -37,6 +37,35 @@ fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
+/// The proptests draw lengths below 200; callers also hand the kernels
+/// whole columns, so tier parity is pinned at row-count scale as well.
+#[test]
+fn dispatched_kernels_are_portable_bitwise_at_long_lengths() {
+    for n in [1_024usize, 4_096, 16_384] {
+        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.618).sin() * 100.0).collect();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.414).cos() * 100.0).collect();
+        assert_eq!(
+            simd::dot(&a, &b).to_bits(),
+            simd::dot_portable(&a, &b).to_bits(),
+            "dot tier mismatch at n={n}"
+        );
+        assert_eq!(
+            simd::sq_dist(&a, &b).to_bits(),
+            simd::sq_dist_portable(&a, &b).to_bits(),
+            "sq_dist tier mismatch at n={n}"
+        );
+        let (mut got, mut want) = (b.clone(), b);
+        simd::axpy(&mut got, -1.75, &a);
+        simd::axpy_portable(&mut want, -1.75, &a);
+        assert!(
+            got.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "axpy tier mismatch at n={n}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -20,7 +20,7 @@
 //!
 //! This crate is a dependency leaf, so no thread pool lives here: all
 //! methods take `&self` with internal locking, and chunk-parallel pipelines
-//! are driven from higher layers (learners/eafe/bench) which decode through
+//! are driven from higher layers (eafe) which decode through
 //! [`ChunkedFrame::chunk`] handles in fixed chunk-index order.
 
 use crate::budget::{FrameBudget, FrameStats, GLOBAL};

@@ -1,16 +1,11 @@
 //! Property-based parity suite for the out-of-core chunk layer
 //! (DESIGN.md §14): whatever values go into a chunk must come back out
 //! bit-for-bit — through the in-RAM encodings, through the `.eafc` byte
-//! format, through budget-driven spill/evict cycles — and anything
-//! computed *on* chunks (histogram binning) must equal the same
-//! computation on the flat column.
+//! format, through budget-driven spill/evict cycles.
 //!
 //! All comparisons are on `f64::to_bits`, so NaN payloads and signed
 //! zeros are part of the contract, not an exception to it.
 
-use std::sync::Arc;
-
-use learners::BinnedColumn;
 use proptest::prelude::*;
 use tabular::{
     ChunkEncoding, ChunkOptions, ChunkedFrame, Column, DataFrame, FrameBudget, InMemoryStore,
@@ -207,34 +202,6 @@ proptest! {
                 cf.value_at(0, i).unwrap().to_bits(),
                 values[i].to_bits(),
                 "value_at({}) after spill churn", i
-            );
-        }
-    }
-
-    /// Histogram binning over chunk encodings equals binning the flat
-    /// column: same bin count, same per-row codes. This is the property
-    /// the chunk-at-a-time learners path rests on (DESIGN.md §14).
-    #[test]
-    fn chunked_histogram_matches_flat(
-        raw in raw_values(500),
-        kind in 0usize..2, // finite inputs only: dict and dense
-        dict_size in 1usize..24,
-        chunk_rows in 1usize..97,
-        max_bins in 2usize..65,
-    ) {
-        let values = shape(&raw, kind, dict_size);
-        let flat = BinnedColumn::build(&values, max_bins);
-        let chunks: Vec<Arc<ChunkEncoding>> = values
-            .chunks(chunk_rows)
-            .map(|c| Arc::new(ChunkEncoding::encode(c)))
-            .collect();
-        let chunked = BinnedColumn::build_chunked(&chunks, max_bins);
-        prop_assert_eq!(flat.n_bins(), chunked.n_bins(), "bin counts differ");
-        for r in 0..values.len() {
-            prop_assert_eq!(
-                flat.codes().get(r),
-                chunked.codes().get(r),
-                "bin code mismatch at row {}", r
             );
         }
     }

@@ -25,45 +25,27 @@ fi
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --workspace --exclude e-afe -q (every other crate, once)"
+cargo test --workspace --exclude e-afe -q
 
-# The kernel parity suites run twice: once on the portable SIMD tier
-# (no features) and once with the `simd-arch` std::arch tier compiled in
-# and runtime-dispatched — both must hold bit-for-bit (DESIGN.md §13).
-run_kernel_parity() {
-    echo "==> split-method parity suite $1"
-    cargo test -q $2 --test hist_parity
+# Everything above ran on the portable SIMD tier (no features). The
+# kernel parity suites run a second time with the `simd-arch` std::arch
+# tier compiled in and runtime-dispatched — both must hold bit-for-bit
+# (DESIGN.md §13).
+echo "==> split-method parity suite (simd-arch tier)"
+cargo test -q --features simd-arch --test hist_parity
 
-    # The indexed sketch kernel evaluates visited rows with scalar
-    # expressions and everything else through the simd row kernels: both
-    # tiers must agree with the scalar oracle.
-    echo "==> minhash table/batch parity suite $1"
-    cargo test -q -p minhash $2 --test table_parity
+# The indexed sketch kernel evaluates visited rows with scalar
+# expressions and everything else through the simd row kernels: both
+# tiers must agree with the scalar oracle.
+echo "==> minhash table/batch parity suite (simd-arch tier)"
+cargo test -q -p minhash --features simd-arch --test table_parity
 
-    echo "==> NN batched-vs-scalar parity suite $1"
-    cargo test -q -p learners $2 --test nn_parity
+echo "==> NN batched-vs-scalar parity suite (simd-arch tier)"
+cargo test -q -p learners --features simd-arch --test nn_parity
 
-    echo "==> simd dispatch/reduction-tree parity suite $1"
-    cargo test -q -p simd $2
-}
-run_kernel_parity "(portable tier)" ""
-run_kernel_parity "(simd-arch tier)" "--features simd-arch"
-
-echo "==> out-of-core chunk parity suite (encode/decode, spill, histogram)"
-cargo test -q -p tabular --test chunk_parity
-
-echo "==> serve integration suite"
-cargo test -q -p serve --test integration
-
-echo "==> dist loopback determinism suite (solo == 1 worker == N workers)"
-cargo test -q -p dist --test loopback
-
-echo "==> multi-process distributed determinism suite (real worker processes)"
-cargo test -q --test parallel_determinism multi_process
-
-echo "==> trace_tool golden-output suite"
-cargo test -q -p bench --test trace_golden
+echo "==> simd dispatch/reduction-tree parity suite (simd-arch tier)"
+cargo test -q -p simd --features simd-arch
 
 echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' public API)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -106,23 +88,6 @@ if [[ "$quick" -eq 0 ]]; then
     grep -q 'critical path' "$obs_dir/trace.out" \
         || { echo "trace_tool produced no critical-path report"; exit 1; }
     rm -rf "$obs_dir"
-
-    # Every perf_* bin carries a --smoke mode asserting its optimised
-    # path does not lose to its retained reference (and, where relevant,
-    # stays bit-identical to it).
-    run_perf_smoke() {
-        local bin="$1" why="$2"; shift 2
-        echo "==> $bin smoke (release): $why"
-        cargo build --release -q -p bench --bin "$bin"
-        "./target/release/$bin" --smoke --quiet "$@"
-    }
-    run_perf_smoke perf_serve  "served scores bit-identical to direct"
-    run_perf_smoke perf_forest "histogram must not lose to exact"
-    run_perf_smoke perf_minhash "table path must not lose to naive, smooth and skewed columns"
-    run_perf_smoke perf_nn     "batched kernels must not lose to scalar" --threads 1
-    run_perf_smoke perf_simd   "lane-tree kernels must not lose to naive loops" --threads 1
-    run_perf_smoke perf_frame  "chunked pipeline bit-identical to flat, <=1.15x, budget spills" --threads 1
-    run_perf_smoke perf_dist   "2-worker run bitwise == solo and no slower" --threads 1
 
     echo "==> telemetry overhead smoke (release)"
     # Disabled-telemetry instrumentation must stay near-free; the test

@@ -29,13 +29,4 @@ run fig9   --epochs1 2 --epochs2 4 "$@"
 run ablation_replay --scale 0.2 "$@"
 run ablation_lambda --scale 0.2 "$@"
 run ablation_representation --scale 0.2 --epochs1 2 --epochs2 4 "$@"
-# perf_minhash takes its own flag set (see scripts/bench_minhash.sh), so the
-# forwarded "$@" (table/figure flags) is deliberately not passed through.
-echo "=== perf_minhash ==="
-./target/release/perf_minhash --quiet --threads 1 | tee bench_results/perf_minhash_run.log
-# perf_simd likewise, and its committed artifact is built with the
-# simd-arch feature so it reports the std::arch tier (scripts/bench_simd.sh).
-echo "=== perf_simd ==="
-cargo build --release -q -p bench --features simd-arch --bin perf_simd
-./target/release/perf_simd --quiet --threads 1 | tee bench_results/perf_simd_run.log
 echo "all artifacts written to bench_results/"
