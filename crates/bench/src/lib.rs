@@ -317,12 +317,6 @@ impl CommonArgs {
             cache_misses: stats.misses,
             cache_hit_rate: stats.hit_rate(),
             cache_evictions: stats.evictions,
-            simd_isa: simd::active_isa().name().to_string(),
-            simd_arch_feature: simd::arch_feature_enabled(),
-            cpu_features: simd::detected_cpu_features()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
             written_at_unix: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
@@ -512,13 +506,6 @@ pub struct ArtifactHeader {
     pub cache_hit_rate: f64,
     /// Entries evicted by the capacity bound.
     pub cache_evictions: u64,
-    /// SIMD tier the kernels dispatched to ("portable", "sse2", "avx2").
-    pub simd_isa: String,
-    /// Whether the binary was built with the `simd-arch` cargo feature.
-    pub simd_arch_feature: bool,
-    /// CPU SIMD capabilities detected at run time (independent of whether
-    /// the `simd-arch` feature made them reachable).
-    pub cpu_features: Vec<String>,
     /// Unix timestamp (seconds) at which the artifact was written. Kept in
     /// the header — never in the captured run log — so logs stay
     /// byte-deterministic across runs.
@@ -688,22 +675,6 @@ mod tests {
         let args = CommonArgs::default();
         // 2020-01-01 as a sanity floor: the clock is set and monotone-ish.
         assert!(args.artifact_header().written_at_unix > 1_577_836_800);
-    }
-
-    #[test]
-    fn header_records_simd_provenance() {
-        let header = CommonArgs::default().artifact_header();
-        assert_eq!(header.simd_isa, simd::active_isa().name());
-        assert_eq!(header.simd_arch_feature, cfg!(feature = "simd-arch"));
-        // Without the feature the dispatcher must report the portable tier
-        // no matter what the CPU offers.
-        if !header.simd_arch_feature {
-            assert_eq!(header.simd_isa, "portable");
-        }
-        // cpu_features reflects the hardware, not the build: on x86_64
-        // sse2 is baseline and always detected.
-        #[cfg(target_arch = "x86_64")]
-        assert!(header.cpu_features.iter().any(|f| f == "sse2"));
     }
 
     #[test]

@@ -89,12 +89,6 @@ impl EafeConfig {
         cfg
     }
 
-    /// Wrap this configuration's downstream evaluator with a fresh
-    /// (private) runtime score cache.
-    pub fn cached_evaluator(&self) -> CachedEvaluator {
-        runtime::Evaluator::new(self.evaluator.clone())
-    }
-
     /// Validate parameter domains.
     pub fn validate(&self) -> Result<()> {
         if self.max_order == 0 {

@@ -153,11 +153,6 @@ impl FpeModel {
         Ok(self.classifier.predict_positive_proba_row(&compressed)?)
     }
 
-    /// Hard decision at 0.5: keep as candidate or drop.
-    pub fn is_positive(&self, values: &[f64]) -> Result<bool> {
-        Ok(self.score_feature(values)? >= 0.5)
-    }
-
     /// Serialise to JSON (persistence across sessions: the paper reuses one
     /// pre-trained FPE model for every target dataset).
     pub fn to_json(&self) -> Result<String> {
@@ -255,7 +250,6 @@ mod tests {
         let values: Vec<f64> = (0..50).map(|i| i as f64 * 0.3).collect();
         let p = m.score_feature(&values).unwrap();
         assert!((0.0..=1.0).contains(&p));
-        assert_eq!(m.is_positive(&values).unwrap(), p >= 0.5);
     }
 
     #[test]

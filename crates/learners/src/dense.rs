@@ -32,7 +32,7 @@
 //!    per-cell addend sequence on both backends. The retained
 //!    per-sample path ([`NnBackend::Scalar`], the testing reference
 //!    with the old allocation/copy cost profile) therefore trains to
-//!    **bit-identical** parameters, on every ISA tier.
+//!    **bit-identical** parameters.
 //! 2. **1 thread == N threads.** Each minibatch is split into a *fixed
 //!    microbatch partition* of [`TRAIN_MICROBATCH`] rows. Every
 //!    microbatch accumulates into its own zeroed partial slab, and the
@@ -561,7 +561,7 @@ fn dense_forward(w: &[f64], b: &[f64], x: &Mat, out: &mut Mat) {
 /// output `o` in ascending order: `gb[o] += g`, then the elementwise
 /// [`simd::axpy`] updates `gw[o][k] += g·x[k]` and `dx[k] += g·w[o][k]`
 /// — per cell the exact `Dense::backward` expression (one multiply, one
-/// add, no FMA), so any ISA tier is bitwise identical. `dx` rows are
+/// add, no FMA), so both backends are bitwise identical. `dx` rows are
 /// zeroed here (the per-sample path allocates a fresh zeroed `dx`); pass
 /// `None` for the first layer where the input gradient is unused.
 fn dense_backward(

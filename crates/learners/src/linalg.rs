@@ -12,8 +12,8 @@
 //! forward substitution, and the free [`dot`]/[`sq_dist`] helpers — runs
 //! through the `simd` crate's pinned reduction tree (DESIGN.md §13). The
 //! reference path gathers its operands per-element but reduces through
-//! the *portable* tier of the same tree, so fast ≡ reference stays
-//! bitwise while both sides share the one documented summation order.
+//! the same tree, so fast ≡ reference stays bitwise while both sides
+//! share the one documented summation order.
 //! The backward substitution walks a strided column, so it keeps its
 //! sequential scalar loop (`O(n²)`, not worth a gather).
 
@@ -114,12 +114,11 @@ impl SquareMatrix {
     }
 
     /// Per-element `get` Cholesky — the testing reference for
-    /// [`SquareMatrix::cholesky`] (no row slicing, no dispatch). Kept for
-    /// the parity suite; production paths use the row-slice
-    /// factorisation. Operands are gathered element by
-    /// element, then reduced through the *portable* tier of the pinned
-    /// tree ([`simd::dot_portable`]), so this stays bit-identical to the
-    /// fast path whichever ISA tier the fast path dispatches to.
+    /// [`SquareMatrix::cholesky`] (no row slicing). Kept for the parity
+    /// suite; production paths use the row-slice factorisation. Operands
+    /// are gathered element by element, then reduced through the pinned
+    /// tree ([`simd::dot`]), so this stays bit-identical to the fast
+    /// path.
     pub fn cholesky_ref(&self) -> Result<SquareMatrix> {
         let n = self.n;
         let mut l = SquareMatrix::zeros(n);
@@ -133,7 +132,7 @@ impl SquareMatrix {
                     li.push(l.get(i, k));
                     lj.push(l.get(j, k));
                 }
-                let sum = self.get(i, j) - simd::dot_portable(&li, &lj);
+                let sum = self.get(i, j) - simd::dot(&li, &lj);
                 if i == j {
                     if sum <= 0.0 {
                         return Err(LearnError::Numerical(format!(
@@ -379,12 +378,12 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64 - 2.5) / 3.0).collect();
-        // Reference forward substitution: per-element gather, portable
-        // tier of the pinned reduction tree.
+        // Reference forward substitution: per-element gather, then the
+        // pinned reduction tree.
         let mut xf = vec![0.0; n];
         for i in 0..n {
             let li: Vec<f64> = (0..i).map(|k| l.get(i, k)).collect();
-            let sum = b[i] - simd::dot_portable(&li, &xf[..i]);
+            let sum = b[i] - simd::dot(&li, &xf[..i]);
             xf[i] = sum / l.get(i, i);
         }
         let got = l.solve_lower(&b).unwrap();

@@ -109,41 +109,6 @@ pub fn f1_score(y_true: &[usize], y_pred: &[usize], n_classes: usize) -> Result<
     Ok(weighted)
 }
 
-/// Macro-averaged precision over classes with non-zero support.
-pub fn precision_macro(y_true: &[usize], y_pred: &[usize], n_classes: usize) -> Result<f64> {
-    check_lengths(y_true.len(), y_pred.len())?;
-    average_over_classes(y_true, y_pred, n_classes, |k| k.precision())
-}
-
-/// Macro-averaged recall over classes with non-zero support.
-pub fn recall_macro(y_true: &[usize], y_pred: &[usize], n_classes: usize) -> Result<f64> {
-    check_lengths(y_true.len(), y_pred.len())?;
-    average_over_classes(y_true, y_pred, n_classes, |k| k.recall())
-}
-
-fn average_over_classes(
-    y_true: &[usize],
-    y_pred: &[usize],
-    n_classes: usize,
-    f: impl Fn(&BinaryCounts) -> f64,
-) -> Result<f64> {
-    let mut sum = 0.0;
-    let mut seen = 0usize;
-    for c in 0..n_classes.max(1) {
-        if !y_true.contains(&c) {
-            continue;
-        }
-        sum += f(&counts_for_class(y_true, y_pred, c));
-        seen += 1;
-    }
-    if seen == 0 {
-        return Err(LearnError::EmptyTrainingSet(
-            "no classes with support".into(),
-        ));
-    }
-    Ok(sum / seen as f64)
-}
-
 /// Binary precision/recall for the positive class 1 — the FPE model's
 /// optimisation target (paper Eq. 5).
 pub fn binary_precision_recall(y_true: &[usize], y_pred: &[usize]) -> Result<(f64, f64)> {
@@ -164,17 +129,6 @@ pub fn one_minus_rae(y_true: &[f64], y_pred: &[f64]) -> Result<f64> {
         return Ok(if num <= f64::EPSILON { 1.0 } else { 0.0 });
     }
     Ok(1.0 - num / denom)
-}
-
-/// Mean squared error.
-pub fn mse(y_true: &[f64], y_pred: &[f64]) -> Result<f64> {
-    check_lengths(y_true.len(), y_pred.len())?;
-    Ok(y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(y, p)| (p - y) * (p - y))
-        .sum::<f64>()
-        / y_true.len() as f64)
 }
 
 #[cfg(test)]
@@ -231,17 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn macro_precision_recall() {
-        let y_true = [0, 0, 1, 1];
-        let y_pred = [0, 1, 1, 1];
-        // class 0: p = 1, r = 0.5; class 1: p = 2/3, r = 1.
-        assert!(
-            (precision_macro(&y_true, &y_pred, 2).unwrap() - (1.0 + 2.0 / 3.0) / 2.0).abs() < 1e-12
-        );
-        assert!((recall_macro(&y_true, &y_pred, 2).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn one_minus_rae_perfect_and_mean() {
         let y = [1.0, 2.0, 3.0, 4.0];
         assert!((one_minus_rae(&y, &y).unwrap() - 1.0).abs() < 1e-12);
@@ -261,11 +204,6 @@ mod tests {
         let y = [5.0, 5.0];
         assert_eq!(one_minus_rae(&y, &[5.0, 5.0]).unwrap(), 1.0);
         assert_eq!(one_minus_rae(&y, &[4.0, 5.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mse_basic() {
-        assert!((mse(&[1.0, 2.0], &[2.0, 0.0]).unwrap() - 2.5).abs() < 1e-12);
     }
 
     #[test]

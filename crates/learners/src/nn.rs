@@ -59,8 +59,8 @@ impl Dense {
 
     /// Backward pass: accumulate parameter gradients for (x, dy) and return
     /// the gradient with respect to the input. Per-output updates are the
-    /// elementwise [`simd::axpy`] (one multiply, one add per element, any
-    /// tier — bitwise identical to the plain loops they replace).
+    /// elementwise [`simd::axpy`] (one multiply, one add per element —
+    /// bitwise identical to the plain loops they replace).
     pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
         let mut dx = vec![0.0; self.n_in()];
         for (o, &g) in dy.iter().enumerate() {
@@ -136,12 +136,6 @@ pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
 pub fn softmax_cross_entropy_into(logits: &[f64], target: usize, d: &mut [f64]) {
     softmax_into(logits, d);
     d[target] -= 1.0;
-}
-
-/// Mean-squared-error loss for one scalar output: returns (loss, dy).
-pub fn mse_loss(pred: f64, target: f64) -> (f64, f64) {
-    let diff = pred - target;
-    (diff * diff, 2.0 * diff)
 }
 
 /// Adam optimiser state over a flat parameter vector.
@@ -348,12 +342,5 @@ mod tests {
         for (x, y) in flat.iter().zip(&flat3) {
             assert!((y - x - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn mse_loss_gradient() {
-        let (l, g) = mse_loss(2.0, 5.0);
-        assert_eq!(l, 9.0);
-        assert_eq!(g, -6.0);
     }
 }

@@ -69,17 +69,6 @@ impl HashFamily {
             HashFamily::Ccws => "CCWS",
         }
     }
-
-    /// The E-AFE variant label used in Table III (`E-AFE^I` etc.).
-    pub fn variant_label(self) -> &'static str {
-        match self {
-            HashFamily::MinHash => "E-AFE^M",
-            HashFamily::Icws => "E-AFE^I",
-            HashFamily::ZeroBitCws => "E-AFE^L",
-            HashFamily::Pcws => "E-AFE^P",
-            HashFamily::Ccws => "E-AFE",
-        }
-    }
 }
 
 /// A seeded weighted-MinHash hasher producing `d`-element signatures.
@@ -425,14 +414,5 @@ mod tests {
                 "{family:?}: heavy dim won only {zero_wins:.3}"
             );
         }
-    }
-
-    #[test]
-    fn labels_match_paper_notation() {
-        assert_eq!(HashFamily::Ccws.variant_label(), "E-AFE");
-        assert_eq!(HashFamily::ZeroBitCws.variant_label(), "E-AFE^L");
-        assert_eq!(HashFamily::Pcws.variant_label(), "E-AFE^P");
-        assert_eq!(HashFamily::Icws.variant_label(), "E-AFE^I");
-        assert_eq!(HashFamily::ALL.len(), 5);
     }
 }

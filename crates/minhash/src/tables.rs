@@ -21,9 +21,9 @@
 //! (`w.ln() / r` stays a division; it is *not* replaced by a `1/r`
 //! multiply, whose rounding differs). The dense scans are staged through
 //! the `simd` crate's elementwise kernels (DESIGN.md §13), which keep
-//! exactly those per-element expressions in every ISA tier — there is no
-//! reduction anywhere in a sketch, so SIMD here is pure lane-parallel
-//! elementwise work and bit-identity is structural. The proptest suite in
+//! exactly those per-element expressions — there is no reduction
+//! anywhere in a sketch, so SIMD here is pure lane-parallel elementwise
+//! work and bit-identity is structural. The proptest suite in
 //! `tests/table_parity.rs` pins all five families bit-identical to the
 //! scalar reference.
 //!
@@ -457,10 +457,10 @@ impl DrawTables {
     /// kernels (DESIGN.md §13): `t`, then `r·(t−β)`, then `exp`, then the
     /// final division, each as one pass over the table row. Every element
     /// still goes through the scalar path's exact expression sequence —
-    /// the division stays a division, `floor` rounds the same in every
-    /// tier, and `exp` stays the scalar libm call — so sketches are
-    /// bit-identical whichever tier runs. Only the min-tracking scan stays
-    /// a plain loop (it carries the cross-iteration argmin state).
+    /// the division stays a division, `floor` is `f64::floor`, and `exp`
+    /// stays the scalar libm call — so sketches are bit-identical to the
+    /// scalar path. Only the min-tracking scan stays a plain loop (it
+    /// carries the cross-iteration argmin state).
     fn absorb_row(&self, store: &Store, state: &mut SketchState, k: usize, w: f64) {
         let d = self.d;
         let base = k * d;

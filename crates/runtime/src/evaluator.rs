@@ -126,10 +126,6 @@ impl<S: Scorer> Evaluator<S> {
         &self.scorer
     }
 
-    pub fn scorer_mut(&mut self) -> &mut S {
-        &mut self.scorer
-    }
-
     pub fn cache(&self) -> &Arc<ScoreCache<f64>> {
         &self.cache
     }

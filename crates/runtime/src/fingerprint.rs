@@ -12,16 +12,6 @@ use tabular::{Column, DataFrame, Label};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
 
-impl Fingerprint {
-    /// Mix two fingerprints into one (non-commutative).
-    pub fn combine(self, other: Fingerprint) -> Fingerprint {
-        let mut h = Hasher128::new();
-        h.write_u128(self.0);
-        h.write_u128(other.0);
-        h.finish()
-    }
-}
-
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
@@ -270,14 +260,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(fingerprint_frame(&c), fingerprint_frame(&r));
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        let a = Fingerprint(1);
-        let b = Fingerprint(2);
-        assert_ne!(a.combine(b), b.combine(a));
-        assert_eq!(a.combine(b), a.combine(b));
     }
 
     #[test]

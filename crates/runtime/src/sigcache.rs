@@ -24,7 +24,7 @@
 //! the signature with a plain gather, which keeps the cache insensitive to
 //! normalisation flavour.
 
-use crate::cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
+use crate::cache::{CacheSnapshot, CacheStats, ScoreCache};
 use crate::fingerprint::{fingerprint_values, Fingerprint, Hasher128};
 use crate::pool::WorkerPool;
 use minhash::{SampleCompressor, Signature, WeightedMinHasher};
@@ -51,11 +51,6 @@ fn sig_cache() -> &'static SignatureCache {
 /// without re-sketching).
 pub fn sig_cache_stats() -> CacheStats {
     sig_cache().stats()
-}
-
-/// Per-shard counters of the signature cache (for `--metrics` surfacing).
-pub fn sig_cache_shard_stats() -> Vec<ShardStats> {
-    sig_cache().shard_stats()
 }
 
 /// Current logical clock of the process-wide signature cache; baseline

@@ -509,11 +509,6 @@ impl JobServer {
         &self.cache
     }
 
-    /// Number of jobs the server knows about (any status).
-    pub fn n_jobs(&self) -> usize {
-        self.shared.inner.lock().unwrap().jobs.len()
-    }
-
     /// The server's per-tenant scoped metrics and time series.
     pub fn metrics(&self) -> &Arc<ServerMetrics> {
         &self.metrics
@@ -1064,11 +1059,6 @@ fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
         events,
         feed,
     } = slice;
-    // Route engine telemetry emitted during this slice to this job's
-    // label, for hosts that installed a `telemetry::RouterSink`.
-    let label = id.to_string();
-    let _route = telemetry::route(&label);
-
     let finalize = |status: JobStatus, state: Option<SearchState>, error: Option<String>| {
         let (result, engineered) = match &state {
             Some(s) => match engine.finish(s) {

@@ -14,25 +14,19 @@
 //! ```
 //!
 //! This tree is the *contract*, not an implementation detail (DESIGN.md
-//! §13): the portable tier below is written exactly in that shape, and
-//! the `std::arch` tiers behind the `simd-arch` cargo feature reproduce
-//! it instruction-for-instruction — AVX2 holds the four accumulators in
-//! one `__m256d`, SSE2 in two `__m128d`, both reduce `(0+1)+(2+3)`, and
-//! neither uses FMA (fused multiply-add rounds once where the contract
-//! rounds twice). Consequently **every tier is bitwise identical** to
-//! the portable tier, which is what lets callers keep their existing
-//! "fast path ≡ reference path" proptest guarantees while the reference
-//! path itself got faster: the four-way accumulator split is the one
-//! deliberate reassociation, chosen once, documented here, and shared
-//! by both sides of every parity test.
+//! §13): the kernels below are plain Rust loops written exactly in that
+//! shape, which the compiler vectorises without changing a rounding —
+//! multiply and add stay separate operations (fused multiply-add rounds
+//! once where the contract rounds twice). The four-way accumulator split
+//! is the one deliberate reassociation, chosen once, documented here,
+//! and shared by both sides of every "fast path ≡ reference path" parity
+//! test downstream.
 //!
 //! Elementwise kernels ([`axpy`], the CWS helpers) have no reduction at
-//! all — each output element is produced by the same scalar expression
-//! in every tier, so bitwise identity is trivial there.
+//! all — each output element is one pinned scalar expression.
 //!
-//! Tier selection is runtime CPU detection (`is_x86_feature_detected!`),
-//! cached after the first query; without the `simd-arch` feature, or off
-//! x86_64, the portable tier is the only one compiled.
+//! There is one build of these kernels: no cargo feature, no runtime
+//! dispatch, no intrinsics.
 
 #![warn(missing_docs)]
 
@@ -40,50 +34,35 @@
 /// downstream float result; it is part of the pinned contract.
 pub const LANES: usize = 4;
 
-/// Instruction-set tier actually executing the kernels.
+/// How the kernels are compiled. There is exactly one way; the type,
+/// [`active_isa`] and [`detected_cpu_features`] remain only because
+/// `benchmark/src/report.rs` writes them into its result header and
+/// `benchmark/` is frozen against the crates' public API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Plain Rust loops in the canonical tree shape (always available).
+    /// Plain Rust loops in the canonical tree shape.
     Portable,
-    /// Two-`__m128d` x86_64 tier (baseline on every x86_64 CPU).
-    Sse2,
-    /// One-`__m256d` x86_64 tier (runtime-detected).
-    Avx2,
 }
 
 impl Isa {
-    /// Stable lower-case name for logs and bench artifact headers.
+    /// Stable lower-case name (`"portable"`), kept for `benchmark/`'s
+    /// result header like the type itself.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Portable => "portable",
-            Isa::Sse2 => "sse2",
-            Isa::Avx2 => "avx2",
         }
     }
 }
 
-/// The tier kernels dispatch to on this machine, given how the crate
-/// was compiled. Detection runs once and is cached.
+/// Always [`Isa::Portable`]; kept for `benchmark/`'s result header (see
+/// [`Isa`]).
 pub fn active_isa() -> Isa {
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    {
-        arch::detect()
-    }
-    #[cfg(not(all(feature = "simd-arch", target_arch = "x86_64")))]
-    {
-        Isa::Portable
-    }
+    Isa::Portable
 }
 
-/// Whether the `simd-arch` cargo feature was compiled in (regardless of
-/// what the CPU supports). Recorded in bench artifact headers.
-pub fn arch_feature_enabled() -> bool {
-    cfg!(feature = "simd-arch")
-}
-
-/// SIMD-relevant CPU features present on this machine, independent of
-/// whether the arch tier is compiled in. Recorded in bench artifact
-/// headers so committed results are reproducible against their ISA.
+/// SIMD-relevant CPU features present on this machine. No kernel
+/// consults them; kept for `benchmark/`'s result header (see [`Isa`]),
+/// where they say what the compiler's auto-vectorised loops ran on.
 pub fn detected_cpu_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {
@@ -112,18 +91,6 @@ pub fn detected_cpu_features() -> Vec<&'static str> {
 /// is used in release builds, matching `zip` semantics).
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    match active_isa() {
-        // SAFETY: detect() returned a tier only if the CPU has it.
-        Isa::Avx2 => return unsafe { arch::dot_avx2(a, b) },
-        Isa::Sse2 => return unsafe { arch::dot_sse2(a, b) },
-        Isa::Portable => {}
-    }
-    dot_portable(a, b)
-}
-
-/// Portable-tier [`dot`]: the reference body of the contract.
-pub fn dot_portable(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let mut ca = a[..n].chunks_exact(LANES);
     let mut cb = b[..n].chunks_exact(LANES);
@@ -144,18 +111,6 @@ pub fn dot_portable(a: &[f64], b: &[f64]) -> f64 {
 /// Squared Euclidean distance `Σ (a[i]−b[i])²` in the canonical tree.
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    match active_isa() {
-        // SAFETY: detect() returned a tier only if the CPU has it.
-        Isa::Avx2 => return unsafe { arch::sq_dist_avx2(a, b) },
-        Isa::Sse2 => return unsafe { arch::sq_dist_sse2(a, b) },
-        Isa::Portable => {}
-    }
-    sq_dist_portable(a, b)
-}
-
-/// Portable-tier [`sq_dist`]: the reference body of the contract.
-pub fn sq_dist_portable(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let mut ca = a[..n].chunks_exact(LANES);
     let mut cb = b[..n].chunks_exact(LANES);
@@ -182,23 +137,10 @@ pub fn sq_dist_portable(a: &[f64], b: &[f64]) -> f64 {
 // Elementwise kernels (no reduction; per-element expressions pinned)
 // ---------------------------------------------------------------------
 
-/// `out[i] += a · x[i]`. Elementwise: every tier computes each element
-/// with one multiply then one add (no FMA), so results are bitwise
-/// tier-independent.
+/// `out[i] += a · x[i]`. Elementwise: each element is one multiply then
+/// one add (no FMA).
 pub fn axpy(out: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(out.len(), x.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    match active_isa() {
-        // SAFETY: detect() returned a tier only if the CPU has it.
-        Isa::Avx2 => return unsafe { arch::axpy_avx2(out, a, x) },
-        Isa::Sse2 => return unsafe { arch::axpy_sse2(out, a, x) },
-        Isa::Portable => {}
-    }
-    axpy_portable(out, a, x);
-}
-
-/// Portable-tier [`axpy`].
-pub fn axpy_portable(out: &mut [f64], a: f64, x: &[f64]) {
     for (o, xi) in out.iter_mut().zip(x) {
         *o += a * xi;
     }
@@ -207,17 +149,10 @@ pub fn axpy_portable(out: &mut [f64], a: f64, x: &[f64]) {
 /// CWS scan step 1: `out[i] = (s / r[i] + beta[i]).floor()`.
 ///
 /// The division is pinned: it is *not* rewritten as a `1/r` multiply,
-/// whose rounding differs (see `minhash::tables`). `floor` rounds
-/// toward −∞ in every tier (`_mm256_floor_pd` ≡ `f64::floor`). The
-/// arch tier is AVX2-only: SSE2 has no packed floor.
+/// whose rounding differs (see `minhash::tables`).
 pub fn div_add_floor(out: &mut [f64], s: f64, r: &[f64], beta: &[f64]) {
     debug_assert_eq!(out.len(), r.len());
     debug_assert_eq!(out.len(), beta.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detect() returned Avx2 only if the CPU has it.
-        return unsafe { arch::div_add_floor_avx2(out, s, r, beta) };
-    }
     for ((o, ri), bi) in out.iter_mut().zip(r).zip(beta) {
         *o = (s / ri + bi).floor();
     }
@@ -228,20 +163,14 @@ pub fn mul_sub(out: &mut [f64], r: &[f64], t: &[f64], beta: &[f64]) {
     debug_assert_eq!(out.len(), r.len());
     debug_assert_eq!(out.len(), t.len());
     debug_assert_eq!(out.len(), beta.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detect() returned Avx2 only if the CPU has it.
-        return unsafe { arch::mul_sub_avx2(out, r, t, beta) };
-    }
     for (((o, ri), ti), bi) in out.iter_mut().zip(r).zip(t).zip(beta) {
         *o = ri * (ti - bi);
     }
 }
 
-/// CWS scan step 3: `buf[i] = exp(buf[i])`, always scalar: `std::arch`
-/// exposes no vector `exp`, and any polynomial approximation would
-/// change the hash values. Kept here so the whole scan reads as one
-/// pipeline at the call site.
+/// CWS scan step 3: `buf[i] = exp(buf[i])`, the libm `exp` per element:
+/// any polynomial approximation would change the hash values. Kept here
+/// so the whole scan reads as one pipeline at the call site.
 pub fn exp_inplace(buf: &mut [f64]) {
     for v in buf.iter_mut() {
         *v = v.exp();
@@ -253,18 +182,13 @@ pub fn exp_inplace(buf: &mut [f64]) {
 pub fn div_prod(out: &mut [f64], c: &[f64], er: &[f64]) {
     debug_assert_eq!(out.len(), c.len());
     debug_assert_eq!(out.len(), er.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detect() returned Avx2 only if the CPU has it.
-        return unsafe { arch::div_prod_avx2(out, c, er) };
-    }
     for ((o, ci), ei) in out.iter_mut().zip(c).zip(er) {
         *o = ci / (*o * ei);
     }
 }
 
-/// `buf[i] = buf[i].max(m)`. Scalar in every tier: `f64::max` NaN
-/// semantics differ from `maxpd`, and this runs on the cold CCWS path.
+/// `buf[i] = buf[i].max(m)` with `f64::max` NaN semantics (a NaN element
+/// becomes `m`); runs on the cold CCWS path.
 pub fn max_scalar(buf: &mut [f64], m: f64) {
     for v in buf.iter_mut() {
         *v = v.max(m);
@@ -274,248 +198,8 @@ pub fn max_scalar(buf: &mut [f64], m: f64) {
 /// `out[i] = c[i] / out[i]` — the CCWS hash value from `out = y`.
 pub fn div_into(out: &mut [f64], c: &[f64]) {
     debug_assert_eq!(out.len(), c.len());
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    if active_isa() == Isa::Avx2 {
-        // SAFETY: detect() returned Avx2 only if the CPU has it.
-        return unsafe { arch::div_into_avx2(out, c) };
-    }
     for (o, ci) in out.iter_mut().zip(c) {
         *o = ci / *o;
-    }
-}
-
-// ---------------------------------------------------------------------
-// std::arch tier
-// ---------------------------------------------------------------------
-
-#[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-mod arch {
-    //! x86_64 intrinsics reproducing the portable tier bit-for-bit.
-    //!
-    //! Invariants every kernel here upholds:
-    //! - multiply and add are separate instructions (never FMA);
-    //! - the four lane accumulators reduce `(0+1)+(2+3)`;
-    //! - the scalar tail runs ascending after the vector body, exactly
-    //!   like the portable tier.
-
-    use super::{Isa, LANES};
-    use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// Cached runtime detection: 0 = not yet probed.
-    static CACHED: AtomicU8 = AtomicU8::new(0);
-
-    pub(crate) fn detect() -> Isa {
-        match CACHED.load(Ordering::Relaxed) {
-            1 => return Isa::Portable,
-            2 => return Isa::Sse2,
-            3 => return Isa::Avx2,
-            _ => {}
-        }
-        let (isa, tag) = if is_x86_feature_detected!("avx2") {
-            (Isa::Avx2, 3)
-        } else if is_x86_feature_detected!("sse2") {
-            (Isa::Sse2, 2)
-        } else {
-            (Isa::Portable, 1)
-        };
-        CACHED.store(tag, Ordering::Relaxed);
-        isa
-    }
-
-    /// Reduce a `__m256d` of lane accumulators as `(0+1)+(2+3)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce_tree_avx2(acc: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(acc); // lanes 0,1
-        let hi = _mm256_extractf128_pd(acc, 1); // lanes 2,3
-        let s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-        let s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-        _mm_cvtsd_f64(_mm_add_sd(s01, s23))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let chunks = n / LANES;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            let va = _mm256_loadu_pd(a.as_ptr().add(LANES * i));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(LANES * i));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-        }
-        let mut total = reduce_tree_avx2(acc);
-        for k in chunks * LANES..n {
-            total += a[k] * b[k];
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn sq_dist_avx2(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let chunks = n / LANES;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            let va = _mm256_loadu_pd(a.as_ptr().add(LANES * i));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(LANES * i));
-            let d = _mm256_sub_pd(va, vb);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-        }
-        let mut total = reduce_tree_avx2(acc);
-        for k in chunks * LANES..n {
-            let d = a[k] - b[k];
-            total += d * d;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn axpy_avx2(out: &mut [f64], a: f64, x: &[f64]) {
-        let n = out.len().min(x.len());
-        let chunks = n / LANES;
-        let va = _mm256_set1_pd(a);
-        for i in 0..chunks {
-            let p = out.as_mut_ptr().add(LANES * i);
-            let vo = _mm256_loadu_pd(p);
-            let vx = _mm256_loadu_pd(x.as_ptr().add(LANES * i));
-            _mm256_storeu_pd(p, _mm256_add_pd(vo, _mm256_mul_pd(va, vx)));
-        }
-        for k in chunks * LANES..n {
-            out[k] += a * x[k];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn div_add_floor_avx2(out: &mut [f64], s: f64, r: &[f64], beta: &[f64]) {
-        let n = out.len().min(r.len()).min(beta.len());
-        let chunks = n / LANES;
-        let vs = _mm256_set1_pd(s);
-        for i in 0..chunks {
-            let vr = _mm256_loadu_pd(r.as_ptr().add(LANES * i));
-            let vb = _mm256_loadu_pd(beta.as_ptr().add(LANES * i));
-            let t = _mm256_floor_pd(_mm256_add_pd(_mm256_div_pd(vs, vr), vb));
-            _mm256_storeu_pd(out.as_mut_ptr().add(LANES * i), t);
-        }
-        for k in chunks * LANES..n {
-            out[k] = (s / r[k] + beta[k]).floor();
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn mul_sub_avx2(out: &mut [f64], r: &[f64], t: &[f64], beta: &[f64]) {
-        let n = out.len().min(r.len()).min(t.len()).min(beta.len());
-        let chunks = n / LANES;
-        for i in 0..chunks {
-            let vr = _mm256_loadu_pd(r.as_ptr().add(LANES * i));
-            let vt = _mm256_loadu_pd(t.as_ptr().add(LANES * i));
-            let vb = _mm256_loadu_pd(beta.as_ptr().add(LANES * i));
-            let v = _mm256_mul_pd(vr, _mm256_sub_pd(vt, vb));
-            _mm256_storeu_pd(out.as_mut_ptr().add(LANES * i), v);
-        }
-        for k in chunks * LANES..n {
-            out[k] = r[k] * (t[k] - beta[k]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn div_prod_avx2(out: &mut [f64], c: &[f64], er: &[f64]) {
-        let n = out.len().min(c.len()).min(er.len());
-        let chunks = n / LANES;
-        for i in 0..chunks {
-            let p = out.as_mut_ptr().add(LANES * i);
-            let vy = _mm256_loadu_pd(p);
-            let vc = _mm256_loadu_pd(c.as_ptr().add(LANES * i));
-            let ve = _mm256_loadu_pd(er.as_ptr().add(LANES * i));
-            _mm256_storeu_pd(p, _mm256_div_pd(vc, _mm256_mul_pd(vy, ve)));
-        }
-        for k in chunks * LANES..n {
-            out[k] = c[k] / (out[k] * er[k]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn div_into_avx2(out: &mut [f64], c: &[f64]) {
-        let n = out.len().min(c.len());
-        let chunks = n / LANES;
-        for i in 0..chunks {
-            let p = out.as_mut_ptr().add(LANES * i);
-            let vy = _mm256_loadu_pd(p);
-            let vc = _mm256_loadu_pd(c.as_ptr().add(LANES * i));
-            _mm256_storeu_pd(p, _mm256_div_pd(vc, vy));
-        }
-        for k in chunks * LANES..n {
-            out[k] = c[k] / out[k];
-        }
-    }
-
-    /// Reduce two `__m128d` lane-pair accumulators as `(0+1)+(2+3)`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn reduce_tree_sse2(acc01: __m128d, acc23: __m128d) -> f64 {
-        let s01 = _mm_add_sd(acc01, _mm_unpackhi_pd(acc01, acc01));
-        let s23 = _mm_add_sd(acc23, _mm_unpackhi_pd(acc23, acc23));
-        _mm_cvtsd_f64(_mm_add_sd(s01, s23))
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let chunks = n / LANES;
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        for i in 0..chunks {
-            let pa = a.as_ptr().add(LANES * i);
-            let pb = b.as_ptr().add(LANES * i);
-            acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_loadu_pd(pa), _mm_loadu_pd(pb)));
-            acc23 = _mm_add_pd(
-                acc23,
-                _mm_mul_pd(_mm_loadu_pd(pa.add(2)), _mm_loadu_pd(pb.add(2))),
-            );
-        }
-        let mut total = reduce_tree_sse2(acc01, acc23);
-        for k in chunks * LANES..n {
-            total += a[k] * b[k];
-        }
-        total
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn sq_dist_sse2(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let chunks = n / LANES;
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        for i in 0..chunks {
-            let pa = a.as_ptr().add(LANES * i);
-            let pb = b.as_ptr().add(LANES * i);
-            let d01 = _mm_sub_pd(_mm_loadu_pd(pa), _mm_loadu_pd(pb));
-            let d23 = _mm_sub_pd(_mm_loadu_pd(pa.add(2)), _mm_loadu_pd(pb.add(2)));
-            acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-            acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-        }
-        let mut total = reduce_tree_sse2(acc01, acc23);
-        for k in chunks * LANES..n {
-            let d = a[k] - b[k];
-            total += d * d;
-        }
-        total
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn axpy_sse2(out: &mut [f64], a: f64, x: &[f64]) {
-        let n = out.len().min(x.len());
-        let pairs = n / 2;
-        let va = _mm_set1_pd(a);
-        for i in 0..pairs {
-            let p = out.as_mut_ptr().add(2 * i);
-            let vo = _mm_loadu_pd(p);
-            let vx = _mm_loadu_pd(x.as_ptr().add(2 * i));
-            _mm_storeu_pd(p, _mm_add_pd(vo, _mm_mul_pd(va, vx)));
-        }
-        for k in pairs * 2..n {
-            out[k] += a * x[k];
-        }
     }
 }
 
@@ -603,40 +287,6 @@ mod tests {
         for i in 0..d {
             let yi = (r[i] * (t[i] - beta[i])).max(f64::MIN_POSITIVE);
             assert_eq!(yc[i].to_bits(), (c[i] / yi).to_bits());
-        }
-    }
-
-    #[test]
-    fn active_isa_is_consistent_with_feature() {
-        let isa = active_isa();
-        if !arch_feature_enabled() {
-            assert_eq!(isa, Isa::Portable);
-        }
-        assert!(!isa.name().is_empty());
-    }
-
-    #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-    #[test]
-    fn arch_tiers_match_portable_bitwise() {
-        // Exercise every compiled tier explicitly, not just the active
-        // one, on shapes covering empty, tail-only, and chunk+tail.
-        for n in [0usize, 1, 3, 4, 5, 8, 17, 64, 129] {
-            let a: Vec<f64> = (0..n).map(|i| (0.37 * i as f64).sin() * 3.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| (0.11 * i as f64).cos() + 0.2).collect();
-            let want_dot = dot_portable(&a, &b);
-            let want_sq = sq_dist_portable(&a, &b);
-            if is_x86_feature_detected!("sse2") {
-                // SAFETY: feature just detected.
-                let (d, s) = unsafe { (arch::dot_sse2(&a, &b), arch::sq_dist_sse2(&a, &b)) };
-                assert_eq!(d.to_bits(), want_dot.to_bits(), "sse2 dot n={n}");
-                assert_eq!(s.to_bits(), want_sq.to_bits(), "sse2 sq_dist n={n}");
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: feature just detected.
-                let (d, s) = unsafe { (arch::dot_avx2(&a, &b), arch::sq_dist_avx2(&a, &b)) };
-                assert_eq!(d.to_bits(), want_dot.to_bits(), "avx2 dot n={n}");
-                assert_eq!(s.to_bits(), want_sq.to_bits(), "avx2 sq_dist n={n}");
-            }
         }
     }
 }

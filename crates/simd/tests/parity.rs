@@ -2,9 +2,10 @@
 //!
 //! Two families of guarantees:
 //!
-//! 1. **Tier parity** — the dispatched kernels are bitwise identical to
-//!    the portable tier on arbitrary inputs and lengths (this is what
-//!    CI's feature-on pass verifies against the intrinsics).
+//! 1. **The documented tree** — `dot`, `sq_dist` and `axpy` are bitwise
+//!    identical, on arbitrary inputs and lengths, to the contract
+//!    written out index by index in this file (four accumulators over
+//!    `i % 4`, `(0+1)+(2+3)`, ascending tail; multiply and add separate).
 //! 2. **Tolerance vs. naive** — the tree's one deliberate
 //!    reassociation stays numerically close to the plain sequential
 //!    sum, so swapping callers onto the tree was a rounding-level
@@ -37,32 +38,63 @@ fn naive_sq_dist(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
+/// The contract of the crate docs, spelled out per index: products
+/// `term(i)` accumulate into lane `i % LANES` over the whole chunks,
+/// lanes reduce `(0+1)+(2+3)`, the tail adds on ascending.
+fn documented_tree(n: usize, term: impl Fn(usize) -> f64) -> f64 {
+    let body = (n / simd::LANES) * simd::LANES;
+    let mut acc = [0.0f64; simd::LANES];
+    for i in 0..body {
+        acc[i % simd::LANES] += term(i);
+    }
+    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for i in body..n {
+        total += term(i);
+    }
+    total
+}
+
+fn documented_dot(a: &[f64], b: &[f64]) -> f64 {
+    documented_tree(a.len(), |i| a[i] * b[i])
+}
+
+fn documented_sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    documented_tree(a.len(), |i| {
+        let d = a[i] - b[i];
+        d * d
+    })
+}
+
+/// `out[i] + a * x[i]`: one multiply, then one add.
+fn documented_axpy(out: &[f64], a: f64, x: &[f64]) -> Vec<f64> {
+    out.iter().zip(x).map(|(o, xi)| o + a * xi).collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// The proptests draw lengths below 200; callers also hand the kernels
-/// whole columns, so tier parity is pinned at row-count scale as well.
+/// whole columns, so the tree is pinned at row-count scale as well.
 #[test]
-fn dispatched_kernels_are_portable_bitwise_at_long_lengths() {
+fn kernels_are_the_documented_tree_at_long_lengths() {
     for n in [1_024usize, 4_096, 16_384] {
         let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.618).sin() * 100.0).collect();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.414).cos() * 100.0).collect();
         assert_eq!(
             simd::dot(&a, &b).to_bits(),
-            simd::dot_portable(&a, &b).to_bits(),
-            "dot tier mismatch at n={n}"
+            documented_dot(&a, &b).to_bits(),
+            "dot leaves the tree at n={n}"
         );
         assert_eq!(
             simd::sq_dist(&a, &b).to_bits(),
-            simd::sq_dist_portable(&a, &b).to_bits(),
-            "sq_dist tier mismatch at n={n}"
+            documented_sq_dist(&a, &b).to_bits(),
+            "sq_dist leaves the tree at n={n}"
         );
-        let (mut got, mut want) = (b.clone(), b);
+        let want = documented_axpy(&b, -1.75, &a);
+        let mut got = b;
         simd::axpy(&mut got, -1.75, &a);
-        simd::axpy_portable(&mut want, -1.75, &a);
-        assert!(
-            got.iter()
-                .zip(&want)
-                .all(|(g, w)| g.to_bits() == w.to_bits()),
-            "axpy tier mismatch at n={n}"
-        );
+        assert_eq!(bits(&got), bits(&want), "axpy mismatch at n={n}");
     }
 }
 
@@ -70,36 +102,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn dispatched_dot_is_portable_bitwise(xs in values(), ys in values()) {
+    fn dot_is_the_documented_tree(xs in values(), ys in values()) {
         let (a, b) = paired(&xs, &ys);
-        prop_assert_eq!(
-            simd::dot(&a, &b).to_bits(),
-            simd::dot_portable(&a, &b).to_bits()
-        );
+        prop_assert_eq!(simd::dot(&a, &b).to_bits(), documented_dot(&a, &b).to_bits());
     }
 
     #[test]
-    fn dispatched_sq_dist_is_portable_bitwise(xs in values(), ys in values()) {
+    fn sq_dist_is_the_documented_tree(xs in values(), ys in values()) {
         let (a, b) = paired(&xs, &ys);
         prop_assert_eq!(
             simd::sq_dist(&a, &b).to_bits(),
-            simd::sq_dist_portable(&a, &b).to_bits()
+            documented_sq_dist(&a, &b).to_bits()
         );
     }
 
     #[test]
-    fn dispatched_axpy_is_portable_bitwise(
+    fn axpy_is_one_multiply_then_one_add(
         xs in values(),
         ys in values(),
         a in -10.0f64..10.0,
     ) {
         let (x, mut out) = paired(&xs, &ys);
-        let mut want = out.clone();
-        simd::axpy_portable(&mut want, a, &x);
+        let want = documented_axpy(&out, a, &x);
         simd::axpy(&mut out, a, &x);
-        for (got, want) in out.iter().zip(&want) {
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-        }
+        prop_assert_eq!(bits(&out), bits(&want));
     }
 
     #[test]

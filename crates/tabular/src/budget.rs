@@ -47,11 +47,6 @@ impl FrameBudget {
             resident_bytes: bytes,
         }
     }
-
-    /// True when this budget never evicts.
-    pub fn is_unbounded(&self) -> bool {
-        self.resident_bytes == u64::MAX
-    }
 }
 
 impl Default for FrameBudget {
@@ -120,10 +115,9 @@ mod tests {
 
     #[test]
     fn budget_constructors() {
-        assert!(FrameBudget::unbounded().is_unbounded());
-        assert!(FrameBudget::default().is_unbounded());
+        assert_eq!(FrameBudget::unbounded().resident_bytes, u64::MAX);
+        assert_eq!(FrameBudget::default(), FrameBudget::unbounded());
         assert_eq!(FrameBudget::from_mib(2).resident_bytes, 2 * 1024 * 1024);
-        assert!(!FrameBudget::from_mib(2).is_unbounded());
         assert_eq!(FrameBudget::from_bytes(7).resident_bytes, 7);
     }
 

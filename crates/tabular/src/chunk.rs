@@ -610,12 +610,6 @@ impl ChunkedFrame {
         self.n_rows().div_ceil(self.chunk_rows)
     }
 
-    /// Row range `[start, end)` covered by chunk `k`.
-    pub fn chunk_row_range(&self, k: usize) -> (usize, usize) {
-        let start = k * self.chunk_rows;
-        (start, (start + self.chunk_rows).min(self.n_rows()))
-    }
-
     /// The label.
     pub fn label(&self) -> &Label {
         &self.label
@@ -642,11 +636,6 @@ impl ChunkedFrame {
     /// The frame's resident-bytes budget.
     pub fn budget(&self) -> FrameBudget {
         self.core.budget
-    }
-
-    /// The backing store's kind.
-    pub fn store_kind(&self) -> crate::store::StoreKind {
-        self.core.store.kind()
     }
 
     /// Append a new column from a full value slice, encoding chunk by
@@ -880,12 +869,6 @@ impl ChunkedFrame {
             chunks_decoded: state.decoded,
         }
     }
-
-    /// Total encoded bytes across all chunks (resident or spilled).
-    pub fn encoded_bytes(&self) -> u64 {
-        let state = self.core.state.lock().expect("frame lock");
-        state.slots.iter().map(|s| s.bytes as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -1006,6 +989,54 @@ mod tests {
         assert_eq!(cf.to_dataframe().unwrap(), df);
         let stats = cf.stats();
         assert!(stats.chunks_loaded > 0, "materialize should reload");
+    }
+
+    /// A spill file damaged underneath the frame surfaces from
+    /// [`ChunkedFrame::chunk`] as the store's typed error, and only for
+    /// the chunks that have to come back from it.
+    #[test]
+    fn evicted_chunk_of_a_damaged_spill_file_is_an_io_error() {
+        use std::io::{Read, Seek, SeekFrom, Write};
+        let n = 4096;
+        let values: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let df = DataFrame::new("t", vec![Column::new("a", values)], reg_label(n)).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("eafc_chunk_fault_{}.eafc", std::process::id()));
+        // Raw 8 KiB chunks under a budget of one: chunks 0..3 are spilled in
+        // order (chunk 0 at the first payload offset, 16) and evicted.
+        let cf = ChunkedFrame::from_dataframe(
+            &df,
+            ChunkOptions::default()
+                .with_chunk_rows(1024)
+                .with_budget(FrameBudget::from_bytes(8 * 1024 + 512)),
+            Box::new(crate::store::MmapStore::create(&path).unwrap()),
+        )
+        .unwrap();
+        assert_eq!(cf.stats().chunks_spilled, 3);
+
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let mut byte = [0u8; 1];
+        file.seek(SeekFrom::Start(16 + 100)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(16 + 100)).unwrap();
+        file.write_all(&[byte[0] ^ 1]).unwrap();
+        match cf.chunk(0, 0) {
+            Err(TabularError::Io(msg)) => {
+                assert!(msg.contains("checksum mismatch at offset 16"), "{msg}")
+            }
+            other => panic!("flipped byte must fail the checksum, got {other:?}"),
+        }
+        cf.chunk(0, 1).expect("an intact record still loads");
+
+        file.set_len(16 + 100).unwrap();
+        assert!(matches!(cf.chunk(0, 2), Err(TabularError::Io(_))));
+        cf.chunk(0, 1).expect("the resident chunk needs no file");
+        drop(cf);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -77,19 +77,6 @@ impl Column {
             })
     }
 
-    /// Number of distinct finite values (exact, via sorted scan).
-    pub fn n_unique(&self) -> usize {
-        let mut vals: Vec<f64> = self
-            .values
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        vals.dedup();
-        vals.len()
-    }
-
     /// True when every value is finite (no NaN or ±Inf).
     pub fn is_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
@@ -165,7 +152,6 @@ mod tests {
         assert!((c.std() - (1.25f64).sqrt()).abs() < 1e-12);
         assert_eq!(c.min(), Some(1.0));
         assert_eq!(c.max(), Some(4.0));
-        assert_eq!(c.n_unique(), 4);
     }
 
     #[test]
@@ -175,7 +161,6 @@ mod tests {
         assert_eq!(c.std(), 0.0);
         assert_eq!(c.min(), None);
         assert_eq!(c.max(), None);
-        assert_eq!(c.n_unique(), 0);
         assert!(c.is_constant(1e-9));
     }
 
@@ -186,7 +171,6 @@ mod tests {
         assert_eq!(c.min(), Some(1.0));
         // Inf is not NaN so max sees it.
         assert_eq!(c.max(), Some(f64::INFINITY));
-        assert_eq!(c.n_unique(), 2); // only finite values counted
         let fixed = c.sanitize(0.0);
         assert_eq!(fixed, 2);
         assert!(c.is_finite());

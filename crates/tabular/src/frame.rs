@@ -164,14 +164,6 @@ impl DataFrame {
             .ok_or_else(|| TabularError::NoSuchColumn(format!("#{idx}")))
     }
 
-    /// Borrow one feature column by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        self.columns
-            .iter()
-            .find(|c| c.name == name)
-            .ok_or_else(|| TabularError::NoSuchColumn(name.to_string()))
-    }
-
     /// Borrow the label.
     pub fn label(&self) -> &Label {
         &self.label
@@ -203,14 +195,6 @@ impl DataFrame {
         }
         self.columns.push(column);
         Ok(())
-    }
-
-    /// Remove and return the column at `idx`.
-    pub fn remove_column(&mut self, idx: usize) -> Result<Column> {
-        if idx >= self.columns.len() {
-            return Err(TabularError::NoSuchColumn(format!("#{idx}")));
-        }
-        Ok(self.columns.remove(idx))
     }
 
     /// A new frame containing all columns except `idx` — the "residual
@@ -260,12 +244,6 @@ impl DataFrame {
     /// a negative, division by ~0), and learners require finite input.
     pub fn sanitize(&mut self) -> usize {
         self.columns.iter_mut().map(|c| c.sanitize(0.0)).sum()
-    }
-
-    /// Row-major copy of the feature matrix (one `Vec<f64>` per row).
-    /// Learners that scan samples (trees, NB) use this layout.
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.n_rows()).map(|i| self.row(i)).collect()
     }
 
     /// Dataset shape in the paper's "Samples\Features" table notation.
@@ -342,8 +320,8 @@ mod tests {
         assert_eq!(f.n_cols(), 2);
         assert_eq!(f.task(), Task::Classification);
         assert_eq!(f.row(1), vec![2.0, 20.0]);
-        assert_eq!(f.column_by_name("b").unwrap().values[0], 10.0);
-        assert!(f.column_by_name("zzz").is_err());
+        assert_eq!(f.column(1).unwrap().values[0], 10.0);
+        assert!(f.column(2).is_err());
         assert_eq!(f.shape_str(), "4\\2");
     }
 
@@ -368,14 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn push_and_remove_column() {
+    fn push_column_checks_length() {
         let mut f = frame();
         f.push_column(Column::new("c", vec![0.0; 4])).unwrap();
         assert_eq!(f.n_cols(), 3);
         assert!(f.push_column(Column::new("d", vec![0.0; 3])).is_err());
-        let removed = f.remove_column(2).unwrap();
-        assert_eq!(removed.name, "c");
-        assert_eq!(f.n_cols(), 2);
+        assert_eq!(f.n_cols(), 3);
     }
 
     #[test]

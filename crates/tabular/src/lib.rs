@@ -6,10 +6,10 @@
 //!   `D⟨F, y⟩` from the paper's problem formulation;
 //! - [`chunk`] / [`store`] / [`budget`] — the out-of-core layer: compressed
 //!   chunked columns ([`ChunkedFrame`]), pluggable chunk persistence
-//!   ([`ColumnStore`] with in-memory and mmap-backed `.eafc` backends), and
+//!   ([`ColumnStore`] with in-memory and file-backed `.eafc` backends), and
 //!   resident-bytes budgeting with LRU spill/evict ([`FrameBudget`]);
 //! - [`split`] — train/test and (stratified) k-fold index generation;
-//! - [`sample`] — subsampling and bootstrap utilities;
+//! - [`sample`] — uniform and stratified subsampling;
 //! - [`csv`] — simple persistence;
 //! - [`synth`] / [`registry`] — deterministic synthetic stand-ins for the
 //!   paper's 36 target datasets and the public pre-training corpus, with
@@ -37,5 +37,5 @@ pub use error::{Result, TabularError};
 pub use frame::{DataFrame, Label, Task};
 pub use registry::{find_dataset, DatasetInfo, TARGET_DATASETS};
 pub use split::Split;
-pub use store::{ChunkTicket, ColumnStore, InMemoryStore, MmapStore, StoreKind};
+pub use store::{ChunkTicket, ColumnStore, InMemoryStore, MmapStore};
 pub use synth::SynthSpec;

@@ -1,12 +1,12 @@
-//! Row sampling utilities: uniform subsampling, stratified subsampling and
-//! bootstrap draws. These drive the paper's Figure 1 experiment (sample
-//! percentage vs performance/time) and the random-forest substrate.
+//! Row sampling utilities: uniform and stratified subsampling. These
+//! drive the paper's Figure 1 experiment (sample percentage vs
+//! performance/time).
 
 use crate::error::{Result, TabularError};
 use crate::frame::{DataFrame, Label};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Uniformly subsample `fraction` of the rows without replacement.
 /// At least one row is always kept.
@@ -67,27 +67,11 @@ pub fn stratified_subsample(frame: &DataFrame, fraction: f64, seed: u64) -> Resu
     frame.take_rows(&kept)
 }
 
-/// Draw `n` bootstrap row indices (with replacement) from `0..n_rows`.
-pub fn bootstrap_indices(n_rows: usize, n: usize, rng: &mut impl Rng) -> Vec<usize> {
-    (0..n).map(|_| rng.gen_range(0..n_rows)).collect()
-}
-
-/// Out-of-bag indices for a bootstrap draw: the rows never sampled.
-pub fn oob_indices(n_rows: usize, bootstrap: &[usize]) -> Vec<usize> {
-    let mut in_bag = vec![false; n_rows];
-    for &i in bootstrap {
-        in_bag[i] = true;
-    }
-    (0..n_rows).filter(|&i| !in_bag[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::Column;
     use crate::frame::{DataFrame, Label};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn class_frame(n: usize) -> DataFrame {
         DataFrame::new(
@@ -146,20 +130,5 @@ mod tests {
         .unwrap();
         let s = stratified_subsample(&f, 0.5, 0).unwrap();
         assert_eq!(s.n_rows(), 10);
-    }
-
-    #[test]
-    fn bootstrap_and_oob_partition() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let bs = bootstrap_indices(50, 50, &mut rng);
-        assert_eq!(bs.len(), 50);
-        assert!(bs.iter().all(|&i| i < 50));
-        let oob = oob_indices(50, &bs);
-        // OOB rows are exactly those absent from the bootstrap.
-        for &i in &oob {
-            assert!(!bs.contains(&i));
-        }
-        // With n=50 draws, expect roughly 1/e ≈ 18 OOB rows; allow slack.
-        assert!(oob.len() > 5 && oob.len() < 35, "oob = {}", oob.len());
     }
 }

@@ -2,7 +2,7 @@
 //! generation. All splitters are deterministic given a seed.
 
 use crate::error::{Result, TabularError};
-use crate::frame::{DataFrame, Label};
+use crate::frame::Label;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -38,19 +38,6 @@ pub fn train_test_indices(n_rows: usize, test_fraction: f64, seed: u64) -> Resul
         train: train.to_vec(),
         test: test.to_vec(),
     })
-}
-
-/// Split a frame into (train, test) frames.
-pub fn train_test_split(
-    frame: &DataFrame,
-    test_fraction: f64,
-    seed: u64,
-) -> Result<(DataFrame, DataFrame)> {
-    let split = train_test_indices(frame.n_rows(), test_fraction, seed)?;
-    Ok((
-        frame.take_rows(&split.train)?,
-        frame.take_rows(&split.test)?,
-    ))
 }
 
 /// Plain k-fold partition of `n_rows` rows into `k` folds after a seeded
@@ -143,8 +130,6 @@ fn build_splits(folds: Vec<Vec<usize>>) -> Vec<Split> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
-    use crate::frame::{DataFrame, Label};
 
     #[test]
     fn train_test_partition_is_complete_and_disjoint() {
@@ -231,22 +216,5 @@ mod tests {
         assert_eq!(cv_indices(&class, 3, 0).unwrap().len(), 3);
         let reg = Label::Reg(vec![0.0; 6]);
         assert_eq!(cv_indices(&reg, 3, 0).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn split_frames_have_expected_rows() {
-        let f = DataFrame::new(
-            "t",
-            vec![Column::new("a", (0..10).map(|i| i as f64).collect())],
-            Label::Reg((0..10).map(|i| i as f64).collect()),
-        )
-        .unwrap();
-        let (tr, te) = train_test_split(&f, 0.3, 1).unwrap();
-        assert_eq!(tr.n_rows(), 7);
-        assert_eq!(te.n_rows(), 3);
-        // Feature and label stay aligned through the split.
-        for (i, &v) in tr.column(0).unwrap().values.iter().enumerate() {
-            assert_eq!(v, tr.label().targets().unwrap()[i]);
-        }
     }
 }

@@ -1,27 +1,25 @@
 //! Chunk persistence: the [`ColumnStore`] trait with in-memory and
-//! memory-mapped on-disk backends.
+//! file-backed backends.
 //!
 //! The on-disk format (`.eafc`, "E-AFE columns") is append-only:
 //!
 //! ```text
 //! [magic "EAFC"][version u32 LE][reserved u64]          16-byte header
 //! [chunk payload bytes] ...                             appended records
-//! [n u64][ (offset u64, len u32, pad u32, fnv u64) ×n ] footer table
-//! [table_offset u64][magic "CFAE"]                      footer trailer
 //! ```
 //!
 //! Every `append` returns a [`ChunkTicket`] carrying the record's offset,
 //! length, and FNV-1a checksum; `read_into` verifies the checksum on every
 //! read, so a torn write or bit rot surfaces as [`TabularError::Io`] rather
-//! than silently corrupt data. [`MmapStore::finalize`] writes the footer
-//! table so a file can later be reopened with [`MmapStore::open`] and its
-//! tickets recovered without re-scanning payloads.
+//! than silently corrupt data. There is no index in the file: a spill file
+//! is only ever read back by the process that wrote it, at the offsets and
+//! checksums that process recorded itself.
 //!
-//! On Unix the read path memory-maps the file (remapping as it grows) and
-//! falls back to `pread` when mapping fails; other platforms always use
-//! positioned reads. The mapping is created with raw `mmap(2)` bindings —
-//! the workspace vendors no libc crate, but `std` links the platform libc,
-//! so the symbols resolve.
+//! A read is one positioned `seek` + `read_exact` into the caller's buffer
+//! under the file lock, on every platform. Nothing of the file stays mapped
+//! or cached in this process, so resident memory is bounded by the
+//! [`FrameBudget`](crate::budget::FrameBudget), not by how much of the
+//! spill file has been scanned.
 
 use crate::error::{Result, TabularError};
 use std::fs::{File, OpenOptions};
@@ -50,15 +48,6 @@ pub struct ChunkTicket {
     pub checksum: u64,
 }
 
-/// Which backend a store uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// RAM-backed arena ([`InMemoryStore`]).
-    Memory,
-    /// Memory-mapped `.eafc` file ([`MmapStore`]).
-    Mmap,
-}
-
 /// Append-only chunk persistence used by spill/evict in
 /// [`ChunkedFrame`](crate::chunk::ChunkedFrame).
 pub trait ColumnStore: Send + Sync + std::fmt::Debug {
@@ -68,12 +57,6 @@ pub trait ColumnStore: Send + Sync + std::fmt::Debug {
     /// Read a previously appended payload into `out` (cleared first),
     /// verifying the ticket's checksum.
     fn read_into(&self, ticket: &ChunkTicket, out: &mut Vec<u8>) -> Result<()>;
-
-    /// Which backend this is.
-    fn kind(&self) -> StoreKind;
-
-    /// Total payload bytes appended so far.
-    fn bytes_written(&self) -> u64;
 }
 
 fn checksum_mismatch(t: &ChunkTicket, got: u64) -> TabularError {
@@ -132,156 +115,32 @@ impl ColumnStore for InMemoryStore {
         }
         Ok(())
     }
-
-    fn kind(&self) -> StoreKind {
-        StoreKind::Memory
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.arena.lock().expect("store lock").len() as u64
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Raw mmap bindings (Unix)
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod mm {
-    use std::os::raw::{c_int, c_void};
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-
-    const PROT_READ: c_int = 1;
-    const MAP_SHARED: c_int = 1;
-    const MAP_FAILED: isize = -1;
-    const MADV_DONTNEED: c_int = 4;
-
-    /// Alignment granule for `release_range`. If the real page size is
-    /// larger (e.g. 16K/64K arm64 kernels), the madvise call fails with
-    /// EINVAL and is ignored — releasing is best-effort only.
-    const PAGE: usize = 4096;
-
-    /// A read-only shared mapping of the first `len` bytes of a file.
-    /// The pointer is immutable for the mapping's lifetime, so sharing it
-    /// across threads is sound.
-    #[derive(Debug)]
-    pub struct Map {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and never handed out mutably; the
-    // raw pointer is only dereferenced through `as_slice`.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        /// Map `len` bytes of `fd` read-only; `None` if the kernel refuses.
-        pub fn new(fd: c_int, len: usize) -> Option<Map> {
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold
-            // open; failure is reported via MAP_FAILED and handled.
-            let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, fd, 0) };
-            if ptr as isize == MAP_FAILED {
-                None
-            } else {
-                Some(Map { ptr, len })
-            }
-        }
-
-        /// The mapped bytes.
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-            // bytes established in `new`.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-
-        /// Mapped length in bytes.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// Drop the resident pages covering `[offset, offset + len)` from
-        /// this process's working set (best-effort). The pages are clean
-        /// and file-backed, so a later access simply refaults them from
-        /// the page cache — values never change. Without this, a spill
-        /// store scanned chunk-by-chunk would accumulate the whole file
-        /// in RSS, defeating the point of a resident-bytes budget.
-        pub fn release_range(&self, offset: usize, len: usize) {
-            if len == 0 || offset >= self.len {
-                return;
-            }
-            let start = offset & !(PAGE - 1);
-            let end = (offset + len).min(self.len);
-            // SAFETY: [start, end) lies within the live mapping; DONTNEED
-            // on a read-only shared file mapping only drops PTEs. Failure
-            // (e.g. stricter page size) is ignored — purely advisory.
-            unsafe {
-                madvise(
-                    (self.ptr as usize + start) as *mut c_void,
-                    end - start,
-                    MADV_DONTNEED,
-                );
-            }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` describe the mapping created in `new`;
-            // unmap failures at drop are unrecoverable and ignored.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mmap-backed .eafc file store
+// File-backed .eafc store
 // ---------------------------------------------------------------------------
 
 /// Magic bytes opening every `.eafc` file.
 pub const EAFC_MAGIC: [u8; 4] = *b"EAFC";
-/// Magic bytes closing a finalized `.eafc` file.
-pub const EAFC_FOOTER_MAGIC: [u8; 4] = *b"CFAE";
 /// Current `.eafc` format version.
 pub const EAFC_VERSION: u32 = 1;
 const HEADER_LEN: u64 = 16;
 
 #[derive(Debug)]
-struct MmapState {
+struct FileState {
+    file: File,
     /// Bytes of the file written so far (header + payloads).
     tail: u64,
-    /// Tickets for every appended record, in append order.
-    tickets: Vec<ChunkTicket>,
-    /// Current mapping, if the mmap path is usable.
-    #[cfg(unix)]
-    map: Option<mm::Map>,
-    /// Whether mmap has failed before (don't keep retrying).
-    mmap_broken: bool,
 }
 
-/// Memory-mapped on-disk [`ColumnStore`] over a `.eafc` file.
+/// File-backed [`ColumnStore`] over a `.eafc` spill file, read back by
+/// positioned reads (the name predates the removal of its `mmap` read
+/// path; `benchmark/` constructs it by this name).
 #[derive(Debug)]
 pub struct MmapStore {
     path: PathBuf,
-    file: Mutex<File>,
-    state: Mutex<MmapState>,
+    state: Mutex<FileState>,
 }
 
 impl MmapStore {
@@ -300,80 +159,9 @@ impl MmapStore {
         file.write_all(&header)?;
         Ok(MmapStore {
             path,
-            file: Mutex::new(file),
-            state: Mutex::new(MmapState {
+            state: Mutex::new(FileState {
+                file,
                 tail: HEADER_LEN,
-                tickets: Vec::new(),
-                #[cfg(unix)]
-                map: None,
-                mmap_broken: false,
-            }),
-        })
-    }
-
-    /// Open a finalized `.eafc` file, recovering the ticket table from its
-    /// footer. Further appends land after the payload region (the old
-    /// footer is overwritten and must be rewritten via [`finalize`](Self::finalize)).
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let path = path.into();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let file_len = file.metadata()?.len();
-        let mut header = [0u8; HEADER_LEN as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut header)?;
-        if header[..4] != EAFC_MAGIC {
-            return Err(TabularError::Io(format!(
-                "{}: not an .eafc file (bad magic)",
-                path.display()
-            )));
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != EAFC_VERSION {
-            return Err(TabularError::Io(format!(
-                "{}: unsupported .eafc version {version}",
-                path.display()
-            )));
-        }
-        // Trailer: [table_offset u64][magic "CFAE"] at the end of the file.
-        if file_len < HEADER_LEN + 12 {
-            return Err(TabularError::Io(format!(
-                "{}: missing .eafc footer (file too short)",
-                path.display()
-            )));
-        }
-        let mut trailer = [0u8; 12];
-        file.seek(SeekFrom::Start(file_len - 12))?;
-        file.read_exact(&mut trailer)?;
-        if trailer[8..12] != EAFC_FOOTER_MAGIC {
-            return Err(TabularError::Io(format!(
-                "{}: missing .eafc footer (bad trailer magic)",
-                path.display()
-            )));
-        }
-        let table_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        file.seek(SeekFrom::Start(table_offset))?;
-        let mut n_buf = [0u8; 8];
-        file.read_exact(&mut n_buf)?;
-        let n = u64::from_le_bytes(n_buf) as usize;
-        let mut tickets = Vec::with_capacity(n);
-        let mut rec = [0u8; 24];
-        for _ in 0..n {
-            file.read_exact(&mut rec)?;
-            tickets.push(ChunkTicket {
-                offset: u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
-                len: u32::from_le_bytes(rec[8..12].try_into().expect("4 bytes")),
-                checksum: u64::from_le_bytes(rec[16..24].try_into().expect("8 bytes")),
-            });
-        }
-        Ok(MmapStore {
-            path,
-            file: Mutex::new(file),
-            state: Mutex::new(MmapState {
-                tail: table_offset,
-                tickets,
-                #[cfg(unix)]
-                map: None,
-                mmap_broken: false,
             }),
         })
     }
@@ -382,126 +170,41 @@ impl MmapStore {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Tickets of every record appended (or recovered) so far, in order.
-    pub fn tickets(&self) -> Vec<ChunkTicket> {
-        self.state.lock().expect("store lock").tickets.clone()
-    }
-
-    /// Write the footer table + trailer so the file can be reopened with
-    /// [`open`](Self::open). Call after the last append.
-    pub fn finalize(&self) -> Result<()> {
-        let state = self.state.lock().expect("store lock");
-        let mut file = self.file.lock().expect("file lock");
-        let table_offset = state.tail;
-        let mut footer = Vec::with_capacity(8 + state.tickets.len() * 24 + 12);
-        footer.extend_from_slice(&(state.tickets.len() as u64).to_le_bytes());
-        for t in &state.tickets {
-            footer.extend_from_slice(&t.offset.to_le_bytes());
-            footer.extend_from_slice(&t.len.to_le_bytes());
-            footer.extend_from_slice(&0u32.to_le_bytes());
-            footer.extend_from_slice(&t.checksum.to_le_bytes());
-        }
-        footer.extend_from_slice(&table_offset.to_le_bytes());
-        footer.extend_from_slice(&EAFC_FOOTER_MAGIC);
-        file.seek(SeekFrom::Start(table_offset))?;
-        file.write_all(&footer)?;
-        file.flush()?;
-        Ok(())
-    }
-
-    /// Positioned read without touching shared seek state.
-    fn pread(&self, offset: u64, out: &mut [u8]) -> Result<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            let file = self.file.lock().expect("file lock");
-            file.read_exact_at(out, offset)?;
-            Ok(())
-        }
-        #[cfg(not(unix))]
-        {
-            let mut file = self.file.lock().expect("file lock");
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(out)?;
-            Ok(())
-        }
-    }
 }
 
 impl ColumnStore for MmapStore {
     fn append(&self, payload: &[u8]) -> Result<ChunkTicket> {
         let mut state = self.state.lock().expect("store lock");
         let offset = state.tail;
-        {
-            let mut file = self.file.lock().expect("file lock");
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(payload)?;
-        }
+        // Reads move the shared cursor, so every write seeks first.
+        state.file.seek(SeekFrom::Start(offset))?;
+        state.file.write_all(payload)?;
         state.tail += payload.len() as u64;
-        let ticket = ChunkTicket {
+        Ok(ChunkTicket {
             offset,
             len: payload.len() as u32,
             checksum: fnv1a(payload),
-        };
-        state.tickets.push(ticket);
-        Ok(ticket)
+        })
     }
 
     fn read_into(&self, ticket: &ChunkTicket, out: &mut Vec<u8>) -> Result<()> {
         out.clear();
         out.resize(ticket.len as usize, 0);
-        let end = ticket.offset + ticket.len as u64;
-        let mut used_map = false;
-        #[cfg(unix)]
         {
             let mut state = self.state.lock().expect("store lock");
-            if !state.mmap_broken {
-                let need = state.tail as usize;
-                let have = state.map.as_ref().map_or(0, |m| m.len());
-                if have < end as usize {
-                    use std::os::unix::io::AsRawFd;
-                    // Data was written through the File; the page cache makes
-                    // it visible to a fresh mapping immediately.
-                    let fd = self.file.lock().expect("file lock").as_raw_fd();
-                    match mm::Map::new(fd, need) {
-                        Some(map) => state.map = Some(map),
-                        None => {
-                            state.mmap_broken = true;
-                            state.map = None;
-                        }
-                    }
-                }
-                if let Some(map) = &state.map {
-                    if map.len() >= end as usize {
-                        out.copy_from_slice(&map.as_slice()[ticket.offset as usize..end as usize]);
-                        // Reads copy out of the mapping, so the mapped pages
-                        // are released immediately: resident memory stays
-                        // bounded by the FrameBudget, not by how much of the
-                        // spill file has been scanned.
-                        map.release_range(ticket.offset as usize, ticket.len as usize);
-                        used_map = true;
-                    }
-                }
-            }
-        }
-        if !used_map {
-            let _ = end;
-            self.pread(ticket.offset, out)?;
+            state.file.seek(SeekFrom::Start(ticket.offset))?;
+            state.file.read_exact(out).map_err(|e| {
+                TabularError::Io(format!(
+                    "chunk read of {} bytes at offset {}: {e}",
+                    ticket.len, ticket.offset
+                ))
+            })?;
         }
         let got = fnv1a(out);
         if got != ticket.checksum {
             return Err(checksum_mismatch(ticket, got));
         }
         Ok(())
-    }
-
-    fn kind(&self) -> StoreKind {
-        StoreKind::Mmap
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.state.lock().expect("store lock").tail - HEADER_LEN
     }
 }
 
@@ -523,7 +226,6 @@ mod tests {
         let store = InMemoryStore::new();
         let a = store.append(b"hello").unwrap();
         let b = store.append(b"world!").unwrap();
-        assert_eq!(store.bytes_written(), 11);
         let mut buf = Vec::new();
         store.read_into(&b, &mut buf).unwrap();
         assert_eq!(buf, b"world!");
@@ -538,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn mmap_store_round_trips_while_growing() {
+    fn file_store_round_trips_while_growing() {
         let path = tmp("grow");
         let store = MmapStore::create(&path).unwrap();
         let mut tickets = Vec::new();
@@ -546,7 +248,7 @@ mod tests {
             let payload: Vec<u8> = (0..100 + i as usize).map(|j| (j as u8) ^ i).collect();
             tickets.push((store.append(&payload).unwrap(), payload));
         }
-        // Interleave reads with growth so remapping is exercised.
+        // Interleave reads with growth: appends re-seek past the reads.
         let mut buf = Vec::new();
         for (t, want) in &tickets {
             store.read_into(t, &mut buf).unwrap();
@@ -559,41 +261,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The faults the checksum and `read_exact` exist for: the file
+    /// changes underneath a ticket the process already holds.
     #[test]
-    fn mmap_store_finalize_and_reopen_recovers_tickets() {
-        let path = tmp("reopen");
-        let payloads: Vec<Vec<u8>> = (0..5).map(|i| vec![i as u8; 10 + i as usize * 3]).collect();
-        let tickets: Vec<ChunkTicket> = {
-            let store = MmapStore::create(&path).unwrap();
-            let t = payloads.iter().map(|p| store.append(p).unwrap()).collect();
-            store.finalize().unwrap();
-            t
-        };
-        let store = MmapStore::open(&path).unwrap();
-        assert_eq!(store.tickets(), tickets);
+    fn file_store_reports_a_flipped_byte_and_a_truncated_file() {
+        let path = tmp("fault");
+        let store = MmapStore::create(&path).unwrap();
+        let first = store.append(&[7u8; 64]).unwrap();
+        let second = store.append(&[9u8; 64]).unwrap();
         let mut buf = Vec::new();
-        for (t, want) in tickets.iter().zip(&payloads) {
-            store.read_into(t, &mut buf).unwrap();
-            assert_eq!(&buf, want);
-        }
-        // Appending after reopen still works, and re-finalizing restores
-        // the footer past the new record.
-        let extra = store.append(b"extra").unwrap();
-        store.finalize().unwrap();
-        drop(store);
-        let store = MmapStore::open(&path).unwrap();
-        assert_eq!(store.tickets().len(), 6);
-        store.read_into(&extra, &mut buf).unwrap();
-        assert_eq!(buf, b"extra");
-        drop(store);
-        std::fs::remove_file(&path).ok();
-    }
 
-    #[test]
-    fn open_rejects_non_eafc_files() {
-        let path = tmp("bad");
-        std::fs::write(&path, b"definitely not an eafc file").unwrap();
-        assert!(MmapStore::open(&path).is_err());
+        // Flip one payload byte of the first record through a second handle.
+        let mut other = OpenOptions::new().write(true).open(&path).unwrap();
+        other.seek(SeekFrom::Start(first.offset + 10)).unwrap();
+        other.write_all(&[7u8 ^ 0x40]).unwrap();
+        match store.read_into(&first, &mut buf) {
+            Err(TabularError::Io(msg)) => {
+                assert!(msg.contains("checksum mismatch"), "{msg}");
+                assert!(msg.contains(&format!("offset {}", first.offset)), "{msg}");
+            }
+            other => panic!("flipped byte must fail the checksum, got {other:?}"),
+        }
+        store.read_into(&second, &mut buf).unwrap();
+        assert_eq!(buf, [9u8; 64]);
+
+        // Truncate below the end of the second record: a short read.
+        other.set_len(second.offset + 10).unwrap();
+        match store.read_into(&second, &mut buf) {
+            Err(TabularError::Io(msg)) => {
+                assert!(msg.contains(&format!("offset {}", second.offset)), "{msg}");
+            }
+            other => panic!("truncated record must be a short read, got {other:?}"),
+        }
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -207,7 +207,7 @@ proptest! {
     }
 }
 
-/// The mmap-backed store serves the same bits as the in-memory store —
+/// The file-backed store serves the same bits as the in-memory store —
 /// a single deterministic (non-proptest) case so the on-disk `.eafc`
 /// pipeline is always exercised.
 #[test]

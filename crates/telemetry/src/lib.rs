@@ -13,8 +13,7 @@
 //! - **Sinks** ([`install`], [`Sink`]): a process-global consumer of the
 //!   [`Event`] stream — [`MemorySink`] for the end-of-run [`Summary`],
 //!   [`JsonLinesSink`] for `--trace-out` files and live progress feeds,
-//!   [`FanoutSink`] for both, and [`RouterSink`] + [`route`] to split one
-//!   multi-tenant process's events into per-job feeds.
+//!   and [`FanoutSink`] for both.
 //!
 //! # Zero cost when disabled
 //!
@@ -48,7 +47,6 @@
 
 mod event;
 mod metrics;
-mod route;
 mod scoped;
 mod sink;
 mod span;
@@ -57,7 +55,6 @@ mod timeseries;
 
 pub use event::{CountEvent, Event, SpanEvent};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, N_BUCKETS};
-pub use route::{current_route, route, RouteGuard, RouterSink};
 pub use scoped::{LabelSet, Scope, ScopedRegistry, ScopedSnapshot};
 pub use sink::{
     emit, enabled, flush, install, uninstall, FanoutSink, JsonLinesSink, MemorySink, NullSink, Sink,

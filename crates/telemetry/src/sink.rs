@@ -71,21 +71,11 @@ impl Sink for MemorySink {
 /// Streams events as JSON lines to a writer (typically a file opened by
 /// a bench bin's `--trace-out` flag, or a live per-job progress feed).
 ///
-/// By default every event is flushed through to the underlying writer as
-/// soon as its line is written, so consumers tailing the feed see events
+/// Every event is flushed through to the underlying writer as soon as
+/// its line is written, so consumers tailing the feed see events
 /// immediately instead of whenever an OS-sized buffer happens to fill.
-/// Batch producers (trace files with millions of events) can amortize
-/// the flush with [`JsonLinesSink::with_flush_every`].
 pub struct JsonLinesSink {
-    out: Mutex<JsonLinesInner>,
-    /// Flush after this many recorded events; 0 = only on explicit
-    /// [`Sink::flush`] (or the writer's own drop).
-    flush_every: usize,
-}
-
-struct JsonLinesInner {
-    out: Box<dyn Write + Send>,
-    pending: usize,
+    out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl JsonLinesSink {
@@ -98,39 +88,23 @@ impl JsonLinesSink {
     /// Stream events to an arbitrary writer, flushing after every event.
     pub fn new(out: Box<dyn Write + Send>) -> JsonLinesSink {
         JsonLinesSink {
-            out: Mutex::new(JsonLinesInner { out, pending: 0 }),
-            flush_every: 1,
+            out: Mutex::new(out),
         }
-    }
-
-    /// Flush after every `n` recorded events instead of every event.
-    /// `n = 0` disables interval flushing entirely (explicit
-    /// [`Sink::flush`] calls only) — the right choice for high-volume
-    /// trace files where per-line flushing would dominate.
-    pub fn with_flush_every(mut self, n: usize) -> JsonLinesSink {
-        self.flush_every = n;
-        self
     }
 }
 
 impl Sink for JsonLinesSink {
     fn record(&self, event: &Event) {
         let line = event.to_json();
-        let mut inner = self.out.lock().unwrap();
+        let mut out = self.out.lock().unwrap();
         // Trace output is best-effort: losing a line (disk full) must not
         // poison the run being traced.
-        let _ = writeln!(inner.out, "{line}");
-        inner.pending += 1;
-        if self.flush_every > 0 && inner.pending >= self.flush_every {
-            let _ = inner.out.flush();
-            inner.pending = 0;
-        }
+        let _ = writeln!(out, "{line}");
+        let _ = out.flush();
     }
 
     fn flush(&self) {
-        let mut inner = self.out.lock().unwrap();
-        let _ = inner.out.flush();
-        inner.pending = 0;
+        let _ = self.out.lock().unwrap().flush();
     }
 }
 
@@ -240,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_sink_flushes_every_event_by_default() {
+    fn json_lines_sink_flushes_every_event() {
         use std::sync::atomic::AtomicUsize;
         struct FlushCounter(Arc<AtomicUsize>);
         impl Write for FlushCounter {
@@ -257,24 +231,8 @@ mod tests {
         sink.record(&count("a", 1));
         sink.record(&count("b", 2));
         assert_eq!(flushes.load(Ordering::SeqCst), 2, "per-event flushing");
-
-        let flushes = Arc::new(AtomicUsize::new(0));
-        let sink =
-            JsonLinesSink::new(Box::new(FlushCounter(Arc::clone(&flushes)))).with_flush_every(3);
-        for i in 0..7 {
-            sink.record(&count("x", i));
-        }
-        assert_eq!(flushes.load(Ordering::SeqCst), 2, "bounded interval");
         sink.flush();
         assert_eq!(flushes.load(Ordering::SeqCst), 3, "explicit flush");
-
-        let flushes = Arc::new(AtomicUsize::new(0));
-        let sink =
-            JsonLinesSink::new(Box::new(FlushCounter(Arc::clone(&flushes)))).with_flush_every(0);
-        for i in 0..10 {
-            sink.record(&count("y", i));
-        }
-        assert_eq!(flushes.load(Ordering::SeqCst), 0, "interval disabled");
     }
 
     #[test]

@@ -28,25 +28,6 @@ cargo test -q
 echo "==> cargo test --workspace --exclude e-afe -q (every other crate, once)"
 cargo test --workspace --exclude e-afe -q
 
-# Everything above ran on the portable SIMD tier (no features). The
-# kernel parity suites run a second time with the `simd-arch` std::arch
-# tier compiled in and runtime-dispatched — both must hold bit-for-bit
-# (DESIGN.md §13).
-echo "==> split-method parity suite (simd-arch tier)"
-cargo test -q --features simd-arch --test hist_parity
-
-# The indexed sketch kernel evaluates visited rows with scalar
-# expressions and everything else through the simd row kernels: both
-# tiers must agree with the scalar oracle.
-echo "==> minhash table/batch parity suite (simd-arch tier)"
-cargo test -q -p minhash --features simd-arch --test table_parity
-
-echo "==> NN batched-vs-scalar parity suite (simd-arch tier)"
-cargo test -q -p learners --features simd-arch --test nn_parity
-
-echo "==> simd dispatch/reduction-tree parity suite (simd-arch tier)"
-cargo test -q -p simd --features simd-arch
-
 echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' public API)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

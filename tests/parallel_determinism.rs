@@ -663,7 +663,7 @@ fn fpe_gated_chunked_engine_matches_flat_when_sketches_take_the_dense_tail() {
 #[test]
 fn chunked_engine_mmap_rerun_matches_memory_store() {
     // Same engine, same seed, different column store: a rerun backed by
-    // an on-disk `.eafc` mmap store must reproduce the in-memory-store
+    // an on-disk `.eafc` file store must reproduce the in-memory-store
     // run bit for bit — the storage backend is invisible to the search.
     use tabular::{ChunkOptions, ChunkedFrame, FrameBudget, InMemoryStore, MmapStore};
 
