@@ -36,9 +36,10 @@
 //! - it does not go through the signature cache (chunk-backed sketches
 //!   bypass `runtime::sigcache` — scores are bitwise unchanged, the cache
 //!   only ever short-circuits recomputation);
-//! - it does not keep the selected frame between cache probes, only the
-//!   [`PrefixHasher`] state, and re-materialises the frame on a miss —
-//!   the selected columns stay under the frame's budget.
+//! - it does not keep the selected frame between cache probes, only its
+//!   [`KeyPrefix`] (the key state the flat store's `FramePrefix` holds
+//!   beside its frame), and re-materialises the frame on a miss — the
+//!   selected columns stay under the frame's budget.
 //!
 //! A chunked search also has no serde form: it lives and dies with its
 //! frame handle.
@@ -53,7 +54,7 @@ use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
 use crate::store::ColumnStore;
 use minhash::{RowSource, SampleCompressor, WeightBounds};
-use runtime::{PrefixHasher, WorkerPool};
+use runtime::{ColumnDigest, KeyPrefix, WorkerPool};
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
 
 /// A generated candidate held as compressed chunks — the chunked
@@ -91,10 +92,10 @@ pub struct ChunkedStore {
     /// Per agent: the original feature, then its accepted generated
     /// features in acceptance order.
     subgroups: Vec<Vec<MemberRef>>,
-    /// Hash state of the selected frame declared one column wider, shared
-    /// by every candidate probe until an acceptance changes the selection.
-    /// Only the state: the selected columns stay under the frame's budget.
-    prefix: Option<PrefixHasher>,
+    /// Key state of the selected frame, shared by every candidate probe
+    /// until an acceptance changes the selection. Only the state: the
+    /// selected columns stay under the frame's budget.
+    prefix: Option<KeyPrefix>,
 }
 
 impl ChunkedStore {
@@ -147,18 +148,18 @@ impl ChunkedStore {
         Ok(selected.with_extra_columns(std::slice::from_ref(&col))?)
     }
 
-    /// Hash the selected frame's header (declaring one more column than it
-    /// has) and columns, chunk by chunk, in `selected_dataframe` order.
-    fn selected_prefix(&self) -> Result<PrefixHasher> {
-        let n_cols = self.selected().count() + 1;
-        let mut h = PrefixHasher::new(&self.frame.name, self.frame.n_rows(), n_cols);
-        let mut buf = runtime::scratch_f64_with_capacity(self.frame.chunk_rows());
+    /// Key state of the selected frame: each column digested chunk by
+    /// chunk, in `selected_dataframe` order.
+    fn selected_prefix(&self) -> Result<KeyPrefix> {
+        let frame = &self.frame;
+        let mut key = KeyPrefix::new(&frame.name, frame.n_rows(), frame.label());
+        let mut buf = runtime::scratch_f64_with_capacity(frame.chunk_rows());
         for m in self.selected() {
-            h.column(&m.name);
-            self.frame
-                .for_each_chunk(m.col, &mut buf, |_, _, values| h.values(values))?;
+            let mut digest = ColumnDigest::default();
+            frame.for_each_chunk(m.col, &mut buf, |_, _, values| digest.write(values))?;
+            key.push(&m.name, digest.finish());
         }
-        Ok(h)
+        Ok(key)
     }
 
     /// A candidate's chunks as the MinHash kernel's row source.
@@ -242,21 +243,21 @@ impl ColumnStore for ChunkedStore {
         }
     }
 
-    /// The cache is probed with a key hashed from the prefix state and the
-    /// candidate's chunks (≡ `cache_key(candidate_frame)`, debug-asserted
-    /// by `evaluate_keyed` on a miss); only a miss materializes the frame.
+    /// The cache is probed with a key made from the prefix state and the
+    /// digest of the candidate's chunks (≡ `cache_key(candidate_frame)`);
+    /// only a miss materializes the frame.
     fn evaluate(
         &mut self,
         evaluator: &CachedEvaluator,
         candidate: &ChunkedCandidate,
     ) -> Result<f64> {
-        let mut h = match &self.prefix {
-            Some(prefix) => prefix.clone(),
-            None => self.prefix.insert(self.selected_prefix()?).clone(),
-        };
-        h.column(&candidate.name);
-        self.rows(candidate).for_each_run(|run| h.values(run));
-        let key = evaluator.key_of(h.finish(self.frame.label()));
+        if self.prefix.is_none() {
+            self.prefix = Some(self.selected_prefix()?);
+        }
+        let prefix = self.prefix.as_ref().expect("set just above");
+        let mut digest = ColumnDigest::default();
+        self.rows(candidate).for_each_run(|run| digest.write(run));
+        let key = evaluator.key_of(prefix, &candidate.name, digest.finish());
         evaluator.evaluate_keyed(key, || self.candidate_frame(candidate))
     }
 
@@ -426,9 +427,10 @@ mod tests {
     use super::*;
     use crate::config::EafeConfig;
     use crate::fpe::{search as fpe_search, FpeSearchSpace, RawLabels};
+    use crate::{EngineState, GeneratedFeature};
     use minhash::HashFamily;
     use tabular::registry::public_corpus;
-    use tabular::{ChunkOptions, FrameBudget, InMemoryStore, MmapStore, SynthSpec, Task};
+    use tabular::{ChunkOptions, FrameBudget, InMemoryStore, Label, MmapStore, SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {
         EafeConfig::fast()
@@ -501,6 +503,137 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "column {}", ca.name);
             }
         }
+    }
+
+    /// The flat store, the chunked store at every chunk size and
+    /// `cache_key` of the materialised frame address one cache entry —
+    /// observed through a shared cache, so it holds where
+    /// `evaluate_keyed`'s debug assertion is compiled out.
+    #[test]
+    fn flat_chunked_and_whole_frame_keys_agree() {
+        let accepted = [
+            (0, Operator::Sqrt, 0, 0),
+            (1, Operator::Add, 0, 0),
+            (0, Operator::Multiply, 0, 1),
+        ];
+        // Accept the leading `accepted` into a store, then propose the
+        // candidate both stores are probed with.
+        fn select<B: ColumnStore>(
+            store: &mut B,
+            accepted: &[(usize, Operator, usize, usize)],
+        ) -> B::Candidate {
+            for &(agent, op, a, b) in accepted {
+                let feature = store.generate(agent, op, a, b).unwrap();
+                store.accept(agent, feature).unwrap();
+            }
+            store.generate(2, Operator::Log, 0, 0).unwrap()
+        }
+        for task in [Task::Classification, Task::Regression] {
+            let frame = SynthSpec::new("key-parity", 60, 3, task)
+                .with_seed(11)
+                .generate()
+                .unwrap();
+            for extras in 0..=accepted.len() {
+                let evaluator = CachedEvaluator::new(fast_config().evaluator);
+                let mut flat = EngineState::new(frame.clone());
+                let candidate = select(&mut flat, &accepted[..extras]);
+                let score = flat.evaluate(&evaluator, &candidate).unwrap();
+                let whole = flat
+                    .engineered()
+                    .unwrap()
+                    .with_extra_columns(std::slice::from_ref(&candidate.column))
+                    .unwrap();
+                assert_eq!(whole.n_cols(), 3 + extras + 1);
+                assert!(evaluator.cache().contains(evaluator.cache_key(&whole)));
+
+                for chunk_rows in [1, 7, 256, frame.n_rows()] {
+                    let mut chunked = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
+                    let candidate = select(&mut chunked, &accepted[..extras]);
+                    let again = chunked.evaluate(&evaluator, &candidate).unwrap();
+                    assert_eq!(score.to_bits(), again.to_bits());
+                }
+                let stats = evaluator.stats();
+                assert_eq!(
+                    (stats.misses, stats.inserts, stats.hits),
+                    (1, 1, 4),
+                    "{task:?}, {extras} accepted"
+                );
+            }
+        }
+    }
+
+    /// A chunked candidate's `degenerate` flag is the flat verdict on its
+    /// materialised column, for every operator over constant, near-constant
+    /// (spans around the `1e-12` cut), signed-zero and ordinary parents.
+    #[test]
+    fn chunked_degenerate_flag_matches_the_flat_verdict() {
+        let n = 40;
+        let ramp = |step: f64| (0..n).map(|i| 1.0 + i as f64 * step).collect::<Vec<f64>>();
+        let columns = vec![
+            Column::new("ordinary", ramp(0.37)),
+            Column::new("constant", vec![3.0; n]),
+            Column::new("below_cut", ramp(1e-15)),
+            Column::new("at_cut", ramp(1e-12 / (n - 1) as f64)),
+            Column::new("above_cut", ramp(1e-13)),
+            Column::new(
+                "zeros",
+                (0..n)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            ),
+            Column::new(
+                "tiny",
+                (0..n).map(|i| f64::from_bits(1 + i as u64)).collect(),
+            ),
+        ];
+        let n_agents = columns.len();
+        let frame = DataFrame::new(
+            "degenerate",
+            columns,
+            Label::Class {
+                y: (0..n).map(|i| i % 2).collect(),
+                n_classes: 2,
+            },
+        )
+        .unwrap();
+        let (mut degenerate, mut sound) = (0, 0);
+        for chunk_rows in [1, 7, n] {
+            let mut store = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
+            // A second member per subgroup, so binary operators also see
+            // two different parents.
+            for agent in 0..n_agents {
+                let member = store.generate(agent, Operator::Sqrt, 0, 0).unwrap();
+                store.accept(agent, member).unwrap();
+            }
+            for agent in 0..n_agents {
+                for op in Operator::ALL {
+                    for (a, b) in [(0, 0), (0, 1), (1, 0)] {
+                        let candidate = store.generate(agent, op, a, b).unwrap();
+                        let mut values = Vec::with_capacity(n);
+                        for enc in &candidate.chunks {
+                            enc.fold_values((), |(), v| values.push(v));
+                        }
+                        let flat = GeneratedFeature {
+                            column: Column::new(candidate.name.clone(), values),
+                            order: candidate.order,
+                            operator: op,
+                        };
+                        assert_eq!(
+                            ChunkedStore::is_degenerate(&candidate),
+                            flat.is_degenerate(),
+                            "{} at chunk_rows {chunk_rows}",
+                            candidate.name
+                        );
+                        if flat.is_degenerate() {
+                            degenerate += 1;
+                        } else {
+                            sound += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(degenerate > 50 && sound > 50, "{degenerate} / {sound}");
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub struct EngineState {
     frame: DataFrame,
     /// Per-agent subgroups.
     pub subgroups: Vec<FeatureSubgroup>,
-    /// The current selected frame with its hash state, so a candidate's
-    /// cache probe hashes the candidate column, not the frame. Derived
+    /// The current selected frame with its key state, so a candidate's
+    /// cache probe digests the candidate column, not the frame. Derived
     /// from the fields above (not serialised, not compared); dropped
     /// whenever a feature is accepted.
     prefix: Option<FramePrefix>,

@@ -577,9 +577,10 @@ impl Engine {
         candidate: &B::Candidate,
         stage: SearchStage,
     ) -> bool {
-        !B::is_degenerate(candidate)
-            && B::order(candidate) <= self.config.max_order
+        // Cheapest first: the degeneracy check may scan the column.
+        B::order(candidate) <= self.config.max_order
             && (stage == SearchStage::Stage1 || core.state.store.n_generated() < core.max_generated)
+            && !B::is_degenerate(candidate)
     }
 
     /// The gate: a candidate passes iff it is [structurally

@@ -6,7 +6,7 @@
 //! learner config, folds, CV seed) evaluations are computed once.
 
 use crate::cache::{CacheStats, ScoreCache};
-use crate::fingerprint::{fingerprint_frame, Fingerprint, FramePrefix, Hasher128};
+use crate::fingerprint::{fingerprint_values, Fingerprint, FramePrefix, KeyPrefix};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use tabular::{Column, DataFrame};
@@ -36,6 +36,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 /// all benefit from each other's evaluations.
 pub struct Evaluator<S> {
     scorer: S,
+    /// `scorer.config_digest()`, taken once — not per probe: the scorer
+    /// is immutable behind [`scorer`](Self::scorer).
+    config: Fingerprint,
     cache: Arc<ScoreCache<f64>>,
 }
 
@@ -43,6 +46,7 @@ impl<S: Clone> Clone for Evaluator<S> {
     fn clone(&self) -> Self {
         Evaluator {
             scorer: self.scorer.clone(),
+            config: self.config,
             cache: Arc::clone(&self.cache),
         }
     }
@@ -51,40 +55,38 @@ impl<S: Clone> Clone for Evaluator<S> {
 impl<S: Scorer> Evaluator<S> {
     /// Wrap `scorer` with a fresh cache of [`DEFAULT_CACHE_CAPACITY`].
     pub fn new(scorer: S) -> Self {
-        Self::with_capacity(scorer, DEFAULT_CACHE_CAPACITY)
-    }
-
-    pub fn with_capacity(scorer: S, capacity: usize) -> Self {
-        Evaluator {
-            scorer,
-            cache: Arc::new(ScoreCache::new(capacity)),
-        }
+        Self::with_cache(scorer, Arc::new(ScoreCache::new(DEFAULT_CACHE_CAPACITY)))
     }
 
     /// Wrap `scorer` around an existing (shared) cache.
     pub fn with_cache(scorer: S, cache: Arc<ScoreCache<f64>>) -> Self {
-        Evaluator { scorer, cache }
+        let config = scorer.config_digest();
+        Evaluator {
+            scorer,
+            config,
+            cache,
+        }
     }
 
     /// The cache key for `frame` under this scorer's configuration.
     pub fn cache_key(&self, frame: &DataFrame) -> Fingerprint {
-        self.key_of(fingerprint_frame(frame))
+        KeyPrefix::of_frame(frame).finish(self.config)
     }
 
-    /// `cache_key(&prefix.with_column(extra)?)` at the cost of hashing
-    /// `extra` and the label rather than the whole frame.
+    /// `cache_key(&prefix.with_column(extra)?)` at the cost of digesting
+    /// `extra` rather than the whole frame and its label.
     pub fn prefix_key(&self, prefix: &FramePrefix, extra: &Column) -> Fingerprint {
-        self.key_of(prefix.fingerprint_with(extra))
+        self.key_of(&prefix.key, &extra.name, fingerprint_values(&extra.values))
     }
 
-    /// The cache key of the frame whose [`fingerprint_frame`] is `frame` —
-    /// for a caller that fingerprints its frame piecewise
-    /// ([`PrefixHasher`](crate::PrefixHasher)) instead of building it.
-    pub fn key_of(&self, frame: Fingerprint) -> Fingerprint {
-        let mut h = Hasher128::new();
-        h.write_u128(self.scorer.config_digest().0);
-        h.write_u128(frame.0);
-        h.finish()
+    /// The cache key of the frame that extends `prefix` by one column
+    /// called `name` whose values digest to `values` — for a caller that
+    /// streams its columns through a [`ColumnDigest`](crate::ColumnDigest)
+    /// instead of holding them.
+    pub fn key_of(&self, prefix: &KeyPrefix, name: &str, values: Fingerprint) -> Fingerprint {
+        let mut key = prefix.clone();
+        key.push(name, values);
+        key.finish(self.config)
     }
 
     /// Evaluate `frame`, serving repeats from cache. Errors are not
@@ -144,6 +146,7 @@ mod tests {
     struct CountingScorer {
         digest: u128,
         calls: AtomicUsize,
+        digests: AtomicUsize,
     }
 
     impl CountingScorer {
@@ -151,6 +154,7 @@ mod tests {
             CountingScorer {
                 digest,
                 calls: AtomicUsize::new(0),
+                digests: AtomicUsize::new(0),
             }
         }
     }
@@ -159,6 +163,7 @@ mod tests {
         type Error = std::convert::Infallible;
 
         fn config_digest(&self) -> Fingerprint {
+            self.digests.fetch_add(1, Ordering::SeqCst);
             Fingerprint(self.digest)
         }
 
@@ -215,6 +220,19 @@ mod tests {
             2,
             "different configs, different keys"
         );
+    }
+
+    #[test]
+    fn config_is_digested_once_per_evaluator_not_per_probe() {
+        let ev = Evaluator::new(CountingScorer::new(1));
+        let prefix = FramePrefix::new(frame(vec![1.0, 2.0]));
+        let extra = Column::new("x", vec![3.0, 4.0]);
+        let extended = prefix.with_column(&extra).unwrap();
+        for _ in 0..500 {
+            assert_eq!(ev.prefix_key(&prefix, &extra), ev.cache_key(&extended));
+            ev.evaluate(&extended).unwrap();
+        }
+        assert_eq!(ev.scorer().digests.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -39,32 +39,48 @@
 //!
 //! # Cache-key fingerprint scheme
 //!
-//! A cache key is a 128-bit FNV-1a digest over a length-prefixed,
-//! domain-tagged encoding of everything that determines a CV score:
+//! Keys address *content*, not the object holding it — two differently
+//! derived pipelines producing identical frames share one entry — and are
+//! built in two layers:
 //!
-//! - the dataset name and shape,
-//! - every column name and every value's IEEE-754 bit pattern (so the key
-//!   addresses the *content* of the transformation DAG's output, not the
-//!   identity of the object holding it — two differently-derived pipelines
-//!   producing identical frames share one entry),
-//! - the label representation (class indices + class count, or target
-//!   bits),
-//! - the scorer's config digest (learner kind and hyper-parameters, fold
-//!   count, CV seed), provided by [`Scorer::config_digest`].
+//! - **digested once:** a column's values (IEEE-754 bit patterns) and
+//!   length go through [`ColumnDigest`] ([`fingerprint_values`] for a slice
+//!   in one piece): 128 bits, one 64-bit word per step into two
+//!   independently keyed folded-multiply lanes, streamable run by run so a
+//!   chunked column and its flat twin share an identity. The score cache,
+//!   the signature cache ([`sigcache`]) and the learners' bin cache all
+//!   key a column by it; a frame's label is digested the same way;
+//! - **combined:** a score-cache key is byte-wise FNV-1a ([`Hasher128`])
+//!   over a length-prefixed, domain-tagged list of identities — dataset
+//!   name and row count, the label digest, each column as `(name, column
+//!   digest)`, closed by the scorer's config digest (learner kind and
+//!   hyper-parameters, fold count, CV seed: [`Scorer::config_digest`],
+//!   taken once when an [`Evaluator`] is built).
 //!
-//! A search probes with frames that share every column but the last;
-//! [`FramePrefix`] keeps the hash state after the shared part so
-//! [`Evaluator::prefix_key`] hashes only the new column and the label, and
-//! returns the same key [`Evaluator::cache_key`] gives the built frame.
-//! A caller whose frame lives out of core streams the same bytes through a
-//! [`PrefixHasher`] and turns the fingerprint into a key with
-//! [`Evaluator::key_of`].
+//! A search probes with frames that share every column but the last.
+//! [`KeyPrefix`] is the combine state after the shared columns — label and
+//! columns digested once per selection — so [`Evaluator::prefix_key`]
+//! (frame in RAM, via [`FramePrefix`]) and [`Evaluator::key_of`] (columns
+//! out of core) cost one candidate digest plus a few dozen bytes of
+//! combine, and return the key [`Evaluator::cache_key`] gives the built
+//! frame: the same code run over one more column.
+//!
+//! **Keys are not a format.** They are never persisted (checkpoints carry
+//! no cache entries) and cross a process boundary only between a `dist`
+//! coordinator and workers of the same build, so changing a hasher moves
+//! key values and nothing else: equal keys still mean equal names, bits,
+//! label and config, and every hit/miss count stays put. The pinned value
+//! is [`fingerprint_frame`], the byte-wise whole-frame digest that result
+//! fingerprints are made from; no cache key is.
 //!
 //! **Collision assumptions.** Keys are compared by digest only; the cache
 //! stores no payload to verify against. With 128-bit digests, the
 //! birthday bound puts the collision probability for a run of `n`
 //! distinct evaluations at ~`n²/2¹²⁹` — below 10⁻²⁰ even for a billion
-//! evaluations — which we accept. FNV-1a is not adversarially collision
+//! evaluations — which we accept. (A [`ColumnDigest`] lane step is not a
+//! bijection: two columns that differ early merge in one lane with
+//! probability ≈ 2⁻⁶⁴ per later word, in both with ≈ `(rows · 2⁻⁶⁴)²` —
+//! 2⁻⁹⁴ at 10⁵ rows.) Neither hasher is adversarially collision
 //! resistant; the runtime assumes candidate features are generated by the
 //! search process, not chosen by an attacker.
 
@@ -83,7 +99,8 @@ pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer};
 pub use fair::RoundRobin;
 pub use fingerprint::{
-    fingerprint_frame, fingerprint_values, Fingerprint, FramePrefix, Hasher128, PrefixHasher,
+    fingerprint_frame, fingerprint_values, ColumnDigest, Fingerprint, FramePrefix, Hasher128,
+    KeyPrefix,
 };
 pub use pool::{
     global_threads, pool_stats, set_global_threads, CancelToken, PoolStats, TaskCtx, WorkerPool,

@@ -7,11 +7,11 @@
 //! candidate `(family, d)` pair sharing a family, across train/val splits,
 //! and generated columns repeat across epochs and agents. A signature
 //! depends only on `(column content, family, d, seed)`, so it is cached
-//! content-addressed: the key is a 128-bit FNV-1a digest over a domain
-//! tag, the hash family, `d`, the seed, and the IEEE-754 bit patterns of
-//! the raw column ([`fingerprint_values`]). Two differently-derived
-//! pipelines producing bit-identical columns share one entry; the
-//! collision analysis in the crate root applies unchanged.
+//! content-addressed: the key combines a domain tag, the hash family,
+//! `d`, the seed, and the raw column's digest ([`fingerprint_values`],
+//! over its IEEE-754 bit patterns). Two differently-derived pipelines
+//! producing bit-identical columns share one entry; the collision
+//! analysis in the crate root applies unchanged.
 //!
 //! Two key domains keep the addressing honest: [`signature_cached`] hashes
 //! the weight vector it sketches directly, while the compressor-path entry

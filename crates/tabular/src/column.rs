@@ -82,12 +82,20 @@ impl Column {
         self.values.iter().all(|v| v.is_finite())
     }
 
-    /// True when the column is (numerically) constant: max − min < `eps`.
+    /// True when the column is (numerically) constant: max − min < `eps`,
+    /// NaNs ignored; an empty or all-NaN column is constant. One pass
+    /// that stops at the first span reaching `eps` — later rows can only
+    /// widen it.
     pub fn is_constant(&self, eps: f64) -> bool {
-        match (self.min(), self.max()) {
-            (Some(lo), Some(hi)) => hi - lo < eps,
-            _ => true,
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in self.values.iter().filter(|v| !v.is_nan()) {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            if hi - lo >= eps {
+                return false;
+            }
         }
+        lo > hi || hi - lo < eps
     }
 
     /// Replace every non-finite entry by `replacement`, returning how many

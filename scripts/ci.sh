@@ -44,8 +44,27 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q --release --test parallel_determinism multi_process
 
+    echo "==> column digest + score-cache key parity (release: evaluate_keyed's key debug_assert is compiled out)"
+    cargo test -q -p runtime --release --lib fingerprint
+    cargo test -q -p eafe --release --lib flat_chunked_and_whole_frame_keys_agree
+
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
+    echo "==> golden search lines (release): no eafe_table / nfs_table result moved"
+    # scripts/golden_searches.txt holds 'search <i> <fingerprint>: <n> evals
+    # of which <m> computed' of every search of both workloads (the panel
+    # is the same on every seed). A PR that means to move results
+    # regenerates the file with this loop and says so.
+    golden="$(mktemp)"
+    for workload in eafe_table nfs_table; do
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 60158 --seconds 2 --trace 0 2>&1 >/dev/null \
+            | sed -n 's/^perf-e2e: \(.* search [0-9]* [0-9a-f]*\): .*, \([0-9]* evals of which [0-9]* computed\)$/\1: \2/p'
+    done > "$golden"
+    diff -u scripts/golden_searches.txt "$golden" \
+        || { echo "search results differ from scripts/golden_searches.txt"; exit 1; }
+    rm -f "$golden"
 
     echo "==> serve smoke (release): live cancel bound, tenant fairness, status scrapes"
     # Single-threaded: the cancel-bound test is timing-sensitive and the

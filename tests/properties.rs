@@ -64,6 +64,144 @@ fn awkward_column(rng: &mut StdRng, n_rows: usize) -> Column {
     Column::new(name, (0..n_rows).map(|_| awkward_value(rng)).collect())
 }
 
+/// `fingerprint_frame` is the result fingerprint `perf_e2e` prints and the
+/// determinism suites compare, so its value is a contract: three literals
+/// captured before cache keys stopped being made from it.
+#[test]
+fn fingerprint_frame_is_pinned() {
+    let class = |y: Vec<usize>, n_classes| Label::Class { y, n_classes };
+    let empty_name = DataFrame::new(
+        "d",
+        vec![Column::new("", vec![1.0, -0.0, 2.5])],
+        class(vec![0, 1, 0], 2),
+    )
+    .unwrap();
+    let nan_payload = DataFrame::new(
+        "ünï",
+        vec![
+            Column::new(
+                "a",
+                vec![f64::from_bits(0x7ff8_0000_0000_0001), f64::INFINITY, -1.0],
+            ),
+            Column::new("log(f0)", vec![0.0, 1e-300, 3.0]),
+        ],
+        class(vec![2, 0, 1], 3),
+    )
+    .unwrap();
+    let regression = DataFrame::new(
+        "",
+        vec![Column::new("名前", vec![1.0, 2.0])],
+        Label::Reg(vec![0.5, f64::from_bits(0x7ff8_0000_0000_0000)]),
+    )
+    .unwrap();
+    let pinned = [
+        (&empty_name, 0xa0e7_f234_94d0_e92e_5d16_b600_435e_1df3_u128),
+        (&nan_payload, 0x7e4c_bbf4_a37c_1cb7_fe2e_b6c5_442d_7575),
+        (&regression, 0xb51a_6e78_e765_bea4_575e_90d3_9cf9_ccbe),
+    ];
+    for (frame, expected) in pinned {
+        assert_eq!(fingerprint_frame(frame), Fingerprint(expected));
+    }
+}
+
+/// `Column::min`/`max`/`is_constant` and `GeneratedFeature::is_degenerate`
+/// as they stood when each was its own pass over the column, verbatim —
+/// the reference the one-pass versions must agree with.
+fn three_pass_is_constant(values: &[f64], eps: f64) -> bool {
+    let min = values
+        .iter()
+        .copied()
+        .filter(|v| !v.is_nan())
+        .fold(None, |acc, v| match acc {
+            None => Some(v),
+            Some(a) => Some(f64::min(a, v)),
+        });
+    let max = values
+        .iter()
+        .copied()
+        .filter(|v| !v.is_nan())
+        .fold(None, |acc, v| match acc {
+            None => Some(v),
+            Some(a) => Some(f64::max(a, v)),
+        });
+    match (min, max) {
+        (Some(lo), Some(hi)) => hi - lo < eps,
+        _ => true,
+    }
+}
+
+fn three_pass_is_degenerate(values: &[f64]) -> bool {
+    !values.iter().all(|v| v.is_finite()) || three_pass_is_constant(values, 1e-12)
+}
+
+/// Columns built to sit on every edge of the degeneracy check: empty, one
+/// value, all equal, spans exactly at and one ULP either side of the
+/// cut, ±0.0 mixes, subnormal spans, all-NaN — then NaN/±∞ planted at the
+/// first, middle or last row.
+fn adversarial_column(rng: &mut StdRng, eps: f64) -> Vec<f64> {
+    let n = rng.gen_range(1..12);
+    let offset = [0.0, 1.0, -3.5, 1e300][rng.gen_range(0..4usize)];
+    let mut values: Vec<f64> = match rng.gen_range(0..9) {
+        0 => Vec::new(),
+        1 => vec![offset],
+        2 => vec![offset; n],
+        3 => {
+            // hi - lo lands exactly on eps, or one ULP above or below it.
+            let hi = match rng.gen_range(0..3) {
+                0 => eps,
+                1 => f64::from_bits(eps.to_bits() + 1),
+                _ => f64::from_bits(eps.to_bits().saturating_sub(1)),
+            };
+            let mut v = vec![0.0; n];
+            v.push(hi);
+            v
+        }
+        4 => (0..n)
+            .map(|_| offset + rng.gen_range(-1.0..1.0) * eps)
+            .collect(),
+        5 => (0..n)
+            .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect(),
+        6 => (0..n)
+            .map(|_| f64::from_bits(rng.gen_range(0..4u64)))
+            .collect(),
+        7 => vec![f64::NAN; n],
+        _ => (0..n).map(|_| rng.gen_range(-1e3f64..1e3)).collect(),
+    };
+    let turn = rng.gen_range(0..values.len().max(1));
+    values.rotate_left(turn);
+    if !values.is_empty() && rng.gen_range(0..2) == 0 {
+        let at = [0, values.len() / 2, values.len() - 1][rng.gen_range(0..3usize)];
+        values[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+        if rng.gen_range(0..4) == 0 {
+            values[0] = [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)];
+        }
+    }
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn one_pass_degeneracy_equals_three_passes(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eps = [1e-12, 1e-9, 0.0, 5e-324, f64::INFINITY][rng.gen_range(0..5usize)];
+        let values = adversarial_column(&mut rng, eps);
+        let column = Column::new("c", values.clone());
+        prop_assert_eq!(column.is_constant(eps), three_pass_is_constant(&values, eps));
+        let feature = GeneratedFeature {
+            column: Column::new("g", adversarial_column(&mut rng, 1e-12)),
+            order: 1,
+            operator: Operator::Add,
+        };
+        prop_assert_eq!(
+            feature.is_degenerate(),
+            three_pass_is_degenerate(&feature.column.values)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -102,7 +240,6 @@ proptest! {
             let frame = selected
                 .with_extra_columns(std::slice::from_ref(candidate))
                 .unwrap();
-            prop_assert_eq!(prefix.fingerprint_with(candidate), fingerprint_frame(&frame));
             let key = keyed.prefix_key(&prefix, candidate);
             prop_assert_eq!(key, whole.cache_key(&frame));
 
