@@ -69,6 +69,16 @@ fn cache_report_matches_golden() {
         evaluator.contains("50 hits") && evaluator.contains("50.0% hit rate"),
         "{evaluator}"
     );
+    // `cv.memo.hits` / `.misses` (learners): of the evaluator's 50 computed
+    // scores, 20 trained a forest.
+    let memo = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("cv.memo"))
+        .expect("the CV-score memo's pair is a family like any other");
+    assert!(
+        memo.contains("30 hits") && memo.contains("20 misses") && memo.contains("60.0% hit rate"),
+        "{memo}"
+    );
 }
 
 /// The CLI end-to-end: run the real binary on the fixture with no

@@ -25,7 +25,7 @@
 //! [`TreeConfig::max_bins`]: crate::tree::TreeConfig
 
 use crate::error::{LearnError, Result};
-use runtime::{fingerprint_values, Hasher128, ScoreCache, WorkerPool};
+use runtime::{fingerprint_values, Fingerprint, Hasher128, ScoreCache, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -80,6 +80,7 @@ pub struct BinnedColumn {
     codes: BinCodes,
     /// Boundary thresholds, ascending; `len = n_bins - 1`.
     thresholds: Vec<f64>,
+    rank_identity: Fingerprint,
 }
 
 impl BinnedColumn {
@@ -92,12 +93,37 @@ impl BinnedColumn {
         drop(sorted);
         let n_bins = thresholds.len() + 1;
         let encode = |v: f64| thresholds.partition_point(|&t| t < v);
+        let mut id = Hasher128::new();
+        id.write_str("learners::rank_identity");
+        id.write_u64(n_bins as u64);
+        id.write_u64(values.len() as u64);
+        // A -inf minimum makes boundary 0 `midpoint(-inf, _)` = NaN, the one
+        // threshold that trains as `code <= 0` yet sends every row right.
+        id.write_byte(u8::from(thresholds.first().is_some_and(|t| t.is_nan())));
         let codes = if n_bins <= 256 {
-            BinCodes::U8(values.iter().map(|&v| encode(v) as u8).collect())
+            let codes: Vec<u8> = values.iter().map(|&v| encode(v) as u8).collect();
+            id.write_bytes(&codes);
+            BinCodes::U8(codes)
         } else {
-            BinCodes::U16(values.iter().map(|&v| encode(v) as u16).collect())
+            let codes: Vec<u16> = values.iter().map(|&v| encode(v) as u16).collect();
+            for c in &codes {
+                id.write_bytes(&c.to_le_bytes());
+            }
+            BinCodes::U16(codes)
         };
-        BinnedColumn { codes, thresholds }
+        // A NaN row is the one place a raw value leaks past its code: it
+        // trains in bin 0 (`t < NaN` is false) yet predicts right of every
+        // split (`NaN <= t` is false too), unlike a finite bin-0 value.
+        for (row, v) in values.iter().enumerate() {
+            if v.is_nan() {
+                id.write_u64(row as u64);
+            }
+        }
+        BinnedColumn {
+            codes,
+            thresholds,
+            rank_identity: id.finish(),
+        }
     }
 
     /// Number of bins (≥ 1; a constant column has exactly one).
@@ -114,6 +140,17 @@ impl BinnedColumn {
     /// The per-row bin codes.
     pub fn codes(&self) -> &BinCodes {
         &self.codes
+    }
+
+    /// Digest of everything a histogram forest can read of this column:
+    /// the bin count, every row's code and which rows are NaN. Training
+    /// reads codes alone, and predicting a row of the column the bins were
+    /// built from compares `v <= threshold(b)`, which for a non-NaN `v` is
+    /// `code <= b` — so columns with equal identities (a feature and any
+    /// strictly increasing transform of it that keeps its distinct values
+    /// distinct) are the same column to a forest.
+    pub fn rank_identity(&self) -> Fingerprint {
+        self.rank_identity
     }
 }
 

@@ -15,6 +15,7 @@ use crate::metrics::{f1_score, one_minus_rae};
 use crate::mlp::{MlpClassifier, MlpConfig, MlpRegressor};
 use crate::nb::GaussianNb;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tabular::split::cv_indices;
 use tabular::{DataFrame, Label, Task};
 
@@ -82,6 +83,20 @@ impl Default for Evaluator {
     }
 }
 
+/// The process-wide CV-score memo of [`Evaluator::evaluate`], beside the
+/// bin cache its keys are made from; entries are 24 bytes.
+fn score_memo() -> &'static runtime::ScoreCache<f64> {
+    static MEMO: OnceLock<runtime::ScoreCache<f64>> = OnceLock::new();
+    MEMO.get_or_init(|| runtime::ScoreCache::new(runtime::evaluator::DEFAULT_CACHE_CAPACITY))
+}
+
+/// Counters of the process-wide CV-score memo: a miss is a histogram
+/// forest cross-validated, a hit one that a rank-identical frame (see
+/// [`Evaluator::evaluate`]) had already paid for.
+pub fn score_memo_stats() -> runtime::CacheStats {
+    score_memo().stats()
+}
+
 /// Extract a column-major feature matrix from a frame.
 pub fn feature_matrix(frame: &DataFrame) -> Vec<Vec<f64>> {
     frame.columns().iter().map(|c| c.values.clone()).collect()
@@ -100,14 +115,20 @@ impl Evaluator {
     ///
     /// Classification → support-weighted F1; regression → 1-RAE, both
     /// averaged over the folds.
+    ///
+    /// A histogram forest reads a column only through its bin codes
+    /// ([`BinnedColumn::rank_identity`](crate::BinnedColumn::rank_identity)),
+    /// so its score is a pure function of (the columns' rank identities in
+    /// order, label, this configuration) and is memoised on exactly that,
+    /// process-wide: `ln(|x|+1)`, `sqrt(|x|)` and `x·x` of one parent train
+    /// one forest between them. Debug builds recompute every memo hit and
+    /// assert the bits.
     pub fn evaluate(&self, frame: &DataFrame) -> Result<f64> {
         if frame.n_cols() == 0 {
             return Err(LearnError::EmptyTrainingSet(
                 "no feature columns to evaluate".into(),
             ));
         }
-        let splits = cv_indices(frame.label(), self.folds, self.seed)?;
-        let n_folds = splits.len();
         // When every fold trains a histogram forest, quantise the frame
         // once here and hand all folds (and all their trees) the same
         // bins — the "bin once, train everywhere" regime — and the same
@@ -126,12 +147,73 @@ impl Evaluator {
         } else {
             None
         };
+        let key = binned.as_ref().map(|b| self.memo_key(b, frame.label()));
+        let memoised = key.and_then(|k| score_memo().get(k));
+        if let Some(score) = memoised {
+            telemetry::count("cv.memo.hits", 1);
+            // A debug build serves no hit: it recomputes and compares, so
+            // every test run re-checks the premise on all it evaluates.
+            if !cfg!(debug_assertions) {
+                return Ok(score);
+            }
+        } else if key.is_some() {
+            telemetry::count("cv.memo.misses", 1);
+        }
+        let score = self.cross_validate(frame, &cols, binned.as_ref())?;
+        match (memoised, key) {
+            (Some(hit), _) => debug_assert_eq!(
+                hit.to_bits(),
+                score.to_bits(),
+                "equal rank identities must score equally"
+            ),
+            (None, Some(k)) => score_memo().insert(k, score),
+            (None, None) => {}
+        }
+        Ok(score)
+    }
+
+    /// Everything a binned-forest CV score depends on: this configuration,
+    /// the label, the row count, and the columns' rank identities in
+    /// column order (the feature index drives each node's feature draw).
+    fn memo_key(&self, binned: &BinnedDataset, label: &Label) -> runtime::Fingerprint {
+        let mut targets = runtime::ColumnDigest::default();
+        let mut h = runtime::Hasher128::new();
+        h.write_str("learners::cv_memo");
+        h.write_u128(runtime::Scorer::config_digest(self).0);
+        match label {
+            Label::Class { y, n_classes } => {
+                h.write_u64(*n_classes as u64);
+                y.iter().for_each(|&c| targets.write(&[c as f64]));
+            }
+            Label::Reg(y) => {
+                h.write_u64(0);
+                targets.write(y);
+            }
+        }
+        h.write_u128(targets.finish().0);
+        h.write_u64(binned.n_rows() as u64);
+        for f in 0..binned.n_features() {
+            h.write_u128(binned.column(f).rank_identity().0);
+        }
+        h.finish()
+    }
+
+    /// The un-memoised score: fit and score every fold, average in fold
+    /// order.
+    fn cross_validate(
+        &self,
+        frame: &DataFrame,
+        cols: &[&[f64]],
+        binned: Option<&BinnedDataset>,
+    ) -> Result<f64> {
+        let splits = cv_indices(frame.label(), self.folds, self.seed)?;
+        let n_folds = splits.len();
         // Folds are independent given their index-derived seeds, so they can
         // run on the shared pool; summing in fold order afterwards keeps the
         // result bit-identical to a sequential run.
         let pool = runtime::WorkerPool::new().with_seed(self.seed);
-        let fold_scores = pool.map(splits, |ctx, split| match &binned {
-            Some(b) => self.fit_score_binned(b, &cols, frame.label(), &split, ctx.index as u64),
+        let fold_scores = pool.map(splits, |ctx, split| match binned {
+            Some(b) => self.fit_score_binned(b, cols, frame.label(), &split, ctx.index as u64),
             None => {
                 let train = frame.take_rows(&split.train)?;
                 let test = frame.take_rows(&split.test)?;
@@ -399,6 +481,227 @@ mod tests {
         let d = Evaluator::with_kind(ModelKind::Mlp);
         assert_ne!(a.config_digest(), c.config_digest());
         assert_ne!(a.config_digest(), d.config_digest());
+    }
+
+    // -----------------------------------------------------------------
+    // The memo's premise, with the memo out of the way: `cross_validate`
+    // is called directly on uncached bins.
+    // -----------------------------------------------------------------
+
+    const SPECIALS: [f64; 7] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5e-323, // subnormal: 3 × the smallest positive double
+        -1.0e-323,
+        f64::NAN,
+    ];
+    const NAN_BIT: u8 = 1 << 6;
+    const HUGE_BIT: u8 = 1 << 7;
+
+    /// Which specials a column mixes in (bit `k` enables `SPECIALS[k]`,
+    /// `HUGE_BIT` magnitudes near 1e100): most images stop being injective
+    /// once several kinds meet, so most columns carry one kind or none.
+    const PALETTES: [u8; 12] = [
+        0,
+        0,
+        0b11,
+        0b100,
+        0b1100,
+        0b1_0000,
+        0b11_0000,
+        NAN_BIT,
+        HUGE_BIT,
+        NAN_BIT | 0b11,
+        HUGE_BIT | NAN_BIT | 0b100,
+        0xFF,
+    ];
+
+    /// Row values with ties: the specials `palette` enables, a
+    /// half-integer grid and free reals.
+    fn column(kinds: &[u8], reals: &[f64], palette: u8) -> Vec<f64> {
+        kinds
+            .iter()
+            .zip(reals)
+            .map(|(&k, &r)| match k as usize {
+                k if k < SPECIALS.len() && palette >> k & 1 == 1 => SPECIALS[k],
+                7 if palette & HUGE_BIT != 0 => r * 1e98,
+                14.. => r,
+                _ => (r / 12.5).round() / 2.0,
+            })
+            .collect()
+    }
+
+    /// Whether `y` is a strictly increasing, NaN-preserving image of `x`
+    /// that keeps distinct values distinct.
+    fn rank_equivalent(x: &[f64], y: &[f64]) -> bool {
+        let mut order: Vec<usize> = (0..x.len()).filter(|&r| !x[r].is_nan()).collect();
+        order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
+        x.iter().zip(y).all(|(a, b)| a.is_nan() == b.is_nan())
+            && order.windows(2).all(|w| {
+                let (a, b) = (w[0], w[1]);
+                (x[a] == x[b] && y[a] == y[b]) || (x[a] < x[b] && y[a] < y[b])
+            })
+    }
+
+    fn min_max(x: &[f64]) -> Vec<f64> {
+        let finite = x.iter().copied().filter(|v| !v.is_nan());
+        let lo = finite.clone().fold(f64::INFINITY, f64::min);
+        let hi = finite.fold(f64::NEG_INFINITY, f64::max);
+        x.iter().map(|v| (v - lo) / (hi - lo)).collect()
+    }
+
+    /// The strictly increasing images of `x` that the paper's monotone
+    /// operators (and two affine maps) produce, each beside the column it
+    /// is an image of: the sign-blind operators are increasing in `|x|`.
+    fn monotone_images(x: &[f64]) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+        let map = |f: fn(f64) -> f64, of: &[f64]| of.iter().map(|&v| f(v)).collect::<Vec<_>>();
+        let abs = map(f64::abs, x);
+        vec![
+            ("x+x", x.to_vec(), map(|v| v + v, x)),
+            ("0.75x+3", x.to_vec(), map(|v| 0.75 * v + 3.0, x)),
+            ("x^3", x.to_vec(), map(|v| v * v * v, x)),
+            ("norm", x.to_vec(), min_max(x)),
+            ("log", abs.clone(), map(|v| (v.abs() + 1.0).ln(), &abs)),
+            ("sqrt", abs.clone(), map(|v| v.abs().sqrt(), &abs)),
+            ("x*x", abs.clone(), map(|v| v * v, &abs)),
+        ]
+    }
+
+    fn identity(values: &[f64], max_bins: usize) -> runtime::Fingerprint {
+        crate::BinnedColumn::build(values, max_bins).rank_identity()
+    }
+
+    fn codes(values: &[f64], max_bins: usize) -> Vec<usize> {
+        let col = crate::BinnedColumn::build(values, max_bins);
+        (0..values.len()).map(|r| col.codes().get(r)).collect()
+    }
+
+    /// The un-memoised score bits of `[left, candidate, right]` (or the
+    /// error's text), on freshly built bins.
+    fn score_bits(
+        e: &Evaluator,
+        cols: [&[f64]; 3],
+        label: &Label,
+    ) -> std::result::Result<u64, String> {
+        let named = cols
+            .iter()
+            .enumerate()
+            .map(|(i, c)| tabular::Column::new(format!("c{i}"), c.to_vec()))
+            .collect();
+        let frame = DataFrame::new("premise", named, label.clone()).unwrap();
+        let binned = BinnedDataset::from_slices(&cols, e.forest.tree.max_bins).unwrap();
+        e.cross_validate(&frame, &cols, Some(&binned))
+            .map(f64::to_bits)
+            .map_err(|err| err.to_string())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A forest cannot tell a column from a strictly increasing image
+        /// of it: equal rank identity, equal CV score bits — u8 and u16
+        /// codes, classification and regression, across thread counts.
+        #[test]
+        fn increasing_images_share_identity_and_score_bits(
+            n in 1usize..401,
+            kinds in proptest::collection::vec(0u8..20, 400..401),
+            reals in proptest::collection::vec(-100.0f64..100.0, 400..401),
+            others in proptest::collection::vec(-1.0f64..1.0, 800..801),
+            classes in proptest::collection::vec(0usize..5, 400..401),
+            palette in 0usize..12,
+            bins in 0usize..4,
+            label_kind in 0usize..3,
+        ) {
+            let max_bins = [4, 16, 256, 1024][bins];
+            let x = column(&kinds[..n], &reals[..n], PALETTES[palette]);
+            let label = match label_kind {
+                0 => Label::Class { y: classes[..n].iter().map(|c| c % 2).collect(), n_classes: 2 },
+                1 => Label::Class { y: classes[..n].to_vec(), n_classes: 5 },
+                _ => Label::Reg(others[..n].iter().zip(&reals).map(|(a, b)| a * b).collect()),
+            };
+            let mut e = Evaluator::default();
+            e.forest.n_trees = 3;
+            e.forest.tree.max_bins = max_bins;
+            let (left, right) = (&others[..n], &others[400..400 + n]);
+            let mut compared = 0;
+            for (name, base, image) in monotone_images(&x) {
+                if !rank_equivalent(&base, &image) {
+                    continue; // overflowed, absorbed or manufactured a NaN
+                }
+                compared += 1;
+                proptest::prop_assert_eq!(
+                    identity(&base, max_bins), identity(&image, max_bins), "{} identity", name
+                );
+                runtime::set_global_threads(1);
+                let want = score_bits(&e, [left, &base, right], &label);
+                runtime::set_global_threads(4);
+                let got = score_bits(&e, [left, &image, right], &label);
+                runtime::set_global_threads(0);
+                proptest::prop_assert_eq!(want, got, "{} score", name);
+            }
+            proptest::prop_assert!(compared > 0, "x+x of {:?} must compare", x);
+        }
+
+        /// What the identity must tell apart: a reversed order, two rows
+        /// of different codes swapped, a value merged into its neighbour.
+        #[test]
+        fn identity_separates_columns_a_forest_can_tell_apart(
+            n in 2usize..401,
+            kinds in proptest::collection::vec(0u8..20, 400..401),
+            reals in proptest::collection::vec(-100.0f64..100.0, 400..401),
+            palette in 0usize..12,
+            bins in 0usize..4,
+            i in 0usize..400,
+            j in 0usize..400,
+        ) {
+            let max_bins = [4, 16, 256, 1024][bins];
+            // No NaN here: a NaN row against its bin-0 twin is the next test.
+            let x = column(&kinds[..n], &reals[..n], PALETTES[palette] & !NAN_BIT);
+            let (i, j) = (i % n, j % n);
+            let coded = codes(&x, max_bins);
+            proptest::prop_assume!(coded[i] != coded[j]);
+            let id = identity(&x, max_bins);
+
+            let mut swapped = x.clone();
+            swapped.swap(i, j);
+            proptest::prop_assert!(id != identity(&swapped, max_bins), "swap {} {}", i, j);
+
+            let negated: Vec<f64> = x.iter().map(|v| -v).collect();
+            if codes(&negated, max_bins) != coded {
+                proptest::prop_assert!(id != identity(&negated, max_bins), "decreasing map");
+            }
+
+            let mut merged = x.clone();
+            merged.iter_mut().filter(|v| **v == x[i]).for_each(|v| *v = x[j]);
+            proptest::prop_assert!(id != identity(&merged, max_bins), "merge {} into {}", i, j);
+        }
+    }
+
+    #[test]
+    fn nan_row_and_smallest_value_share_a_code_but_not_an_identity() {
+        // A NaN trains in bin 0 like the column minimum, but predicts right
+        // of every split where the minimum predicts left.
+        let with_nan = [f64::NAN, 1.0, 2.0, 1.0, 3.0];
+        let with_min = [1.0, 1.0, 2.0, 1.0, 3.0];
+        for max_bins in [4, 1024] {
+            assert_eq!(codes(&with_nan, max_bins), codes(&with_min, max_bins));
+            assert_ne!(identity(&with_nan, max_bins), identity(&with_min, max_bins));
+        }
+        // Likewise a -inf minimum: boundary 0 is `midpoint(-inf, 1)` = NaN,
+        // which trains as `code <= 0` but sends every row right. Three
+        // consecutive doubles whose two midpoints both round onto the
+        // middle one get the same codes from finite thresholds.
+        let eps = f64::EPSILON;
+        let with_inf = [f64::NEG_INFINITY, 1.0, 2.0];
+        let adjacent = [1.0 + eps, 1.0 + 2.0 * eps, 1.0 + 3.0 * eps];
+        assert!(crate::BinnedColumn::build(&with_inf, 4)
+            .threshold(0)
+            .is_nan());
+        assert_eq!(codes(&with_inf, 4), vec![0, 0, 2]);
+        assert_eq!(codes(&adjacent, 4), vec![0, 0, 2]);
+        assert_ne!(identity(&with_inf, 4), identity(&adjacent, 4));
     }
 
     #[test]

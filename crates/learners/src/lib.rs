@@ -39,7 +39,7 @@ pub mod resnet;
 pub mod tree;
 
 pub use binned::{BinnedColumn, BinnedDataset, SplitMethod, DEFAULT_MAX_BINS};
-pub use cv::{feature_matrix, Evaluator, ModelKind};
+pub use cv::{feature_matrix, score_memo_stats, Evaluator, ModelKind};
 pub use dense::{FlatNet, Mat, NnBackend, Topology};
 pub use error::{LearnError, Result};
 pub use forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};

@@ -6,8 +6,18 @@ use serve::{Budget, JobEvent, JobId, JobServer, JobStatus, ServeError, ServerCon
 use tabular::{DataFrame, SynthSpec, Task};
 
 fn frame() -> DataFrame {
+    seeded_frame(7)
+}
+
+/// The test table under a seed of the caller's: a table no other test of
+/// this binary searches. The CV-score memo (`learners::cv`) is
+/// process-wide, so on the shared [`frame`] a job can find every forest
+/// already trained by a sibling test and run all its epochs in
+/// microseconds; the tests that must catch a job between its first event
+/// and the end of its budget give it forests of its own to train.
+fn seeded_frame(seed: u64) -> DataFrame {
     SynthSpec::new("serve-it", 150, 4, Task::Classification)
-        .with_seed(7)
+        .with_seed(seed)
         .generate()
         .unwrap()
 }
@@ -122,7 +132,7 @@ fn progress_stream_is_monotone_and_ends_with_done() {
 
 #[test]
 fn cancelled_job_stops_at_the_next_epoch_boundary() {
-    let frame = frame();
+    let frame = seeded_frame(101);
     let server = JobServer::new(ServerConfig::default()).unwrap();
     let job = server
         .submit("acme", &frame, long_engine(), Budget::unlimited())
@@ -230,7 +240,7 @@ fn checkpoint_all_then_restart_preserves_job_ids_and_results() {
 
 #[test]
 fn resumed_stream_does_not_replay_events_seen_before_restart() {
-    let frame = frame();
+    let frame = seeded_frame(102);
     let dir = scratch_dir("resume-stream");
     let feed_dir = dir.join("feeds");
     let config = ServerConfig {
@@ -393,8 +403,9 @@ fn checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
         ..ServerConfig::default()
     };
     let mut server = JobServer::new(config.clone()).unwrap();
+    let frame = seeded_frame(103);
     let job = server
-        .submit("acme", &frame(), long_engine(), Budget::epochs(6))
+        .submit("acme", &frame, long_engine(), Budget::epochs(6))
         .unwrap();
     // A started job: the checkpoint carries a search state, not a frame.
     assert!(matches!(job.next_event(), Some(JobEvent::Epoch(_))));
@@ -415,7 +426,7 @@ fn checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
     }
     match entry(entry(&mut cp, "state"), "policies") {
         Value::Array(policies) => {
-            assert_eq!(policies.len(), frame().n_cols());
+            assert_eq!(policies.len(), frame.n_cols());
             policies.pop();
         }
         other => panic!("policies is not an array: {other:?}"),

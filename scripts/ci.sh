@@ -38,8 +38,12 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
     cargo test -q -p runtime --release --test pool_late_join
 
-    echo "==> split-method parity + golden score bits (release: the binned path's leaf-bound debug_assert is compiled out)"
+    echo "==> split-method parity + golden score bits (release: the binned path's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
     cargo test -q --release --test hist_parity --test golden_scores
+
+    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares)"
+    cargo test -q -p learners --release --lib cv::
+    cargo test -q --release --test score_memo --test paper_claims
 
     echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q --release --test parallel_determinism multi_process
@@ -70,6 +74,10 @@ if [[ "$quick" -eq 0 ]]; then
     # Single-threaded: the cancel-bound test is timing-sensitive and the
     # status test loads every core with two live tenants.
     cargo test -q -p serve --release --test smoke -- --test-threads=1
+    # Three integration tests pause a job between its first event and the
+    # end of a 6-epoch budget; release is where a warm CV-score memo would
+    # let the job win that race (each searches a table of its own).
+    cargo test -q -p serve --release --test integration
 
     echo "==> observability end-to-end (release): serve_demo trace -> trace_tool"
     cargo build --release -q --example serve_demo -p e-afe

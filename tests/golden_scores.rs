@@ -126,15 +126,20 @@ fn hostile(seed: u64, n_rows: usize) -> Vec<Vec<f64>> {
     x
 }
 
+/// Asserted cold, then warm: the second evaluation is a CV-score memo hit
+/// (`learners::cv`) — served in `--release`, recomputed and compared in a
+/// debug build — and must be the same literal.
 fn check(name: &str, e: &Evaluator, f: &DataFrame, expected: u64) {
-    let score = e.evaluate(f).expect("evaluation succeeds");
-    assert_eq!(
-        score.to_bits(),
-        expected,
-        "{name}: score {score} = {:#018x}, golden {:#018x}",
-        score.to_bits(),
-        expected
-    );
+    for pass in ["cold", "warm"] {
+        let score = e.evaluate(f).expect("evaluation succeeds");
+        assert_eq!(
+            score.to_bits(),
+            expected,
+            "{name} ({pass}): score {score} = {:#018x}, golden {:#018x}",
+            score.to_bits(),
+            expected
+        );
+    }
 }
 
 #[test]
