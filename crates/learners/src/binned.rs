@@ -1,7 +1,7 @@
 //! Histogram binning for tree training — bin once, train everywhere.
 //!
-//! The exact CART splitter re-sorts every candidate feature at every node
-//! (`O(n log n)` per feature per node). The histogram path instead
+//! A textbook CART splitter re-sorts every candidate feature at every node
+//! (`O(n log n)` per feature per node). The tree builder instead
 //! quantises each feature **once** into at most [`TreeConfig::max_bins`]
 //! quantile bins ([`BinnedColumn`]: per-row bin codes plus the boundary
 //! thresholds on the original value scale) and finds node splits with a
@@ -15,12 +15,12 @@
 //! Bin-edge scheme: when a column has at most `max_bins` distinct values
 //! it gets **one bin per distinct value** with boundaries at the midpoints
 //! between adjacent distinct values — split enumeration is then exactly
-//! the sorted scan's, so histogram training reproduces the exact path's
-//! splits bit-for-bit on classification (Gini is computed from the same
-//! integer counts). Wider columns get quantile cuts: boundary candidates
-//! at ranks `b·n/max_bins`, dropped when they fall inside a run of equal
-//! values, so duplicate-heavy columns spend their bin budget on the
-//! values that actually vary.
+//! a sorted scan's, so histogram training reproduces exact CART's splits
+//! bit-for-bit on classification (Gini is computed from the same integer
+//! counts; `tests/hist_parity.rs`). Wider columns get quantile cuts:
+//! boundary candidates at ranks `b·n/max_bins`, dropped when they fall
+//! inside a run of equal values, so duplicate-heavy columns spend their
+//! bin budget on the values that actually vary.
 //!
 //! [`TreeConfig::max_bins`]: crate::tree::TreeConfig
 
@@ -29,11 +29,15 @@ use runtime::{fingerprint_values, Fingerprint, Hasher128, ScoreCache, WorkerPool
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
-/// How a tree enumerates candidate splits.
+/// How a tree enumerates candidate splits. There is one way; the enum
+/// and [`TreeConfig::split`](crate::TreeConfig::split) survive only
+/// because `benchmark/src/inputs.rs` (which PRs may not edit) assigns
+/// `SplitMethod::Histogram` — ROADMAP 5(e) deletes both. The exact
+/// sort-and-scan finder this used to select is the test oracle
+/// `tests/support/exact_cart.rs`; a checkpoint naming it no longer
+/// deserialises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SplitMethod {
-    /// Sort every candidate feature at every node (the reference path).
-    Exact,
     /// Quantile-bin every feature once, then find splits by histogram
     /// accumulation (LightGBM-style, with sibling subtraction).
     Histogram,
@@ -406,6 +410,9 @@ pub(crate) fn node_order<L, T>(
     y: &[L],
     label: impl Fn(&L) -> T,
 ) -> (Vec<u32>, Vec<T>) {
+    // Invariant: a row id indexes `y` and a column's codes, and the tree
+    // builder refuses a dataset of more than `u32::MAX` rows.
+    #[allow(clippy::expect_used)]
     let ids = rows
         .iter()
         .map(|&r| u32::try_from(r).expect("row ids fit u32"))

@@ -6,7 +6,7 @@
 //! for regression. The downstream model defaults to Random Forest and can
 //! be swapped (Table V uses SVM, NB/GP and MLP on the cached features).
 
-use crate::binned::{BinnedDataset, SplitMethod};
+use crate::binned::BinnedDataset;
 use crate::error::{LearnError, Result};
 use crate::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
 use crate::gp::{GaussianProcess, GpConfig};
@@ -227,16 +227,16 @@ impl Evaluator {
         Ok(total / n_folds as f64)
     }
 
-    /// Whether `evaluate` trains a histogram forest on every fold (and so
-    /// should bin the frame once up front): the forest kind, plus SVM's
-    /// regression fallback, with [`SplitMethod::Histogram`] configured.
+    /// Whether `evaluate` trains a forest on every fold (and so should bin
+    /// the frame once up front): the forest kind, plus SVM's regression
+    /// fallback (linear SVR is not part of the paper's Table V regression
+    /// rows).
     fn uses_binned_forest(&self, task: Task) -> bool {
-        self.forest.tree.split == SplitMethod::Histogram
-            && match self.kind {
-                ModelKind::RandomForest => true,
-                ModelKind::Svm => task == Task::Regression,
-                ModelKind::NaiveBayesGp | ModelKind::Mlp => false,
-            }
+        match self.kind {
+            ModelKind::RandomForest => true,
+            ModelKind::Svm => task == Task::Regression,
+            ModelKind::NaiveBayesGp | ModelKind::Mlp => false,
+        }
     }
 
     /// One fold against the shared pre-binned frame: train the forest on
@@ -273,26 +273,23 @@ impl Evaluator {
         }
     }
 
-    /// Fit on `train`, score on `test` (one fold).
-    pub fn fit_score(&self, train: &DataFrame, test: &DataFrame, fold_seed: u64) -> Result<f64> {
+    /// Fit on `train`, score on `test` (one fold) — the gather-per-fold
+    /// path of the kinds that do not train a forest.
+    fn fit_score(&self, train: &DataFrame, test: &DataFrame, fold_seed: u64) -> Result<f64> {
         let xtr = feature_matrix(train);
         let xte = feature_matrix(test);
-        match (train.task(), train.label()) {
-            (Task::Classification, Label::Class { y, n_classes }) => {
-                let yte = test
-                    .label()
-                    .classes()
-                    .expect("classification frame")
-                    .to_vec();
+        match (train.label(), test.label()) {
+            (Label::Class { y, n_classes }, Label::Class { y: yte, .. }) => {
                 let preds = self.classify(&xtr, y, *n_classes, &xte, fold_seed)?;
-                f1_score(&yte, &preds, *n_classes)
+                f1_score(yte, &preds, *n_classes)
             }
-            (Task::Regression, Label::Reg(y)) => {
-                let yte = test.label().targets().expect("regression frame").to_vec();
+            (Label::Reg(y), Label::Reg(yte)) => {
                 let preds = self.regress(&xtr, y, &xte, fold_seed)?;
-                one_minus_rae(&yte, &preds)
+                one_minus_rae(yte, &preds)
             }
-            _ => unreachable!("task and label always agree"),
+            _ => Err(LearnError::InvalidParam(
+                "train and test folds disagree on the task".into(),
+            )),
         }
     }
 
@@ -306,14 +303,7 @@ impl Evaluator {
     ) -> Result<Vec<usize>> {
         let seed = self.seed ^ fold_seed.wrapping_mul(0x9E37);
         match self.kind {
-            ModelKind::RandomForest => {
-                let mut m = RandomForestClassifier::new(ForestConfig {
-                    seed,
-                    ..self.forest
-                });
-                m.fit(xtr, ytr, n_classes)?;
-                m.predict(xte)
-            }
+            ModelKind::RandomForest => unreachable!("forest folds train in fit_score_binned"),
             ModelKind::Svm => {
                 let mut m = LinearSvm::new(LinearConfig {
                     seed,
@@ -345,14 +335,7 @@ impl Evaluator {
         let seed = self.seed ^ fold_seed.wrapping_mul(0x9E37);
         match self.kind {
             ModelKind::RandomForest | ModelKind::Svm => {
-                // Linear SVR is not part of the paper's Table V regression
-                // rows; SVM falls back to the forest regressor.
-                let mut m = RandomForestRegressor::new(ForestConfig {
-                    seed,
-                    ..self.forest
-                });
-                m.fit(xtr, ytr)?;
-                m.predict(xte)
+                unreachable!("forest folds train in fit_score_binned")
             }
             ModelKind::NaiveBayesGp => {
                 let mut m = GaussianProcess::new(self.gp);
@@ -377,6 +360,9 @@ impl runtime::Scorer for Evaluator {
     fn config_digest(&self) -> runtime::Fingerprint {
         let mut h = runtime::Hasher128::new();
         h.write_str("learners::Evaluator");
+        // Invariant: a tree of numbers and unit enums with string keys has
+        // no failing case in a JSON serialiser.
+        #[allow(clippy::expect_used)]
         h.write_str(&serde_json::to_string(self).expect("evaluator config serialises"));
         h.finish()
     }

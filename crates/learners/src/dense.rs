@@ -1,15 +1,9 @@
 //! Flat batched dense kernels for the neural learners (DESIGN.md §10).
 //!
-//! The MLP and tabular-ResNet learners used to run strictly per sample:
-//! `Vec<Vec<f64>>` weights, a fresh `Vec` per layer per sample, and a
-//! full `collect_params`/`collect_grads`/`scatter_params` copy of every
-//! parameter on every minibatch step. This module replaces that hot path
-//! with
-//!
 //! * [`Mat`] — a contiguous row-major activation/parameter store,
-//! * [`FlatNet`] — all layer parameters in **one flat slab** laid out in
-//!   `collect_params` order (per layer: row-major weights, then biases),
-//!   so the Adam step runs in place over the slab with no copies,
+//! * [`FlatNet`] — all layer parameters in **one flat slab** (per layer:
+//!   row-major weights, then biases), so the Adam step runs in place over
+//!   the slab with no copies,
 //! * [`FlatNet::forward_batch`] / [`FlatNet::backward_batch`] — batched
 //!   kernels over a whole microbatch with reusable [`Scratch`] buffers
 //!   owned by the trainer (zero per-sample allocation),
@@ -18,20 +12,17 @@
 //!
 //! # Bit-identity contract
 //!
-//! Two invariants are pinned by `crates/learners/tests/nn_parity.rs` and
+//! Two invariants are pinned by this crate's `nn_parity` unit suite and
 //! `tests/parallel_determinism.rs`:
 //!
-//! 1. **Batched == scalar.** Every inner product — in the batched
-//!    kernels here *and* in the per-sample code
-//!    (`Dense::forward`/`Dense::backward`) — reduces through the pinned
-//!    SIMD lane tree (`simd::dot`, DESIGN.md §13): four independent
+//! 1. **Batched == per-sample.** Every inner product reduces through the
+//!    pinned SIMD lane tree (`simd::dot`, DESIGN.md §13): four independent
 //!    lane accumulators over chunks of 4, `(0+1)+(2+3)`, sequential
-//!    ascending tail. Elementwise gradient updates are `simd::axpy`
-//!    (one multiply + one add per cell, never FMA), and microbatch
-//!    gradient accumulation visits rows in ascending order — the same
-//!    per-cell addend sequence on both backends. The retained
-//!    per-sample path ([`NnBackend::Scalar`], the testing reference
-//!    with the old allocation/copy cost profile) therefore trains to
+//!    ascending tail. Elementwise gradient updates are `simd::axpy` (one
+//!    multiply + one add per cell, never FMA), and microbatch gradient
+//!    accumulation visits rows in ascending order — so a per-sample
+//!    trainer forms the same per-cell addend sequence. That trainer is the
+//!    test oracle `dense/scalar_ref.rs` (`#[cfg(test)]`): it trains to
 //!    **bit-identical** parameters.
 //! 2. **1 thread == N threads.** Each minibatch is split into a *fixed
 //!    microbatch partition* of [`TRAIN_MICROBATCH`] rows. Every
@@ -50,7 +41,7 @@
 //! amortise task setup.
 
 use crate::error::{LearnError, Result};
-use crate::nn::{collect_grads, collect_params, relu, relu_backward, scatter_params, Adam, Dense};
+use crate::nn::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -72,24 +63,9 @@ const INFER_MICROBATCH: usize = 256;
 /// Minimum `rows × parameters` product before a minibatch (or an
 /// inference pass) is worth shipping to the worker pool; below this the
 /// scoped-thread setup of `WorkerPool::map` costs more than it saves.
-/// Public so the parity suite can pin behaviour exactly at and one past
-/// the boundary (`nn_parity.rs`); crossing it must never change results,
-/// only where they are computed.
-pub const PARALLEL_GRAIN: usize = 262_144;
-
-/// Which training/inference implementation a neural learner runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NnBackend {
-    /// Per-sample reference path: `Vec<Vec<f64>>` layers, a fresh `Vec`
-    /// per layer per sample, and full parameter collect/scatter copies
-    /// each step — the pre-batching cost profile, kept as the testing
-    /// baseline. Always single-threaded.
-    Scalar,
-    /// Flat batched kernels (this module). Bit-identical to `Scalar`,
-    /// at any thread count.
-    #[default]
-    Batched,
-}
+/// Crossing it must never change results, only where they are computed
+/// (the parity suite pins one row below, at, and one past the boundary).
+pub(crate) const PARALLEL_GRAIN: usize = 262_144;
 
 /// Network shape: which architecture a [`FlatNet`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -282,9 +258,7 @@ impl Scratch {
 /// Layout: layers in forward order ([`Topology::Mlp`]: hidden, output;
 /// [`Topology::ResNet`]: stem, then `W₁, W₂` per block, then head), each
 /// layer contributing its row-major `n_out × n_in` weight block followed
-/// by its `n_out` biases — exactly the order `nn::collect_params`
-/// produces for the scalar reference layers, so slabs are comparable
-/// bit-for-bit across backends.
+/// by its `n_out` biases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatNet {
     topo: Topology,
@@ -325,9 +299,8 @@ impl FlatNet {
         (layers, off)
     }
 
-    /// He-initialised network drawing the **same RNG sequence** as the
-    /// scalar reference (`Dense::new` per layer in forward order), so a
-    /// freshly initialised `FlatNet` equals the scalar net bit-for-bit.
+    /// He-initialised network: one `gen_range(-scale..scale)` per weight
+    /// in slab order (`scale = sqrt(2 / n_in)`), biases zero.
     pub fn init(topo: Topology, n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
         let dims = Self::layer_dims(topo, n_in, n_out);
         let (layers, total) = Self::specs_from_dims(&dims);
@@ -337,32 +310,11 @@ impl FlatNet {
             for w in &mut params[spec.w_off..spec.b_off] {
                 *w = rng.gen_range(-scale..scale);
             }
-            // Biases stay zero, as in `Dense::new`.
         }
         Self {
             topo,
             n_in,
             n_out,
-            layers,
-            params,
-        }
-    }
-
-    fn from_scalar(net: &ScalarNet) -> Self {
-        let dims = Self::layer_dims(net.topo, net.n_in, net.n_out);
-        let (layers, total) = Self::specs_from_dims(&dims);
-        let mut params = Vec::with_capacity(total);
-        for layer in &net.layers {
-            for row in &layer.w {
-                params.extend_from_slice(row);
-            }
-            params.extend_from_slice(&layer.b);
-        }
-        debug_assert_eq!(params.len(), total);
-        Self {
-            topo: net.topo,
-            n_in: net.n_in,
-            n_out: net.n_out,
             layers,
             params,
         }
@@ -437,9 +389,8 @@ impl FlatNet {
     }
 
     /// Batched forward pass over the microbatch in `scr.x` (all rows at
-    /// once). Inner dot products keep the per-output ascending-`k`
-    /// summation order of `Dense::forward`, so each output row is
-    /// bit-identical to the per-sample path.
+    /// once); each output row is what a per-sample pass computes, bit for
+    /// bit.
     pub fn forward_batch(&self, scr: &mut Scratch) {
         let Scratch {
             x,
@@ -481,9 +432,9 @@ impl FlatNet {
     /// Batched backward pass: accumulate parameter gradients for the
     /// microbatch last run through [`FlatNet::forward_batch`] (with
     /// `scr.dout` filled) into `grads`, a slab with the same layout as
-    /// [`FlatNet::params`]. Rows are accumulated in ascending order —
-    /// the same per-cell addend sequence as the per-sample reference —
-    /// and `grads` is *not* zeroed here, so partials can be layered.
+    /// [`FlatNet::params`]. Rows are accumulated in ascending order (the
+    /// per-cell addend sequence of a per-sample pass), and `grads` is
+    /// *not* zeroed here, so partials can be layered.
     pub fn backward_batch(&self, scr: &mut Scratch, grads: &mut [f64]) {
         debug_assert_eq!(grads.len(), self.params.len());
         let Scratch {
@@ -543,8 +494,7 @@ fn grad_slices(grads: &mut [f64], s: LayerSpec) -> (&mut [f64], &mut [f64]) {
 
 /// Batched dense forward: `out[r] = W x[r] + b` for every row.
 /// Per output: `b + dot(w[o], x)` where the dot product is the pinned
-/// SIMD lane tree (DESIGN.md §13) — the exact `Dense::forward` reduction,
-/// so the scalar and batched backends stay bit-identical.
+/// SIMD lane tree (DESIGN.md §13).
 fn dense_forward(w: &[f64], b: &[f64], x: &Mat, out: &mut Mat) {
     let n_in = x.cols();
     debug_assert_eq!(w.len(), n_in * out.cols());
@@ -560,10 +510,8 @@ fn dense_forward(w: &[f64], b: &[f64], x: &Mat, out: &mut Mat) {
 /// Batched dense backward. For each row in ascending order, and each
 /// output `o` in ascending order: `gb[o] += g`, then the elementwise
 /// [`simd::axpy`] updates `gw[o][k] += g·x[k]` and `dx[k] += g·w[o][k]`
-/// — per cell the exact `Dense::backward` expression (one multiply, one
-/// add, no FMA), so both backends are bitwise identical. `dx` rows are
-/// zeroed here (the per-sample path allocates a fresh zeroed `dx`); pass
-/// `None` for the first layer where the input gradient is unused.
+/// (one multiply, one add per cell, no FMA). `dx` rows are zeroed here;
+/// pass `None` for the first layer where the input gradient is unused.
 fn dense_backward(
     w: &[f64],
     x: &Mat,
@@ -606,7 +554,7 @@ fn dense_backward(
     }
 }
 
-/// Elementwise batched ReLU (`v.max(0.0)`, as the scalar path).
+/// Elementwise batched ReLU (`v.max(0.0)`).
 fn relu_batch(src: &Mat, dst: &mut Mat) {
     debug_assert_eq!(src.data.len(), dst.data.len());
     for (d, s) in dst.data.iter_mut().zip(&src.data) {
@@ -645,112 +593,71 @@ pub(crate) struct TrainSpec {
     pub shuffle_xor: u64,
 }
 
-/// Shared minibatch Adam driver for both neural learners and both
-/// backends (the single training-loop implementation; the heads differ
-/// only in their loss closure). Returns the trained network as a
-/// [`FlatNet`] regardless of backend.
+/// Shared minibatch Adam driver for both neural learners (the single
+/// training-loop implementation; the heads differ only in their loss
+/// closure).
 pub(crate) fn train_flat(
     topo: Topology,
     n_in: usize,
     n_out: usize,
     rows: &Mat,
     spec: &TrainSpec,
-    backend: NnBackend,
     loss: LossGrad,
 ) -> FlatNet {
     let mut init_rng = StdRng::seed_from_u64(spec.seed);
     let mut shuffle_rng = StdRng::seed_from_u64(spec.seed ^ spec.shuffle_xor);
     let bs = spec.batch_size.max(1);
     let mut order: Vec<usize> = (0..rows.rows()).collect();
-    match backend {
-        NnBackend::Batched => {
-            let mut net = FlatNet::init(topo, n_in, n_out, &mut init_rng);
-            let n_params = net.n_params();
-            let mut opt = Adam::new(n_params, spec.lr);
-            let mut grads = vec![0.0; n_params];
-            let mut partial = vec![0.0; n_params];
-            let mut scratch = net.scratch(TRAIN_MICROBATCH.min(bs));
-            let pool = WorkerPool::new();
-            for _ in 0..spec.epochs {
-                order.shuffle(&mut shuffle_rng);
-                for chunk in order.chunks(bs) {
-                    grads.fill(0.0);
-                    let use_pool = runtime::global_threads() != 1
-                        && chunk.len() > TRAIN_MICROBATCH
-                        && chunk.len() * n_params >= PARALLEL_GRAIN;
-                    if use_pool {
-                        let microbatches: Vec<&[usize]> = chunk.chunks(TRAIN_MICROBATCH).collect();
-                        let net_ref = &net;
-                        let partials = pool.map(microbatches, |_ctx, mb| {
-                            let mut scr = net_ref.scratch(mb.len());
-                            let mut p = vec![0.0; n_params];
-                            microbatch_grad(net_ref, rows, mb, loss, &mut scr, &mut p);
-                            p
-                        });
-                        // Reduce serially in microbatch index order — the
-                        // fixed-partition contract (`map` returns results
-                        // in submission order).
-                        for p in &partials {
-                            for (g, v) in grads.iter_mut().zip(p) {
-                                *g += v;
-                            }
-                        }
-                    } else {
-                        for mb in chunk.chunks(TRAIN_MICROBATCH) {
-                            partial.fill(0.0);
-                            microbatch_grad(&net, rows, mb, loss, &mut scratch, &mut partial);
-                            for (g, v) in grads.iter_mut().zip(&partial) {
-                                *g += v;
-                            }
-                        }
+    let mut net = FlatNet::init(topo, n_in, n_out, &mut init_rng);
+    let n_params = net.n_params();
+    let mut opt = Adam::new(n_params, spec.lr);
+    let mut grads = vec![0.0; n_params];
+    let mut partial = vec![0.0; n_params];
+    let mut scratch = net.scratch(TRAIN_MICROBATCH.min(bs));
+    let pool = WorkerPool::new();
+    for _ in 0..spec.epochs {
+        order.shuffle(&mut shuffle_rng);
+        for chunk in order.chunks(bs) {
+            grads.fill(0.0);
+            let use_pool = runtime::global_threads() != 1
+                && chunk.len() > TRAIN_MICROBATCH
+                && chunk.len() * n_params >= PARALLEL_GRAIN;
+            if use_pool {
+                let microbatches: Vec<&[usize]> = chunk.chunks(TRAIN_MICROBATCH).collect();
+                let net_ref = &net;
+                let partials = pool.map(microbatches, |_ctx, mb| {
+                    let mut scr = net_ref.scratch(mb.len());
+                    let mut p = vec![0.0; n_params];
+                    microbatch_grad(net_ref, rows, mb, loss, &mut scr, &mut p);
+                    p
+                });
+                // Reduce serially in microbatch index order — the
+                // fixed-partition contract (`map` returns results
+                // in submission order).
+                for p in &partials {
+                    for (g, v) in grads.iter_mut().zip(p) {
+                        *g += v;
                     }
-                    let scale = 1.0 / chunk.len() as f64;
-                    grads.iter_mut().for_each(|g| *g *= scale);
-                    let t = telemetry::enabled().then(Instant::now);
-                    opt.step(net.params_mut(), &grads);
-                    if let Some(t) = t {
-                        telemetry::record("nn.step_us", t.elapsed().as_micros() as u64);
+                }
+            } else {
+                for mb in chunk.chunks(TRAIN_MICROBATCH) {
+                    partial.fill(0.0);
+                    microbatch_grad(&net, rows, mb, loss, &mut scratch, &mut partial);
+                    for (g, v) in grads.iter_mut().zip(&partial) {
+                        *g += v;
                     }
                 }
             }
-            net
-        }
-        NnBackend::Scalar => {
-            let mut net = ScalarNet::init(topo, n_in, n_out, &mut init_rng);
-            let n_params = net.n_params();
-            let mut opt = Adam::new(n_params, spec.lr);
-            let mut grads = vec![0.0; n_params];
-            let mut dout = vec![0.0; n_out];
-            for _ in 0..spec.epochs {
-                order.shuffle(&mut shuffle_rng);
-                for chunk in order.chunks(bs) {
-                    grads.fill(0.0);
-                    // Same fixed microbatch partition and in-order partial
-                    // reduction as the batched path, so the two backends
-                    // form identical floating-point sums.
-                    for mb in chunk.chunks(TRAIN_MICROBATCH) {
-                        net.zero_grad();
-                        for &i in mb {
-                            let (cache, out) = net.forward(rows.row(i));
-                            loss(&out, i, &mut dout);
-                            net.backward(rows.row(i), &cache, &dout);
-                        }
-                        let partial = collect_grads(&net.layer_refs());
-                        for (g, v) in grads.iter_mut().zip(&partial) {
-                            *g += v;
-                        }
-                    }
-                    let scale = 1.0 / chunk.len() as f64;
-                    grads.iter_mut().for_each(|g| *g *= scale);
-                    let mut params = collect_params(&net.layer_refs());
-                    opt.step(&mut params, &grads);
-                    let mut layers = net.layer_muts();
-                    scatter_params(&mut layers, &params);
-                }
+            let scale = 1.0 / chunk.len() as f64;
+            grads.iter_mut().for_each(|g| *g *= scale);
+            let t = telemetry::enabled().then(Instant::now);
+            opt.step(net.params_mut(), &grads);
+            if let Some(t) = t {
+                telemetry::record("nn.step_us", t.elapsed().as_micros() as u64);
             }
-            FlatNet::from_scalar(&net)
         }
     }
+    net
 }
 
 /// Compute one microbatch's gradient partial into the zeroed `grads`
@@ -866,127 +773,15 @@ pub(crate) fn validate_columns(x: &[Vec<f64>], n_labels: usize, what: &str) -> R
     Ok(())
 }
 
-/// Per-sample reference implementation ([`NnBackend::Scalar`]): keeps
-/// the pre-batching cost profile — `Vec<Vec<f64>>` weights via
-/// [`Dense`], fresh `Vec`s per layer per sample, and full parameter
-/// collect/scatter copies per optimiser step. The parity suite trains
-/// both backends and asserts bit-identical parameter slabs.
-struct ScalarNet {
-    topo: Topology,
-    n_in: usize,
-    n_out: usize,
-    /// Layers in [`FlatNet`] slab order.
-    layers: Vec<Dense>,
-}
-
-/// Per-sample forward cache needed by [`ScalarNet::backward`].
-struct ScalarCache {
-    /// ResNet trunk states: after the stem and after each block.
-    z_states: Vec<Vec<f64>>,
-    /// Pre-activations per ReLU (MLP: the hidden layer; ResNet: `W₁ z`).
-    pres: Vec<Vec<f64>>,
-}
-
-impl ScalarNet {
-    fn init(topo: Topology, n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
-        let layers = FlatNet::layer_dims(topo, n_in, n_out)
-            .into_iter()
-            .map(|(i, o)| Dense::new(i, o, rng))
-            .collect();
-        Self {
-            topo,
-            n_in,
-            n_out,
-            layers,
-        }
-    }
-
-    fn n_params(&self) -> usize {
-        self.layers.iter().map(Dense::n_params).sum()
-    }
-
-    fn layer_refs(&self) -> Vec<&Dense> {
-        self.layers.iter().collect()
-    }
-
-    fn layer_muts(&mut self) -> Vec<&mut Dense> {
-        self.layers.iter_mut().collect()
-    }
-
-    fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
-        }
-    }
-
-    fn forward(&self, x: &[f64]) -> (ScalarCache, Vec<f64>) {
-        match self.topo {
-            Topology::Mlp { .. } => {
-                let pre = self.layers[0].forward(x);
-                let h = relu(&pre);
-                let out = self.layers[1].forward(&h);
-                (
-                    ScalarCache {
-                        z_states: Vec::new(),
-                        pres: vec![pre],
-                    },
-                    out,
-                )
-            }
-            Topology::ResNet { n_blocks, .. } => {
-                let mut z = self.layers[0].forward(x);
-                let mut z_states = vec![z.clone()];
-                let mut pres = Vec::with_capacity(n_blocks);
-                for blk in 0..n_blocks {
-                    let pre = self.layers[1 + 2 * blk].forward(&z);
-                    let h = relu(&pre);
-                    let delta = self.layers[2 + 2 * blk].forward(&h);
-                    for (zi, di) in z.iter_mut().zip(&delta) {
-                        *zi += di;
-                    }
-                    pres.push(pre);
-                    z_states.push(z.clone());
-                }
-                let out = self.layers[self.layers.len() - 1].forward(&z);
-                (ScalarCache { z_states, pres }, out)
-            }
-        }
-    }
-
-    fn backward(&mut self, x: &[f64], cache: &ScalarCache, dout: &[f64]) {
-        match self.topo {
-            Topology::Mlp { .. } => {
-                let pre = &cache.pres[0];
-                let h = relu(pre);
-                let dh = self.layers[1].backward(&h, dout);
-                let dpre = relu_backward(pre, &dh);
-                let _ = self.layers[0].backward(x, &dpre);
-            }
-            Topology::ResNet { n_blocks, .. } => {
-                let z_final = cache.z_states.last().expect("nonempty states");
-                let head = self.layers.len() - 1;
-                let mut dz = self.layers[head].backward(z_final, dout);
-                for blk in (0..n_blocks).rev() {
-                    let z_in = &cache.z_states[blk];
-                    let pre = &cache.pres[blk];
-                    let h = relu(pre);
-                    let dh = self.layers[2 + 2 * blk].backward(&h, &dz);
-                    let dpre = relu_backward(pre, &dh);
-                    let dz_branch = self.layers[1 + 2 * blk].backward(z_in, &dpre);
-                    for (d, db) in dz.iter_mut().zip(dz_branch) {
-                        *d += db;
-                    }
-                }
-                let _ = self.layers[0].backward(x, &dz);
-            }
-        }
-    }
-}
+#[cfg(test)]
+pub(crate) mod scalar_ref;
 
 #[cfg(test)]
 mod tests {
+    use super::scalar_ref::{
+        collect_grads, collect_params, softmax_cross_entropy, train_scalar, ScalarNet,
+    };
     use super::*;
-    use crate::nn::softmax_cross_entropy;
 
     fn sample_rows(n: usize, d: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1192,8 +987,8 @@ mod tests {
             width: 4,
             n_blocks: 2,
         };
-        let batched = train_flat(topo, 3, 2, &rows, &spec, NnBackend::Batched, &loss);
-        let scalar = train_flat(topo, 3, 2, &rows, &spec, NnBackend::Scalar, &loss);
+        let batched = train_flat(topo, 3, 2, &rows, &spec, &loss);
+        let scalar = train_scalar(topo, 3, 2, &rows, &spec, &loss);
         assert_eq!(batched.n_params(), scalar.n_params());
         for (i, (a, b)) in batched.params().iter().zip(scalar.params()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "param {i}: {a} vs {b}");

@@ -7,7 +7,7 @@
 //! seeds and bootstrap rows are drawn sequentially up front, so the fitted
 //! forest is bit-identical under any thread count.
 
-use crate::binned::{BinnedDataset, SplitMethod};
+use crate::binned::BinnedDataset;
 use crate::error::{LearnError, Result};
 use crate::tree::{
     argmax, for_each_row, predict_columns, DecisionTreeClassifier, DecisionTreeRegressor, Tree,
@@ -48,15 +48,11 @@ impl Default for ForestConfig {
 
 impl ForestConfig {
     /// A smaller, faster configuration for inner-loop feature evaluation.
-    /// Uses histogram split finding: the engine's and FPE's inner loops
-    /// re-evaluate overlapping feature sets constantly, exactly the
-    /// bin-once-train-everywhere regime.
     pub fn fast() -> Self {
         Self {
             n_trees: 10,
             tree: TreeConfig {
                 max_depth: 8,
-                split: SplitMethod::Histogram,
                 ..TreeConfig::default()
             },
             ..Self::default()
@@ -66,13 +62,6 @@ impl ForestConfig {
     fn sqrt_features(&self, n_features: usize) -> usize {
         ((n_features as f64).sqrt().round() as usize).clamp(1, n_features)
     }
-}
-
-/// Gather a column-major sub-matrix for the given rows.
-fn gather(x: &[Vec<f64>], rows: &[usize]) -> Vec<Vec<f64>> {
-    x.iter()
-        .map(|col| rows.iter().map(|&r| col[r]).collect())
-        .collect()
 }
 
 /// Quantise the training matrix through the process-wide bin cache,
@@ -90,8 +79,7 @@ fn bin_features(x: &[Vec<f64>], max_bins: usize) -> Result<BinnedDataset> {
 /// Per-tree (seed, rows) draws, drawn sequentially up front so the fitted
 /// forest never depends on worker scheduling. Each bootstrap draw indexes
 /// straight into the caller's training subset `rows` (the identity for a
-/// full-dataset fit), so the histogram path consumes the RNG exactly like
-/// the exact path does.
+/// full-dataset fit).
 fn draw_trees(
     n_trees: usize,
     rows: &[usize],
@@ -151,37 +139,16 @@ impl RandomForestClassifier {
         }
     }
 
-    /// Fit on column-major features and class labels. With
-    /// [`SplitMethod::Histogram`] the matrix is quantised once and shared
-    /// (as an [`BinnedDataset`]) by every per-tree job.
+    /// Fit on column-major features and class labels: the matrix is
+    /// quantised once (through the process-wide bin cache), then
+    /// [`fit_binned`](Self::fit_binned) on every row.
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
         if x.is_empty() || y.is_empty() {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
-        if self.config.tree.split == SplitMethod::Histogram {
-            let binned = bin_features(x, self.config.tree.max_bins)?;
-            let all: Vec<usize> = (0..y.len()).collect();
-            return self.fit_binned(&binned, &all, y, n_classes);
-        }
-        let n_rows = y.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut tree_cfg = self.config.tree;
-        if tree_cfg.max_features.is_none() {
-            tree_cfg.max_features = Some(self.config.sqrt_features(x.len()));
-        }
-        let all: Vec<usize> = (0..n_rows).collect();
-        let draws = draw_trees(self.config.n_trees, &all, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(self.config.n_threads, draws, |seed, rows| {
-            let cfg = TreeConfig { seed, ..tree_cfg };
-            let xb = gather(x, rows);
-            let yb: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
-            let mut t = DecisionTreeClassifier::new(cfg);
-            t.fit(&xb, &yb, n_classes)?;
-            Ok(t)
-        })?;
-        self.n_classes = n_classes;
-        self.n_features = x.len();
-        Ok(())
+        let binned = bin_features(x, self.config.tree.max_bins)?;
+        let all: Vec<usize> = (0..y.len()).collect();
+        self.fit_binned(&binned, &all, y, n_classes)
     }
 
     /// Fit on an already-binned dataset, training only on `rows` (e.g. a
@@ -231,6 +198,9 @@ impl RandomForestClassifier {
         let mut proba = vec![0.0; n_rows * self.n_classes];
         let mut out = proba.chunks_exact_mut(self.n_classes);
         for_each_row(cols, rows, |x| {
+            // Invariant: `proba` holds one `n_classes` chunk per row that
+            // `for_each_row` visits.
+            #[allow(clippy::expect_used)]
             let acc = out.next().expect("one output row per input row");
             for tree in &trees {
                 for (a, p) in acc.iter_mut().zip(tree.leaf_values(x)) {
@@ -295,37 +265,16 @@ impl RandomForestRegressor {
         }
     }
 
-    /// Fit on column-major features and real targets. With
-    /// [`SplitMethod::Histogram`] the matrix is quantised once and shared
-    /// (as an [`BinnedDataset`]) by every per-tree job.
+    /// Fit on column-major features and real targets: the matrix is
+    /// quantised once (through the process-wide bin cache), then
+    /// [`fit_binned`](Self::fit_binned) on every row.
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
         if x.is_empty() || y.is_empty() {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
-        if self.config.tree.split == SplitMethod::Histogram {
-            let binned = bin_features(x, self.config.tree.max_bins)?;
-            let all: Vec<usize> = (0..y.len()).collect();
-            return self.fit_binned(&binned, &all, y);
-        }
-        let n_rows = y.len();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut tree_cfg = self.config.tree;
-        if tree_cfg.max_features.is_none() {
-            // Regression forests conventionally use N/3 features.
-            tree_cfg.max_features = Some((x.len() / 3).clamp(1, x.len()));
-        }
-        let all: Vec<usize> = (0..n_rows).collect();
-        let draws = draw_trees(self.config.n_trees, &all, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(self.config.n_threads, draws, |seed, rows| {
-            let cfg = TreeConfig { seed, ..tree_cfg };
-            let xb = gather(x, rows);
-            let yb: Vec<f64> = rows.iter().map(|&r| y[r]).collect();
-            let mut t = DecisionTreeRegressor::new(cfg);
-            t.fit(&xb, &yb)?;
-            Ok(t)
-        })?;
-        self.n_features = x.len();
-        Ok(())
+        let binned = bin_features(x, self.config.tree.max_bins)?;
+        let all: Vec<usize> = (0..y.len()).collect();
+        self.fit_binned(&binned, &all, y)
     }
 
     /// Fit on an already-binned dataset, training only on `rows` (e.g. a
@@ -338,6 +287,7 @@ impl RandomForestRegressor {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut tree_cfg = self.config.tree;
         if tree_cfg.max_features.is_none() {
+            // Regression forests conventionally use N/3 features.
             let n_features = binned.n_features();
             tree_cfg.max_features = Some((n_features / 3).clamp(1, n_features));
         }
@@ -390,12 +340,7 @@ fn fitted_trees<M>(models: &[M], tree: impl Fn(&M) -> Option<&Tree>) -> Option<V
     if models.is_empty() {
         return None;
     }
-    Some(
-        models
-            .iter()
-            .map(|m| tree(m).expect("fitted forest holds fitted trees"))
-            .collect(),
-    )
+    models.iter().map(tree).collect()
 }
 
 fn mean_importances(trees: &[&Tree]) -> Vec<f64> {

@@ -4,16 +4,14 @@
 //!
 //! The factorisation and solves index the flat row-major storage through
 //! row slices (one bounds check per row, contiguous inner loops) instead
-//! of per-element [`SquareMatrix::get`]/[`SquareMatrix::set`] calls. The
-//! per-element path is kept as [`SquareMatrix::cholesky_ref`], the scalar
-//! testing reference the parity suite compares against.
+//! of per-element [`SquareMatrix::get`]/[`SquareMatrix::set`] calls; a
+//! per-element Cholesky in this file's tests is the oracle they are held
+//! to bit for bit.
 //!
 //! Every inner-product accumulation here — the Cholesky row updates, the
 //! forward substitution, and the free [`dot`]/[`sq_dist`] helpers — runs
-//! through the `simd` crate's pinned reduction tree (DESIGN.md §13). The
-//! reference path gathers its operands per-element but reduces through
-//! the same tree, so fast ≡ reference stays bitwise while both sides
-//! share the one documented summation order.
+//! through the `simd` crate's pinned reduction tree (DESIGN.md §13), the
+//! one documented summation order.
 //! The backward substitution walks a strided column, so it keeps its
 //! sequential scalar loop (`O(n²)`, not worth a gather).
 
@@ -88,8 +86,7 @@ impl SquareMatrix {
     /// Row-slice implementation: row `i` of `L` is built left to right
     /// while the finished rows `j < i` are read as contiguous slices, so
     /// the `O(n³)` inner loop runs on slices instead of `get`/`set`
-    /// index arithmetic. The operation order per element is identical to
-    /// [`SquareMatrix::cholesky_ref`], so the factors are bit-identical.
+    /// index arithmetic.
     pub fn cholesky(&self) -> Result<SquareMatrix> {
         let n = self.n;
         let mut l = SquareMatrix::zeros(n);
@@ -109,41 +106,6 @@ impl SquareMatrix {
                 )));
             }
             row_i[i] = sum.sqrt();
-        }
-        Ok(l)
-    }
-
-    /// Per-element `get` Cholesky — the testing reference for
-    /// [`SquareMatrix::cholesky`] (no row slicing). Kept for the parity
-    /// suite; production paths use the row-slice factorisation. Operands
-    /// are gathered element by element, then reduced through the pinned
-    /// tree ([`simd::dot`]), so this stays bit-identical to the fast
-    /// path.
-    pub fn cholesky_ref(&self) -> Result<SquareMatrix> {
-        let n = self.n;
-        let mut l = SquareMatrix::zeros(n);
-        let mut li = Vec::with_capacity(n);
-        let mut lj = Vec::with_capacity(n);
-        for i in 0..n {
-            for j in 0..=i {
-                li.clear();
-                lj.clear();
-                for k in 0..j {
-                    li.push(l.get(i, k));
-                    lj.push(l.get(j, k));
-                }
-                let sum = self.get(i, j) - simd::dot(&li, &lj);
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LearnError::Numerical(format!(
-                            "cholesky failed: non-positive pivot {sum:.3e} at {i}"
-                        )));
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
         }
         Ok(l)
     }
@@ -253,6 +215,42 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     simd::sq_dist(a, b)
+}
+
+#[cfg(test)]
+impl SquareMatrix {
+    /// Per-element `get`/`set` Cholesky — the oracle for
+    /// [`SquareMatrix::cholesky`] (no row slicing). Operands are gathered
+    /// element by element, then reduced through the pinned tree
+    /// ([`simd::dot`]), the one thing it shares with the row-slice path.
+    pub(crate) fn cholesky_ref(&self) -> Result<SquareMatrix> {
+        let n = self.n;
+        let mut l = SquareMatrix::zeros(n);
+        let mut li = Vec::with_capacity(n);
+        let mut lj = Vec::with_capacity(n);
+        for i in 0..n {
+            for j in 0..=i {
+                li.clear();
+                lj.clear();
+                for k in 0..j {
+                    li.push(l.get(i, k));
+                    lj.push(l.get(j, k));
+                }
+                let sum = self.get(i, j) - simd::dot(&li, &lj);
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(LearnError::Numerical(format!(
+                            "cholesky failed: non-positive pivot {sum:.3e} at {i}"
+                        )));
+                    }
+                    l.set(i, j, sum.sqrt());
+                } else {
+                    l.set(i, j, sum / l.get(j, j));
+                }
+            }
+        }
+        Ok(l)
+    }
 }
 
 #[cfg(test)]

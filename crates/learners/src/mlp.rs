@@ -3,13 +3,9 @@
 //! cross-entropy (classification) or MSE (regression).
 //!
 //! Training and inference run through the flat batched kernels in
-//! [`crate::dense`] (shared driver, one Adam loop); set
-//! [`MlpConfig::backend`] to [`NnBackend::Scalar`] to use the per-sample
-//! testing reference instead — the two are bit-identical.
+//! [`crate::dense`] (shared driver, one Adam loop).
 
-use crate::dense::{
-    forward_rows, train_flat, validate_columns, FlatNet, Mat, NnBackend, Topology, TrainSpec,
-};
+use crate::dense::{forward_rows, train_flat, validate_columns, FlatNet, Mat, Topology, TrainSpec};
 use crate::error::{LearnError, Result};
 use crate::nn::softmax_cross_entropy_into;
 use crate::preprocess::Standardizer;
@@ -33,9 +29,6 @@ pub struct MlpConfig {
     pub batch_size: usize,
     /// Init / shuffle seed.
     pub seed: u64,
-    /// Kernel implementation (batched by default; scalar is the
-    /// bit-identical per-sample testing reference).
-    pub backend: NnBackend,
 }
 
 impl Default for MlpConfig {
@@ -46,13 +39,12 @@ impl Default for MlpConfig {
             lr: 0.01,
             batch_size: 32,
             seed: 0,
-            backend: NnBackend::Batched,
         }
     }
 }
 
 impl MlpConfig {
-    fn train_spec(&self) -> TrainSpec {
+    pub(crate) fn train_spec(&self) -> TrainSpec {
         TrainSpec {
             epochs: self.epochs,
             lr: self.lr,
@@ -100,7 +92,6 @@ impl MlpClassifier {
             n_classes,
             &rows,
             &self.config.train_spec(),
-            self.config.backend,
             &|out, i, d| softmax_cross_entropy_into(out, y[i], d),
         );
         self.net = Some(net);
@@ -126,8 +117,8 @@ impl MlpClassifier {
         Ok((0..outs.rows()).map(|r| argmax(outs.row(r))).collect())
     }
 
-    /// The trained flat parameter slab (testing / benchmarking hook for
-    /// bit-level parity assertions across backends and thread counts).
+    /// The trained flat parameter slab (testing hook for bit-level parity
+    /// assertions across thread counts and against the per-sample oracle).
     pub fn trained_params(&self) -> Option<&[f64]> {
         self.net.as_ref().map(FlatNet::params)
     }
@@ -173,7 +164,6 @@ impl MlpRegressor {
             1,
             &rows,
             &self.config.train_spec(),
-            self.config.backend,
             &|out, i, d| d[0] = 2.0 * (out[0] - yz[i]),
         );
         self.net = Some(net);
@@ -268,20 +258,6 @@ mod tests {
         {
             assert_eq!(p.to_bits(), q.to_bits());
         }
-    }
-
-    #[test]
-    fn scalar_backend_trains_and_predicts() {
-        let x = vec![(0..60).map(|i| i as f64 / 10.0).collect::<Vec<_>>()];
-        let y: Vec<usize> = (0..60).map(|i| usize::from(i >= 30)).collect();
-        let mut m = MlpClassifier::new(MlpConfig {
-            epochs: 30,
-            backend: NnBackend::Scalar,
-            ..Default::default()
-        });
-        m.fit(&x, &y, 2).unwrap();
-        let acc = accuracy(&y, &m.predict(&x).unwrap()).unwrap();
-        assert!(acc > 0.9, "scalar-backend accuracy {acc}");
     }
 
     #[test]

@@ -1,18 +1,24 @@
+#![cfg(test)]
 //! Batched-vs-scalar parity for the neural learners (proptest): training
-//! through the flat batched kernels in `learners::dense` must be
-//! **bit-identical** to the retained per-sample scalar reference — same
-//! trained parameter slab, same predictions, same embeddings — for both
-//! topologies (MLP / tabular ResNet) and both heads (softmax classifier /
-//! MSE regressor), across batch sizes that do *not* divide the row count
-//! (so the ragged tail minibatch and the ragged tail microbatch are both
-//! exercised). Plus a GP check pinning the row-slice kernel fill +
-//! Cholesky against a straight-line reference built from `Vec<Vec<f64>>`
-//! rows and the scalar `cholesky_ref`.
+//! through the flat batched kernels in [`crate::dense`] must be
+//! **bit-identical** to the per-sample oracle (`dense/scalar_ref.rs`) —
+//! the same trained parameter slab, from which predictions and embeddings
+//! are computed by one shared code path — for both topologies (MLP /
+//! tabular ResNet) and both heads (softmax classifier / MSE regressor),
+//! across batch sizes that do *not* divide the row count (so the ragged
+//! tail minibatch and the ragged tail microbatch are both exercised).
+//! Plus a GP check pinning the row-slice kernel fill + Cholesky against a
+//! straight-line reference built from `Vec<Vec<f64>>` rows and the
+//! per-element `cholesky_ref`. Unit tests because the oracles are
+//! `#[cfg(test)]` items an integration test cannot see.
 
-use learners::linalg::{sq_dist, SquareMatrix};
-use learners::preprocess::{to_row_major, Standardizer};
-use learners::{
-    GaussianProcess, GpConfig, MlpClassifier, MlpConfig, MlpRegressor, NnBackend, ResNetClassifier,
+use crate::dense::scalar_ref::train_scalar;
+use crate::dense::{FlatNet, LossGrad, Mat, Topology, TrainSpec};
+use crate::linalg::{sq_dist, SquareMatrix};
+use crate::nn::softmax_cross_entropy_into;
+use crate::preprocess::{to_row_major, Standardizer};
+use crate::{
+    GaussianProcess, GpConfig, MlpClassifier, MlpConfig, MlpRegressor, ResNetClassifier,
     ResNetConfig, ResNetRegressor,
 };
 use proptest::prelude::*;
@@ -45,21 +51,33 @@ fn targets(x: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-fn assert_params_bit_equal(a: Option<&[f64]>, b: Option<&[f64]>) {
-    let (a, b) = (a.expect("fitted"), b.expect("fitted"));
+/// The oracle's side of a `fit`: the rows `fit` hands its trainer
+/// (standardised, row-major) through the per-sample trainer instead.
+fn scalar_fit(
+    topo: Topology,
+    spec: &TrainSpec,
+    x: &[Vec<f64>],
+    n_out: usize,
+    loss: LossGrad,
+) -> FlatNet {
+    let rows = Mat::from_columns(&Standardizer::fit(x).transform(x));
+    train_scalar(topo, x.len(), n_out, &rows, spec, loss)
+}
+
+/// Targets as the regressors and the GP standardise them before training:
+/// `(z-scores, mean, std)`.
+fn standardised(y: &[f64]) -> (Vec<f64>, f64, f64) {
+    let mean = y.iter().sum::<f64>() / y.len() as f64;
+    let var = y.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / y.len() as f64;
+    let std = var.sqrt().max(1e-12);
+    (y.iter().map(|t| (t - mean) / std).collect(), mean, std)
+}
+
+fn assert_params_bit_equal(a: Option<&[f64]>, b: &FlatNet) {
+    let (a, b) = (a.expect("fitted"), b.params());
     assert_eq!(a.len(), b.len());
     for (i, (p, q)) in a.iter().zip(b).enumerate() {
         assert_eq!(p.to_bits(), q.to_bits(), "param {i}: {p} vs {q}");
-    }
-}
-
-fn assert_columns_bit_equal(a: &[Vec<f64>], b: &[Vec<f64>]) {
-    assert_eq!(a.len(), b.len());
-    for (ca, cb) in a.iter().zip(b) {
-        assert_eq!(ca.len(), cb.len());
-        for (p, q) in ca.iter().zip(cb) {
-            assert_eq!(p.to_bits(), q.to_bits(), "{p} vs {q}");
-        }
     }
 }
 
@@ -81,7 +99,7 @@ fn dims(batch: usize, extra: usize) -> usize {
 /// what they sum to.
 #[test]
 fn pool_grain_boundary_row_counts_bit_identical() {
-    use learners::dense::{PARALLEL_GRAIN, TRAIN_MICROBATCH};
+    use crate::dense::{PARALLEL_GRAIN, TRAIN_MICROBATCH};
 
     let n_features = 20usize;
     let cfg_of = |rows: usize| MlpConfig {
@@ -109,11 +127,12 @@ fn pool_grain_boundary_row_counts_bit_identical() {
         let x = matrix(&mut rng, rows, n_features);
         let y = labels(&x);
         let base = cfg_of(rows);
-        let mut scalar = MlpClassifier::new(MlpConfig {
-            backend: NnBackend::Scalar,
-            ..base
+        let topo = Topology::Mlp {
+            hidden: base.hidden,
+        };
+        let scalar = scalar_fit(topo, &base.train_spec(), &x, 2, &|out, i, d| {
+            softmax_cross_entropy_into(out, y[i], d)
         });
-        scalar.fit(&x, &y, 2).unwrap();
 
         runtime::set_global_threads(1);
         let mut batched_1t = MlpClassifier::new(base);
@@ -123,8 +142,8 @@ fn pool_grain_boundary_row_counts_bit_identical() {
         batched_4t.fit(&x, &y, 2).unwrap();
         runtime::set_global_threads(0);
 
-        assert_params_bit_equal(batched_1t.trained_params(), scalar.trained_params());
-        assert_params_bit_equal(batched_4t.trained_params(), scalar.trained_params());
+        assert_params_bit_equal(batched_1t.trained_params(), &scalar);
+        assert_params_bit_equal(batched_4t.trained_params(), &scalar);
     }
 }
 
@@ -150,14 +169,12 @@ proptest! {
             ..Default::default()
         };
         let mut batched = MlpClassifier::new(base);
-        let mut scalar = MlpClassifier::new(MlpConfig {
-            backend: NnBackend::Scalar,
-            ..base
-        });
         batched.fit(&x, &y, 2).expect("batched fit");
-        scalar.fit(&x, &y, 2).expect("scalar fit");
-        assert_params_bit_equal(batched.trained_params(), scalar.trained_params());
-        prop_assert_eq!(batched.predict(&x).unwrap(), scalar.predict(&x).unwrap());
+        let topo = Topology::Mlp { hidden: base.hidden };
+        let scalar = scalar_fit(topo, &base.train_spec(), &x, 2, &|out, i, d| {
+            softmax_cross_entropy_into(out, y[i], d)
+        });
+        assert_params_bit_equal(batched.trained_params(), &scalar);
     }
 
     #[test]
@@ -179,21 +196,12 @@ proptest! {
             ..Default::default()
         };
         let mut batched = MlpRegressor::new(base);
-        let mut scalar = MlpRegressor::new(MlpConfig {
-            backend: NnBackend::Scalar,
-            ..base
-        });
         batched.fit(&x, &y).expect("batched fit");
-        scalar.fit(&x, &y).expect("scalar fit");
-        assert_params_bit_equal(batched.trained_params(), scalar.trained_params());
-        for (p, q) in batched
-            .predict(&x)
-            .unwrap()
-            .iter()
-            .zip(&scalar.predict(&x).unwrap())
-        {
-            prop_assert_eq!(p.to_bits(), q.to_bits(), "prediction {} vs {}", p, q);
-        }
+        let (topo, (yz, ..)) = (Topology::Mlp { hidden: base.hidden }, standardised(&y));
+        let scalar = scalar_fit(topo, &base.train_spec(), &x, 1, &|out, i, d| {
+            d[0] = 2.0 * (out[0] - yz[i])
+        });
+        assert_params_bit_equal(batched.trained_params(), &scalar);
     }
 
     #[test]
@@ -217,16 +225,13 @@ proptest! {
             ..Default::default()
         };
         let mut batched = ResNetClassifier::new(base);
-        let mut scalar = ResNetClassifier::new(ResNetConfig {
-            backend: NnBackend::Scalar,
-            ..base
-        });
         batched.fit(&x, &y, 2).expect("batched fit");
-        scalar.fit(&x, &y, 2).expect("scalar fit");
-        assert_params_bit_equal(batched.trained_params(), scalar.trained_params());
-        prop_assert_eq!(batched.predict(&x).unwrap(), scalar.predict(&x).unwrap());
-        // The RTDL re-heading consumes this embedding — it must also match.
-        assert_columns_bit_equal(&batched.embed(&x).unwrap(), &scalar.embed(&x).unwrap());
+        let scalar = scalar_fit(base.topology(), &base.train_spec(), &x, 2, &|out, i, d| {
+            softmax_cross_entropy_into(out, y[i], d)
+        });
+        // Predictions and the embedding RTDL re-heads are both computed
+        // from this slab by `dense::run_inference`.
+        assert_params_bit_equal(batched.trained_params(), &scalar);
     }
 
     #[test]
@@ -249,27 +254,18 @@ proptest! {
             ..Default::default()
         };
         let mut batched = ResNetRegressor::new(base);
-        let mut scalar = ResNetRegressor::new(ResNetConfig {
-            backend: NnBackend::Scalar,
-            ..base
-        });
         batched.fit(&x, &y).expect("batched fit");
-        scalar.fit(&x, &y).expect("scalar fit");
-        assert_params_bit_equal(batched.trained_params(), scalar.trained_params());
-        for (p, q) in batched
-            .predict(&x)
-            .unwrap()
-            .iter()
-            .zip(&scalar.predict(&x).unwrap())
-        {
-            prop_assert_eq!(p.to_bits(), q.to_bits(), "prediction {} vs {}", p, q);
-        }
+        let (yz, ..) = standardised(&y);
+        let scalar = scalar_fit(base.topology(), &base.train_spec(), &x, 1, &|out, i, d| {
+            d[0] = 2.0 * (out[0] - yz[i])
+        });
+        assert_params_bit_equal(batched.trained_params(), &scalar);
     }
 
     /// GP posterior means through the row-slice kernel fill + row-slice
     /// Cholesky must be bit-identical to a reference computed the old
     /// way: `Vec<Vec<f64>>` training rows, per-element kernel fill, and
-    /// the retained scalar `cholesky_ref`.
+    /// the per-element `cholesky_ref`.
     #[test]
     fn gp_matches_scalar_reference_bitwise(
         seed in 0u64..1_000_000,
@@ -289,10 +285,7 @@ proptest! {
         let scaler = Standardizer::fit(&x);
         let rows = to_row_major(&scaler.transform(&x));
         let n = rows.len();
-        let y_mean = y.iter().sum::<f64>() / n as f64;
-        let var = y.iter().map(|t| (t - y_mean).powi(2)).sum::<f64>() / n as f64;
-        let y_std = var.sqrt().max(1e-12);
-        let yz: Vec<f64> = y.iter().map(|t| (t - y_mean) / y_std).collect();
+        let (yz, y_mean, y_std) = standardised(&y);
         let ls2 = config.length_scale * config.length_scale;
         let kernel = |a: &[f64], b: &[f64]| (-sq_dist(a, b) / (2.0 * ls2)).exp();
         let mut k = SquareMatrix::zeros(n);

@@ -9,13 +9,10 @@
 //! batched over the whole matrix).
 //!
 //! Training and inference run through the flat batched kernels in
-//! [`crate::dense`] (shared driver with the MLP); set
-//! [`ResNetConfig::backend`] to [`NnBackend::Scalar`] for the per-sample
-//! testing reference — the two are bit-identical.
+//! [`crate::dense`] (shared driver with the MLP).
 
 use crate::dense::{
-    embed_rows, forward_rows, train_flat, validate_columns, FlatNet, Mat, NnBackend, Topology,
-    TrainSpec,
+    embed_rows, forward_rows, train_flat, validate_columns, FlatNet, Mat, Topology, TrainSpec,
 };
 use crate::error::{LearnError, Result};
 use crate::nn::softmax_cross_entropy_into;
@@ -42,9 +39,6 @@ pub struct ResNetConfig {
     pub batch_size: usize,
     /// Init / shuffle seed.
     pub seed: u64,
-    /// Kernel implementation (batched by default; scalar is the
-    /// bit-identical per-sample testing reference).
-    pub backend: NnBackend,
 }
 
 impl Default for ResNetConfig {
@@ -56,20 +50,19 @@ impl Default for ResNetConfig {
             lr: 0.01,
             batch_size: 32,
             seed: 0,
-            backend: NnBackend::Batched,
         }
     }
 }
 
 impl ResNetConfig {
-    fn topology(&self) -> Topology {
+    pub(crate) fn topology(&self) -> Topology {
         Topology::ResNet {
             width: self.width,
             n_blocks: self.n_blocks,
         }
     }
 
-    fn train_spec(&self) -> TrainSpec {
+    pub(crate) fn train_spec(&self) -> TrainSpec {
         TrainSpec {
             epochs: self.epochs,
             lr: self.lr,
@@ -127,7 +120,6 @@ impl ResNetClassifier {
             n_classes,
             &rows,
             &self.config.train_spec(),
-            self.config.backend,
             &|out, i, d| softmax_cross_entropy_into(out, y[i], d),
         );
         self.core = Some(core);
@@ -165,8 +157,7 @@ impl ResNetClassifier {
     /// Penultimate representations, **column-major** (one column per hidden
     /// unit) so they can be fed directly to the Random Forest for the
     /// paper's `RTDL_N` re-heading. Computed with the batched kernels
-    /// over the whole matrix (the old path re-ran a per-sample forward
-    /// per row).
+    /// over the whole matrix.
     pub fn embed(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         let (core, scaler) = self.parts()?;
         self.check_features(scaler, x)?;
@@ -174,8 +165,8 @@ impl ResNetClassifier {
         Ok(to_columns(&embed_rows(core, &rows)))
     }
 
-    /// The trained flat parameter slab (testing / benchmarking hook for
-    /// bit-level parity assertions across backends and thread counts).
+    /// The trained flat parameter slab (testing hook for bit-level parity
+    /// assertions across thread counts and against the per-sample oracle).
     pub fn trained_params(&self) -> Option<&[f64]> {
         self.core.as_ref().map(FlatNet::params)
     }
@@ -219,7 +210,6 @@ impl ResNetRegressor {
             1,
             &rows,
             &self.config.train_spec(),
-            self.config.backend,
             &|out, i, d| d[0] = 2.0 * (out[0] - yz[i]),
         );
         self.core = Some(core);
@@ -330,39 +320,6 @@ mod tests {
         m.fit(std::slice::from_ref(&xs), &y).unwrap();
         let score = one_minus_rae(&y, &m.predict(&[xs]).unwrap()).unwrap();
         assert!(score > 0.9, "1-rae {score}");
-    }
-
-    #[test]
-    fn scalar_backend_matches_batched_embed() {
-        let (x, y) = blobs(40, 5);
-        let base = ResNetConfig {
-            epochs: 4,
-            width: 8,
-            n_blocks: 1,
-            ..Default::default()
-        };
-        let mut batched = ResNetClassifier::new(base);
-        let mut scalar = ResNetClassifier::new(ResNetConfig {
-            backend: NnBackend::Scalar,
-            ..base
-        });
-        batched.fit(&x, &y, 2).unwrap();
-        scalar.fit(&x, &y, 2).unwrap();
-        for (p, q) in batched
-            .trained_params()
-            .unwrap()
-            .iter()
-            .zip(scalar.trained_params().unwrap())
-        {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        let eb = batched.embed(&x).unwrap();
-        let es = scalar.embed(&x).unwrap();
-        for (cb, cs) in eb.iter().zip(&es) {
-            for (a, b) in cb.iter().zip(cs) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -5,28 +5,23 @@
 //! Features are accessed column-major (`x[feature][row]`), matching
 //! `tabular::DataFrame`'s layout so forests can train without transposing.
 //!
-//! Two split-finding paths share one builder, selected by
-//! [`TreeConfig::split`]:
+//! Splits are found on pre-quantised features: [`TreeConfig::max_bins`]
+//! quantile bins per column, built once into a [`BinnedDataset`] (see
+//! [`crate::binned`]), then per node an `O(n_rows)` histogram-accumulation
+//! pass per feature plus an `O(n_bins)` scan, with the sibling-subtraction
+//! trick (a right child's histogram is its parent's minus its left
+//! sibling's). With one bin per distinct value this is the textbook
+//! sort-and-scan CART bit for bit — `tests/hist_parity.rs` holds it to an
+//! exact oracle (`tests/support/exact_cart.rs`).
 //!
-//! - [`SplitMethod::Exact`] — the reference path: sort every candidate
-//!   feature at every node and scan the sorted boundary positions.
-//! - [`SplitMethod::Histogram`] — quantise each feature once into a
-//!   [`BinnedDataset`] (see [`crate::binned`]), then find node splits by
-//!   an `O(n_rows)` histogram-accumulation pass per feature plus an
-//!   `O(n_bins)` scan, with the sibling-subtraction trick (a right
-//!   child's histogram is its parent's minus its left sibling's).
-//!
-//! Both paths run node rows through a single in-place stably-partitioned
-//! row-index buffer with the rows' labels kept beside it in the same
-//! order (DESIGN.md §8), and reuse scratch sort/count buffers across
-//! nodes, so every per-node pass reads its labels sequentially and
-//! steady-state split finding allocates only (histogram path) the
-//! per-feature histograms that the subtraction trick hands from parent to
-//! child.
+//! Node rows live in a single in-place stably-partitioned row-index buffer
+//! with the rows' labels kept beside it in the same order (DESIGN.md §8),
+//! and scratch count buffers are reused across nodes, so every per-node
+//! pass reads its labels sequentially and steady-state split finding
+//! allocates only the per-feature histograms that the subtraction trick
+//! hands from parent to child.
 
-use crate::binned::{
-    self, BinCodes, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS, MAX_BINS_LIMIT,
-};
+use crate::binned::{self, BinCodes, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS};
 use crate::error::{LearnError, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -47,10 +42,9 @@ pub struct TreeConfig {
     pub max_features: Option<usize>,
     /// Seed for the per-split feature subsampling.
     pub seed: u64,
-    /// How candidate splits are enumerated.
+    /// How candidate splits are enumerated: one value, see [`SplitMethod`].
     pub split: SplitMethod,
-    /// Per-feature bin budget for [`SplitMethod::Histogram`] (ignored by
-    /// the exact path).
+    /// Per-feature bin budget, in `2..=`[`MAX_BINS_LIMIT`](binned::MAX_BINS_LIMIT).
     pub max_bins: usize,
 }
 
@@ -62,21 +56,9 @@ impl Default for TreeConfig {
             min_samples_leaf: 1,
             max_features: None,
             seed: 0,
-            split: SplitMethod::Exact,
+            split: SplitMethod::Histogram,
             max_bins: DEFAULT_MAX_BINS,
         }
-    }
-}
-
-impl TreeConfig {
-    fn validate(&self) -> Result<()> {
-        if self.split == SplitMethod::Histogram && !(2..=MAX_BINS_LIMIT).contains(&self.max_bins) {
-            return Err(LearnError::InvalidParam(format!(
-                "max_bins must be in 2..={MAX_BINS_LIMIT}, got {}",
-                self.max_bins
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -159,24 +141,6 @@ impl NodeLabels {
     }
 }
 
-/// Feature view the builder trains against.
-#[derive(Clone, Copy)]
-enum Data<'a> {
-    /// Raw column-major values; splits found by per-node sorting.
-    Exact(&'a [Vec<f64>]),
-    /// Pre-quantised columns; splits found by histogram scans.
-    Binned(&'a BinnedDataset),
-}
-
-impl Data<'_> {
-    fn n_features(&self) -> usize {
-        match self {
-            Data::Exact(x) => x.len(),
-            Data::Binned(b) => b.n_features(),
-        }
-    }
-}
-
 /// A fitted CART tree. Construct through [`DecisionTreeClassifier`] or
 /// [`DecisionTreeRegressor`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -228,9 +192,9 @@ enum Hist {
     Reg(Vec<RegBin>),
 }
 
-/// A chosen split: `bin` is the boundary index in the histogram path
-/// (unused by the exact path); `threshold` is always on the raw value
-/// scale so prediction never needs the bins.
+/// A chosen split: `bin` is the boundary index the rows are partitioned
+/// by; `threshold` is the same boundary on the raw value scale, so
+/// prediction never needs the bins.
 struct Candidate {
     feature: usize,
     threshold: f64,
@@ -238,16 +202,12 @@ struct Candidate {
     gain: f64,
 }
 
-/// Scratch buffers reused across every node of a build — the exact path's
-/// per-node heap traffic lives (and dies) here.
+/// Scratch buffers reused across every node of a build.
 #[derive(Default)]
 struct Scratch {
     /// Right-side rows during the in-place stable partition. Grown to the
     /// largest node partitioned so far, never cleared.
     spill_rows: Vec<u32>,
-    /// (value, position in the node) pairs for the exact path's
-    /// per-feature sort.
-    sortable: Vec<(f64, u32)>,
     /// Class counts of the current node: written by `impurity`, still
     /// current when `best_split` runs on the same node.
     node_counts: Vec<usize>,
@@ -264,7 +224,7 @@ struct Scratch {
 }
 
 struct Builder<'a> {
-    data: Data<'a>,
+    binned: &'a BinnedDataset,
     cfg: TreeConfig,
     nodes: Vec<Node>,
     leaf_values: Vec<f64>,
@@ -287,32 +247,23 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    /// Grow one tree on `rows` (duplicates count multiply) of `data`;
+    /// Grow one tree on `rows` (duplicates count multiply) of `binned`;
     /// `labels` are indexed by dataset row, like `rows`.
-    fn build(data: Data<'a>, rows: &[usize], labels: Labels<'_>, cfg: TreeConfig) -> Result<Tree> {
+    fn build(
+        binned: &'a BinnedDataset,
+        rows: &[usize],
+        labels: Labels<'_>,
+        cfg: TreeConfig,
+    ) -> Result<Tree> {
         let n_rows = labels.len();
-        if data.n_features() == 0 || n_rows == 0 || rows.is_empty() {
+        if binned.n_features() == 0 || n_rows == 0 || rows.is_empty() {
             return Err(LearnError::EmptyTrainingSet("decision tree".into()));
         }
-        match data {
-            Data::Exact(x) => {
-                for col in x {
-                    if col.len() != n_rows {
-                        return Err(LearnError::InvalidParam(format!(
-                            "feature column length {} != label length {n_rows}",
-                            col.len()
-                        )));
-                    }
-                }
-            }
-            Data::Binned(b) => {
-                if b.n_rows() != n_rows {
-                    return Err(LearnError::InvalidParam(format!(
-                        "binned dataset rows {} != label length {n_rows}",
-                        b.n_rows()
-                    )));
-                }
-            }
+        if binned.n_rows() != n_rows {
+            return Err(LearnError::InvalidParam(format!(
+                "binned dataset rows {} != label length {n_rows}",
+                binned.n_rows()
+            )));
         }
         if u32::try_from(n_rows).is_err() {
             return Err(LearnError::InvalidParam(format!(
@@ -350,10 +301,10 @@ impl<'a> Builder<'a> {
                 spill: Vec::new(),
             },
         };
-        let n_features = data.n_features();
+        let n_features = binned.n_features();
         let n_train = rows.len();
         let mut b = Builder {
-            data,
+            binned,
             cfg,
             nodes: Vec::new(),
             leaf_values: Vec::new(),
@@ -367,8 +318,7 @@ impl<'a> Builder<'a> {
             hists_subtracted: 0,
             sparse_scans: 0,
         };
-        let timed = matches!(data, Data::Binned(_)) && telemetry::enabled();
-        let start = timed.then(std::time::Instant::now);
+        let start = telemetry::enabled().then(std::time::Instant::now);
         b.nodes.push(Node::UNGROWN);
         b.grow(0, 0, n_train, 0, Vec::new());
         if let Some(t) = start {
@@ -446,74 +396,34 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Rows of `lo..hi` an exact-path candidate sends left, without
-    /// reordering anything — the leaf fallback must see rows in their
-    /// original order. Only the exact path needs the look-ahead: its
-    /// `midpoint` threshold can round onto the upper of the two values it
-    /// separates and so send more rows left than the scan counted. A
-    /// binned split sends left exactly the rows the scan summed
-    /// (`code <= bin`), so its count comes out of the partition itself.
-    fn count_left_exact(&self, x: &[Vec<f64>], lo: usize, hi: usize, c: &Candidate) -> usize {
-        let col = &x[c.feature];
-        self.rows[lo..hi]
-            .iter()
-            .filter(|&&r| col[r as usize] <= c.threshold)
-            .count()
-    }
-
     /// Stable in-place partition of `rows[lo..hi]` (and their labels) by
-    /// the candidate's predicate; returns the left-side length.
+    /// `code <= c.bin`; returns the left-side length. A scanned boundary
+    /// sends left exactly the rows the scan summed, so the count comes out
+    /// of the partition itself and both sides hold `min_samples_leaf` rows.
     fn partition(&mut self, lo: usize, hi: usize, c: &Candidate) -> usize {
         let rows = &mut self.rows[lo..hi];
         let spill = &mut self.scratch.spill_rows;
         let labels = &mut self.labels;
-        match self.data {
-            Data::Exact(x) => {
-                let col = &x[c.feature];
-                labels.partition(lo, hi, rows, spill, |r| col[r as usize] <= c.threshold)
+        let nl = match self.binned.column(c.feature).codes() {
+            BinCodes::U8(codes) => {
+                labels.partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin)
             }
-            Data::Binned(b) => {
-                match b.column(c.feature).codes() {
-                    BinCodes::U8(codes) => labels
-                        .partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin),
-                    BinCodes::U16(codes) => labels
-                        .partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin),
-                }
+            BinCodes::U16(codes) => {
+                labels.partition(lo, hi, rows, spill, |r| codes[r as usize] as usize <= c.bin)
             }
-        }
-    }
-
-    /// Split `lo..hi` by the chosen candidate; returns the left-side
-    /// length, or `None` (rows untouched) when the split would leave a
-    /// child under `min_samples_leaf`.
-    fn split_rows(&mut self, lo: usize, hi: usize, c: &Candidate) -> Option<usize> {
+        };
         let msl = self.cfg.min_samples_leaf;
-        let n = hi - lo;
-        match self.data {
-            Data::Exact(x) => {
-                let nl = self.count_left_exact(x, lo, hi, c);
-                if nl < msl || n - nl < msl {
-                    return None;
-                }
-                self.partition(lo, hi, c);
-                Some(nl)
-            }
-            Data::Binned(_) => {
-                let nl = self.partition(lo, hi, c);
-                debug_assert!(
-                    nl >= msl && n - nl >= msl,
-                    "a scanned boundary keeps {msl} rows per side, got {nl} | {}",
-                    n - nl
-                );
-                Some(nl)
-            }
-        }
+        debug_assert!(
+            nl >= msl && hi - lo - nl >= msl,
+            "a scanned boundary keeps {msl} rows per side, got {nl} | {}",
+            hi - lo - nl
+        );
+        nl
     }
 
     /// Recursively grow the subtree for `rows[lo..hi]` into node `at`;
-    /// returns (histogram path) the per-feature histograms this node
-    /// accumulated, which the caller turns into the right sibling's via
-    /// subtraction.
+    /// returns the per-feature histograms this node accumulated, which the
+    /// caller turns into the right sibling's via subtraction.
     fn grow(
         &mut self,
         at: usize,
@@ -530,8 +440,8 @@ impl<'a> Builder<'a> {
         if !stop {
             let (cand, hists) = self.best_split(lo, hi, node_impurity, &mut inherited);
             node_hists = hists;
-            let split = cand.and_then(|c| Some((self.split_rows(lo, hi, &c)?, c)));
-            if let Some((nl, c)) = split {
+            if let Some(c) = cand {
+                let nl = self.partition(lo, hi, &c);
                 self.importances[c.feature] += c.gain * n as f64 / self.n_total as f64;
                 let left = self.nodes.len();
                 self.nodes.extend([Node::UNGROWN, Node::UNGROWN]);
@@ -550,9 +460,15 @@ impl<'a> Builder<'a> {
         node_hists
     }
 
-    /// Best candidate split over a random feature subset, or `None` if no
-    /// valid split exists. Also returns (histogram path) every candidate
-    /// feature's node histogram for sibling reuse.
+    /// Best candidate split over a random feature subset (`None` if no
+    /// valid split exists), and every candidate feature's node histogram
+    /// for sibling reuse. Three phases (DESIGN.md §13): classify every
+    /// candidate feature, batch-accumulate the ones that need an `O(rows)`
+    /// pass (feature-parallel across the worker pool, merged in fixed
+    /// feature order so any thread count is bitwise identical to one),
+    /// then scan serially in the shuffled `feature_pool` order the node
+    /// drew — the scan order carries the strict `gain >` tie-break, so it
+    /// must not change with the accumulation schedule.
     fn best_split(
         &mut self,
         lo: usize,
@@ -566,75 +482,7 @@ impl<'a> Builder<'a> {
             .unwrap_or(self.feature_pool.len())
             .clamp(1, self.feature_pool.len());
         self.feature_pool.shuffle(&mut self.rng);
-        match self.data {
-            Data::Exact(x) => (
-                self.best_split_exact(x, lo, hi, k, node_impurity),
-                Vec::new(),
-            ),
-            Data::Binned(b) => self.best_split_hist(b, lo, hi, k, node_impurity, inherited),
-        }
-    }
-
-    fn best_split_exact(
-        &mut self,
-        x: &[Vec<f64>],
-        lo: usize,
-        hi: usize,
-        k: usize,
-        node_impurity: f64,
-    ) -> Option<Candidate> {
-        let rows = &self.rows[lo..hi];
-        let labels = self.labels.slice(lo, hi);
-        let msl = self.cfg.min_samples_leaf;
-        let sortable = &mut self.scratch.sortable;
-        let left = &mut self.scratch.left_counts;
-        let right = &mut self.scratch.right_counts;
-        let mut best: Option<Candidate> = None;
-        for i in 0..k {
-            let feature = self.feature_pool[i];
-            sortable.clear();
-            sortable.extend(
-                rows.iter()
-                    .enumerate()
-                    .map(|(pos, &r)| (x[feature][r as usize], pos as u32)),
-            );
-            sortable.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            if sortable[0].0 == sortable[sortable.len() - 1].0 {
-                continue; // constant within node
-            }
-            if let Some((threshold, child_impurity)) =
-                scan_sorted(labels, msl, sortable, left, right)
-            {
-                let gain = node_impurity - child_impurity;
-                if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(Candidate {
-                        feature,
-                        threshold,
-                        bin: 0,
-                        gain,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    /// Histogram split finding in three phases (DESIGN.md §13): classify
-    /// every candidate feature, batch-accumulate the ones that need an
-    /// `O(rows)` pass (feature-parallel across the worker pool, merged in
-    /// fixed feature order so any thread count is bitwise identical to
-    /// one), then scan serially in the shuffled `feature_pool` order the
-    /// node drew — the scan order carries the strict `gain >` tie-break,
-    /// so it must not change with the accumulation schedule.
-    fn best_split_hist(
-        &mut self,
-        binned: &BinnedDataset,
-        lo: usize,
-        hi: usize,
-        k: usize,
-        node_impurity: f64,
-        inherited: &mut Vec<(usize, Hist)>,
-    ) -> (Option<Candidate>, Vec<(usize, Hist)>) {
+        let binned = self.binned;
         let rows = &self.rows[lo..hi];
         let labels = self.labels.slice(lo, hi);
         let msl = self.cfg.min_samples_leaf;
@@ -731,6 +579,8 @@ impl<'a> Builder<'a> {
                     continue;
                 }
                 Plan::Ready(h) => h,
+                // Invariant: `plans` names every batch index exactly once.
+                #[allow(clippy::expect_used)]
                 Plan::Batched(idx) => batched[idx]
                     .take()
                     .expect("each batched histogram scans once"),
@@ -841,89 +691,14 @@ fn subtract_siblings(parent: &[(usize, Hist)], left: Vec<(usize, Hist)>) -> Vec<
     out
 }
 
-/// Scan sorted (value, position in the node) pairs against the node's
-/// labels, returning the boundary threshold with minimum weighted child
-/// impurity.
-fn scan_sorted(
-    labels: LabelSlice,
-    min_samples_leaf: usize,
-    sorted: &[(f64, u32)],
-    left: &mut Vec<usize>,
-    right: &mut Vec<usize>,
-) -> Option<(f64, f64)> {
-    let n = sorted.len();
-    match labels {
-        LabelSlice::Class { y, n_classes } => {
-            left.clear();
-            left.resize(n_classes, 0);
-            right.clear();
-            right.resize(n_classes, 0);
-            for &(_, pos) in sorted {
-                right[y[pos as usize] as usize] += 1;
-            }
-            let mut best: Option<(f64, f64)> = None;
-            for i in 0..n - 1 {
-                let c = y[sorted[i].1 as usize] as usize;
-                left[c] += 1;
-                right[c] -= 1;
-                if sorted[i].0 == sorted[i + 1].0 {
-                    continue; // can't split between equal values
-                }
-                let nl = i + 1;
-                let nr = n - nl;
-                if nl < min_samples_leaf || nr < min_samples_leaf {
-                    continue;
-                }
-                let w = (nl as f64 * gini(left, nl) + nr as f64 * gini(right, nr)) / n as f64;
-                if best.is_none_or(|(_, bw)| w < bw) {
-                    best = Some((midpoint(sorted[i].0, sorted[i + 1].0), w));
-                }
-            }
-            best
-        }
-        LabelSlice::Reg(y) => {
-            let total_sum: f64 = sorted.iter().map(|&(_, pos)| y[pos as usize]).sum();
-            let total_sumsq: f64 = sorted
-                .iter()
-                .map(|&(_, pos)| y[pos as usize] * y[pos as usize])
-                .sum();
-            let mut lsum = 0.0;
-            let mut lsumsq = 0.0;
-            let mut best: Option<(f64, f64)> = None;
-            for i in 0..n - 1 {
-                let v = y[sorted[i].1 as usize];
-                lsum += v;
-                lsumsq += v * v;
-                if sorted[i].0 == sorted[i + 1].0 {
-                    continue;
-                }
-                let nl = (i + 1) as f64;
-                let nr = (n - i - 1) as f64;
-                if (i + 1) < min_samples_leaf || (n - i - 1) < min_samples_leaf {
-                    continue;
-                }
-                let lvar = (lsumsq / nl - (lsum / nl) * (lsum / nl)).max(0.0);
-                let rsum = total_sum - lsum;
-                let rsumsq = total_sumsq - lsumsq;
-                let rvar = (rsumsq / nr - (rsum / nr) * (rsum / nr)).max(0.0);
-                let w = (nl * lvar + nr * rvar) / n as f64;
-                if best.is_none_or(|(_, bw)| w < bw) {
-                    best = Some((midpoint(sorted[i].0, sorted[i + 1].0), w));
-                }
-            }
-            best
-        }
-    }
-}
-
 /// Scan a class histogram's bin boundaries, returning `(bin, threshold,
 /// weighted child impurity)` of the best boundary.
 ///
-/// Boundary enumeration mirrors the sorted scan exactly: a boundary is
+/// Boundary enumeration mirrors a sorted scan exactly: a boundary is
 /// considered only after a non-empty bin with rows remaining on the
-/// right, Gini is computed from the same integer counts through the same
-/// float expressions, and ties keep the first minimum — so with one bin
-/// per distinct value this path chooses bit-identical splits.
+/// right, Gini is computed from the integer counts, and ties keep the
+/// first minimum — so with one bin per distinct value this chooses the
+/// exact CART's splits bit for bit.
 ///
 /// `scratch.node_counts` must hold the node's class counts (`impurity`
 /// leaves them there): they are the histogram's totals, so the scan does
@@ -1120,10 +895,6 @@ fn gini(counts: &[usize], n: usize) -> f64 {
         .sum::<f64>()
 }
 
-fn midpoint(a: f64, b: f64) -> f64 {
-    a + (b - a) / 2.0
-}
-
 /// A CART classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTreeClassifier {
@@ -1143,25 +914,13 @@ impl DecisionTreeClassifier {
         }
     }
 
-    /// Fit on column-major features and class labels in `0..n_classes`.
-    /// With [`SplitMethod::Histogram`] the features are quantised first
-    /// (through the process-wide bin cache).
+    /// Fit on column-major features and class labels in `0..n_classes`:
+    /// quantise the features (through the process-wide bin cache), then
+    /// [`fit_binned`](Self::fit_binned) on every row.
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
-        if n_classes == 0 {
-            return Err(LearnError::InvalidParam("n_classes must be > 0".into()));
-        }
-        self.config.validate()?;
-        let labels = Labels::Class { y, n_classes };
+        let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
         let all: Vec<usize> = (0..y.len()).collect();
-        self.tree = Some(match self.config.split {
-            SplitMethod::Exact => Builder::build(Data::Exact(x), &all, labels, self.config)?,
-            SplitMethod::Histogram => {
-                let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-                Builder::build(Data::Binned(&binned), &all, labels, self.config)?
-            }
-        });
-        self.n_classes = n_classes;
-        Ok(())
+        self.fit_binned(&binned, &all, y, n_classes)
     }
 
     /// Fit on a pre-binned dataset, training only on `rows` (which may
@@ -1177,12 +936,8 @@ impl DecisionTreeClassifier {
         if n_classes == 0 {
             return Err(LearnError::InvalidParam("n_classes must be > 0".into()));
         }
-        self.tree = Some(Builder::build(
-            Data::Binned(binned),
-            rows,
-            Labels::Class { y, n_classes },
-            self.config,
-        )?);
+        let labels = Labels::Class { y, n_classes };
+        self.tree = Some(Builder::build(binned, rows, labels, self.config)?);
         self.n_classes = n_classes;
         Ok(())
     }
@@ -1225,33 +980,19 @@ impl DecisionTreeRegressor {
         Self { config, tree: None }
     }
 
-    /// Fit on column-major features and real-valued targets. With
-    /// [`SplitMethod::Histogram`] the features are quantised first
-    /// (through the process-wide bin cache).
+    /// Fit on column-major features and real-valued targets: quantise the
+    /// features (through the process-wide bin cache), then
+    /// [`fit_binned`](Self::fit_binned) on every row.
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
-        self.config.validate()?;
+        let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
         let all: Vec<usize> = (0..y.len()).collect();
-        self.tree = Some(match self.config.split {
-            SplitMethod::Exact => {
-                Builder::build(Data::Exact(x), &all, Labels::Reg(y), self.config)?
-            }
-            SplitMethod::Histogram => {
-                let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-                Builder::build(Data::Binned(&binned), &all, Labels::Reg(y), self.config)?
-            }
-        });
-        Ok(())
+        self.fit_binned(&binned, &all, y)
     }
 
     /// Fit on a pre-binned dataset, training only on `rows` (duplicates
     /// count multiply). `y` spans the full dataset.
     pub fn fit_binned(&mut self, binned: &BinnedDataset, rows: &[usize], y: &[f64]) -> Result<()> {
-        self.tree = Some(Builder::build(
-            Data::Binned(binned),
-            rows,
-            Labels::Reg(y),
-            self.config,
-        )?);
+        self.tree = Some(Builder::build(binned, rows, Labels::Reg(y), self.config)?);
         Ok(())
     }
 
@@ -1362,13 +1103,6 @@ mod tests {
         (vec![a, b], y)
     }
 
-    fn hist_config() -> TreeConfig {
-        TreeConfig {
-            split: SplitMethod::Histogram,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn classifier_learns_xor() {
         let (x, y) = xor_data(64);
@@ -1378,40 +1112,10 @@ mod tests {
     }
 
     #[test]
-    fn hist_classifier_learns_xor() {
-        let (x, y) = xor_data(64);
-        let mut t = DecisionTreeClassifier::new(hist_config());
-        t.fit(&x, &y, 2).unwrap();
-        assert_eq!(t.predict(&x).unwrap(), y);
-    }
-
-    #[test]
-    fn hist_matches_exact_when_bins_cover_distinct_values() {
-        // Every feature has far fewer distinct values than max_bins, so
-        // histogram split finding sees exactly the exact path's boundaries
-        // and must grow an identical tree (same splits, same train
-        // predictions, bit-identical importances).
-        let (x, y) = xor_data(128);
-        let mut exact = DecisionTreeClassifier::new(TreeConfig::default());
-        exact.fit(&x, &y, 2).unwrap();
-        let mut hist = DecisionTreeClassifier::new(hist_config());
-        hist.fit(&x, &y, 2).unwrap();
-        assert_eq!(exact.predict(&x).unwrap(), hist.predict(&x).unwrap());
-        let ei = exact.tree().unwrap().feature_importances();
-        let hi = hist.tree().unwrap().feature_importances();
-        for (a, b) in ei.iter().zip(&hi) {
-            assert_eq!(a.to_bits(), b.to_bits(), "importances must be bit-equal");
-        }
-        assert_eq!(
-            exact.tree().unwrap().n_nodes(),
-            hist.tree().unwrap().n_nodes()
-        );
-    }
-
-    #[test]
     fn fit_binned_duplicate_rows_match_gathered_fit() {
         // Training on rows [0,0,1,2,...] through fit_binned must equal
-        // exact training on the gathered (duplicated) sub-matrix.
+        // training on the gathered (duplicated) sub-matrix: every distinct
+        // value survives the gather, so both see the same bins.
         let (x, y) = xor_data(32);
         let rows: Vec<usize> = (0..32).chain(0..8).collect();
         let gx: Vec<Vec<f64>> = x
@@ -1419,12 +1123,12 @@ mod tests {
             .map(|c| rows.iter().map(|&r| c[r]).collect())
             .collect();
         let gy: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
-        let mut exact = DecisionTreeClassifier::new(TreeConfig::default());
-        exact.fit(&gx, &gy, 2).unwrap();
+        let mut gathered = DecisionTreeClassifier::new(TreeConfig::default());
+        gathered.fit(&gx, &gy, 2).unwrap();
         let binned = BinnedDataset::build(&x, DEFAULT_MAX_BINS).unwrap();
-        let mut hist = DecisionTreeClassifier::new(hist_config());
-        hist.fit_binned(&binned, &rows, &y, 2).unwrap();
-        assert_eq!(exact.predict(&gx).unwrap(), hist.predict(&gx).unwrap());
+        let mut indexed = DecisionTreeClassifier::new(TreeConfig::default());
+        indexed.fit_binned(&binned, &rows, &y, 2).unwrap();
+        assert_eq!(gathered, indexed);
     }
 
     /// A node in the builder's layout: narrowed row ids, and each row's
@@ -1709,23 +1413,11 @@ mod tests {
     }
 
     #[test]
-    fn hist_regressor_fits_step_function() {
-        let x = vec![(0..100).map(|i| i as f64).collect::<Vec<_>>()];
-        let y: Vec<f64> = (0..100).map(|i| if i < 50 { 1.0 } else { 5.0 }).collect();
-        let mut t = DecisionTreeRegressor::new(hist_config());
-        t.fit(&x, &y).unwrap();
-        let preds = t.predict(&x).unwrap();
-        for (p, t) in preds.iter().zip(&y) {
-            assert!((p - t).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn hist_rejects_invalid_max_bins() {
+    fn rejects_invalid_max_bins() {
         let (x, y) = xor_data(16);
         let mut t = DecisionTreeClassifier::new(TreeConfig {
             max_bins: 1,
-            ..hist_config()
+            ..Default::default()
         });
         assert!(t.fit(&x, &y, 2).is_err());
     }

@@ -441,6 +441,68 @@ fn checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Write a checkpoint of a job that has not started (the scheduler is
+/// parked, so there is no race to win), swap `from` for `to` in its JSON
+/// text, and try to resume from it.
+fn resume_edited_checkpoint(
+    test: &str,
+    frame: &DataFrame,
+    (from, to): (&str, &str),
+) -> serve::Result<(JobServer, Vec<serve::JobHandle>)> {
+    let dir = scratch_dir(test);
+    let config = ServerConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let mut server = JobServer::new(config.clone()).unwrap();
+    server.pause();
+    let job = server
+        .submit("acme", frame, fast_engine(), Budget::unlimited())
+        .unwrap();
+    assert_eq!(server.checkpoint_all().unwrap(), 1);
+    server.shutdown().unwrap();
+
+    let path = dir.join(format!("{}.json", job.id()));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(from), "the checkpoint carries {from}");
+    std::fs::write(&path, text.replace(from, to)).unwrap();
+    let resumed = JobServer::resume(config);
+    if resumed.is_err() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    resumed
+}
+
+#[test]
+fn checkpoint_with_a_retired_config_key_resumes_bit_identical() {
+    // Checkpoints written before the per-sample NN trainer left the
+    // library carry `"backend":"Batched"` in the evaluator's MLP config;
+    // the key is ignored (batched ≡ per-sample bitwise was the contract,
+    // so there is nothing to switch) and the version is not bumped.
+    let frame = frame();
+    let solo = fast_engine().run(&frame).unwrap();
+    let edit = (r#""mlp":{"#, r#""mlp":{"backend":"Batched","#);
+    let (_server, handles) = resume_edited_checkpoint("retired-key", &frame, edit).unwrap();
+    let result = handles[0].wait().unwrap().result.unwrap();
+    assert_eq!(result.best_score.to_bits(), solo.best_score.to_bits());
+    assert_eq!(result.selected, solo.selected);
+}
+
+#[test]
+fn checkpoint_naming_the_deleted_split_finder_is_corrupt_not_a_silent_switch() {
+    // Exact and histogram trees differ on continuous data: a checkpoint
+    // that asks for the exact finder must be refused, in `resume` (not by
+    // a panic on the scheduler thread), naming what it asked for.
+    let edit = (r#""split":"Histogram""#, r#""split":"Exact""#);
+    match resume_edited_checkpoint("exact-split", &frame(), edit) {
+        Err(ServeError::Corrupt(msg)) => {
+            assert!(msg.contains("unknown variant `Exact`"), "{msg}")
+        }
+        Err(other) => panic!("expected ServeError::Corrupt, got {other}"),
+        Ok(_) => panic!("a checkpoint naming a deleted split finder must not be re-admitted"),
+    }
+}
+
 #[test]
 fn resume_without_a_checkpoint_dir_is_an_error() {
     assert!(matches!(

@@ -169,21 +169,6 @@ impl DataFrame {
         &self.label
     }
 
-    /// A single row as a dense feature vector.
-    pub fn row(&self, i: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_cols());
-        self.row_into(i, &mut out);
-        out
-    }
-
-    /// Write row `i` into `out` (cleared first). Row-scanning hot loops use
-    /// this with one reused buffer instead of allocating per call via
-    /// [`row`](Self::row).
-    pub fn row_into(&self, i: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.columns.iter().map(|c| c.values[i]));
-    }
-
     /// Append a feature column; must match the frame's row count.
     pub fn push_column(&mut self, column: Column) -> Result<()> {
         if column.len() != self.n_rows() {
@@ -319,7 +304,6 @@ mod tests {
         assert_eq!(f.n_rows(), 4);
         assert_eq!(f.n_cols(), 2);
         assert_eq!(f.task(), Task::Classification);
-        assert_eq!(f.row(1), vec![2.0, 20.0]);
         assert_eq!(f.column(1).unwrap().values[0], 10.0);
         assert!(f.column(2).is_err());
         assert_eq!(f.shape_str(), "4\\2");

@@ -38,7 +38,7 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
     cargo test -q -p runtime --release --test pool_late_join
 
-    echo "==> split-method parity + golden score bits (release: the binned path's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
+    echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
     cargo test -q --release --test hist_parity --test golden_scores
 
     echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares)"

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # First-party Rust line counts per crate, so simplification PRs (ROADMAP
 # aim 2) are sized by one counter. A file under src/ counts as non-test
-# up to its first `#[cfg(test)]` line and as test from there on; files
-# under tests/, benches/ and examples/ count as test. Blank lines and
-# comments are lines. vendor/ and target/ are not first-party.
+# up to its first `#[cfg(test)]` line and as test from there on — all of
+# it when its first line is `#![cfg(test)]` (a test oracle in a file of
+# its own); files under tests/, benches/ and examples/ count as test.
+# Blank lines and comments are lines. vendor/ and target/ are not
+# first-party.
 #
 #   scripts/loc.sh [repo-root]      # default: this checkout
 set -euo pipefail
@@ -16,7 +18,7 @@ count() { # <crate name> <crate dir>
         if [[ -d "$2/$d" ]]; then dirs+=("$2/$d"); fi
     done
     find "${dirs[@]}" -name '*.rs' | sort | xargs -r awk -v crate="$1" -v src="$2/src/" '
-        FNR == 1 { in_test = (index(FILENAME, src) != 1) }
+        FNR == 1 { in_test = (index(FILENAME, src) != 1) || /^#!\[cfg\(test\)\]/ }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
         { if (in_test) test++; else code++ }
         END { printf "%-12s %8d %8d %8d\n", crate, code, test, code + test }'

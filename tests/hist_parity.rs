@@ -1,24 +1,28 @@
-//! Parity of the histogram (binned) split-finding path against the exact
-//! sorted-scan reference (proptest): on low-cardinality data — where the
-//! bin budget covers every distinct value — binned training must be
-//! **bit-identical** to exact training; on continuous data the two
-//! forests must agree within a tolerance on the training task. The same
-//! bit-identity is pinned on high-cardinality columns, where every node
-//! below the root is smaller than the bin count and takes the counting
-//! scan instead of a dense histogram. Plus unit checks of the bin-edge
-//! construction and the sibling-subtraction identity the per-node
-//! histograms rely on.
+//! Parity of the histogram (binned) split finder — the only one `learners`
+//! ships — against the exact sorted-scan oracle `support::exact_cart`
+//! (proptest): on low-cardinality data — where the bin budget covers every
+//! distinct value — binned training must be **bit-identical** to exact
+//! training; on continuous data the two forests must agree within a
+//! tolerance on the training task. The same bit-identity is pinned on
+//! high-cardinality columns, where every node below the root is smaller
+//! than the bin count and takes the counting scan instead of a dense
+//! histogram. Plus unit checks of the bin-edge construction and the
+//! sibling-subtraction identity the per-node histograms rely on, and the
+//! identity `fit` ≡ bin + `fit_binned`.
+
+mod support;
 
 use learners::binned::{accumulate_class, accumulate_reg, subtract_class, subtract_reg, BinCodes};
 use learners::{
-    BinnedColumn, BinnedDataset, DecisionTreeClassifier, ForestConfig, RandomForestClassifier,
-    SplitMethod, TreeConfig,
+    BinnedColumn, BinnedDataset, DecisionTreeClassifier, DecisionTreeRegressor, Evaluator,
+    ForestConfig, RandomForestClassifier, RandomForestRegressor, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::exact_cart::{ExactForest, ExactTree};
 
-fn forest_config(split: SplitMethod, seed: u64) -> ForestConfig {
+fn forest_config(seed: u64) -> ForestConfig {
     // No bootstrap: every predicted row is then a training row, whose
     // path through the tree is pinned by the identical train partitions.
     // (With bootstrap, an out-of-bag row may legitimately fall between an
@@ -28,7 +32,6 @@ fn forest_config(split: SplitMethod, seed: u64) -> ForestConfig {
         n_trees: 5,
         tree: TreeConfig {
             max_depth: 6,
-            split,
             ..TreeConfig::default()
         },
         bootstrap: false,
@@ -58,13 +61,12 @@ fn threshold_labels(x: &[Vec<f64>]) -> Vec<usize> {
     sums.iter().map(|&s| usize::from(s > median)).collect()
 }
 
-fn train_accuracy(f: &RandomForestClassifier, x: &[Vec<f64>], y: &[usize]) -> f64 {
-    let pred = f.predict(x).expect("predict");
+fn accuracy(pred: &[usize], y: &[usize]) -> f64 {
     let hits = pred.iter().zip(y).filter(|(p, t)| p == t).count();
     hits as f64 / y.len() as f64
 }
 
-/// One bootstrap-sampled tree, grown twice: by the exact sorted scan on
+/// One bootstrap-sampled tree, grown twice: by the exact oracle on
 /// the gathered (duplicated) sub-matrix, and by the histogram path
 /// straight from the full dataset's bin codes. `distinct` values per
 /// column against `n_rows` rows puts every node below the root under the
@@ -97,12 +99,11 @@ fn assert_counting_tree_matches_exact(
         .collect();
     let rows: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..n_rows)).collect();
     let min_samples_leaf = rng.gen_range(1..4);
-    let cfg = |split| TreeConfig {
+    let cfg = TreeConfig {
         max_depth: 12,
         min_samples_leaf,
         max_features: Some(n_features.div_ceil(2)),
         seed,
-        split,
         max_bins,
         ..TreeConfig::default()
     };
@@ -112,8 +113,7 @@ fn assert_counting_tree_matches_exact(
         .map(|c| rows.iter().map(|&r| c[r]).collect())
         .collect();
     let gy: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
-    let mut exact = DecisionTreeClassifier::new(cfg(SplitMethod::Exact));
-    exact.fit(&gx, &gy, n_classes).expect("exact fit");
+    let exact = ExactTree::fit(&gx, &gy, n_classes, cfg);
 
     let binned = BinnedDataset::build(&x, max_bins).expect("bin");
     for f in 0..n_features {
@@ -124,15 +124,15 @@ fn assert_counting_tree_matches_exact(
         );
         prop_assert_eq!(matches!(col.codes(), BinCodes::U16(_)), expect_u16);
     }
-    let mut hist = DecisionTreeClassifier::new(cfg(SplitMethod::Histogram));
+    let mut hist = DecisionTreeClassifier::new(cfg);
     hist.fit_binned(&binned, &rows, &y, n_classes)
         .expect("hist fit");
 
-    let (te, th) = (exact.tree().unwrap(), hist.tree().unwrap());
-    prop_assert_eq!(te.n_nodes(), th.n_nodes());
-    prop_assert!(te.n_nodes() > 3, "tree must actually split");
-    prop_assert_eq!(exact.predict(&gx).unwrap(), hist.predict(&gx).unwrap());
-    for (a, b) in te
+    let th = hist.tree().unwrap();
+    prop_assert_eq!(exact.n_nodes(), th.n_nodes());
+    prop_assert!(exact.n_nodes() > 3, "tree must actually split");
+    prop_assert_eq!(exact.predict(&gx), hist.predict(&gx).unwrap());
+    for (a, b) in exact
         .feature_importances()
         .iter()
         .zip(&th.feature_importances())
@@ -183,15 +183,14 @@ proptest! {
         let x = matrix(&mut rng, n_rows, n_features, |r| r.gen_range(0..12) as f64);
         let y = threshold_labels(&x);
 
-        let mut exact = RandomForestClassifier::new(forest_config(SplitMethod::Exact, seed));
-        exact.fit(&x, &y, 2).expect("exact fit");
-        let mut hist = RandomForestClassifier::new(forest_config(SplitMethod::Histogram, seed));
+        let exact = ExactForest::fit(&x, &y, 2, forest_config(seed));
+        let mut hist = RandomForestClassifier::new(forest_config(seed));
         hist.fit(&x, &y, 2).expect("hist fit");
 
-        let (pe, ph) = (exact.predict(&x).unwrap(), hist.predict(&x).unwrap());
+        let (pe, ph) = (exact.predict(&x), hist.predict(&x).unwrap());
         prop_assert_eq!(pe, ph);
         let (ie, ih) = (
-            exact.feature_importances().unwrap(),
+            exact.feature_importances(),
             hist.feature_importances().unwrap(),
         );
         prop_assert_eq!(ie.len(), ih.len());
@@ -213,12 +212,14 @@ proptest! {
         let x = matrix(&mut rng, n_rows, n_features, |r| r.gen_range(-3.0f64..3.0));
         let y = threshold_labels(&x);
 
-        let mut exact = RandomForestClassifier::new(forest_config(SplitMethod::Exact, seed));
-        exact.fit(&x, &y, 2).expect("exact fit");
-        let mut hist = RandomForestClassifier::new(forest_config(SplitMethod::Histogram, seed));
+        let exact = ExactForest::fit(&x, &y, 2, forest_config(seed));
+        let mut hist = RandomForestClassifier::new(forest_config(seed));
         hist.fit(&x, &y, 2).expect("hist fit");
 
-        let (acc_e, acc_h) = (train_accuracy(&exact, &x, &y), train_accuracy(&hist, &x, &y));
+        let (acc_e, acc_h) = (
+            accuracy(&exact.predict(&x), &y),
+            accuracy(&hist.predict(&x).expect("predict"), &y),
+        );
         prop_assert!(
             (acc_e - acc_h).abs() <= 0.15,
             "train accuracy diverged: exact {} vs hist {}",
@@ -314,4 +315,50 @@ fn duplicate_heavy_column_stays_within_budget_with_distinct_codes() {
 fn binned_dataset_rejects_ragged_matrix() {
     let x = vec![vec![1.0, 2.0, 3.0], vec![1.0, 2.0]];
     assert!(BinnedDataset::build(&x, 16).is_err());
+}
+
+/// What replaced the split-method dispatch: every default names the one
+/// split finder, and `fit` is "bin, then `fit_binned` on every row" for
+/// all four models at any thread count.
+#[test]
+fn fit_is_binning_then_fit_binned_on_all_rows() {
+    let split = TreeConfig::default().split;
+    assert_eq!(ForestConfig::default().tree.split, split);
+    assert_eq!(ForestConfig::fast().tree.split, split);
+    assert_eq!(Evaluator::default().forest.tree.split, split);
+
+    let mut rng = StdRng::seed_from_u64(23);
+    let x = matrix(&mut rng, 300, 5, |r| r.gen_range(-3.0f64..3.0));
+    let yc = threshold_labels(&x);
+    let yr: Vec<f64> = (0..300).map(|r| x[0][r] * x[1][r] + x[2][r]).collect();
+    let all: Vec<usize> = (0..300).collect();
+    let tree = TreeConfig {
+        max_bins: 64, // fewer bins than distinct values: quantile cuts
+        seed: 5,
+        ..TreeConfig::default()
+    };
+    let binned = BinnedDataset::build(&x, tree.max_bins).expect("bin");
+    // `fit(x, y..)` and `fit_binned(bins of x, all rows, y..)` of one model type.
+    macro_rules! assert_fit_is_fit_binned {
+        ($model:ident, $cfg:expr, $($label:expr),+) => {{
+            let (mut a, mut b) = ($model::new($cfg), $model::new($cfg));
+            a.fit(&x, $($label),+).expect("fit");
+            b.fit_binned(&binned, &all, $($label),+).expect("fit_binned");
+            assert_eq!(a, b, stringify!($model));
+        }};
+    }
+    for n_threads in [1, 4] {
+        runtime::set_global_threads(n_threads);
+        let forest = ForestConfig {
+            n_trees: 6,
+            tree,
+            n_threads,
+            ..ForestConfig::default()
+        };
+        assert_fit_is_fit_binned!(DecisionTreeClassifier, tree, &yc, 2);
+        assert_fit_is_fit_binned!(DecisionTreeRegressor, tree, &yr);
+        assert_fit_is_fit_binned!(RandomForestClassifier, forest, &yc, 2);
+        assert_fit_is_fit_binned!(RandomForestRegressor, forest, &yr);
+    }
+    runtime::set_global_threads(0);
 }
