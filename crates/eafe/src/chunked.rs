@@ -139,13 +139,13 @@ impl ChunkedStore {
     /// The selected frame plus one candidate column — what one downstream
     /// evaluation sees.
     fn candidate_frame(&self, cand: &ChunkedCandidate) -> Result<DataFrame> {
-        let selected = self.selected_dataframe()?;
+        let mut frame = self.selected_dataframe()?;
         let mut values = Vec::with_capacity(self.frame.n_rows());
         for enc in &cand.chunks {
             enc.fold_values((), |(), v| values.push(v));
         }
-        let col = Column::new(cand.name.clone(), values);
-        Ok(selected.with_extra_columns(std::slice::from_ref(&col))?)
+        frame.push_column(Column::new(cand.name.clone(), values))?;
+        Ok(frame)
     }
 
     /// Key state of the selected frame: each column digested chunk by
@@ -178,6 +178,10 @@ impl ColumnStore for ChunkedStore {
 
     fn dataset(&self) -> &str {
         &self.frame.name
+    }
+
+    fn n_rows(&self) -> usize {
+        self.frame.n_rows()
     }
 
     fn n_agents(&self) -> usize {

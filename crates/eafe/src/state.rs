@@ -157,6 +157,10 @@ impl ColumnStore for EngineState {
         &self.frame.name
     }
 
+    fn n_rows(&self) -> usize {
+        self.frame.n_rows()
+    }
+
     fn n_agents(&self) -> usize {
         self.subgroups.len()
     }

@@ -435,6 +435,15 @@ impl Engine {
         timer.start();
         let mut counter = EvalCounter::default();
 
+        // The one place a search learns its row count: a MinHash gate's
+        // draw table is built for it here, on every core the budget
+        // allows, instead of inside the first candidate's sketch.
+        if let Gate::Fpe(fpe) = &self.gate {
+            if let Some(compressor) = fpe.compressor() {
+                runtime::prepare_draw_tables(compressor, store.n_rows())?;
+            }
+        }
+
         // Every downstream evaluation goes through the runtime's
         // content-addressed cache: repeat candidates (replayed features,
         // re-explored transformations) are computed once.

@@ -40,6 +40,9 @@ pub trait ColumnStore {
     /// Dataset name.
     fn dataset(&self) -> &str;
 
+    /// Rows of every column, fixed for the store's lifetime.
+    fn n_rows(&self) -> usize;
+
     /// Number of agents: one per original feature.
     fn n_agents(&self) -> usize;
 

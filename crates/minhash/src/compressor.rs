@@ -13,17 +13,21 @@
 use crate::error::Result;
 use crate::families::{HashFamily, WeightedMinHasher};
 use crate::signature::Signature;
-use crate::tables::RowSource;
+use crate::tables::{self, RowSource};
 use serde::{Deserialize, Serialize};
 
-/// Small floor added to every weight so all samples stay in the support.
-const WEIGHT_FLOOR: f64 = 1e-6;
+/// Small floor added to every weight so all samples stay in the support —
+/// and the smallest weight [`WeightBounds::weight`] can produce: with
+/// `v ≥ lo` the quotient is non-negative, and adding it to the floor
+/// cannot round below the floor.
+pub(crate) const WEIGHT_FLOOR: f64 = 1e-6;
 
 /// The largest weight [`WeightBounds::weight`] can produce. With
 /// `lo ≤ v ≤ hi`, correctly rounded subtraction, division and addition are
 /// monotone, so `(v − lo)/span + floor ≤ span/span + floor` — this very
 /// sum — whether or not `span` was clamped. The sketch kernel's row bounds
-/// are the hash values at this weight.
+/// are the hash values at this weight, and its dense scan relies on both
+/// ends of `[WEIGHT_FLOOR, WEIGHT_CEILING]`.
 pub(crate) const WEIGHT_CEILING: f64 = 1.0 + WEIGHT_FLOOR;
 
 /// Accumulator for the finite min/max bounds a column's weights are
@@ -143,6 +147,20 @@ impl SampleCompressor {
     pub fn signature_batch(&self, columns: &[&[f64]]) -> Result<Vec<Signature>> {
         telemetry::count("minhash.batch_cols", columns.len() as u64);
         columns.iter().map(|c| self.signature(c)).collect()
+    }
+
+    /// Build this compressor's draw table for columns of up to `rows` rows
+    /// ahead of the first sketch. The work is `d` independent jobs:
+    /// `run(d, job)` may call `job(i)` for any `i < d`, in any order, on
+    /// any threads, and must return only once those calls have; a job it
+    /// does not run is run here, on the caller — as all of them are when a
+    /// sketch finds the table too small.
+    pub fn prepare_rows(
+        &self,
+        rows: usize,
+        run: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Result<()> {
+        tables::draw_tables(&self.hasher).grow(rows, run)
     }
 
     /// The signature of a column that is not a flat slice — e.g. one held
@@ -408,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn weights_never_exceed_the_ceiling() {
+    fn weights_stay_between_floor_and_ceiling() {
         // Wide, narrow (span clamped to 1e-12), degenerate and huge ranges;
         // the maximum is attained at v = hi.
         let ranges = [
@@ -434,13 +452,13 @@ mod tests {
                 };
                 let w = bounds.weight(v);
                 // (±1e308 spans overflow: ∞/∞ is NaN, which the support
-                // filter drops — never a weight above the ceiling.)
+                // filter drops — never a weight outside the interval.)
                 assert!(
-                    w.is_nan() || w <= WEIGHT_CEILING,
+                    w.is_nan() || (WEIGHT_FLOOR..=WEIGHT_CEILING).contains(&w),
                     "weight({v}) = {w} in [{lo}, {hi}]"
                 );
             }
-            assert!(bounds.weight(f64::NAN) <= WEIGHT_CEILING);
+            assert_eq!(bounds.weight(f64::NAN), WEIGHT_FLOOR);
         }
     }
 

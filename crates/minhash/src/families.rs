@@ -9,7 +9,7 @@
 //! same (index, t) pair equals (approximately, for the newer variants) their
 //! generalised Jaccard similarity.
 
-use crate::compressor::WEIGHT_CEILING;
+use crate::compressor::{WEIGHT_CEILING, WEIGHT_FLOOR};
 use crate::error::{MinHashError, Result};
 use crate::rng::{beta21, gamma21, mix, uniform_open};
 use crate::signature::{SigElement, Signature};
@@ -27,6 +27,12 @@ use std::time::Instant;
 /// part of why they are bit-identical.
 pub(crate) fn discretize_t(t: f64) -> i32 {
     t as i32
+}
+
+/// Whether a weight puts its dimension in the support: strictly positive
+/// and finite. Anything else carries no mass and can never win a hash.
+pub(crate) fn in_support(w: f64) -> bool {
+    w > 0.0 && w.is_finite()
 }
 
 fn empty_support() -> MinHashError {
@@ -105,7 +111,7 @@ impl WeightedMinHasher {
         let support: Vec<(usize, f64)> = weights
             .iter()
             .enumerate()
-            .filter_map(|(k, &w)| (w > 0.0 && w.is_finite()).then_some((k, w)))
+            .filter_map(|(k, &w)| in_support(w).then_some((k, w)))
             .collect();
         if support.is_empty() {
             return Err(empty_support());
@@ -140,14 +146,17 @@ impl WeightedMinHasher {
 
     /// Compute the signature via the precomputed [`tables::DrawTables`]
     /// fast path — bit-identical to [`signature`](WeightedMinHasher::signature)
-    /// (pinned by the `table_parity` proptest suite) but with the per-`(i, k)`
-    /// draw derivations replaced by table lookups, and without visiting
-    /// rows that cannot win when no weight exceeds the compressor's ceiling
-    /// (one pass over the weights finds out). The table for this
-    /// `(family, d, seed)` is created/grown lazily and shared process-wide.
+    /// (pinned by the `table_parity` proptest suite) but with the draws
+    /// that cost a logarithm read from a table, and without visiting rows
+    /// that cannot win when every weight in the support lies in the
+    /// compressor's `[floor, ceiling]` (one pass over the weights finds
+    /// out). The table for this `(family, d, seed)` is created/grown
+    /// lazily and shared process-wide.
     pub fn signature_tabled(&self, weights: &[f64]) -> Result<Signature> {
-        let max = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        self.sketch(max <= WEIGHT_CEILING, |w| w, weights)
+        let bounded = weights
+            .iter()
+            .all(|&w| !in_support(w) || (WEIGHT_FLOOR..=WEIGHT_CEILING).contains(&w));
+        self.sketch(bounded, |w| w, weights)
     }
 
     /// Sketch many weight vectors. Bit-identical to calling
@@ -171,7 +180,7 @@ impl WeightedMinHasher {
             return Err(MinHashError::EmptyInput);
         }
         let start = telemetry::enabled().then(Instant::now);
-        let elements = tables::draw_tables(self).sketch(bounded, weight, rows);
+        let elements = tables::draw_tables(self).sketch(bounded, weight, rows)?;
         if let Some(start) = start {
             telemetry::record("minhash.sig_us", start.elapsed().as_micros() as u64);
         }
@@ -180,11 +189,11 @@ impl WeightedMinHasher {
 
     /// Classic MinHash: the support dimension with the minimum hash value.
     fn minhash_element(&self, i: u64, support: &[(usize, f64)]) -> SigElement {
-        let (best_k, _) = support
+        let hashed = support
             .iter()
-            .map(|&(k, _)| (k, mix(self.seed, i, k as u64, 0)))
-            .min_by_key(|&(_, h)| h)
-            .expect("non-empty support");
+            .map(|&(k, _)| (k, mix(self.seed, i, k as u64, 0)));
+        // `support` never returns an empty support.
+        let best_k = hashed.min_by_key(|&(_, h)| h).map_or(0, |(k, _)| k);
         SigElement {
             key: best_k as u32,
             t: 0,

@@ -1,10 +1,19 @@
 //! Counter-based deterministic random variates.
 //!
 //! Weighted MinHash needs, for every (hash index, input dimension) pair, a
-//! reproducible set of random draws (Gamma, Beta, Uniform). Materialising a
-//! `d × M` matrix of draws would defeat the point of compression, so we
-//! derive each draw on the fly from a SplitMix64-style counter hash of
-//! `(seed, hash_index, dimension, slot)`.
+//! reproducible set of random draws (Gamma, Beta, Uniform). Each is a pure
+//! function of a SplitMix64-style counter hash of `(seed, hash_index,
+//! dimension, slot)`, so no `d × M` matrix of draws has to exist for a
+//! sketch to be reproducible: the scalar path derives every draw on the
+//! fly. [`crate::tables`] tabulates exactly one kind — the Gamma(2,1)
+//! draws, whose two logarithms cost an order of magnitude more than the
+//! counter mix (plus the log-domain families' `eʳ`) — and derives the
+//! others, [`beta21`] and [`uniform_open`], at the point of use: the mix
+//! of `(seed, hash_index)` hoists out of a pass over one hash index, the
+//! mix of the dimension is shared by a pair's slots, and what is left is
+//! one round per draw — less than a table of them would cost in memory
+//! traffic, and one `f64` per pair instead of three held for the process's
+//! lifetime.
 
 /// SplitMix64 finaliser: a high-quality 64-bit mixer.
 #[inline]

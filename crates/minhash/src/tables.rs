@@ -4,28 +4,28 @@
 //!
 //! Every weighted-MinHash family consumes, per `(hash index i, input
 //! dimension k)` pair, a fixed set of random draws (`r`, `c`, `β`, …) that
-//! depend **only on `(seed, i, k)` — never on the weights**. The naive
-//! scalar path re-derives them on every call: each draw is a chain of
-//! SplitMix64 rounds plus `ln`/`exp`/`sqrt`, repeated for every column of
-//! every candidate feature, every epoch. A [`DrawTables`] materialises the
-//! draws once per `(family, d, seed)` — together with the derived `eʳ`
-//! factor the log-domain families divide by — and turns the per-element
-//! inner loop into four table loads and a couple of flops.
+//! depend **only on `(seed, i, k)` — never on the weights**. The scalar
+//! path re-derives all of them on every call. A [`DrawTables`] stores,
+//! once per `(family, d, seed)`, **the draws that cost a transcendental and
+//! nothing else**: the Gamma(2,1) draws (two logarithms each) and the
+//! `eʳ` factor the log-domain families divide by. A draw that is a
+//! counter mix away — CCWS's `r = √u` and every family's `β = u`, two
+//! SplitMix rounds off the same `(seed, i, k)` state — is derived where it
+//! is used: it costs about what the load it replaces would, and a table of
+//! them would be as large as the column it helps to compress.
 //!
-//! **Bit-identity.** The tables store exactly the values the scalar path
-//! computes (`gamma21`/`beta21`/`uniform_open` at the same `(seed, i, k,
-//! slot)` counters; `eʳ` as the same `r.exp()` the scalar path evaluates),
-//! and the kernels apply the remaining per-weight arithmetic with the same
+//! **Bit-identity.** Stored or derived, a draw is the value of the same
+//! function at the same `(seed, i, k, slot)` counter the scalar path calls
+//! (`gamma21`/`beta21`/`uniform_open`; `eʳ` is the same `r.exp()`), and the
+//! kernels apply the remaining per-weight arithmetic with the same
 //! operations in the same order. Hoisting is limited to values — `ln w`
 //! per support element, `eʳ` per `(i, k)` — never to algebraic rewrites
 //! (`w.ln() / r` stays a division; it is *not* replaced by a `1/r`
-//! multiply, whose rounding differs). The dense scans are staged through
-//! the `simd` crate's elementwise kernels (DESIGN.md §13), which keep
-//! exactly those per-element expressions — there is no reduction
-//! anywhere in a sketch, so SIMD here is pure lane-parallel elementwise
-//! work and bit-identity is structural. The proptest suite in
-//! `tests/table_parity.rs` pins all five families bit-identical to the
-//! scalar reference.
+//! multiply, whose rounding differs). There is no floating-point reduction
+//! anywhere in a sketch: a hash index keeps the lexicographic `(a, k)`
+//! minimum, which is what the scalar path's ascending scan under a strict
+//! `<` returns. The proptest suite in `tests/table_parity.rs` pins all
+//! five families bit-identical to the scalar reference.
 //!
 //! **Visiting only the rows that can still win.** A dense scan costs
 //! `rows × d` however the weights look. For CCWS every operation of
@@ -37,40 +37,75 @@
 //! that, like the draws, depends only on `(seed, i, k)`. Classic MinHash is
 //! the degenerate case (`A = h`, the weight never enters). The table keeps,
 //! per hash index, the ids of the rows with the smallest `(A, k)` (a
-//! `Tier`); a sketch walks them in that order, evaluates the exact `a` at
-//! the row's own weight, keeps the lexicographic `(a, k)` minimum — which is
-//! what a strict-`<` ascending scan returns — and is done with the hash
-//! index as soon as `A > best a`. A sketch in which some hash index outlives
-//! its prefix (one-sided heavy tails: nearly every weight at the floor), and
-//! every sketch of ICWS / 0-bit / PCWS — whose bound would rest on `ln` and
-//! `exp` being monotone, which the language does not promise — is the dense
-//! scan, unchanged.
+//! prefix per tier); a sketch walks them in that order, evaluates the
+//! exact `a` at the row's own weight, keeps the lexicographic `(a, k)`
+//! minimum — which is what a strict-`<` ascending scan returns — and is
+//! done with the hash index as soon as `A > best a`. A sketch in which some
+//! hash index outlives its prefix (one-sided heavy tails: nearly every
+//! weight at the floor), and every sketch of ICWS / 0-bit / PCWS — whose
+//! bound would rest on `ln` and `exp` being monotone, which the language
+//! does not promise — is the dense scan.
 //!
-//! **Layout & growth.** A table is a structure of arrays indexed
-//! `[k * d + i]` (row per input dimension `k`, `d` entries per row). A
-//! sketch knows its row count up front, so the table grows to
-//! `max(n, 2 × old)` rows in one exact reservation: appending rows never
-//! relocates existing entries' logical positions, so a grown table serves
-//! old and new columns alike. Growth is interior-mutable behind `&self`
-//! (an `RwLock`; sketches take the read side and run concurrently).
+//! **The dense scan derives only for rows that can still win.** It runs
+//! hash-index-outer over blocks of rows (the stored draws and the block's
+//! weights are both contiguous) and keeps, like the visit, the
+//! lexicographic `(a, k)` minimum, so the order rows are offered in is
+//! free. A CCWS sketch whose weights all lie in
+//! `[WEIGHT_FLOOR, WEIGHT_CEILING]` (`bounded`) offers its heaviest row
+//! first and then skips a row without deriving its `r`, `β` when
+//! `fl(c/w)·(1 − 2⁻³⁰) > best a`. That is sound because
+//! `a(k, i; w) ≥ fl(c/w)·(1 − 2⁻³⁰)` for every such `w`: with `ε = 2⁻⁵³`
+//! and every intermediate in the normal range (`w/r ≤ 2²⁸`,
+//! `c ∈ [10⁻¹⁶, 80]`), `t ≤ (w/r)(1+ε)² + β(1+ε)`, so for `t ≥ 1`
+//! `fl(t−β) ≤ ((w/r)(1+ε)² + ε)(1+ε)` and, as `r ≤ 1`,
+//! `fl(r·fl(t−β)) ≤ w(1+ε)⁴ + ε(1+ε)²`; `ε/w ≤ 1.2·10⁻¹⁰` at
+//! `w ≥ 10⁻⁶`, hence `y ≤ w·(1 + 1.3·10⁻¹⁰)` — also when `t = 0` or the
+//! product underflows, where `y` clamps to `MIN_POSITIVE ≤ w`. Then
+//! `a = fl(c/y) ≥ (c/w)(1−ε)/(1 + 1.3·10⁻¹⁰)`, `fl(c/w) ≤ (c/w)(1+ε)`,
+//! and the filter's own product rounds once more: all of it is below a
+//! quarter of `2⁻³⁰ ≈ 9.3·10⁻¹⁰`. `ccws_filter_bound_holds_over_random_draws`
+//! asserts the inequality over random and adversarial draws. Nothing of
+//! the kind is assumed outside `[WEIGHT_FLOOR, WEIGHT_CEILING]`, where
+//! subnormal quotients void the error model: those sketches derive every
+//! supported row. (Why the heaviest row goes first: a `t = 0` row's hash
+//! value is `c/MIN_POSITIVE`, which no `c/w` exceeds, and a one-sided
+//! heavy tail is mostly such rows; at the ceiling weight `t ≥ 1`.)
+//!
+//! **Layout & growth.** A table is one column per hash index `i`, each a
+//! structure of arrays indexed by the row `k` (`[i][k]`), with that hash
+//! index's prefixes beside it. A sketch knows its row count up front, so
+//! the table grows to `max(n, 2 × old)` rows at once. Growing is `d`
+//! independent jobs, one per hash index: copy the column, draw the fresh
+//! rows, evaluate `A(k, i)` while `r`, `c`, `β` are in registers, select
+//! the prefixes. `grow` hands the jobs to the caller's runner
+//! ([`SampleCompressor::prepare_rows`](crate::SampleCompressor::prepare_rows):
+//! the `runtime` crate passes its worker pool) and runs whatever the
+//! runner left undone itself, which is also all a sketch does when it
+//! finds the table too small. Jobs read the old table and write nothing
+//! shared; the new columns replace the old ones in one assignment under
+//! the write lock, so a grown table serves old and new columns alike and
+//! is valid at every instant (sketches take the read side and run
+//! concurrently).
 //!
 //! **Memory.** With `K` the largest row count sketched (at most doubled by
-//! the growth rule when row counts arrive ascending), CCWS stores three
-//! `f64` arrays (`K × d × 24` bytes: 88 MiB at `K = 80 000`, `d = 48`),
-//! the log-domain families four, MinHash one `u64`. The prefix index adds
-//! `d × 4` bytes per id and keeps `K/16 + 1 280` ids per hash index
-//! (`≈ K × d / 4` bytes: 1.2 MiB at that shape). Tables are
-//! registered process-wide per `(family, d, seed)`; the engine and the FPE
-//! search use a handful of such combinations, so the registry is
-//! deliberately unbounded — [`clear_draw_tables`] exists for long-lived
-//! processes that rotate seeds.
+//! the growth rule when row counts arrive ascending), CCWS stores one
+//! `f64` per `(row, hash index)` (`K × d × 8` bytes: 29 MiB at
+//! `K = 80 000`, `d = 48`), the log-domain families three (`r`, `c`, `eʳ`),
+//! MinHash one `u64`. The prefix index adds `d × 4` bytes per id and keeps
+//! `K/16 + 1 280` ids per hash index (`≈ K × d / 4` bytes: 1.2 MiB at
+//! that shape); [`DrawTables::bytes`] is the sum. A growth job's transient
+//! is its `(A, k)` list, `K × 16` bytes. Tables are registered process-wide
+//! per `(family, d, seed)`; the engine and the FPE search use a handful of
+//! such combinations, so the registry is deliberately unbounded —
+//! [`clear_draw_tables`] exists for long-lived processes that rotate seeds.
 
 use crate::compressor::WEIGHT_CEILING;
-use crate::families::{discretize_t, HashFamily, WeightedMinHasher};
+use crate::error::{MinHashError, Result};
+use crate::families::{discretize_t, in_support, HashFamily, WeightedMinHasher};
 use crate::rng::{beta21, gamma21, mix, uniform_open};
 use crate::signature::SigElement;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 /// A column handed to the sketch kernel: random access for the
@@ -104,6 +139,9 @@ impl RowSource for [f64] {
 /// outlive the prefix (21 % of hash indexes at 64 ids over 1 000 rows).
 const TIER0_ROWS: usize = 256;
 
+/// Tiers a table can have: the five powers of two, then the table itself.
+const MAX_TIERS: usize = 6;
+
 /// Ids kept per hash index by a tier covering `rows` rows.
 fn prefix_len(rows: usize) -> usize {
     rows.min((rows / 16).max(TIER0_ROWS))
@@ -111,16 +149,6 @@ fn prefix_len(rows: usize) -> usize {
 
 /// Rows covered by tier `j` of a `k_cap`-row table: the powers of two up
 /// to where `rows / 16` reaches the floor, then the table itself.
-fn tier_rows(j: usize, k_cap: usize) -> usize {
-    if j <= 4 {
-        (TIER0_ROWS << j).min(k_cap)
-    } else {
-        k_cap
-    }
-}
-
-/// One tier of the prefix index: for every hash index, the ids of the
-/// `len` rows among `0..rows` with the smallest `(bound, id)`, ascending.
 ///
 /// A sketch of `n` rows uses the first tier with `rows ≥ n` and skips ids
 /// `≥ n`: a prefix is complete up to its last bound, so what is left is
@@ -128,28 +156,50 @@ fn tier_rows(j: usize, k_cap: usize) -> usize {
 /// however large the table has grown. Only below 4 096 rows, where `n / 16`
 /// would fall under the floor, do smaller tiers add anything, so those are
 /// the ones kept.
-#[derive(Debug)]
-struct Tier {
-    rows: usize,
-    len: usize,
-    /// `[i * len + rank]`.
-    ids: Vec<u32>,
-}
-
-impl Tier {
-    fn prefix(&self, i: usize) -> &[u32] {
-        &self.ids[i * self.len..(i + 1) * self.len]
+fn tier_rows(j: usize, k_cap: usize) -> usize {
+    if j + 1 < MAX_TIERS {
+        (TIER0_ROWS << j).min(k_cap)
+    } else {
+        k_cap
     }
 }
 
-/// The CCWS hash value `a` and its `t` at weight `w` — the scalar twin of
-/// the dense scan's `simd` kernel sequence (same operations, same order).
+/// Rows of a run the dense scan takes at a time: one block's weights stay
+/// in L1 while every hash index passes over them.
+const SCAN_BLOCK: usize = 2048;
+
+/// `1 − 2⁻³⁰`: what `fl(c/w)` is scaled by to stay below `a(k, i; w)` (see
+/// the module docs).
+const FILTER_SLACK: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+
+/// The CCWS hash value `a` and its `t` at weight `w`: the scalar path's
+/// operations in the scalar path's order.
 #[inline]
 fn ccws_hash(w: f64, r: f64, c: f64, beta: f64) -> (f64, f64) {
     let t = (w / r + beta).floor();
     let y = (r * (t - beta)).max(f64::MIN_POSITIVE);
     (c / y, t)
 }
+
+/// CCWS's two derived draws `(r, β)` as a function of `(i, k)`. Every
+/// kernel reads them through one such accessor, so a test can sketch over
+/// hand-picked draws.
+trait Draws: Fn(usize, usize) -> (f64, f64) + Sync {}
+
+impl<F: Fn(usize, usize) -> (f64, f64) + Sync> Draws for F {}
+
+/// The accessor every table uses: the scalar path's functions at the
+/// scalar path's counters.
+fn ccws_draws(seed: u64) -> impl Draws {
+    move |i, k| {
+        let (i, k) = (i as u64, k as u64);
+        (beta21(seed, i, k, 1), uniform_open(seed, i, k, 3))
+    }
+}
+
+/// The running `(hash value as an order-preserving u64, row, t)` minimum
+/// of one hash index; `None` until a row wins.
+type Best = Option<(u64, u32, i32)>;
 
 /// Lazily grown draw table for one `(family, d, seed)` combination.
 #[derive(Debug)]
@@ -160,28 +210,44 @@ pub struct DrawTables {
     store: RwLock<Store>,
 }
 
-/// Structure-of-arrays storage, row-major by input dimension `k`
-/// (`[k * d + i]`). Which arrays are populated depends on the family.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Store {
     /// Input dimensions (rows) materialised so far.
     k_cap: usize,
-    /// Primary draw: `r ~ Gamma(2,1)` (ICWS/0-bit/PCWS), `r ~ Beta(2,1)`
-    /// (CCWS). Empty for classic MinHash.
+    /// One column per hash index.
+    cols: Vec<HashColumn>,
+}
+
+/// What the table keeps for one hash index, indexed by the row `k`. Which
+/// arrays are populated depends on the family.
+#[derive(Debug, Default, PartialEq)]
+struct HashColumn {
+    /// Raw 64-bit hash values for classic MinHash. Empty otherwise.
+    h: Vec<u64>,
+    /// `r ~ Gamma(2,1)`, log-domain families (ICWS/0-bit/PCWS) only:
+    /// CCWS's `r ~ Beta(2,1)` is derived.
     r: Vec<f64>,
     /// Numerator draw: `c ~ Gamma(2,1)` (ICWS/0-bit/CCWS), `−ln x` with
     /// `x ~ U(0,1)` (PCWS). Empty for classic MinHash.
     c: Vec<f64>,
-    /// `β ~ U(0,1)`. Empty for classic MinHash.
-    beta: Vec<f64>,
     /// Derived `eʳ` — the exact `r.exp()` the scalar path divides by.
-    /// Populated for the log-domain families (ICWS/0-bit/PCWS) only.
+    /// Log-domain families only.
     er: Vec<f64>,
-    /// Raw 64-bit hash values for classic MinHash. Empty otherwise.
-    h: Vec<u64>,
-    /// Prefix index, smallest tier first; the last tier covers `k_cap`
-    /// rows. Empty for the log-domain families.
-    tiers: Vec<Tier>,
+    /// Per tier `j` (smallest first; the last covers the whole table), the
+    /// ids of the `prefix_len(tier_rows(j))` rows among the tier's with
+    /// the smallest `(bound, id)`, ascending. Empty for the log-domain
+    /// families.
+    prefixes: Vec<Vec<u32>>,
+}
+
+impl Store {
+    fn bytes(&self) -> usize {
+        let of = |col: &HashColumn| {
+            let ids: usize = col.prefixes.iter().map(Vec::len).sum();
+            (col.h.len() + col.r.len() + col.c.len() + col.er.len()) * 8 + ids * 4
+        };
+        self.cols.iter().map(of).sum()
+    }
 }
 
 impl DrawTables {
@@ -190,191 +256,231 @@ impl DrawTables {
             family: hasher.family,
             d: hasher.d,
             seed: hasher.seed,
-            store: RwLock::new(Store::default()),
+            store: RwLock::new(Store {
+                k_cap: 0,
+                cols: (0..hasher.d).map(|_| HashColumn::default()).collect(),
+            }),
         }
     }
 
-    /// Input dimensions currently materialised (test/introspection hook).
+    /// The read side of the store. A poisoned lock is recovered: the store
+    /// only ever changes by one whole-table assignment, so a thread that
+    /// panicked while holding either side left it valid.
+    fn read(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Input dimensions currently materialised.
     pub fn rows(&self) -> usize {
-        self.store.read().unwrap().k_cap
+        self.read().k_cap
+    }
+
+    /// Bytes the table holds: the stored draws (`rows × d × 8` for CCWS)
+    /// plus the prefix index.
+    pub fn bytes(&self) -> usize {
+        self.read().bytes()
     }
 
     /// Grow the table until it covers dimensions `0..k_needed` — at least
-    /// doubling, so ascending row counts cost amortised linear work — and
-    /// bring the prefix index up to date. No-op when already large enough.
-    fn ensure(&self, k_needed: usize) {
-        if self.store.read().unwrap().k_cap >= k_needed {
-            return;
-        }
-        let mut store = self.store.write().unwrap();
-        if store.k_cap >= k_needed {
-            return; // another thread grew it between our locks
-        }
-        let start = telemetry::enabled().then(Instant::now);
-        let old = store.k_cap;
-        let new = k_needed.max(old * 2);
-        assert!(new <= u32::MAX as usize, "row ids are stored as u32");
-        let fresh = (new - old) * self.d;
-        let (d, seed) = (self.d as u64, self.seed);
-        let store_ref = &mut *store;
-        match self.family {
-            HashFamily::MinHash => {
-                store_ref.h.reserve_exact(fresh);
-                for k in old as u64..new as u64 {
-                    for i in 0..d {
-                        store_ref.h.push(mix(seed, i, k, 0));
-                    }
-                }
-            }
-            HashFamily::Icws | HashFamily::ZeroBitCws | HashFamily::Pcws => {
-                for array in [
-                    &mut store_ref.r,
-                    &mut store_ref.c,
-                    &mut store_ref.beta,
-                    &mut store_ref.er,
-                ] {
-                    array.reserve_exact(fresh);
-                }
-                let pcws = self.family == HashFamily::Pcws;
-                for k in old as u64..new as u64 {
-                    for i in 0..d {
-                        let r = gamma21(seed, i, k, 1);
-                        store_ref.r.push(r);
-                        store_ref.c.push(if pcws {
-                            -(uniform_open(seed, i, k, 2).ln())
-                        } else {
-                            gamma21(seed, i, k, 2)
-                        });
-                        store_ref.beta.push(uniform_open(seed, i, k, 3));
-                        store_ref.er.push(r.exp());
-                    }
-                }
-            }
-            HashFamily::Ccws => {
-                for array in [&mut store_ref.r, &mut store_ref.c, &mut store_ref.beta] {
-                    array.reserve_exact(fresh);
-                }
-                for k in old as u64..new as u64 {
-                    for i in 0..d {
-                        store_ref.r.push(beta21(seed, i, k, 1));
-                        store_ref.c.push(gamma21(seed, i, k, 2));
-                        store_ref.beta.push(uniform_open(seed, i, k, 3));
-                    }
-                }
-            }
-        }
-        store.k_cap = new;
-        self.build_tiers(&mut store);
-        if let Some(start) = start {
-            telemetry::record("minhash.table_build_us", start.elapsed().as_micros() as u64);
-        }
+    /// doubling, so ascending row counts cost amortised linear work. No-op
+    /// when already large enough.
+    ///
+    /// The work is `d` independent jobs. `run(d, job)` may call `job(i)`
+    /// for any `i < d`, in any order, on any threads, and must return only
+    /// once those calls have; every job it did not run is run here.
+    pub(crate) fn grow(
+        &self,
+        k_needed: usize,
+        run: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Result<()> {
+        self.grow_with(&ccws_draws(self.seed), k_needed, run)
     }
 
-    /// The hash value of row `k` under hash index `i` at weight `w` as an
-    /// order-preserving `u64`, with its discretised `t`: the raw hash for
-    /// MinHash, the bit pattern of `a` for CCWS (`a ∈ [0, +∞]`, where the
-    /// IEEE bit pattern orders like the value).
-    #[inline]
-    fn hash_key(&self, store: &Store, k: usize, i: usize, w: f64) -> (u64, i32) {
-        let at = k * self.d + i;
+    fn grow_with(
+        &self,
+        draw: &impl Draws,
+        k_needed: usize,
+        run: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Result<()> {
+        if self.read().k_cap >= k_needed {
+            return Ok(());
+        }
+        let mut store = self.store.write().unwrap_or_else(PoisonError::into_inner);
+        if store.k_cap >= k_needed {
+            return Ok(()); // another thread grew it between our locks
+        }
+        let start = telemetry::enabled().then(Instant::now);
+        let new = k_needed.max(store.k_cap * 2);
+        if new > u32::MAX as usize {
+            return Err(MinHashError::InvalidParam(format!(
+                "a {new}-row draw table exceeds the u32 row ids of a signature"
+            )));
+        }
+        let cols = {
+            let old = &store.cols;
+            let grown: Vec<OnceLock<HashColumn>> = old.iter().map(|_| OnceLock::new()).collect();
+            let job = |i: usize| {
+                if let (Some(slot), Some(old)) = (grown.get(i), old.get(i)) {
+                    slot.get_or_init(|| self.grow_column(old, i, new, draw));
+                }
+            };
+            run(self.d, &job);
+            let rest = grown.into_iter().zip(old).enumerate();
+            rest.map(|(i, (slot, old))| {
+                let built = slot.into_inner();
+                built.unwrap_or_else(|| self.grow_column(old, i, new, draw))
+            })
+            .collect()
+        };
+        *store = Store { k_cap: new, cols };
+        if let Some(start) = start {
+            telemetry::record("minhash.table_build_us", start.elapsed().as_micros() as u64);
+            telemetry::record("minhash.table_bytes", store.bytes() as u64);
+        }
+        Ok(())
+    }
+
+    /// One growth job: hash index `i`'s column at `new` rows — `old`'s
+    /// rows, the fresh draws behind them, and the prefixes over all of
+    /// them, each row's bound evaluated as its draws pass by.
+    fn grow_column(&self, old: &HashColumn, i: usize, new: usize, draw: &impl Draws) -> HashColumn {
+        let (seed, hash_idx) = (self.seed, i as u64);
+        let mut col = HashColumn::default();
+        // `(bound, id)` of every row, where the family has a bound.
+        let mut order: Vec<(u64, u32)> = Vec::new();
         match self.family {
-            HashFamily::MinHash => (store.h[at], 0),
+            HashFamily::MinHash => {
+                col.h.reserve_exact(new);
+                col.h.extend_from_slice(&old.h);
+                let fresh = old.h.len() as u64..new as u64;
+                col.h.extend(fresh.map(|k| mix(seed, hash_idx, k, 0)));
+                order.reserve_exact(new);
+                order.extend(col.h.iter().copied().zip(0u32..));
+            }
             HashFamily::Ccws => {
-                let (a, t) = ccws_hash(w, store.r[at], store.c[at], store.beta[at]);
+                col.c.reserve_exact(new);
+                order.reserve_exact(new);
+                for k in 0..new {
+                    let stored = old.c.get(k).copied();
+                    let c = stored.unwrap_or_else(|| gamma21(seed, hash_idx, k as u64, 2));
+                    let (r, beta) = draw(i, k);
+                    col.c.push(c);
+                    let bound = ccws_hash(WEIGHT_CEILING, r, c, beta).0;
+                    order.push((bound.to_bits(), k as u32));
+                }
+            }
+            // Only where the hash value is provably non-increasing in the
+            // weight; the log-domain families keep no index.
+            HashFamily::Icws | HashFamily::ZeroBitCws | HashFamily::Pcws => {
+                for (array, old) in [
+                    (&mut col.r, &old.r),
+                    (&mut col.c, &old.c),
+                    (&mut col.er, &old.er),
+                ] {
+                    array.reserve_exact(new);
+                    array.extend_from_slice(old);
+                }
+                let pcws = self.family == HashFamily::Pcws;
+                for k in old.r.len() as u64..new as u64 {
+                    let r = gamma21(seed, hash_idx, k, 1);
+                    col.r.push(r);
+                    col.c.push(if pcws {
+                        -(uniform_open(seed, hash_idx, k, 2).ln())
+                    } else {
+                        gamma21(seed, hash_idx, k, 2)
+                    });
+                    col.er.push(r.exp());
+                }
+                return col;
+            }
+        }
+        // Tiers nest (each covers a longer run of leading rows), so one
+        // list serves them all smallest first: selecting within a tier's
+        // rows permutes them among themselves.
+        for j in 0..MAX_TIERS {
+            let rows = tier_rows(j, new);
+            let len = prefix_len(rows);
+            let tier = &mut order[..rows];
+            if len < rows {
+                tier.select_nth_unstable(len - 1);
+            }
+            tier[..len].sort_unstable();
+            col.prefixes
+                .push(tier[..len].iter().map(|&(_, k)| k).collect());
+            if rows == new {
+                break;
+            }
+        }
+        col
+    }
+
+    /// The hash value of row `k` under hash index `i` (whose column is
+    /// `col`) at weight `w` as an order-preserving `u64`, with its
+    /// discretised `t`: the raw hash for MinHash, the bit pattern of `a`
+    /// for CCWS (`a ∈ [0, +∞]`, where the IEEE bit pattern orders like
+    /// the value).
+    #[inline]
+    fn hash_key(
+        &self,
+        col: &HashColumn,
+        i: usize,
+        k: usize,
+        w: f64,
+        draw: &impl Draws,
+    ) -> (u64, i32) {
+        match self.family {
+            HashFamily::MinHash => (col.h[k], 0),
+            HashFamily::Ccws => {
+                let (r, beta) = draw(i, k);
+                let (a, t) = ccws_hash(w, r, col.c[k], beta);
                 (a.to_bits(), discretize_t(t))
             }
             _ => unreachable!("the log-domain families keep no prefix index"),
         }
     }
 
-    /// Bring the prefix index up to `store.k_cap` rows. The power-of-two
-    /// tiers the table had already outgrown are final; the rest is built.
-    fn build_tiers(&self, store: &mut Store) {
-        // Only where the hash value is provably non-increasing in the
-        // weight; the log-domain families keep no index.
-        if !matches!(self.family, HashFamily::MinHash | HashFamily::Ccws) {
-            return;
-        }
-        let (d, k_cap) = (self.d, store.k_cap);
-        let keep = store
-            .tiers
-            .iter()
-            .zip(0..)
-            .take_while(|&(tier, j)| tier.rows == tier_rows(j, usize::MAX))
-            .count();
-        store.tiers.truncate(keep);
-        let mut fresh = Vec::new();
-        for j in keep.. {
-            let rows = tier_rows(j, k_cap);
-            let len = prefix_len(rows);
-            fresh.push(Tier {
-                rows,
-                len,
-                ids: vec![0; len * d],
-            });
-            if rows == k_cap {
-                break;
-            }
-        }
-        // Bounds are evaluated once per (row, hash index) and shared by
-        // every tier, a block of hash indexes at a time: wide enough that
-        // the passes over the row-major arrays are few, narrow enough that
-        // the transient columns stay near a tenth of the table.
-        const BLOCK: usize = 16;
-        let mut bounds = vec![0u64; BLOCK * k_cap];
-        let mut order: Vec<(u64, u32)> = Vec::with_capacity(k_cap);
-        for i0 in (0..d).step_by(BLOCK) {
-            let width = BLOCK.min(d - i0);
-            for k in 0..k_cap {
-                for b in 0..width {
-                    bounds[b * k_cap + k] = self.hash_key(store, k, i0 + b, WEIGHT_CEILING).0;
-                }
-            }
-            for b in 0..width {
-                for tier in &mut fresh {
-                    order.clear();
-                    let column = &bounds[b * k_cap..b * k_cap + tier.rows];
-                    order.extend(column.iter().copied().zip(0u32..));
-                    if tier.len < tier.rows {
-                        order.select_nth_unstable(tier.len - 1);
-                        order.truncate(tier.len);
-                    }
-                    order.sort_unstable();
-                    let at = (i0 + b) * tier.len;
-                    for (slot, &(_, k)) in tier.ids[at..at + tier.len].iter_mut().zip(&order) {
-                        *slot = k;
-                    }
-                }
-            }
-        }
-        store.tiers.extend(fresh);
-    }
-
     /// Sketch one column into `d` signature elements. A row is in the
     /// support when `weight(value)` is strictly positive and finite;
-    /// `None` when no row is. `bounded` promises every weight is at most
-    /// [`WEIGHT_CEILING`], which is what lets the visit skip rows.
+    /// `None` when no row is. `bounded` promises every weight in the
+    /// support lies in `[WEIGHT_FLOOR, WEIGHT_CEILING]`, which is what lets
+    /// the visit skip rows and the dense scan skip deriving their draws.
     pub(crate) fn sketch<S: RowSource + ?Sized>(
         &self,
         bounded: bool,
         weight: impl Fn(f64) -> f64,
         rows: &S,
-    ) -> Option<Vec<SigElement>> {
+    ) -> Result<Option<Vec<SigElement>>> {
+        self.sketch_with(&ccws_draws(self.seed), bounded, weight, rows)
+    }
+
+    fn sketch_with<S: RowSource + ?Sized>(
+        &self,
+        draw: &impl Draws,
+        bounded: bool,
+        weight: impl Fn(f64) -> f64,
+        rows: &S,
+    ) -> Result<Option<Vec<SigElement>>> {
         let n = rows.n_rows();
-        self.ensure(n);
-        let store = self.store.read().unwrap();
-        if bounded {
-            if let Some(tier) = store.tiers.iter().find(|tier| tier.rows >= n) {
-                if let Some(elements) = self.visit(&store, tier, &weight, rows) {
-                    return Some(elements);
+        self.grow_with(draw, n, |_, _| ())?;
+        let store = self.read();
+        if bounded && matches!(self.family, HashFamily::MinHash | HashFamily::Ccws) {
+            if let Some(j) = (0..MAX_TIERS).find(|&j| tier_rows(j, store.k_cap) >= n) {
+                if let Some(elements) = self.visit(&store, j, &weight, rows, draw) {
+                    return Ok(Some(elements));
                 }
                 telemetry::count("minhash.tail_scans", 1);
             }
         }
-        self.scan(&store, &weight, rows)
+        Ok(self.scan(&store, bounded, &weight, rows, draw))
     }
 
-    /// The bound-ordered visit: per hash index, walk the tier's prefix in
+    /// `+∞` as a key: the CWS hash value that never wins (the scalar
+    /// path's minima start there). MinHash has no such value.
+    fn never(&self) -> Option<u64> {
+        (self.family != HashFamily::MinHash).then_some(f64::INFINITY.to_bits())
+    }
+
+    /// The bound-ordered visit: per hash index, walk tier `j`'s prefix in
     /// ascending `(A, k)` order, keep the lexicographic `(a, k)` minimum
     /// over the rows in the support, and stop at the first row whose bound
     /// exceeds it — no unvisited row can have `a` that small. `a = +∞`
@@ -384,38 +490,38 @@ impl DrawTables {
     fn visit<S: RowSource + ?Sized>(
         &self,
         store: &Store,
-        tier: &Tier,
+        j: usize,
         weight: &impl Fn(f64) -> f64,
         rows: &S,
+        draw: &impl Draws,
     ) -> Option<Vec<SigElement>> {
         let n = rows.n_rows();
-        let never = (self.family == HashFamily::Ccws).then_some(f64::INFINITY.to_bits());
+        let never = self.never();
         let mut elements = Vec::with_capacity(self.d);
         let mut visited = 0u64;
-        for i in 0..self.d {
-            let mut best: Option<(u64, u32, i32)> = None;
+        for (i, col) in store.cols.iter().enumerate() {
+            let prefix = col.prefixes.get(j)?;
+            let mut best: Best = None;
             // A prefix holding the whole tier decides by running out.
-            let mut decided = tier.len == tier.rows;
-            for &id in tier.prefix(i) {
+            let mut decided = prefix.len() == tier_rows(j, store.k_cap);
+            for &id in prefix {
                 let k = id as usize;
                 if k >= n {
                     continue;
                 }
-                let bound = self.hash_key(store, k, i, WEIGHT_CEILING).0;
+                let bound = self.hash_key(col, i, k, WEIGHT_CEILING, draw).0;
                 if best.is_some_and(|(a, ..)| bound > a) {
                     decided = true;
                     break;
                 }
                 visited += 1;
                 let w = weight(rows.value_at(k));
-                if !(w > 0.0 && w.is_finite()) {
+                if !in_support(w) {
                     continue;
                 }
-                let (a, t) = self.hash_key(store, k, i, w);
+                let (a, t) = self.hash_key(col, i, k, w, draw);
                 debug_assert!(a >= bound, "hash value below its bound at row {k}");
-                if Some(a) != never && best.is_none_or(|(b, bk, _)| (a, id) < (b, bk)) {
-                    best = Some((a, id, t));
-                }
+                offer(&mut best, never, a, id, t);
             }
             let (_, key, t) = best.filter(|_| decided)?;
             elements.push(SigElement { key, t });
@@ -424,153 +530,163 @@ impl DrawTables {
         Some(elements)
     }
 
-    /// The dense scan: every row in the support, in row order, through the
-    /// family's row kernel.
+    /// The dense scan: every row in the support, a block at a time and
+    /// hash index by hash index within the block.
     fn scan<S: RowSource + ?Sized>(
         &self,
         store: &Store,
+        bounded: bool,
         weight: &impl Fn(f64) -> f64,
         rows: &S,
+        draw: &impl Draws,
     ) -> Option<Vec<SigElement>> {
-        let mut state = SketchState::new(self.d);
-        let mut k = 0;
-        rows.for_each_run(|run| {
-            for &v in run {
-                let w = weight(v);
-                // Only strictly positive finite weights can win a hash.
-                if w > 0.0 && w.is_finite() {
-                    self.absorb_row(store, &mut state, k, w);
-                }
-                k += 1;
-            }
-        });
-        debug_assert_eq!(k, rows.n_rows());
-        state.any.then(|| self.finish_state(state))
-    }
-
-    /// Fold row `k` with weight `w` into the running minima, hash index
-    /// inner (stride-1 over the table row). Rows arrive in ascending order
-    /// and the comparison is the scalar path's strict `<`, so ties resolve
-    /// identically.
-    ///
-    /// The CWS rows are staged through the `simd` crate's elementwise
-    /// kernels (DESIGN.md §13): `t`, then `r·(t−β)`, then `exp`, then the
-    /// final division, each as one pass over the table row. Every element
-    /// still goes through the scalar path's exact expression sequence —
-    /// the division stays a division, `floor` is `f64::floor`, and `exp`
-    /// stays the scalar libm call — so sketches are bit-identical to the
-    /// scalar path. Only the min-tracking scan stays a plain loop (it
-    /// carries the cross-iteration argmin state).
-    fn absorb_row(&self, store: &Store, state: &mut SketchState, k: usize, w: f64) {
-        let d = self.d;
-        let base = k * d;
-        match self.family {
-            HashFamily::MinHash => {
-                let first = !state.any;
-                for (i, &h) in store.h[base..base + d].iter().enumerate() {
-                    if first || h < state.best_h[i] {
-                        state.best_h[i] = h;
-                        state.best_k[i] = k as u32;
+        let supported = |v: f64| Some(weight(v)).filter(|&w| in_support(w));
+        let mut best: Vec<Best> = vec![None; self.d];
+        let filtered = bounded && self.family == HashFamily::Ccws;
+        if filtered {
+            // The heaviest row first: a hash value is about `c/w`, so this
+            // row's leaves the filter little to pass (see the module docs).
+            let (mut k, mut heaviest) = (0, None::<(f64, usize)>);
+            rows.for_each_run(|run| {
+                for &v in run {
+                    if let Some(w) = supported(v).filter(|&w| heaviest.is_none_or(|(h, _)| w > h)) {
+                        heaviest = Some((w, k));
                     }
+                    k += 1;
                 }
-                state.any = true;
-            }
-            HashFamily::Icws | HashFamily::ZeroBitCws | HashFamily::Pcws => {
-                let r = &store.r[base..base + d];
-                let beta = &store.beta[base..base + d];
-                // t = ⌊ln w / r + β⌋ ; a = c / (exp(r·(t−β)) · eʳ)
-                simd::div_add_floor(&mut state.t_buf, w.ln(), r, beta);
-                simd::mul_sub(&mut state.a_buf, r, &state.t_buf, beta);
-                simd::exp_inplace(&mut state.a_buf);
-                simd::div_prod(
-                    &mut state.a_buf,
-                    &store.c[base..base + d],
-                    &store.er[base..base + d],
-                );
-                state.take_minima(k);
-            }
-            HashFamily::Ccws => {
-                let r = &store.r[base..base + d];
-                let beta = &store.beta[base..base + d];
-                // t = ⌊w / r + β⌋ ; a = c / max(r·(t−β), MIN_POSITIVE)
-                simd::div_add_floor(&mut state.t_buf, w, r, beta);
-                simd::mul_sub(&mut state.a_buf, r, &state.t_buf, beta);
-                simd::max_scalar(&mut state.a_buf, f64::MIN_POSITIVE);
-                simd::div_into(&mut state.a_buf, &store.c[base..base + d]);
-                state.take_minima(k);
+            });
+            let (w, k) = heaviest?;
+            for (i, (col, best)) in store.cols.iter().zip(&mut best).enumerate() {
+                let (a, t) = self.hash_key(col, i, k, w, draw);
+                offer(best, self.never(), a, k as u32, t);
             }
         }
-    }
-
-    /// Turn finished running state into signature elements.
-    fn finish_state(&self, state: SketchState) -> Vec<SigElement> {
+        let log_domain = !matches!(self.family, HashFamily::MinHash | HashFamily::Ccws);
+        // Per row of the block `w` (`ln w`, hoisted, for the log-domain
+        // families); NaN outside the support.
+        let mut block = Vec::with_capacity(SCAN_BLOCK);
+        let (mut k0, mut any) = (0, false);
+        rows.for_each_run(|run| {
+            for values in run.chunks(SCAN_BLOCK) {
+                block.clear();
+                block.extend(values.iter().map(|&v| match supported(v) {
+                    None => f64::NAN,
+                    Some(w) if log_domain => w.ln(),
+                    Some(w) => w,
+                }));
+                if block.iter().any(|w| !w.is_nan()) {
+                    any = true;
+                    for (i, (col, best)) in store.cols.iter().zip(&mut best).enumerate() {
+                        self.scan_block(col, i, k0, &block, filtered, best, draw);
+                    }
+                }
+                k0 += values.len();
+            }
+        });
+        debug_assert_eq!(k0, rows.n_rows());
         let keep_t = !matches!(self.family, HashFamily::MinHash | HashFamily::ZeroBitCws);
-        state
-            .best_k
-            .into_iter()
-            .zip(state.best_t)
-            .map(|(key, t)| SigElement {
+        any.then(|| {
+            let won = best.into_iter().map(Option::unwrap_or_default);
+            won.map(|(_, key, t)| SigElement {
                 key,
                 t: if keep_t { t } else { 0 },
             })
             .collect()
-    }
-}
-
-/// Running per-hash-index argmin state of the dense scan.
-#[derive(Debug)]
-struct SketchState {
-    best_a: Vec<f64>,
-    best_h: Vec<u64>,
-    best_k: Vec<u32>,
-    best_t: Vec<i32>,
-    t_buf: Vec<f64>,
-    a_buf: Vec<f64>,
-    /// Whether any row has been absorbed yet.
-    any: bool,
-}
-
-impl SketchState {
-    fn new(d: usize) -> Self {
-        SketchState {
-            best_a: vec![f64::INFINITY; d],
-            best_h: vec![u64::MAX; d],
-            best_k: vec![0u32; d],
-            best_t: vec![0i32; d],
-            t_buf: vec![0.0f64; d],
-            a_buf: vec![0.0f64; d],
-            any: false,
-        }
+        })
     }
 
-    /// Fold the just-computed `a_buf`/`t_buf` for dimension `k` into the
-    /// running minima (the CWS argmin update).
-    fn take_minima(&mut self, k: usize) {
-        for i in 0..self.best_a.len() {
-            if self.a_buf[i] < self.best_a[i] {
-                self.best_a[i] = self.a_buf[i];
-                self.best_k[i] = k as u32;
-                self.best_t[i] = discretize_t(self.t_buf[i]);
+    /// Fold rows `k0..k0 + block.len()` into hash index `i`'s running
+    /// minimum; each row goes through the scalar path's exact expression
+    /// sequence. `filtered` (CCWS) skips the rows that provably cannot win.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_block(
+        &self,
+        col: &HashColumn,
+        i: usize,
+        k0: usize,
+        block: &[f64],
+        filtered: bool,
+        best: &mut Best,
+        draw: &impl Draws,
+    ) {
+        let never = self.never();
+        let span = k0..k0 + block.len();
+        let rows = span.clone().zip(block);
+        match self.family {
+            HashFamily::MinHash => {
+                for ((k, w), &h) in rows.zip(&col.h[span]) {
+                    if !w.is_nan() {
+                        offer(best, never, h, k as u32, 0);
+                    }
+                }
+            }
+            HashFamily::Ccws => {
+                let mut least = best.map_or(f64::INFINITY, |(a, ..)| f64::from_bits(a));
+                for ((k, &w), &c) in rows.zip(&col.c[span]) {
+                    // Either test is false on a NaN (unsupported) row.
+                    let can_win = if filtered {
+                        c / w * FILTER_SLACK <= least
+                    } else {
+                        !w.is_nan()
+                    };
+                    if can_win {
+                        let (r, beta) = draw(i, k);
+                        let (a, t) = ccws_hash(w, r, c, beta);
+                        offer(best, never, a.to_bits(), k as u32, discretize_t(t));
+                        least = least.min(a);
+                    }
+                }
+            }
+            HashFamily::Icws | HashFamily::ZeroBitCws | HashFamily::Pcws => {
+                let stored = col.r[span.clone()]
+                    .iter()
+                    .zip(&col.c[span.clone()])
+                    .zip(&col.er[span]);
+                for ((k, &ln_w), ((&r, &c), &er)) in rows.zip(stored) {
+                    if ln_w.is_nan() {
+                        continue;
+                    }
+                    // t = ⌊ln w / r + β⌋ ; a = c / (exp(r·(t−β)) · eʳ)
+                    let beta = uniform_open(self.seed, i as u64, k as u64, 3);
+                    let t = (ln_w / r + beta).floor();
+                    let y = (r * (t - beta)).exp();
+                    let a = c / (y * er);
+                    offer(best, never, a.to_bits(), k as u32, discretize_t(t));
+                }
             }
         }
-        self.any = true;
     }
 }
 
-type Registry = Mutex<HashMap<(HashFamily, usize, u64), Arc<DrawTables>>>;
+/// Offer row `k`'s hash value `key` to a hash index's running minimum: the
+/// lexicographic `(key, k)` minimum — what an ascending scan under the
+/// scalar path's strict `<` returns — in whatever order rows are offered.
+/// `never` does not win.
+#[inline]
+fn offer(best: &mut Best, never: Option<u64>, key: u64, k: u32, t: i32) {
+    if Some(key) != never && best.is_none_or(|(b, bk, _)| (key, k) < (b, bk)) {
+        *best = Some((key, k, t));
+    }
+}
 
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
+type Registry = HashMap<(HashFamily, usize, u64), Arc<DrawTables>>;
+
+/// The registry, its lock recovered when poisoned: an entry is inserted
+/// whole or not at all, so the map is valid whoever panicked holding it.
+fn registry() -> MutexGuard<'static, Registry> {
+    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The process-wide draw table for a hasher's `(family, d, seed)`,
 /// creating it (empty) on first request.
 pub fn draw_tables(hasher: &WeightedMinHasher) -> Arc<DrawTables> {
     let key = (hasher.family, hasher.d, hasher.seed);
-    let mut reg = registry().lock().unwrap();
     Arc::clone(
-        reg.entry(key)
+        registry()
+            .entry(key)
             .or_insert_with(|| Arc::new(DrawTables::new(hasher))),
     )
 }
@@ -579,15 +695,20 @@ pub fn draw_tables(hasher: &WeightedMinHasher) -> Arc<DrawTables> {
 /// hook for long-lived processes that rotate seeds; in-flight `Arc`s keep
 /// their tables alive).
 pub fn clear_draw_tables() {
-    registry().lock().unwrap().clear();
+    registry().clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compressor::WEIGHT_FLOOR;
+
+    /// The runner a sketch uses: leave every job to the loop in `grow`.
+    fn in_a_loop(_: usize, _: &(dyn Fn(usize) + Sync)) {}
 
     fn sketch_weights(tables: &DrawTables, weights: &[f64]) -> Vec<SigElement> {
-        tables.sketch(true, |w| w, weights).expect("support")
+        let sketched = tables.sketch(true, |w| w, weights).unwrap();
+        sketched.expect("support")
     }
 
     #[test]
@@ -605,6 +726,15 @@ mod tests {
         // Less than double: the table doubles instead.
         sketch_weights(&tables, &vec![0.5; 301]);
         assert_eq!(tables.rows(), 600);
+    }
+
+    #[test]
+    fn more_rows_than_a_row_id_can_name_is_an_error() {
+        let hasher = WeightedMinHasher::new(HashFamily::Ccws, 2, 1).unwrap();
+        let tables = DrawTables::new(&hasher);
+        let grown = tables.grow(u32::MAX as usize + 1, in_a_loop);
+        assert!(matches!(grown, Err(MinHashError::InvalidParam(_))));
+        assert_eq!(tables.rows(), 0);
     }
 
     #[test]
@@ -636,51 +766,113 @@ mod tests {
         }
     }
 
+    /// Every job on a thread of its own, the last hash index first and
+    /// each finishing before the next starts — the opposite of the loop's
+    /// order, and off the thread that holds the lock.
+    fn reversed_on_threads(d: usize, job: &(dyn Fn(usize) + Sync)) {
+        for i in (0..d).rev() {
+            std::thread::scope(|s| {
+                s.spawn(|| job(i));
+            });
+        }
+    }
+
+    #[test]
+    fn jobs_build_the_same_table_in_any_order_on_any_thread() {
+        let weights: Vec<f64> = (0..9000).map(|k| (0.5 + k as f64) / 9000.0).collect();
+        for family in HashFamily::ALL {
+            let hasher = WeightedMinHasher::new(family, 7, 0x7AB1E).unwrap();
+            let looped = DrawTables::new(&hasher);
+            looped.grow(300, in_a_loop).unwrap();
+            looped.grow(9000, in_a_loop).unwrap();
+            // Growth split across both kinds of runner, either way round,
+            // and a runner that does only some of the jobs.
+            let split = DrawTables::new(&hasher);
+            split.grow(300, reversed_on_threads).unwrap();
+            split.grow(9000, in_a_loop).unwrap();
+            let threaded = DrawTables::new(&hasher);
+            threaded.grow(300, in_a_loop).unwrap();
+            threaded.grow(9000, reversed_on_threads).unwrap();
+            let partial = DrawTables::new(&hasher);
+            partial.grow(300, |_, job| job(3)).unwrap();
+            partial
+                .grow(9000, |d, job| (0..d + 2).step_by(2).for_each(job))
+                .unwrap();
+            let expected = looped.read();
+            assert_eq!(expected.k_cap, 9000);
+            for other in [&split, &threaded, &partial] {
+                let store = other.read();
+                assert_eq!(store.k_cap, 9000);
+                assert!(store.cols == expected.cols, "{family:?}: columns differ");
+                drop(store);
+                for n in [200, 300, 5000, 9000] {
+                    assert_eq!(
+                        other.sketch(true, |w| w, &weights[..n]).unwrap(),
+                        looped.sketch(true, |w| w, &weights[..n]).unwrap(),
+                        "{family:?} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiers_hold_the_smallest_bounds_in_order_within_the_memory_bound() {
         let hasher = WeightedMinHasher::new(HashFamily::Ccws, 5, 11).unwrap();
         let tables = DrawTables::new(&hasher);
-        tables.ensure(300);
-        tables.ensure(9000);
-        let store = tables.store.read().unwrap();
-        let covered: Vec<usize> = store.tiers.iter().map(|t| t.rows).collect();
-        assert_eq!(covered, [256, 512, 1024, 2048, 4096, 9000]);
-        for tier in &store.tiers {
-            assert_eq!(tier.len, prefix_len(tier.rows));
-            for i in 0..5 {
-                let bound = |k: usize| tables.hash_key(&store, k, i, WEIGHT_CEILING).0;
-                let mut all: Vec<(u64, u32)> =
-                    (0..tier.rows).map(|k| (bound(k), k as u32)).collect();
+        let draw = ccws_draws(hasher.seed);
+        tables.grow(300, in_a_loop).unwrap();
+        tables.grow(9000, in_a_loop).unwrap();
+        let store = tables.read();
+        let covered = [256, 512, 1024, 2048, 4096, 9000];
+        for (i, col) in store.cols.iter().enumerate() {
+            assert_eq!(col.prefixes.len(), covered.len());
+            for (j, (prefix, rows)) in col.prefixes.iter().zip(covered).enumerate() {
+                assert_eq!(rows, tier_rows(j, store.k_cap));
+                assert_eq!(prefix.len(), prefix_len(rows));
+                let bound = |k: usize| tables.hash_key(col, i, k, WEIGHT_CEILING, &draw).0;
+                let mut all: Vec<(u64, u32)> = (0..rows).map(|k| (bound(k), k as u32)).collect();
                 all.sort_unstable();
-                let expected: Vec<u32> = all[..tier.len].iter().map(|&(_, k)| k).collect();
-                assert_eq!(tier.prefix(i), expected, "tier {} hash {i}", tier.rows);
+                let expected: Vec<u32> = all[..prefix.len()].iter().map(|&(_, k)| k).collect();
+                assert_eq!(prefix, &expected, "tier {rows} hash {i}");
             }
         }
-        // Σ len = K/16 + the 256-id floor of the five small tiers.
-        let ids: usize = store.tiers.iter().map(|t| t.len).sum();
-        assert_eq!(ids, store.k_cap / 16 + 5 * TIER0_ROWS);
+        // The memory model: one f64 per (row, hash index), and per hash
+        // index Σ len = K/16 + the 256-id floor of the five small tiers.
+        let ids = store.k_cap / 16 + 5 * TIER0_ROWS;
         drop(store);
-        // The log-domain families keep none.
+        assert_eq!(tables.bytes(), 9000 * 5 * 8 + 5 * ids * 4);
+        // The log-domain families keep three draws and no index…
         let icws = DrawTables::new(&WeightedMinHasher::new(HashFamily::Icws, 5, 11).unwrap());
-        icws.ensure(1000);
-        assert!(icws.store.read().unwrap().tiers.is_empty());
+        icws.grow(1000, in_a_loop).unwrap();
+        assert!(icws.read().cols.iter().all(|col| col.prefixes.is_empty()));
+        assert_eq!(icws.bytes(), 1000 * 5 * 3 * 8);
+        // …and MinHash one hash with one (tiers 256, 512 and 1 000, each at
+        // the 256-id floor).
+        let plain = DrawTables::new(&WeightedMinHasher::new(HashFamily::MinHash, 5, 11).unwrap());
+        plain.grow(1000, in_a_loop).unwrap();
+        assert_eq!(plain.bytes(), 1000 * 5 * 8 + 5 * 3 * TIER0_ROWS * 4);
     }
 
-    /// A one-hash CCWS table over hand-picked draws (`r = β = ½`, so
-    /// `t = ⌊2w + ½⌋`, `y = (t − ½)/2`: `y = ¾` at `w ∈ {1, W}`, `¼` at
-    /// `w = 0.6`), prefix index built over them.
+    /// Hand-picked draws `r = β = ½`: `t = ⌊2w + ½⌋`, `y = (t − ½)/2`, so
+    /// `y = ¾` at `w ∈ {1, W}` and `¼` at `w = 0.6`.
+    fn halves(_: usize, _: usize) -> (f64, f64) {
+        (0.5, 0.5)
+    }
+
+    /// A one-hash CCWS table holding `c`, its prefix index built over
+    /// [`halves`]: the growth job finds every row's `c` already stored.
     fn hand_built(c: &[f64]) -> DrawTables {
         let hasher = WeightedMinHasher::new(HashFamily::Ccws, 1, 0).unwrap();
         let tables = DrawTables::new(&hasher);
-        {
-            let mut store = tables.store.write().unwrap();
-            store.k_cap = c.len();
-            store.r = vec![0.5; c.len()];
-            store.beta = vec![0.5; c.len()];
-            store.c = c.to_vec();
-            tables.build_tiers(&mut store);
-        }
+        tables.store.write().unwrap().cols[0].c = c.to_vec();
+        tables.grow_with(&halves, c.len(), in_a_loop).unwrap();
+        assert_eq!(tables.read().cols[0].c, c);
         tables
+    }
+
+    fn sketch_halves(tables: &DrawTables, bounded: bool, w: &[f64]) -> Option<Vec<SigElement>> {
+        tables.sketch_with(&halves, bounded, |w| w, w).unwrap()
     }
 
     #[test]
@@ -692,13 +884,10 @@ mod tests {
         let mut w = [1.0; 6];
         w[4] = 0.6;
         let tables = hand_built(&c);
-        {
-            let store = tables.store.read().unwrap();
-            assert_eq!(store.tiers[0].prefix(0)[..2], [4, 1]);
-        }
+        assert_eq!(tables.read().cols[0].prefixes[0][..2], [4, 1]);
         let row1 = vec![SigElement { key: 1, t: 2 }];
-        assert_eq!(tables.sketch(true, |w| w, &w[..]), Some(row1.clone()));
-        assert_eq!(tables.sketch(false, |w| w, &w[..]), Some(row1), "tail");
+        assert_eq!(sketch_halves(&tables, true, &w), Some(row1.clone()));
+        assert_eq!(sketch_halves(&tables, false, &w), Some(row1), "tail");
         // Mirrored: the lower row has the smaller bound and is visited
         // first; the later equal `a` must not displace it.
         let c = [30.0, 1.0, 30.0, 30.0, 3.0, 30.0];
@@ -706,8 +895,8 @@ mod tests {
         w[1] = 0.6;
         let tables = hand_built(&c);
         let row1 = vec![SigElement { key: 1, t: 1 }];
-        assert_eq!(tables.sketch(true, |w| w, &w[..]), Some(row1.clone()));
-        assert_eq!(tables.sketch(false, |w| w, &w[..]), Some(row1), "tail");
+        assert_eq!(sketch_halves(&tables, true, &w), Some(row1.clone()));
+        assert_eq!(sketch_halves(&tables, false, &w), Some(row1), "tail");
     }
 
     #[test]
@@ -717,56 +906,82 @@ mod tests {
         let tables = hand_built(&[8.0; 5]);
         let w = [1e-6; 5];
         let untouched = vec![SigElement { key: 0, t: 0 }];
-        assert_eq!(tables.sketch(true, |w| w, &w[..]), Some(untouched.clone()));
-        assert_eq!(tables.sketch(false, |w| w, &w[..]), Some(untouched));
+        assert_eq!(sketch_halves(&tables, true, &w), Some(untouched.clone()));
+        assert_eq!(sketch_halves(&tables, false, &w), Some(untouched));
         // …and an empty support is reported, not sketched.
-        assert_eq!(tables.sketch(true, |w| w, &[0.0, f64::NAN, -1.0][..]), None);
+        assert_eq!(sketch_halves(&tables, true, &[0.0, f64::NAN, -1.0]), None);
     }
 
     #[test]
     fn heavy_tails_outlive_the_prefix_and_ordinary_columns_do_not() {
         let hasher = WeightedMinHasher::new(HashFamily::Ccws, 48, 5).unwrap();
         let tables = DrawTables::new(&hasher);
+        let draw = ccws_draws(hasher.seed);
         let n = 6000;
-        tables.ensure(n);
-        let store = tables.store.read().unwrap();
-        let tier = store.tiers.last().unwrap();
+        tables.grow(n, in_a_loop).unwrap();
+        let store = tables.read();
+        let last = store.cols[0].prefixes.len() - 1;
         let uniform: Vec<f64> = (0..n).map(|k| (k as f64 + 0.5) / n as f64).collect();
         let heavy: Vec<f64> = (0..n)
             .map(|k| if k % 97 == 0 { 0.5 } else { 1e-6 })
             .collect();
-        let visited = tables.visit(&store, tier, &|w| w, &uniform[..]);
-        assert_eq!(visited, tables.scan(&store, &|w| w, &uniform[..]));
+        let visited = tables.visit(&store, last, &|w| w, &uniform[..], &draw);
         assert!(visited.is_some());
-        assert!(tables.visit(&store, tier, &|w| w, &heavy[..]).is_none());
+        assert!(tables
+            .visit(&store, last, &|w| w, &heavy[..], &draw)
+            .is_none());
+        // The dense scan agrees with the visit, and with itself whether or
+        // not it skips the rows that cannot win.
+        let derive_all = tables.scan(&store, false, &|w| w, &uniform[..], &draw);
+        assert_eq!(visited, derive_all);
+        assert_eq!(
+            tables.scan(&store, true, &|w| w, &uniform[..], &draw),
+            derive_all
+        );
+        assert_eq!(
+            tables.scan(&store, true, &|w| w, &heavy[..], &draw),
+            tables.scan(&store, false, &|w| w, &heavy[..], &draw)
+        );
     }
 
-    /// `A ≤ a` with explicit asserts, so a release-mode test run checks it
-    /// too (`debug_assert!` in the visit is compiled out there).
-    #[test]
-    fn ccws_bound_holds_over_random_draws() {
+    /// 1.5 M `(r, c, β, w)` tuples: the draws as the table makes them, the
+    /// weight one of six shapes per round (`shape(round, u, r, β)`).
+    fn for_random_draws(
+        shape: impl Fn(u32, f64, f64, f64) -> f64,
+        mut check: impl FnMut([f64; 4]),
+    ) {
         let mut state = 0x5EED_u64;
         let mut next = move || {
             state = crate::rng::splitmix64(state);
             state
         };
         let unit = |bits: u64| ((bits >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-        let mut checked = 0u32;
         for round in 0..1_500_000u32 {
-            let r = unit(next()).sqrt();
+            // Every 64th `r` at its minimum, √2⁻⁵⁴.
+            let r = unit(if round % 64 == 0 { 0 } else { next() }).sqrt();
             let c = -(unit(next()).ln()) - (unit(next()).ln());
             let beta = unit(next());
-            let u = unit(next());
-            let w = match round % 6 {
-                0 => u * WEIGHT_CEILING,
-                1 => WEIGHT_CEILING - u * 1e-9,
-                2 => f64::from_bits(next() >> 12), // subnormal
-                3 => u * 1e-6,
-                4 => WEIGHT_CEILING,
-                _ => ((u * 3.0).floor() + 1.0 - beta) * r, // where the floor steps
-            };
+            let w = shape(round, unit(next()), r, beta);
+            check([r, c, beta, w]);
+        }
+    }
+
+    /// `A ≤ a` with explicit asserts, so a release-mode test run checks it
+    /// too (`debug_assert!` in the visit is compiled out there).
+    #[test]
+    fn ccws_bound_holds_over_random_draws() {
+        let mut checked = 0u32;
+        let shape = |round: u32, u: f64, r: f64, beta: f64| match round % 6 {
+            0 => u * WEIGHT_CEILING,
+            1 => WEIGHT_CEILING - u * 1e-9,
+            2 => f64::from_bits((u * (1u64 << 52) as f64) as u64), // subnormal
+            3 => u * 1e-6,
+            4 => WEIGHT_CEILING,
+            _ => ((u * 3.0).floor() + 1.0 - beta) * r, // where the floor steps
+        };
+        for_random_draws(shape, |[r, c, beta, w]| {
             if !(w > 0.0 && w <= WEIGHT_CEILING) {
-                continue;
+                return;
             }
             let (bound, _) = ccws_hash(WEIGHT_CEILING, r, c, beta);
             let (a, _) = ccws_hash(w, r, c, beta);
@@ -776,7 +991,36 @@ mod tests {
             );
             assert!(bound.to_bits() <= a.to_bits());
             checked += 1;
-        }
+        });
+        assert!(checked >= 1_000_000, "only {checked} draws checked");
+    }
+
+    /// `fl(c/w)·(1 − 2⁻³⁰) ≤ a` wherever the dense scan relies on it.
+    #[test]
+    fn ccws_filter_bound_holds_over_random_draws() {
+        let mut checked = 0u32;
+        let span = WEIGHT_CEILING - WEIGHT_FLOOR;
+        let shape = |round: u32, u: f64, r: f64, beta: f64| match round % 6 {
+            0 => WEIGHT_FLOOR + u * span,
+            1 => WEIGHT_FLOOR,
+            2 => WEIGHT_CEILING,
+            3 => WEIGHT_FLOOR * (1.0 + u), // where ε/w is largest
+            4 => WEIGHT_CEILING - u * 1e-9,
+            // Where the floor steps, from either side.
+            _ => ((u * 3.0).floor() + 1.0 - beta) * r * (1.0 + (u - 0.5) * 1e-15),
+        };
+        for_random_draws(shape, |[r, c, beta, w]| {
+            if !(WEIGHT_FLOOR..=WEIGHT_CEILING).contains(&w) {
+                return;
+            }
+            let (a, _) = ccws_hash(w, r, c, beta);
+            let below = c / w * FILTER_SLACK;
+            assert!(
+                below <= a,
+                "filter {below} > a {a} at w {w} r {r} c {c} β {beta}"
+            );
+            checked += 1;
+        });
         assert!(checked >= 1_000_000, "only {checked} draws checked");
     }
 }

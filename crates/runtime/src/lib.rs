@@ -108,6 +108,6 @@ pub use pool::{
 pub use scratch::{scratch_f64, scratch_f64_with_capacity, ScratchF64};
 pub use seed::derive_seed;
 pub use sigcache::{
-    compress_normalized_batch, compress_normalized_cached, sig_cache_merge, sig_cache_snapshot,
-    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
+    compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
+    sig_cache_snapshot, sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
 };

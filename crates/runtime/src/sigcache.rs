@@ -116,6 +116,17 @@ fn compressor_key(c: &SampleCompressor, values: &[f64]) -> Fingerprint {
     h.finish()
 }
 
+/// Build `c`'s draw table for columns of `rows` rows ahead of the first
+/// sketch, its per-hash-index jobs spread over the [`WorkerPool`] (under
+/// the global thread budget, like every other map). A search that knows
+/// its row count calls this once; without it the first sketch builds the
+/// same table on its own thread.
+pub fn prepare_draw_tables(c: &SampleCompressor, rows: usize) -> minhash::Result<()> {
+    c.prepare_rows(rows, |jobs, job| {
+        WorkerPool::new().map((0..jobs).collect(), |_ctx, i| job(i));
+    })
+}
+
 /// Sketch a weight vector through the cache: a weight vector whose
 /// `(content, family, d, seed)` was sketched before is served without
 /// recomputation; misses go through the table-driven kernel.
@@ -256,6 +267,27 @@ mod tests {
         assert_eq!(batch, warm);
         assert_eq!(after.misses, before.misses, "warm batch must be miss-free");
         assert!(after.hits >= before.hits + cols.len() as u64);
+    }
+
+    #[test]
+    fn pool_built_table_sketches_like_the_scalar_oracle() {
+        crate::pool::set_global_threads(4);
+        // A seed of its own: the table is process-wide.
+        let c = SampleCompressor::new(HashFamily::Ccws, 48, 0x9001_B111).unwrap();
+        let hasher = WeightedMinHasher::new(HashFamily::Ccws, 48, 0x9001_B111).unwrap();
+        prepare_draw_tables(&c, 5000).unwrap();
+        assert_eq!(minhash::draw_tables(&hasher).rows(), 5000);
+        // An ordinary column (the bound-ordered visit) and a heavy-tailed
+        // one (the dense scan), at the table's size and below it.
+        for n in [5000, 700] {
+            let wave = col(3, n);
+            let heavy: Vec<f64> = wave.iter().map(|v| 1.0 / (v + 1.0001)).collect();
+            for values in [&wave, &heavy] {
+                let oracle = hasher.signature(&SampleCompressor::to_weights(values));
+                assert_eq!(c.signature(values).unwrap(), oracle.unwrap(), "n={n}");
+            }
+        }
+        assert_eq!(minhash::draw_tables(&hasher).rows(), 5000);
     }
 
     #[test]

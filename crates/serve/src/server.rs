@@ -431,15 +431,18 @@ impl JobServer {
             .clone()
             .ok_or(ServeError::NoCheckpointDir)?;
         std::fs::create_dir_all(&dir)?;
-        let was_running = {
+        // Only a pause taken here is undone: a scheduler the caller parked
+        // stays parked (unparking it lets a fast job finish, and delete its
+        // checkpoint, before the caller's next call).
+        let pause_here = {
             let inner = self.shared.inner.lock().unwrap();
-            !inner.shutdown
+            !inner.shutdown && !inner.paused
         };
-        if was_running {
+        if pause_here {
             self.pause();
         }
         let result = self.write_checkpoints(&dir);
-        if was_running {
+        if pause_here {
             self.unpause();
         }
         result

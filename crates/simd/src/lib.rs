@@ -1,8 +1,8 @@
 //! Fixed-lane `f64` kernels with a **pinned reduction tree**.
 //!
 //! Every summation kernel in this crate — and therefore every consumer
-//! in the workspace (`learners::dense`, `learners::linalg`,
-//! `minhash::tables`) — reduces in one canonical order:
+//! in the workspace (`learners::dense`, `learners::linalg`) — reduces in
+//! one canonical order:
 //!
 //! ```text
 //! LANES = 4 independent accumulators over chunks of 4:
@@ -22,8 +22,8 @@
 //! and shared by both sides of every "fast path ≡ reference path" parity
 //! test downstream.
 //!
-//! Elementwise kernels ([`axpy`], the CWS helpers) have no reduction at
-//! all — each output element is one pinned scalar expression.
+//! The elementwise kernel ([`axpy`]) has no reduction at all — each output
+//! element is one pinned scalar expression.
 //!
 //! There is one build of these kernels: no cargo feature, no runtime
 //! dispatch, no intrinsics.
@@ -134,7 +134,7 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Elementwise kernels (no reduction; per-element expressions pinned)
+// Elementwise kernel (no reduction; per-element expression pinned)
 // ---------------------------------------------------------------------
 
 /// `out[i] += a · x[i]`. Elementwise: each element is one multiply then
@@ -143,63 +143,6 @@ pub fn axpy(out: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(out.len(), x.len());
     for (o, xi) in out.iter_mut().zip(x) {
         *o += a * xi;
-    }
-}
-
-/// CWS scan step 1: `out[i] = (s / r[i] + beta[i]).floor()`.
-///
-/// The division is pinned: it is *not* rewritten as a `1/r` multiply,
-/// whose rounding differs (see `minhash::tables`).
-pub fn div_add_floor(out: &mut [f64], s: f64, r: &[f64], beta: &[f64]) {
-    debug_assert_eq!(out.len(), r.len());
-    debug_assert_eq!(out.len(), beta.len());
-    for ((o, ri), bi) in out.iter_mut().zip(r).zip(beta) {
-        *o = (s / ri + bi).floor();
-    }
-}
-
-/// CWS scan step 2: `out[i] = r[i] · (t[i] − beta[i])`.
-pub fn mul_sub(out: &mut [f64], r: &[f64], t: &[f64], beta: &[f64]) {
-    debug_assert_eq!(out.len(), r.len());
-    debug_assert_eq!(out.len(), t.len());
-    debug_assert_eq!(out.len(), beta.len());
-    for (((o, ri), ti), bi) in out.iter_mut().zip(r).zip(t).zip(beta) {
-        *o = ri * (ti - bi);
-    }
-}
-
-/// CWS scan step 3: `buf[i] = exp(buf[i])`, the libm `exp` per element:
-/// any polynomial approximation would change the hash values. Kept here
-/// so the whole scan reads as one pipeline at the call site.
-pub fn exp_inplace(buf: &mut [f64]) {
-    for v in buf.iter_mut() {
-        *v = v.exp();
-    }
-}
-
-/// CWS scan step 4: `out[i] = c[i] / (out[i] · er[i])` — the final
-/// ICWS/PCWS hash value from `out = y` and the precomputed tables.
-pub fn div_prod(out: &mut [f64], c: &[f64], er: &[f64]) {
-    debug_assert_eq!(out.len(), c.len());
-    debug_assert_eq!(out.len(), er.len());
-    for ((o, ci), ei) in out.iter_mut().zip(c).zip(er) {
-        *o = ci / (*o * ei);
-    }
-}
-
-/// `buf[i] = buf[i].max(m)` with `f64::max` NaN semantics (a NaN element
-/// becomes `m`); runs on the cold CCWS path.
-pub fn max_scalar(buf: &mut [f64], m: f64) {
-    for v in buf.iter_mut() {
-        *v = v.max(m);
-    }
-}
-
-/// `out[i] = c[i] / out[i]` — the CCWS hash value from `out = y`.
-pub fn div_into(out: &mut [f64], c: &[f64]) {
-    debug_assert_eq!(out.len(), c.len());
-    for (o, ci) in out.iter_mut().zip(c) {
-        *o = ci / *o;
     }
 }
 
@@ -254,39 +197,5 @@ mod tests {
             want += a[i] * b[i];
         }
         assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn cws_helpers_match_scalar_expressions() {
-        let d = 11;
-        let r: Vec<f64> = (0..d).map(|i| 0.4 + 0.13 * i as f64).collect();
-        let beta: Vec<f64> = (0..d).map(|i| (0.17 * i as f64).fract()).collect();
-        let c: Vec<f64> = (0..d).map(|i| 1.1 + 0.21 * i as f64).collect();
-        let er: Vec<f64> = r.iter().map(|v| (0.5 * v).exp()).collect();
-        let s = 1.37f64.ln();
-
-        let mut t = vec![0.0; d];
-        div_add_floor(&mut t, s, &r, &beta);
-        let mut y = vec![0.0; d];
-        mul_sub(&mut y, &r, &t, &beta);
-        exp_inplace(&mut y);
-        div_prod(&mut y, &c, &er);
-
-        for i in 0..d {
-            let ti = (s / r[i] + beta[i]).floor();
-            assert_eq!(t[i].to_bits(), ti.to_bits());
-            let yi = (r[i] * (ti - beta[i])).exp();
-            let ai = c[i] / (yi * er[i]);
-            assert_eq!(y[i].to_bits(), ai.to_bits());
-        }
-
-        let mut yc = vec![0.0; d];
-        mul_sub(&mut yc, &r, &t, &beta);
-        max_scalar(&mut yc, f64::MIN_POSITIVE);
-        div_into(&mut yc, &c);
-        for i in 0..d {
-            let yi = (r[i] * (t[i] - beta[i])).max(f64::MIN_POSITIVE);
-            assert_eq!(yc[i].to_bits(), (c[i] / yi).to_bits());
-        }
     }
 }

@@ -32,7 +32,7 @@ echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' pu
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
-    echo "==> minhash bound check (release: A <= a asserted where debug_assert! is compiled out)"
+    echo "==> minhash bound checks (release: A <= a and the dense scan's filter bound asserted where debug_assert! is compiled out)"
     cargo test -q -p minhash --release --lib
 
     echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
@@ -55,13 +55,14 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
-    echo "==> golden search lines (release): no eafe_table / nfs_table result moved"
+    echo "==> golden search lines (release): no eafe_table / nfs_table / eafe_tall result moved"
     # scripts/golden_searches.txt holds 'search <i> <fingerprint>: <n> evals
-    # of which <m> computed' of every search of both workloads (the panel
-    # is the same on every seed). A PR that means to move results
-    # regenerates the file with this loop and says so.
+    # of which <m> computed' of every search of the three workloads (the
+    # panel is the same on every seed); eafe_tall is the one that sketches
+    # chunk-backed columns and takes the dense scan. A PR that means to
+    # move results regenerates the file with this loop and says so.
     golden="$(mktemp)"
-    for workload in eafe_table nfs_table; do
+    for workload in eafe_table nfs_table eafe_tall; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 60158 --seconds 2 --trace 0 2>&1 >/dev/null \
             | sed -n 's/^perf-e2e: \(.* search [0-9]* [0-9a-f]*\): .*, \([0-9]* evals of which [0-9]* computed\)$/\1: \2/p'
