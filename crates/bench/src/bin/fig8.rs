@@ -79,10 +79,8 @@ fn main() {
     // --- Sweep 2: MinHash signature output dimension d ---
     let mut t2 = TextTable::new(vec!["d", "score", "evals", "secs"]);
     for &d in &[16usize, 32, 48, 64, 96] {
-        let mut c = cfg.clone();
-        c.signature_dim = d;
         let r = args
-            .engine(Engine::e_afe(c, fpe_for(0.01, d)))
+            .engine(Engine::e_afe(cfg.clone(), fpe_for(0.01, d)))
             .run(&frame)
             .expect("run");
         t2.row(vec![

@@ -17,7 +17,7 @@
 use crate::error::Result;
 use crate::report::{EpochPoint, PhaseTimer, RunResult};
 use learners::{
-    f1_score, feature_matrix, one_minus_rae, ForestConfig, RandomForestClassifier,
+    f1_score, feature_matrix, one_minus_rae, ForestConfig, LearnError, RandomForestClassifier,
     RandomForestRegressor, ResNetClassifier, ResNetConfig, ResNetRegressor,
 };
 use tabular::split::train_test_indices;
@@ -53,23 +53,22 @@ impl Default for DlBaselineConfig {
     }
 }
 
+/// A model's predictions on the test rows, shaped by the task.
+enum Predictions {
+    Class(Vec<usize>),
+    Reg(Vec<f64>),
+}
+
 /// Score predictions with the paper's metric for the task.
-fn score_predictions(
-    test: &DataFrame,
-    preds_class: Option<Vec<usize>>,
-    preds_reg: Option<Vec<f64>>,
-) -> Result<f64> {
-    match test.label() {
-        Label::Class { y, n_classes } => Ok(f1_score(
-            y,
-            &preds_class.expect("classification predictions"),
-            *n_classes,
-        )?),
-        Label::Reg(y) => Ok(one_minus_rae(
-            y,
-            &preds_reg.expect("regression predictions"),
-        )?),
-    }
+fn score_predictions(test: &DataFrame, preds: Predictions) -> Result<f64> {
+    Ok(match (test.label(), preds) {
+        (Label::Class { y, n_classes }, Predictions::Class(p)) => f1_score(y, &p, *n_classes)?,
+        (Label::Reg(y), Predictions::Reg(p)) => one_minus_rae(y, &p)?,
+        _ => {
+            let msg = "predictions do not match the test rows' task".to_string();
+            return Err(LearnError::InvalidParam(msg).into());
+        }
+    })
 }
 
 fn single_point_result(
@@ -133,7 +132,7 @@ pub fn run_rtdl_n(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunRes
                 Ok(())
             })?;
             let preds = rf.predict(&ete)?;
-            score_predictions(&test, Some(preds), None)?
+            score_predictions(&test, Predictions::Class(preds))?
         }
         Label::Reg(y) => {
             let mut net = ResNetRegressor::new(ResNetConfig {
@@ -152,7 +151,7 @@ pub fn run_rtdl_n(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunRes
                 Ok(())
             })?;
             let preds = rf.predict(&ete)?;
-            score_predictions(&test, None, Some(preds))?
+            score_predictions(&test, Predictions::Reg(preds))?
         }
     };
     Ok(single_point_result("RTDL_N", &frame, score, &timer))
@@ -180,7 +179,7 @@ pub fn run_fe_dl(config: &DlBaselineConfig, engineered: &DataFrame) -> Result<Ru
             });
             timer.generation(|| net.fit(&xtr, y, *n_classes))?;
             let preds = timer.evaluation(|| net.predict(&xte))?;
-            score_predictions(&test, Some(preds), None)?
+            score_predictions(&test, Predictions::Class(preds))?
         }
         Label::Reg(y) => {
             let mut net = ResNetRegressor::new(ResNetConfig {
@@ -189,7 +188,7 @@ pub fn run_fe_dl(config: &DlBaselineConfig, engineered: &DataFrame) -> Result<Ru
             });
             timer.generation(|| net.fit(&xtr, y))?;
             let preds = timer.evaluation(|| net.predict(&xte))?;
-            score_predictions(&test, None, Some(preds))?
+            score_predictions(&test, Predictions::Reg(preds))?
         }
     };
     Ok(single_point_result("FE|DL", &frame, score, &timer))
@@ -236,7 +235,7 @@ pub fn run_dl_fe(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunResu
                 rf.fit(&etr_sel, y, *n_classes)?;
                 Ok(())
             })?;
-            score_predictions(&test, Some(rf.predict(&ete_sel)?), None)?
+            score_predictions(&test, Predictions::Class(rf.predict(&ete_sel)?))?
         }
         Label::Reg(y) => {
             let mut net = ResNetRegressor::new(ResNetConfig {
@@ -262,7 +261,7 @@ pub fn run_dl_fe(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunResu
                 rf.fit(&etr_sel, y)?;
                 Ok(())
             })?;
-            score_predictions(&test, None, Some(rf.predict(&ete_sel)?))?
+            score_predictions(&test, Predictions::Reg(rf.predict(&ete_sel)?))?
         }
     };
     Ok(single_point_result("DL|FE", &frame, score, &timer))

@@ -15,9 +15,11 @@
 //!   normalisation), encoded per chunk, and never exist as a flat column;
 //! - FPE gate scoring sketches those chunks in place (a
 //!   [`minhash::WeightBounds`] pass, then
-//!   [`SampleCompressor::signature_indexed`] over a chunk-backed
-//!   [`minhash::RowSource`]), so stage-1 — which by design never touches
-//!   the downstream task — runs without materializing anything;
+//!   [`minhash::SampleCompressor::signature_indexed`] and
+//!   `compress_normalized_with_signature` over a chunk-backed
+//!   [`minhash::RowSource`] — the flat column's code over another row
+//!   source), so stage-1 — which by design never touches the downstream
+//!   task — runs without materializing anything;
 //! - chunk encoding fans out over the [`runtime::WorkerPool`] with
 //!   results merged in chunk-index order, so 1-thread ≡ N-thread.
 //!
@@ -53,7 +55,7 @@ use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
 use crate::store::ColumnStore;
-use minhash::{RowSource, SampleCompressor, WeightBounds};
+use minhash::{RowSource, WeightBounds};
 use runtime::{ColumnDigest, KeyPrefix, WorkerPool};
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
 
@@ -219,10 +221,10 @@ impl ColumnStore for ChunkedStore {
     }
 
     /// The MinHash representation works off the chunks (a weight-bounds
-    /// pass, then the indexed sketch + gather) and is bit-identical to
-    /// `FpeModel::score_feature` on the materialized column; other
-    /// representations need the full flat values and fall back to a
-    /// transient pooled decode.
+    /// pass, then the compressor's indexed sketch and gather) and is
+    /// bit-identical to `FpeModel::score_feature` on the materialized
+    /// column; other representations need the full flat values and fall
+    /// back to a transient pooled decode.
     fn fpe_score(&self, fpe: &FpeModel, candidate: &ChunkedCandidate) -> Result<f64> {
         match fpe.repr() {
             FeatureRepr::MinHash(c) => {
@@ -230,12 +232,7 @@ impl ColumnStore for ChunkedStore {
                 let mut bounds = WeightBounds::new();
                 rows.for_each_run(|run| bounds.absorb(run));
                 let sig = c.signature_indexed(bounds, &rows)?;
-                let mut compressed: Vec<f64> = sig
-                    .keys()
-                    .map(|k| SampleCompressor::gather_value(rows.value_at(k)))
-                    .collect();
-                SampleCompressor::normalize(&mut compressed);
-                fpe.score_compressed(compressed)
+                fpe.score_compressed(c.compress_normalized_with_signature(&rows, &sig))
             }
             _ => {
                 let mut flat = runtime::scratch_f64_with_capacity(self.frame.n_rows());
@@ -255,13 +252,14 @@ impl ColumnStore for ChunkedStore {
         evaluator: &CachedEvaluator,
         candidate: &ChunkedCandidate,
     ) -> Result<f64> {
-        if self.prefix.is_none() {
-            self.prefix = Some(self.selected_prefix()?);
-        }
-        let prefix = self.prefix.as_ref().expect("set just above");
+        let prefix = match self.prefix.take() {
+            Some(prefix) => prefix,
+            None => self.selected_prefix()?,
+        };
         let mut digest = ColumnDigest::default();
         self.rows(candidate).for_each_run(|run| digest.write(run));
-        let key = evaluator.key_of(prefix, &candidate.name, digest.finish());
+        let key = evaluator.key_of(&prefix, &candidate.name, digest.finish());
+        self.prefix = Some(prefix);
         evaluator.evaluate_keyed(key, || self.candidate_frame(candidate))
     }
 
@@ -430,9 +428,9 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::config::EafeConfig;
-    use crate::fpe::{search as fpe_search, FpeSearchSpace, RawLabels};
+    use crate::fpe::{search as fpe_search, FpeSearchSpace, LabeledFeature, RawLabels};
     use crate::{EngineState, GeneratedFeature};
-    use minhash::HashFamily;
+    use minhash::{HashFamily, SampleCompressor};
     use tabular::registry::public_corpus;
     use tabular::{ChunkOptions, FrameBudget, InMemoryStore, Label, MmapStore, SynthSpec, Task};
 
@@ -676,6 +674,79 @@ mod tests {
         let frame = target_frame();
         let engine = Engine::e_afe(fast_config(), fpe);
         assert_parity(&engine, &frame, chunk(&frame, 48));
+    }
+
+    /// An FPE model over `family` whose classifier is fitted to a
+    /// synthetic corpus: its probabilities are arbitrary but fixed, which
+    /// is all bit-equality needs.
+    fn fpe_over(family: HashFamily, d: usize) -> FpeModel {
+        let train: Vec<LabeledFeature> = (0..40)
+            .map(|i| LabeledFeature {
+                compressed: (0..d)
+                    .map(|j| ((i * d + j) as f64 * 0.618).sin() + (i % 2 * (j % 3)) as f64)
+                    .collect(),
+                label: i % 2,
+                score_gain: 0.0,
+            })
+            .collect();
+        let compressor = SampleCompressor::new(family, d, 0xF1A7).unwrap();
+        FpeModel::train(compressor, &train, &[], 0.01, 3).unwrap()
+    }
+
+    /// The flat and the chunked store hand the FPE model the same input —
+    /// one compressor function over two row sources — for every hash
+    /// family, at every chunk size, on a heavy-tailed candidate (the dense
+    /// scan) as on ordinary ones (the bound-ordered visit).
+    #[test]
+    fn flat_and_chunked_fpe_probabilities_are_bit_equal_for_every_family() {
+        let n = 1000;
+        let wave = (0..n).map(|i| (i as f64 * 0.37).sin() * 20.0 - 3.0);
+        // Strictly positive with one row near zero: its reciprocal weighs
+        // the floor in every row but one, a one-sided heavy tail that
+        // outlives the visit's 256-id prefix.
+        let near_zero = (0..n).map(|i| match i {
+            617 => 1e-7,
+            _ => 1.0 + (i as f64 * 0.11).cos().abs(),
+        });
+        let frame = DataFrame::new(
+            "fpe-parity",
+            vec![
+                Column::new("wave", wave.collect()),
+                Column::new("near_zero", near_zero.collect()),
+            ],
+            Label::Class {
+                y: (0..n).map(|i| i % 2).collect(),
+                n_classes: 2,
+            },
+        )
+        .unwrap();
+        let candidates = [
+            (0, Operator::Sqrt),
+            (0, Operator::MinMaxNorm),
+            (1, Operator::Log),
+            (1, Operator::Reciprocal),
+        ];
+        for family in HashFamily::ALL {
+            let fpe = fpe_over(family, 48);
+            for chunk_rows in [1, 7, 4096] {
+                let store = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
+                for (agent, op) in candidates {
+                    let candidate = store.generate(agent, op, 0, 0).unwrap();
+                    let mut flat = Vec::with_capacity(n);
+                    for enc in &candidate.chunks {
+                        enc.fold_values((), |(), v| flat.push(v));
+                    }
+                    let expected = fpe.score_feature(&flat).unwrap();
+                    let chunked = store.fpe_score(&fpe, &candidate).unwrap();
+                    assert_eq!(
+                        chunked.to_bits(),
+                        expected.to_bits(),
+                        "{family:?} {} at chunk_rows {chunk_rows}",
+                        candidate.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

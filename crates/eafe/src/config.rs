@@ -1,11 +1,11 @@
 //! Configuration for the E-AFE engine, mirroring the paper's §IV-A4
 //! reproducibility settings: Adam with learning rate 0.01, batch size 32,
 //! 4 unary + 5 binary operators, maximum order 5, threshold `thre` = 0.01,
-//! MinHash output dimension 48 with CCWS, 200 training epochs per stage.
+//! 200 training epochs per stage. The MinHash output dimension (48) and
+//! family (CCWS) belong to the FPE model's compressor, not to this config.
 
 use crate::error::{EafeError, Result};
 use learners::{Evaluator, ModelKind};
-use minhash::HashFamily;
 use rl::{PolicyConfig, ReturnConfig};
 use serde::{Deserialize, Serialize};
 
@@ -27,10 +27,6 @@ pub struct EafeConfig {
     pub stage2_epochs: usize,
     /// FPE label threshold `thre`; paper default 0.01.
     pub thre: f64,
-    /// MinHash signature output dimension `d`; paper default 48.
-    pub signature_dim: usize,
-    /// MinHash family; paper default CCWS.
-    pub hash_family: HashFamily,
     /// Replay-buffer capacity for stage-1 positives.
     pub replay_capacity: usize,
     /// Cap on selected generated features (as a multiple of the original
@@ -59,8 +55,6 @@ impl Default for EafeConfig {
             stage1_epochs: 8,
             stage2_epochs: 8,
             thre: 0.01,
-            signature_dim: 48,
-            hash_family: HashFamily::Ccws,
             replay_capacity: 64,
             max_generated_ratio: 2.0,
             returns: ReturnConfig::default(),
@@ -80,7 +74,6 @@ impl EafeConfig {
             steps_per_epoch: 2,
             stage1_epochs: 2,
             stage2_epochs: 2,
-            signature_dim: 16,
             ..Self::default()
         };
         cfg.evaluator.folds = 3;
@@ -97,11 +90,6 @@ impl EafeConfig {
         if self.steps_per_epoch == 0 {
             return Err(EafeError::InvalidConfig(
                 "steps_per_epoch must be >= 1".into(),
-            ));
-        }
-        if self.signature_dim == 0 {
-            return Err(EafeError::InvalidConfig(
-                "signature_dim must be >= 1".into(),
             ));
         }
         if !(0.0..1.0).contains(&self.thre) {
@@ -140,8 +128,6 @@ mod tests {
         let c = EafeConfig::default();
         assert_eq!(c.max_order, 5);
         assert_eq!(c.thre, 0.01);
-        assert_eq!(c.signature_dim, 48);
-        assert_eq!(c.hash_family, HashFamily::Ccws);
         assert_eq!(c.policy.lr, 0.01);
         assert_eq!(c.evaluator.folds, 5);
         assert!(c.validate().is_ok());
@@ -164,9 +150,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = EafeConfig::default();
         c.returns.lambda = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = EafeConfig::default();
-        c.signature_dim = 0;
         assert!(c.validate().is_err());
         let mut c = EafeConfig::default();
         c.max_generated_ratio = 0.0;

@@ -52,6 +52,7 @@
 //! - [`report`] — instrumented results (timers, counters, learning curves).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baselines;
 pub mod chunked;

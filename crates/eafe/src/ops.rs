@@ -132,10 +132,12 @@ impl Operator {
     }
 
     /// Apply the operator to one chunk of rows, appending to `out`.
-    /// `bounds` must be `Some(column_bounds(a_full))` when
-    /// [`Operator::needs_bounds`]; splitting a column into chunks and
-    /// calling this per chunk is bit-identical to one [`Operator::apply`]
-    /// over the flat column. Non-finite outputs are clamped to 0.
+    /// `bounds` are the bounds of the whole column `a` is a chunk of —
+    /// `Some(column_bounds(a_full))` — or `None` when `a` is the whole
+    /// column; only [`Operator::needs_bounds`] operators read them. With
+    /// those bounds, splitting a column into chunks and calling this per
+    /// chunk is bit-identical to one [`Operator::apply`] over the flat
+    /// column. Non-finite outputs are clamped to 0.
     pub fn apply_chunk(self, a: &[f64], b: &[f64], bounds: Option<(f64, f64)>, out: &mut Vec<f64>) {
         let start = out.len();
         out.reserve(a.len());
@@ -149,7 +151,7 @@ impl Operator {
                 )
             }
             Operator::MinMaxNorm => {
-                let (lo, hi) = bounds.expect("MinMaxNorm requires column bounds");
+                let (lo, hi) = bounds.unwrap_or_else(|| Self::column_bounds(a));
                 let span = hi - lo;
                 if !span.is_finite() || span < DIV_EPS {
                     out.extend(std::iter::repeat_n(0.0, a.len()));
@@ -215,13 +217,8 @@ impl Operator {
     /// operators only the first (paper: "in this case, feature₁ and
     /// feature₂ are the same feature"). Non-finite outputs are clamped to 0.
     pub fn apply(self, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let bounds = if self.needs_bounds() {
-            Some(Self::column_bounds(a))
-        } else {
-            None
-        };
         let mut out = Vec::with_capacity(a.len());
-        self.apply_chunk(a, b, bounds, &mut out);
+        self.apply_chunk(a, b, None, &mut out);
         out
     }
 }
@@ -395,6 +392,10 @@ mod tests {
         b[100] = -0.0;
         for op in Operator::ALL {
             let flat = op.apply(&a, &b);
+            // Without bounds, the chunk is the whole column.
+            let mut whole = Vec::new();
+            op.apply_chunk(&a, &b, None, &mut whole);
+            assert_eq!(flat, whole, "{op}");
             for chunk_rows in [1usize, 7, 64, 256, 257, 500] {
                 let bounds = op.needs_bounds().then(|| Operator::column_bounds(&a));
                 let mut chunked = Vec::new();

@@ -29,9 +29,6 @@ pub struct ForestConfig {
     pub bootstrap: bool,
     /// Master seed; per-tree seeds derive from it.
     pub seed: u64,
-    /// Number of worker threads; `0` defers to the runtime's process-wide
-    /// ceiling (`runtime::global_threads()`).
-    pub n_threads: usize,
 }
 
 impl Default for ForestConfig {
@@ -41,7 +38,6 @@ impl Default for ForestConfig {
             tree: TreeConfig::default(),
             bootstrap: true,
             seed: 0,
-            n_threads: 0,
         }
     }
 }
@@ -101,19 +97,19 @@ fn draw_trees(
         .collect()
 }
 
-/// Fit one tree per `(seed, rows)` draw through the shared runtime pool.
+/// Fit one tree per `(seed, rows)` draw through the shared runtime pool,
+/// under the process-wide thread budget (`runtime::set_global_threads`).
 ///
 /// The draws carry all per-tree randomness, so results do not depend on
 /// which worker runs which tree; the pool returns them in draw order.
 fn fit_trees<M: Send, F: Fn(u64, &[usize]) -> Result<M> + Sync>(
-    n_threads: usize,
     draws: Vec<(u64, Vec<usize>)>,
     fit_one: F,
 ) -> Result<Vec<M>> {
     let mut span = telemetry::span("forest.fit_trees");
     span.field("trees", draws.len() as f64);
-    let pool = WorkerPool::new().with_threads(n_threads);
-    pool.map(draws, |_ctx, (seed, rows)| fit_one(seed, &rows))
+    WorkerPool::new()
+        .map(draws, |_ctx, (seed, rows)| fit_one(seed, &rows))
         .into_iter()
         .collect()
 }
@@ -171,7 +167,7 @@ impl RandomForestClassifier {
             tree_cfg.max_features = Some(self.config.sqrt_features(binned.n_features()));
         }
         let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(self.config.n_threads, draws, |seed, tree_rows| {
+        self.trees = fit_trees(draws, |seed, tree_rows| {
             let cfg = TreeConfig { seed, ..tree_cfg };
             let mut t = DecisionTreeClassifier::new(cfg);
             t.fit_binned(binned, tree_rows, y, n_classes)?;
@@ -292,7 +288,7 @@ impl RandomForestRegressor {
             tree_cfg.max_features = Some((n_features / 3).clamp(1, n_features));
         }
         let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(self.config.n_threads, draws, |seed, tree_rows| {
+        self.trees = fit_trees(draws, |seed, tree_rows| {
             let cfg = TreeConfig { seed, ..tree_cfg };
             let mut t = DecisionTreeRegressor::new(cfg);
             t.fit_binned(binned, tree_rows, y)?;
@@ -458,16 +454,15 @@ mod tests {
     #[test]
     fn single_thread_matches_parallel() {
         let (x, y) = nonlinear_classification(150, 8);
-        let mut seq = RandomForestClassifier::new(ForestConfig {
-            n_threads: 1,
-            ..ForestConfig::default()
-        });
-        let mut par = RandomForestClassifier::new(ForestConfig {
-            n_threads: 4,
-            ..ForestConfig::default()
-        });
-        seq.fit(&x, &y, 2).unwrap();
-        par.fit(&x, &y, 2).unwrap();
+        let fitted = |threads: usize| {
+            runtime::set_global_threads(threads);
+            let mut forest = RandomForestClassifier::new(ForestConfig::default());
+            forest.fit(&x, &y, 2).unwrap();
+            forest
+        };
+        let (seq, par) = (fitted(1), fitted(4));
+        runtime::set_global_threads(0);
+        assert_eq!(seq, par);
         assert_eq!(seq.predict(&x).unwrap(), par.predict(&x).unwrap());
     }
 

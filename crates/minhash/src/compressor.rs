@@ -1,5 +1,6 @@
 //! The E-AFE **sample compressor**: project a feature column of arbitrary
-//! length `M` onto a fixed-size vector of `d` values.
+//! length `M` onto a fixed-size vector of `d` values — the only way this
+//! crate sketches.
 //!
 //! Following the paper (§III-B): "The basic idea of MinHash is to assign the
 //! target dimension hashing values, and select d instances with the minimum
@@ -9,6 +10,11 @@
 //! (weighted MinHash), similar columns produce similar compressed vectors —
 //! the Eq. (2) constraint — and the output length is independent of `M`,
 //! which is what lets one pre-trained FPE classifier serve every dataset.
+//!
+//! A sketch weighs row `k` by its min-shifted, range-scaled value (see
+//! [`WeightBounds`]), so every weight lies in
+//! `[WEIGHT_FLOOR, WEIGHT_CEILING]` by construction: the bound the sketch
+//! kernel's visit and dense-scan filter rest on.
 
 use crate::error::Result;
 use crate::families::{HashFamily, WeightedMinHasher};
@@ -66,17 +72,15 @@ impl WeightBounds {
         }
     }
 
-    /// Whether any finite value has been absorbed.
-    pub fn has_finite(&self) -> bool {
-        self.lo <= self.hi
-    }
-
     /// The non-negative weight weighted MinHash sees for one raw value:
     /// min-shift to zero, scale to [0, 1] and add a small floor so every
-    /// sample stays in the support. Non-finite values get the floor weight.
-    fn weight(&self, v: f64) -> f64 {
-        if !self.has_finite() {
-            return WEIGHT_FLOOR;
+    /// sample stays in the support. Non-finite values, and every value when
+    /// no finite one was absorbed, get the floor weight. For a value inside
+    /// the bounds the weight lies in `[WEIGHT_FLOOR, WEIGHT_CEILING]`, or is
+    /// NaN (`∞/∞` when `hi − lo` overflows), which no sketch counts.
+    pub(crate) fn weight(&self, v: f64) -> f64 {
+        if self.lo > self.hi {
+            return WEIGHT_FLOOR; // no finite value absorbed
         }
         let span = (self.hi - self.lo).max(1e-12);
         if v.is_finite() {
@@ -118,24 +122,10 @@ impl SampleCompressor {
         self.hasher.seed
     }
 
-    /// Turn raw (possibly negative / non-finite) feature values into the
-    /// weights a sketch of the column sees (see [`WeightBounds`]) — the
-    /// weight vector to hand the scalar oracle
-    /// [`WeightedMinHasher::signature`]; sketches themselves never build it.
-    pub fn to_weights(values: &[f64]) -> Vec<f64> {
-        let mut bounds = WeightBounds::new();
-        bounds.absorb(values);
-        values.iter().map(|&v| bounds.weight(v)).collect()
-    }
-
-    /// The column's MinHash signature over [`to_weights`](Self::to_weights)
-    /// weights — the content-addressed unit the runtime's `SignatureCache`
-    /// stores, from which [`compress_with_signature`] /
-    /// [`compress_normalized_with_signature`] rebuild the compressed vector
-    /// with a plain gather.
-    ///
-    /// [`compress_with_signature`]: Self::compress_with_signature
-    /// [`compress_normalized_with_signature`]: Self::compress_normalized_with_signature
+    /// The column's MinHash signature — the content-addressed unit the
+    /// runtime's `SignatureCache` stores, from which
+    /// [`compress_normalized_with_signature`](Self::compress_normalized_with_signature)
+    /// rebuilds the compressed vector with a plain gather.
     pub fn signature(&self, values: &[f64]) -> Result<Signature> {
         let mut bounds = WeightBounds::new();
         bounds.absorb(values);
@@ -172,16 +162,20 @@ impl SampleCompressor {
         bounds: WeightBounds,
         rows: &S,
     ) -> Result<Signature> {
-        self.hasher.sketch(true, |v| bounds.weight(v), rows)
+        self.hasher.sketch(bounds, rows)
     }
 
-    /// Gather the compressed vector for a column from its precomputed
-    /// signature: the column's values at the `d` selected indices
-    /// (non-finite values map to 0).
-    pub fn compress_with_signature(&self, values: &[f64], sig: &Signature) -> Vec<f64> {
+    /// Gather the compressed vector for a column from its signature: the
+    /// column's values at the `d` selected indices (non-finite values map
+    /// to 0).
+    pub(crate) fn compress_with_signature<S: RowSource + ?Sized>(
+        &self,
+        rows: &S,
+        sig: &Signature,
+    ) -> Vec<f64> {
         sig.keys()
             .map(|k| {
-                let v = values[k];
+                let v = rows.value_at(k);
                 if v.is_finite() {
                     v
                 } else {
@@ -191,47 +185,17 @@ impl SampleCompressor {
             .collect()
     }
 
-    /// [`compress_with_signature`](Self::compress_with_signature) followed
-    /// by the z-score normalisation of
-    /// [`compress_normalized`](Self::compress_normalized).
-    pub fn compress_normalized_with_signature(&self, values: &[f64], sig: &Signature) -> Vec<f64> {
-        let mut out = self.compress_with_signature(values, sig);
-        Self::normalize(&mut out);
-        out
-    }
-
-    /// Compress one feature column to exactly `d` values: the column's
-    /// values at the `d` consistently-sampled indices.
-    pub fn compress(&self, values: &[f64]) -> Result<Vec<f64>> {
-        let sig = self.signature(values)?;
-        Ok(self.compress_with_signature(values, &sig))
-    }
-
-    /// Compress and then z-score normalise, producing the fixed-size input
-    /// representation the FPE binary classifier is trained on (so columns
-    /// with different raw scales are comparable across datasets).
-    pub fn compress_normalized(&self, values: &[f64]) -> Result<Vec<f64>> {
-        let mut out = self.compress(values)?;
-        Self::normalize(&mut out);
-        Ok(out)
-    }
-
-    /// Map one gathered value the way
-    /// [`compress_with_signature`](Self::compress_with_signature) does:
-    /// non-finite values become 0. Chunked gathers use this per selected
-    /// index to stay bit-identical to the flat gather.
-    pub fn gather_value(v: f64) -> f64 {
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    }
-
-    /// In-place z-score normalisation — public so chunked gathers can
-    /// apply the exact flat-path normalisation to an externally assembled
-    /// compressed vector; near-constant vectors flatten to 0.
-    pub fn normalize(out: &mut [f64]) {
+    /// The FPE classifier's input for a column: the gather of
+    /// `compress_with_signature`, z-score normalised so columns with
+    /// different raw scales are comparable across datasets (a near-constant
+    /// vector flattens to 0). `rows` is the flat column or any other
+    /// [`RowSource`] over the same values, with bit-identical output.
+    pub fn compress_normalized_with_signature<S: RowSource + ?Sized>(
+        &self,
+        rows: &S,
+        sig: &Signature,
+    ) -> Vec<f64> {
+        let mut out = self.compress_with_signature(rows, sig);
         let n = out.len() as f64;
         let mean = out.iter().sum::<f64>() / n;
         let var = out.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
@@ -243,6 +207,7 @@ impl SampleCompressor {
         } else {
             out.fill(0.0);
         }
+        out
     }
 }
 
@@ -278,14 +243,6 @@ mod tests {
         for v in c.compress(&values).unwrap() {
             assert!(values.contains(&v), "{v} not in input");
         }
-    }
-
-    #[test]
-    fn weights_are_positive_and_handle_negatives() {
-        let w = SampleCompressor::to_weights(&[-5.0, 0.0, 5.0, f64::NAN]);
-        assert_eq!(w.len(), 4);
-        assert!(w.iter().all(|&x| x > 0.0));
-        assert!(w[2] > w[1] && w[1] > w[0]);
     }
 
     #[test]
@@ -413,15 +370,19 @@ mod tests {
 
     #[test]
     fn chunked_gather_matches_flat_compression() {
-        let values: Vec<f64> = (0..400).map(|i| (i as f64 * 1.9).cos() * 7.0).collect();
+        let mut values: Vec<f64> = (0..400).map(|i| (i as f64 * 1.9).cos() * 7.0).collect();
+        for k in (0..400).step_by(3) {
+            values[k] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][k / 3 % 3];
+        }
         let c = compressor();
         let flat = c.compress_normalized(&values).unwrap();
         let sig = chunked_signature(&c, &values, 96).unwrap();
-        let mut gathered: Vec<f64> = sig
-            .keys()
-            .map(|k| SampleCompressor::gather_value(values[k]))
-            .collect();
-        SampleCompressor::normalize(&mut gathered);
+        let chunked = Chunked {
+            values: &values,
+            chunk_rows: 96,
+        };
+        let gathered = c.compress_normalized_with_signature(&chunked, &sig);
+        assert!(gathered.iter().all(|v| v.is_finite()));
         assert_eq!(gathered, flat);
     }
 

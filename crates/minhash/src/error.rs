@@ -5,12 +5,10 @@ use std::fmt;
 /// Errors produced by signature computation and compression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MinHashError {
-    /// The input weight vector was empty.
+    /// The input column was empty.
     EmptyInput,
     /// A parameter was outside its valid domain.
     InvalidParam(String),
-    /// Two signatures being compared have different lengths or families.
-    Incompatible(String),
 }
 
 impl fmt::Display for MinHashError {
@@ -18,7 +16,6 @@ impl fmt::Display for MinHashError {
         match self {
             MinHashError::EmptyInput => write!(f, "cannot hash an empty input"),
             MinHashError::InvalidParam(msg) => write!(f, "invalid parameter: {msg}"),
-            MinHashError::Incompatible(msg) => write!(f, "incompatible signatures: {msg}"),
         }
     }
 }

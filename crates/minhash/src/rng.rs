@@ -4,20 +4,21 @@
 //! reproducible set of random draws (Gamma, Beta, Uniform). Each is a pure
 //! function of a SplitMix64-style counter hash of `(seed, hash_index,
 //! dimension, slot)`, so no `d × M` matrix of draws has to exist for a
-//! sketch to be reproducible: the scalar path derives every draw on the
-//! fly. [`crate::tables`] tabulates exactly one kind — the Gamma(2,1)
-//! draws, whose two logarithms cost an order of magnitude more than the
-//! counter mix (plus the log-domain families' `eʳ`) — and derives the
-//! others, [`beta21`] and [`uniform_open`], at the point of use: the mix
-//! of `(seed, hash_index)` hoists out of a pass over one hash index, the
-//! mix of the dimension is shared by a pair's slots, and what is left is
-//! one round per draw — less than a table of them would cost in memory
+//! sketch to be reproducible, and every draw is the same value wherever it
+//! is computed. [`crate::tables`] tabulates exactly one kind — the
+//! Gamma(2,1) draws, whose two logarithms cost an order of magnitude more
+//! than the counter mix (plus the log-domain families' `eʳ`) — and derives
+//! the others, [`beta21`] and [`uniform_open`], at the point of use: the
+//! mix of `(seed, hash_index)` hoists out of a pass over one hash index,
+//! the mix of the dimension is shared by a pair's slots, and what is left
+//! is one round per draw — less than a table of them would cost in memory
 //! traffic, and one `f64` per pair instead of three held for the process's
-//! lifetime.
+//! lifetime. The scalar test oracle (`scalar_ref.rs`) calls the same
+//! functions at the same counters for every draw.
 
 /// SplitMix64 finaliser: a high-quality 64-bit mixer.
 #[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -26,7 +27,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 
 /// Mix a (seed, hash index, dimension, slot) tuple into one 64-bit value.
 #[inline]
-pub fn mix(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> u64 {
+pub(crate) fn mix(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> u64 {
     let a = splitmix64(seed ^ hash_idx.wrapping_mul(0xA24BAED4963EE407));
     let b = splitmix64(a ^ dim.wrapping_mul(0x9FB21C651E98DF25));
     splitmix64(b ^ slot.wrapping_mul(0xD6E8FEB86659FD93))
@@ -35,7 +36,7 @@ pub fn mix(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> u64 {
 /// Uniform draw in the open interval (0, 1), never exactly 0 or 1 so it is
 /// safe inside `ln`.
 #[inline]
-pub fn uniform_open(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
+pub(crate) fn uniform_open(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
     let bits = mix(seed, hash_idx, dim, slot);
     // 53 random mantissa bits → [0,1); shift into (0,1).
     ((bits >> 11) as f64 + 0.5) / (1u64 << 53) as f64
@@ -43,7 +44,7 @@ pub fn uniform_open(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
 
 /// Gamma(2, 1) draw: the sum of two independent Exp(1) variables.
 #[inline]
-pub fn gamma21(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
+pub(crate) fn gamma21(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
     let u1 = uniform_open(seed, hash_idx, dim, slot);
     let u2 = uniform_open(seed, hash_idx, dim, slot ^ 0x8000_0000_0000_0000);
     -(u1.ln()) - (u2.ln())
@@ -51,7 +52,7 @@ pub fn gamma21(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
 
 /// Beta(2, 1) draw via inverse CDF: F(x) = x² → x = √u.
 #[inline]
-pub fn beta21(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
+pub(crate) fn beta21(seed: u64, hash_idx: u64, dim: u64, slot: u64) -> f64 {
     uniform_open(seed, hash_idx, dim, slot).sqrt()
 }
 

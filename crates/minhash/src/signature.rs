@@ -1,6 +1,5 @@
-//! MinHash signatures and similarity estimation.
+//! MinHash signatures: what a sketch returns and the signature cache keeps.
 
-use crate::error::{MinHashError, Result};
 use serde::{Deserialize, Serialize};
 
 /// One signature element: which input dimension won the minimum, plus the
@@ -17,95 +16,32 @@ use serde::{Deserialize, Serialize};
 /// so the rare overflow can only merge two already-astronomical `t` values
 /// into one collision bucket, never corrupt a signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SigElement {
+pub(crate) struct SigElement {
     /// Index of the winning input dimension (sample index for E-AFE's
     /// sample compressor).
-    pub key: u32,
+    pub(crate) key: u32,
     /// Discretised auxiliary value; collision requires both fields to match.
-    pub t: i32,
+    pub(crate) t: i32,
 }
 
-/// A fixed-length MinHash signature.
+/// A fixed-length MinHash signature: the `d` rows a
+/// [`SampleCompressor`](crate::SampleCompressor) sampled from a column.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Signature {
-    elements: Vec<SigElement>,
+    pub(crate) elements: Vec<SigElement>,
 }
 
 impl Signature {
     /// Wrap raw elements.
-    pub fn new(elements: Vec<SigElement>) -> Self {
+    pub(crate) fn new(elements: Vec<SigElement>) -> Self {
         Self { elements }
-    }
-
-    /// Signature length `d` (the paper's MinHash output dimension).
-    pub fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// True when the signature has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
-    }
-
-    /// Borrow the elements.
-    pub fn elements(&self) -> &[SigElement] {
-        &self.elements
     }
 
     /// The winning dimension per hash — the indices the sample compressor
     /// gathers from the original column.
-    pub fn keys(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = usize> + '_ {
         self.elements.iter().map(|e| e.key as usize)
     }
-
-    /// Estimate the (generalised) Jaccard similarity between the underlying
-    /// weighted sets: the fraction of colliding signature elements. This is
-    /// the estimator whose concentration the paper's Eq. (2) constraint
-    /// relies on.
-    pub fn similarity(&self, other: &Signature) -> Result<f64> {
-        if self.len() != other.len() {
-            return Err(MinHashError::Incompatible(format!(
-                "signature lengths {} vs {}",
-                self.len(),
-                other.len()
-            )));
-        }
-        if self.is_empty() {
-            return Err(MinHashError::EmptyInput);
-        }
-        let hits = self
-            .elements
-            .iter()
-            .zip(&other.elements)
-            .filter(|(a, b)| a == b)
-            .count();
-        Ok(hits as f64 / self.len() as f64)
-    }
-}
-
-/// Exact generalised Jaccard similarity of two non-negative weight vectors:
-/// `Σ min(aᵢ, bᵢ) / Σ max(aᵢ, bᵢ)`. Ground truth for testing the estimator.
-pub fn generalized_jaccard(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(MinHashError::Incompatible(format!(
-            "weight vector lengths {} vs {}",
-            a.len(),
-            b.len()
-        )));
-    }
-    if a.is_empty() {
-        return Err(MinHashError::EmptyInput);
-    }
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        num += x.min(y);
-        den += x.max(y);
-    }
-    if den <= 0.0 {
-        return Ok(1.0); // both all-zero: identical sets
-    }
-    Ok(num / den)
 }
 
 #[cfg(test)]
@@ -119,47 +55,6 @@ mod tests {
                 .map(|&(key, t)| SigElement { key, t })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn identical_signatures_have_similarity_one() {
-        let s = sig(&[(1, 0), (2, 3), (5, -1)]);
-        assert_eq!(s.similarity(&s).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn disjoint_signatures_have_similarity_zero() {
-        let a = sig(&[(1, 0), (2, 0)]);
-        let b = sig(&[(3, 0), (4, 0)]);
-        assert_eq!(a.similarity(&b).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn partial_collision_counts_fraction() {
-        let a = sig(&[(1, 0), (2, 0), (3, 0), (4, 0)]);
-        let b = sig(&[(1, 0), (2, 1), (3, 0), (9, 0)]);
-        // key matches at 0 and 2; position 1 differs in t.
-        assert_eq!(a.similarity(&b).unwrap(), 0.5);
-    }
-
-    #[test]
-    fn mismatched_lengths_error() {
-        let a = sig(&[(1, 0)]);
-        let b = sig(&[(1, 0), (2, 0)]);
-        assert!(a.similarity(&b).is_err());
-        let empty = sig(&[]);
-        assert!(empty.similarity(&empty).is_err());
-    }
-
-    #[test]
-    fn generalized_jaccard_basics() {
-        assert_eq!(generalized_jaccard(&[1.0, 2.0], &[1.0, 2.0]).unwrap(), 1.0);
-        assert_eq!(generalized_jaccard(&[1.0, 0.0], &[0.0, 1.0]).unwrap(), 0.0);
-        // min-sum 1+1=2, max-sum 2+3=5.
-        assert!((generalized_jaccard(&[2.0, 1.0], &[1.0, 3.0]).unwrap() - 0.4).abs() < 1e-12);
-        assert_eq!(generalized_jaccard(&[0.0], &[0.0]).unwrap(), 1.0);
-        assert!(generalized_jaccard(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(generalized_jaccard(&[], &[]).is_err());
     }
 
     #[test]
@@ -180,8 +75,12 @@ mod tests {
             (9, 1),
         ]);
         let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            r#"{"elements":[{"key":0,"t":0},{"key":7,"t":-3},{"key":4294967295,"t":2147483647},{"key":42,"t":-2147483648},{"key":9,"t":1}]}"#
+        );
         let back: Signature = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
-        assert_eq!(back.similarity(&s).unwrap(), 1.0);
+        assert_eq!(back.similarity(&s), Some(1.0));
     }
 }

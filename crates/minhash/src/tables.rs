@@ -1,11 +1,12 @@
 //! Precomputed CWS draw tables and the bound-ordered sketch kernel behind
-//! [`WeightedMinHasher::signature_tabled`], [`WeightedMinHasher::signature_batch`]
-//! and [`SampleCompressor::signature`](crate::SampleCompressor::signature).
+//! every [`SampleCompressor`](crate::SampleCompressor) signature — the
+//! crate's one sketch path, with one mode.
 //!
 //! Every weighted-MinHash family consumes, per `(hash index i, input
 //! dimension k)` pair, a fixed set of random draws (`r`, `c`, `β`, …) that
 //! depend **only on `(seed, i, k)` — never on the weights**. The scalar
-//! path re-derives all of them on every call. A [`DrawTables`] stores,
+//! test oracle (`scalar_ref.rs`) re-derives all of them on every call. A
+//! [`DrawTables`] stores,
 //! once per `(family, d, seed)`, **the draws that cost a transcendental and
 //! nothing else**: the Gamma(2,1) draws (two logarithms each) and the
 //! `eʳ` factor the log-domain families divide by. A draw that is a
@@ -15,24 +16,30 @@
 //! them would be as large as the column it helps to compress.
 //!
 //! **Bit-identity.** Stored or derived, a draw is the value of the same
-//! function at the same `(seed, i, k, slot)` counter the scalar path calls
-//! (`gamma21`/`beta21`/`uniform_open`; `eʳ` is the same `r.exp()`), and the
-//! kernels apply the remaining per-weight arithmetic with the same
+//! function at the same `(seed, i, k, slot)` counter the scalar oracle
+//! calls (`gamma21`/`beta21`/`uniform_open`; `eʳ` is the same `r.exp()`),
+//! and the kernels apply the remaining per-weight arithmetic with the same
 //! operations in the same order. Hoisting is limited to values — `ln w`
 //! per support element, `eʳ` per `(i, k)` — never to algebraic rewrites
 //! (`w.ln() / r` stays a division; it is *not* replaced by a `1/r`
 //! multiply, whose rounding differs). There is no floating-point reduction
 //! anywhere in a sketch: a hash index keeps the lexicographic `(a, k)`
-//! minimum, which is what the scalar path's ascending scan under a strict
-//! `<` returns. The proptest suite in `tests/table_parity.rs` pins all
-//! five families bit-identical to the scalar reference.
+//! minimum, which is what the oracle's ascending scan under a strict `<`
+//! returns. The `table_parity` unit suite pins all five families
+//! bit-identical to the oracle on compressor columns.
+//!
+//! **Weights.** A sketch takes a column and its [`WeightBounds`]; row `k`
+//! weighs `bounds.weight(value_k)`, strictly positive and finite (in the
+//! support) or NaN, and never outside `[WEIGHT_FLOOR, WEIGHT_CEILING]`.
+//! That bound holds by construction, so the two shortcuts below that need
+//! it — the visit and the dense scan's filter — run on every sketch.
 //!
 //! **Visiting only the rows that can still win.** A dense scan costs
 //! `rows × d` however the weights look. For CCWS every operation of
 //! `t = ⌊w/r + β⌋`, `y = max(r·(t−β), MIN_POSITIVE)`, `a = c/y` is
 //! monotone under IEEE correct rounding (`r, c > 0`), so the hash value
 //! `a(k, i; w)` is non-increasing in `w` *in floating point*, and every
-//! compressor weight is at most `W = 1 + WEIGHT_FLOOR`
+//! weight is at most `W = 1 + WEIGHT_FLOOR`
 //! (`WEIGHT_CEILING`): `A(k, i) = a(k, i; W)` is an exact lower bound
 //! that, like the draws, depends only on `(seed, i, k)`. Classic MinHash is
 //! the degenerate case (`A = h`, the weight never enters). The table keeps,
@@ -50,11 +57,10 @@
 //! hash-index-outer over blocks of rows (the stored draws and the block's
 //! weights are both contiguous) and keeps, like the visit, the
 //! lexicographic `(a, k)` minimum, so the order rows are offered in is
-//! free. A CCWS sketch whose weights all lie in
-//! `[WEIGHT_FLOOR, WEIGHT_CEILING]` (`bounded`) offers its heaviest row
-//! first and then skips a row without deriving its `r`, `β` when
-//! `fl(c/w)·(1 − 2⁻³⁰) > best a`. That is sound because
-//! `a(k, i; w) ≥ fl(c/w)·(1 − 2⁻³⁰)` for every such `w`: with `ε = 2⁻⁵³`
+//! free. A CCWS sketch offers its heaviest row first and then skips a row
+//! without deriving its `r`, `β` when `fl(c/w)·(1 − 2⁻³⁰) > best a`. That
+//! is sound because `a(k, i; w) ≥ fl(c/w)·(1 − 2⁻³⁰)` for every weight
+//! `w ∈ [WEIGHT_FLOOR, WEIGHT_CEILING]`: with `ε = 2⁻⁵³`
 //! and every intermediate in the normal range (`w/r ≤ 2²⁸`,
 //! `c ∈ [10⁻¹⁶, 80]`), `t ≤ (w/r)(1+ε)² + β(1+ε)`, so for `t ≥ 1`
 //! `fl(t−β) ≤ ((w/r)(1+ε)² + ε)(1+ε)` and, as `r ≤ 1`,
@@ -64,12 +70,10 @@
 //! `a = fl(c/y) ≥ (c/w)(1−ε)/(1 + 1.3·10⁻¹⁰)`, `fl(c/w) ≤ (c/w)(1+ε)`,
 //! and the filter's own product rounds once more: all of it is below a
 //! quarter of `2⁻³⁰ ≈ 9.3·10⁻¹⁰`. `ccws_filter_bound_holds_over_random_draws`
-//! asserts the inequality over random and adversarial draws. Nothing of
-//! the kind is assumed outside `[WEIGHT_FLOOR, WEIGHT_CEILING]`, where
-//! subnormal quotients void the error model: those sketches derive every
-//! supported row. (Why the heaviest row goes first: a `t = 0` row's hash
-//! value is `c/MIN_POSITIVE`, which no `c/w` exceeds, and a one-sided
-//! heavy tail is mostly such rows; at the ceiling weight `t ≥ 1`.)
+//! asserts the inequality over random and adversarial draws. (Why the
+//! heaviest row goes first: a `t = 0` row's hash value is
+//! `c/MIN_POSITIVE`, which no `c/w` exceeds, and a one-sided heavy tail is
+//! mostly such rows; at the ceiling weight `t ≥ 1`.)
 //!
 //! **Layout & growth.** A table is one column per hash index `i`, each a
 //! structure of arrays indexed by the row `k` (`[i][k]`), with that hash
@@ -93,13 +97,14 @@
 //! `K = 80 000`, `d = 48`), the log-domain families three (`r`, `c`, `eʳ`),
 //! MinHash one `u64`. The prefix index adds `d × 4` bytes per id and keeps
 //! `K/16 + 1 280` ids per hash index (`≈ K × d / 4` bytes: 1.2 MiB at
-//! that shape); [`DrawTables::bytes`] is the sum. A growth job's transient
-//! is its `(A, k)` list, `K × 16` bytes. Tables are registered process-wide
-//! per `(family, d, seed)`; the engine and the FPE search use a handful of
-//! such combinations, so the registry is deliberately unbounded —
-//! [`clear_draw_tables`] exists for long-lived processes that rotate seeds.
+//! that shape); the `minhash.table_bytes` gauge records the sum. A growth
+//! job's transient is its `(A, k)` list, `K × 16` bytes. Tables are
+//! registered process-wide per `(family, d, seed)`; the engine and the FPE
+//! search use a handful of such combinations, so the registry is
+//! deliberately unbounded — [`clear_draw_tables`] exists for long-lived
+//! processes that rotate seeds.
 
-use crate::compressor::WEIGHT_CEILING;
+use crate::compressor::{WeightBounds, WEIGHT_CEILING};
 use crate::error::{MinHashError, Result};
 use crate::families::{discretize_t, in_support, HashFamily, WeightedMinHasher};
 use crate::rng::{beta21, gamma21, mix, uniform_open};
@@ -172,8 +177,8 @@ const SCAN_BLOCK: usize = 2048;
 /// the module docs).
 const FILTER_SLACK: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
 
-/// The CCWS hash value `a` and its `t` at weight `w`: the scalar path's
-/// operations in the scalar path's order.
+/// The CCWS hash value `a` and its `t` at weight `w`: the scalar oracle's
+/// operations in the oracle's order.
 #[inline]
 fn ccws_hash(w: f64, r: f64, c: f64, beta: f64) -> (f64, f64) {
     let t = (w / r + beta).floor();
@@ -188,8 +193,8 @@ trait Draws: Fn(usize, usize) -> (f64, f64) + Sync {}
 
 impl<F: Fn(usize, usize) -> (f64, f64) + Sync> Draws for F {}
 
-/// The accessor every table uses: the scalar path's functions at the
-/// scalar path's counters.
+/// The accessor every table uses: the oracle's functions at the oracle's
+/// counters.
 fn ccws_draws(seed: u64) -> impl Draws {
     move |i, k| {
         let (i, k) = (i as u64, k as u64);
@@ -203,7 +208,7 @@ type Best = Option<(u64, u32, i32)>;
 
 /// Lazily grown draw table for one `(family, d, seed)` combination.
 #[derive(Debug)]
-pub struct DrawTables {
+pub(crate) struct DrawTables {
     family: HashFamily,
     d: usize,
     seed: u64,
@@ -230,7 +235,7 @@ struct HashColumn {
     /// Numerator draw: `c ~ Gamma(2,1)` (ICWS/0-bit/CCWS), `−ln x` with
     /// `x ~ U(0,1)` (PCWS). Empty for classic MinHash.
     c: Vec<f64>,
-    /// Derived `eʳ` — the exact `r.exp()` the scalar path divides by.
+    /// Derived `eʳ` — the exact `r.exp()` the scalar oracle divides by.
     /// Log-domain families only.
     er: Vec<f64>,
     /// Per tier `j` (smallest first; the last covers the whole table), the
@@ -268,17 +273,6 @@ impl DrawTables {
     /// panicked while holding either side left it valid.
     fn read(&self) -> RwLockReadGuard<'_, Store> {
         self.store.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Input dimensions currently materialised.
-    pub fn rows(&self) -> usize {
-        self.read().k_cap
-    }
-
-    /// Bytes the table holds: the stored draws (`rows × d × 8` for CCWS)
-    /// plus the prefix index.
-    pub fn bytes(&self) -> usize {
-        self.read().bytes()
     }
 
     /// Grow the table until it covers dimensions `0..k_needed` — at least
@@ -439,43 +433,38 @@ impl DrawTables {
         }
     }
 
-    /// Sketch one column into `d` signature elements. A row is in the
-    /// support when `weight(value)` is strictly positive and finite;
-    /// `None` when no row is. `bounded` promises every weight in the
-    /// support lies in `[WEIGHT_FLOOR, WEIGHT_CEILING]`, which is what lets
-    /// the visit skip rows and the dense scan skip deriving their draws.
+    /// Sketch one column, weighed by `bounds` (see the module docs), into
+    /// `d` signature elements; `None` when no row is in the support.
     pub(crate) fn sketch<S: RowSource + ?Sized>(
         &self,
-        bounded: bool,
-        weight: impl Fn(f64) -> f64,
+        bounds: WeightBounds,
         rows: &S,
     ) -> Result<Option<Vec<SigElement>>> {
-        self.sketch_with(&ccws_draws(self.seed), bounded, weight, rows)
+        self.sketch_with(&ccws_draws(self.seed), bounds, rows)
     }
 
     fn sketch_with<S: RowSource + ?Sized>(
         &self,
         draw: &impl Draws,
-        bounded: bool,
-        weight: impl Fn(f64) -> f64,
+        bounds: WeightBounds,
         rows: &S,
     ) -> Result<Option<Vec<SigElement>>> {
         let n = rows.n_rows();
         self.grow_with(draw, n, |_, _| ())?;
         let store = self.read();
-        if bounded && matches!(self.family, HashFamily::MinHash | HashFamily::Ccws) {
+        if matches!(self.family, HashFamily::MinHash | HashFamily::Ccws) {
             if let Some(j) = (0..MAX_TIERS).find(|&j| tier_rows(j, store.k_cap) >= n) {
-                if let Some(elements) = self.visit(&store, j, &weight, rows, draw) {
+                if let Some(elements) = self.visit(&store, j, bounds, rows, draw) {
                     return Ok(Some(elements));
                 }
                 telemetry::count("minhash.tail_scans", 1);
             }
         }
-        Ok(self.scan(&store, bounded, &weight, rows, draw))
+        Ok(self.scan(&store, bounds, rows, draw))
     }
 
-    /// `+∞` as a key: the CWS hash value that never wins (the scalar
-    /// path's minima start there). MinHash has no such value.
+    /// `+∞` as a key: the CWS hash value that never wins (the oracle's
+    /// minima start there). MinHash has no such value.
     fn never(&self) -> Option<u64> {
         (self.family != HashFamily::MinHash).then_some(f64::INFINITY.to_bits())
     }
@@ -491,7 +480,7 @@ impl DrawTables {
         &self,
         store: &Store,
         j: usize,
-        weight: &impl Fn(f64) -> f64,
+        bounds: WeightBounds,
         rows: &S,
         draw: &impl Draws,
     ) -> Option<Vec<SigElement>> {
@@ -515,7 +504,7 @@ impl DrawTables {
                     break;
                 }
                 visited += 1;
-                let w = weight(rows.value_at(k));
+                let w = bounds.weight(rows.value_at(k));
                 if !in_support(w) {
                     continue;
                 }
@@ -535,15 +524,13 @@ impl DrawTables {
     fn scan<S: RowSource + ?Sized>(
         &self,
         store: &Store,
-        bounded: bool,
-        weight: &impl Fn(f64) -> f64,
+        bounds: WeightBounds,
         rows: &S,
         draw: &impl Draws,
     ) -> Option<Vec<SigElement>> {
-        let supported = |v: f64| Some(weight(v)).filter(|&w| in_support(w));
+        let supported = |v: f64| Some(bounds.weight(v)).filter(|&w| in_support(w));
         let mut best: Vec<Best> = vec![None; self.d];
-        let filtered = bounded && self.family == HashFamily::Ccws;
-        if filtered {
+        if self.family == HashFamily::Ccws {
             // The heaviest row first: a hash value is about `c/w`, so this
             // row's leaves the filter little to pass (see the module docs).
             let (mut k, mut heaviest) = (0, None::<(f64, usize)>);
@@ -577,7 +564,7 @@ impl DrawTables {
                 if block.iter().any(|w| !w.is_nan()) {
                     any = true;
                     for (i, (col, best)) in store.cols.iter().zip(&mut best).enumerate() {
-                        self.scan_block(col, i, k0, &block, filtered, best, draw);
+                        self.scan_block(col, i, k0, &block, best, draw);
                     }
                 }
                 k0 += values.len();
@@ -596,16 +583,14 @@ impl DrawTables {
     }
 
     /// Fold rows `k0..k0 + block.len()` into hash index `i`'s running
-    /// minimum; each row goes through the scalar path's exact expression
-    /// sequence. `filtered` (CCWS) skips the rows that provably cannot win.
-    #[allow(clippy::too_many_arguments)]
+    /// minimum; each row goes through the oracle's exact expression
+    /// sequence. CCWS skips the rows that provably cannot win.
     fn scan_block(
         &self,
         col: &HashColumn,
         i: usize,
         k0: usize,
         block: &[f64],
-        filtered: bool,
         best: &mut Best,
         draw: &impl Draws,
     ) {
@@ -623,13 +608,8 @@ impl DrawTables {
             HashFamily::Ccws => {
                 let mut least = best.map_or(f64::INFINITY, |(a, ..)| f64::from_bits(a));
                 for ((k, &w), &c) in rows.zip(&col.c[span]) {
-                    // Either test is false on a NaN (unsupported) row.
-                    let can_win = if filtered {
-                        c / w * FILTER_SLACK <= least
-                    } else {
-                        !w.is_nan()
-                    };
-                    if can_win {
+                    // False on a NaN (unsupported) row too.
+                    if c / w * FILTER_SLACK <= least {
                         let (r, beta) = draw(i, k);
                         let (a, t) = ccws_hash(w, r, c, beta);
                         offer(best, never, a.to_bits(), k as u32, discretize_t(t));
@@ -660,7 +640,7 @@ impl DrawTables {
 
 /// Offer row `k`'s hash value `key` to a hash index's running minimum: the
 /// lexicographic `(key, k)` minimum — what an ascending scan under the
-/// scalar path's strict `<` returns — in whatever order rows are offered.
+/// oracle's strict `<` returns — in whatever order rows are offered.
 /// `never` does not win.
 #[inline]
 fn offer(best: &mut Best, never: Option<u64>, key: u64, k: u32, t: i32) {
@@ -682,7 +662,7 @@ fn registry() -> MutexGuard<'static, Registry> {
 
 /// The process-wide draw table for a hasher's `(family, d, seed)`,
 /// creating it (empty) on first request.
-pub fn draw_tables(hasher: &WeightedMinHasher) -> Arc<DrawTables> {
+pub(crate) fn draw_tables(hasher: &WeightedMinHasher) -> Arc<DrawTables> {
     let key = (hasher.family, hasher.d, hasher.seed);
     Arc::clone(
         registry()
@@ -706,8 +686,14 @@ mod tests {
     /// The runner a sketch uses: leave every job to the loop in `grow`.
     fn in_a_loop(_: usize, _: &(dyn Fn(usize) + Sync)) {}
 
-    fn sketch_weights(tables: &DrawTables, weights: &[f64]) -> Vec<SigElement> {
-        let sketched = tables.sketch(true, |w| w, weights).unwrap();
+    fn bounds_of(values: &[f64]) -> WeightBounds {
+        let mut bounds = WeightBounds::new();
+        bounds.absorb(values);
+        bounds
+    }
+
+    fn sketch_column(tables: &DrawTables, values: &[f64]) -> Vec<SigElement> {
+        let sketched = tables.sketch(bounds_of(values), values).unwrap();
         sketched.expect("support")
     }
 
@@ -716,16 +702,16 @@ mod tests {
         let hasher = WeightedMinHasher::new(HashFamily::Ccws, 8, 0xABCD).unwrap();
         let tables = DrawTables::new(&hasher);
         let small: Vec<f64> = (0..10).map(|k| (1.0 + k as f64) / 16.0).collect();
-        let first = sketch_weights(&tables, &small);
-        assert_eq!(tables.rows(), 10);
+        let first = sketch_column(&tables, &small);
+        assert_eq!(tables.read().k_cap, 10);
         // Growing for a larger column must not disturb earlier rows.
         let large: Vec<f64> = (0..300).map(|k| (1.0 + k as f64) / 512.0).collect();
-        sketch_weights(&tables, &large);
-        assert_eq!(tables.rows(), 300);
-        assert_eq!(sketch_weights(&tables, &small), first);
+        sketch_column(&tables, &large);
+        assert_eq!(tables.read().k_cap, 300);
+        assert_eq!(sketch_column(&tables, &small), first);
         // Less than double: the table doubles instead.
-        sketch_weights(&tables, &vec![0.5; 301]);
-        assert_eq!(tables.rows(), 600);
+        sketch_column(&tables, &vec![0.5; 301]);
+        assert_eq!(tables.read().k_cap, 600);
     }
 
     #[test]
@@ -734,7 +720,7 @@ mod tests {
         let tables = DrawTables::new(&hasher);
         let grown = tables.grow(u32::MAX as usize + 1, in_a_loop);
         assert!(matches!(grown, Err(MinHashError::InvalidParam(_))));
-        assert_eq!(tables.rows(), 0);
+        assert_eq!(tables.read().k_cap, 0);
     }
 
     #[test]
@@ -752,13 +738,13 @@ mod tests {
             let hasher = WeightedMinHasher::new(family, 12, 3).unwrap();
             let tables = DrawTables::new(&hasher);
             let weights: Vec<f64> = (0..700).map(|k| (0.5 + k as f64) / 700.0).collect();
-            let expected = sketch_weights(&tables, &weights);
+            let expected = sketch_column(&tables, &weights);
             let fresh = DrawTables::new(&hasher);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
                         for _ in 0..10 {
-                            assert_eq!(sketch_weights(&fresh, &weights), expected);
+                            assert_eq!(sketch_column(&fresh, &weights), expected);
                         }
                     });
                 }
@@ -806,9 +792,10 @@ mod tests {
                 assert!(store.cols == expected.cols, "{family:?}: columns differ");
                 drop(store);
                 for n in [200, 300, 5000, 9000] {
+                    let column = &weights[..n];
                     assert_eq!(
-                        other.sketch(true, |w| w, &weights[..n]).unwrap(),
-                        looped.sketch(true, |w| w, &weights[..n]).unwrap(),
+                        other.sketch(bounds_of(column), column).unwrap(),
+                        looped.sketch(bounds_of(column), column).unwrap(),
                         "{family:?} n={n}"
                     );
                 }
@@ -840,22 +827,22 @@ mod tests {
         // The memory model: one f64 per (row, hash index), and per hash
         // index Σ len = K/16 + the 256-id floor of the five small tiers.
         let ids = store.k_cap / 16 + 5 * TIER0_ROWS;
+        assert_eq!(store.bytes(), 9000 * 5 * 8 + 5 * ids * 4);
         drop(store);
-        assert_eq!(tables.bytes(), 9000 * 5 * 8 + 5 * ids * 4);
         // The log-domain families keep three draws and no index…
         let icws = DrawTables::new(&WeightedMinHasher::new(HashFamily::Icws, 5, 11).unwrap());
         icws.grow(1000, in_a_loop).unwrap();
         assert!(icws.read().cols.iter().all(|col| col.prefixes.is_empty()));
-        assert_eq!(icws.bytes(), 1000 * 5 * 3 * 8);
+        assert_eq!(icws.read().bytes(), 1000 * 5 * 3 * 8);
         // …and MinHash one hash with one (tiers 256, 512 and 1 000, each at
         // the 256-id floor).
         let plain = DrawTables::new(&WeightedMinHasher::new(HashFamily::MinHash, 5, 11).unwrap());
         plain.grow(1000, in_a_loop).unwrap();
-        assert_eq!(plain.bytes(), 1000 * 5 * 8 + 5 * 3 * TIER0_ROWS * 4);
+        assert_eq!(plain.read().bytes(), 1000 * 5 * 8 + 5 * 3 * TIER0_ROWS * 4);
     }
 
     /// Hand-picked draws `r = β = ½`: `t = ⌊2w + ½⌋`, `y = (t − ½)/2`, so
-    /// `y = ¾` at `w ∈ {1, W}` and `¼` at `w = 0.6`.
+    /// `y = ¾` at `w = W` and `¼` at `w = 0.6 + WEIGHT_FLOOR`.
     fn halves(_: usize, _: usize) -> (f64, f64) {
         (0.5, 0.5)
     }
@@ -871,45 +858,47 @@ mod tests {
         tables
     }
 
-    fn sketch_halves(tables: &DrawTables, bounded: bool, w: &[f64]) -> Option<Vec<SigElement>> {
-        tables.sketch_with(&halves, bounded, |w| w, w).unwrap()
+    /// A column sketched over [`halves`] twice: through the visit (the
+    /// dense scan behind it) and through the dense scan alone.
+    fn sketch_halves(tables: &DrawTables, values: &[f64]) -> [Option<Vec<SigElement>>; 2] {
+        let bounds = bounds_of(values);
+        let visited = tables.sketch_with(&halves, bounds, values).unwrap();
+        let scanned = tables.scan(&tables.read(), bounds, values, &halves);
+        [visited, scanned]
     }
 
     #[test]
     fn exact_tie_goes_to_the_lower_row_whichever_is_visited_first() {
-        // Row 1: c = 3, w = 1 → a = 3/¾ = 4, bound 4. Row 4: c = 1,
-        // w = 0.6 → a = 1/¼ = 4, bound 1/¾: visited before row 1.
-        // Every other row: a = 30/¾ = 40.
+        // Values in [0, 1] weigh `v + WEIGHT_FLOOR`. Row 1: c = 3, w = W →
+        // a = 3/¾ = 4, bound 4. Row 4: c = 1, w ≈ 0.6 → a = 1/¼ = 4, bound
+        // 1/¾: visited before row 1. Row 2 (value 0, floor weight): t = 0,
+        // a = 30/MIN_POSITIVE = +∞. Every other row: a = 30/¾ = 40.
         let c = [30.0, 3.0, 30.0, 30.0, 1.0, 30.0];
-        let mut w = [1.0; 6];
-        w[4] = 0.6;
+        let values = [1.0, 1.0, 0.0, 1.0, 0.6, 1.0];
         let tables = hand_built(&c);
         assert_eq!(tables.read().cols[0].prefixes[0][..2], [4, 1]);
-        let row1 = vec![SigElement { key: 1, t: 2 }];
-        assert_eq!(sketch_halves(&tables, true, &w), Some(row1.clone()));
-        assert_eq!(sketch_halves(&tables, false, &w), Some(row1), "tail");
+        let row1 = Some(vec![SigElement { key: 1, t: 2 }]);
+        assert_eq!(sketch_halves(&tables, &values), [row1.clone(), row1]);
         // Mirrored: the lower row has the smaller bound and is visited
         // first; the later equal `a` must not displace it.
         let c = [30.0, 1.0, 30.0, 30.0, 3.0, 30.0];
-        let mut w = [1.0; 6];
-        w[1] = 0.6;
+        let values = [1.0, 0.6, 0.0, 1.0, 1.0, 1.0];
         let tables = hand_built(&c);
-        let row1 = vec![SigElement { key: 1, t: 1 }];
-        assert_eq!(sketch_halves(&tables, true, &w), Some(row1.clone()));
-        assert_eq!(sketch_halves(&tables, false, &w), Some(row1), "tail");
+        let row1 = Some(vec![SigElement { key: 1, t: 1 }]);
+        assert_eq!(sketch_halves(&tables, &values), [row1.clone(), row1]);
     }
 
     #[test]
     fn all_infinite_hash_values_leave_key_and_t_zero() {
-        // w = 1e-6: t = 0, y clamps to MIN_POSITIVE, a = 8 / MIN_POSITIVE
-        // overflows to +∞ in every row — nothing ever wins.
+        // A constant column, and one with no finite value, weigh the floor
+        // in every row: t = 0, y clamps to MIN_POSITIVE, a = 8 / MIN_POSITIVE
+        // overflows to +∞ — nothing ever wins.
         let tables = hand_built(&[8.0; 5]);
-        let w = [1e-6; 5];
-        let untouched = vec![SigElement { key: 0, t: 0 }];
-        assert_eq!(sketch_halves(&tables, true, &w), Some(untouched.clone()));
-        assert_eq!(sketch_halves(&tables, false, &w), Some(untouched));
-        // …and an empty support is reported, not sketched.
-        assert_eq!(sketch_halves(&tables, true, &[0.0, f64::NAN, -1.0]), None);
+        let untouched = Some(vec![SigElement { key: 0, t: 0 }]);
+        for values in [[-2.5; 5], [f64::NAN; 5]] {
+            let sketched = sketch_halves(&tables, &values);
+            assert_eq!(sketched, [untouched.clone(), untouched.clone()]);
+        }
     }
 
     #[test]
@@ -922,26 +911,22 @@ mod tests {
         let store = tables.read();
         let last = store.cols[0].prefixes.len() - 1;
         let uniform: Vec<f64> = (0..n).map(|k| (k as f64 + 0.5) / n as f64).collect();
+        // Floor weights but every 97th row's ≈ ½ (and row 1's, the maximum).
         let heavy: Vec<f64> = (0..n)
-            .map(|k| if k % 97 == 0 { 0.5 } else { 1e-6 })
+            .map(|k| match k {
+                1 => 1.0,
+                _ if k % 97 == 0 => 0.5,
+                _ => 0.0,
+            })
             .collect();
-        let visited = tables.visit(&store, last, &|w| w, &uniform[..], &draw);
+        let visited = tables.visit(&store, last, bounds_of(&uniform), &uniform[..], &draw);
         assert!(visited.is_some());
         assert!(tables
-            .visit(&store, last, &|w| w, &heavy[..], &draw)
+            .visit(&store, last, bounds_of(&heavy), &heavy[..], &draw)
             .is_none());
-        // The dense scan agrees with the visit, and with itself whether or
-        // not it skips the rows that cannot win.
-        let derive_all = tables.scan(&store, false, &|w| w, &uniform[..], &draw);
-        assert_eq!(visited, derive_all);
-        assert_eq!(
-            tables.scan(&store, true, &|w| w, &uniform[..], &draw),
-            derive_all
-        );
-        assert_eq!(
-            tables.scan(&store, true, &|w| w, &heavy[..], &draw),
-            tables.scan(&store, false, &|w| w, &heavy[..], &draw)
-        );
+        // The dense scan agrees with the visit.
+        let scanned = tables.scan(&store, bounds_of(&uniform), &uniform[..], &draw);
+        assert_eq!(visited, scanned);
     }
 
     /// 1.5 M `(r, c, β, w)` tuples: the draws as the table makes them, the

@@ -11,13 +11,9 @@
 //! `d`, the seed, and the raw column's digest ([`fingerprint_values`],
 //! over its IEEE-754 bit patterns). Two differently-derived pipelines
 //! producing bit-identical columns share one entry; the collision
-//! analysis in the crate root applies unchanged.
-//!
-//! Two key domains keep the addressing honest: [`signature_cached`] hashes
-//! the weight vector it sketches directly, while the compressor-path entry
-//! points hash the **raw** column and cache the signature of
-//! `SampleCompressor::to_weights(column)` — the same float vector seen
-//! through the two paths must not collide.
+//! analysis in the crate root applies unchanged. There is one key domain:
+//! every entry is a column as a [`SampleCompressor`] sketches it, which is
+//! the only way `minhash` sketches.
 //!
 //! Cached values are `Arc<Signature>` (`d` × 8 bytes each, ~12 MB at the
 //! default capacity and `d = 48`); the compressed vector is rebuilt from
@@ -27,7 +23,7 @@
 use crate::cache::{CacheSnapshot, CacheStats, ScoreCache};
 use crate::fingerprint::{fingerprint_values, Fingerprint, Hasher128};
 use crate::pool::WorkerPool;
-use minhash::{SampleCompressor, Signature, WeightedMinHasher};
+use minhash::{SampleCompressor, Signature};
 use std::sync::{Arc, OnceLock};
 
 /// Capacity of the process-wide signature cache. Entries are one
@@ -94,17 +90,6 @@ pub fn sig_cache_merge(snapshot: &CacheSnapshot<Signature>) -> usize {
     sig_cache().merge(&wrapped)
 }
 
-fn raw_key(hasher: &WeightedMinHasher, weights: &[f64]) -> Fingerprint {
-    let mut h = Hasher128::new();
-    h.write_str("runtime::SignatureCache");
-    h.write_str("raw");
-    h.write_str(hasher.family.name());
-    h.write_u64(hasher.d as u64);
-    h.write_u64(hasher.seed);
-    h.write_u128(fingerprint_values(weights).0);
-    h.finish()
-}
-
 fn compressor_key(c: &SampleCompressor, values: &[f64]) -> Fingerprint {
     let mut h = Hasher128::new();
     h.write_str("runtime::SignatureCache");
@@ -127,26 +112,9 @@ pub fn prepare_draw_tables(c: &SampleCompressor, rows: usize) -> minhash::Result
     })
 }
 
-/// Sketch a weight vector through the cache: a weight vector whose
+/// A column's signature through the cache: a column whose
 /// `(content, family, d, seed)` was sketched before is served without
-/// recomputation; misses go through the table-driven kernel.
-pub fn signature_cached(
-    hasher: &WeightedMinHasher,
-    weights: &[f64],
-) -> minhash::Result<Arc<Signature>> {
-    let cache = sig_cache();
-    let key = raw_key(hasher, weights);
-    if let Some(hit) = cache.get(key) {
-        telemetry::count("minhash.sig_cache_hits", 1);
-        return Ok(hit);
-    }
-    let sig = Arc::new(hasher.signature_tabled(weights)?);
-    cache.insert(key, Arc::clone(&sig));
-    Ok(sig)
-}
-
-/// A column's compressor signature through the cache (the raw column is
-/// the address; the cached value is the sketch of its `to_weights`).
+/// recomputation.
 pub fn compressor_signature_cached(
     c: &SampleCompressor,
     values: &[f64],
@@ -162,9 +130,10 @@ pub fn compressor_signature_cached(
     Ok(sig)
 }
 
-/// Cached drop-in for `SampleCompressor::compress_normalized`: signature
-/// from the cache (sketching on miss), compressed vector rebuilt by
-/// gather + z-score. Bit-identical to the uncached call.
+/// A column's FPE input through the cache: signature from the cache
+/// (sketching on miss), compressed vector rebuilt by
+/// `SampleCompressor::compress_normalized_with_signature`. Bit-identical
+/// to sketching it afresh.
 pub fn compress_normalized_cached(
     c: &SampleCompressor,
     values: &[f64],
@@ -177,8 +146,7 @@ pub fn compress_normalized_cached(
 /// column, then all missing columns sketched via
 /// `SampleCompressor::signature_batch` in [`WorkerPool`] chunks (telemetry
 /// spans carry over to worker threads via the pool's `parent_scope`).
-/// Per-column output is bit-identical to
-/// `SampleCompressor::compress_normalized`.
+/// Per-column output is bit-identical to [`compress_normalized_cached`].
 pub fn compress_normalized_batch(
     c: &SampleCompressor,
     cols: &[&[f64]],
@@ -220,7 +188,7 @@ pub fn compress_normalized_batch(
     Ok(cols
         .iter()
         .zip(&sigs)
-        .map(|(col, sig)| {
+        .map(|(&col, sig)| {
             c.compress_normalized_with_signature(col, sig.as_ref().expect("all signatures filled"))
         })
         .collect())
@@ -237,11 +205,17 @@ mod tests {
             .collect()
     }
 
+    /// A column's FPE input sketched afresh, past the cache.
+    fn direct(c: &SampleCompressor, values: &[f64]) -> Vec<f64> {
+        let sig = c.signature(values).unwrap();
+        c.compress_normalized_with_signature(values, &sig)
+    }
+
     #[test]
     fn cached_compress_matches_direct_and_hits_on_repeat() {
         let c = SampleCompressor::new(HashFamily::Ccws, 32, 0xF00D).unwrap();
         let values = col(1, 300);
-        let direct = c.compress_normalized(&values).unwrap();
+        let direct = direct(&c, &values);
         let cached = compress_normalized_cached(&c, &values).unwrap();
         assert_eq!(direct, cached);
         let before = sig_cache_stats();
@@ -259,7 +233,7 @@ mod tests {
         let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
         let batch = compress_normalized_batch(&c, &refs).unwrap();
         for (col, out) in cols.iter().zip(&batch) {
-            assert_eq!(out, &c.compress_normalized(col).unwrap());
+            assert_eq!(out, &direct(&c, col));
         }
         let before = sig_cache_stats();
         let warm = compress_normalized_batch(&c, &refs).unwrap();
@@ -270,39 +244,33 @@ mod tests {
     }
 
     #[test]
-    fn pool_built_table_sketches_like_the_scalar_oracle() {
+    fn pool_built_tables_sketch_like_lazily_grown_ones() {
         crate::pool::set_global_threads(4);
-        // A seed of its own: the table is process-wide.
-        let c = SampleCompressor::new(HashFamily::Ccws, 48, 0x9001_B111).unwrap();
-        let hasher = WeightedMinHasher::new(HashFamily::Ccws, 48, 0x9001_B111).unwrap();
-        prepare_draw_tables(&c, 5000).unwrap();
-        assert_eq!(minhash::draw_tables(&hasher).rows(), 5000);
         // An ordinary column (the bound-ordered visit) and a heavy-tailed
-        // one (the dense scan), at the table's size and below it.
-        for n in [5000, 700] {
-            let wave = col(3, n);
-            let heavy: Vec<f64> = wave.iter().map(|v| 1.0 / (v + 1.0001)).collect();
-            for values in [&wave, &heavy] {
-                let oracle = hasher.signature(&SampleCompressor::to_weights(values));
-                assert_eq!(c.signature(values).unwrap(), oracle.unwrap(), "n={n}");
+        // one (the dense scan), below the tables' final size and at it.
+        let columns: Vec<Vec<f64>> = [700, 5000]
+            .into_iter()
+            .flat_map(|n| {
+                let wave = col(3, n);
+                let heavy = wave.iter().map(|v| 1.0 / (v + 1.0001)).collect();
+                [wave, heavy]
+            })
+            .collect();
+        for family in HashFamily::ALL {
+            // A seed of its own: tables are process-wide.
+            let c = SampleCompressor::new(family, 48, 0x9001_B111).unwrap();
+            // Grown lazily by the sketches, on this thread: 700 rows, then
+            // 5 000.
+            let lazy: Vec<Signature> = columns.iter().map(|v| c.signature(v).unwrap()).collect();
+            // Dropping the registry changes no sketch (tables are rebuilt
+            // from the same counters), so the next table is the pool's.
+            minhash::clear_draw_tables();
+            prepare_draw_tables(&c, 5000).unwrap();
+            for (values, expected) in columns.iter().zip(&lazy).rev() {
+                let n = values.len();
+                assert_eq!(&c.signature(values).unwrap(), expected, "{family:?} n={n}");
             }
         }
-        assert_eq!(minhash::draw_tables(&hasher).rows(), 5000);
-    }
-
-    #[test]
-    fn raw_and_compressor_domains_do_not_collide() {
-        // The same float vector addressed as raw weights vs as a raw
-        // column must produce different keys (the compressor path sketches
-        // to_weights(values), not values).
-        let h = WeightedMinHasher::new(HashFamily::Ccws, 16, 9).unwrap();
-        let c = SampleCompressor::new(HashFamily::Ccws, 16, 9).unwrap();
-        let v: Vec<f64> = (0..50).map(|i| 0.1 + i as f64).collect();
-        assert_ne!(raw_key(&h, &v), compressor_key(&c, &v));
-        let raw = signature_cached(&h, &v).unwrap();
-        let comp = compressor_signature_cached(&c, &v).unwrap();
-        assert_eq!(*raw, h.signature(&v).unwrap());
-        assert_eq!(*comp, c.signature(&v).unwrap());
     }
 
     #[test]

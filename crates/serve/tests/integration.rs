@@ -447,7 +447,7 @@ fn checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
 fn resume_edited_checkpoint(
     test: &str,
     frame: &DataFrame,
-    (from, to): (&str, &str),
+    edits: &[(&str, &str)],
 ) -> serve::Result<(JobServer, Vec<serve::JobHandle>)> {
     let dir = scratch_dir(test);
     let config = ServerConfig {
@@ -463,9 +463,12 @@ fn resume_edited_checkpoint(
     server.shutdown().unwrap();
 
     let path = dir.join(format!("{}.json", job.id()));
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(from), "the checkpoint carries {from}");
-    std::fs::write(&path, text.replace(from, to)).unwrap();
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    for (from, to) in edits {
+        assert!(text.contains(from), "the checkpoint carries {from}");
+        text = text.replace(from, to);
+    }
+    std::fs::write(&path, text).unwrap();
     let resumed = JobServer::resume(config);
     if resumed.is_err() {
         let _ = std::fs::remove_dir_all(&dir);
@@ -477,12 +480,22 @@ fn resume_edited_checkpoint(
 fn checkpoint_with_a_retired_config_key_resumes_bit_identical() {
     // Checkpoints written before the per-sample NN trainer left the
     // library carry `"backend":"Batched"` in the evaluator's MLP config;
-    // the key is ignored (batched ≡ per-sample bitwise was the contract,
-    // so there is nothing to switch) and the version is not bumped.
+    // older ones also carry the engine's `signature_dim` / `hash_family`
+    // (the FPE model's compressor holds its own `d` and family) and the
+    // forest's `n_threads` (the process budget is the one thread knob).
+    // The keys are ignored — none could change a result — and the version
+    // is not bumped.
     let frame = frame();
     let solo = fast_engine().run(&frame).unwrap();
-    let edit = (r#""mlp":{"#, r#""mlp":{"backend":"Batched","#);
-    let (_server, handles) = resume_edited_checkpoint("retired-key", &frame, edit).unwrap();
+    let edits = [
+        (r#""mlp":{"#, r#""mlp":{"backend":"Batched","#),
+        (
+            r#""replay_capacity":"#,
+            r#""signature_dim":16,"hash_family":"Ccws","replay_capacity":"#,
+        ),
+        (r#""forest":{"#, r#""forest":{"n_threads":0,"#),
+    ];
+    let (_server, handles) = resume_edited_checkpoint("retired-key", &frame, &edits).unwrap();
     let result = handles[0].wait().unwrap().result.unwrap();
     assert_eq!(result.best_score.to_bits(), solo.best_score.to_bits());
     assert_eq!(result.selected, solo.selected);
@@ -494,7 +507,7 @@ fn checkpoint_naming_the_deleted_split_finder_is_corrupt_not_a_silent_switch() {
     // that asks for the exact finder must be refused, in `resume` (not by
     // a panic on the scheduler thread), naming what it asked for.
     let edit = (r#""split":"Histogram""#, r#""split":"Exact""#);
-    match resume_edited_checkpoint("exact-split", &frame(), edit) {
+    match resume_edited_checkpoint("exact-split", &frame(), &[edit]) {
         Err(ServeError::Corrupt(msg)) => {
             assert!(msg.contains("unknown variant `Exact`"), "{msg}")
         }

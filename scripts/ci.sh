@@ -32,7 +32,7 @@ echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' pu
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
-    echo "==> minhash bound checks (release: A <= a and the dense scan's filter bound asserted where debug_assert! is compiled out)"
+    echo "==> minhash kernel vs scalar oracle + bound checks (release: the table_parity unit suite, and A <= a and the dense scan's filter bound asserted where debug_assert! is compiled out)"
     cargo test -q -p minhash --release --lib
 
     echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"

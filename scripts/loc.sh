@@ -4,7 +4,10 @@
 # up to its first `#[cfg(test)]` line and as test from there on — all of
 # it when its first line is `#![cfg(test)]` (a test oracle in a file of
 # its own); files under tests/, benches/ and examples/ count as test.
-# Blank lines and comments are lines. vendor/ and target/ are not
+# Blank lines and comments are lines. The `pub` column counts the
+# non-test lines that open a public item — `pub fn|struct|enum|trait|
+# type|const|static|mod|use` after indentation (`pub(crate)` is not
+# public) — the size of a crate's surface. vendor/ and target/ are not
 # first-party.
 #
 #   scripts/loc.sh [repo-root]      # default: this checkout
@@ -21,15 +24,16 @@ count() { # <crate name> <crate dir>
         FNR == 1 { in_test = (index(FILENAME, src) != 1) || /^#!\[cfg\(test\)\]/ }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
         { if (in_test) test++; else code++ }
-        END { printf "%-12s %8d %8d %8d\n", crate, code, test, code + test }'
+        !in_test && /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use)[[:space:]]/ { pub++ }
+        END { printf "%-12s %8d %8d %8d %8d\n", crate, code, test, code + test, pub }'
 }
 
-printf "%-12s %8s %8s %8s\n" crate non-test test total
+printf "%-12s %8s %8s %8s %8s\n" crate non-test test total pub
 {
     for dir in crates/*/; do
         count "$(basename "$dir")" "${dir%/}"
     done
     count e-afe .
     count benchmark benchmark
-} | awk '{ print; code += $2; test += $3 }
-    END { printf "%-12s %8d %8d %8d\n", "total", code, test, code + test }'
+} | awk '{ print; code += $2; test += $3; pub += $5 }
+    END { printf "%-12s %8d %8d %8d %8d\n", "total", code, test, code + test, pub }'

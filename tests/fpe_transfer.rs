@@ -4,7 +4,7 @@
 //! representation.
 
 use eafe::fpe::{search, FpeSearchSpace, RawLabels};
-use eafe::FpeModel;
+use eafe::{bootstrap_fpe, EafeConfig, FpeModel};
 use learners::Evaluator;
 use minhash::HashFamily;
 use tabular::registry::public_corpus;
@@ -109,4 +109,36 @@ fn augmented_labelling_supersets_plain_labelling() {
         assert_eq!(p.0, a.0);
         assert!((p.1 - a.1).abs() < 1e-12);
     }
+}
+
+/// The FPE model of the benchmark's pre-training spec (CCWS, d = 48,
+/// `thre` 0.01, five classification and two regression corpus tables, the
+/// fast evaluator) serialises to the bytes it always has. The benchmark
+/// hands every child process the model as this JSON and users persist it
+/// with `--fpe`, so the compressor's serde form and the model's bits are
+/// pinned: the form by the JSON's head, the rest by its length and
+/// 128-bit digest.
+#[test]
+fn benchmark_fpe_model_json_is_pinned() {
+    const FPE_SEED: u64 = 0x6670_6521;
+    let space = FpeSearchSpace {
+        families: vec![HashFamily::Ccws],
+        dims: vec![48],
+        thre: 0.01,
+        seed: FPE_SEED,
+    };
+    let evaluator = EafeConfig::fast().evaluator;
+    let fpe = bootstrap_fpe(5, 2, &space, &evaluator, FPE_SEED).unwrap();
+    let json = fpe.to_json().unwrap();
+    let head = r#"{"repr":{"MinHash":{"hasher":{"family":"Ccws","d":48,"seed":1718641953}}},"#;
+    assert!(
+        json.starts_with(head),
+        "{}",
+        &json[..head.len().min(json.len())]
+    );
+    assert_eq!(json.len(), 4126);
+    let mut digest = runtime::Hasher128::new();
+    digest.write_str(&json);
+    assert_eq!(digest.finish().0, 0xb883_d694_9080_6d59_803d_6738_b66f_0a55);
+    assert_eq!(FpeModel::from_json(&json).unwrap(), fpe);
 }

@@ -36,7 +36,6 @@ fn forest_config(seed: u64) -> ForestConfig {
         },
         bootstrap: false,
         seed,
-        ..ForestConfig::default()
     }
 }
 
@@ -352,7 +351,6 @@ fn fit_is_binning_then_fit_binned_on_all_rows() {
         let forest = ForestConfig {
             n_trees: 6,
             tree,
-            n_threads,
             ..ForestConfig::default()
         };
         assert_fit_is_fit_binned!(DecisionTreeClassifier, tree, &yc, 2);
