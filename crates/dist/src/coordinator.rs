@@ -18,9 +18,9 @@
 use crate::protocol::{Msg, ShardResult, ShardTasks, WorkShard, STREAM_WORKER};
 use crate::transport::Transport;
 use crate::Result;
-use eafe::{Engine, RunResult, SearchState};
+use eafe::{Engine, RunResult, SearchState, SelectedColumn, Selection};
 use runtime::evaluator::DEFAULT_CACHE_CAPACITY;
-use runtime::{derive_seed, dist_counters, FramePrefix, ScoreCache};
+use runtime::{derive_seed, dist_counters, ScoreCache};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -131,21 +131,26 @@ impl<T: Transport> Coordinator<T> {
             // cache (merged from workers or computed by an earlier real
             // step) and slice-internal duplicates — the cache key is the
             // exact fingerprint `step` will probe with.
+            // Keys only: the selection carries no bins here.
             let evaluator = engine.evaluator();
-            let prefix = FramePrefix::new(prefix);
+            let mut selection = Selection::new(&prefix.name, prefix.n_rows(), prefix.label(), None);
+            for c in prefix.columns() {
+                selection.push(SelectedColumn::of_values(&c.name, &c.values, None));
+            }
             let mut seen: HashSet<runtime::Fingerprint> = HashSet::new();
             candidates.retain(|candidate| {
-                if candidate.len() != prefix.frame().n_rows() {
+                if candidate.len() != prefix.n_rows() {
                     return false;
                 }
-                let key = evaluator.prefix_key(&prefix, candidate);
+                let digest = runtime::fingerprint_values(&candidate.values);
+                let key = evaluator.key_of(&selection.extended_key(&candidate.name, digest));
                 seen.insert(key) && !cache.contains(key)
             });
             if !candidates.is_empty() {
                 let shards =
                     make_shards(slice, 1, root, self.live_workers(), candidates, |cands| {
                         ShardTasks::Eval {
-                            prefix: prefix.frame().clone(),
+                            prefix: prefix.clone(),
                             candidates: cands,
                         }
                     });

@@ -12,8 +12,8 @@
 use crate::protocol::{Msg, ShardResult, ShardTasks, WorkShard};
 use crate::transport::Transport;
 use crate::{DistError, Result};
-use eafe::{CachedEvaluator, Engine};
-use runtime::{CacheSnapshot, FramePrefix};
+use eafe::{CachedEvaluator, Engine, SelectedColumn, Selection};
+use runtime::CacheSnapshot;
 use std::time::Instant;
 
 /// Stateless worker entry point.
@@ -51,17 +51,39 @@ impl Session {
                 sigs = runtime::sig_cache_snapshot_since(baseline);
             }
             ShardTasks::Eval { prefix, candidates } => {
-                // Key and (on a miss) rebuild each evaluation frame exactly
-                // as the sequential search does, so the content-addressed
-                // key matches the one `Engine::step` will look up.
-                let prefix = FramePrefix::new(prefix);
+                // Key each evaluation exactly as the sequential search
+                // does, so the content-addressed key matches the one
+                // `Engine::step` will look up; a miss reads the prefix's
+                // bins plus the candidate's (a frame only for a model
+                // kind that reads raw values).
+                let label = prefix.label();
+                let budget = self.evaluator.scorer().bin_budget(prefix.task());
+                let mut selection = Selection::new(&prefix.name, prefix.n_rows(), label, budget);
+                for c in prefix.columns() {
+                    selection.push(SelectedColumn::of_values(&c.name, &c.values, budget));
+                }
                 let mut entries = Vec::with_capacity(candidates.len());
                 for candidate in &candidates {
-                    let key = self.evaluator.prefix_key(&prefix, candidate);
+                    let digest = runtime::fingerprint_values(&candidate.values);
+                    let key = self
+                        .evaluator
+                        .key_of(&selection.extended_key(&candidate.name, digest));
                     let score = self
                         .evaluator
-                        .evaluate_keyed(key, || Ok(prefix.with_column(candidate)?))
-                        .map_err(|e: eafe::EafeError| DistError::Task(e.to_string()))?;
+                        .evaluate_keyed(key, |scorer| {
+                            let extra = SelectedColumn::with_digest(
+                                &candidate.name,
+                                &candidate.values,
+                                digest,
+                                budget,
+                            );
+                            scorer.evaluate_selection(&selection, Some(&extra), label, || {
+                                let frame =
+                                    prefix.with_extra_columns(std::slice::from_ref(candidate));
+                                Ok::<_, eafe::EafeError>(frame?)
+                            })
+                        })
+                        .map_err(|e| DistError::Task(e.to_string()))?;
                     entries.push((key, score));
                 }
                 // Snapshot contract: ascending fingerprint order, no

@@ -21,42 +21,41 @@
 //!   source), so stage-1 — which by design never touches the downstream
 //!   task — runs without materializing anything;
 //! - chunk encoding fans out over the [`runtime::WorkerPool`] with
-//!   results merged in chunk-index order, so 1-thread ≡ N-thread.
+//!   results merged in chunk-index order, so 1-thread ≡ N-thread;
+//! - downstream evaluations never materialize a flat column for a
+//!   forest: the store keeps a [`Selection`] — every selected column's
+//!   digest and bins, binned chunk by chunk once — and a cache miss bins
+//!   only the candidate, from its chunks (the sort buffer is the one flat
+//!   copy). Only a model kind that reads raw values gets the selected
+//!   frame plus the candidate, built on its miss.
 //!
-//! Downstream evaluations still materialize the selected frame plus the
-//! candidate column transiently (the CV learners need flat data), and the
-//! per-chunk transforms/folds replay the flat store's exact expression
-//! sequences, so a chunked run is **bit-identical** to
-//! [`Engine::run_full`] on the materialized frame: same RNG streams, same
-//! candidates, same scores, same accepted features. The parity tests
-//! below pin that contract for every gate/stage combination, slice by
-//! slice.
+//! The per-chunk transforms/folds replay the flat store's exact
+//! expression sequences and the bins are the same bytes, so a chunked
+//! run is **bit-identical** to [`Engine::run_full`] on the materialized
+//! frame: same RNG streams, same candidates, same scores, same accepted
+//! features. The parity tests below pin that contract for every
+//! gate/stage combination, slice by slice.
 //!
-//! The loop itself is [`crate::step`]'s; this file is only the store.
-//! Two things the flat store does, this one declines:
-//!
-//! - it does not go through the signature cache (chunk-backed sketches
-//!   bypass `runtime::sigcache` — scores are bitwise unchanged, the cache
-//!   only ever short-circuits recomputation);
-//! - it does not keep the selected frame between cache probes, only its
-//!   [`KeyPrefix`] (the key state the flat store's `FramePrefix` holds
-//!   beside its frame), and re-materialises the frame on a miss — the
-//!   selected columns stay under the frame's budget.
+//! The loop itself is [`crate::step`]'s; this file is only the store. It
+//! does not go through the signature cache (chunk-backed sketches bypass
+//! `runtime::sigcache` — scores are bitwise unchanged, the cache only
+//! ever short-circuits recomputation).
 //!
 //! A chunked search also has no serde form: it lives and dies with its
 //! frame handle.
 
 use crate::config::CachedEvaluator;
 use crate::engine::Engine;
-use crate::error::Result;
+use crate::error::{EafeError, Result};
 use crate::fpe::repr::FeatureRepr;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
 use crate::store::ColumnStore;
+use learners::{BinnedColumn, SelectedColumn, Selection};
 use minhash::{RowSource, WeightBounds};
-use runtime::{ColumnDigest, KeyPrefix, WorkerPool};
+use runtime::{ColumnDigest, WorkerPool};
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
 
 /// A generated candidate held as compressed chunks — the chunked
@@ -94,10 +93,10 @@ pub struct ChunkedStore {
     /// Per agent: the original feature, then its accepted generated
     /// features in acceptance order.
     subgroups: Vec<Vec<MemberRef>>,
-    /// Key state of the selected frame, shared by every candidate probe
-    /// until an acceptance changes the selection. Only the state: the
+    /// The selected columns as key state, digests and bins, shared by
+    /// every candidate probe and extended on acceptance. No values: the
     /// selected columns stay under the frame's budget.
-    prefix: Option<KeyPrefix>,
+    selection: Option<Selection>,
 }
 
 impl ChunkedStore {
@@ -115,7 +114,7 @@ impl ChunkedStore {
         Ok(ChunkedStore {
             frame,
             subgroups,
-            prefix: None,
+            selection: None,
         })
     }
 
@@ -130,16 +129,16 @@ impl ChunkedStore {
         originals.chain(self.subgroups.iter().flat_map(|sub| &sub[1..]))
     }
 
-    /// Materialize the selected frame — transient, for downstream
-    /// evaluation only. The column order and names match the flat store's
-    /// selected frame exactly, so the evaluator's content-addressed cache
-    /// keys coincide too.
+    /// Materialize the selected frame — transient, for a model kind that
+    /// reads raw values. The column order and names match the flat
+    /// store's selected frame exactly, so the evaluator's
+    /// content-addressed cache keys coincide too.
     fn selected_dataframe(&self) -> Result<DataFrame> {
         Ok(self.engineered()?.to_dataframe()?)
     }
 
     /// The selected frame plus one candidate column — what one downstream
-    /// evaluation sees.
+    /// evaluation of a model kind that reads raw values sees.
     fn candidate_frame(&self, cand: &ChunkedCandidate) -> Result<DataFrame> {
         let mut frame = self.selected_dataframe()?;
         let mut values = Vec::with_capacity(self.frame.n_rows());
@@ -150,18 +149,51 @@ impl ChunkedStore {
         Ok(frame)
     }
 
-    /// Key state of the selected frame: each column digested chunk by
-    /// chunk, in `selected_dataframe` order.
-    fn selected_prefix(&self) -> Result<KeyPrefix> {
+    /// Member `m` as a selected column: digested chunk by chunk, and
+    /// binned from its chunks under `bin_budget` unless the bin cache holds
+    /// its bins.
+    fn selected_column(&self, m: &MemberRef, bin_budget: Option<usize>) -> Result<SelectedColumn> {
         let frame = &self.frame;
-        let mut key = KeyPrefix::new(&frame.name, frame.n_rows(), frame.label());
         let mut buf = runtime::scratch_f64_with_capacity(frame.chunk_rows());
-        for m in self.selected() {
-            let mut digest = ColumnDigest::default();
-            frame.for_each_chunk(m.col, &mut buf, |_, _, values| digest.write(values))?;
-            key.push(&m.name, digest.finish());
+        let mut digest = ColumnDigest::default();
+        frame.for_each_chunk(m.col, &mut buf, |_, _, values| digest.write(values))?;
+        SelectedColumn::new(&m.name, digest.finish(), bin_budget, |max_bins| {
+            BinnedColumn::build_from_runs(frame.n_rows(), max_bins, |run| {
+                frame.for_each_chunk(m.col, &mut buf, |_, _, values| run(values))
+            })
+            .map_err(EafeError::from)
+        })
+    }
+
+    /// The selection under `bin_budget`: the one at hand, or built from
+    /// the selected columns' chunks.
+    fn take_selection(&mut self, bin_budget: Option<usize>) -> Result<Selection> {
+        match self.selection.take() {
+            Some(selection) if selection.bin_budget() == bin_budget => Ok(selection),
+            _ => {
+                let frame = &self.frame;
+                let mut selection =
+                    Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
+                for m in self.selected() {
+                    selection.push(self.selected_column(m, bin_budget)?);
+                }
+                Ok(selection)
+            }
         }
-        Ok(key)
+    }
+
+    /// `f` against this store's selection under the evaluator's bin
+    /// budget, checked out for the call.
+    fn with_selection<T>(
+        &mut self,
+        evaluator: &CachedEvaluator,
+        f: impl FnOnce(&Self, &Selection) -> Result<T>,
+    ) -> Result<T> {
+        let bin_budget = evaluator.scorer().bin_budget(self.frame.task());
+        let selection = self.take_selection(bin_budget)?;
+        let out = f(self, &selection);
+        self.selection = Some(selection);
+        out
     }
 
     /// A candidate's chunks as the MinHash kernel's row source.
@@ -199,8 +231,25 @@ impl ColumnStore for ChunkedStore {
         (&m.name, m.order)
     }
 
-    fn base_score(&self, evaluator: &CachedEvaluator) -> Result<f64> {
-        Ok(evaluator.evaluate(&self.selected_dataframe()?)?)
+    /// Scored through the selection, like a candidate: a forest reads the
+    /// selected columns' bins, binned chunk by chunk.
+    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64> {
+        self.with_selection(evaluator, |store, selection| {
+            let key = evaluator.key_of(selection.key());
+            evaluator.evaluate_keyed(key, |scorer| {
+                if cfg!(debug_assertions) {
+                    let frame = store.selected_dataframe()?;
+                    debug_assert_eq!(
+                        evaluator.cache_key(&frame),
+                        key,
+                        "key must address this frame"
+                    );
+                }
+                scorer.evaluate_selection(selection, None, store.frame.label(), || {
+                    store.selected_dataframe()
+                })
+            })
+        })
     }
 
     fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<ChunkedCandidate> {
@@ -244,30 +293,71 @@ impl ColumnStore for ChunkedStore {
         }
     }
 
-    /// The cache is probed with a key made from the prefix state and the
-    /// digest of the candidate's chunks (≡ `cache_key(candidate_frame)`);
-    /// only a miss materializes the frame.
+    /// The cache is probed with a key made from the selection's key state
+    /// and the digest of the candidate's chunks
+    /// (≡ `cache_key(candidate_frame)`); a miss bins only the candidate,
+    /// from its chunks, and a frame exists only for a model kind that
+    /// reads raw values.
     fn evaluate(
         &mut self,
         evaluator: &CachedEvaluator,
         candidate: &ChunkedCandidate,
     ) -> Result<f64> {
-        let prefix = match self.prefix.take() {
-            Some(prefix) => prefix,
-            None => self.selected_prefix()?,
-        };
-        let mut digest = ColumnDigest::default();
-        self.rows(candidate).for_each_run(|run| digest.write(run));
-        let key = evaluator.key_of(&prefix, &candidate.name, digest.finish());
-        self.prefix = Some(prefix);
-        evaluator.evaluate_keyed(key, || self.candidate_frame(candidate))
+        self.with_selection(evaluator, |store, selection| {
+            let rows = store.rows(candidate);
+            let mut digest = ColumnDigest::default();
+            rows.for_each_run(|run| digest.write(run));
+            let digest = digest.finish();
+            let key = evaluator.key_of(&selection.extended_key(&candidate.name, digest));
+            evaluator.evaluate_keyed(key, |scorer| {
+                if cfg!(debug_assertions) {
+                    let frame = store.candidate_frame(candidate)?;
+                    debug_assert_eq!(
+                        evaluator.cache_key(&frame),
+                        key,
+                        "key must address this frame"
+                    );
+                }
+                let budget = selection.bin_budget();
+                let extra = SelectedColumn::new(&candidate.name, digest, budget, |max_bins| {
+                    BinnedColumn::build_from_runs(store.frame.n_rows(), max_bins, |run| {
+                        rows.for_each_run(run);
+                        Ok::<_, EafeError>(())
+                    })
+                })?;
+                scorer.evaluate_selection(selection, Some(&extra), store.frame.label(), || {
+                    store.candidate_frame(candidate)
+                })
+            })
+        })
     }
 
     /// The candidate's chunks move into the budgeted frame (and from there
-    /// spill to the store under memory pressure).
+    /// spill to the store under memory pressure); the selection gains the
+    /// candidate's digest and bins, which its evaluation left in the bin
+    /// cache.
     fn accept(&mut self, agent: usize, candidate: ChunkedCandidate) -> Result<()> {
-        // Accepted columns land inside the selected order.
-        self.prefix = None;
+        if let Some(mut selection) = self.selection.take() {
+            // Accepted columns land behind their subgroup's earlier ones.
+            let at = self.subgroups.len()
+                + self.subgroups[..=agent]
+                    .iter()
+                    .map(|sub| sub.len() - 1)
+                    .sum::<usize>();
+            let rows = self.rows(&candidate);
+            let mut digest = ColumnDigest::default();
+            rows.for_each_run(|run| digest.write(run));
+            let budget = selection.bin_budget();
+            let column =
+                SelectedColumn::new(&candidate.name, digest.finish(), budget, |max_bins| {
+                    BinnedColumn::build_from_runs(self.frame.n_rows(), max_bins, |run| {
+                        rows.for_each_run(run);
+                        Ok::<_, EafeError>(())
+                    })
+                })?;
+            selection.insert(at, column);
+            self.selection = Some(selection);
+        }
         let col = self
             .frame
             .push_column_chunks(&candidate.name, candidate.chunks)?;
@@ -509,8 +599,10 @@ mod tests {
 
     /// The flat store, the chunked store at every chunk size and
     /// `cache_key` of the materialised frame address one cache entry —
-    /// observed through a shared cache, so it holds where
-    /// `evaluate_keyed`'s debug assertion is compiled out.
+    /// observed through a shared cache, so it holds where the stores'
+    /// debug assertion is compiled out — and the score both stores
+    /// compute from bins is `learners::Evaluator::evaluate` of that frame,
+    /// to the bit.
     #[test]
     fn flat_chunked_and_whole_frame_keys_agree() {
         let accepted = [
@@ -547,12 +639,28 @@ mod tests {
                     .unwrap();
                 assert_eq!(whole.n_cols(), 3 + extras + 1);
                 assert!(evaluator.cache().contains(evaluator.cache_key(&whole)));
+                let direct = evaluator.scorer().evaluate(&whole).unwrap();
+                assert_eq!(
+                    score.to_bits(),
+                    direct.to_bits(),
+                    "{task:?}, {extras} accepted"
+                );
 
                 for chunk_rows in [1, 7, 256, frame.n_rows()] {
                     let mut chunked = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
                     let candidate = select(&mut chunked, &accepted[..extras]);
                     let again = chunked.evaluate(&evaluator, &candidate).unwrap();
                     assert_eq!(score.to_bits(), again.to_bits());
+                    // A cache of its own: the chunked store computes the
+                    // score from the bins it built chunk by chunk.
+                    let own = CachedEvaluator::new(fast_config().evaluator);
+                    let computed = chunked.evaluate(&own, &candidate).unwrap();
+                    assert_eq!(own.stats().misses, 1);
+                    assert_eq!(
+                        computed.to_bits(),
+                        direct.to_bits(),
+                        "chunk_rows {chunk_rows}"
+                    );
                 }
                 let stats = evaluator.stats();
                 assert_eq!(

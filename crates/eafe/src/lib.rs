@@ -72,7 +72,7 @@ pub use config::{CachedEvaluator, EafeConfig};
 pub use engine::{Engine, Gate};
 pub use error::{EafeError, Result};
 pub use fpe::{FpeMetrics, FpeModel, FpeSearchSpace, RawLabels};
-pub use learners::SplitMethod;
+pub use learners::{SelectedColumn, Selection, SplitMethod};
 pub use ops::{GeneratedFeature, Operator};
 pub use pipeline::{bootstrap_fpe, preselect_features, reevaluate};
 pub use report::{

@@ -10,14 +10,17 @@
 //! [`EngineState`] is the in-RAM `ColumnStore`: every member is a flat
 //! [`Column`], FPE scoring goes through the process-wide signature cache,
 //! and a downstream evaluation probes the score cache through a
-//! [`FramePrefix`] of the current selection.
+//! [`Selection`] of the current selected columns — their key state,
+//! digests and bins — so a forest evaluation reads the selection's bins
+//! plus the candidate's and no selected frame is ever rebuilt. Only a
+//! model kind that reads raw values gets a frame, built on a miss.
 
 use crate::config::CachedEvaluator;
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::{GeneratedFeature, Operator};
 use crate::store::ColumnStore;
-use runtime::FramePrefix;
+use learners::{SelectedColumn, Selection};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame};
 
@@ -76,11 +79,11 @@ pub struct EngineState {
     frame: DataFrame,
     /// Per-agent subgroups.
     pub subgroups: Vec<FeatureSubgroup>,
-    /// The current selected frame with its key state, so a candidate's
-    /// cache probe digests the candidate column, not the frame. Derived
-    /// from the fields above (not serialised, not compared); dropped
-    /// whenever a feature is accepted.
-    prefix: Option<FramePrefix>,
+    /// The selected columns as key state, digests and bins, so a
+    /// candidate's cache probe digests the candidate column and a miss
+    /// bins only it. Derived from the fields above (not serialised, not
+    /// compared); built on the first evaluation, extended on acceptance.
+    selection: Option<Selection>,
 }
 
 impl PartialEq for EngineState {
@@ -122,7 +125,7 @@ impl Deserialize for EngineState {
         Ok(EngineState {
             frame,
             subgroups,
-            prefix: None,
+            selection: None,
         })
     }
 }
@@ -140,13 +143,51 @@ impl EngineState {
         Self {
             frame,
             subgroups,
-            prefix: None,
+            selection: None,
         }
     }
 
     /// Dimension of the state embedding the search driver feeds each
     /// agent's policy.
     pub const EMBEDDING_DIM: usize = 8;
+
+    /// The selected columns in selection order: base columns, then the
+    /// accepted features subgroup by subgroup.
+    fn selected_columns(&self) -> impl Iterator<Item = &Column> {
+        let generated = self.subgroups.iter().flat_map(|s| &s.generated);
+        self.frame
+            .columns()
+            .iter()
+            .chain(generated.map(|g| &g.column))
+    }
+
+    /// The selected frame plus `extra`, built in one copy — what a model
+    /// kind that reads raw values scores.
+    fn frame_with(&self, extra: Option<&Column>) -> Result<DataFrame> {
+        let columns = self.selected_columns().chain(extra).cloned().collect();
+        Ok(DataFrame::new(
+            self.frame.name.clone(),
+            columns,
+            self.frame.label().clone(),
+        )?)
+    }
+
+    /// The selection under `bin_budget`: the one at hand, or built from
+    /// the selected columns.
+    fn take_selection(&mut self, bin_budget: Option<usize>) -> Selection {
+        match self.selection.take() {
+            Some(selection) if selection.bin_budget() == bin_budget => selection,
+            _ => {
+                let frame = &self.frame;
+                let mut selection =
+                    Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
+                for c in self.selected_columns() {
+                    selection.push(SelectedColumn::of_values(&c.name, &c.values, bin_budget));
+                }
+                selection
+            }
+        }
+    }
 }
 
 impl ColumnStore for EngineState {
@@ -174,7 +215,7 @@ impl ColumnStore for EngineState {
         (&col.name, order)
     }
 
-    fn base_score(&self, evaluator: &CachedEvaluator) -> Result<f64> {
+    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64> {
         Ok(evaluator.evaluate(&self.frame)?)
     }
 
@@ -206,17 +247,29 @@ impl ColumnStore for EngineState {
         evaluator: &CachedEvaluator,
         candidate: &GeneratedFeature,
     ) -> Result<f64> {
-        let prefix = match self.prefix.take() {
-            Some(prefix) => prefix,
-            None => FramePrefix::new(self.engineered()?),
-        };
-        let prefix = &*self.prefix.insert(prefix);
-        let key = evaluator.prefix_key(prefix, &candidate.column);
-        evaluator.evaluate_keyed(key, || Ok(prefix.with_column(&candidate.column)?))
+        let bin_budget = evaluator.scorer().bin_budget(self.frame.task());
+        let selection = self.take_selection(bin_budget);
+        let score = self.evaluate_against(&selection, evaluator, candidate);
+        self.selection = Some(selection);
+        score
     }
 
     fn accept(&mut self, agent: usize, candidate: GeneratedFeature) -> Result<()> {
-        self.prefix = None;
+        if let Some(selection) = &mut self.selection {
+            // The accepted column joins the selection behind its
+            // subgroup's earlier acceptances.
+            let at = self.frame.n_cols()
+                + self.subgroups[..=agent]
+                    .iter()
+                    .map(|s| s.generated.len())
+                    .sum::<usize>();
+            let column = &candidate.column;
+            let budget = selection.bin_budget();
+            selection.insert(
+                at,
+                SelectedColumn::of_values(&column.name, &column.values, budget),
+            );
+        }
         self.subgroups[agent].accept(candidate);
         Ok(())
     }
@@ -224,12 +277,38 @@ impl ColumnStore for EngineState {
     /// The selected-feature frame: all original columns plus every
     /// accepted generated column, sharing the base frame's label.
     fn engineered(&self) -> Result<DataFrame> {
-        let extra: Vec<Column> = self
-            .subgroups
-            .iter()
-            .flat_map(|s| s.generated.iter().map(|g| g.column.clone()))
-            .collect();
-        Ok(self.frame.with_extra_columns(&extra)?)
+        self.frame_with(None)
+    }
+}
+
+impl EngineState {
+    /// [`ColumnStore::evaluate`] against `selection`, this store's
+    /// selection checked out for the call.
+    fn evaluate_against(
+        &self,
+        selection: &Selection,
+        evaluator: &CachedEvaluator,
+        candidate: &GeneratedFeature,
+    ) -> Result<f64> {
+        let bin_budget = selection.bin_budget();
+        let column = &candidate.column;
+        let digest = runtime::fingerprint_values(&column.values);
+        let key = evaluator.key_of(&selection.extended_key(&column.name, digest));
+        evaluator.evaluate_keyed(key, |scorer| {
+            if cfg!(debug_assertions) {
+                let frame = self.frame_with(Some(column))?;
+                debug_assert_eq!(
+                    evaluator.cache_key(&frame),
+                    key,
+                    "key must address this frame"
+                );
+            }
+            let extra =
+                SelectedColumn::with_digest(&column.name, &column.values, digest, bin_budget);
+            scorer.evaluate_selection(selection, Some(&extra), self.frame.label(), || {
+                self.frame_with(Some(column))
+            })
+        })
     }
 }
 

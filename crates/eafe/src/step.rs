@@ -417,7 +417,7 @@ impl Engine {
     }
 
     /// Open a search on a store whose base frame is already sanitized.
-    pub(crate) fn open<B: ColumnStore>(&self, store: B) -> Result<Search<B>> {
+    pub(crate) fn open<B: ColumnStore>(&self, mut store: B) -> Result<Search<B>> {
         self.config.validate()?;
         if matches!(&self.gate, Gate::RandomDrop { rate } if !(0.0..=1.0).contains(rate)) {
             return Err(EafeError::InvalidConfig(

@@ -53,7 +53,7 @@ pub trait ColumnStore {
     fn member(&self, agent: usize, idx: usize) -> (&str, usize);
 
     /// Downstream score of the base frame, before anything is accepted.
-    fn base_score(&self, evaluator: &CachedEvaluator) -> Result<f64>;
+    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64>;
 
     /// Duty 1: apply `op` to members `a` and `b` of `agent`'s subgroup
     /// (unary operators read only `a`).
@@ -72,13 +72,15 @@ pub trait ColumnStore {
     fn fpe_score(&self, fpe: &FpeModel, candidate: &Self::Candidate) -> Result<f64>;
 
     /// Duty 4: downstream score of the current selection extended by
-    /// `candidate`. The store keeps whatever hash state makes the cache
-    /// probe cost one column, and builds the frame only when it misses.
+    /// `candidate`. The store keeps whatever state makes the cache probe
+    /// cost one column — key state, digests, and the selected columns'
+    /// bins, so a forest's miss bins only the candidate — and builds a
+    /// frame only for a model kind that reads raw values.
     fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &Self::Candidate)
         -> Result<f64>;
 
-    /// Duty 5: add `candidate` to `agent`'s subgroup (and drop any hash
-    /// state of the old selection).
+    /// Duty 5: add `candidate` to `agent`'s subgroup (and to the state
+    /// its selection keeps).
     fn accept(&mut self, agent: usize, candidate: Self::Candidate) -> Result<()>;
 
     /// Duty 6: original features plus every accepted one, subgroup by

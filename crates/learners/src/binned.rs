@@ -69,6 +69,19 @@ impl BinCodes {
             BinCodes::U16(c) => c[row] as usize,
         }
     }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            BinCodes::U8(c) => c.len(),
+            BinCodes::U16(c) => c.len(),
+        }
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// One feature column quantised into bins.
@@ -84,50 +97,96 @@ pub struct BinnedColumn {
     codes: BinCodes,
     /// Boundary thresholds, ascending; `len = n_bins - 1`.
     thresholds: Vec<f64>,
+    /// Rows whose value is NaN, ascending (almost always none).
+    nan_rows: Vec<usize>,
     rank_identity: Fingerprint,
 }
 
 impl BinnedColumn {
     /// Quantile-bin one column into at most `max_bins` bins.
     pub fn build(values: &[f64], max_bins: usize) -> BinnedColumn {
+        let one_run = |run: &mut dyn FnMut(&[f64])| {
+            run(values);
+            Ok::<(), std::convert::Infallible>(())
+        };
+        match Self::build_from_runs(values.len(), max_bins, one_run) {
+            Ok(col) => col,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`build`](Self::build) on a column of `n_rows` values that `runs`
+    /// hands over run by run, in row order — chunk by chunk, say. `runs`
+    /// is called twice (once to sort, once to encode), so the only flat
+    /// copy is the sort buffer.
+    pub fn build_from_runs<E>(
+        n_rows: usize,
+        max_bins: usize,
+        mut runs: impl FnMut(&mut dyn FnMut(&[f64])) -> std::result::Result<(), E>,
+    ) -> std::result::Result<BinnedColumn, E> {
         debug_assert!((2..=MAX_BINS_LIMIT).contains(&max_bins));
-        let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
+        // Values equal under `total_cmp` are bit-equal, so sorting their
+        // total-order keys yields the very sequence `sort_by(total_cmp)`
+        // does, at integer-sort speed.
+        let mut keys = Vec::with_capacity(n_rows);
+        runs(&mut |run| keys.extend(run.iter().map(|&v| total_order_key(v))))?;
+        keys.sort_unstable();
+        let sorted: Vec<f64> = keys.into_iter().map(from_total_order_key).collect();
         let thresholds = thresholds_from_sorted(&sorted, max_bins);
         drop(sorted);
         let n_bins = thresholds.len() + 1;
         let encode = |v: f64| thresholds.partition_point(|&t| t < v);
+        let mut nan_rows = Vec::new();
+        let mut row = 0;
+        let mut note_nan = |v: f64| {
+            if v.is_nan() {
+                nan_rows.push(row);
+            }
+            row += 1;
+        };
+        let codes = if n_bins <= 256 {
+            let mut codes = Vec::with_capacity(n_rows);
+            runs(&mut |run| {
+                codes.extend(run.iter().map(|&v| {
+                    note_nan(v);
+                    encode(v) as u8
+                }))
+            })?;
+            BinCodes::U8(codes)
+        } else {
+            let mut codes = Vec::with_capacity(n_rows);
+            runs(&mut |run| {
+                codes.extend(run.iter().map(|&v| {
+                    note_nan(v);
+                    encode(v) as u16
+                }))
+            })?;
+            BinCodes::U16(codes)
+        };
+        debug_assert_eq!(row, n_rows, "runs must cover the column's rows");
         let mut id = Hasher128::new();
         id.write_str("learners::rank_identity");
         id.write_u64(n_bins as u64);
-        id.write_u64(values.len() as u64);
+        id.write_u64(row as u64);
         // A -inf minimum makes boundary 0 `midpoint(-inf, _)` = NaN, the one
         // threshold that trains as `code <= 0` yet sends every row right.
         id.write_byte(u8::from(thresholds.first().is_some_and(|t| t.is_nan())));
-        let codes = if n_bins <= 256 {
-            let codes: Vec<u8> = values.iter().map(|&v| encode(v) as u8).collect();
-            id.write_bytes(&codes);
-            BinCodes::U8(codes)
-        } else {
-            let codes: Vec<u16> = values.iter().map(|&v| encode(v) as u16).collect();
-            for c in &codes {
-                id.write_bytes(&c.to_le_bytes());
-            }
-            BinCodes::U16(codes)
-        };
+        match &codes {
+            BinCodes::U8(codes) => id.write_bytes(codes),
+            BinCodes::U16(codes) => codes.iter().for_each(|c| id.write_bytes(&c.to_le_bytes())),
+        }
         // A NaN row is the one place a raw value leaks past its code: it
         // trains in bin 0 (`t < NaN` is false) yet predicts right of every
         // split (`NaN <= t` is false too), unlike a finite bin-0 value.
-        for (row, v) in values.iter().enumerate() {
-            if v.is_nan() {
-                id.write_u64(row as u64);
-            }
+        for &r in &nan_rows {
+            id.write_u64(r as u64);
         }
-        BinnedColumn {
+        Ok(BinnedColumn {
             codes,
             thresholds,
+            nan_rows,
             rank_identity: id.finish(),
-        }
+        })
     }
 
     /// Number of bins (≥ 1; a constant column has exactly one).
@@ -144,6 +203,11 @@ impl BinnedColumn {
     /// The per-row bin codes.
     pub fn codes(&self) -> &BinCodes {
         &self.codes
+    }
+
+    /// Rows whose value is NaN, ascending.
+    pub(crate) fn nan_rows(&self) -> &[usize] {
+        &self.nan_rows
     }
 
     /// Digest of everything a histogram forest can read of this column:
@@ -194,8 +258,36 @@ fn thresholds_from_sorted(sorted: &[f64], max_bins: usize) -> Vec<f64> {
     thresholds
 }
 
+/// The boundary between adjacent sorted values `a < b`. Finite values
+/// more than `f64::MAX` apart overflow `b - a`, so they halve first — the
+/// boundaries stay ascending. A `-inf` minimum keeps its NaN boundary (see
+/// [`BinnedColumn::rank_identity`]).
 fn midpoint(a: f64, b: f64) -> f64 {
-    a + (b - a) / 2.0
+    let half_gap = (b - a) / 2.0;
+    if half_gap.is_infinite() && a.is_finite() && b.is_finite() {
+        a / 2.0 + b / 2.0
+    } else {
+        a + half_gap
+    }
+}
+
+/// A key whose unsigned order is `f64::total_cmp`'s: negative values
+/// flip every bit, the rest flip the sign bit.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// A whole feature matrix quantised column by column. Columns are
@@ -233,10 +325,10 @@ impl BinnedDataset {
         Self::from_slices_cached(&x.iter().map(Vec::as_slice).collect::<Vec<_>>(), max_bins)
     }
 
-    /// Cached variant of [`BinnedDataset::from_slices`].
+    /// Cached variant of [`BinnedDataset::from_slices`], for a caller that
+    /// holds the columns but not their digests.
     ///
-    /// This is the serial prologue of every downstream evaluation, and
-    /// nearly all of it is hashing each column's content for its cache
+    /// Nearly all of it is hashing each column's content for its cache
     /// key (a search re-evaluates frames that differ by one column, so
     /// at most a column or two miss) — the hashing goes column-parallel
     /// under the histogram batch grain. The cache is then probed, and
@@ -245,31 +337,31 @@ impl BinnedDataset {
     pub fn from_slices_cached(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
         validate_cols(cols, max_bins)?;
         let n_rows = cols[0].len();
-        let cache = bin_cache();
-        let keys = map_batch(cols.to_vec(), n_rows, |c| {
-            let mut h = Hasher128::new();
-            h.write_str("learners::BinnedColumn");
-            h.write_u64(max_bins as u64);
-            h.write_u128(fingerprint_values(c).0);
-            h.finish()
-        });
-        let mut reused = 0u64;
+        let digests = map_batch(cols.to_vec(), n_rows, fingerprint_values);
         let columns = cols
             .iter()
-            .zip(keys)
-            .map(|(c, key)| {
-                if let Some(hit) = cache.get(key) {
-                    reused += 1;
-                    return hit;
-                }
-                let built = Arc::new(BinnedColumn::build(c, max_bins));
-                cache.insert(key, Arc::clone(&built));
-                built
+            .zip(digests)
+            .map(|(c, digest)| {
+                cached_bins(digest, max_bins, || Ok(BinnedColumn::build(c, max_bins)))
             })
-            .collect::<Vec<_>>();
-        let built = columns.len() as u64 - reused;
-        telemetry::count("binned.columns_reused", reused);
-        telemetry::count("binned.columns_built", built);
+            .collect::<Result<Vec<_>>>()?;
+        Ok(BinnedDataset { columns, n_rows })
+    }
+
+    /// A dataset of already-binned columns, which must agree on the row
+    /// count — what an evaluation that keeps its columns' bins hands the
+    /// forests.
+    pub fn from_columns(columns: Vec<Arc<BinnedColumn>>) -> Result<BinnedDataset> {
+        let n_rows = match columns.first() {
+            Some(c) if !c.codes.is_empty() => c.codes.len(),
+            _ => return Err(LearnError::EmptyTrainingSet("binned dataset".into())),
+        };
+        if let Some(c) = columns.iter().find(|c| c.codes.len() != n_rows) {
+            return Err(LearnError::InvalidParam(format!(
+                "binned column length {} != {n_rows}",
+                c.codes.len()
+            )));
+        }
         Ok(BinnedDataset { columns, n_rows })
     }
 
@@ -324,6 +416,32 @@ fn bin_cache() -> &'static ScoreCache<Arc<BinnedColumn>> {
 /// re-binning).
 pub fn bin_cache_stats() -> runtime::CacheStats {
     bin_cache().stats()
+}
+
+/// The bins of the column whose values digest to `digest`
+/// ([`runtime::fingerprint_values`]) under `max_bins`: from the
+/// process-wide bin cache, or made by `build` and cached. The probe for a
+/// caller that already holds the digest — a search keys its score cache
+/// by it — so nothing is hashed twice.
+pub fn cached_bins<E>(
+    digest: Fingerprint,
+    max_bins: usize,
+    build: impl FnOnce() -> std::result::Result<BinnedColumn, E>,
+) -> std::result::Result<Arc<BinnedColumn>, E> {
+    let mut h = Hasher128::new();
+    h.write_str("learners::BinnedColumn");
+    h.write_u64(max_bins as u64);
+    h.write_u128(digest.0);
+    let key = h.finish();
+    let cache = bin_cache();
+    if let Some(hit) = cache.get(key) {
+        telemetry::count("binned.columns_reused", 1);
+        return Ok(hit);
+    }
+    let built = Arc::new(build()?);
+    telemetry::count("binned.columns_built", 1);
+    cache.insert(key, Arc::clone(&built));
+    Ok(built)
 }
 
 // ---------------------------------------------------------------------

@@ -6,16 +6,16 @@
 //! for regression. The downstream model defaults to Random Forest and can
 //! be swapped (Table V uses SVM, NB/GP and MLP on the cached features).
 
-use crate::binned::BinnedDataset;
+use crate::binned::{BinnedColumn, BinnedDataset};
 use crate::error::{LearnError, Result};
-use crate::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor};
+use crate::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor, Rows};
 use crate::gp::{GaussianProcess, GpConfig};
 use crate::linear::{LinearConfig, LinearSvm};
 use crate::metrics::{f1_score, one_minus_rae};
 use crate::mlp::{MlpClassifier, MlpConfig, MlpRegressor};
 use crate::nb::GaussianNb;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tabular::split::cv_indices;
 use tabular::{DataFrame, Label, Task};
 
@@ -114,41 +114,84 @@ impl Evaluator {
     /// Cross-validated downstream score `A_T(F, y)` of the frame's features.
     ///
     /// Classification → support-weighted F1; regression → 1-RAE, both
-    /// averaged over the folds.
-    ///
-    /// A histogram forest reads a column only through its bin codes
-    /// ([`BinnedColumn::rank_identity`](crate::BinnedColumn::rank_identity)),
-    /// so its score is a pure function of (the columns' rank identities in
-    /// order, label, this configuration) and is memoised on exactly that,
-    /// process-wide: `ln(|x|+1)`, `sqrt(|x|)` and `x·x` of one parent train
-    /// one forest between them. Debug builds recompute every memo hit and
-    /// assert the bits.
+    /// averaged over the folds. A kind that trains a binned forest
+    /// ([`bin_budget`](Self::bin_budget)) bins the frame through the
+    /// process-wide bin cache and scores the bins
+    /// ([`evaluate_binned`](Self::evaluate_binned)); the other kinds gather
+    /// each fold's rows.
     pub fn evaluate(&self, frame: &DataFrame) -> Result<f64> {
         if frame.n_cols() == 0 {
             return Err(LearnError::EmptyTrainingSet(
                 "no feature columns to evaluate".into(),
             ));
         }
-        // When every fold trains a histogram forest, quantise the frame
-        // once here and hand all folds (and all their trees) the same
-        // bins — the "bin once, train everywhere" regime — and the same
-        // column slices to predict their test rows from in place.
-        // Non-forest model kinds keep the gather-per-fold path.
-        let cols: Vec<&[f64]> = frame
-            .columns()
-            .iter()
-            .map(|c| c.values.as_slice())
-            .collect();
-        let binned = if self.uses_binned_forest(frame.task()) {
-            Some(BinnedDataset::from_slices_cached(
-                &cols,
-                self.forest.tree.max_bins,
-            )?)
-        } else {
-            None
+        match self.bin_budget(frame.task()) {
+            Some(max_bins) => {
+                let cols: Vec<&[f64]> = frame
+                    .columns()
+                    .iter()
+                    .map(|c| c.values.as_slice())
+                    .collect();
+                let binned = BinnedDataset::from_slices_cached(&cols, max_bins)?;
+                self.score_binned(&binned, frame.label())
+            }
+            None => self.cross_validate(frame.label(), |split, fold_seed| {
+                let train = frame.take_rows(&split.train)?;
+                let test = frame.take_rows(&split.test)?;
+                self.fit_score(&train, &test, fold_seed)
+            }),
+        }
+    }
+
+    /// The per-feature bin budget when every fold of an evaluation on
+    /// `task` trains a histogram forest — the forest kind, plus SVM's
+    /// regression fallback (linear SVR is not part of the paper's Table V
+    /// regression rows) — else `None`: the kinds that read raw values.
+    pub fn bin_budget(&self, task: Task) -> Option<usize> {
+        let forest = match self.kind {
+            ModelKind::RandomForest => true,
+            ModelKind::Svm => task == Task::Regression,
+            ModelKind::NaiveBayesGp | ModelKind::Mlp => false,
         };
-        let key = binned.as_ref().map(|b| self.memo_key(b, frame.label()));
-        let memoised = key.and_then(|k| score_memo().get(k));
+        forest.then_some(self.forest.tree.max_bins)
+    }
+
+    /// [`evaluate`](Self::evaluate) of a forest kind on columns binned
+    /// already (under [`bin_budget`](Self::bin_budget)), in column order:
+    /// every fold and every tree trains on these bins and predicts its test
+    /// rows from their codes, so no value column is read.
+    ///
+    /// A histogram forest reads a column only through its bin codes
+    /// ([`BinnedColumn::rank_identity`]), so its score is a pure function
+    /// of (the columns' rank identities in order, label, this
+    /// configuration) and is memoised on exactly that, process-wide:
+    /// `ln(|x|+1)`, `sqrt(|x|)` and `x·x` of one parent train one forest
+    /// between them. Debug builds recompute every memo hit and assert the
+    /// bits.
+    pub fn evaluate_binned(&self, columns: &[Arc<BinnedColumn>], label: &Label) -> Result<f64> {
+        if self.bin_budget(label.task()).is_none() {
+            return Err(LearnError::InvalidParam(format!(
+                "{} does not train a binned forest on {:?}",
+                self.kind.name(),
+                label.task()
+            )));
+        }
+        let binned = BinnedDataset::from_columns(columns.to_vec())?;
+        if binned.n_rows() != label.len() {
+            return Err(LearnError::InvalidParam(format!(
+                "binned columns of {} rows for a label of {}",
+                binned.n_rows(),
+                label.len()
+            )));
+        }
+        self.score_binned(&binned, label)
+    }
+
+    /// The memoised binned-forest CV score (see
+    /// [`evaluate_binned`](Self::evaluate_binned)).
+    fn score_binned(&self, binned: &BinnedDataset, label: &Label) -> Result<f64> {
+        let key = self.memo_key(binned, label);
+        let memoised = score_memo().get(key);
         if let Some(score) = memoised {
             telemetry::count("cv.memo.hits", 1);
             // A debug build serves no hit: it recomputes and compares, so
@@ -156,18 +199,19 @@ impl Evaluator {
             if !cfg!(debug_assertions) {
                 return Ok(score);
             }
-        } else if key.is_some() {
+        } else {
             telemetry::count("cv.memo.misses", 1);
         }
-        let score = self.cross_validate(frame, &cols, binned.as_ref())?;
-        match (memoised, key) {
-            (Some(hit), _) => debug_assert_eq!(
+        let score = self.cross_validate(label, |split, fold_seed| {
+            self.fit_score_binned(binned, label, split, fold_seed)
+        })?;
+        match memoised {
+            Some(hit) => debug_assert_eq!(
                 hit.to_bits(),
                 score.to_bits(),
                 "equal rank identities must score equally"
             ),
-            (None, Some(k)) => score_memo().insert(k, score),
-            (None, None) => {}
+            None => score_memo().insert(key, score),
         }
         Ok(score)
     }
@@ -198,28 +242,20 @@ impl Evaluator {
         h.finish()
     }
 
-    /// The un-memoised score: fit and score every fold, average in fold
-    /// order.
+    /// The un-memoised score: `fold(split, fold_index)` scores every fold,
+    /// averaged in fold order.
     fn cross_validate(
         &self,
-        frame: &DataFrame,
-        cols: &[&[f64]],
-        binned: Option<&BinnedDataset>,
+        label: &Label,
+        fold: impl Fn(&tabular::split::Split, u64) -> Result<f64> + Sync,
     ) -> Result<f64> {
-        let splits = cv_indices(frame.label(), self.folds, self.seed)?;
+        let splits = cv_indices(label, self.folds, self.seed)?;
         let n_folds = splits.len();
         // Folds are independent given their index-derived seeds, so they can
         // run on the shared pool; summing in fold order afterwards keeps the
         // result bit-identical to a sequential run.
         let pool = runtime::WorkerPool::new().with_seed(self.seed);
-        let fold_scores = pool.map(splits, |ctx, split| match binned {
-            Some(b) => self.fit_score_binned(b, cols, frame.label(), &split, ctx.index as u64),
-            None => {
-                let train = frame.take_rows(&split.train)?;
-                let test = frame.take_rows(&split.test)?;
-                self.fit_score(&train, &test, ctx.index as u64)
-            }
-        });
+        let fold_scores = pool.map(splits, |ctx, split| fold(&split, ctx.index as u64));
         let mut total = 0.0;
         for score in fold_scores {
             total += score?;
@@ -227,26 +263,12 @@ impl Evaluator {
         Ok(total / n_folds as f64)
     }
 
-    /// Whether `evaluate` trains a forest on every fold (and so should bin
-    /// the frame once up front): the forest kind, plus SVM's regression
-    /// fallback (linear SVR is not part of the paper's Table V regression
-    /// rows).
-    fn uses_binned_forest(&self, task: Task) -> bool {
-        match self.kind {
-            ModelKind::RandomForest => true,
-            ModelKind::Svm => task == Task::Regression,
-            ModelKind::NaiveBayesGp | ModelKind::Mlp => false,
-        }
-    }
-
-    /// One fold against the shared pre-binned frame: train the forest on
-    /// the fold's train rows straight from the bin codes, and predict the
-    /// test rows straight from the frame's columns — no sub-matrix is
-    /// gathered on either side.
+    /// One fold against the shared bins: train the forest on the fold's
+    /// train rows and predict its test rows, both straight from the bin
+    /// codes — no sub-matrix is gathered on either side.
     fn fit_score_binned(
         &self,
         binned: &BinnedDataset,
-        cols: &[&[f64]],
         label: &Label,
         split: &tabular::split::Split,
         fold_seed: u64,
@@ -255,18 +277,19 @@ impl Evaluator {
             seed: self.seed ^ fold_seed.wrapping_mul(0x9E37),
             ..self.forest
         };
+        let test = Rows::Codes(binned, &split.test);
         match label {
             Label::Class { y, n_classes } => {
                 let mut m = RandomForestClassifier::new(forest);
                 m.fit_binned(binned, &split.train, y, *n_classes)?;
-                let preds = m.predict_rows(cols, Some(&split.test))?;
+                let preds = m.predict_rows(test)?;
                 let yte: Vec<usize> = split.test.iter().map(|&r| y[r]).collect();
                 f1_score(&yte, &preds, *n_classes)
             }
             Label::Reg(y) => {
                 let mut m = RandomForestRegressor::new(forest);
                 m.fit_binned(binned, &split.train, y)?;
-                let preds = m.predict_rows(cols, Some(&split.test))?;
+                let preds = m.predict_rows(test)?;
                 let yte: Vec<f64> = split.test.iter().map(|&r| y[r]).collect();
                 one_minus_rae(&yte, &preds)
             }
@@ -571,16 +594,12 @@ mod tests {
         cols: [&[f64]; 3],
         label: &Label,
     ) -> std::result::Result<u64, String> {
-        let named = cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| tabular::Column::new(format!("c{i}"), c.to_vec()))
-            .collect();
-        let frame = DataFrame::new("premise", named, label.clone()).unwrap();
         let binned = BinnedDataset::from_slices(&cols, e.forest.tree.max_bins).unwrap();
-        e.cross_validate(&frame, &cols, Some(&binned))
-            .map(f64::to_bits)
-            .map_err(|err| err.to_string())
+        e.cross_validate(label, |split, seed| {
+            e.fit_score_binned(&binned, label, split, seed)
+        })
+        .map(f64::to_bits)
+        .map_err(|err| err.to_string())
     }
 
     proptest::proptest! {
@@ -662,6 +681,81 @@ mod tests {
             let mut merged = x.clone();
             merged.iter_mut().filter(|v| **v == x[i]).for_each(|v| *v = x[j]);
             proptest::prop_assert!(id != identity(&merged, max_bins), "merge {} into {}", i, j);
+        }
+
+        /// A forest predicts every row of the dataset its bins were built
+        /// from to the same bits whether it walks the row's values or its
+        /// bin codes — NaN rows, a `-inf` minimum (a NaN threshold),
+        /// signed zeros, subnormals and spans past `f64::MAX` included;
+        /// u8 and u16 codes, classification and regression.
+        #[test]
+        fn prediction_by_code_equals_prediction_by_value(
+            n in 1usize..401,
+            kinds in proptest::collection::vec(0u8..20, 400..401),
+            reals in proptest::collection::vec(-100.0f64..100.0, 400..401),
+            others in proptest::collection::vec(-1.0f64..1.0, 800..801),
+            classes in proptest::collection::vec(0usize..5, 400..401),
+            palette in 0usize..12,
+            scale in 0usize..3,
+            bins in 0usize..4,
+            label_kind in 0usize..3,
+            bootstrap in 0usize..2,
+        ) {
+            let max_bins = [4, 16, 256, 1024][bins];
+            // Scaled to 1.7e306, the grid and the free reals span more
+            // than `f64::MAX`: the boundaries `midpoint` must keep sorted.
+            let scale = [1.0, 1e-300, 1.7e306][scale];
+            let x: Vec<f64> = column(&kinds[..n], &reals[..n], PALETTES[palette])
+                .into_iter()
+                .map(|v| v * scale)
+                .collect();
+            let (left, right) = (&others[..n], &others[400..400 + n]);
+            let cols = [left, x.as_slice(), right];
+            let binned = BinnedDataset::from_slices(&cols, max_bins).unwrap();
+            let rows: Vec<usize> = (0..n).collect();
+            let forest = ForestConfig {
+                n_trees: 3,
+                bootstrap: bootstrap == 1,
+                tree: crate::TreeConfig { max_bins, max_features: Some(2), ..Default::default() },
+                ..ForestConfig::default()
+            };
+            let (by_value, by_code): (Vec<u64>, Vec<u64>) = match label_kind {
+                0 | 1 => {
+                    let n_classes = [2, 5][label_kind];
+                    let y: Vec<usize> = classes[..n].iter().map(|c| c % n_classes).collect();
+                    let mut m = RandomForestClassifier::new(forest);
+                    m.fit_binned(&binned, &rows, &y, n_classes).unwrap();
+                    let value = m.predict_rows(Rows::Values(&cols)).unwrap();
+                    let code = m.predict_rows(Rows::Codes(&binned, &rows)).unwrap();
+                    (value.iter().map(|&c| c as u64).collect(), code.iter().map(|&c| c as u64).collect())
+                }
+                _ => {
+                    let y: Vec<f64> = others[..n].iter().zip(&reals).map(|(a, b)| a * b).collect();
+                    let mut m = RandomForestRegressor::new(forest);
+                    m.fit_binned(&binned, &rows, &y).unwrap();
+                    let value = m.predict_rows(Rows::Values(&cols)).unwrap();
+                    let code = m.predict_rows(Rows::Codes(&binned, &rows)).unwrap();
+                    (value.iter().map(|v| v.to_bits()).collect(), code.iter().map(|v| v.to_bits()).collect())
+                }
+            };
+            proptest::prop_assert_eq!(by_value, by_code);
+        }
+    }
+
+    #[test]
+    fn boundaries_stay_sorted_when_finite_values_span_more_than_f64_max() {
+        let values = [-1e308, 1e308, 1.5e308, -1.2e308, 1.7e308];
+        let col = crate::BinnedColumn::build(&values, 256);
+        let thresholds: Vec<f64> = (0..col.n_bins() - 1).map(|b| col.threshold(b)).collect();
+        assert_eq!(thresholds.len(), 4);
+        assert_eq!(thresholds[1], 0.0, "midpoint of -1e308 and 1e308");
+        assert!(thresholds.windows(2).all(|w| w[0] < w[1]), "{thresholds:?}");
+        // Distinct values keep distinct codes, and the value rule holds.
+        assert_eq!(codes(&values, 256), [1, 2, 3, 0, 4]);
+        for (r, &v) in values.iter().enumerate() {
+            for (b, &t) in thresholds.iter().enumerate() {
+                assert_eq!(v <= t, codes(&values, 256)[r] <= b, "row {r} boundary {b}");
+            }
         }
     }
 

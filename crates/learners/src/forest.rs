@@ -10,8 +10,8 @@
 use crate::binned::BinnedDataset;
 use crate::error::{LearnError, Result};
 use crate::tree::{
-    argmax, for_each_row, predict_columns, DecisionTreeClassifier, DecisionTreeRegressor, Tree,
-    TreeConfig,
+    argmax, for_each_coded_row, for_each_row, predict_columns, DecisionTreeClassifier,
+    DecisionTreeRegressor, Tree, TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,37 +183,16 @@ impl RandomForestClassifier {
             .ok_or(LearnError::NotFitted("RandomForestClassifier"))
     }
 
-    /// Averaged class probabilities of `rows` of `cols` (see
-    /// [`for_each_row`]), flat: `n_classes` values per row. One buffer for
-    /// the whole call; per row the trees add their leaf frequencies in
-    /// tree order, then `/ k`.
-    fn proba_rows(&self, cols: &[&[f64]], rows: Option<&[usize]>) -> Result<Vec<f64>> {
-        let trees = self.fitted_trees()?;
-        let k = trees.len() as f64;
-        let n_rows = rows.map_or(cols[0].len(), <[usize]>::len);
-        let mut proba = vec![0.0; n_rows * self.n_classes];
-        let mut out = proba.chunks_exact_mut(self.n_classes);
-        for_each_row(cols, rows, |x| {
-            // Invariant: `proba` holds one `n_classes` chunk per row that
-            // `for_each_row` visits.
-            #[allow(clippy::expect_used)]
-            let acc = out.next().expect("one output row per input row");
-            for tree in &trees {
-                for (a, p) in acc.iter_mut().zip(tree.leaf_values(x)) {
-                    *a += p;
-                }
-            }
-            for a in acc {
-                *a /= k;
-            }
-        });
-        Ok(proba)
+    /// Averaged class probabilities of the requested rows, flat:
+    /// `n_classes` values per row (see [`mean_leaves`]).
+    fn proba_rows(&self, rows: Rows<'_>) -> Result<Vec<f64>> {
+        Ok(mean_leaves(&self.fitted_trees()?, self.n_classes, rows))
     }
 
     /// Averaged class probabilities across trees.
     pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         let cols = predict_columns(x, self.n_features)?;
-        let proba = self.proba_rows(&cols, None)?;
+        let proba = self.proba_rows(Rows::Values(&cols))?;
         Ok(proba
             .chunks_exact(self.n_classes)
             .map(<[f64]>::to_vec)
@@ -222,17 +201,13 @@ impl RandomForestClassifier {
 
     /// Majority-vote class predictions.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        self.predict_rows(&predict_columns(x, self.n_features)?, None)
+        self.predict_rows(Rows::Values(&predict_columns(x, self.n_features)?))
     }
 
-    /// Majority-vote class predictions for `rows` of `cols` (every row
-    /// when `None`), read without gathering a sub-matrix.
-    pub(crate) fn predict_rows(
-        &self,
-        cols: &[&[f64]],
-        rows: Option<&[usize]>,
-    ) -> Result<Vec<usize>> {
-        let proba = self.proba_rows(cols, rows)?;
+    /// Majority-vote class predictions of the requested rows, read without
+    /// gathering a sub-matrix.
+    pub(crate) fn predict_rows(&self, rows: Rows<'_>) -> Result<Vec<usize>> {
+        let proba = self.proba_rows(rows)?;
         Ok(proba.chunks_exact(self.n_classes).map(argmax).collect())
     }
 
@@ -305,29 +280,66 @@ impl RandomForestRegressor {
 
     /// Mean prediction across trees.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        self.predict_rows(&predict_columns(x, self.n_features)?, None)
+        self.predict_rows(Rows::Values(&predict_columns(x, self.n_features)?))
     }
 
-    /// Mean prediction across trees for `rows` of `cols` (every row when
-    /// `None`), read without gathering a sub-matrix. Per row the trees'
-    /// leaf means add up in tree order, then `/ k`.
-    pub(crate) fn predict_rows(&self, cols: &[&[f64]], rows: Option<&[usize]>) -> Result<Vec<f64>> {
-        let trees = self.fitted_trees()?;
-        let k = trees.len() as f64;
-        let mut preds = Vec::with_capacity(rows.map_or(cols[0].len(), <[usize]>::len));
-        for_each_row(cols, rows, |x| {
-            let mut acc = 0.0;
-            for tree in &trees {
-                acc += tree.leaf_values(x)[0];
-            }
-            preds.push(acc / k);
-        });
-        Ok(preds)
+    /// Mean prediction across trees of the requested rows, read without
+    /// gathering a sub-matrix (see [`mean_leaves`]).
+    pub(crate) fn predict_rows(&self, rows: Rows<'_>) -> Result<Vec<f64>> {
+        Ok(mean_leaves(&self.fitted_trees()?, 1, rows))
     }
 
     /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
     pub fn feature_importances(&self) -> Result<Vec<f64>> {
         Ok(mean_importances(&self.fitted_trees()?))
+    }
+}
+
+/// The rows a fitted forest predicts.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Every row of the column-major `cols`, walked on their values.
+    Values(&'a [&'a [f64]]),
+    /// `rows` of the binned dataset the forest was fitted on, walked on
+    /// their bin codes — the same leaves (see [`Tree::leaf_values_coded`]),
+    /// with no value column in sight.
+    Codes(&'a BinnedDataset, &'a [usize]),
+}
+
+/// Per requested row, the trees' `width`-wide leaf payloads added in tree
+/// order, then `/ k`: one flat buffer, `width` values per row.
+fn mean_leaves(trees: &[&Tree], width: usize, rows: Rows<'_>) -> Vec<f64> {
+    let n_rows = match rows {
+        Rows::Values(cols) => cols[0].len(),
+        Rows::Codes(_, rows) => rows.len(),
+    };
+    let mut means = vec![0.0; n_rows * width];
+    let mut out = means.chunks_exact_mut(width);
+    // Invariant: `means` holds one `width` chunk per visited row.
+    #[allow(clippy::expect_used)]
+    let mut next = || out.next().expect("one output row per input row");
+    match rows {
+        Rows::Values(cols) => {
+            for_each_row(cols, |x| add_leaves(trees, next(), |t| t.leaf_values(x)))
+        }
+        Rows::Codes(binned, rows) => for_each_coded_row(binned, rows, |c| {
+            add_leaves(trees, next(), |t| t.leaf_values_coded(c))
+        }),
+    }
+    means
+}
+
+/// One row of [`mean_leaves`]: `leaf(tree)` is the row's leaf payload.
+#[inline]
+fn add_leaves(trees: &[&Tree], acc: &mut [f64], leaf: impl Fn(&Tree) -> &[f64]) {
+    for tree in trees {
+        for (a, v) in acc.iter_mut().zip(leaf(tree)) {
+            *a += v;
+        }
+    }
+    let k = trees.len() as f64;
+    for a in acc {
+        *a /= k;
     }
 }
 

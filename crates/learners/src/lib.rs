@@ -17,7 +17,9 @@
 //! - [`dense`] — flat batched dense kernels and the shared training
 //!   driver behind the MLP/ResNet heads (DESIGN.md §10);
 //! - [`metrics`] — F1, precision/recall, 1-RAE;
-//! - [`cv`] — the cross-validated downstream score `A_T(F, y)`.
+//! - [`cv`] — the cross-validated downstream score `A_T(F, y)`;
+//! - [`selection`] — a search's selected columns as key state, digests
+//!   and bins, which a candidate's score is computed against.
 
 #![warn(missing_docs)]
 // ROADMAP 3(a): no `unwrap`/`expect` on the library's paths. A survivor
@@ -38,6 +40,7 @@ pub mod nb;
 pub mod nn;
 pub mod preprocess;
 pub mod resnet;
+pub mod selection;
 pub mod tree;
 
 pub use binned::{BinnedColumn, BinnedDataset, SplitMethod, DEFAULT_MAX_BINS};
@@ -52,6 +55,7 @@ pub use metrics::{accuracy, f1_score, one_minus_rae};
 pub use mlp::{MlpClassifier, MlpConfig, MlpRegressor};
 pub use nb::GaussianNb;
 pub use resnet::{ResNetClassifier, ResNetConfig, ResNetRegressor};
+pub use selection::{SelectedColumn, Selection};
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};
 
 #[cfg(test)]

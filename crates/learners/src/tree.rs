@@ -65,9 +65,9 @@ impl Default for TreeConfig {
 /// [`Node::feature`] of a leaf.
 const LEAF: u32 = u32::MAX;
 
-/// One node of a fitted tree, 16 bytes. A split's two children are
-/// allocated side by side, so the walk picks one with an add
-/// (`left + 1` is the right child) instead of a second load.
+/// One node of a fitted tree. A split's two children are allocated side
+/// by side, so the walk picks one with an add (`left + 1` is the right
+/// child) instead of a second load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Node {
     /// Split feature, or [`LEAF`].
@@ -78,6 +78,11 @@ struct Node {
     /// Split threshold on the raw value scale (`value <= threshold` goes
     /// left).
     threshold: f64,
+    /// The same split on the bin-code scale: a row of the binned dataset
+    /// goes left iff its code is below `cut` — the boundary index plus
+    /// one, or 0 under a NaN threshold, which sends every row right (see
+    /// [`for_each_coded_row`] for NaN rows).
+    cut: u32,
 }
 
 impl Node {
@@ -86,6 +91,7 @@ impl Node {
         feature: LEAF,
         left: 0,
         threshold: 0.0,
+        cut: 0,
     };
 }
 
@@ -179,6 +185,20 @@ impl Tree {
             // Adding the comparison keeps the data-dependent choice out of
             // the branch predictor.
             let goes_left = x[node.feature as usize] <= node.threshold;
+            node = &self.nodes[(node.left + u32::from(!goes_left)) as usize];
+        }
+        &self.leaf_values[node.left as usize..][..self.n_outputs]
+    }
+
+    /// [`leaf_values`](Self::leaf_values) of a row of the binned dataset
+    /// the tree was grown on, read from its bin codes (a row from
+    /// [`for_each_coded_row`]): the same leaf, because `code < cut` and
+    /// `value <= threshold` agree on every row the bins were built from.
+    #[inline]
+    pub(crate) fn leaf_values_coded(&self, codes: &[u16]) -> &[f64] {
+        let mut node = &self.nodes[0];
+        while node.feature != LEAF {
+            let goes_left = u32::from(codes[node.feature as usize]) < node.cut;
             node = &self.nodes[(node.left + u32::from(!goes_left)) as usize];
         }
         &self.leaf_values[node.left as usize..][..self.n_outputs]
@@ -367,6 +387,7 @@ impl<'a> Builder<'a> {
             feature: LEAF,
             left: offset as u32,
             threshold: 0.0,
+            cut: 0,
         };
     }
 
@@ -449,6 +470,11 @@ impl<'a> Builder<'a> {
                     feature: c.feature as u32,
                     left: left as u32,
                     threshold: c.threshold,
+                    cut: if c.threshold.is_nan() {
+                        0
+                    } else {
+                        c.bin as u32 + 1
+                    },
                 };
                 let left_hists = self.grow(left, lo, lo + nl, depth + 1, Vec::new());
                 let right_inherited = subtract_siblings(&node_hists, left_hists);
@@ -946,7 +972,7 @@ impl DecisionTreeClassifier {
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
         let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
         let mut preds = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, None, |row| preds.push(argmax(tree.leaf_values(row))));
+        for_each_row(&cols, |row| preds.push(argmax(tree.leaf_values(row))));
         Ok(preds)
     }
 
@@ -954,9 +980,7 @@ impl DecisionTreeClassifier {
     pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
         let mut proba = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, None, |row| {
-            proba.push(tree.leaf_values(row).to_vec())
-        });
+        for_each_row(&cols, |row| proba.push(tree.leaf_values(row).to_vec()));
         Ok(proba)
     }
 
@@ -1000,7 +1024,7 @@ impl DecisionTreeRegressor {
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
         let (tree, cols) = predict_input(&self.tree, "DecisionTreeRegressor", x)?;
         let mut preds = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, None, |row| preds.push(tree.leaf_values(row)[0]));
+        for_each_row(&cols, |row| preds.push(tree.leaf_values(row)[0]));
         Ok(preds)
     }
 
@@ -1027,39 +1051,73 @@ pub(crate) fn predict_columns(x: &[Vec<f64>], fitted: usize) -> Result<Vec<&[f64
 /// them: 256 rows of a dozen features stay well inside L1.
 const PREDICT_BLOCK: usize = 256;
 
-/// Call `row(x)` once per requested row of the column-major `cols`, in
-/// order, with `x` the row's feature values side by side — what
-/// [`Tree::leaf_values`] walks. `rows = None` is every row; `Some(rows)`
-/// picks rows by index, so a CV fold predicts its test rows without a
-/// gathered sub-matrix.
+/// Call `row(x)` once per row of the column-major `cols`, in order, with
+/// `x` the row's feature values side by side — what [`Tree::leaf_values`]
+/// walks.
 ///
-/// Rows are transposed a block at a time into one small row-major buffer:
-/// the gather is a run of independent loads however the requested rows are
-/// scattered (a fold's test rows come shuffled), and the walk that follows
-/// finds each value with one L1 load off the row's base instead of chasing
-/// a column pointer first.
-pub(crate) fn for_each_row(cols: &[&[f64]], rows: Option<&[usize]>, mut row: impl FnMut(&[f64])) {
+/// Rows are transposed a block at a time into one small row-major buffer,
+/// so the walk that follows finds each value with one L1 load off the
+/// row's base instead of chasing a column pointer first.
+pub(crate) fn for_each_row(cols: &[&[f64]], mut row: impl FnMut(&[f64])) {
     let n_cols = cols.len();
-    let n_rows = rows.map_or(cols[0].len(), <[usize]>::len);
+    let n_rows = cols[0].len();
     let mut buf = vec![0.0; n_cols * PREDICT_BLOCK.min(n_rows)];
     for start in (0..n_rows).step_by(PREDICT_BLOCK) {
         let len = PREDICT_BLOCK.min(n_rows - start);
         for (c, col) in cols.iter().enumerate() {
             let dst = buf[c..].iter_mut().step_by(n_cols);
-            match rows {
-                Some(rows) => {
-                    for (d, &r) in dst.zip(&rows[start..start + len]) {
-                        *d = col[r];
+            for (d, &v) in dst.zip(&col[start..start + len]) {
+                *d = v;
+            }
+        }
+        buf[..len * n_cols].chunks_exact(n_cols).for_each(&mut row);
+    }
+}
+
+/// [`for_each_row`] over the bin codes of `rows` of `binned`, picked by
+/// index (a CV fold's test rows, which come shuffled: the gather is a run
+/// of independent loads) — what [`Tree::leaf_values_coded`] walks — with
+/// the one value a code cannot
+/// show folded in: a NaN row reads `u16::MAX`, which no `cut` exceeds, so
+/// it goes right at every split exactly as `NaN <= threshold` does. (A
+/// real code of `u16::MAX` is in the top bin, which goes right at every
+/// split too.)
+pub(crate) fn for_each_coded_row(
+    binned: &BinnedDataset,
+    rows: &[usize],
+    mut row: impl FnMut(&[u16]),
+) {
+    let n_cols = binned.n_features();
+    let mut buf = vec![0u16; n_cols * PREDICT_BLOCK.min(rows.len())];
+    for block in rows.chunks(PREDICT_BLOCK) {
+        for c in 0..n_cols {
+            let col = binned.column(c);
+            let dst = buf[c..].iter_mut().step_by(n_cols);
+            match col.codes() {
+                BinCodes::U8(codes) => {
+                    for (d, &r) in dst.zip(block) {
+                        *d = u16::from(codes[r]);
                     }
                 }
-                None => {
-                    for (d, &v) in dst.zip(&col[start..start + len]) {
-                        *d = v;
+                BinCodes::U16(codes) => {
+                    for (d, &r) in dst.zip(block) {
+                        *d = codes[r];
+                    }
+                }
+            }
+            let nan_rows = col.nan_rows();
+            if !nan_rows.is_empty() {
+                let dst = buf[c..].iter_mut().step_by(n_cols);
+                for (d, r) in dst.zip(block) {
+                    if nan_rows.binary_search(r).is_ok() {
+                        *d = u16::MAX;
                     }
                 }
             }
         }
-        buf[..len * n_cols].chunks_exact(n_cols).for_each(&mut row);
+        buf[..block.len() * n_cols]
+            .chunks_exact(n_cols)
+            .for_each(&mut row);
     }
 }
 

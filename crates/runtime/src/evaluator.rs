@@ -6,10 +6,9 @@
 //! learner config, folds, CV seed) evaluations are computed once.
 
 use crate::cache::{CacheStats, ScoreCache};
-use crate::fingerprint::{fingerprint_values, Fingerprint, FramePrefix, KeyPrefix};
-use std::borrow::Borrow;
+use crate::fingerprint::{Fingerprint, KeyPrefix};
 use std::sync::Arc;
-use tabular::{Column, DataFrame};
+use tabular::DataFrame;
 
 /// A downstream evaluation backend that the runtime can memoize.
 pub trait Scorer {
@@ -70,54 +69,40 @@ impl<S: Scorer> Evaluator<S> {
 
     /// The cache key for `frame` under this scorer's configuration.
     pub fn cache_key(&self, frame: &DataFrame) -> Fingerprint {
-        KeyPrefix::of_frame(frame).finish(self.config)
+        self.key_of(&KeyPrefix::of_frame(frame))
     }
 
-    /// `cache_key(&prefix.with_column(extra)?)` at the cost of digesting
-    /// `extra` rather than the whole frame and its label.
-    pub fn prefix_key(&self, prefix: &FramePrefix, extra: &Column) -> Fingerprint {
-        self.key_of(&prefix.key, &extra.name, fingerprint_values(&extra.values))
-    }
-
-    /// The cache key of the frame that extends `prefix` by one column
-    /// called `name` whose values digest to `values` — for a caller that
-    /// streams its columns through a [`ColumnDigest`](crate::ColumnDigest)
-    /// instead of holding them.
-    pub fn key_of(&self, prefix: &KeyPrefix, name: &str, values: Fingerprint) -> Fingerprint {
-        let mut key = prefix.clone();
-        key.push(name, values);
-        key.finish(self.config)
+    /// The cache key of the frame `prefix` describes — for a caller that
+    /// keeps its columns' digests (and pushes a candidate's) instead of
+    /// holding the frame: `cache_key` of that frame, at the cost of a few
+    /// dozen bytes of combine.
+    pub fn key_of(&self, prefix: &KeyPrefix) -> Fingerprint {
+        prefix.clone().finish(self.config)
     }
 
     /// Evaluate `frame`, serving repeats from cache. Errors are not
     /// cached: a failing evaluation is re-attempted on the next call.
     pub fn evaluate(&self, frame: &DataFrame) -> Result<f64, S::Error> {
-        self.evaluate_keyed(self.cache_key(frame), || Ok(frame))
+        self.evaluate_keyed(self.cache_key(frame), |scorer| scorer.score_frame(frame))
     }
 
-    /// [`evaluate`](Self::evaluate) for a caller that already holds the
-    /// frame's cache key (from [`cache_key`](Self::cache_key) or
-    /// [`prefix_key`](Self::prefix_key)): `frame` is only called — so the
-    /// frame only needs to exist — on a miss.
-    pub fn evaluate_keyed<D, E>(
+    /// The score cached under `key` (from [`cache_key`](Self::cache_key)
+    /// or [`key_of`](Self::key_of)), or on a miss whatever `miss` computes
+    /// with the scorer — cached under `key`, so it must be the score of
+    /// the frame `key` addresses. The miss arm chooses what the scorer
+    /// reads: a frame, or state it keeps instead of one.
+    pub fn evaluate_keyed<E>(
         &self,
         key: Fingerprint,
-        frame: impl FnOnce() -> Result<D, E>,
-    ) -> Result<f64, E>
-    where
-        D: Borrow<DataFrame>,
-        E: From<S::Error>,
-    {
+        miss: impl FnOnce(&S) -> Result<f64, E>,
+    ) -> Result<f64, E> {
         if let Some(score) = self.cache.get(key) {
             telemetry::count("evaluator.cache_hits", 1);
             return Ok(score);
         }
-        let frame = frame()?;
-        let frame = frame.borrow();
-        debug_assert_eq!(key, self.cache_key(frame), "key must address this frame");
         let score = {
             let _span = telemetry::span("evaluator.score_frame");
-            self.scorer.score_frame(frame)?
+            miss(&self.scorer)?
         };
         telemetry::count("evaluator.evals_computed", 1);
         self.cache.insert(key, score);
@@ -225,14 +210,40 @@ mod tests {
     #[test]
     fn config_is_digested_once_per_evaluator_not_per_probe() {
         let ev = Evaluator::new(CountingScorer::new(1));
-        let prefix = FramePrefix::new(frame(vec![1.0, 2.0]));
+        let selected = frame(vec![1.0, 2.0]);
         let extra = Column::new("x", vec![3.0, 4.0]);
-        let extended = prefix.with_column(&extra).unwrap();
+        let extended = selected
+            .with_extra_columns(std::slice::from_ref(&extra))
+            .unwrap();
+        let mut prefix = KeyPrefix::of_frame(&selected);
+        prefix.push(&extra.name, crate::fingerprint_values(&extra.values));
         for _ in 0..500 {
-            assert_eq!(ev.prefix_key(&prefix, &extra), ev.cache_key(&extended));
+            assert_eq!(ev.key_of(&prefix), ev.cache_key(&extended));
             ev.evaluate(&extended).unwrap();
         }
         assert_eq!(ev.scorer().digests.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_keyed_miss_hands_its_arm_the_scorer_and_caches_what_it_returns() {
+        let ev = Evaluator::new(CountingScorer::new(1));
+        let f = frame(vec![1.0, 2.0]);
+        let key = ev.cache_key(&f);
+        let miss = ev.evaluate_keyed(key, |s| {
+            assert_eq!(s.digest, 1);
+            Ok::<_, std::convert::Infallible>(9.5)
+        });
+        assert_eq!(miss.unwrap(), 9.5);
+        let hit = ev.evaluate_keyed(key, |_| -> Result<f64, ()> { unreachable!("a hit") });
+        assert_eq!(hit.unwrap(), 9.5);
+        assert_eq!(ev.evaluate(&f).unwrap(), 9.5);
+        assert_eq!(ev.scorer().calls.load(Ordering::SeqCst), 0);
+        let failed = ev.evaluate_keyed(Fingerprint(3), |_| Err::<f64, _>("no"));
+        assert!(failed.is_err());
+        assert!(
+            !ev.cache().contains(Fingerprint(3)),
+            "errors are not cached"
+        );
     }
 
     #[test]

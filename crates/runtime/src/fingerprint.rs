@@ -8,7 +8,7 @@
 //! column digests into keys and, over a whole frame, is
 //! [`fingerprint_frame`].
 
-use tabular::{Column, DataFrame, Label};
+use tabular::{DataFrame, Label};
 
 /// A 128-bit content fingerprint, used as a cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -213,6 +213,7 @@ impl KeyPrefix {
         KeyPrefix { state }
     }
 
+    /// The state of a whole frame: its label and every column, digested.
     pub(crate) fn of_frame(frame: &DataFrame) -> Self {
         let mut key = KeyPrefix::new(&frame.name, frame.n_rows(), frame.label());
         for col in frame.columns() {
@@ -236,36 +237,6 @@ impl KeyPrefix {
     }
 }
 
-/// A frame that many candidate frames extend by one trailing column,
-/// beside its [`KeyPrefix`]: label and columns are digested once, here, so
-/// [`Evaluator::prefix_key`](crate::Evaluator::prefix_key) digests only
-/// the candidate column — and equals
-/// [`Evaluator::cache_key`](crate::Evaluator::cache_key) of the extended
-/// frame by construction.
-#[derive(Debug, Clone)]
-pub struct FramePrefix {
-    frame: DataFrame,
-    pub(crate) key: KeyPrefix,
-}
-
-impl FramePrefix {
-    /// Take `frame` as the shared leading part of one-column extensions.
-    pub fn new(frame: DataFrame) -> Self {
-        let key = KeyPrefix::of_frame(&frame);
-        FramePrefix { frame, key }
-    }
-
-    /// The shared frame.
-    pub fn frame(&self) -> &DataFrame {
-        &self.frame
-    }
-
-    /// The extended frame itself: the shared columns, then `extra`.
-    pub fn with_column(&self, extra: &Column) -> tabular::Result<DataFrame> {
-        self.frame.with_extra_columns(std::slice::from_ref(extra))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,6 +244,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
+    use tabular::Column;
 
     fn frame(name: &str, vals: Vec<f64>) -> DataFrame {
         let n = vals.len();
@@ -514,9 +486,10 @@ mod tests {
     fn a_frame_s_key_state_is_the_prefix_of_its_extensions() {
         let selected = frame("d", vec![1.0, 2.0, 3.0]);
         let extra = Column::new("", vec![0.0, -0.0, f64::NAN]);
-        let prefix = FramePrefix::new(selected.clone());
-        let extended = prefix.with_column(&extra).unwrap();
-        let mut pushed = prefix.key.clone();
+        let extended = selected
+            .with_extra_columns(std::slice::from_ref(&extra))
+            .unwrap();
+        let mut pushed = KeyPrefix::of_frame(&selected);
         pushed.push(&extra.name, fingerprint_values(&extra.values));
         assert_eq!(pushed.finish(Fingerprint(7)), key(&extended, 7));
         assert_ne!(key(&selected, 7), key(&extended, 7));

@@ -59,11 +59,12 @@
 //!
 //! A search probes with frames that share every column but the last.
 //! [`KeyPrefix`] is the combine state after the shared columns — label and
-//! columns digested once per selection — so [`Evaluator::prefix_key`]
-//! (frame in RAM, via [`FramePrefix`]) and [`Evaluator::key_of`] (columns
-//! out of core) cost one candidate digest plus a few dozen bytes of
-//! combine, and return the key [`Evaluator::cache_key`] gives the built
-//! frame: the same code run over one more column.
+//! columns digested once per selection — so [`Evaluator::key_of`] a prefix
+//! extended by the candidate's digest costs one candidate digest plus a
+//! few dozen bytes of combine, and returns the key
+//! [`Evaluator::cache_key`] gives the built frame: the same code run over
+//! one more column. [`Evaluator::evaluate_keyed`] then probes by that key
+//! and hands a miss the scorer, so the frame need never be built.
 //!
 //! **Keys are not a format.** They are never persisted (checkpoints carry
 //! no cache entries) and cross a process boundary only between a `dist`
@@ -99,8 +100,7 @@ pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer};
 pub use fair::RoundRobin;
 pub use fingerprint::{
-    fingerprint_frame, fingerprint_values, ColumnDigest, Fingerprint, FramePrefix, Hasher128,
-    KeyPrefix,
+    fingerprint_frame, fingerprint_values, ColumnDigest, Fingerprint, Hasher128, KeyPrefix,
 };
 pub use pool::{
     global_threads, pool_stats, set_global_threads, CancelToken, PoolStats, TaskCtx, WorkerPool,

@@ -9,27 +9,35 @@
 use crate::column::Column;
 use crate::error::{Result, TabularError};
 use crate::frame::{DataFrame, Label, Task};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Reserved header name for the label column.
 pub const LABEL_COLUMN: &str = "__label__";
 
-/// Write a frame as CSV to any writer.
+/// Write a frame as CSV to any writer. Every value is written in the
+/// shortest digits that parse back to the same bits (`{:e}`), each row
+/// through one reused buffer.
 pub fn write_csv<W: Write>(frame: &DataFrame, w: &mut W) -> Result<()> {
-    let mut header: Vec<&str> = frame.columns().iter().map(|c| c.name.as_str()).collect();
-    header.push(LABEL_COLUMN);
-    writeln!(w, "{}", header.join(","))?;
+    let mut line = String::new();
+    for c in frame.columns() {
+        line.push_str(&c.name);
+        line.push(',');
+    }
+    line.push_str(LABEL_COLUMN);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     for i in 0..frame.n_rows() {
-        let mut fields: Vec<String> = frame
-            .columns()
-            .iter()
-            .map(|c| format_f64(c.values[i]))
-            .collect();
-        match frame.label() {
-            Label::Class { y, .. } => fields.push(y[i].to_string()),
-            Label::Reg(y) => fields.push(format_f64(y[i])),
+        line.clear();
+        // Writing into a `String` cannot fail.
+        for c in frame.columns() {
+            let _ = write!(line, "{:e},", c.values[i]);
         }
-        writeln!(w, "{}", fields.join(","))?;
+        let _ = match frame.label() {
+            Label::Class { y, .. } => writeln!(line, "{}", y[i]),
+            Label::Reg(y) => writeln!(line, "{:e}", y[i]),
+        };
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
@@ -56,6 +64,8 @@ pub fn read_csv<R: Read>(name: &str, task: Task, r: R) -> Result<DataFrame> {
     let mut feature_rows: Vec<Vec<f64>> = vec![Vec::new(); n_features];
     let mut class_labels: Vec<usize> = Vec::new();
     let mut reg_labels: Vec<f64> = Vec::new();
+    // The largest class label so far and its line.
+    let mut max_class: Option<(usize, usize)> = None;
 
     for (line_no, line) in lines.enumerate() {
         let line = line?;
@@ -83,6 +93,9 @@ pub fn read_csv<R: Read>(name: &str, task: Task, r: R) -> Result<DataFrame> {
                     line: line_no + 2,
                     msg: format!("bad class label `{last}`"),
                 })?;
+                if max_class.is_none_or(|(m, _)| c > m) {
+                    max_class = Some((c, line_no + 2));
+                }
                 class_labels.push(c);
             }
             Task::Regression => {
@@ -103,25 +116,30 @@ pub fn read_csv<R: Read>(name: &str, task: Task, r: R) -> Result<DataFrame> {
 
     let label = match task {
         Task::Classification => {
-            let n_classes = class_labels.iter().max().map_or(0, |&m| m + 1);
+            // Class labels index per-class counts in every tree, so the
+            // class count is bounded by what the input justifies: no more
+            // classes than data rows.
+            let n_classes = match max_class {
+                None => 1,
+                Some((max, line)) => max
+                    .checked_add(1)
+                    .filter(|&n| n <= class_labels.len())
+                    .ok_or_else(|| TabularError::Csv {
+                        line,
+                        msg: format!(
+                            "class label {max} implies more classes than the {} data rows",
+                            class_labels.len()
+                        ),
+                    })?,
+            };
             Label::Class {
                 y: class_labels,
-                n_classes: n_classes.max(1),
+                n_classes,
             }
         }
         Task::Regression => Label::Reg(reg_labels),
     };
     DataFrame::new(name, columns, label)
-}
-
-/// Format an f64 compactly but round-trippably.
-fn format_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        // 17 significant digits round-trips any f64.
-        format!("{v:.17e}")
-    }
 }
 
 #[cfg(test)]
@@ -198,6 +216,108 @@ mod tests {
     #[test]
     fn rejects_empty_input() {
         assert!(read_csv("x", Task::Classification, &b""[..]).is_err());
+    }
+
+    #[test]
+    fn rejects_class_labels_the_rows_do_not_justify() {
+        for (data, line) in [
+            ("a,__label__\n1,0\n2,18446744073709551615\n", 3),
+            ("a,__label__\n1,4000000000\n2,0\n", 2),
+            ("a,__label__\n1,0\n2,1\n3,3\n", 4),
+        ] {
+            match read_csv("x", Task::Classification, data.as_bytes()) {
+                Err(TabularError::Csv { line: got, .. }) => assert_eq!(got, line, "{data:?}"),
+                other => panic!("{data:?}: {other:?}"),
+            }
+        }
+        let ok = read_csv(
+            "x",
+            Task::Classification,
+            &b"a,__label__\n1,0\n2,2\n3,1\n"[..],
+        )
+        .unwrap();
+        assert_eq!(ok.label().n_classes(), 3);
+    }
+
+    #[test]
+    fn values_round_trip_to_the_bit_in_shortest_digits() {
+        let values = vec![
+            0.1,
+            -0.0,
+            1e15,
+            123456789012345680.0,
+            5e-324,
+            f64::MAX,
+            f64::NEG_INFINITY,
+        ];
+        let f = DataFrame::new(
+            "t",
+            vec![Column::new("a", values.clone())],
+            Label::Reg(values.iter().rev().copied().collect()),
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&f, &mut buf).unwrap();
+        let text = String::from_utf8(buf.clone()).unwrap();
+        assert!(text.starts_with("a,__label__\n1e-1,-inf\n-0e0,"), "{text}");
+        let g = read_csv("t", Task::Regression, &buf[..]).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g.columns()[0].values), bits(&values));
+        assert_eq!(
+            bits(g.label().targets().unwrap()),
+            bits(f.label().targets().unwrap())
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Whatever becomes of a written CSV — cut at any byte, a bit
+        /// flipped, a byte that is not UTF-8, a field dropped or added,
+        /// only its header left — reading it returns a frame or a typed
+        /// error, never a panic.
+        #[test]
+        fn mangled_csv_reads_to_a_frame_or_a_typed_error(
+            rows in 0usize..6,
+            at in 0usize..10_000,
+            bit in 0u8..8,
+            mangle in 0usize..6,
+            regression in 0usize..2,
+        ) {
+            let n = rows.max(1);
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 1e3).collect();
+            let label = if regression == 1 {
+                Label::Reg(a.iter().map(|v| v * 0.5).collect())
+            } else {
+                Label::Class { y: (0..n).map(|i| i % 2).collect(), n_classes: 2 }
+            };
+            let f = DataFrame::new("m", vec![Column::new("a", a), Column::new("b", vec![2.5; n])], label).unwrap();
+            let mut buf = Vec::new();
+            write_csv(&f, &mut buf).unwrap();
+            let at = at % buf.len();
+            match mangle {
+                0 => buf.truncate(at),
+                1 => buf[at] ^= 1 << bit,
+                2 => buf[at] = 0xFF,
+                3 => buf.insert(at, b','),
+                4 => {
+                    if let Some(p) = buf[at..].iter().position(|&b| b == b',') {
+                        buf.remove(at + p);
+                    }
+                }
+                _ => {
+                    let header_end = buf.iter().position(|&b| b == b'\n').unwrap_or(buf.len());
+                    buf.truncate(header_end + 1);
+                }
+            }
+            let task = if regression == 1 { Task::Regression } else { Task::Classification };
+            if let Ok(frame) = read_csv("m", task, &buf[..]) {
+                proptest::prop_assert!(frame.n_rows() <= n);
+                if let Label::Class { n_classes, .. } = frame.label() {
+                    proptest::prop_assert!(*n_classes <= frame.n_rows().max(1));
+                }
+            }
+        }
     }
 
     #[test]

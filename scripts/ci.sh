@@ -41,16 +41,17 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
     cargo test -q --release --test hist_parity --test golden_scores
 
-    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares)"
+    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares); prediction by bin code == prediction by value"
     cargo test -q -p learners --release --lib cv::
     cargo test -q --release --test score_memo --test paper_claims
 
     echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q --release --test parallel_determinism multi_process
 
-    echo "==> column digest + score-cache key parity (release: evaluate_keyed's key debug_assert is compiled out)"
+    echo "==> column digest + score-cache key parity, frames built per evaluation (release: the stores' key debug_assert and its debug-only frame are compiled out)"
     cargo test -q -p runtime --release --lib fingerprint
     cargo test -q -p eafe --release --lib flat_chunked_and_whole_frame_keys_agree
+    cargo test -q -p eafe --release --test frames_built
 
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke

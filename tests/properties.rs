@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{discounted_returns, lambda_return, rewards_to_go, score_gains};
-use runtime::{fingerprint_frame, Fingerprint, FramePrefix};
+use runtime::{fingerprint_frame, fingerprint_values, Fingerprint, KeyPrefix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tabular::{Column, DataFrame, Label, Task};
 
@@ -206,9 +206,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A probe through a frame prefix addresses exactly the entry a
-    /// whole-frame probe does, and the keyed evaluate path hits, misses,
-    /// computes and scores exactly as `evaluate` on the built frame.
+    /// A probe through a selection's key state addresses exactly the
+    /// entry a whole-frame probe does, and the keyed evaluate path hits,
+    /// misses, computes and scores exactly as `evaluate` on the built
+    /// frame.
     #[test]
     fn prefix_probes_equal_whole_frame_probes(
         seed in 0u64..1_000_000,
@@ -230,7 +231,10 @@ proptest! {
             }
         };
         let selected = DataFrame::new(NAMES[(seed % 8) as usize], columns, label).unwrap();
-        let prefix = FramePrefix::new(selected.clone());
+        let mut prefix = KeyPrefix::new(&selected.name, n_rows, selected.label());
+        for c in selected.columns() {
+            prefix.push(&c.name, fingerprint_values(&c.values));
+        }
 
         let whole = counting_evaluator();
         let keyed = counting_evaluator();
@@ -241,12 +245,14 @@ proptest! {
             let frame = selected
                 .with_extra_columns(std::slice::from_ref(candidate))
                 .unwrap();
-            let key = keyed.prefix_key(&prefix, candidate);
+            let mut extended = prefix.clone();
+            extended.push(&candidate.name, fingerprint_values(&candidate.values));
+            let key = keyed.key_of(&extended);
             prop_assert_eq!(key, whole.cache_key(&frame));
 
             let expected = whole.evaluate(&frame).unwrap();
             let got = keyed
-                .evaluate_keyed(key, || prefix.with_column(candidate))
+                .evaluate_keyed(key, |scorer| runtime::Scorer::score_frame(scorer, &frame))
                 .unwrap();
             prop_assert_eq!(expected.to_bits(), got.to_bits());
         }
@@ -369,20 +375,32 @@ proptest! {
     }
 
     /// CSV round-trip preserves shape and classification labels exactly,
-    /// and feature values to f64 precision.
+    /// and every feature value to the bit: signed zeros, infinities, NaN,
+    /// subnormals, integers at and past 1e15 and arbitrary bit patterns.
     #[test]
     fn csv_round_trip(
-        cols in prop::collection::vec(finite_vec(3..12), 1..5),
+        seed in 0u64..u64::MAX,
+        n_cols in 1usize..5,
+        n_rows in 1usize..12,
     ) {
-        let n = cols[0].len();
-        let columns: Vec<Column> = cols
-            .iter()
-            .enumerate()
-            .map(|(j, v)| Column::new(format!("c{j}"), v.iter().take(n).copied().collect()))
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut value = || match rng.gen_range(0..12) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            5 => f64::from_bits(rng.gen_range(1..1u64 << 52)), // subnormal
+            6 => -f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            7 => (rng.gen_range(1e15f64..1e18)).trunc(),
+            8 => rng.gen_range(-1e6f64..1e6).trunc(),
+            9 => rng.gen_range(-1e6f64..1e6),
+            _ => f64::from_bits(rng.gen()),
+        };
+        let columns: Vec<Column> = (0..n_cols)
+            .map(|j| Column::new(format!("c{j}"), (0..n_rows).map(|_| value()).collect()))
             .collect();
-        // Only keep frames where all columns share the first column's len.
-        prop_assume!(columns.iter().all(|c| c.len() == n));
-        let y: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let y: Vec<usize> = (0..n_rows).map(|i| i % 2).collect();
         let frame = DataFrame::new("p", columns, Label::Class { y, n_classes: 2 }).unwrap();
         let mut buf = Vec::new();
         tabular::csv::write_csv(&frame, &mut buf).unwrap();
@@ -392,7 +410,12 @@ proptest! {
         prop_assert_eq!(back.label().classes().unwrap(), frame.label().classes().unwrap());
         for (a, b) in frame.columns().iter().zip(back.columns()) {
             for (x, y) in a.values.iter().zip(&b.values) {
-                prop_assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{} vs {}", x, y);
+                // NaN payloads are not kept: any NaN reads back as NaN.
+                if x.is_nan() {
+                    prop_assert!(y.is_nan(), "{} vs {}", x, y);
+                } else {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
+                }
             }
         }
     }
