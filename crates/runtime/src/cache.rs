@@ -66,7 +66,7 @@ impl<V> Shard<V> {
 }
 
 /// Per-shard counter snapshot returned by [`ScoreCache::shard_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ShardStats {
     pub hits: u64,
     pub misses: u64,
@@ -77,7 +77,7 @@ pub struct ShardStats {
 }
 
 /// Counter snapshot returned by [`ScoreCache::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,

@@ -18,6 +18,7 @@
 //!    (backpressure) instead of queueing without limit.
 
 use crate::seed::derive_seed;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -96,7 +97,7 @@ impl Drop for Slot {
 
 /// Point-in-time view of the global thread budget, for introspection
 /// surfaces (the serve crate's `/status` page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PoolStats {
     /// Process-wide worker-thread ceiling ([`global_threads`]).
     pub threads: usize,

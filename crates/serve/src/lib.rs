@@ -44,19 +44,23 @@
 //!   seconds) and the exhaustion rule;
 //! - [`job`] — job identity, lifecycle states, outcomes, and the
 //!   progress-stream wire format ([`progress_event`]);
-//! - [`server`] — the [`JobServer`] itself: admission control, the fair
-//!   scheduler, cancellation, checkpoint/resume;
+//! - [`server`] — the [`JobServer`] itself: a driver thread around the
+//!   crate-private `scheduler` core, which makes every admission,
+//!   rotation, cancellation and checkpoint decision; resume; the
+//!   introspection source;
 //! - [`metrics`] — per-tenant scoped metrics, epoch-boundary time
 //!   series, and the SLO monitor;
 //! - [`status`] — the opt-in HTTP introspection endpoint (`/metrics`
 //!   Prometheus text, `/status` JSON), zero new dependencies.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod budget;
 pub mod error;
 pub mod job;
 pub mod metrics;
+mod scheduler;
 pub mod server;
 pub mod status;
 

@@ -4,11 +4,11 @@
 //! One [`JobServer`] owns the shared compute substrate — the global
 //! worker-thread budget, a process-shared content-addressed score cache,
 //! and (implicitly) the process-global signature cache — and multiplexes
-//! any number of tenant jobs over it. A single scheduler thread drains a
-//! [`runtime::RoundRobin`] rotation of active jobs, running exactly one
-//! epoch-granular engine slice per turn, so every tenant advances at the
-//! same rate regardless of submission order. All blocking work happens
-//! *outside* the server lock; the lock only guards job bookkeeping.
+//! any number of tenant jobs over it. Every scheduling decision is made by
+//! one crate-private `Scheduler` value behind a mutex; a single driver
+//! thread asks it for the next slice, runs that epoch-granular engine
+//! slice *outside* the lock, and commits the result back, so every tenant
+//! advances at the same rate regardless of submission order.
 //!
 //! ## Lifecycle
 //!
@@ -30,15 +30,15 @@ use crate::budget::Budget;
 use crate::error::{Result, ServeError};
 use crate::job::{progress_event, JobEvent, JobId, JobOutcome, JobStatus};
 use crate::metrics::{ServerMetrics, SliceSample, SloConfig};
+use crate::scheduler::{Feed, Job, JobCheckpoint, JobRow, Scheduler, Slice, SliceEnd};
 use crate::status::{StatusServer, StatusSource};
 use eafe::{Engine, EpochReport, SearchState};
-use runtime::{CancelToken, RoundRobin, ScoreCache};
-use serde::{Deserialize, Serialize};
+use runtime::ScoreCache;
+use serde::{Serialize, Value};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tabular::DataFrame;
 use telemetry::{CountEvent, Event, JsonLinesSink, Sink};
@@ -85,74 +85,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// Versioned on-disk form of one job.
-#[derive(Serialize, Deserialize)]
-struct JobCheckpoint {
-    version: u32,
-    id: u64,
-    tenant: String,
-    engine: Engine,
-    budget: Budget,
-    /// Search state for started jobs (owns its sanitized frame).
-    state: Option<SearchState>,
-    /// Submitted frame for jobs that never received a slice.
-    frame: Option<DataFrame>,
-}
-
-/// 2: `eafe::SearchState` keeps the column store and the scores under
-/// `state`.
-const CHECKPOINT_VERSION: u32 = 2;
-
-/// Cumulative figures from a job's most recent slice, kept for the
-/// `/status` page and for per-slice counter deltas.
-#[derive(Debug, Clone, Copy, Default)]
-struct JobLast {
-    epochs_completed: usize,
-    base_score: f64,
-    best_score: f64,
-    downstream_evals: usize,
-    elapsed_secs: f64,
-}
-
-struct Job {
-    tenant: String,
-    engine: Arc<Engine>,
-    /// Submitted frame; taken by the first slice (the search state owns
-    /// its own sanitized copy from then on).
-    frame: Option<DataFrame>,
-    budget: Budget,
-    status: JobStatus,
-    /// Present between slices once started; taken while a slice runs.
-    state: Option<SearchState>,
-    cancel: CancelToken,
-    /// Dropped (set to `None`) at shutdown so blocked [`JobHandle::wait`]
-    /// callers observe the disconnect instead of hanging forever.
-    events: Option<Sender<JobEvent>>,
-    feed: Option<Arc<JsonLinesSink>>,
-    outcome: Option<Box<JobOutcome>>,
-    /// When the job entered the queue (admission-wait accounting).
-    submitted: Instant,
-    /// Most recent slice report, for `/status` and counter deltas.
-    last: Option<JobLast>,
-}
-
-struct Inner {
-    jobs: HashMap<JobId, Job>,
-    /// Active jobs, in fair rotation.
-    rr: RoundRobin<JobId>,
-    /// Admitted jobs waiting for an active slot.
-    queued: VecDeque<JobId>,
-    next_id: u64,
-    /// Job currently being sliced (its `state` is taken).
-    in_flight: Option<JobId>,
-    /// Scheduler parked by `pause` (checkpointing needs a quiesced map).
-    paused: bool,
-    shutdown: bool,
-}
-
+/// The scheduler and the condition its driver thread and checkpoint
+/// writers wait on.
 struct Shared {
-    inner: Mutex<Inner>,
+    scheduler: Mutex<Scheduler>,
     work: Condvar,
+}
+
+impl Shared {
+    /// The scheduler, also after a panic while it was held: its methods
+    /// do not panic and every other holder only reads the table, so a
+    /// poisoned lock still guards a whole table.
+    fn lock(&self) -> MutexGuard<'_, Scheduler> {
+        self.scheduler
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, Scheduler>) -> MutexGuard<'a, Scheduler> {
+        self.work
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A long-lived, multi-tenant feature-engineering service over the
@@ -162,7 +116,7 @@ pub struct JobServer {
     cache: Arc<ScoreCache<f64>>,
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    driver: Option<std::thread::JoinHandle<()>>,
     status: Option<StatusServer>,
 }
 
@@ -187,28 +141,19 @@ impl JobServer {
             runtime::set_global_threads(n);
         }
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                jobs: HashMap::new(),
-                rr: RoundRobin::new(),
-                queued: VecDeque::new(),
-                next_id: 1,
-                in_flight: None,
-                paused: false,
-                shutdown: false,
-            }),
+            scheduler: Mutex::new(Scheduler::new(config.max_active, config.max_queued)),
             work: Condvar::new(),
         });
         let cache = Arc::new(ScoreCache::new(runtime::evaluator::DEFAULT_CACHE_CAPACITY));
         let metrics = Arc::new(ServerMetrics::new(config.slo));
-        let scheduler = {
+        let driver = {
             let shared = Arc::clone(&shared);
-            let max_active = config.max_active.max(1);
             let checkpoint_dir = config.checkpoint_dir.clone();
             let metrics = Arc::clone(&metrics);
             let cache = Arc::clone(&cache);
             std::thread::Builder::new()
                 .name("serve-scheduler".to_string())
-                .spawn(move || scheduler_loop(shared, max_active, checkpoint_dir, metrics, cache))?
+                .spawn(move || scheduler_loop(&shared, checkpoint_dir, &metrics, &cache))?
         };
         let status = match &config.status_addr {
             Some(addr) => Some(StatusServer::start(
@@ -226,7 +171,7 @@ impl JobServer {
             cache,
             config,
             metrics,
-            scheduler: Some(scheduler),
+            driver: Some(driver),
             status,
         })
     }
@@ -249,60 +194,52 @@ impl JobServer {
                     continue;
                 }
                 let text = std::fs::read_to_string(&path)?;
-                let cp: JobCheckpoint = serde_json::from_str(&text)
+                let cp = JobCheckpoint::parse(&text)
                     .map_err(|e| ServeError::Corrupt(format!("{}: {e}", path.display())))?;
-                if cp.version != CHECKPOINT_VERSION {
-                    return Err(ServeError::Corrupt(format!(
-                        "{}: unsupported checkpoint version {}",
-                        path.display(),
-                        cp.version
-                    )));
-                }
                 checkpoints.push(cp);
             }
         }
         // Deterministic re-admission order regardless of directory order.
         checkpoints.sort_by_key(|cp| cp.id);
-        let mut handles = Vec::with_capacity(checkpoints.len());
-        for cp in checkpoints {
-            let id = JobId(cp.id);
-            let engine = Arc::new(cp.engine.with_cache(Arc::clone(&server.cache)));
-            let feed = server.make_feed(id)?;
-            let (tx, rx) = mpsc::channel();
-            let mut inner = server.shared.inner.lock().unwrap();
-            inner.next_id = inner.next_id.max(cp.id + 1);
-            inner.jobs.insert(
-                id,
-                Job {
-                    tenant: cp.tenant.clone(),
-                    engine,
-                    frame: cp.frame,
-                    budget: cp.budget,
-                    status: JobStatus::Queued,
-                    state: cp.state,
-                    cancel: CancelToken::new(),
-                    events: Some(tx),
-                    feed,
-                    outcome: None,
-                    submitted: Instant::now(),
-                    last: None,
-                },
-            );
-            inner.queued.push_back(id);
-            drop(inner);
-            handles.push(JobHandle {
-                id,
-                tenant: cp.tenant,
-                shared: Arc::clone(&server.shared),
-                events: rx,
-                done: RefCell::new(None),
-            });
-        }
+        let handles = checkpoints
+            .into_iter()
+            .map(|cp| {
+                let id = Some(JobId(cp.id));
+                server.admit(id, cp.tenant, cp.engine, cp.budget, cp.frame, cp.state)
+            })
+            .collect::<Result<Vec<_>>>()?;
         server.shared.work.notify_all();
         Ok((server, handles))
     }
 
-    fn make_feed(&self, id: JobId) -> Result<Option<Arc<JsonLinesSink>>> {
+    /// Build a job on the server's shared cache and admit it — a new
+    /// submission when `id` is `None`, else a restored one.
+    fn admit(
+        &self,
+        id: Option<JobId>,
+        tenant: String,
+        engine: Engine,
+        budget: Budget,
+        frame: Option<DataFrame>,
+        state: Option<SearchState>,
+    ) -> Result<JobHandle> {
+        let engine = Arc::new(engine.with_cache(Arc::clone(&self.cache)));
+        let (tx, events) = mpsc::channel();
+        let job = Job::new(tenant.clone(), engine, budget, frame, state, tx);
+        let id = self
+            .shared
+            .lock()
+            .admit(id, job, Instant::now(), |id| self.open_feed(id))?;
+        Ok(JobHandle {
+            id,
+            tenant,
+            shared: Arc::clone(&self.shared),
+            events,
+            done: RefCell::new(None),
+        })
+    }
+
+    fn open_feed(&self, id: JobId) -> Result<Feed> {
         match &self.config.feed_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
@@ -328,63 +265,16 @@ impl JobServer {
         engine: Engine,
         budget: Budget,
     ) -> Result<JobHandle> {
-        let engine = Arc::new(engine.with_cache(Arc::clone(&self.cache)));
-        let (tx, rx) = mpsc::channel();
-        let id = {
-            let mut inner = self.shared.inner.lock().unwrap();
-            if inner.shutdown {
-                return Err(ServeError::ServerStopped);
-            }
-            if inner.queued.len() >= self.config.max_queued {
-                return Err(ServeError::QueueFull {
-                    capacity: self.config.max_queued,
-                });
-            }
-            let id = JobId(inner.next_id);
-            inner.next_id += 1;
-            id
-        };
-        let feed = self.make_feed(id)?;
-        {
-            let mut inner = self.shared.inner.lock().unwrap();
-            inner.jobs.insert(
-                id,
-                Job {
-                    tenant: tenant.to_string(),
-                    engine,
-                    frame: Some(frame.clone()),
-                    budget,
-                    status: JobStatus::Queued,
-                    state: None,
-                    cancel: CancelToken::new(),
-                    events: Some(tx),
-                    feed,
-                    outcome: None,
-                    submitted: Instant::now(),
-                    last: None,
-                },
-            );
-            inner.queued.push_back(id);
-        }
+        let frame = Some(frame.clone());
+        let handle = self.admit(None, tenant.to_string(), engine, budget, frame, None)?;
         self.shared.work.notify_all();
         telemetry::count("serve.submitted", 1);
-        Ok(JobHandle {
-            id,
-            tenant: tenant.to_string(),
-            shared: Arc::clone(&self.shared),
-            events: rx,
-            done: RefCell::new(None),
-        })
+        Ok(handle)
     }
 
     /// Current status of a job.
     pub fn status(&self, id: JobId) -> Result<JobStatus> {
-        let inner = self.shared.inner.lock().unwrap();
-        inner
-            .jobs
-            .get(&id)
-            .map(|j| j.status)
-            .ok_or(ServeError::UnknownJob(id))
+        self.shared.lock().status(id)
     }
 
     /// Request cooperative cancellation of a job. The job stops at the
@@ -392,118 +282,64 @@ impl JobServer {
     /// completes, and its best-so-far result is preserved in the
     /// terminal [`JobOutcome`].
     pub fn cancel(&self, id: JobId) -> Result<()> {
-        let inner = self.shared.inner.lock().unwrap();
-        let job = inner.jobs.get(&id).ok_or(ServeError::UnknownJob(id))?;
-        job.cancel.cancel();
-        drop(inner);
-        self.shared.work.notify_all();
-        Ok(())
-    }
-
-    /// Park the scheduler at the next epoch boundary and return once no
-    /// slice is in flight. While paused, job state is fully materialized
-    /// in the server (nothing is mid-step), so progress streams are
-    /// complete and checkpoints are consistent.
-    pub fn pause(&self) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.paused = true;
-        self.shared.work.notify_all();
-        while inner.in_flight.is_some() {
-            inner = self.shared.work.wait(inner).unwrap();
-        }
-    }
-
-    /// Resume scheduling after [`JobServer::pause`].
-    pub fn unpause(&self) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.paused = false;
-        drop(inner);
-        self.shared.work.notify_all();
+        self.shared.lock().cancel(id)
     }
 
     /// Checkpoint every non-terminal job to the configured checkpoint
-    /// directory (pausing the scheduler for a consistent snapshot) and
-    /// return how many were written.
+    /// directory and return how many were written. The snapshot is taken
+    /// at the next epoch boundary, which a busy rotation cannot starve:
+    /// no slice starts between the boundary and the last file written.
     pub fn checkpoint_all(&self) -> Result<usize> {
         let dir = self
             .config
             .checkpoint_dir
-            .clone()
+            .as_deref()
             .ok_or(ServeError::NoCheckpointDir)?;
-        std::fs::create_dir_all(&dir)?;
-        // Only a pause taken here is undone: a scheduler the caller parked
-        // stays parked (unparking it lets a fast job finish, and delete its
-        // checkpoint, before the caller's next call).
-        let pause_here = {
-            let inner = self.shared.inner.lock().unwrap();
-            !inner.shutdown && !inner.paused
-        };
-        if pause_here {
-            self.pause();
-        }
-        let result = self.write_checkpoints(&dir);
-        if pause_here {
-            self.unpause();
-        }
-        result
+        self.write_checkpoints(dir)
     }
 
-    fn write_checkpoints(&self, dir: &std::path::Path) -> Result<usize> {
-        let inner = self.shared.inner.lock().unwrap();
-        let mut written = 0;
-        for (id, job) in &inner.jobs {
-            if job.status.is_terminal() {
-                continue;
+    fn write_checkpoints(&self, dir: &Path) -> Result<usize> {
+        std::fs::create_dir_all(dir)?;
+        let mut scheduler = self.shared.lock();
+        let checkpoints = loop {
+            match scheduler.checkpoints() {
+                Some(checkpoints) => break checkpoints,
+                None => scheduler = self.shared.wait(scheduler),
             }
-            let cp = JobCheckpoint {
-                version: CHECKPOINT_VERSION,
-                id: id.0,
-                tenant: job.tenant.clone(),
-                engine: (*job.engine).clone(),
-                budget: job.budget,
-                state: job.state.clone(),
-                frame: job.frame.clone(),
-            };
-            let text = serde_json::to_string(&cp)
+        };
+        // Written under the lock, so no job can finish (and delete its
+        // file) between the snapshot and its write.
+        let written = checkpoints.iter().try_for_each(|cp| {
+            let id = JobId(cp.id);
+            let text = serde_json::to_string(cp)
                 .map_err(|e| ServeError::Corrupt(format!("serialize {id}: {e}")))?;
             std::fs::write(dir.join(format!("{id}.json")), text)?;
-            written += 1;
-        }
-        Ok(written)
+            Ok(())
+        });
+        drop(scheduler);
+        self.shared.work.notify_all();
+        written.map(|()| checkpoints.len())
     }
 
     /// Stop the scheduler (the in-flight slice, if any, completes) and
     /// persist every non-terminal job to the checkpoint directory when
     /// one is configured. Returns how many jobs were checkpointed.
-    /// After shutdown the server accepts no new submissions.
+    /// After shutdown the server accepts no new submissions, and a
+    /// handle still waiting on an unfinished job wakes with
+    /// [`ServeError::ServerStopped`].
     pub fn shutdown(&mut self) -> Result<usize> {
         if let Some(mut status) = self.status.take() {
             status.stop();
         }
-        {
-            let mut inner = self.shared.inner.lock().unwrap();
-            inner.shutdown = true;
-        }
+        self.shared.lock().shutdown();
         self.shared.work.notify_all();
-        if let Some(handle) = self.scheduler.take() {
+        if let Some(handle) = self.driver.take() {
             let _ = handle.join();
         }
-        let written = match &self.config.checkpoint_dir {
-            Some(dir) => {
-                let dir = dir.clone();
-                std::fs::create_dir_all(&dir)?;
-                self.write_checkpoints(&dir)
-            }
+        match &self.config.checkpoint_dir {
+            Some(dir) => self.write_checkpoints(dir),
             None => Ok(0),
-        };
-        // Disconnect every event stream so handles blocked in `wait` or
-        // `next_event` wake up instead of hanging on a dead server
-        // (terminal outcomes already committed to the map stay readable).
-        let mut inner = self.shared.inner.lock().unwrap();
-        for job in inner.jobs.values_mut() {
-            job.events = None;
         }
-        written
     }
 
     /// The server-wide shared score cache (content-addressed; handed to
@@ -525,249 +361,84 @@ impl JobServer {
 }
 
 /// The [`StatusSource`] behind the server's introspection endpoint:
-/// snapshots the job map, scoped metrics, pool budget, and score cache
-/// under short-lived locks.
+/// snapshots the job table, scoped metrics, pool budget, and score cache.
 struct Introspection {
     shared: Arc<Shared>,
     metrics: Arc<ServerMetrics>,
     cache: Arc<ScoreCache<f64>>,
 }
 
-impl Introspection {
-    fn jobs_value(&self) -> serde::Value {
-        let inner = self.shared.inner.lock().unwrap();
-        let mut ids: Vec<JobId> = inner.jobs.keys().copied().collect();
-        ids.sort();
-        let jobs = ids
-            .iter()
-            .map(|id| {
-                let job = &inner.jobs[id];
-                let last = job.last.unwrap_or_default();
-                serde::Value::Map(vec![
-                    ("id".to_string(), serde::Value::Str(id.to_string())),
-                    ("tenant".to_string(), serde::Value::Str(job.tenant.clone())),
-                    (
-                        "status".to_string(),
-                        serde::Value::Str(format!("{:?}", job.status)),
-                    ),
-                    (
-                        "epochs_completed".to_string(),
-                        serde::Value::U64(last.epochs_completed as u64),
-                    ),
-                    ("base_score".to_string(), serde::Value::F64(last.base_score)),
-                    ("best_score".to_string(), serde::Value::F64(last.best_score)),
-                    (
-                        "downstream_evals".to_string(),
-                        serde::Value::U64(last.downstream_evals as u64),
-                    ),
-                    (
-                        "elapsed_secs".to_string(),
-                        serde::Value::F64(last.elapsed_secs),
-                    ),
-                    (
-                        "budget_remaining".to_string(),
-                        serde::Value::F64(job.budget.remaining_fraction(
-                            last.epochs_completed,
-                            last.downstream_evals,
-                            last.elapsed_secs,
-                        )),
-                    ),
-                ])
-            })
-            .collect();
-        serde::Value::Array(jobs)
-    }
-
-    fn queue_value(&self) -> (u64, u64) {
-        let inner = self.shared.inner.lock().unwrap();
-        (inner.queued.len() as u64, inner.rr.len() as u64)
-    }
-
-    fn cache_value(&self) -> serde::Value {
-        let agg = self.cache.stats();
-        let shards = self
-            .cache
-            .shard_stats()
-            .into_iter()
-            .map(|s| {
-                serde::Value::Map(vec![
-                    ("hits".to_string(), serde::Value::U64(s.hits)),
-                    ("misses".to_string(), serde::Value::U64(s.misses)),
-                    ("inserts".to_string(), serde::Value::U64(s.inserts)),
-                    ("evictions".to_string(), serde::Value::U64(s.evictions)),
-                    ("len".to_string(), serde::Value::U64(s.len as u64)),
-                ])
-            })
-            .collect();
-        serde::Value::Map(vec![
-            ("hits".to_string(), serde::Value::U64(agg.hits)),
-            ("misses".to_string(), serde::Value::U64(agg.misses)),
-            ("hit_rate".to_string(), serde::Value::F64(agg.hit_rate())),
-            ("len".to_string(), serde::Value::U64(agg.len as u64)),
-            (
-                "capacity".to_string(),
-                serde::Value::U64(agg.capacity as u64),
-            ),
-            ("shards".to_string(), serde::Value::Array(shards)),
-        ])
-    }
-
+/// The `/status` document.
+#[derive(Serialize)]
+struct StatusPage {
+    jobs: Vec<JobRow>,
+    queue_depth: usize,
+    active: usize,
+    pool: runtime::PoolStats,
+    cache: Value,
     /// Process-wide chunked-frame residency and spill traffic (the
-    /// out-of-core data layer's working-set gauges), so an operator can
-    /// see budget pressure per scrape without attaching to any job.
-    fn frame_value(&self) -> serde::Value {
-        let f = tabular::global_frame_stats();
-        serde::Value::Map(vec![
-            (
-                "chunks_resident".to_string(),
-                serde::Value::U64(f.chunks_resident),
-            ),
-            (
-                "resident_bytes".to_string(),
-                serde::Value::U64(f.resident_bytes),
-            ),
-            (
-                "chunks_spilled".to_string(),
-                serde::Value::U64(f.chunks_spilled),
-            ),
-            (
-                "chunks_evicted".to_string(),
-                serde::Value::U64(f.chunks_evicted),
-            ),
-            (
-                "chunks_loaded".to_string(),
-                serde::Value::U64(f.chunks_loaded),
-            ),
-            (
-                "chunks_decoded".to_string(),
-                serde::Value::U64(f.chunks_decoded),
-            ),
-        ])
-    }
-
-    /// Process-wide distributed-search activity (the `dist` crate's
-    /// coordinator counters): shard flow, bytes on the wire, merge
-    /// traffic, and coordinator-side overhead. All zero unless a
-    /// coordinator runs in this process.
-    fn dist_value(&self) -> serde::Value {
-        let d = runtime::global_dist_stats();
-        serde::Value::Map(vec![
-            (
-                "workers_live".to_string(),
-                serde::Value::U64(d.workers_live),
-            ),
-            (
-                "shards_dispatched".to_string(),
-                serde::Value::U64(d.shards_dispatched),
-            ),
-            (
-                "shards_completed".to_string(),
-                serde::Value::U64(d.shards_completed),
-            ),
-            (
-                "shards_retried".to_string(),
-                serde::Value::U64(d.shards_retried),
-            ),
-            ("bytes_sent".to_string(), serde::Value::U64(d.bytes_sent)),
-            (
-                "bytes_received".to_string(),
-                serde::Value::U64(d.bytes_received),
-            ),
-            (
-                "entries_merged".to_string(),
-                serde::Value::U64(d.entries_merged),
-            ),
-            (
-                "entries_fresh".to_string(),
-                serde::Value::U64(d.entries_fresh),
-            ),
-            ("wire_us".to_string(), serde::Value::U64(d.wire_us)),
-        ])
-    }
-
-    fn series_value(&self) -> serde::Value {
-        let series = self
-            .metrics
-            .series()
-            .snapshot()
-            .into_iter()
-            .map(|(name, points)| {
-                let points = points
-                    .into_iter()
-                    .map(|p| {
-                        serde::Value::Map(vec![
-                            ("tick".to_string(), serde::Value::U64(p.tick)),
-                            ("value".to_string(), serde::Value::F64(p.value)),
-                        ])
-                    })
-                    .collect();
-                (name, serde::Value::Array(points))
-            })
-            .collect();
-        serde::Value::Map(series)
-    }
+    /// out-of-core data layer's working-set gauges).
+    frame: tabular::FrameStats,
+    /// Process-wide distributed-search activity (all zero unless a
+    /// `dist` coordinator runs in this process).
+    dist: runtime::DistStats,
+    /// Every epoch-boundary time series, by name.
+    series: Value,
 }
 
 impl StatusSource for Introspection {
     fn status_json(&self) -> String {
-        let (queue_depth, active) = self.queue_value();
-        let pool = runtime::pool_stats();
-        let doc = serde::Value::Map(vec![
-            ("jobs".to_string(), self.jobs_value()),
-            ("queue_depth".to_string(), serde::Value::U64(queue_depth)),
-            ("active".to_string(), serde::Value::U64(active)),
-            (
-                "pool".to_string(),
-                serde::Value::Map(vec![
-                    (
-                        "threads".to_string(),
-                        serde::Value::U64(pool.threads as u64),
-                    ),
-                    (
-                        "active_extra".to_string(),
-                        serde::Value::U64(pool.active_extra as u64),
-                    ),
-                ]),
+        let (jobs, (queue_depth, active)) = {
+            let scheduler = self.shared.lock();
+            (scheduler.rows(), scheduler.depth())
+        };
+        let stats = self.cache.stats();
+        let mut cache = stats.to_value();
+        if let Value::Map(entries) = &mut cache {
+            entries.push(("hit_rate".to_string(), stats.hit_rate().to_value()));
+            entries.push(("shards".to_string(), self.cache.shard_stats().to_value()));
+        }
+        let series = self.metrics.series().snapshot();
+        let page = StatusPage {
+            jobs,
+            queue_depth,
+            active,
+            pool: runtime::pool_stats(),
+            cache,
+            frame: tabular::global_frame_stats(),
+            dist: runtime::global_dist_stats(),
+            series: Value::Map(
+                series
+                    .into_iter()
+                    .map(|(name, points)| (name, points.to_value()))
+                    .collect(),
             ),
-            ("cache".to_string(), self.cache_value()),
-            ("frame".to_string(), self.frame_value()),
-            ("dist".to_string(), self.dist_value()),
-            ("series".to_string(), self.series_value()),
-        ]);
-        serde_json::to_string(&doc).unwrap_or_else(|_| "{}".to_string())
+        };
+        serde_json::to_string(&page).unwrap_or_else(|_| "{}".to_string())
     }
 
     fn metrics_text(&self) -> String {
         let mut out = self.metrics.snapshot().to_prometheus();
-        // Chunked-frame gauges are process-global (they aggregate over every
-        // live frame, across tenants), so they are appended directly rather
-        // than routed through the per-tenant scoped registry.
-        let f = tabular::global_frame_stats();
-        for (name, kind, value) in [
-            ("frame_chunks_resident", "gauge", f.chunks_resident),
-            ("frame_resident_bytes", "gauge", f.resident_bytes),
-            ("frame_chunks_spilled", "counter", f.chunks_spilled),
-            ("frame_chunks_evicted", "counter", f.chunks_evicted),
-            ("frame_chunks_loaded", "counter", f.chunks_loaded),
-            ("frame_chunks_decoded", "counter", f.chunks_decoded),
+        // Chunked-frame gauges and distributed-search counters are
+        // process-global (across tenants; one coordinator per process),
+        // so they are appended directly rather than routed through the
+        // per-tenant scoped registry.
+        let gauges = ["chunks_resident", "resident_bytes", "workers_live"];
+        for (prefix, stats) in [
+            ("frame", tabular::global_frame_stats().to_value()),
+            ("dist", runtime::global_dist_stats().to_value()),
         ] {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-        }
-        // Distributed-search counters are likewise process-global: one
-        // coordinator per process, counters shared across its runs.
-        let d = runtime::global_dist_stats();
-        for (name, kind, value) in [
-            ("dist_workers_live", "gauge", d.workers_live),
-            ("dist_shards_dispatched", "counter", d.shards_dispatched),
-            ("dist_shards_completed", "counter", d.shards_completed),
-            ("dist_shards_retried", "counter", d.shards_retried),
-            ("dist_bytes_sent", "counter", d.bytes_sent),
-            ("dist_bytes_received", "counter", d.bytes_received),
-            ("dist_entries_merged", "counter", d.entries_merged),
-            ("dist_entries_fresh", "counter", d.entries_fresh),
-            ("dist_wire_us", "counter", d.wire_us),
-        ] {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+            for (field, value) in stats.as_map().unwrap_or_default() {
+                let kind = if gauges.contains(&field.as_str()) {
+                    "gauge"
+                } else {
+                    "counter"
+                };
+                let value = value.as_u64().unwrap_or_default();
+                out.push_str(&format!(
+                    "# TYPE {prefix}_{field} {kind}\n{prefix}_{field} {value}\n"
+                ));
+            }
         }
         out
     }
@@ -801,25 +472,12 @@ impl JobHandle {
 
     /// Current job status.
     pub fn status(&self) -> Result<JobStatus> {
-        let inner = self.shared.inner.lock().unwrap();
-        inner
-            .jobs
-            .get(&self.id)
-            .map(|j| j.status)
-            .ok_or(ServeError::UnknownJob(self.id))
+        self.shared.lock().status(self.id)
     }
 
     /// Request cooperative cancellation (see [`JobServer::cancel`]).
     pub fn cancel(&self) -> Result<()> {
-        let inner = self.shared.inner.lock().unwrap();
-        let job = inner
-            .jobs
-            .get(&self.id)
-            .ok_or(ServeError::UnknownJob(self.id))?;
-        job.cancel.cancel();
-        drop(inner);
-        self.shared.work.notify_all();
-        Ok(())
+        self.shared.lock().cancel(self.id)
     }
 
     /// Drain every progress report currently pending on the stream
@@ -870,82 +528,38 @@ impl JobHandle {
                     *self.done.borrow_mut() = Some(o);
                     return Ok(out);
                 }
-                // Sender gone without a terminal event: the server was
-                // dropped mid-run. Surface whatever the map still says.
-                Err(_) => {
-                    let inner = self.shared.inner.lock().unwrap();
-                    return match inner.jobs.get(&self.id).and_then(|j| j.outcome.clone()) {
-                        Some(o) => Ok(*o),
-                        None => Err(ServeError::ServerStopped),
-                    };
-                }
+                // The stream closed without a terminal event: the server
+                // stopped first. (A job that finishes always sends its
+                // outcome before its last sender goes.)
+                Err(_) => return Err(ServeError::ServerStopped),
             }
         }
     }
 }
 
-/// Everything a slice needs, moved out of the lock.
-struct Slice {
-    id: JobId,
-    tenant: String,
-    engine: Arc<Engine>,
-    state: Option<SearchState>,
-    frame: Option<DataFrame>,
-    budget: Budget,
-    cancel: CancelToken,
-    events: Sender<JobEvent>,
-    feed: Option<Arc<JsonLinesSink>>,
-}
-
-/// What became of a slice.
-enum SliceEnd {
-    /// Put the state back; the job stays in the rotation.
-    Continue(Box<SearchState>),
-    /// The job is finished (one way or another).
-    Terminal(Box<JobOutcome>),
-}
-
+/// The driver: ask the scheduler for a slice (or wait for one), run it
+/// outside the lock, commit it, then record metrics and deliver the
+/// terminal event outside the lock again. Epoch events go out from
+/// inside the slice, before the commit; `Done` only after it, so a
+/// waiter never sees a terminal event before the job table does.
 fn scheduler_loop(
-    shared: Arc<Shared>,
-    max_active: usize,
+    shared: &Shared,
     checkpoint_dir: Option<PathBuf>,
-    metrics: Arc<ServerMetrics>,
-    cache: Arc<ScoreCache<f64>>,
+    metrics: &ServerMetrics,
+    cache: &ScoreCache<f64>,
 ) {
     loop {
-        // Admission waits observed by `promote` under the lock, recorded
-        // into metric scopes after it is released.
-        let mut admission_waits: Vec<(String, u64)> = Vec::new();
-        let slice = {
-            let mut inner = shared.inner.lock().unwrap();
+        let (slice, admission_waits) = {
+            let mut scheduler = shared.lock();
             loop {
-                if inner.shutdown {
-                    return;
+                match scheduler.next_slice(Instant::now()) {
+                    Ok(Some(next)) => break next,
+                    Ok(None) => scheduler = shared.wait(scheduler),
+                    Err(_) => return,
                 }
-                if !inner.paused {
-                    promote(&mut inner, max_active, &mut admission_waits);
-                    if let Some(id) = inner.rr.pick() {
-                        inner.in_flight = Some(id);
-                        let job = inner.jobs.get_mut(&id).expect("job in rotation");
-                        break Slice {
-                            id,
-                            tenant: job.tenant.clone(),
-                            engine: Arc::clone(&job.engine),
-                            state: job.state.take(),
-                            frame: job.frame.take(),
-                            budget: job.budget,
-                            cancel: job.cancel.clone(),
-                            // Senders are only dropped at shutdown, and
-                            // the scheduler stops picking first.
-                            events: job.events.clone().expect("running job has a sender"),
-                            feed: job.feed.clone(),
-                        };
-                    }
-                }
-                inner = shared.work.wait(inner).unwrap();
             }
         };
-        for (tenant, wait_us) in admission_waits.drain(..) {
+        for (tenant, wait_us) in admission_waits {
             metrics.record_admission_wait(&tenant, wait_us);
         }
 
@@ -958,44 +572,8 @@ fn scheduler_loop(
         let (end, report) = run_slice(slice);
         let epoch_us = slice_start.elapsed().as_micros() as u64;
 
-        let (terminal_outcome, evals_delta) = {
-            let mut inner = shared.inner.lock().unwrap();
-            inner.in_flight = None;
-            let evals_delta = match (&report, inner.jobs.get_mut(&id)) {
-                (Some(r), Some(job)) => {
-                    let prev = job.last.map_or(0, |l| l.downstream_evals);
-                    job.last = Some(JobLast {
-                        epochs_completed: r.epochs_completed,
-                        base_score: r.base_score,
-                        best_score: r.best_score,
-                        downstream_evals: r.downstream_evals,
-                        elapsed_secs: r.elapsed_secs,
-                    });
-                    (r.downstream_evals.saturating_sub(prev)) as u64
-                }
-                _ => 0,
-            };
-            let outcome = match end {
-                SliceEnd::Continue(state) => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = Some(*state);
-                    }
-                    None
-                }
-                SliceEnd::Terminal(outcome) => {
-                    inner.rr.remove(&id);
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.status = outcome.status;
-                        job.outcome = Some(outcome.clone());
-                        job.state = None;
-                        job.frame = None;
-                    }
-                    Some(outcome)
-                }
-            };
-            shared.work.notify_all();
-            (outcome, evals_delta)
-        };
+        let (outcome, evals_delta) = shared.lock().commit(id, end, report.as_deref());
+        shared.work.notify_all();
 
         if let Some(r) = &report {
             metrics.record_slice(&SliceSample {
@@ -1009,7 +587,7 @@ fn scheduler_loop(
             });
         }
 
-        if let Some(outcome) = terminal_outcome {
+        if let Some(outcome) = outcome {
             if let Some(dir) = &checkpoint_dir {
                 let _ = std::fs::remove_file(dir.join(format!("{id}.json")));
             }
@@ -1021,25 +599,9 @@ fn scheduler_loop(
                 feed.flush();
             }
             telemetry::count("serve.finished", 1);
-            let _ = events.send(JobEvent::Done(outcome));
-        }
-    }
-}
-
-fn promote(inner: &mut Inner, max_active: usize, admission_waits: &mut Vec<(String, u64)>) {
-    while inner.rr.len() < max_active {
-        match inner.queued.pop_front() {
-            Some(id) => {
-                if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.status = JobStatus::Active;
-                    admission_waits.push((
-                        job.tenant.clone(),
-                        job.submitted.elapsed().as_micros() as u64,
-                    ));
-                    inner.rr.admit(id);
-                }
+            if let Some(events) = &events {
+                let _ = events.send(JobEvent::Done(outcome));
             }
-            None => break,
         }
     }
 }
@@ -1050,7 +612,7 @@ fn promote(inner: &mut Inner, max_active: usize, admission_waits: &mut Vec<(Stri
 /// a waiter never observes a terminal event before the server map does).
 /// The report the slice produced (if the engine stepped at all) rides
 /// along for the scheduler's metrics commit.
-fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
+pub(crate) fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
     let Slice {
         id,
         tenant,
@@ -1058,7 +620,7 @@ fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
         state,
         frame,
         budget,
-        cancel,
+        cancelled,
         events,
         feed,
     } = slice;
@@ -1081,7 +643,7 @@ fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
         }))
     };
 
-    if cancel.is_cancelled() {
+    if cancelled {
         return (finalize(JobStatus::Cancelled, state, None), None);
     }
 
@@ -1137,7 +699,9 @@ fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
     if let Some(feed) = &feed {
         feed.record(&progress_event(id, &report));
     }
-    let _ = events.send(JobEvent::Epoch(report.clone()));
+    if let Some(events) = &events {
+        let _ = events.send(JobEvent::Epoch(report.clone()));
+    }
 
     let end = if report.done {
         finalize(JobStatus::Completed, Some(state), None)
