@@ -12,7 +12,7 @@ use eafe::fpe::{FeatureRepr, FpeModel, RawLabels};
 use eafe::Engine;
 use minhash::{HashFamily, SampleCompressor};
 use serde::Serialize;
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 
 #[derive(Serialize)]
 struct Row {

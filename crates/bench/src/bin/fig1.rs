@@ -7,7 +7,7 @@
 use bench::{fmt_score, fmt_secs, print_header, CommonArgs, TextTable};
 use serde::Serialize;
 use std::time::Instant;
-use tabular::sample::stratified_subsample;
+use tabular::stratified_subsample;
 
 const FRACTIONS: [f64; 8] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0];
 const REPEATS: u64 = 5; // the paper repeats 10 times; 5 keeps this quick

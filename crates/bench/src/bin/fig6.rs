@@ -8,7 +8,7 @@ use bench::{print_header, CommonArgs, TextTable};
 use eafe::fpe::{search, FpeSearchSpace, RawLabels};
 use minhash::HashFamily;
 use serde::Serialize;
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 
 const THRESHOLDS: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 

@@ -11,7 +11,7 @@ use eafe::fpe::{search, FpeSearchSpace, RawLabels};
 use eafe::Engine;
 use minhash::HashFamily;
 use serde::Serialize;
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 
 #[derive(Serialize)]
 struct SweepPoint {

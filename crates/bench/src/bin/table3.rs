@@ -12,7 +12,7 @@
 //! The JSON artifact feeds `table6` (significance analysis).
 
 use bench::{fmt_score, print_header, CommonArgs, TextTable};
-use eafe::baselines::{run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};
+use eafe::{run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};
 use eafe::{Engine, RunResult};
 use minhash::HashFamily;
 use serde::Serialize;

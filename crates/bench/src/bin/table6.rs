@@ -10,8 +10,8 @@
 //! Regenerate: `cargo run -p bench --release --bin table6`
 
 use bench::{print_header, CommonArgs, TextTable};
-use eafe::baselines::{run_rtdl_n, DlBaselineConfig};
 use eafe::Engine;
+use eafe::{run_rtdl_n, DlBaselineConfig};
 use eafe_stats::{paired_t_test, wilcoxon_signed_rank};
 use minhash::HashFamily;
 use serde::{Deserialize, Serialize};

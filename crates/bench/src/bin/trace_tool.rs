@@ -28,7 +28,7 @@
 //! inferno-flamegraph < out/trace.folded > out/flame.svg
 //! ```
 
-use bench::trace::Trace;
+use bench::Trace;
 use std::path::PathBuf;
 use std::process::ExitCode;
 

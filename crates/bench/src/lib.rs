@@ -1,7 +1,7 @@
 //! Shared harness for the paper's reproduction: thirteen table, figure
 //! and ablation binaries on one flag parser ([`CommonArgs`]) and one
 //! `{header, data, telemetry}` artifact envelope, plus `trace_tool`
-//! ([`trace`]). Performance is measured elsewhere — `benchmark/`
+//! ([`Trace`]). Performance is measured elsewhere — `benchmark/`
 //! (`perf_e2e`) is the repo's one bench surface.
 //!
 //! Every table/figure binary accepts the same flags:
@@ -45,7 +45,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use tabular::{find_dataset, DataFrame, DatasetInfo, TARGET_DATASETS};
 
-pub mod trace;
+mod trace;
+
+pub use trace::Trace;
 
 /// Common command-line arguments.
 #[derive(Debug, Clone)]
@@ -100,9 +102,7 @@ impl Default for CommonArgs {
             seed: 0xE_AFE,
             out: PathBuf::from("bench_results"),
             threads: 0,
-            cache: Some(Arc::new(ScoreCache::new(
-                runtime::evaluator::DEFAULT_CACHE_CAPACITY,
-            ))),
+            cache: Some(Arc::new(ScoreCache::new(runtime::DEFAULT_CACHE_CAPACITY))),
             quiet: false,
             metrics: false,
             trace_out: None,
@@ -127,7 +127,7 @@ impl CommonArgs {
                     let raw = value("--datasets");
                     args.datasets = match raw.as_str() {
                         "all" => TARGET_DATASETS.iter().map(|d| d.name.to_string()).collect(),
-                        "motivation" => tabular::registry::motivation_datasets()
+                        "motivation" => tabular::motivation_datasets()
                             .iter()
                             .map(|d| d.name.to_string())
                             .collect(),
@@ -299,8 +299,8 @@ impl CommonArgs {
         frame: &DataFrame,
     ) -> eafe::Result<(eafe::RunResult, DataFrame)> {
         match &self.cache {
-            Some(c) => eafe::baselines::run_autofs_r_cached(config, frame, Arc::clone(c)),
-            None => eafe::baselines::run_autofs_r_full(config, frame),
+            Some(c) => eafe::run_autofs_r_cached(config, frame, Arc::clone(c)),
+            None => eafe::run_autofs_r_full(config, frame),
         }
     }
 
@@ -308,7 +308,7 @@ impl CommonArgs {
     /// the shared score cache's cumulative counters at write time, and the
     /// wall-clock write timestamp (timestamps live here so the captured
     /// run logs stay byte-deterministic).
-    pub fn artifact_header(&self) -> ArtifactHeader {
+    pub(crate) fn artifact_header(&self) -> ArtifactHeader {
         let stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         ArtifactHeader {
             threads: runtime::global_threads(),
@@ -327,7 +327,7 @@ impl CommonArgs {
     /// Snapshot the telemetry state for the artifact envelope. Always
     /// present so consumers can branch on `enabled` instead of key
     /// presence; counters/histograms/spans are empty when telemetry is off.
-    pub fn telemetry_block(&self) -> TelemetryBlock {
+    pub(crate) fn telemetry_block(&self) -> TelemetryBlock {
         let enabled = self.collector.is_some();
         if enabled {
             self.export_shard_counters();

@@ -4,7 +4,7 @@
 //! expected text, so any drift in folded-stack weighting, critical-path
 //! descent, attribution, or cache aggregation fails loudly.
 
-use bench::trace::Trace;
+use bench::Trace;
 use std::path::Path;
 use std::process::Command;
 

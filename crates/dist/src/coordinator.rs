@@ -19,7 +19,7 @@ use crate::protocol::{Msg, ShardResult, ShardTasks, WorkShard, STREAM_WORKER};
 use crate::transport::Transport;
 use crate::Result;
 use eafe::{Engine, RunResult, SearchState, SelectedColumn, Selection};
-use runtime::evaluator::DEFAULT_CACHE_CAPACITY;
+use runtime::DEFAULT_CACHE_CAPACITY;
 use runtime::{derive_seed, dist_counters, ScoreCache};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -65,19 +65,18 @@ impl<T: Transport> Coordinator<T> {
     pub fn run(&mut self, engine: &Engine, frame: &DataFrame) -> Result<(RunResult, DataFrame)> {
         // The search evaluator must share a cache with the merge target;
         // attach one if the caller's engine runs a private cache.
-        let engine = match &engine.cache {
-            Some(_) => engine.clone(),
-            None => engine
-                .clone()
-                .with_cache(Arc::new(ScoreCache::new(DEFAULT_CACHE_CAPACITY))),
-        };
+        let cache = engine
+            .cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(ScoreCache::new(DEFAULT_CACHE_CAPACITY)));
+        let engine = engine.clone().with_cache(Arc::clone(&cache));
         self.broadcast(&Msg::Hello {
             engine: engine.clone(),
         });
         let mut search = engine.start(frame)?;
         let mut slice: u64 = 0;
         while !search.is_done() {
-            self.warm_slice(&engine, &search, slice)?;
+            self.warm_slice(&engine, &cache, &search, slice)?;
             engine.step(&mut search)?;
             slice += 1;
         }
@@ -87,9 +86,16 @@ impl<T: Transport> Coordinator<T> {
 
     /// Speculate the next slice's work and warm the caches through the
     /// workers: round 0 merges signature entries, round 1 merges
-    /// downstream scores. Errors here are engine errors (speculation
-    /// itself failed); worker failures only shrink the pool.
-    fn warm_slice(&mut self, engine: &Engine, search: &SearchState, slice: u64) -> Result<()> {
+    /// downstream scores into `cache`, the engine's shared score cache.
+    /// Errors here are engine errors (speculation itself failed); worker
+    /// failures only shrink the pool.
+    fn warm_slice(
+        &mut self,
+        engine: &Engine,
+        cache: &ScoreCache<f64>,
+        search: &SearchState,
+        slice: u64,
+    ) -> Result<()> {
         if self.live_workers() == 0 {
             return Ok(());
         }
@@ -122,11 +128,6 @@ impl<T: Transport> Coordinator<T> {
 
         let (prefix, mut candidates) = engine.speculate_evals(search)?;
         if !candidates.is_empty() && self.live_workers() > 0 {
-            let cache = engine
-                .cache
-                .as_ref()
-                .expect("coordinator engines always carry a shared cache")
-                .clone();
             // Drop candidates whose evaluation is already in the shared
             // cache (merged from workers or computed by an earlier real
             // step) and slice-internal duplicates — the cache key is the
@@ -182,21 +183,15 @@ impl<T: Transport> Coordinator<T> {
             // Send phase: hand each live worker the next queued shard.
             let mut inflight: Vec<(usize, WorkShard)> = Vec::new();
             for slot in 0..self.workers.len() {
-                if queue.is_empty() {
-                    break;
-                }
-                if self.workers[slot].is_none() {
+                let Some(worker) = self.workers[slot].as_mut() else {
                     continue;
-                }
-                let shard = queue.pop_front().expect("queue non-empty");
+                };
+                let Some(shard) = queue.pop_front() else {
+                    break;
+                };
                 dist_counters::dispatched(1);
                 telemetry::count("dist.shards_dispatched", 1);
-                let sent = self.workers[slot]
-                    .as_mut()
-                    .expect("slot checked live")
-                    .send(&Msg::Work(shard.clone()))
-                    .is_ok();
-                if sent {
+                if worker.send(&Msg::Work(shard.clone())).is_ok() {
                     inflight.push((slot, shard));
                 } else {
                     self.kill(slot);
@@ -204,11 +199,13 @@ impl<T: Transport> Coordinator<T> {
                 }
             }
             // Collect phase: one result per in-flight shard, validated
-            // against its ticket.
+            // against its ticket. Every in-flight slot is live (only the
+            // send phase kills, and never a slot it sent to); a dead one
+            // would count as a failed worker like any other.
             for (slot, shard) in inflight {
-                let reply = self.workers[slot].as_mut().expect("slot live").recv();
+                let reply = self.workers[slot].as_mut().map(|w| w.recv());
                 match reply {
-                    Ok(Msg::Result(result)) if result.matches(&shard) => {
+                    Some(Ok(Msg::Result(result))) if result.matches(&shard) => {
                         // Completed-shard dedup: should a replay slip
                         // through, merge idempotence makes it harmless,
                         // but we don't even merge it twice.
@@ -222,7 +219,7 @@ impl<T: Transport> Coordinator<T> {
                             results.push(result);
                         }
                     }
-                    Ok(_) | Err(_) => {
+                    _ => {
                         self.kill(slot);
                         requeue(shard, &mut queue);
                     }

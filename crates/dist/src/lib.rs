@@ -48,11 +48,11 @@
 //! # Layout
 //!
 //! - [`protocol`] — message types and the length-prefixed JSON frame codec.
-//! - [`transport`] — the [`Transport`] trait, TCP via `std::net`, and an
+//! - `transport` — the [`Transport`] trait, TCP via `std::net`, and an
 //!   in-process loopback pair (still encodes/decodes real bytes) for tests.
-//! - [`worker`] — the worker serve loop: `Hello` installs an engine,
+//! - `worker` — the worker serve loop: `Hello` installs an engine,
 //!   `Work` shards execute, `Bye` exits.
-//! - [`coordinator`] — shard construction, wave dispatch, crash
+//! - `coordinator` — shard construction, wave dispatch, crash
 //!   reassignment, deterministic merge, and the driving run loop.
 //!
 //! Protocol activity is observable through `runtime::global_dist_stats()`
@@ -60,14 +60,16 @@
 //! `dist.*` telemetry counters/histograms. See DESIGN.md §15 for the
 //! frame format and the idempotency argument.
 
-pub mod coordinator;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+mod coordinator;
 pub mod protocol;
-pub mod transport;
-pub mod worker;
+mod transport;
+mod worker;
 
 pub use coordinator::Coordinator;
-pub use protocol::{Msg, ShardResult, ShardTasks, WorkShard, STREAM_WORKER};
-pub use transport::{loopback_pair, LoopbackTransport, TcpTransport, Transport, MAX_FRAME_BYTES};
+pub use protocol::{Msg, ShardTasks, WorkShard};
+pub use transport::{loopback_pair, LoopbackTransport, TcpTransport, Transport};
 pub use worker::Worker;
 
 /// Errors surfaced by the distribution layer.

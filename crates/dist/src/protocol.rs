@@ -19,7 +19,7 @@ use tabular::{Column, DataFrame};
 /// whose `(slice, round, shard, seed)` does not match an outstanding
 /// dispatch, which is what makes replays after a crash-reassignment safe
 /// to receive in any order.
-pub const STREAM_WORKER: u64 = 0x776f_726b; // "work"
+pub(crate) const STREAM_WORKER: u64 = 0x776f_726b; // "work"
 
 /// The payload of one work shard: what the worker computes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ pub struct ShardResult {
 impl ShardResult {
     /// Does this result answer `shard`? Used by the coordinator to
     /// discard stale or replayed results after a crash-reassignment.
-    pub fn matches(&self, shard: &WorkShard) -> bool {
+    pub(crate) fn matches(&self, shard: &WorkShard) -> bool {
         self.slice == shard.slice
             && self.round == shard.round
             && self.shard == shard.shard

@@ -17,7 +17,7 @@ use std::sync::mpsc;
 /// Hard cap on a single frame's payload size (256 MiB). A peer
 /// announcing a larger frame is treated as a protocol error rather than
 /// an allocation request.
-pub const MAX_FRAME_BYTES: usize = 256 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 256 << 20;
 
 /// Frame header size: the 8-byte little-endian payload length.
 const HEADER_BYTES: u64 = 8;
@@ -101,8 +101,17 @@ impl Transport for TcpTransport {
                 "peer announced a {len} byte frame (cap {MAX_FRAME_BYTES})"
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.stream.read_exact(&mut payload)?;
+        // Read through `take` so the buffer grows with the bytes that
+        // actually arrive: a peer that announces a large frame and then
+        // stalls or closes costs what it sent, not what it announced.
+        let mut payload = Vec::new();
+        (&mut self.stream).take(len).read_to_end(&mut payload)?;
+        if payload.len() as u64 != len {
+            return Err(DistError::Codec(format!(
+                "peer announced a {len} byte frame and closed after {}",
+                payload.len()
+            )));
+        }
         unframe(payload)
     }
 }
@@ -180,7 +189,9 @@ impl Transport for LoopbackTransport {
             return Err(DistError::Codec("short frame".into()));
         }
         let payload = framed.split_off(8);
-        let len = u64::from_le_bytes(framed.as_slice().try_into().unwrap());
+        let mut header = [0u8; 8];
+        header.copy_from_slice(&framed);
+        let len = u64::from_le_bytes(header);
         if len as usize != payload.len() {
             return Err(DistError::Codec(format!(
                 "frame header says {len} bytes, payload is {}",

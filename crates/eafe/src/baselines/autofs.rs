@@ -24,7 +24,7 @@ use tabular::{Column, DataFrame};
 /// Generate `count` random features from uniformly chosen operators and
 /// operands over the original features (+ previously generated ones, so
 /// higher orders are reachable). Degenerate outputs are skipped.
-pub fn random_feature_pool(
+pub(crate) fn random_feature_pool(
     frame: &DataFrame,
     count: usize,
     max_order: usize,

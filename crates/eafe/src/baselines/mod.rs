@@ -3,8 +3,10 @@
 //! deep-learning baselines (`RTDL_N`, `FE|DL`, `DL|FE`). `NFS`, `E-AFE_D`
 //! and `E-AFE_R` share E-AFE's unified [`crate::engine::Engine`].
 
-pub mod autofs;
-pub mod rtdl;
+mod autofs;
+mod rtdl;
 
-pub use autofs::{random_feature_pool, run_autofs_r, run_autofs_r_cached, run_autofs_r_full};
-pub use rtdl::{run_dl_fe, run_fe_dl, run_rtdl_n, top_k, DlBaselineConfig};
+pub(crate) use autofs::random_feature_pool;
+pub use autofs::{run_autofs_r, run_autofs_r_cached, run_autofs_r_full};
+pub(crate) use rtdl::top_k;
+pub use rtdl::{run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};

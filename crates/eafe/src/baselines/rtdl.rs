@@ -20,7 +20,7 @@ use learners::{
     f1_score, feature_matrix, one_minus_rae, ForestConfig, LearnError, RandomForestClassifier,
     RandomForestRegressor, ResNetClassifier, ResNetConfig, ResNetRegressor,
 };
-use tabular::split::train_test_indices;
+use tabular::train_test_indices;
 use tabular::{DataFrame, Label};
 
 /// Configuration shared by the three DL baselines.
@@ -268,7 +268,7 @@ pub fn run_dl_fe(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunResu
 }
 
 /// Indices of the `k` largest importances.
-pub fn top_k(importances: &[f64], k: usize) -> Vec<usize> {
+pub(crate) fn top_k(importances: &[f64], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..importances.len()).collect();
     idx.sort_by(|&a, &b| {
         importances[b]

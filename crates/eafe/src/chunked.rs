@@ -47,7 +47,7 @@
 use crate::config::CachedEvaluator;
 use crate::engine::Engine;
 use crate::error::{EafeError, Result};
-use crate::fpe::repr::FeatureRepr;
+use crate::fpe::FeatureRepr;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
@@ -521,7 +521,7 @@ mod tests {
     use crate::fpe::{search as fpe_search, FpeSearchSpace, LabeledFeature, RawLabels};
     use crate::{EngineState, GeneratedFeature};
     use minhash::{HashFamily, SampleCompressor};
-    use tabular::registry::public_corpus;
+    use tabular::public_corpus;
     use tabular::{ChunkOptions, FrameBudget, InMemoryStore, Label, MmapStore, SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {

@@ -36,7 +36,7 @@ use tabular::DataFrame;
 
 /// The candidate-feature gate applied before downstream evaluation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// E-AFE's pre-trained FPE model.
     Fpe(Box<FpeModel>),
     /// The `E-AFE_D` ablation: drop a uniform fraction of candidates.
@@ -54,7 +54,7 @@ pub struct Engine {
     /// Engine configuration.
     pub config: EafeConfig,
     /// Candidate gate.
-    pub gate: Gate,
+    pub(crate) gate: Gate,
     /// Run the FPE-surrogate initialisation stage (requires an FPE gate).
     pub two_stage: bool,
     /// Use the paper's Eq. 9/10 λ-returns; `false` uses plain
@@ -198,7 +198,7 @@ mod tests {
     use super::*;
     use crate::fpe::{search, FpeSearchSpace, RawLabels};
     use minhash::HashFamily;
-    use tabular::registry::public_corpus;
+    use tabular::public_corpus;
     use tabular::{SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {

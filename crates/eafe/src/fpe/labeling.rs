@@ -14,7 +14,6 @@
 
 use crate::config::CachedEvaluator;
 use crate::error::Result;
-use minhash::SampleCompressor;
 use runtime::WorkerPool;
 use serde::{Deserialize, Serialize};
 use tabular::DataFrame;
@@ -31,69 +30,13 @@ pub struct LabeledFeature {
     pub score_gain: f64,
 }
 
-/// Label every feature of one dataset by leave-one-feature-out evaluation.
-///
-/// Datasets with a single feature yield no labels (the residual set would
-/// be empty).
-pub fn label_dataset(
+/// The leave-one-feature-out score gain `A₀ − A_j` of every feature, in
+/// column order; a single-feature dataset has none (the residual set
+/// would be empty). [`crate::fpe::RawLabels`] labels these at any `thre`.
+pub(crate) fn score_gains_for_dataset(
     frame: &DataFrame,
     evaluator: &CachedEvaluator,
-    thre: f64,
-    compressor: &SampleCompressor,
-) -> Result<Vec<LabeledFeature>> {
-    if frame.n_cols() < 2 {
-        return Ok(Vec::new());
-    }
-    let mut span = telemetry::span("fpe.label_dataset");
-    span.field("features", frame.n_cols() as f64);
-    let a0 = evaluator.evaluate(frame)?;
-    // Compress every column up front in one batch+cache pass (one table
-    // walk for all columns; repeats across corpus sweeps are cache hits).
-    let cols: Vec<&[f64]> = (0..frame.n_cols())
-        .map(|j| Ok(frame.column(j)?.values.as_slice()))
-        .collect::<Result<_>>()?;
-    let compressed = runtime::compress_normalized_batch(compressor, &cols)?;
-    // The residual evaluations are independent: fan them out on the
-    // runtime pool (each one is a full CV run, the dominant cost here).
-    let labels: Result<Vec<LabeledFeature>> = WorkerPool::new()
-        .map(
-            compressed.into_iter().enumerate().collect(),
-            |_ctx, (j, compressed)| {
-                let residual = frame.drop_column(j)?;
-                let aj = evaluator.evaluate(&residual)?;
-                let gain = a0 - aj;
-                Ok(LabeledFeature {
-                    compressed,
-                    label: usize::from(gain > thre),
-                    score_gain: gain,
-                })
-            },
-        )
-        .into_iter()
-        .collect();
-    if let Ok(labels) = &labels {
-        telemetry::count("fpe.labels", labels.len() as u64);
-    }
-    labels
-}
-
-/// Label a corpus of public datasets (Algorithm 1's outer loop).
-pub fn label_corpus(
-    corpus: &[DataFrame],
-    evaluator: &CachedEvaluator,
-    thre: f64,
-    compressor: &SampleCompressor,
-) -> Result<Vec<LabeledFeature>> {
-    let mut all = Vec::new();
-    for frame in corpus {
-        all.extend(label_dataset(frame, evaluator, thre, compressor)?);
-    }
-    Ok(all)
-}
-
-/// Score gains only (no compression) — used by the Figure 6 `thre` study,
-/// which examines how the threshold splits the gain distribution.
-pub fn score_gains_for_dataset(frame: &DataFrame, evaluator: &CachedEvaluator) -> Result<Vec<f64>> {
+) -> Result<Vec<f64>> {
     if frame.n_cols() < 2 {
         return Ok(Vec::new());
     }
@@ -107,18 +50,11 @@ pub fn score_gains_for_dataset(frame: &DataFrame, evaluator: &CachedEvaluator) -
         .collect()
 }
 
-/// Relabel cached gains at a different threshold — lets the Figure 6 and
-/// Figure 8 sweeps reuse the expensive leave-one-out evaluations.
-pub fn relabel(gains: &[f64], thre: f64) -> Vec<usize> {
-    gains.iter().map(|&g| usize::from(g > thre)).collect()
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // explicit per-field tweaks read clearer in tests
 mod tests {
     use super::*;
     use learners::Evaluator;
-    use minhash::HashFamily;
     use tabular::{SynthSpec, Task};
 
     fn small_evaluator() -> CachedEvaluator {
@@ -129,70 +65,24 @@ mod tests {
         runtime::Evaluator::new(e)
     }
 
-    fn compressor() -> SampleCompressor {
-        SampleCompressor::new(HashFamily::Ccws, 16, 1).unwrap()
-    }
-
     #[test]
-    fn labels_have_compressed_representation() {
+    fn every_feature_gets_a_finite_gain() {
         let frame = SynthSpec::new("lab", 120, 6, Task::Classification)
             .with_seed(3)
             .generate()
             .unwrap();
-        let labels = label_dataset(&frame, &small_evaluator(), 0.01, &compressor()).unwrap();
-        assert_eq!(labels.len(), 6);
-        for l in &labels {
-            assert_eq!(l.compressed.len(), 16);
-            assert!(l.label <= 1);
-            assert!(l.score_gain.is_finite());
-        }
+        let gains = score_gains_for_dataset(&frame, &small_evaluator()).unwrap();
+        assert_eq!(gains.len(), 6);
+        assert!(gains.iter().all(|g| g.is_finite()));
     }
 
     #[test]
-    fn single_feature_dataset_yields_no_labels() {
+    fn single_feature_dataset_yields_no_gains() {
         let frame = SynthSpec::new("one", 60, 1, Task::Regression)
             .generate()
             .unwrap();
-        let labels = label_dataset(&frame, &small_evaluator(), 0.01, &compressor()).unwrap();
-        assert!(labels.is_empty());
-    }
-
-    #[test]
-    fn corpus_concatenates_datasets() {
-        let corpus = vec![
-            SynthSpec::new("c1", 80, 4, Task::Classification)
-                .generate()
-                .unwrap(),
-            SynthSpec::new("c2", 80, 3, Task::Regression)
-                .generate()
-                .unwrap(),
-        ];
-        let labels = label_corpus(&corpus, &small_evaluator(), 0.01, &compressor()).unwrap();
-        assert_eq!(labels.len(), 7);
-    }
-
-    #[test]
-    fn higher_threshold_never_increases_positives() {
-        let gains = vec![-0.05, 0.005, 0.02, 0.08, 0.0];
-        let lo: usize = relabel(&gains, 0.0).iter().sum();
-        let hi: usize = relabel(&gains, 0.05).iter().sum();
-        assert!(hi <= lo);
-        assert_eq!(relabel(&gains, 0.0), vec![0, 1, 1, 1, 0]);
-        assert_eq!(relabel(&gains, 0.05), vec![0, 0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn gains_match_labels() {
-        let frame = SynthSpec::new("gain", 100, 5, Task::Classification)
-            .with_seed(9)
-            .generate()
-            .unwrap();
-        let ev = small_evaluator();
-        let gains = score_gains_for_dataset(&frame, &ev).unwrap();
-        let labels = label_dataset(&frame, &ev, 0.01, &compressor()).unwrap();
-        for (g, l) in gains.iter().zip(&labels) {
-            assert!((g - l.score_gain).abs() < 1e-12);
-            assert_eq!(usize::from(*g > 0.01), l.label);
-        }
+        assert!(score_gains_for_dataset(&frame, &small_evaluator())
+            .unwrap()
+            .is_empty());
     }
 }

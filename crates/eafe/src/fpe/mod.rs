@@ -3,12 +3,12 @@
 //! feature-effectiveness classifier, plus the hyper-parameter search over
 //! hash families and signature dimensions.
 
-pub mod labeling;
-pub mod model;
-pub mod repr;
-pub mod search;
+mod labeling;
+mod model;
+mod repr;
+mod search;
 
-pub use labeling::{label_corpus, label_dataset, relabel, score_gains_for_dataset, LabeledFeature};
+pub use labeling::LabeledFeature;
 pub use model::{FpeMetrics, FpeModel};
-pub use repr::{meta_features, quantile_sketch, FeatureRepr, META_FEATURE_DIM};
+pub use repr::FeatureRepr;
 pub use search::{search, CandidateOutcome, FpeSearchResult, FpeSearchSpace, RawLabels};

@@ -10,7 +10,7 @@
 use crate::error::{EafeError, Result};
 use crate::fpe::labeling::LabeledFeature;
 use crate::fpe::repr::FeatureRepr;
-use learners::metrics::binary_precision_recall;
+use learners::binary_precision_recall;
 use learners::{LinearConfig, LogisticRegression};
 use minhash::{HashFamily, SampleCompressor};
 use serde::{Deserialize, Serialize};
@@ -139,7 +139,7 @@ impl FpeModel {
 
     /// Probability that a raw feature column is *effective* — the paper's
     /// Eq. (7) `p = C_D(MinHash(f̃, d))`, with `p` oriented so that higher
-    /// means better (see [`crate::reward`] for the Eq. 8 mapping).
+    /// means better (see the `reward` module for the Eq. 8 mapping).
     pub fn score_feature(&self, values: &[f64]) -> Result<f64> {
         self.score_compressed(self.repr.represent(values)?)
     }
@@ -149,7 +149,7 @@ impl FpeModel {
     /// vector by streaming a column's chunks through the compressor and
     /// hands the result here, so a candidate is scored without ever being
     /// materialized as a flat column.
-    pub fn score_compressed(&self, compressed: Vec<f64>) -> Result<f64> {
+    pub(crate) fn score_compressed(&self, compressed: Vec<f64>) -> Result<f64> {
         Ok(self.classifier.predict_positive_proba_row(&compressed)?)
     }
 

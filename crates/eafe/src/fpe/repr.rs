@@ -17,7 +17,7 @@ use minhash::SampleCompressor;
 use serde::{Deserialize, Serialize};
 
 /// Number of meta-features produced by [`FeatureRepr::MetaFeatures`].
-pub const META_FEATURE_DIM: usize = 12;
+pub(crate) const META_FEATURE_DIM: usize = 12;
 
 /// A fixed-size representation of a feature column of arbitrary length.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,7 +29,7 @@ pub enum FeatureRepr {
         /// Sketch size.
         d: usize,
     },
-    /// Distributional meta-features (see [`META_FEATURE_DIM`]).
+    /// Distributional meta-features (`META_FEATURE_DIM` = 12 values).
     MetaFeatures,
 }
 
@@ -68,7 +68,7 @@ impl FeatureRepr {
     /// [`represent`](Self::represent). MinHash columns share one cache
     /// probe + batch table pass; quantile sketches share one scratch
     /// buffer across columns.
-    pub fn represent_batch(&self, cols: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
+    pub(crate) fn represent_batch(&self, cols: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
         match self {
             FeatureRepr::MinHash(c) => Ok(runtime::compress_normalized_batch(c, cols)?),
             FeatureRepr::QuantileSketch { d } => {
@@ -86,7 +86,7 @@ impl FeatureRepr {
 /// `d` evenly spaced quantiles of the finite values, z-scored so columns
 /// with different raw scales are comparable. All-constant or empty inputs
 /// yield zeros.
-pub fn quantile_sketch(values: &[f64], d: usize) -> Vec<f64> {
+pub(crate) fn quantile_sketch(values: &[f64], d: usize) -> Vec<f64> {
     quantile_sketch_into(values, d, &mut Vec::new())
 }
 
@@ -96,7 +96,7 @@ pub fn quantile_sketch(values: &[f64], d: usize) -> Vec<f64> {
 /// skips the stable sort's temp allocation and removes the
 /// `partial_cmp(..).expect(..)` panic path — NaNs are filtered before the
 /// sort, but a total order keeps the function panic-free by construction.
-pub fn quantile_sketch_into(values: &[f64], d: usize, scratch: &mut Vec<f64>) -> Vec<f64> {
+pub(crate) fn quantile_sketch_into(values: &[f64], d: usize, scratch: &mut Vec<f64>) -> Vec<f64> {
     let d = d.max(1);
     scratch.clear();
     scratch.extend(values.iter().copied().filter(|v| v.is_finite()));
@@ -134,7 +134,7 @@ pub fn quantile_sketch_into(values: &[f64], d: usize, scratch: &mut Vec<f64>) ->
 /// Distributional meta-features of a column: centred moments, spread,
 /// discreteness, and sign structure — the hand-crafted representation the
 /// ExploreKit / meta-learning line of work uses.
-pub fn meta_features(values: &[f64]) -> Vec<f64> {
+pub(crate) fn meta_features(values: &[f64]) -> Vec<f64> {
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     let n = finite.len();
     if n == 0 {

@@ -265,7 +265,7 @@ pub fn search(
 mod tests {
     use super::*;
     use learners::Evaluator;
-    use tabular::registry::public_corpus;
+    use tabular::public_corpus;
 
     fn small_evaluator() -> CachedEvaluator {
         let mut e = Evaluator::default();

@@ -35,49 +35,51 @@
 //!
 //! ## Module map
 //!
-//! - [`ops`] — the 9 transformation operators (paper §II, "Action");
+//! - `ops` — the 9 transformation operators (paper §II, "Action");
 //! - [`fpe`] — sample compression + feature pre-selection (Algorithm 1);
-//! - [`reward`] — the stage-1 surrogate reward (Eqs. 7–8);
-//! - [`engine`] — the four methods (E-AFE / E-AFE_D / E-AFE_R / NFS) as
+//! - `reward` — the stage-1 surrogate reward (Eqs. 7–8);
+//! - `engine` — the four methods (E-AFE / E-AFE_D / E-AFE_R / NFS) as
 //!   one configured [`Engine`] and its blocking `run`;
-//! - [`step`] — the search driver: Algorithm 2 written once as a
+//! - `step` — the search driver: Algorithm 2 written once as a
 //!   resumable state machine (start/step/finish, speculation), generic
 //!   over where the columns live;
 //! - `store` (private) — the `ColumnStore` trait that seam is made of;
-//! - [`state`] — feature subgroups and the in-RAM store behind
+//! - `state` — feature subgroups and the in-RAM store behind
 //!   [`SearchState`] (serializable checkpoints);
-//! - [`chunked`] — the out-of-core store behind [`ChunkedSearch`];
-//! - [`baselines`] — AutoFS_R and the deep-learning baselines;
-//! - [`pipeline`] — pre-selection, FPE bootstrapping, Table V re-evaluation;
-//! - [`report`] — instrumented results (timers, counters, learning curves).
+//! - `chunked` — the out-of-core store behind [`ChunkedSearch`];
+//! - `baselines` — AutoFS_R and the deep-learning baselines;
+//! - `pipeline` — pre-selection, FPE bootstrapping, Table V re-evaluation;
+//! - `report` — instrumented results (timers, counters, learning curves).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baselines;
-pub mod chunked;
-pub mod config;
-pub mod engine;
-pub mod error;
+mod baselines;
+mod chunked;
+mod config;
+mod engine;
+mod error;
 pub mod fpe;
-pub mod ops;
-pub mod pipeline;
-pub mod report;
-pub mod reward;
-pub mod state;
-pub mod step;
+mod ops;
+mod pipeline;
+mod report;
+mod reward;
+mod state;
+mod step;
 mod store;
 
+pub use baselines::{
+    run_autofs_r, run_autofs_r_cached, run_autofs_r_full, run_dl_fe, run_fe_dl, run_rtdl_n,
+    DlBaselineConfig,
+};
 pub use config::{CachedEvaluator, EafeConfig};
-pub use engine::{Engine, Gate};
+pub use engine::Engine;
 pub use error::{EafeError, Result};
-pub use fpe::{FpeMetrics, FpeModel, FpeSearchSpace, RawLabels};
+pub use fpe::{FpeModel, FpeSearchSpace, RawLabels};
 pub use learners::{SelectedColumn, Selection, SplitMethod};
 pub use ops::{GeneratedFeature, Operator};
 pub use pipeline::{bootstrap_fpe, preselect_features, reevaluate};
-pub use report::{
-    EpochPoint, EpochReport, EvalCounter, PhaseTimer, RunResult, SearchStage, WeightedFeature,
-};
+pub use report::{EpochPoint, EpochReport, RunResult, SearchStage, WeightedFeature};
 pub use reward::SurrogateReward;
-pub use state::{EngineState, FeatureSubgroup};
+pub use state::EngineState;
 pub use step::{max_slices, ChunkedSearch, Search, SearchPhase, SearchState};

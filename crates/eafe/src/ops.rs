@@ -52,25 +52,8 @@ impl Operator {
         Operator::Modulo,
     ];
 
-    /// The four unary operators.
-    pub const UNARY: [Operator; 4] = [
-        Operator::Log,
-        Operator::MinMaxNorm,
-        Operator::Sqrt,
-        Operator::Reciprocal,
-    ];
-
-    /// The five binary operators.
-    pub const BINARY: [Operator; 5] = [
-        Operator::Add,
-        Operator::Subtract,
-        Operator::Multiply,
-        Operator::Divide,
-        Operator::Modulo,
-    ];
-
     /// Operator by action index (the RL policy's discrete action space).
-    pub fn from_action(action: usize) -> Operator {
+    pub(crate) fn from_action(action: usize) -> Operator {
         Self::ALL[action % Self::ALL.len()]
     }
 
@@ -83,7 +66,7 @@ impl Operator {
     }
 
     /// Display symbol.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Operator::Log => "log",
             Operator::MinMaxNorm => "norm",
@@ -99,7 +82,7 @@ impl Operator {
 
     /// Telemetry counter name for candidates generated with this operator
     /// (static, so counting never allocates).
-    pub fn counter_name(self) -> &'static str {
+    pub(crate) fn counter_name(self) -> &'static str {
         match self {
             Operator::Log => "ops.generated.log",
             Operator::MinMaxNorm => "ops.generated.norm",
@@ -116,7 +99,7 @@ impl Operator {
     /// True when [`Operator::apply`] needs whole-column min/max bounds
     /// before any element can be produced (min-max normalisation). Chunk
     /// pipelines run the [`Operator::column_bounds`] prepass first.
-    pub fn needs_bounds(self) -> bool {
+    pub(crate) fn needs_bounds(self) -> bool {
         matches!(self, Operator::MinMaxNorm)
     }
 
@@ -125,7 +108,7 @@ impl Operator {
     /// this by folding across chunks in row order (the fold chains are
     /// element-wise identical, so bounds — and every value derived from
     /// them — match the flat computation bit for bit).
-    pub fn column_bounds(values: &[f64]) -> (f64, f64) {
+    pub(crate) fn column_bounds(values: &[f64]) -> (f64, f64) {
         let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (lo, hi)
@@ -138,7 +121,13 @@ impl Operator {
     /// those bounds, splitting a column into chunks and calling this per
     /// chunk is bit-identical to one [`Operator::apply`] over the flat
     /// column. Non-finite outputs are clamped to 0.
-    pub fn apply_chunk(self, a: &[f64], b: &[f64], bounds: Option<(f64, f64)>, out: &mut Vec<f64>) {
+    pub(crate) fn apply_chunk(
+        self,
+        a: &[f64],
+        b: &[f64],
+        bounds: Option<(f64, f64)>,
+        out: &mut Vec<f64>,
+    ) {
         let start = out.len();
         out.reserve(a.len());
         match self {
@@ -280,10 +269,8 @@ mod tests {
     #[test]
     fn action_space_has_nine_operators() {
         assert_eq!(Operator::ALL.len(), 9);
-        assert_eq!(Operator::UNARY.len(), 4);
-        assert_eq!(Operator::BINARY.len(), 5);
-        assert!(Operator::UNARY.iter().all(|o| o.is_unary()));
-        assert!(Operator::BINARY.iter().all(|o| !o.is_unary()));
+        let unary = Operator::ALL.iter().filter(|o| o.is_unary()).count();
+        assert_eq!(unary, 4);
         assert_eq!(Operator::from_action(0), Operator::Log);
         assert_eq!(Operator::from_action(9), Operator::Log); // wraps
     }

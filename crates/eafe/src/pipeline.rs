@@ -11,7 +11,7 @@ use learners::{
     feature_matrix, Evaluator, ForestConfig, ModelKind, RandomForestClassifier,
     RandomForestRegressor,
 };
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 use tabular::{DataFrame, Label};
 
 /// Keep the `max_features` most RF-important columns of a frame (identity

@@ -77,7 +77,7 @@ impl RunResult {
 
 /// Wall-clock phase accounting.
 #[derive(Debug, Default)]
-pub struct PhaseTimer {
+pub(crate) struct PhaseTimer {
     generation: Duration,
     evaluation: Duration,
     started: Option<Instant>,
@@ -85,17 +85,17 @@ pub struct PhaseTimer {
 
 impl PhaseTimer {
     /// New timer; call [`PhaseTimer::start`] to begin total timing.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Mark the start of the run.
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         self.started = Some(Instant::now());
     }
 
     /// Time a generation-phase closure.
-    pub fn generation<T>(&mut self, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn generation<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         self.generation += t0.elapsed();
@@ -103,7 +103,7 @@ impl PhaseTimer {
     }
 
     /// Time an evaluation-phase closure.
-    pub fn evaluation<T>(&mut self, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn evaluation<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         self.evaluation += t0.elapsed();
@@ -111,17 +111,17 @@ impl PhaseTimer {
     }
 
     /// Seconds spent in generation.
-    pub fn generation_secs(&self) -> f64 {
+    pub(crate) fn generation_secs(&self) -> f64 {
         self.generation.as_secs_f64()
     }
 
     /// Seconds spent in evaluation.
-    pub fn eval_secs(&self) -> f64 {
+    pub(crate) fn eval_secs(&self) -> f64 {
         self.evaluation.as_secs_f64()
     }
 
     /// Total seconds since [`PhaseTimer::start`].
-    pub fn total_secs(&self) -> f64 {
+    pub(crate) fn total_secs(&self) -> f64 {
         self.started.map_or(0.0, |t| t.elapsed().as_secs_f64())
     }
 }
@@ -178,7 +178,7 @@ pub struct EpochReport {
 
 /// Counter for generated features and downstream evaluations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EvalCounter {
+pub(crate) struct EvalCounter {
     /// Features generated by agents.
     pub generated: usize,
     /// Features submitted to the downstream task.
@@ -189,27 +189,18 @@ pub struct EvalCounter {
 
 impl EvalCounter {
     /// Record a generated feature.
-    pub fn generate(&mut self) {
+    pub(crate) fn generate(&mut self) {
         self.generated += 1;
     }
 
     /// Record a downstream evaluation.
-    pub fn evaluate(&mut self) {
+    pub(crate) fn evaluate(&mut self) {
         self.evaluated += 1;
     }
 
     /// Record a gate drop.
-    pub fn drop_feature(&mut self) {
+    pub(crate) fn drop_feature(&mut self) {
         self.dropped += 1;
-    }
-
-    /// The paper's "drop rate": fraction of generated features never
-    /// evaluated downstream.
-    pub fn drop_rate(&self) -> f64 {
-        if self.generated == 0 {
-            return 0.0;
-        }
-        self.dropped as f64 / self.generated as f64
     }
 }
 
@@ -250,9 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn counter_drop_rate() {
+    fn counter_counts_each_outcome() {
         let mut c = EvalCounter::default();
-        assert_eq!(c.drop_rate(), 0.0);
         for _ in 0..10 {
             c.generate();
         }
@@ -262,8 +252,7 @@ mod tests {
         for _ in 0..4 {
             c.evaluate();
         }
-        assert!((c.drop_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(c.evaluated, 4);
+        assert_eq!((c.generated, c.dropped, c.evaluated), (10, 6, 4));
     }
 
     #[test]

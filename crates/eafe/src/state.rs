@@ -26,7 +26,7 @@ use tabular::{Column, DataFrame};
 
 /// One agent's feature subgroup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FeatureSubgroup {
+pub(crate) struct FeatureSubgroup {
     /// Index of the original feature in the base frame.
     pub origin_idx: usize,
     /// The original feature (order 0).
@@ -37,7 +37,7 @@ pub struct FeatureSubgroup {
 
 impl FeatureSubgroup {
     /// New subgroup around one original feature.
-    pub fn new(origin_idx: usize, original: Column) -> Self {
+    pub(crate) fn new(origin_idx: usize, original: Column) -> Self {
         Self {
             origin_idx,
             original,
@@ -46,18 +46,13 @@ impl FeatureSubgroup {
     }
 
     /// Total members (original + generated).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         1 + self.generated.len()
-    }
-
-    /// Never empty: always contains the original feature.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Member column and its order by subgroup-local index
     /// (0 = the original feature).
-    pub fn member(&self, idx: usize) -> (&Column, usize) {
+    pub(crate) fn member(&self, idx: usize) -> (&Column, usize) {
         if idx == 0 {
             (&self.original, 0)
         } else {
@@ -67,7 +62,7 @@ impl FeatureSubgroup {
     }
 
     /// Accept a generated feature into the subgroup.
-    pub fn accept(&mut self, feature: GeneratedFeature) {
+    pub(crate) fn accept(&mut self, feature: GeneratedFeature) {
         self.generated.push(feature);
     }
 }
@@ -78,7 +73,7 @@ impl FeatureSubgroup {
 pub struct EngineState {
     frame: DataFrame,
     /// Per-agent subgroups.
-    pub subgroups: Vec<FeatureSubgroup>,
+    pub(crate) subgroups: Vec<FeatureSubgroup>,
     /// The selected columns as key state, digests and bins, so a
     /// candidate's cache probe digests the candidate column and a miss
     /// bins only it. Derived from the fields above (not serialised, not

@@ -300,7 +300,7 @@ impl<B: ColumnStore> Search<B> {
     }
 
     /// Cumulative features generated so far (before any gate).
-    pub fn features_generated(&self) -> usize {
+    pub(crate) fn features_generated(&self) -> usize {
         self.core.counter.generated
     }
 
@@ -399,7 +399,7 @@ impl GateStreams {
 /// order, whose original feature's name occurs *anywhere* in the
 /// expression as a substring (falls back to 0). That is not always the
 /// feature the expression was built from — `f1` claims `sqrt(f10)` — but
-/// changing it moves result fingerprints (ROADMAP item 3(d)).
+/// changing it moves result fingerprints (ROADMAP item 1).
 fn feature_origin<B: ColumnStore>(store: &B, expr: &str) -> usize {
     (0..store.n_agents())
         .position(|j| expr.contains(store.member(j, 0).0))

@@ -9,7 +9,7 @@
 //! `O(n_bins)` scan. A [`BinnedDataset`] is built one time per
 //! (dataset, feature-set) and shared — across every tree of a forest,
 //! every fold of a cross-validation, and (through the content-addressed
-//! [`bin cache`](bin_cache_stats)) every downstream evaluation that sees
+//! bin cache) every downstream evaluation that sees
 //! the same column content again.
 //!
 //! Bin-edge scheme: when a column has at most `max_bins` distinct values
@@ -49,7 +49,7 @@ pub enum SplitMethod {
 pub const DEFAULT_MAX_BINS: usize = 256;
 
 /// Hard ceiling on `max_bins` (codes are at most `u16`).
-pub const MAX_BINS_LIMIT: usize = 65_536;
+pub(crate) const MAX_BINS_LIMIT: usize = 65_536;
 
 /// Per-row bin codes, sized to the bin count.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,7 +217,7 @@ impl BinnedColumn {
     /// `code <= b` — so columns with equal identities (a feature and any
     /// strictly increasing transform of it that keeps its distinct values
     /// distinct) are the same column to a forest.
-    pub fn rank_identity(&self) -> Fingerprint {
+    pub(crate) fn rank_identity(&self) -> Fingerprint {
         self.rank_identity
     }
 }
@@ -306,7 +306,7 @@ impl BinnedDataset {
     }
 
     /// Bin column slices, bypassing the cache.
-    pub fn from_slices(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
+    pub(crate) fn from_slices(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
         validate_cols(cols, max_bins)?;
         Ok(BinnedDataset {
             columns: cols
@@ -321,7 +321,7 @@ impl BinnedDataset {
     /// cache: a column whose (content, `max_bins`) was binned before — by
     /// any tree, forest, fold, or evaluation — is reused instead of
     /// re-binned.
-    pub fn build_cached(x: &[Vec<f64>], max_bins: usize) -> Result<BinnedDataset> {
+    pub(crate) fn build_cached(x: &[Vec<f64>], max_bins: usize) -> Result<BinnedDataset> {
         Self::from_slices_cached(&x.iter().map(Vec::as_slice).collect::<Vec<_>>(), max_bins)
     }
 
@@ -334,7 +334,7 @@ impl BinnedDataset {
     /// under the histogram batch grain. The cache is then probed, and
     /// filled, in column order on the calling thread, so the dataset and
     /// the reuse tallies do not depend on the thread count.
-    pub fn from_slices_cached(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
+    pub(crate) fn from_slices_cached(cols: &[&[f64]], max_bins: usize) -> Result<BinnedDataset> {
         validate_cols(cols, max_bins)?;
         let n_rows = cols[0].len();
         let digests = map_batch(cols.to_vec(), n_rows, fingerprint_values);
@@ -351,7 +351,7 @@ impl BinnedDataset {
     /// A dataset of already-binned columns, which must agree on the row
     /// count — what an evaluation that keeps its columns' bins hands the
     /// forests.
-    pub fn from_columns(columns: Vec<Arc<BinnedColumn>>) -> Result<BinnedDataset> {
+    pub(crate) fn from_columns(columns: Vec<Arc<BinnedColumn>>) -> Result<BinnedDataset> {
         let n_rows = match columns.first() {
             Some(c) if !c.codes.is_empty() => c.codes.len(),
             _ => return Err(LearnError::EmptyTrainingSet("binned dataset".into())),
@@ -405,17 +405,11 @@ fn validate_cols(cols: &[&[f64]], max_bins: usize) -> Result<()> {
 /// Capacity of the process-wide bin cache. Entries are per-column
 /// (codes + thresholds, roughly 1–2 bytes per row), so even at paper
 /// scale the cache stays in the tens of megabytes.
-pub const BIN_CACHE_CAPACITY: usize = 8_192;
+pub(crate) const BIN_CACHE_CAPACITY: usize = 8_192;
 
 fn bin_cache() -> &'static ScoreCache<Arc<BinnedColumn>> {
     static CACHE: OnceLock<ScoreCache<Arc<BinnedColumn>>> = OnceLock::new();
     CACHE.get_or_init(|| ScoreCache::new(BIN_CACHE_CAPACITY))
-}
-
-/// Counters of the process-wide bin cache (hits = columns served without
-/// re-binning).
-pub fn bin_cache_stats() -> runtime::CacheStats {
-    bin_cache().stats()
 }
 
 /// The bins of the column whose values digest to `digest`
@@ -423,7 +417,7 @@ pub fn bin_cache_stats() -> runtime::CacheStats {
 /// process-wide bin cache, or made by `build` and cached. The probe for a
 /// caller that already holds the digest — a search keys its score cache
 /// by it — so nothing is hashed twice.
-pub fn cached_bins<E>(
+pub(crate) fn cached_bins<E>(
     digest: Fingerprint,
     max_bins: usize,
     build: impl FnOnce() -> std::result::Result<BinnedColumn, E>,
@@ -845,10 +839,10 @@ mod tests {
     fn cached_build_reuses_identical_columns() {
         let a: Vec<f64> = (0..64).map(|i| (i as f64 * 1.7).cos()).collect();
         let b: Vec<f64> = (0..64).map(|i| (i as f64 * 2.3).sin()).collect();
-        let before = bin_cache_stats();
+        let before = bin_cache().stats();
         let d1 = BinnedDataset::from_slices_cached(&[&a, &b], 32).unwrap();
         let d2 = BinnedDataset::from_slices_cached(&[&a, &b], 32).unwrap();
-        let after = bin_cache_stats();
+        let after = bin_cache().stats();
         assert!(
             after.hits >= before.hits + 2,
             "second build must reuse both columns"

@@ -16,7 +16,7 @@ use crate::mlp::{MlpClassifier, MlpConfig, MlpRegressor};
 use crate::nb::GaussianNb;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-use tabular::split::cv_indices;
+use tabular::cv_indices;
 use tabular::{DataFrame, Label, Task};
 
 /// Which model family evaluates the features.
@@ -87,7 +87,7 @@ impl Default for Evaluator {
 /// bin cache its keys are made from; entries are 24 bytes.
 fn score_memo() -> &'static runtime::ScoreCache<f64> {
     static MEMO: OnceLock<runtime::ScoreCache<f64>> = OnceLock::new();
-    MEMO.get_or_init(|| runtime::ScoreCache::new(runtime::evaluator::DEFAULT_CACHE_CAPACITY))
+    MEMO.get_or_init(|| runtime::ScoreCache::new(runtime::DEFAULT_CACHE_CAPACITY))
 }
 
 /// Counters of the process-wide CV-score memo: a miss is a histogram
@@ -117,7 +117,7 @@ impl Evaluator {
     /// averaged over the folds. A kind that trains a binned forest
     /// ([`bin_budget`](Self::bin_budget)) bins the frame through the
     /// process-wide bin cache and scores the bins
-    /// ([`evaluate_binned`](Self::evaluate_binned)); the other kinds gather
+    /// (`evaluate_binned`); the other kinds gather
     /// each fold's rows.
     pub fn evaluate(&self, frame: &DataFrame) -> Result<f64> {
         if frame.n_cols() == 0 {
@@ -168,7 +168,11 @@ impl Evaluator {
     /// `ln(|x|+1)`, `sqrt(|x|)` and `x·x` of one parent train one forest
     /// between them. Debug builds recompute every memo hit and assert the
     /// bits.
-    pub fn evaluate_binned(&self, columns: &[Arc<BinnedColumn>], label: &Label) -> Result<f64> {
+    pub(crate) fn evaluate_binned(
+        &self,
+        columns: &[Arc<BinnedColumn>],
+        label: &Label,
+    ) -> Result<f64> {
         if self.bin_budget(label.task()).is_none() {
             return Err(LearnError::InvalidParam(format!(
                 "{} does not train a binned forest on {:?}",
@@ -247,7 +251,7 @@ impl Evaluator {
     fn cross_validate(
         &self,
         label: &Label,
-        fold: impl Fn(&tabular::split::Split, u64) -> Result<f64> + Sync,
+        fold: impl Fn(&tabular::Split, u64) -> Result<f64> + Sync,
     ) -> Result<f64> {
         let splits = cv_indices(label, self.folds, self.seed)?;
         let n_folds = splits.len();
@@ -270,7 +274,7 @@ impl Evaluator {
         &self,
         binned: &BinnedDataset,
         label: &Label,
-        split: &tabular::split::Split,
+        split: &tabular::Split,
         fold_seed: u64,
     ) -> Result<f64> {
         let forest = ForestConfig {

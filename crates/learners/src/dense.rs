@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Part of the reduction-order contract — changing it changes which
 /// floating-point sums are formed (still deterministically, but not
 /// bit-compatibly with previously trained nets).
-pub const TRAIN_MICROBATCH: usize = 8;
+pub(crate) const TRAIN_MICROBATCH: usize = 8;
 
 /// Inference microbatch: rows processed per `forward_batch` call when
 /// predicting/embedding. Purely a blocking factor — outputs are
@@ -69,7 +69,7 @@ pub(crate) const PARALLEL_GRAIN: usize = 262_144;
 
 /// Network shape: which architecture a [`FlatNet`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Topology {
+pub(crate) enum Topology {
     /// One hidden ReLU layer: `out = W₂ relu(W₁ x)`.
     Mlp {
         /// Hidden layer width.
@@ -87,7 +87,7 @@ pub enum Topology {
 
 /// One dense layer's dimensions and offsets into the flat parameter slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LayerSpec {
+pub(crate) struct LayerSpec {
     /// Input dimension.
     pub n_in: usize,
     /// Output dimension.
@@ -105,7 +105,7 @@ pub struct LayerSpec {
 /// count without shrinking capacity, which is how [`Scratch`] buffers
 /// are reused across microbatches of different sizes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mat {
+pub(crate) struct Mat {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -113,7 +113,7 @@ pub struct Mat {
 
 impl Mat {
     /// Zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -123,7 +123,7 @@ impl Mat {
 
     /// Build from column-major columns (the learners' public input
     /// layout), transposing into row-major storage.
-    pub fn from_columns(cols: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_columns(cols: &[Vec<f64>]) -> Self {
         let n_rows = cols.first().map_or(0, Vec::len);
         let n_cols = cols.len();
         let mut m = Self::zeros(n_rows, n_cols);
@@ -137,7 +137,7 @@ impl Mat {
     }
 
     /// Build from row-major rows.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Self {
         let n_cols = rows.first().map_or(0, Vec::len);
         let mut m = Self::zeros(rows.len(), n_cols);
         for (r, row) in rows.iter().enumerate() {
@@ -148,35 +148,30 @@ impl Mat {
     }
 
     /// Logical row count.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Row `r` as a contiguous slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Row `r` as a mutable contiguous slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// The full row-major backing slice (logical rows only).
-    pub fn data(&self) -> &[f64] {
-        &self.data
     }
 
     /// Change the logical row count, reusing the existing allocation
     /// when capacity allows (new cells are zeroed).
-    pub fn set_rows(&mut self, rows: usize) {
+    pub(crate) fn set_rows(&mut self, rows: usize) {
         self.rows = rows;
         self.data.resize(rows * self.cols, 0.0);
     }
@@ -186,7 +181,7 @@ impl Mat {
 /// trainer (or one pool task) and recycled across steps — the batched
 /// path performs **zero per-sample allocations**.
 #[derive(Debug, Clone)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     /// Gathered input rows for the current microbatch.
     x: Mat,
     /// ResNet z-states: after the stem and after each block (empty for MLP).
@@ -213,7 +208,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// Set the logical microbatch size on every buffer.
-    pub fn set_rows(&mut self, rows: usize) {
+    pub(crate) fn set_rows(&mut self, rows: usize) {
         self.x.set_rows(rows);
         for m in &mut self.z {
             m.set_rows(rows);
@@ -231,24 +226,9 @@ impl Scratch {
         self.dbranch.set_rows(rows);
     }
 
-    /// Input rows buffer (fill before [`FlatNet::forward_batch`]).
-    pub fn x_mut(&mut self) -> &mut Mat {
-        &mut self.x
-    }
-
-    /// Network outputs of the last [`FlatNet::forward_batch`] call.
-    pub fn out(&self) -> &Mat {
-        &self.out
-    }
-
-    /// Output-gradient buffer (fill before [`FlatNet::backward_batch`]).
-    pub fn dout_mut(&mut self) -> &mut Mat {
-        &mut self.dout
-    }
-
     /// Penultimate representation of the last forward pass (ResNet: the
     /// final trunk state; MLP: the hidden ReLU activations).
-    pub fn embedding(&self) -> &Mat {
+    pub(crate) fn embedding(&self) -> &Mat {
         self.z.last().unwrap_or(&self.h)
     }
 }
@@ -260,7 +240,7 @@ impl Scratch {
 /// layer contributing its row-major `n_out × n_in` weight block followed
 /// by its `n_out` biases.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlatNet {
+pub(crate) struct FlatNet {
     topo: Topology,
     n_in: usize,
     n_out: usize,
@@ -301,7 +281,7 @@ impl FlatNet {
 
     /// He-initialised network: one `gen_range(-scale..scale)` per weight
     /// in slab order (`scale = sqrt(2 / n_in)`), biases zero.
-    pub fn init(topo: Topology, n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn init(topo: Topology, n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
         let dims = Self::layer_dims(topo, n_in, n_out);
         let (layers, total) = Self::specs_from_dims(&dims);
         let mut params = vec![0.0; total];
@@ -320,23 +300,13 @@ impl FlatNet {
         }
     }
 
-    /// Network shape.
-    pub fn topology(&self) -> Topology {
-        self.topo
-    }
-
-    /// Input dimension.
-    pub fn n_in(&self) -> usize {
-        self.n_in
-    }
-
     /// Output dimension.
-    pub fn n_out(&self) -> usize {
+    pub(crate) fn n_out(&self) -> usize {
         self.n_out
     }
 
     /// Width of the penultimate representation.
-    pub fn hidden_width(&self) -> usize {
+    pub(crate) fn hidden_width(&self) -> usize {
         match self.topo {
             Topology::Mlp { hidden } => hidden,
             Topology::ResNet { width, .. } => width,
@@ -344,12 +314,12 @@ impl FlatNet {
     }
 
     /// Total parameter count.
-    pub fn n_params(&self) -> usize {
+    pub(crate) fn n_params(&self) -> usize {
         self.params.len()
     }
 
     /// The flat parameter slab (layout documented on the type).
-    pub fn params(&self) -> &[f64] {
+    pub(crate) fn params(&self) -> &[f64] {
         &self.params
     }
 
@@ -367,7 +337,7 @@ impl FlatNet {
 
     /// Allocate scratch buffers sized for microbatches of up to
     /// `cap_rows` rows.
-    pub fn scratch(&self, cap_rows: usize) -> Scratch {
+    pub(crate) fn scratch(&self, cap_rows: usize) -> Scratch {
         let width = self.hidden_width();
         let (n_z, n_pre) = match self.topo {
             Topology::Mlp { .. } => (0, 1),
@@ -391,7 +361,7 @@ impl FlatNet {
     /// Batched forward pass over the microbatch in `scr.x` (all rows at
     /// once); each output row is what a per-sample pass computes, bit for
     /// bit.
-    pub fn forward_batch(&self, scr: &mut Scratch) {
+    pub(crate) fn forward_batch(&self, scr: &mut Scratch) {
         let Scratch {
             x,
             z,
@@ -435,7 +405,7 @@ impl FlatNet {
     /// [`FlatNet::params`]. Rows are accumulated in ascending order (the
     /// per-cell addend sequence of a per-sample pass), and `grads` is
     /// *not* zeroed here, so partials can be layered.
-    pub fn backward_batch(&self, scr: &mut Scratch, grads: &mut [f64]) {
+    pub(crate) fn backward_batch(&self, scr: &mut Scratch, grads: &mut [f64]) {
         debug_assert_eq!(grads.len(), self.params.len());
         let Scratch {
             x,
@@ -771,6 +741,24 @@ pub(crate) fn validate_columns(x: &[Vec<f64>], n_labels: usize, what: &str) -> R
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Input rows buffer (fill before [`FlatNet::forward_batch`]).
+    pub(crate) fn x_mut(&mut self) -> &mut Mat {
+        &mut self.x
+    }
+
+    /// Network outputs of the last [`FlatNet::forward_batch`] call.
+    pub(crate) fn out(&self) -> &Mat {
+        &self.out
+    }
+
+    /// Output-gradient buffer (fill before [`FlatNet::backward_batch`]).
+    pub(crate) fn dout_mut(&mut self) -> &mut Mat {
+        &mut self.dout
+    }
 }
 
 #[cfg(test)]

@@ -189,16 +189,6 @@ impl RandomForestClassifier {
         Ok(mean_leaves(&self.fitted_trees()?, self.n_classes, rows))
     }
 
-    /// Averaged class probabilities across trees.
-    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let cols = predict_columns(x, self.n_features)?;
-        let proba = self.proba_rows(Rows::Values(&cols))?;
-        Ok(proba
-            .chunks_exact(self.n_classes)
-            .map(<[f64]>::to_vec)
-            .collect())
-    }
-
     /// Majority-vote class predictions.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
         self.predict_rows(Rows::Values(&predict_columns(x, self.n_features)?))
@@ -443,16 +433,6 @@ mod tests {
         f.fit(&x, &y).unwrap();
         let score = one_minus_rae(&y, &f.predict(&x).unwrap()).unwrap();
         assert!(score > 0.9, "1-rae {score}");
-    }
-
-    #[test]
-    fn proba_rows_sum_to_one() {
-        let (x, y) = nonlinear_classification(100, 7);
-        let mut f = RandomForestClassifier::new(ForestConfig::fast());
-        f.fit(&x, &y, 2).unwrap();
-        for p in f.predict_proba(&x).unwrap() {
-            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

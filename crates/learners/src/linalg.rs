@@ -4,12 +4,12 @@
 //!
 //! The factorisation and solves index the flat row-major storage through
 //! row slices (one bounds check per row, contiguous inner loops) instead
-//! of per-element [`SquareMatrix::get`]/[`SquareMatrix::set`] calls; a
-//! per-element Cholesky in this file's tests is the oracle they are held
-//! to bit for bit.
+//! of per-element `get`/[`SquareMatrix::set`] calls; a per-element
+//! Cholesky in this file's tests is the oracle they are held to bit for
+//! bit.
 //!
 //! Every inner-product accumulation here — the Cholesky row updates, the
-//! forward substitution, and the free [`dot`]/[`sq_dist`] helpers — runs
+//! forward substitution, and the free [`sq_dist`] helper — runs
 //! through the `simd` crate's pinned reduction tree (DESIGN.md §13), the
 //! one documented summation order.
 //! The backward substitution walks a strided column, so it keeps its
@@ -19,62 +19,28 @@ use crate::error::{LearnError, Result};
 
 /// A dense row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SquareMatrix {
+pub(crate) struct SquareMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
 impl SquareMatrix {
     /// Zero matrix of side `n`.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         Self {
             n,
             data: vec![0.0; n * n],
         }
     }
 
-    /// Build from a row-major data vector (must have length n²).
-    pub fn from_vec(n: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != n * n {
-            return Err(LearnError::InvalidParam(format!(
-                "matrix data length {} != {n}²",
-                data.len()
-            )));
-        }
-        Ok(Self { n, data })
-    }
-
-    /// Side length.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
     }
 
-    /// Row `i` as a contiguous slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Row `i` as a mutable contiguous slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.n..(i + 1) * self.n]
-    }
-
     /// In-place add `v` to the diagonal (jitter / noise term).
-    pub fn add_diagonal(&mut self, v: f64) {
+    pub(crate) fn add_diagonal(&mut self, v: f64) {
         for i in 0..self.n {
             self.data[i * self.n + i] += v;
         }
@@ -87,7 +53,7 @@ impl SquareMatrix {
     /// while the finished rows `j < i` are read as contiguous slices, so
     /// the `O(n³)` inner loop runs on slices instead of `get`/`set`
     /// index arithmetic.
-    pub fn cholesky(&self) -> Result<SquareMatrix> {
+    pub(crate) fn cholesky(&self) -> Result<SquareMatrix> {
         let n = self.n;
         let mut l = SquareMatrix::zeros(n);
         for i in 0..n {
@@ -121,7 +87,7 @@ impl SquareMatrix {
     /// the jitter that was actually added (`0.0` when none was needed);
     /// the error of the last attempt is propagated when every retry
     /// fails.
-    pub fn cholesky_jittered(
+    pub(crate) fn cholesky_jittered(
         &self,
         initial_jitter: f64,
         max_attempts: usize,
@@ -147,7 +113,7 @@ impl SquareMatrix {
     }
 
     /// Solve `L x = b` for lower-triangular `L` (forward substitution).
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.check_rhs(b)?;
         let n = self.n;
         let mut x = vec![0.0; n];
@@ -166,7 +132,7 @@ impl SquareMatrix {
     /// Solve `Lᵀ x = b` for lower-triangular `L` (backward substitution).
     /// `Lᵀ`'s row `i` is `L`'s column `i`, so the inner loop walks the
     /// rows below `i` as slices and reads their `i`-th element.
-    pub fn solve_lower_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve_lower_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.check_rhs(b)?;
         let n = self.n;
         let mut x = vec![0.0; n];
@@ -185,7 +151,7 @@ impl SquareMatrix {
     }
 
     /// Solve `A x = b` given that `self` is the Cholesky factor `L` of `A`.
-    pub fn cholesky_solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn cholesky_solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let y = self.solve_lower(b)?;
         self.solve_lower_transpose(&y)
     }
@@ -202,23 +168,36 @@ impl SquareMatrix {
     }
 }
 
-/// Dot product of two equal-length slices, reduced through the pinned
-/// lane tree (re-exported from the `simd` crate so every learner sums
-/// in the one documented order).
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    simd::dot(a, b)
-}
-
 /// Squared Euclidean distance between two equal-length slices, reduced
 /// through the pinned lane tree.
 #[inline]
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     simd::sq_dist(a, b)
 }
 
 #[cfg(test)]
 impl SquareMatrix {
+    /// Build from a row-major data vector (must have length n²).
+    pub(crate) fn from_vec(n: usize, data: Vec<f64>) -> Result<Self> {
+        if data.len() != n * n {
+            return Err(LearnError::InvalidParam(format!(
+                "matrix data length {} != {n}²",
+                data.len()
+            )));
+        }
+        Ok(Self { n, data })
+    }
+
+    /// Element accessor.
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
+        self.data[i * self.n + j]
+    }
+
+    /// Row `i` as a contiguous slice.
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
     /// Per-element `get`/`set` Cholesky — the oracle for
     /// [`SquareMatrix::cholesky`] (no row slicing). Operands are gathered
     /// element by element, then reduced through the pinned tree
@@ -304,7 +283,7 @@ mod tests {
         let mut a = SquareMatrix::zeros(n);
         for i in 0..n {
             for j in 0..n {
-                a.set(i, j, dot(b.row(i), b.row(j)));
+                a.set(i, j, simd::dot(b.row(i), b.row(j)));
             }
         }
         a.add_diagonal(n as f64);
@@ -340,7 +319,7 @@ mod tests {
         let (l, jitter) = a.cholesky_jittered(1e-10, 12).unwrap();
         assert!(jitter > 0.0, "singular matrix needs some jitter");
         // L Lᵀ ≈ A + jitter·I on the diagonal scale.
-        let recon = dot(l.row(n - 1), l.row(n - 1));
+        let recon = simd::dot(l.row(n - 1), l.row(n - 1));
         let expect = a.get(n - 1, n - 1) + jitter;
         assert!(
             (recon - expect).abs() <= 1e-6 * expect.abs(),
@@ -405,7 +384,7 @@ mod tests {
 
     #[test]
     fn dot_and_sq_dist() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+        assert_eq!(simd::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 }

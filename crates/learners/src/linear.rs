@@ -119,23 +119,6 @@ impl LogisticRegression {
         Ok(scaler)
     }
 
-    /// Per-row class probabilities.
-    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let scaler = self.fitted_scaler(x.len())?;
-        let xs = scaler.transform(x);
-        let rows = to_row_major(&xs);
-        let k = self.weights.len();
-        let mut out = Vec::with_capacity(rows.len());
-        for row in &rows {
-            // Write each row's distribution once and move it into the
-            // result — no intermediate buffer + clone.
-            let mut probs = vec![0.0; k];
-            softmax_logits(row, &self.weights, &self.biases, &mut probs);
-            out.push(probs);
-        }
-        Ok(out)
-    }
-
     /// Class predictions.
     pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
         let scaler = self.fitted_scaler(x.len())?;
@@ -153,20 +136,9 @@ impl LogisticRegression {
             .collect())
     }
 
-    /// Probability of the positive class (index 1) for binary models —
-    /// the `p` in the paper's Eq. (7) surrogate reward.
-    pub fn predict_positive_proba(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let proba = self.predict_proba(x)?;
-        if self.weights.len() < 2 {
-            return Err(LearnError::InvalidParam(
-                "positive-class probability needs a binary model".into(),
-            ));
-        }
-        Ok(proba.into_iter().map(|p| p[1]).collect())
-    }
-
-    /// [`predict_positive_proba`](Self::predict_positive_proba) of one
-    /// row-major sample, bit-identical to passing it as a one-row matrix.
+    /// Probability of the positive class (index 1) of one row-major sample
+    /// under a binary model — the `p` in the paper's Eq. (7) surrogate
+    /// reward.
     pub fn predict_positive_proba_row(&self, row: &[f64]) -> Result<f64> {
         let scaler = self.fitted_scaler(row.len())?;
         if self.weights.len() < 2 {
@@ -199,7 +171,7 @@ fn softmax_logits(row: &[f64], w: &[Vec<f64>], b: &[f64], out: &mut [f64]) {
 
 /// Linear SVM: one-vs-rest hinge loss with SGD, z-score preprocessing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinearSvm {
+pub(crate) struct LinearSvm {
     /// SGD hyper-parameters.
     pub config: LinearConfig,
     weights: Vec<Vec<f64>>,
@@ -209,7 +181,7 @@ pub struct LinearSvm {
 
 impl LinearSvm {
     /// New unfitted model.
-    pub fn new(config: LinearConfig) -> Self {
+    pub(crate) fn new(config: LinearConfig) -> Self {
         Self {
             config,
             weights: Vec::new(),
@@ -219,7 +191,7 @@ impl LinearSvm {
     }
 
     /// Fit one-vs-rest hinge-loss separators.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
+    pub(crate) fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
         let n_features = validate(x, y.len())?;
         if n_classes < 2 {
             return Err(LearnError::InvalidParam("need at least 2 classes".into()));
@@ -261,7 +233,7 @@ impl LinearSvm {
     }
 
     /// Class predictions by maximum one-vs-rest margin.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
         let scaler = self
             .scaler
             .as_ref()
@@ -285,6 +257,38 @@ impl LinearSvm {
                 argmax(&scores)
             })
             .collect())
+    }
+}
+
+#[cfg(test)]
+impl LogisticRegression {
+    /// Per-row class probabilities.
+    pub(crate) fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        let scaler = self.fitted_scaler(x.len())?;
+        let xs = scaler.transform(x);
+        let rows = to_row_major(&xs);
+        let k = self.weights.len();
+        let mut out = Vec::with_capacity(rows.len());
+        for row in &rows {
+            // Write each row's distribution once and move it into the
+            // result — no intermediate buffer + clone.
+            let mut probs = vec![0.0; k];
+            softmax_logits(row, &self.weights, &self.biases, &mut probs);
+            out.push(probs);
+        }
+        Ok(out)
+    }
+
+    /// Probability of the positive class (index 1) for binary models —
+    /// the `p` in the paper's Eq. (7) surrogate reward.
+    pub(crate) fn predict_positive_proba(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
+        let proba = self.predict_proba(x)?;
+        if self.weights.len() < 2 {
+            return Err(LearnError::InvalidParam(
+                "positive-class probability needs a binary model".into(),
+            ));
+        }
+        Ok(proba.into_iter().map(|p| p[1]).collect())
     }
 }
 

@@ -15,7 +15,7 @@ use crate::error::{LearnError, Result};
 
 /// Confusion counts for one class in a one-vs-rest view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinaryCounts {
+pub(crate) struct BinaryCounts {
     /// True positives.
     pub tp: usize,
     /// False positives.
@@ -28,17 +28,17 @@ pub struct BinaryCounts {
 
 impl BinaryCounts {
     /// Precision = TP / (TP + FP); 0 when the denominator is 0.
-    pub fn precision(&self) -> f64 {
+    pub(crate) fn precision(&self) -> f64 {
         ratio(self.tp, self.tp + self.fp)
     }
 
     /// Recall = TP / (TP + FN); 0 when the denominator is 0.
-    pub fn recall(&self) -> f64 {
+    pub(crate) fn recall(&self) -> f64 {
         ratio(self.tp, self.tp + self.fn_)
     }
 
     /// F1 = harmonic mean of precision and recall; 0 when both are 0.
-    pub fn f1(&self) -> f64 {
+    pub(crate) fn f1(&self) -> f64 {
         let (p, r) = (self.precision(), self.recall());
         if p + r == 0.0 {
             0.0
@@ -78,7 +78,7 @@ pub fn accuracy(y_true: &[usize], y_pred: &[usize]) -> Result<f64> {
 }
 
 /// One-vs-rest confusion counts for class `c`.
-pub fn counts_for_class(y_true: &[usize], y_pred: &[usize], c: usize) -> BinaryCounts {
+pub(crate) fn counts_for_class(y_true: &[usize], y_pred: &[usize], c: usize) -> BinaryCounts {
     let mut k = BinaryCounts::default();
     for (&t, &p) in y_true.iter().zip(y_pred) {
         match (t == c, p == c) {

@@ -126,7 +126,7 @@ impl MlpClassifier {
 
 /// MLP regressor (single linear output, MSE loss, targets standardised).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlpRegressor {
+pub(crate) struct MlpRegressor {
     /// Hyper-parameters used at fit time.
     pub config: MlpConfig,
     net: Option<FlatNet>,
@@ -137,7 +137,7 @@ pub struct MlpRegressor {
 
 impl MlpRegressor {
     /// New unfitted regressor.
-    pub fn new(config: MlpConfig) -> Self {
+    pub(crate) fn new(config: MlpConfig) -> Self {
         Self {
             config,
             net: None,
@@ -148,7 +148,7 @@ impl MlpRegressor {
     }
 
     /// Fit on column-major features and real targets.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
+    pub(crate) fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
         validate_columns(x, y.len(), "mlp")?;
         let scaler = Standardizer::fit(x);
         let rows = Mat::from_columns(&scaler.transform(x));
@@ -172,7 +172,7 @@ impl MlpRegressor {
     }
 
     /// Target predictions.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
         let (net, scaler) = match (&self.net, &self.scaler) {
             (Some(n), Some(s)) => (n, s),
             _ => return Err(LearnError::NotFitted("MlpRegressor")),
@@ -189,9 +189,12 @@ impl MlpRegressor {
             .map(|r| outs.row(r)[0] * self.y_std + self.y_mean)
             .collect())
     }
+}
 
+#[cfg(test)]
+impl MlpRegressor {
     /// The trained flat parameter slab (testing / benchmarking hook).
-    pub fn trained_params(&self) -> Option<&[f64]> {
+    pub(crate) fn trained_params(&self) -> Option<&[f64]> {
         self.net.as_ref().map(FlatNet::params)
     }
 }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Gaussian Naive Bayes classifier with per-class feature means/variances
 /// and Laplace-style variance smoothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaussianNb {
+pub(crate) struct GaussianNb {
     /// Added to every variance for numerical stability (sklearn's
     /// `var_smoothing` applied as an absolute floor).
     pub var_smoothing: f64,
@@ -26,7 +26,7 @@ impl Default for GaussianNb {
 
 impl GaussianNb {
     /// New unfitted model with the given variance smoothing.
-    pub fn new(var_smoothing: f64) -> Self {
+    pub(crate) fn new(var_smoothing: f64) -> Self {
         Self {
             var_smoothing,
             class_log_prior: Vec::new(),
@@ -36,7 +36,7 @@ impl GaussianNb {
     }
 
     /// Fit on column-major features and class labels.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
+    pub(crate) fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
         if x.is_empty() || y.is_empty() {
             return Err(LearnError::EmptyTrainingSet("gaussian naive bayes".into()));
         }
@@ -113,7 +113,7 @@ impl GaussianNb {
     }
 
     /// Class predictions.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
         if self.means.is_empty() {
             return Err(LearnError::NotFitted("GaussianNb"));
         }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Numerically-stable softmax (max-shift, exp, single-pass sum, divide),
 /// written into `out`.
-pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
+pub(crate) fn softmax_into(logits: &[f64], out: &mut [f64]) {
     debug_assert_eq!(logits.len(), out.len());
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     for (o, &l) in out.iter_mut().zip(logits) {
@@ -20,14 +20,14 @@ pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
 
 /// Softmax cross-entropy gradient for one sample: write `dlogits` into
 /// `d` (the loss value itself is not needed by the training driver).
-pub fn softmax_cross_entropy_into(logits: &[f64], target: usize, d: &mut [f64]) {
+pub(crate) fn softmax_cross_entropy_into(logits: &[f64], target: usize, d: &mut [f64]) {
     softmax_into(logits, d);
     d[target] -= 1.0;
 }
 
 /// Adam optimiser state over a flat parameter vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Adam {
+pub(crate) struct Adam {
     /// Learning rate.
     pub lr: f64,
     m: Vec<f64>,
@@ -37,7 +37,7 @@ pub struct Adam {
 
 impl Adam {
     /// New optimiser for `n_params` parameters (paper default lr = 0.01).
-    pub fn new(n_params: usize, lr: f64) -> Self {
+    pub(crate) fn new(n_params: usize, lr: f64) -> Self {
         Self {
             lr,
             m: vec![0.0; n_params],
@@ -48,7 +48,7 @@ impl Adam {
 
     /// One Adam step: update `params` in place from `grads`.
     /// `params` and `grads` must both have the length given at construction.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    pub(crate) fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         const BETA1: f64 = 0.9;
         const BETA2: f64 = 0.999;
         const EPS: f64 = 1e-8;

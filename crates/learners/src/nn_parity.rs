@@ -15,11 +15,12 @@
 use crate::dense::scalar_ref::train_scalar;
 use crate::dense::{FlatNet, LossGrad, Mat, Topology, TrainSpec};
 use crate::linalg::{sq_dist, SquareMatrix};
+use crate::mlp::MlpRegressor;
 use crate::nn::softmax_cross_entropy_into;
 use crate::preprocess::{to_row_major, Standardizer};
 use crate::{
-    GaussianProcess, GpConfig, MlpClassifier, MlpConfig, MlpRegressor, ResNetClassifier,
-    ResNetConfig, ResNetRegressor,
+    GaussianProcess, GpConfig, MlpClassifier, MlpConfig, ResNetClassifier, ResNetConfig,
+    ResNetRegressor,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-feature z-score standardiser fitted on training data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Standardizer {
+pub(crate) struct Standardizer {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
@@ -13,7 +13,7 @@ pub struct Standardizer {
 impl Standardizer {
     /// Fit on column-major features; constant columns get std 1 so they map
     /// to all-zeros rather than dividing by zero.
-    pub fn fit(x: &[Vec<f64>]) -> Self {
+    pub(crate) fn fit(x: &[Vec<f64>]) -> Self {
         let means: Vec<f64> = x
             .iter()
             .map(|col| {
@@ -44,12 +44,12 @@ impl Standardizer {
     }
 
     /// Number of features the standardiser was fitted on.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.means.len()
     }
 
     /// Transform column-major features into standardised column-major copies.
-    pub fn transform(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn transform(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
         x.iter()
             .enumerate()
             .map(|(j, col)| {
@@ -60,7 +60,7 @@ impl Standardizer {
     }
 
     /// Transform a single row-major sample in place.
-    pub fn transform_row(&self, row: &mut [f64]) {
+    pub(crate) fn transform_row(&self, row: &mut [f64]) {
         for (j, v) in row.iter_mut().enumerate() {
             *v = (*v - self.means[j]) / self.stds[j];
         }
@@ -68,7 +68,7 @@ impl Standardizer {
 }
 
 /// Convert column-major features to row-major samples.
-pub fn to_row_major(x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+pub(crate) fn to_row_major(x: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let n_rows = x.first().map_or(0, |c| c.len());
     (0..n_rows)
         .map(|i| x.iter().map(|col| col[i]).collect())

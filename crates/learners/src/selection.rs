@@ -153,7 +153,7 @@ impl Evaluator {
     /// `None`; binned under the selection's budget) for `label`. A kind
     /// whose [`bin_budget`](Self::bin_budget) the selection was binned
     /// under reads the columns' bins
-    /// ([`evaluate_binned`](Self::evaluate_binned)) and no frame exists;
+    /// (`evaluate_binned`) and no frame exists;
     /// otherwise this scores the frame `frame` builds, counted under
     /// `eval.frames_built`.
     pub fn evaluate_selection<D, E>(

@@ -44,7 +44,7 @@ pub struct TreeConfig {
     pub seed: u64,
     /// How candidate splits are enumerated: one value, see [`SplitMethod`].
     pub split: SplitMethod,
-    /// Per-feature bin budget, in `2..=`[`MAX_BINS_LIMIT`](binned::MAX_BINS_LIMIT).
+    /// Per-feature bin budget, in `2..=MAX_BINS_LIMIT` (65 536).
     pub max_bins: usize,
 }
 
@@ -976,14 +976,6 @@ impl DecisionTreeClassifier {
         Ok(preds)
     }
 
-    /// Per-row class probability estimates (leaf class frequencies).
-    pub fn predict_proba(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
-        let mut proba = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, |row| proba.push(tree.leaf_values(row).to_vec()));
-        Ok(proba)
-    }
-
     /// The fitted tree, if any.
     pub fn tree(&self) -> Option<&Tree> {
         self.tree.as_ref()
@@ -1558,22 +1550,6 @@ mod tests {
         let (x, y) = xor_data(8);
         t.fit(&x, &y, 2).unwrap();
         assert!(t.predict(&[vec![1.0]]).is_err()); // wrong dimension
-    }
-
-    #[test]
-    fn probabilities_are_distributions() {
-        let (x, y) = xor_data(32);
-        let cfg = TreeConfig {
-            max_depth: 1,
-            ..Default::default()
-        };
-        let mut t = DecisionTreeClassifier::new(cfg);
-        t.fit(&x, &y, 2).unwrap();
-        for p in t.predict_proba(&x).unwrap() {
-            assert_eq!(p.len(), 2);
-            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        }
     }
 
     #[test]

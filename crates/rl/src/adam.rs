@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Adam state over a flat parameter vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Adam {
+pub(crate) struct Adam {
     /// Learning rate (the paper uses 0.01).
     pub lr: f64,
     m: Vec<f64>,
@@ -16,7 +16,7 @@ pub struct Adam {
 
 impl Adam {
     /// New optimiser for `n` parameters.
-    pub fn new(n: usize, lr: f64) -> Self {
+    pub(crate) fn new(n: usize, lr: f64) -> Self {
         Self {
             lr,
             m: vec![0.0; n],
@@ -26,7 +26,7 @@ impl Adam {
     }
 
     /// One update step; `params` and `grads` must match the constructed size.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    pub(crate) fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;

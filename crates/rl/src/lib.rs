@@ -6,17 +6,18 @@
 //! the two training stages (Algorithm 2).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod adam;
-pub mod error;
-pub mod policy;
-pub mod replay;
-pub mod returns;
+mod adam;
+mod error;
+mod policy;
+mod replay;
+mod returns;
 
 pub use error::{Result, RlError};
-pub use policy::{sample_categorical, softmax, PolicyConfig, RnnPolicy, StepCache};
+pub use policy::{softmax, PolicyConfig, RnnPolicy, StepCache};
 pub use replay::ReplayBuffer;
 pub use returns::{
-    discounted_returns, lambda_return, lambda_returns, returns_from_scores, rewards_to_go,
-    score_gains, ReturnConfig,
+    discounted_returns, lambda_return, returns_from_scores, rewards_to_go, score_gains,
+    ReturnConfig,
 };

@@ -125,13 +125,6 @@ impl RnnPolicy {
         self.hidden.iter_mut().for_each(|h| *h = 0.0);
     }
 
-    /// Current action probabilities for a state without advancing the
-    /// recurrent state.
-    pub fn action_probs(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let (_, probs) = self.forward(x)?;
-        Ok(probs)
-    }
-
     fn forward(&self, x: &[f64]) -> Result<(Vec<f64>, Vec<f64>)> {
         if x.len() != self.config.state_dim {
             return Err(RlError::DimensionMismatch {
@@ -255,25 +248,18 @@ impl RnnPolicy {
 
         self.opt.step(&mut params, &grads);
 
-        // Unpack.
-        let mut it = params.into_iter();
-        for row in self.wx.iter_mut().chain(self.wh.iter_mut()) {
-            for w in row {
-                *w = it.next().expect("param count consistent");
-            }
+        // Unpack, in the order packed.
+        let slots = (self.wx.iter_mut().flatten())
+            .chain(self.wh.iter_mut().flatten())
+            .chain(self.bh.iter_mut())
+            .chain(self.wo.iter_mut().flatten())
+            .chain(self.bo.iter_mut());
+        let mut unpacked = 0;
+        for (w, p) in slots.zip(params.iter()) {
+            *w = *p;
+            unpacked += 1;
         }
-        for b in &mut self.bh {
-            *b = it.next().expect("param count consistent");
-        }
-        for row in &mut self.wo {
-            for w in row {
-                *w = it.next().expect("param count consistent");
-            }
-        }
-        for b in &mut self.bo {
-            *b = it.next().expect("param count consistent");
-        }
-        debug_assert!(it.next().is_none());
+        debug_assert_eq!(unpacked, params.len());
 
         Ok(total_loss * scale)
     }
@@ -292,7 +278,7 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 }
 
 /// Sample an index from a probability vector.
-pub fn sample_categorical(probs: &[f64], rng: &mut impl Rng) -> usize {
+pub(crate) fn sample_categorical(probs: &[f64], rng: &mut impl Rng) -> usize {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
     for (i, &p) in probs.iter().enumerate() {
@@ -302,6 +288,16 @@ pub fn sample_categorical(probs: &[f64], rng: &mut impl Rng) -> usize {
         }
     }
     probs.len() - 1
+}
+
+#[cfg(test)]
+impl RnnPolicy {
+    /// Current action probabilities for a state without advancing the
+    /// recurrent state.
+    pub(crate) fn action_probs(&self, x: &[f64]) -> Result<Vec<f64>> {
+        let (_, probs) = self.forward(x)?;
+        Ok(probs)
+    }
 }
 
 #[cfg(test)]

@@ -67,20 +67,6 @@ impl<T> ReplayBuffer<T> {
         }
     }
 
-    /// Iterate entries from highest to lowest priority.
-    pub fn iter_by_priority(&self) -> impl Iterator<Item = (f64, &T)> {
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.entries[b]
-                .0
-                .partial_cmp(&self.entries[a].0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order
-            .into_iter()
-            .map(|i| (self.entries[i].0, &self.entries[i].1))
-    }
-
     /// Drain all entries, highest priority first.
     pub fn drain_by_priority(&mut self) -> Vec<(f64, T)> {
         let mut out = std::mem::take(&mut self.entries);
@@ -91,6 +77,23 @@ impl<T> ReplayBuffer<T> {
     /// Remove everything.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+}
+
+#[cfg(test)]
+impl<T> ReplayBuffer<T> {
+    /// Iterate entries from highest to lowest priority.
+    pub(crate) fn iter_by_priority(&self) -> impl Iterator<Item = (f64, &T)> {
+        let mut order: Vec<usize> = (0..self.entries.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.entries[b]
+                .0
+                .partial_cmp(&self.entries[a].0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order
+            .into_iter()
+            .map(|i| (self.entries[i].0, &self.entries[i].1))
     }
 }
 

@@ -85,7 +85,7 @@ pub fn lambda_return(u_t: f64, lambda: f64, horizon: usize) -> f64 {
 }
 
 /// Apply [`lambda_return`] element-wise to a return trace.
-pub fn lambda_returns(u: &[f64], cfg: &ReturnConfig) -> Vec<f64> {
+pub(crate) fn lambda_returns(u: &[f64], cfg: &ReturnConfig) -> Vec<f64> {
     u.iter()
         .map(|&ut| lambda_return(ut, cfg.lambda, cfg.horizon))
         .collect()

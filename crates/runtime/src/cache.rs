@@ -113,7 +113,7 @@ impl CacheStats {
 }
 
 /// Serde-serializable export of cache entries keyed by fingerprint,
-/// produced by [`ScoreCache::snapshot`] / [`ScoreCache::snapshot_since`]
+/// produced by [`ScoreCache::snapshot`] / `ScoreCache::snapshot_since`
 /// and replayed into another cache by [`ScoreCache::merge`].
 ///
 /// Entries are sorted by fingerprint so the serialized form is
@@ -357,7 +357,7 @@ impl<V: Clone> ScoreCache<V> {
     /// Current value of the logical LRU clock. Pair with
     /// [`ScoreCache::snapshot_since`] to export only the entries touched
     /// after a baseline (e.g. the working set of one work shard).
-    pub fn current_tick(&self) -> u64 {
+    pub(crate) fn current_tick(&self) -> u64 {
         self.tick.load(Ordering::Relaxed)
     }
 
@@ -372,7 +372,7 @@ impl<V: Clone> ScoreCache<V> {
     /// export is the baseline-onwards working set — a superset of the new
     /// insertions, which is harmless because [`ScoreCache::merge`] is
     /// idempotent.
-    pub fn snapshot_since(&self, tick: u64) -> CacheSnapshot<V> {
+    pub(crate) fn snapshot_since(&self, tick: u64) -> CacheSnapshot<V> {
         let mut entries = Vec::new();
         for shard in &self.shards {
             let map = shard.map.lock().unwrap();

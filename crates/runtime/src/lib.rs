@@ -5,23 +5,23 @@
 //! the FPE gate; this crate attacks it at the systems level, as the
 //! execution substrate every evaluation-heavy path submits work through:
 //!
-//! 1. **[`pool`]** — a work-stealing thread pool with bounded per-worker
+//! 1. **`pool`** — a work-stealing thread pool with bounded per-worker
 //!    queues. Results are returned in submission order and per-task seeds
 //!    depend only on the task index, so parallel runs reproduce
 //!    single-threaded results bit-for-bit.
-//! 2. **[`cache`]** — a concurrent, content-addressed evaluation cache
-//!    mapping a 128-bit [`fingerprint`] of the evaluation inputs to cached
+//! 2. **`cache`** — a concurrent, content-addressed evaluation cache
+//!    mapping a 128-bit `fingerprint` of the evaluation inputs to cached
 //!    CV scores, with a capacity bound and per-shard hit/miss/insert/evict
 //!    counters.
-//! 3. **[`seed`]** — deterministic per-task seed derivation (SplitMix64
+//! 3. **`seed`** — deterministic per-task seed derivation (SplitMix64
 //!    mixing), so the seed of task *i* is a pure function of
 //!    `(root seed, stream, i)` and never of scheduling order.
-//! 4. **[`sigcache`]** — a content-addressed cache of weighted-MinHash
+//! 4. **`sigcache`** — a content-addressed cache of weighted-MinHash
 //!    signatures keyed by `(column content, family, d, seed)`, so the FPE
 //!    gate, labelling, and model selection sketch a distinct column at
 //!    most once per family/seed; batch misses are sketched through the
 //!    pool with the table-driven kernel.
-//! 5. **[`fair`]** — a deterministic round-robin rotation over job keys,
+//! 5. **`fair`** — a deterministic round-robin rotation over job keys,
 //!    the fair-share slicing policy a multi-tenant server uses to
 //!    interleave epoch-granular work on the shared pool.
 //!
@@ -48,7 +48,7 @@
 //!   in one piece): 128 bits, one 64-bit word per step into two
 //!   independently keyed folded-multiply lanes, streamable run by run so a
 //!   chunked column and its flat twin share an identity. The score cache,
-//!   the signature cache ([`sigcache`]) and the learners' bin cache all
+//!   the signature cache (`sigcache`) and the learners' bin cache all
 //!   key a column by it; a frame's label is digested the same way;
 //! - **combined:** a score-cache key is byte-wise FNV-1a ([`Hasher128`])
 //!   over a length-prefixed, domain-tagged list of identities — dataset
@@ -85,29 +85,27 @@
 //! resistant; the runtime assumes candidate features are generated by the
 //! search process, not chosen by an attacker.
 
-pub mod cache;
-pub mod diststats;
-pub mod evaluator;
-pub mod fair;
-pub mod fingerprint;
-pub mod pool;
-pub mod scratch;
-pub mod seed;
-pub mod sigcache;
+mod cache;
+mod diststats;
+mod evaluator;
+mod fair;
+mod fingerprint;
+mod pool;
+mod scratch;
+mod seed;
+mod sigcache;
 
 pub use cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
 pub use diststats::{dist_counters, global_dist_stats, DistStats};
-pub use evaluator::{Evaluator, Scorer};
+pub use evaluator::{Evaluator, Scorer, DEFAULT_CACHE_CAPACITY};
 pub use fair::RoundRobin;
 pub use fingerprint::{
     fingerprint_frame, fingerprint_values, ColumnDigest, Fingerprint, Hasher128, KeyPrefix,
 };
-pub use pool::{
-    global_threads, pool_stats, set_global_threads, CancelToken, PoolStats, TaskCtx, WorkerPool,
-};
-pub use scratch::{scratch_f64, scratch_f64_with_capacity, ScratchF64};
+pub use pool::{global_threads, pool_stats, set_global_threads, PoolStats, TaskCtx, WorkerPool};
+pub use scratch::{scratch_f64_with_capacity, ScratchF64};
 pub use seed::derive_seed;
 pub use sigcache::{
     compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
-    sig_cache_snapshot, sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
+    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
 };

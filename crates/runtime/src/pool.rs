@@ -22,7 +22,7 @@ use serde::Serialize;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Stream tag for task seeds (see [`derive_seed`]).
@@ -129,26 +129,6 @@ where
     let out = f(ctx, item);
     telemetry::record("pool.run_us", start.elapsed().as_micros() as u64);
     out
-}
-
-/// Shared flag for cooperative cancellation.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request cancellation; holders of a clone observe it via
-    /// [`CancelToken::is_cancelled`].
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// Per-task execution context handed to every `map` closure.

@@ -15,10 +15,10 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 /// Maximum buffers the pool retains.
-pub const MAX_POOLED: usize = 64;
+pub(crate) const MAX_POOLED: usize = 64;
 /// Buffers with more capacity than this many floats are dropped rather
 /// than pooled (1M floats = 8 MiB).
-pub const MAX_POOLED_CAP: usize = 1 << 20;
+pub(crate) const MAX_POOLED_CAP: usize = 1 << 20;
 
 static POOL: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 
@@ -64,7 +64,7 @@ impl Drop for ScratchF64 {
 }
 
 /// Take a cleared scratch buffer from the pool (or a fresh one on miss).
-pub fn scratch_f64() -> ScratchF64 {
+pub(crate) fn scratch_f64() -> ScratchF64 {
     let buf = POOL.lock().expect("scratch pool lock").pop();
     match buf {
         Some(buf) => {

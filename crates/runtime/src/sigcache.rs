@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 /// Capacity of the process-wide signature cache. Entries are one
 /// `d`-element signature each (8 bytes per element), so the default stays
 /// in the tens of megabytes even at paper scale.
-pub const SIG_CACHE_CAPACITY: usize = 32_768;
+pub(crate) const SIG_CACHE_CAPACITY: usize = 32_768;
 
 /// Columns per [`WorkerPool`] task when batch-sketching misses: large
 /// enough to amortise task dispatch, small enough to load-balance.
@@ -68,11 +68,6 @@ pub fn sig_cache_snapshot_since(tick: u64) -> CacheSnapshot<Signature> {
             .map(|(fp, sig)| (fp, (*sig).clone()))
             .collect(),
     }
-}
-
-/// Export every resident entry of the global signature cache.
-pub fn sig_cache_snapshot() -> CacheSnapshot<Signature> {
-    sig_cache_snapshot_since(0)
 }
 
 /// Replay a signature snapshot (e.g. from another process) into the
@@ -115,7 +110,7 @@ pub fn prepare_draw_tables(c: &SampleCompressor, rows: usize) -> minhash::Result
 /// A column's signature through the cache: a column whose
 /// `(content, family, d, seed)` was sketched before is served without
 /// recomputation.
-pub fn compressor_signature_cached(
+pub(crate) fn compressor_signature_cached(
     c: &SampleCompressor,
     values: &[f64],
 ) -> minhash::Result<Arc<Signature>> {

@@ -64,7 +64,7 @@ impl Budget {
     /// Fraction of the budget still unspent — the *minimum* over bounded
     /// axes of `1 - spent/limit`, clamped to `[0, 1]` (the tightest axis
     /// decides, matching [`Budget::exhausted`]). `1.0` when unbounded.
-    pub fn remaining_fraction(&self, epochs: usize, evals: usize, secs: f64) -> f64 {
+    pub(crate) fn remaining_fraction(&self, epochs: usize, evals: usize, secs: f64) -> f64 {
         let mut frac: f64 = 1.0;
         if let Some(m) = self.max_epochs {
             frac = frac.min(1.0 - epochs as f64 / (m.max(1)) as f64);

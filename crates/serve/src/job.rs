@@ -41,7 +41,7 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// True for states a job never leaves.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         !matches!(self, JobStatus::Queued | JobStatus::Active)
     }
 }
@@ -56,7 +56,7 @@ pub struct JobOutcome {
     pub id: JobId,
     /// The submitting tenant.
     pub tenant: String,
-    /// Terminal status ([`JobStatus::is_terminal`] always true here).
+    /// Terminal status (always a terminal one here).
     pub status: JobStatus,
     /// Scheduler slices the job received.
     pub epochs: usize,
@@ -87,7 +87,7 @@ pub enum JobEvent {
 /// spend and best-so-far score, and each accepted feature appears as a
 /// `feature:<expression>` field whose value is the feature's weight
 /// (downstream score gain at acceptance).
-pub fn progress_event(id: JobId, r: &eafe::EpochReport) -> telemetry::Event {
+pub(crate) fn progress_event(id: JobId, r: &eafe::EpochReport) -> telemetry::Event {
     let stage = match r.stage {
         eafe::SearchStage::Stage1 => 1.0,
         eafe::SearchStage::Seed => 1.5,

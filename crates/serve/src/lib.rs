@@ -40,33 +40,36 @@
 //!
 //! ## Module map
 //!
-//! - [`budget`] — per-job resource bounds (epochs / evaluations / compute
+//! - `budget` — per-job resource bounds (epochs / evaluations / compute
 //!   seconds) and the exhaustion rule;
-//! - [`job`] — job identity, lifecycle states, outcomes, and the
-//!   progress-stream wire format ([`progress_event`]);
-//! - [`server`] — the [`JobServer`] itself: a driver thread around the
+//! - `job` — job identity, lifecycle states, outcomes, and the
+//!   progress-stream wire format;
+//! - `server` — the [`JobServer`] itself: a driver thread around the
 //!   crate-private `scheduler` core, which makes every admission,
 //!   rotation, cancellation and checkpoint decision; resume; the
 //!   introspection source;
-//! - [`metrics`] — per-tenant scoped metrics, epoch-boundary time
-//!   series, and the SLO monitor;
-//! - [`status`] — the opt-in HTTP introspection endpoint (`/metrics`
+//! - `metrics` — per-tenant scoped metrics and epoch-boundary time
+//!   series;
+//! - `status` — the opt-in HTTP introspection endpoint (`/metrics`
 //!   Prometheus text, `/status` JSON), zero new dependencies.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod budget;
-pub mod error;
-pub mod job;
-pub mod metrics;
+mod budget;
+mod error;
+mod job;
+mod metrics;
 mod scheduler;
-pub mod server;
-pub mod status;
+mod server;
+mod status;
 
 pub use budget::Budget;
 pub use error::{Result, ServeError};
-pub use job::{progress_event, JobEvent, JobId, JobOutcome, JobStatus};
-pub use metrics::{ServerMetrics, SliceSample, SloConfig};
+pub use job::{JobEvent, JobId, JobOutcome, JobStatus};
+pub use metrics::ServerMetrics;
 pub use server::{JobHandle, JobServer, ServerConfig};
-pub use status::{scrape, StatusServer, StatusSource};
+pub use status::scrape;
+
+#[cfg(test)]
+mod mutate;

@@ -1,5 +1,5 @@
-//! Per-tenant scoped metrics, epoch-boundary time series, and the SLO
-//! monitor — the server's live introspection substrate.
+//! Per-tenant scoped metrics and epoch-boundary time series — the
+//! server's live introspection substrate.
 //!
 //! The scheduler calls [`ServerMetrics::record_slice`] after every slice
 //! and [`ServerMetrics::record_admission_wait`] at every promotion; both
@@ -10,13 +10,6 @@
 //! status server renders the registry as Prometheus text (`/metrics`)
 //! and the series into the `/status` JSON.
 //!
-//! The SLO monitor compares each tenant's epoch-latency and
-//! admission-wait p99 against [`SloConfig`] thresholds after every
-//! recording. Breaches increment a `serve.slo.*_breaches` counter in the
-//! tenant's scope and — when a telemetry sink is installed — emit a
-//! `serve.slo_breach.*` count event carrying the observed p99, so
-//! breaches land in trace files and progress feeds as they happen.
-//!
 //! Everything here is observability-only: recording never feeds back
 //! into scheduling, so served results stay bit-identical with metrics
 //! on or off.
@@ -24,26 +17,15 @@
 use crate::budget::Budget;
 use crate::job::JobId;
 use eafe::EpochReport;
-use telemetry::{CountEvent, Event, ScopedRegistry, ScopedSnapshot, TimeSeriesStore};
+use telemetry::{ScopedRegistry, ScopedSnapshot, TimeSeriesStore};
 
 /// Retained epoch-boundary points per series (per job, per signal).
 const SERIES_CAP: usize = 256;
 
-/// Latency objectives checked per tenant after every recording;
-/// `None` on an axis disables that check. Thresholds are in
-/// microseconds and compared against the tenant's p99.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SloConfig {
-    /// Epoch (slice) latency objective, p99 microseconds.
-    pub epoch_p99_us: Option<u64>,
-    /// Admission wait (submit → first active) objective, p99 µs.
-    pub admission_wait_p99_us: Option<u64>,
-}
-
 /// One slice's worth of observability data, handed to
 /// [`ServerMetrics::record_slice`] by the scheduler commit path.
 #[derive(Debug, Clone)]
-pub struct SliceSample<'a> {
+pub(crate) struct SliceSample<'a> {
     /// The sliced job.
     pub id: JobId,
     /// The job's tenant.
@@ -60,30 +42,23 @@ pub struct SliceSample<'a> {
     pub cache_hit_rate: f64,
 }
 
-/// The server's scoped metrics + time series + SLO state.
+/// The server's scoped metrics + time series.
 #[derive(Debug)]
 pub struct ServerMetrics {
     scoped: ScopedRegistry,
     series: TimeSeriesStore,
-    slo: SloConfig,
 }
 
 impl Default for ServerMetrics {
     fn default() -> Self {
-        ServerMetrics::new(SloConfig::default())
+        ServerMetrics {
+            scoped: ScopedRegistry::new(),
+            series: TimeSeriesStore::new(SERIES_CAP),
+        }
     }
 }
 
 impl ServerMetrics {
-    /// New metrics hub enforcing `slo`.
-    pub fn new(slo: SloConfig) -> ServerMetrics {
-        ServerMetrics {
-            scoped: ScopedRegistry::new(),
-            series: TimeSeriesStore::new(SERIES_CAP),
-            slo,
-        }
-    }
-
     /// The scoped registry (for snapshots / Prometheus rendering).
     pub fn scoped(&self) -> &ScopedRegistry {
         &self.scoped
@@ -100,8 +75,8 @@ impl ServerMetrics {
     }
 
     /// Record one completed slice into the tenant's scope and the job's
-    /// time series, then run the epoch-latency SLO check.
-    pub fn record_slice(&self, s: &SliceSample<'_>) {
+    /// time series.
+    pub(crate) fn record_slice(&self, s: &SliceSample<'_>) {
         let tenant = self.scoped.scope(&[("tenant", s.tenant)]);
         tenant.histogram("serve.epoch_us").record(s.epoch_us);
         tenant.counter("serve.epochs").inc();
@@ -128,44 +103,15 @@ impl ServerMetrics {
             .record(&format!("{job}.budget_remaining"), tick, remaining);
         self.series
             .record(&format!("{job}.cache_hit_rate"), tick, s.cache_hit_rate);
-
-        if let Some(limit) = self.slo.epoch_p99_us {
-            let p99 = tenant.histogram("serve.epoch_us").snapshot().p99;
-            if p99 > limit {
-                self.flag_breach(s.tenant, "epoch_us", p99, &tenant);
-            }
-        }
     }
 
     /// Record how long a job waited between submission and its first
-    /// active slot, then run the admission-wait SLO check.
-    pub fn record_admission_wait(&self, tenant_name: &str, wait_us: u64) {
-        let tenant = self.scoped.scope(&[("tenant", tenant_name)]);
-        tenant.histogram("serve.admission_wait_us").record(wait_us);
-        if let Some(limit) = self.slo.admission_wait_p99_us {
-            let p99 = tenant.histogram("serve.admission_wait_us").snapshot().p99;
-            if p99 > limit {
-                self.flag_breach(tenant_name, "admission_wait_us", p99, &tenant);
-            }
-        }
-    }
-
-    /// Count the breach in the tenant's scope and surface it on the
-    /// telemetry event stream (no-op while telemetry is disabled).
-    fn flag_breach(
-        &self,
-        tenant_name: &str,
-        axis: &str,
-        observed_p99: u64,
-        scope: &telemetry::Scope,
-    ) {
-        scope.counter(&format!("serve.slo.{axis}_breaches")).inc();
-        if telemetry::enabled() {
-            telemetry::emit(&Event::Count(CountEvent {
-                name: format!("serve.slo_breach.{axis}.{tenant_name}"),
-                value: observed_p99,
-            }));
-        }
+    /// active slot.
+    pub(crate) fn record_admission_wait(&self, tenant_name: &str, wait_us: u64) {
+        self.scoped
+            .scope(&[("tenant", tenant_name)])
+            .histogram("serve.admission_wait_us")
+            .record(wait_us);
     }
 }
 
@@ -203,7 +149,7 @@ mod tests {
 
     #[test]
     fn slices_accumulate_per_tenant_and_per_job() {
-        let m = ServerMetrics::new(SloConfig::default());
+        let m = ServerMetrics::default();
         let r1 = report(1, 2, 0.5, 0.6);
         let r2 = report(2, 4, 1.0, 0.7);
         m.record_slice(&sample("a", &r1, 100));
@@ -224,33 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn slo_breach_counts_in_the_tenant_scope() {
-        let m = ServerMetrics::new(SloConfig {
-            epoch_p99_us: Some(10),
-            admission_wait_p99_us: Some(10),
-        });
-        let r = report(1, 1, 0.1, 0.6);
-        m.record_slice(&sample("a", &r, 5)); // under the objective
-        let snap = m.snapshot();
-        assert_eq!(
-            snap.get(&[("tenant", "a")])
-                .unwrap()
-                .counter("serve.slo.epoch_us_breaches"),
-            0
-        );
-
-        let r2 = report(2, 2, 0.2, 0.6);
-        m.record_slice(&sample("a", &r2, 1_000_000)); // way over
-        m.record_admission_wait("a", 1_000_000);
-        let snap = m.snapshot();
-        let a = snap.get(&[("tenant", "a")]).unwrap();
-        assert_eq!(a.counter("serve.slo.epoch_us_breaches"), 1);
-        assert_eq!(a.counter("serve.slo.admission_wait_us_breaches"), 1);
-    }
-
-    #[test]
     fn prometheus_page_carries_tenant_labels() {
-        let m = ServerMetrics::new(SloConfig::default());
+        let m = ServerMetrics::default();
         let r = report(1, 2, 0.5, 0.6);
         m.record_slice(&sample("retail", &r, 100));
         let text = m.snapshot().to_prometheus();

@@ -48,9 +48,10 @@ pub(crate) struct JobCheckpoint {
 const CHECKPOINT_VERSION: u32 = 2;
 
 impl JobCheckpoint {
-    /// Decode a checkpoint file's text; the error names what is wrong
-    /// with it.
-    pub(crate) fn parse(text: &str) -> std::result::Result<JobCheckpoint, String> {
+    /// Decode a checkpoint file's bytes; the error names what is wrong
+    /// with them.
+    pub(crate) fn parse(bytes: &[u8]) -> std::result::Result<JobCheckpoint, String> {
+        let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
         let cp: JobCheckpoint = serde_json::from_str(text).map_err(|e| e.to_string())?;
         if cp.version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {}", cp.version));

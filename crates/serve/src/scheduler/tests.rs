@@ -231,7 +231,7 @@ fn a_never_sliced_job_checkpoints_its_frame_and_resumes_bit_identical() {
     let (id, _rx) = submit(&mut s, fast_engine(), Budget::unlimited(), t0).unwrap();
     let mut cps = s.checkpoints().unwrap();
     assert_eq!(cps.len(), 2);
-    let cp = JobCheckpoint::parse(&to_json(&cps.remove(1))).unwrap();
+    let cp = JobCheckpoint::parse(to_json(&cps.remove(1)).as_bytes()).unwrap();
     assert_eq!(cp.id, id.0);
     assert!(
         cp.state.is_none() && cp.frame.is_some(),
@@ -289,7 +289,7 @@ fn a_resumed_stream_continues_where_the_checkpoint_left_off() {
     let mut resumed = Scheduler::new(4, 64);
     let rx = restore(
         &mut resumed,
-        JobCheckpoint::parse(&to_json(&cp)).unwrap(),
+        JobCheckpoint::parse(to_json(&cp).as_bytes()).unwrap(),
         feed(),
         t0,
     );
@@ -351,7 +351,7 @@ fn a_checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
         }
         other => panic!("policies is not an array: {other:?}"),
     }
-    match JobCheckpoint::parse(&serde_json::to_string(&doc).unwrap()) {
+    match JobCheckpoint::parse(serde_json::to_string(&doc).unwrap().as_bytes()) {
         Err(msg) => assert!(msg.contains("policies"), "{msg}"),
         Ok(_) => panic!("a truncated checkpoint must not decode"),
     }
@@ -366,7 +366,7 @@ fn edited_checkpoint(edits: &[(&str, &str)]) -> std::result::Result<JobCheckpoin
         assert!(text.contains(from), "the checkpoint carries {from}");
         text = text.replace(from, to);
     }
-    JobCheckpoint::parse(&text)
+    JobCheckpoint::parse(text.as_bytes())
 }
 
 #[test]
@@ -404,5 +404,38 @@ fn a_checkpoint_naming_the_deleted_split_finder_is_corrupt_not_a_silent_switch()
     match edited_checkpoint(&[(r#""split":"Histogram""#, r#""split":"Exact""#)]) {
         Err(msg) => assert!(msg.contains("unknown variant `Exact`"), "{msg}"),
         Ok(_) => panic!("a checkpoint naming a deleted split finder must not decode"),
+    }
+}
+
+/// A checkpoint of each shape: never sliced (frame only) and started
+/// (search state, policies, replay buffer).
+fn checkpoint_texts() -> &'static [Vec<u8>] {
+    static TEXTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let t0 = Instant::now();
+        let mut s = Scheduler::new(1, 64);
+        submit(&mut s, long_engine(), Budget::unlimited(), t0).unwrap();
+        submit(&mut s, fast_engine(), Budget::unlimited(), t0).unwrap();
+        turn(&mut s, t0);
+        let cps = s.checkpoints().unwrap();
+        assert!(cps.iter().any(|cp| cp.state.is_some()));
+        assert!(cps.iter().any(|cp| cp.frame.is_some()));
+        cps.iter().map(|cp| to_json(cp).into_bytes()).collect()
+    })
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn mutated_checkpoints_decode_or_fail_typed(
+        which in 0usize..2,
+        kind in 0u8..6,
+        at in 0usize..1_000_000,
+        word in 0u64..u64::MAX,
+    ) {
+        let bytes = crate::mutate::mutate(&checkpoint_texts()[which], kind, at, word);
+        // A panic fails the case; a checkpoint or an error message passes.
+        let _ = JobCheckpoint::parse(&bytes);
     }
 }

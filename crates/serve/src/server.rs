@@ -29,7 +29,7 @@
 use crate::budget::Budget;
 use crate::error::{Result, ServeError};
 use crate::job::{progress_event, JobEvent, JobId, JobOutcome, JobStatus};
-use crate::metrics::{ServerMetrics, SliceSample, SloConfig};
+use crate::metrics::{ServerMetrics, SliceSample};
 use crate::scheduler::{Feed, Job, JobCheckpoint, JobRow, Scheduler, Slice, SliceEnd};
 use crate::status::{StatusServer, StatusSource};
 use eafe::{Engine, EpochReport, SearchState};
@@ -66,9 +66,6 @@ pub struct ServerConfig {
     /// (`/metrics` + `/status`), e.g. `"127.0.0.1:0"`. `None` (the
     /// default) starts no listener — introspection is strictly opt-in.
     pub status_addr: Option<String>,
-    /// Per-tenant latency objectives; breaches are counted in the
-    /// tenant's metric scope and emitted as telemetry events.
-    pub slo: SloConfig,
 }
 
 impl Default for ServerConfig {
@@ -80,7 +77,6 @@ impl Default for ServerConfig {
             checkpoint_dir: None,
             feed_dir: None,
             status_addr: None,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -110,7 +106,7 @@ impl Shared {
 }
 
 /// A long-lived, multi-tenant feature-engineering service over the
-/// E-AFE engine. See the [module docs](self) for the architecture.
+/// E-AFE engine. See the [crate docs](crate) for the architecture.
 pub struct JobServer {
     shared: Arc<Shared>,
     cache: Arc<ScoreCache<f64>>,
@@ -144,8 +140,8 @@ impl JobServer {
             scheduler: Mutex::new(Scheduler::new(config.max_active, config.max_queued)),
             work: Condvar::new(),
         });
-        let cache = Arc::new(ScoreCache::new(runtime::evaluator::DEFAULT_CACHE_CAPACITY));
-        let metrics = Arc::new(ServerMetrics::new(config.slo));
+        let cache = Arc::new(ScoreCache::new(runtime::DEFAULT_CACHE_CAPACITY));
+        let metrics = Arc::new(ServerMetrics::default());
         let driver = {
             let shared = Arc::clone(&shared);
             let checkpoint_dir = config.checkpoint_dir.clone();
@@ -193,8 +189,7 @@ impl JobServer {
                 if path.extension().and_then(|e| e.to_str()) != Some("json") {
                     continue;
                 }
-                let text = std::fs::read_to_string(&path)?;
-                let cp = JobCheckpoint::parse(&text)
+                let cp = JobCheckpoint::parse(&std::fs::read(&path)?)
                     .map_err(|e| ServeError::Corrupt(format!("{}: {e}", path.display())))?;
                 checkpoints.push(cp);
             }

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 /// What the status pages render. Implemented by the job server; kept as
 /// a trait so the HTTP plumbing is testable with a stub.
-pub trait StatusSource: Send + Sync + 'static {
+pub(crate) trait StatusSource: Send + Sync + 'static {
     /// The `/status` page body (a JSON document).
     fn status_json(&self) -> String;
     /// The `/metrics` page body (Prometheus text exposition format).
@@ -37,7 +37,7 @@ pub trait StatusSource: Send + Sync + 'static {
 }
 
 /// A background thread serving `/metrics` and `/status` over TCP.
-pub struct StatusServer {
+pub(crate) struct StatusServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -55,7 +55,10 @@ impl StatusServer {
     /// Bind `addr` (e.g. `127.0.0.1:9100`, or port `0` for an
     /// OS-assigned port — read it back via [`StatusServer::addr`]) and
     /// serve `source` until [`StatusServer::stop`] or drop.
-    pub fn start(addr: &str, source: Arc<dyn StatusSource>) -> std::io::Result<StatusServer> {
+    pub(crate) fn start(
+        addr: &str,
+        source: Arc<dyn StatusSource>,
+    ) -> std::io::Result<StatusServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -73,12 +76,12 @@ impl StatusServer {
     }
 
     /// The actually bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stop serving and join the thread. Idempotent.
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -109,8 +112,8 @@ fn serve_loop(listener: TcpListener, source: Arc<dyn StatusSource>, stop: Arc<At
     }
 }
 
-/// Read up to the end of the request head and return the request line.
-fn request_line(stream: &mut TcpStream) -> std::io::Result<String> {
+/// Read up to the end of the request head (at most ~8 KiB).
+fn request_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 256];
     loop {
@@ -123,34 +126,44 @@ fn request_line(stream: &mut TcpStream) -> std::io::Result<String> {
             break;
         }
     }
-    let head = String::from_utf8_lossy(&buf);
-    Ok(head.lines().next().unwrap_or("").to_string())
+    Ok(buf)
 }
 
-fn handle(mut stream: TcpStream, source: &dyn StatusSource) -> std::io::Result<()> {
-    let line = request_line(&mut stream)?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    // Strip any query string: `/metrics?x=y` still serves /metrics.
-    let path = parts.next().unwrap_or("").split('?').next().unwrap_or("");
-
-    let (status, content_type, body) = if method != "GET" {
-        (
+/// Status line, content type and body answering a request head. A
+/// request line that is not UTF-8 or lacks a method and a target is a
+/// 400; only `GET` is allowed.
+fn respond(head: &[u8], source: &dyn StatusSource) -> (&'static str, &'static str, String) {
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let mut parts = std::str::from_utf8(line).unwrap_or("").split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return (
+            "400 Bad Request",
+            "text/plain",
+            "malformed request line\n".to_string(),
+        );
+    };
+    if method != "GET" {
+        return (
             "405 Method Not Allowed",
             "text/plain",
             "method not allowed\n".to_string(),
-        )
-    } else {
-        match path {
-            "/metrics" => ("200 OK", "text/plain; version=0.0.4", source.metrics_text()),
-            "/status" => ("200 OK", "application/json", source.status_json()),
-            _ => (
-                "404 Not Found",
-                "text/plain",
-                "not found; try /metrics or /status\n".to_string(),
-            ),
-        }
-    };
+        );
+    }
+    // Strip any query string: `/metrics?x=y` still serves /metrics.
+    match target.split('?').next().unwrap_or("") {
+        "/metrics" => ("200 OK", "text/plain; version=0.0.4", source.metrics_text()),
+        "/status" => ("200 OK", "application/json", source.status_json()),
+        _ => (
+            "404 Not Found",
+            "text/plain",
+            "not found; try /metrics or /status\n".to_string(),
+        ),
+    }
+}
+
+fn handle(mut stream: TcpStream, source: &dyn StatusSource) -> std::io::Result<()> {
+    let head = request_head(&mut stream)?;
+    let (status, content_type, body) = respond(&head, source);
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -184,6 +197,8 @@ pub fn scrape(addr: SocketAddr, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutate::mutate;
+    use proptest::prelude::*;
 
     struct Stub;
     impl StatusSource for Stub {
@@ -215,6 +230,47 @@ mod tests {
             scrape(addr, "/status").is_err(),
             "stopped server refuses scrapes"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn hostile_request_heads_get_a_status_not_a_panic(
+            kind in 0u8..6,
+            at in 0usize..1_000,
+            word in 0u64..u64::MAX,
+        ) {
+            let head = mutate(b"GET /metrics?x=1 HTTP/1.1\r\nHost: status\r\n\r\n", kind, at, word);
+            let (status, _, _) = respond(&head, &Stub);
+            prop_assert!(
+                ["200 OK", "400 Bad Request", "404 Not Found", "405 Method Not Allowed"]
+                    .contains(&status),
+                "{status}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_request_lines_are_400s_and_the_thread_survives() {
+        let server = StatusServer::start("127.0.0.1:0", Arc::new(Stub)).unwrap();
+        for head in [
+            &b"\xff\xfe /status HTTP/1.1\r\n\r\n"[..],
+            b"GET\r\n\r\n",
+            b"",
+            b" \r\n\r\n",
+        ] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(head).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 400 Bad Request"),
+                "{response}"
+            );
+        }
+        assert_eq!(scrape(server.addr(), "/status").unwrap(), "{\"ok\":true}");
     }
 
     #[test]

@@ -4,12 +4,12 @@
 
 /// Standard normal CDF Φ(x), via the complementary error function
 /// (Abramowitz & Stegun 7.1.26 polynomial, |error| < 1.5e-7).
-pub fn normal_cdf(x: f64) -> f64 {
+pub(crate) fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
 /// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     // Numerical Recipes' erfc approximation (|error| < 1.2e-7 everywhere).
@@ -31,7 +31,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Natural log of the gamma function (Lanczos approximation).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 6] = [
         76.18009172947146,
         -86.50532032941677,
@@ -53,7 +53,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Regularised incomplete beta function `I_x(a, b)` via continued fraction
 /// (Numerical Recipes `betai`).
-pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -118,7 +118,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Student's t CDF with `df` degrees of freedom.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
+pub(crate) fn t_cdf(t: f64, df: f64) -> f64 {
     if df <= 0.0 {
         return f64::NAN;
     }
@@ -132,7 +132,7 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 }
 
 /// Two-sided p-value for a t statistic.
-pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
+pub(crate) fn t_two_sided_p(t: f64, df: f64) -> f64 {
     2.0 * (1.0 - t_cdf(t.abs(), df))
 }
 

@@ -27,7 +27,7 @@ impl fmt::Display for StatsError {
 impl std::error::Error for StatsError {}
 
 /// Result alias.
-pub type Result<T> = std::result::Result<T, StatsError>;
+pub(crate) type Result<T> = std::result::Result<T, StatsError>;
 
 /// Outcome of a hypothesis test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Unbiased sample variance (n − 1 denominator).
-pub fn sample_variance(xs: &[f64]) -> f64 {
+pub(crate) fn sample_variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -92,31 +92,6 @@ pub fn paired_t_test(a: &[f64], b: &[f64]) -> Result<TestResult> {
         statistic: t,
         df: n - 1.0,
         p_value: t_two_sided_p(t, n - 1.0),
-    })
-}
-
-/// Welch's two-sided t-test for independent samples with unequal variances.
-pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TestResult> {
-    if a.len() < 2 || b.len() < 2 {
-        return Err(StatsError::BadInput(
-            "need at least 2 observations per sample".into(),
-        ));
-    }
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (va, vb) = (sample_variance(a), sample_variance(b));
-    let se2 = va / na + vb / nb;
-    if se2 <= 0.0 {
-        return Err(StatsError::Degenerate(
-            "zero variance in both samples".into(),
-        ));
-    }
-    let t = (mean(a) - mean(b)) / se2.sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2 / ((va / na) * (va / na) / (na - 1.0) + (vb / nb) * (vb / nb) / (nb - 1.0));
-    Ok(TestResult {
-        statistic: t,
-        df,
-        p_value: t_two_sided_p(t, df),
     })
 }
 
@@ -228,23 +203,6 @@ mod tests {
         assert!(paired_t_test(&[1.0, 2.0], &[1.0]).is_err());
         // Identical non-zero differences → degenerate.
         assert!(paired_t_test(&[2.0, 3.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn welch_detects_mean_difference() {
-        let a = [5.1, 5.3, 4.9, 5.2, 5.0, 5.1, 4.8, 5.2];
-        let b = [3.0, 3.2, 2.9, 3.1, 3.0, 2.8, 3.3, 3.1];
-        let r = welch_t_test(&a, &b).unwrap();
-        assert!(r.p_value < 1e-6, "p = {}", r.p_value);
-        assert!(r.df > 5.0 && r.df < 15.0);
-    }
-
-    #[test]
-    fn welch_similar_samples_insignificant() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [1.5, 2.5, 2.0, 4.5, 4.0];
-        let r = welch_t_test(&a, &b).unwrap();
-        assert!(r.p_value > 0.3, "p = {}", r.p_value);
     }
 
     #[test]

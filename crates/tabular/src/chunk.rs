@@ -27,10 +27,10 @@ use crate::budget::{FrameBudget, FrameStats, GLOBAL};
 use crate::column::Column;
 use crate::error::{Result, TabularError};
 use crate::frame::{DataFrame, Label, Task};
-use crate::store::{ChunkTicket, ColumnStore, InMemoryStore};
+use crate::store::{ChunkTicket, ColumnStore};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default rows per chunk (64Ki).
@@ -39,7 +39,7 @@ pub const DEFAULT_CHUNK_ROWS: usize = 65_536;
 /// Maximum distinct values a chunk may have and still be dictionary-coded.
 /// Above this the dictionary + u16 codes approach raw `f64` size, so the
 /// chunk falls back to [`ChunkEncoding::F64`].
-pub const DICT_MAX_DISTINCT: usize = 4096;
+pub(crate) const DICT_MAX_DISTINCT: usize = 4096;
 
 fn us_since(start: Instant) -> u64 {
     start.elapsed().as_micros() as u64
@@ -59,7 +59,7 @@ pub enum ChunkEncoding {
         /// Per-row indices into `dict`.
         codes: Vec<u8>,
     },
-    /// ≤ [`DICT_MAX_DISTINCT`] distinct values: dictionary + `u16` codes.
+    /// ≤ `DICT_MAX_DISTINCT` (4 096) distinct values: dictionary + `u16` codes.
     Dict16 {
         /// Distinct values, sorted by `f64::total_cmp`.
         dict: Vec<f64>,
@@ -91,9 +91,10 @@ impl ChunkEncoding {
         }
         let mut dict: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
         dict.sort_by(|a, b| a.total_cmp(b));
-        let code_of = |v: f64| {
-            dict.binary_search_by(|p| p.total_cmp(&v))
-                .expect("value present in its own dictionary")
+        // Every value is in the dictionary built from them, so the search
+        // never misses.
+        let code_of = |v: f64| match dict.binary_search_by(|p| p.total_cmp(&v)) {
+            Ok(code) | Err(code) => code,
         };
         if dict.len() <= u8::MAX as usize + 1 {
             let codes = values.iter().map(|&v| code_of(v) as u8).collect();
@@ -224,33 +225,26 @@ impl ChunkEncoding {
     /// Deserialize a payload produced by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<ChunkEncoding> {
         let bad = |msg: &str| TabularError::Io(format!("corrupt chunk payload: {msg}"));
-        if bytes.len() < 5 {
+        let [tag, a, b, c, d, ..] = *bytes else {
             return Err(bad("truncated header"));
-        }
-        let tag = bytes[0];
-        let n_rows = u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize;
+        };
+        let n_rows = u32::from_le_bytes([a, b, c, d]) as usize;
         let read_f64s = |at: usize, n: usize| -> Result<Vec<f64>> {
             let end = at + n * 8;
             if end > bytes.len() {
                 return Err(bad("truncated f64 block"));
             }
-            Ok((0..n)
-                .map(|i| {
-                    f64::from_le_bytes(
-                        bytes[at + i * 8..at + i * 8 + 8]
-                            .try_into()
-                            .expect("8 bytes"),
-                    )
-                })
+            Ok(bytes[at..end]
+                .chunks_exact(8)
+                .map(|w| f64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]))
                 .collect())
         };
         match tag {
             0 | 1 => {
-                if bytes.len() < 9 {
+                let [_, _, _, _, _, a, b, c, d, ..] = *bytes else {
                     return Err(bad("truncated dict header"));
-                }
-                let dict_len =
-                    u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes")) as usize;
+                };
+                let dict_len = u32::from_le_bytes([a, b, c, d]) as usize;
                 let dict = read_f64s(9, dict_len)?;
                 let at = 9 + dict_len * 8;
                 if tag == 0 {
@@ -266,14 +260,9 @@ impl ChunkEncoding {
                     if at + n_rows * 2 > bytes.len() {
                         return Err(bad("truncated u16 codes"));
                     }
-                    let codes: Vec<u16> = (0..n_rows)
-                        .map(|i| {
-                            u16::from_le_bytes(
-                                bytes[at + i * 2..at + i * 2 + 2]
-                                    .try_into()
-                                    .expect("2 bytes"),
-                            )
-                        })
+                    let codes: Vec<u16> = bytes[at..at + n_rows * 2]
+                        .chunks_exact(2)
+                        .map(|w| u16::from_le_bytes([w[0], w[1]]))
                         .collect();
                     if codes.iter().any(|&c| c as usize >= dict_len) {
                         return Err(bad("code out of dictionary range"));
@@ -379,6 +368,14 @@ impl CoreState {
 }
 
 impl FrameCore {
+    /// The frame's state. A poisoned lock is recovered: a slot gains its
+    /// spill ticket before it drops its encoding and its encoding before
+    /// it is touched, so a thread that panicked while holding the lock
+    /// left every chunk readable (at worst a residency counter is stale).
+    fn state(&self) -> MutexGuard<'_, CoreState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Spill + evict LRU resident chunks (never `keep`) until under budget.
     fn enforce_budget(&self, state: &mut CoreState, keep: usize) -> Result<()> {
         while state.resident_bytes > self.budget.resident_bytes {
@@ -386,12 +383,12 @@ impl FrameCore {
                 .slots
                 .iter()
                 .enumerate()
-                .filter(|(i, s)| *i != keep && s.enc.is_some())
-                .min_by_key(|(_, s)| s.touched)
-                .map(|(i, _)| i);
-            let Some(i) = lru else { break };
+                .filter(|(i, _)| *i != keep)
+                .filter_map(|(i, s)| Some((i, s.touched, s.enc.as_ref()?)))
+                .min_by_key(|(_, touched, _)| *touched);
+            let Some((i, _, enc)) = lru else { break };
             if state.slots[i].ticket.is_none() {
-                let enc = state.slots[i].enc.as_ref().expect("resident").clone();
+                let enc = Arc::clone(enc);
                 let start = Instant::now();
                 let ticket = self.store.append(&enc.to_bytes())?;
                 telemetry::record("frame.spill_us", us_since(start));
@@ -414,7 +411,7 @@ impl FrameCore {
 
     fn insert(&self, enc: ChunkEncoding) -> Result<usize> {
         let bytes = enc.heap_bytes();
-        let mut state = self.state.lock().expect("frame lock");
+        let mut state = self.state();
         let id = state.slots.len();
         state.clock += 1;
         let touched = state.clock;
@@ -435,7 +432,7 @@ impl FrameCore {
     }
 
     fn get(&self, id: usize) -> Result<Arc<ChunkEncoding>> {
-        let mut state = self.state.lock().expect("frame lock");
+        let mut state = self.state();
         state.clock += 1;
         let clock = state.clock;
         if let Some(enc) = &state.slots[id].enc {
@@ -443,9 +440,11 @@ impl FrameCore {
             state.slots[id].touched = clock;
             return Ok(enc);
         }
-        let ticket = state.slots[id]
-            .ticket
-            .expect("evicted chunk must have been spilled");
+        let Some(ticket) = state.slots[id].ticket else {
+            return Err(TabularError::Io(format!(
+                "chunk {id} is neither resident nor spilled"
+            )));
+        };
         let mut buf = Vec::new();
         self.store.read_into(&ticket, &mut buf)?;
         let enc = Arc::new(ChunkEncoding::from_bytes(&buf)?);
@@ -467,7 +466,7 @@ impl FrameCore {
 
     fn replace(&self, id: usize, enc: ChunkEncoding) -> Result<()> {
         let bytes = enc.heap_bytes();
-        let mut state = self.state.lock().expect("frame lock");
+        let mut state = self.state();
         let was_resident = state.slots[id].enc.is_some();
         let old_bytes = state.slots[id].bytes as u64;
         if was_resident {
@@ -535,7 +534,7 @@ impl ChunkedFrame {
     /// compute labels after the feature sweep). The placeholder label is
     /// empty; call [`set_label`](Self::set_label) before handing the frame
     /// to consumers.
-    pub fn new_streaming(
+    pub(crate) fn new_streaming(
         name: impl Into<String>,
         n_rows: usize,
         opts: ChunkOptions,
@@ -548,7 +547,7 @@ impl ChunkedFrame {
 
     /// Install the label of a frame built via
     /// [`new_streaming`](Self::new_streaming); must match the row count.
-    pub fn set_label(&mut self, label: Label) -> Result<()> {
+    pub(crate) fn set_label(&mut self, label: Label) -> Result<()> {
         if label.len() != self.n_rows {
             return Err(TabularError::LengthMismatch {
                 what: "chunked frame label".into(),
@@ -562,18 +561,13 @@ impl ChunkedFrame {
 
     /// Register a new (empty) column for chunk-at-a-time appends via
     /// [`append_chunk`](Self::append_chunk); returns its index.
-    pub fn begin_column(&mut self, name: impl Into<String>) -> usize {
+    pub(crate) fn begin_column(&mut self, name: impl Into<String>) -> usize {
         self.columns.push(ChunkedColumn {
             name: name.into(),
             slots: Vec::new(),
             n_rows: 0,
         });
         self.columns.len() - 1
-    }
-
-    /// An empty frame backed by an [`InMemoryStore`].
-    pub fn new_in_memory(name: impl Into<String>, label: Label, opts: ChunkOptions) -> Self {
-        ChunkedFrame::new(name, label, opts, Box::new(InMemoryStore::new()))
     }
 
     /// Chunk-encode an in-RAM frame. Round-tripping through
@@ -640,7 +634,7 @@ impl ChunkedFrame {
 
     /// Append a new column from a full value slice, encoding chunk by
     /// chunk. Returns the new column index.
-    pub fn push_column_values(&mut self, name: &str, values: &[f64]) -> Result<usize> {
+    pub(crate) fn push_column_values(&mut self, name: &str, values: &[f64]) -> Result<usize> {
         if values.len() != self.n_rows() {
             return Err(TabularError::LengthMismatch {
                 what: format!("new chunked column `{name}`"),
@@ -682,7 +676,7 @@ impl ChunkedFrame {
     /// Append one encoded chunk to a (possibly still partial) column.
     /// Streaming producers (the synthetic generator, chunk pipelines) call
     /// this in chunk-index order.
-    pub fn append_chunk(&mut self, col: usize, enc: ChunkEncoding) -> Result<()> {
+    pub(crate) fn append_chunk(&mut self, col: usize, enc: ChunkEncoding) -> Result<()> {
         let n_rows = self.n_rows();
         let chunk_rows = self.chunk_rows;
         let column = self
@@ -726,13 +720,18 @@ impl ChunkedFrame {
     /// Decode chunk `k` of column `col` into `out` (cleared first); returns
     /// the chunk's row count. This is the metered decode path
     /// (`frame.chunk_decode_us`).
-    pub fn decode_chunk_into(&self, col: usize, k: usize, out: &mut Vec<f64>) -> Result<usize> {
+    pub(crate) fn decode_chunk_into(
+        &self,
+        col: usize,
+        k: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<usize> {
         let enc = self.chunk(col, k)?;
         let start = Instant::now();
         enc.decode_into(out);
         telemetry::record("frame.chunk_decode_us", us_since(start));
         {
-            let mut state = self.core.state.lock().expect("frame lock");
+            let mut state = self.core.state();
             state.decoded += 1;
         }
         GLOBAL.decoded.fetch_add(1, Ordering::Relaxed);
@@ -859,7 +858,7 @@ impl ChunkedFrame {
 
     /// Residency/traffic statistics for this frame.
     pub fn stats(&self) -> FrameStats {
-        let state = self.core.state.lock().expect("frame lock");
+        let state = self.core.state();
         FrameStats {
             chunks_resident: state.resident_count(),
             resident_bytes: state.resident_bytes,
@@ -868,6 +867,17 @@ impl ChunkedFrame {
             chunks_loaded: state.loaded,
             chunks_decoded: state.decoded,
         }
+    }
+}
+
+#[cfg(test)]
+use crate::store::InMemoryStore;
+
+#[cfg(test)]
+impl ChunkedFrame {
+    /// An empty frame backed by an in-memory store.
+    pub(crate) fn new_in_memory(name: impl Into<String>, label: Label, opts: ChunkOptions) -> Self {
+        ChunkedFrame::new(name, label, opts, Box::new(InMemoryStore::new()))
     }
 }
 

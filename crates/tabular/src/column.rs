@@ -111,9 +111,20 @@ impl Column {
         fixed
     }
 
+    /// Gather a sub-column at the given row indices.
+    pub fn take(&self, indices: &[usize]) -> Column {
+        Column {
+            name: self.name.clone(),
+            values: indices.iter().map(|&i| self.values[i]).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Column {
     /// Pearson correlation with another column of equal length.
     /// Returns 0.0 when either column is constant.
-    pub fn correlation(&self, other: &Column) -> f64 {
+    pub(crate) fn correlation(&self, other: &Column) -> f64 {
         debug_assert_eq!(self.len(), other.len());
         let n = self.len();
         if n < 2 {
@@ -132,14 +143,6 @@ impl Column {
             return 0.0;
         }
         cov / (va.sqrt() * vb.sqrt())
-    }
-
-    /// Gather a sub-column at the given row indices.
-    pub fn take(&self, indices: &[usize]) -> Column {
-        Column {
-            name: self.name.clone(),
-            values: indices.iter().map(|&i| self.values[i]).collect(),
-        }
     }
 }
 

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Reserved header name for the label column.
-pub const LABEL_COLUMN: &str = "__label__";
+pub(crate) const LABEL_COLUMN: &str = "__label__";
 
 /// Write a frame as CSV to any writer. Every value is written in the
 /// shortest digits that parse back to the same bits (`{:e}`), each row

@@ -4,38 +4,42 @@
 //!
 //! - [`DataFrame`] / [`Column`] / [`Label`] — the dataset representation
 //!   `D⟨F, y⟩` from the paper's problem formulation;
-//! - [`chunk`] / [`store`] / [`budget`] — the out-of-core layer: compressed
+//! - `chunk` / `store` / `budget` — the out-of-core layer: compressed
 //!   chunked columns ([`ChunkedFrame`]), pluggable chunk persistence
 //!   ([`ColumnStore`] with in-memory and file-backed `.eafc` backends), and
 //!   resident-bytes budgeting with LRU spill/evict ([`FrameBudget`]);
-//! - [`split`] — train/test and (stratified) k-fold index generation;
-//! - [`sample`] — uniform and stratified subsampling;
+//! - `split` — train/test and (stratified) k-fold index generation;
+//! - `sample` — uniform and stratified subsampling;
 //! - [`csv`] — simple persistence;
-//! - [`synth`] / [`registry`] — deterministic synthetic stand-ins for the
+//! - `synth` / `registry` — deterministic synthetic stand-ins for the
 //!   paper's 36 target datasets and the public pre-training corpus, with
 //!   planted operator compositions so feature engineering has real signal
 //!   to discover (see DESIGN.md §2).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod budget;
-pub mod chunk;
-pub mod column;
+mod budget;
+mod chunk;
+mod column;
 pub mod csv;
-pub mod error;
-pub mod frame;
-pub mod registry;
-pub mod sample;
-pub mod split;
-pub mod store;
-pub mod synth;
+mod error;
+mod frame;
+mod registry;
+mod sample;
+mod split;
+mod store;
+mod synth;
 
 pub use budget::{global_frame_stats, FrameBudget, FrameStats};
 pub use chunk::{ChunkEncoding, ChunkOptions, ChunkedColumn, ChunkedFrame, DEFAULT_CHUNK_ROWS};
 pub use column::Column;
 pub use error::{Result, TabularError};
 pub use frame::{DataFrame, Label, Task};
-pub use registry::{find_dataset, DatasetInfo, TARGET_DATASETS};
-pub use split::Split;
+pub use registry::{
+    find_dataset, motivation_datasets, public_corpus, DatasetInfo, TARGET_DATASETS,
+};
+pub use sample::stratified_subsample;
+pub use split::{cv_indices, train_test_indices, Split};
 pub use store::{ChunkTicket, ColumnStore, InMemoryStore, MmapStore};
 pub use synth::SynthSpec;

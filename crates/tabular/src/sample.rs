@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 /// Uniformly subsample `fraction` of the rows without replacement.
 /// At least one row is always kept.
-pub fn subsample_fraction(frame: &DataFrame, fraction: f64, seed: u64) -> Result<DataFrame> {
+pub(crate) fn subsample_fraction(frame: &DataFrame, fraction: f64, seed: u64) -> Result<DataFrame> {
     if !(0.0..=1.0).contains(&fraction) || fraction == 0.0 {
         return Err(TabularError::InvalidParam(format!(
             "fraction must be in (0,1], got {fraction}"

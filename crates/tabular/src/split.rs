@@ -42,7 +42,7 @@ pub fn train_test_indices(n_rows: usize, test_fraction: f64, seed: u64) -> Resul
 
 /// Plain k-fold partition of `n_rows` rows into `k` folds after a seeded
 /// shuffle. Every row appears in exactly one test fold.
-pub fn kfold_indices(n_rows: usize, k: usize, seed: u64) -> Result<Vec<Split>> {
+pub(crate) fn kfold_indices(n_rows: usize, k: usize, seed: u64) -> Result<Vec<Split>> {
     if k < 2 {
         return Err(TabularError::InvalidParam(format!(
             "k-fold requires k >= 2, got {k}"
@@ -64,7 +64,7 @@ pub fn kfold_indices(n_rows: usize, k: usize, seed: u64) -> Result<Vec<Split>> {
 
 /// Stratified k-fold for classification: each fold approximately preserves
 /// the class distribution. Falls back to an error for regression labels.
-pub fn stratified_kfold_indices(label: &Label, k: usize, seed: u64) -> Result<Vec<Split>> {
+pub(crate) fn stratified_kfold_indices(label: &Label, k: usize, seed: u64) -> Result<Vec<Split>> {
     let y = match label {
         Label::Class { y, .. } => y,
         Label::Reg(_) => {

@@ -25,10 +25,10 @@ use crate::error::{Result, TabularError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// FNV-1a over a byte slice; the checksum used for chunk records.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -85,9 +85,11 @@ impl InMemoryStore {
     }
 }
 
+// A poisoned arena lock is recovered: the arena only grows by whole
+// appends, and a ticket is issued after its bytes are in place.
 impl ColumnStore for InMemoryStore {
     fn append(&self, payload: &[u8]) -> Result<ChunkTicket> {
-        let mut arena = self.arena.lock().expect("store lock");
+        let mut arena = self.arena.lock().unwrap_or_else(PoisonError::into_inner);
         let offset = arena.len() as u64;
         arena.extend_from_slice(payload);
         Ok(ChunkTicket {
@@ -98,7 +100,7 @@ impl ColumnStore for InMemoryStore {
     }
 
     fn read_into(&self, ticket: &ChunkTicket, out: &mut Vec<u8>) -> Result<()> {
-        let arena = self.arena.lock().expect("store lock");
+        let arena = self.arena.lock().unwrap_or_else(PoisonError::into_inner);
         let start = ticket.offset as usize;
         let end = start + ticket.len as usize;
         if end > arena.len() {
@@ -122,9 +124,9 @@ impl ColumnStore for InMemoryStore {
 // ---------------------------------------------------------------------------
 
 /// Magic bytes opening every `.eafc` file.
-pub const EAFC_MAGIC: [u8; 4] = *b"EAFC";
+pub(crate) const EAFC_MAGIC: [u8; 4] = *b"EAFC";
 /// Current `.eafc` format version.
-pub const EAFC_VERSION: u32 = 1;
+pub(crate) const EAFC_VERSION: u32 = 1;
 const HEADER_LEN: u64 = 16;
 
 #[derive(Debug)]
@@ -172,9 +174,12 @@ impl MmapStore {
     }
 }
 
+// A poisoned file lock is recovered: every read and write seeks first,
+// and `tail` moves only after its bytes are written, so an interrupted
+// append is overwritten by the next one and no ticket points into it.
 impl ColumnStore for MmapStore {
     fn append(&self, payload: &[u8]) -> Result<ChunkTicket> {
-        let mut state = self.state.lock().expect("store lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let offset = state.tail;
         // Reads move the shared cursor, so every write seeks first.
         state.file.seek(SeekFrom::Start(offset))?;
@@ -191,7 +196,7 @@ impl ColumnStore for MmapStore {
         out.clear();
         out.resize(ticket.len as usize, 0);
         {
-            let mut state = self.state.lock().expect("store lock");
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.file.seek(SeekFrom::Start(ticket.offset))?;
             state.file.read_exact(out).map_err(|e| {
                 TabularError::Io(format!(

@@ -68,7 +68,7 @@ impl SynthSpec {
     }
 
     /// Builder: set the class count.
-    pub fn with_classes(mut self, n_classes: usize) -> Self {
+    pub(crate) fn with_classes(mut self, n_classes: usize) -> Self {
         self.n_classes = n_classes;
         self
     }
@@ -170,12 +170,12 @@ struct Marginals {
 }
 
 impl Marginals {
-    fn new() -> Self {
-        Marginals {
-            normal: Normal::new(0.0, 1.0).expect("valid normal"),
-            lognormal: LogNormal::new(0.0, 0.5).expect("valid lognormal"),
+    fn new() -> Result<Self> {
+        Ok(Marginals {
+            normal: Normal::new(0.0, 1.0).map_err(param_error)?,
+            lognormal: LogNormal::new(0.0, 0.5).map_err(param_error)?,
             uniform: Uniform::new(-1.0f64, 1.0),
-        }
+        })
     }
 
     fn sample(&self, kind: u8, scale: f64, rng: &mut StdRng) -> f64 {
@@ -268,7 +268,7 @@ fn generate(spec: &SynthSpec) -> Result<DataFrame> {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ hash_name(&spec.name));
 
     // --- base feature matrix, column-major, mixed marginal distributions ---
-    let marginals = Marginals::new();
+    let marginals = Marginals::new()?;
     let mut columns: Vec<Column> = Vec::with_capacity(spec.n_features);
     for j in 0..spec.n_features {
         let kind = rng.gen_range(0..4u8);
@@ -300,7 +300,7 @@ fn generate(spec: &SynthSpec) -> Result<DataFrame> {
     // --- additive noise, relative to signal spread ---
     let z_std = std_of(&z).max(1e-9);
     if spec.noise > 0.0 {
-        let noise = Normal::new(0.0, spec.noise * z_std).expect("valid noise");
+        let noise = Normal::new(0.0, spec.noise * z_std).map_err(param_error)?;
         for zi in z.iter_mut() {
             *zi += noise.sample(&mut rng);
         }
@@ -332,7 +332,7 @@ fn generate_chunked(
     // per-(column, chunk) value draws each get their own derived stream so
     // a chunk's contents are independent of generation order.
     let mut meta_rng = StdRng::seed_from_u64(base_seed ^ 0x73747265616d); // "stream"
-    let marginals = Marginals::new();
+    let marginals = Marginals::new()?;
     let kinds_scales: Vec<(u8, f64)> = (0..spec.n_features)
         .map(|_| {
             let kind = meta_rng.gen_range(0..4u8);
@@ -381,7 +381,7 @@ fn generate_chunked(
     let z_std = std_of(&z).max(1e-9);
     if spec.noise > 0.0 {
         let mut noise_rng = StdRng::seed_from_u64(base_seed ^ 0x6e6f697365); // "noise"
-        let noise = Normal::new(0.0, spec.noise * z_std).expect("valid noise");
+        let noise = Normal::new(0.0, spec.noise * z_std).map_err(param_error)?;
         for zi in z.iter_mut() {
             *zi += noise.sample(&mut noise_rng);
         }
@@ -394,13 +394,17 @@ fn generate_chunked(
 /// Quantile cut points splitting values into `k` roughly equal classes.
 fn quantile_cuts(values: &[f64], k: usize) -> Vec<f64> {
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite signal"));
+    sorted.sort_by(f64::total_cmp);
     (1..k)
         .map(|q| {
             let idx = (q * sorted.len()) / k;
             sorted[idx.min(sorted.len() - 1)]
         })
         .collect()
+}
+
+fn param_error(e: rand_distr::ParamError) -> TabularError {
+    TabularError::InvalidParam(format!("distribution parameter: {e}"))
 }
 
 fn std_of(v: &[f64]) -> f64 {

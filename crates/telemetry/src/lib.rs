@@ -54,10 +54,10 @@ mod summary;
 mod timeseries;
 
 pub use event::{CountEvent, Event, SpanEvent};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, N_BUCKETS};
-pub use scoped::{LabelSet, Scope, ScopedRegistry, ScopedSnapshot};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
+pub use scoped::{Scope, ScopedRegistry, ScopedSnapshot};
 pub use sink::{
-    emit, enabled, flush, install, uninstall, FanoutSink, JsonLinesSink, MemorySink, NullSink, Sink,
+    emit, enabled, flush, install, uninstall, FanoutSink, JsonLinesSink, MemorySink, Sink,
 };
 pub use span::{current_span, parent_scope, span, ParentScope, SpanGuard, SpanId};
 pub use summary::{SpanRow, Summary};

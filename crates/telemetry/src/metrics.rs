@@ -44,7 +44,7 @@ impl Counter {
 /// Number of histogram buckets: bucket `i > 0` counts values in
 /// `[2^(i-1), 2^i)`, bucket 0 counts zeros, and the last bucket absorbs
 /// everything `>= 2^63`.
-pub const N_BUCKETS: usize = 65;
+pub(crate) const N_BUCKETS: usize = 65;
 
 /// A log-scale (power-of-two bucket) histogram of `u64` samples.
 ///

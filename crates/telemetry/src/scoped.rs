@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// A sorted, owned `key=value` label set (the scope identity).
-pub type LabelSet = Vec<(String, String)>;
+pub(crate) type LabelSet = Vec<(String, String)>;
 
 fn label_set(labels: &[(&str, &str)]) -> LabelSet {
     let mut set: LabelSet = labels

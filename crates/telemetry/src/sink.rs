@@ -19,15 +19,6 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything (useful to measure instrumentation overhead with
-/// the emission path "on" but no I/O).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&self, _event: &Event) {}
-}
-
 /// Collects events in memory; the end-of-run summary is aggregated from
 /// its contents.
 #[derive(Debug, Default)]

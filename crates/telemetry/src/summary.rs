@@ -30,7 +30,7 @@ pub struct SpanRow {
 
 impl SpanRow {
     /// Mean inclusive duration in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -12,7 +12,7 @@ use eafe::fpe::{search, FpeSearchSpace, RawLabels};
 use eafe::FpeModel;
 use learners::Evaluator;
 use minhash::HashFamily;
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 
 fn main() {
     // A scaled-down public corpus (the paper uses 141 classification + 98

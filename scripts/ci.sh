@@ -72,6 +72,22 @@ if [[ "$quick" -eq 0 ]]; then
         || { echo "search results differ from scripts/golden_searches.txt"; exit 1; }
     rm -f "$golden"
 
+    echo "==> Table III reproduction (release): the committed 12-dataset subset's scores and means"
+    # bench_results/table3_run.log is what scripts/run_all_benches.sh wrote
+    # at the committed settings; the FPE models it read are copied in so
+    # the run reuses them exactly. A PR that means to move the
+    # reproduction re-runs that script and commits the new log.
+    cargo build --release -q -p bench --bin table3
+    t3_dir="$(mktemp -d)"
+    cp bench_results/fpe_*_48_60158.json "$t3_dir"/
+    ./target/release/table3 --quiet --out "$t3_dir" \
+        --datasets "PimaIndian,credit-a,diabetes,German Credit,SpectF,SVMGuide3,Ionosphere,Wine Q. Red,Housing Boston,Airfoil,Openml 589,Openml 620" \
+        --scale 0.1 --epochs1 3 --epochs2 6 > "$t3_dir/table3_run.log"
+    t3_lines() { grep -E '^mean |^[A-Za-z0-9 .-]+ +[CR] +[0-9]+\\' "$1"; }
+    diff -u <(t3_lines bench_results/table3_run.log) <(t3_lines "$t3_dir/table3_run.log") \
+        || { echo "Table III differs from bench_results/table3_run.log"; exit 1; }
+    rm -rf "$t3_dir"
+
     echo "==> serve smoke (release): live cancel bound, tenant fairness, status scrapes"
     # Single-threaded: the fairness test compares two tenants' epochs under
     # equal compute-second budgets and the status test loads every core

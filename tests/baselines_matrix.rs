@@ -2,8 +2,10 @@
 //! the paper compares must run on the same dataset and produce sane,
 //! mutually-comparable results.
 
-use eafe::baselines::{run_autofs_r, run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};
-use eafe::{bootstrap_fpe, EafeConfig, Engine, FpeSearchSpace};
+use eafe::{
+    bootstrap_fpe, run_autofs_r, run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig, EafeConfig,
+    Engine, FpeSearchSpace,
+};
 use learners::{ModelKind, ResNetConfig};
 use minhash::HashFamily;
 use tabular::{DataFrame, SynthSpec, Task};

@@ -7,7 +7,7 @@ use eafe::fpe::{search, FpeSearchSpace, RawLabels};
 use eafe::{bootstrap_fpe, EafeConfig, FpeModel};
 use learners::Evaluator;
 use minhash::HashFamily;
-use tabular::registry::public_corpus;
+use tabular::public_corpus;
 
 fn evaluator() -> Evaluator {
     let mut e = Evaluator {

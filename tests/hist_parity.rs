@@ -12,10 +12,10 @@
 
 mod support;
 
-use learners::binned::{accumulate_class, accumulate_reg, subtract_class, subtract_reg, BinCodes};
 use learners::{
-    BinnedColumn, BinnedDataset, DecisionTreeClassifier, DecisionTreeRegressor, Evaluator,
-    ForestConfig, RandomForestClassifier, RandomForestRegressor, TreeConfig,
+    accumulate_class, accumulate_reg, subtract_class, subtract_reg, BinCodes, BinnedColumn,
+    BinnedDataset, DecisionTreeClassifier, DecisionTreeRegressor, Evaluator, ForestConfig,
+    RandomForestClassifier, RandomForestRegressor, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -277,11 +277,10 @@ fn feature_parallel_histograms_identical_across_thread_counts() {
     // per-column serial accumulation are all bitwise the same histograms.
     // 8 features × 12k rows clears HIST_PARALLEL_GRAIN, so the 4-thread
     // run genuinely fans out.
-    use learners::binned::{
+    use learners::{
         accumulate_class, accumulate_class_parallel, accumulate_reg, accumulate_reg_parallel,
-        HIST_PARALLEL_GRAIN,
+        BinnedColumn, HIST_PARALLEL_GRAIN,
     };
-    use learners::BinnedColumn;
 
     let n_rows = 12_000usize;
     let n_features = 8usize;
@@ -690,13 +689,12 @@ fn chunked_engine_mmap_rerun_matches_memory_store() {
 
 #[test]
 fn server_observability_is_a_pure_observer() {
-    // Full observability on — per-tenant scoped metrics, SLO thresholds
-    // set low enough to trip on every slice, the status server being
-    // scraped while the scheduler runs — must not move a bit of any
-    // served result relative to the same engine run solo with
+    // Full observability on — per-tenant scoped metrics and the status
+    // server being scraped while the scheduler runs — must not move a bit
+    // of any served result relative to the same engine run solo with
     // observability off. (The global telemetry sink is deliberately NOT
     // installed here: other tests in this binary own it.)
-    use serve::{Budget, JobServer, JobStatus, ServerConfig, SloConfig};
+    use serve::{Budget, JobServer, JobStatus, ServerConfig};
 
     let frame = frame();
     let cfg_a = fast_config();
@@ -707,10 +705,6 @@ fn server_observability_is_a_pure_observer() {
 
     let server = JobServer::new(ServerConfig {
         status_addr: Some("127.0.0.1:0".to_string()),
-        slo: SloConfig {
-            epoch_p99_us: Some(1), // trips on every slice
-            admission_wait_p99_us: Some(1),
-        },
         ..ServerConfig::default()
     })
     .unwrap();
@@ -746,10 +740,6 @@ fn server_observability_is_a_pure_observer() {
     for tenant in ["tenant-a", "tenant-b"] {
         let scope = snap.get(&[("tenant", tenant)]).unwrap();
         assert!(scope.counter("serve.epochs") > 0, "{tenant} epochs counted");
-        assert!(
-            scope.counter("serve.slo.epoch_us_breaches") > 0,
-            "{tenant}: a 1 us epoch SLO must have tripped"
-        );
     }
 }
 

@@ -29,7 +29,7 @@ enum Node {
 }
 
 /// A fitted exact classification tree.
-pub struct ExactTree {
+pub(crate) struct ExactTree {
     nodes: Vec<Node>,
     /// Impurity decrease per feature, unnormalised.
     importances: Vec<f64>,
@@ -184,7 +184,7 @@ fn argmax(v: &[f64]) -> usize {
 
 impl ExactTree {
     /// Fit on every row of the column-major `x`.
-    pub fn fit(x: &[Vec<f64>], y: &[usize], n_classes: usize, cfg: TreeConfig) -> ExactTree {
+    pub(crate) fn fit(x: &[Vec<f64>], y: &[usize], n_classes: usize, cfg: TreeConfig) -> ExactTree {
         let mut g = Grower {
             x,
             y,
@@ -224,17 +224,17 @@ impl ExactTree {
         }
     }
 
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<usize> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Vec<usize> {
         (0..x[0].len()).map(|r| argmax(self.leaf(x, r))).collect()
     }
 
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 
     /// Impurity decrease per feature, normalised to sum to 1 (all zeros for
     /// a single leaf).
-    pub fn feature_importances(&self) -> Vec<f64> {
+    pub(crate) fn feature_importances(&self) -> Vec<f64> {
         let total: f64 = self.importances.iter().sum();
         if total <= 0.0 {
             return vec![0.0; self.importances.len()];
@@ -245,13 +245,18 @@ impl ExactTree {
 
 /// Exact trees on per-tree draws: seeds and bootstrap rows come off one
 /// RNG in tree order, every tree trains on its gathered sub-matrix.
-pub struct ExactForest {
+pub(crate) struct ExactForest {
     trees: Vec<ExactTree>,
     n_classes: usize,
 }
 
 impl ExactForest {
-    pub fn fit(x: &[Vec<f64>], y: &[usize], n_classes: usize, cfg: ForestConfig) -> ExactForest {
+    pub(crate) fn fit(
+        x: &[Vec<f64>],
+        y: &[usize],
+        n_classes: usize,
+        cfg: ForestConfig,
+    ) -> ExactForest {
         let n_rows = y.len();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut tree_cfg = cfg.tree;
@@ -280,7 +285,7 @@ impl ExactForest {
 
     /// Per row: the trees' leaf frequencies added in tree order, `/ k`,
     /// first maximum.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<usize> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Vec<usize> {
         let k = self.trees.len() as f64;
         (0..x[0].len())
             .map(|r| {
@@ -299,7 +304,7 @@ impl ExactForest {
     }
 
     /// Sum of the trees' normalised importances, renormalised to sum to 1.
-    pub fn feature_importances(&self) -> Vec<f64> {
+    pub(crate) fn feature_importances(&self) -> Vec<f64> {
         let mut acc = vec![0.0; self.trees[0].importances.len()];
         for tree in &self.trees {
             for (a, v) in acc.iter_mut().zip(tree.feature_importances()) {

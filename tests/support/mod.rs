@@ -1,4 +1,4 @@
 //! Reference implementations the integration suites compare `learners`
 //! against; test-only, never linked into the library.
 
-pub mod exact_cart;
+pub(crate) mod exact_cart;
