@@ -1,6 +1,8 @@
 //! **Figure 6** — the FPE label threshold `thre` vs the score-gain
 //! distribution: how many features each threshold labels effective, and
-//! the recall the trained FPE classifier achieves at that threshold.
+//! the recall the trained FPE classifier achieves at that threshold. The
+//! precision is printed beside the validation base rate — the precision
+//! of a classifier that calls every validation feature effective.
 //!
 //! Regenerate: `cargo run -p bench --release --bin fig6`
 
@@ -18,6 +20,7 @@ struct Row {
     positive_fraction: f64,
     recall: f64,
     precision: f64,
+    val_positive_fraction: f64,
 }
 
 fn main() {
@@ -56,11 +59,20 @@ fn main() {
         gains[gains.len() - 1]
     );
 
-    let mut table = TextTable::new(vec!["thre", "positives", "recall", "precision"]);
+    let mut table = TextTable::new(vec![
+        "thre",
+        "positives",
+        "recall",
+        "precision",
+        "val base rate",
+    ]);
     let mut rows = Vec::new();
     for &thre in &THRESHOLDS {
-        let positives =
-            train.features.iter().filter(|(_, g)| *g > thre).count() as f64 / train.len() as f64;
+        let positive_fraction = |labels: &RawLabels| {
+            labels.features.iter().filter(|(_, g)| *g > thre).count() as f64 / labels.len() as f64
+        };
+        let positives = positive_fraction(&train);
+        let val_positives = positive_fraction(&val);
         let space = FpeSearchSpace {
             families: vec![HashFamily::Ccws],
             dims: vec![32],
@@ -76,12 +88,14 @@ fn main() {
             format!("{:.1}%", positives * 100.0),
             format!("{recall:.3}"),
             format!("{precision:.3}"),
+            format!("{val_positives:.3}"),
         ]);
         rows.push(Row {
             thre,
             positive_fraction: positives,
             recall,
             precision,
+            val_positive_fraction: val_positives,
         });
     }
     table.print();

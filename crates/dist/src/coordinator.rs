@@ -1,10 +1,12 @@
 //! The coordinator: authoritative sequential search plus shard dispatch.
 //!
 //! The coordinator owns the only `SearchState`. Per slice it speculates
-//! the slice's compute-heavy work, shards it across live workers (shard
-//! `i` takes tasks `i, i+n, i+2n, …`), dispatches a wave, collects one
-//! result per in-flight shard, and merges returned cache snapshots in
-//! ascending shard-index order before running the real `Engine::step`.
+//! the slice's compute-heavy work, keeps one evaluation per rank key,
+//! shards it across live workers (shard `i` takes tasks `i, i+n, i+2n,
+//! …`), dispatches a wave, collects one result per in-flight shard, and
+//! merges returned cache snapshots in ascending shard-index order — then
+//! the rank twins' copies of their representatives' scores — before
+//! running the real `Engine::step`.
 //! Merge order is fixed so the procedure is reproducible, and the merge
 //! itself is idempotent (content-addressed, debug-asserted-equal
 //! entries) — which together give the determinism contract:
@@ -18,10 +20,10 @@
 use crate::protocol::{Msg, ShardResult, ShardTasks, WorkShard, STREAM_WORKER};
 use crate::transport::Transport;
 use crate::Result;
-use eafe::{Engine, RunResult, SearchState, SelectedColumn, Selection};
+use eafe::{Engine, RunResult, SearchState, SelectedColumn};
 use runtime::DEFAULT_CACHE_CAPACITY;
-use runtime::{derive_seed, dist_counters, ScoreCache};
-use std::collections::{HashSet, VecDeque};
+use runtime::{derive_seed, dist_counters, CacheSnapshot, Fingerprint, ScoreCache};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 use tabular::{Column, DataFrame};
@@ -38,7 +40,11 @@ pub struct Coordinator<T: Transport> {
     /// scoring this run — generated columns recur across epochs, and a
     /// column's signature-cache entries depend only on its content, so
     /// re-dispatching one buys nothing.
-    fpe_dispatched: HashSet<runtime::Fingerprint>,
+    fpe_dispatched: HashSet<Fingerprint>,
+    /// The CV score of every rank key ([`eafe::Selection::rank_key`]) a
+    /// worker has answered this run: one evaluation per rank identity,
+    /// whatever the number of candidates that share it.
+    rank_scores: HashMap<Fingerprint, f64>,
 }
 
 impl<T: Transport> Coordinator<T> {
@@ -51,6 +57,7 @@ impl<T: Transport> Coordinator<T> {
         Coordinator {
             workers: workers.into_iter().map(Some).collect(),
             fpe_dispatched: HashSet::new(),
+            rank_scores: HashMap::new(),
         }
     }
 
@@ -70,6 +77,8 @@ impl<T: Transport> Coordinator<T> {
             .clone()
             .unwrap_or_else(|| Arc::new(ScoreCache::new(DEFAULT_CACHE_CAPACITY)));
         let engine = engine.clone().with_cache(Arc::clone(&cache));
+        // Rank keys hold for one dataset, label and scorer: this run's.
+        self.rank_scores.clear();
         self.broadcast(&Msg::Hello {
             engine: engine.clone(),
         });
@@ -85,8 +94,9 @@ impl<T: Transport> Coordinator<T> {
     }
 
     /// Speculate the next slice's work and warm the caches through the
-    /// workers: round 0 merges signature entries, round 1 merges
-    /// downstream scores into `cache`, the engine's shared score cache.
+    /// workers: round 0 merges signature entries, round 1
+    /// ([`warm_evals`](Self::warm_evals)) merges downstream scores into
+    /// `cache`, the engine's shared score cache.
     /// Errors here are engine errors (speculation itself failed); worker
     /// failures only shrink the pool.
     fn warm_slice(
@@ -100,7 +110,6 @@ impl<T: Transport> Coordinator<T> {
             return Ok(());
         }
         let _span = telemetry::span("dist.slice");
-        let root = engine.config.seed;
 
         // Pre-filter both rounds so workers only compute what the
         // coordinator is actually missing: shipping work the local
@@ -114,6 +123,7 @@ impl<T: Transport> Coordinator<T> {
                 .insert(runtime::fingerprint_values(&c.values))
         });
         if !columns.is_empty() {
+            let root = engine.config.seed;
             let shards = make_shards(slice, 0, root, self.live_workers(), columns, |cols| {
                 ShardTasks::Fpe { columns: cols }
             });
@@ -126,43 +136,93 @@ impl<T: Transport> Coordinator<T> {
             dist_counters::wire(merging.elapsed().as_micros() as u64);
         }
 
-        let (prefix, mut candidates) = engine.speculate_evals(search)?;
-        if !candidates.is_empty() && self.live_workers() > 0 {
-            // Drop candidates whose evaluation is already in the shared
-            // cache (merged from workers or computed by an earlier real
-            // step) and slice-internal duplicates — the cache key is the
-            // exact fingerprint `step` will probe with.
-            // Keys only: the selection carries no bins here.
-            let evaluator = engine.evaluator();
-            let mut selection = Selection::new(&prefix.name, prefix.n_rows(), prefix.label(), None);
-            for c in prefix.columns() {
-                selection.push(SelectedColumn::of_values(&c.name, &c.values, None));
+        if self.live_workers() > 0 {
+            self.warm_evals(engine, cache, search, slice)?;
+        }
+        Ok(())
+    }
+
+    /// Round 1 of [`warm_slice`](Self::warm_slice): dispatch the slice's
+    /// speculated evaluations the cache lacks, one per rank key, and merge
+    /// the scores — each representative's under its own key and every
+    /// twin's.
+    fn warm_evals(
+        &mut self,
+        engine: &Engine,
+        cache: &ScoreCache<f64>,
+        search: &SearchState,
+        slice: u64,
+    ) -> Result<()> {
+        let (prefix, selection, mut candidates) = engine.speculate_evals(search)?;
+        // Drop candidates whose evaluation is already in the shared cache
+        // (merged from workers or computed by an earlier real step) and
+        // slice-internal duplicates — the cache key is the exact
+        // fingerprint `step` will probe with. Of the rest, dispatch one per
+        // rank key: the others are its rank twins, whose score is the
+        // representative's bit for bit (the CV memo's premise), so they
+        // wait for it instead of a worker. Binning a candidate here fills
+        // the bin cache `step` reads on a miss.
+        let evaluator = engine.evaluator();
+        let budget = selection.bin_budget();
+        let mut seen: HashSet<Fingerprint> = HashSet::new();
+        let mut ranks: HashSet<Fingerprint> = HashSet::new();
+        let mut dispatched_ranks: HashMap<Fingerprint, Fingerprint> = HashMap::new();
+        let mut twins: Vec<(Fingerprint, Fingerprint)> = Vec::new();
+        candidates.retain(|candidate| {
+            if candidate.len() != prefix.n_rows() {
+                return false;
             }
-            let mut seen: HashSet<runtime::Fingerprint> = HashSet::new();
-            candidates.retain(|candidate| {
-                if candidate.len() != prefix.n_rows() {
-                    return false;
+            let digest = runtime::fingerprint_values(&candidate.values);
+            let key = evaluator.key_of(&selection.extended_key(&candidate.name, digest));
+            if !seen.insert(key) || cache.contains(key) {
+                return false;
+            }
+            let column =
+                SelectedColumn::with_digest(&candidate.name, &candidate.values, digest, budget);
+            let Some(rank) = selection.rank_key(&column) else {
+                return true;
+            };
+            let represented = self.rank_scores.contains_key(&rank) || !ranks.insert(rank);
+            if represented {
+                twins.push((key, rank));
+            } else {
+                dispatched_ranks.insert(key, rank);
+            }
+            !represented
+        });
+        if !candidates.is_empty() {
+            telemetry::count("dist.evals_dispatched", candidates.len() as u64);
+            let root = engine.config.seed;
+            let shards = make_shards(slice, 1, root, self.live_workers(), candidates, |cands| {
+                ShardTasks::Eval {
+                    prefix: prefix.clone(),
+                    candidates: cands,
                 }
-                let digest = runtime::fingerprint_values(&candidate.values);
-                let key = evaluator.key_of(&selection.extended_key(&candidate.name, digest));
-                seen.insert(key) && !cache.contains(key)
             });
-            if !candidates.is_empty() {
-                let shards =
-                    make_shards(slice, 1, root, self.live_workers(), candidates, |cands| {
-                        ShardTasks::Eval {
-                            prefix: prefix.clone(),
-                            candidates: cands,
-                        }
-                    });
-                let round = self.run_round(shards);
-                let merging = Instant::now();
-                for result in round {
-                    let fresh = cache.merge(&result.scores);
-                    note_merge(result.scores.len(), fresh);
+            let round = self.run_round(shards);
+            let merging = Instant::now();
+            for result in round {
+                let fresh = cache.merge(&result.scores);
+                note_merge(result.scores.len(), fresh);
+                for (key, score) in &result.scores.entries {
+                    if let Some(&rank) = dispatched_ranks.get(key) {
+                        self.rank_scores.insert(rank, *score);
+                    }
                 }
-                dist_counters::wire(merging.elapsed().as_micros() as u64);
             }
+            dist_counters::wire(merging.elapsed().as_micros() as u64);
+        }
+        // Twin fan-out; a twin whose representative never came back (its
+        // workers died) is left for `step` to compute.
+        let mut fanned: Vec<(Fingerprint, f64)> = twins
+            .into_iter()
+            .filter_map(|(key, rank)| Some((key, *self.rank_scores.get(&rank)?)))
+            .collect();
+        if !fanned.is_empty() {
+            fanned.sort_by_key(|(key, _)| *key);
+            let fanned = CacheSnapshot { entries: fanned };
+            let fresh = cache.merge(&fanned);
+            note_merge(fanned.len(), fresh);
         }
         Ok(())
     }
@@ -326,6 +386,58 @@ fn make_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{loopback_pair, wire_lock, LoopbackTransport};
+    use crate::Worker;
+    use eafe::EafeConfig;
+    use tabular::{SynthSpec, Task};
+
+    /// A worker end that forgets what its connection carried before
+    /// every message, so the second `Eval` shard it gets references
+    /// columns it no longer holds.
+    struct Forgetful(LoopbackTransport);
+
+    impl Transport for Forgetful {
+        fn send(&mut self, msg: &Msg) -> Result<()> {
+            self.0.send(msg)
+        }
+
+        fn recv(&mut self) -> Result<Msg> {
+            self.0.forget();
+            self.0.recv()
+        }
+    }
+
+    #[test]
+    fn a_worker_out_of_step_is_a_dead_worker() {
+        let _wire = wire_lock();
+        let mut cfg = EafeConfig::fast();
+        cfg.stage2_epochs = 3;
+        cfg.steps_per_epoch = 3;
+        let frame = SynthSpec::new("forgetful", 120, 4, Task::Classification)
+            .with_seed(3)
+            .generate()
+            .unwrap();
+        let (solo, _) = Engine::nfs(cfg.clone()).run_full(&frame).unwrap();
+
+        let (forgetful, theirs) = loopback_pair();
+        let failed = std::thread::spawn(move || Worker::serve(&mut Forgetful(theirs)));
+        let (healthy, mut theirs) = loopback_pair();
+        let served = std::thread::spawn(move || Worker::serve(&mut theirs));
+        let before = runtime::global_dist_stats();
+        let mut coordinator = Coordinator::new(vec![forgetful, healthy]);
+        let (result, _) = coordinator.run(&Engine::nfs(cfg), &frame).unwrap();
+        let after = runtime::global_dist_stats();
+
+        assert!(
+            matches!(failed.join().unwrap(), Err(crate::DistError::Protocol(_))),
+            "an unheld reference must end the session with a protocol error"
+        );
+        served.join().unwrap().unwrap();
+        assert!(after.shards_retried > before.shards_retried);
+        assert_eq!(result.best_score.to_bits(), solo.best_score.to_bits());
+        assert_eq!(result.selected, solo.selected);
+        assert_eq!(result.downstream_evals, solo.downstream_evals);
+    }
 
     #[test]
     fn strided_sharding_balances_and_stamps_tickets() {

@@ -15,23 +15,33 @@
 //!    the slice's candidate generation from cloned state
 //!    ([`eafe::Engine::speculate_fpe_columns`] /
 //!    [`eafe::Engine::speculate_evals`]) to predict the columns the slice
-//!    will FPE-score and the frames it will send to the downstream
-//!    evaluator.
-//! 2. It shards that work across workers: round A warms weighted-MinHash
+//!    will FPE-score and the evaluations it will ask of the downstream
+//!    evaluator — the latter against the search's own
+//!    [`eafe::Selection`], bins included.
+//! 2. It drops what its caches already hold and, for a binned forest,
+//!    every **rank twin**: a candidate whose rank key
+//!    ([`eafe::Selection::rank_key`] — the selection's rank identities
+//!    plus the candidate's) an earlier candidate of the run already has.
+//!    `ln(|x|+1)`, `√|x|` and `x·x` of one parent are one evaluation.
+//! 3. It shards the rest across workers: round A warms weighted-MinHash
 //!    signatures (the FPE gate's input), round B warms downstream CV
 //!    scores. Shard *i* always holds tasks `i, i+n, i+2n, …` and carries
 //!    the ticket seed `derive_seed(root, STREAM_WORKER, i)`.
-//! 3. Workers execute shards as **pure functions** — score a frame,
+//! 4. Workers execute shards as **pure functions** — score a frame,
 //!    sketch a column — and return fingerprint-keyed cache snapshots
 //!    ([`runtime::CacheSnapshot`]).
-//! 4. The coordinator merges results in ascending shard-index order into
-//!    its local caches, then runs the real `step`, which hits warm
+//! 5. The coordinator merges results in ascending shard-index order into
+//!    its local caches, gives every twin its representative's score under
+//!    the twin's own key, then runs the real `step`, which hits warm
 //!    entries instead of recomputing.
 //!
 //! Because the caches are content-addressed and only ever *short-circuit
 //! recomputation* — they can never change a score — a merged entry is
 //! either exactly what the sequential search would have computed (and is
-//! served as a hit) or is never looked up. That gives the determinism
+//! served as a hit) or is never looked up. A twin's entry is the same
+//! `f64` its own evaluation would produce, because a binned forest reads
+//! a column only through its bin codes (the CV memo's premise, which
+//! debug builds assert on every memo hit). That gives the determinism
 //! contract for free: **solo ≡ 1 worker ≡ N workers, bitwise**, and a
 //! worker crash mid-shard degrades throughput, never correctness. The
 //! coordinator reassigns a dead worker's shard to a live one; replayed
@@ -45,20 +55,34 @@
 //! acceptance (an acceptance re-bases later candidates, which then miss
 //! and are computed locally).
 //!
+//! # The wire names columns by identity
+//!
+//! An `Eval` shard carries the selected frame and its candidates, and
+//! consecutive shards to one worker share almost all of them. Each end of
+//! a connection remembers the columns of the last `Eval` shard that
+//! crossed it; a later shard writes a remembered column as its name and
+//! value digest, so a column crosses a connection as values once. `Hello`
+//! forgets everything, `Fpe` shards leave the set alone, and a reference
+//! the worker does not hold is a typed error the coordinator handles like
+//! any dead worker. See [`protocol`].
+//!
 //! # Layout
 //!
-//! - [`protocol`] — message types and the length-prefixed JSON frame codec.
+//! - [`protocol`] — message types and the length-prefixed JSON frame
+//!   codec, with the per-connection remembered columns.
 //! - `transport` — the [`Transport`] trait, TCP via `std::net`, and an
 //!   in-process loopback pair (still encodes/decodes real bytes) for tests.
 //! - `worker` — the worker serve loop: `Hello` installs an engine,
 //!   `Work` shards execute, `Bye` exits.
-//! - `coordinator` — shard construction, wave dispatch, crash
-//!   reassignment, deterministic merge, and the driving run loop.
+//! - `coordinator` — rank-twin dedup, shard construction, wave dispatch,
+//!   crash reassignment, deterministic merge and twin fan-out, and the
+//!   driving run loop.
 //!
 //! Protocol activity is observable through `runtime::global_dist_stats()`
 //! (surfaced on the serve `/status` and `/metrics` pages) and the
-//! `dist.*` telemetry counters/histograms. See DESIGN.md §15 for the
-//! frame format and the idempotency argument.
+//! `dist.*` telemetry counters/histograms (`dist.evals_dispatched` counts
+//! the evaluations handed out). See DESIGN.md §15 for the frame format
+//! and the idempotency argument.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

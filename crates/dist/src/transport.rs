@@ -6,8 +6,13 @@
 //! `dist.bytes_sent` / `dist.bytes_received` telemetry counters. The
 //! loopback pair encodes and decodes the same real bytes TCP would, so
 //! in-process tests exercise the codec and report true wire sizes.
+//!
+//! Each endpoint owns one [`Encoder`] for what it sends and one
+//! [`Decoder`] for what it receives, so a column an `Eval` shard carried
+//! crosses the connection as values once and as a reference after (see
+//! [`crate::protocol`]).
 
-use crate::protocol::{decode, encode, Msg};
+use crate::protocol::{Decoder, Encoder, Msg};
 use crate::{DistError, Result};
 use runtime::dist_counters;
 use std::io::{Read, Write};
@@ -27,7 +32,8 @@ const HEADER_BYTES: u64 = 8;
 /// `send` delivers one message or fails; `recv` blocks for the peer's
 /// next message and fails on EOF. Any error means the connection is
 /// unusable — the coordinator treats a failing worker transport as a
-/// dead worker and reassigns its shard.
+/// dead worker and reassigns its shard. (After a failed `send` the two
+/// ends may no longer agree on the columns they remember.)
 pub trait Transport: Send {
     /// Deliver one message to the peer.
     fn send(&mut self, msg: &Msg) -> Result<()>;
@@ -35,8 +41,8 @@ pub trait Transport: Send {
     fn recv(&mut self) -> Result<Msg>;
 }
 
-fn frame_bytes(msg: &Msg) -> Result<Vec<u8>> {
-    let payload = encode(msg)?;
+fn frame_bytes(encoder: &mut Encoder, msg: &Msg) -> Result<Vec<u8>> {
+    let payload = encoder.encode(msg)?;
     if payload.len() > MAX_FRAME_BYTES {
         return Err(DistError::Codec(format!(
             "frame of {} bytes exceeds the {} byte cap",
@@ -50,8 +56,8 @@ fn frame_bytes(msg: &Msg) -> Result<Vec<u8>> {
     Ok(framed)
 }
 
-fn unframe(payload: Vec<u8>) -> Result<Msg> {
-    let msg = decode(&payload)?;
+fn unframe(decoder: &mut Decoder, payload: Vec<u8>) -> Result<Msg> {
+    let msg = decoder.decode(&payload)?;
     dist_counters::received(HEADER_BYTES + payload.len() as u64);
     telemetry::count("dist.bytes_received", HEADER_BYTES + payload.len() as u64);
     Ok(msg)
@@ -66,26 +72,30 @@ fn count_sent(framed_len: usize) {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    encoder: Encoder,
+    decoder: Decoder,
 }
 
 impl TcpTransport {
     /// Connect to a listening peer (the worker side).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(TcpTransport { stream })
+        Ok(Self::from_stream(TcpStream::connect(addr)?))
     }
 
     /// Wrap an accepted connection (the coordinator side).
     pub fn from_stream(stream: TcpStream) -> Self {
         stream.set_nodelay(true).ok();
-        TcpTransport { stream }
+        TcpTransport {
+            stream,
+            encoder: Encoder::default(),
+            decoder: Decoder::default(),
+        }
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, msg: &Msg) -> Result<()> {
-        let framed = frame_bytes(msg)?;
+        let framed = frame_bytes(&mut self.encoder, msg)?;
         self.stream.write_all(&framed)?;
         self.stream.flush()?;
         count_sent(framed.len());
@@ -112,7 +122,7 @@ impl Transport for TcpTransport {
                 payload.len()
             )));
         }
-        unframe(payload)
+        unframe(&mut self.decoder, payload)
     }
 }
 
@@ -128,30 +138,35 @@ pub struct LoopbackTransport {
     tx: mpsc::Sender<Vec<u8>>,
     rx: mpsc::Receiver<Vec<u8>>,
     sends_left: Option<usize>,
+    encoder: Encoder,
+    decoder: Decoder,
 }
 
 /// Create a connected pair of in-process endpoints.
 pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     let (a_tx, b_rx) = mpsc::channel();
     let (b_tx, a_rx) = mpsc::channel();
-    (
-        LoopbackTransport {
-            tx: a_tx,
-            rx: a_rx,
-            sends_left: None,
-        },
-        LoopbackTransport {
-            tx: b_tx,
-            rx: b_rx,
-            sends_left: None,
-        },
-    )
+    let end = |tx, rx| LoopbackTransport {
+        tx,
+        rx,
+        sends_left: None,
+        encoder: Encoder::default(),
+        decoder: Decoder::default(),
+    };
+    (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
 impl LoopbackTransport {
     /// Fail every `send` after the next `n` — the crash-simulation hook.
     pub fn set_send_budget(&mut self, n: usize) {
         self.sends_left = Some(n);
+    }
+
+    /// Drop the columns this end remembers receiving, putting it out of
+    /// step with its peer.
+    #[cfg(test)]
+    pub(crate) fn forget(&mut self) {
+        self.decoder = Decoder::default();
     }
 }
 
@@ -166,7 +181,7 @@ impl Transport for LoopbackTransport {
             }
             *left -= 1;
         }
-        let framed = frame_bytes(msg)?;
+        let framed = frame_bytes(&mut self.encoder, msg)?;
         let len = framed.len();
         self.tx.send(framed).map_err(|_| {
             DistError::Io(std::io::Error::new(
@@ -198,8 +213,17 @@ impl Transport for LoopbackTransport {
                 payload.len()
             )));
         }
-        unframe(payload)
+        unframe(&mut self.decoder, payload)
     }
+}
+
+/// Serialises the unit tests that move bytes: the byte counters are
+/// process-wide, so a test that compares them must not overlap another
+/// test's traffic.
+#[cfg(test)]
+pub(crate) fn wire_lock() -> std::sync::MutexGuard<'static, ()> {
+    static WIRE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    WIRE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -208,6 +232,7 @@ mod tests {
 
     #[test]
     fn loopback_round_trips_and_counts_real_bytes() {
+        let _wire = wire_lock();
         let before = runtime::global_dist_stats();
         let (mut a, mut b) = loopback_pair();
         a.send(&Msg::Bye).unwrap();
@@ -225,6 +250,7 @@ mod tests {
 
     #[test]
     fn exhausted_send_budget_looks_like_a_dead_peer() {
+        let _wire = wire_lock();
         let (mut a, mut b) = loopback_pair();
         a.set_send_budget(1);
         a.send(&Msg::Bye).unwrap();

@@ -2,7 +2,9 @@
 //! frame — bit flips, truncation, huge counts, non-finite floats,
 //! invalid UTF-8, garbage words, lying length prefixes — decodes into a
 //! message or a typed `DistError`, never a panic, and a frame costs the
-//! bytes that arrived, not the bytes it announced.
+//! bytes that arrived, not the bytes it announced. The same holds for a
+//! frame that names columns by digest: a reference the receiver does not
+//! hold, whatever the frame claims, is a typed error.
 
 use dist::protocol::{decode, encode};
 use dist::{Msg, ShardTasks, TcpTransport, Transport, WorkShard};
@@ -10,10 +12,10 @@ use eafe::{EafeConfig, Engine};
 use minhash::{HashFamily, SampleCompressor};
 use proptest::prelude::*;
 use runtime::{CacheSnapshot, Fingerprint};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
-use tabular::{Column, SynthSpec, Task};
+use tabular::{Column, DataFrame, SynthSpec, Task};
 
 /// One encoded message of every kind a peer sends.
 fn payloads() -> &'static [Vec<u8>] {
@@ -122,8 +124,188 @@ fn recv_frame(header: u64, body: &[u8]) -> dist::Result<Msg> {
     TcpTransport::from_stream(stream).recv()
 }
 
+/// Deliver `payloads` as honestly framed messages to a fresh
+/// `TcpTransport`, then close; what each `recv` returns, up to and
+/// including the first error.
+fn recv_session(payloads: &[&[u8]]) -> Vec<dist::Result<Msg>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    for payload in payloads {
+        peer.write_all(&(payload.len() as u64).to_le_bytes())
+            .unwrap();
+        peer.write_all(payload).unwrap();
+    }
+    drop(peer);
+    let (stream, _) = listener.accept().unwrap();
+    let mut transport = TcpTransport::from_stream(stream);
+    let mut received = Vec::new();
+    for _ in payloads {
+        let msg = transport.recv();
+        let failed = msg.is_err();
+        received.push(msg);
+        if failed {
+            break;
+        }
+    }
+    received
+}
+
+/// The payloads a `TcpTransport` writes for `msgs`, in order.
+fn sent_payloads(msgs: &[Msg]) -> Vec<Vec<u8>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut sender = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut raw, _) = listener.accept().unwrap();
+    msgs.iter()
+        .map(|msg| {
+            sender.send(msg).unwrap();
+            let mut header = [0u8; 8];
+            raw.read_exact(&mut header).unwrap();
+            let mut payload = vec![0u8; u64::from_le_bytes(header) as usize];
+            raw.read_exact(&mut payload).unwrap();
+            payload
+        })
+        .collect()
+}
+
+fn eval_shard(prefix: &DataFrame, candidates: Vec<Column>) -> Msg {
+    Msg::Work(WorkShard {
+        slice: 4,
+        round: 1,
+        shard: 0,
+        seed: 9,
+        tasks: ShardTasks::Eval {
+            prefix: prefix.clone(),
+            candidates,
+        },
+    })
+}
+
+fn session_frame() -> DataFrame {
+    SynthSpec::new("session", 12, 3, Task::Classification)
+        .with_seed(8)
+        .generate()
+        .unwrap()
+}
+
+/// A session's first `Eval` shard (every column as values) and a second
+/// one naming every column by digest.
+fn session_payloads() -> &'static [Vec<u8>] {
+    static PAYLOADS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    PAYLOADS.get_or_init(|| {
+        let prefix = session_frame();
+        let candidate = Column::new("log(f0)", (0..12).map(|i| (i as f64).ln_1p()).collect());
+        let shard = eval_shard(&prefix, vec![candidate]);
+        let payloads = sent_payloads(&[shard.clone(), shard]);
+        let refs = std::str::from_utf8(&payloads[1]).unwrap();
+        assert_eq!(refs.matches("\"digest\":").count(), 4, "{refs}");
+        assert!(!refs.contains("\"values\":"), "{refs}");
+        payloads
+    })
+}
+
+/// The wire text of a digest, `[hi,lo]`.
+fn digest_text(values: &[f64]) -> String {
+    let digest = runtime::fingerprint_values(values).0;
+    format!("[{},{}]", (digest >> 64) as u64, digest as u64)
+}
+
+#[test]
+fn a_session_resolves_references_to_the_bits_it_was_sent() {
+    let [first, refs] = session_payloads() else {
+        unreachable!()
+    };
+    let received = recv_session(&[first, refs]);
+    let columns = |msg: &Msg| match msg {
+        Msg::Work(WorkShard {
+            tasks: ShardTasks::Eval { prefix, candidates },
+            ..
+        }) => prefix
+            .columns()
+            .iter()
+            .chain(candidates)
+            .map(|c| {
+                (
+                    c.name.clone(),
+                    c.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                )
+            })
+            .collect::<Vec<_>>(),
+        other => panic!("expected an Eval shard, got {other:?}"),
+    };
+    let first = received[0].as_ref().unwrap();
+    assert_eq!(columns(first), columns(received[1].as_ref().unwrap()));
+}
+
+#[test]
+fn a_reference_to_an_unheld_digest_is_a_typed_error() {
+    let [first, refs] = session_payloads() else {
+        unreachable!()
+    };
+    // Nothing held yet: the reference comes before any Eval, and before
+    // Hello.
+    let received = recv_session(&[refs]);
+    assert!(matches!(received[0], Err(dist::DistError::Protocol(_))));
+    // Hello empties what the first shard left.
+    let hello = encode(&Msg::Hello {
+        engine: Engine::nfs(EafeConfig::fast()),
+    })
+    .unwrap();
+    let received = recv_session(&[first, &hello, refs]);
+    assert!(received[1].is_ok());
+    assert!(matches!(received[2], Err(dist::DistError::Protocol(_))));
+    // A digest of values no shard carried.
+    let text = std::str::from_utf8(refs).unwrap();
+    let held = digest_text(&session_frame().columns()[0].values);
+    assert!(text.contains(&held));
+    let unheld = text.replacen(&held, &digest_text(&[1.0; 12]), 1);
+    let received = recv_session(&[first, unheld.as_bytes()]);
+    assert!(matches!(received[1], Err(dist::DistError::Protocol(_))));
+}
+
+#[test]
+fn a_digest_that_lies_about_its_values_is_never_believed() {
+    // The first shard announces a digest beside `f0`'s values that is the
+    // digest of other values; the receiver keys `f0` by its own digest.
+    let [first, refs] = session_payloads() else {
+        unreachable!()
+    };
+    let frame = session_frame();
+    let f0 = &frame.columns()[0];
+    let lie = digest_text(&[2.0; 12]);
+    let first = std::str::from_utf8(first).unwrap();
+    let f0_start = first.find("{\"name\":\"f0\"").unwrap();
+    let lying_first = format!(
+        "{}{{\"digest\":{lie},{}",
+        &first[..f0_start],
+        &first[f0_start + 1..]
+    );
+    let refs = std::str::from_utf8(refs).unwrap();
+    let to_lie = refs.replacen(&digest_text(&f0.values), &lie, 1);
+    let received = recv_session(&[lying_first.as_bytes(), to_lie.as_bytes()]);
+    assert!(received[0].is_ok(), "{:?}", received[0]);
+    assert!(matches!(received[1], Err(dist::DistError::Protocol(_))));
+    // The same first shard still lets the honest references resolve.
+    let received = recv_session(&[lying_first.as_bytes(), refs.as_bytes()]);
+    assert!(received[1].is_ok(), "{:?}", received[1]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn mutated_session_frames_decode_or_fail_typed(
+        kind in 0u8..6,
+        at in 0usize..1_000_000,
+        word in 0u64..u64::MAX,
+    ) {
+        let [first, refs] = session_payloads() else {
+            unreachable!()
+        };
+        let mutated = mutate(refs, kind, at, word);
+        // A panic fails the case; a message or a typed error passes it.
+        let received = recv_session(&[first, &mutated]);
+        prop_assert!(received[0].is_ok());
+    }
 
     #[test]
     fn mutated_payloads_decode_or_fail_typed(

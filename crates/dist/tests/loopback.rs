@@ -3,10 +3,11 @@
 //! the wire) must reproduce a solo `Engine::run_full` **bitwise** — with
 //! one worker, with several, and with a worker crashing mid-search.
 
-use dist::{loopback_pair, Coordinator, LoopbackTransport, Worker};
+use dist::{loopback_pair, Coordinator, LoopbackTransport, Msg, ShardTasks, Transport, Worker};
 use eafe::{bootstrap_fpe, EafeConfig, Engine, FpeSearchSpace, RunResult};
 use minhash::HashFamily;
-use runtime::fingerprint_frame;
+use runtime::{fingerprint_frame, ScoreCache, DEFAULT_CACHE_CAPACITY};
+use std::sync::{Arc, Mutex};
 use tabular::{DataFrame, SynthSpec, Task};
 
 fn fast_config() -> EafeConfig {
@@ -187,4 +188,110 @@ fn zero_workers_degrades_to_solo_search() {
         fingerprint_frame(&solo_frame),
         fingerprint_frame(&engineered)
     );
+}
+
+/// `engine`'s search solo, with every speculated evaluation computed into
+/// its score cache before each slice: the cache a coordinator leaves
+/// warm when workers answer everything it speculates.
+fn warmed_solo(engine: &Engine, frame: &DataFrame) -> RunResult {
+    let engine = engine
+        .clone()
+        .with_cache(Arc::new(ScoreCache::new(DEFAULT_CACHE_CAPACITY)));
+    let evaluator = engine.evaluator();
+    let mut search = engine.start(frame).unwrap();
+    while !search.is_done() {
+        let (prefix, _, candidates) = engine.speculate_evals(&search).unwrap();
+        for candidate in &candidates {
+            let extended = prefix
+                .with_extra_columns(std::slice::from_ref(candidate))
+                .unwrap();
+            evaluator.evaluate(&extended).unwrap();
+        }
+        engine.step(&mut search).unwrap();
+    }
+    engine.finish(&search).unwrap().0
+}
+
+/// A coordinator-side end that records the candidates of every `Eval`
+/// shard it sends, as `(slice, name)`.
+struct Spy {
+    inner: LoopbackTransport,
+    sent: Arc<Mutex<Vec<(u64, String)>>>,
+}
+
+impl Transport for Spy {
+    fn send(&mut self, msg: &Msg) -> dist::Result<()> {
+        if let Msg::Work(shard) = msg {
+            if let ShardTasks::Eval { candidates, .. } = &shard.tasks {
+                let mut sent = self.sent.lock().unwrap();
+                sent.extend(candidates.iter().map(|c| (shard.slice, c.name.clone())));
+            }
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&mut self) -> dist::Result<Msg> {
+        self.inner.recv()
+    }
+}
+
+#[test]
+fn rank_twins_are_dispatched_as_one_evaluation() {
+    // Slice 0 of this search speculates `log(f2)` = ln(|f2|+1),
+    // `sqrt(f2)` = √|f2| and `(f2*f2)`: three candidates whose bin codes
+    // — and so whose CV scores — are one, since each is increasing in |f2|.
+    let mut cfg = fast_config();
+    cfg.steps_per_epoch = 6;
+    cfg.seed = 3;
+    let frame = SynthSpec::new("dist-twins", 160, 3, Task::Classification)
+        .with_seed(23)
+        .generate()
+        .unwrap();
+    let engine = Engine::nfs(cfg);
+    let twins = ["log(f2)", "sqrt(f2)", "(f2*f2)"];
+    let search = engine.start(&frame).unwrap();
+    let (_, _, speculated) = engine.speculate_evals(&search).unwrap();
+    let names: Vec<&str> = speculated.iter().map(|c| c.name.as_str()).collect();
+    assert!(
+        twins.iter().all(|t| names.contains(t)),
+        "slice 0 must speculate all three twins: {names:?}"
+    );
+
+    let (solo, solo_frame) = engine.run_full(&frame).unwrap();
+    let warmed = warmed_solo(&engine, &frame);
+    for n_workers in [1usize, 3] {
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let (transports, handles) = worker_pool(n_workers);
+        let spies = transports
+            .into_iter()
+            .map(|inner| Spy {
+                inner,
+                sent: Arc::clone(&sent),
+            })
+            .collect();
+        let mut coordinator = Coordinator::new(spies);
+        let (result, engineered) = coordinator.run(&engine, &frame).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let what = format!("twins, {n_workers} workers");
+        assert_bit_identical(&solo, &result, &what);
+        assert_eq!(
+            fingerprint_frame(&solo_frame),
+            fingerprint_frame(&engineered)
+        );
+        // The twins the workers never saw were hits all the same: the
+        // search misses exactly what a fully warmed search misses.
+        assert_eq!(result.cache_misses, warmed.cache_misses, "{what}: misses");
+        assert!(
+            result.cache_misses < solo.cache_misses,
+            "{what}: warmed nothing"
+        );
+        let sent = sent.lock().unwrap();
+        let dispatched = sent
+            .iter()
+            .filter(|(slice, name)| *slice == 0 && twins.contains(&name.as_str()))
+            .count();
+        assert_eq!(dispatched, 1, "{what}: slice 0 sent {sent:?}");
+    }
 }

@@ -172,16 +172,26 @@ impl EngineState {
     fn take_selection(&mut self, bin_budget: Option<usize>) -> Selection {
         match self.selection.take() {
             Some(selection) if selection.bin_budget() == bin_budget => selection,
-            _ => {
-                let frame = &self.frame;
-                let mut selection =
-                    Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
-                for c in self.selected_columns() {
-                    selection.push(SelectedColumn::of_values(&c.name, &c.values, bin_budget));
-                }
-                selection
-            }
+            _ => self.build_selection(bin_budget),
         }
+    }
+
+    /// [`take_selection`](Self::take_selection) without checking it out:
+    /// a copy of the one at hand (its bins are shared), or a built one.
+    pub(crate) fn selection(&self, bin_budget: Option<usize>) -> Selection {
+        match &self.selection {
+            Some(selection) if selection.bin_budget() == bin_budget => selection.clone(),
+            _ => self.build_selection(bin_budget),
+        }
+    }
+
+    fn build_selection(&self, bin_budget: Option<usize>) -> Selection {
+        let frame = &self.frame;
+        let mut selection = Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
+        for c in self.selected_columns() {
+            selection.push(SelectedColumn::of_values(&c.name, &c.values, bin_budget));
+        }
+        selection
     }
 }
 

@@ -52,6 +52,7 @@ use crate::report::{
 use crate::reward::SurrogateReward;
 use crate::state::EngineState;
 use crate::store::ColumnStore;
+use learners::Selection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
@@ -971,9 +972,11 @@ impl Engine {
 
     /// Predict the candidate frames the *next* slice will send to the
     /// downstream evaluator, without advancing the search. Returns the
-    /// shared frame prefix (the current selected frame) plus one candidate
-    /// column per predicted evaluation — evaluation `k`'s frame is
-    /// `prefix.with_extra_columns(&[candidates[k]])`, the same
+    /// shared frame prefix (the current selected frame), the search's own
+    /// [`Selection`] of it under this engine's bin budget (key state,
+    /// digests and bins — what `step` keys and scores against), and one
+    /// candidate column per predicted evaluation — evaluation `k`'s frame
+    /// is `prefix.with_extra_columns(&[candidates[k]])`, the same
     /// construction `step` uses, so fingerprints line up entry for entry.
     ///
     /// The prediction assumes **no acceptance** during the slice: an
@@ -981,10 +984,14 @@ impl Engine {
     /// frame, so entries past the first acceptance miss and are computed
     /// locally. The prefix of predicted evaluations up to (and including)
     /// the first acceptance is exact.
-    pub fn speculate_evals(&self, search: &SearchState) -> Result<(DataFrame, Vec<Column>)> {
+    pub fn speculate_evals(
+        &self,
+        search: &SearchState,
+    ) -> Result<(DataFrame, Selection, Vec<Column>)> {
         let core = &search.core;
         let store = &core.state.store;
         let prefix = store.engineered()?;
+        let selection = store.selection(self.config.evaluator.bin_budget(prefix.task()));
         let candidates = match core.phase {
             SearchPhase::Seed if store.n_generated() < core.max_generated => self
                 .seed_queue(store.n_agents(), &mut core.replay.clone())
@@ -996,7 +1003,7 @@ impl Engine {
                 })?,
             _ => Vec::new(),
         };
-        Ok((prefix, candidates))
+        Ok((prefix, selection, candidates))
     }
 }
 
@@ -1275,7 +1282,7 @@ mod tests {
         let mut state = engine.start(&frame).unwrap();
         let mut warm_hits = 0u64;
         while !state.is_done() {
-            let (prefix, candidates) = engine.speculate_evals(&state).unwrap();
+            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
             for candidate in &candidates {
                 let speculative = prefix
                     .with_extra_columns(std::slice::from_ref(candidate))
@@ -1310,7 +1317,7 @@ mod tests {
         let evaluator = engine.evaluator();
         let mut state = engine.start(&frame).unwrap();
         while !state.is_done() {
-            let (prefix, candidates) = engine.speculate_evals(&state).unwrap();
+            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
             for candidate in &candidates {
                 let speculative = prefix
                     .with_extra_columns(std::slice::from_ref(candidate))
@@ -1346,7 +1353,7 @@ mod tests {
         let mut state = engine.start(&frame).unwrap();
         let evaluator = state.evaluator.clone().unwrap();
         while !state.is_done() {
-            let (prefix, candidates) = engine.speculate_evals(&state).unwrap();
+            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
             if let Some(first) = candidates.first() {
                 let speculative = prefix
                     .with_extra_columns(std::slice::from_ref(first))

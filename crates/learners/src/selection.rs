@@ -137,6 +137,20 @@ impl Selection {
         key
     }
 
+    /// The rank identities (the digests of the bin codes) of every
+    /// selected column and then `extra`'s, digested in that order, or
+    /// `None` when a column has no bins. A binned forest reads a column
+    /// only through its bin codes, so for one dataset, label and scorer,
+    /// two extensions with equal rank keys score equally bit for bit.
+    pub fn rank_key(&self, extra: &SelectedColumn) -> Option<Fingerprint> {
+        let mut h = runtime::Hasher128::new();
+        h.write_str("learners::Selection::rank_key");
+        for c in self.columns.iter().chain(Some(extra)) {
+            h.write_u128(c.bins.as_ref()?.rank_identity().0);
+        }
+        Some(h.finish())
+    }
+
     /// The bins of every selected column and then `extra`'s, or `None`
     /// when a column was selected without bins.
     fn bins(&self, extra: Option<&SelectedColumn>) -> Option<Vec<Arc<BinnedColumn>>> {

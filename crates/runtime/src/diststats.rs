@@ -27,7 +27,8 @@ pub struct DistStats {
     pub bytes_sent: u64,
     /// Protocol bytes read from transports (frames in).
     pub bytes_received: u64,
-    /// Cache entries received from workers and merged locally.
+    /// Cache entries merged locally from worker results: the entries a
+    /// result carried, plus the rank twins its scores were fanned out to.
     pub entries_merged: u64,
     /// Of the entries merged, how many were new to the local caches
     /// (the rest were idempotent replays).

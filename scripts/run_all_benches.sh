@@ -16,7 +16,8 @@ run() {
 }
 
 run table1 --scale 0.3 --steps 4 "$@"
-run fig1   --scale 0.5 "$@"
+# --no-cache: every point is timed as an evaluation, not a cache probe.
+run fig1   --scale 0.5 --no-cache "$@"
 run fig6   "$@"
 # table3 is the long one; the committed artifact uses a 12-dataset subset:
 run table3 --datasets "PimaIndian,credit-a,diabetes,German Credit,SpectF,SVMGuide3,Ionosphere,Wine Q. Red,Housing Boston,Airfoil,Openml 589,Openml 620" --scale 0.1 --epochs1 3 --epochs2 6 "$@"

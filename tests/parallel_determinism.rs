@@ -183,7 +183,7 @@ fn speculation_predicts_the_next_slice_exactly() {
         let cache = Arc::new(ScoreCache::new(4096));
         let engine = engine.clone().with_cache(Arc::clone(&cache));
         let mut copy: SearchState = serde_json::from_str(checkpoint).unwrap();
-        let (prefix, candidates) = engine.speculate_evals(&copy).unwrap();
+        let (prefix, _, candidates) = engine.speculate_evals(&copy).unwrap();
         let first = candidates.first()?;
         if warm_first {
             let speculative = prefix
