@@ -52,18 +52,20 @@ use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
-use crate::store::ColumnStore;
+use crate::store::{ColumnStore, Lineage};
 use learners::{BinnedColumn, SelectedColumn, Selection};
 use minhash::{RowSource, WeightBounds};
 use runtime::{ColumnDigest, WorkerPool};
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
 
 /// A generated candidate held as compressed chunks — the chunked
-/// counterpart of [`crate::GeneratedFeature`], which never exists as a
+/// counterpart of the flat store's candidate, which never exists as a
 /// flat `Vec<f64>`.
 #[derive(Debug, Clone)]
 pub struct ChunkedCandidate {
-    /// Expression name (same formatting as the flat store).
+    /// What it is made of.
+    lineage: Lineage,
+    /// Expression name, derived from the lineage.
     name: String,
     /// Composition depth.
     order: usize,
@@ -252,9 +254,18 @@ impl ColumnStore for ChunkedStore {
         })
     }
 
-    fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<ChunkedCandidate> {
-        let sub = &self.subgroups[agent];
-        generate_chunked(&self.frame, op, &sub[a], &sub[b])
+    fn generate(&self, lineage: Lineage) -> Result<ChunkedCandidate> {
+        let sub = &self.subgroups[lineage.agent];
+        let (a, b) = (sub[lineage.a].col, sub[lineage.b].col);
+        let (name, order) = self.describe(lineage);
+        let (chunks, degenerate) = generate_chunked(&self.frame, lineage.op, a, b)?;
+        Ok(ChunkedCandidate {
+            lineage,
+            name,
+            order,
+            chunks,
+            degenerate,
+        })
     }
 
     fn name(candidate: &ChunkedCandidate) -> &str {
@@ -336,7 +347,8 @@ impl ColumnStore for ChunkedStore {
     /// spill to the store under memory pressure); the selection gains the
     /// candidate's digest and bins, which its evaluation left in the bin
     /// cache.
-    fn accept(&mut self, agent: usize, candidate: ChunkedCandidate) -> Result<()> {
+    fn accept(&mut self, candidate: ChunkedCandidate) -> Result<()> {
+        let agent = candidate.lineage.agent;
         if let Some(mut selection) = self.selection.take() {
             // Accepted columns land behind their subgroup's earlier ones.
             let at = self.subgroups.len()
@@ -380,17 +392,16 @@ impl ColumnStore for ChunkedStore {
 /// Apply `op` to two frame columns chunk-at-a-time: decode each chunk
 /// into pooled scratch, transform with [`Operator::apply_chunk`], and
 /// re-encode — in parallel across chunks when the pool is active, merged
-/// in chunk-index order. Values are bit-identical to
-/// `GeneratedFeature::generate` on the materialized parents.
+/// in chunk-index order. Values are bit-identical to [`Operator::apply`]
+/// on the materialized parents. Returns the chunks and whether the
+/// column is degenerate.
 fn generate_chunked(
     frame: &ChunkedFrame,
     op: Operator,
-    a: &MemberRef,
-    b: &MemberRef,
-) -> Result<ChunkedCandidate> {
+    a_col: usize,
+    b_col: usize,
+) -> Result<(Vec<ChunkEncoding>, bool)> {
     telemetry::count(op.counter_name(), 1);
-    let (name, order) = op.expression((&a.name, a.order), (&b.name, b.order));
-    let (a_col, b_col) = (a.col, b.col);
     // Whole-column prepass for min-max normalisation: one sequential
     // row-order fold per accumulator, the exact `column_bounds` chains.
     let bounds = if op.needs_bounds() {
@@ -447,12 +458,7 @@ fn generate_chunked(
     // are order-insensitive over finite values up to the sign of zero,
     // which cannot change the `hi - lo < eps` verdict.
     let degenerate = !(hi - lo).is_finite() || hi - lo < 1e-12;
-    Ok(ChunkedCandidate {
-        name,
-        order,
-        chunks,
-        degenerate,
-    })
+    Ok((chunks, degenerate))
 }
 
 /// A candidate's chunks as the MinHash kernel's row source: random access
@@ -617,10 +623,12 @@ mod tests {
             accepted: &[(usize, Operator, usize, usize)],
         ) -> B::Candidate {
             for &(agent, op, a, b) in accepted {
-                let feature = store.generate(agent, op, a, b).unwrap();
-                store.accept(agent, feature).unwrap();
+                let feature = store.generate(Lineage::new(agent, op, a, b)).unwrap();
+                store.accept(feature).unwrap();
             }
-            store.generate(2, Operator::Log, 0, 0).unwrap()
+            store
+                .generate(Lineage::new(2, Operator::Log, 0, 0))
+                .unwrap()
         }
         for task in [Task::Classification, Task::Regression] {
             let frame = SynthSpec::new("key-parity", 60, 3, task)
@@ -635,7 +643,7 @@ mod tests {
                 let whole = flat
                     .engineered()
                     .unwrap()
-                    .with_extra_columns(std::slice::from_ref(&candidate.column))
+                    .with_extra_columns(std::slice::from_ref(&candidate.feature.column))
                     .unwrap();
                 assert_eq!(whole.n_cols(), 3 + extras + 1);
                 assert!(evaluator.cache().contains(evaluator.cache_key(&whole)));
@@ -712,13 +720,15 @@ mod tests {
             // A second member per subgroup, so binary operators also see
             // two different parents.
             for agent in 0..n_agents {
-                let member = store.generate(agent, Operator::Sqrt, 0, 0).unwrap();
-                store.accept(agent, member).unwrap();
+                let member = store
+                    .generate(Lineage::new(agent, Operator::Sqrt, 0, 0))
+                    .unwrap();
+                store.accept(member).unwrap();
             }
             for agent in 0..n_agents {
                 for op in Operator::ALL {
                     for (a, b) in [(0, 0), (0, 1), (1, 0)] {
-                        let candidate = store.generate(agent, op, a, b).unwrap();
+                        let candidate = store.generate(Lineage::new(agent, op, a, b)).unwrap();
                         let mut values = Vec::with_capacity(n);
                         for enc in &candidate.chunks {
                             enc.fold_values((), |(), v| values.push(v));
@@ -726,7 +736,6 @@ mod tests {
                         let flat = GeneratedFeature {
                             column: Column::new(candidate.name.clone(), values),
                             order: candidate.order,
-                            operator: op,
                         };
                         assert_eq!(
                             ChunkedStore::is_degenerate(&candidate),
@@ -839,7 +848,7 @@ mod tests {
             for chunk_rows in [1, 7, 4096] {
                 let store = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
                 for (agent, op) in candidates {
-                    let candidate = store.generate(agent, op, 0, 0).unwrap();
+                    let candidate = store.generate(Lineage::new(agent, op, 0, 0)).unwrap();
                     let mut flat = Vec::with_capacity(n);
                     for enc in &candidate.chunks {
                         enc.fold_values((), |(), v| flat.push(v));

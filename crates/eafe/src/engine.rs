@@ -30,7 +30,7 @@ use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::report::RunResult;
 use runtime::ScoreCache;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tabular::DataFrame;
 
@@ -49,7 +49,14 @@ pub(crate) enum Gate {
 }
 
 /// A configured AFE method ready to run on datasets.
-#[derive(Debug, Clone)]
+///
+/// An engine round-trips through serde as its *method definition*
+/// (config + gate + switches): the shared score cache is a process-local
+/// handle, so a restored engine starts with a private cache until a new
+/// one is attached via `with_cache`. This is what lets a job server
+/// checkpoint (engine, search state) pairs to disk and resume them after
+/// a restart.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Engine {
     /// Engine configuration.
     pub config: EafeConfig,
@@ -66,47 +73,8 @@ pub struct Engine {
     /// so repeated evaluations across methods/epochs are computed once).
     /// `None` gives the run a private cache, keeping isolated runs
     /// reproducible and unaffected by other runs in the same process.
+    #[serde(skip)]
     pub cache: Option<Arc<ScoreCache<f64>>>,
-}
-
-// The shared score cache is a process-local handle, so an engine
-// round-trips through serde as its *method definition* (config + gate +
-// switches); a restored engine starts with a private cache until a new
-// one is attached via `with_cache`. This is what lets a job server
-// checkpoint (engine, search state) pairs to disk and resume them after
-// a restart.
-impl Serialize for Engine {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("gate".to_string(), self.gate.to_value()),
-            ("two_stage".to_string(), self.two_stage.to_value()),
-            (
-                "use_lambda_returns".to_string(),
-                self.use_lambda_returns.to_value(),
-            ),
-            ("method_name".to_string(), self.method_name.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Engine {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| DeError::new("expected map for Engine"))?;
-        Ok(Engine {
-            config: Deserialize::from_value(serde::field(entries, "config"))?,
-            gate: Deserialize::from_value(serde::field(entries, "gate"))?,
-            two_stage: Deserialize::from_value(serde::field(entries, "two_stage"))?,
-            use_lambda_returns: Deserialize::from_value(serde::field(
-                entries,
-                "use_lambda_returns",
-            ))?,
-            method_name: Deserialize::from_value(serde::field(entries, "method_name"))?,
-            cache: None,
-        })
-    }
 }
 
 impl Engine {

@@ -43,7 +43,8 @@
 //! - `step` — the search driver: Algorithm 2 written once as a
 //!   resumable state machine (start/step/finish, speculation), generic
 //!   over where the columns live;
-//! - `store` (private) — the `ColumnStore` trait that seam is made of;
+//! - `store` (private) — the `ColumnStore` trait that seam is made of,
+//!   and the `Lineage` every candidate carries;
 //! - `state` — feature subgroups and the in-RAM store behind
 //!   [`SearchState`] (serializable checkpoints);
 //! - `chunked` — the out-of-core store behind [`ChunkedSearch`];

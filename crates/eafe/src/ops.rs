@@ -227,8 +227,6 @@ pub struct GeneratedFeature {
     pub column: Column,
     /// Composition depth.
     pub order: usize,
-    /// The operator that produced it.
-    pub operator: Operator,
 }
 
 impl GeneratedFeature {
@@ -247,7 +245,6 @@ impl GeneratedFeature {
         GeneratedFeature {
             column: Column::new(name, values),
             order,
-            operator: op,
         }
     }
 

@@ -5,7 +5,8 @@
 //! generated feature derived within that subgroup. The state `s` is the set
 //! of selected features across subgroups; it expands as qualified features
 //! are accepted. Agents act on their own subgroup by sampling two member
-//! features (with replacement) and applying the chosen operator.
+//! features (with replacement) and applying the chosen operator; every
+//! accepted member keeps the [`Lineage`] that says so.
 //!
 //! [`EngineState`] is the in-RAM `ColumnStore`: every member is a flat
 //! [`Column`], FPE scoring goes through the process-wide signature cache,
@@ -18,11 +19,19 @@
 use crate::config::CachedEvaluator;
 use crate::error::Result;
 use crate::fpe::FpeModel;
-use crate::ops::{GeneratedFeature, Operator};
-use crate::store::ColumnStore;
+use crate::ops::GeneratedFeature;
+use crate::store::{ColumnStore, Lineage};
 use learners::{SelectedColumn, Selection};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame};
+
+/// A flat store's candidate — and, once accepted, a subgroup member: the
+/// generated column and the lineage it was made from.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FlatCandidate {
+    pub(crate) lineage: Lineage,
+    pub(crate) feature: GeneratedFeature,
+}
 
 /// One agent's feature subgroup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,7 +41,7 @@ pub(crate) struct FeatureSubgroup {
     /// The original feature (order 0).
     pub original: Column,
     /// Accepted generated features, in acceptance order.
-    pub generated: Vec<GeneratedFeature>,
+    pub generated: Vec<FlatCandidate>,
 }
 
 impl FeatureSubgroup {
@@ -56,20 +65,15 @@ impl FeatureSubgroup {
         if idx == 0 {
             (&self.original, 0)
         } else {
-            let g = &self.generated[idx - 1];
+            let g = &self.generated[idx - 1].feature;
             (&g.column, g.order)
         }
-    }
-
-    /// Accept a generated feature into the subgroup.
-    pub(crate) fn accept(&mut self, feature: GeneratedFeature) {
-        self.generated.push(feature);
     }
 }
 
 /// The in-RAM column store of a flat search: the sanitized base frame and
 /// one subgroup per original feature.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EngineState {
     frame: DataFrame,
     /// Per-agent subgroups.
@@ -78,6 +82,7 @@ pub struct EngineState {
     /// candidate's cache probe digests the candidate column and a miss
     /// bins only it. Derived from the fields above (not serialised, not
     /// compared); built on the first evaluation, extended on acceptance.
+    #[serde(skip)]
     selection: Option<Selection>,
 }
 
@@ -87,41 +92,38 @@ impl PartialEq for EngineState {
     }
 }
 
-impl Serialize for EngineState {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("frame".to_string(), self.frame.to_value()),
-            ("subgroups".to_string(), self.subgroups.to_value()),
-        ])
-    }
-}
-
 // A checkpoint is outside input: every column the search will index, hash
-// or hand to a learner must have the frame's row count, and there must be
-// one subgroup per base column.
+// or hand to a learner must have the frame's row count, there must be one
+// subgroup per base column, and every accepted member must have been made
+// in its own subgroup from strictly earlier members.
 impl Deserialize for EngineState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
         let entries = v
             .as_map()
             .ok_or_else(|| DeError::new("expected map for EngineState"))?;
-        let frame: DataFrame = Deserialize::from_value(serde::field(entries, "frame"))?;
-        let subgroups: Vec<FeatureSubgroup> =
-            Deserialize::from_value(serde::field(entries, "subgroups"))?;
-        let n_rows = frame.n_rows();
-        let mut columns = subgroups.iter().flat_map(|sub| {
-            std::iter::once(&sub.original).chain(sub.generated.iter().map(|g| &g.column))
-        });
-        if subgroups.len() != frame.n_cols() || columns.any(|c| c.values.len() != n_rows) {
+        let state = EngineState {
+            frame: Deserialize::from_value(serde::field(entries, "frame"))?,
+            subgroups: Deserialize::from_value(serde::field(entries, "subgroups"))?,
+            selection: None,
+        };
+        let n_rows = state.frame.n_rows();
+        if state.subgroups.len() != state.frame.n_cols()
+            || state
+                .subgroups
+                .iter()
+                .any(|sub| sub.original.values.len() != n_rows)
+        {
             return Err(DeError::new(format!(
                 "subgroups do not match the frame's {} columns of {n_rows} rows",
-                frame.n_cols()
+                state.frame.n_cols()
             )));
         }
-        Ok(EngineState {
-            frame,
-            subgroups,
-            selection: None,
-        })
+        for (agent, sub) in state.subgroups.iter().enumerate() {
+            for (held, member) in (1..).zip(&sub.generated) {
+                state.check_lineage(member, agent, held)?;
+            }
+        }
+        Ok(state)
     }
 }
 
@@ -146,6 +148,35 @@ impl EngineState {
     /// agent's policy.
     pub const EMBEDDING_DIM: usize = 8;
 
+    /// Checks a decoded `candidate` is the feature its lineage describes:
+    /// made in subgroup `agent` from two of its first `held` members, with
+    /// the name and order the lineage derives and the frame's rows.
+    pub(crate) fn check_lineage(
+        &self,
+        candidate: &FlatCandidate,
+        agent: usize,
+        held: usize,
+    ) -> std::result::Result<(), DeError> {
+        let (l, column) = (candidate.lineage, &candidate.feature.column);
+        if l.agent != agent || l.a >= held || l.b >= held {
+            return Err(DeError::new(format!(
+                "{}: lineage {l:?} names no parents among subgroup {agent}'s first {held} members",
+                column.name
+            )));
+        }
+        let (name, order) = self.describe(l);
+        if name != column.name
+            || order != candidate.feature.order
+            || column.values.len() != self.n_rows()
+        {
+            return Err(DeError::new(format!(
+                "{}: not the feature its lineage {l:?} describes",
+                column.name
+            )));
+        }
+        Ok(())
+    }
+
     /// The selected columns in selection order: base columns, then the
     /// accepted features subgroup by subgroup.
     fn selected_columns(&self) -> impl Iterator<Item = &Column> {
@@ -153,7 +184,7 @@ impl EngineState {
         self.frame
             .columns()
             .iter()
-            .chain(generated.map(|g| &g.column))
+            .chain(generated.map(|g| &g.feature.column))
     }
 
     /// The selected frame plus `extra`, built in one copy — what a model
@@ -196,7 +227,7 @@ impl EngineState {
 }
 
 impl ColumnStore for EngineState {
-    type Candidate = GeneratedFeature;
+    type Candidate = FlatCandidate;
     type Frame = DataFrame;
 
     fn dataset(&self) -> &str {
@@ -224,34 +255,41 @@ impl ColumnStore for EngineState {
         Ok(evaluator.evaluate(&self.frame)?)
     }
 
-    fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<GeneratedFeature> {
-        let sub = &self.subgroups[agent];
-        let (a, a_order) = sub.member(a);
-        let (b, b_order) = sub.member(b);
-        Ok(GeneratedFeature::generate(op, a, a_order, b, b_order))
+    fn generate(&self, lineage: Lineage) -> Result<FlatCandidate> {
+        let (name, order) = self.describe(lineage);
+        let sub = &self.subgroups[lineage.agent];
+        let op = lineage.op;
+        telemetry::count(op.counter_name(), 1);
+        let values = op.apply(
+            &sub.member(lineage.a).0.values,
+            &sub.member(lineage.b).0.values,
+        );
+        Ok(FlatCandidate {
+            lineage,
+            feature: GeneratedFeature {
+                column: Column::new(name, values),
+                order,
+            },
+        })
     }
 
-    fn name(candidate: &GeneratedFeature) -> &str {
-        &candidate.column.name
+    fn name(candidate: &FlatCandidate) -> &str {
+        &candidate.feature.column.name
     }
 
-    fn order(candidate: &GeneratedFeature) -> usize {
-        candidate.order
+    fn order(candidate: &FlatCandidate) -> usize {
+        candidate.feature.order
     }
 
-    fn is_degenerate(candidate: &GeneratedFeature) -> bool {
-        candidate.is_degenerate()
+    fn is_degenerate(candidate: &FlatCandidate) -> bool {
+        candidate.feature.is_degenerate()
     }
 
-    fn fpe_score(&self, fpe: &FpeModel, candidate: &GeneratedFeature) -> Result<f64> {
-        fpe.score_feature(&candidate.column.values)
+    fn fpe_score(&self, fpe: &FpeModel, candidate: &FlatCandidate) -> Result<f64> {
+        fpe.score_feature(&candidate.feature.column.values)
     }
 
-    fn evaluate(
-        &mut self,
-        evaluator: &CachedEvaluator,
-        candidate: &GeneratedFeature,
-    ) -> Result<f64> {
+    fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &FlatCandidate) -> Result<f64> {
         let bin_budget = evaluator.scorer().bin_budget(self.frame.task());
         let selection = self.take_selection(bin_budget);
         let score = self.evaluate_against(&selection, evaluator, candidate);
@@ -259,7 +297,8 @@ impl ColumnStore for EngineState {
         score
     }
 
-    fn accept(&mut self, agent: usize, candidate: GeneratedFeature) -> Result<()> {
+    fn accept(&mut self, candidate: FlatCandidate) -> Result<()> {
+        let agent = candidate.lineage.agent;
         if let Some(selection) = &mut self.selection {
             // The accepted column joins the selection behind its
             // subgroup's earlier acceptances.
@@ -268,14 +307,14 @@ impl ColumnStore for EngineState {
                     .iter()
                     .map(|s| s.generated.len())
                     .sum::<usize>();
-            let column = &candidate.column;
+            let column = &candidate.feature.column;
             let budget = selection.bin_budget();
             selection.insert(
                 at,
                 SelectedColumn::of_values(&column.name, &column.values, budget),
             );
         }
-        self.subgroups[agent].accept(candidate);
+        self.subgroups[agent].generated.push(candidate);
         Ok(())
     }
 
@@ -293,10 +332,10 @@ impl EngineState {
         &self,
         selection: &Selection,
         evaluator: &CachedEvaluator,
-        candidate: &GeneratedFeature,
+        candidate: &FlatCandidate,
     ) -> Result<f64> {
         let bin_budget = selection.bin_budget();
-        let column = &candidate.column;
+        let column = &candidate.feature.column;
         let digest = runtime::fingerprint_values(&column.values);
         let key = evaluator.key_of(&selection.extended_key(&column.name, digest));
         evaluator.evaluate_keyed(key, |scorer| {
@@ -320,7 +359,7 @@ impl EngineState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{GeneratedFeature, Operator};
+    use crate::ops::Operator;
     use tabular::{DataFrame, Label};
 
     fn base() -> DataFrame {
@@ -338,8 +377,12 @@ mod tests {
         .unwrap()
     }
 
-    fn gen_feature(state: &EngineState) -> GeneratedFeature {
-        state.generate(0, Operator::Sqrt, 0, 0).unwrap()
+    fn sqrt_f0() -> Lineage {
+        Lineage::new(0, Operator::Sqrt, 0, 0)
+    }
+
+    fn gen_feature(state: &EngineState) -> FlatCandidate {
+        state.generate(sqrt_f0()).unwrap()
     }
 
     #[test]
@@ -356,7 +399,7 @@ mod tests {
     fn accept_expands_state_and_frame() {
         let mut s = EngineState::new(base());
         let g = gen_feature(&s);
-        s.accept(0, g).unwrap();
+        s.accept(g).unwrap();
         assert_eq!(s.n_generated(), 1);
         assert_eq!(s.subgroups[0].len(), 2);
         let sel = s.engineered().unwrap();
@@ -369,7 +412,7 @@ mod tests {
     fn member_indexing_and_orders() {
         let mut s = EngineState::new(base());
         let g = gen_feature(&s);
-        s.accept(0, g).unwrap();
+        s.accept(g).unwrap();
         let (col, order) = s.subgroups[0].member(1);
         assert_eq!(col.name, "sqrt(f0)");
         assert_eq!(order, 1);
@@ -381,16 +424,43 @@ mod tests {
     fn deserialize_rejects_columns_that_disagree_with_the_frame() {
         let mut s = EngineState::new(base());
         let g = gen_feature(&s);
-        s.accept(0, g).unwrap();
+        s.accept(g).unwrap();
         let good = s.to_value();
         assert_eq!(EngineState::from_value(&good).unwrap(), s);
 
         let mut short = s.clone();
-        short.subgroups[0].generated[0].column.values.pop();
+        short.subgroups[0].generated[0].feature.column.values.pop();
         assert!(EngineState::from_value(&short.to_value()).is_err());
 
         let mut missing = s.clone();
         missing.subgroups.pop();
         assert!(EngineState::from_value(&missing.to_value()).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_a_member_its_lineage_does_not_describe() {
+        let mut s = EngineState::new(base());
+        let g = gen_feature(&s);
+        s.accept(g).unwrap();
+        let member = s.generate(Lineage { a: 1, ..sqrt_f0() }).unwrap();
+        s.accept(member).unwrap();
+        assert_eq!(EngineState::from_value(&s.to_value()).unwrap(), s);
+
+        let rejects = |edit: &dyn Fn(&mut FlatCandidate)| {
+            let mut bad = s.clone();
+            edit(&mut bad.subgroups[0].generated[1]);
+            EngineState::from_value(&bad.to_value())
+                .unwrap_err()
+                .to_string()
+        };
+        // Made in another subgroup, or in none.
+        assert!(rejects(&|m| m.lineage.agent = 1).contains("lineage"));
+        assert!(rejects(&|m| m.lineage.agent = 9).contains("lineage"));
+        // A parent that is not strictly earlier than the member (index 2).
+        assert!(rejects(&|m| m.lineage.a = 2).contains("lineage"));
+        assert!(rejects(&|m| m.lineage.b = 7).contains("lineage"));
+        // A name or an order the lineage does not derive.
+        assert!(rejects(&|m| m.feature.column.name.push('x')).contains("describes"));
+        assert!(rejects(&|m| m.feature.order = 1).contains("describes"));
     }
 }

@@ -4,14 +4,14 @@
 //! A [`Search`] is generic over its column store (the crate-private
 //! `ColumnStore` trait, see `store.rs`): [`SearchState`] runs on the in-RAM
 //! [`EngineState`], [`ChunkedSearch`] on an out-of-core [`ChunkedStore`].
-//! The store holds column data and has six duties — generate a candidate
-//! from two subgroup members, say whether it is degenerate, FPE-score it,
-//! run one downstream evaluation, accept it, hand back the engineered
-//! frame; the policies, both RNG streams, the replay buffer, the adaptive
-//! gate, the counters and the phase machine live here, once. A long-lived server interleaves many searches on one
-//! process (`crates/serve`), pauses one at any epoch boundary, checkpoints
-//! it to disk and resumes it — on the same or a different process — with
-//! **bit-identical** results.
+//! The store holds column data and has six duties — generate the candidate
+//! a lineage describes, say whether it is degenerate, FPE-score it, run one
+//! downstream evaluation, accept it, hand back the engineered frame; the
+//! policies, both RNG streams, the replay buffer, the adaptive gate, the
+//! counters and the phase machine live here, once. A long-lived server
+//! interleaves many searches on one process (`crates/serve`), pauses one
+//! at any epoch boundary, checkpoints it to disk and resumes it — on the
+//! same or a different process — with **bit-identical** results.
 //!
 //! The unit of work is one *slice*: a stage-1 epoch, the stage-1→2
 //! replay seeding, or a stage-2 epoch. Each [`Engine::step`] call runs
@@ -25,12 +25,19 @@
 //! call the same two functions on copies of the streams, which is what
 //! makes their predictions exact.
 //!
+//! A candidate carries its `Lineage` — the proposing agent, the operator
+//! and two members of that agent's subgroup — from `propose` through the
+//! replay buffer to acceptance, which always adds it to the proposing
+//! agent's subgroup: in stage 2 right away, in the seeding slice when
+//! the stage-1 candidate it replays improves the score.
+//!
 //! ## Determinism contract
 //!
 //! [`SearchState`] is serde-serializable and captures *everything* the
-//! search depends on: the sanitized frame, per-agent policies (including
-//! Adam moments), both RNG streams (as raw xoshiro state words), the
-//! replay buffer, the adaptive gate window, and all counters. Restoring a
+//! search depends on: the sanitized frame, the subgroups' members with
+//! their lineages, per-agent policies (including Adam moments), both RNG
+//! streams (as raw xoshiro state words), the replay buffer, the adaptive
+//! gate window, and all counters. Restoring a
 //! checkpoint and stepping to completion therefore produces the same
 //! scores, evaluation counts, and selected features — bit for bit — as an
 //! uninterrupted run, under any thread count. Two things are deliberately
@@ -45,13 +52,13 @@ use crate::chunked::ChunkedStore;
 use crate::config::{CachedEvaluator, EafeConfig};
 use crate::engine::{Engine, Gate};
 use crate::error::{EafeError, Result};
-use crate::ops::{GeneratedFeature, Operator};
+use crate::ops::Operator;
 use crate::report::{
     EpochPoint, EpochReport, EvalCounter, PhaseTimer, RunResult, SearchStage, WeightedFeature,
 };
 use crate::reward::SurrogateReward;
-use crate::state::EngineState;
-use crate::store::ColumnStore;
+use crate::state::{EngineState, FlatCandidate};
+use crate::store::{ColumnStore, Lineage};
 use learners::Selection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -244,17 +251,25 @@ impl Serialize for SearchState {
 
 // A checkpoint is outside input: the driver indexes `policies` by agent,
 // so a file with fewer (or more) policies than subgroups is corrupt, not a
-// panic waiting in the scheduler thread. Column lengths are checked by
+// panic waiting in the scheduler thread, and the seeding slice accepts a
+// replayed candidate into its lineage's subgroup, which must hold both
+// parents. Column lengths and members' lineages are checked by
 // `EngineState`'s own `Deserialize`.
 impl Deserialize for SearchState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let core: SearchCore<EngineState, _> = SearchCore::from_value(v)?;
-        if core.policies.len() != core.state.store.n_agents() {
+        let core: SearchCore<EngineState, FlatCandidate> = SearchCore::from_value(v)?;
+        let store = &core.state.store;
+        if core.policies.len() != store.n_agents() {
             return Err(DeError::new(format!(
                 "{} policies for {} subgroups",
                 core.policies.len(),
-                core.state.store.n_agents()
+                store.n_agents()
             )));
+        }
+        for candidate in core.replay.items() {
+            let agent = candidate.lineage.agent;
+            let held = (agent < store.n_agents()).then(|| store.members(agent));
+            store.check_lineage(candidate, agent, held.unwrap_or(0))?;
         }
         Ok(Search {
             core,
@@ -357,9 +372,10 @@ fn embedding<B: ColumnStore>(
 }
 
 /// One proposal (paper Figure 3): embed the state, let the agent's policy
-/// pick an operator, sample two subgroup members with replacement and
-/// apply it. `rng` is drawn in that order — policy step, member `a`,
-/// member `b` — and nothing else in a slice draws from it.
+/// pick an operator, sample two members of the agent's subgroup with
+/// replacement and generate the candidate that lineage describes. `rng`
+/// is drawn in that order — policy step, member `a`, member `b` — and
+/// nothing else in a slice draws from it.
 fn propose<B: ColumnStore>(
     cfg: &EafeConfig,
     state: &RlState<B>,
@@ -375,7 +391,7 @@ fn propose<B: ColumnStore>(
     let members = state.store.members(agent);
     let a = rng.gen_range(0..members);
     let b = rng.gen_range(0..members);
-    Ok((cache, state.store.generate(agent, op, a, b)?))
+    Ok((cache, state.store.generate(Lineage { agent, op, a, b })?))
 }
 
 /// The gate-side streams a slice advances: the real epochs check them out
@@ -394,17 +410,6 @@ impl GateStreams {
             scratch: Vec::new(),
         }
     }
-}
-
-/// Which subgroup a replayed feature joins: the first subgroup, in agent
-/// order, whose original feature's name occurs *anywhere* in the
-/// expression as a substring (falls back to 0). That is not always the
-/// feature the expression was built from — `f1` claims `sqrt(f10)` — but
-/// changing it moves result fingerprints (ROADMAP item 1).
-fn feature_origin<B: ColumnStore>(store: &B, expr: &str) -> usize {
-    (0..store.n_agents())
-        .position(|j| expr.contains(store.member(j, 0).0))
-        .unwrap_or(0)
 }
 
 impl Engine {
@@ -698,7 +703,7 @@ impl Engine {
                     let score = evaluate(core, evaluator, timer, &candidate)?;
                     core.state.last_reward = score - core.state.current_score;
                     if score > core.state.current_score {
-                        accept(core, agent, candidate, score)?;
+                        accept(core, candidate, score)?;
                     }
                     score.max(core.state.current_score)
                 } else {
@@ -770,7 +775,8 @@ impl Engine {
     }
 
     /// Seed stage 2: replay the promising stage-1 features against the
-    /// real downstream task (Algorithm 2 line 16).
+    /// real downstream task (Algorithm 2 line 16). A feature that improves
+    /// the score joins the subgroup of the agent that proposed it.
     fn seed<B: ColumnStore>(
         &self,
         core: &mut SearchCore<B, B::Candidate>,
@@ -784,8 +790,7 @@ impl Engine {
             let score = evaluate(core, evaluator, timer, &candidate)?;
             if score > core.state.current_score {
                 core.state.last_reward = score - core.state.current_score;
-                let origin = feature_origin(&core.state.store, B::name(&candidate));
-                accept(core, origin, candidate, score)?;
+                accept(core, candidate, score)?;
             }
         }
         core.phase = self.stage2_or_done(0);
@@ -864,11 +869,10 @@ fn evaluate<B: ColumnStore>(
 }
 
 /// Accept `candidate`, which scored `score` (above the current score),
-/// into `agent`'s subgroup; its weight is `core.state.last_reward`, the gain it
-/// delivered.
+/// into its proposing agent's subgroup; its weight is
+/// `core.state.last_reward`, the gain it delivered.
 fn accept<B: ColumnStore>(
     core: &mut SearchCore<B, B::Candidate>,
-    agent: usize,
     candidate: B::Candidate,
     score: f64,
 ) -> Result<()> {
@@ -878,7 +882,7 @@ fn accept<B: ColumnStore>(
         name: B::name(&candidate).to_string(),
         weight: core.state.last_reward,
     });
-    core.state.store.accept(agent, candidate)
+    core.state.store.accept(candidate)
 }
 
 // ---------------------------------------------------------------------------
@@ -922,7 +926,7 @@ impl Engine {
     fn replay_proposals(
         &self,
         search: &SearchState,
-        mut keep: impl FnMut(&GeneratedFeature, SearchStage, &mut GateStreams) -> Result<bool>,
+        mut keep: impl FnMut(&FlatCandidate, SearchStage, &mut GateStreams) -> Result<bool>,
     ) -> Result<Vec<Column>> {
         let core = &search.core;
         let cfg = &self.config;
@@ -941,7 +945,7 @@ impl Engine {
                 let (_, candidate) =
                     propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)?;
                 if keep(&candidate, stage, &mut streams)? {
-                    columns.push(candidate.column);
+                    columns.push(candidate.feature.column);
                 }
             }
         }
@@ -995,7 +999,7 @@ impl Engine {
         let candidates = match core.phase {
             SearchPhase::Seed if store.n_generated() < core.max_generated => self
                 .seed_queue(store.n_agents(), &mut core.replay.clone())
-                .map(|feat| feat.column)
+                .map(|candidate| candidate.feature.column)
                 .collect(),
             SearchPhase::Stage2 { .. } => self
                 .replay_proposals(search, |candidate, stage, streams| {
@@ -1118,8 +1122,11 @@ mod tests {
         assert_eq!(e[4], 0.0, "an untouched subgroup has mean order 0");
 
         // One order-1 member beside the original: mean order 1/2.
-        let sqrt = state.store.generate(1, Operator::Sqrt, 0, 0).unwrap();
-        state.store.accept(1, sqrt).unwrap();
+        let sqrt = state
+            .store
+            .generate(Lineage::new(1, Operator::Sqrt, 0, 0))
+            .unwrap();
+        state.store.accept(sqrt).unwrap();
         let e = embedding(&cfg, &state, 1, 2, 0.5);
         assert!((e[4] - 0.5 / cfg.max_order as f64).abs() < 1e-12);
     }
@@ -1128,9 +1135,11 @@ mod tests {
     fn proposals_draw_both_members_from_the_agents_own_subgroup() {
         let cfg = fast_config();
         let mut state = rl_state(0.0);
-        let sqrt = state.store.generate(2, Operator::Sqrt, 0, 0).unwrap();
-        state.store.accept(2, sqrt).unwrap();
-        let own = state.store.member(2, 0).0.to_string();
+        let sqrt = state
+            .store
+            .generate(Lineage::new(2, Operator::Sqrt, 0, 0))
+            .unwrap();
+        state.store.accept(sqrt).unwrap();
         let mut policy = RnnPolicy::new(rl::PolicyConfig {
             state_dim: EngineState::EMBEDDING_DIM,
             n_actions: Operator::ALL.len(),
@@ -1141,25 +1150,54 @@ mod tests {
         let (mut composed, mut fresh) = (0, 0);
         for i in 0..100 {
             let step = i % cfg.steps_per_epoch;
-            // An out-of-range member index would panic inside `generate`.
             let (_, candidate) =
                 propose(&cfg, &state, &mut policy, &mut rng, 2, step, 0.0).unwrap();
-            let expr = &candidate.column.name;
-            assert!(expr.contains(&own), "{expr} is not built from {own}");
-            for other in [0, 1, 3, 4] {
-                let name = state.store.member(other, 0).0;
-                assert!(
-                    !expr.contains(name),
-                    "{expr} reaches into {name}'s subgroup"
-                );
-            }
-            match candidate.order {
+            let lineage = candidate.lineage;
+            assert_eq!(lineage.agent, 2, "{lineage:?}");
+            assert!(lineage.a < 2 && lineage.b < 2, "{lineage:?}");
+            let expr = &candidate.feature.column.name;
+            assert_eq!(
+                (expr.clone(), candidate.feature.order),
+                state.store.describe(lineage)
+            );
+            match candidate.feature.order {
                 1 => fresh += 1,
                 2 => composed += 1,
                 order => panic!("{expr}: order {order} from members of order 0 and 1"),
             }
         }
         assert!(fresh > 0 && composed > 0, "both members must be reachable");
+    }
+
+    /// A replayed candidate joins the subgroup of the agent that proposed
+    /// it. With twelve columns `f0..f11`, agent 10's `sqrt(f10)` contains
+    /// the name `f1` too; a guess by name would hand it to subgroup 1.
+    #[test]
+    fn a_seeded_feature_joins_its_proposing_agents_subgroup() {
+        let frame = SynthSpec::new("twelve", 150, 12, Task::Classification)
+            .with_seed(5)
+            .generate()
+            .unwrap();
+        let engine = Engine::nfs(fast_config());
+        let mut search = engine.start(&frame).unwrap();
+        let core = &mut search.core;
+        let candidate = core
+            .state
+            .store
+            .generate(Lineage::new(10, Operator::Sqrt, 0, 0))
+            .unwrap();
+        assert_eq!(candidate.feature.column.name, "sqrt(f10)");
+        core.replay.push(1.0, candidate);
+        core.phase = SearchPhase::Seed;
+        // Any score improves on this one: the candidate is accepted.
+        core.state.current_score = f64::NEG_INFINITY;
+        engine.step(&mut search).unwrap();
+
+        let store = &search.core.state.store;
+        assert_eq!(store.n_generated(), 1);
+        assert_eq!(store.members(10), 2, "sqrt(f10) joins subgroup 10");
+        assert_eq!(store.member(10, 1).0, "sqrt(f10)");
+        assert_eq!(store.members(1), 1);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! a member's name and order — and carries out the six duties that
 //! genuinely differ between the two layouts:
 //!
-//! 1. **generate** a candidate from two subgroup members;
+//! 1. **generate** the candidate a [`Lineage`] describes;
 //! 2. tell whether a candidate is **degenerate** (with its name and order);
 //! 3. **FPE-score** a candidate;
 //! 4. run one **downstream evaluation** of the selection plus a candidate,
 //!    probing the score cache before materialising anything;
-//! 5. **accept** a candidate into a subgroup;
+//! 5. **accept** a candidate into its proposing agent's subgroup;
 //! 6. hand back the **engineered frame**.
 //!
 //! Scores, policies, RNG streams, the replay buffer, counters and the
@@ -27,6 +27,28 @@ use crate::config::CachedEvaluator;
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
+use serde::{Deserialize, Serialize};
+
+/// What a generated feature is made of: the agent that proposed it, the
+/// operator, and the two members of that agent's subgroup it was applied
+/// to. A unary operator reads only `a`; `b` is drawn, and kept, all the
+/// same. Member indices are stable because a subgroup only grows, so a
+/// lineage names its parents for as long as the search lives, and the
+/// feature joins `agent`'s subgroup when it is accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Lineage {
+    pub(crate) agent: usize,
+    pub(crate) op: Operator,
+    pub(crate) a: usize,
+    pub(crate) b: usize,
+}
+
+#[cfg(test)]
+impl Lineage {
+    pub(crate) fn new(agent: usize, op: Operator, a: usize, b: usize) -> Lineage {
+        Lineage { agent, op, a, b }
+    }
+}
 
 /// Column storage behind a [`crate::step::Search`]; see the module docs.
 /// Subgroup member 0 is the agent's original feature (order 0), members
@@ -55,9 +77,18 @@ pub trait ColumnStore {
     /// Downstream score of the base frame, before anything is accepted.
     fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64>;
 
-    /// Duty 1: apply `op` to members `a` and `b` of `agent`'s subgroup
-    /// (unary operators read only `a`).
-    fn generate(&self, agent: usize, op: Operator, a: usize, b: usize) -> Result<Self::Candidate>;
+    /// Duty 1: the candidate `lineage` describes, named by
+    /// [`describe`](ColumnStore::describe).
+    fn generate(&self, lineage: Lineage) -> Result<Self::Candidate>;
+
+    /// Expression name and transformation order of the feature `lineage`
+    /// describes — the one place a generated feature is named: `op(a)` at
+    /// `a`'s order + 1 for a unary operator, `(a op b)` at the deeper
+    /// parent's order + 1 for a binary one.
+    fn describe(&self, lineage: Lineage) -> (String, usize) {
+        let parent = |idx| self.member(lineage.agent, idx);
+        lineage.op.expression(parent(lineage.a), parent(lineage.b))
+    }
 
     /// A candidate's expression name.
     fn name(candidate: &Self::Candidate) -> &str;
@@ -79,9 +110,9 @@ pub trait ColumnStore {
     fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &Self::Candidate)
         -> Result<f64>;
 
-    /// Duty 5: add `candidate` to `agent`'s subgroup (and to the state
-    /// its selection keeps).
-    fn accept(&mut self, agent: usize, candidate: Self::Candidate) -> Result<()>;
+    /// Duty 5: add `candidate` to its lineage's agent's subgroup (and to
+    /// the state its selection keeps).
+    fn accept(&mut self, candidate: Self::Candidate) -> Result<()>;
 
     /// Duty 6: original features plus every accepted one, subgroup by
     /// subgroup.

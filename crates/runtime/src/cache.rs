@@ -23,7 +23,7 @@ use crate::fingerprint::Fingerprint;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 const N_SHARDS: usize = 16;
 
@@ -54,13 +54,18 @@ impl<V> Shard<V> {
         }
     }
 
+    /// The shard's entries (a poisoned lock recovered, see [`crate::lock`]).
+    fn lock(&self) -> MutexGuard<'_, HashMap<u128, Entry<V>>> {
+        crate::lock(&self.map)
+    }
+
     fn stats(&self) -> ShardStats {
         ShardStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.map.lock().unwrap().len(),
+            len: self.lock().len(),
         }
     }
 }
@@ -217,10 +222,7 @@ impl<V: Clone> ScoreCache<V> {
 
     /// Resident entries right now.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.lock().unwrap().len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -241,7 +243,7 @@ impl<V: Clone> ScoreCache<V> {
     pub fn get(&self, key: Fingerprint) -> Option<V> {
         let tick = self.next_tick();
         let shard = &self.shards[self.shard_of(key)];
-        let mut map = shard.map.lock().unwrap();
+        let mut map = shard.lock();
         match map.get_mut(&key.0) {
             Some(entry) => {
                 entry.last_used = tick;
@@ -261,7 +263,7 @@ impl<V: Clone> ScoreCache<V> {
         let tick = self.next_tick();
         let idx = self.shard_of(key);
         {
-            let mut map = self.shards[idx].map.lock().unwrap();
+            let mut map = self.shards[idx].lock();
             if let Some(entry) = map.get_mut(&key.0) {
                 entry.value = value;
                 entry.last_used = tick;
@@ -275,7 +277,7 @@ impl<V: Clone> ScoreCache<V> {
         // again as soon as every in-flight insert returns.
         let need_evict = self.len.fetch_add(1, Ordering::AcqRel) >= self.capacity;
         let shard = &self.shards[idx];
-        let mut map = shard.map.lock().unwrap();
+        let mut map = shard.lock();
         if let Some(entry) = map.get_mut(&key.0) {
             // A concurrent inserter beat us to this key: refresh in place
             // and release the slot we reserved.
@@ -306,7 +308,7 @@ impl<V: Clone> ScoreCache<V> {
             // Pass 1: find the oldest entry, one shard lock at a time.
             let mut victim: Option<(usize, u128, u64)> = None;
             for (si, shard) in self.shards.iter().enumerate() {
-                let map = shard.map.lock().unwrap();
+                let map = shard.lock();
                 for (&k, e) in map.iter() {
                     if k != protect.0 && victim.is_none_or(|(_, _, t)| e.last_used < t) {
                         victim = Some((si, k, e.last_used));
@@ -322,7 +324,7 @@ impl<V: Clone> ScoreCache<V> {
             // Pass 2: re-lock and remove. A touch between the passes just
             // makes the LRU choice approximate; a removal means another
             // evictor claimed the victim, so rescan.
-            if self.shards[si].map.lock().unwrap().remove(&k).is_some() {
+            if self.shards[si].lock().remove(&k).is_some() {
                 self.len.fetch_sub(1, Ordering::AcqRel);
                 self.shards[si].evictions.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -331,7 +333,7 @@ impl<V: Clone> ScoreCache<V> {
         // Pathological contention: every scan lost its victim to another
         // evictor. Take any entry other than `protect`.
         for shard in &self.shards {
-            let mut map = shard.map.lock().unwrap();
+            let mut map = shard.lock();
             if let Some(&k) = map.keys().find(|&&k| k != protect.0) {
                 map.remove(&k);
                 drop(map);
@@ -347,11 +349,7 @@ impl<V: Clone> ScoreCache<V> {
     /// this neither refreshes recency nor touches the hit/miss counters,
     /// so warm-cache zero-miss invariants stay observable.
     pub fn contains(&self, key: Fingerprint) -> bool {
-        self.shards[self.shard_of(key)]
-            .map
-            .lock()
-            .unwrap()
-            .contains_key(&key.0)
+        self.shards[self.shard_of(key)].lock().contains_key(&key.0)
     }
 
     /// Current value of the logical LRU clock. Pair with
@@ -375,7 +373,7 @@ impl<V: Clone> ScoreCache<V> {
     pub(crate) fn snapshot_since(&self, tick: u64) -> CacheSnapshot<V> {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            let map = shard.map.lock().unwrap();
+            let map = shard.lock();
             for (&k, e) in map.iter() {
                 if e.last_used >= tick {
                     entries.push((Fingerprint(k), e.value.clone()));
@@ -400,7 +398,7 @@ impl<V: Clone> ScoreCache<V> {
         for (fp, value) in &snapshot.entries {
             #[cfg(debug_assertions)]
             {
-                let map = self.shards[self.shard_of(*fp)].map.lock().unwrap();
+                let map = self.shards[self.shard_of(*fp)].lock();
                 if let Some(existing) = map.get(&fp.0) {
                     assert!(
                         existing.value == *value,

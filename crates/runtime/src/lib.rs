@@ -85,6 +85,10 @@
 //! resistant; the runtime assumes candidate features are generated by the
 //! search process, not chosen by an attacker.
 
+// ROADMAP 3(a): no `unwrap`/`expect` on the library's paths. A survivor
+// carries a local `#[allow]` and the invariant that makes it unreachable.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod cache;
 mod diststats;
 mod evaluator;
@@ -105,6 +109,16 @@ pub use fingerprint::{
 pub use pool::{global_threads, pool_stats, set_global_threads, PoolStats, TaskCtx, WorkerPool};
 pub use scratch::{scratch_f64_with_capacity, ScratchF64};
 pub use seed::derive_seed;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `m`'s guard, recovering a poisoned lock. Every lock in this crate
+/// guards a value its holders change by one std call at a time — a push,
+/// a pop, a `HashMap` insert or remove, a store to a field — so a holder
+/// that panicked left the value valid.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 pub use sigcache::{
     compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
     sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,

@@ -292,19 +292,18 @@ impl WorkerPool {
         // Distribute round-robin under the per-queue bound; overflow runs
         // inline right here (backpressure on the submitting thread).
         for (i, item) in items.into_iter().enumerate() {
-            let mut item = Some(item);
             let enqueued_at = telemetry::enabled().then(Instant::now);
-            for off in 0..n_workers {
-                let mut q = queues[(i + off) % n_workers].lock().unwrap();
-                if q.len() < QUEUE_CAPACITY {
-                    q.push_back((i, item.take().expect("item not yet placed"), enqueued_at));
-                    break;
+            let free = (0..n_workers).find_map(|off| {
+                let q = crate::lock(&queues[(i + off) % n_workers]);
+                (q.len() < QUEUE_CAPACITY).then_some(q)
+            });
+            match free {
+                Some(mut q) => q.push_back((i, item, enqueued_at)),
+                None => {
+                    telemetry::count("pool.inline_overflow", 1);
+                    let ctx = self.task_ctx(base + i);
+                    inline.push((i, run_task(f, &ctx, item)));
                 }
-            }
-            if let Some(item) = item.take() {
-                telemetry::count("pool.inline_overflow", 1);
-                let ctx = self.task_ctx(base + i);
-                inline.push((i, run_task(f, &ctx, item)));
             }
         }
 
@@ -321,11 +320,11 @@ impl WorkerPool {
                 }
                 // Own queue first (front), then steal (back) from others.
                 let job = {
-                    let mut job = queues[me].lock().unwrap().pop_front();
+                    let mut job = crate::lock(&queues[me]).pop_front();
                     if job.is_none() {
                         for off in 1..n_workers {
                             let victim = (me + off) % n_workers;
-                            job = queues[victim].lock().unwrap().pop_back();
+                            job = crate::lock(&queues[victim]).pop_back();
                             if job.is_some() {
                                 break;
                             }
@@ -350,7 +349,7 @@ impl WorkerPool {
                     }
                     Err(payload) => {
                         poisoned.store(true, Ordering::SeqCst);
-                        *panic_payload.lock().unwrap() = Some(payload);
+                        *crate::lock(&panic_payload) = Some(payload);
                         break;
                     }
                 }
@@ -387,13 +386,13 @@ impl WorkerPool {
                     Ok(out) => worker_outputs.push(out),
                     Err(payload) => {
                         poisoned.store(true, Ordering::SeqCst);
-                        *panic_payload.lock().unwrap() = Some(payload);
+                        *crate::lock(&panic_payload) = Some(payload);
                     }
                 }
             }
         });
 
-        if let Some(payload) = panic_payload.lock().unwrap().take() {
+        if let Some(payload) = crate::lock(&panic_payload).take() {
             return Err(payload);
         }
         for (i, value) in inline
@@ -402,6 +401,9 @@ impl WorkerPool {
         {
             results[i] = Some(value);
         }
+        // Invariant: every index ran inline or was queued, and the queues
+        // are drained unless a task panicked, which returned above.
+        #[allow(clippy::expect_used)]
         Ok(results
             .into_iter()
             .map(|r| r.expect("every task produced a result"))

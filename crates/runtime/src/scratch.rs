@@ -56,7 +56,7 @@ impl Drop for ScratchF64 {
         }
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        let mut pool = POOL.lock().expect("scratch pool lock");
+        let mut pool = crate::lock(&POOL);
         if pool.len() < MAX_POOLED {
             pool.push(buf);
         }
@@ -65,7 +65,7 @@ impl Drop for ScratchF64 {
 
 /// Take a cleared scratch buffer from the pool (or a fresh one on miss).
 pub(crate) fn scratch_f64() -> ScratchF64 {
-    let buf = POOL.lock().expect("scratch pool lock").pop();
+    let buf = crate::lock(&POOL).pop();
     match buf {
         Some(buf) => {
             telemetry::count("scratch.hits", 1);
@@ -118,7 +118,7 @@ mod tests {
         a.reserve(MAX_POOLED_CAP + 1);
         let cap = a.capacity();
         drop(a);
-        let pool = POOL.lock().expect("scratch pool lock");
+        let pool = crate::lock(&POOL);
         assert!(pool
             .iter()
             .all(|b| b.capacity() != cap || cap <= MAX_POOLED_CAP));

@@ -180,6 +180,9 @@ pub fn compress_normalized_batch(
             }
         }
     }
+    // Invariant: a miss's signature was filled from its chunk's result,
+    // or the `?` above returned.
+    #[allow(clippy::expect_used)]
     Ok(cols
         .iter()
         .zip(&sigs)

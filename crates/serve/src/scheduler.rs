@@ -43,9 +43,9 @@ pub(crate) struct JobCheckpoint {
     pub(crate) frame: Option<DataFrame>,
 }
 
-/// 2: `eafe::SearchState` keeps the column store and the scores under
-/// `state`.
-const CHECKPOINT_VERSION: u32 = 2;
+/// 3: every accepted member and every replayed candidate under `state`
+/// carries the lineage it was made from (agent, operator, parents).
+const CHECKPOINT_VERSION: u32 = 3;
 
 impl JobCheckpoint {
     /// Decode a checkpoint file's bytes; the error names what is wrong

@@ -25,6 +25,20 @@ fn fast_engine() -> Engine {
     Engine::nfs(cfg)
 }
 
+/// Two-stage E-AFE with a small FPE model: its stage-1 checkpoints hold
+/// replayed candidates.
+fn e_afe_engine() -> Engine {
+    let cfg = eafe::EafeConfig::fast();
+    let space = eafe::FpeSearchSpace {
+        families: vec![minhash::HashFamily::Ccws],
+        dims: vec![16],
+        thre: 0.0,
+        seed: 1,
+    };
+    let fpe = eafe::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
+    Engine::e_afe(cfg, fpe)
+}
+
 /// More epochs than any test runs, and no early stop.
 fn long_engine() -> Engine {
     let mut cfg = eafe::EafeConfig::fast();
@@ -325,6 +339,19 @@ fn a_resumed_stream_continues_where_the_checkpoint_left_off() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The value at `path` in a checkpoint document: map entries by key,
+/// array items by index.
+fn at<'a>(doc: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(doc, |v, key| match v {
+        Value::Map(entries) => entries
+            .iter_mut()
+            .find_map(|(k, v)| (k == key).then_some(v))
+            .unwrap_or_else(|| panic!("checkpoint has no `{key}`")),
+        Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+        other => panic!("expected a map or an array around `{key}`, found {other:?}"),
+    })
+}
+
 #[test]
 fn a_checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
     let t0 = Instant::now();
@@ -335,16 +362,7 @@ fn a_checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
 
     // Drop the last agent's policy from the started job's search state.
     let mut doc = serde_json::parse(&to_json(&cp)).unwrap();
-    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        match v {
-            Value::Map(entries) => entries
-                .iter_mut()
-                .find_map(|(k, v)| (k == key).then_some(v))
-                .unwrap_or_else(|| panic!("checkpoint has no `{key}`")),
-            other => panic!("expected a map around `{key}`, found {other:?}"),
-        }
-    }
-    match entry(entry(&mut doc, "state"), "policies") {
+    match at(&mut doc, &["state", "policies"]) {
         Value::Array(policies) => {
             assert_eq!(policies.len(), frame().n_cols());
             policies.pop();
@@ -354,6 +372,82 @@ fn a_checkpoint_with_fewer_policies_than_subgroups_is_corrupt_not_a_panic() {
     match JobCheckpoint::parse(serde_json::to_string(&doc).unwrap().as_bytes()) {
         Err(msg) => assert!(msg.contains("policies"), "{msg}"),
         Ok(_) => panic!("a truncated checkpoint must not decode"),
+    }
+}
+
+/// A started checkpoint of `engine` after `turns` slices, with the lineage
+/// field at `path` (under the search state) set to `value`, decoded.
+fn with_lineage_field(
+    engine: Engine,
+    turns: usize,
+    path: &[&str],
+    value: i64,
+) -> std::result::Result<JobCheckpoint, String> {
+    let t0 = Instant::now();
+    let mut s = Scheduler::new(4, 64);
+    submit(&mut s, engine, Budget::unlimited(), t0).unwrap();
+    for _ in 0..turns {
+        turn(&mut s, t0);
+    }
+    let cp = s.checkpoints().unwrap().pop().unwrap();
+    let mut doc = serde_json::parse(&to_json(&cp)).unwrap();
+    JobCheckpoint::parse(serde_json::to_string(&doc).unwrap().as_bytes())
+        .expect("the unedited checkpoint decodes");
+    let field = at(at(&mut doc, &["state"]), path);
+    assert!(matches!(field, Value::I64(_)), "{path:?} is {field:?}");
+    *field = Value::I64(value);
+    JobCheckpoint::parse(serde_json::to_string(&doc).unwrap().as_bytes())
+}
+
+#[test]
+fn a_checkpoint_with_a_bad_lineage_is_corrupt_not_a_panic() {
+    let refused = |cp: std::result::Result<JobCheckpoint, String>, what: &str| match cp {
+        Err(msg) => assert!(msg.contains("lineage"), "{what}: {msg}"),
+        Ok(_) => panic!("{what}: a bad lineage must not decode"),
+    };
+    // The NFS job has accepted a member into subgroup 0 after two slices
+    // (`frame()` has four subgroups).
+    let member = [
+        "state",
+        "store",
+        "subgroups",
+        "0",
+        "generated",
+        "0",
+        "lineage",
+    ];
+    let field = |name| [&member[..], &[name]].concat();
+    refused(
+        with_lineage_field(long_engine(), 2, &field("agent"), 4),
+        "a member of an agent outside the subgroups",
+    );
+    refused(
+        with_lineage_field(long_engine(), 2, &field("agent"), 1),
+        "a member whose lineage is another subgroup's",
+    );
+    refused(
+        with_lineage_field(long_engine(), 2, &field("a"), 1),
+        "a member built from itself",
+    );
+    // E-AFE after its first stage-1 epoch: candidates wait for replay
+    // against subgroups of one member each.
+    let replayed = ["replay", "entries", "0", "1", "lineage"];
+    let field = |name| [&replayed[..], &[name]].concat();
+    refused(
+        with_lineage_field(e_afe_engine(), 1, &field("agent"), 4),
+        "a replayed candidate of an agent outside the subgroups",
+    );
+    refused(
+        with_lineage_field(e_afe_engine(), 1, &field("b"), 1),
+        "a replayed candidate whose parent its subgroup does not hold",
+    );
+}
+
+#[test]
+fn a_version_2_checkpoint_is_refused_by_name() {
+    match edited_checkpoint(&[(r#"{"version":3,"#, r#"{"version":2,"#)]) {
+        Err(msg) => assert_eq!(msg, "unsupported checkpoint version 2"),
+        Ok(_) => panic!("a version-2 checkpoint carries no lineage and must not decode"),
     }
 }
 
@@ -407,18 +501,22 @@ fn a_checkpoint_naming_the_deleted_split_finder_is_corrupt_not_a_silent_switch()
     }
 }
 
-/// A checkpoint of each shape: never sliced (frame only) and started
-/// (search state, policies, replay buffer).
+/// A checkpoint of each shape: never sliced (frame only), started
+/// (search state, policies, accepted members) and in stage 1 (replayed
+/// candidates).
 fn checkpoint_texts() -> &'static [Vec<u8>] {
     static TEXTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
     TEXTS.get_or_init(|| {
         let t0 = Instant::now();
-        let mut s = Scheduler::new(1, 64);
+        let mut s = Scheduler::new(2, 64);
         submit(&mut s, long_engine(), Budget::unlimited(), t0).unwrap();
+        submit(&mut s, e_afe_engine(), Budget::unlimited(), t0).unwrap();
         submit(&mut s, fast_engine(), Budget::unlimited(), t0).unwrap();
-        turn(&mut s, t0);
+        for _ in 0..3 {
+            turn(&mut s, t0);
+        }
         let cps = s.checkpoints().unwrap();
-        assert!(cps.iter().any(|cp| cp.state.is_some()));
+        assert_eq!(cps.iter().filter(|cp| cp.state.is_some()).count(), 2);
         assert!(cps.iter().any(|cp| cp.frame.is_some()));
         cps.iter().map(|cp| to_json(cp).into_bytes()).collect()
     })
@@ -429,7 +527,7 @@ proptest::proptest! {
 
     #[test]
     fn mutated_checkpoints_decode_or_fail_typed(
-        which in 0usize..2,
+        which in 0usize..3,
         kind in 0u8..6,
         at in 0usize..1_000_000,
         word in 0u64..u64::MAX,

@@ -562,6 +562,36 @@ fn checkpoint_resume_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn e_afe_checkpoint_resume_across_stage1_and_seed_is_bit_identical() {
+    // Stage-1 checkpoints carry the replay buffer's candidates with their
+    // lineages, and the seeding slice accepts each into its proposing
+    // agent's subgroup: a run restored from JSON before every slice —
+    // every stage-1 epoch, the seeding, every stage-2 epoch — must match
+    // the uninterrupted run bit for bit.
+    let frame = frame();
+    let fpe = fpe();
+    let uninterrupted = Engine::e_afe(fast_config(), fpe.clone())
+        .run(&frame)
+        .unwrap();
+
+    let mut engine = Engine::e_afe(fast_config(), fpe);
+    let mut state = engine.start(&frame).unwrap();
+    let mut phases = Vec::new();
+    while !state.is_done() {
+        phases.push(state.phase());
+        let engine_json = serde_json::to_string(&engine).unwrap();
+        let state_json = serde_json::to_string(&state).unwrap();
+        engine = serde_json::from_str(&engine_json).unwrap();
+        state = serde_json::from_str(&state_json).unwrap();
+        engine.step(&mut state).unwrap();
+    }
+    assert!(phases.contains(&SearchPhase::Stage1 { epoch: 1 }));
+    assert!(phases.contains(&SearchPhase::Seed));
+    let (resumed, _frame) = engine.finish(&state).unwrap();
+    assert_bit_identical(&uninterrupted, &resumed, "E-AFE checkpoint-every-slice");
+}
+
+#[test]
 fn chunked_engine_matches_flat_across_thread_counts() {
     // The out-of-core driver (DESIGN.md §14) replays the exact RNG
     // streams, candidate draws, and evaluation order of the in-RAM

@@ -194,7 +194,6 @@ proptest! {
         let feature = GeneratedFeature {
             column: Column::new("g", adversarial_column(&mut rng, 1e-12)),
             order: 1,
-            operator: Operator::Add,
         };
         prop_assert_eq!(
             feature.is_degenerate(),
