@@ -10,8 +10,9 @@
 //! keeps all column data as compressed chunks governed by the frame's
 //! [`tabular::FrameBudget`]:
 //!
-//! - candidates are generated chunk-at-a-time ([`Operator::apply_chunk`]
-//!   plus the [`Operator::column_bounds`] prepass for min-max
+//! - candidates are generated chunk-at-a-time
+//!   ([`crate::Operator::apply_chunk`] plus the
+//!   [`crate::Operator::column_bounds`] prepass for min-max
 //!   normalisation), encoded per chunk, and never exist as a flat column;
 //! - FPE gate scoring sketches those chunks in place (a
 //!   [`minhash::WeightBounds`] pass, then
@@ -49,7 +50,6 @@ use crate::engine::Engine;
 use crate::error::{EafeError, Result};
 use crate::fpe::FeatureRepr;
 use crate::fpe::FpeModel;
-use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
 use crate::store::{ColumnStore, Lineage};
@@ -255,17 +255,7 @@ impl ColumnStore for ChunkedStore {
     }
 
     fn generate(&self, lineage: Lineage) -> Result<ChunkedCandidate> {
-        let sub = &self.subgroups[lineage.agent];
-        let (a, b) = (sub[lineage.a].col, sub[lineage.b].col);
-        let (name, order) = self.describe(lineage);
-        let (chunks, degenerate) = generate_chunked(&self.frame, lineage.op, a, b)?;
-        Ok(ChunkedCandidate {
-            lineage,
-            name,
-            order,
-            chunks,
-            degenerate,
-        })
+        generate_chunked(self, lineage)
     }
 
     fn name(candidate: &ChunkedCandidate) -> &str {
@@ -389,18 +379,16 @@ impl ColumnStore for ChunkedStore {
     }
 }
 
-/// Apply `op` to two frame columns chunk-at-a-time: decode each chunk
-/// into pooled scratch, transform with [`Operator::apply_chunk`], and
-/// re-encode — in parallel across chunks when the pool is active, merged
-/// in chunk-index order. Values are bit-identical to [`Operator::apply`]
-/// on the materialized parents. Returns the chunks and whether the
-/// column is degenerate.
-fn generate_chunked(
-    frame: &ChunkedFrame,
-    op: Operator,
-    a_col: usize,
-    b_col: usize,
-) -> Result<(Vec<ChunkEncoding>, bool)> {
+/// The candidate `lineage` describes, its operator applied to the two
+/// parent columns chunk-at-a-time: decode each chunk into pooled scratch,
+/// transform with [`crate::Operator::apply_chunk`], and re-encode — in
+/// parallel across chunks when the pool is active, merged in chunk-index
+/// order. Values are bit-identical to [`crate::Operator::apply`] on the
+/// materialized parents.
+fn generate_chunked(store: &ChunkedStore, lineage: Lineage) -> Result<ChunkedCandidate> {
+    let (frame, op, sub) = (&store.frame, lineage.op, &store.subgroups[lineage.agent]);
+    let (a_col, b_col) = (sub[lineage.a].col, sub[lineage.b].col);
+    let (name, order) = store.describe(lineage);
     telemetry::count(op.counter_name(), 1);
     // Whole-column prepass for min-max normalisation: one sequential
     // row-order fold per accumulator, the exact `column_bounds` chains.
@@ -458,7 +446,13 @@ fn generate_chunked(
     // are order-insensitive over finite values up to the sign of zero,
     // which cannot change the `hi - lo < eps` verdict.
     let degenerate = !(hi - lo).is_finite() || hi - lo < 1e-12;
-    Ok((chunks, degenerate))
+    Ok(ChunkedCandidate {
+        lineage,
+        name,
+        order,
+        chunks,
+        degenerate,
+    })
 }
 
 /// A candidate's chunks as the MinHash kernel's row source: random access
@@ -525,7 +519,7 @@ mod tests {
     use super::*;
     use crate::config::EafeConfig;
     use crate::fpe::{search as fpe_search, FpeSearchSpace, LabeledFeature, RawLabels};
-    use crate::{EngineState, GeneratedFeature};
+    use crate::{EngineState, GeneratedFeature, Operator};
     use minhash::{HashFamily, SampleCompressor};
     use tabular::public_corpus;
     use tabular::{ChunkOptions, FrameBudget, InMemoryStore, Label, MmapStore, SynthSpec, Task};

@@ -83,7 +83,7 @@ impl EafeConfig {
     }
 
     /// Validate parameter domains.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.max_order == 0 {
             return Err(EafeError::InvalidConfig("max_order must be >= 1".into()));
         }

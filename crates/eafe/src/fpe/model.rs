@@ -115,7 +115,7 @@ impl FpeModel {
     }
 
     /// The representation in use.
-    pub fn repr(&self) -> &FeatureRepr {
+    pub(crate) fn repr(&self) -> &FeatureRepr {
         &self.repr
     }
 

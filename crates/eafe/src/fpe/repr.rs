@@ -35,7 +35,7 @@ pub enum FeatureRepr {
 
 impl FeatureRepr {
     /// Output dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         match self {
             FeatureRepr::MinHash(c) => c.d(),
             FeatureRepr::QuantileSketch { d } => *d,

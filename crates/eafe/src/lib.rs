@@ -43,8 +43,7 @@
 //! - `step` — the search driver: Algorithm 2 written once as a
 //!   resumable state machine (start/step/finish, speculation), generic
 //!   over where the columns live;
-//! - `store` (private) — the `ColumnStore` trait that seam is made of,
-//!   and the `Lineage` every candidate carries;
+//! - `store` (private) — that seam's `ColumnStore` trait, and `Lineage`;
 //! - `state` — feature subgroups and the in-RAM store behind
 //!   [`SearchState`] (serializable checkpoints);
 //! - `chunked` — the out-of-core store behind [`ChunkedSearch`];

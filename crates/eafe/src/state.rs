@@ -33,51 +33,15 @@ pub struct FlatCandidate {
     pub(crate) feature: GeneratedFeature,
 }
 
-/// One agent's feature subgroup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct FeatureSubgroup {
-    /// Index of the original feature in the base frame.
-    pub origin_idx: usize,
-    /// The original feature (order 0).
-    pub original: Column,
-    /// Accepted generated features, in acceptance order.
-    pub generated: Vec<FlatCandidate>,
-}
-
-impl FeatureSubgroup {
-    /// New subgroup around one original feature.
-    pub(crate) fn new(origin_idx: usize, original: Column) -> Self {
-        Self {
-            origin_idx,
-            original,
-            generated: Vec::new(),
-        }
-    }
-
-    /// Total members (original + generated).
-    pub(crate) fn len(&self) -> usize {
-        1 + self.generated.len()
-    }
-
-    /// Member column and its order by subgroup-local index
-    /// (0 = the original feature).
-    pub(crate) fn member(&self, idx: usize) -> (&Column, usize) {
-        if idx == 0 {
-            (&self.original, 0)
-        } else {
-            let g = &self.generated[idx - 1].feature;
-            (&g.column, g.order)
-        }
-    }
-}
-
-/// The in-RAM column store of a flat search: the sanitized base frame and
-/// one subgroup per original feature.
+/// The in-RAM column store of a flat search: the sanitized base frame,
+/// whose column `j` is member 0 of agent `j`'s subgroup, and the members
+/// each subgroup accepted since.
 #[derive(Debug, Clone, Serialize)]
 pub struct EngineState {
     frame: DataFrame,
-    /// Per-agent subgroups.
-    pub(crate) subgroups: Vec<FeatureSubgroup>,
+    /// Per agent, its accepted generated features in acceptance order
+    /// (subgroup members `1..`).
+    accepted: Vec<Vec<FlatCandidate>>,
     /// The selected columns as key state, digests and bins, so a
     /// candidate's cache probe digests the candidate column and a miss
     /// bins only it. Derived from the fields above (not serialised, not
@@ -88,7 +52,7 @@ pub struct EngineState {
 
 impl PartialEq for EngineState {
     fn eq(&self, other: &Self) -> bool {
-        self.frame == other.frame && self.subgroups == other.subgroups
+        self.frame == other.frame && self.accepted == other.accepted
     }
 }
 
@@ -103,23 +67,18 @@ impl Deserialize for EngineState {
             .ok_or_else(|| DeError::new("expected map for EngineState"))?;
         let state = EngineState {
             frame: Deserialize::from_value(serde::field(entries, "frame"))?,
-            subgroups: Deserialize::from_value(serde::field(entries, "subgroups"))?,
+            accepted: Deserialize::from_value(serde::field(entries, "accepted"))?,
             selection: None,
         };
-        let n_rows = state.frame.n_rows();
-        if state.subgroups.len() != state.frame.n_cols()
-            || state
-                .subgroups
-                .iter()
-                .any(|sub| sub.original.values.len() != n_rows)
-        {
+        let (n_rows, columns) = (state.frame.n_rows(), state.frame.columns());
+        if state.accepted.len() != columns.len() || columns.iter().any(|c| c.len() != n_rows) {
             return Err(DeError::new(format!(
                 "subgroups do not match the frame's {} columns of {n_rows} rows",
-                state.frame.n_cols()
+                columns.len()
             )));
         }
-        for (agent, sub) in state.subgroups.iter().enumerate() {
-            for (held, member) in (1..).zip(&sub.generated) {
+        for (agent, members) in state.accepted.iter().enumerate() {
+            for (held, member) in (1..).zip(members) {
                 state.check_lineage(member, agent, held)?;
             }
         }
@@ -131,15 +90,9 @@ impl EngineState {
     /// Initial state over a sanitized frame: every original feature seeds
     /// its own subgroup.
     pub fn new(frame: DataFrame) -> Self {
-        let subgroups = frame
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| FeatureSubgroup::new(i, c.clone()))
-            .collect();
         Self {
+            accepted: vec![Vec::new(); frame.n_cols()],
             frame,
-            subgroups,
             selection: None,
         }
     }
@@ -147,6 +100,18 @@ impl EngineState {
     /// Dimension of the state embedding the search driver feeds each
     /// agent's policy.
     pub const EMBEDDING_DIM: usize = 8;
+
+    /// Member `idx` of `agent`'s subgroup (0 = the original feature) and
+    /// its order.
+    fn column(&self, agent: usize, idx: usize) -> (&Column, usize) {
+        match idx.checked_sub(1) {
+            None => (&self.frame.columns()[agent], 0),
+            Some(i) => {
+                let g = &self.accepted[agent][i].feature;
+                (&g.column, g.order)
+            }
+        }
+    }
 
     /// Checks a decoded `candidate` is the feature its lineage describes:
     /// made in subgroup `agent` from two of its first `held` members, with
@@ -157,21 +122,15 @@ impl EngineState {
         agent: usize,
         held: usize,
     ) -> std::result::Result<(), DeError> {
-        let (l, column) = (candidate.lineage, &candidate.feature.column);
-        if l.agent != agent || l.a >= held || l.b >= held {
-            return Err(DeError::new(format!(
-                "{}: lineage {l:?} names no parents among subgroup {agent}'s first {held} members",
-                column.name
-            )));
-        }
-        let (name, order) = self.describe(l);
-        if name != column.name
-            || order != candidate.feature.order
-            || column.values.len() != self.n_rows()
+        let (l, feature) = (candidate.lineage, &candidate.feature);
+        let parents_held = l.agent == agent && l.a < held && l.b < held;
+        if !parents_held
+            || self.describe(l) != (feature.column.name.clone(), feature.order)
+            || feature.column.len() != self.n_rows()
         {
             return Err(DeError::new(format!(
-                "{}: not the feature its lineage {l:?} describes",
-                column.name
+                "{}: not the feature its lineage {l:?} describes in subgroup {agent}",
+                feature.column.name
             )));
         }
         Ok(())
@@ -180,7 +139,7 @@ impl EngineState {
     /// The selected columns in selection order: base columns, then the
     /// accepted features subgroup by subgroup.
     fn selected_columns(&self) -> impl Iterator<Item = &Column> {
-        let generated = self.subgroups.iter().flat_map(|s| &s.generated);
+        let generated = self.accepted.iter().flatten();
         self.frame
             .columns()
             .iter()
@@ -239,15 +198,15 @@ impl ColumnStore for EngineState {
     }
 
     fn n_agents(&self) -> usize {
-        self.subgroups.len()
+        self.accepted.len()
     }
 
     fn members(&self, agent: usize) -> usize {
-        self.subgroups[agent].len()
+        1 + self.accepted[agent].len()
     }
 
     fn member(&self, agent: usize, idx: usize) -> (&str, usize) {
-        let (col, order) = self.subgroups[agent].member(idx);
+        let (col, order) = self.column(agent, idx);
         (&col.name, order)
     }
 
@@ -256,21 +215,10 @@ impl ColumnStore for EngineState {
     }
 
     fn generate(&self, lineage: Lineage) -> Result<FlatCandidate> {
-        let (name, order) = self.describe(lineage);
-        let sub = &self.subgroups[lineage.agent];
-        let op = lineage.op;
-        telemetry::count(op.counter_name(), 1);
-        let values = op.apply(
-            &sub.member(lineage.a).0.values,
-            &sub.member(lineage.b).0.values,
-        );
-        Ok(FlatCandidate {
-            lineage,
-            feature: GeneratedFeature {
-                column: Column::new(name, values),
-                order,
-            },
-        })
+        let parent = |idx| &self.column(lineage.agent, idx).0.values;
+        let (a, b) = (parent(lineage.a), parent(lineage.b));
+        let feature = GeneratedFeature::new(lineage.op, a, b, self.describe(lineage));
+        Ok(FlatCandidate { lineage, feature })
     }
 
     fn name(candidate: &FlatCandidate) -> &str {
@@ -302,11 +250,8 @@ impl ColumnStore for EngineState {
         if let Some(selection) = &mut self.selection {
             // The accepted column joins the selection behind its
             // subgroup's earlier acceptances.
-            let at = self.frame.n_cols()
-                + self.subgroups[..=agent]
-                    .iter()
-                    .map(|s| s.generated.len())
-                    .sum::<usize>();
+            let at =
+                self.frame.n_cols() + self.accepted[..=agent].iter().map(Vec::len).sum::<usize>();
             let column = &candidate.feature.column;
             let budget = selection.bin_budget();
             selection.insert(
@@ -314,7 +259,7 @@ impl ColumnStore for EngineState {
                 SelectedColumn::of_values(&column.name, &column.values, budget),
             );
         }
-        self.subgroups[agent].generated.push(candidate);
+        self.accepted[agent].push(candidate);
         Ok(())
     }
 
@@ -391,8 +336,8 @@ mod tests {
         assert_eq!(s.n_agents(), 2);
         assert_eq!(s.n_generated(), 0);
         assert_eq!(s.dataset(), "s");
-        assert_eq!(s.subgroups[0].len(), 1);
-        assert_eq!(s.subgroups[0].member(0).1, 0); // order 0
+        assert_eq!(s.members(0), 1);
+        assert_eq!(ColumnStore::member(&s, 0, 0), ("f0", 0));
     }
 
     #[test]
@@ -401,7 +346,7 @@ mod tests {
         let g = gen_feature(&s);
         s.accept(g).unwrap();
         assert_eq!(s.n_generated(), 1);
-        assert_eq!(s.subgroups[0].len(), 2);
+        assert_eq!(s.members(0), 2);
         let sel = s.engineered().unwrap();
         assert_eq!(sel.n_cols(), 3);
         assert_eq!(sel.columns()[2].name, "sqrt(f0)");
@@ -413,7 +358,7 @@ mod tests {
         let mut s = EngineState::new(base());
         let g = gen_feature(&s);
         s.accept(g).unwrap();
-        let (col, order) = s.subgroups[0].member(1);
+        let (col, order) = s.column(0, 1);
         assert_eq!(col.name, "sqrt(f0)");
         assert_eq!(order, 1);
         assert_eq!(ColumnStore::member(&s, 0, 1), ("sqrt(f0)", 1));
@@ -429,12 +374,30 @@ mod tests {
         assert_eq!(EngineState::from_value(&good).unwrap(), s);
 
         let mut short = s.clone();
-        short.subgroups[0].generated[0].feature.column.values.pop();
+        short.accepted[0][0].feature.column.values.pop();
         assert!(EngineState::from_value(&short.to_value()).is_err());
 
         let mut missing = s.clone();
-        missing.subgroups.pop();
+        missing.accepted.pop();
         assert!(EngineState::from_value(&missing.to_value()).is_err());
+
+        // A base column one row short: the frame alone does not check.
+        let mut short_base = good.clone();
+        fn at<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            match v {
+                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("{key}: {other:?}"),
+            }
+        }
+        match at(
+            at(at(at(&mut short_base, "frame"), "columns"), "1"),
+            "values",
+        ) {
+            Value::Array(values) => drop(values.pop()),
+            other => panic!("values: {other:?}"),
+        }
+        assert!(EngineState::from_value(&short_base).is_err());
     }
 
     #[test]
@@ -448,7 +411,7 @@ mod tests {
 
         let rejects = |edit: &dyn Fn(&mut FlatCandidate)| {
             let mut bad = s.clone();
-            edit(&mut bad.subgroups[0].generated[1]);
+            edit(&mut bad.accepted[0][1]);
             EngineState::from_value(&bad.to_value())
                 .unwrap_err()
                 .to_string()

@@ -25,11 +25,9 @@
 //! call the same two functions on copies of the streams, which is what
 //! makes their predictions exact.
 //!
-//! A candidate carries its `Lineage` — the proposing agent, the operator
-//! and two members of that agent's subgroup — from `propose` through the
-//! replay buffer to acceptance, which always adds it to the proposing
-//! agent's subgroup: in stage 2 right away, in the seeding slice when
-//! the stage-1 candidate it replays improves the score.
+//! A candidate carries its `Lineage` (proposing agent, operator, two
+//! members of that agent's subgroup) through the replay buffer, and is
+//! always accepted into the proposing agent's subgroup.
 //!
 //! ## Determinism contract
 //!
@@ -37,13 +35,12 @@
 //! search depends on: the sanitized frame, the subgroups' members with
 //! their lineages, per-agent policies (including Adam moments), both RNG
 //! streams (as raw xoshiro state words), the replay buffer, the adaptive
-//! gate window, and all counters. Restoring a
-//! checkpoint and stepping to completion therefore produces the same
-//! scores, evaluation counts, and selected features — bit for bit — as an
-//! uninterrupted run, under any thread count. Two things are deliberately
-//! *outside* the contract, because they are process-local observability:
-//! wall-clock times (`elapsed_secs` and friends) and score-cache
-//! hit/miss tallies (a resumed run starts with a cold private cache; the
+//! gate window, and all counters. Restoring a checkpoint and stepping to
+//! completion therefore produces the same scores, evaluation counts, and
+//! selected features — bit for bit — as an uninterrupted run, under any
+//! thread count. Two things are deliberately *outside* the contract,
+//! because they are process-local observability: wall-clock times
+//! (`elapsed_secs` and friends) and score-cache hit/miss tallies (a resumed run starts with a cold private cache; the
 //! cache only short-circuits recomputation, never changes a score).
 //! A [`ChunkedSearch`] lives and dies with its frame handle: it has no
 //! serde form.
@@ -251,10 +248,8 @@ impl Serialize for SearchState {
 
 // A checkpoint is outside input: the driver indexes `policies` by agent,
 // so a file with fewer (or more) policies than subgroups is corrupt, not a
-// panic waiting in the scheduler thread, and the seeding slice accepts a
-// replayed candidate into its lineage's subgroup, which must hold both
-// parents. Column lengths and members' lineages are checked by
-// `EngineState`'s own `Deserialize`.
+// panic waiting in the scheduler thread; a replayed candidate's subgroup
+// must hold its parents. `EngineState`'s `Deserialize` checks the rest.
 impl Deserialize for SearchState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
         let core: SearchCore<EngineState, FlatCandidate> = SearchCore::from_value(v)?;

@@ -29,11 +29,9 @@ use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use serde::{Deserialize, Serialize};
 
-/// What a generated feature is made of: the agent that proposed it, the
-/// operator, and the two members of that agent's subgroup it was applied
-/// to. A unary operator reads only `a`; `b` is drawn, and kept, all the
-/// same. Member indices are stable because a subgroup only grows, so a
-/// lineage names its parents for as long as the search lives, and the
+/// What a generated feature is made of: the proposing agent, the operator
+/// and two members of that agent's subgroup (a unary operator reads only
+/// `a`). Member indices are stable because a subgroup only grows; the
 /// feature joins `agent`'s subgroup when it is accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Lineage {
@@ -41,13 +39,6 @@ pub struct Lineage {
     pub(crate) op: Operator,
     pub(crate) a: usize,
     pub(crate) b: usize,
-}
-
-#[cfg(test)]
-impl Lineage {
-    pub(crate) fn new(agent: usize, op: Operator, a: usize, b: usize) -> Lineage {
-        Lineage { agent, op, a, b }
-    }
 }
 
 /// Column storage behind a [`crate::step::Search`]; see the module docs.
@@ -81,10 +72,8 @@ pub trait ColumnStore {
     /// [`describe`](ColumnStore::describe).
     fn generate(&self, lineage: Lineage) -> Result<Self::Candidate>;
 
-    /// Expression name and transformation order of the feature `lineage`
-    /// describes — the one place a generated feature is named: `op(a)` at
-    /// `a`'s order + 1 for a unary operator, `(a op b)` at the deeper
-    /// parent's order + 1 for a binary one.
+    /// Name and order of the feature `lineage` describes — the one place
+    /// a generated feature is named (see [`Operator::expression`]).
     fn describe(&self, lineage: Lineage) -> (String, usize) {
         let parent = |idx| self.member(lineage.agent, idx);
         lineage.op.expression(parent(lineage.a), parent(lineage.b))
@@ -128,5 +117,12 @@ pub trait ColumnStore {
         (0..self.n_agents())
             .flat_map(|j| (1..self.members(j)).map(move |i| self.member(j, i).0.to_string()))
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl Lineage {
+    pub(crate) fn new(agent: usize, op: Operator, a: usize, b: usize) -> Lineage {
+        Lineage { agent, op, a, b }
     }
 }

@@ -33,6 +33,11 @@ impl<T> ReplayBuffer<T> {
         self.entries.is_empty()
     }
 
+    /// Maximum size.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// The stored items, in insertion order.
     pub fn items(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|(_, item)| item)
@@ -73,6 +78,11 @@ impl<T> ReplayBuffer<T> {
         out.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         out
     }
+
+    /// Remove everything.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +113,7 @@ mod tests {
         b.push(0.5, "a");
         b.push(0.9, "b");
         assert_eq!(b.len(), 2);
+        assert_eq!(b.capacity(), 3);
         assert_eq!(b.items().copied().collect::<Vec<_>>(), vec!["a", "b"]);
     }
 
@@ -145,5 +156,13 @@ mod tests {
         b.push(2.0, "y");
         assert_eq!(b.len(), 1);
         assert_eq!(b.iter_by_priority().next().unwrap().1, &"y");
+    }
+
+    #[test]
+    fn clear_empties() {
+        let mut b = ReplayBuffer::new(2);
+        b.push(0.5, 1);
+        b.clear();
+        assert!(b.is_empty());
     }
 }

@@ -23,7 +23,7 @@ use crate::fingerprint::Fingerprint;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 const N_SHARDS: usize = 16;
 
@@ -54,18 +54,13 @@ impl<V> Shard<V> {
         }
     }
 
-    /// The shard's entries (a poisoned lock recovered, see [`crate::lock`]).
-    fn lock(&self) -> MutexGuard<'_, HashMap<u128, Entry<V>>> {
-        crate::lock(&self.map)
-    }
-
     fn stats(&self) -> ShardStats {
         ShardStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.lock().len(),
+            len: crate::lock(&self.map).len(),
         }
     }
 }
@@ -222,7 +217,7 @@ impl<V: Clone> ScoreCache<V> {
 
     /// Resident entries right now.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| crate::lock(&s.map).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -243,7 +238,7 @@ impl<V: Clone> ScoreCache<V> {
     pub fn get(&self, key: Fingerprint) -> Option<V> {
         let tick = self.next_tick();
         let shard = &self.shards[self.shard_of(key)];
-        let mut map = shard.lock();
+        let mut map = crate::lock(&shard.map);
         match map.get_mut(&key.0) {
             Some(entry) => {
                 entry.last_used = tick;
@@ -263,7 +258,7 @@ impl<V: Clone> ScoreCache<V> {
         let tick = self.next_tick();
         let idx = self.shard_of(key);
         {
-            let mut map = self.shards[idx].lock();
+            let mut map = crate::lock(&self.shards[idx].map);
             if let Some(entry) = map.get_mut(&key.0) {
                 entry.value = value;
                 entry.last_used = tick;
@@ -277,7 +272,7 @@ impl<V: Clone> ScoreCache<V> {
         // again as soon as every in-flight insert returns.
         let need_evict = self.len.fetch_add(1, Ordering::AcqRel) >= self.capacity;
         let shard = &self.shards[idx];
-        let mut map = shard.lock();
+        let mut map = crate::lock(&shard.map);
         if let Some(entry) = map.get_mut(&key.0) {
             // A concurrent inserter beat us to this key: refresh in place
             // and release the slot we reserved.
@@ -308,7 +303,7 @@ impl<V: Clone> ScoreCache<V> {
             // Pass 1: find the oldest entry, one shard lock at a time.
             let mut victim: Option<(usize, u128, u64)> = None;
             for (si, shard) in self.shards.iter().enumerate() {
-                let map = shard.lock();
+                let map = crate::lock(&shard.map);
                 for (&k, e) in map.iter() {
                     if k != protect.0 && victim.is_none_or(|(_, _, t)| e.last_used < t) {
                         victim = Some((si, k, e.last_used));
@@ -324,7 +319,7 @@ impl<V: Clone> ScoreCache<V> {
             // Pass 2: re-lock and remove. A touch between the passes just
             // makes the LRU choice approximate; a removal means another
             // evictor claimed the victim, so rescan.
-            if self.shards[si].lock().remove(&k).is_some() {
+            if crate::lock(&self.shards[si].map).remove(&k).is_some() {
                 self.len.fetch_sub(1, Ordering::AcqRel);
                 self.shards[si].evictions.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -333,7 +328,7 @@ impl<V: Clone> ScoreCache<V> {
         // Pathological contention: every scan lost its victim to another
         // evictor. Take any entry other than `protect`.
         for shard in &self.shards {
-            let mut map = shard.lock();
+            let mut map = crate::lock(&shard.map);
             if let Some(&k) = map.keys().find(|&&k| k != protect.0) {
                 map.remove(&k);
                 drop(map);
@@ -349,7 +344,7 @@ impl<V: Clone> ScoreCache<V> {
     /// this neither refreshes recency nor touches the hit/miss counters,
     /// so warm-cache zero-miss invariants stay observable.
     pub fn contains(&self, key: Fingerprint) -> bool {
-        self.shards[self.shard_of(key)].lock().contains_key(&key.0)
+        crate::lock(&self.shards[self.shard_of(key)].map).contains_key(&key.0)
     }
 
     /// Current value of the logical LRU clock. Pair with
@@ -373,7 +368,7 @@ impl<V: Clone> ScoreCache<V> {
     pub(crate) fn snapshot_since(&self, tick: u64) -> CacheSnapshot<V> {
         let mut entries = Vec::new();
         for shard in &self.shards {
-            let map = shard.lock();
+            let map = crate::lock(&shard.map);
             for (&k, e) in map.iter() {
                 if e.last_used >= tick {
                     entries.push((Fingerprint(k), e.value.clone()));
@@ -398,7 +393,7 @@ impl<V: Clone> ScoreCache<V> {
         for (fp, value) in &snapshot.entries {
             #[cfg(debug_assertions)]
             {
-                let map = self.shards[self.shard_of(*fp)].lock();
+                let map = crate::lock(&self.shards[self.shard_of(*fp)].map);
                 if let Some(existing) = map.get(&fp.0) {
                     assert!(
                         existing.value == *value,

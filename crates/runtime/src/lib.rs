@@ -109,6 +109,10 @@ pub use fingerprint::{
 pub use pool::{global_threads, pool_stats, set_global_threads, PoolStats, TaskCtx, WorkerPool};
 pub use scratch::{scratch_f64_with_capacity, ScratchF64};
 pub use seed::derive_seed;
+pub use sigcache::{
+    compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
+    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
+};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -119,7 +123,3 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-pub use sigcache::{
-    compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
-    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
-};

@@ -407,15 +407,7 @@ fn a_checkpoint_with_a_bad_lineage_is_corrupt_not_a_panic() {
     };
     // The NFS job has accepted a member into subgroup 0 after two slices
     // (`frame()` has four subgroups).
-    let member = [
-        "state",
-        "store",
-        "subgroups",
-        "0",
-        "generated",
-        "0",
-        "lineage",
-    ];
+    let member = ["state", "store", "accepted", "0", "0", "lineage"];
     let field = |name| [&member[..], &[name]].concat();
     refused(
         with_lineage_field(long_engine(), 2, &field("agent"), 4),
