@@ -5,10 +5,11 @@
 //! the FPE gate; this crate attacks it at the systems level, as the
 //! execution substrate every evaluation-heavy path submits work through:
 //!
-//! 1. **`pool`** — a work-stealing thread pool with bounded per-worker
-//!    queues. Results are returned in submission order and per-task seeds
-//!    depend only on the task index, so parallel runs reproduce
-//!    single-threaded results bit-for-bit.
+//! 1. **`pool`** — an order-preserving parallel map: one loop in which
+//!    the caller and the helper threads the global budget grants claim
+//!    items from one shared cursor. Results are returned in submission
+//!    order and per-task seeds depend only on the task index, so parallel
+//!    runs reproduce single-threaded results bit-for-bit.
 //! 2. **`cache`** — a concurrent, content-addressed evaluation cache
 //!    mapping a 128-bit `fingerprint` of the evaluation inputs to cached
 //!    CV scores, with a capacity bound and per-shard hit/miss/insert/evict
@@ -32,8 +33,8 @@
 //! The runtime is instrumented with the workspace `telemetry` crate:
 //! [`WorkerPool::map`] opens a `pool.map` span and every task runs under
 //! a `pool.task` span parented to the submitting call (even on worker
-//! threads), with `pool.queue_us` / `pool.run_us` / `pool.idle_us`
-//! histograms; [`Evaluator::evaluate`] counts cache hits and computed
+//! threads), with `pool.queue_us` (map start → claim) / `pool.run_us` /
+//! `pool.idle_us` histograms; [`Evaluator::evaluate`] counts cache hits and computed
 //! evaluations and times the underlying `score_frame`. All of it is
 //! inert (one atomic load per site) until a telemetry sink is installed.
 //!

@@ -1,35 +1,33 @@
-//! Work-stealing thread pool with bounded queues.
+//! An order-preserving parallel map over a process-global thread budget.
 //!
-//! Design constraints, in priority order:
+//! [`WorkerPool::map`] is one loop over one shared cursor. The caller
+//! claims item 0; before each item it runs, it asks the budget for the
+//! helper threads it still lacks and spawns them into the map's
+//! `std::thread::scope`. Caller and helpers alike claim the next item
+//! under the cursor's lock until it is dry, and a helper then ends,
+//! returning its budget slot. Design constraints, in priority order:
 //!
-//! 1. **Determinism** — [`WorkerPool::map`] returns results in submission
-//!    order and each task's [`TaskCtx::seed`] depends only on the task
-//!    index, so outputs are bit-identical under any thread count.
-//! 2. **No deadlocks under nesting** — worker threads are scoped to each
-//!    `map` call and drawn from a global budget; when the budget is
-//!    exhausted (e.g. an inner `map` inside an outer task) the caller
-//!    simply runs its items inline. Nothing ever waits for a slot: a
-//!    helper gives its slot back the moment it finds no work left, and an
-//!    inline map looks at the budget again between items and hands its
-//!    remaining items to helpers once one is free — so a nested `map`
-//!    picks up the core an outer `map`'s helper has just vacated.
-//! 3. **Bounded memory** — items are distributed into per-worker deques
-//!    with a capacity bound; overflow is executed inline by the caller
-//!    (backpressure) instead of queueing without limit.
+//! 1. **Determinism** — results come back in submission order and each
+//!    task's [`TaskCtx`] is a function of its index alone, never of the
+//!    thread that claimed it, so outputs are bit-identical under any
+//!    thread count.
+//! 2. **No deadlocks under nesting** — nothing ever waits for a slot. A
+//!    map that finds the budget spent (e.g. an inner `map` inside an
+//!    outer task) runs on its caller alone; a helper gives its slot back
+//!    the moment the cursor is dry; and since the caller asks again
+//!    before every item, a nested `map` picks up the core an outer
+//!    `map`'s helper has just vacated.
 
 use crate::seed::derive_seed;
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Stream tag for task seeds (see [`derive_seed`]).
 const STREAM_TASK: u64 = 0x7461_736b; // "task"
-
-/// Bound on each worker's queue; overflow runs inline on the caller.
-const QUEUE_CAPACITY: usize = 4096;
 
 /// Maximum worker threads per process; 0 = not yet initialised.
 static GLOBAL_MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -39,8 +37,8 @@ static ACTIVE_EXTRA: AtomicUsize = AtomicUsize::new(0);
 /// The machine's available parallelism, detected once: the standard
 /// library re-reads the affinity mask and the cgroup quota files on every
 /// call, and with no explicit ceiling set every look at the budget —
-/// several per `map` now that inline maps look again between items — would
-/// pay those system calls.
+/// several per `map` when a map that lacks helpers looks again before each
+/// item — would pay those system calls.
 fn detect_threads() -> usize {
     static DETECTED: OnceLock<usize> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -116,7 +114,7 @@ pub fn pool_stats() -> PoolStats {
 
 /// Run one task under a `pool.task` span, recording its run time. The
 /// span parents under whatever is current on the executing thread (the
-/// `pool.map` span inline, the re-established submitter span on workers).
+/// `pool.map` span on the caller, the re-established one on helpers).
 fn run_task<T, U, F>(f: &F, ctx: &TaskCtx, item: T) -> U
 where
     F: Fn(&TaskCtx, T) -> U,
@@ -180,8 +178,9 @@ impl WorkerPool {
     /// Apply `f` to every item, in parallel when the global thread budget
     /// allows, returning outputs in submission order.
     ///
-    /// Panics in `f` are propagated to the caller; remaining queued items
-    /// are abandoned (in-flight ones finish their current `f` call).
+    /// Panics in `f` are propagated to the caller once every thread of the
+    /// map has stopped; items not yet claimed are abandoned (in-flight
+    /// ones finish their current `f` call).
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
@@ -194,164 +193,52 @@ impl WorkerPool {
         }
         let mut map_span = telemetry::span("pool.map");
         map_span.field("items", n as f64);
-
-        let want = match self.max_threads {
+        let parent = map_span.id();
+        let started = telemetry::enabled().then(Instant::now);
+        let max_helpers = match self.max_threads {
             0 => global_threads(),
-            n => n,
-        };
-        let extra = if want <= 1 || n <= 1 {
-            0
-        } else {
-            acquire_extra(want.min(n).saturating_sub(1))
-        };
-        map_span.field("workers", (extra + 1) as f64);
-
-        if extra == 0 {
-            if want > 1 && n > 1 {
-                // Parallelism was wanted but the global budget is spent
-                // (e.g. a feature-parallel histogram batch nested inside a
-                // per-tree forest task) — start inline on the caller.
-                telemetry::count("pool.inline_fallback", 1);
-            }
-            return self.map_inline(items, &f, want, map_span.id());
+            t => t,
         }
-        self.map_parallel(items, 0, &f, extra, map_span.id())
-            .unwrap_or_else(|payload| panic::resume_unwind(payload))
-    }
+        .min(n)
+        .saturating_sub(1);
+        let cursor = Mutex::new(Cursor {
+            items: items.into_iter().enumerate(),
+            panic: None,
+        });
 
-    /// Run `items` one by one on the caller, looking at the global budget
-    /// again after each: as soon as helpers can be had (an outer map's
-    /// helper ran dry and returned its slot), the remaining items go to
-    /// [`map_parallel`](Self::map_parallel) under their original
-    /// submission indices, so every task sees the `TaskCtx` it would have
-    /// seen inline.
-    fn map_inline<T, U, F>(
-        &self,
-        items: Vec<T>,
-        f: &F,
-        want: usize,
-        parent: telemetry::SpanId,
-    ) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(&TaskCtx, T) -> U + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        let mut items = items.into_iter();
-        while let Some(item) = items.next() {
-            out.push(run_task(f, &self.task_ctx(out.len()), item));
-            let left = items.len();
-            if want <= 1 || left <= 1 {
-                continue;
-            }
-            let extra = acquire_extra(want.min(left) - 1);
-            if extra > 0 {
-                telemetry::count("pool.late_join", 1);
-                let rest = self
-                    .map_parallel(items.collect(), out.len(), f, extra, parent)
-                    .unwrap_or_else(|payload| panic::resume_unwind(payload));
-                out.extend(rest);
-                break;
-            }
-        }
-        out
-    }
-
-    /// Run `items` — submission indices `base..base + items.len()` — on
-    /// the caller plus `extra` helper threads, each of which owns one
-    /// granted budget [`Slot`] until it finds no more work.
-    fn map_parallel<T, U, F>(
-        &self,
-        items: Vec<T>,
-        base: usize,
-        f: &F,
-        extra: usize,
-        parent: telemetry::SpanId,
-    ) -> Result<Vec<U>, Box<dyn std::any::Any + Send>>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(&TaskCtx, T) -> U + Sync,
-    {
-        // Claimed before anything can unwind, so every granted slot is
-        // returned exactly once on every path out of here.
-        let slots: Vec<Slot> = (0..extra).map(|_| Slot).collect();
-        let n = items.len();
-        let n_workers = extra + 1; // caller participates
-        type Job<T> = (usize, T, Option<Instant>);
-        let queues: Vec<Mutex<VecDeque<Job<T>>>> = (0..n_workers)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        let poisoned = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let mut results: Vec<Option<U>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let mut inline: Vec<(usize, U)> = Vec::new();
-
-        // Distribute round-robin under the per-queue bound; overflow runs
-        // inline right here (backpressure on the submitting thread).
-        for (i, item) in items.into_iter().enumerate() {
-            let enqueued_at = telemetry::enabled().then(Instant::now);
-            let free = (0..n_workers).find_map(|off| {
-                let q = crate::lock(&queues[(i + off) % n_workers]);
-                (q.len() < QUEUE_CAPACITY).then_some(q)
-            });
-            match free {
-                Some(mut q) => q.push_back((i, item, enqueued_at)),
-                None => {
-                    telemetry::count("pool.inline_overflow", 1);
-                    let ctx = self.task_ctx(base + i);
-                    inline.push((i, run_task(f, &ctx, item)));
-                }
-            }
-        }
-
-        let run_worker = |me: usize| -> Vec<(usize, U)> {
-            // Re-establish the submitting call's span on this thread so
-            // task spans parent across the pool boundary.
-            let _parent = telemetry::parent_scope(parent);
-            let worker_start = telemetry::enabled().then(Instant::now);
+        // One thread's share of the map: claim, run, repeat until the
+        // cursor is dry or poisoned. `recruit` hears how many items are
+        // still unclaimed before each one this thread runs.
+        let work = |recruit: &mut dyn FnMut(usize)| -> Vec<(usize, U)> {
+            let worker_start = started.map(|_| Instant::now());
             let mut busy_us = 0u64;
             let mut out = Vec::new();
             loop {
-                if poisoned.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Own queue first (front), then steal (back) from others.
-                let job = {
-                    let mut job = crate::lock(&queues[me]).pop_front();
-                    if job.is_none() {
-                        for off in 1..n_workers {
-                            let victim = (me + off) % n_workers;
-                            job = crate::lock(&queues[victim]).pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    job
-                };
-                let Some((i, item, enqueued_at)) = job else {
-                    break;
-                };
-                if let Some(enqueued_at) = enqueued_at {
-                    telemetry::record("pool.queue_us", enqueued_at.elapsed().as_micros() as u64);
-                }
-                let task_start = worker_start.map(|_| Instant::now());
-                let ctx = self.task_ctx(base + i);
-                match panic::catch_unwind(AssertUnwindSafe(|| run_task(f, &ctx, item))) {
-                    Ok(value) => {
-                        if let Some(task_start) = task_start {
-                            busy_us += task_start.elapsed().as_micros() as u64;
-                        }
-                        out.push((i, value));
-                    }
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::SeqCst);
-                        *crate::lock(&panic_payload) = Some(payload);
+                let (i, item, left) = {
+                    let mut cursor = crate::lock(&cursor);
+                    if cursor.panic.is_some() {
                         break;
                     }
+                    let Some((i, item)) = cursor.items.next() else {
+                        break;
+                    };
+                    (i, item, cursor.items.len())
+                };
+                if let Some(started) = started {
+                    telemetry::record("pool.queue_us", started.elapsed().as_micros() as u64);
+                }
+                recruit(left);
+                let task_start = started.map(|_| Instant::now());
+                let ctx = self.task_ctx(i);
+                match panic::catch_unwind(AssertUnwindSafe(|| run_task(&f, &ctx, item))) {
+                    Ok(value) => out.push((i, value)),
+                    Err(payload) => {
+                        crate::lock(&cursor).panic.get_or_insert(payload);
+                        break;
+                    }
+                }
+                if let Some(task_start) = task_start {
+                    busy_us += task_start.elapsed().as_micros() as u64;
                 }
             }
             if let Some(worker_start) = worker_start {
@@ -361,54 +248,69 @@ impl WorkerPool {
             out
         };
 
-        let mut worker_outputs: Vec<Vec<(usize, U)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let run_worker = &run_worker;
-            let handles: Vec<_> = slots
-                .into_iter()
-                .enumerate()
-                .map(|(w, slot)| {
-                    scope.spawn(move || {
-                        // All work is queued before any worker starts, so
-                        // a helper that runs dry is done for good: its
-                        // slot goes back now, not when the map joins.
+        let (mut done, workers) = std::thread::scope(|scope| {
+            let work = &work;
+            let mut helpers = Vec::new();
+            let mut first = true;
+            let mut out = work(&mut |left| {
+                let lacking = max_helpers.min(left).saturating_sub(helpers.len());
+                if lacking == 0 {
+                    return;
+                }
+                let granted = acquire_extra(lacking);
+                if first && granted == 0 {
+                    // Parallelism was wanted but the global budget is spent
+                    // (e.g. a feature-parallel histogram batch nested inside
+                    // a per-tree forest task): the caller starts alone.
+                    telemetry::count("pool.inline_fallback", 1);
+                } else if !first && granted > 0 {
+                    telemetry::count("pool.late_join", 1);
+                }
+                first = false;
+                // Every granted slot is made before the first spawn, so one
+                // that fails still returns them all.
+                let slots: Vec<Slot> = (0..granted).map(|_| Slot).collect();
+                for slot in slots {
+                    helpers.push(scope.spawn(move || {
                         let _slot = slot;
-                        run_worker(w + 1)
-                    })
-                })
-                .collect();
-            worker_outputs.push(run_worker(0));
-            for h in handles {
-                // A worker can only panic via the propagated payload path
-                // above; join errors should be impossible, but fold them
-                // into the same poison channel just in case.
-                match h.join() {
-                    Ok(out) => worker_outputs.push(out),
+                        // Re-establish the submitting call's span on this
+                        // thread so task spans parent across the boundary.
+                        let _parent = telemetry::parent_scope(parent);
+                        work(&mut |_| {})
+                    }));
+                }
+            });
+            let workers = helpers.len() + 1;
+            for helper in helpers {
+                // A task's panic is caught in `work`; a join error should be
+                // impossible, but goes down the same path just in case.
+                match helper.join() {
+                    Ok(theirs) => out.extend(theirs),
                     Err(payload) => {
-                        poisoned.store(true, Ordering::SeqCst);
-                        *crate::lock(&panic_payload) = Some(payload);
+                        crate::lock(&cursor).panic.get_or_insert(payload);
                     }
                 }
             }
+            (out, workers)
         });
+        map_span.field("workers", workers as f64);
 
-        if let Some(payload) = crate::lock(&panic_payload).take() {
-            return Err(payload);
+        let cursor = cursor.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = cursor.panic {
+            panic::resume_unwind(payload);
         }
-        for (i, value) in inline
-            .into_iter()
-            .chain(worker_outputs.into_iter().flatten())
-        {
-            results[i] = Some(value);
-        }
-        // Invariant: every index ran inline or was queued, and the queues
-        // are drained unless a task panicked, which returned above.
-        #[allow(clippy::expect_used)]
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every task produced a result"))
-            .collect())
+        // No panic, so every item was claimed and run exactly once.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, value)| value).collect()
     }
+}
+
+/// The items of one `map`, claimed front to back by every thread running
+/// it, and the first panic a task raised, after which nothing more is
+/// claimed.
+struct Cursor<I> {
+    items: I,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 #[cfg(test)]
@@ -464,11 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn items_past_the_queue_bound_still_complete() {
+    fn a_map_far_larger_than_its_threads_completes_in_order() {
         set_global_threads(4);
-        // Two queues hold 2 * QUEUE_CAPACITY items; the rest overflow
-        // onto the submitting thread.
-        let n = 2 * QUEUE_CAPACITY as i32 + 50;
+        let n = 2 * 4096 + 50;
         let pool = WorkerPool::new().with_threads(2);
         let out = pool.map((0..n).collect(), |_ctx, x: i32| x + 1);
         assert_eq!(out, (1..=n).collect::<Vec<_>>());

@@ -1,6 +1,7 @@
 //! The global thread budget under nesting: a helper returns its slot the
-//! moment it runs dry, and a `map` that started inline picks that slot up
-//! between items (`runtime::pool`, DESIGN.md §5).
+//! moment it runs dry, and a `map` short of helpers — one that started
+//! inline or with fewer than it wants — picks that slot up between items
+//! (`runtime::pool`, DESIGN.md §5).
 //!
 //! Every test pins the budget and reads `pool_stats()`, both process-wide,
 //! so they live in their own test binary and run one at a time behind
@@ -210,4 +211,53 @@ fn three_levels_of_nesting_finish_on_a_budget_of_two() {
     let expected: Vec<u64> = (0..4).map(|a| a * 256 + 96 + 24).collect();
     assert_eq!(out, expected);
     assert_eq!(pool_stats().active_extra, 0);
+}
+
+#[test]
+fn a_map_short_of_helpers_recruits_one_freed_mid_run() {
+    let _serial = serial();
+    set_global_threads(3);
+    assert_eq!(pool_stats().active_extra, 0, "budget must start idle");
+    let n = 8;
+    let release = Latch::default();
+    let three_threads = Latch::default();
+    // The outer map of two items takes one helper for item 1, which holds
+    // its slot until `release` opens. Item 0 runs the inner map on the
+    // caller: it wants two helpers and gets the one slot left. Inner item
+    // 0 frees the outer helper and waits until it has really gone, so the
+    // inner caller's next look at the budget is the one that succeeds.
+    // Inner items 1, 2 and 3 only finish once they have met on three
+    // different threads, which needs that second helper.
+    let mut out = WorkerPool::new().map(vec![(), ()], |ctx, ()| {
+        if ctx.index == 1 {
+            assert!(release.wait_for(1), "nothing ever released the helper");
+            return Vec::new();
+        }
+        WorkerPool::new()
+            .with_seed(INNER_SEED)
+            .map(vec![(); n], |ctx, ()| {
+                if ctx.index == 0 {
+                    release.arrive();
+                    while pool_stats().active_extra != 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                if (1..=3).contains(&ctx.index) {
+                    assert!(
+                        three_threads.meet(3),
+                        "items 1..=3 never ran on three threads"
+                    );
+                }
+                Seen {
+                    index: ctx.index,
+                    seed: ctx.seed,
+                    thread: std::thread::current().id(),
+                }
+            })
+    });
+    assert_eq!(pool_stats().active_extra, 0, "every slot came back");
+    let seen = out.swap_remove(0);
+    assert_eq!(ctx_of(&seen), reference(n));
+    assert_eq!(seen[0].thread, std::thread::current().id());
+    assert_eq!(threads_of(&seen[1..=3]).len(), 3, "{seen:?}");
 }

@@ -44,6 +44,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// No `unwrap`/`expect` on the library's paths. A survivor carries a local
+// `#[allow]` and the invariant that makes it unreachable.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod event;
 mod metrics;
@@ -63,7 +66,16 @@ pub use span::{current_span, parent_scope, span, ParentScope, SpanGuard, SpanId}
 pub use summary::{SpanRow, Summary};
 pub use timeseries::{TimePoint, TimeSeries, TimeSeriesStore};
 
-use std::sync::OnceLock;
+use std::sync::{LockResult, OnceLock, PoisonError};
+
+/// The guard `r` holds, recovering a poisoned lock. Every lock in this
+/// crate guards a value its holders change by one std call at a time — a
+/// map insert or clear, a ring-buffer push or pop, a swap of the sink
+/// slot, a line written to a trace stream — so a holder that panicked left
+/// the value valid.
+pub(crate) fn recover<G>(r: LockResult<G>) -> G {
+    r.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The process-global metrics registry.
 ///

@@ -180,13 +180,11 @@ impl Registry {
 
     /// Resolve (creating on first use) the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
+        if let Some(c) = crate::recover(self.counters.read()).get(name) {
             return Arc::clone(c);
         }
         Arc::clone(
-            self.counters
-                .write()
-                .unwrap()
+            crate::recover(self.counters.write())
                 .entry(name.to_string())
                 .or_default(),
         )
@@ -194,13 +192,11 @@ impl Registry {
 
     /// Resolve (creating on first use) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
+        if let Some(h) = crate::recover(self.histograms.read()).get(name) {
             return Arc::clone(h);
         }
         Arc::clone(
-            self.histograms
-                .write()
-                .unwrap()
+            crate::recover(self.histograms.write())
                 .entry(name.to_string())
                 .or_default(),
         )
@@ -208,21 +204,16 @@ impl Registry {
 
     /// Snapshot every metric, sorted by name (stable output ordering).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .read()
-            .unwrap()
+        let mut counters: Vec<(String, u64)> = crate::recover(self.counters.read())
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, HistogramSnapshot)> = self
-            .histograms
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
+        let mut histograms: Vec<(String, HistogramSnapshot)> =
+            crate::recover(self.histograms.read())
+                .iter()
+                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .collect();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         RegistrySnapshot {
             counters,
@@ -232,8 +223,8 @@ impl Registry {
 
     /// Drop every metric (fresh run boundaries in long-lived processes).
     pub fn clear(&self) {
-        self.counters.write().unwrap().clear();
-        self.histograms.write().unwrap().clear();
+        crate::recover(self.counters.write()).clear();
+        crate::recover(self.histograms.write()).clear();
     }
 }
 

@@ -63,13 +63,17 @@ impl ScopedRegistry {
     /// scope. An empty slice names the root (unlabeled) scope.
     pub fn scope(&self, labels: &[(&str, &str)]) -> Scope {
         let set = label_set(labels);
-        if let Some(r) = self.scopes.read().unwrap().get(&set) {
+        if let Some(r) = crate::recover(self.scopes.read()).get(&set) {
             return Scope {
                 labels: set,
                 registry: Arc::clone(r),
             };
         }
-        let registry = Arc::clone(self.scopes.write().unwrap().entry(set.clone()).or_default());
+        let registry = Arc::clone(
+            crate::recover(self.scopes.write())
+                .entry(set.clone())
+                .or_default(),
+        );
         Scope {
             labels: set,
             registry,
@@ -78,7 +82,7 @@ impl ScopedRegistry {
 
     /// Number of distinct label sets seen so far.
     pub fn len(&self) -> usize {
-        self.scopes.read().unwrap().len()
+        crate::recover(self.scopes.read()).len()
     }
 
     /// True when no scope has been resolved yet.
@@ -89,10 +93,7 @@ impl ScopedRegistry {
     /// Snapshot every scope, sorted by label set (and metrics sorted by
     /// name within each scope) — byte-deterministic to serialise.
     pub fn snapshot(&self) -> ScopedSnapshot {
-        let mut scopes: Vec<(LabelSet, RegistrySnapshot)> = self
-            .scopes
-            .read()
-            .unwrap()
+        let mut scopes: Vec<(LabelSet, RegistrySnapshot)> = crate::recover(self.scopes.read())
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
@@ -102,7 +103,7 @@ impl ScopedRegistry {
 
     /// Drop every scope (fresh-run boundaries in long-lived processes).
     pub fn clear(&self) {
-        self.scopes.write().unwrap().clear();
+        crate::recover(self.scopes.write()).clear();
     }
 }
 

@@ -34,17 +34,17 @@ impl MemorySink {
 
     /// Copy of everything recorded so far.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap().clone()
+        crate::recover(self.events.lock()).clone()
     }
 
     /// Drain, leaving the sink empty.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.events.lock().unwrap())
+        std::mem::take(&mut *crate::recover(self.events.lock()))
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
+        crate::recover(self.events.lock()).len()
     }
 
     /// True when nothing has been recorded.
@@ -55,7 +55,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&self, event: &Event) {
-        self.events.lock().unwrap().push(event.clone());
+        crate::recover(self.events.lock()).push(event.clone());
     }
 }
 
@@ -87,7 +87,7 @@ impl JsonLinesSink {
 impl Sink for JsonLinesSink {
     fn record(&self, event: &Event) {
         let line = event.to_json();
-        let mut out = self.out.lock().unwrap();
+        let mut out = crate::recover(self.out.lock());
         // Trace output is best-effort: losing a line (disk full) must not
         // poison the run being traced.
         let _ = writeln!(out, "{line}");
@@ -95,7 +95,7 @@ impl Sink for JsonLinesSink {
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
+        let _ = crate::recover(self.out.lock()).flush();
     }
 }
 
@@ -129,7 +129,7 @@ pub fn enabled() -> bool {
 /// Install `sink` as the process-global event sink and enable telemetry.
 /// Replaces (and returns) any previously installed sink.
 pub fn install(sink: Arc<dyn Sink>) -> Option<Arc<dyn Sink>> {
-    let prev = SINK.write().unwrap().replace(sink);
+    let prev = crate::recover(SINK.write()).replace(sink);
     ENABLED.store(true, Ordering::SeqCst);
     prev
 }
@@ -137,7 +137,7 @@ pub fn install(sink: Arc<dyn Sink>) -> Option<Arc<dyn Sink>> {
 /// Disable telemetry and return the previously installed sink (if any).
 pub fn uninstall() -> Option<Arc<dyn Sink>> {
     ENABLED.store(false, Ordering::SeqCst);
-    SINK.write().unwrap().take()
+    crate::recover(SINK.write()).take()
 }
 
 /// Emit one event to the installed sink (no-op when disabled).
@@ -145,14 +145,14 @@ pub fn emit(event: &Event) {
     if !enabled() {
         return;
     }
-    if let Some(sink) = SINK.read().unwrap().as_ref() {
+    if let Some(sink) = crate::recover(SINK.read()).as_ref() {
         sink.record(event);
     }
 }
 
 /// Flush the installed sink's buffered output.
 pub fn flush() {
-    if let Some(sink) = SINK.read().unwrap().as_ref() {
+    if let Some(sink) = crate::recover(SINK.read()).as_ref() {
         sink.flush();
     }
 }

@@ -54,7 +54,7 @@ impl TimeSeries {
 
     /// Append a point, evicting the oldest if at capacity.
     pub fn push(&self, tick: u64, value: f64) {
-        let mut points = self.points.lock().unwrap();
+        let mut points = crate::recover(self.points.lock());
         if points.len() == self.cap {
             points.pop_front();
         }
@@ -63,17 +63,17 @@ impl TimeSeries {
 
     /// All retained points, oldest first.
     pub fn points(&self) -> Vec<TimePoint> {
-        self.points.lock().unwrap().iter().copied().collect()
+        crate::recover(self.points.lock()).iter().copied().collect()
     }
 
     /// The most recent point, if any.
     pub fn last(&self) -> Option<TimePoint> {
-        self.points.lock().unwrap().back().copied()
+        crate::recover(self.points.lock()).back().copied()
     }
 
     /// Number of retained points.
     pub fn len(&self) -> usize {
-        self.points.lock().unwrap().len()
+        crate::recover(self.points.lock()).len()
     }
 
     /// True when no point has been recorded (or all were evicted — which
@@ -86,7 +86,7 @@ impl TimeSeries {
     /// `(last.value - first.value) / (last.tick - first.tick)`. `None`
     /// with fewer than two points or a zero tick span.
     pub fn rate(&self) -> Option<f64> {
-        let points = self.points.lock().unwrap();
+        let points = crate::recover(self.points.lock());
         let (first, last) = (points.front()?, points.back()?);
         let span = last.tick.checked_sub(first.tick)?;
         if span == 0 {
@@ -115,13 +115,11 @@ impl TimeSeriesStore {
     /// Resolve (creating on first use) the series named `name`. Callers
     /// on a hot path can hold the returned `Arc` and push directly.
     pub fn series(&self, name: &str) -> Arc<TimeSeries> {
-        if let Some(s) = self.series.read().unwrap().get(name) {
+        if let Some(s) = crate::recover(self.series.read()).get(name) {
             return Arc::clone(s);
         }
         Arc::clone(
-            self.series
-                .write()
-                .unwrap()
+            crate::recover(self.series.write())
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(TimeSeries::new(self.cap))),
         )
@@ -134,12 +132,12 @@ impl TimeSeriesStore {
 
     /// The series named `name`, if it exists (does not create).
     pub fn get(&self, name: &str) -> Option<Arc<TimeSeries>> {
-        self.series.read().unwrap().get(name).cloned()
+        crate::recover(self.series.read()).get(name).cloned()
     }
 
     /// All series names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.series.read().unwrap().keys().cloned().collect();
+        let mut names: Vec<String> = crate::recover(self.series.read()).keys().cloned().collect();
         names.sort();
         names
     }
@@ -147,10 +145,7 @@ impl TimeSeriesStore {
     /// `(name, points)` for every series, sorted by name — deterministic
     /// to serialise when fed deterministic values.
     pub fn snapshot(&self) -> Vec<(String, Vec<TimePoint>)> {
-        let mut out: Vec<(String, Vec<TimePoint>)> = self
-            .series
-            .read()
-            .unwrap()
+        let mut out: Vec<(String, Vec<TimePoint>)> = crate::recover(self.series.read())
             .iter()
             .map(|(k, v)| (k.clone(), v.points()))
             .collect();
@@ -160,7 +155,7 @@ impl TimeSeriesStore {
 
     /// Drop every series.
     pub fn clear(&self) {
-        self.series.write().unwrap().clear();
+        crate::recover(self.series.write()).clear();
     }
 }
 

@@ -35,7 +35,8 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> minhash kernel vs scalar oracle + bound checks (release: the table_parity unit suite, and A <= a and the dense scan's filter bound asserted where debug_assert! is compiled out)"
     cargo test -q -p minhash --release --lib
 
-    echo "==> pool budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
+    echo "==> pool unit tests + budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
+    cargo test -q -p runtime --release --lib pool::
     cargo test -q -p runtime --release --test pool_late_join
 
     echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
