@@ -43,7 +43,7 @@ fn main() {
         }
         let frame = args.load(&info);
         let runs = vec![
-            args.run_autofs_r(&cfg, &frame).expect("FS_R"),
+            args.run_autofs_r(&cfg, &frame).expect("FS_R").0,
             args.engine(Engine::nfs(cfg.clone()))
                 .run(&frame)
                 .expect("NFS"),

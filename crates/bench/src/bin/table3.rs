@@ -85,7 +85,7 @@ fn main() {
             .run_full(&frame)
             .expect("E-AFE");
 
-        record(&mut row, &args.run_autofs_r(&cfg, &frame).expect("FS_R"));
+        record(&mut row, &args.run_autofs_r(&cfg, &frame).expect("FS_R").0);
         record(&mut row, &run_rtdl_n(&dl_cfg, &frame).expect("DL_N"));
         record(
             &mut row,

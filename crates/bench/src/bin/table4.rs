@@ -53,7 +53,7 @@ fn main() {
             eprintln!("running {} ...", info.name);
         }
         let frame = args.load(&info);
-        let fs_r = args.run_autofs_r(&cfg, &frame).expect("FS_R");
+        let (fs_r, _) = args.run_autofs_r(&cfg, &frame).expect("FS_R");
         let nfs = args
             .engine(Engine::nfs(cfg.clone()))
             .run(&frame)

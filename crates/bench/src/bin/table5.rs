@@ -44,7 +44,7 @@ fn main() {
             eprintln!("running {} ...", info.name);
         }
         let frame = args.load(&info);
-        let (_, fs_frame) = args.run_autofs_r_full(&cfg, &frame).expect("FS_R");
+        let (_, fs_frame) = args.run_autofs_r(&cfg, &frame).expect("FS_R");
         let (_, nfs_frame) = args
             .engine(Engine::nfs(cfg.clone()))
             .run_full(&frame)

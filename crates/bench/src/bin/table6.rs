@@ -85,7 +85,7 @@ fn main() {
                         times: Vec::new(),
                     };
                     for result in [
-                        args.run_autofs_r(&cfg, &frame).expect("FS_R"),
+                        args.run_autofs_r(&cfg, &frame).expect("FS_R").0,
                         run_rtdl_n(&dl_cfg, &frame).expect("DL_N"),
                         args.engine(Engine::nfs(cfg.clone()))
                             .run(&frame)

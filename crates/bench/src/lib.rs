@@ -282,26 +282,14 @@ impl CommonArgs {
         }
     }
 
-    /// Run the AutoFS_R baseline through this binary's shared cache.
+    /// Run the AutoFS_R baseline through this binary's shared cache (a
+    /// private one under `--no-cache`): its result and engineered frame.
     pub fn run_autofs_r(
         &self,
         config: &EafeConfig,
         frame: &DataFrame,
-    ) -> eafe::Result<eafe::RunResult> {
-        Ok(self.run_autofs_r_full(config, frame)?.0)
-    }
-
-    /// Like [`CommonArgs::run_autofs_r`], but also returning the
-    /// engineered frame (Table V re-evaluation).
-    pub fn run_autofs_r_full(
-        &self,
-        config: &EafeConfig,
-        frame: &DataFrame,
     ) -> eafe::Result<(eafe::RunResult, DataFrame)> {
-        match &self.cache {
-            Some(c) => eafe::run_autofs_r_cached(config, frame, Arc::clone(c)),
-            None => eafe::run_autofs_r_full(config, frame),
-        }
+        eafe::run_autofs_r(config, frame, self.cache.clone())
     }
 
     /// The runtime header recorded in every JSON artifact: thread count,

@@ -61,33 +61,17 @@ pub(crate) fn random_feature_pool(
     pool
 }
 
-/// Run the `AutoFS_R` baseline.
+/// Run the `AutoFS_R` baseline, returning its result and the engineered
+/// frame (original features plus the best selected subset) for Table V
+/// re-evaluation.
 ///
 /// The pool size is `steps_per_epoch × n_original` (matching the per-epoch
 /// generation budget of the RNN methods) and selection runs for
-/// `stage2_epochs` epochs, evaluating after every agent toggle.
-pub fn run_autofs_r(config: &EafeConfig, frame: &DataFrame) -> Result<RunResult> {
-    Ok(run_autofs_r_full(config, frame)?.0)
-}
-
-/// Like [`run_autofs_r`], but sharing an externally owned runtime score
-/// cache, so toggles whose frames were already evaluated by any consumer
-/// of the same cache are served without recomputation.
-pub fn run_autofs_r_cached(
-    config: &EafeConfig,
-    frame: &DataFrame,
-    cache: Arc<ScoreCache<f64>>,
-) -> Result<(RunResult, DataFrame)> {
-    run_autofs_r_impl(config, frame, Some(cache))
-}
-
-/// Like [`run_autofs_r`], but also returns the engineered frame (original
-/// features plus the best selected subset) for Table V re-evaluation.
-pub fn run_autofs_r_full(config: &EafeConfig, frame: &DataFrame) -> Result<(RunResult, DataFrame)> {
-    run_autofs_r_impl(config, frame, None)
-}
-
-fn run_autofs_r_impl(
+/// `stage2_epochs` epochs, evaluating after every agent toggle. With a
+/// `cache`, evaluations share that externally owned runtime score cache,
+/// so toggles whose frames any consumer of it already evaluated are served
+/// without recomputation; without one, the run has a private cache.
+pub fn run_autofs_r(
     config: &EafeConfig,
     frame: &DataFrame,
     cache: Option<Arc<ScoreCache<f64>>>,
@@ -263,7 +247,7 @@ mod tests {
 
     #[test]
     fn autofs_improves_or_matches_base() {
-        let result = run_autofs_r(&EafeConfig::fast(), &frame()).unwrap();
+        let result = run_autofs_r(&EafeConfig::fast(), &frame(), None).unwrap().0;
         assert_eq!(result.method, "AutoFS_R");
         assert!(result.best_score >= result.base_score);
         assert!(result.generated_features > 0);
@@ -276,15 +260,15 @@ mod tests {
 
     #[test]
     fn autofs_is_deterministic() {
-        let a = run_autofs_r(&EafeConfig::fast(), &frame()).unwrap();
-        let b = run_autofs_r(&EafeConfig::fast(), &frame()).unwrap();
+        let a = run_autofs_r(&EafeConfig::fast(), &frame(), None).unwrap().0;
+        let b = run_autofs_r(&EafeConfig::fast(), &frame(), None).unwrap().0;
         assert_eq!(a.best_score, b.best_score);
         assert_eq!(a.selected, b.selected);
     }
 
     #[test]
     fn selected_features_come_from_pool() {
-        let result = run_autofs_r(&EafeConfig::fast(), &frame()).unwrap();
+        let result = run_autofs_r(&EafeConfig::fast(), &frame(), None).unwrap().0;
         for name in &result.selected {
             assert!(
                 name.contains('f'),

@@ -7,6 +7,6 @@ mod autofs;
 mod rtdl;
 
 pub(crate) use autofs::random_feature_pool;
-pub use autofs::{run_autofs_r, run_autofs_r_cached, run_autofs_r_full};
+pub use autofs::run_autofs_r;
 pub(crate) use rtdl::top_k;
 pub use rtdl::{run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};

@@ -8,7 +8,8 @@
 //! candidate is also fully materialized just to be FPE-scored. At 10M+
 //! rows that working set is what runs out of memory first. This store
 //! keeps all column data as compressed chunks governed by the frame's
-//! [`tabular::FrameBudget`]:
+//! [`tabular::FrameBudget`], and carries out its five duties (see
+//! `store.rs`) on chunks:
 //!
 //! - candidates are generated chunk-at-a-time
 //!   ([`crate::Operator::apply_chunk`] plus the
@@ -23,12 +24,14 @@
 //!   task — runs without materializing anything;
 //! - chunk encoding fans out over the [`runtime::WorkerPool`] with
 //!   results merged in chunk-index order, so 1-thread ≡ N-thread;
-//! - downstream evaluations never materialize a flat column for a
-//!   forest: the store keeps a [`Selection`] — every selected column's
-//!   digest and bins, binned chunk by chunk once — and a cache miss bins
-//!   only the candidate, from its chunks (the sort buffer is the one flat
-//!   copy). Only a model kind that reads raw values gets the selected
-//!   frame plus the candidate, built on its miss.
+//! - columns are handed over chunk by chunk: the driver digests and bins
+//!   a member or a candidate from its decoded chunks, so a forest's
+//!   evaluation never materializes a flat column (the bin builder's sort
+//!   buffer is the one flat copy). Only a model kind that reads raw
+//!   values gets the selected frame plus the candidate, materialized on
+//!   its miss;
+//! - an accepted candidate's chunks move into the frame, and the
+//!   engineered frame is a column-selection view of it.
 //!
 //! The per-chunk transforms/folds replay the flat store's exact
 //! expression sequences and the bins are the same bytes, so a chunked
@@ -45,18 +48,16 @@
 //! A chunked search also has no serde form: it lives and dies with its
 //! frame handle.
 
-use crate::config::CachedEvaluator;
 use crate::engine::Engine;
-use crate::error::{EafeError, Result};
+use crate::error::Result;
 use crate::fpe::FeatureRepr;
 use crate::fpe::FpeModel;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
 use crate::store::{ColumnStore, Lineage};
-use learners::{BinnedColumn, SelectedColumn, Selection};
 use minhash::{RowSource, WeightBounds};
-use runtime::{ColumnDigest, WorkerPool};
-use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame};
+use runtime::WorkerPool;
+use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame, Label};
 
 /// A generated candidate held as compressed chunks — the chunked
 /// counterpart of the flat store's candidate, which never exists as a
@@ -95,10 +96,6 @@ pub struct ChunkedStore {
     /// Per agent: the original feature, then its accepted generated
     /// features in acceptance order.
     subgroups: Vec<Vec<MemberRef>>,
-    /// The selected columns as key state, digests and bins, shared by
-    /// every candidate probe and extended on acceptance. No values: the
-    /// selected columns stay under the frame's budget.
-    selection: Option<Selection>,
 }
 
 impl ChunkedStore {
@@ -113,89 +110,11 @@ impl ChunkedStore {
                 }])
             })
             .collect::<Result<_>>()?;
-        Ok(ChunkedStore {
-            frame,
-            subgroups,
-            selection: None,
-        })
+        Ok(ChunkedStore { frame, subgroups })
     }
 
     pub(crate) fn frame(&self) -> &ChunkedFrame {
         &self.frame
-    }
-
-    /// The selected columns in the flat store's order: base columns, then
-    /// accepted features subgroup by subgroup.
-    fn selected(&self) -> impl Iterator<Item = &MemberRef> {
-        let originals = self.subgroups.iter().map(|sub| &sub[0]);
-        originals.chain(self.subgroups.iter().flat_map(|sub| &sub[1..]))
-    }
-
-    /// Materialize the selected frame — transient, for a model kind that
-    /// reads raw values. The column order and names match the flat
-    /// store's selected frame exactly, so the evaluator's
-    /// content-addressed cache keys coincide too.
-    fn selected_dataframe(&self) -> Result<DataFrame> {
-        Ok(self.engineered()?.to_dataframe()?)
-    }
-
-    /// The selected frame plus one candidate column — what one downstream
-    /// evaluation of a model kind that reads raw values sees.
-    fn candidate_frame(&self, cand: &ChunkedCandidate) -> Result<DataFrame> {
-        let mut frame = self.selected_dataframe()?;
-        let mut values = Vec::with_capacity(self.frame.n_rows());
-        for enc in &cand.chunks {
-            enc.fold_values((), |(), v| values.push(v));
-        }
-        frame.push_column(Column::new(cand.name.clone(), values))?;
-        Ok(frame)
-    }
-
-    /// Member `m` as a selected column: digested chunk by chunk, and
-    /// binned from its chunks under `bin_budget` unless the bin cache holds
-    /// its bins.
-    fn selected_column(&self, m: &MemberRef, bin_budget: Option<usize>) -> Result<SelectedColumn> {
-        let frame = &self.frame;
-        let mut buf = runtime::scratch_f64_with_capacity(frame.chunk_rows());
-        let mut digest = ColumnDigest::default();
-        frame.for_each_chunk(m.col, &mut buf, |_, _, values| digest.write(values))?;
-        SelectedColumn::new(&m.name, digest.finish(), bin_budget, |max_bins| {
-            BinnedColumn::build_from_runs(frame.n_rows(), max_bins, |run| {
-                frame.for_each_chunk(m.col, &mut buf, |_, _, values| run(values))
-            })
-            .map_err(EafeError::from)
-        })
-    }
-
-    /// The selection under `bin_budget`: the one at hand, or built from
-    /// the selected columns' chunks.
-    fn take_selection(&mut self, bin_budget: Option<usize>) -> Result<Selection> {
-        match self.selection.take() {
-            Some(selection) if selection.bin_budget() == bin_budget => Ok(selection),
-            _ => {
-                let frame = &self.frame;
-                let mut selection =
-                    Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
-                for m in self.selected() {
-                    selection.push(self.selected_column(m, bin_budget)?);
-                }
-                Ok(selection)
-            }
-        }
-    }
-
-    /// `f` against this store's selection under the evaluator's bin
-    /// budget, checked out for the call.
-    fn with_selection<T>(
-        &mut self,
-        evaluator: &CachedEvaluator,
-        f: impl FnOnce(&Self, &Selection) -> Result<T>,
-    ) -> Result<T> {
-        let bin_budget = evaluator.scorer().bin_budget(self.frame.task());
-        let selection = self.take_selection(bin_budget)?;
-        let out = f(self, &selection);
-        self.selection = Some(selection);
-        out
     }
 
     /// A candidate's chunks as the MinHash kernel's row source.
@@ -233,29 +152,16 @@ impl ColumnStore for ChunkedStore {
         (&m.name, m.order)
     }
 
-    /// Scored through the selection, like a candidate: a forest reads the
-    /// selected columns' bins, binned chunk by chunk.
-    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64> {
-        self.with_selection(evaluator, |store, selection| {
-            let key = evaluator.key_of(selection.key());
-            evaluator.evaluate_keyed(key, |scorer| {
-                if cfg!(debug_assertions) {
-                    let frame = store.selected_dataframe()?;
-                    debug_assert_eq!(
-                        evaluator.cache_key(&frame),
-                        key,
-                        "key must address this frame"
-                    );
-                }
-                scorer.evaluate_selection(selection, None, store.frame.label(), || {
-                    store.selected_dataframe()
-                })
-            })
-        })
+    fn label(&self) -> &Label {
+        self.frame.label()
     }
 
     fn generate(&self, lineage: Lineage) -> Result<ChunkedCandidate> {
         generate_chunked(self, lineage)
+    }
+
+    fn lineage(candidate: &ChunkedCandidate) -> Lineage {
+        candidate.lineage
     }
 
     fn name(candidate: &ChunkedCandidate) -> &str {
@@ -294,88 +200,60 @@ impl ColumnStore for ChunkedStore {
         }
     }
 
-    /// The cache is probed with a key made from the selection's key state
-    /// and the digest of the candidate's chunks
-    /// (≡ `cache_key(candidate_frame)`); a miss bins only the candidate,
-    /// from its chunks, and a frame exists only for a model kind that
-    /// reads raw values.
-    fn evaluate(
-        &mut self,
-        evaluator: &CachedEvaluator,
-        candidate: &ChunkedCandidate,
-    ) -> Result<f64> {
-        self.with_selection(evaluator, |store, selection| {
-            let rows = store.rows(candidate);
-            let mut digest = ColumnDigest::default();
-            rows.for_each_run(|run| digest.write(run));
-            let digest = digest.finish();
-            let key = evaluator.key_of(&selection.extended_key(&candidate.name, digest));
-            evaluator.evaluate_keyed(key, |scorer| {
-                if cfg!(debug_assertions) {
-                    let frame = store.candidate_frame(candidate)?;
-                    debug_assert_eq!(
-                        evaluator.cache_key(&frame),
-                        key,
-                        "key must address this frame"
-                    );
-                }
-                let budget = selection.bin_budget();
-                let extra = SelectedColumn::new(&candidate.name, digest, budget, |max_bins| {
-                    BinnedColumn::build_from_runs(store.frame.n_rows(), max_bins, |run| {
-                        rows.for_each_run(run);
-                        Ok::<_, EafeError>(())
-                    })
-                })?;
-                scorer.evaluate_selection(selection, Some(&extra), store.frame.label(), || {
-                    store.candidate_frame(candidate)
-                })
-            })
-        })
+    /// Decoded chunk by chunk into pooled scratch.
+    fn member_runs(&self, agent: usize, idx: usize, run: &mut dyn FnMut(&[f64])) -> Result<()> {
+        let mut buf = runtime::scratch_f64_with_capacity(self.frame.chunk_rows());
+        let col = self.subgroups[agent][idx].col;
+        Ok(self
+            .frame
+            .for_each_chunk(col, &mut buf, |_, _, values| run(values))?)
     }
 
-    /// The candidate's chunks move into the budgeted frame (and from there
-    /// spill to the store under memory pressure); the selection gains the
-    /// candidate's digest and bins, which its evaluation left in the bin
-    /// cache.
-    fn accept(&mut self, candidate: ChunkedCandidate) -> Result<()> {
-        let agent = candidate.lineage.agent;
-        if let Some(mut selection) = self.selection.take() {
-            // Accepted columns land behind their subgroup's earlier ones.
-            let at = self.subgroups.len()
-                + self.subgroups[..=agent]
-                    .iter()
-                    .map(|sub| sub.len() - 1)
-                    .sum::<usize>();
-            let rows = self.rows(&candidate);
-            let mut digest = ColumnDigest::default();
-            rows.for_each_run(|run| digest.write(run));
-            let budget = selection.bin_budget();
-            let column =
-                SelectedColumn::new(&candidate.name, digest.finish(), budget, |max_bins| {
-                    BinnedColumn::build_from_runs(self.frame.n_rows(), max_bins, |run| {
-                        rows.for_each_run(run);
-                        Ok::<_, EafeError>(())
-                    })
-                })?;
-            selection.insert(at, column);
-            self.selection = Some(selection);
-        }
-        let col = self
-            .frame
-            .push_column_chunks(&candidate.name, candidate.chunks)?;
-        self.subgroups[agent].push(MemberRef {
-            col,
-            order: candidate.order,
-            name: candidate.name,
-        });
+    fn candidate_runs(
+        &self,
+        candidate: &ChunkedCandidate,
+        run: &mut dyn FnMut(&[f64]),
+    ) -> Result<()> {
+        self.rows(candidate).for_each_run(run);
         Ok(())
+    }
+
+    /// Materialized transiently, in the flat store's column order and with
+    /// its names, so the evaluator's content-addressed cache keys coincide.
+    fn raw_frame(&self, extra: Option<&ChunkedCandidate>) -> Result<DataFrame> {
+        let mut frame = self.engineered()?.to_dataframe()?;
+        if let Some(cand) = extra {
+            let mut values = Vec::with_capacity(self.frame.n_rows());
+            for enc in &cand.chunks {
+                enc.fold_values((), |(), v| values.push(v));
+            }
+            frame.push_column(Column::new(cand.name.clone(), values))?;
+        }
+        Ok(frame)
     }
 
     /// A [`ChunkedFrame`] view (no re-encoding) with columns in the flat
     /// store's selected order.
     fn engineered(&self) -> Result<ChunkedFrame> {
-        let order: Vec<usize> = self.selected().map(|m| m.col).collect();
+        let order: Vec<usize> = self
+            .selected()
+            .map(|(j, i)| self.subgroups[j][i].col)
+            .collect();
         Ok(self.frame.select_columns(&order)?)
+    }
+
+    /// The candidate's chunks move into the budgeted frame (and from there
+    /// spill to the store under memory pressure).
+    fn accept(&mut self, candidate: ChunkedCandidate) -> Result<()> {
+        let col = self
+            .frame
+            .push_column_chunks(&candidate.name, candidate.chunks)?;
+        self.subgroups[candidate.lineage.agent].push(MemberRef {
+            col,
+            order: candidate.order,
+            name: candidate.name,
+        });
+        Ok(())
     }
 }
 
@@ -517,8 +395,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EafeConfig;
+    use crate::config::{CachedEvaluator, EafeConfig};
     use crate::fpe::{search as fpe_search, FpeSearchSpace, LabeledFeature, RawLabels};
+    use crate::step::probe;
     use crate::{EngineState, GeneratedFeature, Operator};
     use minhash::{HashFamily, SampleCompressor};
     use tabular::public_corpus;
@@ -597,12 +476,12 @@ mod tests {
         }
     }
 
-    /// The flat store, the chunked store at every chunk size and
-    /// `cache_key` of the materialised frame address one cache entry —
-    /// observed through a shared cache, so it holds where the stores'
-    /// debug assertion is compiled out — and the score both stores
-    /// compute from bins is `learners::Evaluator::evaluate` of that frame,
-    /// to the bit.
+    /// The driver's probe over the flat store, over the chunked store at
+    /// every chunk size and `cache_key` of the materialised frame address
+    /// one cache entry — observed through a shared cache, so it holds
+    /// where the probe's debug assertion is compiled out — and the score
+    /// the probe computes from either store's bins is
+    /// `learners::Evaluator::evaluate` of that frame, to the bit.
     #[test]
     fn flat_chunked_and_whole_frame_keys_agree() {
         let accepted = [
@@ -633,7 +512,7 @@ mod tests {
                 let evaluator = CachedEvaluator::new(fast_config().evaluator);
                 let mut flat = EngineState::new(frame.clone());
                 let candidate = select(&mut flat, &accepted[..extras]);
-                let score = flat.evaluate(&evaluator, &candidate).unwrap();
+                let score = probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
                 let whole = flat
                     .engineered()
                     .unwrap()
@@ -651,12 +530,14 @@ mod tests {
                 for chunk_rows in [1, 7, 256, frame.n_rows()] {
                     let mut chunked = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
                     let candidate = select(&mut chunked, &accepted[..extras]);
-                    let again = chunked.evaluate(&evaluator, &candidate).unwrap();
-                    assert_eq!(score.to_bits(), again.to_bits());
-                    // A cache of its own: the chunked store computes the
-                    // score from the bins it built chunk by chunk.
+                    let mut selection = None;
+                    let again = probe(&chunked, &evaluator, &mut selection, Some(&candidate));
+                    assert_eq!(score.to_bits(), again.unwrap().to_bits());
+                    // A cache of its own: the probe computes the score
+                    // from the bins it built chunk by chunk.
                     let own = CachedEvaluator::new(fast_config().evaluator);
-                    let computed = chunked.evaluate(&own, &candidate).unwrap();
+                    let computed = probe(&chunked, &own, &mut selection, Some(&candidate));
+                    let computed = computed.unwrap();
                     assert_eq!(own.stats().misses, 1);
                     assert_eq!(
                         computed.to_bits(),

@@ -68,10 +68,7 @@ mod state;
 mod step;
 mod store;
 
-pub use baselines::{
-    run_autofs_r, run_autofs_r_cached, run_autofs_r_full, run_dl_fe, run_fe_dl, run_rtdl_n,
-    DlBaselineConfig,
-};
+pub use baselines::{run_autofs_r, run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};
 pub use config::{CachedEvaluator, EafeConfig};
 pub use engine::Engine;
 pub use error::{EafeError, Result};

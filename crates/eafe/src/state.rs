@@ -9,21 +9,18 @@
 //! accepted member keeps the [`Lineage`] that says so.
 //!
 //! [`EngineState`] is the in-RAM `ColumnStore`: every member is a flat
-//! [`Column`], FPE scoring goes through the process-wide signature cache,
-//! and a downstream evaluation probes the score cache through a
-//! [`Selection`] of the current selected columns — their key state,
-//! digests and bins — so a forest evaluation reads the selection's bins
-//! plus the candidate's and no selected frame is ever rebuilt. Only a
-//! model kind that reads raw values gets a frame, built on a miss.
+//! [`Column`], and of its five duties (see `store.rs`) it carries out
+//! each on whole columns — a candidate is generated in one piece, FPE
+//! scoring goes through the process-wide signature cache, a member's or a
+//! candidate's values are handed over as one run, and the raw-value frame
+//! is the selected columns plus the candidate, copied once.
 
-use crate::config::CachedEvaluator;
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::GeneratedFeature;
 use crate::store::{ColumnStore, Lineage};
-use learners::{SelectedColumn, Selection};
 use serde::{DeError, Deserialize, Serialize, Value};
-use tabular::{Column, DataFrame};
+use tabular::{Column, DataFrame, Label};
 
 /// A flat store's candidate — and, once accepted, a subgroup member: the
 /// generated column and the lineage it was made from.
@@ -36,24 +33,12 @@ pub struct FlatCandidate {
 /// The in-RAM column store of a flat search: the sanitized base frame,
 /// whose column `j` is member 0 of agent `j`'s subgroup, and the members
 /// each subgroup accepted since.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineState {
     frame: DataFrame,
     /// Per agent, its accepted generated features in acceptance order
     /// (subgroup members `1..`).
     accepted: Vec<Vec<FlatCandidate>>,
-    /// The selected columns as key state, digests and bins, so a
-    /// candidate's cache probe digests the candidate column and a miss
-    /// bins only it. Derived from the fields above (not serialised, not
-    /// compared); built on the first evaluation, extended on acceptance.
-    #[serde(skip)]
-    selection: Option<Selection>,
-}
-
-impl PartialEq for EngineState {
-    fn eq(&self, other: &Self) -> bool {
-        self.frame == other.frame && self.accepted == other.accepted
-    }
 }
 
 // A checkpoint is outside input: every column the search will index, hash
@@ -68,7 +53,6 @@ impl Deserialize for EngineState {
         let state = EngineState {
             frame: Deserialize::from_value(serde::field(entries, "frame"))?,
             accepted: Deserialize::from_value(serde::field(entries, "accepted"))?,
-            selection: None,
         };
         let (n_rows, columns) = (state.frame.n_rows(), state.frame.columns());
         if state.accepted.len() != columns.len() || columns.iter().any(|c| c.len() != n_rows) {
@@ -93,7 +77,6 @@ impl EngineState {
         Self {
             accepted: vec![Vec::new(); frame.n_cols()],
             frame,
-            selection: None,
         }
     }
 
@@ -135,54 +118,6 @@ impl EngineState {
         }
         Ok(())
     }
-
-    /// The selected columns in selection order: base columns, then the
-    /// accepted features subgroup by subgroup.
-    fn selected_columns(&self) -> impl Iterator<Item = &Column> {
-        let generated = self.accepted.iter().flatten();
-        self.frame
-            .columns()
-            .iter()
-            .chain(generated.map(|g| &g.feature.column))
-    }
-
-    /// The selected frame plus `extra`, built in one copy — what a model
-    /// kind that reads raw values scores.
-    fn frame_with(&self, extra: Option<&Column>) -> Result<DataFrame> {
-        let columns = self.selected_columns().chain(extra).cloned().collect();
-        Ok(DataFrame::new(
-            self.frame.name.clone(),
-            columns,
-            self.frame.label().clone(),
-        )?)
-    }
-
-    /// The selection under `bin_budget`: the one at hand, or built from
-    /// the selected columns.
-    fn take_selection(&mut self, bin_budget: Option<usize>) -> Selection {
-        match self.selection.take() {
-            Some(selection) if selection.bin_budget() == bin_budget => selection,
-            _ => self.build_selection(bin_budget),
-        }
-    }
-
-    /// [`take_selection`](Self::take_selection) without checking it out:
-    /// a copy of the one at hand (its bins are shared), or a built one.
-    pub(crate) fn selection(&self, bin_budget: Option<usize>) -> Selection {
-        match &self.selection {
-            Some(selection) if selection.bin_budget() == bin_budget => selection.clone(),
-            _ => self.build_selection(bin_budget),
-        }
-    }
-
-    fn build_selection(&self, bin_budget: Option<usize>) -> Selection {
-        let frame = &self.frame;
-        let mut selection = Selection::new(&frame.name, frame.n_rows(), frame.label(), bin_budget);
-        for c in self.selected_columns() {
-            selection.push(SelectedColumn::of_values(&c.name, &c.values, bin_budget));
-        }
-        selection
-    }
 }
 
 impl ColumnStore for EngineState {
@@ -210,8 +145,8 @@ impl ColumnStore for EngineState {
         (&col.name, order)
     }
 
-    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64> {
-        Ok(evaluator.evaluate(&self.frame)?)
+    fn label(&self) -> &Label {
+        self.frame.label()
     }
 
     fn generate(&self, lineage: Lineage) -> Result<FlatCandidate> {
@@ -219,6 +154,10 @@ impl ColumnStore for EngineState {
         let (a, b) = (parent(lineage.a), parent(lineage.b));
         let feature = GeneratedFeature::new(lineage.op, a, b, self.describe(lineage));
         Ok(FlatCandidate { lineage, feature })
+    }
+
+    fn lineage(candidate: &FlatCandidate) -> Lineage {
+        candidate.lineage
     }
 
     fn name(candidate: &FlatCandidate) -> &str {
@@ -237,67 +176,35 @@ impl ColumnStore for EngineState {
         fpe.score_feature(&candidate.feature.column.values)
     }
 
-    fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &FlatCandidate) -> Result<f64> {
-        let bin_budget = evaluator.scorer().bin_budget(self.frame.task());
-        let selection = self.take_selection(bin_budget);
-        let score = self.evaluate_against(&selection, evaluator, candidate);
-        self.selection = Some(selection);
-        score
+    fn member_runs(&self, agent: usize, idx: usize, run: &mut dyn FnMut(&[f64])) -> Result<()> {
+        run(&self.column(agent, idx).0.values);
+        Ok(())
     }
 
-    fn accept(&mut self, candidate: FlatCandidate) -> Result<()> {
-        let agent = candidate.lineage.agent;
-        if let Some(selection) = &mut self.selection {
-            // The accepted column joins the selection behind its
-            // subgroup's earlier acceptances.
-            let at =
-                self.frame.n_cols() + self.accepted[..=agent].iter().map(Vec::len).sum::<usize>();
-            let column = &candidate.feature.column;
-            let budget = selection.bin_budget();
-            selection.insert(
-                at,
-                SelectedColumn::of_values(&column.name, &column.values, budget),
-            );
-        }
-        self.accepted[agent].push(candidate);
+    fn candidate_runs(&self, candidate: &FlatCandidate, run: &mut dyn FnMut(&[f64])) -> Result<()> {
+        run(&candidate.feature.column.values);
         Ok(())
+    }
+
+    fn raw_frame(&self, extra: Option<&FlatCandidate>) -> Result<DataFrame> {
+        let selected = self.selected().map(|(j, i)| self.column(j, i).0);
+        let columns = selected.chain(extra.map(|c| &c.feature.column));
+        Ok(DataFrame::new(
+            self.frame.name.clone(),
+            columns.cloned().collect(),
+            self.frame.label().clone(),
+        )?)
     }
 
     /// The selected-feature frame: all original columns plus every
     /// accepted generated column, sharing the base frame's label.
     fn engineered(&self) -> Result<DataFrame> {
-        self.frame_with(None)
+        self.raw_frame(None)
     }
-}
 
-impl EngineState {
-    /// [`ColumnStore::evaluate`] against `selection`, this store's
-    /// selection checked out for the call.
-    fn evaluate_against(
-        &self,
-        selection: &Selection,
-        evaluator: &CachedEvaluator,
-        candidate: &FlatCandidate,
-    ) -> Result<f64> {
-        let bin_budget = selection.bin_budget();
-        let column = &candidate.feature.column;
-        let digest = runtime::fingerprint_values(&column.values);
-        let key = evaluator.key_of(&selection.extended_key(&column.name, digest));
-        evaluator.evaluate_keyed(key, |scorer| {
-            if cfg!(debug_assertions) {
-                let frame = self.frame_with(Some(column))?;
-                debug_assert_eq!(
-                    evaluator.cache_key(&frame),
-                    key,
-                    "key must address this frame"
-                );
-            }
-            let extra =
-                SelectedColumn::with_digest(&column.name, &column.values, digest, bin_budget);
-            scorer.evaluate_selection(selection, Some(&extra), self.frame.label(), || {
-                self.frame_with(Some(column))
-            })
-        })
+    fn accept(&mut self, candidate: FlatCandidate) -> Result<()> {
+        self.accepted[candidate.lineage.agent].push(candidate);
+        Ok(())
     }
 }
 

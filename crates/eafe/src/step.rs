@@ -4,11 +4,14 @@
 //! A [`Search`] is generic over its column store (the crate-private
 //! `ColumnStore` trait, see `store.rs`): [`SearchState`] runs on the in-RAM
 //! [`EngineState`], [`ChunkedSearch`] on an out-of-core [`ChunkedStore`].
-//! The store holds column data and has six duties — generate the candidate
-//! a lineage describes, say whether it is degenerate, FPE-score it, run one
-//! downstream evaluation, accept it, hand back the engineered frame; the
+//! The store holds column data and has five duties — generate the
+//! candidate a lineage describes, say whether it is degenerate, FPE-score
+//! it, hand over columns (values run by run, the raw-value frame, the
+//! engineered frame), accept it. Everything else lives here, once: the
 //! policies, both RNG streams, the replay buffer, the adaptive gate, the
-//! counters and the phase machine live here, once. A long-lived server
+//! counters, the phase machine, and the one evaluation path — the
+//! selection's key state, digests and bins, the score-cache probe, and
+//! the candidate binned from its runs on a miss. A long-lived server
 //! interleaves many searches on one process (`crates/serve`), pauses one
 //! at any epoch boundary, checkpoints it to disk and resumes it — on the
 //! same or a different process — with **bit-identical** results.
@@ -19,11 +22,12 @@
 //! best-so-far score and weighted feature set — the anytime contract: a
 //! caller can stop after any slice and keep the best result found so far.
 //!
-//! Within a slice a candidate is made in exactly one place (`propose`)
-//! and judged in exactly one place (`Engine::gate`); the speculation
-//! replays ([`Engine::speculate_fpe_columns`], [`Engine::speculate_evals`])
-//! call the same two functions on copies of the streams, which is what
-//! makes their predictions exact.
+//! Within a slice a candidate is made in exactly one place (`propose`),
+//! judged in exactly one place (`Engine::gate`) and scored in exactly one
+//! place (`probe`); the speculation replays in `speculate.rs`
+//! ([`Engine::speculate_fpe_columns`], [`Engine::speculate_evals`]) call
+//! the first two on copies of the streams, which is what makes their
+//! predictions exact.
 //!
 //! A candidate carries its `Lineage` (proposing agent, operator, two
 //! members of that agent's subgroup) through the replay buffer, and is
@@ -41,7 +45,9 @@
 //! thread count. Two things are deliberately *outside* the contract,
 //! because they are process-local observability: wall-clock times
 //! (`elapsed_secs` and friends) and score-cache hit/miss tallies (a resumed run starts with a cold private cache; the
-//! cache only short-circuits recomputation, never changes a score).
+//! cache only short-circuits recomputation, never changes a score). The
+//! evaluator and the selection are process-local state, not checkpointed:
+//! both are rebuilt on first use after a restore.
 //! A [`ChunkedSearch`] lives and dies with its frame handle: it has no
 //! serde form.
 
@@ -56,12 +62,15 @@ use crate::report::{
 use crate::reward::SurrogateReward;
 use crate::state::{EngineState, FlatCandidate};
 use crate::store::{ColumnStore, Lineage};
-use learners::Selection;
+use learners::{BinnedColumn, SelectedColumn, Selection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
+use runtime::{ColumnDigest, Fingerprint};
 use serde::{DeError, Deserialize, Serialize, Value};
-use tabular::{Column, DataFrame};
+use tabular::DataFrame;
+
+mod speculate;
 
 /// Where a search currently stands; advanced by [`Engine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -225,6 +234,12 @@ pub struct Search<B: ColumnStore> {
     /// Process-local caching evaluator; rebuilt lazily after deserialize.
     /// A clone shares it (and so its cache, which never changes a score).
     evaluator: Option<CachedEvaluator>,
+    /// The selected columns as key state, digests and bins, so a
+    /// candidate's probe digests only the candidate and a miss bins only
+    /// it. Process-local like the evaluator: derived from the store, never
+    /// serialised, built by the first evaluation (again after a restore)
+    /// and extended on acceptance.
+    selection: Option<Selection>,
 }
 
 /// A search over an in-RAM frame, produced by [`Engine::start`].
@@ -232,8 +247,8 @@ pub struct Search<B: ColumnStore> {
 /// Serializing a `SearchState` checkpoints the search; deserializing and
 /// stepping to completion reproduces the uninterrupted run bit for bit
 /// (scores, evaluation counts, selected features — see the module docs
-/// for what is excluded). The evaluator handle and the store's cache-probe
-/// prefix are process-local and are lazily rebuilt after a restore.
+/// for what is excluded). The evaluator handle and the selection are
+/// process-local and are lazily rebuilt after a restore.
 pub type SearchState = Search<EngineState>;
 
 /// A search over an out-of-core [`tabular::ChunkedFrame`], produced by
@@ -269,6 +284,7 @@ impl Deserialize for SearchState {
         Ok(Search {
             core,
             evaluator: None,
+            selection: None,
         })
     }
 }
@@ -418,7 +434,7 @@ impl Engine {
     }
 
     /// Open a search on a store whose base frame is already sanitized.
-    pub(crate) fn open<B: ColumnStore>(&self, mut store: B) -> Result<Search<B>> {
+    pub(crate) fn open<B: ColumnStore>(&self, store: B) -> Result<Search<B>> {
         self.config.validate()?;
         if matches!(&self.gate, Gate::RandomDrop { rate } if !(0.0..=1.0).contains(rate)) {
             return Err(EafeError::InvalidConfig(
@@ -451,9 +467,10 @@ impl Engine {
         let evaluator = self.evaluator();
         let cache_start = evaluator.stats();
 
+        let mut selection = None;
         let base_score = {
             let _eval_span = telemetry::span("engine.evaluate");
-            timer.evaluation(|| store.base_score(&evaluator))?
+            timer.evaluation(|| probe(&store, &evaluator, &mut selection, None))?
         };
         counter.evaluate();
         let n_agents = store.n_agents();
@@ -516,6 +533,7 @@ impl Engine {
                 cache_misses: cache_delta.misses,
             },
             evaluator: Some(evaluator),
+            selection,
         })
     }
 
@@ -562,10 +580,10 @@ impl Engine {
         timer.start();
         let cache_start = evaluator.stats();
 
-        let core = &mut search.core;
+        let (core, selection) = (&mut search.core, &mut search.selection);
         match stage {
-            SearchStage::Seed => self.seed(core, &evaluator, &mut timer)?,
-            _ => self.epoch(core, &evaluator, &mut timer, stage, epoch)?,
+            SearchStage::Seed => self.seed(core, &evaluator, selection, &mut timer)?,
+            _ => self.epoch(core, &evaluator, selection, &mut timer, stage, epoch)?,
         }
 
         core.slices += 1;
@@ -636,6 +654,7 @@ impl Engine {
         &self,
         core: &mut SearchCore<B, B::Candidate>,
         evaluator: &CachedEvaluator,
+        selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
         stage: SearchStage,
         epoch: usize,
@@ -695,10 +714,10 @@ impl Engine {
                     }
                     surrogate.pseudo_score(p)
                 } else if pass {
-                    let score = evaluate(core, evaluator, timer, &candidate)?;
+                    let score = evaluate(core, evaluator, selection, timer, &candidate)?;
                     core.state.last_reward = score - core.state.current_score;
                     if score > core.state.current_score {
-                        accept(core, candidate, score)?;
+                        accept(core, selection, candidate, score)?;
                     }
                     score.max(core.state.current_score)
                 } else {
@@ -776,16 +795,17 @@ impl Engine {
         &self,
         core: &mut SearchCore<B, B::Candidate>,
         evaluator: &CachedEvaluator,
+        selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
     ) -> Result<()> {
         for candidate in self.seed_queue(core.state.store.n_agents(), &mut core.replay) {
             if core.state.store.n_generated() >= core.max_generated {
                 break;
             }
-            let score = evaluate(core, evaluator, timer, &candidate)?;
+            let score = evaluate(core, evaluator, selection, timer, &candidate)?;
             if score > core.state.current_score {
                 core.state.last_reward = score - core.state.current_score;
-                accept(core, candidate, score)?;
+                accept(core, selection, candidate, score)?;
             }
         }
         core.phase = self.stage2_or_done(0);
@@ -833,6 +853,20 @@ impl Engine {
         run_span.field("best_score", search.best_score());
         self.finish(&search)
     }
+
+    /// The caching evaluator this engine's searches use — public so a
+    /// distributed worker can score speculated candidate frames with the
+    /// identical scorer configuration (and so ship back content-addressed
+    /// cache entries the coordinator's own evaluator will hit).
+    pub fn evaluator(&self) -> CachedEvaluator {
+        match &self.cache {
+            Some(shared) => runtime::Evaluator::with_cache(
+                self.config.evaluator.clone(),
+                std::sync::Arc::clone(shared),
+            ),
+            None => runtime::Evaluator::new(self.config.evaluator.clone()),
+        }
+    }
 }
 
 fn report<S, C>(core: &SearchCore<S, C>, stage: SearchStage, epoch: usize) -> EpochReport {
@@ -854,20 +888,25 @@ fn report<S, C>(core: &SearchCore<S, C>, stage: SearchStage, epoch: usize) -> Ep
 fn evaluate<B: ColumnStore>(
     core: &mut SearchCore<B, B::Candidate>,
     evaluator: &CachedEvaluator,
+    selection: &mut Option<Selection>,
     timer: &mut PhaseTimer,
     candidate: &B::Candidate,
 ) -> Result<f64> {
     let _eval_span = telemetry::span("engine.evaluate");
-    let score = timer.evaluation(|| core.state.store.evaluate(evaluator, candidate))?;
+    let store = &core.state.store;
+    let score = timer.evaluation(|| probe(store, evaluator, selection, Some(candidate)))?;
     core.counter.evaluate();
     Ok(score)
 }
 
 /// Accept `candidate`, which scored `score` (above the current score),
 /// into its proposing agent's subgroup; its weight is
-/// `core.state.last_reward`, the gain it delivered.
+/// `core.state.last_reward`, the gain it delivered. A built selection
+/// gains the column behind its subgroup's earlier acceptances; its bins
+/// are the ones its evaluation left in the bin cache.
 fn accept<B: ColumnStore>(
     core: &mut SearchCore<B, B::Candidate>,
+    selection: &mut Option<Selection>,
     candidate: B::Candidate,
     score: f64,
 ) -> Result<()> {
@@ -877,133 +916,105 @@ fn accept<B: ColumnStore>(
         name: B::name(&candidate).to_string(),
         weight: core.state.last_reward,
     });
-    core.state.store.accept(candidate)
+    let store = &mut core.state.store;
+    if let Some(selection) = selection {
+        let agent = B::lineage(&candidate).agent;
+        let at = store.n_agents() + (0..=agent).map(|j| store.members(j) - 1).sum::<usize>();
+        let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(&candidate, run);
+        let (name, budget) = (B::name(&candidate), selection.bin_budget());
+        selection.insert(
+            at,
+            binned(store.n_rows(), name, digest(runs)?, budget, runs)?,
+        );
+    }
+    store.accept(candidate)
 }
 
-// ---------------------------------------------------------------------------
-// Speculation: predicting the next slice's compute-heavy work
-// ---------------------------------------------------------------------------
-
-impl Engine {
-    /// The caching evaluator this engine's searches use — public so a
-    /// distributed worker can score speculated candidate frames with the
-    /// identical scorer configuration (and so ship back content-addressed
-    /// cache entries the coordinator's own evaluator will hit).
-    pub fn evaluator(&self) -> CachedEvaluator {
-        match &self.cache {
-            Some(shared) => runtime::Evaluator::with_cache(
-                self.config.evaluator.clone(),
-                std::sync::Arc::clone(shared),
-            ),
-            None => runtime::Evaluator::new(self.config.evaluator.clone()),
+/// The downstream score of the selection extended by `candidate` — of
+/// the selection alone when `None` — and the one place a search scores
+/// anything. The score cache is probed with the selection's key state
+/// plus the candidate's digest (≡ `cache_key` of the raw-value frame); a
+/// miss bins only the candidate, from its runs, and the store builds a
+/// frame only for a model kind that reads raw values. `held` is the
+/// selection, built here from the store's columns when it is missing or
+/// was binned under another budget.
+pub(crate) fn probe<B: ColumnStore>(
+    store: &B,
+    evaluator: &CachedEvaluator,
+    held: &mut Option<Selection>,
+    candidate: Option<&B::Candidate>,
+) -> Result<f64> {
+    let budget = evaluator.scorer().bin_budget(store.label().task());
+    let selection = selection_under(store, held.take(), budget)?;
+    let selection = held.insert(selection);
+    let extra = match candidate {
+        Some(c) => Some((c, digest(|run| store.candidate_runs(c, run))?)),
+        None => None,
+    };
+    let key = evaluator.key_of(&match extra {
+        Some((c, digest)) => selection.extended_key(B::name(c), digest),
+        None => selection.key().clone(),
+    });
+    evaluator.evaluate_keyed(key, |scorer| {
+        if cfg!(debug_assertions) {
+            let frame = store.raw_frame(candidate)?;
+            debug_assert_eq!(
+                evaluator.cache_key(&frame),
+                key,
+                "key must address this frame"
+            );
         }
-    }
-
-    /// FPE-score a candidate column through this engine's gate model, or
-    /// `None` when the engine has no FPE gate. Scoring sketches the column
-    /// through the process-wide signature cache, so calling this on
-    /// speculated columns warms the cache a subsequent [`Engine::step`]
-    /// (in this or another process, via snapshot/merge) will hit.
-    pub fn fpe_score(&self, values: &[f64]) -> Result<Option<f64>> {
-        match &self.gate {
-            Gate::Fpe(fpe) => Ok(Some(fpe.score_feature(values)?)),
-            _ => Ok(None),
-        }
-    }
-
-    /// Replay the next slice's proposals on copies of the policies and
-    /// streams, without advancing the search, and collect the columns of
-    /// the candidates `keep` selects. `keep` sees each candidate with the
-    /// slice's stage and the gate streams, so it can ask
-    /// [`Engine::structurally_ok`] or [`Engine::gate`] exactly what the
-    /// real epoch will ask. There is no policy update: updates only
-    /// influence later epochs, and speculation predicts one slice ahead.
-    fn replay_proposals(
-        &self,
-        search: &SearchState,
-        mut keep: impl FnMut(&FlatCandidate, SearchStage, &mut GateStreams) -> Result<bool>,
-    ) -> Result<Vec<Column>> {
-        let core = &search.core;
-        let cfg = &self.config;
-        let (stage, epoch) = match core.phase.slice() {
-            Some(slice) if slice.0 != SearchStage::Seed => slice,
-            _ => return Ok(Vec::new()),
-        };
-        let epoch_frac = self.epoch_frac(stage, epoch);
-        let mut rng = core.rng.to_rng();
-        let mut streams = GateStreams::of(core);
-        let mut policies = core.policies.clone();
-        let mut columns = Vec::new();
-        for (agent, policy) in policies.iter_mut().enumerate() {
-            policy.reset();
-            for step in 0..cfg.steps_per_epoch {
-                let (_, candidate) =
-                    propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)?;
-                if keep(&candidate, stage, &mut streams)? {
-                    columns.push(candidate.feature.column);
-                }
-            }
-        }
-        Ok(columns)
-    }
-
-    /// Predict the candidate columns the *next* slice will FPE-score,
-    /// without advancing the search.
-    ///
-    /// Stage-1 prediction is **exact**: within an epoch, candidate
-    /// generation consumes policy and RNG state only — FPE scores feed the
-    /// replay buffer and the end-of-episode policy update, never the
-    /// within-epoch draws — so replaying generation from cloned state
-    /// yields precisely the columns `step` will score. Stage-2 prediction
-    /// is **optimistic**: an accepted candidate mutates the subgroups and
-    /// generation budget mid-epoch, diverging every later draw, so columns
-    /// past the first acceptance may be wasted work. Mispredictions cost
-    /// only compute: the signature cache is content-addressed and only
-    /// short-circuits recomputation, never changes a score.
-    pub fn speculate_fpe_columns(&self, search: &SearchState) -> Result<Vec<Column>> {
-        if !matches!(self.gate, Gate::Fpe(_)) {
-            return Ok(Vec::new());
-        }
-        self.replay_proposals(search, |candidate, stage, _| {
-            Ok(self.structurally_ok(&search.core, candidate, stage))
+        let extra = extra.map(|(c, digest)| {
+            let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(c, run);
+            binned(store.n_rows(), B::name(c), digest, budget, runs)
+        });
+        let extra = extra.transpose()?;
+        scorer.evaluate_selection(selection, extra.as_ref(), store.label(), || {
+            store.raw_frame(candidate)
         })
-    }
+    })
+}
 
-    /// Predict the candidate frames the *next* slice will send to the
-    /// downstream evaluator, without advancing the search. Returns the
-    /// shared frame prefix (the current selected frame), the search's own
-    /// [`Selection`] of it under this engine's bin budget (key state,
-    /// digests and bins — what `step` keys and scores against), and one
-    /// candidate column per predicted evaluation — evaluation `k`'s frame
-    /// is `prefix.with_extra_columns(&[candidates[k]])`, the same
-    /// construction `step` uses, so fingerprints line up entry for entry.
-    ///
-    /// The prediction assumes **no acceptance** during the slice: an
-    /// acceptance re-bases every later candidate on a larger selected
-    /// frame, so entries past the first acceptance miss and are computed
-    /// locally. The prefix of predicted evaluations up to (and including)
-    /// the first acceptance is exact.
-    pub fn speculate_evals(
-        &self,
-        search: &SearchState,
-    ) -> Result<(DataFrame, Selection, Vec<Column>)> {
-        let core = &search.core;
-        let store = &core.state.store;
-        let prefix = store.engineered()?;
-        let selection = store.selection(self.config.evaluator.bin_budget(prefix.task()));
-        let candidates = match core.phase {
-            SearchPhase::Seed if store.n_generated() < core.max_generated => self
-                .seed_queue(store.n_agents(), &mut core.replay.clone())
-                .map(|candidate| candidate.feature.column)
-                .collect(),
-            SearchPhase::Stage2 { .. } => self
-                .replay_proposals(search, |candidate, stage, streams| {
-                    Ok(self.gate(core, candidate, stage, streams)?.0)
-                })?,
-            _ => Vec::new(),
-        };
-        Ok((prefix, selection, candidates))
+/// `held` when it was binned under `budget`, else the selection of the
+/// store's selected columns under it, each digested and binned from its
+/// runs.
+fn selection_under<B: ColumnStore>(
+    store: &B,
+    held: Option<Selection>,
+    budget: Option<usize>,
+) -> Result<Selection> {
+    if let Some(selection) = held.filter(|s| s.bin_budget() == budget) {
+        return Ok(selection);
     }
+    let mut selection = Selection::new(store.dataset(), store.n_rows(), store.label(), budget);
+    for (j, i) in store.selected() {
+        let runs = |run: &mut dyn FnMut(&[f64])| store.member_runs(j, i, run);
+        let name = store.member(j, i).0;
+        selection.push(binned(store.n_rows(), name, digest(runs)?, budget, runs)?);
+    }
+    Ok(selection)
+}
+
+/// The digest of the column `runs` hands over run by run.
+fn digest(runs: impl FnOnce(&mut dyn FnMut(&[f64])) -> Result<()>) -> Result<Fingerprint> {
+    let mut digest = ColumnDigest::default();
+    runs(&mut |run| digest.write(run))?;
+    Ok(digest.finish())
+}
+
+/// That column of `n_rows` rows as a selection holds it: its name, its
+/// digest and, under `budget`, its bins — from the bin cache, or binned
+/// from the runs `runs` hands over again.
+fn binned(
+    n_rows: usize,
+    name: &str,
+    digest: Fingerprint,
+    budget: Option<usize>,
+    runs: impl FnMut(&mut dyn FnMut(&[f64])) -> Result<()>,
+) -> Result<SelectedColumn> {
+    SelectedColumn::new(name, digest, budget, |bins| {
+        BinnedColumn::build_from_runs(n_rows, bins, runs)
+    })
 }
 
 /// `EafeConfig` helper shared by step tests and doctests: how many
@@ -1298,112 +1309,6 @@ mod tests {
         let restored: SearchState = serde_json::from_str(&json).unwrap();
         assert_eq!(state.core, restored.core);
         assert!(restored.evaluator.is_none(), "evaluator is process-local");
-    }
-
-    #[test]
-    fn speculative_warming_preserves_results_bitwise() {
-        let frame = target_frame();
-        let cfg = fast_config();
-        let solo = Engine::nfs(cfg.clone()).run(&frame).unwrap();
-
-        // Warmed run: before every slice, evaluate all speculated frames
-        // into the shared cache — exactly what a distributed coordinator
-        // does with worker results — then step and compare bitwise.
-        let cache = std::sync::Arc::new(runtime::ScoreCache::new(4096));
-        let engine = Engine::nfs(cfg).with_cache(std::sync::Arc::clone(&cache));
-        let evaluator = engine.evaluator();
-        let mut state = engine.start(&frame).unwrap();
-        let mut warm_hits = 0u64;
-        while !state.is_done() {
-            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
-            for candidate in &candidates {
-                let speculative = prefix
-                    .with_extra_columns(std::slice::from_ref(candidate))
-                    .unwrap();
-                evaluator.evaluate(&speculative).unwrap();
-            }
-            let before = evaluator.stats();
-            engine.step(&mut state).unwrap();
-            warm_hits += evaluator.stats().since(&before).hits;
-        }
-        let (warmed, _) = engine.finish(&state).unwrap();
-        assert_eq!(solo.best_score.to_bits(), warmed.best_score.to_bits());
-        assert_eq!(solo.downstream_evals, warmed.downstream_evals);
-        assert_eq!(solo.generated_features, warmed.generated_features);
-        assert_eq!(solo.selected, warmed.selected);
-        for (a, b) in solo.trace.iter().zip(&warmed.trace) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-        assert!(warm_hits > 0, "speculated evaluations must serve step hits");
-    }
-
-    #[test]
-    fn speculative_warming_holds_with_a_random_drop_gate() {
-        // E-AFE_D draws gate decisions from the dedicated gate stream;
-        // speculation must replay that stream without perturbing it.
-        let frame = target_frame();
-        let cfg = fast_config();
-        let solo = Engine::e_afe_d(cfg.clone(), 0.4).run(&frame).unwrap();
-
-        let cache = std::sync::Arc::new(runtime::ScoreCache::new(4096));
-        let engine = Engine::e_afe_d(cfg, 0.4).with_cache(std::sync::Arc::clone(&cache));
-        let evaluator = engine.evaluator();
-        let mut state = engine.start(&frame).unwrap();
-        while !state.is_done() {
-            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
-            for candidate in &candidates {
-                let speculative = prefix
-                    .with_extra_columns(std::slice::from_ref(candidate))
-                    .unwrap();
-                evaluator.evaluate(&speculative).unwrap();
-            }
-            engine.step(&mut state).unwrap();
-        }
-        let (warmed, _) = engine.finish(&state).unwrap();
-        assert_eq!(solo.best_score.to_bits(), warmed.best_score.to_bits());
-        assert_eq!(solo.downstream_evals, warmed.downstream_evals);
-        assert_eq!(solo.selected, warmed.selected);
-    }
-
-    #[test]
-    fn speculation_does_not_mutate_the_search() {
-        let frame = target_frame();
-        let engine = Engine::nfs(fast_config());
-        let mut state = engine.start(&frame).unwrap();
-        engine.step(&mut state).unwrap();
-        let before = state.core.clone();
-        engine.speculate_evals(&state).unwrap();
-        engine.speculate_fpe_columns(&state).unwrap();
-        assert_eq!(state.core, before);
-    }
-
-    #[test]
-    fn speculated_evals_prefix_matches_the_real_slice_until_acceptance() {
-        // With no gate, the first speculated candidate frame is exactly the
-        // first frame the slice evaluates: its cache entry must be hit.
-        let frame = target_frame();
-        let engine = Engine::nfs(fast_config());
-        let mut state = engine.start(&frame).unwrap();
-        let evaluator = state.evaluator.clone().unwrap();
-        while !state.is_done() {
-            let (prefix, _, candidates) = engine.speculate_evals(&state).unwrap();
-            if let Some(first) = candidates.first() {
-                let speculative = prefix
-                    .with_extra_columns(std::slice::from_ref(first))
-                    .unwrap();
-                let key = evaluator.cache_key(&speculative);
-                evaluator.evaluate(&speculative).unwrap();
-                assert!(evaluator.cache().contains(key));
-                let shard_hits_before = evaluator.stats();
-                engine.step(&mut state).unwrap();
-                assert!(
-                    evaluator.stats().since(&shard_hits_before).hits >= 1,
-                    "first speculated frame must be served from cache"
-                );
-            } else {
-                engine.step(&mut state).unwrap();
-            }
-        }
     }
 
     #[test]

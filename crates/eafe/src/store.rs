@@ -9,25 +9,29 @@
 //!
 //! A store owns the column data and nothing else. It answers a small
 //! bookkeeping view — how many agents, how many members a subgroup has,
-//! a member's name and order — and carries out the six duties that
-//! genuinely differ between the two layouts:
+//! a member's name and order, the label — and carries out the five
+//! duties that genuinely differ between the two layouts:
 //!
 //! 1. **generate** the candidate a [`Lineage`] describes;
 //! 2. tell whether a candidate is **degenerate** (with its name and order);
 //! 3. **FPE-score** a candidate;
-//! 4. run one **downstream evaluation** of the selection plus a candidate,
-//!    probing the score cache before materialising anything;
-//! 5. **accept** a candidate into its proposing agent's subgroup;
-//! 6. hand back the **engineered frame**.
+//! 4. **hand over columns**: a member's or a candidate's values run by
+//!    run, the raw-value frame of the selection (plus a candidate), and
+//!    the engineered frame;
+//! 5. **accept** a candidate into its proposing agent's subgroup.
 //!
-//! Scores, policies, RNG streams, the replay buffer, counters and the
-//! phase machine are the driver's and exist once.
+//! Downstream evaluation is the driver's: it keeps the selection's key
+//! state, digests and bins, probes the score cache, bins a candidate
+//! from its runs and asks for a raw-value frame only for a model kind
+//! that reads raw values. Scores, policies, RNG streams, the replay
+//! buffer, counters and the phase machine are the driver's too and exist
+//! once.
 
-use crate::config::CachedEvaluator;
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use serde::{Deserialize, Serialize};
+use tabular::{DataFrame, Label};
 
 /// What a generated feature is made of: the proposing agent, the operator
 /// and two members of that agent's subgroup (a unary operator reads only
@@ -65,8 +69,8 @@ pub trait ColumnStore {
     /// Expression name and transformation order of one subgroup member.
     fn member(&self, agent: usize, idx: usize) -> (&str, usize);
 
-    /// Downstream score of the base frame, before anything is accepted.
-    fn base_score(&mut self, evaluator: &CachedEvaluator) -> Result<f64>;
+    /// The label every column is scored against.
+    fn label(&self) -> &Label;
 
     /// Duty 1: the candidate `lineage` describes, named by
     /// [`describe`](ColumnStore::describe).
@@ -78,6 +82,9 @@ pub trait ColumnStore {
         let parent = |idx| self.member(lineage.agent, idx);
         lineage.op.expression(parent(lineage.a), parent(lineage.b))
     }
+
+    /// What a candidate is made of.
+    fn lineage(candidate: &Self::Candidate) -> Lineage;
 
     /// A candidate's expression name.
     fn name(candidate: &Self::Candidate) -> &str;
@@ -91,21 +98,38 @@ pub trait ColumnStore {
     /// Duty 3: the FPE model's probability that the candidate is effective.
     fn fpe_score(&self, fpe: &FpeModel, candidate: &Self::Candidate) -> Result<f64>;
 
-    /// Duty 4: downstream score of the current selection extended by
-    /// `candidate`. The store keeps whatever state makes the cache probe
-    /// cost one column — key state, digests, and the selected columns'
-    /// bins, so a forest's miss bins only the candidate — and builds a
-    /// frame only for a model kind that reads raw values.
-    fn evaluate(&mut self, evaluator: &CachedEvaluator, candidate: &Self::Candidate)
-        -> Result<f64>;
+    /// Duty 4: member `idx` of `agent`'s subgroup, handed to `run` run by
+    /// run in row order.
+    fn member_runs(&self, agent: usize, idx: usize, run: &mut dyn FnMut(&[f64])) -> Result<()>;
 
-    /// Duty 5: add `candidate` to its lineage's agent's subgroup (and to
-    /// the state its selection keeps).
-    fn accept(&mut self, candidate: Self::Candidate) -> Result<()>;
+    /// Duty 4: `candidate`'s values, handed to `run` run by run in row
+    /// order.
+    fn candidate_runs(
+        &self,
+        candidate: &Self::Candidate,
+        run: &mut dyn FnMut(&[f64]),
+    ) -> Result<()>;
 
-    /// Duty 6: original features plus every accepted one, subgroup by
+    /// Duty 4: the selected columns, then `extra`, as one frame — what a
+    /// model kind that reads raw values scores, and what the driver's
+    /// score-cache key addresses.
+    fn raw_frame(&self, extra: Option<&Self::Candidate>) -> Result<DataFrame>;
+
+    /// Duty 4: original features plus every accepted one, subgroup by
     /// subgroup.
     fn engineered(&self) -> Result<Self::Frame>;
+
+    /// Duty 5: add `candidate` to its lineage's agent's subgroup.
+    fn accept(&mut self, candidate: Self::Candidate) -> Result<()>;
+
+    /// The selected columns as `(agent, member)`, in selection order:
+    /// every original feature, then the accepted features subgroup by
+    /// subgroup.
+    fn selected(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.n_agents();
+        let generated = (0..n).flat_map(move |j| (1..self.members(j)).map(move |i| (j, i)));
+        (0..n).map(|j| (j, 0)).chain(generated)
+    }
 
     /// Generated features accepted so far, across subgroups.
     fn n_generated(&self) -> usize {
@@ -114,8 +138,9 @@ pub trait ColumnStore {
 
     /// Names of the accepted generated features, subgroup by subgroup.
     fn selected_names(&self) -> Vec<String> {
-        (0..self.n_agents())
-            .flat_map(|j| (1..self.members(j)).map(move |i| self.member(j, i).0.to_string()))
+        self.selected()
+            .skip(self.n_agents())
+            .map(|(j, i)| self.member(j, i).0.to_string())
             .collect()
     }
 }

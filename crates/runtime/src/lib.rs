@@ -22,9 +22,6 @@
 //!    gate, labelling, and model selection sketch a distinct column at
 //!    most once per family/seed; batch misses are sketched through the
 //!    pool with the table-driven kernel.
-//! 5. **`fair`** — a deterministic round-robin rotation over job keys,
-//!    the fair-share slicing policy a multi-tenant server uses to
-//!    interleave epoch-granular work on the shared pool.
 //!
 //! [`Evaluator`] ties the three together: wrap any [`Scorer`] (in
 //! practice `learners::Evaluator`) and identical (dataset, learner
@@ -93,7 +90,6 @@
 mod cache;
 mod diststats;
 mod evaluator;
-mod fair;
 mod fingerprint;
 mod pool;
 mod scratch;
@@ -103,7 +99,6 @@ mod sigcache;
 pub use cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
 pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer, DEFAULT_CACHE_CAPACITY};
-pub use fair::RoundRobin;
 pub use fingerprint::{
     fingerprint_frame, fingerprint_values, ColumnDigest, Fingerprint, Hasher128, KeyPrefix,
 };

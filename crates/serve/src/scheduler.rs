@@ -17,7 +17,6 @@ use crate::budget::Budget;
 use crate::error::{Result, ServeError};
 use crate::job::{JobEvent, JobId, JobOutcome, JobStatus};
 use eafe::{Engine, EpochReport, SearchState};
-use runtime::RoundRobin;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::Sender;
@@ -159,8 +158,9 @@ pub(crate) type AdmissionWaits = Vec<(String, u64)>;
 /// The job table and every scheduling decision made over it.
 pub(crate) struct Scheduler {
     jobs: BTreeMap<JobId, Job>,
-    /// Active jobs, in fair rotation.
-    rr: RoundRobin<JobId>,
+    /// Active jobs, in fair rotation: the front runs next, then goes to
+    /// the back.
+    rotation: VecDeque<JobId>,
     /// Admitted jobs waiting for an active slot, with their admission time.
     queued: VecDeque<(JobId, Instant)>,
     next_id: u64,
@@ -180,7 +180,7 @@ impl Scheduler {
     pub(crate) fn new(max_active: usize, max_queued: usize) -> Scheduler {
         Scheduler {
             jobs: BTreeMap::new(),
-            rr: RoundRobin::new(),
+            rotation: VecDeque::new(),
             queued: VecDeque::new(),
             next_id: 1,
             in_flight: None,
@@ -243,7 +243,7 @@ impl Scheduler {
             return Ok(None);
         }
         let mut waits = AdmissionWaits::new();
-        while self.rr.len() < self.max_active {
+        while self.rotation.len() < self.max_active {
             let Some((id, at)) = self.queued.pop_front() else {
                 break;
             };
@@ -251,12 +251,13 @@ impl Scheduler {
                 job.status = JobStatus::Active;
                 let wait = now.saturating_duration_since(at);
                 waits.push((job.tenant.clone(), wait.as_micros() as u64));
-                self.rr.admit(id);
+                self.rotation.push_back(id);
             }
         }
-        let Some(id) = self.rr.pick() else {
+        let Some(id) = self.rotation.pop_front() else {
             return Ok(None);
         };
+        self.rotation.push_back(id);
         let job = self.jobs.get_mut(&id).ok_or(ServeError::UnknownJob(id))?;
         self.in_flight = Some(id);
         let slice = Slice {
@@ -307,7 +308,7 @@ impl Scheduler {
                 (None, evals_delta)
             }
             SliceEnd::Terminal(outcome) => {
-                self.rr.remove(&id);
+                self.rotation.retain(|&active| active != id);
                 job.status = outcome.status;
                 job.state = None;
                 job.frame = None;
@@ -398,7 +399,7 @@ impl Scheduler {
 
     /// Jobs waiting for a slot, and jobs in the rotation.
     pub(crate) fn depth(&self) -> (usize, usize) {
-        (self.queued.len(), self.rr.len())
+        (self.queued.len(), self.rotation.len())
     }
 }
 

@@ -198,14 +198,10 @@ fn after_shutdown_nothing_is_admitted_or_sliced_and_every_stream_closes() {
 fn rotation_is_strict() {
     let t0 = Instant::now();
     let (n, k) = (3, 10);
-    let mut s = Scheduler::new(n, 64);
-    let ids: Vec<JobId> = (0..n)
-        .map(|_| {
-            submit(&mut s, long_engine(), Budget::unlimited(), t0)
-                .unwrap()
-                .0
-        })
-        .collect();
+    // One slot to spare, so a late admission joins the rotation at once.
+    let mut s = Scheduler::new(n + 1, 64);
+    let admit = |s: &mut Scheduler| submit(s, long_engine(), Budget::unlimited(), t0).unwrap().0;
+    let ids: Vec<JobId> = (0..n).map(|_| admit(&mut s)).collect();
     let picks: Vec<JobId> = (0..k).map(|_| turn(&mut s, t0).unwrap().0).collect();
     let expected: Vec<JobId> = ids.iter().copied().cycle().take(k).collect();
     assert_eq!(picks, expected, "admission order, then cyclic");
@@ -215,6 +211,16 @@ fn rotation_is_strict() {
         .collect();
     let (hi, lo) = (counts.iter().max().unwrap(), counts.iter().min().unwrap());
     assert!(hi - lo <= 1, "slice counts {counts:?}");
+
+    // The rotation goes on where it was and a late admission takes the
+    // back; a cancelled job runs its last slice in its turn and leaves,
+    // and the others keep their order.
+    let (a, b, c) = (ids[0], ids[1], ids[2]);
+    let late = admit(&mut s);
+    s.cancel(c).unwrap();
+    let picks: Vec<JobId> = (0..7).map(|_| turn(&mut s, t0).unwrap().0).collect();
+    assert_eq!(picks, vec![b, c, a, late, b, a, late]);
+    assert_eq!(s.depth(), (0, 3));
 }
 
 #[test]

@@ -57,15 +57,17 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
-    echo "==> golden search lines (release): no eafe_table / nfs_table / eafe_tall / dist_2w result moved"
+    echo "==> golden search lines (release): no eafe_table / nfs_table / eafe_tall / dist_2w / serve_4t result moved"
     # scripts/golden_searches.txt holds 'search <i> <fingerprint>: <n> evals
-    # of which <m> computed' of every search of the four workloads (the
+    # of which <m> computed' of every search of the five workloads (the
     # panel is the same on every seed); eafe_tall is the one that sketches
     # chunk-backed columns and takes the dense scan, dist_2w the one whose
-    # coordinator is warmed by two worker processes over TCP. A PR that
-    # means to move results regenerates the file with this loop and says so.
+    # coordinator is warmed by two worker processes over TCP, serve_4t the
+    # one whose flat searches the job server steps for four tenants. A PR
+    # that means to move results regenerates the file with this loop and
+    # says so.
     golden="$(mktemp)"
-    for workload in eafe_table nfs_table eafe_tall dist_2w; do
+    for workload in eafe_table nfs_table eafe_tall dist_2w serve_4t; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 60158 --seconds 2 --trace 0 2>&1 >/dev/null \
             | sed -n 's/^perf-e2e: \(.* search [0-9]* [0-9a-f]*\): .*, \([0-9]* evals of which [0-9]* computed\)$/\1: \2/p'

@@ -203,7 +203,7 @@ fn run() -> Result<(), String> {
         "dropout" => Engine::e_afe_d(config, 0.5)
             .run_full(&frame)
             .map_err(|e| e.to_string())?,
-        "autofs" => eafe::run_autofs_r_full(&config, &frame).map_err(|e| e.to_string())?,
+        "autofs" => eafe::run_autofs_r(&config, &frame, None).map_err(|e| e.to_string())?,
         other => return Err(format!("unknown method `{other}` (try --help)")),
     };
 

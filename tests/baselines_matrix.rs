@@ -53,7 +53,7 @@ fn all_eleven_table3_methods_run() {
         .unwrap();
 
     let results = vec![
-        run_autofs_r(&cfg(), &frame).unwrap(),
+        run_autofs_r(&cfg(), &frame, None).unwrap().0,
         run_rtdl_n(&dl_cfg(), &frame).unwrap(),
         Engine::nfs(cfg()).run(&frame).unwrap(),
         run_fe_dl(&dl_cfg(), &engineered).unwrap(),
