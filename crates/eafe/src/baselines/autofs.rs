@@ -56,6 +56,7 @@ pub(crate) fn random_feature_pool(
         if pool.iter().any(|g| g.column.name == feat.column.name) {
             continue;
         }
+        telemetry::count(op.counter_name(), 1);
         pool.push(feat);
     }
     pool

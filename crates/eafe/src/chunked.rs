@@ -8,7 +8,7 @@
 //! candidate is also fully materialized just to be FPE-scored. At 10M+
 //! rows that working set is what runs out of memory first. This store
 //! keeps all column data as compressed chunks governed by the frame's
-//! [`tabular::FrameBudget`], and carries out its five duties (see
+//! [`tabular::FrameBudget`], and carries out its four duties (see
 //! `store.rs`) on chunks:
 //!
 //! - candidates are generated chunk-at-a-time
@@ -31,7 +31,9 @@
 //!   values gets the selected frame plus the candidate, materialized on
 //!   its miss;
 //! - an accepted candidate's chunks move into the frame, and the
-//!   engineered frame is a column-selection view of it.
+//!   engineered frame is a column-selection view of it;
+//! - a candidate outlives no slice: the replay buffer holds lineages, so
+//!   no column stays resident outside the frame's budget across stage 1.
 //!
 //! The per-chunk transforms/folds replay the flat store's exact
 //! expression sequences and the bins are the same bytes, so a chunked
@@ -62,7 +64,7 @@ use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame, Label};
 /// A generated candidate held as compressed chunks — the chunked
 /// counterpart of the flat store's candidate, which never exists as a
 /// flat `Vec<f64>`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChunkedCandidate {
     /// What it is made of.
     lineage: Lineage,
@@ -117,6 +119,16 @@ impl ChunkedStore {
         &self.frame
     }
 
+    /// Original features plus every accepted one: a [`ChunkedFrame`] view
+    /// (no re-encoding) with columns in the flat store's selected order.
+    fn engineered(&self) -> Result<ChunkedFrame> {
+        let order: Vec<usize> = self
+            .selected()
+            .map(|(j, i)| self.subgroups[j][i].col)
+            .collect();
+        Ok(self.frame.select_columns(&order)?)
+    }
+
     /// A candidate's chunks as the MinHash kernel's row source.
     fn rows<'a>(&self, cand: &'a ChunkedCandidate) -> CandidateRows<'a> {
         CandidateRows {
@@ -129,7 +141,6 @@ impl ChunkedStore {
 
 impl ColumnStore for ChunkedStore {
     type Candidate = ChunkedCandidate;
-    type Frame = ChunkedFrame;
 
     fn dataset(&self) -> &str {
         &self.frame.name
@@ -232,16 +243,6 @@ impl ColumnStore for ChunkedStore {
         Ok(frame)
     }
 
-    /// A [`ChunkedFrame`] view (no re-encoding) with columns in the flat
-    /// store's selected order.
-    fn engineered(&self) -> Result<ChunkedFrame> {
-        let order: Vec<usize> = self
-            .selected()
-            .map(|(j, i)| self.subgroups[j][i].col)
-            .collect();
-        Ok(self.frame.select_columns(&order)?)
-    }
-
     /// The candidate's chunks move into the budgeted frame (and from there
     /// spill to the store under memory pressure).
     fn accept(&mut self, candidate: ChunkedCandidate) -> Result<()> {
@@ -267,7 +268,6 @@ fn generate_chunked(store: &ChunkedStore, lineage: Lineage) -> Result<ChunkedCan
     let (frame, op, sub) = (&store.frame, lineage.op, &store.subgroups[lineage.agent]);
     let (a_col, b_col) = (sub[lineage.a].col, sub[lineage.b].col);
     let (name, order) = store.describe(lineage);
-    telemetry::count(op.counter_name(), 1);
     // Whole-column prepass for min-max normalisation: one sequential
     // row-order fold per accumulator, the exact `column_bounds` chains.
     let bounds = if op.needs_bounds() {
@@ -379,7 +379,7 @@ impl Engine {
     /// the flat path's selected order: base columns, then accepted
     /// features by subgroup.
     pub fn finish_chunked(&self, search: &ChunkedSearch) -> Result<(RunResult, ChunkedFrame)> {
-        self.finish(search)
+        Ok((self.result(search), search.store().engineered()?))
     }
 
     /// Run the method on an out-of-core frame — the chunked counterpart
@@ -388,7 +388,7 @@ impl Engine {
     /// grows the accepted columns); the engineered frame view is
     /// returned alongside the result.
     pub fn run_chunked(&self, frame: ChunkedFrame) -> Result<(RunResult, ChunkedFrame)> {
-        self.drive(|| self.start_chunked(frame))
+        self.finish_chunked(&self.drive(|| self.start_chunked(frame))?)
     }
 }
 
@@ -514,7 +514,7 @@ mod tests {
                 let candidate = select(&mut flat, &accepted[..extras]);
                 let score = probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
                 let whole = flat
-                    .engineered()
+                    .raw_frame(None)
                     .unwrap()
                     .with_extra_columns(std::slice::from_ref(&candidate.feature.column))
                     .unwrap();

@@ -62,8 +62,9 @@ pub struct Engine {
     pub config: EafeConfig,
     /// Candidate gate.
     pub(crate) gate: Gate,
-    /// Run the FPE-surrogate initialisation stage (requires an FPE gate).
-    pub two_stage: bool,
+    /// Run the FPE-surrogate initialisation stage (requires an FPE gate);
+    /// set by the method's constructor.
+    pub(crate) two_stage: bool,
     /// Use the paper's Eq. 9/10 λ-returns; `false` uses plain
     /// rewards-to-go policy gradient (the `E-AFE_R` / NFS formulation).
     pub use_lambda_returns: bool,
@@ -157,7 +158,7 @@ impl Engine {
     /// This is a thin blocking driver over the stepped state machine:
     /// [`Engine::start`], [`Engine::step`] until done, [`Engine::finish`].
     pub fn run_full(&self, frame: &DataFrame) -> Result<(RunResult, DataFrame)> {
-        self.drive(|| self.start(frame))
+        self.finish(&self.drive(|| self.start(frame))?)
     }
 }
 

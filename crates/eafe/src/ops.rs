@@ -221,7 +221,7 @@ impl fmt::Display for Operator {
 /// A generated feature: its values, a human-readable expression, and its
 /// transformation order (composition depth; original features are order 0,
 /// the paper caps order at 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedFeature {
     /// The feature column (name = expression string).
     pub column: Column,
@@ -246,7 +246,6 @@ impl GeneratedFeature {
     /// Apply `op` to parent values `a` and `b`; `named` is the child's
     /// name and order, already derived from the parents.
     pub(crate) fn new(op: Operator, a: &[f64], b: &[f64], named: (String, usize)) -> Self {
-        telemetry::count(op.counter_name(), 1);
         GeneratedFeature {
             column: Column::new(named.0, op.apply(a, b)),
             order: named.1,

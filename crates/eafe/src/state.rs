@@ -9,22 +9,25 @@
 //! accepted member keeps the [`Lineage`] that says so.
 //!
 //! [`EngineState`] is the in-RAM `ColumnStore`: every member is a flat
-//! [`Column`], and of its five duties (see `store.rs`) it carries out
+//! [`Column`], and of its four duties (see `store.rs`) it carries out
 //! each on whole columns — a candidate is generated in one piece, FPE
 //! scoring goes through the process-wide signature cache, a member's or a
 //! candidate's values are handed over as one run, and the raw-value frame
 //! is the selected columns plus the candidate, copied once.
+//!
+//! Its checkpoint is the base frame plus each subgroup's lineages; a
+//! restore makes every accepted member again from its lineage.
 
-use crate::error::Result;
+use crate::error::{EafeError, Result};
 use crate::fpe::FpeModel;
 use crate::ops::GeneratedFeature;
 use crate::store::{ColumnStore, Lineage};
 use serde::{DeError, Deserialize, Serialize, Value};
 use tabular::{Column, DataFrame, Label};
 
-/// A flat store's candidate — and, once accepted, a subgroup member: the
-/// generated column and the lineage it was made from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A flat store's candidate: the generated column and the lineage it was
+/// made from.
+#[derive(Debug)]
 pub struct FlatCandidate {
     pub(crate) lineage: Lineage,
     pub(crate) feature: GeneratedFeature,
@@ -32,13 +35,17 @@ pub struct FlatCandidate {
 
 /// The in-RAM column store of a flat search: the sanitized base frame,
 /// whose column `j` is member 0 of agent `j`'s subgroup, and the members
-/// each subgroup accepted since.
+/// each subgroup accepted since. Only the frame and the lineages are
+/// written; the columns are derived from them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineState {
     frame: DataFrame,
-    /// Per agent, its accepted generated features in acceptance order
-    /// (subgroup members `1..`).
-    accepted: Vec<Vec<FlatCandidate>>,
+    /// Per agent, the lineages of its accepted generated features in
+    /// acceptance order (subgroup members `1..`).
+    accepted: Vec<Vec<Lineage>>,
+    /// Those features, in the same order.
+    #[serde(skip)]
+    features: Vec<Vec<GeneratedFeature>>,
 }
 
 // A checkpoint is outside input: every column the search will index, hash
@@ -50,20 +57,23 @@ impl Deserialize for EngineState {
         let entries = v
             .as_map()
             .ok_or_else(|| DeError::new("expected map for EngineState"))?;
-        let state = EngineState {
-            frame: Deserialize::from_value(serde::field(entries, "frame"))?,
-            accepted: Deserialize::from_value(serde::field(entries, "accepted"))?,
-        };
-        let (n_rows, columns) = (state.frame.n_rows(), state.frame.columns());
-        if state.accepted.len() != columns.len() || columns.iter().any(|c| c.len() != n_rows) {
+        let frame: DataFrame = Deserialize::from_value(serde::field(entries, "frame"))?;
+        let accepted: Vec<Vec<Lineage>> =
+            Deserialize::from_value(serde::field(entries, "accepted"))?;
+        let (n_rows, columns) = (frame.n_rows(), frame.columns());
+        if accepted.len() != columns.len() || columns.iter().any(|c| c.len() != n_rows) {
             return Err(DeError::new(format!(
                 "subgroups do not match the frame's {} columns of {n_rows} rows",
                 columns.len()
             )));
         }
-        for (agent, members) in state.accepted.iter().enumerate() {
-            for (held, member) in (1..).zip(members) {
-                state.check_lineage(member, agent, held)?;
+        let mut state = EngineState::new(frame);
+        let corrupt = |e: EafeError| DeError::new(e.to_string());
+        for (agent, lineages) in accepted.into_iter().enumerate() {
+            for (held, lineage) in (1..).zip(lineages) {
+                lineage.check(agent, held)?;
+                let member = state.generate(lineage).map_err(corrupt)?;
+                state.accept(member).map_err(corrupt)?;
             }
         }
         Ok(state)
@@ -76,6 +86,7 @@ impl EngineState {
     pub fn new(frame: DataFrame) -> Self {
         Self {
             accepted: vec![Vec::new(); frame.n_cols()],
+            features: vec![Vec::new(); frame.n_cols()],
             frame,
         }
     }
@@ -90,39 +101,15 @@ impl EngineState {
         match idx.checked_sub(1) {
             None => (&self.frame.columns()[agent], 0),
             Some(i) => {
-                let g = &self.accepted[agent][i].feature;
+                let g = &self.features[agent][i];
                 (&g.column, g.order)
             }
         }
-    }
-
-    /// Checks a decoded `candidate` is the feature its lineage describes:
-    /// made in subgroup `agent` from two of its first `held` members, with
-    /// the name and order the lineage derives and the frame's rows.
-    pub(crate) fn check_lineage(
-        &self,
-        candidate: &FlatCandidate,
-        agent: usize,
-        held: usize,
-    ) -> std::result::Result<(), DeError> {
-        let (l, feature) = (candidate.lineage, &candidate.feature);
-        let parents_held = l.agent == agent && l.a < held && l.b < held;
-        if !parents_held
-            || self.describe(l) != (feature.column.name.clone(), feature.order)
-            || feature.column.len() != self.n_rows()
-        {
-            return Err(DeError::new(format!(
-                "{}: not the feature its lineage {l:?} describes in subgroup {agent}",
-                feature.column.name
-            )));
-        }
-        Ok(())
     }
 }
 
 impl ColumnStore for EngineState {
     type Candidate = FlatCandidate;
-    type Frame = DataFrame;
 
     fn dataset(&self) -> &str {
         &self.frame.name
@@ -196,14 +183,10 @@ impl ColumnStore for EngineState {
         )?)
     }
 
-    /// The selected-feature frame: all original columns plus every
-    /// accepted generated column, sharing the base frame's label.
-    fn engineered(&self) -> Result<DataFrame> {
-        self.raw_frame(None)
-    }
-
     fn accept(&mut self, candidate: FlatCandidate) -> Result<()> {
-        self.accepted[candidate.lineage.agent].push(candidate);
+        let agent = candidate.lineage.agent;
+        self.accepted[agent].push(candidate.lineage);
+        self.features[agent].push(candidate.feature);
         Ok(())
     }
 }
@@ -254,7 +237,7 @@ mod tests {
         s.accept(g).unwrap();
         assert_eq!(s.n_generated(), 1);
         assert_eq!(s.members(0), 2);
-        let sel = s.engineered().unwrap();
+        let sel = s.raw_frame(None).unwrap();
         assert_eq!(sel.n_cols(), 3);
         assert_eq!(sel.columns()[2].name, "sqrt(f0)");
         assert_eq!(s.selected_names(), vec!["sqrt(f0)".to_string()]);
@@ -279,10 +262,6 @@ mod tests {
         s.accept(g).unwrap();
         let good = s.to_value();
         assert_eq!(EngineState::from_value(&good).unwrap(), s);
-
-        let mut short = s.clone();
-        short.accepted[0][0].feature.column.values.pop();
-        assert!(EngineState::from_value(&short.to_value()).is_err());
 
         let mut missing = s.clone();
         missing.accepted.pop();
@@ -316,7 +295,7 @@ mod tests {
         s.accept(member).unwrap();
         assert_eq!(EngineState::from_value(&s.to_value()).unwrap(), s);
 
-        let rejects = |edit: &dyn Fn(&mut FlatCandidate)| {
+        let rejects = |edit: &dyn Fn(&mut Lineage)| {
             let mut bad = s.clone();
             edit(&mut bad.accepted[0][1]);
             EngineState::from_value(&bad.to_value())
@@ -324,13 +303,10 @@ mod tests {
                 .to_string()
         };
         // Made in another subgroup, or in none.
-        assert!(rejects(&|m| m.lineage.agent = 1).contains("lineage"));
-        assert!(rejects(&|m| m.lineage.agent = 9).contains("lineage"));
+        assert!(rejects(&|l| l.agent = 1).contains("lineage"));
+        assert!(rejects(&|l| l.agent = 9).contains("lineage"));
         // A parent that is not strictly earlier than the member (index 2).
-        assert!(rejects(&|m| m.lineage.a = 2).contains("lineage"));
-        assert!(rejects(&|m| m.lineage.b = 7).contains("lineage"));
-        // A name or an order the lineage does not derive.
-        assert!(rejects(&|m| m.feature.column.name.push('x')).contains("describes"));
-        assert!(rejects(&|m| m.feature.order = 1).contains("describes"));
+        assert!(rejects(&|l| l.a = 2).contains("lineage"));
+        assert!(rejects(&|l| l.b = 7).contains("lineage"));
     }
 }

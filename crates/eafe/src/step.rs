@@ -4,12 +4,12 @@
 //! A [`Search`] is generic over its column store (the crate-private
 //! `ColumnStore` trait, see `store.rs`): [`SearchState`] runs on the in-RAM
 //! [`EngineState`], [`ChunkedSearch`] on an out-of-core [`ChunkedStore`].
-//! The store holds column data and has five duties — generate the
-//! candidate a lineage describes, say whether it is degenerate, FPE-score
-//! it, hand over columns (values run by run, the raw-value frame, the
-//! engineered frame), accept it. Everything else lives here, once: the
-//! policies, both RNG streams, the replay buffer, the adaptive gate, the
-//! counters, the phase machine, and the one evaluation path — the
+//! The store holds column data and has four duties — generate the
+//! candidate a lineage describes (and say whether it is degenerate),
+//! FPE-score it, hand over columns (values run by run, the raw-value
+//! frame), accept it. Everything else lives here, once: the policies,
+//! both RNG streams, the replay buffer, the adaptive gate, the counters,
+//! the phase machine, and the one evaluation path — the
 //! selection's key state, digests and bins, the score-cache probe, and
 //! the candidate binned from its runs on a miss. A long-lived server
 //! interleaves many searches on one process (`crates/serve`), pauses one
@@ -30,19 +30,21 @@
 //! predictions exact.
 //!
 //! A candidate carries its `Lineage` (proposing agent, operator, two
-//! members of that agent's subgroup) through the replay buffer, and is
-//! always accepted into the proposing agent's subgroup.
+//! members of that agent's subgroup, whose indices are stable) and is
+//! always accepted into the proposing agent's subgroup. The lineage is
+//! all a search remembers of it: the replay buffer holds lineages, and
+//! the seeding slice makes each one again with the store's `generate`.
 //!
 //! ## Determinism contract
 //!
 //! [`SearchState`] is serde-serializable and captures *everything* the
-//! search depends on: the sanitized frame, the subgroups' members with
-//! their lineages, per-agent policies (including Adam moments), both RNG
-//! streams (as raw xoshiro state words), the replay buffer, the adaptive
-//! gate window, and all counters. Restoring a checkpoint and stepping to
-//! completion therefore produces the same scores, evaluation counts, and
-//! selected features — bit for bit — as an uninterrupted run, under any
-//! thread count. Two things are deliberately *outside* the contract,
+//! search depends on: the sanitized frame, the subgroups' lineages,
+//! per-agent policies (including Adam moments), both RNG streams (as raw
+//! xoshiro state words), the replay buffer's lineages, the adaptive gate
+//! window, and all counters — no generated value. Restoring a checkpoint
+//! and stepping to completion therefore produces the same scores,
+//! evaluation counts, and selected features — bit for bit — as an
+//! uninterrupted run, under any thread count. Two things are deliberately *outside* the contract,
 //! because they are process-local observability: wall-clock times
 //! (`elapsed_secs` and friends) and score-cache hit/miss tallies (a resumed run starts with a cold private cache; the
 //! cache only short-circuits recomputation, never changes a score). The
@@ -60,7 +62,7 @@ use crate::report::{
     EpochPoint, EpochReport, EvalCounter, PhaseTimer, RunResult, SearchStage, WeightedFeature,
 };
 use crate::reward::SurrogateReward;
-use crate::state::{EngineState, FlatCandidate};
+use crate::state::EngineState;
 use crate::store::{ColumnStore, Lineage};
 use learners::{BinnedColumn, SelectedColumn, Selection};
 use rand::rngs::StdRng;
@@ -178,9 +180,9 @@ struct RlState<S> {
 }
 
 /// Everything a search depends on (see the module docs for the determinism
-/// contract), over column store `S` holding candidates of type `C`.
+/// contract), over column store `S`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SearchCore<S, C> {
+struct SearchCore<S> {
     /// Subgroups, current score, last reward.
     state: RlState<S>,
     /// One RNN policy per original feature.
@@ -189,8 +191,8 @@ struct SearchCore<S, C> {
     rng: RngState,
     /// Dedicated dropout-gate stream (see [`Engine::start`]'s notes).
     gate_rng: RngState,
-    /// Stage-1 positives awaiting downstream replay.
-    replay: ReplayBuffer<C>,
+    /// Lineages of the stage-1 positives awaiting downstream replay.
+    replay: ReplayBuffer<Lineage>,
     /// Stage-2 adaptive FPE gate window.
     fpe_gate: AdaptiveGate,
     /// Current position in the search.
@@ -230,7 +232,7 @@ struct SearchCore<S, C> {
 /// advanced one epoch-granular slice at a time by [`Engine::step`].
 #[derive(Clone)]
 pub struct Search<B: ColumnStore> {
-    core: SearchCore<B, B::Candidate>,
+    core: SearchCore<B>,
     /// Process-local caching evaluator; rebuilt lazily after deserialize.
     /// A clone shares it (and so its cache, which never changes a score).
     evaluator: Option<CachedEvaluator>,
@@ -263,11 +265,11 @@ impl Serialize for SearchState {
 
 // A checkpoint is outside input: the driver indexes `policies` by agent,
 // so a file with fewer (or more) policies than subgroups is corrupt, not a
-// panic waiting in the scheduler thread; a replayed candidate's subgroup
+// panic waiting in the scheduler thread; a replayed lineage's subgroup
 // must hold its parents. `EngineState`'s `Deserialize` checks the rest.
 impl Deserialize for SearchState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let core: SearchCore<EngineState, FlatCandidate> = SearchCore::from_value(v)?;
+        let core: SearchCore<EngineState> = SearchCore::from_value(v)?;
         let store = &core.state.store;
         if core.policies.len() != store.n_agents() {
             return Err(DeError::new(format!(
@@ -276,10 +278,9 @@ impl Deserialize for SearchState {
                 store.n_agents()
             )));
         }
-        for candidate in core.replay.items() {
-            let agent = candidate.lineage.agent;
-            let held = (agent < store.n_agents()).then(|| store.members(agent));
-            store.check_lineage(candidate, agent, held.unwrap_or(0))?;
+        for &lineage in core.replay.items() {
+            let held = (lineage.agent < store.n_agents()).then(|| store.members(lineage.agent));
+            lineage.check(lineage.agent, held.unwrap_or(0))?;
         }
         Ok(Search {
             core,
@@ -306,6 +307,11 @@ impl<B: ColumnStore> Search<B> {
         self.core.state.store.dataset()
     }
 
+    /// The column store: the base frame and the subgroups' members.
+    pub(crate) fn store(&self) -> &B {
+        &self.core.state.store
+    }
+
     /// Downstream score of the raw feature set.
     pub fn base_score(&self) -> f64 {
         self.core.base_score
@@ -324,11 +330,6 @@ impl<B: ColumnStore> Search<B> {
     /// Cumulative downstream evaluations so far.
     pub fn downstream_evals(&self) -> usize {
         self.core.counter.evaluated
-    }
-
-    /// Cumulative features generated so far (before any gate).
-    pub(crate) fn features_generated(&self) -> usize {
-        self.core.counter.generated
     }
 
     /// Accumulated compute seconds (excludes time parked between slices).
@@ -352,7 +353,7 @@ impl ChunkedSearch {
     /// The chunked frame the search runs on (base + accepted columns);
     /// its [`tabular::ChunkedFrame::stats`] expose residency/spill traffic.
     pub fn frame(&self) -> &tabular::ChunkedFrame {
-        self.core.state.store.frame()
+        self.store().frame()
     }
 }
 
@@ -414,7 +415,7 @@ struct GateStreams {
 }
 
 impl GateStreams {
-    fn of<S, C>(core: &SearchCore<S, C>) -> Self {
+    fn of<S>(core: &SearchCore<S>) -> Self {
         GateStreams {
             window: core.fpe_gate.clone(),
             rng: core.gate_rng.to_rng(),
@@ -601,7 +602,7 @@ impl Engine {
     /// once the generation budget is spent.
     fn structurally_ok<B: ColumnStore>(
         &self,
-        core: &SearchCore<B, B::Candidate>,
+        core: &SearchCore<B>,
         candidate: &B::Candidate,
         stage: SearchStage,
     ) -> bool {
@@ -619,7 +620,7 @@ impl Engine {
     /// for structurally sound candidates.
     fn gate<B: ColumnStore>(
         &self,
-        core: &SearchCore<B, B::Candidate>,
+        core: &SearchCore<B>,
         candidate: &B::Candidate,
         stage: SearchStage,
         streams: &mut GateStreams,
@@ -652,7 +653,7 @@ impl Engine {
     /// on the episode's returns.
     fn epoch<B: ColumnStore>(
         &self,
-        core: &mut SearchCore<B, B::Candidate>,
+        core: &mut SearchCore<B>,
         evaluator: &CachedEvaluator,
         selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
@@ -693,6 +694,7 @@ impl Engine {
                 })?;
                 episode.push(cache);
                 core.counter.generate();
+                telemetry::count(B::lineage(&candidate).op.counter_name(), 1);
 
                 let (pass, fpe_p) =
                     timer.generation(|| self.gate(core, &candidate, stage, &mut streams))?;
@@ -710,7 +712,7 @@ impl Engine {
                 scores.push(if stage1 {
                     let p = fpe_p.unwrap_or(0.0);
                     if pass {
-                        core.replay.push(p, candidate);
+                        core.replay.push(p, B::lineage(&candidate));
                     }
                     surrogate.pseudo_score(p)
                 } else if pass {
@@ -772,36 +774,35 @@ impl Engine {
         Ok(())
     }
 
-    /// The stage-1 positives the seeding slice tries, best first. The
-    /// drain is capped at one epoch's generation budget so the one-time
-    /// seeding cost stays comparable to a single training epoch.
-    fn seed_queue<C>(
+    /// The lineages of the stage-1 positives the seeding slice tries, best
+    /// first. The drain is capped at one epoch's generation budget so the
+    /// one-time seeding cost stays comparable to a single training epoch.
+    fn seed_queue(
         &self,
         n_agents: usize,
-        replay: &mut ReplayBuffer<C>,
-    ) -> impl Iterator<Item = C> {
+        replay: &mut ReplayBuffer<Lineage>,
+    ) -> impl Iterator<Item = Lineage> {
         let drained = replay.drain_by_priority();
         let budget = self.config.steps_per_epoch * n_agents;
-        drained
-            .into_iter()
-            .take(budget)
-            .map(|(_, candidate)| candidate)
+        drained.into_iter().take(budget).map(|(_, lineage)| lineage)
     }
 
     /// Seed stage 2: replay the promising stage-1 features against the
-    /// real downstream task (Algorithm 2 line 16). A feature that improves
-    /// the score joins the subgroup of the agent that proposed it.
+    /// real downstream task (Algorithm 2 line 16), each made again from its
+    /// lineage. A feature that improves the score joins the subgroup of the
+    /// agent that proposed it.
     fn seed<B: ColumnStore>(
         &self,
-        core: &mut SearchCore<B, B::Candidate>,
+        core: &mut SearchCore<B>,
         evaluator: &CachedEvaluator,
         selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
     ) -> Result<()> {
-        for candidate in self.seed_queue(core.state.store.n_agents(), &mut core.replay) {
+        for lineage in self.seed_queue(core.state.store.n_agents(), &mut core.replay) {
             if core.state.store.n_generated() >= core.max_generated {
                 break;
             }
+            let candidate = timer.generation(|| core.state.store.generate(lineage))?;
             let score = evaluate(core, evaluator, selection, timer, &candidate)?;
             if score > core.state.current_score {
                 core.state.last_reward = score - core.state.current_score;
@@ -816,10 +817,14 @@ impl Engine {
     /// boundary (the anytime contract), not just after completion.
     /// Returns the instrumented [`RunResult`] plus the engineered frame
     /// (original features + every accepted generated feature).
-    pub fn finish<B: ColumnStore>(&self, search: &Search<B>) -> Result<(RunResult, B::Frame)> {
+    pub fn finish(&self, search: &SearchState) -> Result<(RunResult, DataFrame)> {
+        Ok((self.result(search), search.store().raw_frame(None)?))
+    }
+
+    /// The instrumented [`RunResult`] of a search's best-so-far state.
+    pub(crate) fn result<B: ColumnStore>(&self, search: &Search<B>) -> RunResult {
         let core = &search.core;
-        let engineered = core.state.store.engineered()?;
-        let result = RunResult {
+        RunResult {
             method: self.method_name.clone(),
             dataset: core.state.store.dataset().to_string(),
             base_score: core.base_score,
@@ -833,25 +838,25 @@ impl Engine {
             total_secs: core.total_secs,
             cache_hits: core.cache_hits,
             cache_misses: core.cache_misses,
-        };
-        Ok((result, engineered))
+        }
     }
 
-    /// Blocking driver over [`Engine::step`] / [`Engine::finish`], shared
-    /// by [`Engine::run_full`] and [`Engine::run_chunked`].
+    /// Blocking driver over [`Engine::step`], shared by
+    /// [`Engine::run_full`] and [`Engine::run_chunked`]: opens a search,
+    /// steps it to the end and hands it back finished.
     pub(crate) fn drive<B: ColumnStore>(
         &self,
         open: impl FnOnce() -> Result<Search<B>>,
-    ) -> Result<(RunResult, B::Frame)> {
+    ) -> Result<Search<B>> {
         let mut run_span = telemetry::span("engine.run");
         let mut search = open()?;
         while !search.is_done() {
             self.step(&mut search)?;
         }
-        run_span.field("generated", search.features_generated() as f64);
+        run_span.field("generated", search.core.counter.generated as f64);
         run_span.field("downstream_evals", search.downstream_evals() as f64);
         run_span.field("best_score", search.best_score());
-        self.finish(&search)
+        Ok(search)
     }
 
     /// The caching evaluator this engine's searches use — public so a
@@ -869,7 +874,7 @@ impl Engine {
     }
 }
 
-fn report<S, C>(core: &SearchCore<S, C>, stage: SearchStage, epoch: usize) -> EpochReport {
+fn report<S>(core: &SearchCore<S>, stage: SearchStage, epoch: usize) -> EpochReport {
     EpochReport {
         stage,
         epoch,
@@ -886,7 +891,7 @@ fn report<S, C>(core: &SearchCore<S, C>, stage: SearchStage, epoch: usize) -> Ep
 
 /// One counted downstream evaluation of the selection plus `candidate`.
 fn evaluate<B: ColumnStore>(
-    core: &mut SearchCore<B, B::Candidate>,
+    core: &mut SearchCore<B>,
     evaluator: &CachedEvaluator,
     selection: &mut Option<Selection>,
     timer: &mut PhaseTimer,
@@ -905,7 +910,7 @@ fn evaluate<B: ColumnStore>(
 /// gains the column behind its subgroup's earlier acceptances; its bins
 /// are the ones its evaluation left in the bin cache.
 fn accept<B: ColumnStore>(
-    core: &mut SearchCore<B, B::Candidate>,
+    core: &mut SearchCore<B>,
     selection: &mut Option<Selection>,
     candidate: B::Candidate,
     score: f64,
@@ -1193,7 +1198,7 @@ mod tests {
             .generate(Lineage::new(10, Operator::Sqrt, 0, 0))
             .unwrap();
         assert_eq!(candidate.feature.column.name, "sqrt(f10)");
-        core.replay.push(1.0, candidate);
+        core.replay.push(1.0, candidate.lineage);
         core.phase = SearchPhase::Seed;
         // Any score improves on this one: the candidate is accepted.
         core.state.current_score = f64::NEG_INFINITY;
@@ -1309,6 +1314,81 @@ mod tests {
         let restored: SearchState = serde_json::from_str(&json).unwrap();
         assert_eq!(state.core, restored.core);
         assert!(restored.evaluator.is_none(), "evaluator is process-local");
+    }
+
+    /// Paths of the arrays of `n` numbers in `v`.
+    fn numeric_arrays(v: &Value, path: &str, n: usize, out: &mut Vec<String>) {
+        let number = |x: &Value| matches!(x, Value::I64(_) | Value::U64(_) | Value::F64(_));
+        match v {
+            Value::Array(items) => {
+                if items.len() == n && items.iter().all(number) {
+                    out.push(path.to_string());
+                }
+                for (i, item) in items.iter().enumerate() {
+                    numeric_arrays(item, &format!("{path}.{i}"), n, out);
+                }
+            }
+            Value::Map(entries) => {
+                for (key, item) in entries {
+                    numeric_arrays(item, &format!("{path}.{key}"), n, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A checkpoint writes the base frame and lineages, never a generated
+    /// column: the only arrays of `n_rows` numbers in it are the base
+    /// frame's, its columns and its label. Checked on an E-AFE search
+    /// whose replay buffer is full after stage 1 and on an NFS search
+    /// that has accepted a feature; both decode to the search they came
+    /// from.
+    #[test]
+    fn a_checkpoint_holds_no_generated_value() {
+        // A prime row count, so no policy matrix has that many entries.
+        let n_rows = 173;
+        let frame = SynthSpec::new("no-values", n_rows, 4, Task::Classification)
+            .with_seed(5)
+            .generate()
+            .unwrap();
+        let cfg = fast_config();
+        let space = crate::FpeSearchSpace {
+            families: vec![minhash::HashFamily::Ccws],
+            dims: vec![16],
+            thre: 0.0,
+            seed: 1,
+        };
+        let fpe = crate::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
+
+        let e_afe = Engine::e_afe(cfg.clone(), fpe);
+        let mut staged = e_afe.start(&frame).unwrap();
+        while staged.phase() != SearchPhase::Seed {
+            e_afe.step(&mut staged).unwrap();
+        }
+        assert!(!staged.core.replay.is_empty(), "stage 1 kept candidates");
+
+        let nfs = Engine::nfs(cfg);
+        let mut accepted = nfs.start(&frame).unwrap();
+        nfs.step(&mut accepted).unwrap();
+        let sqrt = Lineage::new(1, Operator::Sqrt, 0, 0);
+        let candidate = accepted.store().generate(sqrt).unwrap();
+        let core = &mut accepted.core;
+        accept(core, &mut accepted.selection, candidate, core.best_score).unwrap();
+        assert_eq!(accepted.store().n_generated(), 1);
+
+        for search in [staged, accepted] {
+            let checkpoint = search.to_value();
+            let mut found = Vec::new();
+            numeric_arrays(&checkpoint, "", n_rows, &mut found);
+            let n_cols = search.store().n_agents();
+            let mut expected: Vec<String> = (0..n_cols)
+                .map(|j| format!(".state.store.frame.columns.{j}.values"))
+                .collect();
+            expected.push(".state.store.frame.label.Class.y".to_string());
+            assert_eq!(found, expected);
+            let restored = SearchState::from_value(&checkpoint).unwrap();
+            assert_eq!(restored.core, search.core);
+        }
     }
 
     #[test]

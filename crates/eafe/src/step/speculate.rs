@@ -104,14 +104,14 @@ impl Engine {
     ) -> Result<(DataFrame, Selection, Vec<Column>)> {
         let core = &search.core;
         let store = &core.state.store;
-        let prefix = store.engineered()?;
+        let prefix = store.raw_frame(None)?;
         let budget = self.config.evaluator.bin_budget(prefix.task());
         let selection = selection_under(store, search.selection.clone(), budget)?;
         let candidates = match core.phase {
             SearchPhase::Seed if store.n_generated() < core.max_generated => self
                 .seed_queue(store.n_agents(), &mut core.replay.clone())
-                .map(|candidate| candidate.feature.column)
-                .collect(),
+                .map(|lineage| Ok(store.generate(lineage)?.feature.column))
+                .collect::<Result<_>>()?,
             SearchPhase::Stage2 { .. } => self
                 .replay_proposals(search, |candidate, stage, streams| {
                     Ok(self.gate(core, candidate, stage, streams)?.0)

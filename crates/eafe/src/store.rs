@@ -9,28 +9,29 @@
 //!
 //! A store owns the column data and nothing else. It answers a small
 //! bookkeeping view — how many agents, how many members a subgroup has,
-//! a member's name and order, the label — and carries out the five
+//! a member's name and order, the label — and carries out the four
 //! duties that genuinely differ between the two layouts:
 //!
-//! 1. **generate** the candidate a [`Lineage`] describes;
-//! 2. tell whether a candidate is **degenerate** (with its name and order);
-//! 3. **FPE-score** a candidate;
-//! 4. **hand over columns**: a member's or a candidate's values run by
-//!    run, the raw-value frame of the selection (plus a candidate), and
-//!    the engineered frame;
-//! 5. **accept** a candidate into its proposing agent's subgroup.
+//! 1. **generate** the candidate a [`Lineage`] describes, with its name,
+//!    order and whether it is degenerate;
+//! 2. **FPE-score** a candidate;
+//! 3. **hand over columns**: a member's or a candidate's values run by
+//!    run, and the raw-value frame of the selection (plus a candidate);
+//! 4. **accept** a candidate into its proposing agent's subgroup.
 //!
-//! Downstream evaluation is the driver's: it keeps the selection's key
-//! state, digests and bins, probes the score cache, bins a candidate
-//! from its runs and asks for a raw-value frame only for a model kind
-//! that reads raw values. Scores, policies, RNG streams, the replay
-//! buffer, counters and the phase machine are the driver's too and exist
-//! once.
+//! A search remembers a feature by its lineage alone: the replay buffer
+//! and a checkpoint hold lineages, and `generate` makes the values again
+//! wherever they are needed. Downstream evaluation is the driver's: it
+//! keeps the selection's key state, digests and bins, probes the score
+//! cache, bins a candidate from its runs and asks for a raw-value frame
+//! only for a model kind that reads raw values. Scores, policies, RNG
+//! streams, the replay buffer, counters and the phase machine are the
+//! driver's too and exist once.
 
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use tabular::{DataFrame, Label};
 
 /// What a generated feature is made of: the proposing agent, the operator
@@ -50,9 +51,7 @@ pub struct Lineage {
 /// `1..` its accepted generated features in acceptance order.
 pub trait ColumnStore {
     /// A generated feature that has not been accepted (yet).
-    type Candidate: Clone;
-    /// The engineered frame [`ColumnStore::engineered`] hands back.
-    type Frame;
+    type Candidate;
 
     /// Dataset name.
     fn dataset(&self) -> &str;
@@ -92,17 +91,17 @@ pub trait ColumnStore {
     /// A candidate's transformation order.
     fn order(candidate: &Self::Candidate) -> usize;
 
-    /// Duty 2: constant or non-finite, hence useless downstream.
+    /// Duty 1: constant or non-finite, hence useless downstream.
     fn is_degenerate(candidate: &Self::Candidate) -> bool;
 
-    /// Duty 3: the FPE model's probability that the candidate is effective.
+    /// Duty 2: the FPE model's probability that the candidate is effective.
     fn fpe_score(&self, fpe: &FpeModel, candidate: &Self::Candidate) -> Result<f64>;
 
-    /// Duty 4: member `idx` of `agent`'s subgroup, handed to `run` run by
+    /// Duty 3: member `idx` of `agent`'s subgroup, handed to `run` run by
     /// run in row order.
     fn member_runs(&self, agent: usize, idx: usize, run: &mut dyn FnMut(&[f64])) -> Result<()>;
 
-    /// Duty 4: `candidate`'s values, handed to `run` run by run in row
+    /// Duty 3: `candidate`'s values, handed to `run` run by run in row
     /// order.
     fn candidate_runs(
         &self,
@@ -110,16 +109,12 @@ pub trait ColumnStore {
         run: &mut dyn FnMut(&[f64]),
     ) -> Result<()>;
 
-    /// Duty 4: the selected columns, then `extra`, as one frame — what a
+    /// Duty 3: the selected columns, then `extra`, as one frame — what a
     /// model kind that reads raw values scores, and what the driver's
     /// score-cache key addresses.
     fn raw_frame(&self, extra: Option<&Self::Candidate>) -> Result<DataFrame>;
 
-    /// Duty 4: original features plus every accepted one, subgroup by
-    /// subgroup.
-    fn engineered(&self) -> Result<Self::Frame>;
-
-    /// Duty 5: add `candidate` to its lineage's agent's subgroup.
+    /// Duty 4: add `candidate` to its lineage's agent's subgroup.
     fn accept(&mut self, candidate: Self::Candidate) -> Result<()>;
 
     /// The selected columns as `(agent, member)`, in selection order:
@@ -142,6 +137,19 @@ pub trait ColumnStore {
             .skip(self.n_agents())
             .map(|(j, i)| self.member(j, i).0.to_string())
             .collect()
+    }
+}
+
+impl Lineage {
+    /// Checks a decoded lineage was made in subgroup `agent` from two of its
+    /// first `held` members: all it can get wrong, since the rest is derived.
+    pub(crate) fn check(self, agent: usize, held: usize) -> std::result::Result<(), DeError> {
+        if self.agent != agent || self.a >= held || self.b >= held {
+            return Err(DeError::new(format!(
+                "lineage {self:?} is not made in subgroup {agent} from its first {held} members"
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -42,9 +42,10 @@ pub(crate) struct JobCheckpoint {
     pub(crate) frame: Option<DataFrame>,
 }
 
-/// 3: every accepted member and every replayed candidate under `state`
-/// carries the lineage it was made from (agent, operator, parents).
-const CHECKPOINT_VERSION: u32 = 3;
+/// 4: `state` holds the base frame and lineages (agent, operator,
+/// parents) for every accepted member and every replayed candidate, and
+/// no generated column: decoding makes each member again from its lineage.
+const CHECKPOINT_VERSION: u32 = 4;
 
 impl JobCheckpoint {
     /// Decode a checkpoint file's bytes; the error names what is wrong

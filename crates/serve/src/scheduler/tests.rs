@@ -26,7 +26,7 @@ fn fast_engine() -> Engine {
 }
 
 /// Two-stage E-AFE with a small FPE model: its stage-1 checkpoints hold
-/// replayed candidates.
+/// replayed lineages.
 fn e_afe_engine() -> Engine {
     let cfg = eafe::EafeConfig::fast();
     let space = eafe::FpeSearchSpace {
@@ -413,7 +413,7 @@ fn a_checkpoint_with_a_bad_lineage_is_corrupt_not_a_panic() {
     };
     // The NFS job has accepted a member into subgroup 0 after two slices
     // (`frame()` has four subgroups).
-    let member = ["state", "store", "accepted", "0", "0", "lineage"];
+    let member = ["state", "store", "accepted", "0", "0"];
     let field = |name| [&member[..], &[name]].concat();
     refused(
         with_lineage_field(long_engine(), 2, &field("agent"), 4),
@@ -429,7 +429,7 @@ fn a_checkpoint_with_a_bad_lineage_is_corrupt_not_a_panic() {
     );
     // E-AFE after its first stage-1 epoch: candidates wait for replay
     // against subgroups of one member each.
-    let replayed = ["replay", "entries", "0", "1", "lineage"];
+    let replayed = ["replay", "entries", "0", "1"];
     let field = |name| [&replayed[..], &[name]].concat();
     refused(
         with_lineage_field(e_afe_engine(), 1, &field("agent"), 4),
@@ -442,10 +442,10 @@ fn a_checkpoint_with_a_bad_lineage_is_corrupt_not_a_panic() {
 }
 
 #[test]
-fn a_version_2_checkpoint_is_refused_by_name() {
-    match edited_checkpoint(&[(r#"{"version":3,"#, r#"{"version":2,"#)]) {
-        Err(msg) => assert_eq!(msg, "unsupported checkpoint version 2"),
-        Ok(_) => panic!("a version-2 checkpoint carries no lineage and must not decode"),
+fn a_version_3_checkpoint_is_refused_by_name() {
+    match edited_checkpoint(&[(r#"{"version":4,"#, r#"{"version":3,"#)]) {
+        Err(msg) => assert_eq!(msg, "unsupported checkpoint version 3"),
+        Ok(_) => panic!("a version-3 checkpoint stores generated columns and must not decode"),
     }
 }
 
@@ -501,7 +501,7 @@ fn a_checkpoint_naming_the_deleted_split_finder_is_corrupt_not_a_silent_switch()
 
 /// A checkpoint of each shape: never sliced (frame only), started
 /// (search state, policies, accepted members) and in stage 1 (replayed
-/// candidates).
+/// lineages).
 fn checkpoint_texts() -> &'static [Vec<u8>] {
     static TEXTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
     TEXTS.get_or_init(|| {

@@ -134,3 +134,49 @@ fn disabled_telemetry_records_nothing_from_pool_runs() {
         "count() is a no-op while disabled"
     );
 }
+
+/// Each proposal counts its operator once. A distributed coordinator
+/// replays the next slice's proposals (`speculate_fpe_columns`,
+/// `speculate_evals`) before stepping it, and a checkpoint restore and
+/// the seeding slice make features again from their lineages; none of
+/// these is a proposal, so Σ `ops.generated.*` over an E-AFE search
+/// stepped that way equals its `generated_features`.
+#[test]
+fn each_proposal_counts_its_operator_once() {
+    let cfg = eafe::EafeConfig::fast();
+    let space = eafe::FpeSearchSpace {
+        families: vec![minhash::HashFamily::Ccws],
+        dims: vec![16],
+        thre: 0.0,
+        seed: 1,
+    };
+    let fpe = eafe::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
+    let engine = eafe::Engine::e_afe(cfg, fpe);
+    let frame = tabular::SynthSpec::new("op-counts", 150, 5, tabular::Task::Classification)
+        .with_seed(5)
+        .generate()
+        .unwrap();
+    let generated = |snapshot: &telemetry::RegistrySnapshot| -> u64 {
+        let ops = snapshot.counters.iter();
+        ops.filter(|(name, _)| name.starts_with("ops.generated."))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let ((counted, result), _) = with_collector(|| {
+        let before = telemetry::global().snapshot();
+        let mut search = engine.start(&frame).unwrap();
+        while !search.is_done() {
+            engine.speculate_fpe_columns(&search).unwrap();
+            engine.speculate_evals(&search).unwrap();
+            engine.step(&mut search).unwrap();
+            // Resumed at every slice boundary: after stage 1 the replay
+            // buffer is full, after the seeding slice features are accepted.
+            let json = serde_json::to_string(&search).unwrap();
+            search = serde_json::from_str(&json).unwrap();
+        }
+        let counted = generated(&telemetry::global().snapshot()) - generated(&before);
+        (counted, engine.finish(&search).unwrap().0)
+    });
+    assert!(result.generated_features > 0);
+    assert_eq!(counted, result.generated_features as u64);
+}
