@@ -92,6 +92,20 @@ if [[ "$quick" -eq 0 ]]; then
         || { echo "Table III differs from bench_results/table3_run.log"; exit 1; }
     rm -rf "$t3_dir"
 
+    echo "==> Table V reproduction (release): the cached features' rows under SVM, NB|GP and MLP"
+    # The same check for bench_results/table5_run.log, at the settings
+    # scripts/run_all_benches.sh uses. Its rows are all classification; the
+    # regression arms of these models are pinned by tests/golden_scores.rs.
+    cargo build --release -q -p bench --bin table5
+    t5_dir="$(mktemp -d)"
+    cp bench_results/fpe_*_48_60158.json "$t5_dir"/
+    ./target/release/table5 --quiet --out "$t5_dir" \
+        --scale 0.2 --epochs1 2 --epochs2 4 > "$t5_dir/table5_run.log"
+    t5_lines() { grep -E '^[A-Za-z0-9 .-]+ +[CR] +[0-9]' "$1"; }
+    diff -u <(t5_lines bench_results/table5_run.log) <(t5_lines "$t5_dir/table5_run.log") \
+        || { echo "Table V differs from bench_results/table5_run.log"; exit 1; }
+    rm -rf "$t5_dir"
+
     echo "==> serve smoke (release): live cancel bound, tenant fairness, status scrapes"
     # Single-threaded: the fairness test compares two tenants' epochs under
     # equal compute-second budgets and the status test loads every core

@@ -12,8 +12,13 @@
 //! commit *before* the node-ordered label buffer landed (PR 15) and must
 //! never move without a deliberate, documented change of the addition
 //! order (DESIGN.md §8).
+//!
+//! The downstream kinds that read raw values (SVM, NB|GP, MLP) and the
+//! three deep-learning baselines are pinned the same way on one frame of
+//! each task, so a change to how a model picks its task shows in bits.
 
-use learners::{Evaluator, SplitMethod};
+use eafe::{run_dl_fe, run_fe_dl, run_rtdl_n, DlBaselineConfig};
+use learners::{Evaluator, ModelKind, SplitMethod};
 use tabular::{Column, DataFrame, Label};
 
 /// SplitMix64: the frames must not depend on anything the crates under
@@ -246,4 +251,69 @@ fn heavy_bootstrap_duplication() {
         &frame("reg-dup", x, yr),
         0x3fe4_8a2c_9203_a159,
     );
+}
+
+/// The two frames the raw-value kinds and the DL baselines are pinned on:
+/// `class_u8_2c_msl1`'s and `reg_300`'s.
+fn small_frames() -> [DataFrame; 2] {
+    let xc = continuous(11, 400, 6);
+    let yc = class_labels(&xc, 2, 12);
+    let xr = continuous(31, 300, 6);
+    let yr = reg_labels(&xr, 32);
+    [frame("class-u8", xc, yc), frame("reg-300", xr, yr)]
+}
+
+#[test]
+fn raw_value_kinds_on_both_tasks() {
+    let [class, reg] = small_frames();
+    for (kind, class_bits, reg_bits) in [
+        (ModelKind::Svm, 0x3fe7_9d77_556e_9dc2, 0x3fd8_ff35_6f22_ec9a),
+        (
+            ModelKind::NaiveBayesGp,
+            0x3fe8_dd6b_0994_413d,
+            0x3fe1_be64_a8ba_bf10,
+        ),
+        (ModelKind::Mlp, 0x3feb_6fdf_d471_bbd0, 0x3fe4_a786_cc51_8808),
+    ] {
+        let e = Evaluator {
+            kind,
+            ..evaluator(5, 10, 8, 1, 256, 3)
+        };
+        check(&format!("{}_class", kind.name()), &e, &class, class_bits);
+        check(&format!("{}_reg", kind.name()), &e, &reg, reg_bits);
+    }
+}
+
+#[test]
+fn deep_learning_baselines_on_both_tasks() {
+    let config = DlBaselineConfig::default();
+    let [class, reg] = small_frames();
+    let class_bits = [
+        0x3fed_1fd4_2524_23e9,
+        0x3fec_cb25_2207_a776,
+        0x3fed_1f3d_1755_e963,
+    ];
+    let reg_bits = [
+        0x3fe1_59c4_ae0e_e986,
+        0x3fe0_44e5_ed33_ccae,
+        0x3fdf_6b74_512d_a154,
+    ];
+    for (f, bits) in [(&class, class_bits), (&reg, reg_bits)] {
+        let scores = [
+            run_rtdl_n(&config, f).expect("RTDL_N").best_score,
+            run_fe_dl(&config, f).expect("FE|DL").best_score,
+            run_dl_fe(&config, f).expect("DL|FE").best_score,
+        ];
+        for ((method, score), expected) in ["RTDL_N", "FE|DL", "DL|FE"].iter().zip(scores).zip(bits)
+        {
+            assert_eq!(
+                score.to_bits(),
+                expected,
+                "{method} on {}: score {score} = {:#018x}, golden {:#018x}",
+                f.name,
+                score.to_bits(),
+                expected
+            );
+        }
+    }
 }
