@@ -16,12 +16,9 @@
 
 use crate::error::Result;
 use crate::report::{EpochPoint, PhaseTimer, RunResult};
-use learners::{
-    f1_score, feature_matrix, one_minus_rae, ForestConfig, LearnError, RandomForestClassifier,
-    RandomForestRegressor, ResNetClassifier, ResNetConfig, ResNetRegressor,
-};
+use learners::{feature_matrix, ForestConfig, RandomForest, ResNet, ResNetConfig};
 use tabular::train_test_indices;
-use tabular::{DataFrame, Label};
+use tabular::DataFrame;
 
 /// Configuration shared by the three DL baselines.
 #[derive(Debug, Clone)]
@@ -53,21 +50,40 @@ impl Default for DlBaselineConfig {
     }
 }
 
-/// A model's predictions on the test rows, shaped by the task.
-enum Predictions {
-    Class(Vec<usize>),
-    Reg(Vec<f64>),
+/// What every DL baseline starts from: the fixed train/test split of a
+/// sanitised copy of the frame, its feature matrices, and a ResNet fitted
+/// on the train rows (timed as generation).
+struct Fitted {
+    train: DataFrame,
+    test: DataFrame,
+    xtr: Vec<Vec<f64>>,
+    xte: Vec<Vec<f64>>,
+    net: ResNet,
+    timer: PhaseTimer,
 }
 
-/// Score predictions with the paper's metric for the task.
-fn score_predictions(test: &DataFrame, preds: Predictions) -> Result<f64> {
-    Ok(match (test.label(), preds) {
-        (Label::Class { y, n_classes }, Predictions::Class(p)) => f1_score(y, &p, *n_classes)?,
-        (Label::Reg(y), Predictions::Reg(p)) => one_minus_rae(y, &p)?,
-        _ => {
-            let msg = "predictions do not match the test rows' task".to_string();
-            return Err(LearnError::InvalidParam(msg).into());
-        }
+fn fit_resnet(config: &DlBaselineConfig, frame: &DataFrame) -> Result<Fitted> {
+    let mut frame = frame.clone();
+    frame.sanitize();
+    let mut timer = PhaseTimer::new();
+    timer.start();
+    let split = train_test_indices(frame.n_rows(), config.test_fraction, config.seed)?;
+    let train = frame.take_rows(&split.train)?;
+    let test = frame.take_rows(&split.test)?;
+    let xtr = feature_matrix(&train);
+    let xte = feature_matrix(&test);
+    let mut net = ResNet::new(ResNetConfig {
+        seed: config.seed,
+        ..config.resnet
+    });
+    timer.generation(|| net.fit(&xtr, train.label()))?;
+    Ok(Fitted {
+        train,
+        test,
+        xtr,
+        xte,
+        net,
+        timer,
     })
 }
 
@@ -102,169 +118,54 @@ fn single_point_result(
 
 /// `RTDL_N`: ResNet feature extractor + RF head, fixed split.
 pub fn run_rtdl_n(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunResult> {
-    let mut frame = frame.clone();
-    frame.sanitize();
     let _run_span = telemetry::span("rtdl.run_rtdl_n");
-    let mut timer = PhaseTimer::new();
-    timer.start();
-    let split = train_test_indices(frame.n_rows(), config.test_fraction, config.seed)?;
-    let train = frame.take_rows(&split.train)?;
-    let test = frame.take_rows(&split.test)?;
-    let xtr = feature_matrix(&train);
-    let xte = feature_matrix(&test);
-
-    let score = match train.label() {
-        Label::Class { y, n_classes } => {
-            let mut net = ResNetClassifier::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y, *n_classes))?;
-            // Re-head: RF on penultimate representations.
-            let etr = net.embed(&xtr)?;
-            let ete = net.embed(&xte)?;
-            let mut rf = RandomForestClassifier::new(ForestConfig {
-                seed: config.seed,
-                ..config.forest
-            });
-            timer.evaluation(|| -> Result<()> {
-                rf.fit(&etr, y, *n_classes)?;
-                Ok(())
-            })?;
-            let preds = rf.predict(&ete)?;
-            score_predictions(&test, Predictions::Class(preds))?
-        }
-        Label::Reg(y) => {
-            let mut net = ResNetRegressor::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y))?;
-            let etr = net.embed(&xtr)?;
-            let ete = net.embed(&xte)?;
-            let mut rf = RandomForestRegressor::new(ForestConfig {
-                seed: config.seed,
-                ..config.forest
-            });
-            timer.evaluation(|| -> Result<()> {
-                rf.fit(&etr, y)?;
-                Ok(())
-            })?;
-            let preds = rf.predict(&ete)?;
-            score_predictions(&test, Predictions::Reg(preds))?
-        }
-    };
-    Ok(single_point_result("RTDL_N", &frame, score, &timer))
+    let mut f = fit_resnet(config, frame)?;
+    // Re-head: RF on penultimate representations.
+    let etr = f.net.embed(&f.xtr)?;
+    let ete = f.net.embed(&f.xte)?;
+    let mut rf = RandomForest::new(ForestConfig {
+        seed: config.seed,
+        ..config.forest
+    });
+    f.timer.evaluation(|| rf.fit(&etr, f.train.label()))?;
+    let score = learners::score(f.test.label(), &rf.predict(&ete)?)?;
+    Ok(single_point_result("RTDL_N", frame, score, &f.timer))
 }
 
 /// `FE|DL`: an (already feature-engineered) frame scored by the ResNet's
 /// own head on a fixed split.
 pub fn run_fe_dl(config: &DlBaselineConfig, engineered: &DataFrame) -> Result<RunResult> {
-    let mut frame = engineered.clone();
-    frame.sanitize();
     let _run_span = telemetry::span("rtdl.run_fe_dl");
-    let mut timer = PhaseTimer::new();
-    timer.start();
-    let split = train_test_indices(frame.n_rows(), config.test_fraction, config.seed)?;
-    let train = frame.take_rows(&split.train)?;
-    let test = frame.take_rows(&split.test)?;
-    let xtr = feature_matrix(&train);
-    let xte = feature_matrix(&test);
-
-    let score = match train.label() {
-        Label::Class { y, n_classes } => {
-            let mut net = ResNetClassifier::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y, *n_classes))?;
-            let preds = timer.evaluation(|| net.predict(&xte))?;
-            score_predictions(&test, Predictions::Class(preds))?
-        }
-        Label::Reg(y) => {
-            let mut net = ResNetRegressor::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y))?;
-            let preds = timer.evaluation(|| net.predict(&xte))?;
-            score_predictions(&test, Predictions::Reg(preds))?
-        }
-    };
-    Ok(single_point_result("FE|DL", &frame, score, &timer))
+    let mut f = fit_resnet(config, engineered)?;
+    let preds = f.timer.evaluation(|| f.net.predict(&f.xte))?;
+    let score = learners::score(f.test.label(), &preds)?;
+    Ok(single_point_result("FE|DL", engineered, score, &f.timer))
 }
 
 /// `DL|FE`: ResNet representation of the raw features → RF-importance
 /// feature selection → RF scoring on the fixed split.
 pub fn run_dl_fe(config: &DlBaselineConfig, frame: &DataFrame) -> Result<RunResult> {
-    let mut frame = frame.clone();
-    frame.sanitize();
     let _run_span = telemetry::span("rtdl.run_dl_fe");
-    let mut timer = PhaseTimer::new();
-    timer.start();
-    let split = train_test_indices(frame.n_rows(), config.test_fraction, config.seed)?;
-    let train = frame.take_rows(&split.train)?;
-    let test = frame.take_rows(&split.test)?;
-    let xtr = feature_matrix(&train);
-    let xte = feature_matrix(&test);
-
-    let score = match train.label() {
-        Label::Class { y, n_classes } => {
-            let mut net = ResNetClassifier::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y, *n_classes))?;
-            let etr = net.embed(&xtr)?;
-            let ete = net.embed(&xte)?;
-            // Feature engineering step: keep the most important embedding
-            // dimensions by RF importance.
-            let mut probe = RandomForestClassifier::new(ForestConfig {
-                seed: config.seed,
-                ..config.forest
-            });
-            probe.fit(&etr, y, *n_classes)?;
-            let keep = top_k(&probe.feature_importances()?, config.dlfe_keep);
-            let etr_sel = select_columns(&etr, &keep);
-            let ete_sel = select_columns(&ete, &keep);
-            let mut rf = RandomForestClassifier::new(ForestConfig {
-                seed: config.seed ^ 1,
-                ..config.forest
-            });
-            timer.evaluation(|| -> Result<()> {
-                rf.fit(&etr_sel, y, *n_classes)?;
-                Ok(())
-            })?;
-            score_predictions(&test, Predictions::Class(rf.predict(&ete_sel)?))?
-        }
-        Label::Reg(y) => {
-            let mut net = ResNetRegressor::new(ResNetConfig {
-                seed: config.seed,
-                ..config.resnet
-            });
-            timer.generation(|| net.fit(&xtr, y))?;
-            let etr = net.embed(&xtr)?;
-            let ete = net.embed(&xte)?;
-            let mut probe = RandomForestRegressor::new(ForestConfig {
-                seed: config.seed,
-                ..config.forest
-            });
-            probe.fit(&etr, y)?;
-            let keep = top_k(&probe.feature_importances()?, config.dlfe_keep);
-            let etr_sel = select_columns(&etr, &keep);
-            let ete_sel = select_columns(&ete, &keep);
-            let mut rf = RandomForestRegressor::new(ForestConfig {
-                seed: config.seed ^ 1,
-                ..config.forest
-            });
-            timer.evaluation(|| -> Result<()> {
-                rf.fit(&etr_sel, y)?;
-                Ok(())
-            })?;
-            score_predictions(&test, Predictions::Reg(rf.predict(&ete_sel)?))?
-        }
-    };
-    Ok(single_point_result("DL|FE", &frame, score, &timer))
+    let mut f = fit_resnet(config, frame)?;
+    let etr = f.net.embed(&f.xtr)?;
+    let ete = f.net.embed(&f.xte)?;
+    // Feature engineering step: keep the most important embedding
+    // dimensions by RF importance.
+    let mut probe = RandomForest::new(ForestConfig {
+        seed: config.seed,
+        ..config.forest
+    });
+    probe.fit(&etr, f.train.label())?;
+    let keep = top_k(&probe.feature_importances()?, config.dlfe_keep);
+    let etr_sel = select_columns(&etr, &keep);
+    let ete_sel = select_columns(&ete, &keep);
+    let mut rf = RandomForest::new(ForestConfig {
+        seed: config.seed ^ 1,
+        ..config.forest
+    });
+    f.timer.evaluation(|| rf.fit(&etr_sel, f.train.label()))?;
+    let score = learners::score(f.test.label(), &rf.predict(&ete_sel)?)?;
+    Ok(single_point_result("DL|FE", frame, score, &f.timer))
 }
 
 /// Indices of the `k` largest importances.

@@ -7,12 +7,9 @@
 use crate::config::EafeConfig;
 use crate::error::Result;
 use crate::fpe::{search, FpeModel, FpeSearchSpace, RawLabels};
-use learners::{
-    feature_matrix, Evaluator, ForestConfig, ModelKind, RandomForestClassifier,
-    RandomForestRegressor,
-};
+use learners::{feature_matrix, Evaluator, ForestConfig, ModelKind, RandomForest};
 use tabular::public_corpus;
-use tabular::{DataFrame, Label};
+use tabular::DataFrame;
 
 /// Keep the `max_features` most RF-important columns of a frame (identity
 /// when the frame is already narrow enough).
@@ -20,24 +17,12 @@ pub fn preselect_features(frame: &DataFrame, max_features: usize, seed: u64) -> 
     if frame.n_cols() <= max_features || max_features == 0 {
         return Ok(frame.clone());
     }
-    let x = feature_matrix(frame);
-    let cfg = ForestConfig {
+    let mut rf = RandomForest::new(ForestConfig {
         seed,
         ..ForestConfig::fast()
-    };
-    let importances = match frame.label() {
-        Label::Class { y, n_classes } => {
-            let mut rf = RandomForestClassifier::new(cfg);
-            rf.fit(&x, y, *n_classes)?;
-            rf.feature_importances()?
-        }
-        Label::Reg(y) => {
-            let mut rf = RandomForestRegressor::new(cfg);
-            rf.fit(&x, y)?;
-            rf.feature_importances()?
-        }
-    };
-    let keep = crate::baselines::top_k(&importances, max_features);
+    });
+    rf.fit(&feature_matrix(frame), frame.label())?;
+    let keep = crate::baselines::top_k(&rf.feature_importances()?, max_features);
     Ok(frame.select_columns(&keep)?)
 }
 

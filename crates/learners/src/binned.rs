@@ -444,13 +444,13 @@ pub(crate) fn cached_bins<E>(
 
 /// One bin of a regression histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RegBin {
+pub(crate) struct RegBin {
     /// Rows in the bin.
-    pub n: u32,
+    pub(crate) n: u32,
     /// Sum of targets.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Sum of squared targets.
-    pub sumsq: f64,
+    pub(crate) sumsq: f64,
 }
 
 /// Accumulate per-bin class counts into `out` (`out[bin * n_classes +
@@ -514,44 +514,6 @@ pub(crate) fn accumulate_reg_node(
     }
 }
 
-/// Row ids narrowed to the builder's `u32`, and each row's label pulled
-/// into node order — what the row-indexed public entry points below hand
-/// the node-ordered kernels.
-pub(crate) fn node_order<L, T>(
-    rows: &[usize],
-    y: &[L],
-    label: impl Fn(&L) -> T,
-) -> (Vec<u32>, Vec<T>) {
-    // Invariant: a row id indexes `y` and a column's codes, and the tree
-    // builder refuses a dataset of more than `u32::MAX` rows.
-    #[allow(clippy::expect_used)]
-    let ids = rows
-        .iter()
-        .map(|&r| u32::try_from(r).expect("row ids fit u32"))
-        .collect();
-    (ids, rows.iter().map(|&r| label(&y[r])).collect())
-}
-
-/// Accumulate per-bin class counts over `rows` (labels indexed by dataset
-/// row) into `out` (`out[bin * n_classes + class]`, cleared first).
-pub fn accumulate_class(
-    col: &BinnedColumn,
-    rows: &[usize],
-    y: &[usize],
-    n_classes: usize,
-    out: &mut Vec<u32>,
-) {
-    let (rows, y) = node_order(rows, y, |&c| c as u32);
-    accumulate_class_node(col, &rows, &y, n_classes, out);
-}
-
-/// Accumulate per-bin regression stats over `rows` (targets indexed by
-/// dataset row) into `out` (cleared first).
-pub fn accumulate_reg(col: &BinnedColumn, rows: &[usize], y: &[f64], out: &mut Vec<RegBin>) {
-    let (rows, y) = node_order(rows, y, |&v| v);
-    accumulate_reg_node(col, &rows, &y, out);
-}
-
 // ---------------------------------------------------------------------
 // Feature-parallel accumulation — LightGBM-style feature partitioning.
 //
@@ -566,7 +528,7 @@ pub fn accumulate_reg(col: &BinnedColumn, rows: &[usize], y: &[f64], out: &mut V
 /// Minimum `rows × features` product before a histogram batch is worth
 /// shipping to the worker pool (below this, task overhead dominates the
 /// `O(rows)` scans).
-pub const HIST_PARALLEL_GRAIN: usize = 65_536;
+pub(crate) const HIST_PARALLEL_GRAIN: usize = 65_536;
 
 /// Whether a histogram batch of `n_features` columns over `n_rows` rows
 /// should fan out across the worker pool.
@@ -629,36 +591,11 @@ pub(crate) fn accumulate_reg_node_parallel(
     })
 }
 
-/// Row-indexed entry point of `accumulate_class_node_parallel`: output
-/// order is `cols` order and every histogram is bit-identical to a serial
-/// [`accumulate_class`] call at any thread count.
-pub fn accumulate_class_parallel(
-    cols: &[&BinnedColumn],
-    rows: &[usize],
-    y: &[usize],
-    n_classes: usize,
-) -> Vec<Vec<u32>> {
-    let (rows, y) = node_order(rows, y, |&c| c as u32);
-    accumulate_class_node_parallel(cols, &rows, &y, n_classes)
-}
-
-/// Row-indexed entry point of `accumulate_reg_node_parallel`: output
-/// order is `cols` order and every histogram is bit-identical to a serial
-/// [`accumulate_reg`] call at any thread count.
-pub fn accumulate_reg_parallel(
-    cols: &[&BinnedColumn],
-    rows: &[usize],
-    y: &[f64],
-) -> Vec<Vec<RegBin>> {
-    let (rows, y) = node_order(rows, y, |&v| v);
-    accumulate_reg_node_parallel(cols, &rows, &y)
-}
-
 /// Sibling subtraction: the right child's histogram is the parent's minus
 /// the left child's, element-wise — `O(n_bins)` instead of `O(rows)`.
 /// Counts are integers, so the subtracted histogram is bit-identical to
 /// re-accumulation.
-pub fn subtract_class(parent: &[u32], left: &[u32]) -> Vec<u32> {
+pub(crate) fn subtract_class(parent: &[u32], left: &[u32]) -> Vec<u32> {
     debug_assert_eq!(parent.len(), left.len());
     parent.iter().zip(left).map(|(&p, &l)| p - l).collect()
 }
@@ -666,7 +603,7 @@ pub fn subtract_class(parent: &[u32], left: &[u32]) -> Vec<u32> {
 /// Sibling subtraction for regression histograms. Counts subtract
 /// exactly; the float sums are subtracted (deterministically, but not
 /// necessarily bit-identical to re-accumulation).
-pub fn subtract_reg(parent: &[RegBin], left: &[RegBin]) -> Vec<RegBin> {
+pub(crate) fn subtract_reg(parent: &[RegBin], left: &[RegBin]) -> Vec<RegBin> {
     debug_assert_eq!(parent.len(), left.len());
     parent
         .iter()
@@ -679,9 +616,57 @@ pub fn subtract_reg(parent: &[RegBin], left: &[RegBin]) -> Vec<RegBin> {
         .collect()
 }
 
+/// Row ids narrowed to the builder's `u32`, and each row's label pulled
+/// into node order — what the tree builder hands the node-ordered kernels,
+/// for tests that start from dataset rows.
+#[cfg(test)]
+pub(crate) fn node_order<L, T>(
+    rows: &[usize],
+    y: &[L],
+    label: impl Fn(&L) -> T,
+) -> (Vec<u32>, Vec<T>) {
+    let ids = rows.iter().map(|&r| u32::try_from(r).unwrap()).collect();
+    (ids, rows.iter().map(|&r| label(&y[r])).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// [`accumulate_class_node`] over dataset rows (labels indexed by row).
+    fn class_hist(col: &BinnedColumn, rows: &[usize], y: &[usize], n_classes: usize) -> Vec<u32> {
+        let (rows, y) = node_order(rows, y, |&c| c as u32);
+        let mut h = Vec::new();
+        accumulate_class_node(col, &rows, &y, n_classes, &mut h);
+        h
+    }
+
+    /// [`accumulate_reg_node`] over dataset rows (targets indexed by row).
+    fn reg_hist(col: &BinnedColumn, rows: &[usize], y: &[f64]) -> Vec<RegBin> {
+        let (rows, y) = node_order(rows, y, |&v| v);
+        let mut h = Vec::new();
+        accumulate_reg_node(col, &rows, &y, &mut h);
+        h
+    }
+
+    /// Both feature-parallel batches over dataset rows.
+    fn batch_hists(
+        cols: &[&BinnedColumn],
+        rows: &[usize],
+        yc: &[usize],
+        n_classes: usize,
+        yr: &[f64],
+    ) -> (Vec<Vec<u32>>, Vec<Vec<RegBin>>) {
+        let (ids, yc) = node_order(rows, yc, |&c| c as u32);
+        let (_, yr) = node_order(rows, yr, |&v| v);
+        (
+            accumulate_class_node_parallel(cols, &ids, &yc, n_classes),
+            accumulate_reg_node_parallel(cols, &ids, &yr),
+        )
+    }
 
     fn codes_of(col: &BinnedColumn, n: usize) -> Vec<usize> {
         (0..n).map(|r| col.codes().get(r)).collect()
@@ -774,12 +759,9 @@ mod tests {
         let col = BinnedColumn::build(&vals, 8);
         let parent: Vec<usize> = (0..200).collect();
         let (left, right): (Vec<usize>, Vec<usize>) = parent.iter().partition(|&&r| r % 3 != 0);
-        let mut hp = Vec::new();
-        let mut hl = Vec::new();
-        let mut hr = Vec::new();
-        accumulate_class(&col, &parent, &y, 3, &mut hp);
-        accumulate_class(&col, &left, &y, 3, &mut hl);
-        accumulate_class(&col, &right, &y, 3, &mut hr);
+        let hp = class_hist(&col, &parent, &y, 3);
+        let hl = class_hist(&col, &left, &y, 3);
+        let hr = class_hist(&col, &right, &y, 3);
         assert_eq!(subtract_class(&hp, &hl), hr, "parent − left == right");
     }
 
@@ -790,12 +772,9 @@ mod tests {
         let col = BinnedColumn::build(&vals, 6);
         let parent: Vec<usize> = (0..100).collect();
         let (left, right): (Vec<usize>, Vec<usize>) = parent.iter().partition(|&&r| r < 40);
-        let mut hp = Vec::new();
-        let mut hl = Vec::new();
-        let mut hr = Vec::new();
-        accumulate_reg(&col, &parent, &y, &mut hp);
-        accumulate_reg(&col, &left, &y, &mut hl);
-        accumulate_reg(&col, &right, &y, &mut hr);
+        let hp = reg_hist(&col, &parent, &y);
+        let hl = reg_hist(&col, &left, &y);
+        let hr = reg_hist(&col, &right, &y);
         for (s, r) in subtract_reg(&hp, &hl).iter().zip(&hr) {
             assert_eq!(s.n, r.n);
             assert!((s.sum - r.sum).abs() < 1e-9);
@@ -812,15 +791,14 @@ mod tests {
         let ca = BinnedColumn::build(&a, 32);
         let cb = BinnedColumn::build(&b, 32);
         let rows: Vec<usize> = (0..300).filter(|r| r % 4 != 1).collect();
-        let batch_c = accumulate_class_parallel(&[&ca, &cb], &rows, &yc, 3);
-        let batch_r = accumulate_reg_parallel(&[&ca, &cb], &rows, &yr);
+        let (batch_c, batch_r) = batch_hists(&[&ca, &cb], &rows, &yc, 3, &yr);
         for (f, col) in [&ca, &cb].into_iter().enumerate() {
-            let mut hc = Vec::new();
-            accumulate_class(col, &rows, &yc, 3, &mut hc);
-            assert_eq!(batch_c[f], hc, "class feature {f}");
-            let mut hr = Vec::new();
-            accumulate_reg(col, &rows, &yr, &mut hr);
-            assert_eq!(batch_r[f], hr, "reg feature {f}");
+            assert_eq!(
+                batch_c[f],
+                class_hist(col, &rows, &yc, 3),
+                "class feature {f}"
+            );
+            assert_eq!(batch_r[f], reg_hist(col, &rows, &yr), "reg feature {f}");
         }
     }
 
@@ -829,8 +807,7 @@ mod tests {
         let vals = [1.0, 2.0, 3.0];
         let y = [0usize, 1, 1];
         let col = BinnedColumn::build(&vals, 8);
-        let mut h = Vec::new();
-        accumulate_class(&col, &[0, 0, 2], &y, 2, &mut h);
+        let h = class_hist(&col, &[0, 0, 2], &y, 2);
         assert_eq!(h[0], 2, "row 0 drawn twice must count twice");
         assert_eq!(h[2 * 2 + 1], 1);
     }
@@ -862,5 +839,100 @@ mod tests {
         assert!(BinnedDataset::build(&[vec![1.0], vec![1.0, 2.0]], 256).is_err());
         assert!(BinnedDataset::build(&[vec![1.0]], 1).is_err());
         assert!(BinnedDataset::build(&[vec![1.0]], MAX_BINS_LIMIT + 1).is_err());
+    }
+
+    #[test]
+    fn feature_parallel_histograms_identical_across_thread_counts() {
+        // The feature-parallel histogram batch (one worker-pool task per
+        // feature, merged in fixed feature-index order — DESIGN.md §13) must
+        // be invisible: the 4-thread batch, the 1-thread batch, and a plain
+        // per-column serial accumulation are all bitwise the same histograms.
+        // 8 features × 12k rows clears HIST_PARALLEL_GRAIN, so the 4-thread
+        // run genuinely fans out.
+        let n_rows = 12_000usize;
+        let n_features = 8usize;
+        assert!(n_rows * n_features >= HIST_PARALLEL_GRAIN);
+        let cols: Vec<BinnedColumn> = (0..n_features)
+            .map(|f| {
+                let vals: Vec<f64> = (0..n_rows)
+                    .map(|r| (((r * (13 + f * 7)) % 997) as f64 * 0.37).sin() * 50.0)
+                    .collect();
+                BinnedColumn::build(&vals, 64)
+            })
+            .collect();
+        let col_refs: Vec<&BinnedColumn> = cols.iter().collect();
+        let rows: Vec<usize> = (0..n_rows).filter(|r| r % 5 != 2).collect();
+        let yc: Vec<usize> = (0..n_rows).map(|r| (r * 11) % 4).collect();
+        let yr: Vec<f64> = (0..n_rows).map(|r| (r as f64 * 0.01).cos()).collect();
+
+        runtime::set_global_threads(1);
+        let (class_1t, reg_1t) = batch_hists(&col_refs, &rows, &yc, 4, &yr);
+        runtime::set_global_threads(4);
+        let (class_4t, reg_4t) = batch_hists(&col_refs, &rows, &yc, 4, &yr);
+        runtime::set_global_threads(0);
+
+        assert_eq!(class_1t, class_4t, "class histograms 1-vs-4 threads");
+        for (f, (a, b)) in reg_1t.iter().zip(&reg_4t).enumerate() {
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.n, y.n, "reg counts feature {f}");
+                assert_eq!(x.sum.to_bits(), y.sum.to_bits(), "reg sums feature {f}");
+                assert_eq!(
+                    x.sumsq.to_bits(),
+                    y.sumsq.to_bits(),
+                    "reg sumsq feature {f}"
+                );
+            }
+        }
+        // Both match a plain per-column serial pass.
+        for (f, col) in col_refs.iter().enumerate() {
+            assert_eq!(
+                class_4t[f],
+                class_hist(col, &rows, &yc, 4),
+                "batched class vs serial, feature {f}"
+            );
+            for (x, y) in reg_4t[f].iter().zip(&reg_hist(col, &rows, &yr)) {
+                assert_eq!((x.n, x.sum.to_bits()), (y.n, y.sum.to_bits()));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Sibling subtraction is exact: for any parent row set and any
+        /// left/right split of it, `parent − left == right` on both the
+        /// class-count and the regression-sum histograms.
+        #[test]
+        fn sibling_subtraction_identity(
+            seed in 0u64..1_000_000,
+            n_rows in 20usize..100,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let values: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+            let col = BinnedColumn::build(&values, 16);
+            let rows: Vec<usize> = (0..n_rows).collect();
+            let cut = rng.gen_range(0..=n_rows);
+            let (left, right) = rows.split_at(cut);
+
+            let yc: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..3)).collect();
+            let hp = class_hist(&col, &rows, &yc, 3);
+            let hl = class_hist(&col, left, &yc, 3);
+            let hr = class_hist(&col, right, &yc, 3);
+            prop_assert_eq!(subtract_class(&hp, &hl), hr);
+
+            let yr: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
+            let gp = reg_hist(&col, &rows, &yr);
+            let gl = reg_hist(&col, left, &yr);
+            let gr = reg_hist(&col, right, &yr);
+            let sub = subtract_reg(&gp, &gl);
+            prop_assert_eq!(sub.len(), gr.len());
+            for (s, r) in sub.iter().zip(&gr) {
+                prop_assert_eq!(s.n, r.n);
+                // Sums come out of a subtraction, not a re-accumulation, so
+                // compare to the float tolerance the scan itself tolerates.
+                prop_assert!((s.sum - r.sum).abs() <= 1e-9 * (1.0 + r.sum.abs()));
+                prop_assert!((s.sumsq - r.sumsq).abs() <= 1e-9 * (1.0 + r.sumsq.abs()));
+            }
+        }
     }
 }

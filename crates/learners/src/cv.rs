@@ -8,11 +8,11 @@
 
 use crate::binned::{BinnedColumn, BinnedDataset};
 use crate::error::{LearnError, Result};
-use crate::forest::{ForestConfig, RandomForestClassifier, RandomForestRegressor, Rows};
+use crate::forest::{ForestConfig, RandomForest, Rows};
 use crate::gp::{GaussianProcess, GpConfig};
 use crate::linear::{LinearConfig, LinearSvm};
-use crate::metrics::{f1_score, one_minus_rae};
-use crate::mlp::{MlpClassifier, MlpConfig, MlpRegressor};
+use crate::metrics::score;
+use crate::mlp::{Mlp, MlpConfig};
 use crate::nb::GaussianNb;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -277,102 +277,64 @@ impl Evaluator {
         split: &tabular::Split,
         fold_seed: u64,
     ) -> Result<f64> {
-        let forest = ForestConfig {
+        let mut forest = RandomForest::new(ForestConfig {
             seed: self.seed ^ fold_seed.wrapping_mul(0x9E37),
             ..self.forest
-        };
-        let test = Rows::Codes(binned, &split.test);
-        match label {
-            Label::Class { y, n_classes } => {
-                let mut m = RandomForestClassifier::new(forest);
-                m.fit_binned(binned, &split.train, y, *n_classes)?;
-                let preds = m.predict_rows(test)?;
-                let yte: Vec<usize> = split.test.iter().map(|&r| y[r]).collect();
-                f1_score(&yte, &preds, *n_classes)
-            }
-            Label::Reg(y) => {
-                let mut m = RandomForestRegressor::new(forest);
-                m.fit_binned(binned, &split.train, y)?;
-                let preds = m.predict_rows(test)?;
-                let yte: Vec<f64> = split.test.iter().map(|&r| y[r]).collect();
-                one_minus_rae(&yte, &preds)
-            }
-        }
+        });
+        forest.fit_binned(binned, &split.train, label)?;
+        let preds = forest.predict_rows(Rows::Codes(binned, &split.test))?;
+        score(&label.take(&split.test), &preds)
     }
 
     /// Fit on `train`, score on `test` (one fold) — the gather-per-fold
     /// path of the kinds that do not train a forest.
     fn fit_score(&self, train: &DataFrame, test: &DataFrame, fold_seed: u64) -> Result<f64> {
         let xtr = feature_matrix(train);
-        let xte = feature_matrix(test);
-        match (train.label(), test.label()) {
-            (Label::Class { y, n_classes }, Label::Class { y: yte, .. }) => {
-                let preds = self.classify(&xtr, y, *n_classes, &xte, fold_seed)?;
-                f1_score(yte, &preds, *n_classes)
-            }
-            (Label::Reg(y), Label::Reg(yte)) => {
-                let preds = self.regress(&xtr, y, &xte, fold_seed)?;
-                one_minus_rae(yte, &preds)
-            }
-            _ => Err(LearnError::InvalidParam(
-                "train and test folds disagree on the task".into(),
-            )),
-        }
+        let preds = self.fit_predict(&xtr, train.label(), &feature_matrix(test), fold_seed)?;
+        score(test.label(), &preds)
     }
 
-    fn classify(
+    /// Fit this evaluator's raw-value kind on `xtr` against `ytr` and
+    /// predict `xte`. SVM and Naive Bayes are classifiers and the GP a
+    /// regressor, so NB|GP picks one by the task; the MLP serves both.
+    fn fit_predict(
         &self,
         xtr: &[Vec<f64>],
-        ytr: &[usize],
-        n_classes: usize,
+        ytr: &Label,
         xte: &[Vec<f64>],
         fold_seed: u64,
-    ) -> Result<Vec<usize>> {
+    ) -> Result<Label> {
         let seed = self.seed ^ fold_seed.wrapping_mul(0x9E37);
-        match self.kind {
-            ModelKind::RandomForest => unreachable!("forest folds train in fit_score_binned"),
-            ModelKind::Svm => {
+        let classes = |y: Vec<usize>| Label::Class {
+            y,
+            n_classes: ytr.n_classes(),
+        };
+        match (self.kind, ytr) {
+            (ModelKind::Mlp, _) => {
+                let mut m = Mlp::new(MlpConfig { seed, ..self.mlp });
+                m.fit(xtr, ytr)?;
+                m.predict(xte)
+            }
+            (ModelKind::Svm, Label::Class { y, n_classes }) => {
                 let mut m = LinearSvm::new(LinearConfig {
                     seed,
                     ..self.linear
                 });
-                m.fit(xtr, ytr, n_classes)?;
-                m.predict(xte)
+                m.fit(xtr, y, *n_classes)?;
+                Ok(classes(m.predict(xte)?))
             }
-            ModelKind::NaiveBayesGp => {
+            (ModelKind::NaiveBayesGp, Label::Class { y, n_classes }) => {
                 let mut m = GaussianNb::default();
-                m.fit(xtr, ytr, n_classes)?;
-                m.predict(xte)
+                m.fit(xtr, y, *n_classes)?;
+                Ok(classes(m.predict(xte)?))
             }
-            ModelKind::Mlp => {
-                let mut m = MlpClassifier::new(MlpConfig { seed, ..self.mlp });
-                m.fit(xtr, ytr, n_classes)?;
-                m.predict(xte)
-            }
-        }
-    }
-
-    fn regress(
-        &self,
-        xtr: &[Vec<f64>],
-        ytr: &[f64],
-        xte: &[Vec<f64>],
-        fold_seed: u64,
-    ) -> Result<Vec<f64>> {
-        let seed = self.seed ^ fold_seed.wrapping_mul(0x9E37);
-        match self.kind {
-            ModelKind::RandomForest | ModelKind::Svm => {
-                unreachable!("forest folds train in fit_score_binned")
-            }
-            ModelKind::NaiveBayesGp => {
+            (ModelKind::NaiveBayesGp, Label::Reg(y)) => {
                 let mut m = GaussianProcess::new(self.gp);
-                m.fit(xtr, ytr)?;
-                m.predict(xte)
+                m.fit(xtr, y)?;
+                Ok(Label::Reg(m.predict(xte)?))
             }
-            ModelKind::Mlp => {
-                let mut m = MlpRegressor::new(MlpConfig { seed, ..self.mlp });
-                m.fit(xtr, ytr)?;
-                m.predict(xte)
+            (ModelKind::RandomForest, _) | (ModelKind::Svm, Label::Reg(_)) => {
+                unreachable!("forest folds train in fit_score_binned")
             }
         }
     }
@@ -723,25 +685,24 @@ mod tests {
                 tree: crate::TreeConfig { max_bins, max_features: Some(2), ..Default::default() },
                 ..ForestConfig::default()
             };
-            let (by_value, by_code): (Vec<u64>, Vec<u64>) = match label_kind {
+            let label = match label_kind {
                 0 | 1 => {
                     let n_classes = [2, 5][label_kind];
-                    let y: Vec<usize> = classes[..n].iter().map(|c| c % n_classes).collect();
-                    let mut m = RandomForestClassifier::new(forest);
-                    m.fit_binned(&binned, &rows, &y, n_classes).unwrap();
-                    let value = m.predict_rows(Rows::Values(&cols)).unwrap();
-                    let code = m.predict_rows(Rows::Codes(&binned, &rows)).unwrap();
-                    (value.iter().map(|&c| c as u64).collect(), code.iter().map(|&c| c as u64).collect())
+                    let y = classes[..n].iter().map(|c| c % n_classes).collect();
+                    Label::Class { y, n_classes }
                 }
-                _ => {
-                    let y: Vec<f64> = others[..n].iter().zip(&reals).map(|(a, b)| a * b).collect();
-                    let mut m = RandomForestRegressor::new(forest);
-                    m.fit_binned(&binned, &rows, &y).unwrap();
-                    let value = m.predict_rows(Rows::Values(&cols)).unwrap();
-                    let code = m.predict_rows(Rows::Codes(&binned, &rows)).unwrap();
-                    (value.iter().map(|v| v.to_bits()).collect(), code.iter().map(|v| v.to_bits()).collect())
+                _ => Label::Reg(others[..n].iter().zip(&reals).map(|(a, b)| a * b).collect()),
+            };
+            let mut m = RandomForest::new(forest);
+            m.fit_binned(&binned, &rows, &label).unwrap();
+            let bits = |pred: Label| -> Vec<u64> {
+                match pred {
+                    Label::Class { y, .. } => y.iter().map(|&c| c as u64).collect(),
+                    Label::Reg(y) => y.iter().map(|v| v.to_bits()).collect(),
                 }
             };
+            let by_value = bits(m.predict_rows(Rows::Values(&cols)).unwrap());
+            let by_code = bits(m.predict_rows(Rows::Codes(&binned, &rows)).unwrap());
             proptest::prop_assert_eq!(by_value, by_code);
         }
     }

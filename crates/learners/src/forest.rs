@@ -1,6 +1,9 @@
 //! Random Forests — the downstream evaluation task the paper uses for both
 //! AFE training ("we utilize Random Forest as the model for downstream
-//! tasks") and for the RF-importance feature pre-selection step.
+//! tasks") and for the RF-importance feature pre-selection step. One
+//! [`RandomForest`] serves both tasks, decided by the label it is fitted
+//! on; `RandomForestClassifier`/`RandomForestRegressor` are thin shims
+//! over it that only the end-to-end benchmark calls.
 //!
 //! Trees are trained on bootstrap resamples with √N feature subsampling and
 //! fitted in parallel through the shared `runtime` worker pool. Per-tree
@@ -10,13 +13,13 @@
 use crate::binned::BinnedDataset;
 use crate::error::{LearnError, Result};
 use crate::tree::{
-    argmax, for_each_coded_row, for_each_row, predict_columns, DecisionTreeClassifier,
-    DecisionTreeRegressor, Tree, TreeConfig,
+    argmax, for_each_coded_row, for_each_row, predict_columns, Labels, Tree, TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::WorkerPool;
 use serde::{Deserialize, Serialize};
+use tabular::{Label, Task};
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,10 +105,10 @@ fn draw_trees(
 ///
 /// The draws carry all per-tree randomness, so results do not depend on
 /// which worker runs which tree; the pool returns them in draw order.
-fn fit_trees<M: Send, F: Fn(u64, &[usize]) -> Result<M> + Sync>(
+fn fit_trees(
     draws: Vec<(u64, Vec<usize>)>,
-    fit_one: F,
-) -> Result<Vec<M>> {
+    fit_one: impl Fn(u64, &[usize]) -> Result<Tree> + Sync,
+) -> Result<Vec<Tree>> {
     let mut span = telemetry::span("forest.fit_trees");
     span.field("trees", draws.len() as f64);
     WorkerPool::new()
@@ -114,43 +117,114 @@ fn fit_trees<M: Send, F: Fn(u64, &[usize]) -> Result<M> + Sync>(
         .collect()
 }
 
-/// Random forest classifier (majority vote over per-tree class frequencies).
+/// A random forest over either task: the [`Label`] it is fitted on picks
+/// the trees' task and the default `max_features` (√N for classification,
+/// N/3 for regression); it predicts the majority vote over the trees'
+/// class frequencies or the mean of their predictions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RandomForestClassifier {
+pub struct RandomForest {
     /// Hyper-parameters used at fit time.
     pub config: ForestConfig,
-    trees: Vec<DecisionTreeClassifier>,
-    n_classes: usize,
-    n_features: usize,
+    trees: Vec<Tree>,
 }
 
-impl RandomForestClassifier {
+impl RandomForest {
     /// New unfitted forest.
     pub fn new(config: ForestConfig) -> Self {
         Self {
             config,
             trees: Vec::new(),
-            n_classes: 0,
-            n_features: 0,
         }
     }
 
-    /// Fit on column-major features and class labels: the matrix is
-    /// quantised once (through the process-wide bin cache), then
+    /// Fit on column-major features: the matrix is quantised once
+    /// (through the process-wide bin cache), then
     /// [`fit_binned`](Self::fit_binned) on every row.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
-        if x.is_empty() || y.is_empty() {
+    pub fn fit(&mut self, x: &[Vec<f64>], label: &Label) -> Result<()> {
+        if x.is_empty() || label.is_empty() {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
         let binned = bin_features(x, self.config.tree.max_bins)?;
-        let all: Vec<usize> = (0..y.len()).collect();
-        self.fit_binned(&binned, &all, y, n_classes)
+        let all: Vec<usize> = (0..label.len()).collect();
+        self.fit_binned(&binned, &all, label)
     }
 
     /// Fit on an already-binned dataset, training only on `rows` (e.g. a
     /// CV fold's train rows). Bootstrap draws are taken within `rows`;
-    /// labels span the full dataset. No sub-matrix is gathered — every
+    /// `label` spans the full dataset. No sub-matrix is gathered — every
     /// tree reads the shared bin codes directly.
+    pub fn fit_binned(
+        &mut self,
+        binned: &BinnedDataset,
+        rows: &[usize],
+        label: &Label,
+    ) -> Result<()> {
+        self.fit_labels(binned, rows, Labels::from(label))
+    }
+
+    fn fit_labels(
+        &mut self,
+        binned: &BinnedDataset,
+        rows: &[usize],
+        labels: Labels<'_>,
+    ) -> Result<()> {
+        if binned.n_features() == 0 || rows.is_empty() || labels.len() == 0 {
+            return Err(LearnError::EmptyTrainingSet("random forest".into()));
+        }
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut tree_cfg = self.config.tree;
+        if tree_cfg.max_features.is_none() {
+            let n_features = binned.n_features();
+            tree_cfg.max_features = Some(match labels {
+                Labels::Class { .. } => self.config.sqrt_features(n_features),
+                // Regression forests conventionally use N/3 features.
+                Labels::Reg(_) => (n_features / 3).clamp(1, n_features),
+            });
+        }
+        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
+        self.trees = fit_trees(draws, |seed, tree_rows| {
+            Tree::fit_labels(binned, tree_rows, labels, TreeConfig { seed, ..tree_cfg })
+        })?;
+        Ok(())
+    }
+
+    /// Predict column-major features.
+    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        let n_features = self.fitted()?[0].n_features;
+        self.predict_rows(Rows::Values(&predict_columns(x, n_features)?))
+    }
+
+    /// Predict the requested rows, read without gathering a sub-matrix.
+    pub(crate) fn predict_rows(&self, rows: Rows<'_>) -> Result<Label> {
+        Ok(predict_label(self.fitted()?, rows))
+    }
+
+    /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
+    pub fn feature_importances(&self) -> Result<Vec<f64>> {
+        Ok(mean_importances(self.fitted()?))
+    }
+
+    fn fitted(&self) -> Result<&[Tree]> {
+        if self.trees.is_empty() {
+            return Err(LearnError::NotFitted("RandomForest"));
+        }
+        Ok(&self.trees)
+    }
+}
+
+/// [`RandomForest`] on class labels, kept only for the probes of the
+/// end-to-end benchmark (`benchmark/`), which call exactly these three
+/// methods.
+#[derive(Debug, Clone)]
+pub struct RandomForestClassifier(RandomForest);
+
+impl RandomForestClassifier {
+    /// [`RandomForest::new`].
+    pub fn new(config: ForestConfig) -> Self {
+        Self(RandomForest::new(config))
+    }
+
+    /// [`RandomForest::fit_binned`] on classes `y` in `0..n_classes`.
     pub fn fit_binned(
         &mut self,
         binned: &BinnedDataset,
@@ -158,130 +232,36 @@ impl RandomForestClassifier {
         y: &[usize],
         n_classes: usize,
     ) -> Result<()> {
-        if binned.n_features() == 0 || rows.is_empty() || y.is_empty() {
-            return Err(LearnError::EmptyTrainingSet("random forest".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut tree_cfg = self.config.tree;
-        if tree_cfg.max_features.is_none() {
-            tree_cfg.max_features = Some(self.config.sqrt_features(binned.n_features()));
-        }
-        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(draws, |seed, tree_rows| {
-            let cfg = TreeConfig { seed, ..tree_cfg };
-            let mut t = DecisionTreeClassifier::new(cfg);
-            t.fit_binned(binned, tree_rows, y, n_classes)?;
-            Ok(t)
-        })?;
-        self.n_classes = n_classes;
-        self.n_features = binned.n_features();
-        Ok(())
+        self.0
+            .fit_labels(binned, rows, Labels::Class { y, n_classes })
     }
 
-    fn fitted_trees(&self) -> Result<Vec<&Tree>> {
-        fitted_trees(&self.trees, DecisionTreeClassifier::tree)
-            .ok_or(LearnError::NotFitted("RandomForestClassifier"))
-    }
-
-    /// Averaged class probabilities of the requested rows, flat:
-    /// `n_classes` values per row (see [`mean_leaves`]).
-    fn proba_rows(&self, rows: Rows<'_>) -> Result<Vec<f64>> {
-        Ok(mean_leaves(&self.fitted_trees()?, self.n_classes, rows))
-    }
-
-    /// Majority-vote class predictions.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        self.predict_rows(Rows::Values(&predict_columns(x, self.n_features)?))
-    }
-
-    /// Majority-vote class predictions of the requested rows, read without
-    /// gathering a sub-matrix.
-    pub(crate) fn predict_rows(&self, rows: Rows<'_>) -> Result<Vec<usize>> {
-        let proba = self.proba_rows(rows)?;
-        Ok(proba.chunks_exact(self.n_classes).map(argmax).collect())
-    }
-
-    /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
-    pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        Ok(mean_importances(&self.fitted_trees()?))
+    /// [`RandomForest::predict`].
+    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        self.0.predict(x)
     }
 }
 
-/// Random forest regressor (mean over per-tree predictions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RandomForestRegressor {
-    /// Hyper-parameters used at fit time.
-    pub config: ForestConfig,
-    trees: Vec<DecisionTreeRegressor>,
-    n_features: usize,
-}
+/// [`RandomForest`] on regression targets, kept only for the probes of
+/// the end-to-end benchmark (`benchmark/`), which call exactly these three
+/// methods.
+#[derive(Debug, Clone)]
+pub struct RandomForestRegressor(RandomForest);
 
 impl RandomForestRegressor {
-    /// New unfitted forest.
+    /// [`RandomForest::new`].
     pub fn new(config: ForestConfig) -> Self {
-        Self {
-            config,
-            trees: Vec::new(),
-            n_features: 0,
-        }
+        Self(RandomForest::new(config))
     }
 
-    /// Fit on column-major features and real targets: the matrix is
-    /// quantised once (through the process-wide bin cache), then
-    /// [`fit_binned`](Self::fit_binned) on every row.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
-        if x.is_empty() || y.is_empty() {
-            return Err(LearnError::EmptyTrainingSet("random forest".into()));
-        }
-        let binned = bin_features(x, self.config.tree.max_bins)?;
-        let all: Vec<usize> = (0..y.len()).collect();
-        self.fit_binned(&binned, &all, y)
-    }
-
-    /// Fit on an already-binned dataset, training only on `rows` (e.g. a
-    /// CV fold's train rows). Bootstrap draws are taken within `rows`;
-    /// targets span the full dataset.
+    /// [`RandomForest::fit_binned`] on targets `y`.
     pub fn fit_binned(&mut self, binned: &BinnedDataset, rows: &[usize], y: &[f64]) -> Result<()> {
-        if binned.n_features() == 0 || rows.is_empty() || y.is_empty() {
-            return Err(LearnError::EmptyTrainingSet("random forest".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut tree_cfg = self.config.tree;
-        if tree_cfg.max_features.is_none() {
-            // Regression forests conventionally use N/3 features.
-            let n_features = binned.n_features();
-            tree_cfg.max_features = Some((n_features / 3).clamp(1, n_features));
-        }
-        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(draws, |seed, tree_rows| {
-            let cfg = TreeConfig { seed, ..tree_cfg };
-            let mut t = DecisionTreeRegressor::new(cfg);
-            t.fit_binned(binned, tree_rows, y)?;
-            Ok(t)
-        })?;
-        self.n_features = binned.n_features();
-        Ok(())
+        self.0.fit_labels(binned, rows, Labels::Reg(y))
     }
 
-    fn fitted_trees(&self) -> Result<Vec<&Tree>> {
-        fitted_trees(&self.trees, DecisionTreeRegressor::tree)
-            .ok_or(LearnError::NotFitted("RandomForestRegressor"))
-    }
-
-    /// Mean prediction across trees.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        self.predict_rows(Rows::Values(&predict_columns(x, self.n_features)?))
-    }
-
-    /// Mean prediction across trees of the requested rows, read without
-    /// gathering a sub-matrix (see [`mean_leaves`]).
-    pub(crate) fn predict_rows(&self, rows: Rows<'_>) -> Result<Vec<f64>> {
-        Ok(mean_leaves(&self.fitted_trees()?, 1, rows))
-    }
-
-    /// Mean decrease-in-impurity feature importances, normalised to sum to 1.
-    pub fn feature_importances(&self) -> Result<Vec<f64>> {
-        Ok(mean_importances(&self.fitted_trees()?))
+    /// [`RandomForest::predict`].
+    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        self.0.predict(x)
     }
 }
 
@@ -296,9 +276,23 @@ pub(crate) enum Rows<'a> {
     Codes(&'a BinnedDataset, &'a [usize]),
 }
 
+/// The trees' prediction of the requested rows, of the trees' task: the
+/// argmax of the mean class frequencies, or the mean target.
+pub(crate) fn predict_label(trees: &[Tree], rows: Rows<'_>) -> Label {
+    let (task, width) = (trees[0].task, trees[0].n_outputs);
+    let means = mean_leaves(trees, width, rows);
+    match task {
+        Task::Classification => Label::Class {
+            y: means.chunks_exact(width).map(argmax).collect(),
+            n_classes: width,
+        },
+        Task::Regression => Label::Reg(means),
+    }
+}
+
 /// Per requested row, the trees' `width`-wide leaf payloads added in tree
 /// order, then `/ k`: one flat buffer, `width` values per row.
-fn mean_leaves(trees: &[&Tree], width: usize, rows: Rows<'_>) -> Vec<f64> {
+fn mean_leaves(trees: &[Tree], width: usize, rows: Rows<'_>) -> Vec<f64> {
     let n_rows = match rows {
         Rows::Values(cols) => cols[0].len(),
         Rows::Codes(_, rows) => rows.len(),
@@ -321,7 +315,7 @@ fn mean_leaves(trees: &[&Tree], width: usize, rows: Rows<'_>) -> Vec<f64> {
 
 /// One row of [`mean_leaves`]: `leaf(tree)` is the row's leaf payload.
 #[inline]
-fn add_leaves(trees: &[&Tree], acc: &mut [f64], leaf: impl Fn(&Tree) -> &[f64]) {
+fn add_leaves(trees: &[Tree], acc: &mut [f64], leaf: impl Fn(&Tree) -> &[f64]) {
     for tree in trees {
         for (a, v) in acc.iter_mut().zip(leaf(tree)) {
             *a += v;
@@ -333,15 +327,7 @@ fn add_leaves(trees: &[&Tree], acc: &mut [f64], leaf: impl Fn(&Tree) -> &[f64]) 
     }
 }
 
-/// The fitted trees of a forest's per-tree models; `None` when unfitted.
-fn fitted_trees<M>(models: &[M], tree: impl Fn(&M) -> Option<&Tree>) -> Option<Vec<&Tree>> {
-    if models.is_empty() {
-        return None;
-    }
-    models.iter().map(tree).collect()
-}
-
-fn mean_importances(trees: &[&Tree]) -> Vec<f64> {
+fn mean_importances(trees: &[Tree]) -> Vec<f64> {
     let mut acc: Vec<f64> = Vec::new();
     for imp in trees.iter().map(|t| t.feature_importances()) {
         if acc.is_empty() {
@@ -363,10 +349,14 @@ fn mean_importances(trees: &[&Tree]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{accuracy, one_minus_rae};
+    use crate::metrics::{accuracy, score};
     use rand::Rng;
 
-    fn nonlinear_classification(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
+    fn acc(truth: &Label, pred: &Label) -> f64 {
+        accuracy(truth.classes().unwrap(), pred.classes().unwrap()).unwrap()
+    }
+
+    fn nonlinear_classification(n: usize, seed: u64) -> (Vec<Vec<f64>>, Label) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -380,15 +370,15 @@ mod tests {
             noise.push(rng.gen_range(-1.0..1.0));
             y.push(usize::from(av * bv > 0.0));
         }
-        (vec![a, b, noise], y)
+        (vec![a, b, noise], Label::Class { y, n_classes: 2 })
     }
 
     #[test]
     fn classifier_beats_chance_on_product_rule() {
         let (x, y) = nonlinear_classification(400, 1);
-        let mut f = RandomForestClassifier::new(ForestConfig::default());
-        f.fit(&x, &y, 2).unwrap();
-        let acc = accuracy(&y, &f.predict(&x).unwrap()).unwrap();
+        let mut f = RandomForest::new(ForestConfig::default());
+        f.fit(&x, &y).unwrap();
+        let acc = acc(&y, &f.predict(&x).unwrap());
         assert!(acc > 0.9, "train accuracy {acc}");
     }
 
@@ -396,27 +386,27 @@ mod tests {
     fn classifier_generalizes() {
         let (xtr, ytr) = nonlinear_classification(600, 2);
         let (xte, yte) = nonlinear_classification(200, 3);
-        let mut f = RandomForestClassifier::new(ForestConfig::default());
-        f.fit(&xtr, &ytr, 2).unwrap();
-        let acc = accuracy(&yte, &f.predict(&xte).unwrap()).unwrap();
+        let mut f = RandomForest::new(ForestConfig::default());
+        f.fit(&xtr, &ytr).unwrap();
+        let acc = acc(&yte, &f.predict(&xte).unwrap());
         assert!(acc > 0.8, "test accuracy {acc}");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let (x, y) = nonlinear_classification(200, 4);
-        let mut f1 = RandomForestClassifier::new(ForestConfig::default());
-        let mut f2 = RandomForestClassifier::new(ForestConfig::default());
-        f1.fit(&x, &y, 2).unwrap();
-        f2.fit(&x, &y, 2).unwrap();
+        let mut f1 = RandomForest::new(ForestConfig::default());
+        let mut f2 = RandomForest::new(ForestConfig::default());
+        f1.fit(&x, &y).unwrap();
+        f2.fit(&x, &y).unwrap();
         assert_eq!(f1.predict(&x).unwrap(), f2.predict(&x).unwrap());
     }
 
     #[test]
     fn importances_favour_signal_features() {
         let (x, y) = nonlinear_classification(400, 5);
-        let mut f = RandomForestClassifier::new(ForestConfig::default());
-        f.fit(&x, &y, 2).unwrap();
+        let mut f = RandomForest::new(ForestConfig::default());
+        f.fit(&x, &y).unwrap();
         let imp = f.feature_importances().unwrap();
         assert_eq!(imp.len(), 3);
         // Noise column (index 2) should matter least.
@@ -427,20 +417,19 @@ mod tests {
     fn regressor_fits_smooth_function() {
         let mut rng = StdRng::seed_from_u64(6);
         let xs: Vec<f64> = (0..300).map(|_| rng.gen_range(-3.0..3.0)).collect();
-        let y: Vec<f64> = xs.iter().map(|v| v * v + 0.1 * v).collect();
+        let y = Label::Reg(xs.iter().map(|v| v * v + 0.1 * v).collect());
         let x = vec![xs];
-        let mut f = RandomForestRegressor::new(ForestConfig::default());
+        let mut f = RandomForest::new(ForestConfig::default());
         f.fit(&x, &y).unwrap();
-        let score = one_minus_rae(&y, &f.predict(&x).unwrap()).unwrap();
-        assert!(score > 0.9, "1-rae {score}");
+        let rae = score(&y, &f.predict(&x).unwrap()).unwrap();
+        assert!(rae > 0.9, "1-rae {rae}");
     }
 
     #[test]
     fn unfitted_errors() {
-        let f = RandomForestClassifier::new(ForestConfig::default());
+        let f = RandomForest::new(ForestConfig::default());
         assert!(f.predict(&[vec![1.0]]).is_err());
-        let r = RandomForestRegressor::new(ForestConfig::default());
-        assert!(r.predict(&[vec![1.0]]).is_err());
+        assert!(f.feature_importances().is_err());
     }
 
     #[test]
@@ -448,8 +437,8 @@ mod tests {
         let (x, y) = nonlinear_classification(150, 8);
         let fitted = |threads: usize| {
             runtime::set_global_threads(threads);
-            let mut forest = RandomForestClassifier::new(ForestConfig::default());
-            forest.fit(&x, &y, 2).unwrap();
+            let mut forest = RandomForest::new(ForestConfig::default());
+            forest.fit(&x, &y).unwrap();
             forest
         };
         let (seq, par) = (fitted(1), fitted(4));
@@ -461,11 +450,11 @@ mod tests {
     #[test]
     fn no_bootstrap_mode_trains() {
         let (x, y) = nonlinear_classification(100, 9);
-        let mut f = RandomForestClassifier::new(ForestConfig {
+        let mut f = RandomForest::new(ForestConfig {
             bootstrap: false,
             ..ForestConfig::default()
         });
-        f.fit(&x, &y, 2).unwrap();
+        f.fit(&x, &y).unwrap();
         assert_eq!(f.predict(&x).unwrap().len(), y.len());
     }
 }

@@ -12,6 +12,7 @@
 //! Eq. 5–6 of the paper).
 
 use crate::error::{LearnError, Result};
+use tabular::Label;
 
 /// Confusion counts for one class in a one-vs-rest view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,9 +132,46 @@ pub fn one_minus_rae(y_true: &[f64], y_pred: &[f64]) -> Result<f64> {
     Ok(1.0 - num / denom)
 }
 
+/// The paper's score of predictions against the truth, for the truth's
+/// task: support-weighted [`f1_score`] of classes, [`one_minus_rae`] of
+/// targets. Predictions of the other task are an
+/// [`LearnError::InvalidParam`].
+pub fn score(truth: &Label, pred: &Label) -> Result<f64> {
+    match (truth, pred) {
+        (Label::Class { y, n_classes }, Label::Class { y: p, .. }) => f1_score(y, p, *n_classes),
+        (Label::Reg(y), Label::Reg(p)) => one_minus_rae(y, p),
+        _ => Err(LearnError::InvalidParam(format!(
+            "{:?} predictions scored against a {:?} label",
+            pred.task(),
+            truth.task()
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn score_picks_the_metric_by_task_and_refuses_a_mismatch() {
+        let truth = Label::Class {
+            y: vec![0, 1, 1, 2],
+            n_classes: 3,
+        };
+        let pred = Label::Class {
+            y: vec![0, 1, 2, 2],
+            n_classes: 3,
+        };
+        let f1 = f1_score(&[0, 1, 1, 2], &[0, 1, 2, 2], 3).unwrap();
+        assert_eq!(score(&truth, &pred).unwrap().to_bits(), f1.to_bits());
+        let targets = Label::Reg(vec![1.0, 2.0, 4.0]);
+        assert_eq!(score(&targets, &targets).unwrap(), 1.0);
+        assert!(matches!(
+            score(&truth, &targets),
+            Err(LearnError::InvalidParam(_))
+        ));
+        assert!(score(&targets, &truth).is_err());
+    }
 
     #[test]
     fn accuracy_basic() {

@@ -1,8 +1,123 @@
 //! What the flat batched trainer in [`crate::dense`] needs beside its
 //! kernels: the softmax cross-entropy gradient and the Adam optimiser (the
-//! paper trains its networks with Adam, learning rate 0.01).
+//! paper trains its networks with Adam, learning rate 0.01) — and [`Net`],
+//! the fitted network both the MLP and the ResNet hold, whose head the
+//! label it is fitted on decides.
 
+use crate::dense::{
+    embed_rows, forward_rows, train_flat, validate_columns, FlatNet, LossGrad, Mat, Topology,
+    TrainSpec,
+};
+use crate::error::{LearnError, Result};
+use crate::preprocess::Standardizer;
+use crate::tree::argmax;
 use serde::{Deserialize, Serialize};
+use tabular::Label;
+
+/// What a network's output layer predicts, fixed by the label it was
+/// fitted on.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+enum Head {
+    /// `n_classes` logits trained on softmax cross-entropy; predicts the
+    /// argmax.
+    Classes(usize),
+    /// One linear output trained on MSE against z-scored targets;
+    /// predicts `out · std + mean`.
+    Target { mean: f64, std: f64 },
+}
+
+/// A network fitted on standardised features, with the head its label
+/// chose.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Net {
+    core: FlatNet,
+    scaler: Standardizer,
+    head: Head,
+}
+
+impl Net {
+    /// Train `topology` on the column-major `x` (standardised) against
+    /// `label`: softmax cross-entropy over at least two classes, or MSE
+    /// against the standardised targets. `what` names the model in errors.
+    pub(crate) fn fit(
+        topology: Topology,
+        spec: &TrainSpec,
+        x: &[Vec<f64>],
+        label: &Label,
+        what: &str,
+    ) -> Result<Self> {
+        validate_columns(x, label.len(), what)?;
+        if matches!(label, Label::Class { n_classes, .. } if *n_classes < 2) {
+            return Err(LearnError::InvalidParam("need at least 2 classes".into()));
+        }
+        let scaler = Standardizer::fit(x);
+        let rows = Mat::from_columns(&scaler.transform(x));
+        let train =
+            |n_out: usize, loss: LossGrad| train_flat(topology, x.len(), n_out, &rows, spec, loss);
+        let (core, head) = match label {
+            Label::Class { y, n_classes } => (
+                train(*n_classes, &|out, i, d| {
+                    softmax_cross_entropy_into(out, y[i], d)
+                }),
+                Head::Classes(*n_classes),
+            ),
+            Label::Reg(y) => {
+                let mean = y.iter().sum::<f64>() / y.len() as f64;
+                let var = y.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / y.len() as f64;
+                let std = var.sqrt().max(1e-12);
+                let yz: Vec<f64> = y.iter().map(|t| (t - mean) / std).collect();
+                let core = train(1, &|out, i, d| d[0] = 2.0 * (out[0] - yz[i]));
+                (core, Head::Target { mean, std })
+            }
+        };
+        Ok(Self { core, scaler, head })
+    }
+
+    /// Standardised rows of the column-major `x`, checked against the
+    /// fitted feature count.
+    fn rows(&self, x: &[Vec<f64>]) -> Result<Mat> {
+        if x.len() != self.scaler.n_features() {
+            return Err(LearnError::DimensionMismatch {
+                fitted: self.scaler.n_features(),
+                got: x.len(),
+            });
+        }
+        Ok(Mat::from_columns(&self.scaler.transform(x)))
+    }
+
+    /// Predict column-major features, of the task fitted on.
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        let outs = forward_rows(&self.core, &self.rows(x)?);
+        let rows = 0..outs.rows();
+        Ok(match self.head {
+            Head::Classes(n_classes) => Label::Class {
+                y: rows.map(|r| argmax(outs.row(r))).collect(),
+                n_classes,
+            },
+            Head::Target { mean, std } => {
+                Label::Reg(rows.map(|r| outs.row(r)[0] * std + mean).collect())
+            }
+        })
+    }
+
+    /// Penultimate representations, column-major (one column per hidden
+    /// unit), computed batched over the whole matrix.
+    pub(crate) fn embed(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        let e = embed_rows(&self.core, &self.rows(x)?);
+        let mut cols = vec![Vec::with_capacity(e.rows()); e.cols()];
+        for r in 0..e.rows() {
+            for (col, v) in cols.iter_mut().zip(e.row(r)) {
+                col.push(*v);
+            }
+        }
+        Ok(cols)
+    }
+
+    /// The trained flat parameter slab.
+    pub(crate) fn params(&self) -> &[f64] {
+        self.core.params()
+    }
+}
 
 /// Numerically-stable softmax (max-shift, exp, single-pass sum, divide),
 /// written into `out`.

@@ -4,7 +4,8 @@
 //! **bit-identical** to the per-sample oracle (`dense/scalar_ref.rs`) —
 //! the same trained parameter slab, from which predictions and embeddings
 //! are computed by one shared code path — for both topologies (MLP /
-//! tabular ResNet) and both heads (softmax classifier / MSE regressor),
+//! tabular ResNet) and both labels (classes → softmax head, targets → MSE
+//! head),
 //! across batch sizes that do *not* divide the row count (so the ragged
 //! tail minibatch and the ragged tail microbatch are both exercised).
 //! Plus a GP check pinning the row-slice kernel fill + Cholesky against a
@@ -15,16 +16,13 @@
 use crate::dense::scalar_ref::train_scalar;
 use crate::dense::{FlatNet, LossGrad, Mat, Topology, TrainSpec};
 use crate::linalg::{sq_dist, SquareMatrix};
-use crate::mlp::MlpRegressor;
 use crate::nn::softmax_cross_entropy_into;
 use crate::preprocess::{to_row_major, Standardizer};
-use crate::{
-    GaussianProcess, GpConfig, MlpClassifier, MlpConfig, ResNetClassifier, ResNetConfig,
-    ResNetRegressor,
-};
+use crate::{GaussianProcess, GpConfig, Mlp, MlpConfig, ResNet, ResNetConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tabular::Label;
 
 /// Column-major matrix with `n_features` columns of uniform noise.
 fn matrix(rng: &mut StdRng, n_rows: usize, n_features: usize) -> Vec<Vec<f64>> {
@@ -38,6 +36,13 @@ fn labels(x: &[Vec<f64>]) -> Vec<usize> {
     (0..x[0].len())
         .map(|r| usize::from(x[0][r] + x[1][r] > 0.0))
         .collect()
+}
+
+fn binary(y: &[usize]) -> Label {
+    Label::Class {
+        y: y.to_vec(),
+        n_classes: 2,
+    }
 }
 
 /// A learnable target: a fixed linear combination of the features.
@@ -115,8 +120,8 @@ fn pool_grain_boundary_row_counts_bit_identical() {
     let mut rng = StdRng::seed_from_u64(424);
     let probe_x = matrix(&mut rng, 16, n_features);
     let probe_y = labels(&probe_x);
-    let mut probe = MlpClassifier::new(cfg_of(16));
-    probe.fit(&probe_x, &probe_y, 2).unwrap();
+    let mut probe = Mlp::new(cfg_of(16));
+    probe.fit(&probe_x, &binary(&probe_y)).unwrap();
     let n_params = probe.trained_params().unwrap().len();
     let rows_at = PARALLEL_GRAIN.div_ceil(n_params);
     assert!(
@@ -136,11 +141,11 @@ fn pool_grain_boundary_row_counts_bit_identical() {
         });
 
         runtime::set_global_threads(1);
-        let mut batched_1t = MlpClassifier::new(base);
-        batched_1t.fit(&x, &y, 2).unwrap();
+        let mut batched_1t = Mlp::new(base);
+        batched_1t.fit(&x, &binary(&y)).unwrap();
         runtime::set_global_threads(4);
-        let mut batched_4t = MlpClassifier::new(base);
-        batched_4t.fit(&x, &y, 2).unwrap();
+        let mut batched_4t = Mlp::new(base);
+        batched_4t.fit(&x, &binary(&y)).unwrap();
         runtime::set_global_threads(0);
 
         assert_params_bit_equal(batched_1t.trained_params(), &scalar);
@@ -169,8 +174,8 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let mut batched = MlpClassifier::new(base);
-        batched.fit(&x, &y, 2).expect("batched fit");
+        let mut batched = Mlp::new(base);
+        batched.fit(&x, &binary(&y)).expect("batched fit");
         let topo = Topology::Mlp { hidden: base.hidden };
         let scalar = scalar_fit(topo, &base.train_spec(), &x, 2, &|out, i, d| {
             softmax_cross_entropy_into(out, y[i], d)
@@ -196,8 +201,8 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let mut batched = MlpRegressor::new(base);
-        batched.fit(&x, &y).expect("batched fit");
+        let mut batched = Mlp::new(base);
+        batched.fit(&x, &Label::Reg(y.clone())).expect("batched fit");
         let (topo, (yz, ..)) = (Topology::Mlp { hidden: base.hidden }, standardised(&y));
         let scalar = scalar_fit(topo, &base.train_spec(), &x, 1, &|out, i, d| {
             d[0] = 2.0 * (out[0] - yz[i])
@@ -225,8 +230,8 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let mut batched = ResNetClassifier::new(base);
-        batched.fit(&x, &y, 2).expect("batched fit");
+        let mut batched = ResNet::new(base);
+        batched.fit(&x, &binary(&y)).expect("batched fit");
         let scalar = scalar_fit(base.topology(), &base.train_spec(), &x, 2, &|out, i, d| {
             softmax_cross_entropy_into(out, y[i], d)
         });
@@ -254,8 +259,8 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let mut batched = ResNetRegressor::new(base);
-        batched.fit(&x, &y).expect("batched fit");
+        let mut batched = ResNet::new(base);
+        batched.fit(&x, &Label::Reg(y.clone())).expect("batched fit");
         let (yz, ..) = standardised(&y);
         let scalar = scalar_fit(base.topology(), &base.train_spec(), &x, 1, &|out, i, d| {
             d[0] = 2.0 * (out[0] - yz[i])

@@ -1,24 +1,22 @@
 //! Tabular ResNet — the RTDL-style baseline (`RTDL_N` in the paper's
 //! Table III). A linear stem projects features to a hidden width, residual
 //! blocks `z ← z + W₂ relu(W₁ z)` refine the representation, and a linear
-//! head produces logits (classification) or a scalar (regression).
+//! head produces logits (classification) or a scalar (regression), as the
+//! label it is fitted on decides (see [`crate::nn::Net`]).
 //!
-//! Per the paper, `RTDL_N` trains the ResNet with a softmax head and then
+//! Per the paper, `RTDL_N` trains the ResNet with its own head and then
 //! *re-heads* it with a Random Forest on the penultimate representation;
-//! [`ResNetClassifier::embed`] exposes that representation (computed
-//! batched over the whole matrix).
+//! [`ResNet::embed`] exposes that representation (computed batched over
+//! the whole matrix).
 //!
 //! Training and inference run through the flat batched kernels in
 //! [`crate::dense`] (shared driver with the MLP).
 
-use crate::dense::{
-    embed_rows, forward_rows, train_flat, validate_columns, FlatNet, Mat, Topology, TrainSpec,
-};
+use crate::dense::{Topology, TrainSpec};
 use crate::error::{LearnError, Result};
-use crate::nn::softmax_cross_entropy_into;
-use crate::preprocess::Standardizer;
-use crate::tree::argmax;
+use crate::nn::Net;
 use serde::{Deserialize, Serialize};
+use tabular::Label;
 
 /// Seed stream for the minibatch shuffle RNG (distinct from the MLP's,
 /// and stable across refactors for reproducibility).
@@ -73,85 +71,37 @@ impl ResNetConfig {
     }
 }
 
-/// Column-major view of a row-major embedding matrix (one column per
-/// hidden unit), the layout the Random Forest re-heading consumes.
-fn to_columns(e: &Mat) -> Vec<Vec<f64>> {
-    let mut cols = vec![Vec::with_capacity(e.rows()); e.cols()];
-    for r in 0..e.rows() {
-        for (col, v) in cols.iter_mut().zip(e.row(r)) {
-            col.push(*v);
-        }
-    }
-    cols
-}
-
-/// Tabular ResNet classifier.
+/// Tabular ResNet over either task: the [`Label`] it is fitted on picks
+/// a softmax head over the classes or an MSE head over standardised
+/// targets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResNetClassifier {
+pub struct ResNet {
     /// Hyper-parameters used at fit time.
     pub config: ResNetConfig,
-    core: Option<FlatNet>,
-    scaler: Option<Standardizer>,
-    n_classes: usize,
+    net: Option<Net>,
 }
 
-impl ResNetClassifier {
-    /// New unfitted classifier.
+impl ResNet {
+    /// New unfitted network.
     pub fn new(config: ResNetConfig) -> Self {
-        Self {
-            config,
-            core: None,
-            scaler: None,
-            n_classes: 0,
-        }
+        Self { config, net: None }
     }
 
-    /// Fit with a softmax head.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
-        validate_columns(x, y.len(), "resnet")?;
-        if n_classes < 2 {
-            return Err(LearnError::InvalidParam("need at least 2 classes".into()));
-        }
-        let scaler = Standardizer::fit(x);
-        let rows = Mat::from_columns(&scaler.transform(x));
-        let core = train_flat(
-            self.config.topology(),
-            x.len(),
-            n_classes,
-            &rows,
-            &self.config.train_spec(),
-            &|out, i, d| softmax_cross_entropy_into(out, y[i], d),
-        );
-        self.core = Some(core);
-        self.scaler = Some(scaler);
-        self.n_classes = n_classes;
+    /// Fit on column-major features against a label.
+    pub fn fit(&mut self, x: &[Vec<f64>], label: &Label) -> Result<()> {
+        let spec = self.config.train_spec();
+        self.net = Some(Net::fit(self.config.topology(), &spec, x, label, "resnet")?);
         Ok(())
     }
 
-    fn parts(&self) -> Result<(&FlatNet, &Standardizer)> {
-        match (&self.core, &self.scaler) {
-            (Some(c), Some(s)) => Ok((c, s)),
-            _ => Err(LearnError::NotFitted("ResNetClassifier")),
-        }
+    fn net(&self) -> Result<&Net> {
+        self.net.as_ref().ok_or(LearnError::NotFitted("ResNet"))
     }
 
-    fn check_features(&self, scaler: &Standardizer, x: &[Vec<f64>]) -> Result<()> {
-        if x.len() != scaler.n_features() {
-            return Err(LearnError::DimensionMismatch {
-                fitted: scaler.n_features(),
-                got: x.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Softmax-head class predictions.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        let (core, scaler) = self.parts()?;
-        self.check_features(scaler, x)?;
-        let rows = Mat::from_columns(&scaler.transform(x));
-        let outs = forward_rows(core, &rows);
-        Ok((0..outs.rows()).map(|r| argmax(outs.row(r))).collect())
+    /// Predict column-major features with the network's own head, of the
+    /// task fitted on.
+    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        self.net()?.predict(x)
     }
 
     /// Penultimate representations, **column-major** (one column per hidden
@@ -159,115 +109,24 @@ impl ResNetClassifier {
     /// paper's `RTDL_N` re-heading. Computed with the batched kernels
     /// over the whole matrix.
     pub fn embed(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let (core, scaler) = self.parts()?;
-        self.check_features(scaler, x)?;
-        let rows = Mat::from_columns(&scaler.transform(x));
-        Ok(to_columns(&embed_rows(core, &rows)))
+        self.net()?.embed(x)
     }
 
     /// The trained flat parameter slab (testing hook for bit-level parity
     /// assertions across thread counts and against the per-sample oracle).
     pub fn trained_params(&self) -> Option<&[f64]> {
-        self.core.as_ref().map(FlatNet::params)
-    }
-}
-
-/// Tabular ResNet regressor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResNetRegressor {
-    /// Hyper-parameters used at fit time.
-    pub config: ResNetConfig,
-    core: Option<FlatNet>,
-    scaler: Option<Standardizer>,
-    y_mean: f64,
-    y_std: f64,
-}
-
-impl ResNetRegressor {
-    /// New unfitted regressor.
-    pub fn new(config: ResNetConfig) -> Self {
-        Self {
-            config,
-            core: None,
-            scaler: None,
-            y_mean: 0.0,
-            y_std: 1.0,
-        }
-    }
-
-    /// Fit with an MSE head over standardised targets.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
-        validate_columns(x, y.len(), "resnet")?;
-        let scaler = Standardizer::fit(x);
-        let rows = Mat::from_columns(&scaler.transform(x));
-        self.y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let var = y.iter().map(|t| (t - self.y_mean).powi(2)).sum::<f64>() / y.len() as f64;
-        self.y_std = var.sqrt().max(1e-12);
-        let yz: Vec<f64> = y.iter().map(|t| (t - self.y_mean) / self.y_std).collect();
-        let core = train_flat(
-            self.config.topology(),
-            x.len(),
-            1,
-            &rows,
-            &self.config.train_spec(),
-            &|out, i, d| d[0] = 2.0 * (out[0] - yz[i]),
-        );
-        self.core = Some(core);
-        self.scaler = Some(scaler);
-        Ok(())
-    }
-
-    fn parts(&self) -> Result<(&FlatNet, &Standardizer)> {
-        match (&self.core, &self.scaler) {
-            (Some(c), Some(s)) => Ok((c, s)),
-            _ => Err(LearnError::NotFitted("ResNetRegressor")),
-        }
-    }
-
-    /// Target predictions.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let (core, scaler) = self.parts()?;
-        if x.len() != scaler.n_features() {
-            return Err(LearnError::DimensionMismatch {
-                fitted: scaler.n_features(),
-                got: x.len(),
-            });
-        }
-        let rows = Mat::from_columns(&scaler.transform(x));
-        let outs = forward_rows(core, &rows);
-        Ok((0..outs.rows())
-            .map(|r| outs.row(r)[0] * self.y_std + self.y_mean)
-            .collect())
-    }
-
-    /// Penultimate representations, column-major (see
-    /// [`ResNetClassifier::embed`]).
-    pub fn embed(&self, x: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let (core, scaler) = self.parts()?;
-        if x.len() != scaler.n_features() {
-            return Err(LearnError::DimensionMismatch {
-                fitted: scaler.n_features(),
-                got: x.len(),
-            });
-        }
-        let rows = Mat::from_columns(&scaler.transform(x));
-        Ok(to_columns(&embed_rows(core, &rows)))
-    }
-
-    /// The trained flat parameter slab (testing / benchmarking hook).
-    pub fn trained_params(&self) -> Option<&[f64]> {
-        self.core.as_ref().map(FlatNet::params)
+        self.net.as_ref().map(Net::params)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{accuracy, one_minus_rae};
+    use crate::metrics::{accuracy, score};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
+    fn blobs(n: usize, seed: u64) -> (Vec<Vec<f64>>, Label) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -279,18 +138,19 @@ mod tests {
             b.push(center + rng.gen_range(-1.0..1.0));
             y.push(c);
         }
-        (vec![a, b], y)
+        (vec![a, b], Label::Class { y, n_classes: 2 })
     }
 
     #[test]
     fn classifier_separates_blobs() {
         let (x, y) = blobs(200, 1);
-        let mut m = ResNetClassifier::new(ResNetConfig {
+        let mut m = ResNet::new(ResNetConfig {
             epochs: 30,
             ..Default::default()
         });
-        m.fit(&x, &y, 2).unwrap();
-        let acc = accuracy(&y, &m.predict(&x).unwrap()).unwrap();
+        m.fit(&x, &y).unwrap();
+        let pred = m.predict(&x).unwrap();
+        let acc = accuracy(y.classes().unwrap(), pred.classes().unwrap()).unwrap();
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
@@ -302,8 +162,8 @@ mod tests {
             width: 16,
             ..Default::default()
         };
-        let mut m = ResNetClassifier::new(cfg);
-        m.fit(&x, &y, 2).unwrap();
+        let mut m = ResNet::new(cfg);
+        m.fit(&x, &y).unwrap();
         let e = m.embed(&x).unwrap();
         assert_eq!(e.len(), 16);
         assert_eq!(e[0].len(), 50);
@@ -312,22 +172,22 @@ mod tests {
     #[test]
     fn regressor_fits_linear_function() {
         let xs: Vec<f64> = (0..150).map(|i| i as f64 / 25.0).collect();
-        let y: Vec<f64> = xs.iter().map(|v| 3.0 * v - 1.0).collect();
-        let mut m = ResNetRegressor::new(ResNetConfig {
+        let y = Label::Reg(xs.iter().map(|v| 3.0 * v - 1.0).collect());
+        let mut m = ResNet::new(ResNetConfig {
             epochs: 60,
             ..Default::default()
         });
         m.fit(std::slice::from_ref(&xs), &y).unwrap();
-        let score = one_minus_rae(&y, &m.predict(&[xs]).unwrap()).unwrap();
-        assert!(score > 0.9, "1-rae {score}");
+        let rae = score(&y, &m.predict(&[xs]).unwrap()).unwrap();
+        assert!(rae > 0.9, "1-rae {rae}");
     }
 
     #[test]
     fn errors_on_bad_input() {
-        let m = ResNetClassifier::new(ResNetConfig::default());
+        let m = ResNet::new(ResNetConfig::default());
         assert!(m.predict(&[vec![1.0]]).is_err());
         assert!(m.embed(&[vec![1.0]]).is_err());
-        let mut m = ResNetClassifier::new(ResNetConfig::default());
-        assert!(m.fit(&[], &[], 2).is_err());
+        let mut m = ResNet::new(ResNetConfig::default());
+        assert!(m.fit(&[], &Label::Reg(Vec::new())).is_err());
     }
 }

@@ -1,6 +1,8 @@
-//! CART decision trees (classification via Gini impurity, regression via
-//! variance reduction) — the building block of the Random Forest downstream
-//! task used throughout the paper.
+//! CART decision trees — the building block of the Random Forest downstream
+//! task used throughout the paper. One [`Tree`] serves both tasks: the
+//! [`Label`] it is fitted on picks Gini impurity and class-frequency
+//! leaves (classification) or variance reduction and mean leaves
+//! (regression), and its predictions come back as a `Label` of that task.
 //!
 //! Features are accessed column-major (`x[feature][row]`), matching
 //! `tabular::DataFrame`'s layout so forests can train without transposing.
@@ -23,10 +25,12 @@
 
 use crate::binned::{self, BinCodes, BinnedDataset, RegBin, SplitMethod, DEFAULT_MAX_BINS};
 use crate::error::{LearnError, Result};
+use crate::forest::{predict_label, Rows};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use tabular::{Label, Task};
 
 /// Hyper-parameters shared by classification and regression trees.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,18 +99,31 @@ impl Node {
     };
 }
 
-/// Labels the caller hands the builder, indexed by dataset row.
+/// Labels the caller hands the builder, indexed by dataset row: a
+/// borrowed [`Label`].
 #[derive(Clone, Copy)]
-enum Labels<'a> {
+pub(crate) enum Labels<'a> {
     Class { y: &'a [usize], n_classes: usize },
     Reg(&'a [f64]),
 }
 
 impl Labels<'_> {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Labels::Class { y, .. } => y.len(),
             Labels::Reg(y) => y.len(),
+        }
+    }
+}
+
+impl<'a> From<&'a Label> for Labels<'a> {
+    fn from(label: &'a Label) -> Self {
+        match label {
+            Label::Class { y, n_classes } => Labels::Class {
+                y,
+                n_classes: *n_classes,
+            },
+            Label::Reg(y) => Labels::Reg(y),
         }
     }
 }
@@ -147,21 +164,62 @@ impl NodeLabels {
     }
 }
 
-/// A fitted CART tree. Construct through [`DecisionTreeClassifier`] or
-/// [`DecisionTreeRegressor`].
+/// A fitted CART tree, of the task of the label it was fitted on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tree {
     nodes: Vec<Node>,
     /// Leaf payloads, `n_outputs` values per leaf: the mean target
     /// (regression) or the class frequencies (classification).
     leaf_values: Vec<f64>,
-    n_outputs: usize,
-    n_features: usize,
+    pub(crate) n_outputs: usize,
+    pub(crate) task: Task,
+    pub(crate) n_features: usize,
     /// Total impurity decrease attributed to each feature (unnormalised).
     importances: Vec<f64>,
 }
 
 impl Tree {
+    /// Fit on column-major features: quantise them (through the
+    /// process-wide bin cache), then [`fit_binned`](Self::fit_binned) on
+    /// every row.
+    pub fn fit(x: &[Vec<f64>], label: &Label, config: TreeConfig) -> Result<Tree> {
+        let binned = BinnedDataset::build_cached(x, config.max_bins)?;
+        let all: Vec<usize> = (0..label.len()).collect();
+        Self::fit_binned(&binned, &all, label, config)
+    }
+
+    /// Fit on a pre-binned dataset, training only on `rows` (which may
+    /// repeat indices — bootstrap draws count multiply, exactly as they
+    /// would in a gathered sub-matrix). `label` spans the full dataset.
+    pub fn fit_binned(
+        binned: &BinnedDataset,
+        rows: &[usize],
+        label: &Label,
+        config: TreeConfig,
+    ) -> Result<Tree> {
+        Self::fit_labels(binned, rows, Labels::from(label), config)
+    }
+
+    /// [`fit_binned`](Self::fit_binned) on borrowed labels.
+    pub(crate) fn fit_labels(
+        binned: &BinnedDataset,
+        rows: &[usize],
+        labels: Labels<'_>,
+        config: TreeConfig,
+    ) -> Result<Tree> {
+        Builder::build(binned, rows, labels, config)
+    }
+
+    /// Predict column-major features: the majority class of each row's
+    /// leaf, or its mean target.
+    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Label> {
+        let cols = predict_columns(x, self.n_features)?;
+        Ok(predict_label(
+            std::slice::from_ref(self),
+            Rows::Values(&cols),
+        ))
+    }
+
     /// Per-feature importance: impurity decrease normalised to sum to 1
     /// (all zeros when the tree is a single leaf).
     pub fn feature_importances(&self) -> Vec<f64> {
@@ -356,6 +414,10 @@ impl<'a> Builder<'a> {
             n_outputs: match labels {
                 Labels::Class { n_classes, .. } => n_classes,
                 Labels::Reg(_) => 1,
+            },
+            task: match labels {
+                Labels::Class { .. } => Task::Classification,
+                Labels::Reg(_) => Task::Regression,
             },
             n_features,
             importances: b.importances,
@@ -921,111 +983,6 @@ fn gini(counts: &[usize], n: usize) -> f64 {
         .sum::<f64>()
 }
 
-/// A CART classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionTreeClassifier {
-    /// Hyper-parameters used at fit time.
-    pub config: TreeConfig,
-    tree: Option<Tree>,
-    n_classes: usize,
-}
-
-impl DecisionTreeClassifier {
-    /// New unfitted classifier.
-    pub fn new(config: TreeConfig) -> Self {
-        Self {
-            config,
-            tree: None,
-            n_classes: 0,
-        }
-    }
-
-    /// Fit on column-major features and class labels in `0..n_classes`:
-    /// quantise the features (through the process-wide bin cache), then
-    /// [`fit_binned`](Self::fit_binned) on every row.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[usize], n_classes: usize) -> Result<()> {
-        let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-        let all: Vec<usize> = (0..y.len()).collect();
-        self.fit_binned(&binned, &all, y, n_classes)
-    }
-
-    /// Fit on a pre-binned dataset, training only on `rows` (which may
-    /// repeat indices — bootstrap draws count multiply, exactly as they
-    /// would in a gathered sub-matrix). `y` spans the full dataset.
-    pub fn fit_binned(
-        &mut self,
-        binned: &BinnedDataset,
-        rows: &[usize],
-        y: &[usize],
-        n_classes: usize,
-    ) -> Result<()> {
-        if n_classes == 0 {
-            return Err(LearnError::InvalidParam("n_classes must be > 0".into()));
-        }
-        let labels = Labels::Class { y, n_classes };
-        self.tree = Some(Builder::build(binned, rows, labels, self.config)?);
-        self.n_classes = n_classes;
-        Ok(())
-    }
-
-    /// Predict class labels for column-major features.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<usize>> {
-        let (tree, cols) = predict_input(&self.tree, "DecisionTreeClassifier", x)?;
-        let mut preds = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, |row| preds.push(argmax(tree.leaf_values(row))));
-        Ok(preds)
-    }
-
-    /// The fitted tree, if any.
-    pub fn tree(&self) -> Option<&Tree> {
-        self.tree.as_ref()
-    }
-}
-
-/// A CART regressor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionTreeRegressor {
-    /// Hyper-parameters used at fit time.
-    pub config: TreeConfig,
-    tree: Option<Tree>,
-}
-
-impl DecisionTreeRegressor {
-    /// New unfitted regressor.
-    pub fn new(config: TreeConfig) -> Self {
-        Self { config, tree: None }
-    }
-
-    /// Fit on column-major features and real-valued targets: quantise the
-    /// features (through the process-wide bin cache), then
-    /// [`fit_binned`](Self::fit_binned) on every row.
-    pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) -> Result<()> {
-        let binned = BinnedDataset::build_cached(x, self.config.max_bins)?;
-        let all: Vec<usize> = (0..y.len()).collect();
-        self.fit_binned(&binned, &all, y)
-    }
-
-    /// Fit on a pre-binned dataset, training only on `rows` (duplicates
-    /// count multiply). `y` spans the full dataset.
-    pub fn fit_binned(&mut self, binned: &BinnedDataset, rows: &[usize], y: &[f64]) -> Result<()> {
-        self.tree = Some(Builder::build(binned, rows, Labels::Reg(y), self.config)?);
-        Ok(())
-    }
-
-    /// Predict targets for column-major features.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let (tree, cols) = predict_input(&self.tree, "DecisionTreeRegressor", x)?;
-        let mut preds = Vec::with_capacity(cols[0].len());
-        for_each_row(&cols, |row| preds.push(tree.leaf_values(row)[0]));
-        Ok(preds)
-    }
-
-    /// The fitted tree, if any.
-    pub fn tree(&self) -> Option<&Tree> {
-        self.tree.as_ref()
-    }
-}
-
 /// Column slices of a column-major matrix, checked against the feature
 /// count a model was fitted on (and non-empty, so `cols[0]` gives the row
 /// count).
@@ -1113,16 +1070,6 @@ pub(crate) fn for_each_coded_row(
     }
 }
 
-/// The fitted tree of a single-tree model and the checked input columns.
-fn predict_input<'a>(
-    tree: &'a Option<Tree>,
-    model: &'static str,
-    x: &'a [Vec<f64>],
-) -> Result<(&'a Tree, Vec<&'a [f64]>)> {
-    let tree = tree.as_ref().ok_or(LearnError::NotFitted(model))?;
-    Ok((tree, predict_columns(x, tree.n_features)?))
-}
-
 pub(crate) fn argmax(v: &[f64]) -> usize {
     let mut best = 0;
     for (i, &x) in v.iter().enumerate() {
@@ -1139,7 +1086,7 @@ mod tests {
     use rand::Rng;
 
     /// XOR-ish separable data: class = (a > 0) != (b > 0).
-    fn xor_data(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    fn xor_data(n: usize) -> (Vec<Vec<f64>>, Label) {
         let mut a = Vec::new();
         let mut b = Vec::new();
         let mut y = Vec::new();
@@ -1150,14 +1097,18 @@ mod tests {
             b.push(bv);
             y.push(usize::from((av > 0.0) != (bv > 0.0)));
         }
-        (vec![a, b], y)
+        (vec![a, b], Label::Class { y, n_classes: 2 })
+    }
+
+    /// The classes of a classification prediction.
+    fn classes(pred: Label) -> Vec<usize> {
+        pred.classes().unwrap().to_vec()
     }
 
     #[test]
     fn classifier_learns_xor() {
         let (x, y) = xor_data(64);
-        let mut t = DecisionTreeClassifier::new(TreeConfig::default());
-        t.fit(&x, &y, 2).unwrap();
+        let t = Tree::fit(&x, &y, TreeConfig::default()).unwrap();
         assert_eq!(t.predict(&x).unwrap(), y);
     }
 
@@ -1172,12 +1123,9 @@ mod tests {
             .iter()
             .map(|c| rows.iter().map(|&r| c[r]).collect())
             .collect();
-        let gy: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
-        let mut gathered = DecisionTreeClassifier::new(TreeConfig::default());
-        gathered.fit(&gx, &gy, 2).unwrap();
+        let gathered = Tree::fit(&gx, &y.take(&rows), TreeConfig::default()).unwrap();
         let binned = BinnedDataset::build(&x, DEFAULT_MAX_BINS).unwrap();
-        let mut indexed = DecisionTreeClassifier::new(TreeConfig::default());
-        indexed.fit_binned(&binned, &rows, &y, 2).unwrap();
+        let indexed = Tree::fit_binned(&binned, &rows, &y, TreeConfig::default()).unwrap();
         assert_eq!(gathered, indexed);
     }
 
@@ -1465,20 +1413,22 @@ mod tests {
     #[test]
     fn rejects_invalid_max_bins() {
         let (x, y) = xor_data(16);
-        let mut t = DecisionTreeClassifier::new(TreeConfig {
+        let cfg = TreeConfig {
             max_bins: 1,
             ..Default::default()
-        });
-        assert!(t.fit(&x, &y, 2).is_err());
+        };
+        assert!(Tree::fit(&x, &y, cfg).is_err());
     }
 
     #[test]
     fn pure_node_is_leaf() {
         let x = vec![vec![1.0, 2.0, 3.0]];
-        let y = vec![1, 1, 1];
-        let mut t = DecisionTreeClassifier::new(TreeConfig::default());
-        t.fit(&x, &y, 2).unwrap();
-        assert_eq!(t.tree().unwrap().n_nodes(), 1);
+        let y = Label::Class {
+            y: vec![1, 1, 1],
+            n_classes: 2,
+        };
+        let t = Tree::fit(&x, &y, TreeConfig::default()).unwrap();
+        assert_eq!(t.n_nodes(), 1);
         assert_eq!(t.predict(&x).unwrap(), y);
     }
 
@@ -1489,20 +1439,19 @@ mod tests {
             max_depth: 0,
             ..Default::default()
         };
-        let mut t = DecisionTreeClassifier::new(cfg);
-        t.fit(&x, &y, 2).unwrap();
-        let preds = t.predict(&x).unwrap();
+        let preds = classes(Tree::fit(&x, &y, cfg).unwrap().predict(&x).unwrap());
         assert!(preds.iter().all(|&p| p == preds[0]));
     }
 
     #[test]
     fn regressor_fits_step_function() {
         let x = vec![(0..100).map(|i| i as f64).collect::<Vec<_>>()];
-        let y: Vec<f64> = (0..100).map(|i| if i < 50 { 1.0 } else { 5.0 }).collect();
-        let mut t = DecisionTreeRegressor::new(TreeConfig::default());
-        t.fit(&x, &y).unwrap();
-        let preds = t.predict(&x).unwrap();
-        for (p, t) in preds.iter().zip(&y) {
+        let y = Label::Reg((0..100).map(|i| if i < 50 { 1.0 } else { 5.0 }).collect());
+        let preds = Tree::fit(&x, &y, TreeConfig::default())
+            .unwrap()
+            .predict(&x)
+            .unwrap();
+        for (p, t) in preds.targets().unwrap().iter().zip(y.targets().unwrap()) {
             assert!((p - t).abs() < 1e-9);
         }
     }
@@ -1510,10 +1459,9 @@ mod tests {
     #[test]
     fn regressor_constant_target_single_leaf() {
         let x = vec![vec![1.0, 2.0, 3.0, 4.0]];
-        let y = vec![7.0; 4];
-        let mut t = DecisionTreeRegressor::new(TreeConfig::default());
-        t.fit(&x, &y).unwrap();
-        assert_eq!(t.tree().unwrap().n_nodes(), 1);
+        let y = Label::Reg(vec![7.0; 4]);
+        let t = Tree::fit(&x, &y, TreeConfig::default()).unwrap();
+        assert_eq!(t.n_nodes(), 1);
         assert_eq!(t.predict(&x).unwrap(), y);
     }
 
@@ -1524,17 +1472,15 @@ mod tests {
             min_samples_leaf: 20, // larger than half the data → no split legal
             ..Default::default()
         };
-        let mut t = DecisionTreeClassifier::new(cfg);
-        t.fit(&x, &y, 2).unwrap();
-        assert_eq!(t.tree().unwrap().n_nodes(), 1);
+        assert_eq!(Tree::fit(&x, &y, cfg).unwrap().n_nodes(), 1);
     }
 
     #[test]
     fn importances_sum_to_one_when_split() {
         let (x, y) = xor_data(64);
-        let mut t = DecisionTreeClassifier::new(TreeConfig::default());
-        t.fit(&x, &y, 2).unwrap();
-        let imp = t.tree().unwrap().feature_importances();
+        let imp = Tree::fit(&x, &y, TreeConfig::default())
+            .unwrap()
+            .feature_importances();
         assert_eq!(imp.len(), 2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Both XOR features matter.
@@ -1543,12 +1489,12 @@ mod tests {
 
     #[test]
     fn errors_on_empty_and_mismatched_input() {
-        let mut t = DecisionTreeClassifier::new(TreeConfig::default());
-        assert!(t.fit(&[], &[], 2).is_err());
-        assert!(t.fit(&[vec![1.0, 2.0]], &[0], 2).is_err());
-        assert!(t.predict(&[vec![1.0]]).is_err()); // not fitted
+        let cfg = TreeConfig::default();
+        let class = |y: Vec<usize>| Label::Class { y, n_classes: 2 };
+        assert!(Tree::fit(&[], &class(Vec::new()), cfg).is_err());
+        assert!(Tree::fit(&[vec![1.0, 2.0]], &class(vec![0]), cfg).is_err());
         let (x, y) = xor_data(8);
-        t.fit(&x, &y, 2).unwrap();
+        let t = Tree::fit(&x, &y, cfg).unwrap();
         assert!(t.predict(&[vec![1.0]]).is_err()); // wrong dimension
     }
 
@@ -1557,10 +1503,16 @@ mod tests {
         // Feature has duplicate values at the would-be boundary; the tree
         // must not split between equal values.
         let x = vec![vec![1.0, 1.0, 1.0, 2.0]];
-        let y = vec![0, 0, 1, 1];
-        let mut t = DecisionTreeClassifier::new(TreeConfig::default());
-        t.fit(&x, &y, 2).unwrap();
-        let preds = t.predict(&x).unwrap();
+        let y = Label::Class {
+            y: vec![0, 0, 1, 1],
+            n_classes: 2,
+        };
+        let preds = classes(
+            Tree::fit(&x, &y, TreeConfig::default())
+                .unwrap()
+                .predict(&x)
+                .unwrap(),
+        );
         // Rows with value 1.0 share a leaf → same prediction.
         assert_eq!(preds[0], preds[1]);
         assert_eq!(preds[1], preds[2]);

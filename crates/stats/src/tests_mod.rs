@@ -1,6 +1,6 @@
-//! Hypothesis tests: paired t-test, Welch's two-sample t-test, and the
-//! Wilcoxon signed-rank test — the machinery behind the paper's Table VI
-//! significance analysis of E-AFE against each baseline.
+//! Hypothesis tests: the paired t-test and the Wilcoxon signed-rank test —
+//! the machinery behind the paper's Table VI significance analysis of
+//! E-AFE against each baseline.
 
 use crate::dist::{normal_cdf, t_two_sided_p};
 use serde::{Deserialize, Serialize};

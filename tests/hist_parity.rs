@@ -7,20 +7,20 @@
 //! high-cardinality columns, where every node below the root is smaller
 //! than the bin count and takes the counting scan instead of a dense
 //! histogram. Plus unit checks of the bin-edge construction and the
-//! sibling-subtraction identity the per-node histograms rely on, and the
-//! identity `fit` ≡ bin + `fit_binned`.
+//! identity `fit` ≡ bin + `fit_binned`. (The sibling-subtraction identity
+//! the per-node histograms rely on is a unit test of `learners::binned`,
+//! where the node-ordered kernels live.)
 
 mod support;
 
 use learners::{
-    accumulate_class, accumulate_reg, subtract_class, subtract_reg, BinCodes, BinnedColumn,
-    BinnedDataset, DecisionTreeClassifier, DecisionTreeRegressor, Evaluator, ForestConfig,
-    RandomForestClassifier, RandomForestRegressor, TreeConfig,
+    BinCodes, BinnedColumn, BinnedDataset, Evaluator, ForestConfig, RandomForest, Tree, TreeConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use support::exact_cart::{ExactForest, ExactTree};
+use tabular::Label;
 
 fn forest_config(seed: u64) -> ForestConfig {
     // No bootstrap: every predicted row is then a training row, whose
@@ -49,6 +49,18 @@ fn matrix(
     (0..n_features)
         .map(|_| (0..n_rows).map(|_| gen(rng)).collect())
         .collect()
+}
+
+fn binary(y: &[usize]) -> Label {
+    Label::Class {
+        y: y.to_vec(),
+        n_classes: 2,
+    }
+}
+
+/// The classes of a classification prediction.
+fn classes(pred: Label) -> Vec<usize> {
+    pred.classes().expect("class predictions").to_vec()
 }
 
 /// A learnable label: does the first feature pair sum above its median?
@@ -123,14 +135,12 @@ fn assert_counting_tree_matches_exact(
         );
         prop_assert_eq!(matches!(col.codes(), BinCodes::U16(_)), expect_u16);
     }
-    let mut hist = DecisionTreeClassifier::new(cfg);
-    hist.fit_binned(&binned, &rows, &y, n_classes)
-        .expect("hist fit");
+    let th =
+        Tree::fit_binned(&binned, &rows, &Label::Class { y, n_classes }, cfg).expect("hist fit");
 
-    let th = hist.tree().unwrap();
     prop_assert_eq!(exact.n_nodes(), th.n_nodes());
     prop_assert!(exact.n_nodes() > 3, "tree must actually split");
-    prop_assert_eq!(exact.predict(&gx), hist.predict(&gx).unwrap());
+    prop_assert_eq!(exact.predict(&gx), classes(th.predict(&gx).unwrap()));
     for (a, b) in exact
         .feature_importances()
         .iter()
@@ -183,10 +193,10 @@ proptest! {
         let y = threshold_labels(&x);
 
         let exact = ExactForest::fit(&x, &y, 2, forest_config(seed));
-        let mut hist = RandomForestClassifier::new(forest_config(seed));
-        hist.fit(&x, &y, 2).expect("hist fit");
+        let mut hist = RandomForest::new(forest_config(seed));
+        hist.fit(&x, &binary(&y)).expect("hist fit");
 
-        let (pe, ph) = (exact.predict(&x), hist.predict(&x).unwrap());
+        let (pe, ph) = (exact.predict(&x), classes(hist.predict(&x).unwrap()));
         prop_assert_eq!(pe, ph);
         let (ie, ih) = (
             exact.feature_importances(),
@@ -212,12 +222,12 @@ proptest! {
         let y = threshold_labels(&x);
 
         let exact = ExactForest::fit(&x, &y, 2, forest_config(seed));
-        let mut hist = RandomForestClassifier::new(forest_config(seed));
-        hist.fit(&x, &y, 2).expect("hist fit");
+        let mut hist = RandomForest::new(forest_config(seed));
+        hist.fit(&x, &binary(&y)).expect("hist fit");
 
         let (acc_e, acc_h) = (
             accuracy(&exact.predict(&x), &y),
-            accuracy(&hist.predict(&x).expect("predict"), &y),
+            accuracy(&classes(hist.predict(&x).expect("predict")), &y),
         );
         prop_assert!(
             (acc_e - acc_h).abs() <= 0.15,
@@ -225,44 +235,6 @@ proptest! {
             acc_e,
             acc_h
         );
-    }
-
-    /// Sibling subtraction is exact: for any parent row set and any
-    /// left/right split of it, `parent − left == right` on both the
-    /// class-count and the regression-sum histograms.
-    #[test]
-    fn sibling_subtraction_identity(
-        seed in 0u64..1_000_000,
-        n_rows in 20usize..100,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let values: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-        let col = BinnedColumn::build(&values, 16);
-        let rows: Vec<usize> = (0..n_rows).collect();
-        let cut = rng.gen_range(0..=n_rows);
-        let (left, right) = rows.split_at(cut);
-
-        let yc: Vec<usize> = (0..n_rows).map(|_| rng.gen_range(0..3)).collect();
-        let (mut hp, mut hl, mut hr) = (Vec::new(), Vec::new(), Vec::new());
-        accumulate_class(&col, &rows, &yc, 3, &mut hp);
-        accumulate_class(&col, left, &yc, 3, &mut hl);
-        accumulate_class(&col, right, &yc, 3, &mut hr);
-        prop_assert_eq!(subtract_class(&hp, &hl), hr);
-
-        let yr: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(-1.0f64..1.0)).collect();
-        let (mut gp, mut gl, mut gr) = (Vec::new(), Vec::new(), Vec::new());
-        accumulate_reg(&col, &rows, &yr, &mut gp);
-        accumulate_reg(&col, left, &yr, &mut gl);
-        accumulate_reg(&col, right, &yr, &mut gr);
-        let sub = subtract_reg(&gp, &gl);
-        prop_assert_eq!(sub.len(), gr.len());
-        for (s, r) in sub.iter().zip(&gr) {
-            prop_assert_eq!(s.n, r.n);
-            // Sums come out of a subtraction, not a re-accumulation, so
-            // compare to the float tolerance the scan itself tolerates.
-            prop_assert!((s.sum - r.sum).abs() <= 1e-9 * (1.0 + r.sum.abs()));
-            prop_assert!((s.sumsq - r.sumsq).abs() <= 1e-9 * (1.0 + r.sumsq.abs()));
-        }
     }
 
     /// Bin-edge invariant on arbitrary finite columns: codes are
@@ -318,7 +290,7 @@ fn binned_dataset_rejects_ragged_matrix() {
 
 /// What replaced the split-method dispatch: every default names the one
 /// split finder, and `fit` is "bin, then `fit_binned` on every row" for
-/// all four models at any thread count.
+/// the tree and the forest on both tasks at any thread count.
 #[test]
 fn fit_is_binning_then_fit_binned_on_all_rows() {
     let split = TreeConfig::default().split;
@@ -328,8 +300,8 @@ fn fit_is_binning_then_fit_binned_on_all_rows() {
 
     let mut rng = StdRng::seed_from_u64(23);
     let x = matrix(&mut rng, 300, 5, |r| r.gen_range(-3.0f64..3.0));
-    let yc = threshold_labels(&x);
-    let yr: Vec<f64> = (0..300).map(|r| x[0][r] * x[1][r] + x[2][r]).collect();
+    let yc = binary(&threshold_labels(&x));
+    let yr = Label::Reg((0..300).map(|r| x[0][r] * x[1][r] + x[2][r]).collect());
     let all: Vec<usize> = (0..300).collect();
     let tree = TreeConfig {
         max_bins: 64, // fewer bins than distinct values: quantile cuts
@@ -337,12 +309,18 @@ fn fit_is_binning_then_fit_binned_on_all_rows() {
         ..TreeConfig::default()
     };
     let binned = BinnedDataset::build(&x, tree.max_bins).expect("bin");
-    // `fit(x, y..)` and `fit_binned(bins of x, all rows, y..)` of one model type.
+    // `fit(x, label)` and `fit_binned(bins of x, all rows, label)` of one
+    // model type.
     macro_rules! assert_fit_is_fit_binned {
-        ($model:ident, $cfg:expr, $($label:expr),+) => {{
+        (Tree, $cfg:expr, $label:expr) => {{
+            let a = Tree::fit(&x, $label, $cfg).expect("fit");
+            let b = Tree::fit_binned(&binned, &all, $label, $cfg).expect("fit_binned");
+            assert_eq!(a, b, "Tree");
+        }};
+        ($model:ident, $cfg:expr, $label:expr) => {{
             let (mut a, mut b) = ($model::new($cfg), $model::new($cfg));
-            a.fit(&x, $($label),+).expect("fit");
-            b.fit_binned(&binned, &all, $($label),+).expect("fit_binned");
+            a.fit(&x, $label).expect("fit");
+            b.fit_binned(&binned, &all, $label).expect("fit_binned");
             assert_eq!(a, b, stringify!($model));
         }};
     }
@@ -353,10 +331,10 @@ fn fit_is_binning_then_fit_binned_on_all_rows() {
             tree,
             ..ForestConfig::default()
         };
-        assert_fit_is_fit_binned!(DecisionTreeClassifier, tree, &yc, 2);
-        assert_fit_is_fit_binned!(DecisionTreeRegressor, tree, &yr);
-        assert_fit_is_fit_binned!(RandomForestClassifier, forest, &yc, 2);
-        assert_fit_is_fit_binned!(RandomForestRegressor, forest, &yr);
+        for label in [&yc, &yr] {
+            assert_fit_is_fit_binned!(Tree, tree, label);
+            assert_fit_is_fit_binned!(RandomForest, forest, label);
+        }
     }
     runtime::set_global_threads(0);
 }

@@ -224,12 +224,10 @@ fn binned_forest_identical_across_thread_counts() {
     // front and the pool returns trees in submission order, so a 1-thread
     // and a 4-thread fit of the same forest are the same ensemble —
     // checked at both the raw-forest and the CV-evaluator level.
-    use learners::{Evaluator, ForestConfig, RandomForestClassifier, SplitMethod};
+    use learners::{Evaluator, ForestConfig, RandomForest, SplitMethod};
 
     let frame = frame();
     let x = learners::feature_matrix(&frame);
-    let y = frame.label().classes().unwrap().to_vec();
-    let n_classes = frame.label().n_classes();
 
     let cfg = ForestConfig {
         n_trees: 12,
@@ -244,12 +242,12 @@ fn binned_forest_identical_across_thread_counts() {
     evaluator.forest.tree.split = SplitMethod::Histogram;
 
     runtime::set_global_threads(1);
-    let mut single = RandomForestClassifier::new(cfg);
-    single.fit(&x, &y, n_classes).unwrap();
+    let mut single = RandomForest::new(cfg);
+    single.fit(&x, frame.label()).unwrap();
     let score_single = evaluator.evaluate(&frame).unwrap();
     runtime::set_global_threads(4);
-    let mut multi = RandomForestClassifier::new(cfg);
-    multi.fit(&x, &y, n_classes).unwrap();
+    let mut multi = RandomForest::new(cfg);
+    multi.fit(&x, frame.label()).unwrap();
     let score_multi = evaluator.evaluate(&frame).unwrap();
     runtime::set_global_threads(0);
 
@@ -267,68 +265,6 @@ fn binned_forest_identical_across_thread_counts() {
         score_multi.to_bits(),
         "binned CV score 1-vs-4 threads: {score_single} vs {score_multi}"
     );
-}
-
-#[test]
-fn feature_parallel_histograms_identical_across_thread_counts() {
-    // The feature-parallel histogram batch (one worker-pool task per
-    // feature, merged in fixed feature-index order — DESIGN.md §13) must
-    // be invisible: the 4-thread batch, the 1-thread batch, and a plain
-    // per-column serial accumulation are all bitwise the same histograms.
-    // 8 features × 12k rows clears HIST_PARALLEL_GRAIN, so the 4-thread
-    // run genuinely fans out.
-    use learners::{
-        accumulate_class, accumulate_class_parallel, accumulate_reg, accumulate_reg_parallel,
-        BinnedColumn, HIST_PARALLEL_GRAIN,
-    };
-
-    let n_rows = 12_000usize;
-    let n_features = 8usize;
-    assert!(n_rows * n_features >= HIST_PARALLEL_GRAIN);
-    let cols: Vec<BinnedColumn> = (0..n_features)
-        .map(|f| {
-            let vals: Vec<f64> = (0..n_rows)
-                .map(|r| (((r * (13 + f * 7)) % 997) as f64 * 0.37).sin() * 50.0)
-                .collect();
-            BinnedColumn::build(&vals, 64)
-        })
-        .collect();
-    let col_refs: Vec<&BinnedColumn> = cols.iter().collect();
-    let rows: Vec<usize> = (0..n_rows).filter(|r| r % 5 != 2).collect();
-    let yc: Vec<usize> = (0..n_rows).map(|r| (r * 11) % 4).collect();
-    let yr: Vec<f64> = (0..n_rows).map(|r| (r as f64 * 0.01).cos()).collect();
-
-    runtime::set_global_threads(1);
-    let class_1t = accumulate_class_parallel(&col_refs, &rows, &yc, 4);
-    let reg_1t = accumulate_reg_parallel(&col_refs, &rows, &yr);
-    runtime::set_global_threads(4);
-    let class_4t = accumulate_class_parallel(&col_refs, &rows, &yc, 4);
-    let reg_4t = accumulate_reg_parallel(&col_refs, &rows, &yr);
-    runtime::set_global_threads(0);
-
-    assert_eq!(class_1t, class_4t, "class histograms 1-vs-4 threads");
-    for (f, (a, b)) in reg_1t.iter().zip(&reg_4t).enumerate() {
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.n, y.n, "reg counts feature {f}");
-            assert_eq!(x.sum.to_bits(), y.sum.to_bits(), "reg sums feature {f}");
-            assert_eq!(
-                x.sumsq.to_bits(),
-                y.sumsq.to_bits(),
-                "reg sumsq feature {f}"
-            );
-        }
-    }
-    // Both match a plain per-column serial pass.
-    for (f, col) in col_refs.iter().enumerate() {
-        let mut hc = Vec::new();
-        accumulate_class(col, &rows, &yc, 4, &mut hc);
-        assert_eq!(class_4t[f], hc, "batched class vs serial, feature {f}");
-        let mut hr = Vec::new();
-        accumulate_reg(col, &rows, &yr, &mut hr);
-        for (x, y) in reg_4t[f].iter().zip(&hr) {
-            assert_eq!((x.n, x.sum.to_bits()), (y.n, y.sum.to_bits()));
-        }
-    }
 }
 
 #[test]
@@ -370,15 +306,13 @@ fn mlp_training_identical_across_thread_counts() {
     // and a 4-thread fit are the same network. The config is sized past
     // the trainer's parallel grain (batch 128 × ~2.9k params) so the
     // 4-thread run genuinely exercises the worker pool.
-    use learners::{MlpClassifier, MlpConfig};
+    use learners::{Mlp, MlpConfig};
 
     let frame = SynthSpec::new("nn-det", 384, 20, Task::Classification)
         .with_seed(77)
         .generate()
         .unwrap();
     let x = learners::feature_matrix(&frame);
-    let y = frame.label().classes().unwrap().to_vec();
-    let n_classes = frame.label().n_classes();
     let cfg = MlpConfig {
         hidden: 128,
         epochs: 3,
@@ -388,13 +322,13 @@ fn mlp_training_identical_across_thread_counts() {
     };
 
     runtime::set_global_threads(1);
-    let mut single = MlpClassifier::new(cfg);
-    single.fit(&x, &y, n_classes).unwrap();
+    let mut single = Mlp::new(cfg);
+    single.fit(&x, frame.label()).unwrap();
     runtime::set_global_threads(4);
-    let mut multi = MlpClassifier::new(cfg);
-    multi.fit(&x, &y, n_classes).unwrap();
-    let mut refit = MlpClassifier::new(cfg);
-    refit.fit(&x, &y, n_classes).unwrap();
+    let mut multi = Mlp::new(cfg);
+    multi.fit(&x, frame.label()).unwrap();
+    let mut refit = Mlp::new(cfg);
+    refit.fit(&x, frame.label()).unwrap();
     runtime::set_global_threads(0);
 
     for (name, other) in [("1-vs-4 threads", &multi), ("4-thread refit", &refit)] {
@@ -420,15 +354,13 @@ fn resnet_training_identical_across_thread_counts() {
     // re-heading consumes): width 48 × 2 blocks ≈ 10.5k params at batch 64
     // clears the parallel grain, so the 4-thread fit runs microbatches on
     // the pool and must still match the 1-thread fit bit for bit.
-    use learners::{ResNetClassifier, ResNetConfig};
+    use learners::{ResNet, ResNetConfig};
 
     let frame = SynthSpec::new("nn-det-rn", 192, 20, Task::Classification)
         .with_seed(78)
         .generate()
         .unwrap();
     let x = learners::feature_matrix(&frame);
-    let y = frame.label().classes().unwrap().to_vec();
-    let n_classes = frame.label().n_classes();
     let cfg = ResNetConfig {
         width: 48,
         n_blocks: 2,
@@ -439,11 +371,11 @@ fn resnet_training_identical_across_thread_counts() {
     };
 
     runtime::set_global_threads(1);
-    let mut single = ResNetClassifier::new(cfg);
-    single.fit(&x, &y, n_classes).unwrap();
+    let mut single = ResNet::new(cfg);
+    single.fit(&x, frame.label()).unwrap();
     runtime::set_global_threads(4);
-    let mut multi = ResNetClassifier::new(cfg);
-    multi.fit(&x, &y, n_classes).unwrap();
+    let mut multi = ResNet::new(cfg);
+    multi.fit(&x, frame.label()).unwrap();
     runtime::set_global_threads(0);
 
     for (a, b) in single
