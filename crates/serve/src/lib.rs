@@ -46,10 +46,11 @@
 //!   progress-stream wire format;
 //! - `server` — the [`JobServer`] itself: a driver thread around the
 //!   crate-private `scheduler` core, which makes every admission,
-//!   rotation, cancellation and checkpoint decision; resume; the
-//!   introspection source;
-//! - `metrics` — per-tenant scoped metrics and epoch-boundary time
-//!   series;
+//!   rotation, cancellation and checkpoint decision and keeps each job's
+//!   record (its `/status` row and series, from the slices it ran);
+//!   resume; the introspection source;
+//! - `metrics` — per-tenant labelled metrics ([`ServerMetrics`],
+//!   [`ScopedRegistry`]) and the one renderer of the `/metrics` page;
 //! - `status` — the opt-in HTTP introspection endpoint (`/metrics`
 //!   Prometheus text, `/status` JSON), zero new dependencies.
 
@@ -67,7 +68,7 @@ mod status;
 pub use budget::Budget;
 pub use error::{Result, ServeError};
 pub use job::{JobEvent, JobId, JobOutcome, JobStatus};
-pub use metrics::ServerMetrics;
+pub use metrics::{Scope, ScopedRegistry, ServerMetrics};
 pub use server::{JobHandle, JobServer, ServerConfig};
 pub use status::scrape;
 

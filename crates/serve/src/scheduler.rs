@@ -60,15 +60,95 @@ impl JobCheckpoint {
     }
 }
 
-/// Cumulative figures from a job's most recent slice, kept for the
-/// `/status` page and for per-slice counter deltas.
-#[derive(Debug, Clone, Copy, Default)]
-struct JobLast {
+/// Slices a job keeps on record for its `/status` series: the newest 256.
+const SLICES_KEPT: usize = 256;
+
+/// A job's cumulative figures, as its `/status` row shows them.
+#[derive(Clone, Copy, Default)]
+struct Progress {
     epochs_completed: usize,
     base_score: f64,
     best_score: f64,
     downstream_evals: usize,
     elapsed_secs: f64,
+}
+
+impl Progress {
+    fn of_report(r: &EpochReport) -> Progress {
+        Progress {
+            epochs_completed: r.epochs_completed,
+            base_score: r.base_score,
+            best_score: r.best_score,
+            downstream_evals: r.downstream_evals,
+            elapsed_secs: r.elapsed_secs,
+        }
+    }
+
+    fn of_state(s: &SearchState) -> Progress {
+        Progress {
+            epochs_completed: s.epochs_completed(),
+            base_score: s.base_score(),
+            best_score: s.best_score(),
+            downstream_evals: s.downstream_evals(),
+            elapsed_secs: s.elapsed_secs(),
+        }
+    }
+
+    fn budget_remaining(&self, budget: &Budget) -> f64 {
+        budget.remaining_fraction(
+            self.epochs_completed,
+            self.downstream_evals,
+            self.elapsed_secs,
+        )
+    }
+}
+
+/// One slice this server ran for a job: the figures its report left, and
+/// what the driver measured around it.
+struct SliceRecord {
+    progress: Progress,
+    /// Wall time of the slice, microseconds.
+    epoch_us: u64,
+    /// The shared score cache's hit rate when the slice ended.
+    cache_hit_rate: f64,
+}
+
+/// The series each job has on the `/status` page (`job-N.<signal>`), in
+/// the order [`SliceRecord::signals`] samples them.
+const SIGNALS: [&str; 5] = [
+    "epoch_us",
+    "best_score",
+    "evals_per_sec",
+    "budget_remaining",
+    "cache_hit_rate",
+];
+
+impl SliceRecord {
+    /// The value of each of [`SIGNALS`] after this slice, for a job
+    /// under `budget`.
+    fn signals(&self, budget: &Budget) -> [f64; 5] {
+        let p = &self.progress;
+        let evals_per_sec = if p.elapsed_secs > 0.0 {
+            p.downstream_evals as f64 / p.elapsed_secs
+        } else {
+            0.0
+        };
+        [
+            self.epoch_us as f64,
+            p.best_score,
+            evals_per_sec,
+            p.budget_remaining(budget),
+            self.cache_hit_rate,
+        ]
+    }
+}
+
+/// One point of a `/status` series: a job's `epochs_completed` after a
+/// slice, and the value sampled there.
+#[derive(Serialize)]
+pub(crate) struct Point {
+    tick: u64,
+    value: f64,
 }
 
 /// One job's row on the `/status` page.
@@ -103,7 +183,11 @@ pub(crate) struct Job {
     /// [`JobHandle::wait`]: crate::JobHandle::wait
     events: Option<Sender<JobEvent>>,
     feed: Feed,
-    last: JobLast,
+    /// The figures before the first slice this server ran: zero, or those
+    /// of the search state the job was restored from.
+    start: Progress,
+    /// The newest [`SLICES_KEPT`] slices this server ran, oldest first.
+    slices: VecDeque<SliceRecord>,
 }
 
 impl Job {
@@ -122,12 +206,20 @@ impl Job {
             frame,
             budget,
             status: JobStatus::Queued,
+            start: state
+                .as_ref()
+                .map_or_else(Progress::default, Progress::of_state),
             state,
             cancelled: false,
             events: Some(events),
             feed: None,
-            last: JobLast::default(),
+            slices: VecDeque::new(),
         }
+    }
+
+    /// The job's figures after its newest slice.
+    fn progress(&self) -> Progress {
+        self.slices.back().map_or(self.start, |s| s.progress)
     }
 }
 
@@ -277,14 +369,17 @@ impl Scheduler {
 
     /// Take back the slice of job `id`: its state returns to the table,
     /// or it leaves the rotation with a terminal outcome, which is
-    /// returned. The second value is how many downstream evaluations
-    /// `report` (the slice's report, if the engine stepped) adds to the
-    /// job's previous one.
+    /// returned. A slice that stepped the engine goes on the job's record
+    /// with its `report`, its wall time `epoch_us` and the shared cache's
+    /// `cache_hit_rate`; the second value is how many downstream
+    /// evaluations it added to the job's previous figures.
     pub(crate) fn commit(
         &mut self,
         id: JobId,
         end: SliceEnd,
         report: Option<&EpochReport>,
+        epoch_us: u64,
+        cache_hit_rate: f64,
     ) -> (Option<Box<JobOutcome>>, u64) {
         if self.in_flight == Some(id) {
             self.in_flight = None;
@@ -293,14 +388,15 @@ impl Scheduler {
             return (None, 0);
         };
         let evals_delta = report.map_or(0, |r| {
-            let prev = job.last.downstream_evals;
-            job.last = JobLast {
-                epochs_completed: r.epochs_completed,
-                base_score: r.base_score,
-                best_score: r.best_score,
-                downstream_evals: r.downstream_evals,
-                elapsed_secs: r.elapsed_secs,
-            };
+            let prev = job.progress().downstream_evals;
+            if job.slices.len() == SLICES_KEPT {
+                job.slices.pop_front();
+            }
+            job.slices.push_back(SliceRecord {
+                progress: Progress::of_report(r),
+                epoch_us,
+                cache_hit_rate,
+            });
             r.downstream_evals.saturating_sub(prev) as u64
         });
         match end {
@@ -378,24 +474,41 @@ impl Scheduler {
         self.jobs
             .iter()
             .map(|(id, job)| {
-                let last = job.last;
+                let p = job.progress();
                 JobRow {
                     id: id.to_string(),
                     tenant: job.tenant.clone(),
                     status: job.status,
-                    epochs_completed: last.epochs_completed,
-                    base_score: last.base_score,
-                    best_score: last.best_score,
-                    downstream_evals: last.downstream_evals,
-                    elapsed_secs: last.elapsed_secs,
-                    budget_remaining: job.budget.remaining_fraction(
-                        last.epochs_completed,
-                        last.downstream_evals,
-                        last.elapsed_secs,
-                    ),
+                    epochs_completed: p.epochs_completed,
+                    base_score: p.base_score,
+                    best_score: p.best_score,
+                    downstream_evals: p.downstream_evals,
+                    elapsed_secs: p.elapsed_secs,
+                    budget_remaining: p.budget_remaining(&job.budget),
                 }
             })
             .collect()
+    }
+
+    /// The `/status` series, sorted by name: for each job, one point per
+    /// slice on record under `job-N.{epoch_us, best_score, evals_per_sec,
+    /// budget_remaining, cache_hit_rate}`. A job with no slice on record
+    /// has none.
+    pub(crate) fn series(&self) -> Vec<(String, Vec<Point>)> {
+        let mut out = Vec::new();
+        for (id, job) in self.jobs.iter().filter(|(_, job)| !job.slices.is_empty()) {
+            let mut series: [Vec<Point>; 5] = Default::default();
+            for s in &job.slices {
+                let tick = s.progress.epochs_completed as u64;
+                for (points, value) in series.iter_mut().zip(s.signals(&job.budget)) {
+                    points.push(Point { tick, value });
+                }
+            }
+            let names = SIGNALS.iter().map(|signal| format!("{id}.{signal}"));
+            out.extend(names.zip(series));
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Jobs waiting for a slot, and jobs in the rotation.

@@ -82,7 +82,7 @@ fn turn(s: &mut Scheduler, now: Instant) -> Option<(JobId, Option<Box<JobOutcome
     let (slice, _) = s.next_slice(now).unwrap()?;
     let id = slice.id;
     let (end, report) = run_slice(slice);
-    let (outcome, _) = s.commit(id, end, report.as_deref());
+    let (outcome, _) = s.commit(id, end, report.as_deref(), 0, 0.0);
     Some((id, outcome))
 }
 
@@ -231,7 +231,7 @@ fn a_checkpoint_waits_for_the_slice_in_flight_and_holds_the_rotation_until_taken
     let (slice, _) = s.next_slice(t0).unwrap().unwrap();
     assert!(s.checkpoints().is_none(), "the job's state is in flight");
     let (end, report) = run_slice(slice);
-    s.commit(id, end, report.as_deref());
+    s.commit(id, end, report.as_deref(), 0, 0.0);
     assert!(
         s.next_slice(t0).unwrap().is_none(),
         "no slice starts before the waiting checkpoint has its snapshot"
@@ -534,4 +534,119 @@ proptest::proptest! {
         // A panic fails the case; a checkpoint or an error message passes.
         let _ = JobCheckpoint::parse(&bytes);
     }
+}
+
+#[test]
+fn a_restored_job_reports_its_figures_before_its_first_slice() {
+    let t0 = Instant::now();
+    let mut s = Scheduler::new(4, 64);
+    submit(&mut s, long_engine(), Budget::epochs(10), t0).unwrap();
+    for _ in 0..3 {
+        turn(&mut s, t0);
+    }
+    let cp = s.checkpoints().unwrap().pop().unwrap();
+    let state = cp.state.clone().unwrap();
+    assert_eq!(state.epochs_completed(), 3);
+
+    let mut resumed = Scheduler::new(4, 64);
+    restore(&mut resumed, cp, None, t0);
+    let rows = resumed.rows();
+    let row = &rows[0];
+    assert_eq!(row.epochs_completed, 3);
+    assert_eq!(row.base_score.to_bits(), state.base_score().to_bits());
+    assert_eq!(row.best_score.to_bits(), state.best_score().to_bits());
+    assert_eq!(row.downstream_evals, state.downstream_evals());
+    assert_eq!(row.elapsed_secs.to_bits(), state.elapsed_secs().to_bits());
+    assert!((row.budget_remaining - 0.7).abs() < 1e-12);
+    assert!(
+        resumed.series().is_empty(),
+        "series hold only slices this server ran"
+    );
+
+    let (slice, _) = resumed.next_slice(t0).unwrap().unwrap();
+    let id = slice.id;
+    let (end, report) = run_slice(slice);
+    let report = report.unwrap();
+    let (_, delta) = resumed.commit(id, end, Some(&report), 0, 0.0);
+    assert!(report.downstream_evals > state.downstream_evals());
+    assert_eq!(
+        delta as usize,
+        report.downstream_evals - state.downstream_evals(),
+        "the first slice after a restore is charged only its own evaluations"
+    );
+}
+
+#[test]
+fn a_job_keeps_its_newest_256_slices_and_its_row_is_the_newest() {
+    let t0 = Instant::now();
+    let engine = fast_engine();
+    let state = engine.start(&frame()).unwrap();
+    let mut evals = state.downstream_evals();
+    let mut s = Scheduler::new(4, 64);
+    let (tx, _rx) = mpsc::channel();
+    let job = Job::new(
+        "acme".into(),
+        Arc::new(engine),
+        Budget::epochs(400),
+        None,
+        Some(state),
+        tx,
+    );
+    let id = s.admit(None, job, t0, |_| Ok(None)).unwrap();
+    let report = |k: usize| EpochReport {
+        stage: eafe::SearchStage::Stage2,
+        epoch: k - 1,
+        epochs_completed: k,
+        base_score: 0.5,
+        best_score: 0.5 + k as f64 / 1000.0,
+        best_features: vec![],
+        generated: 0,
+        downstream_evals: 2 * k,
+        elapsed_secs: k as f64 / 4.0,
+        done: false,
+    };
+    for k in 1..=300 {
+        let (slice, _) = s.next_slice(t0).unwrap().unwrap();
+        let end = SliceEnd::Continue(Box::new(slice.state.unwrap()));
+        let hit_rate = k as f64 / 300.0;
+        let (outcome, delta) = s.commit(id, end, Some(&report(k)), k as u64, hit_rate);
+        assert!(outcome.is_none());
+        assert_eq!(delta as usize, 2 * k - evals);
+        evals = 2 * k;
+    }
+
+    let series = s.series();
+    let names: Vec<&str> = series.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "job-1.best_score",
+            "job-1.budget_remaining",
+            "job-1.cache_hit_rate",
+            "job-1.epoch_us",
+            "job-1.evals_per_sec",
+        ]
+    );
+    for (name, points) in &series {
+        let ticks: Vec<u64> = points.iter().map(|p| p.tick).collect();
+        assert_eq!(ticks, (45..=300).collect::<Vec<u64>>(), "{name}");
+    }
+    let newest = |name: &str| {
+        let (_, points) = series.iter().find(|(n, _)| n == name).unwrap();
+        points.last().unwrap().value
+    };
+    assert_eq!(newest("job-1.epoch_us"), 300.0);
+    assert_eq!(newest("job-1.best_score"), 0.8);
+    assert_eq!(newest("job-1.evals_per_sec"), 8.0);
+    assert_eq!(newest("job-1.budget_remaining"), 0.25);
+    assert_eq!(newest("job-1.cache_hit_rate"), 1.0);
+
+    let rows = s.rows();
+    let row = &rows[0];
+    assert_eq!(row.epochs_completed, 300);
+    assert_eq!(row.base_score, 0.5);
+    assert_eq!(row.best_score, 0.8);
+    assert_eq!(row.downstream_evals, 600);
+    assert_eq!(row.elapsed_secs, 75.0);
+    assert_eq!(row.budget_remaining, 0.25);
 }

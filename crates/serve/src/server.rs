@@ -29,7 +29,7 @@
 use crate::budget::Budget;
 use crate::error::{Result, ServeError};
 use crate::job::{progress_event, JobEvent, JobId, JobOutcome, JobStatus};
-use crate::metrics::{ServerMetrics, SliceSample};
+use crate::metrics::{prometheus, ServerMetrics};
 use crate::scheduler::{Feed, Job, JobCheckpoint, JobRow, Scheduler, Slice, SliceEnd};
 use crate::status::{StatusServer, StatusSource};
 use eafe::{Engine, EpochReport, SearchState};
@@ -343,7 +343,7 @@ impl JobServer {
         &self.cache
     }
 
-    /// The server's per-tenant scoped metrics and time series.
+    /// The server's per-tenant metrics.
     pub fn metrics(&self) -> &Arc<ServerMetrics> {
         &self.metrics
     }
@@ -356,7 +356,7 @@ impl JobServer {
 }
 
 /// The [`StatusSource`] behind the server's introspection endpoint:
-/// snapshots the job table, scoped metrics, pool budget, and score cache.
+/// snapshots the job table, tenant metrics, pool budget, and score cache.
 struct Introspection {
     shared: Arc<Shared>,
     metrics: Arc<ServerMetrics>,
@@ -377,15 +377,15 @@ struct StatusPage {
     /// Process-wide distributed-search activity (all zero unless a
     /// `dist` coordinator runs in this process).
     dist: runtime::DistStats,
-    /// Every epoch-boundary time series, by name.
+    /// Every job's series over its kept slices, by name.
     series: Value,
 }
 
 impl StatusSource for Introspection {
     fn status_json(&self) -> String {
-        let (jobs, (queue_depth, active)) = {
+        let (jobs, series, (queue_depth, active)) = {
             let scheduler = self.shared.lock();
-            (scheduler.rows(), scheduler.depth())
+            (scheduler.rows(), scheduler.series(), scheduler.depth())
         };
         let stats = self.cache.stats();
         let mut cache = stats.to_value();
@@ -393,7 +393,6 @@ impl StatusSource for Introspection {
             entries.push(("hit_rate".to_string(), stats.hit_rate().to_value()));
             entries.push(("shards".to_string(), self.cache.shard_stats().to_value()));
         }
-        let series = self.metrics.series().snapshot();
         let page = StatusPage {
             jobs,
             queue_depth,
@@ -413,29 +412,7 @@ impl StatusSource for Introspection {
     }
 
     fn metrics_text(&self) -> String {
-        let mut out = self.metrics.snapshot().to_prometheus();
-        // Chunked-frame gauges and distributed-search counters are
-        // process-global (across tenants; one coordinator per process),
-        // so they are appended directly rather than routed through the
-        // per-tenant scoped registry.
-        let gauges = ["chunks_resident", "resident_bytes", "workers_live"];
-        for (prefix, stats) in [
-            ("frame", tabular::global_frame_stats().to_value()),
-            ("dist", runtime::global_dist_stats().to_value()),
-        ] {
-            for (field, value) in stats.as_map().unwrap_or_default() {
-                let kind = if gauges.contains(&field.as_str()) {
-                    "gauge"
-                } else {
-                    "counter"
-                };
-                let value = value.as_u64().unwrap_or_default();
-                out.push_str(&format!(
-                    "# TYPE {prefix}_{field} {kind}\n{prefix}_{field} {value}\n"
-                ));
-            }
-        }
-        out
+        prometheus(self.metrics.scoped())
     }
 }
 
@@ -533,10 +510,11 @@ impl JobHandle {
 }
 
 /// The driver: ask the scheduler for a slice (or wait for one), run it
-/// outside the lock, commit it, then record metrics and deliver the
-/// terminal event outside the lock again. Epoch events go out from
-/// inside the slice, before the commit; `Done` only after it, so a
-/// waiter never sees a terminal event before the job table does.
+/// outside the lock, commit it (the job's record is written under the
+/// lock), then record tenant metrics and deliver the terminal event
+/// outside the lock again. Epoch events go out from inside the slice,
+/// before the commit; `Done` only after it, so a waiter never sees a
+/// terminal event before the job table does.
 fn scheduler_loop(
     shared: &Shared,
     checkpoint_dir: Option<PathBuf>,
@@ -560,26 +538,21 @@ fn scheduler_loop(
 
         let id = slice.id;
         let tenant = slice.tenant.clone();
-        let budget = slice.budget;
         let events = slice.events.clone();
         let feed = slice.feed.clone();
         let slice_start = Instant::now();
         let (end, report) = run_slice(slice);
         let epoch_us = slice_start.elapsed().as_micros() as u64;
+        let hit_rate = cache.stats().hit_rate();
 
-        let (outcome, evals_delta) = shared.lock().commit(id, end, report.as_deref());
+        let (outcome, evals_delta) =
+            shared
+                .lock()
+                .commit(id, end, report.as_deref(), epoch_us, hit_rate);
         shared.work.notify_all();
 
-        if let Some(r) = &report {
-            metrics.record_slice(&SliceSample {
-                id,
-                tenant: &tenant,
-                epoch_us,
-                report: r,
-                budget,
-                evals_delta,
-                cache_hit_rate: cache.stats().hit_rate(),
-            });
+        if report.is_some() {
+            metrics.record_slice(&tenant, epoch_us, evals_delta);
         }
 
         if let Some(outcome) = outcome {
@@ -606,7 +579,7 @@ fn scheduler_loop(
 /// for the scheduler to commit (the Done event is sent after commit, so
 /// a waiter never observes a terminal event before the server map does).
 /// The report the slice produced (if the engine stepped at all) rides
-/// along for the scheduler's metrics commit.
+/// along for the job's record.
 pub(crate) fn run_slice(slice: Slice) -> (SliceEnd, Option<Box<EpochReport>>) {
     let Slice {
         id,

@@ -50,29 +50,24 @@
 
 mod event;
 mod metrics;
-mod scoped;
 mod sink;
 mod span;
 mod summary;
-mod timeseries;
 
 pub use event::{CountEvent, Event, SpanEvent};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
-pub use scoped::{Scope, ScopedRegistry, ScopedSnapshot};
 pub use sink::{
     emit, enabled, flush, install, uninstall, FanoutSink, JsonLinesSink, MemorySink, Sink,
 };
 pub use span::{current_span, parent_scope, span, ParentScope, SpanGuard, SpanId};
 pub use summary::{SpanRow, Summary};
-pub use timeseries::{TimePoint, TimeSeries, TimeSeriesStore};
 
 use std::sync::{LockResult, OnceLock, PoisonError};
 
 /// The guard `r` holds, recovering a poisoned lock. Every lock in this
 /// crate guards a value its holders change by one std call at a time — a
-/// map insert or clear, a ring-buffer push or pop, a swap of the sink
-/// slot, a line written to a trace stream — so a holder that panicked left
-/// the value valid.
+/// map insert or clear, a swap of the sink slot, a line written to a trace
+/// stream — so a holder that panicked left the value valid.
 pub(crate) fn recover<G>(r: LockResult<G>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }

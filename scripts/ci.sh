@@ -125,8 +125,8 @@ if [[ "$quick" -eq 0 ]]; then
         --trace-out "$obs_dir/serve_trace.jsonl" > "$obs_dir/demo.out"
     grep -q 'serve_epochs{tenant="tenant-a"}' "$obs_dir/demo.out" \
         || { echo "serve_demo self-scrape missing per-tenant metrics"; exit 1; }
-    grep -q '"budget_remaining"' "$obs_dir/demo.out" \
-        || { echo "serve_demo /status missing budget burn-down"; exit 1; }
+    grep -q '"job-[0-9]*\.budget_remaining"' "$obs_dir/demo.out" \
+        || { echo "serve_demo /status missing the budget burn-down series"; exit 1; }
     ./target/release/trace_tool "$obs_dir/serve_trace.jsonl" \
         --folded "$obs_dir/serve.folded" --critical-path > "$obs_dir/trace.out"
     [[ -s "$obs_dir/serve.folded" ]] \

@@ -698,10 +698,12 @@ fn server_observability_is_a_pure_observer() {
         "tenant-b observed-vs-solo scores",
     );
     // The observability plane actually saw the run it must not perturb.
-    let snap = server.metrics().snapshot();
     for tenant in ["tenant-a", "tenant-b"] {
-        let scope = snap.get(&[("tenant", tenant)]).unwrap();
-        assert!(scope.counter("serve.epochs") > 0, "{tenant} epochs counted");
+        let scope = server.metrics().scoped().scope(&[("tenant", tenant)]);
+        assert!(
+            scope.counter("serve.epochs").get() > 0,
+            "{tenant} epochs counted"
+        );
     }
 }
 
