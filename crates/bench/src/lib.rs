@@ -318,7 +318,7 @@ impl CommonArgs {
     pub(crate) fn telemetry_block(&self) -> TelemetryBlock {
         let enabled = self.collector.is_some();
         if enabled {
-            self.export_shard_counters();
+            self.export_cache_counters();
         }
         let snapshot = if enabled {
             telemetry::global().snapshot()
@@ -337,36 +337,28 @@ impl CommonArgs {
         }
     }
 
-    /// Mirror the score cache's per-shard counters into the metrics
-    /// registry under `score_cache.shardNN.*` — and the process-wide
-    /// signature cache's totals under `sig_cache.*` — so the artifact
-    /// block and `--metrics` summary carry the cache breakdowns.
-    fn export_shard_counters(&self) {
-        let registry = telemetry::global();
+    /// Mirror the score cache's totals into the metrics registry under
+    /// `score_cache.*` — and the process-wide signature cache's under
+    /// `sig_cache.*` — so the artifact block and `--metrics` summary
+    /// carry both caches' counters.
+    fn export_cache_counters(&self) {
+        let mirror = |family: &str, s: runtime::CacheStats| {
+            let registry = telemetry::global();
+            let set = |what: &str, v: u64| {
+                registry.counter(&format!("{family}.{what}")).set(v);
+            };
+            set("hits", s.hits);
+            set("misses", s.misses);
+            set("inserts", s.inserts);
+            set("evictions", s.evictions);
+            set("len", s.len as u64);
+        };
         if let Some(cache) = &self.cache {
-            for (i, s) in cache.shard_stats().iter().enumerate() {
-                let set = |what: &str, v: u64| {
-                    registry
-                        .counter(&format!("score_cache.shard{i:02}.{what}"))
-                        .set(v);
-                };
-                set("hits", s.hits);
-                set("misses", s.misses);
-                set("inserts", s.inserts);
-                set("evictions", s.evictions);
-                set("len", s.len as u64);
-            }
+            mirror("score_cache", cache.stats());
         }
         let sig = runtime::sig_cache_stats();
         if sig.hits + sig.misses > 0 {
-            let set = |what: &str, v: u64| {
-                registry.counter(&format!("sig_cache.{what}")).set(v);
-            };
-            set("hits", sig.hits);
-            set("misses", sig.misses);
-            set("inserts", sig.inserts);
-            set("evictions", sig.evictions);
-            set("len", sig.len as u64);
+            mirror("sig_cache", sig);
         }
     }
 
@@ -389,9 +381,9 @@ impl CommonArgs {
     }
 
     /// End-of-run hook for every bench binary: print the shared-cache
-    /// summary (per-shard breakdown under `--metrics`), render the
-    /// telemetry summary when collection is on, and flush the sink so a
-    /// `--trace-out` file is complete before the process exits.
+    /// summary, render the telemetry summary when collection is on, and
+    /// flush the sink so a `--trace-out` file is complete before the
+    /// process exits.
     pub fn finish(&self) {
         if let Some(cache) = &self.cache {
             let stats = cache.stats();
@@ -403,21 +395,6 @@ impl CommonArgs {
                 stats.evictions,
                 stats.len,
             );
-            if self.metrics {
-                let mut t =
-                    TextTable::new(vec!["shard", "hits", "misses", "inserts", "evict", "len"]);
-                for (i, s) in cache.shard_stats().iter().enumerate() {
-                    t.row(vec![
-                        format!("{i:02}"),
-                        s.hits.to_string(),
-                        s.misses.to_string(),
-                        s.inserts.to_string(),
-                        s.evictions.to_string(),
-                        s.len.to_string(),
-                    ]);
-                }
-                t.print();
-            }
         }
         let sig = runtime::sig_cache_stats();
         if sig.hits + sig.misses > 0 {
@@ -433,7 +410,7 @@ impl CommonArgs {
         let Some(collector) = &self.collector else {
             return;
         };
-        self.export_shard_counters();
+        self.export_cache_counters();
         // Append every registry counter total to the event stream so a
         // `--trace-out` file is self-contained: `trace_tool`'s cache
         // report reads these without needing the artifact envelope.

@@ -14,9 +14,7 @@
 //!   (default `job`), inherited through the parent chain so leaf work
 //!   is attributed to the tenant/job/route that enclosed it;
 //! - [`Trace::cache_report`] — hit rates per cache family, reassembled
-//!   from the counter totals the bench harness appends at end-of-run
-//!   (per-shard `score_cache.shardNN.*` rows are folded into one
-//!   `score_cache` family).
+//!   from the counter totals the bench harness appends at end-of-run.
 //!
 //! Every report is a deterministic function of the trace bytes: ties
 //! break on span ids and output maps are sorted, so golden tests can
@@ -282,8 +280,7 @@ impl Trace {
 
     /// Cache efficiency from the trace's counter totals. Counters named
     /// `<family>.hits` / `.misses` / `.inserts` / `.evictions` / `.len`
-    /// form a family; `shardNN` path segments are stripped so per-shard
-    /// rows aggregate into one family. The evaluator's
+    /// form a family. The evaluator's
     /// `evaluator.cache_hits` / `evaluator.evals_computed` pair and
     /// MinHash's `minhash.sig_cache_hits` are reported as-is when present.
     pub fn cache_report(&self) -> String {
@@ -303,15 +300,7 @@ impl Trace {
             if !matches!(stat, "hits" | "misses" | "inserts" | "evictions" | "len") {
                 continue;
             }
-            // Fold `score_cache.shard03` → `score_cache`.
-            let family: String = prefix
-                .split('.')
-                .filter(|seg| {
-                    !(seg.starts_with("shard") && seg[5..].chars().all(|c| c.is_ascii_digit()))
-                })
-                .collect::<Vec<_>>()
-                .join(".");
-            let f = families.entry(family).or_default();
+            let f = families.entry(prefix.to_string()).or_default();
             match stat {
                 "hits" => f.hits += value,
                 "misses" => f.misses += value,
@@ -399,10 +388,8 @@ mod tests {
             span("eval", 2, 1, 10, 60, &[]),
             span("fit", 3, 2, 15, 25, &[]),
             span("stray", 9, 0, 200, 5, &[]),
-            count("score_cache.shard00.hits", 8),
-            count("score_cache.shard01.hits", 2),
-            count("score_cache.shard00.misses", 5),
-            count("score_cache.shard01.misses", 5),
+            count("score_cache.hits", 10),
+            count("score_cache.misses", 10),
         ];
         Trace::parse(&lines.join("\n")).unwrap()
     }
@@ -431,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_report_folds_shards_into_one_family() {
+    fn cache_report_groups_counters_into_families() {
         let report = sample().cache_report();
         assert!(
             report.contains("score_cache") && report.contains("50.0% hit rate"),

@@ -59,7 +59,7 @@ fn cache_report_matches_golden() {
     assert!(report.starts_with("cache efficiency:\n"), "{report}");
     assert!(
         report.contains("score_cache") && report.contains("50.0% hit rate"),
-        "per-shard counters must fold into one score_cache family: {report}"
+        "the score cache's counters form one family: {report}"
     );
     let evaluator = report
         .lines()

@@ -10,10 +10,10 @@
 //!    items from one shared cursor. Results are returned in submission
 //!    order and per-task seeds depend only on the task index, so parallel
 //!    runs reproduce single-threaded results bit-for-bit.
-//! 2. **`cache`** — a concurrent, content-addressed evaluation cache
-//!    mapping a 128-bit `fingerprint` of the evaluation inputs to cached
-//!    CV scores, with a capacity bound and per-shard hit/miss/insert/evict
-//!    counters.
+//! 2. **`cache`** — a content-addressed evaluation cache: one lock over
+//!    one map from a 128-bit `fingerprint` of the evaluation inputs to
+//!    cached CV scores, with an exact capacity bound, exact LRU eviction
+//!    and hit/miss/insert/evict counters.
 //! 3. **`seed`** — deterministic per-task seed derivation (SplitMix64
 //!    mixing), so the seed of task *i* is a pure function of
 //!    `(root seed, stream, i)` and never of scheduling order.
@@ -96,7 +96,7 @@ mod scratch;
 mod seed;
 mod sigcache;
 
-pub use cache::{CacheSnapshot, CacheStats, ScoreCache, ShardStats};
+pub use cache::{CacheSnapshot, CacheStats, ScoreCache};
 pub use diststats::{dist_counters, global_dist_stats, DistStats};
 pub use evaluator::{Evaluator, Scorer, DEFAULT_CACHE_CAPACITY};
 pub use fingerprint::{
@@ -107,7 +107,7 @@ pub use scratch::{scratch_f64_with_capacity, ScratchF64};
 pub use seed::derive_seed;
 pub use sigcache::{
     compress_normalized_batch, compress_normalized_cached, prepare_draw_tables, sig_cache_merge,
-    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick, SignatureCache,
+    sig_cache_snapshot_since, sig_cache_stats, sig_cache_tick,
 };
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -36,7 +36,7 @@ pub(crate) const SIG_CACHE_CAPACITY: usize = 32_768;
 const BATCH_CHUNK: usize = 32;
 
 /// The signature cache's value type.
-pub type SignatureCache = ScoreCache<Arc<Signature>>;
+pub(crate) type SignatureCache = ScoreCache<Arc<Signature>>;
 
 fn sig_cache() -> &'static SignatureCache {
     static CACHE: OnceLock<SignatureCache> = OnceLock::new();
@@ -203,6 +203,14 @@ mod tests {
             .collect()
     }
 
+    /// The signature cache and its counters are process-wide: every test
+    /// that sketches through the cache holds this lock, so no other test's
+    /// miss lands between two counter reads.
+    fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        crate::lock(&LOCK)
+    }
+
     /// A column's FPE input sketched afresh, past the cache.
     fn direct(c: &SampleCompressor, values: &[f64]) -> Vec<f64> {
         let sig = c.signature(values).unwrap();
@@ -211,6 +219,7 @@ mod tests {
 
     #[test]
     fn cached_compress_matches_direct_and_hits_on_repeat() {
+        let _cache = cache_lock();
         let c = SampleCompressor::new(HashFamily::Ccws, 32, 0xF00D).unwrap();
         let values = col(1, 300);
         let direct = direct(&c, &values);
@@ -226,6 +235,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_column_and_warm_batch_is_all_hits() {
+        let _cache = cache_lock();
         let c = SampleCompressor::new(HashFamily::Icws, 24, 0xBEEF).unwrap();
         let cols: Vec<Vec<f64>> = (0..40).map(|s| col(s, 120)).collect();
         let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
@@ -273,6 +283,7 @@ mod tests {
 
     #[test]
     fn sig_snapshot_merge_round_trips_and_is_idempotent() {
+        let _cache = cache_lock();
         let c = SampleCompressor::new(HashFamily::Pcws, 16, 0xD157).unwrap();
         let values = col(7, 200);
         let baseline = sig_cache_tick();
@@ -304,6 +315,7 @@ mod tests {
 
     #[test]
     fn batch_propagates_column_errors() {
+        let _cache = cache_lock();
         let c = SampleCompressor::new(HashFamily::Ccws, 8, 1).unwrap();
         let good = col(3, 50);
         let empty: Vec<f64> = vec![];

@@ -391,7 +391,6 @@ impl StatusSource for Introspection {
         let mut cache = stats.to_value();
         if let Value::Map(entries) = &mut cache {
             entries.push(("hit_rate".to_string(), stats.hit_rate().to_value()));
-            entries.push(("shards".to_string(), self.cache.shard_stats().to_value()));
         }
         let page = StatusPage {
             jobs,

@@ -14,7 +14,7 @@ use std::sync::{Arc, RwLock};
 /// A monotonic event counter.
 ///
 /// [`Counter::set`] exists for *exporters* that mirror an externally
-/// accumulated total (e.g. the score cache's per-shard hit counts) into a
+/// accumulated total (e.g. the score cache's hit count) into a
 /// registry; instrumentation sites should only ever [`Counter::add`].
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);

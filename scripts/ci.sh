@@ -37,6 +37,8 @@ if [[ "$quick" -eq 0 ]]; then
 
     echo "==> pool unit tests + budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"
     cargo test -q -p runtime --release --lib pool::
+    echo "==> score cache unit tests (release: the concurrent test's exact capacity and eviction counts under contention)"
+    cargo test -q -p runtime --release --lib cache::
     cargo test -q -p runtime --release --test pool_late_join
 
     echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
