@@ -11,10 +11,11 @@
 //!   CWS, PCWS, and the default CCWS);
 //! - a column is weighed by its [`WeightBounds`] (min-shifted and
 //!   range-scaled into `[1e-6, 1 + 1e-6]`) and sketched into a
-//!   [`Signature`] by one table-driven kernel: per-`(seed, i, k)` tables of
-//!   the draws that cost a logarithm, a bound-ordered visit of the few
-//!   rows that can win a hash, and a dense scan behind it. Every draw is a
-//!   counter-based function of `(seed, i, k)`, re-derivable anywhere;
+//!   [`Signature`] by one table-driven kernel: per-`(seed, i, k)` bounds
+//!   (and, for the log-domain families, the draws that cost a logarithm),
+//!   a bound-ordered visit of the few rows that can win a hash, and a
+//!   dense scan behind it. Every draw is a counter-based function of
+//!   `(seed, i, k)`, re-derivable anywhere;
 //! - callers hand the kernel a [`RowSource`] — a flat slice, or their own
 //!   chunked column — and rebuild the FPE input from the signature with
 //!   [`SampleCompressor::compress_normalized_with_signature`].

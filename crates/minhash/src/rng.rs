@@ -5,14 +5,15 @@
 //! function of a SplitMix64-style counter hash of `(seed, hash_index,
 //! dimension, slot)`, so no `d × M` matrix of draws has to exist for a
 //! sketch to be reproducible, and every draw is the same value wherever it
-//! is computed. [`crate::tables`] tabulates exactly one kind — the
-//! Gamma(2,1) draws, whose two logarithms cost an order of magnitude more
-//! than the counter mix (plus the log-domain families' `eʳ`) — and derives
-//! the others, [`beta21`] and [`uniform_open`], at the point of use: the
-//! mix of `(seed, hash_index)` hoists out of a pass over one hash index,
-//! the mix of the dimension is shared by a pair's slots, and what is left
-//! is one round per draw — less than a table of them would cost in memory
-//! traffic, and one `f64` per pair instead of three held for the process's
+//! is computed. [`crate::tables`] tabulates the Gamma(2,1) draws, whose two
+//! logarithms cost an order of magnitude more than the counter mix, only
+//! for the log-domain families, whose dense scan needs them at every row
+//! (with their `eʳ`). CCWS derives all three of its draws — [`beta21`],
+//! [`gamma21`] and [`uniform_open`] — at the point of use: the mix of
+//! `(seed, hash_index)` hoists out of a pass over one hash index, the mix
+//! of the dimension is shared by a pair's slots, and a sketch reaches
+//! [`gamma21`] only for the few rows its bounds cannot rule out. Its table
+//! keeps those bounds, not one `f64` per pair held for the process's
 //! lifetime. The scalar test oracle (`scalar_ref.rs`) calls the same
 //! functions at the same counters for every draw.
 

@@ -4,7 +4,8 @@
 //! (`scalar_ref.rs`), for all five hash families, on compressor columns —
 //! the kernel's only domain: random values (negatives, NaN, ±∞, −0.0),
 //! dimensions and seeds; constant, one-row and heavy-tailed columns; row
-//! counts around the 256-id prefix floor; tables grown in both directions.
+//! counts around the 64-row blocks of the least `c` and the 256-id prefix
+//! floor; tables grown in both directions.
 //!
 //! A unit suite because the oracle is a `#[cfg(test)]` item an integration
 //! test cannot see. The kernel stores or derives every draw at the
@@ -90,9 +91,25 @@ proptest! {
 /// Ids a prefix tier keeps per hash index at the least (`tables::TIER0_ROWS`).
 const PREFIX: usize = 256;
 
-/// Row counts around the prefix floor, the paper's table sizes, and a
-/// non-power-of-two past the last small tier.
-const ROW_COUNTS: [usize; 8] = [1, 2, PREFIX - 1, PREFIX, PREFIX + 1, 1000, 4097, 6000];
+/// Rows per block whose least `c` a CCWS column keeps (`tables::C_BLOCK`).
+const C_BLOCK: usize = 64;
+
+/// Row counts around a block of the dense scan's least-`c` test, around
+/// the prefix floor, the paper's table sizes, and a non-power-of-two past
+/// the last small tier.
+const ROW_COUNTS: [usize; 11] = [
+    1,
+    2,
+    C_BLOCK - 1,
+    C_BLOCK,
+    C_BLOCK + 1,
+    PREFIX - 1,
+    PREFIX,
+    PREFIX + 1,
+    1000,
+    4097,
+    6000,
+];
 
 fn unit(state: &mut u64) -> f64 {
     *state = crate::rng::splitmix64(*state);

@@ -6,14 +6,18 @@
 //! dimension k)` pair, a fixed set of random draws (`r`, `c`, `β`, …) that
 //! depend **only on `(seed, i, k)` — never on the weights**. The scalar
 //! test oracle (`scalar_ref.rs`) re-derives all of them on every call. A
-//! [`DrawTables`] stores,
-//! once per `(family, d, seed)`, **the draws that cost a transcendental and
-//! nothing else**: the Gamma(2,1) draws (two logarithms each) and the
-//! `eʳ` factor the log-domain families divide by. A draw that is a
-//! counter mix away — CCWS's `r = √u` and every family's `β = u`, two
-//! SplitMix rounds off the same `(seed, i, k)` state — is derived where it
-//! is used: it costs about what the load it replaces would, and a table of
-//! them would be as large as the column it helps to compress.
+//! [`DrawTables`] keeps, once per `(family, d, seed)`, what a sketch
+//! cannot afford to derive for every row it touches. The log-domain
+//! families' dense scan touches every supported row, so their table
+//! stores the draws that cost a transcendental: the Gamma(2,1) draws (two
+//! logarithms each) and the `eʳ` factor they divide by. A CCWS sketch
+//! touches few rows, so its table stores **bounds, not draws**: a prefix
+//! index ordered by each row's least possible hash value, and per block of
+//! [`C_BLOCK`] rows the least `c`. Every CCWS draw — `r = √u`,
+//! `c ~ Gamma(2,1)`, `β = u` — is derived where it is used, once per row
+//! that gets past a bound; a table of them would be as large as the column
+//! it helps to compress. Every family's `β = u` is two SplitMix rounds off
+//! the same `(seed, i, k)` state and is always derived.
 //!
 //! **Bit-identity.** Stored or derived, a draw is the value of the same
 //! function at the same `(seed, i, k, slot)` counter the scalar oracle
@@ -44,8 +48,9 @@
 //! that, like the draws, depends only on `(seed, i, k)`. Classic MinHash is
 //! the degenerate case (`A = h`, the weight never enters). The table keeps,
 //! per hash index, the ids of the rows with the smallest `(A, k)` (a
-//! prefix per tier); a sketch walks them in that order, evaluates the
-//! exact `a` at the row's own weight, keeps the lexicographic `(a, k)`
+//! prefix per tier); a sketch walks them in that order, derives the row's
+//! draws once for its bound and for the exact `a` at the row's own
+//! weight, keeps the lexicographic `(a, k)`
 //! minimum — which is what a strict-`<` ascending scan returns — and is
 //! done with the hash index as soon as `A > best a`. A sketch in which some
 //! hash index outlives its prefix (one-sided heavy tails: nearly every
@@ -54,13 +59,19 @@
 //! does not promise — is the dense scan.
 //!
 //! **The dense scan derives only for rows that can still win.** It runs
-//! hash-index-outer over blocks of rows (the stored draws and the block's
-//! weights are both contiguous) and keeps, like the visit, the
+//! hash-index-outer over blocks of rows (the block's weights and the stored
+//! draws or block minima are contiguous) and keeps, like the visit, the
 //! lexicographic `(a, k)` minimum, so the order rows are offered in is
-//! free. A CCWS sketch offers its heaviest row first and then skips a row
-//! without deriving its `r`, `β` when `fl(c/w)·(1 − 2⁻³⁰) > best a`. That
-//! is sound because `a(k, i; w) ≥ fl(c/w)·(1 − 2⁻³⁰)` for every weight
-//! `w ∈ [WEIGHT_FLOOR, WEIGHT_CEILING]`: with `ε = 2⁻⁵³`
+//! free. A CCWS sketch offers its heaviest row first; then, with `S =
+//! 1 − 2⁻³⁰`, it skips a row without deriving anything when
+//! `fl(c_min/w)·S > best a` for the least `c_min` of the row's block,
+//! and otherwise derives the row's `c` and skips it when
+//! `fl(c/w)·S > best a`. The block test never skips a row the row's own
+//! test keeps: `c_min ≤ c`, and a correctly rounded division and
+//! multiplication are monotone in each argument, so
+//! `fl(fl(c_min/w)·S) ≤ fl(fl(c/w)·S)` (a `debug_assert!` checks every
+//! skip). The row test is sound because `a(k, i; w) ≥ fl(c/w)·S` for
+//! every weight `w ∈ [WEIGHT_FLOOR, WEIGHT_CEILING]`: with `ε = 2⁻⁵³`
 //! and every intermediate in the normal range (`w/r ≤ 2²⁸`,
 //! `c ∈ [10⁻¹⁶, 80]`), `t ≤ (w/r)(1+ε)² + β(1+ε)`, so for `t ≥ 1`
 //! `fl(t−β) ≤ ((w/r)(1+ε)² + ε)(1+ε)` and, as `r ≤ 1`,
@@ -70,18 +81,21 @@
 //! `a = fl(c/y) ≥ (c/w)(1−ε)/(1 + 1.3·10⁻¹⁰)`, `fl(c/w) ≤ (c/w)(1+ε)`,
 //! and the filter's own product rounds once more: all of it is below a
 //! quarter of `2⁻³⁰ ≈ 9.3·10⁻¹⁰`. `ccws_filter_bound_holds_over_random_draws`
-//! asserts the inequality over random and adversarial draws. (Why the
+//! asserts the inequality over random and adversarial draws, at `c` and at
+//! every `m ≤ c` as a block minimum is. (Why the
 //! heaviest row goes first: a `t = 0` row's hash value is
 //! `c/MIN_POSITIVE`, which no `c/w` exceeds, and a one-sided heavy tail is
 //! mostly such rows; at the ceiling weight `t ≥ 1`.)
 //!
 //! **Layout & growth.** A table is one column per hash index `i`, each a
-//! structure of arrays indexed by the row `k` (`[i][k]`), with that hash
-//! index's prefixes beside it. A sketch knows its row count up front, so
-//! the table grows to `max(n, 2 × old)` rows at once. Growing is `d`
-//! independent jobs, one per hash index: copy the column, draw the fresh
-//! rows, evaluate `A(k, i)` while `r`, `c`, `β` are in registers, select
-//! the prefixes. `grow` hands the jobs to the caller's runner
+//! structure of arrays indexed by the row `k` (`[i][k]`) or, for the block
+//! minima, by `k / C_BLOCK`, with that hash index's prefixes beside it. A
+//! sketch knows its row count up front, so the table grows to
+//! `max(n, 2 × old)` rows at once. Growing is `d` independent jobs, one per
+//! hash index: for CCWS derive every row's draws, evaluate `A(k, i)` and
+//! fold `c` into its block's minimum while `r`, `c`, `β` are in registers,
+//! then select the prefixes; for the log-domain families copy the column
+//! and draw the fresh rows. `grow` hands the jobs to the caller's runner
 //! ([`SampleCompressor::prepare_rows`](crate::SampleCompressor::prepare_rows):
 //! the `runtime` crate passes its worker pool) and runs whatever the
 //! runner left undone itself, which is also all a sketch does when it
@@ -92,17 +106,21 @@
 //! concurrently).
 //!
 //! **Memory.** With `K` the largest row count sketched (at most doubled by
-//! the growth rule when row counts arrive ascending), CCWS stores one
-//! `f64` per `(row, hash index)` (`K × d × 8` bytes: 29 MiB at
-//! `K = 80 000`, `d = 48`), the log-domain families three (`r`, `c`, `eʳ`),
-//! MinHash one `u64`. The prefix index adds `d × 4` bytes per id and keeps
-//! `K/16 + 1 280` ids per hash index (`≈ K × d / 4` bytes: 1.2 MiB at
-//! that shape); the `minhash.table_bytes` gauge records the sum. A growth
-//! job's transient is its `(A, k)` list, `K × 16` bytes. Tables are
-//! registered process-wide per `(family, d, seed)`; the engine and the FPE
-//! search use a handful of such combinations, so the registry is
+//! the growth rule when row counts arrive ascending), CCWS keeps one `f64`
+//! per block of 64 rows and hash index (`K × d / 8` bytes: 0.46 MiB at
+//! `K = 80 000`, `d = 48`) and the prefix index, `4` bytes per id and
+//! `K/16 + 1 280` ids per hash index (`≈ K × d / 4` bytes: 1.2 MiB at that
+//! shape) — 1.6 MiB together.
+//! MinHash keeps one `u64` per `(row, hash index)` beside its prefix
+//! index, the log-domain families three `f64` (`r`, `c`, `eʳ`) and no
+//! index. The `minhash.table_bytes` gauge records the sum at every growth.
+//! A growth job's transient is its `(A, k)` list, `K × 16` bytes. Tables
+//! are registered process-wide per `(family, d, seed)`. The engine and the
+//! FPE search use a handful of such combinations, and the CCWS table they
+//! default to grows by `3 × d / 8` bytes per row, so the registry is
 //! deliberately unbounded — [`clear_draw_tables`] exists for long-lived
-//! processes that rotate seeds.
+//! processes that rotate seeds or sketch with a log-domain family, whose
+//! table grows by `24 × d` bytes per row.
 
 use crate::compressor::{WeightBounds, WEIGHT_CEILING};
 use crate::error::{MinHashError, Result};
@@ -173,6 +191,10 @@ fn tier_rows(j: usize, k_cap: usize) -> usize {
 /// in L1 while every hash index passes over them.
 const SCAN_BLOCK: usize = 2048;
 
+/// Rows per block whose least `c` a CCWS column keeps for the dense scan's
+/// first test (see the module docs).
+const C_BLOCK: usize = 64;
+
 /// `1 − 2⁻³⁰`: what `fl(c/w)` is scaled by to stay below `a(k, i; w)` (see
 /// the module docs).
 const FILTER_SLACK: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
@@ -186,19 +208,23 @@ fn ccws_hash(w: f64, r: f64, c: f64, beta: f64) -> (f64, f64) {
     (c / y, t)
 }
 
-/// CCWS's two derived draws `(r, β)` as a function of `(i, k)`. Every
-/// kernel reads them through one such accessor, so a test can sketch over
-/// hand-picked draws.
-trait Draws: Fn(usize, usize) -> (f64, f64) + Sync {}
+/// CCWS's draws `(r, c, β)` as a function of `(i, k)`, all three derived.
+/// Every kernel reads them through one such accessor, so a test can sketch
+/// over hand-picked draws.
+trait Draws: Fn(usize, usize) -> (f64, f64, f64) + Sync {}
 
-impl<F: Fn(usize, usize) -> (f64, f64) + Sync> Draws for F {}
+impl<F: Fn(usize, usize) -> (f64, f64, f64) + Sync> Draws for F {}
 
 /// The accessor every table uses: the oracle's functions at the oracle's
 /// counters.
 fn ccws_draws(seed: u64) -> impl Draws {
     move |i, k| {
         let (i, k) = (i as u64, k as u64);
-        (beta21(seed, i, k, 1), uniform_open(seed, i, k, 3))
+        (
+            beta21(seed, i, k, 1),
+            gamma21(seed, i, k, 2),
+            uniform_open(seed, i, k, 3),
+        )
     }
 }
 
@@ -232,12 +258,15 @@ struct HashColumn {
     /// `r ~ Gamma(2,1)`, log-domain families (ICWS/0-bit/PCWS) only:
     /// CCWS's `r ~ Beta(2,1)` is derived.
     r: Vec<f64>,
-    /// Numerator draw: `c ~ Gamma(2,1)` (ICWS/0-bit/CCWS), `−ln x` with
-    /// `x ~ U(0,1)` (PCWS). Empty for classic MinHash.
+    /// Numerator draw: `c ~ Gamma(2,1)` (ICWS/0-bit), `−ln x` with
+    /// `x ~ U(0,1)` (PCWS). Log-domain families only: CCWS's `c` is
+    /// derived.
     c: Vec<f64>,
     /// Derived `eʳ` — the exact `r.exp()` the scalar oracle divides by.
     /// Log-domain families only.
     er: Vec<f64>,
+    /// CCWS only: per block of [`C_BLOCK`] rows, the least `c` among them.
+    c_min: Vec<f64>,
     /// Per tier `j` (smallest first; the last covers the whole table), the
     /// ids of the `prefix_len(tier_rows(j))` rows among the tier's with
     /// the smallest `(bound, id)`, ascending. Empty for the log-domain
@@ -249,7 +278,8 @@ impl Store {
     fn bytes(&self) -> usize {
         let of = |col: &HashColumn| {
             let ids: usize = col.prefixes.iter().map(Vec::len).sum();
-            (col.h.len() + col.r.len() + col.c.len() + col.er.len()) * 8 + ids * 4
+            let draws = col.h.len() + col.r.len() + col.c.len() + col.er.len();
+            (draws + col.c_min.len()) * 8 + ids * 4
         };
         self.cols.iter().map(of).sum()
     }
@@ -336,7 +366,8 @@ impl DrawTables {
 
     /// One growth job: hash index `i`'s column at `new` rows — `old`'s
     /// rows, the fresh draws behind them, and the prefixes over all of
-    /// them, each row's bound evaluated as its draws pass by.
+    /// them, each row's bound evaluated as its draws pass by (CCWS derives
+    /// every row's draws, old rows' too, and keeps only their block minima).
     fn grow_column(&self, old: &HashColumn, i: usize, new: usize, draw: &impl Draws) -> HashColumn {
         let (seed, hash_idx) = (self.seed, i as u64);
         let mut col = HashColumn::default();
@@ -352,13 +383,14 @@ impl DrawTables {
                 order.extend(col.h.iter().copied().zip(0u32..));
             }
             HashFamily::Ccws => {
-                col.c.reserve_exact(new);
+                col.c_min.reserve_exact(new.div_ceil(C_BLOCK));
                 order.reserve_exact(new);
                 for k in 0..new {
-                    let stored = old.c.get(k).copied();
-                    let c = stored.unwrap_or_else(|| gamma21(seed, hash_idx, k as u64, 2));
-                    let (r, beta) = draw(i, k);
-                    col.c.push(c);
+                    let (r, c, beta) = draw(i, k);
+                    match col.c_min.last_mut() {
+                        Some(least) if k % C_BLOCK != 0 => *least = least.min(c),
+                        _ => col.c_min.push(c),
+                    }
                     let bound = ccws_hash(WEIGHT_CEILING, r, c, beta).0;
                     order.push((bound.to_bits(), k as u32));
                 }
@@ -409,27 +441,30 @@ impl DrawTables {
     }
 
     /// The hash value of row `k` under hash index `i` (whose column is
-    /// `col`) at weight `w` as an order-preserving `u64`, with its
-    /// discretised `t`: the raw hash for MinHash, the bit pattern of `a`
-    /// for CCWS (`a ∈ [0, +∞]`, where the IEEE bit pattern orders like
-    /// the value).
+    /// `col`) as a function of the weight `w`, an order-preserving `u64`
+    /// with its discretised `t`: the raw hash for MinHash, the bit pattern
+    /// of `a` for CCWS (`a ∈ [0, +∞]`, where the IEEE bit pattern orders
+    /// like the value). The row's draws are derived once, here, however
+    /// many weights the function is then called at.
     #[inline]
     fn hash_key(
         &self,
         col: &HashColumn,
         i: usize,
         k: usize,
-        w: f64,
         draw: &impl Draws,
-    ) -> (u64, i32) {
-        match self.family {
-            HashFamily::MinHash => (col.h[k], 0),
-            HashFamily::Ccws => {
-                let (r, beta) = draw(i, k);
-                let (a, t) = ccws_hash(w, r, col.c[k], beta);
+    ) -> impl Fn(f64) -> (u64, i32) {
+        let (h, ccws) = match self.family {
+            HashFamily::MinHash => (col.h[k], None),
+            HashFamily::Ccws => (0, Some(draw(i, k))),
+            _ => unreachable!("the log-domain families keep no prefix index"),
+        };
+        move |w| match ccws {
+            Some((r, c, beta)) => {
+                let (a, t) = ccws_hash(w, r, c, beta);
                 (a.to_bits(), discretize_t(t))
             }
-            _ => unreachable!("the log-domain families keep no prefix index"),
+            None => (h, 0),
         }
     }
 
@@ -498,7 +533,8 @@ impl DrawTables {
                 if k >= n {
                     continue;
                 }
-                let bound = self.hash_key(col, i, k, WEIGHT_CEILING, draw).0;
+                let key = self.hash_key(col, i, k, draw);
+                let bound = key(WEIGHT_CEILING).0;
                 if best.is_some_and(|(a, ..)| bound > a) {
                     decided = true;
                     break;
@@ -508,7 +544,7 @@ impl DrawTables {
                 if !in_support(w) {
                     continue;
                 }
-                let (a, t) = self.hash_key(col, i, k, w, draw);
+                let (a, t) = key(w);
                 debug_assert!(a >= bound, "hash value below its bound at row {k}");
                 offer(&mut best, never, a, id, t);
             }
@@ -544,7 +580,7 @@ impl DrawTables {
             });
             let (w, k) = heaviest?;
             for (i, (col, best)) in store.cols.iter().zip(&mut best).enumerate() {
-                let (a, t) = self.hash_key(col, i, k, w, draw);
+                let (a, t) = self.hash_key(col, i, k, draw)(w);
                 offer(best, self.never(), a, k as u32, t);
             }
         }
@@ -584,7 +620,8 @@ impl DrawTables {
 
     /// Fold rows `k0..k0 + block.len()` into hash index `i`'s running
     /// minimum; each row goes through the oracle's exact expression
-    /// sequence. CCWS skips the rows that provably cannot win.
+    /// sequence. CCWS skips the rows that provably cannot win, most of
+    /// them on their block's least `c` without deriving their own.
     fn scan_block(
         &self,
         col: &HashColumn,
@@ -607,10 +644,20 @@ impl DrawTables {
             }
             HashFamily::Ccws => {
                 let mut least = best.map_or(f64::INFINITY, |(a, ..)| f64::from_bits(a));
-                for ((k, &w), &c) in rows.zip(&col.c[span]) {
+                for (k, &w) in rows {
                     // False on a NaN (unsupported) row too.
-                    if c / w * FILTER_SLACK <= least {
-                        let (r, beta) = draw(i, k);
+                    let may_win = |c: f64| c / w * FILTER_SLACK <= least;
+                    // `c_min ≤ c`, so the block's least `c` keeps every
+                    // row the row's own `c` would.
+                    if !may_win(col.c_min[k / C_BLOCK]) {
+                        debug_assert!(
+                            !may_win(draw(i, k).1),
+                            "the block minimum skipped row {k}, which its own c keeps"
+                        );
+                        continue;
+                    }
+                    let (r, c, beta) = draw(i, k);
+                    if may_win(c) {
                         let (a, t) = ccws_hash(w, r, c, beta);
                         offer(best, never, a.to_bits(), k as u32, discretize_t(t));
                         least = least.min(a);
@@ -671,9 +718,11 @@ pub(crate) fn draw_tables(hasher: &WeightedMinHasher) -> Arc<DrawTables> {
     )
 }
 
-/// Drop every registered draw table and its prefix index (memory release
-/// hook for long-lived processes that rotate seeds; in-flight `Arc`s keep
-/// their tables alive).
+/// Drop every registered draw table and its bounds (memory release hook
+/// for long-lived processes that rotate seeds or keep a log-domain
+/// family's per-row draws; in-flight `Arc`s keep their tables alive). The
+/// registry is otherwise unbounded on purpose: a CCWS table holds bounds
+/// only, 1.6 MiB at 80 000 rows × 48 hash indexes.
 pub fn clear_draw_tables() {
     registry().clear();
 }
@@ -817,17 +866,32 @@ mod tests {
             for (j, (prefix, rows)) in col.prefixes.iter().zip(covered).enumerate() {
                 assert_eq!(rows, tier_rows(j, store.k_cap));
                 assert_eq!(prefix.len(), prefix_len(rows));
-                let bound = |k: usize| tables.hash_key(col, i, k, WEIGHT_CEILING, &draw).0;
+                let bound = |k: usize| tables.hash_key(col, i, k, &draw)(WEIGHT_CEILING).0;
                 let mut all: Vec<(u64, u32)> = (0..rows).map(|k| (bound(k), k as u32)).collect();
                 all.sort_unstable();
                 let expected: Vec<u32> = all[..prefix.len()].iter().map(|&(_, k)| k).collect();
                 assert_eq!(prefix, &expected, "tier {rows} hash {i}");
             }
         }
-        // The memory model: one f64 per (row, hash index), and per hash
-        // index Σ len = K/16 + the 256-id floor of the five small tiers.
+        // The memory model: one f64 per block of 64 rows and hash index
+        // (the block's least `c`), and per hash index Σ len = K/16 + the
+        // 256-id floor of the five small tiers…
         let ids = store.k_cap / 16 + 5 * TIER0_ROWS;
-        assert_eq!(store.bytes(), 9000 * 5 * 8 + 5 * ids * 4);
+        assert_eq!(store.bytes(), 5 * 9000usize.div_ceil(64) * 8 + 5 * ids * 4);
+        // …and no array the size of the table: every draw is derived.
+        for col in &store.cols {
+            let HashColumn {
+                h,
+                r,
+                c,
+                er,
+                c_min,
+                prefixes,
+            } = col;
+            let lens = [h.len(), r.len(), c.len(), er.len(), c_min.len()];
+            let mut lens = lens.into_iter().chain(prefixes.iter().map(Vec::len));
+            assert!(lens.all(|len| len < store.k_cap));
+        }
         drop(store);
         // The log-domain families keep three draws and no index…
         let icws = DrawTables::new(&WeightedMinHasher::new(HashFamily::Icws, 5, 11).unwrap());
@@ -841,29 +905,34 @@ mod tests {
         assert_eq!(plain.read().bytes(), 1000 * 5 * 8 + 5 * 3 * TIER0_ROWS * 4);
     }
 
-    /// Hand-picked draws `r = β = ½`: `t = ⌊2w + ½⌋`, `y = (t − ½)/2`, so
-    /// `y = ¾` at `w = W` and `¼` at `w = 0.6 + WEIGHT_FLOOR`.
-    fn halves(_: usize, _: usize) -> (f64, f64) {
-        (0.5, 0.5)
+    /// Hand-picked draws `r = β = ½` and row `k`'s `c[k]`: `t = ⌊2w + ½⌋`,
+    /// `y = (t − ½)/2`, so `y = ¾` at `w = W` and `¼` at
+    /// `w = 0.6 + WEIGHT_FLOOR`.
+    fn halves(c: &[f64]) -> impl Draws + '_ {
+        |_, k| (0.5, c[k], 0.5)
     }
 
-    /// A one-hash CCWS table holding `c`, its prefix index built over
-    /// [`halves`]: the growth job finds every row's `c` already stored.
+    /// A one-hash CCWS table over [`halves`]`(c)`: its prefix index, and
+    /// the one block minimum of `c`.
     fn hand_built(c: &[f64]) -> DrawTables {
         let hasher = WeightedMinHasher::new(HashFamily::Ccws, 1, 0).unwrap();
         let tables = DrawTables::new(&hasher);
-        tables.store.write().unwrap().cols[0].c = c.to_vec();
-        tables.grow_with(&halves, c.len(), in_a_loop).unwrap();
-        assert_eq!(tables.read().cols[0].c, c);
+        tables.grow_with(&halves(c), c.len(), in_a_loop).unwrap();
+        let least = c.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(tables.read().cols[0].c_min, [least]);
         tables
     }
 
-    /// A column sketched over [`halves`] twice: through the visit (the
+    /// A column sketched over [`halves`]`(c)` twice: through the visit (the
     /// dense scan behind it) and through the dense scan alone.
-    fn sketch_halves(tables: &DrawTables, values: &[f64]) -> [Option<Vec<SigElement>>; 2] {
+    fn sketch_halves(
+        tables: &DrawTables,
+        c: &[f64],
+        values: &[f64],
+    ) -> [Option<Vec<SigElement>>; 2] {
         let bounds = bounds_of(values);
-        let visited = tables.sketch_with(&halves, bounds, values).unwrap();
-        let scanned = tables.scan(&tables.read(), bounds, values, &halves);
+        let visited = tables.sketch_with(&halves(c), bounds, values).unwrap();
+        let scanned = tables.scan(&tables.read(), bounds, values, &halves(c));
         [visited, scanned]
     }
 
@@ -878,14 +947,14 @@ mod tests {
         let tables = hand_built(&c);
         assert_eq!(tables.read().cols[0].prefixes[0][..2], [4, 1]);
         let row1 = Some(vec![SigElement { key: 1, t: 2 }]);
-        assert_eq!(sketch_halves(&tables, &values), [row1.clone(), row1]);
+        assert_eq!(sketch_halves(&tables, &c, &values), [row1.clone(), row1]);
         // Mirrored: the lower row has the smaller bound and is visited
         // first; the later equal `a` must not displace it.
         let c = [30.0, 1.0, 30.0, 30.0, 3.0, 30.0];
         let values = [1.0, 0.6, 0.0, 1.0, 1.0, 1.0];
         let tables = hand_built(&c);
         let row1 = Some(vec![SigElement { key: 1, t: 1 }]);
-        assert_eq!(sketch_halves(&tables, &values), [row1.clone(), row1]);
+        assert_eq!(sketch_halves(&tables, &c, &values), [row1.clone(), row1]);
     }
 
     #[test]
@@ -893,10 +962,11 @@ mod tests {
         // A constant column, and one with no finite value, weigh the floor
         // in every row: t = 0, y clamps to MIN_POSITIVE, a = 8 / MIN_POSITIVE
         // overflows to +∞ — nothing ever wins.
-        let tables = hand_built(&[8.0; 5]);
+        let c = [8.0; 5];
+        let tables = hand_built(&c);
         let untouched = Some(vec![SigElement { key: 0, t: 0 }]);
         for values in [[-2.5; 5], [f64::NAN; 5]] {
-            let sketched = sketch_halves(&tables, &values);
+            let sketched = sketch_halves(&tables, &c, &values);
             assert_eq!(sketched, [untouched.clone(), untouched.clone()]);
         }
     }
@@ -980,10 +1050,13 @@ mod tests {
         assert!(checked >= 1_000_000, "only {checked} draws checked");
     }
 
-    /// `fl(c/w)·(1 − 2⁻³⁰) ≤ a` wherever the dense scan relies on it.
+    /// `fl(m/w)·(1 − 2⁻³⁰) ≤ a` wherever the dense scan relies on it: at
+    /// `m = c` (the row's own test) and at `m = c·u`, `u ∈ (0, 1]` (the
+    /// test on its block's least `c`).
     #[test]
     fn ccws_filter_bound_holds_over_random_draws() {
         let mut checked = 0u32;
+        let mut state = 0xB10C_u64;
         let span = WEIGHT_CEILING - WEIGHT_FLOOR;
         let shape = |round: u32, u: f64, r: f64, beta: f64| match round % 6 {
             0 => WEIGHT_FLOOR + u * span,
@@ -999,11 +1072,19 @@ mod tests {
                 return;
             }
             let (a, _) = ccws_hash(w, r, c, beta);
-            let below = c / w * FILTER_SLACK;
-            assert!(
-                below <= a,
-                "filter {below} > a {a} at w {w} r {r} c {c} β {beta}"
-            );
+            state = crate::rng::splitmix64(state);
+            // Every fourth `u` is 1, the rest spread over (0, 1).
+            let u = match state % 4 {
+                0 => 1.0,
+                _ => ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64,
+            };
+            for m in [c, c * u] {
+                let below = m / w * FILTER_SLACK;
+                assert!(
+                    below <= a,
+                    "filter {below} > a {a} at m {m} w {w} r {r} c {c} β {beta}"
+                );
+            }
             checked += 1;
         });
         assert!(checked >= 1_000_000, "only {checked} draws checked");

@@ -32,7 +32,8 @@ echo "==> perf_e2e unit tests (benchmark/ is its own workspace on the crates' pu
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 if [[ "$quick" -eq 0 ]]; then
-    echo "==> minhash kernel vs scalar oracle + bound checks (release: the table_parity unit suite, and A <= a and the dense scan's filter bound asserted where debug_assert! is compiled out)"
+    echo "==> minhash kernel vs scalar oracle + bound checks (debug: the visit's A <= a and the dense scan's block-minimum filter, each row it skips re-derived, by debug_assert!; release: the table_parity unit suite, and A <= a and the filter bound at c and at a block minimum asserted where debug_assert! is compiled out)"
+    cargo test -q -p minhash --lib
     cargo test -q -p minhash --release --lib
 
     echo "==> pool unit tests + budget hand-over suite (release: the hand-over window is microseconds wide when optimised)"

@@ -150,12 +150,6 @@ fn each_proposal_counts_its_operator_once() {
         thre: 0.0,
         seed: 1,
     };
-    let fpe = eafe::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
-    let engine = eafe::Engine::e_afe(cfg, fpe);
-    let frame = tabular::SynthSpec::new("op-counts", 150, 5, tabular::Task::Classification)
-        .with_seed(5)
-        .generate()
-        .unwrap();
     let generated = |snapshot: &telemetry::RegistrySnapshot| -> u64 {
         let ops = snapshot.counters.iter();
         ops.filter(|(name, _)| name.starts_with("ops.generated."))
@@ -163,6 +157,14 @@ fn each_proposal_counts_its_operator_once() {
             .sum()
     };
     let ((counted, result), _) = with_collector(|| {
+        // Pre-training runs pool maps too: under the sink lock, so that
+        // their task spans cannot reach another test's collector.
+        let fpe = eafe::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
+        let engine = eafe::Engine::e_afe(cfg, fpe);
+        let frame = tabular::SynthSpec::new("op-counts", 150, 5, tabular::Task::Classification)
+            .with_seed(5)
+            .generate()
+            .unwrap();
         let before = telemetry::global().snapshot();
         let mut search = engine.start(&frame).unwrap();
         while !search.is_done() {
