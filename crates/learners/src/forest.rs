@@ -7,8 +7,10 @@
 //!
 //! Trees are trained on bootstrap resamples with √N feature subsampling and
 //! fitted in parallel through the shared `runtime` worker pool. Per-tree
-//! seeds and bootstrap rows are drawn sequentially up front, so the fitted
-//! forest is bit-identical under any thread count.
+//! seeds and the generator state each bootstrap draw starts from are taken
+//! sequentially up front; each tree's task replays its own draw straight
+//! into the tree builder. So the fitted forest is bit-identical under any
+//! thread count, and only the running trees' draws are ever in memory.
 
 use crate::binned::BinnedDataset;
 use crate::error::{LearnError, Result};
@@ -75,44 +77,76 @@ fn bin_features(x: &[Vec<f64>], max_bins: usize) -> Result<BinnedDataset> {
     Ok(binned)
 }
 
-/// Per-tree (seed, rows) draws, drawn sequentially up front so the fitted
-/// forest never depends on worker scheduling. Each bootstrap draw indexes
-/// straight into the caller's training subset `rows` (the identity for a
-/// full-dataset fit).
-fn draw_trees(
-    n_trees: usize,
-    rows: &[usize],
-    bootstrap: bool,
-    rng: &mut StdRng,
-) -> Vec<(u64, Vec<usize>)> {
+/// One tree's randomness, taken from the fold's generator up front: the
+/// tree's seed and, under bootstrap, the generator as the tree's draw
+/// starts. The draw itself is not kept; [`bootstrap_rows`] replays it.
+struct TreeDraw {
+    seed: u64,
+    bootstrap: Option<StdRng>,
+}
+
+/// One bootstrap draw: a position in the caller's training subset of `n`
+/// rows. Stepping past a draw and replaying it both call exactly this, so
+/// they consume the generator alike; the step past discards the position,
+/// which leaves it only the generator's own steps to pay.
+#[inline]
+fn bootstrap_position(n: usize, rng: &mut StdRng) -> usize {
+    rng.gen_range(0..n)
+}
+
+/// The bootstrap draw that starts at `rng`: `rows.len()` rows of `rows`.
+fn bootstrap_rows(rows: &[usize], mut rng: StdRng) -> impl ExactSizeIterator<Item = usize> + '_ {
+    (0..rows.len()).map(move |_| rows[bootstrap_position(rows.len(), &mut rng)])
+}
+
+/// Per-tree seeds and draw states, taken sequentially up front so the
+/// fitted forest never depends on worker scheduling. Under bootstrap the
+/// fold's generator steps past each tree's draw, keeping only where it
+/// started; each draw indexes straight into the caller's training subset
+/// `rows` (the identity for a full-dataset fit).
+fn draw_trees(n_trees: usize, rows: &[usize], bootstrap: bool, rng: &mut StdRng) -> Vec<TreeDraw> {
     (0..n_trees)
         .map(|_| {
             let seed = rng.gen::<u64>();
-            let draw = if bootstrap {
-                (0..rows.len())
-                    .map(|_| rows[rng.gen_range(0..rows.len())])
-                    .collect()
-            } else {
-                rows.to_vec()
-            };
-            (seed, draw)
+            let bootstrap = bootstrap.then(|| {
+                let start = rng.clone();
+                for _ in 0..rows.len() {
+                    bootstrap_position(rows.len(), rng);
+                }
+                start
+            });
+            TreeDraw { seed, bootstrap }
         })
         .collect()
 }
 
-/// Fit one tree per `(seed, rows)` draw through the shared runtime pool,
-/// under the process-wide thread budget (`runtime::set_global_threads`).
+/// Fit one tree per draw through the shared runtime pool, under the
+/// process-wide thread budget (`runtime::set_global_threads`). Each task
+/// replays its tree's bootstrap draw into the builder, or reads `rows`
+/// as they are without bootstrap.
 ///
 /// The draws carry all per-tree randomness, so results do not depend on
 /// which worker runs which tree; the pool returns them in draw order.
 fn fit_trees(
-    draws: Vec<(u64, Vec<usize>)>,
-    fit_one: impl Fn(u64, &[usize]) -> Result<Tree> + Sync,
+    binned: &BinnedDataset,
+    rows: &[usize],
+    labels: Labels<'_>,
+    tree_cfg: TreeConfig,
+    draws: Vec<TreeDraw>,
 ) -> Result<Vec<Tree>> {
     let mut span = telemetry::span("forest.fit_trees");
     span.field("trees", draws.len() as f64);
     WorkerPool::new()
-        .map(draws, |_ctx, (seed, rows)| fit_one(seed, &rows))
+        .map(draws, |_ctx, draw| {
+            let cfg = TreeConfig {
+                seed: draw.seed,
+                ..tree_cfg
+            };
+            match draw.bootstrap {
+                Some(rng) => Tree::fit_labels(binned, bootstrap_rows(rows, rng), labels, cfg),
+                None => Tree::fit_labels(binned, rows.iter().copied(), labels, cfg),
+            }
+        })
         .into_iter()
         .collect()
 }
@@ -172,20 +206,24 @@ impl RandomForest {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
+        let tree_cfg = self.tree_config(binned.n_features(), labels);
+        self.trees = fit_trees(binned, rows, labels, tree_cfg, draws)?;
+        Ok(())
+    }
+
+    /// The trees' configuration: `max_features` unset picks √N features
+    /// for classification and N/3 for regression.
+    fn tree_config(&self, n_features: usize, labels: Labels<'_>) -> TreeConfig {
         let mut tree_cfg = self.config.tree;
         if tree_cfg.max_features.is_none() {
-            let n_features = binned.n_features();
             tree_cfg.max_features = Some(match labels {
                 Labels::Class { .. } => self.config.sqrt_features(n_features),
                 // Regression forests conventionally use N/3 features.
                 Labels::Reg(_) => (n_features / 3).clamp(1, n_features),
             });
         }
-        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
-        self.trees = fit_trees(draws, |seed, tree_rows| {
-            Tree::fit_labels(binned, tree_rows, labels, TreeConfig { seed, ..tree_cfg })
-        })?;
-        Ok(())
+        tree_cfg
     }
 
     /// Predict column-major features.
@@ -445,6 +483,142 @@ mod tests {
         runtime::set_global_threads(0);
         assert_eq!(seq, par);
         assert_eq!(seq.predict(&x).unwrap(), par.predict(&x).unwrap());
+    }
+
+    /// The draw as it was taken before tasks replayed it: every tree's
+    /// seed and rows, drawn sequentially up front. The oracle for
+    /// [`draw_trees`] + [`bootstrap_rows`].
+    fn draw_trees_upfront(
+        n_trees: usize,
+        rows: &[usize],
+        bootstrap: bool,
+        rng: &mut StdRng,
+    ) -> Vec<(u64, Vec<usize>)> {
+        (0..n_trees)
+            .map(|_| {
+                let seed = rng.gen::<u64>();
+                let draw = if bootstrap {
+                    (0..rows.len())
+                        .map(|_| rows[rng.gen_range(0..rows.len())])
+                        .collect()
+                } else {
+                    rows.to_vec()
+                };
+                (seed, draw)
+            })
+            .collect()
+    }
+
+    /// Training subsets of 1, 7 and 800 rows, with repeated ids.
+    fn subsets() -> Vec<Vec<usize>> {
+        vec![
+            vec![4],
+            vec![0, 3, 3, 9, 1, 1, 1],
+            (0..800).map(|i| (i * 7) % 600).collect(),
+        ]
+    }
+
+    #[test]
+    fn replayed_draws_equal_the_upfront_oracle() {
+        for rows in subsets() {
+            for bootstrap in [true, false] {
+                for n_trees in [1, 2, 6] {
+                    let what = format!(
+                        "{} rows, bootstrap {bootstrap}, {n_trees} trees",
+                        rows.len()
+                    );
+                    let mut rng = StdRng::seed_from_u64(17);
+                    let mut oracle_rng = rng.clone();
+                    let draws = draw_trees(n_trees, &rows, bootstrap, &mut rng);
+                    let oracle = draw_trees_upfront(n_trees, &rows, bootstrap, &mut oracle_rng);
+                    // The fold's generator ends where the up-front draw left it.
+                    assert_eq!(rng, oracle_rng, "{what}");
+                    assert_eq!(draws.len(), oracle.len(), "{what}");
+                    for (draw, (seed, drawn)) in draws.into_iter().zip(oracle) {
+                        assert_eq!(draw.seed, seed, "{what}");
+                        assert_eq!(draw.bootstrap.is_some(), bootstrap, "{what}");
+                        let replayed: Vec<usize> = match draw.bootstrap {
+                            Some(start) => bootstrap_rows(&rows, start).collect(),
+                            None => rows.clone(),
+                        };
+                        assert_eq!(replayed, drawn, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `forest` refitted from [`draw_trees_upfront`]'s rows, each tree
+    /// built on its gathered `Vec<usize>` as before draws were replayed.
+    fn fit_from_oracle(
+        forest: &RandomForest,
+        binned: &BinnedDataset,
+        rows: &[usize],
+        labels: Labels<'_>,
+    ) -> RandomForest {
+        let config = forest.config;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let tree_cfg = forest.tree_config(binned.n_features(), labels);
+        let trees = draw_trees_upfront(config.n_trees, rows, config.bootstrap, &mut rng)
+            .into_iter()
+            .map(|(seed, drawn)| {
+                let cfg = TreeConfig { seed, ..tree_cfg };
+                Tree::fit_labels(binned, drawn.iter().copied(), labels, cfg).unwrap()
+            })
+            .collect();
+        RandomForest { config, trees }
+    }
+
+    #[test]
+    fn replayed_forest_equals_the_upfront_oracle_on_both_tasks() {
+        let (x, class) = nonlinear_classification(600, 10);
+        let reg = Label::Reg(x[0].iter().zip(&x[1]).map(|(a, b)| a * b + a).collect());
+        let binned = BinnedDataset::build(&x, TreeConfig::default().max_bins).unwrap();
+        for label in [&class, &reg] {
+            for rows in subsets() {
+                for bootstrap in [true, false] {
+                    for n_trees in [1, 2, 6] {
+                        let mut forest = RandomForest::new(ForestConfig {
+                            n_trees,
+                            bootstrap,
+                            seed: 3,
+                            ..ForestConfig::default()
+                        });
+                        forest.fit_binned(&binned, &rows, label).unwrap();
+                        let oracle = fit_from_oracle(&forest, &binned, &rows, Labels::from(label));
+                        assert!(
+                            forest == oracle,
+                            "{} rows, bootstrap {bootstrap}, {n_trees} trees",
+                            rows.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_build_rejects_bad_rows_and_classes() {
+        let (x, class) = nonlinear_classification(50, 11);
+        let binned = BinnedDataset::build(&x, TreeConfig::default().max_bins).unwrap();
+        let reg = Label::Reg(vec![1.0; 50]);
+        for bootstrap in [true, false] {
+            let mut forest = RandomForest::new(ForestConfig {
+                bootstrap,
+                ..ForestConfig::default()
+            });
+            // A row id past the label, on either task.
+            for label in [&class, &reg] {
+                let err = forest.fit_binned(&binned, &[50], label).unwrap_err();
+                assert!(matches!(err, LearnError::InvalidParam(_)), "{err:?}");
+            }
+            // A class outside `0..n_classes`.
+            let mut y = class.classes().unwrap().to_vec();
+            y[7] = 2;
+            let bad = Label::Class { y, n_classes: 2 };
+            let err = forest.fit_binned(&binned, &[7, 7, 7], &bad).unwrap_err();
+            assert!(matches!(err, LearnError::InvalidParam(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -197,13 +197,15 @@ impl Tree {
         label: &Label,
         config: TreeConfig,
     ) -> Result<Tree> {
-        Self::fit_labels(binned, rows, Labels::from(label), config)
+        Self::fit_labels(binned, rows.iter().copied(), Labels::from(label), config)
     }
 
-    /// [`fit_binned`](Self::fit_binned) on borrowed labels.
+    /// [`fit_binned`](Self::fit_binned) on borrowed labels, reading the
+    /// training rows once, in order, from `rows` (a forest's bootstrap
+    /// draw is replayed straight into it).
     pub(crate) fn fit_labels(
         binned: &BinnedDataset,
-        rows: &[usize],
+        rows: impl ExactSizeIterator<Item = usize>,
         labels: Labels<'_>,
         config: TreeConfig,
     ) -> Result<Tree> {
@@ -301,6 +303,22 @@ struct Scratch {
     touched: Vec<u64>,
 }
 
+/// The builder's row buffer and its node-ordered labels, filled in one
+/// pass over `rows`: each id narrowed to `u32` beside `label(id)`, the
+/// first error stopping the pass.
+fn into_node_order<T>(
+    rows: impl ExactSizeIterator<Item = usize>,
+    label: impl Fn(usize) -> Result<T>,
+) -> Result<(Vec<u32>, Vec<T>)> {
+    let mut ids = Vec::with_capacity(rows.len());
+    let mut labels = Vec::with_capacity(rows.len());
+    for r in rows {
+        labels.push(label(r)?);
+        ids.push(r as u32);
+    }
+    Ok((ids, labels))
+}
+
 struct Builder<'a> {
     binned: &'a BinnedDataset,
     cfg: TreeConfig,
@@ -329,12 +347,12 @@ impl<'a> Builder<'a> {
     /// `labels` are indexed by dataset row, like `rows`.
     fn build(
         binned: &'a BinnedDataset,
-        rows: &[usize],
+        rows: impl ExactSizeIterator<Item = usize>,
         labels: Labels<'_>,
         cfg: TreeConfig,
     ) -> Result<Tree> {
         let n_rows = labels.len();
-        if binned.n_features() == 0 || n_rows == 0 || rows.is_empty() {
+        if binned.n_features() == 0 || n_rows == 0 || rows.len() == 0 {
             return Err(LearnError::EmptyTrainingSet("decision tree".into()));
         }
         if binned.n_rows() != n_rows {
@@ -348,39 +366,38 @@ impl<'a> Builder<'a> {
                 "{n_rows} rows do not fit the builder's u32 row ids"
             )));
         }
-        // Narrow the row ids and pull each row's label into node order.
-        // The label lookup is also the bounds check: `n_rows` fits `u32`,
-        // so an id that passes it narrowed losslessly.
+        // Narrow the row ids and pull each row's label into node order, in
+        // one pass over `rows`. The label lookup is also the bounds check:
+        // `n_rows` fits `u32`, so an id that passes it narrowed losslessly.
         let out_of_bounds = || LearnError::InvalidParam("training row index out of bounds".into());
-        let node_rows: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-        let node_labels = match labels {
+        let (node_rows, node_labels) = match labels {
             Labels::Class { y, n_classes } => {
-                let y = rows
-                    .iter()
-                    .map(|&r| match y.get(r) {
-                        Some(&c) if c < n_classes => Ok(c as u32),
-                        Some(&c) => Err(LearnError::InvalidParam(format!(
-                            "class label {c} outside 0..{n_classes}"
-                        ))),
-                        None => Err(out_of_bounds()),
-                    })
-                    .collect::<Result<Vec<u32>>>()?;
-                NodeLabels::Class {
+                let (ids, y) = into_node_order(rows, |r| match y.get(r) {
+                    Some(&c) if c < n_classes => Ok(c as u32),
+                    Some(&c) => Err(LearnError::InvalidParam(format!(
+                        "class label {c} outside 0..{n_classes}"
+                    ))),
+                    None => Err(out_of_bounds()),
+                })?;
+                let labels = NodeLabels::Class {
                     y,
                     spill: Vec::new(),
                     n_classes,
-                }
+                };
+                (ids, labels)
             }
-            Labels::Reg(y) => NodeLabels::Reg {
-                y: rows
-                    .iter()
-                    .map(|&r| y.get(r).copied().ok_or_else(out_of_bounds))
-                    .collect::<Result<Vec<f64>>>()?,
-                spill: Vec::new(),
-            },
+            Labels::Reg(y) => {
+                let (ids, y) =
+                    into_node_order(rows, |r| y.get(r).copied().ok_or_else(out_of_bounds))?;
+                let labels = NodeLabels::Reg {
+                    y,
+                    spill: Vec::new(),
+                };
+                (ids, labels)
+            }
         };
         let n_features = binned.n_features();
-        let n_train = rows.len();
+        let n_train = node_rows.len();
         let mut b = Builder {
             binned,
             cfg,

@@ -45,12 +45,11 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
     cargo test -q --release --test hist_parity --test golden_scores
 
-    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares); prediction by bin code == prediction by value"
+    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares); prediction by bin code == prediction by value; replayed bootstrap draws == the up-front oracle, single_thread_matches_parallel, the 1-vs-4-thread suite and the multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q -p learners --release --lib cv::
     cargo test -q --release --test score_memo --test paper_claims
-
-    echo "==> multi-process distributed determinism suite (release: the kill must land at any speed)"
-    cargo test -q --release --test parallel_determinism multi_process
+    cargo test -q -p learners --release --lib forest::
+    cargo test -q --release --test parallel_determinism
 
     echo "==> column digest + score-cache key parity, frames built per evaluation (release: the stores' key debug_assert and its debug-only frame are compiled out)"
     cargo test -q -p runtime --release --lib fingerprint
