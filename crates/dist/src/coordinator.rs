@@ -160,8 +160,8 @@ impl<T: Transport> Coordinator<T> {
         // fingerprint `step` will probe with. Of the rest, dispatch one per
         // rank key: the others are its rank twins, whose score is the
         // representative's bit for bit (the CV memo's premise), so they
-        // wait for it instead of a worker. Binning a candidate here fills
-        // the bin cache `step` reads on a miss.
+        // wait for it instead of a worker. A candidate binned here for its
+        // rank key is not kept: the bin cache holds selected columns only.
         let evaluator = engine.evaluator();
         let budget = selection.bin_budget();
         let mut seen: HashSet<Fingerprint> = HashSet::new();

@@ -55,7 +55,9 @@ impl Session {
                 // does, so the content-addressed key matches the one
                 // `Engine::step` will look up; a miss reads the prefix's
                 // bins plus the candidate's (a frame only for a model
-                // kind that reads raw values).
+                // kind that reads raw values). The prefix joins a
+                // selection, so the bin cache keeps its bins for later
+                // shards; a candidate's bins leave with the candidate.
                 let label = prefix.label();
                 let budget = self.evaluator.scorer().bin_budget(prefix.task());
                 let mut selection = Selection::new(&prefix.name, prefix.n_rows(), label, budget);

@@ -238,7 +238,8 @@ pub struct Search<B: ColumnStore> {
     evaluator: Option<CachedEvaluator>,
     /// The selected columns as key state, digests and bins, so a
     /// candidate's probe digests only the candidate and a miss bins only
-    /// it. Process-local like the evaluator: derived from the store, never
+    /// it, plus the last probed candidate, which an acceptance moves in.
+    /// Process-local like the evaluator: derived from the store, never
     /// serialised, built by the first evaluation (again after a restore)
     /// and extended on acceptance.
     selection: Option<Selection>,
@@ -907,8 +908,9 @@ fn evaluate<B: ColumnStore>(
 /// Accept `candidate`, which scored `score` (above the current score),
 /// into its proposing agent's subgroup; its weight is
 /// `core.state.last_reward`, the gain it delivered. A built selection
-/// gains the column behind its subgroup's earlier acceptances; its bins
-/// are the ones its evaluation left in the bin cache.
+/// gains the column behind its subgroup's earlier acceptances: the
+/// candidate its `probe` held, with the digest and bins that probe made
+/// (binned here only when its score came from the score cache).
 fn accept<B: ColumnStore>(
     core: &mut SearchCore<B>,
     selection: &mut Option<Selection>,
@@ -926,11 +928,13 @@ fn accept<B: ColumnStore>(
         let agent = B::lineage(&candidate).agent;
         let at = store.n_agents() + (0..=agent).map(|j| store.members(j) - 1).sum::<usize>();
         let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(&candidate, run);
-        let (name, budget) = (B::name(&candidate), selection.bin_budget());
-        selection.insert(
-            at,
-            binned(store.n_rows(), name, digest(runs)?, budget, runs)?,
-        );
+        let name = B::name(&candidate);
+        let column = match selection.take_candidate() {
+            Some(held) if held.name() == name => held,
+            _ => unbinned(name, runs)?,
+        };
+        let column = bin(column, store.n_rows(), selection.bin_budget(), runs)?;
+        selection.insert(at, column);
     }
     store.accept(candidate)
 }
@@ -939,10 +943,12 @@ fn accept<B: ColumnStore>(
 /// the selection alone when `None` — and the one place a search scores
 /// anything. The score cache is probed with the selection's key state
 /// plus the candidate's digest (≡ `cache_key` of the raw-value frame); a
-/// miss bins only the candidate, from its runs, and the store builds a
-/// frame only for a model kind that reads raw values. `held` is the
-/// selection, built here from the store's columns when it is missing or
-/// was binned under another budget.
+/// miss bins only the candidate, from its runs (or reads its bins from
+/// the bin cache, which does not keep them), and the store builds a frame
+/// only for a model kind that reads raw values. `held` is the selection,
+/// built here from the store's columns when it is missing or was binned
+/// under another budget; it holds the candidate afterwards, in place of
+/// the one probed before, for `accept` to take.
 pub(crate) fn probe<B: ColumnStore>(
     store: &B,
     evaluator: &CachedEvaluator,
@@ -952,15 +958,16 @@ pub(crate) fn probe<B: ColumnStore>(
     let budget = evaluator.scorer().bin_budget(store.label().task());
     let selection = selection_under(store, held.take(), budget)?;
     let selection = held.insert(selection);
-    let extra = match candidate {
-        Some(c) => Some((c, digest(|run| store.candidate_runs(c, run))?)),
-        None => None,
-    };
-    let key = evaluator.key_of(&match extra {
-        Some((c, digest)) => selection.extended_key(B::name(c), digest),
+    // The previous candidate's bins go before this one's are built.
+    selection.take_candidate();
+    let mut extra = candidate
+        .map(|c| unbinned(B::name(c), |run| store.candidate_runs(c, run)))
+        .transpose()?;
+    let key = evaluator.key_of(&match &extra {
+        Some(column) => selection.extended_key(column.name(), column.digest()),
         None => selection.key().clone(),
     });
-    evaluator.evaluate_keyed(key, |scorer| {
+    let score = evaluator.evaluate_keyed(key, |scorer| {
         if cfg!(debug_assertions) {
             let frame = store.raw_frame(candidate)?;
             debug_assert_eq!(
@@ -969,15 +976,18 @@ pub(crate) fn probe<B: ColumnStore>(
                 "key must address this frame"
             );
         }
-        let extra = extra.map(|(c, digest)| {
+        if let (Some(c), Some(column)) = (candidate, extra.take()) {
             let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(c, run);
-            binned(store.n_rows(), B::name(c), digest, budget, runs)
-        });
-        let extra = extra.transpose()?;
+            extra = Some(bin(column, store.n_rows(), budget, runs)?);
+        }
         scorer.evaluate_selection(selection, extra.as_ref(), store.label(), || {
             store.raw_frame(candidate)
         })
-    })
+    })?;
+    if let Some(column) = extra {
+        selection.hold_candidate(column);
+    }
+    Ok(score)
 }
 
 /// `held` when it was binned under `budget`, else the selection of the
@@ -994,8 +1004,8 @@ fn selection_under<B: ColumnStore>(
     let mut selection = Selection::new(store.dataset(), store.n_rows(), store.label(), budget);
     for (j, i) in store.selected() {
         let runs = |run: &mut dyn FnMut(&[f64])| store.member_runs(j, i, run);
-        let name = store.member(j, i).0;
-        selection.push(binned(store.n_rows(), name, digest(runs)?, budget, runs)?);
+        let column = unbinned(store.member(j, i).0, runs)?;
+        selection.push(bin(column, store.n_rows(), budget, runs)?);
     }
     Ok(selection)
 }
@@ -1007,17 +1017,23 @@ fn digest(runs: impl FnOnce(&mut dyn FnMut(&[f64])) -> Result<()>) -> Result<Fin
     Ok(digest.finish())
 }
 
-/// That column of `n_rows` rows as a selection holds it: its name, its
-/// digest and, under `budget`, its bins — from the bin cache, or binned
-/// from the runs `runs` hands over again.
-fn binned(
-    n_rows: usize,
+/// The column `name` that `runs` hands over, digested and not binned.
+fn unbinned(
     name: &str,
-    digest: Fingerprint,
+    runs: impl FnOnce(&mut dyn FnMut(&[f64])) -> Result<()>,
+) -> Result<SelectedColumn> {
+    Ok(SelectedColumn::unbinned(name, digest(runs)?))
+}
+
+/// `column`, of `n_rows` rows, binned under `budget` unless it is binned
+/// already: from the bin cache, or from the runs `runs` hands over again.
+fn bin(
+    column: SelectedColumn,
+    n_rows: usize,
     budget: Option<usize>,
     runs: impl FnMut(&mut dyn FnMut(&[f64])) -> Result<()>,
 ) -> Result<SelectedColumn> {
-    SelectedColumn::new(name, digest, budget, |bins| {
+    column.binned(budget, |bins| {
         BinnedColumn::build_from_runs(n_rows, bins, runs)
     })
 }
@@ -1034,6 +1050,7 @@ pub fn max_slices(cfg: &EafeConfig, two_stage: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tabular::{SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {
@@ -1389,6 +1406,50 @@ mod tests {
             let restored = SearchState::from_value(&checkpoint).unwrap();
             assert_eq!(restored.core, search.core);
         }
+    }
+
+    /// An accepted candidate joins the selection with the bins its probe
+    /// built — the very allocation, so it is neither digested nor binned
+    /// again — in both column stores.
+    #[test]
+    fn an_accepted_column_keeps_the_bins_its_probe_built() {
+        fn accept_one<B: ColumnStore>(mut search: Search<B>) {
+            let evaluator = search.evaluator.clone().unwrap();
+            let lineage = Lineage::new(1, Operator::Multiply, 0, 0);
+            let candidate = search.core.state.store.generate(lineage).unwrap();
+            let misses = evaluator.stats().misses;
+            let store = &search.core.state.store;
+            let score = probe(store, &evaluator, &mut search.selection, Some(&candidate));
+            assert_eq!(evaluator.stats().misses, misses + 1, "a computed score");
+            let held = search.selection.clone().unwrap().take_candidate().unwrap();
+            let probed = Arc::clone(held.bins().expect("a miss bins the candidate"));
+            let name = B::name(&candidate).to_string();
+            let n_agents = store.n_agents();
+            accept(
+                &mut search.core,
+                &mut search.selection,
+                candidate,
+                score.unwrap(),
+            )
+            .unwrap();
+            let selection = search.selection.as_mut().unwrap();
+            // Agent 1's first acceptance goes behind the base columns and
+            // agent 0's (none yet).
+            let column = &selection.columns()[n_agents];
+            assert_eq!(column.name(), name);
+            assert_eq!(column.digest(), held.digest());
+            assert!(Arc::ptr_eq(column.bins().unwrap(), &probed));
+            assert!(selection.take_candidate().is_none(), "moved, not copied");
+        }
+        let engine = Engine::nfs(fast_config());
+        let frame = target_frame();
+        accept_one(engine.start(&frame).unwrap());
+        let chunked = tabular::ChunkedFrame::from_dataframe(
+            &frame,
+            tabular::ChunkOptions::default().with_chunk_rows(32),
+            Box::new(tabular::InMemoryStore::new()),
+        );
+        accept_one(engine.start_chunked(chunked.unwrap()).unwrap());
     }
 
     #[test]

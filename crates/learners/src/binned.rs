@@ -9,8 +9,9 @@
 //! `O(n_bins)` scan. A [`BinnedDataset`] is built one time per
 //! (dataset, feature-set) and shared — across every tree of a forest,
 //! every fold of a cross-validation, and (through the content-addressed
-//! bin cache) every downstream evaluation that sees
-//! the same column content again.
+//! bin cache) every downstream evaluation that sees a cached column's
+//! content again: a frame's, or a search's selected column's — not a
+//! candidate the search only scored (see [`Selection`](crate::Selection)).
 //!
 //! Bin-edge scheme: when a column has at most `max_bins` distinct values
 //! it gets **one bin per distinct value** with boundaries at the midpoints
@@ -342,7 +343,10 @@ impl BinnedDataset {
             .iter()
             .zip(digests)
             .map(|(c, digest)| {
-                cached_bins(digest, max_bins, || Ok(BinnedColumn::build(c, max_bins)))
+                let build = || Ok::<_, LearnError>(BinnedColumn::build(c, max_bins));
+                let bins = cached_bins(digest, max_bins, build)?;
+                keep_bins(digest, max_bins, &bins);
+                Ok(bins)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(BinnedDataset { columns, n_rows })
@@ -402,9 +406,15 @@ fn validate_cols(cols: &[&[f64]], max_bins: usize) -> Result<()> {
     Ok(())
 }
 
-/// Capacity of the process-wide bin cache. Entries are per-column
-/// (codes + thresholds, roughly 1–2 bytes per row), so even at paper
-/// scale the cache stays in the tens of megabytes.
+/// Capacity of the process-wide bin cache, in columns. An entry is a
+/// column's codes and thresholds, 1–2 bytes per row: ≈ 78 KiB at 80 000
+/// rows, so a full cache there would hold ≈ 650 MiB. What keeps it far
+/// below that is who inserts: the frames [`Evaluator::evaluate`] and
+/// `RandomForest::fit` bin (FPE pre-training), and the columns that join
+/// a search's [`Selection`] — never a candidate a search only scores.
+///
+/// [`Evaluator::evaluate`]: crate::Evaluator::evaluate
+/// [`Selection`]: crate::Selection
 pub(crate) const BIN_CACHE_CAPACITY: usize = 8_192;
 
 fn bin_cache() -> &'static ScoreCache<Arc<BinnedColumn>> {
@@ -412,30 +422,44 @@ fn bin_cache() -> &'static ScoreCache<Arc<BinnedColumn>> {
     CACHE.get_or_init(|| ScoreCache::new(BIN_CACHE_CAPACITY))
 }
 
+/// Counters of the process-wide bin cache, with its resident columns.
+pub fn bin_cache_stats() -> runtime::CacheStats {
+    bin_cache().stats()
+}
+
+fn bin_key(digest: Fingerprint, max_bins: usize) -> Fingerprint {
+    let mut h = Hasher128::new();
+    h.write_str("learners::BinnedColumn");
+    h.write_u64(max_bins as u64);
+    h.write_u128(digest.0);
+    h.finish()
+}
+
 /// The bins of the column whose values digest to `digest`
 /// ([`runtime::fingerprint_values`]) under `max_bins`: from the
-/// process-wide bin cache, or made by `build` and cached. The probe for a
-/// caller that already holds the digest — a search keys its score cache
-/// by it — so nothing is hashed twice.
+/// process-wide bin cache, or made by `build`, which the cache does not
+/// keep: the caller that holds on to the column does ([`keep_bins`]). The
+/// probe for a caller that already holds the digest — a search keys its
+/// score cache by it — so nothing is hashed twice.
 pub(crate) fn cached_bins<E>(
     digest: Fingerprint,
     max_bins: usize,
     build: impl FnOnce() -> std::result::Result<BinnedColumn, E>,
 ) -> std::result::Result<Arc<BinnedColumn>, E> {
-    let mut h = Hasher128::new();
-    h.write_str("learners::BinnedColumn");
-    h.write_u64(max_bins as u64);
-    h.write_u128(digest.0);
-    let key = h.finish();
-    let cache = bin_cache();
-    if let Some(hit) = cache.get(key) {
+    if let Some(hit) = bin_cache().get(bin_key(digest, max_bins)) {
         telemetry::count("binned.columns_reused", 1);
         return Ok(hit);
     }
     let built = Arc::new(build()?);
     telemetry::count("binned.columns_built", 1);
-    cache.insert(key, Arc::clone(&built));
     Ok(built)
+}
+
+/// Cache `bins`, the bins of the column whose values digest to `digest`
+/// under `max_bins`, or refresh them there: a frame's evaluation keeps
+/// every column it binned, a search the columns that join its selection.
+pub(crate) fn keep_bins(digest: Fingerprint, max_bins: usize, bins: &Arc<BinnedColumn>) {
+    bin_cache().insert(bin_key(digest, max_bins), Arc::clone(bins));
 }
 
 // ---------------------------------------------------------------------

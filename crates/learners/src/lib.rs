@@ -50,7 +50,9 @@ mod resnet;
 mod selection;
 mod tree;
 
-pub use binned::{BinCodes, BinnedColumn, BinnedDataset, SplitMethod, DEFAULT_MAX_BINS};
+pub use binned::{
+    bin_cache_stats, BinCodes, BinnedColumn, BinnedDataset, SplitMethod, DEFAULT_MAX_BINS,
+};
 pub use cv::{feature_matrix, score_memo_stats, Evaluator, ModelKind};
 pub use error::{LearnError, Result};
 pub use forest::{ForestConfig, RandomForest, RandomForestClassifier, RandomForestRegressor};

@@ -8,8 +8,16 @@
 //! and, when the scorer trains a binned forest, its [`BinnedColumn`] (so a
 //! miss bins only the candidate). An acceptance inserts one column and
 //! recombines the key from the stored digests; nothing is read twice.
+//!
+//! Only a selection keeps bins in the process-wide bin cache: a column
+//! that joins one ([`Selection::push`], [`Selection::insert`]) is cached,
+//! while a candidate's bins are read from the cache when it holds them
+//! and otherwise built for the candidate alone. The selection holds the
+//! last candidate scored against it ([`Selection::hold_candidate`]), so
+//! accepting that candidate moves its digest and bins in; a rejected
+//! candidate's bins leave with it.
 
-use crate::binned::{cached_bins, BinnedColumn};
+use crate::binned::{cached_bins, keep_bins, BinnedColumn};
 use crate::cv::Evaluator;
 use crate::error::LearnError;
 use runtime::{fingerprint_values, Fingerprint, KeyPrefix};
@@ -31,27 +39,32 @@ pub struct SelectedColumn {
 }
 
 impl SelectedColumn {
-    /// A column whose values digest to `digest`, binned through the bin
-    /// cache under `bin_budget` — by `build(max_bins)` on a cache miss —
-    /// or not binned when `bin_budget` is `None`.
-    pub fn new<E>(
-        name: &str,
-        digest: Fingerprint,
+    /// The column `name` whose values digest to `digest`, not binned.
+    pub fn unbinned(name: &str, digest: Fingerprint) -> Self {
+        SelectedColumn {
+            name: name.to_string(),
+            digest,
+            bins: None,
+        }
+    }
+
+    /// This column binned under `bin_budget`: unchanged when it has bins
+    /// or `bin_budget` is `None`, else with the bin cache's bins, or with
+    /// `build(max_bins)`'s on a cache miss. The cache does not keep what
+    /// `build` made; a [`Selection`] the column joins does.
+    pub fn binned<E>(
+        mut self,
         bin_budget: Option<usize>,
         build: impl FnOnce(usize) -> Result<BinnedColumn, E>,
     ) -> Result<Self, E> {
-        let bins = match bin_budget {
-            Some(max_bins) => Some(cached_bins(digest, max_bins, || build(max_bins))?),
-            None => None,
-        };
-        Ok(SelectedColumn {
-            name: name.to_string(),
-            digest,
-            bins,
-        })
+        if let (Some(max_bins), None) = (bin_budget, &self.bins) {
+            self.bins = Some(cached_bins(self.digest, max_bins, || build(max_bins))?);
+        }
+        Ok(self)
     }
 
-    /// [`new`](Self::new) for a column held in one piece.
+    /// [`unbinned`](Self::unbinned) and then [`binned`](Self::binned),
+    /// for a column held in one piece.
     pub fn of_values(name: &str, values: &[f64], bin_budget: Option<usize>) -> Self {
         Self::with_digest(name, values, fingerprint_values(values), bin_budget)
     }
@@ -64,13 +77,28 @@ impl SelectedColumn {
         digest: Fingerprint,
         bin_budget: Option<usize>,
     ) -> Self {
-        let column = Self::new(name, digest, bin_budget, |max_bins| {
+        let column = Self::unbinned(name, digest).binned(bin_budget, |max_bins| {
             Ok::<_, std::convert::Infallible>(BinnedColumn::build(values, max_bins))
         });
         match column {
             Ok(column) => column,
             Err(never) => match never {},
         }
+    }
+
+    /// The column's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The digest of the column's values.
+    pub fn digest(&self) -> Fingerprint {
+        self.digest
+    }
+
+    /// The column's bins, when it is binned.
+    pub fn bins(&self) -> Option<&Arc<BinnedColumn>> {
+        self.bins.as_ref()
     }
 }
 
@@ -85,6 +113,9 @@ pub struct Selection {
     key: KeyPrefix,
     /// The bin budget every column's bins are built under, if binned.
     bin_budget: Option<usize>,
+    /// The last candidate scored against the selection; see
+    /// [`hold_candidate`](Self::hold_candidate).
+    candidate: Option<SelectedColumn>,
 }
 
 impl Selection {
@@ -98,6 +129,7 @@ impl Selection {
             head,
             columns: Vec::new(),
             bin_budget,
+            candidate: None,
         }
     }
 
@@ -106,21 +138,54 @@ impl Selection {
         self.bin_budget
     }
 
-    /// Append a column.
+    /// The selected columns, in selection order.
+    pub fn columns(&self) -> &[SelectedColumn] {
+        &self.columns
+    }
+
+    /// Append a column, keeping its bins in the bin cache.
     pub fn push(&mut self, column: SelectedColumn) {
+        self.keep(&column);
         self.key.push(&column.name, column.digest);
         self.columns.push(column);
     }
 
-    /// Insert a column at position `at`, recombining the key state from
-    /// the stored digests.
+    /// Insert a column at position `at`, keeping its bins in the bin
+    /// cache and recombining the key state from the stored digests.
     pub fn insert(&mut self, at: usize, column: SelectedColumn) {
+        self.keep(&column);
         self.columns.insert(at, column);
         let mut key = self.head.clone();
         for c in &self.columns {
             key.push(&c.name, c.digest);
         }
         self.key = key;
+    }
+
+    /// Cache the bins of `column`, which joins the selection.
+    fn keep(&self, column: &SelectedColumn) {
+        debug_assert_eq!(
+            column.bins.is_some(),
+            self.bin_budget.is_some(),
+            "a selected column is binned exactly when the selection is"
+        );
+        if let (Some(max_bins), Some(bins)) = (self.bin_budget, &column.bins) {
+            keep_bins(column.digest, max_bins, bins);
+        }
+    }
+
+    /// Hold `column`, the candidate just scored against the selection
+    /// (binned when its score was computed, unbinned when the score
+    /// cache had it), in place of the one held before, so that accepting
+    /// it takes it back ([`take_candidate`](Self::take_candidate)) instead
+    /// of digesting and binning it again.
+    pub fn hold_candidate(&mut self, column: SelectedColumn) {
+        self.candidate = Some(column);
+    }
+
+    /// The held candidate, if any, which the selection then holds no more.
+    pub fn take_candidate(&mut self) -> Option<SelectedColumn> {
+        self.candidate.take()
     }
 
     /// Key state of the selection — with a scorer's config digest, the

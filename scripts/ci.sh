@@ -51,10 +51,12 @@ if [[ "$quick" -eq 0 ]]; then
     cargo test -q -p learners --release --lib forest::
     cargo test -q --release --test parallel_determinism
 
-    echo "==> column digest + score-cache key parity, frames built per evaluation (release: the stores' key debug_assert and its debug-only frame are compiled out)"
+    echo "==> column digest + score-cache key parity, frames built per evaluation, bins kept per selection (release: the stores' key debug_assert and its debug-only frame are compiled out)"
     cargo test -q -p runtime --release --lib fingerprint
     cargo test -q -p eafe --release --lib flat_chunked_and_whole_frame_keys_agree
     cargo test -q -p eafe --release --test frames_built
+    cargo test -q -p eafe --release --test bin_cache
+    cargo test -q -p eafe --release --lib an_accepted_column_keeps_the_bins_its_probe_built
 
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke

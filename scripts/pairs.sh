@@ -28,7 +28,10 @@
 # (where scripts/aa_floor.tsv has one). Below the table: whether every
 # `search <i> <fingerprint>` line agrees across all runs of both sides,
 # and each side's derived ratios as `perf-e2e run` defines them
-# (benchmark/src/report.rs), taken over all of that side's runs.
+# (benchmark/src/report.rs), taken over all of that side's runs, plus two
+# that `run` does not print: the wall ratio over the panel searches only
+# (search 0 left out, as the end-to-end metrics leave it out) and the
+# ratio of computed evaluations (score-cache misses) over those searches.
 set -euo pipefail
 shopt -s inherit_errexit  # a failed build inside $(build_rev ...) stops the script
 cd "$(dirname "$0")/.."
@@ -110,11 +113,12 @@ for w in workloads:
                  + (f"identical on every run ({len(lines)} distinct)" if same
                     else f"DIFFER ({len(lines)} distinct lines)"))
     # Per side: each search index's mean wall over the side's runs, and
-    # search 1's evaluations. A run's stderr lists its searches, then the
+    # its evaluations and computed evaluations (both fixed per index: the
+    # search lines agree). A run's stderr lists its searches, then the
     # replay of search 0 that `run` checks but does not keep, so only the
     # first line of an index counts.
     for side, k in (("A", 0), ("B", 1)):
-        walls, evals = {}, {}
+        walls, evals, computed = {}, {}, {}
         for p in pairs:
             seen = set()
             for s in p[k][1]:
@@ -122,7 +126,8 @@ for w in workloads:
                     seen.add(s[0])
                     walls.setdefault(s[0], []).append(float(s[2]))
                     evals.setdefault(s[0], int(s[3]))
-        per_side[side][w] = ({m: mean(v) for m, v in walls.items()}, evals)
+                    computed.setdefault(s[0], int(s[4]))
+        per_side[side][w] = ({m: mean(v) for m, v in walls.items()}, evals, computed)
     for metric in METRICS:
         va = [p[0][0]["metrics"][metric]["value"] for p in pairs]
         vb = [p[1][0]["metrics"][metric]["value"] for p in pairs]
@@ -161,17 +166,30 @@ for note in notes:
 # count in and `run` fails a traced twin whose fingerprint differs.
 # dist_vs_solo_wall_ratio needs `dist.solo_wall_s`, which only the
 # searches' layer reports carry, not the contract line or stderr.
+# Not in `run`: eafe_vs_nfs_panel_wall_ratio is the wall ratio over the
+# panel searches alone (search 0, which the end-to-end metrics check but
+# do not time, left out), and eafe_vs_nfs_computed_ratio divides the
+# computed evaluations (`of which <m> computed`) summed over those same
+# panel searches.
 for side in ("A", "B"):
     s = per_side[side]
     out = []
     if "eafe_table" in s and "nfs_table" in s:
-        (ew, ee), (nw, ne) = s["eafe_table"], s["nfs_table"]
+        (ew, ee, ec), (nw, ne, nc) = s["eafe_table"], s["nfs_table"]
         common = [k for k in ew if k in nw]
+        panel = [k for k in common if k != "0"]
         if common:
             out.append("eafe_vs_nfs_wall_ratio "
                        f"{sum(nw[k] for k in common) / sum(ew[k] for k in common):.2f}")
         if "1" in ee and "1" in ne:
             out.append(f"eafe_vs_nfs_evals_ratio {ne['1'] / ee['1']:.2f}")
+        if panel:
+            out.append("eafe_vs_nfs_panel_wall_ratio "
+                       f"{sum(nw[k] for k in panel) / sum(ew[k] for k in panel):.2f}")
+            eafe_computed = sum(ec[k] for k in panel)
+            if eafe_computed:
+                out.append("eafe_vs_nfs_computed_ratio "
+                           f"{sum(nc[k] for k in panel) / eafe_computed:.2f}")
     if out:
         print(f"- derived, {side} ({meta[side.lower()]}): " + ", ".join(out)
               + "; dist_vs_solo_wall_ratio needs `perf-e2e run`")
