@@ -282,7 +282,15 @@ mod tests {
     #[test]
     fn timer_attributes_most_time_to_evaluation() {
         // The Table I phenomenon: downstream evaluation dominates runtime.
-        let result = Engine::nfs(fast_config()).run(&target_frame()).unwrap();
+        // A frame no sibling test searches: the CV-score memo is
+        // process-wide, and a release build serves the hits a sibling's
+        // search of the same frame left there, so evaluation would look
+        // cheap only because it was already paid for.
+        let frame = SynthSpec::new("engine-timer", 150, 5, Task::Classification)
+            .with_seed(5)
+            .generate()
+            .unwrap();
+        let result = Engine::nfs(fast_config()).run(&frame).unwrap();
         assert!(
             result.eval_time_fraction() > 0.5,
             "eval fraction {}",

@@ -8,16 +8,16 @@
 
 use crate::binned::{BinnedColumn, BinnedDataset};
 use crate::error::{LearnError, Result};
-use crate::forest::{ForestConfig, RandomForest, Rows};
+use crate::forest::{ForestConfig, RandomForest, Rows, TrainRows};
 use crate::gp::{GaussianProcess, GpConfig};
 use crate::linear::{LinearConfig, LinearSvm};
 use crate::metrics::score;
 use crate::mlp::{Mlp, MlpConfig};
 use crate::nb::GaussianNb;
+use crate::tree::Labels;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
-use tabular::cv_indices;
-use tabular::{DataFrame, Label, Task};
+use tabular::{DataFrame, FoldOrder, FoldTrain, Label, Task};
 
 /// Which model family evaluates the features.
 ///
@@ -102,6 +102,12 @@ pub fn feature_matrix(frame: &DataFrame) -> Vec<Vec<f64>> {
     frame.columns().iter().map(|c| c.values.clone()).collect()
 }
 
+/// The column-major feature matrix of `rows` of a frame.
+fn gather(frame: &DataFrame, rows: impl Iterator<Item = usize> + Clone) -> Vec<Vec<f64>> {
+    let column = |c: &tabular::Column| rows.clone().map(|r| c.values[r]).collect();
+    frame.columns().iter().map(column).collect()
+}
+
 impl Evaluator {
     /// Evaluator with the given model kind and all other settings default.
     pub fn with_kind(kind: ModelKind) -> Self {
@@ -135,10 +141,13 @@ impl Evaluator {
                 let binned = BinnedDataset::from_slices_cached(&cols, max_bins)?;
                 self.score_binned(&binned, frame.label())
             }
-            None => self.cross_validate(frame.label(), |split, fold_seed| {
-                let train = frame.take_rows(&split.train)?;
-                let test = frame.take_rows(&split.test)?;
-                self.fit_score(&train, &test, fold_seed)
+            None => self.cross_validate(frame.label(), |train, test, fold_seed| {
+                let train = TrainRows::Fold(train).iter();
+                let test = test.iter().map(|&r| r as usize);
+                let (xtr, ytr) = (gather(frame, train.clone()), frame.label().take(train));
+                let preds =
+                    self.fit_predict(&xtr, &ytr, &gather(frame, test.clone()), fold_seed)?;
+                score(&frame.label().take(test), &preds)
             }),
         }
     }
@@ -206,8 +215,8 @@ impl Evaluator {
         } else {
             telemetry::count("cv.memo.misses", 1);
         }
-        let score = self.cross_validate(label, |split, fold_seed| {
-            self.fit_score_binned(binned, label, split, fold_seed)
+        let score = self.cross_validate(label, |train, test, fold_seed| {
+            self.fit_score_binned(binned, label, train, test, fold_seed)
         })?;
         match memoised {
             Some(hit) => debug_assert_eq!(
@@ -246,25 +255,26 @@ impl Evaluator {
         h.finish()
     }
 
-    /// The un-memoised score: `fold(split, fold_index)` scores every fold,
-    /// averaged in fold order.
+    /// The un-memoised score: `fold(train, test, fold_index)` scores every
+    /// fold of one [`FoldOrder`], averaged in fold order.
     fn cross_validate(
         &self,
         label: &Label,
-        fold: impl Fn(&tabular::Split, u64) -> Result<f64> + Sync,
+        fold: impl Fn(FoldTrain<'_>, &[u32], u64) -> Result<f64> + Sync,
     ) -> Result<f64> {
-        let splits = cv_indices(label, self.folds, self.seed)?;
-        let n_folds = splits.len();
+        let folds = FoldOrder::new(label, self.folds, self.seed)?;
         // Folds are independent given their index-derived seeds, so they can
         // run on the shared pool; summing in fold order afterwards keeps the
         // result bit-identical to a sequential run.
         let pool = runtime::WorkerPool::new().with_seed(self.seed);
-        let fold_scores = pool.map(splits, |ctx, split| fold(&split, ctx.index as u64));
+        let fold_scores = pool.map((0..self.folds).collect(), |ctx, t| {
+            fold(folds.train(t), folds.test(t), ctx.index as u64)
+        });
         let mut total = 0.0;
         for score in fold_scores {
             total += score?;
         }
-        Ok(total / n_folds as f64)
+        Ok(total / self.folds as f64)
     }
 
     /// One fold against the shared bins: train the forest on the fold's
@@ -274,24 +284,17 @@ impl Evaluator {
         &self,
         binned: &BinnedDataset,
         label: &Label,
-        split: &tabular::Split,
+        train: FoldTrain<'_>,
+        test: &[u32],
         fold_seed: u64,
     ) -> Result<f64> {
         let mut forest = RandomForest::new(ForestConfig {
             seed: self.seed ^ fold_seed.wrapping_mul(0x9E37),
             ..self.forest
         });
-        forest.fit_binned(binned, &split.train, label)?;
-        let preds = forest.predict_rows(Rows::Codes(binned, &split.test))?;
-        score(&label.take(&split.test), &preds)
-    }
-
-    /// Fit on `train`, score on `test` (one fold) — the gather-per-fold
-    /// path of the kinds that do not train a forest.
-    fn fit_score(&self, train: &DataFrame, test: &DataFrame, fold_seed: u64) -> Result<f64> {
-        let xtr = feature_matrix(train);
-        let preds = self.fit_predict(&xtr, train.label(), &feature_matrix(test), fold_seed)?;
-        score(test.label(), &preds)
+        forest.fit_labels(binned, TrainRows::Fold(train), Labels::from(label))?;
+        let preds = forest.predict_rows(Rows::Codes(binned, test))?;
+        score(&label.take(test.iter().map(|&r| r as usize)), &preds)
     }
 
     /// Fit this evaluator's raw-value kind on `xtr` against `ytr` and
@@ -561,8 +564,8 @@ mod tests {
         label: &Label,
     ) -> std::result::Result<u64, String> {
         let binned = BinnedDataset::from_slices(&cols, e.forest.tree.max_bins).unwrap();
-        e.cross_validate(label, |split, seed| {
-            e.fit_score_binned(&binned, label, split, seed)
+        e.cross_validate(label, |train, test, seed| {
+            e.fit_score_binned(&binned, label, train, test, seed)
         })
         .map(f64::to_bits)
         .map_err(|err| err.to_string())
@@ -679,6 +682,7 @@ mod tests {
             let cols = [left, x.as_slice(), right];
             let binned = BinnedDataset::from_slices(&cols, max_bins).unwrap();
             let rows: Vec<usize> = (0..n).collect();
+            let ids: Vec<u32> = (0..n as u32).collect();
             let forest = ForestConfig {
                 n_trees: 3,
                 bootstrap: bootstrap == 1,
@@ -702,7 +706,7 @@ mod tests {
                 }
             };
             let by_value = bits(m.predict_rows(Rows::Values(&cols)).unwrap());
-            let by_code = bits(m.predict_rows(Rows::Codes(&binned, &rows)).unwrap());
+            let by_code = bits(m.predict_rows(Rows::Codes(&binned, &ids)).unwrap());
             proptest::prop_assert_eq!(by_value, by_code);
         }
     }

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use runtime::WorkerPool;
 use serde::{Deserialize, Serialize};
-use tabular::{Label, Task};
+use tabular::{FoldTrain, Label, Task};
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,8 +85,8 @@ struct TreeDraw {
     bootstrap: Option<StdRng>,
 }
 
-/// One bootstrap draw: a position in the caller's training subset of `n`
-/// rows. Stepping past a draw and replaying it both call exactly this, so
+/// One bootstrap draw: one of `n` training positions. Stepping past a
+/// draw and replaying it both call exactly this, so
 /// they consume the generator alike; the step past discards the position,
 /// which leaves it only the generator's own steps to pay.
 #[inline]
@@ -94,24 +94,59 @@ fn bootstrap_position(n: usize, rng: &mut StdRng) -> usize {
     rng.gen_range(0..n)
 }
 
+/// The rows a forest trains on, read by position: all `n` rows, listed
+/// rows (which may repeat), or a CV fold's train rows read in place. One
+/// type, not a closure per source: the tree builder is compiled once.
+#[derive(Clone, Copy)]
+pub(crate) enum TrainRows<'a> {
+    All(usize),
+    Listed(&'a [usize]),
+    Fold(FoldTrain<'a>),
+}
+
+impl<'a> TrainRows<'a> {
+    fn len(self) -> usize {
+        match self {
+            TrainRows::All(n) => n,
+            TrainRows::Listed(rows) => rows.len(),
+            TrainRows::Fold(fold) => fold.n_rows(),
+        }
+    }
+
+    #[inline]
+    fn get(self, p: usize) -> usize {
+        match self {
+            TrainRows::All(_) => p,
+            TrainRows::Listed(rows) => rows[p],
+            TrainRows::Fold(fold) => fold.get(p),
+        }
+    }
+
+    pub(crate) fn iter(self) -> impl ExactSizeIterator<Item = usize> + Clone + 'a {
+        (0..self.len()).map(move |p| self.get(p))
+    }
+}
+
 /// The bootstrap draw that starts at `rng`: `rows.len()` rows of `rows`.
-fn bootstrap_rows(rows: &[usize], mut rng: StdRng) -> impl ExactSizeIterator<Item = usize> + '_ {
-    (0..rows.len()).map(move |_| rows[bootstrap_position(rows.len(), &mut rng)])
+fn bootstrap_rows(
+    rows: TrainRows<'_>,
+    mut rng: StdRng,
+) -> impl ExactSizeIterator<Item = usize> + '_ {
+    (0..rows.len()).map(move |_| rows.get(bootstrap_position(rows.len(), &mut rng)))
 }
 
 /// Per-tree seeds and draw states, taken sequentially up front so the
 /// fitted forest never depends on worker scheduling. Under bootstrap the
-/// fold's generator steps past each tree's draw, keeping only where it
-/// started; each draw indexes straight into the caller's training subset
-/// `rows` (the identity for a full-dataset fit).
-fn draw_trees(n_trees: usize, rows: &[usize], bootstrap: bool, rng: &mut StdRng) -> Vec<TreeDraw> {
+/// fold's generator steps past each tree's draw of `n_rows` positions,
+/// keeping only where it started.
+fn draw_trees(n_trees: usize, n_rows: usize, bootstrap: bool, rng: &mut StdRng) -> Vec<TreeDraw> {
     (0..n_trees)
         .map(|_| {
             let seed = rng.gen::<u64>();
             let bootstrap = bootstrap.then(|| {
                 let start = rng.clone();
-                for _ in 0..rows.len() {
-                    bootstrap_position(rows.len(), rng);
+                for _ in 0..n_rows {
+                    bootstrap_position(n_rows, rng);
                 }
                 start
             });
@@ -123,13 +158,13 @@ fn draw_trees(n_trees: usize, rows: &[usize], bootstrap: bool, rng: &mut StdRng)
 /// Fit one tree per draw through the shared runtime pool, under the
 /// process-wide thread budget (`runtime::set_global_threads`). Each task
 /// replays its tree's bootstrap draw into the builder, or reads `rows`
-/// as they are without bootstrap.
+/// in order without bootstrap.
 ///
 /// The draws carry all per-tree randomness, so results do not depend on
 /// which worker runs which tree; the pool returns them in draw order.
 fn fit_trees(
     binned: &BinnedDataset,
-    rows: &[usize],
+    rows: TrainRows<'_>,
     labels: Labels<'_>,
     tree_cfg: TreeConfig,
     draws: Vec<TreeDraw>,
@@ -144,7 +179,7 @@ fn fit_trees(
             };
             match draw.bootstrap {
                 Some(rng) => Tree::fit_labels(binned, bootstrap_rows(rows, rng), labels, cfg),
-                None => Tree::fit_labels(binned, rows.iter().copied(), labels, cfg),
+                None => Tree::fit_labels(binned, rows.iter(), labels, cfg),
             }
         })
         .into_iter()
@@ -179,12 +214,11 @@ impl RandomForest {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
         let binned = bin_features(x, self.config.tree.max_bins)?;
-        let all: Vec<usize> = (0..label.len()).collect();
-        self.fit_binned(&binned, &all, label)
+        self.fit_labels(&binned, TrainRows::All(label.len()), Labels::from(label))
     }
 
-    /// Fit on an already-binned dataset, training only on `rows` (e.g. a
-    /// CV fold's train rows). Bootstrap draws are taken within `rows`;
+    /// Fit on an already-binned dataset, training only on `rows` (which
+    /// may repeat). Bootstrap draws are taken within `rows`;
     /// `label` spans the full dataset. No sub-matrix is gathered — every
     /// tree reads the shared bin codes directly.
     pub fn fit_binned(
@@ -193,20 +227,22 @@ impl RandomForest {
         rows: &[usize],
         label: &Label,
     ) -> Result<()> {
-        self.fit_labels(binned, rows, Labels::from(label))
+        self.fit_labels(binned, TrainRows::Listed(rows), Labels::from(label))
     }
 
-    fn fit_labels(
+    /// [`fit_binned`](Self::fit_binned) on a row view and borrowed labels.
+    pub(crate) fn fit_labels(
         &mut self,
         binned: &BinnedDataset,
-        rows: &[usize],
+        rows: TrainRows<'_>,
         labels: Labels<'_>,
     ) -> Result<()> {
-        if binned.n_features() == 0 || rows.is_empty() || labels.len() == 0 {
+        let n_rows = rows.len();
+        if binned.n_features() == 0 || n_rows == 0 || labels.len() == 0 {
             return Err(LearnError::EmptyTrainingSet("random forest".into()));
         }
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let draws = draw_trees(self.config.n_trees, rows, self.config.bootstrap, &mut rng);
+        let draws = draw_trees(self.config.n_trees, n_rows, self.config.bootstrap, &mut rng);
         let tree_cfg = self.tree_config(binned.n_features(), labels);
         self.trees = fit_trees(binned, rows, labels, tree_cfg, draws)?;
         Ok(())
@@ -270,8 +306,8 @@ impl RandomForestClassifier {
         y: &[usize],
         n_classes: usize,
     ) -> Result<()> {
-        self.0
-            .fit_labels(binned, rows, Labels::Class { y, n_classes })
+        let labels = Labels::Class { y, n_classes };
+        self.0.fit_labels(binned, TrainRows::Listed(rows), labels)
     }
 
     /// [`RandomForest::predict`].
@@ -294,7 +330,8 @@ impl RandomForestRegressor {
 
     /// [`RandomForest::fit_binned`] on targets `y`.
     pub fn fit_binned(&mut self, binned: &BinnedDataset, rows: &[usize], y: &[f64]) -> Result<()> {
-        self.0.fit_labels(binned, rows, Labels::Reg(y))
+        self.0
+            .fit_labels(binned, TrainRows::Listed(rows), Labels::Reg(y))
     }
 
     /// [`RandomForest::predict`].
@@ -311,7 +348,7 @@ pub(crate) enum Rows<'a> {
     /// `rows` of the binned dataset the forest was fitted on, walked on
     /// their bin codes — the same leaves (see [`Tree::leaf_values_coded`]),
     /// with no value column in sight.
-    Codes(&'a BinnedDataset, &'a [usize]),
+    Codes(&'a BinnedDataset, &'a [u32]),
 }
 
 /// The trees' prediction of the requested rows, of the trees' task: the
@@ -529,7 +566,7 @@ mod tests {
                     );
                     let mut rng = StdRng::seed_from_u64(17);
                     let mut oracle_rng = rng.clone();
-                    let draws = draw_trees(n_trees, &rows, bootstrap, &mut rng);
+                    let draws = draw_trees(n_trees, rows.len(), bootstrap, &mut rng);
                     let oracle = draw_trees_upfront(n_trees, &rows, bootstrap, &mut oracle_rng);
                     // The fold's generator ends where the up-front draw left it.
                     assert_eq!(rng, oracle_rng, "{what}");
@@ -538,7 +575,9 @@ mod tests {
                         assert_eq!(draw.seed, seed, "{what}");
                         assert_eq!(draw.bootstrap.is_some(), bootstrap, "{what}");
                         let replayed: Vec<usize> = match draw.bootstrap {
-                            Some(start) => bootstrap_rows(&rows, start).collect(),
+                            Some(start) => {
+                                bootstrap_rows(TrainRows::Listed(&rows), start).collect()
+                            }
                             None => rows.clone(),
                         };
                         assert_eq!(replayed, drawn, "{what}");

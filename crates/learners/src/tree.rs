@@ -184,8 +184,7 @@ impl Tree {
     /// every row.
     pub fn fit(x: &[Vec<f64>], label: &Label, config: TreeConfig) -> Result<Tree> {
         let binned = BinnedDataset::build_cached(x, config.max_bins)?;
-        let all: Vec<usize> = (0..label.len()).collect();
-        Self::fit_binned(&binned, &all, label, config)
+        Self::fit_labels(&binned, 0..label.len(), Labels::from(label), config)
     }
 
     /// Fit on a pre-binned dataset, training only on `rows` (which may
@@ -1050,7 +1049,7 @@ pub(crate) fn for_each_row(cols: &[&[f64]], mut row: impl FnMut(&[f64])) {
 /// split too.)
 pub(crate) fn for_each_coded_row(
     binned: &BinnedDataset,
-    rows: &[usize],
+    rows: &[u32],
     mut row: impl FnMut(&[u16]),
 ) {
     let n_cols = binned.n_features();
@@ -1062,12 +1061,12 @@ pub(crate) fn for_each_coded_row(
             match col.codes() {
                 BinCodes::U8(codes) => {
                     for (d, &r) in dst.zip(block) {
-                        *d = u16::from(codes[r]);
+                        *d = u16::from(codes[r as usize]);
                     }
                 }
                 BinCodes::U16(codes) => {
                     for (d, &r) in dst.zip(block) {
-                        *d = codes[r];
+                        *d = codes[r as usize];
                     }
                 }
             }
@@ -1075,7 +1074,7 @@ pub(crate) fn for_each_coded_row(
             if !nan_rows.is_empty() {
                 let dst = buf[c..].iter_mut().step_by(n_cols);
                 for (d, r) in dst.zip(block) {
-                    if nan_rows.binary_search(r).is_ok() {
+                    if nan_rows.binary_search(&(*r as usize)).is_ok() {
                         *d = u16::MAX;
                     }
                 }
@@ -1140,7 +1139,8 @@ mod tests {
             .iter()
             .map(|c| rows.iter().map(|&r| c[r]).collect())
             .collect();
-        let gathered = Tree::fit(&gx, &y.take(&rows), TreeConfig::default()).unwrap();
+        let gathered =
+            Tree::fit(&gx, &y.take(rows.iter().copied()), TreeConfig::default()).unwrap();
         let binned = BinnedDataset::build(&x, DEFAULT_MAX_BINS).unwrap();
         let indexed = Tree::fit_binned(&binned, &rows, &y, TreeConfig::default()).unwrap();
         assert_eq!(gathered, indexed);

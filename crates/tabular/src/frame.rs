@@ -61,13 +61,13 @@ impl Label {
     }
 
     /// Gather the label at the given row indices.
-    pub fn take(&self, indices: &[usize]) -> Label {
+    pub fn take(&self, indices: impl IntoIterator<Item = usize>) -> Label {
         match self {
             Label::Class { y, n_classes } => Label::Class {
-                y: indices.iter().map(|&i| y[i]).collect(),
+                y: indices.into_iter().map(|i| y[i]).collect(),
                 n_classes: *n_classes,
             },
-            Label::Reg(y) => Label::Reg(indices.iter().map(|&i| y[i]).collect()),
+            Label::Reg(y) => Label::Reg(indices.into_iter().map(|i| y[i]).collect()),
         }
     }
 
@@ -220,7 +220,7 @@ impl DataFrame {
         Ok(DataFrame {
             name: self.name.clone(),
             columns,
-            label: self.label.take(indices),
+            label: self.label.take(indices.iter().copied()),
         })
     }
 
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn label_take_regression() {
         let l = Label::Reg(vec![1.0, 2.0, 3.0]);
-        assert_eq!(l.take(&[2, 1]).targets().unwrap(), &[3.0, 2.0]);
+        assert_eq!(l.take([2, 1]).targets().unwrap(), &[3.0, 2.0]);
         assert_eq!(l.task(), Task::Regression);
         assert_eq!(l.n_classes(), 1);
     }

@@ -8,7 +8,7 @@
 //!   chunked columns ([`ChunkedFrame`]), pluggable chunk persistence
 //!   ([`ColumnStore`] with in-memory and file-backed `.eafc` backends), and
 //!   resident-bytes budgeting with LRU spill/evict ([`FrameBudget`]);
-//! - `split` — train/test and (stratified) k-fold index generation;
+//! - `split` — train/test split and the (stratified) k-fold fold order;
 //! - `sample` — uniform and stratified subsampling;
 //! - [`csv`] — simple persistence;
 //! - `synth` / `registry` — deterministic synthetic stand-ins for the
@@ -40,6 +40,6 @@ pub use registry::{
     find_dataset, motivation_datasets, public_corpus, DatasetInfo, TARGET_DATASETS,
 };
 pub use sample::stratified_subsample;
-pub use split::{cv_indices, train_test_indices, Split};
+pub use split::{train_test_indices, FoldOrder, FoldTrain, Split};
 pub use store::{ChunkTicket, ColumnStore, InMemoryStore, MmapStore};
 pub use synth::SynthSpec;

@@ -1,5 +1,5 @@
-//! Train/test splitting and (stratified) k-fold cross-validation index
-//! generation. All splitters are deterministic given a seed.
+//! Train/test splitting and the (stratified) k-fold cross-validation fold
+//! order. All splitters are deterministic given a seed.
 
 use crate::error::{Result, TabularError};
 use crate::frame::Label;
@@ -40,91 +40,90 @@ pub fn train_test_indices(n_rows: usize, test_fraction: f64, seed: u64) -> Resul
     })
 }
 
-/// Plain k-fold partition of `n_rows` rows into `k` folds after a seeded
-/// shuffle. Every row appears in exactly one test fold.
-pub(crate) fn kfold_indices(n_rows: usize, k: usize, seed: u64) -> Result<Vec<Split>> {
-    if k < 2 {
-        return Err(TabularError::InvalidParam(format!(
-            "k-fold requires k >= 2, got {k}"
-        )));
-    }
-    if n_rows < k {
-        return Err(TabularError::Empty(format!(
-            "need at least k = {k} rows, got {n_rows}"
-        )));
-    }
-    let mut idx: Vec<usize> = (0..n_rows).collect();
-    idx.shuffle(&mut StdRng::seed_from_u64(seed));
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &row) in idx.iter().enumerate() {
-        folds[i % k].push(row);
-    }
-    Ok(build_splits(folds))
+/// The k folds of a cross-validation as one order of `u32` row ids (the
+/// tree builder's): fold 0's rows, then fold 1's, …, then fold k−1's, with
+/// k + 1 offsets. Fold `t` tests on its slice and trains on the rest, read
+/// in place ([`FoldTrain`]): n ids however many folds run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoldOrder {
+    order: Vec<u32>,
+    offsets: Vec<usize>,
 }
 
-/// Stratified k-fold for classification: each fold approximately preserves
-/// the class distribution. Falls back to an error for regression labels.
-pub(crate) fn stratified_kfold_indices(label: &Label, k: usize, seed: u64) -> Result<Vec<Split>> {
-    let y = match label {
-        Label::Class { y, .. } => y,
-        Label::Reg(_) => {
-            return Err(TabularError::InvalidParam(
-                "stratified k-fold requires classification labels".into(),
-            ))
+impl FoldOrder {
+    /// `k` folds, dealt round-robin after a seeded shuffle: stratified for
+    /// classification (class by class, each shuffled in turn, so each fold
+    /// about keeps the class distribution), of all rows for regression.
+    pub fn new(label: &Label, k: usize, seed: u64) -> Result<FoldOrder> {
+        let n = label.len();
+        if k < 2 {
+            return Err(TabularError::InvalidParam(format!(
+                "k-fold requires k >= 2, got {k}"
+            )));
         }
-    };
-    if k < 2 {
-        return Err(TabularError::InvalidParam(format!(
-            "k-fold requires k >= 2, got {k}"
-        )));
-    }
-    if y.len() < k {
-        return Err(TabularError::Empty(format!(
-            "need at least k = {k} rows, got {}",
-            y.len()
-        )));
-    }
-    let n_classes = label.n_classes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut per_class: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-    for (i, &c) in y.iter().enumerate() {
-        per_class[c].push(i);
-    }
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut cursor = 0usize; // round-robin across class boundaries too
-    for class_rows in &mut per_class {
-        class_rows.shuffle(&mut rng);
-        for &row in class_rows.iter() {
-            folds[cursor % k].push(row);
-            cursor += 1;
+        if n < k {
+            return Err(TabularError::Empty(format!(
+                "need at least k = {k} rows, got {n}"
+            )));
         }
+        let n_ids = u32::try_from(n)
+            .map_err(|_| TabularError::InvalidParam(format!("{n} rows exceed u32 ids")))?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shuffled = |mut rows: Vec<u32>| {
+            rows.shuffle(&mut rng);
+            rows
+        };
+        let dealt: Vec<u32> = match label {
+            Label::Class { y, n_classes } => {
+                let mut by_class = vec![Vec::new(); *n_classes];
+                (0..n_ids).zip(y).for_each(|(r, &c)| by_class[c].push(r));
+                by_class.into_iter().flat_map(shuffled).collect()
+            }
+            Label::Reg(_) => shuffled((0..n_ids).collect()),
+        };
+        // Dealt row i goes to fold i % k, as that fold's (i / k)-th row.
+        let offsets: Vec<usize> = (0..=k).map(|t| t * (n / k) + t.min(n % k)).collect();
+        let mut order = vec![0u32; n];
+        for (i, &r) in dealt.iter().enumerate() {
+            order[offsets[i % k] + i / k] = r;
+        }
+        Ok(FoldOrder { order, offsets })
     }
-    Ok(build_splits(folds))
+
+    /// Fold `t`'s test rows.
+    pub fn test(&self, t: usize) -> &[u32] {
+        &self.order[self.offsets[t]..self.offsets[t + 1]]
+    }
+
+    /// Fold `t`'s train rows: every other fold's, in fold order.
+    pub fn train(&self, t: usize) -> FoldTrain<'_> {
+        let (lo, skip) = (self.offsets[t], self.test(t).len());
+        let order = &self.order;
+        FoldTrain { order, lo, skip }
+    }
 }
 
-/// Choose the appropriate k-fold strategy for the label type: stratified for
-/// classification, plain for regression.
-pub fn cv_indices(label: &Label, k: usize, seed: u64) -> Result<Vec<Split>> {
-    match label {
-        Label::Class { .. } => stratified_kfold_indices(label, k, seed),
-        Label::Reg(y) => kfold_indices(y.len(), k, seed),
-    }
+/// One fold's train rows, read in place: the [`FoldOrder`] without the
+/// fold's `skip` test rows from `lo` on, so position `p` holds `order[p]`
+/// before `lo` and `order[p + skip]` from it on.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldTrain<'a> {
+    order: &'a [u32],
+    lo: usize,
+    skip: usize,
 }
 
-fn build_splits(folds: Vec<Vec<usize>>) -> Vec<Split> {
-    let k = folds.len();
-    (0..k)
-        .map(|t| {
-            let test = folds[t].clone();
-            let train = folds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != t)
-                .flat_map(|(_, f)| f.iter().copied())
-                .collect();
-            Split { train, test }
-        })
-        .collect()
+impl FoldTrain<'_> {
+    /// Number of train rows.
+    pub fn n_rows(self) -> usize {
+        self.order.len() - self.skip
+    }
+
+    /// The row at position `p < n_rows()`, branch-free: bootstrap draws land anywhere.
+    #[inline]
+    pub fn get(self, p: usize) -> usize {
+        self.order[p + usize::from(p >= self.lo) * self.skip] as usize
+    }
 }
 
 #[cfg(test)]
@@ -164,24 +163,107 @@ mod tests {
         assert_eq!(s.train.len(), 1);
     }
 
+    /// The k materialised train and test lists the fold order replaced,
+    /// as `cv_indices` built them (error checks left out): the oracle for
+    /// [`FoldOrder`].
+    fn k_lists(label: &Label, k: usize, seed: u64) -> Vec<Split> {
+        let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
+        match label {
+            Label::Class { y, .. } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut per_class: Vec<Vec<usize>> = vec![Vec::new(); label.n_classes()];
+                for (i, &c) in y.iter().enumerate() {
+                    per_class[c].push(i);
+                }
+                let mut cursor = 0usize; // round-robin across class boundaries too
+                for class_rows in &mut per_class {
+                    class_rows.shuffle(&mut rng);
+                    for &row in class_rows.iter() {
+                        folds[cursor % k].push(row);
+                        cursor += 1;
+                    }
+                }
+            }
+            Label::Reg(y) => {
+                let mut idx: Vec<usize> = (0..y.len()).collect();
+                idx.shuffle(&mut StdRng::seed_from_u64(seed));
+                for (i, &row) in idx.iter().enumerate() {
+                    folds[i % k].push(row);
+                }
+            }
+        }
+        // `build_splits`.
+        (0..k)
+            .map(|t| {
+                let test = folds[t].clone();
+                let train = folds
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| *i != t)
+                    .flat_map(|(_, f)| f.iter().copied())
+                    .collect();
+                Split { train, test }
+            })
+            .collect()
+    }
+
+    fn labels(n: usize) -> Vec<Label> {
+        let reg = Label::Reg((0..n).map(|i| i as f64).collect());
+        // Class 2 holds one row, fewer than any k: its row lands in one fold.
+        let mut y: Vec<usize> = (0..n).map(|i| usize::from(i % 3 == 0)).collect();
+        y[n / 2] = 2;
+        vec![reg, Label::Class { y, n_classes: 4 }]
+    }
+
     #[test]
-    fn kfold_covers_all_rows_once() {
-        let splits = kfold_indices(23, 5, 3).unwrap();
-        assert_eq!(splits.len(), 5);
+    fn fold_order_yields_the_k_lists_element_by_element() {
+        for k in [2, 3, 5] {
+            for n in [k, k + 1, 4 * k - 1, 97] {
+                for label in labels(n) {
+                    for seed in [0, 9] {
+                        let folds = FoldOrder::new(&label, k, seed).unwrap();
+                        let oracle = k_lists(&label, k, seed);
+                        assert_eq!(oracle.len(), k);
+                        for (t, want) in oracle.iter().enumerate() {
+                            let test: Vec<usize> =
+                                folds.test(t).iter().map(|&r| r as usize).collect();
+                            let train = folds.train(t);
+                            let by_position: Vec<usize> =
+                                (0..train.n_rows()).map(|p| train.get(p)).collect();
+                            let what =
+                                format!("k {k}, n {n}, seed {seed}, fold {t}, {:?}", label.task());
+                            assert_eq!(test, want.test, "{what}");
+                            assert_eq!(by_position, want.train, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folds_cover_all_rows_once() {
+        let folds = FoldOrder::new(&Label::Reg(vec![0.0; 23]), 5, 3).unwrap();
         let mut seen = [0usize; 23];
-        for s in &splits {
-            assert_eq!(s.train.len() + s.test.len(), 23);
-            for &i in &s.test {
-                seen[i] += 1;
+        for t in 0..5 {
+            assert_eq!(folds.train(t).n_rows() + folds.test(t).len(), 23);
+            for &i in folds.test(t) {
+                seen[i as usize] += 1;
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
     }
 
     #[test]
-    fn kfold_rejects_bad_params() {
-        assert!(kfold_indices(10, 1, 0).is_err());
-        assert!(kfold_indices(3, 5, 0).is_err());
+    fn fold_order_rejects_bad_params() {
+        let reg = Label::Reg(vec![0.0; 10]);
+        assert!(FoldOrder::new(&reg, 1, 0).is_err());
+        assert!(FoldOrder::new(&Label::Reg(vec![0.0; 3]), 5, 0).is_err());
+        let class = Label::Class {
+            y: vec![0, 1],
+            n_classes: 2,
+        };
+        assert!(FoldOrder::new(&class, 3, 0).is_err());
     }
 
     #[test]
@@ -190,31 +272,15 @@ mod tests {
         let mut y = vec![0usize; 40];
         y.extend(vec![1usize; 20]);
         let label = Label::Class { y, n_classes: 2 };
-        let splits = stratified_kfold_indices(&label, 4, 9).unwrap();
-        for s in &splits {
-            let ones = s
-                .test
+        let folds = FoldOrder::new(&label, 4, 9).unwrap();
+        for t in 0..4 {
+            let ones = folds
+                .test(t)
                 .iter()
-                .filter(|&&i| label.classes().unwrap()[i] == 1)
+                .filter(|&&i| label.classes().unwrap()[i as usize] == 1)
                 .count();
             // Each fold of 15 should hold ~5 of class 1.
             assert!((4..=6).contains(&ones), "fold had {ones} of class 1");
         }
-    }
-
-    #[test]
-    fn stratified_rejects_regression() {
-        assert!(stratified_kfold_indices(&Label::Reg(vec![1.0; 10]), 2, 0).is_err());
-    }
-
-    #[test]
-    fn cv_indices_dispatches_on_task() {
-        let class = Label::Class {
-            y: vec![0, 1, 0, 1, 0, 1],
-            n_classes: 2,
-        };
-        assert_eq!(cv_indices(&class, 3, 0).unwrap().len(), 3);
-        let reg = Label::Reg(vec![0.0; 6]);
-        assert_eq!(cv_indices(&reg, 3, 0).unwrap().len(), 3);
     }
 }

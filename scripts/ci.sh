@@ -45,18 +45,18 @@ if [[ "$quick" -eq 0 ]]; then
     echo "==> histogram vs exact-oracle parity + golden score bits (release: the builder's leaf-bound debug_assert is compiled out, and each golden literal's second, warm assertion is a served memo hit)"
     cargo test -q --release --test hist_parity --test golden_scores
 
-    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares); prediction by bin code == prediction by value; replayed bootstrap draws == the up-front oracle, single_thread_matches_parallel, the 1-vs-4-thread suite and the multi-process distributed determinism suite (release: the kill must land at any speed)"
+    echo "==> CV-score memo (release: the only build that serves a memo hit; a debug build recomputes it and compares); prediction by bin code == prediction by value; the fold order == the k train and test lists it replaced; replayed bootstrap draws == the up-front oracle, single_thread_matches_parallel, the 1-vs-4-thread suite and the multi-process distributed determinism suite (release: the kill must land at any speed)"
     cargo test -q -p learners --release --lib cv::
+    cargo test -q -p tabular --release --lib split::
     cargo test -q --release --test score_memo --test paper_claims
     cargo test -q -p learners --release --lib forest::
     cargo test -q --release --test parallel_determinism
 
-    echo "==> column digest + score-cache key parity, frames built per evaluation, bins kept per selection (release: the stores' key debug_assert and its debug-only frame are compiled out)"
+    echo "==> column digest + score-cache key parity, frames built per evaluation, bins kept per selection, the whole eafe lib suite in one process (release: the stores' key debug_assert and its debug-only frame are compiled out, and the process-wide CV-score memo serves hits across tests)"
     cargo test -q -p runtime --release --lib fingerprint
-    cargo test -q -p eafe --release --lib flat_chunked_and_whole_frame_keys_agree
+    cargo test -q -p eafe --release --lib
     cargo test -q -p eafe --release --test frames_built
     cargo test -q -p eafe --release --test bin_cache
-    cargo test -q -p eafe --release --lib an_accepted_column_keeps_the_bins_its_probe_built
 
     echo "==> perf_e2e smoke (release): every workload runs, every listed metric comes out finite"
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
