@@ -1,77 +1,60 @@
-//! Out-of-core column storage for the search driver: [`ChunkedStore`]
-//! over a [`ChunkedFrame`], behind [`Engine::run_chunked`] and the stepped
+//! Out-of-core column storage for the search driver: a [`ChunkedFrame`]
+//! as a column store, behind [`Engine::run_chunked`] and the stepped
 //! [`Engine::start_chunked`] / [`Engine::step_chunked`] /
 //! [`Engine::finish_chunked`].
 //!
-//! The flat store keeps every subgroup member — originals and accepted
-//! candidates alike — as an in-RAM `Vec<f64>`, and every *rejected*
-//! candidate is also fully materialized just to be FPE-scored. At 10M+
-//! rows that working set is what runs out of memory first. This store
-//! keeps all column data as compressed chunks governed by the frame's
-//! [`tabular::FrameBudget`], and carries out its four duties (see
-//! `store.rs`) on chunks:
+//! The flat store keeps every column as an in-RAM `Vec<f64>` and
+//! materializes every candidate, rejected ones included; at 10M+ rows
+//! that working set runs out of memory first. This store keeps all column
+//! data as compressed chunks under the frame's [`tabular::FrameBudget`];
+//! a column's id is its index in the frame, which appends each accepted
+//! column in acceptance order. Its duties (see `store.rs`), on chunks:
 //!
-//! - candidates are generated chunk-at-a-time
-//!   ([`crate::Operator::apply_chunk`] plus the
+//! - a candidate is generated chunk-at-a-time
+//!   ([`crate::Operator::apply_chunk`], after the
 //!   [`crate::Operator::column_bounds`] prepass for min-max
-//!   normalisation), encoded per chunk, and never exist as a flat column;
-//! - FPE gate scoring sketches those chunks in place (a
+//!   normalisation) and encoded per chunk, fanned out over the
+//!   [`runtime::WorkerPool`] and merged in chunk-index order, so
+//!   1-thread ≡ N-thread; it never exists as a flat column;
+//! - FPE scoring sketches those chunks in place (a
 //!   [`minhash::WeightBounds`] pass, then
 //!   [`minhash::SampleCompressor::signature_indexed`] and
 //!   `compress_normalized_with_signature` over a chunk-backed
-//!   [`minhash::RowSource`] — the flat column's code over another row
-//!   source), so stage-1 — which by design never touches the downstream
-//!   task — runs without materializing anything;
-//! - chunk encoding fans out over the [`runtime::WorkerPool`] with
-//!   results merged in chunk-index order, so 1-thread ≡ N-thread;
-//! - columns are handed over chunk by chunk: the driver digests and bins
-//!   a member or a candidate from its decoded chunks, so a forest's
-//!   evaluation never materializes a flat column (the bin builder's sort
-//!   buffer is the one flat copy). Only a model kind that reads raw
-//!   values gets the selected frame plus the candidate, materialized on
-//!   its miss;
-//! - an accepted candidate's chunks move into the frame, and the
-//!   engineered frame is a column-selection view of it;
-//! - a candidate outlives no slice: the replay buffer holds lineages, so
-//!   no column stays resident outside the frame's budget across stage 1.
+//!   [`minhash::RowSource`]), so stage 1 materializes nothing; it skips
+//!   `runtime::sigcache`, which only ever short-circuits recomputation;
+//! - columns are handed over chunk by chunk, so a forest's evaluation
+//!   never materializes a flat column (the bin builder's sort buffer is
+//!   the one flat copy); only a model kind that reads raw values gets a
+//!   frame, materialized on its miss;
+//! - an accepted candidate's chunks move into the frame, whose
+//!   column-selection view in the plan's order is the engineered frame;
+//!   any other candidate outlives no slice (the replay buffer holds
+//!   lineages), so no column stays resident outside the budget.
 //!
-//! The per-chunk transforms/folds replay the flat store's exact
-//! expression sequences and the bins are the same bytes, so a chunked
-//! run is **bit-identical** to [`Engine::run_full`] on the materialized
-//! frame: same RNG streams, same candidates, same scores, same accepted
-//! features. The parity tests below pin that contract for every
-//! gate/stage combination, slice by slice.
-//!
-//! The loop itself is [`crate::step`]'s; this file is only the store. It
-//! does not go through the signature cache (chunk-backed sketches bypass
-//! `runtime::sigcache` — scores are bitwise unchanged, the cache only
-//! ever short-circuits recomputation).
-//!
-//! A chunked search also has no serde form: it lives and dies with its
-//! frame handle.
+//! The per-chunk transforms and folds replay the flat store's exact
+//! expression sequences and the bins are the same bytes, so a chunked run
+//! is **bit-identical** to [`Engine::run_full`] on the materialized frame.
+//! The parity tests below pin that contract for every gate/stage
+//! combination, slice by slice. A chunked search has no serde form: it
+//! lives and dies with its frame handle.
 
 use crate::engine::Engine;
 use crate::error::Result;
 use crate::fpe::FeatureRepr;
 use crate::fpe::FpeModel;
+use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
-use crate::store::{ColumnStore, Lineage};
+use crate::store::{ColumnStore, Plan};
 use minhash::{RowSource, WeightBounds};
 use runtime::WorkerPool;
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame, Label};
 
-/// A generated candidate held as compressed chunks — the chunked
-/// counterpart of the flat store's candidate, which never exists as a
-/// flat `Vec<f64>`.
+/// A candidate's values held as compressed chunks — the chunked
+/// counterpart of the flat store's candidate column — which never exist
+/// as a flat `Vec<f64>`.
 #[derive(Debug)]
-pub struct ChunkedCandidate {
-    /// What it is made of.
-    lineage: Lineage,
-    /// Expression name, derived from the lineage.
-    name: String,
-    /// Composition depth.
-    order: usize,
+pub struct ChunkedValues {
     /// Per-chunk encodings, in chunk-index order.
     chunks: Vec<ChunkEncoding>,
     /// Constant/non-finite — same verdict as
@@ -79,111 +62,101 @@ pub struct ChunkedCandidate {
     degenerate: bool,
 }
 
-/// A subgroup member: where its chunks live in the frame.
-#[derive(Debug, Clone)]
-struct MemberRef {
-    /// Column index in the search's [`ChunkedFrame`].
-    col: usize,
-    /// Composition depth (0 for the original feature).
-    order: usize,
-    /// Expression name.
-    name: String,
-}
-
-/// The out-of-core `ColumnStore`: subgroups reference columns of a
-/// [`ChunkedFrame`] instead of owning flat copies.
-pub struct ChunkedStore {
-    /// Sanitized base frame; accepted candidates are appended as columns.
-    frame: ChunkedFrame,
-    /// Per agent: the original feature, then its accepted generated
-    /// features in acceptance order.
-    subgroups: Vec<Vec<MemberRef>>,
-}
-
-impl ChunkedStore {
-    /// One subgroup per column of `frame`, which must be sanitized.
-    fn new(frame: ChunkedFrame) -> Result<Self> {
-        let subgroups = (0..frame.n_cols())
-            .map(|col| {
-                Ok(vec![MemberRef {
-                    col,
-                    order: 0,
-                    name: frame.column_name(col)?.to_string(),
-                }])
-            })
-            .collect::<Result<_>>()?;
-        Ok(ChunkedStore { frame, subgroups })
-    }
-
-    pub(crate) fn frame(&self) -> &ChunkedFrame {
-        &self.frame
-    }
-
-    /// Original features plus every accepted one: a [`ChunkedFrame`] view
-    /// (no re-encoding) with columns in the flat store's selected order.
-    fn engineered(&self) -> Result<ChunkedFrame> {
-        let order: Vec<usize> = self
-            .selected()
-            .map(|(j, i)| self.subgroups[j][i].col)
-            .collect();
-        Ok(self.frame.select_columns(&order)?)
-    }
-
-    /// A candidate's chunks as the MinHash kernel's row source.
-    fn rows<'a>(&self, cand: &'a ChunkedCandidate) -> CandidateRows<'a> {
+impl ChunkedValues {
+    /// The chunks, of `frame`'s chunk size, as the MinHash kernel's row
+    /// source.
+    fn rows(&self, frame: &ChunkedFrame) -> CandidateRows<'_> {
         CandidateRows {
-            chunks: &cand.chunks,
-            chunk_rows: self.frame.chunk_rows(),
-            n_rows: self.frame.n_rows(),
+            chunks: &self.chunks,
+            chunk_rows: frame.chunk_rows(),
+            n_rows: frame.n_rows(),
         }
     }
 }
 
-impl ColumnStore for ChunkedStore {
-    type Candidate = ChunkedCandidate;
+/// The out-of-core `ColumnStore` is the search's sanitized
+/// [`ChunkedFrame`] itself, which appends the accepted columns.
+impl ColumnStore for ChunkedFrame {
+    type Values = ChunkedValues;
 
     fn dataset(&self) -> &str {
-        &self.frame.name
+        &self.name
     }
 
     fn n_rows(&self) -> usize {
-        self.frame.n_rows()
-    }
-
-    fn n_agents(&self) -> usize {
-        self.subgroups.len()
-    }
-
-    fn members(&self, agent: usize) -> usize {
-        self.subgroups[agent].len()
-    }
-
-    fn member(&self, agent: usize, idx: usize) -> (&str, usize) {
-        let m = &self.subgroups[agent][idx];
-        (&m.name, m.order)
+        ChunkedFrame::n_rows(self)
     }
 
     fn label(&self) -> &Label {
-        self.frame.label()
+        ChunkedFrame::label(self)
     }
 
-    fn generate(&self, lineage: Lineage) -> Result<ChunkedCandidate> {
-        generate_chunked(self, lineage)
+    /// Chunk-at-a-time: decode each chunk into pooled scratch, transform
+    /// with [`crate::Operator::apply_chunk`], and re-encode — in parallel
+    /// across chunks when the pool is active, merged in chunk-index order.
+    /// Values are bit-identical to [`crate::Operator::apply`] on the
+    /// materialized parents.
+    fn generate(&self, op: Operator, a_col: usize, b_col: usize) -> Result<ChunkedValues> {
+        // Whole-column prepass for min-max normalisation: one sequential
+        // row-order fold per accumulator, the exact `column_bounds` chains.
+        let bounds = if op.needs_bounds() {
+            Some(
+                self.fold_column(a_col, (f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                })?,
+            )
+        } else {
+            None
+        };
+
+        let one = |k: usize| -> Result<(ChunkEncoding, f64, f64)> {
+            let ea = self.chunk(a_col, k)?;
+            let mut va = runtime::scratch_f64_with_capacity(ea.len());
+            ea.decode_into(&mut va);
+            let mut out = runtime::scratch_f64_with_capacity(va.len());
+            if op.is_unary() {
+                op.apply_chunk(&va, &[], bounds, &mut out);
+            } else {
+                let eb = self.chunk(b_col, k)?;
+                let mut vb = runtime::scratch_f64_with_capacity(eb.len());
+                eb.decode_into(&mut vb);
+                op.apply_chunk(&va, &vb, bounds, &mut out);
+            }
+            // Per-chunk min/max for the degeneracy check; combined across
+            // chunks in chunk-index order below. `apply_chunk` clamps every
+            // output to finite, so the NaN filter of `Column::min` is moot.
+            let lo = out.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = out.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            Ok((ChunkEncoding::encode(&out), lo, hi))
+        };
+
+        let n_chunks = self.n_chunks();
+        // Same shape as the binned-histogram gate: parallel encode only when
+        // there are multiple chunks and enough rows to amortize dispatch.
+        let parallel = runtime::global_threads() != 1 && n_chunks >= 2 && self.n_rows() >= 65_536;
+        let parts: Vec<Result<(ChunkEncoding, f64, f64)>> = if parallel {
+            WorkerPool::new().map((0..n_chunks).collect(), |_ctx, k| one(k))
+        } else {
+            (0..n_chunks).map(one).collect()
+        };
+
+        let mut chunks = Vec::with_capacity(n_chunks);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for part in parts {
+            let (enc, clo, chi) = part?;
+            lo = lo.min(clo);
+            hi = hi.max(chi);
+            chunks.push(enc);
+        }
+        // Same verdict as `is_degenerate`: outputs are always finite
+        // (clamped), so only the `is_constant(1e-12)` arm can fire. min/max
+        // are order-insensitive over finite values up to the sign of zero,
+        // which cannot change the `hi - lo < eps` verdict.
+        let degenerate = !(hi - lo).is_finite() || hi - lo < 1e-12;
+        Ok(ChunkedValues { chunks, degenerate })
     }
 
-    fn lineage(candidate: &ChunkedCandidate) -> Lineage {
-        candidate.lineage
-    }
-
-    fn name(candidate: &ChunkedCandidate) -> &str {
-        &candidate.name
-    }
-
-    fn order(candidate: &ChunkedCandidate) -> usize {
-        candidate.order
-    }
-
-    fn is_degenerate(candidate: &ChunkedCandidate) -> bool {
+    fn is_degenerate(candidate: &ChunkedValues) -> bool {
         candidate.degenerate
     }
 
@@ -192,17 +165,17 @@ impl ColumnStore for ChunkedStore {
     /// bit-identical to `FpeModel::score_feature` on the materialized
     /// column; other representations need the full flat values and fall
     /// back to a transient pooled decode.
-    fn fpe_score(&self, fpe: &FpeModel, candidate: &ChunkedCandidate) -> Result<f64> {
+    fn fpe_score(&self, fpe: &FpeModel, candidate: &ChunkedValues) -> Result<f64> {
         match fpe.repr() {
             FeatureRepr::MinHash(c) => {
-                let rows = self.rows(candidate);
+                let rows = candidate.rows(self);
                 let mut bounds = WeightBounds::new();
                 rows.for_each_run(|run| bounds.absorb(run));
                 let sig = c.signature_indexed(bounds, &rows)?;
                 fpe.score_compressed(c.compress_normalized_with_signature(&rows, &sig))
             }
             _ => {
-                let mut flat = runtime::scratch_f64_with_capacity(self.frame.n_rows());
+                let mut flat = runtime::scratch_f64_with_capacity(self.n_rows());
                 for enc in &candidate.chunks {
                     enc.fold_values((), |(), v| flat.push(v));
                 }
@@ -212,125 +185,41 @@ impl ColumnStore for ChunkedStore {
     }
 
     /// Decoded chunk by chunk into pooled scratch.
-    fn member_runs(&self, agent: usize, idx: usize, run: &mut dyn FnMut(&[f64])) -> Result<()> {
-        let mut buf = runtime::scratch_f64_with_capacity(self.frame.chunk_rows());
-        let col = self.subgroups[agent][idx].col;
-        Ok(self
-            .frame
-            .for_each_chunk(col, &mut buf, |_, _, values| run(values))?)
+    fn column_runs(&self, col: usize, run: &mut dyn FnMut(&[f64])) -> Result<()> {
+        let mut buf = runtime::scratch_f64_with_capacity(self.chunk_rows());
+        Ok(self.for_each_chunk(col, &mut buf, |_, _, values| run(values))?)
     }
 
-    fn candidate_runs(
-        &self,
-        candidate: &ChunkedCandidate,
-        run: &mut dyn FnMut(&[f64]),
-    ) -> Result<()> {
-        self.rows(candidate).for_each_run(run);
+    fn candidate_runs(&self, candidate: &ChunkedValues, run: &mut dyn FnMut(&[f64])) -> Result<()> {
+        candidate.rows(self).for_each_run(run);
         Ok(())
     }
 
-    /// Materialized transiently, in the flat store's column order and with
-    /// its names, so the evaluator's content-addressed cache keys coincide.
-    fn raw_frame(&self, extra: Option<&ChunkedCandidate>) -> Result<DataFrame> {
-        let mut frame = self.engineered()?.to_dataframe()?;
-        if let Some(cand) = extra {
-            let mut values = Vec::with_capacity(self.frame.n_rows());
+    /// Materialized transiently, with the frame's names, so the
+    /// evaluator's content-addressed cache keys coincide with the flat
+    /// store's.
+    fn raw_frame(
+        &self,
+        cols: &[usize],
+        extra: Option<(&str, &ChunkedValues)>,
+    ) -> Result<DataFrame> {
+        let mut frame = self.select_columns(cols)?.to_dataframe()?;
+        if let Some((name, cand)) = extra {
+            let mut values = Vec::with_capacity(self.n_rows());
             for enc in &cand.chunks {
                 enc.fold_values((), |(), v| values.push(v));
             }
-            frame.push_column(Column::new(cand.name.clone(), values))?;
+            frame.push_column(Column::new(name, values))?;
         }
         Ok(frame)
     }
 
     /// The candidate's chunks move into the budgeted frame (and from there
     /// spill to the store under memory pressure).
-    fn accept(&mut self, candidate: ChunkedCandidate) -> Result<()> {
-        let col = self
-            .frame
-            .push_column_chunks(&candidate.name, candidate.chunks)?;
-        self.subgroups[candidate.lineage.agent].push(MemberRef {
-            col,
-            order: candidate.order,
-            name: candidate.name,
-        });
+    fn accept(&mut self, name: &str, values: ChunkedValues) -> Result<()> {
+        self.push_column_chunks(name, values.chunks)?;
         Ok(())
     }
-}
-
-/// The candidate `lineage` describes, its operator applied to the two
-/// parent columns chunk-at-a-time: decode each chunk into pooled scratch,
-/// transform with [`crate::Operator::apply_chunk`], and re-encode — in
-/// parallel across chunks when the pool is active, merged in chunk-index
-/// order. Values are bit-identical to [`crate::Operator::apply`] on the
-/// materialized parents.
-fn generate_chunked(store: &ChunkedStore, lineage: Lineage) -> Result<ChunkedCandidate> {
-    let (frame, op, sub) = (&store.frame, lineage.op, &store.subgroups[lineage.agent]);
-    let (a_col, b_col) = (sub[lineage.a].col, sub[lineage.b].col);
-    let (name, order) = store.describe(lineage);
-    // Whole-column prepass for min-max normalisation: one sequential
-    // row-order fold per accumulator, the exact `column_bounds` chains.
-    let bounds = if op.needs_bounds() {
-        Some(
-            frame.fold_column(a_col, (f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                (lo.min(v), hi.max(v))
-            })?,
-        )
-    } else {
-        None
-    };
-
-    let one = |k: usize| -> Result<(ChunkEncoding, f64, f64)> {
-        let ea = frame.chunk(a_col, k)?;
-        let mut va = runtime::scratch_f64_with_capacity(ea.len());
-        ea.decode_into(&mut va);
-        let mut out = runtime::scratch_f64_with_capacity(va.len());
-        if op.is_unary() {
-            op.apply_chunk(&va, &[], bounds, &mut out);
-        } else {
-            let eb = frame.chunk(b_col, k)?;
-            let mut vb = runtime::scratch_f64_with_capacity(eb.len());
-            eb.decode_into(&mut vb);
-            op.apply_chunk(&va, &vb, bounds, &mut out);
-        }
-        // Per-chunk min/max for the degeneracy check; combined across
-        // chunks in chunk-index order below. `apply_chunk` clamps every
-        // output to finite, so the NaN filter of `Column::min` is moot.
-        let lo = out.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = out.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Ok((ChunkEncoding::encode(&out), lo, hi))
-    };
-
-    let n_chunks = frame.n_chunks();
-    // Same shape as the binned-histogram gate: parallel encode only when
-    // there are multiple chunks and enough rows to amortize dispatch.
-    let parallel = runtime::global_threads() != 1 && n_chunks >= 2 && frame.n_rows() >= 65_536;
-    let parts: Vec<Result<(ChunkEncoding, f64, f64)>> = if parallel {
-        WorkerPool::new().map((0..n_chunks).collect(), |_ctx, k| one(k))
-    } else {
-        (0..n_chunks).map(one).collect()
-    };
-
-    let mut chunks = Vec::with_capacity(n_chunks);
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for part in parts {
-        let (enc, clo, chi) = part?;
-        lo = lo.min(clo);
-        hi = hi.max(chi);
-        chunks.push(enc);
-    }
-    // Same verdict as `is_degenerate`: outputs are always finite
-    // (clamped), so only the `is_constant(1e-12)` arm can fire. min/max
-    // are order-insensitive over finite values up to the sign of zero,
-    // which cannot change the `hi - lo < eps` verdict.
-    let degenerate = !(hi - lo).is_finite() || hi - lo < 1e-12;
-    Ok(ChunkedCandidate {
-        lineage,
-        name,
-        order,
-        chunks,
-        degenerate,
-    })
 }
 
 /// A candidate's chunks as the MinHash kernel's row source: random access
@@ -366,7 +255,8 @@ impl Engine {
     /// hands it back (reordered) from [`Engine::finish_chunked`].
     pub fn start_chunked(&self, mut frame: ChunkedFrame) -> Result<ChunkedSearch> {
         frame.sanitize()?;
-        self.open(ChunkedStore::new(frame)?)
+        let plan = Plan::new(frame.columns().iter().map(|c| c.name.clone()));
+        self.open(frame, plan)
     }
 
     /// [`Engine::step`] on a chunked search.
@@ -376,10 +266,11 @@ impl Engine {
 
     /// [`Engine::finish`] on a chunked search. The engineered frame comes
     /// back as a [`ChunkedFrame`] view (no re-encoding) with columns in
-    /// the flat path's selected order: base columns, then accepted
-    /// features by subgroup.
+    /// the plan's selection order: base columns, then accepted features by
+    /// subgroup.
     pub fn finish_chunked(&self, search: &ChunkedSearch) -> Result<(RunResult, ChunkedFrame)> {
-        Ok((self.result(search), search.store().engineered()?))
+        let engineered = search.frame().select_columns(&search.selected_ids())?;
+        Ok((self.result(search), engineered))
     }
 
     /// Run the method on an out-of-core frame — the chunked counterpart
@@ -395,10 +286,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CachedEvaluator, EafeConfig};
+    use crate::config::EafeConfig;
     use crate::fpe::{search as fpe_search, FpeSearchSpace, LabeledFeature, RawLabels};
-    use crate::step::probe;
-    use crate::{EngineState, GeneratedFeature, Operator};
+    use crate::EngineState;
     use minhash::{HashFamily, SampleCompressor};
     use tabular::public_corpus;
     use tabular::{ChunkOptions, FrameBudget, InMemoryStore, Label, MmapStore, SynthSpec, Task};
@@ -476,88 +366,10 @@ mod tests {
         }
     }
 
-    /// The driver's probe over the flat store, over the chunked store at
-    /// every chunk size and `cache_key` of the materialised frame address
-    /// one cache entry — observed through a shared cache, so it holds
-    /// where the probe's debug assertion is compiled out — and the score
-    /// the probe computes from either store's bins is
-    /// `learners::Evaluator::evaluate` of that frame, to the bit.
-    #[test]
-    fn flat_chunked_and_whole_frame_keys_agree() {
-        let accepted = [
-            (0, Operator::Sqrt, 0, 0),
-            (1, Operator::Add, 0, 0),
-            (0, Operator::Multiply, 0, 1),
-        ];
-        // Accept the leading `accepted` into a store, then propose the
-        // candidate both stores are probed with.
-        fn select<B: ColumnStore>(
-            store: &mut B,
-            accepted: &[(usize, Operator, usize, usize)],
-        ) -> B::Candidate {
-            for &(agent, op, a, b) in accepted {
-                let feature = store.generate(Lineage::new(agent, op, a, b)).unwrap();
-                store.accept(feature).unwrap();
-            }
-            store
-                .generate(Lineage::new(2, Operator::Log, 0, 0))
-                .unwrap()
-        }
-        for task in [Task::Classification, Task::Regression] {
-            let frame = SynthSpec::new("key-parity", 60, 3, task)
-                .with_seed(11)
-                .generate()
-                .unwrap();
-            for extras in 0..=accepted.len() {
-                let evaluator = CachedEvaluator::new(fast_config().evaluator);
-                let mut flat = EngineState::new(frame.clone());
-                let candidate = select(&mut flat, &accepted[..extras]);
-                let score = probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
-                let whole = flat
-                    .raw_frame(None)
-                    .unwrap()
-                    .with_extra_columns(std::slice::from_ref(&candidate.feature.column))
-                    .unwrap();
-                assert_eq!(whole.n_cols(), 3 + extras + 1);
-                assert!(evaluator.cache().contains(evaluator.cache_key(&whole)));
-                let direct = evaluator.scorer().evaluate(&whole).unwrap();
-                assert_eq!(
-                    score.to_bits(),
-                    direct.to_bits(),
-                    "{task:?}, {extras} accepted"
-                );
-
-                for chunk_rows in [1, 7, 256, frame.n_rows()] {
-                    let mut chunked = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
-                    let candidate = select(&mut chunked, &accepted[..extras]);
-                    let mut selection = None;
-                    let again = probe(&chunked, &evaluator, &mut selection, Some(&candidate));
-                    assert_eq!(score.to_bits(), again.unwrap().to_bits());
-                    // A cache of its own: the probe computes the score
-                    // from the bins it built chunk by chunk.
-                    let own = CachedEvaluator::new(fast_config().evaluator);
-                    let computed = probe(&chunked, &own, &mut selection, Some(&candidate));
-                    let computed = computed.unwrap();
-                    assert_eq!(own.stats().misses, 1);
-                    assert_eq!(
-                        computed.to_bits(),
-                        direct.to_bits(),
-                        "chunk_rows {chunk_rows}"
-                    );
-                }
-                let stats = evaluator.stats();
-                assert_eq!(
-                    (stats.misses, stats.inserts, stats.hits),
-                    (1, 1, 4),
-                    "{task:?}, {extras} accepted"
-                );
-            }
-        }
-    }
-
-    /// A chunked candidate's `degenerate` flag is the flat verdict on its
-    /// materialised column, for every operator over constant, near-constant
-    /// (spans around the `1e-12` cut), signed-zero and ordinary parents.
+    /// A chunked candidate's `degenerate` flag is the flat store's verdict
+    /// on its materialised column, for every operator over constant,
+    /// near-constant (spans around the `1e-12` cut), signed-zero and
+    /// ordinary parents.
     #[test]
     fn chunked_degenerate_flag_matches_the_flat_verdict() {
         let n = 40;
@@ -591,34 +403,29 @@ mod tests {
         .unwrap();
         let (mut degenerate, mut sound) = (0, 0);
         for chunk_rows in [1, 7, n] {
-            let mut store = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
-            // A second member per subgroup, so binary operators also see
-            // two different parents.
-            for agent in 0..n_agents {
-                let member = store
-                    .generate(Lineage::new(agent, Operator::Sqrt, 0, 0))
-                    .unwrap();
-                store.accept(member).unwrap();
+            let mut store = chunk(&frame, chunk_rows);
+            // A second column per base column (id `n_agents + j`), so
+            // binary operators also see two different parents.
+            for col in 0..n_agents {
+                let sqrt = store.generate(Operator::Sqrt, col, col).unwrap();
+                store.accept(&format!("sqrt{col}"), sqrt).unwrap();
             }
-            for agent in 0..n_agents {
+            for col in 0..n_agents {
+                let derived = n_agents + col;
                 for op in Operator::ALL {
-                    for (a, b) in [(0, 0), (0, 1), (1, 0)] {
-                        let candidate = store.generate(Lineage::new(agent, op, a, b)).unwrap();
+                    for (a, b) in [(col, col), (col, derived), (derived, col)] {
+                        let candidate = store.generate(op, a, b).unwrap();
                         let mut values = Vec::with_capacity(n);
                         for enc in &candidate.chunks {
                             enc.fold_values((), |(), v| values.push(v));
                         }
-                        let flat = GeneratedFeature {
-                            column: Column::new(candidate.name.clone(), values),
-                            order: candidate.order,
-                        };
+                        let flat = EngineState::is_degenerate(&Column::new("flat", values));
                         assert_eq!(
-                            ChunkedStore::is_degenerate(&candidate),
-                            flat.is_degenerate(),
-                            "{} at chunk_rows {chunk_rows}",
-                            candidate.name
+                            ChunkedFrame::is_degenerate(&candidate),
+                            flat,
+                            "{op:?} of columns {a} and {b} at chunk_rows {chunk_rows}"
                         );
-                        if flat.is_degenerate() {
+                        if flat {
                             degenerate += 1;
                         } else {
                             sound += 1;
@@ -637,6 +444,22 @@ mod tests {
         // Multi-chunk and single-chunk layouts.
         assert_parity(&engine, &frame, chunk(&frame, 32));
         assert_parity(&engine, &frame, chunk(&frame, 1024));
+    }
+
+    /// A later epoch accepts into an earlier subgroup, so the frame's
+    /// column ids leave selection order; both stores still agree slice by
+    /// slice and on the finished frame.
+    #[test]
+    fn out_of_subgroup_order_acceptances_chunked_match_flat_bitwise() {
+        let frame = SynthSpec::new("chunked-test", 150, 5, Task::Classification)
+            .with_seed(7)
+            .generate()
+            .unwrap();
+        let engine = Engine::nfs(fast_config());
+        let flat = engine.drive(|| engine.start(&frame)).unwrap();
+        let ids = flat.selected_ids();
+        assert!(ids.windows(2).any(|w| w[0] > w[1]), "{ids:?}");
+        assert_parity(&engine, &frame, chunk(&frame, 32));
     }
 
     #[test]
@@ -721,9 +544,9 @@ mod tests {
         for family in HashFamily::ALL {
             let fpe = fpe_over(family, 48);
             for chunk_rows in [1, 7, 4096] {
-                let store = ChunkedStore::new(chunk(&frame, chunk_rows)).unwrap();
-                for (agent, op) in candidates {
-                    let candidate = store.generate(Lineage::new(agent, op, 0, 0)).unwrap();
+                let store = chunk(&frame, chunk_rows);
+                for (col, op) in candidates {
+                    let candidate = store.generate(op, col, col).unwrap();
                     let mut flat = Vec::with_capacity(n);
                     for enc in &candidate.chunks {
                         enc.fold_values((), |(), v| flat.push(v));
@@ -733,8 +556,7 @@ mod tests {
                     assert_eq!(
                         chunked.to_bits(),
                         expected.to_bits(),
-                        "{family:?} {} at chunk_rows {chunk_rows}",
-                        candidate.name
+                        "{family:?} {op:?} of column {col} at chunk_rows {chunk_rows}"
                     );
                 }
             }

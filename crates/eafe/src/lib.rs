@@ -41,12 +41,12 @@
 //! - `engine` — the four methods (E-AFE / E-AFE_D / E-AFE_R / NFS) as
 //!   one configured [`Engine`] and its blocking `run`;
 //! - `step` — the search driver: Algorithm 2 written once as a
-//!   resumable state machine (start/step/finish, speculation), generic
-//!   over where the columns live;
-//! - `store` (private) — that seam's `ColumnStore` trait, and `Lineage`;
-//! - `state` — feature subgroups and the in-RAM store behind
-//!   [`SearchState`] (serializable checkpoints);
-//! - `chunked` — the out-of-core store behind [`ChunkedSearch`];
+//!   resumable state machine (start/step/finish, speculation, the
+//!   checkpoint of [`SearchState`]), generic over where the columns live;
+//! - `store` (private) — the subgroups' one ledger (`Plan`, `Lineage`)
+//!   and the `ColumnStore` trait, which keeps columns only;
+//! - `state` — the in-RAM column store behind [`SearchState`];
+//! - `chunked` — the out-of-core column store behind [`ChunkedSearch`];
 //! - `baselines` — AutoFS_R and the deep-learning baselines;
 //! - `pipeline` — pre-selection, FPE bootstrapping, Table V re-evaluation;
 //! - `report` — instrumented results (timers, counters, learning curves).

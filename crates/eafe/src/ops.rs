@@ -239,16 +239,10 @@ impl GeneratedFeature {
         b: &Column,
         b_order: usize,
     ) -> GeneratedFeature {
-        let named = op.expression((&a.name, a_order), (&b.name, b_order));
-        GeneratedFeature::new(op, &a.values, &b.values, named)
-    }
-
-    /// Apply `op` to parent values `a` and `b`; `named` is the child's
-    /// name and order, already derived from the parents.
-    pub(crate) fn new(op: Operator, a: &[f64], b: &[f64], named: (String, usize)) -> Self {
+        let (name, order) = op.expression((&a.name, a_order), (&b.name, b_order));
         GeneratedFeature {
-            column: Column::new(named.0, op.apply(a, b)),
-            order: named.1,
+            column: Column::new(name, op.apply(&a.values, &b.values)),
+            order,
         }
     }
 

@@ -1,20 +1,18 @@
 //! The search driver: Algorithm 2 written once, as a resumable state
 //! machine — [`Engine::start`] / [`Engine::step`] / [`Engine::finish`].
 //!
-//! A [`Search`] is generic over its column store (the crate-private
-//! `ColumnStore` trait, see `store.rs`): [`SearchState`] runs on the in-RAM
-//! [`EngineState`], [`ChunkedSearch`] on an out-of-core [`ChunkedStore`].
-//! The store holds column data and has four duties — generate the
-//! candidate a lineage describes (and say whether it is degenerate),
-//! FPE-score it, hand over columns (values run by run, the raw-value
-//! frame), accept it. Everything else lives here, once: the policies,
-//! both RNG streams, the replay buffer, the adaptive gate, the counters,
-//! the phase machine, and the one evaluation path — the
-//! selection's key state, digests and bins, the score-cache probe, and
-//! the candidate binned from its runs on a miss. A long-lived server
-//! interleaves many searches on one process (`crates/serve`), pauses one
-//! at any epoch boundary, checkpoints it to disk and resumes it — on the
-//! same or a different process — with **bit-identical** results.
+//! A [`Search`] holds its RL state as the crate-private `Plan` of the
+//! subgroups beside a column store (the crate-private `ColumnStore`, see
+//! `store.rs`): the in-RAM [`EngineState`] behind [`SearchState`], the
+//! out-of-core [`ChunkedFrame`] behind [`ChunkedSearch`]. Everything
+//! else lives here, once: the policies, both RNG streams, the replay
+//! buffer, the adaptive gate, the counters, the phase machine, and the
+//! one evaluation path — the selection's key state, digests and bins,
+//! the score-cache probe, and the candidate binned from its runs on a
+//! miss. A long-lived server interleaves many searches on one process
+//! (`crates/serve`), pauses one at any epoch boundary, checkpoints it
+//! and resumes it — on the same or another process — with
+//! **bit-identical** results.
 //!
 //! The unit of work is one *slice*: a stage-1 epoch, the stage-1→2
 //! replay seeding, or a stage-2 epoch. Each [`Engine::step`] call runs
@@ -22,38 +20,33 @@
 //! best-so-far score and weighted feature set — the anytime contract: a
 //! caller can stop after any slice and keep the best result found so far.
 //!
-//! Within a slice a candidate is made in exactly one place (`propose`),
-//! judged in exactly one place (`Engine::gate`) and scored in exactly one
-//! place (`probe`); the speculation replays in `speculate.rs`
-//! ([`Engine::speculate_fpe_columns`], [`Engine::speculate_evals`]) call
-//! the first two on copies of the streams, which is what makes their
-//! predictions exact.
-//!
-//! A candidate carries its `Lineage` (proposing agent, operator, two
-//! members of that agent's subgroup, whose indices are stable) and is
-//! always accepted into the proposing agent's subgroup. The lineage is
-//! all a search remembers of it: the replay buffer holds lineages, and
-//! the seeding slice makes each one again with the store's `generate`.
+//! A candidate is named and made in exactly one place
+//! (`RlState::generate`), proposed in one (`propose`), judged in one
+//! (`Engine::gate`), scored in one (`probe`) and joins the plan and the
+//! store in one (`RlState::accept`). The speculation replays in
+//! `speculate.rs` ([`Engine::speculate_fpe_columns`],
+//! [`Engine::speculate_evals`]) call `propose` and the gate on copies of
+//! the streams, which is what makes their predictions exact. A search
+//! remembers a candidate by its lineage alone: the replay buffer holds
+//! lineages, and the seeding slice makes each one again.
 //!
 //! ## Determinism contract
 //!
 //! [`SearchState`] is serde-serializable and captures *everything* the
-//! search depends on: the sanitized frame, the subgroups' lineages,
-//! per-agent policies (including Adam moments), both RNG streams (as raw
-//! xoshiro state words), the replay buffer's lineages, the adaptive gate
-//! window, and all counters — no generated value. Restoring a checkpoint
-//! and stepping to completion therefore produces the same scores,
-//! evaluation counts, and selected features — bit for bit — as an
-//! uninterrupted run, under any thread count. Two things are deliberately *outside* the contract,
-//! because they are process-local observability: wall-clock times
-//! (`elapsed_secs` and friends) and score-cache hit/miss tallies (a resumed run starts with a cold private cache; the
-//! cache only short-circuits recomputation, never changes a score). The
-//! evaluator and the selection are process-local state, not checkpointed:
-//! both are rebuilt on first use after a restore.
+//! search depends on: the sanitized frame, the plan's lineages, per-agent
+//! policies (including Adam moments), both RNG streams (as raw xoshiro
+//! state words), the replay buffer's lineages, the adaptive gate window
+//! and all counters — no generated value: a restore replays the plan onto
+//! the base frame through `generate`/`accept`. Stepping a restored search
+//! to completion produces the same scores, evaluation counts and selected
+//! features — bit for bit — as an uninterrupted run, under any thread
+//! count. Outside the contract, as process-local observability: wall-clock
+//! times and score-cache hit/miss tallies (a resumed run starts with a
+//! cold private cache, which never changes a score). The evaluator and the
+//! selection are process-local too, rebuilt on first use after a restore.
 //! A [`ChunkedSearch`] lives and dies with its frame handle: it has no
 //! serde form.
 
-use crate::chunked::ChunkedStore;
 use crate::config::{CachedEvaluator, EafeConfig};
 use crate::engine::{Engine, Gate};
 use crate::error::{EafeError, Result};
@@ -63,14 +56,14 @@ use crate::report::{
 };
 use crate::reward::SurrogateReward;
 use crate::state::EngineState;
-use crate::store::{ColumnStore, Lineage};
+use crate::store::{Candidate, ColumnStore, Lineage, Plan};
 use learners::{BinnedColumn, SelectedColumn, Selection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{returns_from_scores, rewards_to_go, score_gains, ReplayBuffer, RnnPolicy, StepCache};
 use runtime::{ColumnDigest, Fingerprint};
 use serde::{DeError, Deserialize, Serialize, Value};
-use tabular::DataFrame;
+use tabular::{ChunkedFrame, DataFrame};
 
 mod speculate;
 
@@ -167,12 +160,15 @@ impl AdaptiveGate {
     }
 }
 
-/// The RL state `s` (paper §II): the selected features, held by column
-/// store `S`, and what they score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The RL state `s` (paper §II): the selected features — the plan of the
+/// subgroups and the column store `S` holding their columns — and what
+/// they score.
+#[derive(Debug, Clone)]
 struct RlState<S> {
-    /// Column data: the base frame and the subgroups' members.
+    /// Column data: the base columns and the accepted ones.
     store: S,
+    /// The subgroups: every member's name, order, lineage and column.
+    plan: Plan,
     /// Most recent downstream score of the selected feature set.
     current_score: f64,
     /// Score change of the most recent evaluated action (for embeddings).
@@ -180,11 +176,11 @@ struct RlState<S> {
 }
 
 /// Everything a search depends on (see the module docs for the determinism
-/// contract), over column store `S`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SearchCore<S> {
-    /// Subgroups, current score, last reward.
-    state: RlState<S>,
+/// contract), over RL state `R`: an [`RlState`] over some column store.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SearchCore<R> {
+    /// Plan, columns, current score, last reward.
+    state: R,
     /// One RNN policy per original feature.
     policies: Vec<RnnPolicy>,
     /// Policy/generation RNG stream.
@@ -232,7 +228,7 @@ struct SearchCore<S> {
 /// advanced one epoch-granular slice at a time by [`Engine::step`].
 #[derive(Clone)]
 pub struct Search<B: ColumnStore> {
-    core: SearchCore<B>,
+    core: Core<B>,
     /// Process-local caching evaluator; rebuilt lazily after deserialize.
     /// A clone shares it (and so its cache, which never changes a score).
     evaluator: Option<CachedEvaluator>,
@@ -256,7 +252,89 @@ pub type SearchState = Search<EngineState>;
 
 /// A search over an out-of-core [`tabular::ChunkedFrame`], produced by
 /// [`Engine::start_chunked`].
-pub type ChunkedSearch = Search<ChunkedStore>;
+pub type ChunkedSearch = Search<ChunkedFrame>;
+
+/// A search's core over column store `B`.
+type Core<B> = SearchCore<RlState<B>>;
+
+impl<B: ColumnStore> RlState<B> {
+    /// The candidate `lineage` describes: named by the plan, its values
+    /// generated by the store from the parents' columns.
+    fn generate(&self, lineage: Lineage) -> Result<Candidate<B::Values>> {
+        let ((name, order), [a, b]) = self.plan.describe(lineage);
+        let values = self.store.generate(lineage.op, a, b)?;
+        Ok(Candidate {
+            lineage,
+            name,
+            order,
+            values,
+        })
+    }
+
+    /// Add `candidate` to its proposing agent's subgroup: its values
+    /// become the store's next column.
+    fn accept(&mut self, candidate: Candidate<B::Values>) -> Result<()> {
+        self.store.accept(&candidate.name, candidate.values)?;
+        self.plan
+            .accept(candidate.lineage, candidate.name, candidate.order);
+        Ok(())
+    }
+
+    /// The selected columns, then `extra`, as one raw-value frame.
+    fn raw_frame(&self, extra: Option<&Candidate<B::Values>>) -> Result<DataFrame> {
+        let extra = extra.map(|c| (c.name.as_str(), &c.values));
+        self.store.raw_frame(&self.plan.selected_ids(), extra)
+    }
+}
+
+impl Serialize for RlState<EngineState> {
+    fn to_value(&self) -> Value {
+        let store = Value::Map(vec![
+            ("frame".to_string(), self.store.frame.to_value()),
+            ("accepted".to_string(), self.plan.to_value()),
+        ]);
+        Value::Map(vec![
+            ("store".to_string(), store),
+            ("current_score".to_string(), self.current_score.to_value()),
+            ("last_reward".to_string(), self.last_reward.to_value()),
+        ])
+    }
+}
+
+// A checkpoint is outside input: every column the search will index, hash
+// or hand to a learner must have the frame's row count, there must be one
+// subgroup per base column, and every accepted member must pass the plan's
+// check before it is made again.
+impl Deserialize for RlState<EngineState> {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let entries = v.as_map().unwrap_or_default();
+        let store = serde::field(entries, "store").as_map().unwrap_or_default();
+        let frame: DataFrame = Deserialize::from_value(serde::field(store, "frame"))?;
+        let accepted: Vec<Vec<Lineage>> = Deserialize::from_value(serde::field(store, "accepted"))?;
+        let (n_rows, columns) = (frame.n_rows(), frame.columns());
+        if accepted.len() != columns.len() || columns.iter().any(|c| c.len() != n_rows) {
+            return Err(DeError::new(format!(
+                "subgroups do not match the frame's {} columns of {n_rows} rows",
+                columns.len()
+            )));
+        }
+        let mut state = RlState {
+            plan: Plan::new(columns.iter().map(|c| c.name.clone())),
+            store: EngineState::new(frame),
+            current_score: Deserialize::from_value(serde::field(entries, "current_score"))?,
+            last_reward: Deserialize::from_value(serde::field(entries, "last_reward"))?,
+        };
+        let corrupt = |e: EafeError| DeError::new(e.to_string());
+        for (agent, lineages) in accepted.into_iter().enumerate() {
+            for lineage in lineages {
+                state.plan.check(lineage, agent)?;
+                let candidate = state.generate(lineage).map_err(corrupt)?;
+                state.accept(candidate).map_err(corrupt)?;
+            }
+        }
+        Ok(state)
+    }
+}
 
 impl Serialize for SearchState {
     fn to_value(&self) -> Value {
@@ -267,21 +345,20 @@ impl Serialize for SearchState {
 // A checkpoint is outside input: the driver indexes `policies` by agent,
 // so a file with fewer (or more) policies than subgroups is corrupt, not a
 // panic waiting in the scheduler thread; a replayed lineage's subgroup
-// must hold its parents. `EngineState`'s `Deserialize` checks the rest.
+// must hold its parents. `RlState`'s `Deserialize` checks the rest.
 impl Deserialize for SearchState {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let core: SearchCore<EngineState> = SearchCore::from_value(v)?;
-        let store = &core.state.store;
-        if core.policies.len() != store.n_agents() {
+        let core: Core<EngineState> = SearchCore::from_value(v)?;
+        let plan = &core.state.plan;
+        if core.policies.len() != plan.n_agents() {
             return Err(DeError::new(format!(
                 "{} policies for {} subgroups",
                 core.policies.len(),
-                store.n_agents()
+                plan.n_agents()
             )));
         }
         for &lineage in core.replay.items() {
-            let held = (lineage.agent < store.n_agents()).then(|| store.members(lineage.agent));
-            lineage.check(lineage.agent, held.unwrap_or(0))?;
+            plan.check(lineage, lineage.agent)?;
         }
         Ok(Search {
             core,
@@ -308,9 +385,9 @@ impl<B: ColumnStore> Search<B> {
         self.core.state.store.dataset()
     }
 
-    /// The column store: the base frame and the subgroups' members.
-    pub(crate) fn store(&self) -> &B {
-        &self.core.state.store
+    /// The store's ids of the selected columns, in selection order.
+    pub(crate) fn selected_ids(&self) -> Vec<usize> {
+        self.core.state.plan.selected_ids()
     }
 
     /// Downstream score of the raw feature set.
@@ -354,7 +431,7 @@ impl ChunkedSearch {
     /// The chunked frame the search runs on (base + accepted columns);
     /// its [`tabular::ChunkedFrame::stats`] expose residency/spill traffic.
     pub fn frame(&self) -> &tabular::ChunkedFrame {
-        self.store().frame()
+        &self.core.state.store
     }
 }
 
@@ -368,9 +445,9 @@ fn embedding<B: ColumnStore>(
     step: usize,
     epoch_frac: f64,
 ) -> Vec<f64> {
-    let store = &state.store;
-    let members = store.members(agent);
-    let total_order: usize = (0..members).map(|i| store.member(agent, i).1).sum();
+    let plan = &state.plan;
+    let members = plan.members(agent);
+    let total_order: usize = plan.orders(agent).sum();
     let mean_order = total_order as f64 / members as f64;
     vec![
         1.0, // bias
@@ -380,7 +457,7 @@ fn embedding<B: ColumnStore>(
         mean_order / cfg.max_order.max(1) as f64,
         (step as f64 + 0.5) / cfg.steps_per_epoch.max(1) as f64,
         epoch_frac.clamp(0.0, 1.0),
-        (agent as f64 + 0.5) / store.n_agents().max(1) as f64,
+        (agent as f64 + 0.5) / plan.n_agents().max(1) as f64,
     ]
 }
 
@@ -397,14 +474,14 @@ fn propose<B: ColumnStore>(
     agent: usize,
     step: usize,
     epoch_frac: f64,
-) -> Result<(StepCache, B::Candidate)> {
+) -> Result<(StepCache, Candidate<B::Values>)> {
     let x = embedding(cfg, state, agent, step, epoch_frac);
     let cache = policy.step(&x, rng)?;
     let op = Operator::from_action(cache.action);
-    let members = state.store.members(agent);
+    let members = state.plan.members(agent);
     let a = rng.gen_range(0..members);
     let b = rng.gen_range(0..members);
-    Ok((cache, state.store.generate(Lineage { agent, op, a, b })?))
+    Ok((cache, state.generate(Lineage { agent, op, a, b })?))
 }
 
 /// The gate-side streams a slice advances: the real epochs check them out
@@ -416,7 +493,7 @@ struct GateStreams {
 }
 
 impl GateStreams {
-    fn of<S>(core: &SearchCore<S>) -> Self {
+    fn of<R>(core: &SearchCore<R>) -> Self {
         GateStreams {
             window: core.fpe_gate.clone(),
             rng: core.gate_rng.to_rng(),
@@ -432,11 +509,13 @@ impl Engine {
     pub fn start(&self, frame: &DataFrame) -> Result<SearchState> {
         let mut frame = frame.clone();
         frame.sanitize();
-        self.open(EngineState::new(frame))
+        let plan = Plan::new(frame.columns().iter().map(|c| c.name.clone()));
+        self.open(EngineState::new(frame), plan)
     }
 
-    /// Open a search on a store whose base frame is already sanitized.
-    pub(crate) fn open<B: ColumnStore>(&self, store: B) -> Result<Search<B>> {
+    /// Open a search on a store whose base columns are already sanitized,
+    /// and the plan of those columns alone.
+    pub(crate) fn open<B: ColumnStore>(&self, store: B, plan: Plan) -> Result<Search<B>> {
         self.config.validate()?;
         if matches!(&self.gate, Gate::RandomDrop { rate } if !(0.0..=1.0).contains(rate)) {
             return Err(EafeError::InvalidConfig(
@@ -469,13 +548,20 @@ impl Engine {
         let evaluator = self.evaluator();
         let cache_start = evaluator.stats();
 
+        let mut state = RlState {
+            store,
+            plan,
+            current_score: 0.0,
+            last_reward: 0.0,
+        };
         let mut selection = None;
         let base_score = {
             let _eval_span = telemetry::span("engine.evaluate");
-            timer.evaluation(|| probe(&store, &evaluator, &mut selection, None))?
+            timer.evaluation(|| probe(&state, &evaluator, &mut selection, None))?
         };
+        state.current_score = base_score;
         counter.evaluate();
-        let n_agents = store.n_agents();
+        let n_agents = state.plan.n_agents();
         let max_generated = ((n_agents as f64 * cfg.max_generated_ratio).ceil() as usize).max(1);
 
         let mut policy_cfg = cfg.policy;
@@ -506,11 +592,7 @@ impl Engine {
         let cache_delta = evaluator.stats().since(&cache_start);
         Ok(Search {
             core: SearchCore {
-                state: RlState {
-                    store,
-                    current_score: base_score,
-                    last_reward: 0.0,
-                },
+                state,
                 policies,
                 rng: RngState::seed(cfg.seed),
                 // The dropout gate draws from its own stream so gating
@@ -603,14 +685,14 @@ impl Engine {
     /// once the generation budget is spent.
     fn structurally_ok<B: ColumnStore>(
         &self,
-        core: &SearchCore<B>,
-        candidate: &B::Candidate,
+        core: &Core<B>,
+        candidate: &Candidate<B::Values>,
         stage: SearchStage,
     ) -> bool {
         // Cheapest first: the degeneracy check may scan the column.
-        B::order(candidate) <= self.config.max_order
-            && (stage == SearchStage::Stage1 || core.state.store.n_generated() < core.max_generated)
-            && !B::is_degenerate(candidate)
+        candidate.order <= self.config.max_order
+            && (stage == SearchStage::Stage1 || core.state.plan.n_generated() < core.max_generated)
+            && !B::is_degenerate(&candidate.values)
     }
 
     /// The gate: a candidate passes iff it is [structurally
@@ -621,8 +703,8 @@ impl Engine {
     /// for structurally sound candidates.
     fn gate<B: ColumnStore>(
         &self,
-        core: &SearchCore<B>,
-        candidate: &B::Candidate,
+        core: &Core<B>,
+        candidate: &Candidate<B::Values>,
         stage: SearchStage,
         streams: &mut GateStreams,
     ) -> Result<(bool, Option<f64>)> {
@@ -631,7 +713,7 @@ impl Engine {
         }
         Ok(match &self.gate {
             Gate::Fpe(fpe) => {
-                let p = core.state.store.fpe_score(fpe, candidate)?;
+                let p = core.state.store.fpe_score(fpe, &candidate.values)?;
                 let pass = if stage == SearchStage::Stage1 {
                     p >= 0.5
                 } else {
@@ -654,7 +736,7 @@ impl Engine {
     /// on the episode's returns.
     fn epoch<B: ColumnStore>(
         &self,
-        core: &mut SearchCore<B>,
+        core: &mut Core<B>,
         evaluator: &CachedEvaluator,
         selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
@@ -679,7 +761,7 @@ impl Engine {
         let mut rng = core.rng.to_rng();
         let mut streams = GateStreams::of(core);
 
-        for agent in 0..core.state.store.n_agents() {
+        for agent in 0..core.state.plan.n_agents() {
             core.policies[agent].reset();
             let episode_start_score = if stage1 {
                 core.base_score
@@ -695,7 +777,7 @@ impl Engine {
                 })?;
                 episode.push(cache);
                 core.counter.generate();
-                telemetry::count(B::lineage(&candidate).op.counter_name(), 1);
+                telemetry::count(candidate.lineage.op.counter_name(), 1);
 
                 let (pass, fpe_p) =
                     timer.generation(|| self.gate(core, &candidate, stage, &mut streams))?;
@@ -713,7 +795,7 @@ impl Engine {
                 scores.push(if stage1 {
                     let p = fpe_p.unwrap_or(0.0);
                     if pass {
-                        core.replay.push(p, B::lineage(&candidate));
+                        core.replay.push(p, candidate.lineage);
                     }
                     surrogate.pseudo_score(p)
                 } else if pass {
@@ -794,16 +876,16 @@ impl Engine {
     /// agent that proposed it.
     fn seed<B: ColumnStore>(
         &self,
-        core: &mut SearchCore<B>,
+        core: &mut Core<B>,
         evaluator: &CachedEvaluator,
         selection: &mut Option<Selection>,
         timer: &mut PhaseTimer,
     ) -> Result<()> {
-        for lineage in self.seed_queue(core.state.store.n_agents(), &mut core.replay) {
-            if core.state.store.n_generated() >= core.max_generated {
+        for lineage in self.seed_queue(core.state.plan.n_agents(), &mut core.replay) {
+            if core.state.plan.n_generated() >= core.max_generated {
                 break;
             }
-            let candidate = timer.generation(|| core.state.store.generate(lineage))?;
+            let candidate = timer.generation(|| core.state.generate(lineage))?;
             let score = evaluate(core, evaluator, selection, timer, &candidate)?;
             if score > core.state.current_score {
                 core.state.last_reward = score - core.state.current_score;
@@ -819,7 +901,7 @@ impl Engine {
     /// Returns the instrumented [`RunResult`] plus the engineered frame
     /// (original features + every accepted generated feature).
     pub fn finish(&self, search: &SearchState) -> Result<(RunResult, DataFrame)> {
-        Ok((self.result(search), search.store().raw_frame(None)?))
+        Ok((self.result(search), search.core.state.raw_frame(None)?))
     }
 
     /// The instrumented [`RunResult`] of a search's best-so-far state.
@@ -833,7 +915,7 @@ impl Engine {
             trace: core.trace.clone(),
             generated_features: core.counter.generated,
             downstream_evals: core.counter.evaluated,
-            selected: core.state.store.selected_names(),
+            selected: core.state.plan.selected_names(),
             generation_secs: core.generation_secs,
             eval_secs: core.eval_secs,
             total_secs: core.total_secs,
@@ -875,7 +957,7 @@ impl Engine {
     }
 }
 
-fn report<S>(core: &SearchCore<S>, stage: SearchStage, epoch: usize) -> EpochReport {
+fn report<R>(core: &SearchCore<R>, stage: SearchStage, epoch: usize) -> EpochReport {
     EpochReport {
         stage,
         epoch,
@@ -892,15 +974,15 @@ fn report<S>(core: &SearchCore<S>, stage: SearchStage, epoch: usize) -> EpochRep
 
 /// One counted downstream evaluation of the selection plus `candidate`.
 fn evaluate<B: ColumnStore>(
-    core: &mut SearchCore<B>,
+    core: &mut Core<B>,
     evaluator: &CachedEvaluator,
     selection: &mut Option<Selection>,
     timer: &mut PhaseTimer,
-    candidate: &B::Candidate,
+    candidate: &Candidate<B::Values>,
 ) -> Result<f64> {
     let _eval_span = telemetry::span("engine.evaluate");
-    let store = &core.state.store;
-    let score = timer.evaluation(|| probe(store, evaluator, selection, Some(candidate)))?;
+    let state = &core.state;
+    let score = timer.evaluation(|| probe(state, evaluator, selection, Some(candidate)))?;
     core.counter.evaluate();
     Ok(score)
 }
@@ -912,31 +994,31 @@ fn evaluate<B: ColumnStore>(
 /// candidate its `probe` held, with the digest and bins that probe made
 /// (binned here only when its score came from the score cache).
 fn accept<B: ColumnStore>(
-    core: &mut SearchCore<B>,
+    core: &mut Core<B>,
     selection: &mut Option<Selection>,
-    candidate: B::Candidate,
+    candidate: Candidate<B::Values>,
     score: f64,
 ) -> Result<()> {
     core.state.current_score = score;
     core.best_score = core.best_score.max(score);
     core.weighted.push(WeightedFeature {
-        name: B::name(&candidate).to_string(),
+        name: candidate.name.clone(),
         weight: core.state.last_reward,
     });
-    let store = &mut core.state.store;
     if let Some(selection) = selection {
-        let agent = B::lineage(&candidate).agent;
-        let at = store.n_agents() + (0..=agent).map(|j| store.members(j) - 1).sum::<usize>();
-        let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(&candidate, run);
-        let name = B::name(&candidate);
+        let plan = &core.state.plan;
+        let agent = candidate.lineage.agent;
+        let at = plan.n_agents() + (0..=agent).map(|j| plan.members(j) - 1).sum::<usize>();
+        let store = &core.state.store;
+        let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(&candidate.values, run);
         let column = match selection.take_candidate() {
-            Some(held) if held.name() == name => held,
-            _ => unbinned(name, runs)?,
+            Some(held) if held.name() == candidate.name => held,
+            _ => unbinned(&candidate.name, runs)?,
         };
         let column = bin(column, store.n_rows(), selection.bin_budget(), runs)?;
         selection.insert(at, column);
     }
-    store.accept(candidate)
+    core.state.accept(candidate)
 }
 
 /// The downstream score of the selection extended by `candidate` — of
@@ -946,22 +1028,23 @@ fn accept<B: ColumnStore>(
 /// miss bins only the candidate, from its runs (or reads its bins from
 /// the bin cache, which does not keep them), and the store builds a frame
 /// only for a model kind that reads raw values. `held` is the selection,
-/// built here from the store's columns when it is missing or was binned
+/// built here from the selected columns when it is missing or was binned
 /// under another budget; it holds the candidate afterwards, in place of
 /// the one probed before, for `accept` to take.
-pub(crate) fn probe<B: ColumnStore>(
-    store: &B,
+fn probe<B: ColumnStore>(
+    state: &RlState<B>,
     evaluator: &CachedEvaluator,
     held: &mut Option<Selection>,
-    candidate: Option<&B::Candidate>,
+    candidate: Option<&Candidate<B::Values>>,
 ) -> Result<f64> {
+    let store = &state.store;
     let budget = evaluator.scorer().bin_budget(store.label().task());
-    let selection = selection_under(store, held.take(), budget)?;
+    let selection = selection_under(state, held.take(), budget)?;
     let selection = held.insert(selection);
     // The previous candidate's bins go before this one's are built.
     selection.take_candidate();
     let mut extra = candidate
-        .map(|c| unbinned(B::name(c), |run| store.candidate_runs(c, run)))
+        .map(|c| unbinned(&c.name, |run| store.candidate_runs(&c.values, run)))
         .transpose()?;
     let key = evaluator.key_of(&match &extra {
         Some(column) => selection.extended_key(column.name(), column.digest()),
@@ -969,7 +1052,7 @@ pub(crate) fn probe<B: ColumnStore>(
     });
     let score = evaluator.evaluate_keyed(key, |scorer| {
         if cfg!(debug_assertions) {
-            let frame = store.raw_frame(candidate)?;
+            let frame = state.raw_frame(candidate)?;
             debug_assert_eq!(
                 evaluator.cache_key(&frame),
                 key,
@@ -977,11 +1060,11 @@ pub(crate) fn probe<B: ColumnStore>(
             );
         }
         if let (Some(c), Some(column)) = (candidate, extra.take()) {
-            let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(c, run);
+            let runs = |run: &mut dyn FnMut(&[f64])| store.candidate_runs(&c.values, run);
             extra = Some(bin(column, store.n_rows(), budget, runs)?);
         }
         scorer.evaluate_selection(selection, extra.as_ref(), store.label(), || {
-            store.raw_frame(candidate)
+            state.raw_frame(candidate)
         })
     })?;
     if let Some(column) = extra {
@@ -991,20 +1074,20 @@ pub(crate) fn probe<B: ColumnStore>(
 }
 
 /// `held` when it was binned under `budget`, else the selection of the
-/// store's selected columns under it, each digested and binned from its
-/// runs.
+/// selected columns under it, each digested and binned from its runs.
 fn selection_under<B: ColumnStore>(
-    store: &B,
+    state: &RlState<B>,
     held: Option<Selection>,
     budget: Option<usize>,
 ) -> Result<Selection> {
     if let Some(selection) = held.filter(|s| s.bin_budget() == budget) {
         return Ok(selection);
     }
+    let store = &state.store;
     let mut selection = Selection::new(store.dataset(), store.n_rows(), store.label(), budget);
-    for (j, i) in store.selected() {
-        let runs = |run: &mut dyn FnMut(&[f64])| store.member_runs(j, i, run);
-        let column = unbinned(store.member(j, i).0, runs)?;
+    for (col, name) in state.plan.selected() {
+        let runs = |run: &mut dyn FnMut(&[f64])| store.column_runs(col, run);
+        let column = unbinned(name, runs)?;
         selection.push(bin(column, store.n_rows(), budget, runs)?);
     }
     Ok(selection)
@@ -1051,7 +1134,7 @@ pub fn max_slices(cfg: &EafeConfig, two_stage: bool) -> usize {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tabular::{SynthSpec, Task};
+    use tabular::{ChunkOptions, ChunkedFrame, Column, InMemoryStore, Label, SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {
         EafeConfig::fast()
@@ -1062,6 +1145,11 @@ mod tests {
             .with_seed(5)
             .generate()
             .unwrap()
+    }
+
+    fn chunked(frame: &DataFrame, chunk_rows: usize) -> ChunkedFrame {
+        let options = ChunkOptions::default().with_chunk_rows(chunk_rows);
+        ChunkedFrame::from_dataframe(frame, options, Box::new(InMemoryStore::new())).unwrap()
     }
 
     #[test]
@@ -1132,6 +1220,7 @@ mod tests {
         let mut frame = target_frame();
         frame.sanitize();
         RlState {
+            plan: Plan::new(frame.columns().iter().map(|c| c.name.clone())),
             store: EngineState::new(frame),
             current_score: 0.8,
             last_reward,
@@ -1150,11 +1239,8 @@ mod tests {
         assert_eq!(e[4], 0.0, "an untouched subgroup has mean order 0");
 
         // One order-1 member beside the original: mean order 1/2.
-        let sqrt = state
-            .store
-            .generate(Lineage::new(1, Operator::Sqrt, 0, 0))
-            .unwrap();
-        state.store.accept(sqrt).unwrap();
+        let sqrt = state.generate(Lineage::new(1, Operator::Sqrt, 0, 0));
+        state.accept(sqrt.unwrap()).unwrap();
         let e = embedding(&cfg, &state, 1, 2, 0.5);
         assert!((e[4] - 0.5 / cfg.max_order as f64).abs() < 1e-12);
     }
@@ -1163,11 +1249,8 @@ mod tests {
     fn proposals_draw_both_members_from_the_agents_own_subgroup() {
         let cfg = fast_config();
         let mut state = rl_state(0.0);
-        let sqrt = state
-            .store
-            .generate(Lineage::new(2, Operator::Sqrt, 0, 0))
-            .unwrap();
-        state.store.accept(sqrt).unwrap();
+        let sqrt = state.generate(Lineage::new(2, Operator::Sqrt, 0, 0));
+        state.accept(sqrt.unwrap()).unwrap();
         let mut policy = RnnPolicy::new(rl::PolicyConfig {
             state_dim: EngineState::EMBEDDING_DIM,
             n_actions: Operator::ALL.len(),
@@ -1183,12 +1266,12 @@ mod tests {
             let lineage = candidate.lineage;
             assert_eq!(lineage.agent, 2, "{lineage:?}");
             assert!(lineage.a < 2 && lineage.b < 2, "{lineage:?}");
-            let expr = &candidate.feature.column.name;
+            let expr = &candidate.name;
             assert_eq!(
-                (expr.clone(), candidate.feature.order),
-                state.store.describe(lineage)
+                (expr.clone(), candidate.order),
+                state.plan.describe(lineage).0
             );
-            match candidate.feature.order {
+            match candidate.order {
                 1 => fresh += 1,
                 2 => composed += 1,
                 order => panic!("{expr}: order {order} from members of order 0 and 1"),
@@ -1209,23 +1292,19 @@ mod tests {
         let engine = Engine::nfs(fast_config());
         let mut search = engine.start(&frame).unwrap();
         let core = &mut search.core;
-        let candidate = core
-            .state
-            .store
-            .generate(Lineage::new(10, Operator::Sqrt, 0, 0))
-            .unwrap();
-        assert_eq!(candidate.feature.column.name, "sqrt(f10)");
+        let candidate = core.state.generate(Lineage::new(10, Operator::Sqrt, 0, 0));
+        let candidate = candidate.unwrap();
+        assert_eq!(candidate.name, "sqrt(f10)");
         core.replay.push(1.0, candidate.lineage);
         core.phase = SearchPhase::Seed;
         // Any score improves on this one: the candidate is accepted.
         core.state.current_score = f64::NEG_INFINITY;
         engine.step(&mut search).unwrap();
 
-        let store = &search.core.state.store;
-        assert_eq!(store.n_generated(), 1);
-        assert_eq!(store.members(10), 2, "sqrt(f10) joins subgroup 10");
-        assert_eq!(store.member(10, 1).0, "sqrt(f10)");
-        assert_eq!(store.members(1), 1);
+        let plan = &search.core.state.plan;
+        assert_eq!(plan.selected_names(), ["sqrt(f10)"]);
+        assert_eq!(plan.members(10), 2, "sqrt(f10) joins subgroup 10");
+        assert_eq!(plan.members(1), 1);
     }
 
     #[test]
@@ -1329,8 +1408,70 @@ mod tests {
         engine.step(&mut state).unwrap();
         let json = serde_json::to_string(&state).unwrap();
         let restored: SearchState = serde_json::from_str(&json).unwrap();
-        assert_eq!(state.core, restored.core);
+        assert_eq!(state.to_value(), restored.to_value());
         assert!(restored.evaluator.is_none(), "evaluator is process-local");
+    }
+
+    /// A flat state's checkpoint decodes to the state it came from — its
+    /// columns made again in subgroup order, not in the order they were
+    /// accepted — and is refused when a subgroup is missing, a base column
+    /// is short, or a lineage fails the plan's check.
+    #[test]
+    fn a_restore_replays_the_plan_and_rejects_what_disagrees_with_it() {
+        let base = DataFrame::new(
+            "s",
+            vec![
+                Column::new("f0", vec![1.0, 2.0, 3.0]),
+                Column::new("f1", vec![4.0, 5.0, 6.0]),
+            ],
+            Label::Class {
+                y: vec![0, 1, 0],
+                n_classes: 2,
+            },
+        )
+        .unwrap();
+        let mut state = RlState {
+            plan: Plan::new(["f0", "f1"].map(String::from)),
+            store: EngineState::new(base),
+            current_score: 0.5,
+            last_reward: 0.25,
+        };
+        let sqrt = |agent| Lineage::new(agent, Operator::Sqrt, 0, 0);
+        for lineage in [sqrt(1), sqrt(0), Lineage { a: 1, ..sqrt(0) }] {
+            let candidate = state.generate(lineage).unwrap();
+            state.accept(candidate).unwrap();
+        }
+        let good = state.to_value();
+        let restored = RlState::<EngineState>::from_value(&good).unwrap();
+        assert_eq!(restored.to_value(), good);
+        assert_eq!(restored.plan.selected_ids(), [0, 1, 2, 3, 4]);
+        assert_eq!(state.plan.selected_ids(), [0, 1, 3, 4, 2]);
+        assert_eq!(
+            restored.raw_frame(None).unwrap(),
+            state.raw_frame(None).unwrap()
+        );
+
+        fn at<'a>(v: &'a mut Value, path: &str) -> &'a mut Value {
+            path.split('.').fold(v, |v, key| match v {
+                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("{key}: {other:?}"),
+            })
+        }
+        let rejects = |path: &str, edit: &dyn Fn(&mut Value)| {
+            let mut bad = good.clone();
+            edit(at(&mut bad, path));
+            let err = RlState::<EngineState>::from_value(&bad).err();
+            err.map(|e| e.to_string()).unwrap_or_default()
+        };
+        let pop = |v: &mut Value| match v {
+            Value::Array(items) => drop(items.pop()),
+            other => panic!("{other:?}"),
+        };
+        assert!(rejects("store.accepted", &pop).contains("subgroups"));
+        assert!(rejects("store.frame.columns.1.values", &pop).contains("subgroups"));
+        let another_subgroup = |v: &mut Value| *v = Value::U64(1);
+        assert!(rejects("store.accepted.0.1.agent", &another_subgroup).contains("lineage"));
     }
 
     /// Paths of the arrays of `n` numbers in `v`.
@@ -1388,23 +1529,23 @@ mod tests {
         let mut accepted = nfs.start(&frame).unwrap();
         nfs.step(&mut accepted).unwrap();
         let sqrt = Lineage::new(1, Operator::Sqrt, 0, 0);
-        let candidate = accepted.store().generate(sqrt).unwrap();
         let core = &mut accepted.core;
+        let candidate = core.state.generate(sqrt).unwrap();
         accept(core, &mut accepted.selection, candidate, core.best_score).unwrap();
-        assert_eq!(accepted.store().n_generated(), 1);
+        assert_eq!(accepted.core.state.plan.n_generated(), 1);
 
         for search in [staged, accepted] {
             let checkpoint = search.to_value();
             let mut found = Vec::new();
             numeric_arrays(&checkpoint, "", n_rows, &mut found);
-            let n_cols = search.store().n_agents();
+            let n_cols = search.core.state.plan.n_agents();
             let mut expected: Vec<String> = (0..n_cols)
                 .map(|j| format!(".state.store.frame.columns.{j}.values"))
                 .collect();
             expected.push(".state.store.frame.label.Class.y".to_string());
             assert_eq!(found, expected);
             let restored = SearchState::from_value(&checkpoint).unwrap();
-            assert_eq!(restored.core, search.core);
+            assert_eq!(restored.to_value(), checkpoint);
         }
     }
 
@@ -1416,15 +1557,15 @@ mod tests {
         fn accept_one<B: ColumnStore>(mut search: Search<B>) {
             let evaluator = search.evaluator.clone().unwrap();
             let lineage = Lineage::new(1, Operator::Multiply, 0, 0);
-            let candidate = search.core.state.store.generate(lineage).unwrap();
+            let candidate = search.core.state.generate(lineage).unwrap();
             let misses = evaluator.stats().misses;
-            let store = &search.core.state.store;
-            let score = probe(store, &evaluator, &mut search.selection, Some(&candidate));
+            let state = &search.core.state;
+            let score = probe(state, &evaluator, &mut search.selection, Some(&candidate));
             assert_eq!(evaluator.stats().misses, misses + 1, "a computed score");
             let held = search.selection.clone().unwrap().take_candidate().unwrap();
             let probed = Arc::clone(held.bins().expect("a miss bins the candidate"));
-            let name = B::name(&candidate).to_string();
-            let n_agents = store.n_agents();
+            let name = candidate.name.clone();
+            let n_agents = state.plan.n_agents();
             accept(
                 &mut search.core,
                 &mut search.selection,
@@ -1444,12 +1585,88 @@ mod tests {
         let engine = Engine::nfs(fast_config());
         let frame = target_frame();
         accept_one(engine.start(&frame).unwrap());
-        let chunked = tabular::ChunkedFrame::from_dataframe(
-            &frame,
-            tabular::ChunkOptions::default().with_chunk_rows(32),
-            Box::new(tabular::InMemoryStore::new()),
-        );
-        accept_one(engine.start_chunked(chunked.unwrap()).unwrap());
+        accept_one(engine.start_chunked(chunked(&frame, 32)).unwrap());
+    }
+
+    /// The driver's probe over the flat store, over the chunked store at
+    /// every chunk size and `cache_key` of the materialised frame address
+    /// one cache entry — observed through a shared cache, so it holds
+    /// where the probe's debug assertion is compiled out — and the score
+    /// the probe computes from either store's bins is
+    /// `learners::Evaluator::evaluate` of that frame, to the bit. Subgroup
+    /// 0 accepts before and after subgroup 1, so column ids and selection
+    /// order differ.
+    #[test]
+    fn flat_chunked_and_whole_frame_keys_agree() {
+        let accepted = [
+            (0, Operator::Sqrt, 0, 0),
+            (1, Operator::Add, 0, 0),
+            (0, Operator::Multiply, 0, 1),
+        ];
+        // Accept the leading `accepted` into a search's state, then
+        // propose the candidate both stores are probed with.
+        fn select<B: ColumnStore>(
+            search: Search<B>,
+            accepted: &[(usize, Operator, usize, usize)],
+        ) -> (RlState<B>, Candidate<B::Values>) {
+            let mut state = search.core.state;
+            for &(agent, op, a, b) in accepted {
+                let feature = state.generate(Lineage::new(agent, op, a, b)).unwrap();
+                state.accept(feature).unwrap();
+            }
+            let candidate = state.generate(Lineage::new(2, Operator::Log, 0, 0));
+            (state, candidate.unwrap())
+        }
+        let engine = Engine::nfs(fast_config());
+        for task in [Task::Classification, Task::Regression] {
+            let frame = SynthSpec::new("key-parity", 60, 3, task)
+                .with_seed(11)
+                .generate()
+                .unwrap();
+            for extras in 0..=accepted.len() {
+                let evaluator = CachedEvaluator::new(fast_config().evaluator);
+                let (flat, candidate) = select(engine.start(&frame).unwrap(), &accepted[..extras]);
+                let score = probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
+                let whole = flat
+                    .raw_frame(None)
+                    .unwrap()
+                    .with_extra_columns(&[candidate.into_column()])
+                    .unwrap();
+                assert_eq!(whole.n_cols(), 3 + extras + 1);
+                assert!(evaluator.cache().contains(evaluator.cache_key(&whole)));
+                let direct = evaluator.scorer().evaluate(&whole).unwrap();
+                assert_eq!(
+                    score.to_bits(),
+                    direct.to_bits(),
+                    "{task:?}, {extras} accepted"
+                );
+
+                for chunk_rows in [1, 7, 256, frame.n_rows()] {
+                    let search = engine.start_chunked(chunked(&frame, chunk_rows)).unwrap();
+                    let (chunked, candidate) = select(search, &accepted[..extras]);
+                    let mut selection = None;
+                    let again = probe(&chunked, &evaluator, &mut selection, Some(&candidate));
+                    assert_eq!(score.to_bits(), again.unwrap().to_bits());
+                    // A cache of its own: the probe computes the score
+                    // from the bins it built chunk by chunk.
+                    let own = CachedEvaluator::new(fast_config().evaluator);
+                    let computed = probe(&chunked, &own, &mut selection, Some(&candidate));
+                    let computed = computed.unwrap();
+                    assert_eq!(own.stats().misses, 1);
+                    assert_eq!(
+                        computed.to_bits(),
+                        direct.to_bits(),
+                        "chunk_rows {chunk_rows}"
+                    );
+                }
+                let stats = evaluator.stats();
+                assert_eq!(
+                    (stats.misses, stats.inserts, stats.hits),
+                    (1, 1, 4),
+                    "{task:?}, {extras} accepted"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@ use super::{propose, selection_under, GateStreams, SearchPhase, SearchState};
 use crate::engine::{Engine, Gate};
 use crate::error::Result;
 use crate::report::SearchStage;
-use crate::state::FlatCandidate;
-use crate::store::ColumnStore;
+use crate::store::Candidate;
 use learners::Selection;
 use tabular::{Column, DataFrame};
 
@@ -36,7 +35,7 @@ impl Engine {
     fn replay_proposals(
         &self,
         search: &SearchState,
-        mut keep: impl FnMut(&FlatCandidate, SearchStage, &mut GateStreams) -> Result<bool>,
+        mut keep: impl FnMut(&Candidate<Column>, SearchStage, &mut GateStreams) -> Result<bool>,
     ) -> Result<Vec<Column>> {
         let core = &search.core;
         let cfg = &self.config;
@@ -55,7 +54,7 @@ impl Engine {
                 let (_, candidate) =
                     propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)?;
                 if keep(&candidate, stage, &mut streams)? {
-                    columns.push(candidate.feature.column);
+                    columns.push(candidate.into_column());
                 }
             }
         }
@@ -103,14 +102,14 @@ impl Engine {
         search: &SearchState,
     ) -> Result<(DataFrame, Selection, Vec<Column>)> {
         let core = &search.core;
-        let store = &core.state.store;
-        let prefix = store.raw_frame(None)?;
+        let state = &core.state;
+        let prefix = state.raw_frame(None)?;
         let budget = self.config.evaluator.bin_budget(prefix.task());
-        let selection = selection_under(store, search.selection.clone(), budget)?;
+        let selection = selection_under(state, search.selection.clone(), budget)?;
         let candidates = match core.phase {
-            SearchPhase::Seed if store.n_generated() < core.max_generated => self
-                .seed_queue(store.n_agents(), &mut core.replay.clone())
-                .map(|lineage| Ok(store.generate(lineage)?.feature.column))
+            SearchPhase::Seed if state.plan.n_generated() < core.max_generated => self
+                .seed_queue(state.plan.n_agents(), &mut core.replay.clone())
+                .map(|lineage| Ok(state.generate(lineage)?.into_column()))
                 .collect::<Result<_>>()?,
             SearchPhase::Stage2 { .. } => self
                 .replay_proposals(search, |candidate, stage, streams| {
@@ -126,6 +125,7 @@ impl Engine {
 mod tests {
     use crate::config::EafeConfig;
     use crate::engine::Engine;
+    use serde::Serialize;
     use tabular::{DataFrame, SynthSpec, Task};
 
     fn fast_config() -> EafeConfig {
@@ -210,10 +210,10 @@ mod tests {
         let engine = Engine::nfs(fast_config());
         let mut state = engine.start(&frame).unwrap();
         engine.step(&mut state).unwrap();
-        let before = state.core.clone();
+        let before = state.to_value();
         engine.speculate_evals(&state).unwrap();
         engine.speculate_fpe_columns(&state).unwrap();
-        assert_eq!(state.core, before);
+        assert_eq!(state.to_value(), before);
     }
 
     #[test]

@@ -13,7 +13,32 @@
 # not counted.
 #
 #   scripts/loc.sh [repo-root]      # default: this checkout
+#   scripts/loc.sh --against <rev>  # this checkout's non-test and pub
+#                                   # counts beside <rev>'s, per row
+#
+# `--against` exports <rev> with `git archive` into a temporary directory
+# (removed on exit), counts both trees with this script's rules and prints
+# one row per crate, total and vendor: the working tree's count, <rev>'s
+# and the difference, for the non-test and the pub columns.
 set -euo pipefail
+if [[ "${1:-}" == "--against" ]]; then
+    rev="${2:?usage: scripts/loc.sh --against <rev>}"
+    here="$(cd "$(dirname "$0")/.." && pwd)"
+    base="$(mktemp -d)"
+    trap 'rm -rf "$base"' EXIT
+    git -C "$here" archive "$rev" | tar -x -C "$base"
+    "$here/scripts/loc.sh" "$base" > "$base.before"
+    "$here/scripts/loc.sh" "$here" | awk -v rev="$rev" '
+        NR == FNR { code[$1] = $2; pub[$1] = $5; next }
+        FNR == 1 {
+            printf "%-12s %8s %8s %8s %8s %8s %8s\n", "crate", "non-test", rev, "delta", "pub", rev, "delta"
+            next
+        }
+        { printf "%-12s %8d %8d %+8d %8d %8d %+8d\n", $1, $2, code[$1], $2 - code[$1], $5, pub[$1], $5 - pub[$1] }
+    ' "$base.before" -
+    rm -f "$base.before"
+    exit 0
+fi
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
