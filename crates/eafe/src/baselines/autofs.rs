@@ -94,7 +94,7 @@ pub fn run_autofs_r(
     let cache_start = evaluator.stats();
 
     let base_score = timer.evaluation(|| evaluator.evaluate(&frame))?;
-    counter.evaluate();
+    counter.evaluated += 1;
 
     // Random generation phase.
     let pool_size = (config.steps_per_epoch * frame.n_cols()).max(4);
@@ -160,7 +160,7 @@ pub fn run_autofs_r(
                 let _eval_span = telemetry::span("autofs.evaluate");
                 timer.evaluation(|| evaluator.evaluate(&candidate))?
             };
-            counter.evaluate();
+            counter.evaluated += 1;
             let reward = score - current_score;
             if reward > 0.0 {
                 selected = trial;

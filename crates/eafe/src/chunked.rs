@@ -45,7 +45,7 @@ use crate::fpe::FpeModel;
 use crate::ops::Operator;
 use crate::report::{EpochReport, RunResult};
 use crate::step::ChunkedSearch;
-use crate::store::{ColumnStore, Plan};
+use crate::store::{Plan, SearchStore};
 use minhash::{RowSource, WeightBounds};
 use runtime::WorkerPool;
 use tabular::{ChunkEncoding, ChunkedFrame, Column, DataFrame, Label};
@@ -74,9 +74,9 @@ impl ChunkedValues {
     }
 }
 
-/// The out-of-core `ColumnStore` is the search's sanitized
+/// The out-of-core `SearchStore` is the search's sanitized
 /// [`ChunkedFrame`] itself, which appends the accepted columns.
-impl ColumnStore for ChunkedFrame {
+impl SearchStore for ChunkedFrame {
     type Values = ChunkedValues;
 
     fn dataset(&self) -> &str {

@@ -44,7 +44,7 @@
 //!   resumable state machine (start/step/finish, speculation, the
 //!   checkpoint of [`SearchState`]), generic over where the columns live;
 //! - `store` (private) — the subgroups' one ledger (`Plan`, `Lineage`)
-//!   and the `ColumnStore` trait, which keeps columns only;
+//!   and the `SearchStore` trait, which keeps columns only;
 //! - `state` — the in-RAM column store behind [`SearchState`];
 //! - `chunked` — the out-of-core column store behind [`ChunkedSearch`];
 //! - `baselines` — AutoFS_R and the deep-learning baselines;

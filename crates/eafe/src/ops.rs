@@ -268,6 +268,12 @@ mod tests {
         assert_eq!(unary, 4);
         assert_eq!(Operator::from_action(0), Operator::Log);
         assert_eq!(Operator::from_action(9), Operator::Log); // wraps
+
+        // A `search.candidate` span's `op` field is the discriminant: it
+        // must be the policy's action.
+        for (action, op) in Operator::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, action);
+        }
     }
 
     #[test]

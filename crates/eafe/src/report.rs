@@ -187,23 +187,6 @@ pub(crate) struct EvalCounter {
     pub dropped: usize,
 }
 
-impl EvalCounter {
-    /// Record a generated feature.
-    pub(crate) fn generate(&mut self) {
-        self.generated += 1;
-    }
-
-    /// Record a downstream evaluation.
-    pub(crate) fn evaluate(&mut self) {
-        self.evaluated += 1;
-    }
-
-    /// Record a gate drop.
-    pub(crate) fn drop_feature(&mut self) {
-        self.dropped += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,21 +221,6 @@ mod tests {
         assert!(t.generation_secs() >= 0.004);
         assert!(t.eval_secs() >= 0.009);
         assert!(t.total_secs() >= t.generation_secs() + t.eval_secs() - 1e-4);
-    }
-
-    #[test]
-    fn counter_counts_each_outcome() {
-        let mut c = EvalCounter::default();
-        for _ in 0..10 {
-            c.generate();
-        }
-        for _ in 0..6 {
-            c.drop_feature();
-        }
-        for _ in 0..4 {
-            c.evaluate();
-        }
-        assert_eq!((c.generated, c.dropped, c.evaluated), (10, 6, 4));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::error::Result;
 use crate::fpe::FpeModel;
 use crate::ops::Operator;
-use crate::store::{Candidate, ColumnStore};
+use crate::store::{Candidate, SearchStore};
 use tabular::{Column, DataFrame, Label};
 
 /// The in-RAM column store of a flat search: the sanitized base frame,
@@ -45,7 +45,7 @@ impl EngineState {
     }
 }
 
-impl ColumnStore for EngineState {
+impl SearchStore for EngineState {
     /// A candidate's column, named by the driver when it is framed or
     /// accepted.
     type Values = Column;

@@ -2,7 +2,7 @@
 //! machine — [`Engine::start`] / [`Engine::step`] / [`Engine::finish`].
 //!
 //! A [`Search`] holds its RL state as the crate-private `Plan` of the
-//! subgroups beside a column store (the crate-private `ColumnStore`, see
+//! subgroups beside a column store (the crate-private `SearchStore`, see
 //! `store.rs`): the in-RAM [`EngineState`] behind [`SearchState`], the
 //! out-of-core [`ChunkedFrame`] behind [`ChunkedSearch`]. Everything
 //! else lives here, once: the policies, both RNG streams, the replay
@@ -22,8 +22,10 @@
 //!
 //! A candidate is named and made in exactly one place
 //! (`RlState::generate`), proposed in one (`propose`), judged in one
-//! (`Engine::gate`), scored in one (`probe`) and joins the plan and the
-//! store in one (`RlState::accept`). The speculation replays in
+//! (`Engine::gate`), carried to its end and counted in one
+//! (`Engine::decide`, which keeps a `Decision` record of why), scored in
+//! one (`probe`) and joins the plan and the store in one
+//! (`RlState::accept`). The speculation replays in
 //! `speculate.rs` ([`Engine::speculate_fpe_columns`],
 //! [`Engine::speculate_evals`]) call `propose` and the gate on copies of
 //! the streams, which is what makes their predictions exact. A search
@@ -56,7 +58,7 @@ use crate::report::{
 };
 use crate::reward::SurrogateReward;
 use crate::state::EngineState;
-use crate::store::{Candidate, ColumnStore, Lineage, Plan};
+use crate::store::{Candidate, Lineage, Plan, SearchStore};
 use learners::{BinnedColumn, SelectedColumn, Selection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,10 +144,11 @@ impl AdaptiveGate {
         }
     }
 
-    /// Record the score and decide whether the candidate passes.
-    /// `scratch` is overwritten; callers keep one across a slice's
-    /// candidates so the median costs no allocation.
-    fn observe_and_pass(&mut self, p: f64, scratch: &mut Vec<f64>) -> bool {
+    /// Record the score and return the cut it must clear to pass: the
+    /// window's median, at least 0.5. `scratch` is overwritten; callers
+    /// keep one across a slice's candidates so the median costs no
+    /// allocation.
+    fn cut(&mut self, p: f64, scratch: &mut Vec<f64>) -> f64 {
         if self.window.len() == self.cap {
             self.window.remove(0);
         }
@@ -156,7 +159,7 @@ impl AdaptiveGate {
         let (_, median, _) = scratch.select_nth_unstable_by(mid, |a, b| {
             a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
         });
-        p >= median.max(0.5)
+        median.max(0.5)
     }
 }
 
@@ -227,7 +230,7 @@ struct SearchCore<R> {
 /// state machine behind [`Engine::run`] and [`Engine::run_chunked`],
 /// advanced one epoch-granular slice at a time by [`Engine::step`].
 #[derive(Clone)]
-pub struct Search<B: ColumnStore> {
+pub struct Search<B: SearchStore> {
     core: Core<B>,
     /// Process-local caching evaluator; rebuilt lazily after deserialize.
     /// A clone shares it (and so its cache, which never changes a score).
@@ -257,7 +260,7 @@ pub type ChunkedSearch = Search<ChunkedFrame>;
 /// A search's core over column store `B`.
 type Core<B> = SearchCore<RlState<B>>;
 
-impl<B: ColumnStore> RlState<B> {
+impl<B: SearchStore> RlState<B> {
     /// The candidate `lineage` describes: named by the plan, its values
     /// generated by the store from the parents' columns.
     fn generate(&self, lineage: Lineage) -> Result<Candidate<B::Values>> {
@@ -368,7 +371,7 @@ impl Deserialize for SearchState {
     }
 }
 
-impl<B: ColumnStore> Search<B> {
+impl<B: SearchStore> Search<B> {
     /// True once the search has consumed all its epochs (or stopped
     /// early); further [`Engine::step`] calls are no-ops.
     pub fn is_done(&self) -> bool {
@@ -438,7 +441,7 @@ impl ChunkedSearch {
 /// The fixed-size state embedding fed to an agent's RNN policy: eight
 /// cheap, bounded summary statistics of the current state
 /// ([`EngineState::EMBEDDING_DIM`]).
-fn embedding<B: ColumnStore>(
+fn embedding<B: SearchStore>(
     cfg: &EafeConfig,
     state: &RlState<B>,
     agent: usize,
@@ -466,7 +469,7 @@ fn embedding<B: ColumnStore>(
 /// replacement and generate the candidate that lineage describes. `rng`
 /// is drawn in that order — policy step, member `a`, member `b` — and
 /// nothing else in a slice draws from it.
-fn propose<B: ColumnStore>(
+fn propose<B: SearchStore>(
     cfg: &EafeConfig,
     state: &RlState<B>,
     policy: &mut RnnPolicy,
@@ -502,6 +505,98 @@ impl GateStreams {
     }
 }
 
+/// What a slice decided about one candidate, and why: begun by
+/// [`Engine::gate`] (a seeded replay passes ungated), finished and
+/// tallied by [`Engine::decide`], and with telemetry on the fields of the
+/// `search.candidate` span around the candidate (DESIGN.md §6).
+#[derive(Debug, Clone, Copy)]
+struct Decision {
+    lineage: Lineage,
+    order: usize,
+    stage: SearchStage,
+    /// The FPE probability and the cut it had to clear.
+    fpe: Option<(f64, f64)>,
+    pass: bool,
+    /// The downstream score, and whether `probe` computed it (else the
+    /// score cache held it).
+    score: Option<(f64, bool)>,
+    /// The score's gain over the current score.
+    delta: f64,
+    accepted: bool,
+    /// What the policy step earned; `None` for a seeded replay.
+    earned: Option<f64>,
+}
+
+impl Decision {
+    fn new<V>(stage: SearchStage, candidate: &Candidate<V>) -> Self {
+        Decision {
+            lineage: candidate.lineage,
+            order: candidate.order,
+            stage,
+            fpe: None,
+            pass: stage == SearchStage::Seed,
+            score: None,
+            delta: 0.0,
+            accepted: false,
+            earned: None,
+        }
+    }
+
+    /// The telemetry counters the record adds one to: its operator's
+    /// `ops.generated.*` for a proposal, `fpe.gate.*` for an FPE verdict.
+    fn counts(&self) -> impl Iterator<Item = &'static str> {
+        let op = (self.stage != SearchStage::Seed).then(|| self.lineage.op.counter_name());
+        let verdict = ["fpe.gate.reject", "fpe.gate.accept"][usize::from(self.pass)];
+        op.into_iter().chain(self.fpe.map(|_| verdict))
+    }
+
+    /// The one writer of a search's counter, score-cache tallies, weighted
+    /// feature set (`name`, if accepted) and [`Self::counts`].
+    fn tally<R>(&self, core: &mut SearchCore<R>, name: &str) {
+        let (counter, computed) = (&mut core.counter, self.score.map(|(_, c)| c));
+        counter.generated += usize::from(self.stage != SearchStage::Seed);
+        counter.dropped += usize::from(!self.pass);
+        counter.evaluated += usize::from(computed.is_some());
+        core.cache_hits += u64::from(computed == Some(false));
+        core.cache_misses += u64::from(computed == Some(true));
+        if self.accepted {
+            let (name, weight) = (name.to_string(), self.delta);
+            core.weighted.push(WeightedFeature { name, weight });
+        }
+        self.counts()
+            .for_each(|counter| telemetry::count(counter, 1));
+    }
+
+    /// The record as `span`'s fields, each absent where its value is. The
+    /// stage is not one: the enclosing epoch span names it, and a seeded
+    /// replay is the one decision without `earned`. Each field costs the
+    /// traced run an allocation.
+    fn trace(&self, span: &mut telemetry::SpanGuard) {
+        let Lineage { agent, op, a, b } = self.lineage;
+        let flag = |on: bool| Some(f64::from(u8::from(on)));
+        let ((p, cut), (score, computed)) = (self.fpe.unzip(), self.score.unzip());
+        let scored = |on: bool| score.and(flag(on));
+        let fields = [
+            ("agent", Some(agent as f64)),
+            ("op", Some(op as usize as f64)),
+            ("a", Some(a as f64)),
+            ("b", Some(b as f64)),
+            ("order", Some(self.order as f64)),
+            ("p", p),
+            ("cut", cut),
+            ("pass", flag(self.pass)),
+            ("score", score),
+            ("computed", computed.and_then(flag)),
+            ("delta", score.map(|_| self.delta)),
+            ("accepted", scored(self.accepted)),
+            ("earned", self.earned),
+        ];
+        for (key, value) in fields {
+            value.into_iter().for_each(|value| span.field(key, value));
+        }
+    }
+}
+
 impl Engine {
     /// Validate the configuration and open a resumable search on `frame`:
     /// sanitize it, score the raw feature set, and set up policies, RNG
@@ -515,7 +610,7 @@ impl Engine {
 
     /// Open a search on a store whose base columns are already sanitized,
     /// and the plan of those columns alone.
-    pub(crate) fn open<B: ColumnStore>(&self, store: B, plan: Plan) -> Result<Search<B>> {
+    pub(crate) fn open<B: SearchStore>(&self, store: B, plan: Plan) -> Result<Search<B>> {
         self.config.validate()?;
         if matches!(&self.gate, Gate::RandomDrop { rate } if !(0.0..=1.0).contains(rate)) {
             return Err(EafeError::InvalidConfig(
@@ -531,7 +626,6 @@ impl Engine {
         let cfg = &self.config;
         let mut timer = PhaseTimer::new();
         timer.start();
-        let mut counter = EvalCounter::default();
 
         // The one place a search learns its row count: a MinHash gate's
         // draw table is built for it here, on every core the budget
@@ -546,7 +640,6 @@ impl Engine {
         // content-addressed cache: repeat candidates (replayed features,
         // re-explored transformations) are computed once.
         let evaluator = self.evaluator();
-        let cache_start = evaluator.stats();
 
         let mut state = RlState {
             store,
@@ -555,12 +648,9 @@ impl Engine {
             last_reward: 0.0,
         };
         let mut selection = None;
-        let base_score = {
-            let _eval_span = telemetry::span("engine.evaluate");
-            timer.evaluation(|| probe(&state, &evaluator, &mut selection, None))?
-        };
+        let (base_score, computed) =
+            timer.evaluation(|| probe(&state, &evaluator, &mut selection, None))?;
         state.current_score = base_score;
-        counter.evaluate();
         let n_agents = state.plan.n_agents();
         let max_generated = ((n_agents as f64 * cfg.max_generated_ratio).ceil() as usize).max(1);
 
@@ -579,7 +669,7 @@ impl Engine {
         let trace = vec![EpochPoint {
             epoch: 0,
             score: base_score,
-            downstream_evals: counter.evaluated,
+            downstream_evals: 1,
             elapsed_secs: timer.total_secs(),
         }];
 
@@ -589,7 +679,6 @@ impl Engine {
             self.stage2_or_done(0)
         };
 
-        let cache_delta = evaluator.stats().since(&cache_start);
         Ok(Search {
             core: SearchCore {
                 state,
@@ -605,7 +694,11 @@ impl Engine {
                 base_score,
                 best_score: base_score,
                 trace,
-                counter,
+                // The base evaluation is the one that is no candidate's.
+                counter: EvalCounter {
+                    evaluated: 1,
+                    ..EvalCounter::default()
+                },
                 epochs_since_improvement: 0,
                 max_generated,
                 slices: 0,
@@ -613,8 +706,8 @@ impl Engine {
                 generation_secs: timer.generation_secs(),
                 eval_secs: timer.eval_secs(),
                 total_secs: timer.total_secs(),
-                cache_hits: cache_delta.hits,
-                cache_misses: cache_delta.misses,
+                cache_hits: u64::from(!computed),
+                cache_misses: u64::from(computed),
             },
             evaluator: Some(evaluator),
             selection,
@@ -652,7 +745,7 @@ impl Engine {
     /// replay seeding, or a stage-2 epoch) and report the best-so-far
     /// result. Calling `step` on a finished search is a no-op that
     /// returns the terminal report.
-    pub fn step<B: ColumnStore>(&self, search: &mut Search<B>) -> Result<EpochReport> {
+    pub fn step<B: SearchStore>(&self, search: &mut Search<B>) -> Result<EpochReport> {
         let Some((stage, epoch)) = search.core.phase.slice() else {
             return Ok(report(&search.core, SearchStage::Stage2, 0));
         };
@@ -662,7 +755,6 @@ impl Engine {
             .clone();
         let mut timer = PhaseTimer::new();
         timer.start();
-        let cache_start = evaluator.stats();
 
         let (core, selection) = (&mut search.core, &mut search.selection);
         match stage {
@@ -674,16 +766,13 @@ impl Engine {
         core.generation_secs += timer.generation_secs();
         core.eval_secs += timer.eval_secs();
         core.total_secs += timer.total_secs();
-        let delta = evaluator.stats().since(&cache_start);
-        core.cache_hits += delta.hits;
-        core.cache_misses += delta.misses;
         Ok(report(core, stage, epoch))
     }
 
     /// Is a candidate worth an FPE score or an evaluation at all? Not when
     /// it is degenerate or deeper than the order cap, and in stage 2 not
     /// once the generation budget is spent.
-    fn structurally_ok<B: ColumnStore>(
+    fn structurally_ok<B: SearchStore>(
         &self,
         core: &Core<B>,
         candidate: &Candidate<B::Values>,
@@ -698,43 +787,86 @@ impl Engine {
     /// The gate: a candidate passes iff it is [structurally
     /// sound](Engine::structurally_ok) and the configured gate lets it
     /// through. With an FPE model, stage 1 cuts the probability at 0.5 and
-    /// stage 2 asks the adaptive window. Returns the verdict and the FPE
-    /// probability when one was computed. The gate streams advance only
-    /// for structurally sound candidates.
-    fn gate<B: ColumnStore>(
+    /// stage 2 asks the adaptive window for its cut. Returns the verdict,
+    /// with the probability and cut when there was one, as the candidate's
+    /// [`Decision`] so far. The gate streams advance only for structurally
+    /// sound candidates.
+    fn gate<B: SearchStore>(
         &self,
         core: &Core<B>,
         candidate: &Candidate<B::Values>,
         stage: SearchStage,
         streams: &mut GateStreams,
-    ) -> Result<(bool, Option<f64>)> {
+    ) -> Result<Decision> {
+        let mut d = Decision::new(stage, candidate);
         if !self.structurally_ok(core, candidate, stage) {
-            return Ok((false, None));
+            return Ok(d);
         }
-        Ok(match &self.gate {
+        d.pass = match &self.gate {
             Gate::Fpe(fpe) => {
                 let p = core.state.store.fpe_score(fpe, &candidate.values)?;
-                let pass = if stage == SearchStage::Stage1 {
-                    p >= 0.5
-                } else {
-                    streams.window.observe_and_pass(p, &mut streams.scratch)
+                let cut = match stage {
+                    SearchStage::Stage1 => 0.5,
+                    _ => streams.window.cut(p, &mut streams.scratch),
                 };
-                (pass, Some(p))
+                d.fpe = Some((p, cut));
+                p >= cut
             }
-            Gate::RandomDrop { rate } => (!streams.rng.gen_bool(*rate), None),
-            Gate::None => (true, None),
-        })
+            Gate::RandomDrop { rate } => !streams.rng.gen_bool(*rate),
+            Gate::None => true,
+        };
+        Ok(d)
+    }
+
+    /// Carry `d`, the gate's verdict on `candidate` or a seeded replay's,
+    /// to its end and tally it. In stage 1 a pass joins the replay buffer
+    /// and the step earns the surrogate's pseudo-score; otherwise a pass is
+    /// evaluated and accepted if it beats the current score, which a
+    /// stage-2 step earns at least.
+    fn decide<B: SearchStore>(
+        &self,
+        core: &mut Core<B>,
+        evaluator: &CachedEvaluator,
+        selection: &mut Option<Selection>,
+        timer: &mut PhaseTimer,
+        candidate: Candidate<B::Values>,
+        mut d: Decision,
+    ) -> Result<Decision> {
+        let current = core.state.current_score;
+        if d.stage == SearchStage::Stage1 {
+            let p = d.fpe.map_or(0.0, |(p, _)| p);
+            if d.pass {
+                core.replay.push(p, candidate.lineage);
+            }
+            let surrogate = SurrogateReward::new(core.base_score, self.config.thre);
+            d.earned = Some(surrogate.pseudo_score(p));
+        } else if d.pass {
+            let state = &core.state;
+            let (score, computed) =
+                timer.evaluation(|| probe(state, evaluator, selection, Some(&candidate)))?;
+            (d.score, d.delta, d.accepted) =
+                (Some((score, computed)), score - current, score > current);
+            // A seeded replay moves the last reward only when accepted.
+            if d.stage == SearchStage::Stage2 || d.accepted {
+                core.state.last_reward = d.delta;
+            }
+        }
+        if d.stage == SearchStage::Stage2 {
+            d.earned = Some(d.score.map_or(current, |(score, _)| score.max(current)));
+        }
+        d.tally(core, &candidate.name);
+        if let Some((score, _)) = d.score.filter(|_| d.accepted) {
+            accept(core, selection, candidate, score)?;
+        }
+        Ok(d)
     }
 
     /// One training epoch — Algorithm 2's loop, run against the FPE
     /// surrogate in stage 1 and against the downstream task in stage 2 (the
     /// only stage of one-stage methods). Every agent runs one episode of
-    /// proposals through the gate. In stage 1 a passing candidate joins the
-    /// replay buffer and the step earns the surrogate's pseudo-score; in
-    /// stage 2 it is evaluated downstream, accepted if it improves the
-    /// score, and the step earns the score reached. The policy then updates
-    /// on the episode's returns.
-    fn epoch<B: ColumnStore>(
+    /// proposals through the gate and [`Engine::decide`]; the policy then
+    /// updates on the episode's returns.
+    fn epoch<B: SearchStore>(
         &self,
         core: &mut Core<B>,
         evaluator: &CachedEvaluator,
@@ -757,7 +889,6 @@ impl Engine {
         });
         epoch_span.field("epoch", epoch as f64);
         let epoch_frac = self.epoch_frac(stage, epoch);
-        let surrogate = SurrogateReward::new(core.base_score, cfg.thre);
         let mut rng = core.rng.to_rng();
         let mut streams = GateStreams::of(core);
 
@@ -771,43 +902,17 @@ impl Engine {
             let mut episode: Vec<StepCache> = Vec::with_capacity(cfg.steps_per_epoch);
             let mut scores = Vec::with_capacity(cfg.steps_per_epoch);
             for step in 0..cfg.steps_per_epoch {
+                let mut span = telemetry::span("search.candidate");
                 let policy = &mut core.policies[agent];
                 let (cache, candidate) = timer.generation(|| {
                     propose(cfg, &core.state, policy, &mut rng, agent, step, epoch_frac)
                 })?;
                 episode.push(cache);
-                core.counter.generate();
-                telemetry::count(candidate.lineage.op.counter_name(), 1);
-
-                let (pass, fpe_p) =
+                let gated =
                     timer.generation(|| self.gate(core, &candidate, stage, &mut streams))?;
-                if fpe_p.is_some() {
-                    let verdict = if pass {
-                        "fpe.gate.accept"
-                    } else {
-                        "fpe.gate.reject"
-                    };
-                    telemetry::count(verdict, 1);
-                }
-                if !pass {
-                    core.counter.drop_feature();
-                }
-                scores.push(if stage1 {
-                    let p = fpe_p.unwrap_or(0.0);
-                    if pass {
-                        core.replay.push(p, candidate.lineage);
-                    }
-                    surrogate.pseudo_score(p)
-                } else if pass {
-                    let score = evaluate(core, evaluator, selection, timer, &candidate)?;
-                    core.state.last_reward = score - core.state.current_score;
-                    if score > core.state.current_score {
-                        accept(core, selection, candidate, score)?;
-                    }
-                    score.max(core.state.current_score)
-                } else {
-                    core.state.current_score
-                });
+                let decision = self.decide(core, evaluator, selection, timer, candidate, gated)?;
+                scores.extend(decision.earned);
+                decision.trace(&mut span);
             }
             let returns = {
                 let _reward_span = telemetry::span("engine.reward");
@@ -872,9 +977,9 @@ impl Engine {
 
     /// Seed stage 2: replay the promising stage-1 features against the
     /// real downstream task (Algorithm 2 line 16), each made again from its
-    /// lineage. A feature that improves the score joins the subgroup of the
-    /// agent that proposed it.
-    fn seed<B: ColumnStore>(
+    /// lineage and passed to [`Engine::decide`]. A feature that improves
+    /// the score joins the subgroup of the agent that proposed it.
+    fn seed<B: SearchStore>(
         &self,
         core: &mut Core<B>,
         evaluator: &CachedEvaluator,
@@ -885,12 +990,11 @@ impl Engine {
             if core.state.plan.n_generated() >= core.max_generated {
                 break;
             }
+            let mut span = telemetry::span("search.candidate");
             let candidate = timer.generation(|| core.state.generate(lineage))?;
-            let score = evaluate(core, evaluator, selection, timer, &candidate)?;
-            if score > core.state.current_score {
-                core.state.last_reward = score - core.state.current_score;
-                accept(core, selection, candidate, score)?;
-            }
+            let seeded = Decision::new(SearchStage::Seed, &candidate);
+            self.decide(core, evaluator, selection, timer, candidate, seeded)?
+                .trace(&mut span);
         }
         core.phase = self.stage2_or_done(0);
         Ok(())
@@ -905,7 +1009,7 @@ impl Engine {
     }
 
     /// The instrumented [`RunResult`] of a search's best-so-far state.
-    pub(crate) fn result<B: ColumnStore>(&self, search: &Search<B>) -> RunResult {
+    pub(crate) fn result<B: SearchStore>(&self, search: &Search<B>) -> RunResult {
         let core = &search.core;
         RunResult {
             method: self.method_name.clone(),
@@ -927,7 +1031,7 @@ impl Engine {
     /// Blocking driver over [`Engine::step`], shared by
     /// [`Engine::run_full`] and [`Engine::run_chunked`]: opens a search,
     /// steps it to the end and hands it back finished.
-    pub(crate) fn drive<B: ColumnStore>(
+    pub(crate) fn drive<B: SearchStore>(
         &self,
         open: impl FnOnce() -> Result<Search<B>>,
     ) -> Result<Search<B>> {
@@ -972,28 +1076,12 @@ fn report<R>(core: &SearchCore<R>, stage: SearchStage, epoch: usize) -> EpochRep
     }
 }
 
-/// One counted downstream evaluation of the selection plus `candidate`.
-fn evaluate<B: ColumnStore>(
-    core: &mut Core<B>,
-    evaluator: &CachedEvaluator,
-    selection: &mut Option<Selection>,
-    timer: &mut PhaseTimer,
-    candidate: &Candidate<B::Values>,
-) -> Result<f64> {
-    let _eval_span = telemetry::span("engine.evaluate");
-    let state = &core.state;
-    let score = timer.evaluation(|| probe(state, evaluator, selection, Some(candidate)))?;
-    core.counter.evaluate();
-    Ok(score)
-}
-
 /// Accept `candidate`, which scored `score` (above the current score),
-/// into its proposing agent's subgroup; its weight is
-/// `core.state.last_reward`, the gain it delivered. A built selection
+/// into its proposing agent's subgroup. A built selection
 /// gains the column behind its subgroup's earlier acceptances: the
 /// candidate its `probe` held, with the digest and bins that probe made
 /// (binned here only when its score came from the score cache).
-fn accept<B: ColumnStore>(
+fn accept<B: SearchStore>(
     core: &mut Core<B>,
     selection: &mut Option<Selection>,
     candidate: Candidate<B::Values>,
@@ -1001,10 +1089,6 @@ fn accept<B: ColumnStore>(
 ) -> Result<()> {
     core.state.current_score = score;
     core.best_score = core.best_score.max(score);
-    core.weighted.push(WeightedFeature {
-        name: candidate.name.clone(),
-        weight: core.state.last_reward,
-    });
     if let Some(selection) = selection {
         let plan = &core.state.plan;
         let agent = candidate.lineage.agent;
@@ -1022,7 +1106,8 @@ fn accept<B: ColumnStore>(
 }
 
 /// The downstream score of the selection extended by `candidate` — of
-/// the selection alone when `None` — and the one place a search scores
+/// the selection alone when `None` — and whether it was computed rather
+/// than found in the score cache: the one place a search scores
 /// anything. The score cache is probed with the selection's key state
 /// plus the candidate's digest (≡ `cache_key` of the raw-value frame); a
 /// miss bins only the candidate, from its runs (or reads its bins from
@@ -1031,12 +1116,13 @@ fn accept<B: ColumnStore>(
 /// built here from the selected columns when it is missing or was binned
 /// under another budget; it holds the candidate afterwards, in place of
 /// the one probed before, for `accept` to take.
-fn probe<B: ColumnStore>(
+fn probe<B: SearchStore>(
     state: &RlState<B>,
     evaluator: &CachedEvaluator,
     held: &mut Option<Selection>,
     candidate: Option<&Candidate<B::Values>>,
-) -> Result<f64> {
+) -> Result<(f64, bool)> {
+    let _eval_span = telemetry::span("engine.evaluate");
     let store = &state.store;
     let budget = evaluator.scorer().bin_budget(store.label().task());
     let selection = selection_under(state, held.take(), budget)?;
@@ -1050,7 +1136,9 @@ fn probe<B: ColumnStore>(
         Some(column) => selection.extended_key(column.name(), column.digest()),
         None => selection.key().clone(),
     });
+    let mut computed = false;
     let score = evaluator.evaluate_keyed(key, |scorer| {
+        computed = true;
         if cfg!(debug_assertions) {
             let frame = state.raw_frame(candidate)?;
             debug_assert_eq!(
@@ -1070,12 +1158,12 @@ fn probe<B: ColumnStore>(
     if let Some(column) = extra {
         selection.hold_candidate(column);
     }
-    Ok(score)
+    Ok((score, computed))
 }
 
 /// `held` when it was binned under `budget`, else the selection of the
 /// selected columns under it, each digested and binned from its runs.
-fn selection_under<B: ColumnStore>(
+fn selection_under<B: SearchStore>(
     state: &RlState<B>,
     held: Option<Selection>,
     budget: Option<usize>,
@@ -1161,7 +1249,7 @@ mod tests {
         let n = 500;
         for i in 0..n {
             let p = 0.7 + 0.2 * ((i as f64 * 0.713).sin());
-            if gate.observe_and_pass(p, &mut scratch) {
+            if p >= gate.cut(p, &mut scratch) {
                 passed += 1;
             }
         }
@@ -1177,7 +1265,7 @@ mod tests {
         // running median.
         let mut scratch = Vec::new();
         for _ in 0..100 {
-            assert!(!gate.observe_and_pass(0.3, &mut scratch));
+            assert!(0.3 < gate.cut(0.3, &mut scratch));
         }
     }
 
@@ -1198,7 +1286,7 @@ mod tests {
             let mut sorted = recent.clone();
             sorted.sort_by(f64::total_cmp);
             let expected = p >= sorted[sorted.len() / 2].max(0.5);
-            assert_eq!(gate.observe_and_pass(p, &mut scratch), expected, "step {i}");
+            assert_eq!(p >= gate.cut(p, &mut scratch), expected, "step {i}");
             assert_eq!(gate.window, recent, "window stays in arrival order");
         }
     }
@@ -1305,6 +1393,148 @@ mod tests {
         assert_eq!(plan.selected_names(), ["sqrt(f10)"]);
         assert_eq!(plan.members(10), 2, "sqrt(f10) joins subgroup 10");
         assert_eq!(plan.members(1), 1);
+    }
+
+    /// Every path a candidate can take through `Engine::decide` — stage 1
+    /// pass and drop, structurally unsound, stage 2 drop, evaluated but
+    /// rejected, accepted, and a seeded replay either way — moves the
+    /// counter, the score-cache tallies, the weighted set and the telemetry
+    /// counts as its record says.
+    #[test]
+    fn each_decision_is_tallied_from_its_record() {
+        // The gate's verdict on `agent`'s `op(f, f)` for every agent and
+        // operator, on copies of the gate streams.
+        fn verdicts(engine: &Engine, search: &SearchState, stage: SearchStage) -> Vec<Decision> {
+            let core = &search.core;
+            let mut streams = GateStreams::of(core);
+            let mut out = Vec::new();
+            for agent in 0..core.state.plan.n_agents() {
+                for op in Operator::ALL {
+                    let candidate = core.state.generate(Lineage::new(agent, op, 0, 0));
+                    let gated = engine.gate(core, &candidate.unwrap(), stage, &mut streams);
+                    out.push(gated.unwrap());
+                }
+            }
+            out
+        }
+        fn find(verdicts: &[Decision], pick: impl Fn(&Decision) -> bool) -> Decision {
+            *verdicts
+                .iter()
+                .find(|d| pick(d))
+                .expect("a verdict of that kind")
+        }
+        // Decide `decision` against the current score `current`; the
+        // counter and the weighted set move as the record says.
+        fn decide(
+            engine: &Engine,
+            search: &mut SearchState,
+            decision: Decision,
+            current: f64,
+        ) -> Decision {
+            let candidate = search.core.state.generate(decision.lineage).unwrap();
+            let name = candidate.name.clone();
+            search.core.state.current_score = current;
+            let (before, weighted) = (search.core.counter, search.core.weighted.len());
+            let cached = (search.core.cache_hits, search.core.cache_misses);
+            let evaluator = search.evaluator.clone().unwrap();
+            let core = &mut search.core;
+            let mut timer = PhaseTimer::new();
+            let selection = &mut search.selection;
+            let d = engine.decide(core, &evaluator, selection, &mut timer, candidate, decision);
+            let d = d.unwrap();
+            let after = search.core.counter;
+            let proposed = d.stage != SearchStage::Seed;
+            assert_eq!(after.generated - before.generated, usize::from(proposed));
+            assert_eq!(after.dropped - before.dropped, usize::from(!d.pass));
+            assert_eq!(
+                after.evaluated - before.evaluated,
+                usize::from(d.score.is_some())
+            );
+            let computed = d.score.map(|(_, computed)| computed);
+            let hits = search.core.cache_hits - cached.0;
+            assert_eq!(hits, u64::from(computed == Some(false)));
+            let misses = search.core.cache_misses - cached.1;
+            assert_eq!(misses, u64::from(computed == Some(true)));
+            let pushed = d.accepted.then_some(WeightedFeature {
+                name,
+                weight: d.delta,
+            });
+            assert_eq!(&search.core.weighted[weighted..], pushed.as_slice());
+            d
+        }
+        let counts = |d: &Decision| d.counts().collect::<Vec<_>>();
+
+        let cfg = fast_config();
+        let space = crate::FpeSearchSpace {
+            families: vec![minhash::HashFamily::Ccws],
+            dims: vec![16],
+            thre: 0.0,
+            seed: 1,
+        };
+        let fpe = crate::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
+        let engine = Engine::e_afe(cfg.clone(), fpe);
+        let mut search = engine.start(&target_frame()).unwrap();
+        let base = search.base_score();
+        let surrogate = SurrogateReward::new(base, cfg.thre);
+
+        // Stage 1: a pass joins the replay buffer, a drop does not, and
+        // both earn the surrogate's pseudo-score of their probability.
+        let stage1 = verdicts(&engine, &search, SearchStage::Stage1);
+        let pass = decide(&engine, &mut search, find(&stage1, |d| d.pass), base);
+        let (p, cut) = pass.fpe.unwrap();
+        assert_eq!((cut, pass.score), (0.5, None));
+        assert_eq!(pass.earned, Some(surrogate.pseudo_score(p)));
+        let op = pass.lineage.op.counter_name();
+        assert_eq!(counts(&pass), [op, "fpe.gate.accept"]);
+        assert_eq!(search.core.replay.len(), 1);
+        let dropped = find(&stage1, |d| !d.pass && d.fpe.is_some());
+        let dropped = decide(&engine, &mut search, dropped, base);
+        let op = dropped.lineage.op.counter_name();
+        assert_eq!(counts(&dropped), [op, "fpe.gate.reject"]);
+        assert!(dropped.earned.is_some());
+        assert_eq!(search.core.replay.len(), 1);
+        // `f - f` is constant: no FPE score, so no `fpe.gate.*` count.
+        let unsound = find(&stage1, |d| d.lineage.op == Operator::Subtract);
+        let unsound = decide(&engine, &mut search, unsound, base);
+        assert_eq!((unsound.pass, unsound.fpe), (false, None));
+        assert_eq!(counts(&unsound), [Operator::Subtract.counter_name()]);
+
+        // Stage 2: a drop earns the current score; a pass is evaluated,
+        // sets the last reward, and earns the better of the two.
+        let stage2 = verdicts(&engine, &search, SearchStage::Stage2);
+        let dropped = find(&stage2, |d| !d.pass && d.fpe.is_some());
+        let dropped = decide(&engine, &mut search, dropped, base);
+        assert_eq!((dropped.score, dropped.earned), (None, Some(base)));
+        let pass = find(&stage2, |d| d.pass);
+        let rejected = decide(&engine, &mut search, pass, 2.0);
+        let (score, computed) = rejected.score.unwrap();
+        assert!(computed && !rejected.accepted);
+        assert_eq!(rejected.delta, score - 2.0);
+        assert_eq!(search.core.state.last_reward, rejected.delta);
+        assert_eq!(rejected.earned, Some(2.0));
+        assert_eq!(search.core.state.plan.n_generated(), 0);
+        // The same candidate again: a cached score, now accepted.
+        let accepted = decide(&engine, &mut search, pass, -1.0);
+        assert_eq!(accepted.score, Some((score, false)));
+        assert!(accepted.accepted);
+        assert_eq!(accepted.earned, Some(score));
+        assert_eq!(search.core.state.current_score, score);
+        assert_eq!(search.core.state.plan.n_generated(), 1);
+
+        // Seeding: evaluated, never counted as generated, no FPE verdict,
+        // nothing earned; the last reward moves only on acceptance.
+        let lineage = Lineage::new(0, Operator::Sqrt, 0, 0);
+        let candidate = search.core.state.generate(lineage).unwrap();
+        let seeded = Decision::new(SearchStage::Seed, &candidate);
+        let reward = search.core.state.last_reward;
+        let rejected = decide(&engine, &mut search, seeded, 2.0);
+        assert!(rejected.score.is_some() && !rejected.accepted);
+        assert_eq!((rejected.earned, counts(&rejected)), (None, vec![]));
+        assert_eq!(search.core.state.last_reward, reward);
+        let accepted = decide(&engine, &mut search, seeded, -1.0);
+        assert!(accepted.accepted);
+        assert_eq!(search.core.state.last_reward, accepted.delta);
+        assert_eq!(search.core.state.plan.n_generated(), 2);
     }
 
     #[test]
@@ -1554,25 +1784,21 @@ mod tests {
     /// again — in both column stores.
     #[test]
     fn an_accepted_column_keeps_the_bins_its_probe_built() {
-        fn accept_one<B: ColumnStore>(mut search: Search<B>) {
+        fn accept_one<B: SearchStore>(mut search: Search<B>) {
             let evaluator = search.evaluator.clone().unwrap();
             let lineage = Lineage::new(1, Operator::Multiply, 0, 0);
             let candidate = search.core.state.generate(lineage).unwrap();
             let misses = evaluator.stats().misses;
             let state = &search.core.state;
-            let score = probe(state, &evaluator, &mut search.selection, Some(&candidate));
+            let probed = probe(state, &evaluator, &mut search.selection, Some(&candidate));
+            let (score, computed) = probed.unwrap();
+            assert!(computed);
             assert_eq!(evaluator.stats().misses, misses + 1, "a computed score");
             let held = search.selection.clone().unwrap().take_candidate().unwrap();
             let probed = Arc::clone(held.bins().expect("a miss bins the candidate"));
             let name = candidate.name.clone();
             let n_agents = state.plan.n_agents();
-            accept(
-                &mut search.core,
-                &mut search.selection,
-                candidate,
-                score.unwrap(),
-            )
-            .unwrap();
+            accept(&mut search.core, &mut search.selection, candidate, score).unwrap();
             let selection = search.selection.as_mut().unwrap();
             // Agent 1's first acceptance goes behind the base columns and
             // agent 0's (none yet).
@@ -1605,7 +1831,7 @@ mod tests {
         ];
         // Accept the leading `accepted` into a search's state, then
         // propose the candidate both stores are probed with.
-        fn select<B: ColumnStore>(
+        fn select<B: SearchStore>(
             search: Search<B>,
             accepted: &[(usize, Operator, usize, usize)],
         ) -> (RlState<B>, Candidate<B::Values>) {
@@ -1626,7 +1852,9 @@ mod tests {
             for extras in 0..=accepted.len() {
                 let evaluator = CachedEvaluator::new(fast_config().evaluator);
                 let (flat, candidate) = select(engine.start(&frame).unwrap(), &accepted[..extras]);
-                let score = probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
+                let (score, computed) =
+                    probe(&flat, &evaluator, &mut None, Some(&candidate)).unwrap();
+                assert!(computed);
                 let whole = flat
                     .raw_frame(None)
                     .unwrap()
@@ -1646,12 +1874,15 @@ mod tests {
                     let (chunked, candidate) = select(search, &accepted[..extras]);
                     let mut selection = None;
                     let again = probe(&chunked, &evaluator, &mut selection, Some(&candidate));
-                    assert_eq!(score.to_bits(), again.unwrap().to_bits());
+                    let (again, computed) = again.unwrap();
+                    assert_eq!(score.to_bits(), again.to_bits());
+                    assert!(!computed, "a cached score");
                     // A cache of its own: the probe computes the score
                     // from the bins it built chunk by chunk.
                     let own = CachedEvaluator::new(fast_config().evaluator);
                     let computed = probe(&chunked, &own, &mut selection, Some(&candidate));
-                    let computed = computed.unwrap();
+                    let (computed, miss) = computed.unwrap();
+                    assert!(miss);
                     assert_eq!(own.stats().misses, 1);
                     assert_eq!(
                         computed.to_bits(),

@@ -113,7 +113,7 @@ impl Engine {
                 .collect::<Result<_>>()?,
             SearchPhase::Stage2 { .. } => self
                 .replay_proposals(search, |candidate, stage, streams| {
-                    Ok(self.gate(core, candidate, stage, streams)?.0)
+                    Ok(self.gate(core, candidate, stage, streams)?.pass)
                 })?,
             _ => Vec::new(),
         };

@@ -8,7 +8,7 @@
 //! subgroup) and checks a decoded lineage; a checkpoint writes it as each
 //! subgroup's lineages.
 //!
-//! A [`ColumnStore`] holds column data only, by id: the base columns
+//! A [`SearchStore`] holds column data only, by id: the base columns
 //! `0..n`, then each accepted column in acceptance order. It generates a
 //! candidate's values and says whether they are degenerate, FPE-scores
 //! them, hands over a column's values run by run, builds the raw-value
@@ -169,7 +169,7 @@ impl Serialize for Plan {
 /// Column storage behind a [`crate::step::Search`]; see the module docs.
 /// Columns are addressed by id: the base columns `0..n`, then the
 /// accepted ones in acceptance order.
-pub trait ColumnStore {
+pub trait SearchStore {
     /// A candidate's generated values, not (yet) accepted.
     type Values;
 

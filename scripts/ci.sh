@@ -137,6 +137,12 @@ if [[ "$quick" -eq 0 ]]; then
         || { echo "trace_tool produced an empty folded flamegraph"; exit 1; }
     grep -q 'critical path' "$obs_dir/trace.out" \
         || { echo "trace_tool produced no critical-path report"; exit 1; }
+    # Every search.candidate span carries its operator as `op`, so search
+    # time splits per operator with no analysis code of its own.
+    ./target/release/trace_tool "$obs_dir/serve_trace.jsonl" \
+        --attribution op > "$obs_dir/op.out"
+    grep -q '^  op=[0-9]' "$obs_dir/op.out" \
+        || { echo "trace_tool --attribution op printed no op= row"; exit 1; }
     rm -rf "$obs_dir"
 
     echo "==> telemetry overhead smoke (release)"

@@ -7,6 +7,7 @@
 //! the [`sink_lock`] mutex first; tests in this binary otherwise run
 //! concurrently and would cross-pollute each other's collectors.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use runtime::WorkerPool;
@@ -140,7 +141,12 @@ fn disabled_telemetry_records_nothing_from_pool_runs() {
 /// `speculate_evals`) before stepping it, and a checkpoint restore and
 /// the seeding slice make features again from their lineages; none of
 /// these is a proposal, so Σ `ops.generated.*` over an E-AFE search
-/// stepped that way equals its `generated_features`.
+/// stepped that way equals its `generated_features`. Each decision the
+/// search makes is one `search.candidate` span: the proposals (one per
+/// counted operator) and the seeded replays (the spans without `earned`),
+/// and no replay or restore. Every evaluation but the base one lies
+/// inside a candidate's span, whose `score` field it sets, and the
+/// accepted spans are the selected features.
 #[test]
 fn each_proposal_counts_its_operator_once() {
     let cfg = eafe::EafeConfig::fast();
@@ -150,13 +156,7 @@ fn each_proposal_counts_its_operator_once() {
         thre: 0.0,
         seed: 1,
     };
-    let generated = |snapshot: &telemetry::RegistrySnapshot| -> u64 {
-        let ops = snapshot.counters.iter();
-        ops.filter(|(name, _)| name.starts_with("ops.generated."))
-            .map(|(_, n)| n)
-            .sum()
-    };
-    let ((counted, result), _) = with_collector(|| {
+    let ((counted, result), events) = with_collector(|| {
         // Pre-training runs pool maps too: under the sink lock, so that
         // their task spans cannot reach another test's collector.
         let fpe = eafe::bootstrap_fpe(3, 1, &space, &cfg.evaluator, 7).unwrap();
@@ -176,9 +176,78 @@ fn each_proposal_counts_its_operator_once() {
             let json = serde_json::to_string(&search).unwrap();
             search = serde_json::from_str(&json).unwrap();
         }
-        let counted = generated(&telemetry::global().snapshot()) - generated(&before);
+        let after = telemetry::global().snapshot();
+        let counted: Vec<u64> = OP_COUNTERS
+            .iter()
+            .map(|name| after.counter(name) - before.counter(name))
+            .collect();
         (counted, engine.finish(&search).unwrap().0)
     });
     assert!(result.generated_features > 0);
-    assert_eq!(counted, result.generated_features as u64);
+    assert_eq!(
+        counted.iter().sum::<u64>(),
+        result.generated_features as u64
+    );
+
+    let spans: HashMap<u64, &telemetry::SpanEvent> = events
+        .iter()
+        .filter_map(Event::as_span)
+        .map(|s| (s.id, s))
+        .collect();
+    let field = |s: &telemetry::SpanEvent, key: &str| {
+        s.fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    };
+    let named = |name: &'static str| spans.values().copied().filter(move |s| s.name == name);
+    let candidates: Vec<_> = named("search.candidate").collect();
+    let with = |key: &str, value: Option<f64>| {
+        let matching = candidates.iter().filter(|s| field(s, key) == value);
+        matching.count()
+    };
+    let seeded = with("earned", None);
+    assert!(seeded > 0, "the seeding slice replays stage-1 positives");
+    // A proposal's stage is its epoch span's; a seeded replay has none.
+    for s in &candidates {
+        let epoch = spans.get(&s.parent).map(|p| p.name.as_str());
+        let proposed = matches!(epoch, Some("engine.stage1_epoch" | "engine.stage2_epoch"));
+        assert_eq!(proposed, field(s, "earned").is_some());
+    }
+    assert_eq!(candidates.len() - seeded, result.generated_features);
+    let per_op: Vec<u64> = (0..OP_COUNTERS.len())
+        .map(|op| {
+            let proposed = candidates.iter().filter(|s| field(s, "earned").is_some());
+            let of_op = proposed.filter(|s| field(s, "op") == Some(op as f64));
+            of_op.count() as u64
+        })
+        .collect();
+    assert_eq!(per_op, counted, "one span per counted operator");
+    let scored = candidates.len() - with("score", None);
+    assert_eq!(scored, result.downstream_evals - 1);
+    assert_eq!(with("accepted", Some(1.0)), result.selected.len());
+    let in_candidate = |mut id: u64| loop {
+        match spans.get(&id) {
+            Some(s) if s.name == "search.candidate" => return true,
+            Some(s) => id = s.parent,
+            None => return false,
+        }
+    };
+    let outside = named("engine.evaluate").filter(|s| !in_candidate(s.parent));
+    assert_eq!(
+        outside.count(),
+        1,
+        "only the base evaluation is no candidate's"
+    );
 }
+
+/// The `ops.generated.*` counters in `eafe::Operator::ALL` order, which
+/// is the order of a `search.candidate` span's `op` field.
+const OP_COUNTERS: [&str; 9] = [
+    "ops.generated.log",
+    "ops.generated.norm",
+    "ops.generated.sqrt",
+    "ops.generated.recip",
+    "ops.generated.add",
+    "ops.generated.sub",
+    "ops.generated.mul",
+    "ops.generated.div",
+    "ops.generated.mod",
+];
